@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fault-check bench bench-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
+.PHONY: build test vet race verify fault-check bench bench-smoke bench-test serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
 
 build:
 	$(GO) build ./...
@@ -23,10 +23,12 @@ race:
 # and a graceful drain), a shortened chaos run (every fault class
 # injected, hostile load, corrupt-snapshot reload mid-fire), a
 # shortened fleet run (3 replicas behind adwars-gateway with a mid-load
-# SIGKILL/restart and a canary-rollback rollout via adwars-ctl), and a
+# SIGKILL/restart and a canary-rollback rollout via adwars-ctl), a
 # shortened brownout run (two starved governed replicas overdriven until
-# the degradation ladder climbs, then proven to recover without flapping).
-verify: build vet test race bench-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
+# the degradation ladder climbs, then proven to recover without flapping),
+# and the benchmark module's own tests (bench/ is a separate module, so
+# `go test ./...` at the root does not reach them).
+verify: build vet test race bench-smoke bench-test serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
 
 # bench records the full performance profile: one run regenerates all
 # five BENCH_*.json reports in the repo root.
@@ -95,6 +97,12 @@ bench-smoke:
 	$(GO) test -count=1 -run 'TestDegradeLevelZeroAllocs|TestDegradeTransitionCost' ./internal/degrade
 	$(GO) test -count=1 -run 'TestServeMatchDegradeAllocs' ./internal/serve
 	@echo "bench-smoke: pipeline ok"
+
+# bench-test runs the tests of bench/, the whole-stack benchmark behind
+# BENCHMARK.json: corpus determinism, the oracle, the run-must-fail checks
+# and a short smoke of every workload (~30 s).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # serve-smoke is the end-to-end serving gate: ~2s of mixed load against a
 # freshly snapshotted adwars-serve on an ephemeral port, with a SIGHUP

@@ -3,6 +3,7 @@ package abp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"unsafe"
 
@@ -118,34 +119,76 @@ type automaton struct {
 // aliases the automaton's backing memory and must not be modified.
 func (a *automaton) Bytes() []byte { return a.blob }
 
-// AutomatonKeyword returns the longest run of keyword characters in the
-// rule's pattern (lower-cased, minimum length 3), or "" when none exists.
-// Unlike Keyword, the run needs no token boundaries: every such run is a
-// contiguous literal span of the pattern, so any URL the rule matches must
-// contain it as a substring — exactly the occurrence an Aho–Corasick scan
-// detects. That drains the token index's generic bucket: rules like
-// "/detect123*.js", whose best run touches a '*', are indexable here.
-func (r *Rule) AutomatonKeyword() string {
-	if !r.IsHTTP() {
-		return ""
-	}
-	pat := strings.ToLower(r.Pattern)
-	best := ""
-	for i := 0; i < len(pat); {
-		if !keywordChar(pat[i]) {
+// nextKeywordRun returns the bounds [i, j) of the first maximal run of
+// keyword characters in the lower-cased pattern at or after from that is at
+// least acMinKeyword long, or i < 0 when there is none.
+func nextKeywordRun(pat string, from int) (i, j int) {
+	for i = from; i < len(pat); i = j {
+		for i < len(pat) && !keywordChar(pat[i]) {
 			i++
+		}
+		for j = i; j < len(pat) && keywordChar(pat[j]); j++ {
+		}
+		if j-i >= acMinKeyword {
+			return i, j
+		}
+	}
+	return -1, -1
+}
+
+// acUbiquitous are keyword runs nearly every URL contains. A rule indexed
+// under one is a candidate for nearly every request, however few rules of
+// its list spell the run, so selection ranks them after every other run.
+var acUbiquitous = map[string]bool{
+	"http": true, "https": true, "www": true,
+	"com": true, "net": true, "org": true,
+}
+
+// selectKeywords chooses, for every HTTP rule of a list, the run of its
+// pattern the automaton indexes it under; "" marks a rule without a usable
+// run (and every non-HTTP rule). Any run is a sound keyword: a run is a
+// contiguous literal span of the pattern, so every URL the rule matches
+// contains it as a substring — exactly the occurrence an Aho–Corasick scan
+// detects, no token boundaries needed (which is why "/detect123*.js",
+// useless to the token index, is indexable here). Soundness leaves the
+// choice free, and the choice decides how many candidates a probe must
+// verify, so it is made per list, not per rule: the run that occurs least
+// often in the list's patterns wins (ties: the longest, then the leftmost;
+// acUbiquitous runs only when nothing else is left). A rule
+// "||host123.com/js/advertisement.js" then sits under "host123" with a
+// handful of rules, not under "advertisement" with every sibling that
+// shares the path. One selection feeds the flat, hot and cold builds of a
+// list, and a rule has a keyword under this choice exactly when it has one
+// under any other, so tier membership does not depend on it.
+func selectKeywords(rules []*Rule) []string {
+	pats := make([]string, len(rules))
+	count := make(map[string]int32)
+	for ord, r := range rules {
+		if !r.IsHTTP() {
 			continue
 		}
-		j := i + 1
-		for j < len(pat) && keywordChar(pat[j]) {
-			j++
+		pat := strings.ToLower(r.Pattern)
+		pats[ord] = pat
+		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
+			count[pat[i:j]]++
 		}
-		if j-i >= acMinKeyword && j-i > len(best) {
-			best = pat[i:j]
-		}
-		i = j
 	}
-	return best
+	kws := make([]string, len(rules))
+	for ord, pat := range pats {
+		best, bestN := "", int32(0)
+		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
+			run := pat[i:j]
+			n := count[run]
+			if acUbiquitous[run] {
+				n = math.MaxInt32
+			}
+			if best == "" || n < bestN || n == bestN && len(run) > len(best) {
+				best, bestN = run, n
+			}
+		}
+		kws[ord] = best
+	}
+	return kws
 }
 
 // rulesChecksum is the canonical CRC-64 over a compiled rule set: the raw
@@ -160,137 +203,171 @@ func rulesChecksum(rules []*Rule) uint64 {
 	return artifact.Checksum(buf)
 }
 
-// acTrieNode is a build-time trie node; children are indexed by scan
-// class 1..37 (class 0 never appears in a keyword).
+// acTrieNode is a build-time trie node: 16 bytes and no pointers, so the
+// node slice grows by plain copy and the collector never scans it. A
+// node's children form a list through sibling, kept in ascending symbol
+// order; index 0 is the root and, since the root is nobody's child or
+// sibling, doubles as "none".
 type acTrieNode struct {
-	child [acAlpha]int32 // -1 = absent; index 0 unused
-	fail  int32
-	out   []uint32
+	child   int32
+	sibling int32
+	fail    int32
+	sym     uint8 // scan class 1..37 of the edge into this node
 }
 
-// buildAutomaton compiles the automaton for a rule set and returns its
-// decoded form. The build is deterministic — trie insertion in ordinal
-// order, BFS in symbol order, first-fit slot placement — so the same rule
-// set always serializes to the same bytes (snapshot versions are content
-// CRCs; a rebuild must not change them).
-func buildAutomaton(rules []*Rule, rulesCRC uint64) *automaton {
-	return buildAutomatonMember(rules, rulesCRC, nil)
+type acTrie []acTrieNode
+
+// step returns n's child along symbol c, or 0.
+func (t acTrie) step(n int32, c uint8) int32 {
+	ch := t[n].child
+	for ch != 0 && t[ch].sym < c {
+		ch = t[ch].sibling
+	}
+	if ch != 0 && t[ch].sym == c {
+		return ch
+	}
+	return 0
 }
 
-// buildAutomatonMember compiles an automaton over a subset of the rule
-// set: rules whose ordinal is excluded by member contribute no keyword and
-// no generic entry — they are invisible to this automaton, not demoted to
-// its generic bucket. Ordinals in the output arrays are still indexes into
-// the FULL rule set (and the header carries the full set's count and CRC),
-// which is what lets a hot and a cold automaton compiled from the same
-// list share one rules array, one checksum, and the untiered validation
-// path. A nil member includes every rule (the untiered build).
-func buildAutomatonMember(rules []*Rule, rulesCRC uint64, member []bool) *automaton {
-	type kw struct {
-		s   string
-		ord uint32
-	}
-	var kws []kw
-	var generic []uint32
-	for ord, r := range rules {
-		if !r.IsHTTP() {
-			continue
+// insert adds the keyword's path and returns its final node.
+func (t *acTrie) insert(kw string) int32 {
+	nodes := *t
+	cur := int32(0)
+	for i := 0; i < len(kw); i++ {
+		c := acClass[kw[i]]
+		prev, ch := int32(0), nodes[cur].child
+		for ch != 0 && nodes[ch].sym < c {
+			prev, ch = ch, nodes[ch].sibling
 		}
-		if member != nil && !member[ord] {
-			continue
-		}
-		if s := r.AutomatonKeyword(); s != "" {
-			kws = append(kws, kw{s, uint32(ord)})
-		} else {
-			generic = append(generic, uint32(ord))
-		}
-	}
-
-	// Trie construction.
-	nodes := []acTrieNode{newTrieNode()}
-	for _, k := range kws {
-		cur := int32(0)
-		for i := 0; i < len(k.s); i++ {
-			c := acClass[k.s[i]]
-			if nodes[cur].child[c] < 0 {
-				nodes = append(nodes, newTrieNode())
-				nodes[cur].child[c] = int32(len(nodes) - 1)
-			}
-			cur = nodes[cur].child[c]
-		}
-		nodes[cur].out = append(nodes[cur].out, k.ord)
-	}
-
-	// BFS: fail links, then outputs merged down the fail chain so the
-	// scan never walks fail links to collect outputs.
-	queue := make([]int32, 0, len(nodes))
-	for c := 1; c < acAlpha; c++ {
-		if ch := nodes[0].child[c]; ch >= 0 {
-			nodes[ch].fail = 0
-			queue = append(queue, ch)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		n := queue[qi]
-		for c := 1; c < acAlpha; c++ {
-			ch := nodes[n].child[c]
-			if ch < 0 {
-				continue
-			}
-			f := nodes[n].fail
-			for f != 0 && nodes[f].child[c] < 0 {
-				f = nodes[f].fail
-			}
-			if t := nodes[f].child[c]; t >= 0 && t != ch {
-				nodes[ch].fail = t
+		if ch == 0 || nodes[ch].sym != c {
+			nodes = append(nodes, acTrieNode{sibling: ch, sym: c})
+			ch = int32(len(nodes) - 1)
+			if prev == 0 {
+				nodes[cur].child = ch
 			} else {
-				nodes[ch].fail = 0
+				nodes[prev].sibling = ch
 			}
-			queue = append(queue, ch)
 		}
-		if f := nodes[n].fail; len(nodes[f].out) > 0 {
-			nodes[n].out = append(nodes[n].out, nodes[f].out...)
+		cur = ch
+	}
+	*t = nodes
+	return cur
+}
+
+// buildAutomaton compiles the automaton over the rules member admits (nil
+// admits all), each indexed under its entry of kws — selectKeywords'
+// choice, though any run of the rule's pattern would do. A rule member
+// excludes contributes no keyword and no generic entry: it is invisible to
+// this automaton, not demoted to its generic bucket. Ordinals in the
+// output arrays index the FULL rule set (and the header carries the full
+// set's count and CRC), which is what lets a hot and a cold automaton
+// compiled from the same list share one rules array, one checksum, and the
+// untiered validation path. The build is deterministic — children in
+// symbol order, BFS, first-fit slot placement — so the same rules and
+// keywords always serialize to the same bytes (snapshot versions are
+// content CRCs; a rebuild must not change them).
+func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool) *automaton {
+	// Trie construction. ends[i] is the node the i-th keyworded rule's
+	// path stops at; ords[i] is that rule's ordinal.
+	trie := acTrie{{}}
+	var ords, generic []uint32
+	var ends []int32
+	for ord, r := range rules {
+		if !r.IsHTTP() || member != nil && !member[ord] {
+			continue
+		}
+		if kws[ord] == "" {
+			generic = append(generic, uint32(ord))
+			continue
+		}
+		ords = append(ords, uint32(ord))
+		ends = append(ends, trie.insert(kws[ord]))
+	}
+
+	// own[ownIdx[n]:ownIdx[n+1]] are the ordinals of the rules whose
+	// keyword ends at node n, ascending (a counting sort of ords by ends).
+	ownIdx := make([]uint32, len(trie)+1)
+	for _, n := range ends {
+		ownIdx[n+1]++
+	}
+	for n := range trie {
+		ownIdx[n+1] += ownIdx[n]
+	}
+	own := make([]uint32, len(ords))
+	fill := append([]uint32(nil), ownIdx[:len(trie)]...)
+	for i, n := range ends {
+		own[fill[n]] = ords[i]
+		fill[n]++
+	}
+
+	// BFS: fail links, and nout[n], the size of n's output list once the
+	// lists down its fail chain are merged in (so the scan never walks
+	// fail links to collect outputs).
+	order := make([]int32, 1, len(trie))
+	nout := make([]uint32, len(trie))
+	totalOut := 0
+	for qi := 0; qi < len(order); qi++ {
+		n := order[qi]
+		for ch := trie[n].child; ch != 0; ch = trie[ch].sibling {
+			if n != 0 {
+				c := trie[ch].sym
+				f := trie[n].fail
+				t := trie.step(f, c)
+				for t == 0 && f != 0 {
+					f = trie[f].fail
+					t = trie.step(f, c)
+				}
+				trie[ch].fail = t
+			}
+			nout[ch] = ownIdx[ch+1] - ownIdx[ch] + nout[trie[ch].fail]
+			totalOut += int(nout[ch])
+			order = append(order, ch)
 		}
 	}
 
-	// Double-array placement: BFS order, first-fit base search. slot[i]
-	// is trie node i's slot; root is slot 0.
-	slot := make([]int32, len(nodes))
-	baseOf := make([]int32, len(nodes))
-	used := []bool{true} // slot 0 = root
+	// Double-array placement: BFS order, first-fit base search. slot[n]
+	// is trie node n's slot; the root is slot 0.
+	slot := make([]int32, len(trie))
+	baseOf := make([]int32, len(trie))
+	used := make([]bool, 1, len(trie)+acAlpha)
+	used[0] = true
 	minFree := 1
-	order := append([]int32{0}, queue...)
 	for _, n := range order {
-		placeNode(nodes, n, slot, baseOf, &used, &minFree)
+		baseOf[n], used, minFree = placeChildren(trie, n, slot, used, minFree)
 	}
 
+	// Fill the arrays, then serialize them behind the header into the
+	// contiguous little-endian region.
 	numSlots := len(used)
-	base := make([]uint32, numSlots)
-	check := make([]uint32, numSlots)
-	fail := make([]uint32, numSlots)
-	outCount := make([]uint32, numSlots)
+	body := make([]uint32, 3*numSlots+(numSlots+1)+totalOut+len(generic))
+	base, check, fail := body[:numSlots], body[numSlots:2*numSlots], body[2*numSlots:3*numSlots]
+	outIdx := body[3*numSlots : 4*numSlots+1]
+	outputs := body[4*numSlots+1 : 4*numSlots+1+totalOut]
+	copy(body[4*numSlots+1+totalOut:], generic)
 	for i := range check {
 		check[i] = acEmptySlot
 	}
 	check[0] = 0
-	fail[0] = 0
-	totalOut := 0
-	for n := range nodes {
+	for n := range trie {
 		s := slot[n]
 		base[s] = uint32(baseOf[n])
-		fail[s] = uint32(slot[nodes[n].fail])
-		outCount[s] = uint32(len(nodes[n].out))
-		totalOut += len(nodes[n].out)
-		for c := 1; c < acAlpha; c++ {
-			if ch := nodes[n].child[c]; ch >= 0 {
-				check[slot[ch]] = uint32(s)
-			}
+		fail[s] = uint32(slot[trie[n].fail])
+		outIdx[s+1] = nout[n]
+		for ch := trie[n].child; ch != 0; ch = trie[ch].sibling {
+			check[slot[ch]] = uint32(s)
+		}
+	}
+	for s := 0; s < numSlots; s++ {
+		outIdx[s+1] += outIdx[s]
+	}
+	for n := range trie {
+		pos := outIdx[slot[n]]
+		for f := int32(n); f != 0; f = trie[f].fail {
+			pos += uint32(copy(outputs[pos:], own[ownIdx[f]:ownIdx[f+1]]))
 		}
 	}
 
-	// Serialize into the contiguous little-endian region.
-	size := acHeaderSize + 4*(3*numSlots+(numSlots+1)+totalOut+len(generic))
-	blob := alignedBytes(size)
+	blob := alignedBytes(acHeaderSize + 4*len(body))
 	copy(blob, acMagic)
 	le := binary.LittleEndian
 	le.PutUint32(blob[4:], acVersion)
@@ -300,38 +377,8 @@ func buildAutomatonMember(rules []*Rule, rulesCRC uint64, member []bool) *automa
 	le.PutUint32(blob[20:], uint32(len(generic)))
 	le.PutUint32(blob[24:], uint32(len(rules)))
 	le.PutUint64(blob[32:], rulesCRC)
-	off := acHeaderSize
-	put := func(v uint32) {
-		le.PutUint32(blob[off:], v)
-		off += 4
-	}
-	for _, v := range base {
-		put(v)
-	}
-	for _, v := range check {
-		put(v)
-	}
-	for _, v := range fail {
-		put(v)
-	}
-	// outIdx prefix sums, then outputs grouped by slot in slot order.
-	sum := uint32(0)
-	for s := 0; s < numSlots; s++ {
-		put(sum)
-		sum += outCount[s]
-	}
-	put(sum)
-	outBySlot := make([][]uint32, numSlots)
-	for n := range nodes {
-		outBySlot[slot[n]] = nodes[n].out
-	}
-	for _, outs := range outBySlot {
-		for _, o := range outs {
-			put(o)
-		}
-	}
-	for _, g := range generic {
-		put(g)
+	for i, v := range body {
+		le.PutUint32(blob[acHeaderSize+4*i:], v)
 	}
 
 	a, err := openAutomaton(blob, len(rules), rulesCRC)
@@ -341,69 +388,46 @@ func buildAutomatonMember(rules []*Rule, rulesCRC uint64, member []bool) *automa
 	return a
 }
 
-// placeNode finds a first-fit base for one trie node's children and
-// claims their slots.
-func placeNode(nodes []acTrieNode, n int32, slot, baseOf []int32, used *[]bool, minFree *int) {
-	first := -1
-	for c := 1; c < acAlpha; c++ {
-		if nodes[n].child[c] >= 0 {
-			first = c
-			break
-		}
+// placeChildren finds the first-fit base for trie node n's children,
+// claims their slots, and returns the base with the grown used table and
+// the advanced lowest free slot. The search is the inner loop of the
+// build, so the children's symbols are copied out of the sibling list
+// once and each candidate base is tested against that local array.
+func placeChildren(trie acTrie, n int32, slot []int32, used []bool, minFree int) (int32, []bool, int) {
+	var syms [acAlpha]int
+	k := 0
+	for ch := trie[n].child; ch != 0; ch = trie[ch].sibling {
+		syms[k] = int(trie[ch].sym)
+		k++
 	}
-	if first < 0 {
-		baseOf[n] = 0
-		return
+	if k == 0 {
+		return 0, used, minFree
 	}
-	u := *used
-	for pos := *minFree; ; pos++ {
-		for pos < len(u) && u[pos] {
+next:
+	for pos := max(minFree, syms[0]); ; pos++ {
+		for pos < len(used) && used[pos] {
 			pos++
 		}
-		b := pos - first
-		if b < 0 {
-			continue
-		}
-		ok := true
-		for c := first; c < acAlpha; c++ {
-			if nodes[n].child[c] < 0 {
-				continue
-			}
-			if s := b + c; s < len(u) && u[s] {
-				ok = false
-				break
+		b := pos - syms[0]
+		for _, c := range syms[1:k] {
+			if s := b + c; s < len(used) && used[s] {
+				continue next
 			}
 		}
-		if !ok {
-			continue
-		}
-		for c := first; c < acAlpha; c++ {
-			ch := nodes[n].child[c]
-			if ch < 0 {
-				continue
+		ch := trie[n].child
+		for _, c := range syms[:k] {
+			for b+c >= len(used) {
+				used = append(used, false)
 			}
-			s := b + c
-			for s >= len(u) {
-				u = append(u, false)
-			}
-			u[s] = true
-			slot[ch] = int32(s)
+			used[b+c] = true
+			slot[ch] = int32(b + c)
+			ch = trie[ch].sibling
 		}
-		baseOf[n] = int32(b)
-		*used = u
-		for *minFree < len(u) && u[*minFree] {
-			*minFree++
+		for minFree < len(used) && used[minFree] {
+			minFree++
 		}
-		return
+		return int32(b), used, minFree
 	}
-}
-
-func newTrieNode() acTrieNode {
-	var n acTrieNode
-	for i := range n.child {
-		n.child[i] = -1
-	}
-	return n
 }
 
 // alignedBytes allocates an 8-byte-aligned byte slice so the in-memory

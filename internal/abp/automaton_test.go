@@ -1,7 +1,9 @@
 package abp
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,47 +12,191 @@ import (
 
 func isCorrupt(err error) bool { return errors.Is(err, artifact.ErrCorrupt) }
 
-func TestAutomatonKeyword(t *testing.T) {
-	cases := map[string]string{
+// TestSelectKeywords pins the selection rule: the run rarest in the list,
+// ties to the longest and then the leftmost, ubiquitous runs last.
+func TestSelectKeywords(t *testing.T) {
+	// Alone in its list every run of a rule occurs once, so the tie-break
+	// decides: the longest run, as the per-rule choice used to be.
+	alone := map[string]string{
 		"||pagefair.com^$third-party": "pagefair",
 		"/ads.js?":                    "ads",
 		"||a^":                        "",
 		"*^*":                         "",
 		// Keyword() rejects both runs here (the star can extend "abdetect007"
-		// and "js" ends an unanchored pattern); AutomatonKeyword needs no
+		// and "js" ends an unanchored pattern); the automaton needs no
 		// boundaries — any URL this rule matches contains "abdetect007".
 		"/abdetect007*.js$script":    "abdetect007",
 		"|http://x.com/detect.js|":   "detect",
 		"||cdn.example^adsbygoogle^": "adsbygoogle",
 		"/AdFrame/ADS.JS":            "adframe",
 		"/ab^":                       "",
-		"smashboards.com###notice":   "", // element hiding: never indexed
+		"/left/here":                 "left",  // equal length: leftmost
+		"|https://abc.":              "abc",   // shorter, but "https" is ubiquitous
+		"|https://www.com/":          "https", // only ubiquitous runs: longest of them
+		"smashboards.com###notice":   "",      // element hiding: never indexed
 	}
-	for line, want := range cases {
-		r, err := Parse(line)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", line, err)
+	for line, want := range alone {
+		if got := selectKeywords([]*Rule{mustParse(t, line)})[0]; got != want {
+			t.Errorf("selectKeywords(%q) = %q, want %q", line, got, want)
 		}
-		if got := r.AutomatonKeyword(); got != want {
-			t.Errorf("AutomatonKeyword(%q) = %q, want %q", line, got, want)
+	}
+
+	// In a list, rarity beats length.
+	rules := buildList(t, "rarity",
+		"||host1.example/js/advertisement.js",
+		"||host2.example/js/advertisement.js",
+		"/js/advertisement.js$domain=page.example",
+		"||solo.example^",
+		"||duo.example/duo",
+	).Rules()
+	want := []string{"host1", "host2", "advertisement", "solo", "duo"}
+	for ord, got := range selectKeywords(rules) {
+		if got != want[ord] {
+			t.Errorf("rule %q indexed under %q, want %q", rules[ord].Raw, got, want[ord])
 		}
 	}
 }
 
-// TestAutomatonKeywordIsSubstringOfMatches pins the soundness property the
-// probe stage rests on: whenever a rule matches a URL, the rule's automaton
-// keyword occurs in the lower-cased URL as a plain substring.
-func TestAutomatonKeywordIsSubstringOfMatches(t *testing.T) {
-	rules := benchRules(2000)
-	for _, u := range benchURLs {
+// sharedPathLines are n blocking rules that differ only in the host: the
+// shape whose longest run ("advertisement") is the worst keyword there is.
+func sharedPathLines(n int) []string {
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("||host%d.example/js/advertisement.js", i)
+	}
+	return lines
+}
+
+// candidates returns how many rules the probe stage hands to verification
+// for a request — the number selection exists to keep small.
+func candidates(t *testing.T, l *List, url string) int {
+	t.Helper()
+	c := newMatchCtx(Request{URL: url, Type: TypeScript, PageDomain: "page.example"})
+	cands, ok := l.collectAllCtx(&c)
+	if !ok {
+		t.Fatalf("%q left the automaton path", url)
+	}
+	return len(cands)
+}
+
+// TestCandidatesSharedPath is the regression gate for the EasyList-scale
+// pathology: thousands of rules that share a long path run and differ in
+// the host must not all become candidates of a request for that path.
+func TestCandidatesSharedPath(t *testing.T) {
+	l := buildList(t, "shared", append(sharedPathLines(5000), "|https://zq7.")...)
+	rules := l.Rules()
+	for _, tiered := range []bool{false, true} {
+		if tiered {
+			l = l.CompileTiered(func(ord int) bool { return ord%7 == 0 })
+		}
+		url := "https://host1234.example/js/advertisement.js"
+		if n := candidates(t, l, url); n > 4 {
+			t.Errorf("tiered=%v: %d candidates for %q, want <= 4", tiered, n, url)
+		}
+		if d, r := l.MatchRequest(Request{URL: url, Type: TypeScript}); d != Blocked || r != rules[1234] {
+			t.Errorf("tiered=%v: %q: got (%v, %s), want rule 1234 to block", tiered, url, d, raw(r))
+		}
+		// The last rule must sit under "zq7", not under the "https" every
+		// request here starts with.
+		if n := candidates(t, l, "https://unlisted.example/"); n != 0 {
+			t.Errorf("tiered=%v: %d candidates for an unlisted https URL, want 0", tiered, n)
+		}
+	}
+}
+
+// TestBuildDeterministic: the same rules compile to the same bytes every
+// time, flat and tiered. The rule set is all ties (every run occurs twice)
+// so a choice that leaned on map iteration order would show.
+func TestBuildDeterministic(t *testing.T) {
+	var lines []string
+	for i := 0; i < 400; i++ {
+		lines = append(lines,
+			fmt.Sprintf("||aaa%03d.example/bbb%03d/ccc%03d.js", i, i, i),
+			fmt.Sprintf("/ccc%03d/bbb%03d/aaa%03d^", i, i, i))
+	}
+	first := buildList(t, "det", lines...)
+	rules := first.Rules()
+	keep := func(ord int) bool { return ord%3 == 0 }
+	firstTiered := first.CompileTiered(keep)
+	for i := 0; i < 5; i++ {
+		l := NewList("det", rules)
+		if !bytes.Equal(l.AutomatonBytes(), first.AutomatonBytes()) {
+			t.Fatal("flat bytes differ across identical compiles")
+		}
+		tl := l.CompileTiered(keep)
+		if !bytes.Equal(tl.AutomatonBytes(), firstTiered.AutomatonBytes()) ||
+			!bytes.Equal(tl.ColdAutomatonBytes(), firstTiered.ColdAutomatonBytes()) {
+			t.Fatal("tier bytes differ across identical compiles")
+		}
+	}
+}
+
+// longestRunKeywords is the per-rule choice every snapshot written before
+// rarity ranking carries: each rule under the longest run of its pattern.
+func longestRunKeywords(rules []*Rule) []string {
+	kws := make([]string, len(rules))
+	for ord, r := range rules {
+		if !r.IsHTTP() {
+			continue
+		}
+		pat := strings.ToLower(r.Pattern)
+		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
+			if j-i > len(kws[ord]) {
+				kws[ord] = pat[i:j]
+			}
+		}
+	}
+	return kws
+}
+
+// TestLongestRunAutomatonStillServes is the compatibility gate for
+// snapshots compiled before rarity ranking: an automaton over longest-run
+// keywords differs from today's build, still opens against the same
+// rules, and gives the linear oracle's verdicts, winners and all-matches
+// sets — flat and tiered.
+func TestLongestRunAutomatonStillServes(t *testing.T) {
+	rules := append(benchRules(2000), buildList(t, "shared", sharedPathLines(200)...).Rules()...)
+	plain := NewList("old", rules)
+	kws := longestRunKeywords(plain.Rules())
+	old := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, nil)
+	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
+		t.Fatal("longest-run and rarest-run builds coincide: the test exercises nothing")
+	}
+	flat, err := NewListCompiled("old", rules, old.Bytes())
+	if err != nil {
+		t.Fatalf("longest-run automaton refused: %v", err)
+	}
+	assertTierTransparent(t, "flat", plain, flat)
+
+	n := len(plain.Rules())
+	hot, cold := make([]bool, n), make([]bool, n)
+	for ord, r := range plain.Rules() {
+		if r.IsHTTP() {
+			isHot := r.Kind == KindHTTPException || kws[ord] == "" || ord%2 == 0
+			hot[ord], cold[ord] = isHot, !isHot
+		}
+	}
+	tiered, err := NewListTiered("old", rules,
+		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes(),
+		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, cold).Bytes())
+	if err != nil {
+		t.Fatalf("longest-run tier pair refused: %v", err)
+	}
+	assertTierTransparent(t, "tiered", plain, tiered)
+}
+
+// TestChosenKeywordIsSubstringOfMatches pins the soundness property the
+// probe stage rests on: whenever a rule matches a URL, the keyword the
+// list indexed it under occurs in the lower-cased URL as a plain substring.
+func TestChosenKeywordIsSubstringOfMatches(t *testing.T) {
+	rules := NewList("sound", benchRules(2000)).Rules()
+	kws := selectKeywords(rules)
+	for _, u := range tierURLs() {
 		q := Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
 		low := strings.ToLower(u)
-		for _, r := range rules {
-			if !r.IsHTTP() || !r.MatchRequest(q) {
-				continue
-			}
-			if kw := r.AutomatonKeyword(); kw != "" && !strings.Contains(low, kw) {
-				t.Errorf("rule %q matches %q but keyword %q is not a substring", r.Raw, u, kw)
+		for ord, r := range rules {
+			if r.IsHTTP() && r.MatchRequest(q) && !strings.Contains(low, kws[ord]) {
+				t.Errorf("rule %q matches %q but keyword %q is not a substring", r.Raw, u, kws[ord])
 			}
 		}
 	}

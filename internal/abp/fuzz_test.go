@@ -7,8 +7,9 @@ import "testing"
 // compiled automaton, the token-hash keyword index, and the index-free
 // linear scan must return the same decision, the same winning rule, and the
 // same all-matches slice. The fuzzed rule is compiled into a list alongside
-// a fixed rule mix so candidate ordering, exception precedence, and the
-// generic bucket are all exercised; the list's serialized automaton is also
+// a fixed rule mix so candidate ordering, exception precedence, the generic
+// bucket, and keyword selection among rules that share runs (the fuzzed
+// rule changes the run counts of the whole list) are all exercised; the list's serialized automaton is also
 // reattached via NewListCompiled to prove the round trip changes nothing.
 // Tiered compiles of the same list — everything cold, everything hot, and an
 // input-dependent mix — plus a tier round trip through NewListTiered are held
@@ -24,6 +25,11 @@ func FuzzMatchDifferential(f *testing.F) {
 	f.Add("/a*a*a*b", "http://x.com/aaaaaaac", "x.com")
 	f.Add("/KKlvin", "http://x.com/KKlvin.js", "x.com") // Kelvin sign: non-ASCII fold
 	f.Add("*^*", "http://x.com/", "x.com")
+	// Shared path, distinct hosts: rarity moves these rules off the path run.
+	f.Add("||host3.example/js/advertisement.js", "https://host3.example/js/advertisement.js", "host3.example")
+	f.Add("||host3.example/js/advertisement.js", "https://HOST1.example/JS/Advertisement.js?x=host3", "Host1.Example")
+	f.Add("/js/advertisement.js$domain=host2.example", "https://host9.example/js/advertisement.js", "www.HOST2.example")
+	f.Add("|https://advertisement.", "https://advertisement.host1.example/js/", "x.com")
 
 	fixed := []string{
 		"||vendor.com^$third-party",
@@ -31,6 +37,10 @@ func FuzzMatchDifferential(f *testing.F) {
 		"@@||benign.com/ads.js",
 		"/detect007*.js$script",
 		"||cdn.example^adsbygoogle^",
+		"||host1.example/js/advertisement.js",
+		"||host2.example/js/advertisement.js",
+		"@@||host2.example/js/advertisement.js$domain=host2.example",
+		"/js/advertisement.js$domain=host1.example",
 	}
 
 	f.Fuzz(func(t *testing.T, line, url, page string) {

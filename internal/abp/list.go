@@ -2,6 +2,7 @@ package abp
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -127,7 +128,7 @@ func newList(name string, rules []*Rule, auto []byte) (*List, error) {
 	}
 	l.rulesCRC = rulesChecksum(l.rules)
 	if auto == nil {
-		l.auto = buildAutomaton(l.rules, l.rulesCRC)
+		l.auto = buildAutomaton(l.rules, selectKeywords(l.rules), l.rulesCRC, nil)
 	} else {
 		a, err := openAutomaton(auto, len(l.rules), l.rulesCRC)
 		if err != nil {
@@ -627,6 +628,7 @@ func (h *hideIndex) firstMatch(rules []*Rule, e *Element, genericOff bool, appli
 // appliesOn reports whether an element hiding rule is active on a page
 // domain, honoring the rule's domain prefix and ~negations.
 func (r *Rule) appliesOn(pageDomain string) bool {
+	pageDomain = strings.ToLower(pageDomain)
 	if len(r.Domains) > 0 {
 		ok := false
 		for _, d := range r.Domains {

@@ -1,6 +1,7 @@
 package abp
 
 import (
+	"slices"
 	"strings"
 	"unsafe"
 )
@@ -27,7 +28,7 @@ func (q Request) IsThirdParty() bool {
 	if h == "" || q.PageDomain == "" {
 		return false
 	}
-	return !domainWithin(h, q.PageDomain)
+	return !domainWithin(h, strings.ToLower(q.PageDomain))
 }
 
 // HostOf extracts the lower-cased host (without port, credentials, or IPv6
@@ -64,15 +65,20 @@ func HostOf(rawurl string) string {
 }
 
 // domainWithin reports whether host equals domain or is a subdomain of it.
+// Both must already be lower-cased: it runs once per candidate rule per
+// $domain= entry, so callers lower their side once per request (HostOf and
+// newMatchCtx do) and rule domains are lowered when parsed.
 func domainWithin(host, domain string) bool {
-	host, domain = strings.ToLower(host), strings.ToLower(domain)
-	return host == domain || strings.HasSuffix(host, "."+domain)
+	n := len(host) - len(domain)
+	return n >= 0 && host[n:] == domain && (n == 0 || host[n-1] == '.')
 }
 
-// matchScratchCap sizes the matchCtx candidate scratch. Automaton probe
-// stages rarely yield more than a handful of candidate rules per URL;
-// anything beyond the scratch spills to a heap slice, trading one
-// allocation for correctness on pathological inputs.
+// matchScratchCap sizes the matchCtx candidate scratch. On the paper's
+// lists (1.3 k and 1.6 k rules) a request yields 1.6 to 4.5 candidates; on
+// a 70 k-rule EasyList-shaped list a mean of 101 (p50 72, p90 203, max
+// 344), nearly all of them path-only rules that differ in $domain= alone
+// and so share their one run. The scratch covers the first case and a
+// third of the second; anything beyond it spills to a heap slice.
 const matchScratchCap = 48
 
 // matchCtx caches the per-request derived values — the lower-cased URL, the
@@ -115,14 +121,17 @@ const (
 	lowIsBuf
 )
 
-// newMatchCtx normalizes the request. Lowering is deferred to the first
-// rule that needs a case-insensitive view (see low): the automaton scans
-// the raw URL through its case-folding byte classes, so a no-match lookup
-// often never lowers at all.
+// newMatchCtx normalizes the request: the type defaults, and the page
+// domain is lowered once here for every domainWithin that follows (an
+// already-lower domain, the usual case, is returned as is). Lowering of
+// the URL is deferred to the first rule that needs a case-insensitive view
+// (see low): the automaton scans the raw URL through its case-folding byte
+// classes, so a no-match lookup often never lowers at all.
 func newMatchCtx(q Request) matchCtx {
 	if q.Type == "" {
 		q.Type = TypeOther
 	}
+	q.PageDomain = strings.ToLower(q.PageDomain)
 	return matchCtx{q: q}
 }
 
@@ -194,9 +203,7 @@ func (c *matchCtx) pushCand(ord uint32) {
 
 // sortedCands returns the pushed candidates sorted ascending and
 // deduplicated, i.e. in list insertion order — the order that makes
-// candidate verification reproduce the linear reference scan. Candidate
-// sets are small, so an in-place insertion sort beats sort.Slice and,
-// unlike it, allocates nothing.
+// candidate verification reproduce the linear reference scan.
 //
 // The scratch is left describing exactly the returned set, so callers may
 // keep pushing candidates afterwards (the tiered match path scans a
@@ -221,24 +228,12 @@ func (c *matchCtx) sortedCands() []uint32 {
 }
 
 // sortDedupU32 sorts v ascending in place and compacts duplicates,
-// returning the shortened prefix.
+// returning the shortened prefix. slices.Sort allocates nothing and is an
+// insertion sort up to a dozen elements, O(n log n) beyond — candidate
+// sets run from a handful to a few hundred (see matchScratchCap).
 func sortDedupU32(v []uint32) []uint32 {
-	for i := 1; i < len(v); i++ {
-		x := v[i]
-		j := i - 1
-		for j >= 0 && v[j] > x {
-			v[j+1] = v[j]
-			j--
-		}
-		v[j+1] = x
-	}
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	slices.Sort(v)
+	return slices.Compact(v)
 }
 
 func (c *matchCtx) hostOf() string {

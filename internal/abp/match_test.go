@@ -289,3 +289,42 @@ func TestThirdPartyComputation(t *testing.T) {
 		t.Error("subdomain request should be first-party")
 	}
 }
+
+// TestDomainOptionsIgnoreCase: hosts and page domains reach the matcher in
+// whatever case the caller has; $third-party, $domain= and element-hiding
+// domain scopes compare them case-insensitively, and only at label
+// boundaries.
+func TestDomainOptionsIgnoreCase(t *testing.T) {
+	domainRule := mustParse(t, "/ads.js$domain=News.COM|~Sports.news.com")
+	thirdRule := mustParse(t, "||cdn.tracker.com^$third-party")
+	hideRule := mustParse(t, "News.com,~Sports.News.com###banner")
+	cases := []struct {
+		page                string
+		domain, third, hide bool
+	}{
+		{"news.com", true, true, true},
+		{"NEWS.com", true, true, true},
+		{"Blog.News.Com", true, true, true},
+		{"sports.NEWS.com", false, true, false},
+		{"a.Sports.news.com", false, true, false},
+		{"fakenews.com", false, true, false}, // suffix, not a label boundary
+		{"com", false, false, false},         // a suffix of everything under it
+		{"Tracker.COM", false, false, false}, // the tracker's own page: first party
+		{"", false, false, false},
+	}
+	for _, c := range cases {
+		q := Request{URL: "http://CDN.Tracker.com/ads.js", Type: TypeScript, PageDomain: c.page}
+		if got := domainRule.MatchRequest(q); got != c.domain {
+			t.Errorf("page %q: $domain= rule matched = %v, want %v", c.page, got, c.domain)
+		}
+		if got := thirdRule.MatchRequest(q); got != c.third {
+			t.Errorf("page %q: $third-party rule matched = %v, want %v", c.page, got, c.third)
+		}
+		if got := q.IsThirdParty(); got != c.third {
+			t.Errorf("page %q: IsThirdParty = %v, want %v", c.page, got, c.third)
+		}
+		if got := hideRule.appliesOn(c.page); got != c.hide {
+			t.Errorf("page %q: hiding rule applies = %v, want %v", c.page, got, c.hide)
+		}
+	}
+}

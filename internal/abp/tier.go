@@ -45,6 +45,7 @@ import (
 // unchanged; rules are shared, both lists stay safe for concurrent
 // matchers.
 func (l *List) CompileTiered(keep func(ord int) bool) *List {
+	kws := selectKeywords(l.rules)
 	hot := make([]bool, len(l.rules))
 	cold := make([]bool, len(l.rules))
 	for ord, r := range l.rules {
@@ -53,7 +54,7 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		}
 		switch {
 		case r.Kind == KindHTTPException,
-			r.AutomatonKeyword() == "",
+			kws[ord] == "",
 			keep != nil && keep(ord):
 			hot[ord] = true
 		default:
@@ -69,8 +70,8 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		hideIdx:     l.hideIdx,
 		hideToggles: l.hideToggles,
 	}
-	tl.auto = buildAutomatonMember(l.rules, l.rulesCRC, hot)
-	if err := tl.attachCold(buildAutomatonMember(l.rules, l.rulesCRC, cold)); err != nil {
+	tl.auto = buildAutomaton(l.rules, kws, l.rulesCRC, hot)
+	if err := tl.attachCold(buildAutomaton(l.rules, kws, l.rulesCRC, cold)); err != nil {
 		// Unreachable: the normalization above establishes every invariant
 		// attachCold checks.
 		panic(fmt.Sprintf("abp: internal: freshly compiled tiers failed validation: %v", err))

@@ -16,12 +16,15 @@ import (
 func tierURLs() []string {
 	urls := append([]string(nil), benchURLs...)
 	return append(urls,
-		"http://benign0003.com/ads.js",     // exception (hot by construction) over block
-		"http://vendor0000.com/a.js",       // lowest-ordinal block
-		"http://vendor1995.com/x.png",      // high-ordinal block
-		"http://site1001.com/ads.js",       // mid-ordinal block
-		"http://detect0004.example/x.js",   // keyword reachable, options veto
-		"http://cdn.unrelated.net/app.js",  // pure miss
+		"http://benign0003.com/ads.js",    // exception (hot by construction) over block
+		"http://vendor0000.com/a.js",      // lowest-ordinal block
+		"http://vendor1995.com/x.png",     // high-ordinal block
+		"http://site1001.com/ads.js",      // mid-ordinal block
+		"http://detect0004.example/x.js",  // keyword reachable, options veto
+		"http://cdn.unrelated.net/app.js", // pure miss
+		// shared path, distinct hosts (sharedPathRules; a miss elsewhere)
+		"http://host7.example/js/advertisement.js",
+		"http://nohost.example/js/advertisement.js",
 		"http://example.com/café.js", // non-ASCII: token-index fallback
 	)
 }
@@ -170,21 +173,6 @@ func TestAppendHitsHotDegradationIsOneSided(t *testing.T) {
 	}
 }
 
-// TestTieredDeterministic pins tier compilation determinism: the same
-// rules and keep set must serialize to identical hot and cold bytes
-// (snapshot versions are content CRCs; a recompile must not change them).
-func TestTieredDeterministic(t *testing.T) {
-	plain := NewList("tier", benchRules(800))
-	keep := func(ord int) bool { return ord%5 == 0 }
-	a, b := plain.CompileTiered(keep), plain.CompileTiered(keep)
-	if string(a.AutomatonBytes()) != string(b.AutomatonBytes()) {
-		t.Fatal("hot tier bytes differ across identical compiles")
-	}
-	if string(a.ColdAutomatonBytes()) != string(b.ColdAutomatonBytes()) {
-		t.Fatal("cold tier bytes differ across identical compiles")
-	}
-}
-
 // TestTieredSnapshotRoundTrip proves the v4 snapshot is lossless: a
 // tiered snapshot reloads tiered, with byte-identical tier regions and
 // identical match behavior, through both the read and mmap paths.
@@ -288,8 +276,9 @@ func TestTieredValidation(t *testing.T) {
 	// An "exception relegated to cold" compile: build tier automatons by
 	// hand with one exception moved cold.
 	var excOrd = -1
+	kws := selectKeywords(plain.Rules())
 	for ord, r := range plain.Rules() {
-		if r.Kind == KindHTTPException && r.AutomatonKeyword() != "" {
+		if r.Kind == KindHTTPException && kws[ord] != "" {
 			excOrd = ord
 			break
 		}
@@ -309,8 +298,8 @@ func TestTieredValidation(t *testing.T) {
 			hotM[ord] = true
 		}
 	}
-	badHot := buildAutomatonMember(plain.Rules(), plain.rulesCRC, hotM)
-	badCold := buildAutomatonMember(plain.Rules(), plain.rulesCRC, coldM)
+	badHot := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hotM)
+	badCold := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, coldM)
 	if _, err := NewListTiered("v", rules, badHot.Bytes(), badCold.Bytes()); err == nil {
 		t.Fatal("cold exception accepted")
 	} else if !isCorrupt(err) {
@@ -417,11 +406,11 @@ func TestUsageCounters(t *testing.T) {
 	l.EnableUsage()
 	q := func(u string) Request { return Request{URL: u, Type: TypeScript, PageDomain: "p.com"} }
 
-	l.MatchRequest(q("http://ads.example/x.js"))        // block, ordinal 0
-	l.MatchRequest(q("http://ads.example/allowed/a"))   // exception, ordinal 1
-	l.MatchRequest(q("http://x.com/banner.png"))        // block, ordinal 2
-	l.MatchRequest(q("http://x.com/banner.café")) // fallback path, ordinal 2
-	l.MatchRequest(q("http://clean.example/app.js"))    // no match
+	l.MatchRequest(q("http://ads.example/x.js"))      // block, ordinal 0
+	l.MatchRequest(q("http://ads.example/allowed/a")) // exception, ordinal 1
+	l.MatchRequest(q("http://x.com/banner.png"))      // block, ordinal 2
+	l.MatchRequest(q("http://x.com/banner.café"))     // fallback path, ordinal 2
+	l.MatchRequest(q("http://clean.example/app.js"))  // no match
 
 	hits := l.AppendHits(nil, q("http://ads.example/y.js"))
 	_, _, ord := DecideHits(hits)
@@ -584,4 +573,3 @@ func TestUsageShardSpread(t *testing.T) {
 		t.Fatalf("all writes landed in %d shard(s) of %d", touched, len(u.banks))
 	}
 }
-
