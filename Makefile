@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fault-check bench bench-smoke bench-test serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
+.PHONY: build test vet race verify fault-check bench bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,10 @@ race:
 # SIGKILL/restart and a canary-rollback rollout via adwars-ctl), a
 # shortened brownout run (two starved governed replicas overdriven until
 # the degradation ladder climbs, then proven to recover without flapping),
-# and the benchmark module's own tests (bench/ is a separate module, so
-# `go test ./...` at the root does not reach them).
-verify: build vet test race bench-smoke bench-test serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
+# the benchmark module's own tests (bench/ is a separate module, so
+# `go test ./...` at the root does not reach them), and ten seconds of the
+# matcher's differential fuzz.
+verify: build vet test race bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
 
 # bench records the full performance profile: one run regenerates all
 # five BENCH_*.json reports in the repo root.
@@ -61,7 +62,7 @@ verify: build vet test race bench-smoke bench-test serve-smoke chaos-smoke-short
 #    BENCH_chaos.json next to the chaos ones).
 bench: chaos-smoke brownout-smoke fleet-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkReplay' -benchmem . > /tmp/adwars-bench.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkList(Compile|Match|Load)|BenchmarkSnapshotLoadMapped|BenchmarkMatchingHTTPRules|BenchmarkGlobPathological|BenchmarkElementHiding' -benchmem ./internal/abp >> /tmp/adwars-bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkList(Compile|Match|Load)|BenchmarkMatchingHTTPRules|BenchmarkGlobPathological|BenchmarkElementHiding' -benchmem ./internal/abp >> /tmp/adwars-bench.txt
 	$(GO) run ./cmd/benchjson -out BENCH_replay.json < /tmp/adwars-bench.txt
 	@cat BENCH_replay.json
 	$(GO) test -run '^$$' -bench 'BenchmarkML' -benchmem ./internal/experiments > /tmp/adwars-bench-ml.txt
@@ -76,8 +77,8 @@ bench: chaos-smoke brownout-smoke fleet-smoke
 # bench-smoke runs each headline benchmark exactly once and checks the
 # JSON pipeline end to end (no timings recorded — the 1x numbers are
 # noise). The ML leg runs -short so verify stays fast. The abp leg runs
-# the hot-path gates for real: the automaton must beat the token index by
-# the speedup floor and the no-match path must run at 0 allocs/op. The
+# the hot-path gates for real: the median match must stay under a
+# microsecond and the match paths must run at 0 allocs/op. The
 # serve leg gates the pooled /v1/match handler at ≤ 8 allocs/op, usage
 # counter recording at 0 allocs, usage-driven tier compaction at
 # ≥ 95% hot coverage with a shrunken hot working set, and the decision
@@ -89,8 +90,8 @@ bench: chaos-smoke brownout-smoke fleet-smoke
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplay(Indexed|LinearScan)$$' -benchtime 1x . | $(GO) run ./cmd/benchjson -out /tmp/adwars-bench-smoke.json
 	$(GO) test -short -run '^$$' -bench 'BenchmarkMLTrainCV(Sequential|Cached)$$' -benchtime 1x ./internal/experiments | $(GO) run ./cmd/benchjson -out /tmp/adwars-bench-ml-smoke.json
-	$(GO) test -count=1 -run 'TestAutomatonSpeedupFloor|TestNoMatchZeroAllocs|TestMatchZeroAllocs|TestAppendMatchingHTTPRulesZeroAllocs' ./internal/abp
-	$(GO) test -run '^$$' -bench 'BenchmarkListMatch(Automaton|TokenIndex|NoMatch)$$|BenchmarkList(Compile|Load)$$' -benchtime 1x ./internal/abp | $(GO) run ./cmd/benchjson -out /tmp/adwars-bench-abp-smoke.json
+	$(GO) test -count=1 -run 'TestMatchP50Gate|TestNoMatchZeroAllocs|TestMatchZeroAllocs|TestAppendHitsZeroAllocs' ./internal/abp
+	$(GO) test -run '^$$' -bench 'BenchmarkListMatch(Automaton|NoMatch)$$|BenchmarkList(Compile|Load)$$' -benchtime 1x ./internal/abp | $(GO) run ./cmd/benchjson -out /tmp/adwars-bench-abp-smoke.json
 	$(GO) test -count=1 -run 'TestUsageLoopCoverage|TestUsageRecordZeroAllocs' ./internal/abp
 	$(GO) test -count=1 -run 'TestServeMatchAllocs$$|TestServeMatchAnalyticsAllocs|TestServeAnalyticsOverheadGate' ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkServeMatch(Handler|Tiered|Analytics|AnalyticsHandler)$$' -benchtime 1x ./internal/serve | $(GO) run ./cmd/benchjson -out /tmp/adwars-bench-serve-smoke.json
@@ -103,6 +104,12 @@ bench-smoke:
 # and a short smoke of every workload (~30 s).
 bench-test:
 	cd bench && $(GO) test ./...
+
+# fuzz-smoke runs the matcher's differential fuzz for ten seconds. With one
+# match engine, FuzzMatchDifferential is the only proof that it equals the
+# linear oracle on inputs nobody wrote down; `go test` alone runs its seeds.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 
 # serve-smoke is the end-to-end serving gate: ~2s of mixed load against a
 # freshly snapshotted adwars-serve on an ephemeral port, with a SIGHUP

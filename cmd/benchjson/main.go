@@ -69,10 +69,6 @@ type Report struct {
 	// meaningful zero is emitted when the benchmark ran but the field
 	// disappears from reports that never measured it.
 	MatchNoMatchAllocsPerOp *float64 `json:"match_nomatch_allocs_per_op,omitempty"`
-	// MatchSpeedupAutomatonVsToken is ns/op(ListMatchTokenIndex) divided by
-	// ns/op(ListMatchAutomaton) — the probe-stage win of the compiled
-	// automaton over the token-hash index it replaced.
-	MatchSpeedupAutomatonVsToken float64 `json:"match_speedup_automaton_vs_token,omitempty"`
 	// ListLoadSpeedupVsCompile is ns/op(ListCompile) divided by
 	// ns/op(ListLoad): how much faster attaching a serialized automaton is
 	// than rebuilding it. The Large variant is the same ratio at 4× the
@@ -261,7 +257,7 @@ func dedupe(in []Benchmark) []Benchmark {
 // derive computes the headline cross-benchmark figures.
 func derive(rep *Report) {
 	var indexed, linear, mlSeq, mlCached float64
-	var auto, token, compile, load, compileLarge, loadLarge float64
+	var compile, load, compileLarge, loadLarge float64
 	usageOffP99 := -1.0
 	analyticsP99 := -1.0
 	for _, b := range rep.Benchmarks {
@@ -275,10 +271,7 @@ func derive(rep *Report) {
 		case "MLTrainCVCached":
 			mlCached = b.NsPerOp
 		case "ListMatchAutomaton":
-			auto = b.NsPerOp
 			rep.MatchAutomatonP50Ns = b.Metrics["p50-ns"]
-		case "ListMatchTokenIndex":
-			token = b.NsPerOp
 		case "ListMatchNoMatch":
 			allocs := b.AllocsPerOp
 			rep.MatchNoMatchAllocsPerOp = &allocs
@@ -337,9 +330,6 @@ func derive(rep *Report) {
 	}
 	if mlSeq > 0 && mlCached > 0 {
 		rep.MLSpeedupCachedVsSequential = mlSeq / mlCached
-	}
-	if auto > 0 && token > 0 {
-		rep.MatchSpeedupAutomatonVsToken = token / auto
 	}
 	if compile > 0 && load > 0 {
 		rep.ListLoadSpeedupVsCompile = compile / load

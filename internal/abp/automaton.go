@@ -3,6 +3,7 @@ package abp
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"math"
 	"strings"
 	"unsafe"
@@ -14,21 +15,28 @@ import (
 // automaton over rule pattern substrings, laid out as a double-array trie
 // in ONE contiguous little-endian []byte region. The region is the unit of
 // serialization — it goes into the lists snapshot behind the artifact
-// integrity trailer verbatim and is reattached on load (by mmap or plain
-// read) without rebuilding, so startup cost for a compiled list is O(map)
-// plus validation instead of O(rules) index construction.
+// integrity trailer verbatim and is reattached on load without rebuilding,
+// so startup cost for a compiled list is O(read) plus validation instead
+// of O(rules) index construction.
 //
-// Role in matching: the automaton replaces the token-hash keyword index as
-// the probe stage. Scanning the request URL once (O(len) amortized, byte
+// Role in matching: the automaton is the probe stage, and it is total over
+// byte strings. Scanning the request URL once (O(len) amortized, byte
 // class table folds ASCII case so the raw URL is scanned — no lower-cased
 // copy is ever allocated on this path) yields the ordinals of every rule
 // whose automaton keyword occurs in the URL. Those ordinals, plus the few
 // keyword-less generic rules, are a superset of all rules that can match;
 // each candidate is then verified with the full rule matcher in insertion
 // order, which makes the automaton path's answers — decision, winning
-// rule, and all-matches set — identical to the linear reference scan (and
-// therefore to the token index; see the differential tests and
-// FuzzMatchDifferential).
+// rule, and all-matches set — identical to the linear reference scan (see
+// the differential tests and FuzzMatchDifferential).
+//
+// Soundness of the probe for every input, ASCII or not: keywords are runs
+// of [a-z0-9%] taken from the pattern as the matcher compares it, A–Z
+// folded; a rule matching a URL means the pattern's literal spans occur in
+// the URL as the matcher sees it (matchCtx.low: A–Z folded, every other
+// byte as sent), so the keyword occurs in that view; and the scan reads
+// exactly that view — acClass folds A–Z, and any byte outside the keyword
+// alphabet, '/' and 0xC3 alike, is class 0 and resets it to the root.
 //
 // Memory layout (all integers little-endian, fixed width):
 //
@@ -63,8 +71,8 @@ const (
 	// the lower-case class, so the automaton scans raw URLs).
 	acAlpha = 38
 
-	// acMinKeyword matches the token index's floor: shorter runs are too
-	// unselective to be worth automaton states.
+	// acMinKeyword is the shortest run worth automaton states: anything
+	// shorter is too unselective.
 	acMinKeyword = 3
 
 	acHeaderSize = 48
@@ -96,9 +104,10 @@ var hostLittleEndian = func() bool {
 
 // automaton is the decoded view over one contiguous region. The u32
 // slices alias blob when the host is little-endian and the region is
-// 4-byte aligned (always true for the in-memory builder and the mmap
-// path, whose sections are 8-aligned in the file); otherwise they are
-// decoded copies, so matching is correct on any host.
+// 4-byte aligned (always true for the in-memory builder; snapshot
+// sections are 8-aligned in the file, so a read buffer usually qualifies
+// too); otherwise they are decoded copies, so matching is correct on any
+// host.
 type automaton struct {
 	blob []byte
 
@@ -118,6 +127,13 @@ type automaton struct {
 // Bytes returns the automaton's contiguous serialized region. The slice
 // aliases the automaton's backing memory and must not be modified.
 func (a *automaton) Bytes() []byte { return a.blob }
+
+// keywordChar reports whether c can appear inside an automaton keyword:
+// the lower-case alphanumerics plus '%' — after case folding, exactly the
+// bytes acClass gives a non-zero scan class.
+func keywordChar(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '%'
+}
 
 // nextKeywordRun returns the bounds [i, j) of the first maximal run of
 // keyword characters in the lower-cased pattern at or after from that is at
@@ -149,8 +165,8 @@ var acUbiquitous = map[string]bool{
 // run (and every non-HTTP rule). Any run is a sound keyword: a run is a
 // contiguous literal span of the pattern, so every URL the rule matches
 // contains it as a substring — exactly the occurrence an Aho–Corasick scan
-// detects, no token boundaries needed (which is why "/detect123*.js",
-// useless to the token index, is indexable here). Soundness leaves the
+// detects, no token boundaries needed (so "/detect123*.js" is indexable
+// under "detect123"). Soundness leaves the
 // choice free, and the choice decides how many candidates a probe must
 // verify, so it is made per list, not per rule: the run that occurs least
 // often in the list's patterns wins (ties: the longest, then the leftmost;
@@ -167,7 +183,16 @@ func selectKeywords(rules []*Rule) []string {
 		if !r.IsHTTP() {
 			continue
 		}
-		pat := strings.ToLower(r.Pattern)
+		// The runs must come from the pattern as the matcher compares it
+		// (buildMatcher), A–Z folded. For an ASCII pattern the two lowerings
+		// agree; a $match-case pattern is compared raw, so a letter Unicode
+		// lowering would turn ASCII (the Kelvin sign) must not join a run.
+		pat := r.Pattern
+		if r.MatchCase {
+			pat = lowerASCII(pat)
+		} else {
+			pat = strings.ToLower(pat)
+		}
 		pats[ord] = pat
 		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
 			count[pat[i:j]]++
@@ -191,16 +216,23 @@ func selectKeywords(rules []*Rule) []string {
 	return kws
 }
 
+// rulesCRCTable is the table artifact.Checksum uses (crc64.MakeTable hands
+// every ECMA caller the same one).
+var rulesCRCTable = crc64.MakeTable(crc64.ECMA)
+
 // rulesChecksum is the canonical CRC-64 over a compiled rule set: the raw
-// lines in ordinal order, newline-terminated. It is stored inside the
-// serialized automaton and re-derived at load to refuse stale sections.
+// lines in ordinal order, newline-terminated — artifact.Checksum of that
+// text, folded in line by line so the text is never assembled. It is
+// stored inside the serialized automaton and re-derived at load to refuse
+// stale sections.
 func rulesChecksum(rules []*Rule) uint64 {
-	var buf []byte
+	var crc uint64
+	nl := []byte{'\n'}
 	for _, r := range rules {
-		buf = append(buf, r.Raw...)
-		buf = append(buf, '\n')
+		crc = crc64.Update(crc, rulesCRCTable, []byte(r.Raw))
+		crc = crc64.Update(crc, rulesCRCTable, nl)
 	}
-	return artifact.Checksum(buf)
+	return crc
 }
 
 // acTrieNode is a build-time trie node: 16 bytes and no pointers, so the
@@ -604,38 +636,30 @@ func openAutomaton(blob []byte, wantRules int, wantCRC uint64) (*automaton, erro
 // scratch with the ordinals of every rule whose keyword occurs in the URL
 // plus the generic (keyword-less) rules, sorted ascending and deduplicated
 // — i.e. insertion order, which is what makes candidate verification
-// reproduce the linear scan exactly. It reports ok=false for URLs with
-// non-ASCII bytes: Unicode case folding can materialize ASCII letters the
-// raw-byte scan cannot see (e.g. the Kelvin sign lowers to 'k'), so those
-// rare URLs take the token-index path, which matches on the lower-cased
-// copy. The common path allocates nothing: the scratch is part of the
-// stack-allocated matchCtx and only overflows into a heap spill beyond
-// matchScratchCap candidates.
-func (a *automaton) collect(c *matchCtx) (cands []uint32, ok bool) {
+// reproduce the linear scan exactly. The common path allocates nothing:
+// the scratch is part of the stack-allocated matchCtx and only overflows
+// into a heap spill beyond matchScratchCap candidates.
+func (a *automaton) collect(c *matchCtx) []uint32 {
 	c.resetCands()
-	if !a.scanInto(c) {
-		return nil, false
-	}
-	return c.sortedCands(), true
+	a.scanInto(c)
+	return c.sortedCands()
 }
 
 // scanInto is collect without the reset and the sort: it pushes this
 // automaton's candidates (keyword hits plus its generic ordinals) into
 // whatever the context already holds. The tiered match path scans the hot
 // and cold automata into one scratch and sorts once, so candidate
-// verification still walks the combined set in insertion order.
-func (a *automaton) scanInto(c *matchCtx) (ok bool) {
+// verification still walks the combined set in insertion order. Every
+// byte has a scan class, so every string scans: a byte outside the keyword
+// alphabet — punctuation or ≥ 0x80 — is class 0 and returns to the root.
+func (a *automaton) scanInto(c *matchCtx) {
 	s := c.q.URL
 	st := a.root
 	base, check, fail := a.base, a.check, a.fail
 	outIdx := a.outIdx
 	numSlots := uint32(len(check))
 	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if b >= 0x80 {
-			return false
-		}
-		cls := uint32(acClass[b])
+		cls := uint32(acClass[s[i]])
 		if cls == 0 {
 			st = a.root
 			continue
@@ -660,5 +684,4 @@ func (a *automaton) scanInto(c *matchCtx) (ok bool) {
 	for _, g := range a.generic {
 		c.pushCand(g)
 	}
-	return true
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,9 +24,8 @@ func TestSelectKeywords(t *testing.T) {
 		"/ads.js?":                    "ads",
 		"||a^":                        "",
 		"*^*":                         "",
-		// Keyword() rejects both runs here (the star can extend "abdetect007"
-		// and "js" ends an unanchored pattern); the automaton needs no
-		// boundaries — any URL this rule matches contains "abdetect007".
+		// The star can extend "abdetect007" in the URL, but the automaton
+		// needs no token boundaries — any URL this rule matches contains it.
 		"/abdetect007*.js$script":    "abdetect007",
 		"|http://x.com/detect.js|":   "detect",
 		"||cdn.example^adsbygoogle^": "adsbygoogle",
@@ -72,11 +73,12 @@ func sharedPathLines(n int) []string {
 func candidates(t *testing.T, l *List, url string) int {
 	t.Helper()
 	c := newMatchCtx(Request{URL: url, Type: TypeScript, PageDomain: "page.example"})
-	cands, ok := l.collectAllCtx(&c)
-	if !ok {
-		t.Fatalf("%q left the automaton path", url)
+	c.resetCands()
+	l.auto.scanInto(&c)
+	if l.cold != nil {
+		l.cold.scanInto(&c)
 	}
-	return len(cands)
+	return len(c.sortedCands())
 }
 
 // TestCandidatesSharedPath is the regression gate for the EasyList-scale
@@ -276,32 +278,97 @@ func TestAutomatonRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAutomatonNonASCIIFallback: URLs with non-ASCII bytes must take the
-// token-index path (byte-wise case folding is unsound for them — the Kelvin
-// sign lowers to ASCII 'k') and still agree with the linear reference.
-func TestAutomatonNonASCIIFallback(t *testing.T) {
-	l := buildList(t, "nonascii",
-		"/kelvin-probe.js",
-		"||example.com^",
-		"@@||example.com/ok",
-	)
-	urls := []string{
-		"http://example.com/Kelvin-probe.js", // Kelvin sign folds to 'k'
-		"http://example.com/ok/über.js",
-		"http://example.com/café.png",
+// TestRulesChecksumPinned: the value is artifact.Checksum of the rule
+// lines' text and, on a fixed rule set, the literal the parent commit
+// (b547b05) computed — snapshot sections written before the checksum
+// stopped assembling that text must still attach.
+func TestRulesChecksumPinned(t *testing.T) {
+	lines := []string{
+		"||pagefair.com^$third-party",
+		"@@||numerama.com/ads.js",
+		"/detect*.js$script,domain=example.com",
+		"smashboards.com###notice",
+		"/\u212aelvin/caf\u00e9$match-case",
 	}
-	for _, u := range urls {
-		q := Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
-		gd, gr := l.MatchRequest(q)
-		ld, lr := l.MatchRequestLinear(q)
-		if gd != ld || gr != lr {
-			t.Errorf("%q: MatchRequest (%v) != linear (%v)", u, gd, ld)
+	rules := buildList(t, "pin", lines...).Rules()
+	got := rulesChecksum(rules)
+	if want := uint64(0xc047a28a5347466c); got != want {
+		t.Errorf("rulesChecksum = %#016x, parent commit computed %#016x", got, want)
+	}
+	if want := artifact.Checksum([]byte(strings.Join(lines, "\n") + "\n")); got != want {
+		t.Errorf("rulesChecksum = %#016x, artifact.Checksum of the text = %#016x", got, want)
+	}
+	if got, want := rulesChecksum(NewList("b", benchRules(2000)).Rules()), uint64(0x863779bba709bd71); got != want {
+		t.Errorf("rulesChecksum(benchRules(2000)) = %#016x, parent commit computed %#016x", got, want)
+	}
+}
+
+// TestNonASCIIURLs pins the folding rule where it is decided — URL bytes
+// are matched as sent, only A–Z folds — and that the automaton needs no
+// second engine for such URLs: every case gives its pinned verdict and
+// equals the linear oracle flat, reattached and tiered; folding a
+// non-ASCII URL allocates nothing; and a snapshot the parent commit wrote
+// loads and answers the table as its own oracle does.
+func TestNonASCIIURLs(t *testing.T) {
+	for _, c := range nonASCIICases {
+		rules := buildList(t, "nonascii", append(slices.Clip(diffFixed), c.line)...).Rules()
+		q := Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"}
+		engines := diffEngines(t, rules, len(c.url))
+		if d, _ := engines[0].l.MatchRequestLinear(q); d != c.want {
+			t.Errorf("rule %q url %q: linear verdict %v, want %v", c.line, c.url, d, c.want)
 		}
-		got := l.MatchingHTTPRules(q)
-		want := l.MatchingHTTPRulesLinear(q)
-		if len(got) != len(want) {
-			t.Errorf("%q: all-matches %d != linear %d", u, len(got), len(want))
+		for _, e := range engines {
+			assertMatchesOracle(t, e.name, engines[0].l, e.l, q)
 		}
+	}
+
+	t.Run("no allocation", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation accounting is unreliable under -race")
+		}
+		// The rule's keyword occurs, so it is verified against the folded
+		// URL — upper-case ASCII and non-ASCII bytes both present — and
+		// fails on the path.
+		list := NewList("gate", benchRules(2000))
+		q := Request{URL: "http://site0001.com/Caf\u00e9/\u212a/ADS.JSX", Type: TypeScript, PageDomain: "page.com"}
+		c := newMatchCtx(q)
+		if n := len(list.auto.collect(&c)); n == 0 {
+			t.Fatal("no candidate: the URL is never folded and the gate exercises nothing")
+		}
+		buf := make([]Hit, 0, 16)
+		allocs := testing.AllocsPerRun(200, func() {
+			if d, _ := list.MatchRequest(q); d != NoMatch {
+				t.Fatal("URL must not match")
+			}
+			if buf = list.AppendHits(buf[:0], q); len(buf) != 0 {
+				t.Fatal("URL must not hit")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("non-ASCII no-match lookup allocates %.1f/op, want 0", allocs)
+		}
+	})
+
+	// testdata/parent-*.snapshot were written by the parent commit
+	// (b547b05, `SaveListsSnapshotCompiled` / `SaveListsSnapshotTiered`)
+	// from diffFixed plus every nonASCIICases rule except the $match-case
+	// one: that commit drew a $match-case rule's keyword from the
+	// Unicode-lowered pattern, which only its token-index fallback made
+	// sound (see selectKeywords).
+	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
+		t.Run(name, func(t *testing.T) {
+			snap, err := LoadListsSnapshot(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !snap.Compiled || snap.Tiered != (name == "parent-v4.snapshot") {
+				t.Fatalf("Compiled=%v Tiered=%v", snap.Compiled, snap.Tiered)
+			}
+			l := snap.Lists[0]
+			for _, c := range nonASCIICases {
+				assertMatchesOracle(t, name, l, l, Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"})
+			}
+		})
 	}
 }
 
@@ -345,9 +412,9 @@ func TestMatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendMatchingHTTPRulesZeroAllocs gates the serving data plane's
-// all-matches path: with a caller-provided buffer it must not allocate.
-func TestAppendMatchingHTTPRulesZeroAllocs(t *testing.T) {
+// TestAppendHitsZeroAllocs gates the serving data plane's all-matches
+// path: with a caller-provided buffer it must not allocate.
+func TestAppendHitsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
@@ -356,50 +423,27 @@ func TestAppendMatchingHTTPRulesZeroAllocs(t *testing.T) {
 	for i, u := range benchURLs {
 		qs[i] = Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
 	}
-	buf := make([]*Rule, 0, 16)
+	buf := make([]Hit, 0, 16)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		buf = list.AppendMatchingHTTPRules(buf[:0], qs[i%len(qs)])
+		buf = list.AppendHits(buf[:0], qs[i%len(qs)])
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendMatchingHTTPRules allocates %.1f/op, want 0", allocs)
+		t.Fatalf("AppendHits allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestAutomatonSpeedupFloor asserts the automaton actually beats the token
-// index it replaced — a regression here means the probe stage rotted.
-func TestAutomatonSpeedupFloor(t *testing.T) {
+// TestMatchP50Gate is the latency gate of the match core: the median
+// MatchRequest over the bench mix stays under a microsecond.
+func TestMatchP50Gate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("timing is unrepresentative under -race")
 	}
-	list := NewList("gate", benchRules(2000))
-	list.tokenIndexes()
-	q := func(i int) Request {
-		return Request{URL: benchURLs[i%len(benchURLs)], Type: TypeScript, PageDomain: "page.com"}
-	}
-	auto := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			list.MatchRequest(q(i))
-		}
-	})
-	tok := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			list.MatchRequestTokenIndex(q(i))
-		}
-	})
-	an, tn := auto.NsPerOp(), tok.NsPerOp()
-	// The measured gap on dev hardware is ~95×; 1.5× leaves room for noisy
-	// CI while still catching an automaton that silently degrades to the
-	// fallback path.
-	if an <= 0 || float64(tn) < 1.5*float64(an) {
-		t.Fatalf("automaton %d ns/op vs token index %d ns/op: speedup %.2fx below 1.5x floor",
-			an, tn, float64(tn)/float64(an))
-	}
-	if p50 := matchP50ns(list); p50 >= 1000 {
+	if p50 := matchP50ns(NewList("gate", benchRules(2000))); p50 >= 1000 {
 		t.Fatalf("p50 MatchRequest = %.0f ns, want < 1µs", p50)
 	}
 }

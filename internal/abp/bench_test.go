@@ -2,8 +2,6 @@ package abp
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -76,20 +74,6 @@ func matchP50ns(list *List) float64 {
 	return float64(lat[samples/2].Nanoseconds())
 }
 
-// BenchmarkListMatchTokenIndex measures the token-hash keyword index —
-// the previous production path, kept as the automaton's differential
-// baseline and non-ASCII fallback.
-func BenchmarkListMatchTokenIndex(b *testing.B) {
-	list := NewList("bench", benchRules(2000))
-	list.tokenIndexes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := benchURLs[i%len(benchURLs)]
-		list.MatchRequestTokenIndex(Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
-	}
-}
-
 // BenchmarkListMatchNoMatch measures the pure-miss path — per the paper's
 // observation that the overwhelming majority of rules never fire, this is
 // the common case in production, and it must not allocate.
@@ -106,7 +90,7 @@ func BenchmarkListMatchNoMatch(b *testing.B) {
 }
 
 // BenchmarkListMatchLinear is the ablation baseline: match every rule
-// without the keyword index. The index should win by a wide margin.
+// without the automaton. The automaton should win by a wide margin.
 func BenchmarkListMatchLinear(b *testing.B) {
 	rules := benchRules(2000)
 	b.ReportAllocs()
@@ -177,39 +161,16 @@ func benchListLoad(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkSnapshotLoadMapped measures the end-to-end compiled snapshot
-// load: mmap the file, verify the trailer, parse the rules, attach the
-// automata from the mapped pages.
-func BenchmarkSnapshotLoadMapped(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "lists.json")
-	snap := &ListsSnapshot{Label: "bench", Lists: []*List{NewList("bench", benchRules(2000))}}
-	if err := SaveListsSnapshotCompiled(path, snap); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, closer, err := OpenListsSnapshotMapped(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !s.Compiled {
-			b.Fatal("snapshot did not load compiled")
-		}
-		closer.Close()
-	}
-	_ = os.Remove(path)
-}
-
 // BenchmarkMatchingHTTPRulesIndexed measures the all-matches lookup
 // through the automaton probe stage (the replay's per-request path).
 func BenchmarkMatchingHTTPRulesIndexed(b *testing.B) {
 	list := NewList("bench", benchRules(2000))
+	var hits []Hit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := benchURLs[i%len(benchURLs)]
-		list.MatchingHTTPRules(Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
+		hits = list.AppendHits(hits[:0], Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
 	}
 }
 

@@ -9,7 +9,8 @@
 // retrospective (§4.2) and live (§4.3) coverage measurements.
 //
 // The central types are Rule (a single parsed filter rule), List (a compiled
-// rule set with exception semantics and a keyword index for fast URL
-// matching), and History (a time-ordered sequence of list revisions, used to
-// replay the list as it existed at any point in the measurement window).
+// rule set with exception semantics: one automaton that finds the
+// candidate rules for a URL, one linear oracle the tests hold it to), and
+// History (a time-ordered sequence of list revisions, used to replay the
+// list as it existed at any point in the measurement window).
 package abp

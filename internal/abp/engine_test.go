@@ -6,7 +6,7 @@ import (
 )
 
 // Edge cases pinned down while replacing the recursive matcher with the
-// iterative glob and routing lookups through the keyword index.
+// iterative glob and routing lookups through the automaton.
 
 func TestCaretZeroWidthAtEndWithMatchCase(t *testing.T) {
 	r := mustParse(t, "|http://x.com/Path^$match-case")
@@ -55,8 +55,8 @@ func TestDomainAnchorOnSchemeRelativeURL(t *testing.T) {
 }
 
 func TestExceptionBeatsBlockThroughIndex(t *testing.T) {
-	// The exception and the block live in different keyword buckets; the
-	// indexed path must still give the exception precedence, exactly like
+	// The exception and the block sit under different keywords; the
+	// automaton path must still give the exception precedence, exactly like
 	// the linear reference.
 	l := buildList(t, "test",
 		"/ads.js?",
@@ -79,11 +79,9 @@ func TestExceptionBeatsBlockThroughIndex(t *testing.T) {
 
 // TestIndexedMatchesEqualLinearOverBenchRules is the package-local
 // differential test: over a large generated rule set and a URL population
-// hitting every bucket shape, all three probe stages — the compiled
-// automaton (production), the token-hash keyword index (fallback), and the
-// index-free linear scan (reference) — must return the exact same answers:
-// same decision, same winning rule, same all-matches slice in the same
-// order.
+// hitting every rule shape, the compiled automaton must return exactly
+// what the index-free linear scan returns: same decision, same winning
+// rule, same hit list in the same order.
 func TestIndexedMatchesEqualLinearOverBenchRules(t *testing.T) {
 	l := NewList("diff", benchRules(1500))
 	var urls []string
@@ -102,40 +100,7 @@ func TestIndexedMatchesEqualLinearOverBenchRules(t *testing.T) {
 		for _, p := range pages {
 			for _, typ := range types {
 				q := Request{URL: u, Type: typ, PageDomain: p}
-				got := l.MatchingHTTPRules(q)
-				want := l.MatchingHTTPRulesLinear(q)
-				if len(got) != len(want) {
-					t.Fatalf("%q on %q (%s): indexed %d rules, linear %d",
-						u, p, typ, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%q on %q (%s): rule %d differs: %q vs %q",
-							u, p, typ, i, got[i].Raw, want[i].Raw)
-					}
-				}
-				tok := l.MatchingHTTPRulesTokenIndex(q)
-				if len(tok) != len(want) {
-					t.Fatalf("%q on %q (%s): token index %d rules, linear %d",
-						u, p, typ, len(tok), len(want))
-				}
-				for i := range tok {
-					if tok[i] != want[i] {
-						t.Fatalf("%q on %q (%s): token-index rule %d differs: %q vs %q",
-							u, p, typ, i, tok[i].Raw, want[i].Raw)
-					}
-				}
-				gd, gr := l.MatchRequest(q)
-				td, tr := l.MatchRequestTokenIndex(q)
-				ld, lr := l.MatchRequestLinear(q)
-				if gd != ld || gr != lr {
-					t.Fatalf("%q on %q (%s): MatchRequest automaton (%v) != linear (%v)",
-						u, p, typ, gd, ld)
-				}
-				if td != ld || tr != lr {
-					t.Fatalf("%q on %q (%s): MatchRequest token index (%v) != linear (%v)",
-						u, p, typ, td, ld)
-				}
+				assertMatchesOracle(t, "bench", l, l, q)
 			}
 		}
 	}

@@ -1,20 +1,143 @@
 package abp
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
+
+// diffFixed is the rule mix every differential case compiles its own rule
+// in with, so candidate ordering, exception precedence, the generic bucket
+// and keyword selection among rules that share runs are all exercised.
+var diffFixed = []string{
+	"||vendor.com^$third-party",
+	"/ads.js?",
+	"@@||benign.com/ads.js",
+	"/detect007*.js$script",
+	"||cdn.example^adsbygoogle^",
+	"||host1.example/js/advertisement.js",
+	"||host2.example/js/advertisement.js",
+	"@@||host2.example/js/advertisement.js$domain=host2.example",
+	"/js/advertisement.js$domain=host1.example",
+}
+
+// nonASCIICases are the inputs the byte-literal folding rule decides: URL
+// bytes are matched as sent and only A–Z folds, so a non-ASCII byte is an
+// ordinary non-keyword byte to the automaton and an ordinary literal to the
+// rule matcher. want is the verdict of diffFixed plus the case's own rule.
+// They seed FuzzMatchDifferential and are the table of TestNonASCIIURLs.
+var nonASCIICases = []struct {
+	line, url string
+	want      Decision
+}{
+	// Kelvin sign (U+212A): Unicode lowers it to 'k', the wire does not.
+	{"/kelvin-probe.js", "http://example.com/\u212aelvin-probe.js", NoMatch},
+	{"/kelvin-probe.js", "http://example.com/KELVIN-probe.js", Blocked},
+	// In a pattern it is lowered with the rest of the pattern, as before…
+	{"/\u212aelvin.js", "http://example.com/kelvin.js", Blocked},
+	// …but not under $match-case, where the pattern is compared raw.
+	{"/ABC\u212a$match-case", "http://example.com/ABC\u212a", Blocked},
+	{"/ABC\u212a$match-case", "http://example.com/ABCK", NoMatch},
+	// Dotted İ (U+0130), which Unicode lowers to 'i'.
+	{"/istanbul.js", "http://example.com/\u0130stanbul.js", NoMatch},
+	{"/istanbul.js", "http://example.com/ISTANBUL.js", Blocked},
+	// Raw UTF-8 (é, É, ü): equal bytes match, the A–Z around them fold.
+	{"/caf\u00e9.png", "http://example.com/CAF\u00e9.PNG", Blocked},
+	{"/caf\u00e9.png", "http://example.com/CAF\u00c9.png", NoMatch},
+	{"@@||example.com/ok/\u00fcber", "http://example.com/ok/\u00fcber.js", Allowed},
+	{"/caf%c3%a9.png", "http://example.com/caf%C3%A9.png", Blocked},
+	// Bytes that are not UTF-8 at all: a lone 0xFF, a truncated sequence.
+	{"/ads.js?", "http://numerama.com/\xff/ads.js?v=2", Blocked},
+	{"/ads.js?", "http://numerama.com/ads\xff.js?v=2", NoMatch},
+	{"/detect007*.js$script", "http://cdn.net/detect007\xe2\x84.js", Blocked},
+	// A keyword split by a non-ASCII byte is two short runs, not one hit.
+	{"/js/advertisement.js", "http://host9.example/js/adver\u00e9tisement.js", NoMatch},
+	{"/js/adver\u00e9tisement.js", "http://host9.example/js/adver\u00e9tisement.js", Blocked},
+	// 5 KB, mixed case, non-ASCII: the fold outgrows the context's buffer.
+	{"/ads.js?", "http://x.com/" + strings.Repeat("Ab\u00e9/", 1000) + "ADS.js?x", Blocked},
+	{"/ads.js?", "http://x.com/" + strings.Repeat("Ab\u00e9/", 1000) + "ADS.jsx", NoMatch},
+}
+
+// diffEngine is one way a List can come to exist.
+type diffEngine struct {
+	name string
+	l    *List
+}
+
+// diffEngines compiles rules every way there is — built, reattached from
+// its own bytes, tiered all-cold, all-hot and mixed, and a tier pair
+// reattached — with the built list first: the oracle runs on that one.
+func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
+	t.Helper()
+	list := NewList("diff", rules)
+	re, err := NewListCompiled("diff", rules, list.AutomatonBytes())
+	if err != nil {
+		t.Fatalf("round-trip rejected own bytes: %v", err)
+	}
+	mixed := list.CompileTiered(func(ord int) bool { return (ord+salt)%3 == 0 })
+	tre, err := NewListTiered("diff", rules, mixed.AutomatonBytes(), mixed.ColdAutomatonBytes())
+	if err != nil {
+		t.Fatalf("tier round-trip rejected own bytes: %v", err)
+	}
+	return []diffEngine{
+		{"flat", list},
+		{"reattached", re},
+		{"tiered-cold", list.CompileTiered(nil)},
+		{"tiered-hot", list.CompileTiered(func(int) bool { return true })},
+		{"tiered-mix", mixed},
+		{"tiered-reattached", tre},
+	}
+}
+
+// assertMatchesOracle holds every automaton path of l to oracle's linear
+// scan on one request: MatchRequest's verdict and winner, AppendHits' full
+// hit list in order, DecideHits, and AppendHitsHot, which must be exactly
+// the hot-tier hits — so it may differ from the oracle solely by a cold
+// block reading as no-match. oracle and l hold the same rules in the same
+// order; l may be a reloaded copy, so rules are identified by ordinal.
+func assertMatchesOracle(t *testing.T, name string, oracle, l *List, q Request) {
+	t.Helper()
+	wd, wr := oracle.MatchRequestLinear(q)
+	want := oracle.MatchingHTTPRulesLinear(q)
+	if d, r := l.MatchRequest(q); d != wd || raw(r) != raw(wr) {
+		t.Fatalf("%s: url %q page %q: MatchRequest (%v, %s) != linear (%v, %s)",
+			name, q.URL, q.PageDomain, d, raw(r), wd, raw(wr))
+	}
+	hits := l.AppendHits(nil, q)
+	if len(hits) != len(want) {
+		t.Fatalf("%s: url %q page %q: %d hits != linear %d", name, q.URL, q.PageDomain, len(hits), len(want))
+	}
+	var hotWant []Hit
+	for i, h := range hits {
+		if l.Rules()[h.Ord] != h.Rule || oracle.Rules()[h.Ord] != want[i] {
+			t.Fatalf("%s: url %q page %q: hit %d is rule %d %q, linear has %q",
+				name, q.URL, q.PageDomain, i, h.Ord, h.Rule.Raw, want[i].Raw)
+		}
+		if l.IsHotRule(h.Ord) {
+			hotWant = append(hotWant, h)
+		}
+	}
+	if d, r, ord := DecideHits(hits); d != wd || raw(r) != raw(wr) || r != nil && l.Rules()[ord] != r {
+		t.Fatalf("%s: url %q page %q: DecideHits (%v, %s, %d) != linear (%v, %s)",
+			name, q.URL, q.PageDomain, d, raw(r), ord, wd, raw(wr))
+	}
+	hot := l.AppendHitsHot(nil, q)
+	if !slices.Equal(hot, hotWant) {
+		t.Fatalf("%s: url %q page %q: hot-only hits %v != hot-tier hits %v", name, q.URL, q.PageDomain, hot, hotWant)
+	}
+	if d, _, _ := DecideHits(hot); d != wd && !(wd == Blocked && d == NoMatch) {
+		t.Fatalf("%s: url %q page %q: hot-only verdict %v, linear %v", name, q.URL, q.PageDomain, d, wd)
+	}
+}
 
 // FuzzMatchDifferential throws arbitrary (rule line, URL, page domain)
-// triples at the three probe stages and fails on any divergence: the
-// compiled automaton, the token-hash keyword index, and the index-free
-// linear scan must return the same decision, the same winning rule, and the
-// same all-matches slice. The fuzzed rule is compiled into a list alongside
-// a fixed rule mix so candidate ordering, exception precedence, the generic
-// bucket, and keyword selection among rules that share runs (the fuzzed
-// rule changes the run counts of the whole list) are all exercised; the list's serialized automaton is also
-// reattached via NewListCompiled to prove the round trip changes nothing.
-// Tiered compiles of the same list — everything cold, everything hot, and an
-// input-dependent mix — plus a tier round trip through NewListTiered are held
-// to the same oracle, and the AppendHits/DecideHits serving path must agree
-// with the plain verdict on every probe.
+// triples at the one engine and its one oracle and fails on any
+// divergence: the compiled automaton — flat, reattached, and tiered every
+// way (diffEngines) — must return the linear scan's decision, winning rule
+// and full hit list through MatchRequest, AppendHits and AppendHitsHot
+// (assertMatchesOracle). The fuzzed rule is compiled in with diffFixed, so
+// it also changes the run counts keyword selection ranks by. `make
+// fuzz-smoke` runs it for ten seconds; plain `go test` runs the seeds.
 func FuzzMatchDifferential(f *testing.F) {
 	f.Add("||pagefair.com^$third-party", "http://pagefair.com/score.js", "news.com")
 	f.Add("/ads.js?", "http://numerama.com/ads.js?v=2", "numerama.com")
@@ -23,103 +146,27 @@ func FuzzMatchDifferential(f *testing.F) {
 	f.Add("||example.com^", "http://user:pw@example.com/x", "page.com")
 	f.Add("|http://x.com/a.js|", "http://x.com/a.js", "x.com")
 	f.Add("/a*a*a*b", "http://x.com/aaaaaaac", "x.com")
-	f.Add("/KKlvin", "http://x.com/KKlvin.js", "x.com") // Kelvin sign: non-ASCII fold
 	f.Add("*^*", "http://x.com/", "x.com")
 	// Shared path, distinct hosts: rarity moves these rules off the path run.
 	f.Add("||host3.example/js/advertisement.js", "https://host3.example/js/advertisement.js", "host3.example")
 	f.Add("||host3.example/js/advertisement.js", "https://HOST1.example/JS/Advertisement.js?x=host3", "Host1.Example")
 	f.Add("/js/advertisement.js$domain=host2.example", "https://host9.example/js/advertisement.js", "www.HOST2.example")
 	f.Add("|https://advertisement.", "https://advertisement.host1.example/js/", "x.com")
-
-	fixed := []string{
-		"||vendor.com^$third-party",
-		"/ads.js?",
-		"@@||benign.com/ads.js",
-		"/detect007*.js$script",
-		"||cdn.example^adsbygoogle^",
-		"||host1.example/js/advertisement.js",
-		"||host2.example/js/advertisement.js",
-		"@@||host2.example/js/advertisement.js$domain=host2.example",
-		"/js/advertisement.js$domain=host1.example",
+	for _, c := range nonASCIICases {
+		f.Add(c.line, c.url, "page.com")
 	}
 
 	f.Fuzz(func(t *testing.T, line, url, page string) {
-		lines := append(append([]string(nil), fixed...), line)
 		var rules []*Rule
-		for _, ln := range lines {
+		for _, ln := range append(slices.Clip(diffFixed), line) {
 			if r, err := Parse(ln); err == nil {
 				rules = append(rules, r)
 			}
 		}
-		list := NewList("fuzz", rules)
-		re, err := NewListCompiled("fuzz", rules, list.AutomatonBytes())
-		if err != nil {
-			t.Fatalf("round-trip rejected own bytes: %v", err)
-		}
-
 		q := Request{URL: url, Type: TypeScript, PageDomain: page}
-		ld, lr := list.MatchRequestLinear(q)
-		check := func(name string, d Decision, r *Rule) {
-			if d != ld || r != lr {
-				t.Fatalf("%s: rule %q url %q page %q: (%v, %v) != linear (%v, %v)",
-					name, line, url, page, d, raw(r), ld, raw(lr))
-			}
-		}
-		ad, ar := list.MatchRequest(q)
-		check("automaton", ad, ar)
-		td, tr := list.MatchRequestTokenIndex(q)
-		check("token-index", td, tr)
-		rd, rr := re.MatchRequest(q)
-		check("reattached", rd, rr)
-
-		allCold := list.CompileTiered(nil)
-		allHot := list.CompileTiered(func(int) bool { return true })
-		mixed := list.CompileTiered(func(ord int) bool { return (ord+len(url))%3 == 0 })
-		tre, err := NewListTiered("fuzz", rules, mixed.AutomatonBytes(), mixed.ColdAutomatonBytes())
-		if err != nil {
-			t.Fatalf("tier round-trip rejected own bytes: %v", err)
-		}
-		tiered := []struct {
-			name string
-			l    *List
-		}{
-			{"tiered-cold", allCold},
-			{"tiered-hot", allHot},
-			{"tiered-mix", mixed},
-			{"tiered-reattached", tre},
-		}
-		for _, tt := range tiered {
-			d, r := tt.l.MatchRequest(q)
-			check(tt.name, d, r)
-			hd, hr, ord := DecideHits(tt.l.AppendHits(nil, q))
-			check(tt.name+"-hits", hd, hr)
-			if hr != nil && tt.l.Rules()[ord] != hr {
-				t.Fatalf("%s: DecideHits ordinal %d does not index its winner", tt.name, ord)
-			}
-		}
-
-		want := list.MatchingHTTPRulesLinear(q)
-		for _, probe := range []struct {
-			name string
-			got  []*Rule
-		}{
-			{"automaton", list.MatchingHTTPRules(q)},
-			{"token-index", list.MatchingHTTPRulesTokenIndex(q)},
-			{"reattached", re.MatchingHTTPRules(q)},
-			{"tiered-cold", allCold.MatchingHTTPRules(q)},
-			{"tiered-mix", mixed.MatchingHTTPRules(q)},
-			{"tiered-reattached", tre.MatchingHTTPRules(q)},
-		} {
-			if len(probe.got) != len(want) {
-				t.Fatalf("%s all-matches: rule %q url %q: %d rules != linear %d",
-					probe.name, line, url, len(probe.got), len(want))
-			}
-			for i := range probe.got {
-				if probe.got[i] != want[i] {
-					t.Fatalf("%s all-matches: rule %q url %q: rule %d %q != %q",
-						probe.name, line, url, i, probe.got[i].Raw, want[i].Raw)
-				}
-			}
+		engines := diffEngines(t, rules, len(url))
+		for _, e := range engines {
+			assertMatchesOracle(t, e.name, engines[0].l, e.l, q)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package abp
 import (
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Decision is the outcome of matching a request against a List.
@@ -30,14 +29,15 @@ func (d Decision) String() string {
 	}
 }
 
-// List is a compiled filter list: rules split by kind, with an Aho–Corasick
-// automaton over HTTP-rule keywords as the probe stage (the token-hash
-// keyword index is kept as a differential baseline and as the fallback for
-// the rare non-ASCII URL), and a selector-id index over element hiding
-// rules so that matching inspects only a few candidates. Build lists with
-// NewList (compiles the automaton) or NewListCompiled (attaches a
-// serialized one); every rule matcher is precompiled there, so a List is
-// safe for concurrent readers — nothing is written after construction.
+// List is a compiled filter list: rules split by kind, with one match
+// engine — an Aho–Corasick automaton over HTTP-rule keywords as the probe
+// stage, total over byte strings — and one linear oracle
+// (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold it to, plus
+// a selector-id index over element hiding rules so that matching inspects
+// only a few candidates. Build lists with NewList (compiles the automaton)
+// or NewListCompiled (attaches a serialized one); every rule matcher is
+// precompiled there and nothing is built lazily, so a List is safe for
+// concurrent readers — nothing is written after construction.
 type List struct {
 	// Name identifies the list (e.g. "Anti-Adblock Killer").
 	Name string
@@ -59,14 +59,6 @@ type List struct {
 	// usage, when enabled, counts match verdicts per rule ordinal. Nil
 	// (and therefore free) unless EnableUsage was called before serving.
 	usage *Usage
-
-	// The token-hash indexes are built lazily (tokenIndexes): the
-	// automaton serves every ASCII URL, so most processes never touch
-	// them, and skipping their construction is what keeps a compiled
-	// snapshot's load cost at attach-and-validate.
-	tokenOnce sync.Once
-	blockIdx  *keywordIndex
-	exceptIdx *keywordIndex
 
 	elemHide   []*Rule
 	elemExcept []*Rule
@@ -96,7 +88,7 @@ func NewList(name string, rules []*Rule) *List {
 // NewListCompiled is NewList for a snapshot load path that carries a
 // serialized automaton region: instead of rebuilding the probe automaton
 // from the rules (O(rules·keyword)), the region is validated and attached
-// (O(states) bounds checks over memory that may be an mmap view). The
+// (O(states) bounds checks, in place over the caller's buffer). The
 // region must have been compiled from exactly these rules — a checksum
 // mismatch or any structural damage is refused with an error wrapping
 // artifact.ErrCorrupt.
@@ -139,25 +131,6 @@ func newList(name string, rules []*Rule, auto []byte) (*List, error) {
 	return l, nil
 }
 
-// tokenIndexes returns the token-hash keyword indexes, building them on
-// first use. The sync.Once keeps the List safe for concurrent matchers:
-// the build races nothing, and every reader observes fully built indexes.
-func (l *List) tokenIndexes() (block, except *keywordIndex) {
-	l.tokenOnce.Do(func() {
-		b, e := newKeywordIndex(), newKeywordIndex()
-		for ord, r := range l.rules {
-			switch r.Kind {
-			case KindHTTPBlock:
-				b.add(r, ord)
-			case KindHTTPException:
-				e.add(r, ord)
-			}
-		}
-		l.blockIdx, l.exceptIdx = b, e
-	})
-	return l.blockIdx, l.exceptIdx
-}
-
 // AutomatonBytes returns the list's compiled automaton as its contiguous
 // serialized region — the exact bytes NewListCompiled accepts. The slice
 // aliases the list's automaton and must not be modified.
@@ -185,10 +158,9 @@ func (l *List) Rules() []*Rule { return l.rules }
 //
 // The probe stage is the compiled automaton: one case-folded scan of the
 // raw URL yields every candidate rule ordinal into stack scratch, so the
-// common no-match lookup performs zero heap allocations. Non-ASCII URLs
-// (where byte-wise case folding is unsound) take the token-index path
-// instead, which matches on a properly lowered copy. On a tiered list the
-// cold automaton is probed only when the hot tier cannot conclude the
+// common no-match lookup performs zero heap allocations. URL bytes are
+// matched as sent — only A–Z folds (see matchCtx.low). On a tiered list
+// the cold automaton is probed only when the hot tier cannot conclude the
 // verdict (see matchVerdictCtx). When usage counters are enabled the
 // winning rule's ordinal is recorded — an atomic add, no allocation.
 func (l *List) MatchRequest(q Request) (Decision, *Rule) {
@@ -214,10 +186,7 @@ func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 // winning rules in the hot tier, most verdicts never touch the cold
 // automaton's memory.
 func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
-	cands, ok := l.auto.collect(c)
-	if !ok {
-		return l.matchTokenIndexCtx(c)
-	}
+	cands := l.auto.collect(c)
 	for _, ord := range cands {
 		if r := l.rules[ord]; r.Kind == KindHTTPException && r.matchCtx(c) {
 			return Allowed, r, int(ord)
@@ -231,11 +200,10 @@ func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 		}
 	}
 	if l.cold != nil && !(win >= 0 && uint32(win) < l.coldMinBlk) {
-		// The URL already scanned clean (ASCII) through the hot automaton,
-		// so the cold scan cannot report !ok. The hot candidates in the
-		// scratch are no longer needed — only win survives — so a plain
-		// collect (which resets the scratch) is safe here.
-		cands, _ = l.cold.collect(c)
+		// The hot candidates in the scratch are no longer needed — only win
+		// survives — so a plain collect (which resets the scratch) is safe
+		// here.
+		cands = l.cold.collect(c)
 		for _, ord := range cands {
 			if win >= 0 && int(ord) >= win {
 				break
@@ -253,66 +221,10 @@ func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 	return NoMatch, nil, -1
 }
 
-// collectAllCtx gathers the candidate ordinals for the all-matches paths:
-// both tiers of a tiered list are scanned into one scratch and sorted
-// once, so verification walks the combined set in insertion order exactly
-// as on an untiered list. ok=false routes non-ASCII URLs to the token
-// index.
-func (l *List) collectAllCtx(c *matchCtx) ([]uint32, bool) {
-	c.resetCands()
-	if !l.auto.scanInto(c) {
-		return nil, false
-	}
-	if l.cold != nil {
-		l.cold.scanInto(c)
-	}
-	return c.sortedCands(), true
-}
-
-// MatchRequestTokenIndex is MatchRequest served by the token-hash keyword
-// index instead of the automaton. It is kept as a differential baseline
-// for the automaton (see FuzzMatchDifferential) and as the fallback
-// MatchRequest takes for non-ASCII URLs; production callers use
-// MatchRequest.
-func (l *List) MatchRequestTokenIndex(q Request) (Decision, *Rule) {
-	c := newMatchCtx(q)
-	d, r, _ := l.matchTokenIndexCtx(&c)
-	return d, r
-}
-
-func (l *List) matchTokenIndexCtx(c *matchCtx) (Decision, *Rule, int) {
-	// Buckets are probed in token-scan order, so the lowest ordinal among
-	// the matches is taken explicitly — that is the rule the linear scan
-	// returns, which keeps this path interchangeable with the automaton in
-	// the differential tests.
-	blockIdx, exceptIdx := l.tokenIndexes()
-	var scratch [matchScratchCap]indexedRule
-	if r, ord := firstByOrdinal(exceptIdx.appendMatches(c, scratch[:0])); r != nil {
-		return Allowed, r, ord
-	}
-	if r, ord := firstByOrdinal(blockIdx.appendMatches(c, scratch[:0])); r != nil {
-		return Blocked, r, ord
-	}
-	return NoMatch, nil, -1
-}
-
-// firstByOrdinal returns the matched rule with the lowest insertion
-// ordinal and that ordinal, or (nil, -1) for an empty set.
-func firstByOrdinal(hits []indexedRule) (*Rule, int) {
-	var best *Rule
-	bestOrd := -1
-	for _, h := range hits {
-		if best == nil || h.ord < bestOrd {
-			best, bestOrd = h.r, h.ord
-		}
-	}
-	return best, bestOrd
-}
-
-// MatchRequestLinear is MatchRequest without the keyword index: every HTTP
-// rule is tried in insertion order. It exists as the ablation baseline for
-// benchmarks and the differential tests that prove the index changes
-// nothing; production paths use MatchRequest.
+// MatchRequestLinear is MatchRequest without the automaton: every HTTP rule
+// is tried in insertion order. With MatchingHTTPRulesLinear it is the
+// reference oracle the differential tests and the benchmark hold the
+// automaton to; production paths use MatchRequest.
 func (l *List) MatchRequestLinear(q Request) (Decision, *Rule) {
 	c := newMatchCtx(q)
 	for _, r := range l.rules {
@@ -328,35 +240,6 @@ func (l *List) MatchRequestLinear(q Request) (Decision, *Rule) {
 	return NoMatch, nil
 }
 
-// MatchingHTTPRules returns every HTTP rule (blocking and exception) that
-// matches the request, in insertion order. The coverage measurement uses
-// this to record which rules triggered on a crawl. It is
-// AppendMatchingHTTPRules with a fresh result slice; hot callers (the
-// serving data plane) pass their own reusable buffer instead.
-func (l *List) MatchingHTTPRules(q Request) []*Rule {
-	return l.AppendMatchingHTTPRules(nil, q)
-}
-
-// AppendMatchingHTTPRules appends every matching HTTP rule to dst in
-// insertion order and returns the extended slice. The automaton's
-// candidates arrive already sorted by insertion ordinal (a tiered list
-// scans both tiers into one candidate set first), so verified matches
-// append in linear-scan order directly — no sort, and with a pre-sized
-// dst no allocation at all. Non-ASCII URLs fall back to the token index.
-func (l *List) AppendMatchingHTTPRules(dst []*Rule, q Request) []*Rule {
-	c := newMatchCtx(q)
-	cands, ok := l.collectAllCtx(&c)
-	if !ok {
-		return l.appendMatchingTokenIndexCtx(&c, dst)
-	}
-	for _, ord := range cands {
-		if r := l.rules[ord]; r.matchCtx(&c) {
-			dst = append(dst, r)
-		}
-	}
-	return dst
-}
-
 // Hit is one matching HTTP rule together with its insertion ordinal in
 // the list — the currency of the serving data plane, which needs the
 // ordinal both to derive the winning rule (DecideHits) and to record
@@ -366,23 +249,14 @@ type Hit struct {
 	Ord  int
 }
 
-// AppendHits is AppendMatchingHTTPRules carrying ordinals: every matching
-// HTTP rule is appended to dst in insertion order. One AppendHits pass
-// gives a caller the full matched set AND — via DecideHits — the exact
-// verdict MatchRequest would return, so the serving layer probes each
-// list once per request instead of twice.
+// AppendHits appends every HTTP rule (blocking and exception) that matches
+// the request to dst, in insertion order, and returns the extended slice.
+// One AppendHits pass gives a caller the full matched set — what the
+// coverage measurement records — AND, via DecideHits, the exact verdict
+// MatchRequest would return, so the serving layer probes each list once
+// per request instead of twice. With a pre-sized dst nothing is allocated.
 func (l *List) AppendHits(dst []Hit, q Request) []Hit {
-	c := newMatchCtx(q)
-	cands, ok := l.collectAllCtx(&c)
-	if !ok {
-		return l.appendHitsTokenIndexCtx(&c, dst)
-	}
-	for _, ord := range cands {
-		if r := l.rules[ord]; r.matchCtx(&c) {
-			dst = append(dst, Hit{r, int(ord)})
-		}
-	}
-	return dst
+	return l.appendHits(dst, q, true)
 }
 
 // AppendHitsHot is AppendHits restricted to the hot-tier automaton: the
@@ -394,13 +268,21 @@ func (l *List) AppendHits(dst []Hit, q Request) []Hit {
 // and every keyword-less rule is hot): an Allowed verdict is exact,
 // a Blocked verdict is exact, and the only possible drift is a cold
 // block reported as NoMatch. On an untiered list (no cold automaton)
-// the result is identical to AppendHits. Non-ASCII URLs fall back to
-// the full-fidelity token index either way.
+// the result is identical to AppendHits.
 func (l *List) AppendHitsHot(dst []Hit, q Request) []Hit {
+	return l.appendHits(dst, q, false)
+}
+
+// appendHits scans the hot automaton and, when withCold is set, the cold
+// one into the same scratch, sorts once, and verifies the combined
+// candidates in insertion order — exactly as on an untiered list, so the
+// verified matches append in linear-scan order with no further sort.
+func (l *List) appendHits(dst []Hit, q Request, withCold bool) []Hit {
 	c := newMatchCtx(q)
 	c.resetCands()
-	if !l.auto.scanInto(&c) {
-		return l.appendHitsTokenIndexCtx(&c, dst)
+	l.auto.scanInto(&c)
+	if withCold && l.cold != nil {
+		l.cold.scanInto(&c)
 	}
 	for _, ord := range c.sortedCands() {
 		if r := l.rules[ord]; r.matchCtx(&c) {
@@ -428,56 +310,9 @@ func DecideHits(hits []Hit) (Decision, *Rule, int) {
 	return NoMatch, nil, -1
 }
 
-// MatchingHTTPRulesTokenIndex is MatchingHTTPRules served by the
-// token-hash keyword index: each rule lives in exactly one bucket, so
-// collecting the matching buckets and restoring insertion order by
-// ordinal reproduces the linear scan's output exactly. Kept as the
-// automaton's differential baseline and non-ASCII fallback.
-func (l *List) MatchingHTTPRulesTokenIndex(q Request) []*Rule {
-	c := newMatchCtx(q)
-	return l.appendMatchingTokenIndexCtx(&c, nil)
-}
-
-func (l *List) appendMatchingTokenIndexCtx(c *matchCtx, dst []*Rule) []*Rule {
-	var scratch [matchScratchCap]indexedRule
-	for _, h := range l.tokenIndexHitsCtx(c, scratch[:0]) {
-		dst = append(dst, h.r)
-	}
-	return dst
-}
-
-func (l *List) appendHitsTokenIndexCtx(c *matchCtx, dst []Hit) []Hit {
-	var scratch [matchScratchCap]indexedRule
-	for _, h := range l.tokenIndexHitsCtx(c, scratch[:0]) {
-		dst = append(dst, Hit{h.r, h.ord})
-	}
-	return dst
-}
-
-// tokenIndexHitsCtx collects every matching HTTP rule through the token
-// index into hits, restored to insertion order. Matching sets are tiny (a
-// handful of rules): a small-N insertion sort over the caller's stack
-// scratch restores insertion order without the closure and interface
-// allocations sort.Slice would cost per call.
-func (l *List) tokenIndexHitsCtx(c *matchCtx, hits []indexedRule) []indexedRule {
-	blockIdx, exceptIdx := l.tokenIndexes()
-	hits = exceptIdx.appendMatches(c, hits)
-	hits = blockIdx.appendMatches(c, hits)
-	for i := 1; i < len(hits); i++ {
-		h := hits[i]
-		j := i - 1
-		for j >= 0 && hits[j].ord > h.ord {
-			hits[j+1] = hits[j]
-			j--
-		}
-		hits[j+1] = h
-	}
-	return hits
-}
-
-// MatchingHTTPRulesLinear is the index-free reference implementation of
-// MatchingHTTPRules, kept as the ablation baseline for benchmarks and the
-// differential tests.
+// MatchingHTTPRulesLinear is the all-matches half of the reference oracle:
+// every matching HTTP rule in insertion order, the set AppendHits must
+// reproduce.
 func (l *List) MatchingHTTPRulesLinear(q Request) []*Rule {
 	c := newMatchCtx(q)
 	var out []*Rule
@@ -700,79 +535,4 @@ func (l *List) ExceptionDomainSplit() (exception, nonException []string) {
 	sort.Strings(exception)
 	sort.Strings(nonException)
 	return exception, nonException
-}
-
-// indexedRule pairs a rule with its insertion ordinal in the List, so
-// all-matches index lookups can restore insertion order.
-type indexedRule struct {
-	r   *Rule
-	ord int
-}
-
-// keywordIndex buckets HTTP rules by the token-safe keyword drawn from
-// their pattern (Rule.Keyword). A lookup tokenizes the request URL once and
-// hash-probes each token's bucket, so per-request cost tracks the URL's
-// token count rather than the list's keyword count. Rules without a usable
-// keyword go into a generic bucket that is always scanned. Each rule lives
-// in exactly one bucket and URL tokens are deduplicated, so no bucket is
-// visited twice.
-type keywordIndex struct {
-	byKeyword map[string][]indexedRule
-	generic   []indexedRule
-}
-
-func newKeywordIndex() *keywordIndex {
-	return &keywordIndex{byKeyword: make(map[string][]indexedRule)}
-}
-
-func (idx *keywordIndex) add(r *Rule, ord int) {
-	kw := r.Keyword()
-	if kw == "" {
-		idx.generic = append(idx.generic, indexedRule{r, ord})
-		return
-	}
-	idx.byKeyword[kw] = append(idx.byKeyword[kw], indexedRule{r, ord})
-}
-
-// appendMatches collects every matching rule into out (all-matches mode).
-// Buckets are disjoint, but a token that occurs twice in the URL probes its
-// bucket twice, so matches are deduplicated by ordinal against this call's
-// own output (the matching set is tiny); callers sort by ordinal to restore
-// insertion order.
-func (idx *keywordIndex) appendMatches(c *matchCtx, out []indexedRule) []indexedRule {
-	base := len(out)
-	if len(idx.byKeyword) > 0 {
-		s := c.low()
-		for i := 0; i < len(s); {
-			if !keywordChar(s[i]) {
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(s) && keywordChar(s[j]) {
-				j++
-			}
-			if j-i >= 3 {
-			bucket:
-				for _, ir := range idx.byKeyword[s[i:j]] {
-					if !ir.r.matchCtx(c) {
-						continue
-					}
-					for _, seen := range out[base:] {
-						if seen.ord == ir.ord {
-							continue bucket
-						}
-					}
-					out = append(out, ir)
-				}
-			}
-			i = j
-		}
-	}
-	for _, ir := range idx.generic {
-		if ir.r.matchCtx(c) {
-			out = append(out, ir)
-		}
-	}
-	return out
 }

@@ -114,11 +114,11 @@ func TestExceptionDomainSplit(t *testing.T) {
 	}
 }
 
-func TestMatchingHTTPRules(t *testing.T) {
+func TestAppendHits(t *testing.T) {
 	l := buildList(t, "test", "/ads.js?", "||numerama.com^", "###x")
-	rules := l.MatchingHTTPRules(req("http://numerama.com/ads.js?1", "numerama.com", TypeScript))
-	if len(rules) != 2 {
-		t.Fatalf("got %d matching rules, want 2", len(rules))
+	hits := l.AppendHits(nil, req("http://numerama.com/ads.js?1", "numerama.com", TypeScript))
+	if len(hits) != 2 || hits[0].Ord != 0 || hits[1].Ord != 1 {
+		t.Fatalf("hits = %v, want the two HTTP rules in insertion order", hits)
 	}
 }
 

@@ -81,15 +81,15 @@ func domainWithin(host, domain string) bool {
 // third of the second; anything beyond it spills to a heap slice.
 const matchScratchCap = 48
 
-// matchCtx caches the per-request derived values — the lower-cased URL, the
+// matchCtx caches the per-request derived values — the case-folded URL, the
 // request host, the third-party verdict — that every candidate rule of a
 // List lookup would otherwise recompute, plus the candidate-ordinal scratch
 // the automaton probe stage writes into. It is built once per request on
 // the caller's stack and never escapes a single call, which is what makes
-// the no-match hot path allocation-free: the URL is lowered lazily (and
-// in-place into lowBuf when it is ASCII), candidates live in the inline
-// array, and nothing here reaches the heap unless an exotic input forces
-// the spill or a non-ASCII lowering.
+// the no-match hot path allocation-free: the URL is folded lazily (and
+// into lowBuf when it fits), candidates live in the inline array, and
+// nothing here reaches the heap unless an exotic input forces the spill or
+// a long URL with upper-case letters outgrows the buffer.
 type matchCtx struct {
 	q Request
 
@@ -126,7 +126,7 @@ const (
 // already-lower domain, the usual case, is returned as is). Lowering of
 // the URL is deferred to the first rule that needs a case-insensitive view
 // (see low): the automaton scans the raw URL through its case-folding byte
-// classes, so a no-match lookup often never lowers at all.
+// classes, so a no-match lookup often never folds at all.
 func newMatchCtx(q Request) matchCtx {
 	if q.Type == "" {
 		q.Type = TypeOther
@@ -135,12 +135,17 @@ func newMatchCtx(q Request) matchCtx {
 	return matchCtx{q: q}
 }
 
-// low returns strings.ToLower(q.URL), computed at most once per context.
-// ASCII URLs never allocate: an already-lower URL is returned as is, and
-// one with upper-case letters is folded into the context's own buffer
-// (falling back to an allocated copy only when it outgrows the buffer).
-// The unsafe.String view is sound because it aliases the context, which
-// outlives every use of the string — nothing retains it past the call.
+// low returns the case-insensitive view of q.URL, computed at most once per
+// context. It is the one place that defines case-insensitivity for
+// matching: A–Z fold to a–z and every other byte — including any byte
+// ≥ 0x80 — is compared as sent. That is what a URL on the wire is (RFC
+// 3986: IDN hosts arrive punycoded, everything else percent-encoded), and
+// it is the same fold the automaton's byte classes apply, so the probe
+// stage and rule verification always judge the same string. Nothing is
+// allocated unless the URL both has an upper-case letter and outgrows the
+// context's buffer. The unsafe.String view is sound because it aliases the
+// context, which outlives every use of the string — nothing retains it
+// past the call.
 func (c *matchCtx) low() string {
 	switch c.lowState {
 	case lowIsString:
@@ -149,39 +154,48 @@ func (c *matchCtx) low() string {
 		return unsafe.String(&c.lowBuf[0], c.lowN)
 	}
 	s := c.q.URL
-	hasUpper := false
-	ascii := true
-	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if b >= 0x80 {
-			ascii = false
-			break
-		}
-		if 'A' <= b && b <= 'Z' {
-			hasUpper = true
-		}
-	}
 	switch {
-	case !ascii:
-		c.lowered = strings.ToLower(s)
-	case !hasUpper:
+	case !hasUpperASCII(s):
 		c.lowered = s
 	case len(s) <= len(c.lowBuf):
-		for i := 0; i < len(s); i++ {
-			b := s[i]
-			if 'A' <= b && b <= 'Z' {
-				b += 'a' - 'A'
-			}
-			c.lowBuf[i] = b
-		}
+		lowerASCIIInto(c.lowBuf[:len(s)], s)
 		c.lowState = lowIsBuf
 		c.lowN = len(s)
 		return unsafe.String(&c.lowBuf[0], len(s))
 	default:
-		c.lowered = strings.ToLower(s)
+		c.lowered = lowerASCII(s)
 	}
 	c.lowState = lowIsString
 	return c.lowered
+}
+
+func hasUpperASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			return true
+		}
+	}
+	return false
+}
+
+// lowerASCIIInto writes s into dst (len(dst) == len(s)) with A–Z folded to
+// a–z and every other byte unchanged.
+func lowerASCIIInto(dst []byte, s string) {
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		dst[i] = b
+	}
+}
+
+// lowerASCII returns a copy of s with A–Z folded to a–z. Unlike
+// strings.ToLower it never reinterprets bytes ≥ 0x80.
+func lowerASCII(s string) string {
+	b := make([]byte, len(s))
+	lowerASCIIInto(b, s)
+	return string(b)
 }
 
 // resetCands empties the candidate scratch before a fresh probe pass.
@@ -476,48 +490,4 @@ func globMatch(pat, s string, endAnchor, floating bool) bool {
 		starSi++
 		pi, si = starPi, starSi
 	}
-}
-
-// keywordChar reports whether c can appear inside an index keyword: the
-// lower-case alphanumerics plus '%'. Keyword extraction and URL
-// tokenization share this class; that shared alphabet is what makes the
-// token-hash lookup sound (see Rule.Keyword).
-func keywordChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '%'
-}
-
-// Keyword returns the longest token-safe keyword in the rule's pattern, or
-// "" when none exists. List buckets rules by this keyword and looks buckets
-// up by the URL's own tokens, so a keyword is only usable when every URL the
-// rule matches is guaranteed to contain it as a complete token: the run must
-// be delimited on both sides, inside the pattern, by something that can
-// never be a keyword character in the matched URL — a literal non-keyword
-// character, a '^' separator, or an anchored pattern edge. Runs touching a
-// '*' or an unanchored pattern edge are skipped (the URL could extend them),
-// which is exactly the scheme production adblockers use.
-func (r *Rule) Keyword() string {
-	if !r.IsHTTP() {
-		return ""
-	}
-	pat := strings.ToLower(r.Pattern)
-	best := ""
-	for i := 0; i < len(pat); {
-		if !keywordChar(pat[i]) {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(pat) && keywordChar(pat[j]) {
-			j++
-		}
-		leftOK := i > 0 && pat[i-1] != '*' ||
-			i == 0 && (r.StartAnchor || r.DomainAnchor)
-		rightOK := j < len(pat) && pat[j] != '*' ||
-			j == len(pat) && r.EndAnchor
-		if leftOK && rightOK && j-i >= 3 && j-i > len(best) {
-			best = pat[i:j]
-		}
-		i = j
-	}
-	return best
 }

@@ -207,35 +207,6 @@ func TestElemHideRuleNeverMatchesRequests(t *testing.T) {
 	}
 }
 
-func TestKeywordExtraction(t *testing.T) {
-	cases := map[string]string{
-		"||pagefair.com^$third-party": "pagefair",
-		// "js" is too short and "ads" is the only run delimited on both
-		// sides by non-keyword literals.
-		"/ads.js?": "ads",
-		"||a^":     "",
-		"*^*":      "",
-		// The run before '*' could be extended by whatever the star
-		// matches, and the trailing "js" ends an unanchored pattern, so
-		// neither is token-safe: the rule must fall into the generic bucket.
-		"/abdetect007*.js$script": "",
-		// An end anchor makes the trailing run usable again.
-		"|http://x.com/detect.js|": "detect",
-		// '^' delimits like a literal separator: it can only match a
-		// non-keyword character or the end of the URL.
-		"||cdn.example^adsbygoogle^": "adsbygoogle",
-	}
-	for line, want := range cases {
-		r, err := Parse(line)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", line, err)
-		}
-		if got := r.Keyword(); got != want {
-			t.Errorf("Keyword(%q) = %q, want %q", line, got, want)
-		}
-	}
-}
-
 func TestMatchHereProperties(t *testing.T) {
 	// Property: a pattern consisting only of literal characters matches a
 	// string exactly when it is a substring (unanchored semantics).

@@ -34,7 +34,7 @@ func TestConcurrentMatchSharedRules(t *testing.T) {
 					t.Errorf("lists sharing rules disagree: %v vs %v", da, db)
 					return
 				}
-				a.MatchingHTTPRules(q)
+				a.AppendHits(nil, q)
 				b.HiddenElements("site0002.com", elems)
 			}
 		}(w)

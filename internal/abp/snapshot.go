@@ -27,11 +27,11 @@ import (
 // the JSON document and the trailer. A v3 loader attaches the serialized
 // automaton instead of rebuilding the probe index, so load cost is
 // dominated by rule parsing and bounds validation rather than index
-// construction — and OpenListsSnapshotMapped serves the automaton pages
-// straight from an mmap of the file, shared across replica processes.
-// Every automaton section embeds the CRC-64 of the exact rule lines it
-// was compiled from; a snapshot whose JSON was edited without recompiling
-// is refused as corrupt rather than matching against stale states.
+// construction: the automaton is served zero-copy from the buffer the
+// file was read into. Every automaton section embeds the CRC-64 of the
+// exact rule lines it was compiled from; a snapshot whose JSON was edited
+// without recompiling is refused as corrupt rather than matching against
+// stale states.
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
@@ -113,8 +113,7 @@ func WriteListsSnapshot(w io.Writer, s *ListsSnapshot) error {
 // document: the JSON rule lists followed by one framed binary section per
 // list ("automaton.<i>") holding that list's serialized match automaton,
 // all sealed under the integrity trailer. Loaders attach the sections
-// instead of recompiling, and OpenListsSnapshotMapped can serve them
-// straight from mapped file pages.
+// instead of recompiling.
 func WriteListsSnapshotCompiled(w io.Writer, s *ListsSnapshot) error {
 	payload, err := marshalListsJSON(s, listsSnapshotCompiledVersion)
 	if err != nil {
@@ -195,8 +194,7 @@ func ReadListsSnapshot(r io.Reader) (*ListsSnapshot, error) {
 
 // parseListsSnapshot decodes a snapshot in place: the returned lists (and
 // their automata, for compiled snapshots) alias data, which therefore must
-// stay live and unmodified for the snapshot's lifetime — true both for
-// read-into-memory buffers and for mmap views.
+// stay live and unmodified for the snapshot's lifetime.
 func parseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	payload, sealed, err := artifact.Open(data)
 	if err != nil {
@@ -328,39 +326,6 @@ func LoadListsSnapshot(path string) (*ListsSnapshot, error) {
 	}
 	return s, nil
 }
-
-// OpenListsSnapshotMapped loads a snapshot by mapping the file read-only
-// (portable read-into-memory fallback on platforms without mmap, or when
-// the map fails). For compiled (v3) snapshots the lists' automata are
-// served directly from the mapped pages — startup cost is rule parsing
-// plus O(states) validation, never index construction, and concurrent
-// replicas loading the same file share physical memory.
-//
-// The returned Closer unmaps the view. The snapshot and everything
-// reached through it (lists, automata, match results' rule pointers stay
-// valid — rules are parsed copies) must not be used after Close;
-// conversely the Closer must be held for as long as the snapshot serves.
-// Callers that cannot manage that lifetime (e.g. a hot-reload loop whose
-// old snapshots wind down asynchronously, or one that must tolerate the
-// file being truncated in place underneath it) should use
-// LoadListsSnapshot/ReadListsSnapshot, which own their memory.
-func OpenListsSnapshotMapped(path string) (*ListsSnapshot, io.Closer, error) {
-	data, release, err := mapFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := parseListsSnapshot(data)
-	if err != nil {
-		release()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, closerFunc(release), nil
-}
-
-// closerFunc adapts a release function to io.Closer.
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
 
 // snapshotDir returns the directory containing path ("." for bare names),
 // keeping the temp file on the same filesystem as the rename target.

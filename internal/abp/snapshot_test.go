@@ -3,7 +3,6 @@ package abp
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,6 +50,9 @@ func TestListsSnapshotRoundTrip(t *testing.T) {
 	if got.Label != "unit" || len(got.Lists) != 1 {
 		t.Fatalf("snapshot = %q/%d lists, want unit/1", got.Label, len(got.Lists))
 	}
+	if got.Compiled {
+		t.Fatal("plain v2 snapshot claims to be compiled")
+	}
 	reloaded := got.Lists[0]
 	if reloaded.Name != orig.Name || reloaded.Len() != orig.Len() {
 		t.Fatalf("reloaded %s/%d rules, want %s/%d", reloaded.Name, reloaded.Len(), orig.Name, orig.Len())
@@ -67,15 +69,15 @@ func TestListsSnapshotRoundTrip(t *testing.T) {
 		if (r1 == nil) != (r2 == nil) || (r1 != nil && r1.Raw != r2.Raw) {
 			t.Errorf("%s: rule mismatch: %v vs %v", q.URL, r1, r2)
 		}
-		m1 := orig.MatchingHTTPRules(q)
-		m2 := reloaded.MatchingHTTPRules(q)
+		m1 := orig.AppendHits(nil, q)
+		m2 := reloaded.AppendHits(nil, q)
 		if len(m1) != len(m2) {
 			t.Errorf("%s: %d matching rules, want %d", q.URL, len(m2), len(m1))
 			continue
 		}
 		for i := range m1 {
-			if m1[i].Raw != m2[i].Raw {
-				t.Errorf("%s: matching rule %d = %q, want %q", q.URL, i, m2[i].Raw, m1[i].Raw)
+			if m1[i].Ord != m2[i].Ord || m1[i].Rule.Raw != m2[i].Rule.Raw {
+				t.Errorf("%s: matching rule %d = %q, want %q", q.URL, i, m2[i].Rule.Raw, m1[i].Rule.Raw)
 			}
 		}
 	}
@@ -231,49 +233,6 @@ func TestListsSnapshotCompiledRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), data) {
 		t.Fatal("compiled snapshot serialization is not deterministic")
-	}
-}
-
-func TestListsSnapshotMappedLoad(t *testing.T) {
-	data, orig := compiledListsBytes(t)
-	path := filepath.Join(t.TempDir(), "lists.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, closer, err := OpenListsSnapshotMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Compiled {
-		t.Fatal("mapped v3 snapshot did not load compiled")
-	}
-	for _, q := range snapshotTestRequests() {
-		d1, _ := orig.MatchRequest(q)
-		d2, _ := snap.Lists[0].MatchRequest(q)
-		if d1 != d2 {
-			t.Errorf("%s: mapped decision %v != %v", q.URL, d2, d1)
-		}
-	}
-	if err := closer.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// A plain (v2) snapshot loads through the same entry point, rebuilding
-	// its automata.
-	plain := filepath.Join(t.TempDir(), "plain.json")
-	if err := os.WriteFile(plain, sealedListsBytes(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap2, closer2, err := OpenListsSnapshotMapped(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer2.Close()
-	if snap2.Compiled {
-		t.Fatal("plain v2 snapshot claims to be compiled")
-	}
-	if d, _ := snap2.Lists[0].MatchRequest(snapshotTestRequests()[0]); d != Blocked {
-		t.Fatalf("mapped plain snapshot decision = %v, want Blocked", d)
 	}
 }
 

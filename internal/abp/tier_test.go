@@ -12,7 +12,7 @@ import (
 
 // tierURLs extends the bench mix with queries that force every tier
 // interaction: hot exception over cold block, cold-only block, hot block
-// below and above coldMinBlk, pure miss, and the non-ASCII fallback.
+// below and above coldMinBlk, pure miss, and a non-ASCII URL.
 func tierURLs() []string {
 	urls := append([]string(nil), benchURLs...)
 	return append(urls,
@@ -25,7 +25,7 @@ func tierURLs() []string {
 		// shared path, distinct hosts (sharedPathRules; a miss elsewhere)
 		"http://host7.example/js/advertisement.js",
 		"http://nohost.example/js/advertisement.js",
-		"http://example.com/café.js", // non-ASCII: token-index fallback
+		"http://example.com/café.js", // non-ASCII bytes reset the scan
 	)
 }
 
@@ -41,41 +41,13 @@ func tierQueries() []Request {
 	return qs
 }
 
-// assertTierTransparent proves a tiered list is observationally identical
-// to its untiered source across the full query mix: decision, winning
-// rule, all-matches set, and the AppendHits/DecideHits serving path.
+// assertTierTransparent proves a tiered (or reattached) list is
+// observationally identical to its untiered source across the full query
+// mix: every automaton path of the copy against the source's linear oracle.
 func assertTierTransparent(t *testing.T, name string, plain, tiered *List) {
 	t.Helper()
 	for _, q := range tierQueries() {
-		wd, wr := plain.MatchRequest(q)
-		gd, gr := tiered.MatchRequest(q)
-		// Compare by rule text, not pointer: a snapshot round trip reparses
-		// the rules into fresh *Rule values.
-		if wd != gd || raw(gr) != raw(wr) {
-			t.Fatalf("%s: %q: tiered (%v, %s) != untiered (%v, %s)",
-				name, q.URL, gd, raw(gr), wd, raw(wr))
-		}
-		want := plain.MatchingHTTPRulesLinear(q)
-		got := tiered.MatchingHTTPRules(q)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %q: all-matches %d != linear %d", name, q.URL, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Raw != want[i].Raw {
-				t.Fatalf("%s: %q: all-matches[%d] = %q != %q", name, q.URL, i, got[i].Raw, want[i].Raw)
-			}
-		}
-		hits := tiered.AppendHits(nil, q)
-		if len(hits) != len(want) {
-			t.Fatalf("%s: %q: hits %d != linear %d", name, q.URL, len(hits), len(want))
-		}
-		hd, hr, ord := DecideHits(hits)
-		if hd != wd || raw(hr) != raw(wr) {
-			t.Fatalf("%s: %q: DecideHits (%v, %s) != (%v, %s)", name, q.URL, hd, raw(hr), wd, raw(wr))
-		}
-		if hr != nil && tiered.Rules()[ord] != hr {
-			t.Fatalf("%s: %q: DecideHits ordinal %d does not index the winning rule", name, q.URL, ord)
-		}
+		assertMatchesOracle(t, name, plain, tiered, q)
 	}
 }
 
@@ -175,7 +147,7 @@ func TestAppendHitsHotDegradationIsOneSided(t *testing.T) {
 
 // TestTieredSnapshotRoundTrip proves the v4 snapshot is lossless: a
 // tiered snapshot reloads tiered, with byte-identical tier regions and
-// identical match behavior, through both the read and mmap paths.
+// identical match behavior.
 func TestTieredSnapshotRoundTrip(t *testing.T) {
 	plain := NewList("AAK", benchRules(1000))
 	tiered := plain.CompileTiered(func(ord int) bool { return ord%4 == 0 })
@@ -186,36 +158,22 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	if err := SaveListsSnapshotTiered(path, snap); err != nil {
 		t.Fatalf("SaveListsSnapshotTiered: %v", err)
 	}
-	for _, mode := range []string{"read", "mmap"} {
-		var got *ListsSnapshot
-		switch mode {
-		case "read":
-			s, err := LoadListsSnapshot(path)
-			if err != nil {
-				t.Fatalf("%s: %v", mode, err)
-			}
-			got = s
-		case "mmap":
-			s, closer, err := OpenListsSnapshotMapped(path)
-			if err != nil {
-				t.Fatalf("%s: %v", mode, err)
-			}
-			defer closer.Close()
-			got = s
-		}
-		if !got.Compiled || !got.Tiered {
-			t.Fatalf("%s: Compiled=%v Tiered=%v, want both true", mode, got.Compiled, got.Tiered)
-		}
-		rt := got.Lists[0]
-		if !rt.Tiered() {
-			t.Fatalf("%s: reloaded list lost its tiers", mode)
-		}
-		if string(rt.AutomatonBytes()) != string(tiered.AutomatonBytes()) ||
-			string(rt.ColdAutomatonBytes()) != string(tiered.ColdAutomatonBytes()) {
-			t.Fatalf("%s: tier regions not byte-identical after round trip", mode)
-		}
-		assertTierTransparent(t, mode, plain, rt)
+	got, err := LoadListsSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !got.Compiled || !got.Tiered {
+		t.Fatalf("Compiled=%v Tiered=%v, want both true", got.Compiled, got.Tiered)
+	}
+	rt := got.Lists[0]
+	if !rt.Tiered() {
+		t.Fatal("reloaded list lost its tiers")
+	}
+	if string(rt.AutomatonBytes()) != string(tiered.AutomatonBytes()) ||
+		string(rt.ColdAutomatonBytes()) != string(tiered.ColdAutomatonBytes()) {
+		t.Fatal("tier regions not byte-identical after round trip")
+	}
+	assertTierTransparent(t, "reloaded", plain, rt)
 
 	// A plain v3 compiled snapshot still loads and reports untiered.
 	v3 := filepath.Join(t.TempDir(), "lists.v3.json")

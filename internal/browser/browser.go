@@ -53,7 +53,7 @@ func MatchHTTPURLs(list *abp.List, urls []string, pageDomain string) []HTTPTrigg
 }
 
 // MatchHTTPURLsLinear is the ablation twin of MatchHTTPURLs: it bypasses
-// the list's keyword index and scans every rule. It exists so the replay
+// the list's automaton and scans every rule. It exists so the replay
 // benchmarks and differential tests can compare the indexed path against
 // the reference linear scan; production callers want MatchHTTPURLs.
 func MatchHTTPURLsLinear(list *abp.List, urls []string, pageDomain string) []HTTPTrigger {

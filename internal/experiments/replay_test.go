@@ -117,16 +117,16 @@ func TestIndexedAgreesWithLinearOverHistories(t *testing.T) {
 				}
 				for _, rq := range page.Requests {
 					q := abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: d}
-					got := list.MatchingHTTPRules(q)
+					got := list.AppendHits(nil, q)
 					want := list.MatchingHTTPRulesLinear(q)
 					if len(got) != len(want) {
 						t.Fatalf("%s at %s: %q: indexed %d rules, linear %d",
 							name, month.Format("2006-01"), rq.URL, len(got), len(want))
 					}
 					for i := range got {
-						if got[i] != want[i] {
+						if got[i].Rule != want[i] {
 							t.Fatalf("%s at %s: %q: rule %d: %q vs %q",
-								name, month.Format("2006-01"), rq.URL, i, got[i].Raw, want[i].Raw)
+								name, month.Format("2006-01"), rq.URL, i, got[i].Rule.Raw, want[i].Raw)
 						}
 					}
 				}

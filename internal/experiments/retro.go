@@ -44,7 +44,7 @@ type RetroConfig struct {
 	// merged deterministically, so the figures are byte-identical to a
 	// sequential run. 0 means Workers.
 	Shards int
-	// LinearScan bypasses the lists' keyword index and matches every
+	// LinearScan bypasses the lists' automaton and matches every
 	// request against every rule — the reference baseline the benchmarks
 	// and differential tests compare the indexed path against.
 	LinearScan bool

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"encoding/json"
 	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"adwars/internal/abp"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -63,6 +67,12 @@ func TestHandlersGolden(t *testing.T) {
 			`{"url":"http://clean.example/app.js","type":"script","page_domain":"clean.example"}`, 200},
 		{"match_third_party", deflt, "POST", "/v1/match",
 			`{"url":"http://cdn.example/adframe/x.html","type":"subdocument","page_domain":"news.example"}`, 200},
+		// The edge contract for non-ASCII URLs: bytes are matched as sent,
+		// raw UTF-8 or percent-encoded alike, and only A–Z folds.
+		{"match_raw_utf8", deflt, "POST", "/v1/match",
+			`{"url":"http://CDN.example/AdFrame/café.html","type":"subdocument","page_domain":"news.example"}`, 200},
+		{"match_percent_encoded", deflt, "POST", "/v1/match",
+			`{"url":"http://ads.example.com/Allowed/caf%C3%A9.js","type":"script","page_domain":"news.example"}`, 200},
 		{"match_batch", deflt, "POST", "/v1/match/batch",
 			`{"requests":[{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"},{"url":"http://tracker.example/t.js","type":"script","page_domain":"news.example"},{"url":"http://clean.example/app.js"}]}`, 200},
 		{"classify_anti", deflt, "POST", "/v1/classify", testAntiScript, 200},
@@ -96,7 +106,40 @@ func TestHandlersGolden(t *testing.T) {
 				t.Errorf("content type = %q, want JSON", ct)
 			}
 			golden(t, tc.name, rec.Body.Bytes())
+			if tc.path == "/v1/match" && tc.status == 200 {
+				assertMatchEqualsOracle(t, tc.body, rec.Body.Bytes())
+			}
 		})
+	}
+}
+
+// assertMatchEqualsOracle holds a /v1/match reply to the linear scan of
+// each fixture list: verdict, winning rule and every matched rule in order.
+func assertMatchEqualsOracle(t *testing.T, body string, reply []byte) {
+	t.Helper()
+	var mq MatchQuery
+	if err := json.Unmarshal([]byte(body), &mq); err != nil {
+		t.Fatal(err)
+	}
+	var got MatchResult
+	if err := json.Unmarshal(reply, &got); err != nil {
+		t.Fatal(err)
+	}
+	q := abp.Request{URL: mq.URL, Type: abp.RequestType(mq.Type), PageDomain: mq.PageDomain}
+	var want []ListMatch
+	for _, l := range testListsSnapshot(t).Lists {
+		d, r := l.MatchRequestLinear(q)
+		lm := ListMatch{List: l.Name, Decision: d.String()}
+		if r != nil {
+			lm.Rule = r.Raw
+		}
+		for _, m := range l.MatchingHTTPRulesLinear(q) {
+			lm.MatchedRules = append(lm.MatchedRules, m.Raw)
+		}
+		want = append(want, lm)
+	}
+	if !reflect.DeepEqual(got.Lists, want) {
+		t.Errorf("%q: reply lists %+v != linear oracle %+v", mq.URL, got.Lists, want)
 	}
 }
 
