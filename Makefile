@@ -108,8 +108,14 @@ bench-test:
 # fuzz-smoke runs the matcher's differential fuzz for ten seconds. With one
 # match engine, FuzzMatchDifferential is the only proof that it equals the
 # linear oracle on inputs nobody wrote down; `go test` alone runs its seeds.
+# Then ten seconds of FuzzReadModelSnapshot: no bytes make a model load
+# panic, and whatever loads can be scored (the scorer indexes by feature, so
+# load-time validation is what keeps it in range). Its seeds are whole model
+# files; minimizing one takes the fuzzer most of its default minute, hence
+# the cap.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
+	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
 
 # serve-smoke is the end-to-end serving gate: ~2s of mixed load against a
 # freshly snapshotted adwars-serve on an ephemeral port, with a SIGHUP

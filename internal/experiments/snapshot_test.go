@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
 	"adwars/internal/abp"
+	"adwars/internal/artifact"
 	"adwars/internal/features"
 	"adwars/internal/ml"
 )
@@ -125,4 +129,39 @@ func TestListsSnapshotDifferential(t *testing.T) {
 		t.Fatalf("only %d requests checked; differential too weak", checked)
 	}
 	t.Logf("lists round-trip: %d requests, all decisions and rules identical", checked)
+}
+
+// TestHeadlineDecisionsPinned folds the bits of every decision value the
+// headline model gives the live crawl's scripts into one checksum and holds
+// it to the literal commit 9f24f56 computed, when Decision still made one
+// kernel call per (round, support vector): the compiled scorer may share
+// kernel evaluations between rounds but not move a single bit.
+func TestHeadlineDecisionsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the headline model; skipped in -short")
+	}
+	l, r := lab(t)
+	snap, err := TrainHeadlineModel(&Corpus{Positives: r.CorpusPos, Negatives: r.CorpusNeg}, 2, PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := l.RunLive(context.Background(), LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := features.NewVocab(snap.Vocab)
+	var bits []byte
+	for _, s := range live.Scripts {
+		fs, err := features.ExtractSource(s.Source, features.SetKeyword)
+		if err != nil {
+			continue
+		}
+		bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(snap.Model.Decision(vocab.Project(fs))))
+	}
+	if len(bits) < 20*8 {
+		t.Fatalf("only %d live scripts scored; digest too weak", len(bits)/8)
+	}
+	if got, want := artifact.Checksum(bits), uint64(0x7834037654fec602); got != want {
+		t.Errorf("decisions over %d live scripts checksum to %#016x, commit 9f24f56 computed %#016x", len(bits)/8, got, want)
+	}
 }

@@ -89,18 +89,9 @@ func Build(featureSets []map[string]bool, labels []int) (*Dataset, error) {
 	return ds, nil
 }
 
-// Project maps a new script's feature set onto the dataset's vocabulary,
-// ignoring unseen features (they carry no weight at test time).
-func (d *Dataset) Project(fs map[string]bool) Sample {
-	var s Sample
-	for f := range fs {
-		if i, ok := d.index[f]; ok {
-			s = append(s, int32(i))
-		}
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
-}
+// Project maps a new script's feature set onto the dataset's vocabulary
+// (Vocab.Project).
+func (d *Dataset) Project(fs map[string]bool) Sample { return d.Vocabulary().Project(fs) }
 
 // NumFeatures returns the vocabulary size.
 func (d *Dataset) NumFeatures() int { return len(d.Vocab) }

@@ -2,7 +2,7 @@ package features
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SetFromString parses a feature-set name ("all", "literal", "keyword") as
@@ -20,9 +20,8 @@ func SetFromString(name string) (Set, error) {
 // Vocab is a frozen feature vocabulary detached from any Dataset: the
 // selected feature names in index order plus the reverse index. The serving
 // layer projects incoming scripts through a Vocab loaded from a model
-// snapshot; Vocab.Project and Dataset.Project produce identical Samples for
-// the same vocabulary (asserted by tests), so a served model sees exactly
-// the vectors it was trained on.
+// snapshot; Dataset.Project goes through the same Vocab.Project, so a
+// served model sees exactly the vectors it was trained on.
 type Vocab struct {
 	names []string
 	index map[string]int
@@ -55,14 +54,14 @@ func (v *Vocab) Len() int { return len(v.names) }
 func (v *Vocab) Names() []string { return v.names }
 
 // Project maps a script's feature set onto the vocabulary, ignoring unseen
-// features — the same semantics as Dataset.Project.
+// features (they carry no weight at test time).
 func (v *Vocab) Project(fs map[string]bool) Sample {
-	var s Sample
+	s := make(Sample, 0, min(len(fs), len(v.names)))
 	for f := range fs {
 		if i, ok := v.index[f]; ok {
 			s = append(s, int32(i))
 		}
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s
 }

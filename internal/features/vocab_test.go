@@ -44,6 +44,12 @@ func TestVocabProjectMatchesDataset(t *testing.T) {
 			}
 		}
 	}
+	// A projection costs its result slice and nothing more, by either door.
+	for name, project := range map[string]func(map[string]bool) Sample{"Vocab": fromNames.Project, "Dataset": ds.Project} {
+		if allocs := testing.AllocsPerRun(100, func() { project(probe) }); allocs > 1 {
+			t.Errorf("%s.Project allocates %v times per call, want ≤ 1", name, allocs)
+		}
+	}
 	// NewVocab copies its input: mutating the source must not leak in.
 	names := append([]string(nil), ds.Vocab...)
 	v := NewVocab(names)

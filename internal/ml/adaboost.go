@@ -31,10 +31,29 @@ func DefaultAdaBoostConfig() AdaBoostConfig {
 type AdaBoost struct {
 	models []*SVM
 	alphas []float64
+	sc     *scorer // compiled scoring form shared by every round (score.go)
 }
 
 // Rounds returns the number of boosting rounds actually trained.
 func (a *AdaBoost) Rounds() int { return len(a.models) }
+
+// NumSupportVectors returns the support vectors summed over all rounds.
+func (a *AdaBoost) NumSupportVectors() int {
+	n := 0
+	for _, m := range a.models {
+		n += m.NumSupportVectors()
+	}
+	return n
+}
+
+// NumDistinctVectors returns how many of those support vectors are
+// distinct — the number of kernel evaluations one Decision costs.
+func (a *AdaBoost) NumDistinctVectors() int {
+	if a.sc == nil {
+		return 0
+	}
+	return len(a.sc.vectors)
+}
 
 // AlphaSum returns Σ|αₜ|, the largest magnitude Decision can reach. The
 // serving layer normalizes decision values by it to report a bounded
@@ -49,20 +68,17 @@ func (a *AdaBoost) AlphaSum() float64 {
 
 // Decision returns the weighted vote Σ αₜhₜ(s).
 func (a *AdaBoost) Decision(s features.Sample) float64 {
+	var buf [scratchVectors]float64
+	kv := a.sc.values(s, &buf)
 	v := 0.0
 	for t, m := range a.models {
-		v += a.alphas[t] * float64(m.Predict(s))
+		v += a.alphas[t] * float64(sign(m.decide(kv)))
 	}
 	return v
 }
 
 // Predict implements Classifier.
-func (a *AdaBoost) Predict(s features.Sample) int {
-	if a.Decision(s) >= 0 {
-		return +1
-	}
-	return -1
-}
+func (a *AdaBoost) Predict(s features.Sample) int { return sign(a.Decision(s)) }
 
 // TrainAdaBoost trains AdaBoost.M1 with SVM component classifiers. Each
 // round trains a weighted SVM, computes its weighted training error ε, and
@@ -101,7 +117,7 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 	}
 	ens := &AdaBoost{}
 	for t := 0; t < cfg.Rounds; t++ {
-		m, err := trainSVMGram(ds, w, cfg.SVM, rng, g)
+		m, err := solveSMO(ds, w, cfg.SVM, rng, g)
 		if err != nil {
 			return nil, fmt.Errorf("ml: round %d: %w", t, err)
 		}
@@ -111,11 +127,7 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 			// The error pass scores training samples against the round's
 			// support vectors through the shared cache instead of
 			// re-evaluating the kernel per (SV, sample) pair.
-			if m.decisionGram(g, i) >= 0 {
-				preds[i] = +1
-			} else {
-				preds[i] = -1
-			}
+			preds[i] = sign(m.decisionGram(g, i))
 			if preds[i] != ds.Labels[i] {
 				eps += w[i]
 			}
@@ -154,5 +166,6 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 			w[i] /= sum
 		}
 	}
+	ens.sc = compile(ens.models...)
 	return ens, nil
 }

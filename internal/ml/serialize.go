@@ -3,7 +3,9 @@ package ml
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
+	"adwars/internal/artifact"
 	"adwars/internal/features"
 )
 
@@ -24,7 +26,7 @@ type adaBoostJSON struct {
 	Models []*svmJSON `json:"models"`
 }
 
-func (m *SVM) toJSON() *svmJSON {
+func (m *SVM) toJSON() (*svmJSON, error) {
 	out := &svmJSON{Bias: m.bias, Coefs: m.coefs}
 	switch k := m.kernel.(type) {
 	case RBF:
@@ -33,19 +35,38 @@ func (m *SVM) toJSON() *svmJSON {
 	case Linear:
 		out.KernelType = "linear"
 	default:
-		out.KernelType = "rbf"
-		out.Gamma = 0.05
+		return nil, fmt.Errorf("ml: kernel %T has no serialized form", m.kernel)
 	}
 	for _, v := range m.vectors {
 		out.Vectors = append(out.Vectors, []int32(v))
 	}
-	return out
+	return out, nil
 }
 
-func svmFromJSON(j *svmJSON) (*SVM, error) {
+// invalidModel reports model content that parses but cannot be scored
+// faithfully. It wraps artifact.ErrCorrupt, so a serving process refuses
+// the file as damaged and keeps its last-good model.
+func invalidModel(format string, args ...any) error {
+	return artifact.Corruptf("model-invalid", format, args...)
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// maxFeatures bounds the feature indices of a model that arrives without a
+// vocabulary (bare UnmarshalJSON): the scorer's postings index is dense
+// over them, so a hostile index must not size it. The paper's largest
+// feature set, before any selection, has 1.7M features.
+const maxFeatures = 1 << 22
+
+// svmFromJSON validates j against a feature space of numFeatures indices
+// and returns the SVM it describes, not yet compiled for scoring.
+func svmFromJSON(j *svmJSON, numFeatures int) (*SVM, error) {
 	m := &SVM{bias: j.Bias, coefs: j.Coefs}
 	switch j.KernelType {
 	case "rbf":
+		if !(j.Gamma > 0) || !finite(j.Gamma) {
+			return nil, invalidModel("rbf gamma %v, want a finite value > 0", j.Gamma)
+		}
 		m.kernel = RBF{Gamma: j.Gamma}
 	case "linear":
 		m.kernel = Linear{}
@@ -55,14 +76,38 @@ func svmFromJSON(j *svmJSON) (*SVM, error) {
 	if len(j.Coefs) != len(j.Vectors) {
 		return nil, fmt.Errorf("ml: %d coefs for %d support vectors", len(j.Coefs), len(j.Vectors))
 	}
-	for _, v := range j.Vectors {
+	if !finite(j.Bias) {
+		return nil, invalidModel("bias %v", j.Bias)
+	}
+	for i, c := range j.Coefs {
+		if !finite(c) {
+			return nil, invalidModel("coefficient %d is %v", i, c)
+		}
+	}
+	for i, v := range j.Vectors {
+		prev := int32(-1)
+		for _, f := range v {
+			if f <= prev {
+				return nil, invalidModel("support vector %d: feature %d after %d (want sorted, distinct, non-negative)", i, f, prev)
+			}
+			prev = f
+		}
+		if int(prev) >= numFeatures {
+			return nil, invalidModel("support vector %d: feature %d in a space of %d features", i, prev, numFeatures)
+		}
 		m.vectors = append(m.vectors, features.Sample(v))
 	}
 	return m, nil
 }
 
 // MarshalJSON implements json.Marshaler for trained SVMs.
-func (m *SVM) MarshalJSON() ([]byte, error) { return json.Marshal(m.toJSON()) }
+func (m *SVM) MarshalJSON() ([]byte, error) {
+	j, err := m.toJSON()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(j)
+}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (m *SVM) UnmarshalJSON(data []byte) error {
@@ -70,10 +115,11 @@ func (m *SVM) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	restored, err := svmFromJSON(&j)
+	restored, err := svmFromJSON(&j, maxFeatures)
 	if err != nil {
 		return err
 	}
+	compile(restored)
 	*m = *restored
 	return nil
 }
@@ -82,7 +128,11 @@ func (m *SVM) UnmarshalJSON(data []byte) error {
 func (a *AdaBoost) MarshalJSON() ([]byte, error) {
 	out := adaBoostJSON{Alphas: a.alphas}
 	for _, m := range a.models {
-		out.Models = append(out.Models, m.toJSON())
+		j, err := m.toJSON()
+		if err != nil {
+			return nil, err
+		}
+		out.Models = append(out.Models, j)
 	}
 	return json.Marshal(out)
 }
@@ -93,17 +143,34 @@ func (a *AdaBoost) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	if len(j.Alphas) != len(j.Models) {
-		return fmt.Errorf("ml: %d alphas for %d models", len(j.Alphas), len(j.Models))
-	}
-	restored := &AdaBoost{alphas: j.Alphas}
-	for _, mj := range j.Models {
-		m, err := svmFromJSON(mj)
-		if err != nil {
-			return err
-		}
-		restored.models = append(restored.models, m)
+	restored, err := adaBoostFromJSON(&j, maxFeatures)
+	if err != nil {
+		return err
 	}
 	*a = *restored
 	return nil
+}
+
+// adaBoostFromJSON validates j against a feature space of numFeatures
+// indices and returns the compiled ensemble it describes.
+func adaBoostFromJSON(j *adaBoostJSON, numFeatures int) (*AdaBoost, error) {
+	if len(j.Alphas) != len(j.Models) {
+		return nil, fmt.Errorf("ml: %d alphas for %d models", len(j.Alphas), len(j.Models))
+	}
+	a := &AdaBoost{alphas: j.Alphas}
+	for t, mj := range j.Models {
+		if !finite(j.Alphas[t]) {
+			return nil, invalidModel("alpha %d is %v", t, j.Alphas[t])
+		}
+		if mj == nil {
+			return nil, invalidModel("round %d is null", t)
+		}
+		m, err := svmFromJSON(mj, numFeatures)
+		if err != nil {
+			return nil, err
+		}
+		a.models = append(a.models, m)
+	}
+	a.sc = compile(a.models...)
+	return a, nil
 }

@@ -101,8 +101,10 @@ func WriteModelSnapshot(w io.Writer, s *ModelSnapshot) error {
 
 // ReadModelSnapshot parses a snapshot, rejecting foreign files
 // (ErrSnapshotFormat), unknown schema versions (ErrSnapshotVersion), and
-// corrupt files — bad checksum, torn length framing, or a sealed-version
-// payload whose trailer was truncated away (errors wrap
+// corrupt files — bad checksum, torn length framing, a sealed-version
+// payload whose trailer was truncated away, or a model that parses but
+// cannot be scored faithfully: unsorted or out-of-vocabulary support
+// vectors, non-finite weights, a non-positive RBF width (errors wrap
 // artifact.ErrCorrupt).
 func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
 	data, err := io.ReadAll(r)
@@ -132,8 +134,12 @@ func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
 	if doc.Classifier != "adaboost" {
 		return nil, fmt.Errorf("ml: unknown classifier %q in snapshot", doc.Classifier)
 	}
-	model := &AdaBoost{}
-	if err := json.Unmarshal(doc.Model, model); err != nil {
+	var mj adaBoostJSON
+	if err := json.Unmarshal(doc.Model, &mj); err != nil {
+		return nil, fmt.Errorf("ml: snapshot model: %w", err)
+	}
+	model, err := adaBoostFromJSON(&mj, len(doc.Vocab))
+	if err != nil {
 		return nil, fmt.Errorf("ml: snapshot model: %w", err)
 	}
 	if model.Rounds() == 0 {

@@ -3,15 +3,17 @@ package ml
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"adwars/internal/artifact"
+	"adwars/internal/features"
 )
 
-func trainedSnapshot(t *testing.T) *ModelSnapshot {
+func trainedSnapshot(t testing.TB) *ModelSnapshot {
 	t.Helper()
 	ds := synthDataset(t, 20, 120, 7)
 	model, err := TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(7)))
@@ -91,7 +93,7 @@ func TestModelSnapshotWriteRequiresModel(t *testing.T) {
 
 // sealedModelBytes writes the trained snapshot and returns the raw sealed
 // file bytes for corruption tests.
-func sealedModelBytes(t *testing.T) []byte {
+func sealedModelBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteModelSnapshot(&buf, trainedSnapshot(t)); err != nil {
@@ -113,33 +115,41 @@ func TestModelSnapshotIsSealed(t *testing.T) {
 	}
 }
 
+// modelCorruptions is the corruption matrix for sealed model files: each
+// entry damages a clean file the way a torn write or bit rot would.
+//
+// named marks the classes the trailer can name precisely: those must wrap
+// artifact.ErrCorrupt specifically (serving distinguishes "corrupt" from
+// "foreign file" when counting rejected reloads).
+var modelCorruptions = []struct {
+	name   string
+	named  bool
+	mutate func([]byte) []byte
+}{
+	{"truncated mid-payload", false, func(b []byte) []byte { return b[:len(b)/2] }},
+	{"trailer truncated away", true, func(b []byte) []byte {
+		return b[:bytes.LastIndex(b, []byte(artifact.TrailerPrefix))]
+	}},
+	{"bit flip in payload", true, func(b []byte) []byte {
+		b = bytes.Clone(b)
+		b[bytes.LastIndex(b, []byte(artifact.TrailerPrefix))/2] ^= 0x01
+		return b
+	}},
+	{"bit flip in trailer checksum", true, func(b []byte) []byte {
+		b = bytes.Clone(b)
+		i := bytes.LastIndex(b, []byte("crc64=")) + len("crc64=")
+		if b[i] == 'f' {
+			b[i] = '0'
+		} else {
+			b[i] = 'f'
+		}
+		return b
+	}},
+}
+
 func TestModelSnapshotCorruptionDetected(t *testing.T) {
 	data := sealedModelBytes(t)
-	trailerAt := bytes.LastIndex(data, []byte(artifact.TrailerPrefix))
-
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"truncated mid-payload", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"trailer truncated away", func(b []byte) []byte { return b[:trailerAt] }},
-		{"bit flip in payload", func(b []byte) []byte {
-			b = bytes.Clone(b)
-			b[trailerAt/2] ^= 0x01
-			return b
-		}},
-		{"bit flip in trailer checksum", func(b []byte) []byte {
-			b = bytes.Clone(b)
-			i := bytes.LastIndex(b, []byte("crc64=")) + len("crc64=")
-			if b[i] == 'f' {
-				b[i] = '0'
-			} else {
-				b[i] = 'f'
-			}
-			return b
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range modelCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadModelSnapshot(bytes.NewReader(tc.mutate(data)))
 			if err == nil {
@@ -148,22 +158,95 @@ func TestModelSnapshotCorruptionDetected(t *testing.T) {
 			if !errors.Is(err, artifact.ErrCorrupt) && !errors.Is(err, ErrSnapshotFormat) {
 				t.Fatalf("err = %v, want ErrCorrupt or ErrSnapshotFormat", err)
 			}
+			if tc.named && !errors.Is(err, artifact.ErrCorrupt) {
+				t.Errorf("err = %v, want artifact.ErrCorrupt", err)
+			}
 		})
 	}
+}
 
-	// Corruption classes the trailer can name precisely must wrap
-	// artifact.ErrCorrupt specifically (serving distinguishes "corrupt" from
-	// "foreign file" when counting rejected reloads).
-	for _, name := range []string{"trailer truncated away", "bit flip in payload", "bit flip in trailer checksum"} {
-		for _, tc := range cases {
-			if tc.name != name {
-				continue
-			}
-			if _, err := ReadModelSnapshot(bytes.NewReader(tc.mutate(data))); !errors.Is(err, artifact.ErrCorrupt) {
-				t.Errorf("%s: err = %v, want artifact.ErrCorrupt", name, err)
-			}
+// legacyModelFile wraps a model document in an unsealed version-1
+// snapshot over a three-feature vocabulary.
+func legacyModelFile(model string) string {
+	return `{"format":"adwars-model","version":1,"classifier":"adaboost","feature_set":"keyword",` +
+		`"vocab":["a:x","b:y","c:z"],"model":` + model + "}\n"
+}
+
+// invalidModelFiles are snapshots that parse but describe a model that
+// cannot be scored faithfully; each must be refused as model-invalid.
+var invalidModelFiles = []struct{ name, model string }{
+	{"unsorted support vector", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[2,1]]}]}`},
+	{"duplicated feature", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[1,1]]}]}`},
+	{"negative feature", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[-1,2]]}]}`},
+	{"feature beyond the vocabulary", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0,3]]}]}`},
+	{"rbf without gamma", `{"alphas":[1],"models":[{"kernel":"rbf","bias":0,"coefs":[1],"vectors":[[0]]}]}`},
+	{"negative gamma", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":-0.05,"bias":0,"coefs":[1],"vectors":[[0]]}]}`},
+	{"null round", `{"alphas":[1],"models":[null]}`},
+}
+
+func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
+	wantInvalid := func(t *testing.T, err error) {
+		t.Helper()
+		var ce *artifact.CorruptError
+		if !errors.As(err, &ce) || ce.Reason != "model-invalid" || !errors.Is(err, artifact.ErrCorrupt) {
+			t.Errorf("err = %v, want a model-invalid artifact.CorruptError", err)
 		}
 	}
+	for _, tc := range invalidModelFiles {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadModelSnapshot(strings.NewReader(legacyModelFile(tc.model)))
+			wantInvalid(t, err)
+		})
+	}
+	// The same shape with nothing wrong loads.
+	ok := `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1,-1],"vectors":[[0,2],[]]}]}`
+	if _, err := ReadModelSnapshot(strings.NewReader(legacyModelFile(ok))); err != nil {
+		t.Errorf("valid model refused: %v", err)
+	}
+
+	// JSON has no spelling for NaN or Inf, so non-finite weights are held
+	// to the same refusal one level down.
+	nan, inf := math.NaN(), math.Inf(1)
+	round := func(gamma, bias, coef float64) *svmJSON {
+		return &svmJSON{KernelType: "rbf", Gamma: gamma, Bias: bias, Coefs: []float64{coef}, Vectors: [][]int32{{0}}}
+	}
+	for name, j := range map[string]*adaBoostJSON{
+		"NaN alpha":        {Alphas: []float64{nan}, Models: []*svmJSON{round(0.05, 0, 1)}},
+		"infinite alpha":   {Alphas: []float64{inf}, Models: []*svmJSON{round(0.05, 0, 1)}},
+		"NaN bias":         {Alphas: []float64{1}, Models: []*svmJSON{round(0.05, nan, 1)}},
+		"infinite coef":    {Alphas: []float64{1}, Models: []*svmJSON{round(0.05, 0, -inf)}},
+		"NaN gamma":        {Alphas: []float64{1}, Models: []*svmJSON{round(nan, 0, 1)}},
+		"infinite gamma":   {Alphas: []float64{1}, Models: []*svmJSON{round(inf, 0, 1)}},
+		"second round bad": {Alphas: []float64{1, 1}, Models: []*svmJSON{round(0.05, 0, 1), round(0.05, 0, nan)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := adaBoostFromJSON(j, 1)
+			wantInvalid(t, err)
+		})
+	}
+}
+
+// FuzzReadModelSnapshot: loading never panics, whatever the bytes, and a
+// model that loads scores a fixed sample without panicking. Seeds are the
+// clean file, the corruption matrix and the invalid-model files.
+func FuzzReadModelSnapshot(f *testing.F) {
+	data := sealedModelBytes(f)
+	f.Add(data)
+	for _, tc := range modelCorruptions {
+		f.Add(tc.mutate(data))
+	}
+	for _, tc := range invalidModelFiles {
+		f.Add([]byte(legacyModelFile(tc.model)))
+	}
+	sample := features.Sample{0, 1, 2, 5, 8, 13, 21, 34, 1 << 20}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ReadModelSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		snap.Model.Predict(sample)
+		snap.Model.Predict(nil)
+	})
 }
 
 func TestModelSnapshotLegacyV1StillLoads(t *testing.T) {

@@ -59,6 +59,12 @@ type SVM struct {
 	coefs   []float64 // αᵢyᵢ of each support vector
 	bias    float64
 	svIdx   []int // training-set indices of the support vectors
+
+	// Compiled scoring form (score.go): ids[i] is support vector i's
+	// distinct-id in sc. An SVM that is a round of an ensemble shares the
+	// ensemble's scorer.
+	ids []int32
+	sc  *scorer
 }
 
 // NumSupportVectors returns the number of retained support vectors.
@@ -66,11 +72,8 @@ func (m *SVM) NumSupportVectors() int { return len(m.vectors) }
 
 // Decision returns the signed decision value Σ αᵢyᵢK(xᵢ,s) + b.
 func (m *SVM) Decision(s features.Sample) float64 {
-	v := m.bias
-	for i, sv := range m.vectors {
-		v += m.coefs[i] * m.kernel.Eval(sv, s)
-	}
-	return v
+	var buf [scratchVectors]float64
+	return m.decide(m.sc.values(s, &buf))
 }
 
 // decisionGram is Decision for a sample of the training set itself, served
@@ -85,12 +88,7 @@ func (m *SVM) decisionGram(g *gram, sample int) float64 {
 }
 
 // Predict implements Classifier.
-func (m *SVM) Predict(s features.Sample) int {
-	if m.Decision(s) >= 0 {
-		return +1
-	}
-	return -1
-}
+func (m *SVM) Predict(s features.Sample) int { return sign(m.Decision(s)) }
 
 // TrainSVM trains a soft-margin SVM on the dataset with simplified SMO
 // (Platt's algorithm with random second-choice heuristic). weights, when
@@ -130,16 +128,28 @@ func checkTrainInputs(ds *features.Dataset, weights []float64) error {
 	return nil
 }
 
-// trainSVMGram is the SMO core. g must cover exactly ds.Samples; callers
-// that train repeatedly on the same samples (AdaBoost rounds, CV folds
-// gathered from a corpus-wide cache) pass a shared gram so the kernel is
-// evaluated once per pair across the whole run.
+// trainSVMGram trains a standalone SVM over a caller-supplied kernel cache
+// and compiles it for scoring.
+func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) (*SVM, error) {
+	m, err := solveSMO(ds, weights, cfg, rng, g)
+	if err != nil {
+		return nil, err
+	}
+	compile(m)
+	return m, nil
+}
+
+// solveSMO is the SMO core; the SVM it returns is not yet compiled for
+// scoring. g must cover exactly ds.Samples; callers that train repeatedly
+// on the same samples (AdaBoost rounds, CV folds gathered from a
+// corpus-wide cache) pass a shared gram so the kernel is evaluated once
+// per pair across the whole run.
 //
 // The decision sum iterates a sorted active set of nonzero-α indices over
 // precomputed αᵢyᵢ coefficients and a contiguous Gram row — the same terms
 // in the same order as summing all indices and skipping zeros, so results
 // are bit-identical at every cache policy.
-func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) (*SVM, error) {
+func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) (*SVM, error) {
 	if err := checkTrainInputs(ds, weights); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // synthDataset builds a separable-ish synthetic dataset: positives carry
 // features from a "bait" pool, negatives from a "benign" pool, with a
 // little overlap noise.
-func synthDataset(t *testing.T, nPos, nNeg int, seed int64) *features.Dataset {
+func synthDataset(t testing.TB, nPos, nNeg int, seed int64) *features.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	baitPool := []string{

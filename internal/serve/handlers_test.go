@@ -210,9 +210,15 @@ func TestHealthzAndDebugVars(t *testing.T) {
 		t.Fatalf("debug/vars = %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{`"adwars_serve"`, `"endpoints"`, `"match"`, `"p99_ns"`, `"queue_depth"`} {
+	for _, want := range []string{`"adwars_serve"`, `"endpoints"`, `"match"`, `"p99_ns"`, `"queue_depth"`,
+		// The installed model, sized: the fixture has one round of one vector.
+		`"model":{"rounds":1,"support_vectors":1,"distinct_vectors":1}`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("debug/vars missing %s in %s", want, body)
 		}
+	}
+	// No model installed, no model object.
+	if body := do(t, New(Config{}), "GET", "/debug/vars", "").Body.String(); strings.Contains(body, `"model"`) {
+		t.Errorf("debug/vars of a server without a model describes one: %s", body)
 	}
 }

@@ -171,8 +171,11 @@ type chaosSnapshot struct {
 // metrics is the server's full counter tree, exported as one JSON object
 // under "adwars_serve" in /debug/vars.
 type metrics struct {
-	endpoints    map[string]*endpointStats
-	queueDepth   *atomic.Int64 // admission queue depth (shared gauge)
+	endpoints  map[string]*endpointStats
+	queueDepth *atomic.Int64 // admission queue depth (shared gauge)
+	// model is the server's installed model state, read at snapshot time to
+	// describe whatever model is serving.
+	model        *atomic.Pointer[modelState]
 	reloads      atomic.Uint64
 	reloadErrors atomic.Uint64
 	// reloadRejected counts reloads refused because a snapshot file failed
@@ -198,10 +201,11 @@ type metrics struct {
 	chaosEnabled bool
 }
 
-func newMetrics(queueDepth *atomic.Int64) *metrics {
+func newMetrics(queueDepth *atomic.Int64, model *atomic.Pointer[modelState]) *metrics {
 	m := &metrics{
 		endpoints:  make(map[string]*endpointStats, len(endpointKeys)),
 		queueDepth: queueDepth,
+		model:      model,
 	}
 	for _, k := range endpointKeys {
 		m.endpoints[k] = &endpointStats{}
@@ -209,8 +213,19 @@ func newMetrics(queueDepth *atomic.Int64) *metrics {
 	return m
 }
 
+// modelVars sizes the installed model: the ensemble's support vectors are
+// scored through one kernel evaluation per distinct vector, so
+// distinct_vectors / support_vectors is the share of the naive scoring
+// work a classification still does.
+type modelVars struct {
+	Rounds          int `json:"rounds"`
+	SupportVectors  int `json:"support_vectors"`
+	DistinctVectors int `json:"distinct_vectors"`
+}
+
 type metricsSnapshot struct {
 	Endpoints       map[string]endpointSnapshot `json:"endpoints"`
+	Model           *modelVars                  `json:"model,omitempty"`
 	QueueDepth      int64                       `json:"queue_depth"`
 	Reloads         uint64                      `json:"reloads"`
 	ReloadErrors    uint64                      `json:"reload_errors"`
@@ -243,6 +258,13 @@ func (m *metrics) snapshot() metricsSnapshot {
 	}
 	if m.queueDepth != nil {
 		out.QueueDepth = m.queueDepth.Load()
+	}
+	if ms := m.model.Load(); ms != nil {
+		out.Model = &modelVars{
+			Rounds:          ms.snap.Model.Rounds(),
+			SupportVectors:  ms.snap.Model.NumSupportVectors(),
+			DistinctVectors: ms.snap.Model.NumDistinctVectors(),
+		}
 	}
 	for k, ep := range m.endpoints {
 		out.Endpoints[k] = endpointSnapshot{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,36 +148,53 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 
 	query := `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
 	fetch := func() string {
-		resp, err := ts.Client().Post(ts.URL+"/v1/match", "application/json", strings.NewReader(query))
-		if err != nil {
-			t.Fatal(err)
+		var out strings.Builder
+		for _, req := range [][3]string{
+			{"/v1/match", "application/json", query},
+			{"/v1/classify", "application/javascript", testAntiScript},
+		} {
+			resp, err := ts.Client().Post(ts.URL+req[0], req[1], strings.NewReader(req[2]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s status %d", req[0], resp.StatusCode)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			out.Write(body)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("match status %d", resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
+		return out.String()
 	}
 	before := fetch()
 
 	corruptions := []struct {
 		name   string
+		path   string
 		mutate func([]byte) []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bit-flipped", func(b []byte) []byte {
+		{"truncated", listsPath, func(b []byte) []byte { return b[:len(b)/2] }},
+		{"bit-flipped", listsPath, func(b []byte) []byte {
 			b = append([]byte(nil), b...)
 			b[len(b)/3] ^= 0x04
 			return b
 		}},
-	}
-	good, err := os.ReadFile(listsPath)
-	if err != nil {
-		t.Fatal(err)
+		// A model that parses but would mis-score: its support vector is
+		// not sorted.
+		{"model-invalid", modelPath, func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"vectors": [[0, 1]]`), []byte(`"vectors": [[1, 0]]`), 1)
+		}},
 	}
 	for i, c := range corruptions {
-		if err := os.WriteFile(listsPath, c.mutate(good), 0o644); err != nil {
+		good, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := c.mutate(good)
+		if bytes.Equal(bad, good) {
+			t.Fatalf("%s: mutation changed nothing", c.name)
+		}
+		if err := os.WriteFile(c.path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := ts.Client().Post(ts.URL+"/admin/reload", "application/json", nil)
@@ -197,16 +215,16 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 		if after := fetch(); after != before {
 			t.Fatalf("%s: served answer changed after rejected reload:\n%s\nvs\n%s", c.name, after, before)
 		}
-	}
 
-	// Restoring the good file makes the next reload succeed.
-	if err := os.WriteFile(listsPath, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadSnapshots(); err != nil {
-		t.Fatalf("reload after restore: %v", err)
-	}
-	if after := fetch(); after != before {
-		t.Fatalf("answer changed after restore:\n%s\nvs\n%s", after, before)
+		// Restoring the good file makes the next reload succeed.
+		if err := os.WriteFile(c.path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReloadSnapshots(); err != nil {
+			t.Fatalf("%s: reload after restore: %v", c.name, err)
+		}
+		if after := fetch(); after != before {
+			t.Fatalf("%s: answer changed after restore:\n%s\nvs\n%s", c.name, after, before)
+		}
 	}
 }

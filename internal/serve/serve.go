@@ -235,7 +235,7 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		adm: newAdmission(cfg.workers(), cfg.queue(), cfg.queueTimeout()),
 	}
-	s.met = newMetrics(&s.adm.queued)
+	s.met = newMetrics(&s.adm.queued, &s.model)
 	s.met.chaosEnabled = cfg.Chaos.Enabled()
 	if cfg.Analytics != nil {
 		if anl, err := analytics.NewCollector(*cfg.Analytics); err != nil {
