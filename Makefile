@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fault-check bench bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
+.PHONY: build test vet fmt-check race verify fault-check bench bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,14 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails when gofmt would change any file: it lists them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 race:
 	$(GO) test -race ./...
 
-# verify is the full pre-merge gate: compile, vet, plain tests, the race
+# verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the race
 # detector over the whole tree (the crawl engine is heavily concurrent —
 # breaker, journal, and metrics are all shared state), a 1-iteration
 # smoke run of the replay benchmarks so a broken bench pipeline fails the
@@ -29,7 +33,7 @@ race:
 # the benchmark module's own tests (bench/ is a separate module, so
 # `go test ./...` at the root does not reach them), and ten seconds of the
 # matcher's differential fuzz.
-verify: build vet test race bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
+verify: build vet fmt-check test race bench-smoke bench-test fuzz-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
 
 # bench records the full performance profile: one run regenerates all
 # five BENCH_*.json reports in the repo root.

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"adwars/internal/antiadblock"
+	"adwars/internal/artifact"
 	"adwars/internal/features"
+	"adwars/internal/simworld"
 )
 
 // pipelineCorpus generates a small labeled corpus straight from the script
@@ -116,5 +119,32 @@ func TestLiveModelTestParallelMatchesSequential(t *testing.T) {
 	}
 	if *got != *want {
 		t.Fatalf("live test diverges: parallel %+v, sequential %+v", *got, *want)
+	}
+}
+
+// TestTable3Pinned holds Table 3 to the parent commit, not merely to
+// itself: the checksum of the rendered sweep on the whole-stack
+// benchmark's configuration (bench/pipeline.go: a fortieth of paper
+// scale, world 1) is the literal commit fe48e85 computed, before the SMO
+// decision kernel was blocked. A solver change may be faster; it may not
+// flip one held-out prediction in 18 ten-fold cross-validations.
+func TestTable3Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crawls and sweeps Table 3 at 1/40 scale; skipped in -short")
+	}
+	l := NewLab(simworld.Scaled(1, 40))
+	r, err := l.RunRetrospective(context.Background(), RetroConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Table3(&Corpus{Positives: r.CorpusPos, Negatives: r.CorpusNeg}, Table3Config{
+		TopK: []int{100, 1000, 10000}, Folds: 10, Seed: 1, MaxSamples: 1650,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := RenderTable3(rows)
+	if got, want := artifact.Checksum([]byte(text)), uint64(0x2b4034082d919bda); got != want {
+		t.Errorf("Table 3 checksums to %#016x, commit fe48e85 computed %#016x:\n%s", got, want, text)
 	}
 }

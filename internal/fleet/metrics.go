@@ -40,12 +40,12 @@ type backendSnapshot struct {
 }
 
 type gatewaySnapshot struct {
-	Requests    uint64            `json:"requests"`
-	Proxied     uint64            `json:"proxied"`
-	Retries     uint64            `json:"retries"`
-	Failovers   uint64            `json:"failovers"`
-	Hedges      uint64            `json:"hedges"`
-	HedgeWins   uint64            `json:"hedge_wins"`
+	Requests        uint64            `json:"requests"`
+	Proxied         uint64            `json:"proxied"`
+	Retries         uint64            `json:"retries"`
+	Failovers       uint64            `json:"failovers"`
+	Hedges          uint64            `json:"hedges"`
+	HedgeWins       uint64            `json:"hedge_wins"`
 	NoBackend       uint64            `json:"no_backend_5xx"`
 	Passthrough     uint64            `json:"passthrough_429"`
 	BudgetExhausted uint64            `json:"retry_budget_exhaustions"`
@@ -55,12 +55,12 @@ type gatewaySnapshot struct {
 // snapshotFor renders the tree over the given pool.
 func (m *gatewayMetrics) snapshotFor(p *Pool) gatewaySnapshot {
 	out := gatewaySnapshot{
-		Requests:    m.requests.Load(),
-		Proxied:     m.proxied.Load(),
-		Retries:     m.retries.Load(),
-		Failovers:   m.failovers.Load(),
-		Hedges:      m.hedges.Load(),
-		HedgeWins:   m.hedgeWins.Load(),
+		Requests:        m.requests.Load(),
+		Proxied:         m.proxied.Load(),
+		Retries:         m.retries.Load(),
+		Failovers:       m.failovers.Load(),
+		Hedges:          m.hedges.Load(),
+		HedgeWins:       m.hedgeWins.Load(),
 		NoBackend:       m.noBackend.Load(),
 		Passthrough:     m.passthrough.Load(),
 		BudgetExhausted: m.budgetExhausted.Load(),

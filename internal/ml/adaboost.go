@@ -104,31 +104,29 @@ func TrainAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand) (*A
 // cache (cross-validation passes per-fold views gathered from a shared
 // corpus-wide Gram matrix).
 func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand, g *gram) (*AdaBoost, error) {
-	n := ds.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("ml: empty training set")
+	if err := checkTrainInputs(ds, nil); err != nil {
+		return nil, err
 	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("ml: rounds must be positive")
 	}
+	n := ds.Len()
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = 1 / float64(n)
 	}
+	// The error pass scores training samples against the round's support
+	// vectors through the shared cache instead of re-evaluating the kernel
+	// per (SV, sample) pair.
+	dec := make([]float64, n)
+	missed := func(i int) bool { return sign(dec[i]) != ds.Labels[i] }
 	ens := &AdaBoost{}
 	for t := 0; t < cfg.Rounds; t++ {
-		m, err := solveSMO(ds, w, cfg.SVM, rng, g)
-		if err != nil {
-			return nil, fmt.Errorf("ml: round %d: %w", t, err)
-		}
-		preds := make([]int, n)
+		m := solveSMO(ds, w, cfg.SVM, rng, g)
+		m.decisionsGram(g, dec)
 		eps := 0.0
-		for i := range ds.Samples {
-			// The error pass scores training samples against the round's
-			// support vectors through the shared cache instead of
-			// re-evaluating the kernel per (SV, sample) pair.
-			preds[i] = sign(m.decisionGram(g, i))
-			if preds[i] != ds.Labels[i] {
+		for i := range w {
+			if missed(i) {
 				eps += w[i]
 			}
 		}
@@ -155,7 +153,7 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 		// Re-weight and renormalize.
 		sum := 0.0
 		for i := range w {
-			if preds[i] != ds.Labels[i] {
+			if missed(i) {
 				w[i] *= math.Exp(alpha)
 			} else {
 				w[i] *= math.Exp(-alpha)

@@ -51,16 +51,32 @@ func BenchmarkTrainSVM(b *testing.B) {
 }
 
 // BenchmarkTrainAdaBoost measures the full ensemble (the ablation cost of
-// boosting over a single SVM).
+// boosting over a single SVM) and reports what the solves behind it cost,
+// summed over the rounds kept: SMO sweeps, ordered decision sums
+// accumulated, and solves that stopped at MaxIter instead of converging.
+// Every iteration trains from the same seed, so the counts are exact.
 func BenchmarkTrainAdaBoost(b *testing.B) {
 	ds := benchDataset(b, 30, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var ens *AdaBoost
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(1))); err != nil {
+		var err error
+		if ens, err = TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(1))); err != nil {
 			b.Fatal(err)
 		}
 	}
+	var sweeps, decisions, capped int
+	for _, m := range ens.models {
+		sweeps += m.sweeps
+		decisions += m.decisions
+		if m.capped {
+			capped++
+		}
+	}
+	b.ReportMetric(float64(sweeps), "sweeps/op")
+	b.ReportMetric(float64(decisions), "decisions/op")
+	b.ReportMetric(float64(capped), "capped-solves/op")
 }
 
 // BenchmarkPredict measures single-sample classification latency (the

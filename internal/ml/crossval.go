@@ -124,7 +124,10 @@ func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusi
 	cfg.Kernel = resolveKernel(cfg.Kernel)
 	return crossValidateShared(ds, cv, cfg.Kernel, cfg.KernelCache,
 		func(train *features.Dataset, g *gram, rng *rand.Rand) (Classifier, error) {
-			return trainSVMGram(train, nil, cfg, rng, g)
+			if err := checkTrainInputs(train, nil); err != nil {
+				return nil, err
+			}
+			return trainSVMGram(train, nil, cfg, rng, g), nil
 		})
 }
 

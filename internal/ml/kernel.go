@@ -163,11 +163,18 @@ func (g *gram) at(i, j int) float64 {
 
 // row returns the contiguous Gram row for sample i, or nil under the
 // direct policy (callers then fall back to per-element at()). Under the
-// row-LRU policy a miss computes and caches the row.
+// row-LRU policy a miss computes and caches the row; a row stays readable
+// after the LRU evicts it — rows are never reused — so a caller may hold
+// more rows than the cache does.
 func (g *gram) row(i int) []float64 {
 	if g.full != nil {
 		return g.full[i*g.n : (i+1)*g.n]
 	}
+	return g.lruRow(i)
+}
+
+// lruRow is row off the full policy, kept apart so row inlines.
+func (g *gram) lruRow(i int) []float64 {
 	if g.rows == nil {
 		return nil
 	}

@@ -58,7 +58,14 @@ type SVM struct {
 	vectors []features.Sample
 	coefs   []float64 // αᵢyᵢ of each support vector
 	bias    float64
-	svIdx   []int // training-set indices of the support vectors
+	svIdx   []int32 // training-set indices of the support vectors
+
+	// What the solve that produced the model cost: sweeps over the training
+	// set, ordered decision sums accumulated (the values a block computed
+	// and an α or b change discarded included), and whether it stopped at
+	// MaxIter instead of converging. Benchmarks report them.
+	sweeps, decisions int
+	capped            bool
 
 	// Compiled scoring form (score.go): ids[i] is support vector i's
 	// distinct-id in sc. An SVM that is a round of an ensemble shares the
@@ -76,15 +83,19 @@ func (m *SVM) Decision(s features.Sample) float64 {
 	return m.decide(m.sc.values(s, &buf))
 }
 
-// decisionGram is Decision for a sample of the training set itself, served
-// from the training-run kernel cache instead of re-evaluating the kernel
-// against every support vector. AdaBoost's per-round error pass uses it.
-func (m *SVM) decisionGram(g *gram, sample int) float64 {
-	v := m.bias
-	for k, i := range m.svIdx {
-		v += m.coefs[k] * g.at(i, sample)
+// decisionsGram is Decision for every sample of the training set itself,
+// out[i] for sample i, served from the training-run kernel cache instead of
+// re-evaluating the kernel against every support vector. AdaBoost's
+// per-round error pass uses it.
+func (m *SVM) decisionsGram(g *gram, out []float64) {
+	for i := 0; i < len(out); {
+		if blk, ok := decisionBlock(g, i, m.bias, m.coefs, m.svIdx); ok {
+			i += copy(out[i:], blk[:])
+			continue
+		}
+		out[i] = decision(g, i, m.bias, m.coefs, m.svIdx)
+		i++
 	}
-	return v
 }
 
 // Predict implements Classifier.
@@ -101,11 +112,11 @@ func TrainSVM(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	}
 	cfg.Kernel = resolveKernel(cfg.Kernel)
 	g := newGram(cfg.Kernel, ds.Samples, cfg.KernelCache, cfg.Workers)
-	return trainSVMGram(ds, weights, cfg, rng, g)
+	return trainSVMGram(ds, weights, cfg, rng, g), nil
 }
 
-// checkTrainInputs validates the dataset and weight vector before the
-// kernel cache is built.
+// checkTrainInputs validates the dataset and weight vector, once per
+// training run, before the kernel cache is built.
 func checkTrainInputs(ds *features.Dataset, weights []float64) error {
 	n := ds.Len()
 	if n == 0 {
@@ -129,30 +140,26 @@ func checkTrainInputs(ds *features.Dataset, weights []float64) error {
 }
 
 // trainSVMGram trains a standalone SVM over a caller-supplied kernel cache
-// and compiles it for scoring.
-func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) (*SVM, error) {
-	m, err := solveSMO(ds, weights, cfg, rng, g)
-	if err != nil {
-		return nil, err
-	}
+// and compiles it for scoring. The caller has run checkTrainInputs.
+func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
+	m := solveSMO(ds, weights, cfg, rng, g)
 	compile(m)
-	return m, nil
+	return m
 }
 
 // solveSMO is the SMO core; the SVM it returns is not yet compiled for
-// scoring. g must cover exactly ds.Samples; callers that train repeatedly
-// on the same samples (AdaBoost rounds, CV folds gathered from a
-// corpus-wide cache) pass a shared gram so the kernel is evaluated once
-// per pair across the whole run.
+// scoring. The caller has run checkTrainInputs, and g must cover exactly
+// ds.Samples; callers that train repeatedly on the same samples (AdaBoost
+// rounds, CV folds gathered from a corpus-wide cache) pass a shared gram so
+// the kernel is evaluated once per pair across the whole run.
 //
-// The decision sum iterates a sorted active set of nonzero-α indices over
-// precomputed αᵢyᵢ coefficients and a contiguous Gram row — the same terms
-// in the same order as summing all indices and skipping zeros, so results
-// are bit-identical at every cache policy.
-func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) (*SVM, error) {
-	if err := checkTrainInputs(ds, weights); err != nil {
-		return nil, err
-	}
+// Decisions are ordered sums over a sorted active set of nonzero-α indices
+// and their αᵢyᵢ coefficients — the same terms in the same order as summing
+// all indices and skipping zeros, so results are bit-identical at every
+// cache policy. The sweep reads its decisions smoBlock samples at a time
+// (decisionBlock); the block holds until a step changes α or b, which the
+// traffic makes rare: about nine times in a 129-sample sweep.
+func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
 	cfg.Kernel = resolveKernel(cfg.Kernel)
 	n := ds.Len()
 
@@ -177,47 +184,62 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	}
 
 	alpha := make([]float64, n)
-	coef := make([]float64, n) // αᵢyᵢ, maintained alongside alpha
-	var active []int32         // sorted indices with α ≠ 0
+	active := make([]int32, 0, n) // sorted indices with α ≠ 0
+	coef := make([]float64, 0, n) // αᵢyᵢ of active[t], maintained alongside alpha
 	b := 0.0
+	m := &SVM{}
+
+	// blk holds the decisions of samples blkAt … blkAt+smoBlock−1 under the
+	// current α and b; a step that changes either moves blkAt out of reach.
+	var blk [smoBlock]float64
+	const noBlock = -smoBlock
+	blkAt := noBlock
 
 	setAlpha := func(i int, v float64) {
 		was, now := alpha[i] != 0, v != 0
 		alpha[i] = v
-		coef[i] = v * y[i]
-		if now == was {
+		if !was && !now {
 			return
 		}
 		k := sort.Search(len(active), func(k int) bool { return active[k] >= int32(i) })
-		if now {
+		switch {
+		case was && now:
+			coef[k] = v * y[i]
+		case now:
 			active = append(active, 0)
 			copy(active[k+1:], active[k:])
 			active[k] = int32(i)
-		} else {
+			coef = append(coef, 0)
+			copy(coef[k+1:], coef[k:])
+			coef[k] = v * y[i]
+		default:
 			active = append(active[:k], active[k+1:]...)
+			coef = append(coef[:k], coef[k+1:]...)
 		}
 	}
 
-	decision := func(i int) float64 {
-		v := b
-		if row := g.row(i); row != nil {
-			for _, j := range active {
-				v += coef[j] * row[j]
-			}
-		} else {
-			for _, j := range active {
-				v += coef[j] * g.at(int(j), i)
-			}
+	// sweepDecision is decision(i) for the sweep, which visits samples in
+	// order: a miss fills the block from i on.
+	sweepDecision := func(i int) float64 {
+		if k := uint(i - blkAt); k < smoBlock {
+			return blk[k]
 		}
-		return v
+		fresh, ok := decisionBlock(g, i, b, coef, active)
+		if !ok {
+			m.decisions++
+			return decision(g, i, b, coef, active)
+		}
+		m.decisions += min(smoBlock, n-i)
+		blk, blkAt = fresh, i
+		return blk[0]
 	}
 
-	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
-		iter++
+	passes := 0
+	for passes < cfg.MaxPasses && m.sweeps < cfg.MaxIter {
+		m.sweeps++
 		changed := 0
 		for i := 0; i < n; i++ {
-			ei := decision(i) - y[i]
+			ei := sweepDecision(i) - y[i]
 			if !((y[i]*ei < -cfg.Tol && alpha[i] < cs[i]) || (y[i]*ei > cfg.Tol && alpha[i] > 0)) {
 				continue
 			}
@@ -225,7 +247,6 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			if j >= i {
 				j++
 			}
-			ej := decision(j) - y[j]
 
 			ai, aj := alpha[i], alpha[j]
 			var lo, hi float64
@@ -243,6 +264,10 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			if eta >= 0 {
 				continue
 			}
+			// Neither test above reads ej, and a fifth of violators end at
+			// one of them, so its sum waits until here.
+			m.decisions++
+			ej := decision(g, j, b, coef, active) - y[j]
 			ajNew := aj - y[j]*(ei-ej)/eta
 			if ajNew > hi {
 				ajNew = hi
@@ -266,6 +291,7 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			}
 			setAlpha(i, aiNew)
 			setAlpha(j, ajNew)
+			blkAt = noBlock
 			changed++
 		}
 		if changed == 0 {
@@ -274,13 +300,14 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			passes = 0
 		}
 	}
+	m.capped = passes < cfg.MaxPasses
 
-	m := &SVM{kernel: cfg.Kernel, bias: b}
+	m.kernel, m.bias = cfg.Kernel, b
 	for i := 0; i < n; i++ {
 		if alpha[i] > 1e-8 {
 			m.vectors = append(m.vectors, ds.Samples[i])
 			m.coefs = append(m.coefs, alpha[i]*y[i])
-			m.svIdx = append(m.svIdx, i)
+			m.svIdx = append(m.svIdx, int32(i))
 		}
 	}
 	if len(m.vectors) == 0 {
@@ -297,5 +324,62 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			m.bias = -1
 		}
 	}
-	return m, nil
+	return m
+}
+
+// smoBlock is how many consecutive samples' decisions one pass over the
+// coefficients accumulates. A decision is an ordered sum — each add waits
+// for the one before it, so a single chain runs at the latency of a float
+// add and leaves the core's other ports idle; four independent chains fill
+// them. Eight measured no faster (more discarded values, register spills).
+const smoBlock = 4
+
+// decision returns the ordered sum bias + Σₜ coefs[t]·K(x_idx[t], xᵢ) over
+// a contiguous Gram row when the cache policy serves rows, per element
+// when it does not — the same terms in the same order either way.
+func decision(g *gram, i int, bias float64, coefs []float64, idx []int32) float64 {
+	v := bias
+	if row := g.row(i); row != nil {
+		for t, j := range idx {
+			v += coefs[t] * row[j]
+		}
+	} else {
+		for t, j := range idx {
+			v += coefs[t] * g.at(int(j), i)
+		}
+	}
+	return v
+}
+
+// decisionBlock returns decision for samples i … i+smoBlock−1 from one
+// pass over the coefficients; ok is false when the cache policy serves no
+// rows. Past the last sample the last row repeats: those entries are not
+// meaningful.
+func decisionBlock(g *gram, i int, bias float64, coefs []float64, idx []int32) (blk [smoBlock]float64, ok bool) {
+	r0 := g.row(i)
+	if r0 == nil {
+		return blk, false
+	}
+	last := g.n - 1
+	blk[0], blk[1], blk[2], blk[3] = sum4(bias, coefs, idx,
+		r0, g.row(min(i+1, last)), g.row(min(i+2, last)), g.row(min(i+3, last)))
+	return blk, true
+}
+
+// sum4 accumulates four independent chains vₖ = bias; vₖ += coefs[t]·rₖ[idx[t]],
+// each the terms of decision in decision's order, so every value is
+// bit-identical to the one-chain sum.
+func sum4(bias float64, coefs []float64, idx []int32, r0, r1, r2, r3 []float64) (v0, v1, v2, v3 float64) {
+	v0, v1, v2, v3 = bias, bias, bias, bias
+	// Equal lengths leave the loop one bounds check, not five.
+	coefs = coefs[:len(idx)]
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	for t, j := range idx {
+		c := coefs[t]
+		v0 += c * r0[j]
+		v1 += c * r1[j]
+		v2 += c * r2[j]
+		v3 += c * r3[j]
+	}
+	return v0, v1, v2, v3
 }

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"adwars/internal/features"
@@ -176,6 +178,339 @@ func TestGramCacheAgreesWithDirect(t *testing.T) {
 			if got := g.at(i, j); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("gram(%d,%d) = %v, want %v", i, j, got, want)
 			}
+		}
+	}
+}
+
+// referenceSolveSMO is the solver as commit fe48e85 had it — one ordered
+// chain per decision, ej computed as soon as j is drawn — kept as the
+// oracle solveSMO's blocked sweep and deferred ej are held to, bit for bit.
+func referenceSolveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
+	cfg.Kernel = resolveKernel(cfg.Kernel)
+	n := ds.Len()
+
+	y := make([]float64, n)
+	for i, l := range ds.Labels {
+		if l > 0 {
+			y[i] = 1
+		} else {
+			y[i] = -1
+		}
+	}
+	// Per-sample C.
+	cs := make([]float64, n)
+	for i := range cs {
+		cs[i] = cfg.C
+		if weights != nil {
+			cs[i] = cfg.C * weights[i] * float64(n)
+			if cs[i] < 1e-8 {
+				cs[i] = 1e-8
+			}
+		}
+	}
+
+	alpha := make([]float64, n)
+	coef := make([]float64, n) // αᵢyᵢ, maintained alongside alpha
+	var active []int32         // sorted indices with α ≠ 0
+	b := 0.0
+
+	setAlpha := func(i int, v float64) {
+		was, now := alpha[i] != 0, v != 0
+		alpha[i] = v
+		coef[i] = v * y[i]
+		if now == was {
+			return
+		}
+		k := sort.Search(len(active), func(k int) bool { return active[k] >= int32(i) })
+		if now {
+			active = append(active, 0)
+			copy(active[k+1:], active[k:])
+			active[k] = int32(i)
+		} else {
+			active = append(active[:k], active[k+1:]...)
+		}
+	}
+
+	decision := func(i int) float64 {
+		v := b
+		if row := g.row(i); row != nil {
+			for _, j := range active {
+				v += coef[j] * row[j]
+			}
+		} else {
+			for _, j := range active {
+				v += coef[j] * g.at(int(j), i)
+			}
+		}
+		return v
+	}
+
+	passes, iter := 0, 0
+	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
+		iter++
+		changed := 0
+		for i := 0; i < n; i++ {
+			ei := decision(i) - y[i]
+			if !((y[i]*ei < -cfg.Tol && alpha[i] < cs[i]) || (y[i]*ei > cfg.Tol && alpha[i] > 0)) {
+				continue
+			}
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			ej := decision(j) - y[j]
+
+			ai, aj := alpha[i], alpha[j]
+			var lo, hi float64
+			if y[i] != y[j] {
+				lo = math.Max(0, aj-ai)
+				hi = math.Min(cs[j], cs[i]+aj-ai)
+			} else {
+				lo = math.Max(0, ai+aj-cs[i])
+				hi = math.Min(cs[j], ai+aj)
+			}
+			if lo >= hi {
+				continue
+			}
+			eta := 2*g.at(i, j) - g.at(i, i) - g.at(j, j)
+			if eta >= 0 {
+				continue
+			}
+			ajNew := aj - y[j]*(ei-ej)/eta
+			if ajNew > hi {
+				ajNew = hi
+			} else if ajNew < lo {
+				ajNew = lo
+			}
+			if math.Abs(ajNew-aj) < 1e-7 {
+				continue
+			}
+			aiNew := ai + y[i]*y[j]*(aj-ajNew)
+
+			b1 := b - ei - y[i]*(aiNew-ai)*g.at(i, i) - y[j]*(ajNew-aj)*g.at(i, j)
+			b2 := b - ej - y[i]*(aiNew-ai)*g.at(i, j) - y[j]*(ajNew-aj)*g.at(j, j)
+			switch {
+			case aiNew > 0 && aiNew < cs[i]:
+				b = b1
+			case ajNew > 0 && ajNew < cs[j]:
+				b = b2
+			default:
+				b = (b1 + b2) / 2
+			}
+			setAlpha(i, aiNew)
+			setAlpha(j, ajNew)
+			changed++
+		}
+		if changed == 0 {
+			passes++
+		} else {
+			passes = 0
+		}
+	}
+
+	m := &SVM{kernel: cfg.Kernel, bias: b}
+	for i := 0; i < n; i++ {
+		if alpha[i] > 1e-8 {
+			m.vectors = append(m.vectors, ds.Samples[i])
+			m.coefs = append(m.coefs, alpha[i]*y[i])
+			m.svIdx = append(m.svIdx, int32(i))
+		}
+	}
+	if len(m.vectors) == 0 {
+		// Degenerate optimization outcome: fall back to the class prior.
+		pos := 0
+		for _, l := range ds.Labels {
+			if l > 0 {
+				pos++
+			}
+		}
+		if 2*pos >= n {
+			m.bias = 1
+		} else {
+			m.bias = -1
+		}
+	}
+	return m
+}
+
+// referenceDecisionGram is the one-chain error-pass sum of commit fe48e85.
+func referenceDecisionGram(m *SVM, g *gram, sample int) float64 {
+	v := m.bias
+	for k, i := range m.svIdx {
+		v += m.coefs[k] * g.at(int(i), sample)
+	}
+	return v
+}
+
+// labeled builds a dataset of n samples over a small feature pool, so
+// duplicates (η = 0 pairs) are common, with labels that follow one feature
+// except for a noisy fraction — not separable, so SMO keeps stepping.
+func labeled(t testing.TB, n int, noise float64, seed int64) *features.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pool := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	sets := make([]map[string]bool, n)
+	labels := make([]int, n)
+	for i := range sets {
+		sets[i] = map[string]bool{}
+		for k := 0; k < 4; k++ {
+			sets[i][pool[rng.Intn(len(pool))]] = true
+		}
+		labels[i] = -1
+		if sets[i]["a"] != (rng.Float64() < noise) {
+			labels[i] = 1
+		}
+	}
+	labels[0], labels[n-1] = 1, -1 // both classes whatever the draw
+	ds, err := features.Build(sets, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// duplicated builds a dataset in which every sample has exact copies, some
+// under the opposite label: SMO draws pairs with η = 0 and must skip them.
+func duplicated(t testing.TB) *features.Dataset {
+	t.Helper()
+	distinct := []map[string]bool{
+		{"x": true, "p": true}, {"x": true, "q": true}, {"x": true},
+		{"y": true, "p": true}, {"y": true, "q": true}, {"y": true},
+	}
+	var sets []map[string]bool
+	var labels []int
+	for r := 0; r < 5; r++ {
+		for k, s := range distinct {
+			sets = append(sets, s)
+			l := -1
+			if k < 3 != (k == r) {
+				l = 1
+			}
+			labels = append(labels, l)
+		}
+	}
+	ds, err := features.Build(sets, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// boostedWeights is a weight vector as a late AdaBoost round leaves it:
+// normalized, spread over orders of magnitude, one weight under the
+// per-sample C floor.
+func boostedWeights(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]float64, n)
+	sum := 0.0
+	for i := range w {
+		w[i] = math.Exp(3 * rng.NormFloat64())
+		sum += w[i]
+	}
+	for i := range w {
+		w[i] /= sum
+	}
+	w[n/2] = 1e-12
+	return w
+}
+
+func sameSolve(t *testing.T, name string, got, want *SVM) {
+	t.Helper()
+	if math.Float64bits(got.bias) != math.Float64bits(want.bias) {
+		t.Errorf("%s: bias %v (%#x), reference %v (%#x)", name,
+			got.bias, math.Float64bits(got.bias), want.bias, math.Float64bits(want.bias))
+	}
+	if len(got.coefs) != len(want.coefs) {
+		t.Fatalf("%s: %d support vectors, reference %d", name, len(got.coefs), len(want.coefs))
+	}
+	for k := range want.coefs {
+		if math.Float64bits(got.coefs[k]) != math.Float64bits(want.coefs[k]) || got.svIdx[k] != want.svIdx[k] {
+			t.Fatalf("%s: support vector %d is (%d, %v), reference (%d, %v)", name, k,
+				got.svIdx[k], got.coefs[k], want.svIdx[k], want.coefs[k])
+		}
+	}
+}
+
+// TestSolveSMOMatchesReference is the solver's bit-identity gate: the
+// blocked sweep and the deferred ej must reproduce the one-chain, eager-ej
+// reference in every bit of bias, coefficients and support set — at block
+// tails of every length, under sample weights, on duplicate samples, when
+// the solve is cut at MaxIter, for both kernels and under every Gram
+// policy, an LRU too small to hold one block included. The error pass's
+// blocked sums are held to the one-chain sum the same way.
+func TestSolveSMOMatchesReference(t *testing.T) {
+	type kase struct {
+		name    string
+		ds      *features.Dataset
+		boosted bool
+		maxIter int
+		capped  bool
+	}
+	var cases []kase
+	for _, n := range []int{2, 3, 40, 41, 42, 43} {
+		cases = append(cases, kase{name: fmt.Sprintf("n=%d", n), ds: labeled(t, n, 0.1, int64(n))})
+		cases = append(cases, kase{name: fmt.Sprintf("n=%d/boosted", n), ds: labeled(t, n, 0.1, int64(n)), boosted: true})
+	}
+	cases = append(cases,
+		kase{name: "separable", ds: synthDataset(t, 12, 37, 6)},
+		kase{name: "duplicates", ds: duplicated(t)},
+		kase{name: "noisy/capped", ds: labeled(t, 61, 0.4, 9), boosted: true, maxIter: 4, capped: true},
+	)
+	kernels := map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}}
+	for _, c := range cases {
+		n := c.ds.Len()
+		policies := map[string]int{"full": 0, "lru-7": 7 * n, "lru-2": 2 * n, "lru-1": n + 1, "direct": -1}
+		for kname, kernel := range kernels {
+			for pname, entries := range policies {
+				name := c.name + "/" + kname + "/" + pname
+				cfg := DefaultSVMConfig()
+				cfg.Kernel = kernel
+				if c.maxIter > 0 {
+					cfg.MaxIter = c.maxIter
+				}
+				var w []float64
+				if c.boosted {
+					w = boostedWeights(n, 3)
+				}
+				want := referenceSolveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), newGram(kernel, c.ds.Samples, entries, 1))
+				g := newGram(kernel, c.ds.Samples, entries, 1)
+				got := solveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), g)
+				sameSolve(t, name, got, want)
+				if got.capped != c.capped {
+					t.Errorf("%s: capped = %v after %d sweeps, want %v", name, got.capped, got.sweeps, c.capped)
+				}
+				dec := make([]float64, n)
+				got.decisionsGram(g, dec)
+				for i, v := range dec {
+					if ref := referenceDecisionGram(want, g, i); math.Float64bits(v) != math.Float64bits(ref) {
+						t.Fatalf("%s: error-pass decision(%d) = %v, reference %v", name, i, v, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveSMOConcurrentCV runs the blocked solver the way Table 3 does —
+// folds training concurrently, each boosting over its own view of the
+// kernel cache — so `go test -race` sees it, and holds the result to the
+// sequential uncached run.
+func TestSolveSMOConcurrentCV(t *testing.T) {
+	ds := synthDataset(t, 20, 61, 13)
+	cfg := DefaultAdaBoostConfig()
+	cfg.SVM.KernelCache = -1
+	want, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entries := range []int{0, 3 * ds.Len()} {
+		cfg.SVM.KernelCache = entries
+		got, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("cache %d, 4 workers: %+v, sequential uncached %+v", entries, got, want)
 		}
 	}
 }
