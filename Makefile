@@ -116,10 +116,15 @@ bench-test:
 # panic, and whatever loads can be scored (the scorer indexes by feature, so
 # load-time validation is what keeps it in range). Its seeds are whole model
 # files; minimizing one takes the fuzzer most of its default minute, hence
-# the cap.
+# the cap. Then ten seconds of FuzzParse: /v1/classify parses whatever it is
+# sent, so no bytes may panic the parser or overflow its stack, the lexer
+# must answer as the reference lexer does, no tree may be deeper than the
+# bound, and what parses must survive Print and a second Parse. Its seeds
+# include nests at the depth bound, hence the same cap.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/jsast
 
 # serve-smoke is the end-to-end serving gate: ~2s of mixed load against a
 # freshly snapshotted adwars-serve on an ephemeral port, with a SIGHUP

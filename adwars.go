@@ -146,11 +146,11 @@ func TrainDetector(antiAdblock, benign []string, cfg DetectorConfig) (*Detector,
 // IsAntiAdblock classifies one JavaScript source. It returns an error when
 // the script cannot be parsed (the online deployment skips such scripts).
 func (d *Detector) IsAntiAdblock(src string) (bool, error) {
-	fs, err := features.ExtractSource(src, d.cfg.FeatureSet)
+	sample, err := d.ds.Vocabulary().ProjectSource(src, d.cfg.FeatureSet)
 	if err != nil {
 		return false, err
 	}
-	return d.model.Predict(d.ds.Project(fs)) > 0, nil
+	return d.model.Predict(sample) > 0, nil
 }
 
 // NumFeatures returns the trained detector's feature-space size.

@@ -36,6 +36,36 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkProjectProgram measures the served path's replacement for
+// Extract followed by Vocab.Project: the same walk, looked up in a
+// vocabulary holding every other feature of the script instead of collected
+// into a map. The one allocation it reports is the sample.
+func BenchmarkProjectProgram(b *testing.B) {
+	prog, err := jsast.Parse(benchScript)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, set := range Sets {
+		ds, err := Build([]map[string]bool{Extract(prog, set)}, []int{1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var names []string
+		for i := 0; i < len(ds.Vocab); i += 2 {
+			names = append(names, ds.Vocab[i])
+		}
+		vocab := NewVocab(names)
+		b.Run(set.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s := vocab.ProjectProgram(prog, set); len(s) != len(names) {
+					b.Fatalf("%d hits, vocabulary of %d", len(s), len(names))
+				}
+			}
+		})
+	}
+}
+
 func benchFeatureDataset(b *testing.B, n, vocab int) *Dataset {
 	b.Helper()
 	var sets []map[string]bool

@@ -69,115 +69,115 @@ const maxTextLen = 64
 // switch, function — the contexts §5 names).
 func Extract(prog *jsast.Program, set Set) map[string]bool {
 	out := make(map[string]bool)
-	emit := func(context, text string, kind textKind) {
-		if !set.keep(kind) || text == "" {
-			return
-		}
-		if len(text) > maxTextLen {
-			text = text[:maxTextLen]
-		}
-		out[context+":"+text] = true
-	}
-
-	// Stack of enclosing construct type names.
-	var constructs []string
-	var walk func(n, parent jsast.Node)
-	walk = func(n, parent jsast.Node) {
-		parentType := "Program"
-		if parent != nil {
-			parentType = parent.Type()
-		}
-		enclosing := ""
-		if len(constructs) > 0 {
-			enclosing = constructs[len(constructs)-1]
-		}
-
-		emitAll := func(text string, kind textKind) {
-			emit(n.Type(), text, kind)
-			if parentType != n.Type() {
-				emit(parentType, text, kind)
-			}
-			if enclosing != "" && enclosing != parentType && enclosing != n.Type() {
-				emit(enclosing, text, kind)
-			}
-		}
-
-		switch v := n.(type) {
-		case *jsast.Ident:
-			kind := kindIdentifier
-			if IsWebAPIKeyword(v.Name) {
-				kind = kindKeyword
-			}
-			emitAll(v.Name, kind)
-		case *jsast.Literal:
-			emitAll(v.Value, kindLiteral)
-		case *jsast.Declarator:
-			kind := kindIdentifier
-			if IsWebAPIKeyword(v.Name) {
-				kind = kindKeyword
-			}
-			emitAll(v.Name, kind)
-		case *jsast.FunctionDecl:
-			emitAll(v.Name, kindIdentifier)
-			emit(n.Type(), "function", kindKeyword)
-		case *jsast.FunctionExpr:
-			if v.Name != "" {
-				emitAll(v.Name, kindIdentifier)
-			}
-			emit(n.Type(), "function", kindKeyword)
-		case *jsast.Unary:
-			if jsast.IsKeyword(v.Op) { // typeof, void, delete
-				emit(n.Type(), v.Op, kindKeyword)
-			}
-		case *jsast.This:
-			emit(parentType, "this", kindKeyword)
-		case *jsast.VarDecl:
-			emit(parentType, "var", kindKeyword)
-		case *jsast.If:
-			emit(parentType, "if", kindKeyword)
-		case *jsast.For, *jsast.ForIn:
-			emit(parentType, "for", kindKeyword)
-		case *jsast.While, *jsast.DoWhile:
-			emit(parentType, "while", kindKeyword)
-		case *jsast.Try:
-			emit(parentType, "try", kindKeyword)
-		case *jsast.Catch:
-			emit(parentType, "catch", kindKeyword)
-		case *jsast.Switch:
-			emit(parentType, "switch", kindKeyword)
-		case *jsast.Return:
-			emit(parentType, "return", kindKeyword)
-		case *jsast.New:
-			emit(parentType, "new", kindKeyword)
-		case *jsast.Binary:
-			if jsast.IsKeyword(v.Op) { // in, instanceof
-				emit(n.Type(), v.Op, kindKeyword)
-			}
-		}
-
-		if isConstruct(n) {
-			constructs = append(constructs, n.Type())
-			defer func() { constructs = constructs[:len(constructs)-1] }()
-		}
-		for _, c := range jsast.Children(n) {
-			walk(c, n)
-		}
-	}
-	walk(prog, nil)
+	walk(prog, set, func(context, text string) { out[context+":"+text] = true })
 	return out
 }
 
-// isConstruct reports whether n opens one of the enclosing contexts §5
-// names: loops, try/catch, if, switch, and function bodies.
-func isConstruct(n jsast.Node) bool {
-	switch n.(type) {
-	case *jsast.For, *jsast.ForIn, *jsast.While, *jsast.DoWhile,
-		*jsast.Try, *jsast.Catch, *jsast.If, *jsast.Switch,
-		*jsast.FunctionDecl, *jsast.FunctionExpr:
-		return true
-	default:
-		return false
+// walk is the one feature walk: it visits every node of prog and hands sink
+// each (context, text) pair the feature set keeps, the text already cut to
+// maxTextLen. Pairs repeat — a script names document many times — and sink
+// sees every repeat. Extract's sink builds the feature map; ProjectProgram's
+// looks the pair up in a vocabulary without building anything.
+func walk(prog *jsast.Program, set Set, sink func(context, text string)) {
+	w := walker{set: set, sink: sink}
+	w.node(prog, "Program", "")
+}
+
+type walker struct {
+	set  Set
+	sink func(context, text string)
+}
+
+func (w *walker) emit(context, text string, kind textKind) {
+	if !w.set.keep(kind) || text == "" {
+		return
 	}
+	if len(text) > maxTextLen {
+		text = text[:maxTextLen]
+	}
+	w.sink(context, text)
+}
+
+// nameKind tells a Web API keyword from a plain identifier. Only the
+// keyword set keeps one and drops the other, so only it pays for the lookup.
+func (w *walker) nameKind(name string) textKind {
+	if w.set == SetKeyword && IsWebAPIKeyword(name) {
+		return kindKeyword
+	}
+	return kindIdentifier
+}
+
+// node emits n's features and walks its children. parent is the type of
+// n's parent ("Program" for the root itself) and enclosing the type of the
+// nearest construct around n — one of the contexts §5 names: loops,
+// try/catch, if, switch and function bodies — or "" outside any.
+func (w *walker) node(n jsast.Node, parent, enclosing string) {
+	typ := n.Type()
+	emitAll := func(text string, kind textKind) {
+		w.emit(typ, text, kind)
+		if parent != typ {
+			w.emit(parent, text, kind)
+		}
+		if enclosing != "" && enclosing != parent && enclosing != typ {
+			w.emit(enclosing, text, kind)
+		}
+	}
+
+	// A construct is the enclosing context of its children, not its own.
+	inside := enclosing
+	switch v := n.(type) {
+	case *jsast.Ident:
+		emitAll(v.Name, w.nameKind(v.Name))
+	case *jsast.Literal:
+		emitAll(v.Value, kindLiteral)
+	case *jsast.Declarator:
+		emitAll(v.Name, w.nameKind(v.Name))
+	case *jsast.FunctionDecl:
+		emitAll(v.Name, kindIdentifier)
+		w.emit(typ, "function", kindKeyword)
+		inside = typ
+	case *jsast.FunctionExpr:
+		if v.Name != "" {
+			emitAll(v.Name, kindIdentifier)
+		}
+		w.emit(typ, "function", kindKeyword)
+		inside = typ
+	case *jsast.Unary:
+		if jsast.IsKeyword(v.Op) { // typeof, void, delete
+			w.emit(typ, v.Op, kindKeyword)
+		}
+	case *jsast.This:
+		w.emit(parent, "this", kindKeyword)
+	case *jsast.VarDecl:
+		w.emit(parent, "var", kindKeyword)
+	case *jsast.If:
+		w.emit(parent, "if", kindKeyword)
+		inside = typ
+	case *jsast.For, *jsast.ForIn:
+		w.emit(parent, "for", kindKeyword)
+		inside = typ
+	case *jsast.While, *jsast.DoWhile:
+		w.emit(parent, "while", kindKeyword)
+		inside = typ
+	case *jsast.Try:
+		w.emit(parent, "try", kindKeyword)
+		inside = typ
+	case *jsast.Catch:
+		w.emit(parent, "catch", kindKeyword)
+		inside = typ
+	case *jsast.Switch:
+		w.emit(parent, "switch", kindKeyword)
+		inside = typ
+	case *jsast.Return:
+		w.emit(parent, "return", kindKeyword)
+	case *jsast.New:
+		w.emit(parent, "new", kindKeyword)
+	case *jsast.Binary:
+		if jsast.IsKeyword(v.Op) { // in, instanceof
+			w.emit(typ, v.Op, kindKeyword)
+		}
+	}
+	jsast.EachChild(n, func(c jsast.Node) { w.node(c, typ, inside) })
 }
 
 // ExtractSource parses (and unpacks) JavaScript source and extracts its

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"adwars/internal/crawler"
-	"adwars/internal/jsast"
 )
 
 // ErrPanic marks an extraction task that panicked; the panic was confined
@@ -27,11 +26,27 @@ func runIsolated(fn func()) (err error) {
 	return nil
 }
 
+// eachIsolated runs task(i) for every i in [0, n) on the shared crawler
+// worker pool and files what it returns under errs[i]. A task that panics
+// costs its own slot — errs[i] wraps ErrPanic — and nothing else. The
+// returned error is non-nil only when ctx is cancelled; slots not yet fed
+// keep nil errors.
+func eachIsolated(ctx context.Context, workers, n int, task func(i int) error) (errs []error, err error) {
+	errs = make([]error, n)
+	err = crawler.ForEach(ctx, clampWorkers(workers), n, func(i int) {
+		if perr := runIsolated(func() { errs[i] = task(i) }); perr != nil {
+			errs[i] = perr
+		}
+	})
+	return errs, err
+}
+
 // ExtractAll fans unpack+parse+Extract for a script corpus out over the
 // shared crawler worker pool. Results land in caller-visible slots indexed
 // by input position, so the output order is the input order and feeding
 // the sets to Build yields a vocabulary byte-identical to a sequential
-// ExtractSource loop at any worker count.
+// ExtractSource loop at any worker count. It builds datasets; to classify
+// scripts against a vocabulary that already exists, use ProjectAll.
 //
 // errs[i] is non-nil for scripts that fail to parse (callers typically
 // drop them, as the paper does) or whose extraction panicked (the panic
@@ -40,19 +55,21 @@ func runIsolated(fn func()) (err error) {
 // nil errors.
 func ExtractAll(ctx context.Context, sources []string, set Set, workers int) (sets []map[string]bool, errs []error, err error) {
 	sets = make([]map[string]bool, len(sources))
-	errs = make([]error, len(sources))
-	err = crawler.ForEach(ctx, clampWorkers(workers), len(sources), func(i int) {
-		if perr := runIsolated(func() {
-			prog, _, e := jsast.ParseAndUnpack(sources[i])
-			if e != nil {
-				errs[i] = e
-				return
-			}
-			sets[i] = Extract(prog, set)
-		}); perr != nil {
-			sets[i] = nil
-			errs[i] = perr
-		}
+	errs, err = eachIsolated(ctx, workers, len(sources), func(i int) (e error) {
+		sets[i], e = ExtractSource(sources[i], set)
+		return e
 	})
 	return sets, errs, err
+}
+
+// ProjectAll is ProjectSource for a batch of scripts, fanned out and
+// isolated per slot exactly as ExtractAll is: samples[i] belongs to
+// sources[i], and errs[i] says why there is none.
+func (v *Vocab) ProjectAll(ctx context.Context, sources []string, set Set, workers int) (samples []Sample, errs []error, err error) {
+	samples = make([]Sample, len(sources))
+	errs, err = eachIsolated(ctx, workers, len(sources), func(i int) (e error) {
+		samples[i], e = v.ProjectSource(sources[i], set)
+		return e
+	})
+	return samples, errs, err
 }

@@ -2,7 +2,10 @@ package features
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+
+	"adwars/internal/jsast"
 )
 
 // SetFromString parses a feature-set name ("all", "literal", "keyword") as
@@ -63,5 +66,54 @@ func (v *Vocab) Project(fs map[string]bool) Sample {
 		}
 	}
 	slices.Sort(s)
+	return s
+}
+
+// ProjectSource parses (and unpacks) JavaScript source and projects it onto
+// the vocabulary: everything between a script and the sample a model scores.
+// Scripts that fail to parse yield a nil sample and the parse error.
+func (v *Vocab) ProjectSource(src string, set Set) (Sample, error) {
+	prog, _, err := jsast.ParseAndUnpack(src)
+	if err != nil {
+		return nil, err
+	}
+	return v.ProjectProgram(prog, set), nil
+}
+
+// ProjectProgram is Project(Extract(prog, set)) without the feature map in
+// between: the feature walk looks each (context, text) pair up in the
+// vocabulary as it goes and marks the hit in a bitset, which read out in
+// index order is the sample — nothing to build, nothing to sort. A script
+// emits a few hundred pairs and a vocabulary of the paper's size holds a
+// few dozen of them, so the strings Extract would make for the rest were
+// made to be thrown away. This is the inference path: /v1/classify, its
+// batch form and the Detector all classify through it.
+func (v *Vocab) ProjectProgram(prog *jsast.Program, set Set) Sample {
+	var stack [32]uint64 // vocabularies up to 2048 features need no heap
+	hit := stack[:]
+	if words := (len(v.names) + 63) / 64; words > len(stack) {
+		hit = make([]uint64, words)
+	}
+	// The map is indexed by string(key), a conversion the compiler does
+	// not allocate for, so a lookup costs one hash of the pair's bytes.
+	var buf [128]byte
+	walk(prog, set, func(context, text string) {
+		key := append(buf[:0], context...)
+		key = append(key, ':')
+		key = append(key, text...)
+		if i, ok := v.index[string(key)]; ok {
+			hit[i>>6] |= 1 << (i & 63)
+		}
+	})
+	n := 0
+	for _, w := range hit {
+		n += bits.OnesCount64(w)
+	}
+	s := make(Sample, 0, n)
+	for wi, w := range hit {
+		for ; w != 0; w &= w - 1 {
+			s = append(s, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
 	return s
 }

@@ -12,6 +12,11 @@ type Node interface {
 // Program is the root node of a parsed script.
 type Program struct {
 	Body []Node
+
+	// noEval is set by Parse when the source calls no bare eval, so that
+	// Unpack need not walk the tree to find that out. The zero value — a
+	// Program built by hand — makes no such promise.
+	noEval bool
 }
 
 // FunctionDecl is a function declaration statement.
@@ -296,141 +301,142 @@ func (*New) Type() string          { return "NewExpression" }
 func (*Member) Type() string       { return "MemberExpression" }
 func (*Sequence) Type() string     { return "SequenceExpression" }
 
-// Children returns the node's direct child nodes in source order. Nil
-// children are omitted.
-func Children(n Node) []Node {
-	add := func(dst []Node, ns ...Node) []Node {
-		for _, x := range ns {
-			if x != nil && !isNilNode(x) {
-				dst = append(dst, x)
-			}
+// EachChild calls f for each of the node's direct children in source order.
+// Absent children (an If without Else, a Try without Catch) are skipped. It
+// is the one place that knows every node type's shape: Inspect, Unpack and
+// the feature extractor all walk through it, and none of them allocates to
+// do so.
+func EachChild(n Node, f func(Node)) {
+	opt := func(c Node) {
+		if c != nil {
+			f(c)
 		}
-		return dst
 	}
-	var out []Node
+	list := func(cs []Node) {
+		for _, c := range cs {
+			opt(c)
+		}
+	}
+	// An optional *Block or *Catch field must not reach f as a non-nil
+	// interface holding a nil pointer.
+	block := func(b *Block) {
+		if b != nil {
+			f(b)
+		}
+	}
 	switch v := n.(type) {
 	case *Program:
-		out = add(out, v.Body...)
+		list(v.Body)
 	case *FunctionDecl:
-		out = add(out, v.Body)
+		block(v.Body)
 	case *VarDecl:
 		for _, d := range v.Decls {
-			out = add(out, d)
+			f(d)
 		}
 	case *Declarator:
-		out = add(out, v.Init)
+		opt(v.Init)
 	case *Block:
-		out = add(out, v.Body...)
+		list(v.Body)
 	case *ExprStmt:
-		out = add(out, v.X)
+		opt(v.X)
 	case *If:
-		out = add(out, v.Cond, v.Then, v.Else)
+		opt(v.Cond)
+		opt(v.Then)
+		opt(v.Else)
 	case *For:
-		out = add(out, v.Init, v.Cond, v.Post, v.Body)
+		opt(v.Init)
+		opt(v.Cond)
+		opt(v.Post)
+		opt(v.Body)
 	case *ForIn:
-		out = add(out, v.Left, v.Right, v.Body)
+		opt(v.Left)
+		opt(v.Right)
+		opt(v.Body)
 	case *While:
-		out = add(out, v.Cond, v.Body)
+		opt(v.Cond)
+		opt(v.Body)
 	case *DoWhile:
-		out = add(out, v.Body, v.Cond)
+		opt(v.Body)
+		opt(v.Cond)
 	case *Return:
-		out = add(out, v.Arg)
+		opt(v.Arg)
 	case *Try:
-		out = add(out, v.Body)
+		block(v.Body)
 		if v.Catch != nil {
-			out = add(out, v.Catch)
+			f(v.Catch)
 		}
-		if v.Finally != nil {
-			out = add(out, v.Finally)
-		}
+		block(v.Finally)
 	case *Catch:
-		out = add(out, v.Body)
+		block(v.Body)
 	case *Throw:
-		out = add(out, v.Arg)
+		opt(v.Arg)
 	case *Switch:
-		out = add(out, v.Disc)
+		opt(v.Disc)
 		for _, c := range v.Cases {
-			out = add(out, c)
+			f(c)
 		}
 	case *Case:
-		out = add(out, v.Test)
-		out = add(out, v.Body...)
+		opt(v.Test)
+		list(v.Body)
 	case *Labeled:
-		out = add(out, v.Body)
+		opt(v.Body)
 	case *With:
-		out = add(out, v.Obj, v.Body)
+		opt(v.Obj)
+		opt(v.Body)
 	case *ArrayLit:
-		out = add(out, v.Elems...)
+		list(v.Elems)
 	case *ObjectLit:
 		for _, p := range v.Props {
-			out = add(out, p)
+			f(p)
 		}
 	case *Property:
-		out = add(out, v.Value)
+		opt(v.Value)
 	case *FunctionExpr:
-		out = add(out, v.Body)
+		block(v.Body)
 	case *Unary:
-		out = add(out, v.X)
+		opt(v.X)
 	case *Update:
-		out = add(out, v.X)
+		opt(v.X)
 	case *Binary:
-		out = add(out, v.L, v.R)
+		opt(v.L)
+		opt(v.R)
 	case *Logical:
-		out = add(out, v.L, v.R)
+		opt(v.L)
+		opt(v.R)
 	case *Assign:
-		out = add(out, v.L, v.R)
+		opt(v.L)
+		opt(v.R)
 	case *Conditional:
-		out = add(out, v.Cond, v.Then, v.Else)
+		opt(v.Cond)
+		opt(v.Then)
+		opt(v.Else)
 	case *Call:
-		out = add(out, v.Callee)
-		out = add(out, v.Args...)
+		opt(v.Callee)
+		list(v.Args)
 	case *New:
-		out = add(out, v.Callee)
-		out = add(out, v.Args...)
+		opt(v.Callee)
+		list(v.Args)
 	case *Member:
-		out = add(out, v.Obj, v.Prop)
+		opt(v.Obj)
+		opt(v.Prop)
 	case *Sequence:
-		out = add(out, v.Exprs...)
-	}
-	return out
-}
-
-// isNilNode guards against typed-nil interface values from optional fields.
-func isNilNode(n Node) bool {
-	switch v := n.(type) {
-	case *Block:
-		return v == nil
-	case *Catch:
-		return v == nil
-	default:
-		return false
+		list(v.Exprs)
 	}
 }
 
 // Inspect walks the tree rooted at n in depth-first order, calling f for
 // each node. If f returns false the node's children are skipped.
 func Inspect(n Node, f func(Node) bool) {
-	if n == nil || !f(n) {
+	if n == nil {
 		return
 	}
-	for _, c := range Children(n) {
-		Inspect(c, f)
-	}
-}
-
-// WalkParents walks the tree calling f with each node and its parent
-// (parent is nil for the root). Children are always visited.
-func WalkParents(n Node, f func(n, parent Node)) {
-	var rec func(n, parent Node)
-	rec = func(n, parent Node) {
-		f(n, parent)
-		for _, c := range Children(n) {
-			rec(c, n)
+	var visit func(Node)
+	visit = func(n Node) {
+		if f(n) {
+			EachChild(n, visit)
 		}
 	}
-	if n != nil {
-		rec(n, nil)
-	}
+	visit(n)
 }
 
 // Count returns the number of nodes in the tree.

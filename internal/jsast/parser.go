@@ -2,16 +2,27 @@ package jsast
 
 import "fmt"
 
+// maxDepth bounds the depth of the tree Parse returns, the Program at depth
+// zero. The deepest tree in the Table 3 corpus, the live crawl and every
+// antiadblock template is 21 levels down; a request body of a megabyte of
+// '(' asked for half a million, and Go's answer to that is not a panic a
+// server can recover but the death of the process. Everything that walks a
+// tree recursively (EachChild's callers, Print, the unpacker's constant
+// folder) inherits the bound from here.
+const maxDepth = 512
+
 // Parse parses JavaScript source into a Program. It accepts the ES5 subset
 // used by real-world anti-adblock scripts: all statements, function
 // declarations and expressions, and the full expression grammar including
-// regex literals, with automatic semicolon insertion.
+// regex literals, with automatic semicolon insertion. A script nested deeper
+// than maxDepth is refused with a *SyntaxError like any other it cannot
+// parse.
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks}
 	prog := &Program{}
 	for !p.atEOF() {
 		stmt, err := p.statement()
@@ -20,31 +31,133 @@ func Parse(src string) (*Program, error) {
 		}
 		prog.Body = append(prog.Body, stmt)
 	}
+	prog.noEval = !p.sawEval
 	return prog, nil
 }
 
+// chunkSize is how many nodes of one type a parse allocates at a time. The
+// median script is some 130 nodes spread over ten common types, so a bigger
+// chunk would mostly hold unused slots.
+const chunkSize = 8
+
+// chunk hands out the elements of one []T after another and makes a new
+// slice when they run out. Nothing is reset or reused: a chunk is ordinary
+// garbage-collected memory that lives as long as any node in it is
+// reachable, so a tree may outlive its parser, be shared between goroutines
+// or be kept forever, as before. All it changes is that eight nodes cost
+// one allocation.
+type chunk[T any] struct{ free []T }
+
+func (c *chunk[T]) alloc() *T {
+	if len(c.free) == 0 {
+		c.free = make([]T, chunkSize)
+	}
+	n := &c.free[0]
+	c.free = c.free[1:]
+	return n
+}
+
 type parser struct {
-	toks []Token
+	toks []Token // ends with the EOF sentinel
 	i    int
+
+	// depth is how far below the Program the node being parsed will sit;
+	// reach is how far below it the deepest node the current production has
+	// finished sits. See down and lift.
+	depth, reach int
+
+	// sawEval notes a call of the bare identifier eval, the only thing
+	// Unpack looks for.
+	sawEval bool
+
+	// The ten node types that make up nine tenths of a tree.
+	idents      chunk[Ident]
+	members     chunk[Member]
+	literals    chunk[Literal]
+	exprStmts   chunk[ExprStmt]
+	calls       chunk[Call]
+	binaries    chunk[Binary]
+	blocks      chunk[Block]
+	varDecls    chunk[VarDecl]
+	declarators chunk[Declarator]
+	assigns     chunk[Assign]
 }
 
-func (p *parser) atEOF() bool { return p.i >= len(p.toks) }
+func (p *parser) ident(name string) *Ident {
+	n := p.idents.alloc()
+	n.Name = name
+	return n
+}
 
-func (p *parser) cur() Token {
-	if p.atEOF() {
-		return Token{Kind: TokEOF}
+func (p *parser) literal(kind LiteralKind, value string) *Literal {
+	n := p.literals.alloc()
+	n.Kind, n.Value = kind, value
+	return n
+}
+
+func (p *parser) member(obj, prop Node, computed bool) *Member {
+	n := p.members.alloc()
+	n.Obj, n.Prop, n.Computed = obj, prop, computed
+	return n
+}
+
+// down enters the production of a node one level below the one being
+// parsed and returns the enclosing production's reach, which up needs back.
+// Every recursion of the parser passes through here, so the bound on depth
+// is also the bound on the parser's own stack. An error abandons the parse,
+// so error paths do not call up.
+func (p *parser) down() (outer int, err error) {
+	outer = p.reach
+	p.depth++
+	p.reach = p.depth
+	if p.depth > maxDepth {
+		return outer, p.tooDeep()
 	}
-	return p.toks[p.i]
+	return outer, nil
 }
 
-func (p *parser) peek(k int) Token {
+// up leaves the production down entered: whatever it built is part of what
+// the enclosing production has built.
+func (p *parser) up(outer int) {
+	p.depth--
+	if outer > p.reach {
+		p.reach = outer
+	}
+}
+
+// lift accounts for a node put on top of operands that were parsed before
+// it was known to exist — the left side of a.b, f(), a+b, a=b, a?b:c, a,b
+// and a++. Such chains are built in loops, not by recursion, so depth never
+// sees them; reach does: everything the current production has built moves
+// one level down. That may count a level too many (a sibling built earlier
+// in the same production moves too), never one too few.
+func (p *parser) lift() error {
+	p.reach++
+	if p.reach > maxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return p.errorf("nested deeper than %d levels", maxDepth)
+}
+
+func (p *parser) atEOF() bool { return p.toks[p.i].Kind == TokEOF }
+
+// cur returns the current token: a pointer into the token slice, because a
+// Token is 48 bytes and the parser looks at one several times before it
+// moves on. At end of input it is the sentinel.
+func (p *parser) cur() *Token { return &p.toks[p.i] }
+
+func (p *parser) peek(k int) *Token {
 	if p.i+k >= len(p.toks) {
-		return Token{Kind: TokEOF}
+		return &p.toks[len(p.toks)-1]
 	}
-	return p.toks[p.i+k]
+	return &p.toks[p.i+k]
 }
 
-func (p *parser) next() Token {
+func (p *parser) next() *Token {
 	t := p.cur()
 	if !p.atEOF() {
 		p.i++
@@ -107,10 +220,22 @@ func (p *parser) semicolon() error {
 // ---- Statements ----
 
 func (p *parser) statement() (Node, error) {
+	if p.atPunct("{") {
+		return p.block() // which goes down itself
+	}
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := p.statementBelow()
+	p.up(outer)
+	return stmt, err
+}
+
+// statementBelow parses any statement but a block, one level down already.
+func (p *parser) statementBelow() (Node, error) {
 	t := p.cur()
 	switch {
-	case t.Kind == TokPunct && t.Text == "{":
-		return p.block()
 	case t.Kind == TokPunct && t.Text == ";":
 		p.i++
 		return &Empty{}, nil
@@ -174,14 +299,20 @@ func (p *parser) statement() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ExprStmt{X: x}, p.semicolon()
+	stmt := p.exprStmts.alloc()
+	stmt.X = x
+	return stmt, p.semicolon()
 }
 
 func (p *parser) block() (*Block, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	b := &Block{}
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
+	b := p.blocks.alloc()
 	for !p.atPunct("}") {
 		if p.atEOF() {
 			return nil, p.errorf("unterminated block")
@@ -193,6 +324,7 @@ func (p *parser) block() (*Block, error) {
 		b.Body = append(b.Body, s)
 	}
 	p.i++ // consume '}'
+	p.up(outer)
 	return b, nil
 }
 
@@ -208,13 +340,19 @@ func (p *parser) varStatement() (Node, error) {
 // operator inside initializers (for-in disambiguation).
 func (p *parser) varDecl(noIn bool) (*VarDecl, error) {
 	p.i++ // 'var'
-	v := &VarDecl{}
+	// The declarators sit one level below the declaration.
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
+	v := p.varDecls.alloc()
 	for {
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		d := &Declarator{Name: name}
+		d := p.declarators.alloc()
+		d.Name = name
 		if p.eatPunct("=") {
 			init, err := p.assignExpr(noIn)
 			if err != nil {
@@ -224,6 +362,7 @@ func (p *parser) varDecl(noIn bool) (*VarDecl, error) {
 		}
 		v.Decls = append(v.Decls, d)
 		if !p.eatPunct(",") {
+			p.up(outer)
 			return v, nil
 		}
 	}
@@ -311,10 +450,16 @@ func (p *parser) forStatement() (Node, error) {
 	case p.atPunct(";"):
 		// no init
 	case p.atKeyword("var"):
+		// The declaration is a child here, not the statement itself.
+		outer, err := p.down()
+		if err != nil {
+			return nil, err
+		}
 		init, err = p.varDecl(true)
 		if err != nil {
 			return nil, err
 		}
+		p.up(outer)
 	default:
 		init, err = p.expression(true)
 		if err != nil {
@@ -425,10 +570,15 @@ func (p *parser) tryStatement() (Node, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
+		outer, err := p.down() // the clause's level
+		if err != nil {
+			return nil, err
+		}
 		cbody, err := p.block()
 		if err != nil {
 			return nil, err
 		}
+		p.up(outer)
 		stmt.Catch = &Catch{Param: param, Body: cbody}
 	}
 	if p.atKeyword("finally") {
@@ -465,6 +615,10 @@ func (p *parser) switchStatement() (Node, error) {
 	}
 	sw := &Switch{Disc: disc}
 	for !p.atPunct("}") {
+		outer, err := p.down() // the case's level
+		if err != nil {
+			return nil, err
+		}
 		c := &Case{}
 		switch {
 		case p.atKeyword("case"):
@@ -488,6 +642,7 @@ func (p *parser) switchStatement() (Node, error) {
 			}
 			c.Body = append(c.Body, s)
 		}
+		p.up(outer)
 		sw.Cases = append(sw.Cases, c)
 	}
 	p.i++ // '}'
@@ -518,6 +673,13 @@ func (p *parser) expression(noIn bool) (Node, error) {
 	if !p.atPunct(",") {
 		return x, nil
 	}
+	if err := p.lift(); err != nil {
+		return nil, err
+	}
+	outer, err := p.down() // the elements' level
+	if err != nil {
+		return nil, err
+	}
 	seq := &Sequence{Exprs: []Node{x}}
 	for p.eatPunct(",") {
 		y, err := p.assignExpr(noIn)
@@ -526,26 +688,48 @@ func (p *parser) expression(noIn bool) (Node, error) {
 		}
 		seq.Exprs = append(seq.Exprs, y)
 	}
+	p.up(outer)
 	return seq, nil
 }
 
-var assignOps = map[string]bool{
-	"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true,
-	"<<=": true, ">>=": true, ">>>=": true, "&=": true, "|=": true, "^=": true,
+func isAssignOp(op string) bool {
+	switch op {
+	case "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", ">>>=", "&=", "|=", "^=":
+		return true
+	}
+	return false
 }
 
+// assignExpr parses one expression with no top-level comma. Every operand
+// position — statement, argument, element, initializer, parenthesis — gets
+// its expression from here, one level below whatever holds it.
 func (p *parser) assignExpr(noIn bool) (Node, error) {
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
+	x, err := p.assignExprBelow(noIn)
+	p.up(outer)
+	return x, err
+}
+
+func (p *parser) assignExprBelow(noIn bool) (Node, error) {
 	left, err := p.conditionalExpr(noIn)
 	if err != nil {
 		return nil, err
 	}
-	if t := p.cur(); t.Kind == TokPunct && assignOps[t.Text] {
+	if t := p.cur(); t.Kind == TokPunct && isAssignOp(t.Text) {
 		p.i++
+		if err := p.lift(); err != nil {
+			return nil, err
+		}
 		right, err := p.assignExpr(noIn)
 		if err != nil {
 			return nil, err
 		}
-		return &Assign{Op: t.Text, L: left, R: right}, nil
+		n := p.assigns.alloc()
+		n.Op, n.L, n.R = t.Text, left, right
+		return n, nil
 	}
 	return left, nil
 }
@@ -557,6 +741,9 @@ func (p *parser) conditionalExpr(noIn bool) (Node, error) {
 	}
 	if !p.eatPunct("?") {
 		return cond, nil
+	}
+	if err := p.lift(); err != nil {
+		return nil, err
 	}
 	then, err := p.assignExpr(false)
 	if err != nil {
@@ -574,7 +761,7 @@ func (p *parser) conditionalExpr(noIn bool) (Node, error) {
 
 // binaryPrec returns the precedence of a binary/logical operator token, or
 // -1 when the token is not a binary operator. Higher binds tighter.
-func binaryPrec(t Token, noIn bool) int {
+func binaryPrec(t *Token, noIn bool) int {
 	if t.Kind == TokKeyword {
 		switch t.Text {
 		case "in":
@@ -627,14 +814,24 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) (Node, error) {
 			return left, nil
 		}
 		p.i++
+		if err := p.lift(); err != nil {
+			return nil, err
+		}
+		outer, err := p.down()
+		if err != nil {
+			return nil, err
+		}
 		right, err := p.binaryExpr(prec+1, noIn)
 		if err != nil {
 			return nil, err
 		}
+		p.up(outer)
 		if t.Text == "&&" || t.Text == "||" {
 			left = &Logical{Op: t.Text, L: left, R: right}
 		} else {
-			left = &Binary{Op: t.Text, L: left, R: right}
+			n := p.binaries.alloc()
+			n.Op, n.L, n.R = t.Text, left, right
+			left = n
 		}
 	}
 }
@@ -642,29 +839,34 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) (Node, error) {
 func (p *parser) unaryExpr(noIn bool) (Node, error) {
 	t := p.cur()
 	switch {
-	case t.Kind == TokPunct && (t.Text == "!" || t.Text == "~" || t.Text == "+" || t.Text == "-"):
-		p.i++
-		x, err := p.unaryExpr(noIn)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: t.Text, X: x}, nil
-	case t.Kind == TokKeyword && (t.Text == "typeof" || t.Text == "void" || t.Text == "delete"):
-		p.i++
-		x, err := p.unaryExpr(noIn)
+	case t.Kind == TokPunct && (t.Text == "!" || t.Text == "~" || t.Text == "+" || t.Text == "-"),
+		t.Kind == TokKeyword && (t.Text == "typeof" || t.Text == "void" || t.Text == "delete"):
+		x, err := p.prefixOperand(noIn)
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: t.Text, X: x}, nil
 	case t.Kind == TokPunct && (t.Text == "++" || t.Text == "--"):
-		p.i++
-		x, err := p.unaryExpr(noIn)
+		x, err := p.prefixOperand(noIn)
 		if err != nil {
 			return nil, err
 		}
 		return &Update{Op: t.Text, Prefix: true, X: x}, nil
 	}
 	return p.postfixExpr(noIn)
+}
+
+// prefixOperand consumes a prefix operator and parses what it applies to,
+// one level down.
+func (p *parser) prefixOperand(noIn bool) (Node, error) {
+	p.i++
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
+	x, err := p.unaryExpr(noIn)
+	p.up(outer)
+	return x, err
 }
 
 func (p *parser) postfixExpr(noIn bool) (Node, error) {
@@ -674,7 +876,7 @@ func (p *parser) postfixExpr(noIn bool) (Node, error) {
 	}
 	if t := p.cur(); t.Kind == TokPunct && (t.Text == "++" || t.Text == "--") && !t.NewlineBefore {
 		p.i++
-		return &Update{Op: t.Text, X: x}, nil
+		return &Update{Op: t.Text, X: x}, p.lift()
 	}
 	return x, nil
 }
@@ -692,39 +894,65 @@ func (p *parser) callExpr(noIn bool) (Node, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.eatPunct("."):
-			t := p.cur()
-			if t.Kind != TokIdent && t.Kind != TokKeyword {
-				return nil, p.errorf("expected property name, found %s", t)
-			}
-			p.i++
-			x = &Member{Obj: x, Prop: &Ident{Name: t.Text}}
-		case p.eatPunct("["):
-			idx, err := p.expression(false)
+		if !p.atPunct("(") {
+			var ok bool
+			x, ok, err = p.memberAccess(x)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
+			if !ok {
+				return x, nil
 			}
-			x = &Member{Obj: x, Prop: idx, Computed: true}
-		case p.atPunct("("):
-			args, err := p.arguments()
-			if err != nil {
-				return nil, err
-			}
-			x = &Call{Callee: x, Args: args}
-		default:
-			return x, nil
+			continue
 		}
+		if err := p.lift(); err != nil {
+			return nil, err
+		}
+		args, err := p.arguments()
+		if err != nil {
+			return nil, err
+		}
+		if id, ok := x.(*Ident); ok && id.Name == "eval" {
+			p.sawEval = true
+		}
+		call := p.calls.alloc()
+		call.Callee, call.Args = x, args
+		x = call
 	}
+}
+
+// memberAccess parses one .name or [expr] applied to obj, if that is what
+// comes next.
+func (p *parser) memberAccess(obj Node) (Node, bool, error) {
+	switch {
+	case p.eatPunct("."):
+		t := p.cur()
+		if t.Kind != TokIdent && t.Kind != TokKeyword {
+			return nil, false, p.errorf("expected property name, found %s", t)
+		}
+		p.i++
+		return p.member(obj, p.ident(t.Text), false), true, p.lift()
+	case p.eatPunct("["):
+		if err := p.lift(); err != nil {
+			return nil, false, err
+		}
+		idx, err := p.expression(false)
+		if err != nil {
+			return nil, false, err
+		}
+		return p.member(obj, idx, true), true, p.expectPunct("]")
+	}
+	return obj, false, nil
 }
 
 func (p *parser) newExpr() (Node, error) {
 	p.i++ // 'new'
+	// The constructor expression sits one level below the new.
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
 	var callee Node
-	var err error
 	if p.atKeyword("new") {
 		callee, err = p.newExpr()
 	} else {
@@ -735,30 +963,13 @@ func (p *parser) newExpr() (Node, error) {
 	}
 	// Member accesses bind to the constructor expression before the
 	// argument list: new a.b.C(x).
-	for {
-		if p.eatPunct(".") {
-			t := p.cur()
-			if t.Kind != TokIdent && t.Kind != TokKeyword {
-				return nil, p.errorf("expected property name, found %s", t)
-			}
-			p.i++
-			callee = &Member{Obj: callee, Prop: &Ident{Name: t.Text}}
-			continue
+	for more := true; more; {
+		callee, more, err = p.memberAccess(callee)
+		if err != nil {
+			return nil, err
 		}
-		if p.atPunct("[") {
-			p.i++
-			idx, err := p.expression(false)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			callee = &Member{Obj: callee, Prop: idx, Computed: true}
-			continue
-		}
-		break
 	}
+	p.up(outer)
 	n := &New{Callee: callee}
 	if p.atPunct("(") {
 		args, err := p.arguments()
@@ -793,16 +1004,16 @@ func (p *parser) primaryExpr() (Node, error) {
 	switch t.Kind {
 	case TokIdent:
 		p.i++
-		return &Ident{Name: t.Text}, nil
+		return p.ident(t.Text), nil
 	case TokNumber:
 		p.i++
-		return &Literal{Kind: LitNumber, Value: t.Text}, nil
+		return p.literal(LitNumber, t.Text), nil
 	case TokString:
 		p.i++
-		return &Literal{Kind: LitString, Value: t.Text}, nil
+		return p.literal(LitString, t.Text), nil
 	case TokRegex:
 		p.i++
-		return &Literal{Kind: LitRegex, Value: t.Text}, nil
+		return p.literal(LitRegex, t.Text), nil
 	case TokKeyword:
 		switch t.Text {
 		case "this":
@@ -810,13 +1021,13 @@ func (p *parser) primaryExpr() (Node, error) {
 			return &This{}, nil
 		case "true", "false":
 			p.i++
-			return &Literal{Kind: LitBool, Value: t.Text}, nil
+			return p.literal(LitBool, t.Text), nil
 		case "null":
 			p.i++
-			return &Literal{Kind: LitNull, Value: "null"}, nil
+			return p.literal(LitNull, "null"), nil
 		case "undefined":
 			p.i++
-			return &Literal{Kind: LitUndefined, Value: "undefined"}, nil
+			return p.literal(LitUndefined, "undefined"), nil
 		case "function":
 			p.i++
 			name := ""
@@ -869,6 +1080,11 @@ func (p *parser) arrayLiteral() (Node, error) {
 
 func (p *parser) objectLiteral() (Node, error) {
 	p.i++ // '{'
+	// The properties sit one level below the literal, their values two.
+	outer, err := p.down()
+	if err != nil {
+		return nil, err
+	}
 	obj := &ObjectLit{}
 	for !p.atPunct("}") {
 		t := p.cur()
@@ -895,5 +1111,6 @@ func (p *parser) objectLiteral() (Node, error) {
 	if err := p.expectPunct("}"); err != nil {
 		return nil, err
 	}
+	p.up(outer)
 	return obj, nil
 }

@@ -280,12 +280,30 @@ func TestParseRegexLiteralStatement(t *testing.T) {
 	}
 }
 
+// nodeTypes is every node type the parser can produce.
+var nodeTypes = []string{
+	"Program", "FunctionDeclaration", "VariableDeclaration", "VariableDeclarator",
+	"BlockStatement", "ExpressionStatement", "IfStatement", "ForStatement",
+	"ForInStatement", "WhileStatement", "DoWhileStatement", "ReturnStatement",
+	"TryStatement", "CatchClause", "ThrowStatement", "SwitchStatement",
+	"SwitchCase", "BreakStatement", "ContinueStatement", "LabeledStatement",
+	"EmptyStatement", "WithStatement", "DebuggerStatement", "Identifier",
+	"Literal", "ThisExpression", "ArrayExpression", "ObjectExpression",
+	"Property", "FunctionExpression", "UnaryExpression", "UpdateExpression",
+	"BinaryExpression", "LogicalExpression", "AssignmentExpression",
+	"ConditionalExpression", "CallExpression", "NewExpression",
+	"MemberExpression", "SequenceExpression",
+}
+
 func TestChildrenCoversEveryNodeType(t *testing.T) {
 	src := code4 + code5 + code8 + `
+function g(n) { for (var i = 0; i < n; i++) {} return {n: n}; }
 for (k in o) {}
 l: while (0) { continue l; }
-switch (x) { default: ; }
-try { t(); } finally { f(); }
+do { break; } while (0);
+switch (x) { case 1: default: ; }
+try { t(); } catch (e) { throw e; } finally { f(); }
+with (w) { a = b ? c : d, e; }
 var arr = [1, , 2];
 debugger;
 u = typeof -+!~v;
@@ -293,27 +311,46 @@ p = i++ + --j;
 q = a in b;
 `
 	prog := parse(t, src)
-	n := Count(prog)
-	if n < 100 {
-		t.Fatalf("node count = %d, suspiciously small", n)
-	}
-	// WalkParents must visit exactly the same number of nodes.
+	// Walk with EachChild alone: a node type it cannot reach, or whose
+	// children it drops, is missing from the census.
+	seen := map[string]int{}
 	visited := 0
-	WalkParents(prog, func(Node, Node) { visited++ })
-	if visited != n {
-		t.Fatalf("WalkParents visited %d, Inspect counted %d", visited, n)
+	var walk func(Node)
+	walk = func(n Node) {
+		seen[n.Type()]++
+		visited++
+		EachChild(n, walk)
+	}
+	walk(prog)
+	for _, typ := range nodeTypes {
+		if seen[typ] == 0 {
+			t.Errorf("EachChild never reached a %s", typ)
+		}
+	}
+	if len(seen) != len(nodeTypes) {
+		t.Errorf("walk saw %d node types, the parser has %d", len(seen), len(nodeTypes))
+	}
+	if n := Count(prog); n != visited || n < 100 {
+		t.Fatalf("EachChild visited %d nodes, Inspect counted %d", visited, n)
 	}
 }
 
-func TestWalkParentsParentLinks(t *testing.T) {
-	prog := parse(t, "if (x) { y(); }")
-	WalkParents(prog, func(n, parent Node) {
-		if _, ok := n.(*Program); ok {
-			if parent != nil {
-				t.Error("program must have nil parent")
-			}
-		} else if parent == nil {
-			t.Errorf("node %s has nil parent", n.Type())
-		}
-	})
+// TestEachChildSkipsAbsentChildren: an optional *Block or *Catch that is nil
+// must not reach the visitor as a non-nil Node holding a nil pointer, and a
+// nil Node field must not reach it at all.
+func TestEachChildSkipsAbsentChildren(t *testing.T) {
+	for _, n := range []Node{
+		&Try{}, &Catch{}, &FunctionDecl{}, &FunctionExpr{}, &If{}, &For{},
+		&Return{}, &Declarator{}, &Case{}, &Program{Body: []Node{nil}},
+	} {
+		EachChild(n, func(c Node) {
+			t.Errorf("%s with no children: visitor called with %#v", n.Type(), c)
+		})
+	}
+	try := &Try{Body: &Block{}, Finally: &Block{}}
+	var got []string
+	EachChild(try, func(c Node) { got = append(got, c.Type()) })
+	if len(got) != 2 || got[0] != "BlockStatement" || got[1] != "BlockStatement" {
+		t.Errorf("Try without Catch: children %v, want its two blocks", got)
+	}
 }

@@ -18,6 +18,10 @@ func Print(n Node) string {
 
 type printer struct {
 	b strings.Builder
+	// noIn is set while the head of a for statement is printed, where a
+	// bare `in` would be read back as the for-in keyword (and stays set,
+	// harmlessly, through a function body nested in that head).
+	noIn bool
 }
 
 func (p *printer) ws(indent int) {
@@ -48,7 +52,18 @@ func (p *printer) node(n Node, indent int) {
 		p.b.WriteByte('\n')
 	case *ExprStmt:
 		p.ws(indent)
-		p.expr(v.X, precLowest)
+		// A statement that opened with { or function would be read back
+		// as a block or a declaration.
+		first := v.X
+		if seq, ok := first.(*Sequence); ok && len(seq.Exprs) > 0 {
+			first = seq.Exprs[0]
+		}
+		switch first.(type) {
+		case *ObjectLit, *FunctionExpr:
+			p.expr(v.X, precPrimary+1)
+		default:
+			p.expr(v.X, precLowest)
+		}
 		p.b.WriteString(";\n")
 	case *If:
 		p.ws(indent)
@@ -64,11 +79,14 @@ func (p *printer) node(n Node, indent int) {
 	case *For:
 		p.ws(indent)
 		p.b.WriteString("for (")
+		noIn := p.noIn
+		p.noIn = true
 		if d, ok := v.Init.(*VarDecl); ok {
 			p.varDecl(d)
 		} else if v.Init != nil {
 			p.expr(v.Init, precLowest)
 		}
+		p.noIn = noIn
 		p.b.WriteString("; ")
 		if v.Cond != nil {
 			p.expr(v.Cond, precLowest)
@@ -82,11 +100,14 @@ func (p *printer) node(n Node, indent int) {
 	case *ForIn:
 		p.ws(indent)
 		p.b.WriteString("for (")
+		noIn := p.noIn
+		p.noIn = true
 		if d, ok := v.Left.(*VarDecl); ok {
 			p.varDecl(d)
 		} else {
 			p.expr(v.Left, precLowest)
 		}
+		p.noIn = noIn
 		p.b.WriteString(" in ")
 		p.expr(v.Right, precLowest)
 		p.b.WriteString(") ")
@@ -279,10 +300,16 @@ func binaryOpPrec(op string) int {
 // below the context's minimum.
 func (p *printer) expr(n Node, min int) {
 	prec := exprPrec(n)
+	if b, ok := n.(*Binary); ok && p.noIn && b.Op == "in" {
+		prec = min - 1
+	}
 	if prec < min {
+		noIn := p.noIn
+		p.noIn = false
 		p.b.WriteByte('(')
 		p.exprInner(n)
 		p.b.WriteByte(')')
+		p.noIn = noIn
 		return
 	}
 	p.exprInner(n)
@@ -407,7 +434,12 @@ func (p *printer) exprInner(n Node) {
 		p.expr(v.Callee, precCall)
 		p.args(v.Args)
 	case *Member:
-		p.expr(v.Obj, precCall)
+		if lit, ok := v.Obj.(*Literal); ok && lit.Kind == LitNumber && !v.Computed {
+			// 1.a would be read back as the number 1. and a stray a.
+			p.expr(v.Obj, precPrimary+1)
+		} else {
+			p.expr(v.Obj, precCall)
+		}
 		if v.Computed {
 			p.b.WriteByte('[')
 			p.expr(v.Prop, precLowest)
@@ -495,11 +527,11 @@ func quoteJSString(s string) string {
 }
 
 func isValidIdent(s string) bool {
-	if s == "" || jsKeywords[s] {
+	if s == "" || IsKeyword(s) {
 		// Keywords are legal property keys in ES5 object literals, and
 		// our parser accepts them, so print them bare too — except the
 		// empty string.
-		return jsKeywords[s]
+		return s != ""
 	}
 	if !isIdentStart(s[0]) {
 		return false

@@ -21,7 +21,8 @@ func Unpack(prog *Program) int {
 }
 
 func unpack(prog *Program, depth int) int {
-	if depth >= maxUnpackDepth {
+	// Nine scripts in ten call no eval, and Parse has already said so.
+	if depth >= maxUnpackDepth || prog.noEval {
 		return 0
 	}
 	var payloads []string

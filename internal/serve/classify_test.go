@@ -1,0 +1,109 @@
+package serve
+
+import (
+	"encoding/json"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"adwars/internal/antiadblock"
+)
+
+// classifyAllocScripts are the two shapes /v1/classify exists for: the
+// BlockAdBlock template as its vendor serves it, and the same detector
+// family inside an eval("…") payload the unpacker has to parse again.
+func classifyAllocScripts(t *testing.T) (plain, packed string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	vendor := antiadblock.VendorByName("BlockAdBlock")
+	plain = antiadblock.VendorScript(vendor, "", "notice", rng, antiadblock.GenOptions{})
+	for !strings.HasPrefix(packed, `eval("`) { // one pack in ten is the opaque atob form
+		packed = antiadblock.VendorScript(vendor, "", "notice", rng, antiadblock.GenOptions{PackProbability: 1})
+	}
+	return plain, packed
+}
+
+// TestClassifyAllocBudget is the allocation gate of the classification
+// path, so that a regression fails `go test ./...` and not only the
+// benchmark's process.allocs_per_req: one fully served /v1/classify — body
+// read, lex, parse, unpack, projection onto the vocabulary, score, JSON
+// encode — within a quarter of what the byte-dispatched lexer, chunked
+// nodes and the map-free projection brought it to (119 and 119; the parent
+// commit: 1 052 and 997). What is left is the token slice, a chunk per eight
+// nodes of a type, the statement and argument slices, and the envelope.
+func TestClassifyAllocBudget(t *testing.T) {
+	if raceSrvEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	s := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
+	plain, packed := classifyAllocScripts(t)
+	for _, tc := range []struct {
+		name   string
+		script string
+		budget float64 // 1.25 × measured
+	}{
+		{"BlockAdBlock template", plain, 149},
+		{"eval-packed", packed, 149},
+	} {
+		h, w, req, rb := allocRig(s, "/v1/classify", tc.script)
+		allocs := testing.AllocsPerRun(100, func() {
+			rb.Reset(tc.script)
+			w.status = 0
+			h.ServeHTTP(w, req)
+		})
+		if w.status != 200 {
+			t.Fatalf("%s: status = %d", tc.name, w.status)
+		}
+		if allocs > tc.budget {
+			t.Errorf("%s (%d bytes): /v1/classify allocates %.0f/op, budget is %.0f", tc.name, len(tc.script), allocs, tc.budget)
+		}
+		t.Logf("%s (%d bytes): %.0f allocs/op", tc.name, len(tc.script), allocs)
+	}
+}
+
+// TestClassifyRefusesDeepNesting posts /v1/classify's whole default body
+// limit of each nesting shape. Before the parser bounded its depth, the
+// first of these ended the process: a goroutine stack past its 1 GB limit
+// is a fatal error, not a panic the recovery middleware could turn into a
+// 500. Now each is a script that does not parse — 422 bad_script, promptly
+// — and the server goes on serving.
+func TestClassifyRefusesDeepNesting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lexes twelve one-megabyte bodies; skipped in -short")
+	}
+	s := newTestServer(t, Config{})
+	limit := int(s.cfg.maxBody())
+	for _, unit := range []string{"(", "[", "{", "a+", "a.", "f(", "a=", "a?a:", "!", "new ", "if(a)", "a:"} {
+		body := strings.Repeat(unit, limit/len(unit))
+		start := time.Now()
+		rec := do(t, s, "POST", "/v1/classify", body)
+		took := time.Since(start)
+		var envelope errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+			t.Fatalf("%d bytes of %q: reply is not an error envelope: %v", len(body), unit, err)
+		}
+		if rec.Code != 422 || envelope.Error.Code != "bad_script" || !strings.Contains(envelope.Error.Message, "nested deeper") {
+			t.Errorf("%d bytes of %q: %d %+v, want 422 bad_script from the depth bound", len(body), unit, rec.Code, envelope.Error)
+		}
+		if took > 5*time.Second {
+			t.Errorf("%d bytes of %q took %v to refuse", len(body), unit, took)
+		}
+	}
+	// The batch endpoint parses the same way, one slot per script.
+	batch, _ := json.Marshal(classifyBatchRequest{Scripts: []string{strings.Repeat("[", limit/4), testAntiScript}})
+	rec := do(t, s, "POST", "/v1/classify/batch", string(batch))
+	var out classifyBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != 200 || len(out.Results) != 2 {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if !strings.Contains(out.Results[0].Error, "nested deeper") || !out.Results[1].AntiAdblock {
+		t.Errorf("batch results %+v, want the first slot refused and the second classified", out.Results)
+	}
+	if rec := do(t, s, "POST", "/v1/classify", testAntiScript); rec.Code != 200 {
+		t.Errorf("after the refusals: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := s.met.panicsRecovered.Load(); got != 0 {
+		t.Errorf("panics_recovered = %d; the bound is an error, not a recovered panic", got)
+	}
+}

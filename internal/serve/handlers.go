@@ -693,8 +693,7 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 // ensemble's decision value onto [0,1] by normalizing against Σ|αₜ| (the
 // largest reachable magnitude): 0.5 is the decision boundary, 1 means
 // every round voted anti-adblock at full weight.
-func (ms *modelState) score(fs map[string]bool) ClassifyResult {
-	sample := ms.vocab.Project(fs)
+func (ms *modelState) score(sample features.Sample) ClassifyResult {
 	decision := ms.snap.Model.Decision(sample)
 	margin := 0.0
 	if ms.alphaSum > 0 {
@@ -714,13 +713,14 @@ func (ms *modelState) score(fs map[string]bool) ClassifyResult {
 }
 
 // classifyOne runs the jsast→features→AdaBoost inference path for one
-// script against the installed model state.
+// script against the installed model state: parse and unpack, project the
+// tree straight onto the model's vocabulary, score.
 func classifyOne(ms *modelState, src string) (ClassifyResult, error) {
-	fs, err := features.ExtractSource(src, ms.set)
+	sample, err := ms.vocab.ProjectSource(src, ms.set)
 	if err != nil {
 		return ClassifyResult{}, err
 	}
-	return ms.score(fs), nil
+	return ms.score(sample), nil
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -732,16 +732,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
+	sc := getMatchScratch()
+	if !s.readBodyInto(w, r, sc) {
+		matchScratchPool.Put(sc)
 		return
 	}
-	if len(body) == 0 {
+	// The tokens and the tree alias the script, so it leaves the pooled
+	// buffer as an immutable string before the buffer goes back.
+	src := sc.body.String()
+	matchScratchPool.Put(sc)
+	if len(src) == 0 {
 		writeError(w, http.StatusBadRequest, "bad_request", "empty script body")
 		return
 	}
 	s.admitted(epClassify, w, r, func() {
-		res, err := classifyOne(ms, string(body))
+		res, err := classifyOne(ms, src)
 		if err != nil {
 			s.met.endpoints[epClassify].errors.Add(1)
 			writeError(w, http.StatusUnprocessableEntity, "bad_script",
@@ -782,11 +787,11 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.admitted(epClassifyBatch, w, r, func() {
 		s.met.endpoints[epClassifyBatch].batchItems.Add(uint64(len(batch.Scripts)))
-		// The batch amortizes parse+extract across the worker pool: one
-		// fan-out for all scripts instead of one request round-trip each.
-		// Per-script parse failures annotate their slot instead of
-		// failing the batch.
-		sets, errs, _ := features.ExtractAll(context.Background(), batch.Scripts, ms.set, s.cfg.workers())
+		// The batch amortizes classifyOne's parse and projection across
+		// the worker pool: one fan-out for all scripts instead of one
+		// request round-trip each. Per-script parse failures annotate
+		// their slot instead of failing the batch.
+		samples, errs, _ := ms.vocab.ProjectAll(context.Background(), batch.Scripts, ms.set, s.cfg.workers())
 		out := classifyBatchResponse{
 			Count:    len(batch.Scripts),
 			Results:  make([]ClassifyResult, len(batch.Scripts)),
@@ -800,7 +805,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 				out.Results[i] = ClassifyResult{Error: fmt.Sprintf("script does not parse: %v", errs[i])}
 				continue
 			}
-			out.Results[i] = ms.score(sets[i])
+			out.Results[i] = ms.score(samples[i])
 			if s.anl != nil {
 				s.recordClassify(out.Results[i].AntiAdblock, now)
 			}

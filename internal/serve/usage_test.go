@@ -219,10 +219,15 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 // matchAllocRig assembles the reusable request/writer pair that measures
 // the /v1/match handler's own allocations.
 func matchAllocRig(s *Server, body string) (http.Handler, *nullResponseWriter, *http.Request, *replayBody) {
+	return allocRig(s, "/v1/match", body)
+}
+
+// allocRig is matchAllocRig for any POST endpoint.
+func allocRig(s *Server, path, body string) (http.Handler, *nullResponseWriter, *http.Request, *replayBody) {
 	h := s.Handler()
 	rb := &replayBody{}
 	rb.Reset(body)
-	req := httptest.NewRequest("POST", "/v1/match", rb)
+	req := httptest.NewRequest("POST", path, rb)
 	w := &nullResponseWriter{h: make(http.Header, 4)}
 	return h, w, req, rb
 }
