@@ -37,70 +37,6 @@ func benchSetup(b *testing.B) (*experiments.Lab, *experiments.RetroResult) {
 	return benchLab, benchRetro
 }
 
-var (
-	replayOnce    sync.Once
-	benchReplay   *experiments.ReplayRun
-	benchReplayEr error
-)
-
-// replaySetup crawls the benchmark months once; the replay benchmarks then
-// time only the matching half of the pipeline (ReplayRun.Run) under
-// different shard counts and match strategies.
-func replaySetup(b *testing.B) *experiments.ReplayRun {
-	b.Helper()
-	lab, _ := benchSetup(b)
-	replayOnce.Do(func() {
-		benchReplay, benchReplayEr = lab.PrepareReplay(context.Background(),
-			experiments.RetroConfig{Months: lab.RetroMonths(2)})
-	})
-	if benchReplayEr != nil {
-		b.Fatal(benchReplayEr)
-	}
-	return benchReplay
-}
-
-// BenchmarkReplayIndexed times the 30-month replay on one shard with the
-// keyword-indexed match path — the per-month unit of Figure 5/6 work.
-func BenchmarkReplayIndexed(b *testing.B) {
-	run := replaySetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := run.Run(1, false)
-		if len(r.Months) == 0 {
-			b.Fatal("empty replay")
-		}
-	}
-}
-
-// BenchmarkReplayLinearScan is the same replay with the index bypassed —
-// the baseline BENCH_replay.json's speedup ratio is computed against.
-func BenchmarkReplayLinearScan(b *testing.B) {
-	run := replaySetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := run.Run(1, true)
-		if len(r.Months) == 0 {
-			b.Fatal("empty replay")
-		}
-	}
-}
-
-// BenchmarkReplaySharded times the indexed replay fanned out over 8
-// shards (results stay byte-identical; see TestReplayShardDeterminism).
-func BenchmarkReplaySharded(b *testing.B) {
-	run := replaySetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := run.Run(8, false)
-		if len(r.Months) == 0 {
-			b.Fatal("empty replay")
-		}
-	}
-}
-
 // BenchmarkFig1aAAKEvolution regenerates Figure 1(a): the Anti-Adblock
 // Killer List's rule-class composition over time.
 func BenchmarkFig1aAAKEvolution(b *testing.B) {

@@ -6,13 +6,16 @@
 // Usage:
 //
 //	adwars-detect [-scale N] [-seed S] [-folds K] [-maxsamples M] [-topk list]
-//	              [-workers W] [-kernel-cache E] [-sequential]
+//	              [-workers W] [-save-model PATH [-model-only]]
 //
-// -workers sets the fan-out width for extraction, feature selection, and
-// cross-validation (0 = GOMAXPROCS); -kernel-cache bounds the SMO Gram
-// cache in entries (0 = default budget, -1 = uncached); -sequential forces
-// the single-worker uncached reference pipeline. All three change only
-// performance: results are bit-identical across settings.
+// -workers sets the fan-out width for extraction, the Gram matrix fill and
+// cross-validation folds (0 = GOMAXPROCS). It changes only performance:
+// results are bit-identical at any width.
+//
+// Training holds the full n×n Gram matrix, n²·8 bytes. The Table 3 sweep
+// trains on at most -maxsamples scripts (1 100 by default, under 10 MB a
+// matrix); the headline model and the live test train on the whole corpus
+// trimmed 10:1, 4 081 scripts at -scale 1 -seed 42 — 133 MB.
 //
 // -save-model PATH freezes the trained headline model (AdaBoost+SVM,
 // keyword features, top-1K) as a versioned snapshot for adwars-serve;
@@ -39,11 +42,9 @@ func main() {
 	scale := flag.Int("scale", 20, "world shrink factor (1 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	folds := flag.Int("folds", 10, "cross-validation folds")
-	maxSamples := flag.Int("maxsamples", 1100, "corpus cap (0 = unlimited)")
+	maxSamples := flag.Int("maxsamples", 1100, "Table 3 corpus cap; each Gram matrix is this squared × 8 bytes (0 = unlimited)")
 	topkFlag := flag.String("topk", "100,1000", "comma-separated feature budgets")
-	workers := flag.Int("workers", 0, "pipeline fan-out width (0 = GOMAXPROCS)")
-	kernelCache := flag.Int("kernel-cache", 0, "SMO Gram-cache entries (0 = default, -1 = uncached)")
-	sequential := flag.Bool("sequential", false, "single-worker uncached reference pipeline")
+	workers := flag.Int("workers", 0, "fan-out width for extraction, Gram fill and CV folds (0 = GOMAXPROCS); results do not depend on it")
 	saveModel := flag.String("save-model", "", "write the trained headline model snapshot to this path")
 	modelOnly := flag.Bool("model-only", false, "skip tables and live test; just train and save the headline model")
 	flag.Parse()
@@ -52,11 +53,7 @@ func main() {
 		log.Fatal("-model-only requires -save-model")
 	}
 
-	pipe := experiments.PipelineConfig{
-		Workers:     *workers,
-		KernelCache: *kernelCache,
-		Sequential:  *sequential,
-	}
+	pipe := experiments.PipelineConfig{Workers: *workers}
 
 	var topk []int
 	for _, s := range strings.Split(*topkFlag, ",") {

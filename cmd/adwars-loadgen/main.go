@@ -32,8 +32,9 @@
 // recover to L0 and then asserts the ladder climbed to at least L2 and
 // stepped back level-by-level without flapping (transitions == 2×peak).
 // -bench-brownout emits a `BenchmarkBrownoutLoadgen` line carrying the
-// hot-only response fraction, the gateway's retry-budget exhaustions,
-// and the worst replica transition p99 for BENCH_chaos.json.
+// hot-only response fraction (scripts/brownout_smoke.sh requires it > 0),
+// the gateway's retry-budget exhaustions, and the worst replica transition
+// p99.
 //
 // -chaos turns a -fault-frac fraction of requests hostile: malformed JSON,
 // oversized bodies, slow-trickle uploads, and mid-body aborts, mixed with
@@ -44,14 +45,14 @@
 // + aborted — every request accounted for, nothing silently dropped.
 //
 // -bench appends a `BenchmarkChaosLoadgen` line (go-bench format) carrying
-// shed-rate and recovered-panics custom units, so `benchjson` can fold the
-// chaos run into BENCH_chaos.json. recovered-panics is read back from the
-// server's /debug/vars (the control plane is chaos-exempt).
+// shed-rate and recovered-panics custom units. recovered-panics is read
+// back from the server's /debug/vars (the control plane is chaos-exempt).
 //
 // Pointed at an adwars-gateway, the summary additionally attributes
 // answers per replica (X-Adwars-Replica) and per HTTP status, and
 // -bench-fleet emits a `BenchmarkFleetLoadgen` line carrying the
-// gateway's failover/retry/hedge counters for BENCH_fleet.json. The
+// gateway's failover/retry/hedge counters (scripts/fleet_smoke.sh requires
+// failovers ≥ 1). The
 // -check accounting gate is unchanged behind a gateway: retries and
 // hedges happen inside it, so every client-visible request still ends as
 // exactly one 2xx or 429.
@@ -232,7 +233,7 @@ func main() {
 	maxBackoff := flag.Duration("max-backoff", 100*time.Millisecond, "cap on honoring a 429 Retry-After")
 	chaos := flag.Bool("chaos", false, "mix hostile requests (malformed/oversized/trickle/abort) into the workload")
 	faultFrac := flag.Float64("fault-frac", 0.25, "with -chaos, fraction of requests made hostile")
-	bench := flag.Bool("bench", false, "emit a BenchmarkChaosLoadgen line for benchjson")
+	bench := flag.Bool("bench", false, "emit a BenchmarkChaosLoadgen line (shed rate, recovered panics, aborted requests)")
 	benchFleet := flag.Bool("bench-fleet", false, "emit a BenchmarkFleetLoadgen line (target must be an adwars-gateway)")
 	benchBrownout := flag.Bool("bench-brownout", false, "emit a BenchmarkBrownoutLoadgen line (hot-only fraction, retry-budget exhaustions, transition p99)")
 	degradeURLs := flag.String("degrade-url", "", "comma-separated replica base URLs whose /admin/degrade to read for -degrade-check and -bench-brownout")
@@ -781,8 +782,8 @@ func isPanicEnvelope(body []byte) bool {
 	return json.Unmarshal(body, &envelope) == nil && envelope.Error.Code == "internal_panic"
 }
 
-// emitBenchLine prints a go-bench formatted result line so benchjson can
-// fold the chaos run into a JSON report. recovered-panics comes from the
+// emitBenchLine prints a go-bench formatted result line for the chaos run.
+// recovered-panics comes from the
 // server's own /debug/vars (chaos-exempt control plane); if that read
 // fails the line still goes out with the counter at -1.
 func emitBenchLine(client *http.Client, target string, total *counters, elapsed time.Duration) {

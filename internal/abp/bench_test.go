@@ -42,22 +42,6 @@ var benchURLs = []string{
 	"http://site0123.com/js/app.js?v=9",
 }
 
-// BenchmarkListMatchAutomaton measures request matching through the
-// compiled Aho–Corasick automaton (the production path). Besides the mean
-// ns/op it reports a p50-ns metric from an untimed sampling pass — the
-// acceptance gate for the match core is p50 < 1µs with zero allocations.
-func BenchmarkListMatchAutomaton(b *testing.B) {
-	list := NewList("bench", benchRules(2000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := benchURLs[i%len(benchURLs)]
-		list.MatchRequest(Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
-	}
-	b.StopTimer()
-	b.ReportMetric(matchP50ns(list), "p50-ns")
-}
-
 // matchP50ns samples individual MatchRequest latencies over the bench URL
 // mix and returns the median in nanoseconds (timer overhead included, so
 // the figure is an upper bound).
@@ -74,114 +58,18 @@ func matchP50ns(list *List) float64 {
 	return float64(lat[samples/2].Nanoseconds())
 }
 
-// BenchmarkListMatchNoMatch measures the pure-miss path — per the paper's
-// observation that the overwhelming majority of rules never fire, this is
-// the common case in production, and it must not allocate.
-func BenchmarkListMatchNoMatch(b *testing.B) {
-	list := NewList("bench", benchRules(2000))
-	q := Request{URL: "http://cdn.unrelated.net/static/app.js", Type: TypeScript, PageDomain: "page.com"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d, _ := list.MatchRequest(q); d != NoMatch {
-			b.Fatal("URL must not match")
-		}
-	}
-}
-
-// BenchmarkListMatchLinear is the ablation baseline: match every rule
-// without the automaton. The automaton should win by a wide margin.
-func BenchmarkListMatchLinear(b *testing.B) {
-	rules := benchRules(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := Request{URL: benchURLs[i%len(benchURLs)], Type: TypeScript, PageDomain: "page.com"}
-		for _, r := range rules {
-			if r.IsHTTP() && r.MatchRequest(q) {
-				break
-			}
-		}
-	}
-}
-
-// BenchmarkListCompile measures NewList over a 2000-rule set: parsing is
-// excluded, so this is automaton construction plus matcher
-// precompilation — the cost the per-revision cache pays once per revision
-// and the cost a serving replica pays to load an uncompiled snapshot.
-func BenchmarkListCompile(b *testing.B) {
-	benchListCompile(b, 2000)
-}
-
-// BenchmarkListCompileLarge is ListCompile at 4× the rules, pinning how
-// compile cost scales with list size (ListLoad must not).
+// BenchmarkListCompileLarge measures NewList over an 8 000-rule set: parsing
+// is excluded, so this is keyword selection, automaton construction and
+// matcher precompilation — what the per-revision cache pays once per
+// revision and a serving replica pays to load an uncompiled snapshot.
 func BenchmarkListCompileLarge(b *testing.B) {
-	benchListCompile(b, 8000)
-}
-
-func benchListCompile(b *testing.B, n int) {
-	rules := benchRules(n)
+	rules := benchRules(8000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if l := NewList("bench", rules); l.Len() == 0 {
 			b.Fatal("empty list")
 		}
-	}
-}
-
-// BenchmarkListLoad measures attaching a serialized automaton to the same
-// rule set (NewListCompiled — the compiled-snapshot load path): instead of
-// building the trie, the region is validated in place with O(states)
-// bounds checks. The ListCompile/ListLoad ratio is the snapshot
-// compilation win; the Load/LoadLarge pair shows load cost staying close
-// to flat as the list grows.
-func BenchmarkListLoad(b *testing.B) {
-	benchListLoad(b, 2000)
-}
-
-// BenchmarkListLoadLarge is ListLoad at 4× the rules.
-func BenchmarkListLoadLarge(b *testing.B) {
-	benchListLoad(b, 8000)
-}
-
-func benchListLoad(b *testing.B, n int) {
-	rules := benchRules(n)
-	blob := NewList("bench", rules).AutomatonBytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := NewListCompiled("bench", rules, blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if l.Len() == 0 {
-			b.Fatal("empty list")
-		}
-	}
-}
-
-// BenchmarkMatchingHTTPRulesIndexed measures the all-matches lookup
-// through the automaton probe stage (the replay's per-request path).
-func BenchmarkMatchingHTTPRulesIndexed(b *testing.B) {
-	list := NewList("bench", benchRules(2000))
-	var hits []Hit
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := benchURLs[i%len(benchURLs)]
-		hits = list.AppendHits(hits[:0], Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
-	}
-}
-
-// BenchmarkMatchingHTTPRulesLinear is its full-scan ablation baseline.
-func BenchmarkMatchingHTTPRulesLinear(b *testing.B) {
-	list := NewList("bench", benchRules(2000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := benchURLs[i%len(benchURLs)]
-		list.MatchingHTTPRulesLinear(Request{URL: u, Type: TypeScript, PageDomain: "page.com"})
 	}
 }
 

@@ -264,8 +264,8 @@ func TestSnapshotCarriesLastSignals(t *testing.T) {
 	}
 }
 
-// TestDegradeLevelZeroAllocs is the bench-smoke gate: the hot-path
-// level read and the shed-jitter draw must not allocate.
+// TestDegradeLevelZeroAllocs is the hot-path gate: the level read and the
+// shed-jitter draw must not allocate.
 func TestDegradeLevelZeroAllocs(t *testing.T) {
 	g := New(Config{})
 	g.Pin(L2)
@@ -281,7 +281,7 @@ func TestDegradeLevelZeroAllocs(t *testing.T) {
 	_, _ = sink, jsink
 }
 
-// TestDegradeTransitionCost is the bench-smoke gate on transition
+// TestDegradeTransitionCost is the gate on transition
 // overhead: one ladder step (atomic swap + hook + ring accounting)
 // must stay far below one observation interval.
 func TestDegradeTransitionCost(t *testing.T) {

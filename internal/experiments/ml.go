@@ -13,55 +13,35 @@ import (
 	"adwars/internal/ml"
 )
 
-// PipelineConfig controls how the §5 detection pipeline executes — worker
-// fan-out for extraction/selection/CV and the SMO kernel-cache budget.
-// It never changes results: every parallel stage merges in corpus order
-// and the kernel cache is bit-transparent, so outputs are identical to the
-// sequential baseline at any setting (asserted by the differential tests).
+// PipelineConfig controls how the §5 detection pipeline executes. It never
+// changes results: extraction compacts in corpus order and fold confusions
+// merge in fold order, so outputs are identical at any setting (asserted by
+// the differential tests).
 type PipelineConfig struct {
-	// Workers is the fan-out width for extraction, feature selection, and
+	// Workers is the fan-out width for extraction, the Gram matrix fill and
 	// cross-validation folds (0 = GOMAXPROCS).
 	Workers int
-	// KernelCache is the Gram-cache entry budget passed to the trainers
-	// (0 = ml.DefaultKernelCache, <0 = no caching).
-	KernelCache int
-	// Sequential forces the single-worker, uncached reference pipeline —
-	// the baseline the parallel path is measured (and differentially
-	// tested) against. It overrides Workers and KernelCache.
-	Sequential bool
 }
 
 func (p PipelineConfig) workers() int {
-	if p.Sequential {
-		return 1
-	}
 	if p.Workers > 0 {
 		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-func (p PipelineConfig) kernelCache() int {
-	if p.Sequential {
-		return -1
-	}
-	return p.KernelCache
-}
-
-// svm returns the default SVM config with the pipeline's cache and worker
-// settings applied.
+// svm returns the default SVM config with the pipeline's worker setting
+// applied.
 func (p PipelineConfig) svm() ml.SVMConfig {
 	cfg := ml.DefaultSVMConfig()
-	cfg.KernelCache = p.kernelCache()
 	cfg.Workers = p.workers()
 	return cfg
 }
 
-// adaboost returns the default AdaBoost config with the pipeline's cache
-// and worker settings applied.
+// adaboost returns the default AdaBoost config with the pipeline's worker
+// setting applied.
 func (p PipelineConfig) adaboost() ml.AdaBoostConfig {
 	cfg := ml.DefaultAdaBoostConfig()
-	cfg.SVM.KernelCache = p.kernelCache()
 	cfg.SVM.Workers = p.workers()
 	return cfg
 }
@@ -155,8 +135,10 @@ type Table3Config struct {
 	// MaxSamples optionally subsamples the corpus to bound runtime
 	// (0 = use everything).
 	MaxSamples int
-	// Pipeline controls execution (worker fan-out, kernel cache). The
-	// zero value runs fully parallel with the default cache budget.
+	// Pipeline sets the worker fan-out; the zero value uses every core.
+	// The sweep's largest Gram matrix is MaxSamples² float64s (capped
+	// corpus), 4 081² ≈ 133 MB for the uncapped headline corpus at
+	// -scale 1 -seed 42.
 	Pipeline PipelineConfig
 }
 
@@ -239,7 +221,7 @@ func buildDataset(c *Corpus, set features.Set, topK int, pipe PipelineConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	return ds.SelectPipelineWorkers(topK, pipe.workers()), nil
+	return ds.SelectPipeline(topK), nil
 }
 
 // Table3 runs the paper's classifier sweep: {all, literal, keyword} ×
@@ -251,16 +233,15 @@ func Table3(c *Corpus, cfg Table3Config) ([]Table3Row, error) {
 			len(corpus.Positives), cfg.Folds)
 	}
 	pipe := cfg.Pipeline
-	w := pipe.workers()
 	var rows []Table3Row
 	for _, set := range features.Sets {
 		raw, err := buildDatasetRaw(corpus, set, pipe)
 		if err != nil {
 			return nil, err
 		}
-		base := raw.FilterVarianceWorkers(0.01, w).DeduplicateColumnsWorkers(w)
+		base := raw.FilterVariance(0.01).DeduplicateColumns()
 		for _, k := range cfg.TopK {
-			ds := base.SelectTopChiSquareWorkers(k, w)
+			ds := base.SelectTopChiSquare(k)
 			conf, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, true)
 			if err != nil {
 				return nil, err
@@ -286,17 +267,8 @@ func table3Row(name string, set features.Set, ds *features.Dataset, conf ml.Conf
 	}
 }
 
-// crossValidate dispatches to the shared-Gram parallel CV (default) or the
-// legacy per-fold path (Sequential). Both produce identical confusions —
-// the Sequential path is kept as the independent reference the
-// differential tests compare against.
+// crossValidate runs one Table 3 row's shared-Gram cross-validation.
 func crossValidate(ds *features.Dataset, folds int, seed int64, pipe PipelineConfig, boost bool) (ml.Confusion, error) {
-	if pipe.Sequential {
-		if boost {
-			return ml.CrossValidate(ds, folds, ml.AdaBoostTrainer(pipe.adaboost()), seed)
-		}
-		return ml.CrossValidate(ds, folds, ml.SVMTrainer(pipe.svm()), seed)
-	}
 	cv := ml.CVConfig{Folds: folds, Seed: seed, Workers: pipe.workers()}
 	if boost {
 		return ml.CrossValidateAdaBoost(ds, pipe.adaboost(), cv)

@@ -33,26 +33,25 @@ func pipelineCorpus(nPos, nNeg int, seed int64) *Corpus {
 }
 
 // TestTable3ParallelMatchesSequential is the pipeline's end-to-end
-// differential gate: the parallel kernel-cached sweep must produce exactly
-// the sequential uncached reference's Table 3 rows — same TP/FP rates,
-// same feature counts — at several worker counts and cache budgets.
+// differential gate: the fanned-out sweep must produce exactly the
+// one-worker sweep's Table 3 rows — same TP/FP rates, same feature counts —
+// at every worker count.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
 	c := pipelineCorpus(15, 60, 11)
 	base := Table3Config{TopK: []int{20, 60}, Folds: 5, Seed: 4}
 
 	seq := base
-	seq.Pipeline = PipelineConfig{Sequential: true}
+	seq.Pipeline = PipelineConfig{Workers: 1}
 	want, err := Table3(c, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, pipe := range []PipelineConfig{
-		{},                              // default: GOMAXPROCS workers, default cache
-		{Workers: 1},                    // parallel path at width 1
-		{Workers: 4},                    // oversubscribed fan-out
-		{Workers: 3, KernelCache: 4096}, // small LRU budget
-		{Workers: 2, KernelCache: -1},   // parallel but uncached
+		{},           // default: GOMAXPROCS workers
+		{Workers: 2}, // as many as the benchmark's cores
+		{Workers: 3}, // does not divide the folds
+		{Workers: 4}, // oversubscribed fan-out
 	} {
 		cfg := base
 		cfg.Pipeline = pipe
@@ -67,13 +66,13 @@ func TestTable3ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSelectedVocabularyMatchesSequential asserts the selection stage of
-// the parallel pipeline chooses a byte-identical vocabulary: same raw
+// TestSelectedVocabularyMatchesSequential asserts selection chooses a
+// byte-identical vocabulary however wide extraction fanned out: same raw
 // dataset, same surviving columns, same top-k order.
 func TestSelectedVocabularyMatchesSequential(t *testing.T) {
 	c := pipelineCorpus(12, 48, 23).trim(0, 9)
 	for _, set := range features.Sets {
-		rawSeq, err := buildDatasetRaw(c, set, PipelineConfig{Sequential: true})
+		rawSeq, err := buildDatasetRaw(c, set, PipelineConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func TestSelectedVocabularyMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(raw.Samples, rawSeq.Samples) {
 				t.Fatalf("set %v pipe %+v: samples diverge", set, pipe)
 			}
-			sel := raw.SelectPipelineWorkers(50, pipe.workers())
+			sel := raw.SelectPipeline(50)
 			if !reflect.DeepEqual(sel.Vocab, wantSel.Vocab) {
 				t.Fatalf("set %v pipe %+v: selected vocabulary diverges\ngot:  %v\nwant: %v",
 					set, pipe, sel.Vocab, wantSel.Vocab)
@@ -99,8 +98,8 @@ func TestSelectedVocabularyMatchesSequential(t *testing.T) {
 }
 
 // TestLiveModelTestParallelMatchesSequential covers the live-script leg:
-// parallel extraction and cached training must reproduce the sequential
-// result exactly.
+// fanned-out extraction and Gram fill must reproduce the one-worker result
+// exactly.
 func TestLiveModelTestParallelMatchesSequential(t *testing.T) {
 	train := pipelineCorpus(14, 56, 31)
 	rng := rand.New(rand.NewSource(5))
@@ -109,7 +108,7 @@ func TestLiveModelTestParallelMatchesSequential(t *testing.T) {
 		src := antiadblock.HTMLBaitScript("live", rng, antiadblock.GenOptions{})
 		live = append(live, LiveScript{Rank: 6000 + i, Source: src})
 	}
-	want, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{Sequential: true})
+	want, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,20 +109,6 @@ func BenchmarkSelectPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectPipelineWorkers is the same pipeline through the
-// worker-fanned stages (identical output, asserted by the differential
-// tests; the contrast with BenchmarkSelectPipeline is pure overhead/win).
-func BenchmarkSelectPipelineWorkers(b *testing.B) {
-	ds := benchFeatureDataset(b, 1000, 3000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := ds.SelectPipelineWorkers(500, 0); out.NumFeatures() == 0 {
-			b.Fatal("empty selection")
-		}
-	}
-}
-
 // BenchmarkChiSquare measures chi-square scoring alone (the ablation
 // contrast is variance-only filtering, which skips this cost).
 func BenchmarkChiSquare(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"adwars/internal/crawler"
 )
@@ -30,10 +31,13 @@ func runIsolated(fn func()) (err error) {
 // worker pool and files what it returns under errs[i]. A task that panics
 // costs its own slot — errs[i] wraps ErrPanic — and nothing else. The
 // returned error is non-nil only when ctx is cancelled; slots not yet fed
-// keep nil errors.
+// keep nil errors. workers ≤ 0 means GOMAXPROCS.
 func eachIsolated(ctx context.Context, workers, n int, task func(i int) error) (errs []error, err error) {
 	errs = make([]error, n)
-	err = crawler.ForEach(ctx, clampWorkers(workers), n, func(i int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err = crawler.ForEach(ctx, workers, n, func(i int) {
 		if perr := runIsolated(func() { errs[i] = task(i) }); perr != nil {
 			errs[i] = perr
 		}

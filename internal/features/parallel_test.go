@@ -213,46 +213,22 @@ func dedupDataset(t *testing.T) *Dataset {
 }
 
 // TestDeduplicateColumnsHashEquivalence proves the FNV-bucketed dedup
-// keeps exactly the columns the string-key reference kept, at several
-// worker counts.
+// keeps exactly the columns the string-key reference kept.
 func TestDeduplicateColumnsHashEquivalence(t *testing.T) {
 	ds := dedupDataset(t)
 	want := referenceDeduplicate(ds)
-	for _, workers := range []int{1, 2, 16} {
-		got := ds.deduplicateColumns(workers)
-		if !reflect.DeepEqual(got.Vocab, want.Vocab) {
-			t.Fatalf("workers=%d: vocab %v != reference %v", workers, got.Vocab, want.Vocab)
-		}
-		if !reflect.DeepEqual(got.Samples, want.Samples) {
-			t.Fatalf("workers=%d: samples diverge from reference", workers)
-		}
+	got := ds.DeduplicateColumns()
+	if !reflect.DeepEqual(got.Vocab, want.Vocab) {
+		t.Fatalf("vocab %v != reference %v", got.Vocab, want.Vocab)
+	}
+	if !reflect.DeepEqual(got.Samples, want.Samples) {
+		t.Fatal("samples diverge from reference")
 	}
 	// The survivor of the {a-dup-c, f-dup-c} group must be the
 	// lexicographically first name.
 	for _, f := range want.Vocab {
 		if f == "f-dup-c" {
 			t.Fatal("lexicographically later duplicate survived")
-		}
-	}
-}
-
-// TestSelectPipelineWorkersMatchesSequential is the selection-stage
-// differential: identical selected vocabulary and identical chi-square
-// scores at any worker count.
-func TestSelectPipelineWorkersMatchesSequential(t *testing.T) {
-	ds := dedupDataset(t)
-	want := ds.SelectPipeline(4)
-	wantScores := ds.ChiSquare()
-	for _, workers := range []int{2, 5, 32} {
-		got := ds.SelectPipelineWorkers(4, workers)
-		if !reflect.DeepEqual(got.Vocab, want.Vocab) {
-			t.Fatalf("workers=%d: selected vocab %v != %v", workers, got.Vocab, want.Vocab)
-		}
-		scores := ds.ChiSquareWorkers(workers)
-		for f := range scores {
-			if scores[f] != wantScores[f] {
-				t.Fatalf("workers=%d: chi2[%d] = %v != %v", workers, f, scores[f], wantScores[f])
-			}
 		}
 	}
 }

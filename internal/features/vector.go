@@ -1,12 +1,8 @@
 package features
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
-
-	"adwars/internal/crawler"
 )
 
 // Sample is a sparse binary feature vector: the sorted indices of features
@@ -99,57 +95,18 @@ func (d *Dataset) NumFeatures() int { return len(d.Vocab) }
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// clampWorkers resolves a worker-count request against GOMAXPROCS.
-func clampWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // support returns, per feature, the number of positive and negative
-// samples containing it. Sample chunks are counted into worker-local
-// arrays and summed in chunk order, so the counts are identical at any
-// worker count.
-func (d *Dataset) support(workers int) (pos, neg []int) {
-	nf := len(d.Vocab)
-	n := len(d.Samples)
-	workers = clampWorkers(workers)
-	if workers == 1 || n < 2*workers {
-		pos = make([]int, nf)
-		neg = make([]int, nf)
-		for i, s := range d.Samples {
-			for _, f := range s {
-				if d.Labels[i] > 0 {
-					pos[f]++
-				} else {
-					neg[f]++
-				}
+// samples containing it.
+func (d *Dataset) support() (pos, neg []int) {
+	pos = make([]int, len(d.Vocab))
+	neg = make([]int, len(d.Vocab))
+	for i, s := range d.Samples {
+		for _, f := range s {
+			if d.Labels[i] > 0 {
+				pos[f]++
+			} else {
+				neg[f]++
 			}
-		}
-		return pos, neg
-	}
-	locPos := make([][]int, workers)
-	locNeg := make([][]int, workers)
-	_ = crawler.ForEach(context.Background(), workers, workers, func(c int) {
-		lp := make([]int, nf)
-		ln := make([]int, nf)
-		for i := c * n / workers; i < (c+1)*n/workers; i++ {
-			for _, f := range d.Samples[i] {
-				if d.Labels[i] > 0 {
-					lp[f]++
-				} else {
-					ln[f]++
-				}
-			}
-		}
-		locPos[c], locNeg[c] = lp, ln
-	})
-	pos, neg = locPos[0], locNeg[0]
-	for c := 1; c < workers; c++ {
-		for f := 0; f < nf; f++ {
-			pos[f] += locPos[c][f]
-			neg[f] += locNeg[c][f]
 		}
 	}
 	return pos, neg
@@ -188,17 +145,7 @@ func (d *Dataset) remap(keep []int32) *Dataset {
 // minVar (the paper removes features with variance < 0.01). Binary feature
 // variance is p(1-p) with p the fraction of samples carrying the feature.
 func (d *Dataset) FilterVariance(minVar float64) *Dataset {
-	return d.filterVariance(minVar, 1)
-}
-
-// FilterVarianceWorkers is FilterVariance with the support pass fanned out
-// over the worker pool; the result is identical at any worker count.
-func (d *Dataset) FilterVarianceWorkers(minVar float64, workers int) *Dataset {
-	return d.filterVariance(minVar, workers)
-}
-
-func (d *Dataset) filterVariance(minVar float64, workers int) *Dataset {
-	pos, neg := d.support(workers)
+	pos, neg := d.support()
 	n := float64(d.Len())
 	var keep []int32
 	for f := range d.Vocab {
@@ -215,17 +162,6 @@ func (d *Dataset) filterVariance(minVar float64, workers int) *Dataset {
 // group of identical columns, the lexicographically first feature name
 // survives, making the result deterministic.
 func (d *Dataset) DeduplicateColumns() *Dataset {
-	return d.deduplicateColumns(1)
-}
-
-// DeduplicateColumnsWorkers is DeduplicateColumns with column hashing
-// fanned out over the worker pool; the result is identical at any worker
-// count.
-func (d *Dataset) DeduplicateColumnsWorkers(workers int) *Dataset {
-	return d.deduplicateColumns(workers)
-}
-
-func (d *Dataset) deduplicateColumns(workers int) *Dataset {
 	// Column signatures: the sorted sample indices holding each feature,
 	// bucketed by a 64-bit FNV-1a hash instead of materializing one key
 	// string per column. Hash collisions fall back to an exact column
@@ -238,17 +174,8 @@ func (d *Dataset) deduplicateColumns(workers int) *Dataset {
 		}
 	}
 	hashes := make([]uint64, nf)
-	workers = clampWorkers(workers)
-	if workers == 1 || nf < 2*workers {
-		for f := 0; f < nf; f++ {
-			hashes[f] = colHash(cols[f])
-		}
-	} else {
-		_ = crawler.ForEach(context.Background(), workers, workers, func(c int) {
-			for f := c * nf / workers; f < (c+1)*nf/workers; f++ {
-				hashes[f] = colHash(cols[f])
-			}
-		})
+	for f := 0; f < nf; f++ {
+		hashes[f] = colHash(cols[f])
 	}
 	seen := make(map[uint64][]int32, nf)
 	var keep []int32
@@ -302,18 +229,7 @@ func colsEqual(a, b []int32) bool {
 // with A/B the positive/negative samples containing the feature and C/D
 // those not containing it.
 func (d *Dataset) ChiSquare() []float64 {
-	return d.chiSquare(1)
-}
-
-// ChiSquareWorkers is ChiSquare with both the support pass and the
-// per-column scoring fanned out over the worker pool. Workers write
-// disjoint score ranges, so the result is identical at any worker count.
-func (d *Dataset) ChiSquareWorkers(workers int) []float64 {
-	return d.chiSquare(workers)
-}
-
-func (d *Dataset) chiSquare(workers int) []float64 {
-	pos, neg := d.support(workers)
+	pos, neg := d.support()
 	nPos, nNeg := 0, 0
 	for _, l := range d.Labels {
 		if l > 0 {
@@ -323,33 +239,19 @@ func (d *Dataset) chiSquare(workers int) []float64 {
 		}
 	}
 	n := float64(nPos + nNeg)
-	nf := len(d.Vocab)
-	out := make([]float64, nf)
-	score := func(f int) {
+	out := make([]float64, len(d.Vocab))
+	for f := range out {
 		a := float64(pos[f])
 		b := float64(neg[f])
 		c := float64(nPos) - a
 		dd := float64(nNeg) - b
 		den := (a + c) * (b + dd) * (a + b) * (c + dd)
 		if den == 0 {
-			out[f] = 0
-			return
+			continue
 		}
 		diff := a*dd - c*b
 		out[f] = n * diff * diff / den
 	}
-	workers = clampWorkers(workers)
-	if workers == 1 || nf < 2*workers {
-		for f := 0; f < nf; f++ {
-			score(f)
-		}
-		return out
-	}
-	_ = crawler.ForEach(context.Background(), workers, workers, func(c int) {
-		for f := c * nf / workers; f < (c+1)*nf/workers; f++ {
-			score(f)
-		}
-	})
 	return out
 }
 
@@ -357,20 +259,10 @@ func (d *Dataset) chiSquare(workers int) []float64 {
 // scores (ties broken by feature name for determinism). If k exceeds the
 // vocabulary size the dataset is returned unchanged.
 func (d *Dataset) SelectTopChiSquare(k int) *Dataset {
-	return d.selectTopChiSquare(k, 1)
-}
-
-// SelectTopChiSquareWorkers is SelectTopChiSquare with parallel scoring;
-// the selected vocabulary is identical at any worker count.
-func (d *Dataset) SelectTopChiSquareWorkers(k, workers int) *Dataset {
-	return d.selectTopChiSquare(k, workers)
-}
-
-func (d *Dataset) selectTopChiSquare(k, workers int) *Dataset {
 	if k >= len(d.Vocab) {
 		return d
 	}
-	scores := d.chiSquare(workers)
+	scores := d.ChiSquare()
 	order := make([]int32, len(d.Vocab))
 	for i := range order {
 		order[i] = int32(i)
@@ -390,14 +282,7 @@ func (d *Dataset) selectTopChiSquare(k, workers int) *Dataset {
 // SelectPipeline applies the paper's full selection pipeline: variance
 // filter (0.01), duplicate removal, then top-k chi-square.
 func (d *Dataset) SelectPipeline(k int) *Dataset {
-	return d.SelectPipelineWorkers(k, 1)
-}
-
-// SelectPipelineWorkers is SelectPipeline with every stage fanned out over
-// the worker pool. Each stage merges deterministically, so the selected
-// vocabulary is byte-identical to the sequential run.
-func (d *Dataset) SelectPipelineWorkers(k, workers int) *Dataset {
-	return d.filterVariance(0.01, workers).deduplicateColumns(workers).selectTopChiSquare(k, workers)
+	return d.FilterVariance(0.01).DeduplicateColumns().SelectTopChiSquare(k)
 }
 
 // Subset returns a dataset restricted to the given sample indices (shared

@@ -9,18 +9,33 @@ import (
 // maxUnpackDepth bounds recursive unpacking of nested eval payloads.
 const maxUnpackDepth = 5
 
+// maxUnpackBytes bounds the source text one Unpack call decodes, summed over
+// every payload at every nesting level. A packer payload names dictionary
+// words by index, so its decoded size is the product of two things the
+// sender chooses: a 1 MiB script of `0 0 0 …` over one half-megabyte word
+// asks for 128 GB. The bound is the largest body /v1/classify accepts by
+// default, so unpacking can at most double what parsing a request may cost;
+// packers exist to shrink scripts by about half, which leaves room for any
+// packed script under 400 KiB — the paper's are a few tens.
+const maxUnpackBytes = 1 << 20
+
 // Unpack finds dynamically generated code in the program — eval() of string
 // payloads, unescape()-encoded payloads, and Dean Edwards p.a.c.k.e.r
 // payloads — parses it, and appends the recovered statements to the program
 // body so that feature extraction sees the unpacked code. It reproduces the
 // effect of the paper's V8 script.parsed interception statically.
 //
-// It returns the number of payloads that were successfully unpacked.
+// It returns the number of payloads that were successfully unpacked. A
+// payload that does not parse, or that would take the call past
+// maxUnpackBytes of decoded source, is left as the script wrote it.
 func Unpack(prog *Program) int {
-	return unpack(prog, 0)
+	budget := maxUnpackBytes
+	return unpack(prog, 0, &budget)
 }
 
-func unpack(prog *Program, depth int) int {
+// unpack decodes and appends prog's payloads; budget is what is left of
+// maxUnpackBytes, and every payload decoded is taken out of it.
+func unpack(prog *Program, depth int, budget *int) int {
 	// Nine scripts in ten call no eval, and Parse has already said so.
 	if depth >= maxUnpackDepth || prog.noEval {
 		return 0
@@ -34,7 +49,8 @@ func unpack(prog *Program, depth int) int {
 		if id, ok := call.Callee.(*Ident); !ok || id.Name != "eval" || len(call.Args) != 1 {
 			return true
 		}
-		if src, ok := decodePayload(call.Args[0]); ok {
+		if src, ok := decodePayload(call.Args[0], *budget); ok {
+			*budget -= len(src)
 			payloads = append(payloads, src)
 		}
 		return true
@@ -45,7 +61,7 @@ func unpack(prog *Program, depth int) int {
 		if err != nil {
 			continue
 		}
-		count += 1 + unpack(sub, depth+1)
+		count += 1 + unpack(sub, depth+1, budget)
 		prog.Body = append(prog.Body, sub.Body...)
 	}
 	return count
@@ -64,15 +80,16 @@ func ParseAndUnpack(src string) (*Program, int, error) {
 // decodePayload statically evaluates the argument of an eval() call to a
 // source string, handling the encodings anti-adblock scripts use in the
 // wild: plain string literals, '+' concatenation chains, unescape(),
-// String.fromCharCode(), and p.a.c.k.e.r bootstraps.
-func decodePayload(arg Node) (string, bool) {
+// String.fromCharCode(), and p.a.c.k.e.r bootstraps. A payload longer than
+// limit bytes decoded is not a payload.
+func decodePayload(arg Node, limit int) (string, bool) {
+	// A folded string is no longer than the source it was folded from, so it
+	// is measured after the fact; a packer's output is not, so decodePacker
+	// stops at the limit.
 	if s, ok := foldString(arg); ok {
-		return s, true
+		return s, len(s) <= limit
 	}
-	if s, ok := decodePacker(arg); ok {
-		return s, true
-	}
-	return "", false
+	return decodePacker(arg, limit)
 }
 
 // foldString constant-folds an expression to a string, if possible.
@@ -174,8 +191,9 @@ var packerToken = regexp.MustCompile(`\b\w+\b`)
 //
 //	eval(function(p,a,c,k,e,d){…}('payload', radix, count, 'w0|w1|…'.split('|'), 0, {}))
 //
-// and decodes the payload without executing it.
-func decodePacker(arg Node) (string, bool) {
+// and decodes the payload without executing it, giving up as soon as the
+// decoded text would pass limit bytes.
+func decodePacker(arg Node, limit int) (string, bool) {
 	call, ok := arg.(*Call)
 	if !ok {
 		return "", false
@@ -206,14 +224,19 @@ func decodePacker(arg Node) (string, bool) {
 		return "", false
 	}
 	payload := payloadLit.Value
+	size := len(payload)
 	out := packerToken.ReplaceAllStringFunc(payload, func(tok string) string {
+		if size > limit {
+			return ""
+		}
 		idx, ok := packerDecode(tok, radix)
 		if !ok || idx >= len(words) || idx >= count || words[idx] == "" {
 			return tok
 		}
+		size += len(words[idx]) - len(tok)
 		return words[idx]
 	})
-	return out, true
+	return out, size <= limit
 }
 
 // splitCallWords matches the `'a|b|c'.split('|')` idiom and returns the

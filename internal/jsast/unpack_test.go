@@ -1,6 +1,10 @@
 package jsast
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestUnpackStringLiteralEval(t *testing.T) {
 	src := `eval("var hiddenAdblockCheck = 1;");`
@@ -190,4 +194,52 @@ func quoteJS(s string) string {
 		}
 	}
 	return out + `"`
+}
+
+// packerOf writes the packer bootstrap whose payload is n copies of index 0
+// and whose dictionary is the one word: n·len(word) bytes decoded (and n−1
+// separators) from n·2 + len(word) written.
+func packerOf(n int, word string) string {
+	return `eval(function(p,a,c,k,e,d){}('` + strings.TrimSuffix(strings.Repeat("0 ", n), " ") +
+		`',10,1,'` + word + `'.split('|'),0,{}));`
+}
+
+// TestUnpackDecodesNoMoreThanItsBudget: the size of what a packer payload
+// decodes to is the sender's to choose, so one Unpack stops at
+// maxUnpackBytes — across the payloads of a script and across the payloads
+// those contain — and leaves the payload that would cross it packed, as it
+// leaves one that does not parse.
+func TestUnpackDecodesNoMoreThanItsBudget(t *testing.T) {
+	stmt := strings.Repeat("hit=1;", 100) // 600 bytes that parse, however often repeated
+	third := maxUnpackBytes / 3 / (len(stmt) + 1)
+	for _, tc := range []struct {
+		name string
+		src  string
+		want int  // payloads unpacked
+		hit  bool // stmt's assignments are in the tree
+	}{
+		{"inside the budget", packerOf(third, stmt), 1, true},
+		{"the request of ROADMAP 4c: 1 MiB asking for 128 GB", packerOf(1<<18, strings.Repeat("w", 1<<19)), 0, false},
+		{"one byte past the budget", packerOf(1, strings.Repeat("w", maxUnpackBytes+1)), 0, false},
+		{"the budget exactly", packerOf(1, strings.Repeat("w", maxUnpackBytes)), 1, false},
+		{"shared by a script's payloads", strings.Repeat(packerOf(third, stmt), 4), 3, true},
+		{"a small payload after the one refused", packerOf(2*third, stmt) + packerOf(2*third, stmt) + packerOf(3, stmt), 2, true},
+		{"shared across nesting levels", `eval("` + strings.Repeat("pad=0;", maxUnpackBytes/2/6) + packerOf(2*third, stmt) + `");`, 1, false},
+		{"nested and inside it", `eval("` + strings.Repeat("pad=0;", maxUnpackBytes/2/6) + packerOf(third, stmt) + `");`, 2, true},
+	} {
+		start := time.Now()
+		prog, n, err := ParseAndUnpack(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n != tc.want {
+			t.Errorf("%s: %d payloads unpacked, want %d", tc.name, n, tc.want)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("%s: took %v", tc.name, took)
+		}
+		if got := hasIdent(prog, "hit"); got != tc.hit {
+			t.Errorf("%s: decoded statements in the tree = %v, want %v", tc.name, got, tc.hit)
+		}
+	}
 }

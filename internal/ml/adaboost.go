@@ -95,14 +95,14 @@ func TrainAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand) (*A
 	}
 	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
 	// Component SVMs train on reweighted views of the same samples, so one
-	// kernel cache serves every boosting round.
-	g := newGram(cfg.SVM.Kernel, ds.Samples, cfg.SVM.KernelCache, cfg.SVM.Workers)
+	// Gram matrix serves every boosting round.
+	g := newGram(cfg.SVM.Kernel, ds.Samples, cfg.SVM.Workers)
 	return trainAdaBoostGram(ds, cfg, rng, g)
 }
 
-// trainAdaBoostGram is the boosting core over a caller-supplied kernel
-// cache (cross-validation passes per-fold views gathered from a shared
-// corpus-wide Gram matrix).
+// trainAdaBoostGram is the boosting core over a caller-supplied Gram matrix
+// (cross-validation passes per-fold views gathered from a shared corpus-wide
+// one).
 func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand, g *gram) (*AdaBoost, error) {
 	if err := checkTrainInputs(ds, nil); err != nil {
 		return nil, err
@@ -116,7 +116,7 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 		w[i] = 1 / float64(n)
 	}
 	// The error pass scores training samples against the round's support
-	// vectors through the shared cache instead of re-evaluating the kernel
+	// vectors through the Gram matrix instead of re-evaluating the kernel
 	// per (SV, sample) pair.
 	dec := make([]float64, n)
 	missed := func(i int) bool { return sign(dec[i]) != ds.Labels[i] }

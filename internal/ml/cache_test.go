@@ -3,129 +3,131 @@ package ml
 import (
 	"math/rand"
 	"testing"
+
+	"adwars/internal/features"
 )
 
-// trainWithCache trains on a fixed-seed dataset under one cache policy.
-func trainWithCache(t *testing.T, cacheEntries int) (*SVM, *AdaBoost) {
-	t.Helper()
-	ds := synthDataset(t, 30, 90, 17)
-	svmCfg := DefaultSVMConfig()
-	svmCfg.KernelCache = cacheEntries
-	m, err := TrainSVM(ds, nil, svmCfg, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
+// directGram is the oracle the Gram tests hold newGram to: every entry from
+// Kernel.Eval on the two samples, one pair at a time — no popcounts taken
+// ahead, no mirroring across the diagonal, no fan-out.
+func directGram(kernel Kernel, x []features.Sample) *gram {
+	n := len(x)
+	g := &gram{n: n, full: make([]float64, n*n)}
+	for i := range x {
+		for j := range x {
+			g.full[i*n+j] = kernel.Eval(x[i], x[j])
+		}
 	}
-	adaCfg := DefaultAdaBoostConfig()
-	adaCfg.SVM.KernelCache = cacheEntries
-	b, err := TrainAdaBoost(ds, adaCfg, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, b
+	return g
 }
 
-// TestKernelCacheDifferential is the kernel-cache correctness gate: SMO
-// under the full-matrix, LRU-row, and no-cache policies must produce
-// identical support vectors, identical bias, and identical decision values
-// — caching may only change where kernel values come from, never what they
-// are.
+// TestKernelCacheDifferential is the Gram matrix's correctness gate: SMO and
+// boosting over the matrix TrainSVM and TrainAdaBoost build for themselves
+// must produce the support vectors, the bias and every decision value they
+// produce over the direct oracle — the matrix may only change where kernel
+// values come from, never what they are.
 func TestKernelCacheDifferential(t *testing.T) {
 	ds := synthDataset(t, 30, 90, 17)
 	n := ds.Len()
-	type run struct {
-		name    string
-		entries int
+	svmCfg, adaCfg := DefaultSVMConfig(), DefaultAdaBoostConfig()
+	base := trainSVMGram(ds, nil, svmCfg, rand.New(rand.NewSource(9)), directGram(svmCfg.Kernel, ds.Samples))
+	baseBoost, err := trainAdaBoostGram(ds, adaCfg, rand.New(rand.NewSource(9)), directGram(adaCfg.SVM.Kernel, ds.Samples))
+	if err != nil {
+		t.Fatal(err)
 	}
-	runs := []run{
-		{"full", 0},         // default budget: full Gram precompute
-		{"lru", 7 * n},      // budget for only 7 rows: LRU policy
-		{"uncached", -1},    // reference path: every eval on demand
-		{"tiny-lru", n + 1}, // single-row LRU, worst-case thrash
-	}
-	base, baseBoost := trainWithCache(t, runs[0].entries)
-	for _, r := range runs[1:] {
-		m, bb := trainWithCache(t, r.entries)
+	for _, workers := range []int{1, 3} {
+		svmCfg.Workers, adaCfg.SVM.Workers = workers, workers
+		m, err := TrainSVM(ds, nil, svmCfg, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := TrainAdaBoost(ds, adaCfg, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.NumSupportVectors() != base.NumSupportVectors() {
-			t.Fatalf("%s: %d support vectors, full-cache run has %d",
-				r.name, m.NumSupportVectors(), base.NumSupportVectors())
+			t.Fatalf("workers=%d: %d support vectors, direct run has %d",
+				workers, m.NumSupportVectors(), base.NumSupportVectors())
 		}
 		if m.bias != base.bias {
-			t.Fatalf("%s: bias %v != %v", r.name, m.bias, base.bias)
+			t.Fatalf("workers=%d: bias %v != %v", workers, m.bias, base.bias)
 		}
 		for k := range m.coefs {
 			if m.coefs[k] != base.coefs[k] || m.svIdx[k] != base.svIdx[k] {
-				t.Fatalf("%s: support vector %d diverges (coef %v vs %v, idx %d vs %d)",
-					r.name, k, m.coefs[k], base.coefs[k], m.svIdx[k], base.svIdx[k])
+				t.Fatalf("workers=%d: support vector %d diverges (coef %v vs %v, idx %d vs %d)",
+					workers, k, m.coefs[k], base.coefs[k], m.svIdx[k], base.svIdx[k])
 			}
 		}
 		for i := 0; i < n; i++ {
 			if got, want := m.Decision(ds.Samples[i]), base.Decision(ds.Samples[i]); got != want {
-				t.Fatalf("%s: decision(%d) = %v, want %v", r.name, i, got, want)
+				t.Fatalf("workers=%d: decision(%d) = %v, want %v", workers, i, got, want)
 			}
 			if got, want := bb.Decision(ds.Samples[i]), baseBoost.Decision(ds.Samples[i]); got != want {
-				t.Fatalf("%s: boost decision(%d) = %v, want %v", r.name, i, got, want)
+				t.Fatalf("workers=%d: boost decision(%d) = %v, want %v", workers, i, got, want)
 			}
 		}
 	}
 }
 
-// TestGramPoliciesAgree checks every cache policy returns the same kernel
-// values as a direct evaluation, including after LRU evictions.
+// TestGramPoliciesAgree checks the matrix holds the kernel values a direct
+// evaluation returns, by element and by row, at several fan-out widths, for
+// kernels with the popcount fast path and one (jaccard) without.
 func TestGramPoliciesAgree(t *testing.T) {
 	ds := synthDataset(t, 12, 36, 4)
 	n := ds.Len()
-	k := RBF{Gamma: 0.05}
-	direct := newGram(k, ds.Samples, -1, 1)
-	full := newGram(k, ds.Samples, 0, 2)
-	lru := newGram(k, ds.Samples, 3*n, 1)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := k.Eval(ds.Samples[i], ds.Samples[j])
-			for name, g := range map[string]*gram{"direct": direct, "full": full, "lru": lru} {
-				if got := g.at(i, j); got != want {
-					t.Fatalf("%s: at(%d,%d) = %v, want %v", name, i, j, got, want)
+	for kname, k := range map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}, "jaccard": jaccard{}} {
+		direct := directGram(k, ds.Samples)
+		for _, workers := range []int{0, 1, 2, 5} {
+			full := newGram(k, ds.Samples, workers)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := k.Eval(ds.Samples[i], ds.Samples[j])
+					if got := direct.at(i, j); got != want {
+						t.Fatalf("%s: direct at(%d,%d) = %v, want %v", kname, i, j, got, want)
+					}
+					if got := full.at(i, j); got != want {
+						t.Fatalf("%s workers=%d: at(%d,%d) = %v, want %v", kname, workers, i, j, got, want)
+					}
+					if row := full.row(i); row[j] != want {
+						t.Fatalf("%s workers=%d: row(%d)[%d] = %v, want %v", kname, workers, i, j, row[j], want)
+					}
 				}
 			}
-			if row := full.row(i); row[j] != want {
-				t.Fatalf("full row(%d)[%d] = %v, want %v", i, j, row[j], want)
-			}
-			if row := lru.row(i); row[j] != want {
-				t.Fatalf("lru row(%d)[%d] = %v, want %v", i, j, row[j], want)
-			}
 		}
-	}
-	if direct.row(0) != nil {
-		t.Fatal("direct policy must not serve rows")
 	}
 }
 
 // TestGramSubsetGathersExactValues checks the fold-view gather path: a
-// subset gram over shuffled indices must serve exactly the parent's
-// values, and a subset of an uncached parent must re-derive them.
+// subset gram over shuffled indices must serve exactly the values the
+// direct oracle holds for those samples.
 func TestGramSubsetGathersExactValues(t *testing.T) {
 	ds := synthDataset(t, 15, 45, 8)
 	k := RBF{Gamma: 0.02}
 	idx := []int{53, 2, 17, 4, 31, 8, 44, 0, 29}
-	for _, entries := range []int{0, -1} {
-		parent := newGram(k, ds.Samples, entries, 1)
-		sub := parent.subset(idx, entries, 1)
-		for a, i := range idx {
-			for b, j := range idx {
-				want := k.Eval(ds.Samples[i], ds.Samples[j])
-				if got := sub.at(a, b); got != want {
-					t.Fatalf("entries=%d: subset at(%d,%d) = %v, want %v", entries, a, b, got, want)
-				}
+	xs := make([]features.Sample, len(idx))
+	for a, i := range idx {
+		xs[a] = ds.Samples[i]
+	}
+	want := directGram(k, xs)
+	sub := newGram(k, ds.Samples, 1).subset(idx)
+	if sub.n != len(idx) {
+		t.Fatalf("subset over %d samples, want %d", sub.n, len(idx))
+	}
+	for a := range idx {
+		for b := range idx {
+			if got := sub.at(a, b); got != want.at(a, b) {
+				t.Fatalf("subset at(%d,%d) = %v, want %v", a, b, got, want.at(a, b))
 			}
-		}
-		if int(sub.pops[0]) != ds.Samples[idx[0]].Popcount() {
-			t.Fatal("subset popcounts not gathered")
+			if got := sub.row(a)[b]; got != want.at(a, b) {
+				t.Fatalf("subset row(%d)[%d] = %v, want %v", a, b, got, want.at(a, b))
+			}
 		}
 	}
 }
 
 // TestCrossValidateSharedMatchesLegacy proves the shared-Gram CV entry
-// points reproduce the legacy per-fold path exactly, for both classifiers,
-// at several worker counts.
+// points reproduce CrossValidate, whose trainers build one Gram matrix per
+// fold, exactly — for both classifiers, at several worker counts.
 func TestCrossValidateSharedMatchesLegacy(t *testing.T) {
 	ds := synthDataset(t, 25, 75, 3)
 	const folds, seed = 5, 21
@@ -154,18 +156,6 @@ func TestCrossValidateSharedMatchesLegacy(t *testing.T) {
 		if gotAda != legacyAda {
 			t.Fatalf("workers=%d: shared AdaBoost CV %+v != legacy %+v", workers, gotAda, legacyAda)
 		}
-	}
-
-	// The uncached sequential reference must also agree: caching and
-	// fan-out change performance, never results.
-	uncached := DefaultAdaBoostConfig()
-	uncached.SVM.KernelCache = -1
-	got, err := CrossValidateAdaBoost(ds, uncached, CVConfig{Folds: folds, Seed: seed, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != legacyAda {
-		t.Fatalf("uncached sequential CV %+v != legacy %+v", got, legacyAda)
 	}
 }
 

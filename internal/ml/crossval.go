@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"adwars/internal/crawler"
 	"adwars/internal/features"
@@ -22,44 +21,48 @@ type Trainer func(train *features.Dataset, rng *rand.Rand) (Classifier, error)
 // stratified shuffle and the per-fold training rngs, making results
 // reproducible.
 func CrossValidate(ds *features.Dataset, k int, trainer Trainer, seed int64) (Confusion, error) {
+	return crossValidate(ds, CVConfig{Folds: k, Seed: seed},
+		func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
+			return trainer(ds.Subset(trainIdx), rng)
+		})
+}
+
+// crossValidate is the fold loop every entry point runs: stratify, train
+// fold f on the other k−1 folds with an rng seeded cv.Seed+f+1, evaluate it
+// on the held-out one, and merge the confusions in fold order — so the
+// result is identical at any worker count.
+func crossValidate(ds *features.Dataset, cv CVConfig,
+	train func(trainIdx []int, rng *rand.Rand) (Classifier, error)) (Confusion, error) {
+	k := cv.Folds
 	if k < 2 {
 		return Confusion{}, fmt.Errorf("ml: k must be ≥ 2, got %d", k)
 	}
 	if ds.Len() < k {
 		return Confusion{}, fmt.Errorf("ml: %d samples cannot fill %d folds", ds.Len(), k)
 	}
-	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(seed)))
+	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(cv.Seed)))
 
 	type result struct {
 		c   Confusion
 		err error
 	}
 	results := make([]result, k)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for f := 0; f < k; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var trainIdx, testIdx []int
-			for g := 0; g < k; g++ {
-				if g == f {
-					testIdx = append(testIdx, folds[g]...)
-				} else {
-					trainIdx = append(trainIdx, folds[g]...)
-				}
+	_ = crawler.ForEach(context.Background(), cv.workers(), k, func(f int) {
+		var trainIdx, testIdx []int
+		for g := 0; g < k; g++ {
+			if g == f {
+				testIdx = append(testIdx, folds[g]...)
+			} else {
+				trainIdx = append(trainIdx, folds[g]...)
 			}
-			model, err := trainer(ds.Subset(trainIdx), rand.New(rand.NewSource(seed+int64(f)+1)))
-			if err != nil {
-				results[f] = result{err: err}
-				return
-			}
-			results[f] = result{c: Evaluate(model, ds.Subset(testIdx))}
-		}(f)
-	}
-	wg.Wait()
+		}
+		model, err := train(trainIdx, rand.New(rand.NewSource(cv.Seed+int64(f)+1)))
+		if err != nil {
+			results[f] = result{err: err}
+			return
+		}
+		results[f] = result{c: Evaluate(model, ds.Subset(testIdx))}
+	})
 
 	var total Confusion
 	for f := 0; f < k; f++ {
@@ -95,17 +98,16 @@ func stratifiedFolds(ds *features.Dataset, k int, rng *rand.Rand) [][]int {
 	return folds
 }
 
-// CVConfig parameterizes the shared-cache cross-validation entry points.
+// CVConfig parameterizes the shared-Gram cross-validation entry points.
 type CVConfig struct {
 	// Folds is k (the paper's protocol uses 10).
 	Folds int
 	// Seed fixes the stratified shuffle and the per-fold training rngs —
 	// the same scheme as CrossValidate, so results are identical between
-	// the two paths.
+	// the entry points.
 	Seed int64
 	// Workers caps concurrent fold training and Gram precompute fan-out
-	// (0 = GOMAXPROCS, 1 = strictly sequential). Fold confusions merge in
-	// fold order, so the result is identical at any worker count.
+	// (0 = GOMAXPROCS, 1 = strictly sequential).
 	Workers int
 }
 
@@ -116,81 +118,31 @@ func (cv CVConfig) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// CrossValidateSVM cross-validates a plain SVM, precomputing one Gram
-// matrix over the full dataset and gathering per-fold views from it, so
-// the kernel is evaluated once per sample pair across all k folds instead
-// of once per fold.
+// CrossValidateSVM cross-validates a plain SVM, computing one Gram matrix
+// over the full dataset and gathering per-fold views from it, so the kernel
+// is evaluated once per sample pair across all k folds instead of once per
+// fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
 	cfg.Kernel = resolveKernel(cfg.Kernel)
-	return crossValidateShared(ds, cv, cfg.Kernel, cfg.KernelCache,
-		func(train *features.Dataset, g *gram, rng *rand.Rand) (Classifier, error) {
-			if err := checkTrainInputs(train, nil); err != nil {
-				return nil, err
-			}
-			return trainSVMGram(train, nil, cfg, rng, g), nil
-		})
+	shared := newGram(cfg.Kernel, ds.Samples, cv.workers())
+	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
+		train := ds.Subset(trainIdx)
+		if err := checkTrainInputs(train, nil); err != nil {
+			return nil, err
+		}
+		return trainSVMGram(train, nil, cfg, rng, shared.subset(trainIdx)), nil
+	})
 }
 
-// CrossValidateAdaBoost cross-validates an AdaBoost+SVM ensemble with the
-// same shared kernel cache: each fold's view serves every boosting round
-// of that fold.
+// CrossValidateAdaBoost cross-validates an AdaBoost+SVM ensemble over the
+// same shared Gram matrix: each fold's view serves every boosting round of
+// that fold.
 func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig) (Confusion, error) {
 	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
-	return crossValidateShared(ds, cv, cfg.SVM.Kernel, cfg.SVM.KernelCache,
-		func(train *features.Dataset, g *gram, rng *rand.Rand) (Classifier, error) {
-			return trainAdaBoostGram(train, cfg, rng, g)
-		})
-}
-
-// crossValidateShared runs stratified k-fold CV with one corpus-wide
-// kernel cache. Fold assignment, per-fold rng seeding, and the fold-order
-// confusion merge replicate CrossValidate exactly; only where kernel
-// values come from differs, and cached values are bit-identical to fresh
-// evaluations — so both paths produce the same confusion matrix.
-func crossValidateShared(ds *features.Dataset, cv CVConfig, kernel Kernel, cacheEntries int,
-	train func(*features.Dataset, *gram, *rand.Rand) (Classifier, error)) (Confusion, error) {
-	k := cv.Folds
-	if k < 2 {
-		return Confusion{}, fmt.Errorf("ml: k must be ≥ 2, got %d", k)
-	}
-	if ds.Len() < k {
-		return Confusion{}, fmt.Errorf("ml: %d samples cannot fill %d folds", ds.Len(), k)
-	}
-	workers := cv.workers()
-	shared := newGram(kernel, ds.Samples, cacheEntries, workers)
-	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(cv.Seed)))
-
-	type result struct {
-		c   Confusion
-		err error
-	}
-	results := make([]result, k)
-	_ = crawler.ForEach(context.Background(), workers, k, func(f int) {
-		var trainIdx, testIdx []int
-		for g := 0; g < k; g++ {
-			if g == f {
-				testIdx = append(testIdx, folds[g]...)
-			} else {
-				trainIdx = append(trainIdx, folds[g]...)
-			}
-		}
-		g := shared.subset(trainIdx, cacheEntries, 1)
-		model, err := train(ds.Subset(trainIdx), g, rand.New(rand.NewSource(cv.Seed+int64(f)+1)))
-		if err != nil {
-			results[f] = result{err: err}
-			return
-		}
-		results[f] = result{c: Evaluate(model, ds.Subset(testIdx))}
+	shared := newGram(cfg.SVM.Kernel, ds.Samples, cv.workers())
+	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
+		return trainAdaBoostGram(ds.Subset(trainIdx), cfg, rng, shared.subset(trainIdx))
 	})
-
-	var total Confusion
-	for f := 0; f < k; f++ {
-		if results[f].err != nil {
-			return Confusion{}, fmt.Errorf("ml: fold %d: %w", f, results[f].err)
-		}
-		total.Add(results[f].c)
-	}
-	return total, nil
 }
 
 // SVMTrainer adapts TrainSVM to the Trainer signature.

@@ -28,13 +28,6 @@ type SVMConfig struct {
 	MaxPasses int
 	// MaxIter hard-bounds total optimization sweeps.
 	MaxIter int
-	// KernelCache bounds the number of cached kernel values (Gram-matrix
-	// entries) a training run may hold: a full matrix when n² fits, an
-	// LRU of rows when only some do, and no caching at all when negative
-	// — the reference path the differential tests and the sequential
-	// benchmark baseline use. 0 means DefaultKernelCache. Caching never
-	// changes results: cached and uncached runs are bit-identical.
-	KernelCache int
 	// Workers caps Gram-precompute fan-out over the shared worker pool
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -84,17 +77,13 @@ func (m *SVM) Decision(s features.Sample) float64 {
 }
 
 // decisionsGram is Decision for every sample of the training set itself,
-// out[i] for sample i, served from the training-run kernel cache instead of
+// out[i] for sample i, served from the training run's Gram matrix instead of
 // re-evaluating the kernel against every support vector. AdaBoost's
 // per-round error pass uses it.
 func (m *SVM) decisionsGram(g *gram, out []float64) {
 	for i := 0; i < len(out); {
-		if blk, ok := decisionBlock(g, i, m.bias, m.coefs, m.svIdx); ok {
-			i += copy(out[i:], blk[:])
-			continue
-		}
-		out[i] = decision(g, i, m.bias, m.coefs, m.svIdx)
-		i++
+		blk := decisionBlock(g, i, m.bias, m.coefs, m.svIdx)
+		i += copy(out[i:], blk[:])
 	}
 }
 
@@ -111,12 +100,12 @@ func TrainSVM(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 		return nil, err
 	}
 	cfg.Kernel = resolveKernel(cfg.Kernel)
-	g := newGram(cfg.Kernel, ds.Samples, cfg.KernelCache, cfg.Workers)
+	g := newGram(cfg.Kernel, ds.Samples, cfg.Workers)
 	return trainSVMGram(ds, weights, cfg, rng, g), nil
 }
 
 // checkTrainInputs validates the dataset and weight vector, once per
-// training run, before the kernel cache is built.
+// training run, before the Gram matrix is built.
 func checkTrainInputs(ds *features.Dataset, weights []float64) error {
 	n := ds.Len()
 	if n == 0 {
@@ -139,7 +128,7 @@ func checkTrainInputs(ds *features.Dataset, weights []float64) error {
 	return nil
 }
 
-// trainSVMGram trains a standalone SVM over a caller-supplied kernel cache
+// trainSVMGram trains a standalone SVM over a caller-supplied Gram matrix
 // and compiles it for scoring. The caller has run checkTrainInputs.
 func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
 	m := solveSMO(ds, weights, cfg, rng, g)
@@ -150,13 +139,13 @@ func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *r
 // solveSMO is the SMO core; the SVM it returns is not yet compiled for
 // scoring. The caller has run checkTrainInputs, and g must cover exactly
 // ds.Samples; callers that train repeatedly on the same samples (AdaBoost
-// rounds, CV folds gathered from a corpus-wide cache) pass a shared gram so
+// rounds, CV folds gathered from a corpus-wide matrix) pass a shared gram so
 // the kernel is evaluated once per pair across the whole run.
 //
 // Decisions are ordered sums over a sorted active set of nonzero-α indices
 // and their αᵢyᵢ coefficients — the same terms in the same order as summing
-// all indices and skipping zeros, so results are bit-identical at every
-// cache policy. The sweep reads its decisions smoBlock samples at a time
+// all indices and skipping zeros, so results are bit-identical to the
+// one-chain sum. The sweep reads its decisions smoBlock samples at a time
 // (decisionBlock); the block holds until a step changes α or b, which the
 // traffic makes rare: about nine times in a 129-sample sweep.
 func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
@@ -224,13 +213,8 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 		if k := uint(i - blkAt); k < smoBlock {
 			return blk[k]
 		}
-		fresh, ok := decisionBlock(g, i, b, coef, active)
-		if !ok {
-			m.decisions++
-			return decision(g, i, b, coef, active)
-		}
 		m.decisions += min(smoBlock, n-i)
-		blk, blkAt = fresh, i
+		blk, blkAt = decisionBlock(g, i, b, coef, active), i
 		return blk[0]
 	}
 
@@ -335,35 +319,24 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 const smoBlock = 4
 
 // decision returns the ordered sum bias + Σₜ coefs[t]·K(x_idx[t], xᵢ) over
-// a contiguous Gram row when the cache policy serves rows, per element
-// when it does not — the same terms in the same order either way.
+// sample i's Gram row.
 func decision(g *gram, i int, bias float64, coefs []float64, idx []int32) float64 {
 	v := bias
-	if row := g.row(i); row != nil {
-		for t, j := range idx {
-			v += coefs[t] * row[j]
-		}
-	} else {
-		for t, j := range idx {
-			v += coefs[t] * g.at(int(j), i)
-		}
+	row := g.row(i)
+	for t, j := range idx {
+		v += coefs[t] * row[j]
 	}
 	return v
 }
 
 // decisionBlock returns decision for samples i … i+smoBlock−1 from one
-// pass over the coefficients; ok is false when the cache policy serves no
-// rows. Past the last sample the last row repeats: those entries are not
-// meaningful.
-func decisionBlock(g *gram, i int, bias float64, coefs []float64, idx []int32) (blk [smoBlock]float64, ok bool) {
-	r0 := g.row(i)
-	if r0 == nil {
-		return blk, false
-	}
+// pass over the coefficients. Past the last sample the last row repeats:
+// those entries are not meaningful.
+func decisionBlock(g *gram, i int, bias float64, coefs []float64, idx []int32) (blk [smoBlock]float64) {
 	last := g.n - 1
 	blk[0], blk[1], blk[2], blk[3] = sum4(bias, coefs, idx,
-		r0, g.row(min(i+1, last)), g.row(min(i+2, last)), g.row(min(i+3, last)))
-	return blk, true
+		g.row(i), g.row(min(i+1, last)), g.row(min(i+2, last)), g.row(min(i+3, last)))
+	return blk
 }
 
 // sum4 accumulates four independent chains vₖ = bias; vₖ += coefs[t]·rₖ[idx[t]],

@@ -171,7 +171,7 @@ func TestLinearKernel(t *testing.T) {
 func TestGramCacheAgreesWithDirect(t *testing.T) {
 	ds := synthDataset(t, 10, 30, 4)
 	k := RBF{Gamma: 0.05}
-	g := newGram(k, ds.Samples, 0, 1)
+	g := newGram(k, ds.Samples, 1)
 	for i := 0; i < ds.Len(); i += 7 {
 		for j := 0; j < ds.Len(); j += 5 {
 			want := k.Eval(ds.Samples[i], ds.Samples[j])
@@ -233,14 +233,8 @@ func referenceSolveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, r
 
 	decision := func(i int) float64 {
 		v := b
-		if row := g.row(i); row != nil {
-			for _, j := range active {
-				v += coef[j] * row[j]
-			}
-		} else {
-			for _, j := range active {
-				v += coef[j] * g.at(int(j), i)
-			}
+		for _, j := range active {
+			v += coef[j] * g.at(int(j), i)
 		}
 		return v
 	}
@@ -435,9 +429,9 @@ func sameSolve(t *testing.T, name string, got, want *SVM) {
 // blocked sweep and the deferred ej must reproduce the one-chain, eager-ej
 // reference in every bit of bias, coefficients and support set — at block
 // tails of every length, under sample weights, on duplicate samples, when
-// the solve is cut at MaxIter, for both kernels and under every Gram
-// policy, an LRU too small to hold one block included. The error pass's
-// blocked sums are held to the one-chain sum the same way.
+// the solve is cut at MaxIter, for both kernels, over the matrix newGram
+// fills and over the direct oracle. The error pass's blocked sums are held
+// to the one-chain sum the same way.
 func TestSolveSMOMatchesReference(t *testing.T) {
 	type kase struct {
 		name    string
@@ -459,9 +453,8 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 	kernels := map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}}
 	for _, c := range cases {
 		n := c.ds.Len()
-		policies := map[string]int{"full": 0, "lru-7": 7 * n, "lru-2": 2 * n, "lru-1": n + 1, "direct": -1}
 		for kname, kernel := range kernels {
-			for pname, entries := range policies {
+			for pname, g := range map[string]*gram{"full": newGram(kernel, c.ds.Samples, 1), "direct": directGram(kernel, c.ds.Samples)} {
 				name := c.name + "/" + kname + "/" + pname
 				cfg := DefaultSVMConfig()
 				cfg.Kernel = kernel
@@ -472,8 +465,7 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 				if c.boosted {
 					w = boostedWeights(n, 3)
 				}
-				want := referenceSolveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), newGram(kernel, c.ds.Samples, entries, 1))
-				g := newGram(kernel, c.ds.Samples, entries, 1)
+				want := referenceSolveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), g)
 				got := solveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), g)
 				sameSolve(t, name, got, want)
 				if got.capped != c.capped {
@@ -493,24 +485,20 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 
 // TestSolveSMOConcurrentCV runs the blocked solver the way Table 3 does —
 // folds training concurrently, each boosting over its own view of the
-// kernel cache — so `go test -race` sees it, and holds the result to the
-// sequential uncached run.
+// Gram matrix — so `go test -race` sees it, and holds the result to the
+// sequential run.
 func TestSolveSMOConcurrentCV(t *testing.T) {
 	ds := synthDataset(t, 20, 61, 13)
 	cfg := DefaultAdaBoostConfig()
-	cfg.SVM.KernelCache = -1
 	want, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, entries := range []int{0, 3 * ds.Len()} {
-		cfg.SVM.KernelCache = entries
-		got, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("cache %d, 4 workers: %+v, sequential uncached %+v", entries, got, want)
-		}
+	got, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("4 workers: %+v, sequential %+v", got, want)
 	}
 }

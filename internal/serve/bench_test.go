@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adwars/internal/abp"
-	"adwars/internal/analytics"
 	"adwars/internal/antiadblock"
 	"adwars/internal/ml"
 )
@@ -21,10 +20,6 @@ import (
 // stack (routing, admission, JSON) but without network I/O, so the
 // numbers isolate serving cost.
 func benchServer(b *testing.B) *Server {
-	return benchServerCfg(b, Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
-}
-
-func benchServerCfg(b *testing.B, cfg Config) *Server {
 	b.Helper()
 	var lines []string
 	for i := 0; i < 1000; i++ {
@@ -42,7 +37,7 @@ func benchServerCfg(b *testing.B, cfg Config) *Server {
 		rules = append(rules, r)
 	}
 	l := abp.NewList("bench", rules)
-	s := New(cfg)
+	s := New(Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
 	snap, err := ml.ReadModelSnapshot(bytes.NewReader([]byte(benchModelJSON)))
 	if err != nil {
 		b.Fatal(err)
@@ -54,21 +49,6 @@ func benchServerCfg(b *testing.B, cfg Config) *Server {
 		b.Fatal(err)
 	}
 	return s
-}
-
-// benchMatchBodies generates the standard /v1/match traffic mix.
-func benchMatchBodies(seed int64) [][]byte {
-	rng := rand.New(rand.NewSource(seed))
-	bodies := make([][]byte, 64)
-	for i := range bodies {
-		q := MatchQuery{
-			URL:        fmt.Sprintf("http://adserver%03d.example/slot/%d/ad.js", rng.Intn(600), i),
-			Type:       "script",
-			PageDomain: "news.example",
-		}
-		bodies[i], _ = json.Marshal(q)
-	}
-	return bodies
 }
 
 const benchModelJSON = `{
@@ -83,8 +63,7 @@ const benchModelJSON = `{
   }
 }`
 
-// reportLatencies attaches p50/p99 custom metrics, which cmd/benchjson
-// folds into BENCH_serve.json.
+// reportLatencies attaches p50/p99 custom metrics.
 func reportLatencies(b *testing.B, lat []time.Duration) {
 	if len(lat) == 0 {
 		return
@@ -110,151 +89,6 @@ func benchDrive(b *testing.B, s *Server, path string, bodies [][]byte) {
 	}
 	b.StopTimer()
 	reportLatencies(b, lat)
-}
-
-func BenchmarkServeMatch(b *testing.B) {
-	s := benchServer(b)
-	benchDrive(b, s, "/v1/match", benchMatchBodies(1))
-}
-
-// BenchmarkServeMatchHandler measures the /v1/match handler's own cost:
-// the request and writer are reused, so ns/op and allocs/op cover exactly
-// the serving work (body read, decode, admission, match, usage recording,
-// JSON encode) and nothing of the test harness. Its allocs/op becomes
-// serve_match_allocs in BENCH_serve.json, gated at ≤8 by
-// TestServeMatchAllocs.
-func BenchmarkServeMatchHandler(b *testing.B) {
-	s := benchServer(b)
-	const body = `{"url":"http://adserver042.example/slot/7/ad.js","type":"script","page_domain":"news.example"}`
-	h, w, req, rb := matchAllocRig(s, body)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rb.Reset(body)
-		h.ServeHTTP(w, req)
-	}
-	if w.status != 200 {
-		b.Fatalf("status %d", w.status)
-	}
-}
-
-// BenchmarkServeMatchAnalytics is BenchmarkServeMatch with the decision
-// analytics pipeline recording every verdict (sampling 1.0). cmd/benchjson
-// subtracts BenchmarkServeMatch's p99 from this one's to derive
-// analytics_overhead_p99_ns — the tail cost of decision logging, which the
-// lock-free ring design holds at zero — and folds the reported drop-rate
-// and agg-bytes metrics into analytics_drop_rate / analytics_agg_bytes.
-func BenchmarkServeMatchAnalytics(b *testing.B) {
-	s := benchServerCfg(b, Config{
-		Workers: 4, Queue: 1024, QueueTimeout: time.Second,
-		Analytics: &analytics.Config{SampleRate: 1},
-	})
-	if err := s.AnalyticsError(); err != nil {
-		b.Fatal(err)
-	}
-	defer s.CloseAnalytics()
-	benchDrive(b, s, "/v1/match", benchMatchBodies(1))
-	// Let the consumer finish draining the rings so agg-bytes reflects the
-	// aggregated run, not events still in flight.
-	v := s.Analytics().Vars()
-	for deadline := time.Now().Add(time.Second); v.RingOccupancy > 0 && time.Now().Before(deadline); {
-		time.Sleep(2 * time.Millisecond)
-		v = s.Analytics().Vars()
-	}
-	sent := v.Recorded + v.Dropped + v.SampledOut
-	if sent > 0 {
-		b.ReportMetric(float64(v.Dropped)/float64(sent), "drop-rate")
-	}
-	b.ReportMetric(float64(v.AggBytes), "agg-bytes")
-}
-
-// BenchmarkServeMatchAnalyticsHandler is BenchmarkServeMatchHandler with
-// analytics on: its allocs/op becomes serve_match_analytics_allocs in
-// BENCH_serve.json, gated at ≤8 by TestServeMatchAnalyticsAllocs.
-func BenchmarkServeMatchAnalyticsHandler(b *testing.B) {
-	s := benchServerCfg(b, Config{
-		Workers: 4, Queue: 1024, QueueTimeout: time.Second,
-		Analytics: &analytics.Config{SampleRate: 1},
-	})
-	defer s.CloseAnalytics()
-	const body = `{"url":"http://adserver042.example/slot/7/ad.js","type":"script","page_domain":"news.example"}`
-	h, w, req, rb := matchAllocRig(s, body)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rb.Reset(body)
-		h.ServeHTTP(w, req)
-	}
-	if w.status != 200 {
-		b.Fatalf("status %d", w.status)
-	}
-}
-
-// BenchmarkServeMatchUsageOff is BenchmarkServeMatch with usage counters
-// disabled. cmd/benchjson subtracts its p99 from BenchmarkServeMatch's to
-// derive usage_overhead_p99_ns — the tail cost of per-rule hit recording,
-// which the sharded counter design holds at zero.
-func BenchmarkServeMatchUsageOff(b *testing.B) {
-	s := benchServerCfg(b, Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second, DisableUsage: true})
-	benchDrive(b, s, "/v1/match", benchMatchBodies(1))
-}
-
-// BenchmarkServeMatchTiered serves from a usage-compacted tiered list and
-// reports the compaction quality metrics alongside latency: hot-coverage
-// (fraction of match verdicts answered by hot-tier rules) and
-// hot-set-bytes (the hot automaton's size — the working set a typical
-// verdict touches). benchjson folds them into compact_hot_coverage and
-// compact_working_set_bytes.
-func BenchmarkServeMatchTiered(b *testing.B) {
-	s := benchServerCfg(b, Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
-	bodies := benchMatchBodies(1)
-
-	// Warm the counters with one pass of the benchmark traffic, then
-	// compact around what fired — the adwars-compact loop in miniature.
-	for _, body := range bodies {
-		req := httptest.NewRequest("POST", "/v1/match", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-	}
-	ls := s.lists.Load()
-	tiered := &abp.ListsSnapshot{Label: "bench-tiered", Tiered: true}
-	var flatBytes int
-	for _, l := range ls.snap.Lists {
-		counts := l.Usage().Counts()
-		flatBytes += l.TierStats().HotBytes
-		tiered.Lists = append(tiered.Lists, l.CompileTiered(func(ord int) bool { return counts[ord] > 0 }))
-	}
-	if err := s.SetListsSnapshot(tiered); err != nil {
-		b.Fatal(err)
-	}
-
-	benchDrive(b, s, "/v1/match", bodies)
-
-	// Coverage is measured over the benchmark's own traffic mix.
-	var matches, hotWins, hotBytes int
-	for _, body := range bodies {
-		var q MatchQuery
-		json.Unmarshal(body, &q)
-		req := abp.Request{URL: q.URL, Type: abp.RequestType(q.Type), PageDomain: q.PageDomain}
-		for _, l := range tiered.Lists {
-			_, r, ord := abp.DecideHits(l.AppendHits(nil, req))
-			if r == nil {
-				continue
-			}
-			matches++
-			if l.IsHotRule(ord) {
-				hotWins++
-			}
-		}
-	}
-	for _, l := range tiered.Lists {
-		hotBytes += l.TierStats().HotBytes
-	}
-	if matches > 0 {
-		b.ReportMetric(float64(hotWins)/float64(matches), "hot-coverage")
-	}
-	b.ReportMetric(float64(hotBytes), "hot-set-bytes")
-	b.ReportMetric(float64(flatBytes), "flat-set-bytes")
 }
 
 func BenchmarkServeMatchBatch(b *testing.B) {

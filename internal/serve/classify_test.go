@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -105,5 +106,45 @@ func TestClassifyRefusesDeepNesting(t *testing.T) {
 	}
 	if got := s.met.panicsRecovered.Load(); got != 0 {
 		t.Errorf("panics_recovered = %d; the bound is an error, not a recovered panic", got)
+	}
+}
+
+// TestClassifyBoundsPackerOutput posts /v1/classify's whole default body
+// limit as one p.a.c.k.e.r bootstrap: half of it a payload of `0 0 0 …`,
+// the other half the one dictionary word every 0 stands for — 128 GB
+// decoded. Before the unpacker took a budget the server died allocating
+// it; now the payload is left packed, the script is classified on what it
+// says outside it, and the request allocates no more than a body of plain
+// script may (a token is 48 bytes, so one-byte tokens cost 48 times their
+// size before the parser sees them; this body measures 22).
+func TestClassifyBoundsPackerOutput(t *testing.T) {
+	s := newTestServer(t, Config{})
+	limit := int(s.cfg.maxBody())
+	head, mid, tail := `eval(function(p,a,c,k,e,d){}('`, `',10,1,'`, `'.split('|'),0,{}));`
+	half := (limit - len(head) - len(mid) - len(tail)) / 2
+	body := head + strings.Repeat("0 ", half/2) + mid + strings.Repeat("w", half) + tail
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	rec := do(t, s, "POST", "/v1/classify", body)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != 200 && rec.Code != 422 {
+		t.Fatalf("%d bytes of packer: %d %s", len(body), rec.Code, rec.Body.Bytes())
+	}
+	// Allocation accounting is unreliable under -race; the time bound holds.
+	if grew := after.TotalAlloc - before.TotalAlloc; !raceSrvEnabled && grew > 64*uint64(len(body)) {
+		t.Errorf("%d bytes of packer made the server allocate %d bytes, more than 64 times the body", len(body), grew)
+	}
+	if took > 5*time.Second {
+		t.Errorf("%d bytes of packer took %v to answer", len(body), took)
+	}
+	if rec := do(t, s, "POST", "/v1/classify", testAntiScript); rec.Code != 200 {
+		t.Errorf("after the packer: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := s.met.panicsRecovered.Load(); got != 0 {
+		t.Errorf("panics_recovered = %d; the budget leaves a payload packed, it does not panic", got)
 	}
 }

@@ -19,14 +19,11 @@
 #   4. Recovery is complete: a post-recovery probe through the gateway
 #      must be byte-identical to the unloaded control probe.
 #
-# The brownout bench line is merged into ${BROWNOUT_BENCH_OUT:-BENCH_chaos.json}
-# via benchjson -merge, alongside the chaos smoke's figures.
 # BROWNOUT_SHORT=1 shortens the firing window (used by `make verify`).
 set -eu
 
 GO="${GO:-go}"
 DIR="$(mktemp -d /tmp/adwars-brownout-smoke.XXXXXX)"
-BENCH_OUT="${BROWNOUT_BENCH_OUT:-BENCH_chaos.json}"
 DURATION="3s"
 [ "${BROWNOUT_SHORT:-0}" = "1" ] && DURATION="1500ms"
 
@@ -104,7 +101,7 @@ stop_pid() {
 
 echo "brownout-smoke: building binaries..."
 $GO build -o "$DIR" ./cmd/adwars-serve ./cmd/adwars-gateway \
-    ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect ./cmd/benchjson
+    ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect
 
 echo "brownout-smoke: freezing snapshots (scale 50)..."
 "$DIR/adwars-lists" -scale 50 -save-snapshot "$DIR/lists.json" >/dev/null 2>&1
@@ -163,8 +160,5 @@ diff "$DIR/control.txt" "$DIR/post.txt" \
 stop_pid "$DIR/gateway.pid"
 stop_pid "$DIR/r1.pid"
 stop_pid "$DIR/r2.pid"
-
-grep '^BenchmarkBrownoutLoadgen' "$DIR/loadgen.txt" > "$DIR/bench.txt"
-"$DIR/benchjson" -merge "$BENCH_OUT" -out "$BENCH_OUT" "$DIR/bench.txt"
 
 echo "brownout-smoke: OK (ladder climbed >= L2 and recovered to L0 without flapping, ledger balanced, hot-only fraction $HOT_FRAC, answers identical to control, clean drain)"

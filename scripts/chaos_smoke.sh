@@ -13,15 +13,13 @@
 # panic-5xx + aborts, zero unexplained 5xx, zero drops), both reload
 # outcomes must appear in the server log, the post-chaos probe answers
 # must be byte-identical to the fault-free control, and the server must
-# still drain cleanly. The bench line from the run lands in
-# ${CHAOS_BENCH_OUT:-BENCH_chaos.json} via benchjson.
+# still drain cleanly.
 #
 # CHAOS_SHORT=1 shortens the firing window (used by `make verify`).
 set -eu
 
 GO="${GO:-go}"
 DIR="$(mktemp -d /tmp/adwars-chaos-smoke.XXXXXX)"
-BENCH_OUT="${CHAOS_BENCH_OUT:-BENCH_chaos.json}"
 DURATION="3s"
 [ "${CHAOS_SHORT:-0}" = "1" ] && DURATION="1500ms"
 SERVER_PID=""
@@ -81,7 +79,7 @@ stop_server() {
 }
 
 echo "chaos-smoke: building binaries..."
-$GO build -o "$DIR" ./cmd/adwars-serve ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect ./cmd/benchjson
+$GO build -o "$DIR" ./cmd/adwars-serve ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect
 
 echo "chaos-smoke: freezing snapshots (scale 50)..."
 "$DIR/adwars-lists" -scale 50 -save-snapshot "$DIR/lists.json" >/dev/null 2>&1
@@ -143,9 +141,5 @@ diff "$DIR/control.txt" "$DIR/chaos.txt" \
     || fail "post-chaos answers differ from fault-free control"
 
 stop_server
-
-grep '^BenchmarkChaosLoadgen' "$DIR/loadgen.txt" > "$DIR/bench.txt" \
-    || fail "loadgen emitted no benchmark line"
-"$DIR/benchjson" -out "$BENCH_OUT" "$DIR/bench.txt"
 
 echo "chaos-smoke: OK (ledger balanced, corrupt reload rejected, answers identical to control, clean drain)"

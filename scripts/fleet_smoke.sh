@@ -17,14 +17,12 @@
 #      snapshot rolls out to all replicas (exit 0) and every replica
 #      converges on the same version with byte-identical answers.
 #
-# The fleet bench line lands in ${FLEET_BENCH_OUT:-BENCH_fleet.json} via
-# benchjson. FLEET_SHORT=1 shortens the firing window (used by
-# `make verify`). All waits are bounded.
+# FLEET_SHORT=1 shortens the firing window (used by `make verify`). All
+# waits are bounded.
 set -eu
 
 GO="${GO:-go}"
 DIR="$(mktemp -d /tmp/adwars-fleet-smoke.XXXXXX)"
-BENCH_OUT="${FLEET_BENCH_OUT:-BENCH_fleet.json}"
 DURATION="4s"
 KILL_AT=1.2
 RESTART_AFTER=0.8
@@ -98,7 +96,7 @@ stop_pid() {
 
 echo "fleet-smoke: building binaries..."
 $GO build -o "$DIR" ./cmd/adwars-serve ./cmd/adwars-gateway ./cmd/adwars-ctl \
-    ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect ./cmd/benchjson
+    ./cmd/adwars-loadgen ./cmd/adwars-lists ./cmd/adwars-detect
 
 echo "fleet-smoke: freezing snapshots (scale 50)..."
 "$DIR/adwars-lists" -scale 50 -save-snapshot "$DIR/lists.json" >/dev/null 2>&1
@@ -220,13 +218,10 @@ diff "$DIR/probe-$R1.txt" "$DIR/probe-$R3.txt" \
     || fail "r1 and r3 answers differ after the v2 rollout"
 echo "fleet-smoke: v2 rollout converged (3/3 replicas on $V2, answers identical)"
 
-# --- Teardown + bench report. --------------------------------------------
+# --- Teardown. ------------------------------------------------------------
 stop_pid "$DIR/gateway.pid"
 stop_pid "$DIR/r1.pid"
 stop_pid "$DIR/r2.pid"
 stop_pid "$DIR/r3.pid"
-
-grep '^BenchmarkFleetLoadgen' "$DIR/loadgen.txt" > "$DIR/bench.txt"
-"$DIR/benchjson" -out "$BENCH_OUT" "$DIR/bench.txt"
 
 echo "fleet-smoke: OK (failover absorbed, canary rollback clean, v2 converged, graceful drain)"
