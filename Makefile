@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc fault-check bench-test fuzz-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
+.PHONY: build test vet fmt-check race verify loc fault-check bench-test fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
 
 build:
 	$(GO) build ./...
@@ -11,36 +11,35 @@ test:
 vet:
 	$(GO) vet ./...
 
-# fmt-check fails when gofmt would change any file: it lists them.
+# fmt-check fails when gofmt would change any file: it lists them. The
+# shell half of the tree gets the check it can have: every script parses.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	@for f in scripts/*.sh; do sh -n "$$f" || exit 1; done
 
 race:
 	$(GO) test -race ./...
 
 # verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the
 # race detector over the whole tree (the crawl engine is heavily concurrent
-# — breaker, journal, and metrics are all shared state), the benchmark
-# module's own tests (bench/ is a separate module, so `go test ./...` at the
-# root does not reach them), ten seconds of each fuzz target, an end-to-end
-# smoke of the serving stack (snapshots → adwars-serve → adwars-loadgen with
-# a hot reload mid-fire and a graceful drain), a shortened chaos run (every
-# fault class injected, hostile load, corrupt-snapshot reload mid-fire), a
-# shortened fleet run (3 replicas behind adwars-gateway with a mid-load
-# SIGKILL/restart and a canary-rollback rollout via adwars-ctl), and a
-# shortened brownout run (two starved governed replicas overdriven until
-# the degradation ladder climbs, then proven to recover without flapping).
-# The hot-path gates (0 allocs/op on the match paths, the sub-microsecond
-# median match, the handlers' allocation budgets) are plain tests and run
-# under `test`. Performance is measured by `bash bench/run.sh`
+# — breaker, journal, and metrics are all shared state; loadgen's gate table
+# is tested there too), the benchmark module's own tests (bench/ is a
+# separate module, so `go test ./...` at the root does not reach them), ten
+# seconds of each fuzz target, and the four smoke scenarios of the serving
+# stack, shortened, through one invocation of the harness: one build, one
+# snapshot freeze. The hot-path gates (0 allocs/op on the match paths, the
+# sub-microsecond median match, the handlers' allocation budgets) are plain
+# tests and run under `test`. Performance is measured by `bash bench/run.sh`
 # (BENCHMARK.json, bench/README.md), not here.
-verify: build vet fmt-check test race bench-test fuzz-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
+verify: build vet fmt-check test race bench-test fuzz-smoke
+	SMOKE_SHORT=1 $(MAKE) smoke
 
-# loc prints the ROADMAP's code-size measure: non-test Go lines outside the
-# benchmark module.
+# loc prints the ROADMAP's code-size measures: non-test Go lines outside the
+# benchmark module, then the lines of shell under scripts/ — the other half
+# of the verification layer.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
-
+	@cat scripts/*.sh | wc -l
 # bench-test runs the tests of bench/, the whole-stack benchmark behind
 # BENCHMARK.json: corpus determinism, the oracle, the run-must-fail checks
 # and a short smoke of every workload (~30 s).
@@ -69,59 +68,33 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/jsast
 	$(GO) test -run '^$$' -fuzz FuzzReadListsSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/abp
 
-# serve-smoke is the end-to-end serving gate: ~2s of mixed load against a
-# freshly snapshotted adwars-serve on an ephemeral port, with a SIGHUP
-# hot reload mid-fire. Fails on any dropped request, any 5xx, a failed
-# reload, or an unclean drain.
-serve-smoke:
-	sh scripts/serve_smoke.sh
+# smoke runs the serving stack as real processes: scripts/smoke.sh builds
+# the binaries and freezes the snapshots once, then runs its scenarios in
+# order. Each is also a target of its own. SMOKE_SHORT=1 shortens the
+# firing windows; the gates are the same.
+#
+#   serve     one adwars-serve: ~2s of mixed load with a SIGHUP hot reload
+#             mid-fire, usage and analytics ledgers reconciled to the unit,
+#             live and spill dashboards, a compacted tiered snapshot served
+#             clean, a clean drain.
+#   chaos     every fault class injected (-chaos-* flags) under hostile
+#             load (malformed / oversized / slow-trickle / mid-body-abort),
+#             a corrupted-snapshot reload mid-fire rejected while last-good
+#             serves; the chaos ledger balances and the survivor answers
+#             byte-identically to a fault-free control.
+#   fleet     three replicas behind adwars-gateway, one SIGKILLed and
+#             restarted mid-load (zero 5xx, failovers >= 1, answers
+#             identical to a single node), then adwars-ctl: a corrupt
+#             artifact refused locally, a sealed-garbage one rolled back at
+#             the canary, a good v2 converging on all replicas.
+#   brownout  two starved governed replicas overdriven until the ladder
+#             climbs to >= L2, then proven to recover to L0 without
+#             flapping, with some answers really served hot-only.
+smoke:
+	sh scripts/smoke.sh serve chaos fleet brownout
 
-# chaos-smoke is the fault-injection gate: adwars-serve with every chaos
-# fault class enabled (-chaos-* flags) under adwars-loadgen -chaos
-# (malformed / oversized / slow-trickle / mid-body-abort requests), with
-# a corrupted-snapshot reload injected mid-fire. Passes only if the
-# request ledger balances (sent == 2xx + 4xx + 429 + recovered-panic 5xx
-# + aborts), the corrupt reload is rejected while the old snapshot keeps
-# serving, post-chaos answers are byte-identical to a fault-free control,
-# and the server drains cleanly.
-chaos-smoke:
-	sh scripts/chaos_smoke.sh
-
-# chaos-smoke-short is the verify-speed variant: same gates, shorter
-# firing window.
-chaos-smoke-short:
-	CHAOS_SHORT=1 sh scripts/chaos_smoke.sh
-
-# fleet-smoke is the multi-process fault-tolerance gate: three
-# adwars-serve replicas behind adwars-gateway, a SIGKILL + restart of one
-# replica mid-load (ledger must balance with zero 5xx and the gateway
-# must report failovers), answers byte-identical to a single-node
-# control, then the adwars-ctl control plane: a corrupt artifact refused
-# locally, a sealed-garbage artifact rejected at the canary and rolled
-# back fleet-wide, and a good v2 rollout converging on all replicas.
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
-
-# fleet-smoke-short is the verify-speed variant: same gates, shorter
-# firing window.
-fleet-smoke-short:
-	FLEET_SHORT=1 sh scripts/fleet_smoke.sh
-
-# brownout-smoke is the overload-governor gate: two capacity-starved
-# adwars-serve replicas with -degrade on behind adwars-gateway, overdriven
-# far past capacity. Passes only if every replica's degradation ladder
-# climbs to at least L2 (hot-tier-only matching) and steps back to L0
-# with exactly one climb and one descent (hysteresis held, no flapping),
-# the loadgen ledger balances with zero unexplained 5xx, some answers
-# were really served hot-only, and a post-recovery probe is
-# byte-identical to the unloaded control.
-brownout-smoke:
-	sh scripts/brownout_smoke.sh
-
-# brownout-smoke-short is the verify-speed variant: same gates, shorter
-# firing window.
-brownout-smoke-short:
-	BROWNOUT_SHORT=1 sh scripts/brownout_smoke.sh
+serve-smoke chaos-smoke fleet-smoke brownout-smoke:
+	sh scripts/smoke.sh $(@:-smoke=)
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical

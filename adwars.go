@@ -9,7 +9,7 @@
 // the system inventory and EXPERIMENTS.md for the paper-vs-measured
 // record. Typical entry points:
 //
-//	world := adwars.NewWorld(adwars.DefaultWorldConfig(42))
+//	world := adwars.NewWorld(adwars.ScaledWorldConfig(42, 20))
 //	lists := adwars.GenerateFilterLists(world, 42)
 //	lab   := adwars.NewLab(adwars.ScaledWorldConfig(42, 20))
 //	det, _ := adwars.TrainDetector(positives, negatives, adwars.DefaultDetectorConfig(42))
@@ -59,9 +59,6 @@ type (
 	// Lab runs the paper's experiments.
 	Lab = experiments.Lab
 )
-
-// DefaultWorldConfig is the paper-scale configuration (top-100K universe).
-func DefaultWorldConfig(seed int64) WorldConfig { return simworld.DefaultConfig(seed) }
 
 // ScaledWorldConfig shrinks the world by factor k for faster runs.
 func ScaledWorldConfig(seed int64, k int) WorldConfig { return simworld.Scaled(seed, k) }

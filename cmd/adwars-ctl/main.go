@@ -51,8 +51,6 @@ func run() int {
 	canary := flag.Int("canary", 0, "canary stage size (0 = 1)")
 	bake := flag.Duration("bake", 0, "canary observation window before the fleet stage (0 = default 500ms)")
 	watch := flag.Duration("watch", 0, "post-rollout convergence deadline (0 = default 5s)")
-	poll := flag.Duration("poll", 0, "observation polling cadence (0 = default 100ms)")
-	timeout := flag.Duration("timeout", 0, "per-replica HTTP timeout (0 = default 3s)")
 	seal := flag.String("seal", "", "seal this payload file with the artifact integrity trailer and exit")
 	out := flag.String("out", "", "output path for -seal")
 	flag.Parse()
@@ -88,8 +86,6 @@ func run() int {
 		Canaries: *canary,
 		Bake:     *bake,
 		Watch:    *watch,
-		Poll:     *poll,
-		Timeout:  *timeout,
 		Log:      os.Stderr,
 	}
 	ctx := context.Background()

@@ -9,10 +9,8 @@
 // Usage:
 //
 //	adwars-gateway -backends host:port,host:port,... [-addr :8090]
-//	               [-health-interval D] [-fail-threshold N] [-cooldown D]
-//	               [-retries N] [-hedge-delay D] [-per-try-timeout D]
-//	               [-retry-budget N] [-retry-refill F]
-//	               [-drain D] [-portfile PATH]
+//	               [-health-interval D] [-retries N] [-hedge-delay D]
+//	               [-retry-budget N] [-retry-refill F] [-portfile PATH]
 //
 // Retries and hedges spend from a per-replica token budget (capacity
 // -retry-budget, refilled by -retry-refill tokens per successful
@@ -46,14 +44,10 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (host:0 picks an ephemeral port)")
 	backends := flag.String("backends", "", "comma-separated replica base URLs or host:port list (required)")
 	healthInterval := flag.Duration("health-interval", 0, "active /readyz polling cadence (0 = default 250ms)")
-	failThreshold := flag.Int("fail-threshold", 0, "consecutive failures that eject a replica (0 = default 3)")
-	cooldown := flag.Duration("cooldown", 0, "ejection cooldown before the half-open probe (0 = default 1s)")
 	retries := flag.Int("retries", 0, "max distinct replicas tried per request (0 = all)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fire a second attempt on another replica after this delay (0 = hedging off)")
-	perTryTimeout := flag.Duration("per-try-timeout", 0, "timeout for one replica exchange (0 = default 5s)")
 	retryBudget := flag.Float64("retry-budget", 0, "per-replica retry token bucket capacity (0 = default 10)")
 	retryRefill := flag.Float64("retry-refill", 0, "retry tokens earned per successful exchange (0 = default 0.1)")
-	drain := flag.Duration("drain", 0, "graceful-shutdown drain timeout (0 = default 5s)")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
 	flag.Parse()
 
@@ -64,16 +58,12 @@ func main() {
 		Backends: strings.Split(*backends, ","),
 		Pool: fleet.PoolConfig{
 			HealthInterval: *healthInterval,
-			FailThreshold:  *failThreshold,
-			Cooldown:       *cooldown,
 			RetryBudget:    *retryBudget,
 			RetryRefill:    *retryRefill,
 		},
-		MaxAttempts:   *retries,
-		HedgeDelay:    *hedgeDelay,
-		PerTryTimeout: *perTryTimeout,
-		DrainTimeout:  *drain,
-		MetricsOut:    os.Stderr,
+		MaxAttempts: *retries,
+		HedgeDelay:  *hedgeDelay,
+		MetricsOut:  os.Stderr,
 	})
 	if err != nil {
 		log.Fatal(err)

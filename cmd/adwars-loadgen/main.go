@@ -1,14 +1,15 @@
-// Command adwars-loadgen drives an adwars-serve instance with a mixed
-// match/classify workload and reports throughput, latency quantiles, and
-// shed totals. It is the load half of the serving benchmark, of
-// `make serve-smoke`, and (with -chaos) of `make chaos-smoke`.
+// Command adwars-loadgen drives an adwars-serve instance (or an
+// adwars-gateway in front of several) with a mixed match/classify workload,
+// reports throughput, latency quantiles and shed totals, and — with -check —
+// holds the run to a table of named gates. It is the load half of
+// scripts/smoke.sh.
 //
 // Usage:
 //
 //	adwars-loadgen -target http://127.0.0.1:8080 [-rate N] [-concurrency C]
 //	               [-duration D] [-jitter F] [-classify-frac F]
-//	               [-lists snapshot.json] [-seed S] [-check] [-usage-check]
-//	               [-max-backoff D] [-chaos] [-fault-frac F] [-bench]
+//	               [-lists snapshot.json] [-seed S] [-chaos] [-fault-frac F]
+//	               [-check gate,gate,...] [-degrade-url URL,URL,...]
 //	adwars-loadgen -target URL -probe
 //
 // -rate is the aggregate request rate across all workers (0 = unthrottled);
@@ -20,84 +21,56 @@
 // detector and generated benign scripts.
 //
 // On a 429 the worker honors the server's Retry-After header, sleeping
-// a jittered fraction (50–100%) of min(Retry-After, -max-backoff) before
-// its next request, so workers shed together do not re-arrive together;
-// the summary reports how often and how long workers backed off.
+// a jittered fraction (50–100%) of min(Retry-After, 100ms) before its next
+// request, so workers shed together do not re-arrive together; the summary
+// reports how often and how long workers backed off.
 //
-// Against a brownout-governed server every response carries its
-// degradation level in X-Adwars-Degrade; the summary and the -check
-// ledger break out response counts per observed level. -degrade-url
-// takes comma-separated replica base URLs whose /admin/degrade to read:
-// with -degrade-check the run waits (up to 15s) for each replica to
-// recover to L0 and then asserts the ladder climbed to at least L2 and
-// stepped back level-by-level without flapping (transitions == 2×peak).
-// -bench-brownout emits a `BenchmarkBrownoutLoadgen` line carrying the
-// hot-only response fraction (scripts/brownout_smoke.sh requires it > 0),
-// the gateway's retry-budget exhaustions, and the worst replica transition
-// p99.
+// Every response is entered into one ledger: what it became (2xx, 429,
+// other 4xx, unexplained 5xx, recovered-panic 5xx, transport abort) and a
+// tally keyed by HTTP status, by answering replica (X-Adwars-Replica,
+// behind a gateway) and by brownout level (X-Adwars-Degrade, against a
+// governed server). The summary prints all of it.
 //
 // -chaos turns a -fault-frac fraction of requests hostile: malformed JSON,
 // oversized bodies, slow-trickle uploads, and mid-body aborts, mixed with
 // normal traffic. 5xx responses are parsed: a structured internal_panic
 // envelope (the server's recovered-panic signature) is counted separately
-// from genuine failures. -check in chaos mode gates on the chaos ledger:
-// some 2xx, zero unexplained 5xx, and sent == 2xx + 4xx + 429 + panic-5xx
-// + aborted — every request accounted for, nothing silently dropped.
+// from genuine failures.
 //
-// -bench appends a `BenchmarkChaosLoadgen` line (go-bench format) carrying
-// shed-rate and recovered-panics custom units. recovered-panics is read
-// back from the server's /debug/vars (the control plane is chaos-exempt).
+// -check takes a comma list of gates, each a row of one table (gates) run
+// over that ledger. A row may read the server before the run (an unusable
+// baseline exits 2 before a request is sent); after the run every selected
+// row prints NAME-CHECK OK or NAME-CHECK FAILED, and any failure makes the
+// exit status 1:
 //
-// Pointed at an adwars-gateway, the summary additionally attributes
-// answers per replica (X-Adwars-Replica) and per HTTP status, and
-// -bench-fleet emits a `BenchmarkFleetLoadgen` line carrying the
-// gateway's failover/retry/hedge counters (scripts/fleet_smoke.sh requires
-// failovers ≥ 1). The
-// -check accounting gate is unchanged behind a gateway: retries and
-// hedges happen inside it, so every client-visible request still ends as
-// exactly one 2xx or 429.
+//	ledger     some 2xx, zero unexplained 5xx, every request accounted for
+//	usage      /admin/usage hit delta == match verdicts parsed by this run
+//	analytics  /admin/analytics total deltas == verdicts parsed by this run
+//	degrade    each -degrade-url replica climbed >= L2, is back at L0, no flap
+//	failovers  the gateway at -target reports failovers >= 1
+//	hot-only   some response was served at L2 or above
+//
+// usage and analytics need a server nobody else is talking to and are
+// refused with -chaos, whose trickle requests land as uncounted late 2xx.
 //
 // -probe sends one canonical /v1/match and one canonical /v1/classify
-// request, retrying each until it gets a 2xx (bounded attempts), and
-// prints the response bodies. Two probes against equivalent servers —
-// e.g. a fault-free control and a post-chaos survivor — must be
-// byte-identical; chaos_smoke.sh diffs them.
-//
-// -check turns the run into a pass/fail gate: exit non-zero unless at
-// least one request succeeded, there were no unexplained 5xx or transport
-// errors, and every request was accounted for (2xx/429 in normal mode; the
-// chaos ledger above with -chaos).
-//
-// -usage-check reconciles the server's per-rule usage telemetry against
-// this run's own ledger: every 2xx /v1/match response is parsed and its
-// per-list verdicts with decision != "no-match" counted (each is exactly
-// one RecordUsage tick server-side), then /admin/usage is read before and
-// after the run and the total-hit delta must equal the ledger count. It
-// requires a quiet server (no other traffic between the two reads) and is
-// incompatible with -chaos, whose trickle requests land as uncounted
-// late 2xx.
-//
-// -analytics-check reconciles the server's decision analytics against
-// this run's own verdict ledger: every 2xx /v1/match response's merged
-// decision and every 2xx /v1/classify response's verdict is counted
-// client-side, then the /admin/analytics cumulative totals are read
-// before and after the run — the per-"kind/verdict" deltas must equal
-// the ledger exactly (the server must be running -analytics at sampling
-// 1.0), with zero ring drops and zero sampled-out decisions. The check
-// polls briefly after the run so the consumer can finish draining the
-// rings. Like -usage-check it needs a quiet server and is incompatible
-// with -chaos.
+// request, retrying each until it gets a 2xx (50 attempts), and prints the
+// response bodies. Two probes against equivalent servers — e.g. a
+// fault-free control and a post-chaos survivor — must be byte-identical;
+// scripts/smoke.sh diffs them.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,6 +81,25 @@ import (
 	"adwars/internal/antiadblock"
 )
 
+const (
+	// maxBackoff caps how long a worker honors a 429's Retry-After.
+	maxBackoff = 100 * time.Millisecond
+	// probeAttempts bounds the retries of one canonical -probe request.
+	probeAttempts = 50
+)
+
+// The dimensions of counters.tally.
+const (
+	byStatus  = "status"
+	byReplica = "replica"
+	byDegrade = "degrade level"
+	byVerdict = "verdict"
+)
+
+type tallyKey struct{ dim, key string }
+
+// counters is the ledger: one per worker while firing, merged into one for
+// the summary and the gates.
 type counters struct {
 	sent         int64
 	ok2xx        int64
@@ -118,39 +110,25 @@ type counters struct {
 	aborted      int64 // transport-level failures: injected closes, our own mid-body aborts
 	backoffs     int64
 	backoffTotal time.Duration
-	matchHits    int64 // list verdicts != "no-match" parsed from 2xx /v1/match bodies (-usage-check)
-	// verdicts is the -analytics-check ledger: per-"kind/verdict" counts
-	// parsed from 2xx bodies, in the same key space as the server's
-	// /admin/analytics totals.
-	verdicts  map[string]int64
-	latencies []time.Duration
-	// perReplica attributes answered requests by the X-Adwars-Replica
-	// header, and perStatus by HTTP status — behind a gateway these show
-	// the balance across the fleet and exactly what every request became.
-	perReplica map[string]int64
-	perStatus  map[int]int64
-	// perDegrade attributes answered requests by the X-Adwars-Degrade
-	// header: how much of the run was served at each brownout level.
-	perDegrade map[string]int64
+	matchHits    int64 // list verdicts != "no-match" parsed from 2xx /v1/match bodies (usage gate)
+	latencies    []time.Duration
+	// tally attributes answered requests by HTTP status, by the
+	// X-Adwars-Replica header (behind a gateway: the balance across the
+	// fleet) and by the X-Adwars-Degrade header (how much of the run was
+	// served at each brownout level), and holds the analytics gate's
+	// ledger: per-"kind/verdict" counts parsed from 2xx bodies, in the key
+	// space of the server's /admin/analytics totals.
+	tally map[tallyKey]int64
 }
 
-func (c *counters) observe(status int, replica, degrade string) {
-	if c.perStatus == nil {
-		c.perStatus = make(map[int]int64)
+func (c *counters) count(dim, key string, n int64) {
+	if key == "" {
+		return
 	}
-	c.perStatus[status]++
-	if replica != "" {
-		if c.perReplica == nil {
-			c.perReplica = make(map[string]int64)
-		}
-		c.perReplica[replica]++
+	if c.tally == nil {
+		c.tally = make(map[tallyKey]int64)
 	}
-	if degrade != "" {
-		if c.perDegrade == nil {
-			c.perDegrade = make(map[string]int64)
-		}
-		c.perDegrade[degrade]++
-	}
+	c.tally[tallyKey{dim, key}] += n
 }
 
 func (c *counters) add(o *counters) {
@@ -164,47 +142,73 @@ func (c *counters) add(o *counters) {
 	c.backoffs += o.backoffs
 	c.backoffTotal += o.backoffTotal
 	c.matchHits += o.matchHits
-	for k, v := range o.verdicts {
-		if c.verdicts == nil {
-			c.verdicts = make(map[string]int64)
-		}
-		c.verdicts[k] += v
-	}
 	c.latencies = append(c.latencies, o.latencies...)
-	for k, v := range o.perReplica {
-		if c.perReplica == nil {
-			c.perReplica = make(map[string]int64)
-		}
-		c.perReplica[k] += v
-	}
-	for k, v := range o.perStatus {
-		if c.perStatus == nil {
-			c.perStatus = make(map[int]int64)
-		}
-		c.perStatus[k] += v
-	}
-	for k, v := range o.perDegrade {
-		if c.perDegrade == nil {
-			c.perDegrade = make(map[string]int64)
-		}
-		c.perDegrade[k] += v
+	for k, v := range o.tally {
+		c.count(k.dim, k.key, v)
 	}
 }
 
-// hotOnlyFraction is the share of answered requests served at L2 or
-// above — levels where match answers come from the hot tier only.
-func (c *counters) hotOnlyFraction() float64 {
-	var all, hot int64
-	for lvl, n := range c.perDegrade {
-		all += n
-		if lvl >= "L2" {
-			hot += n
+// by returns one dimension of the tally: its counts, and their keys in
+// sorted order (statuses ascending, levels in ladder order).
+func (c *counters) by(dim string) (keys []string, counts map[string]int64) {
+	counts = make(map[string]int64)
+	for k, v := range c.tally {
+		if k.dim == dim {
+			keys = append(keys, k.key)
+			counts[k.key] = v
 		}
 	}
-	if all == 0 {
-		return 0
+	sort.Strings(keys)
+	return keys, counts
+}
+
+// checker is what a gate reads: the servers to ask, the merged ledger once
+// the run is over, and whatever its own baseline read left behind.
+type checker struct {
+	client   *http.Client
+	target   string
+	replicas []string // -degrade-url
+	chaos    bool
+	total    *counters
+
+	usageBefore uint64
+	anlBefore   analyticsTotals
+}
+
+// gate is one row of the -check table. before, when set, reads the row's
+// baseline from the server ahead of the run; after judges the finished run
+// and returns either what it found in order (printed after NAME-CHECK OK)
+// or the violation.
+type gate struct {
+	name   string
+	before func(*checker) error
+	after  func(*checker) (string, error)
+}
+
+var gates = []gate{
+	{"ledger", nil, (*checker).ledger},
+	{"usage", (*checker).usageBaseline, (*checker).usage},
+	{"analytics", (*checker).analyticsBaseline, (*checker).analytics},
+	{"degrade", nil, (*checker).degrade},
+	{"failovers", nil, (*checker).failovers},
+	{"hot-only", nil, (*checker).hotOnly},
+}
+
+// selectGates resolves -check's comma list to rows of the table. A row
+// with a baseline reconciles a server-side delta against the ledger to the
+// unit, which chaos mode's late trickle answers break.
+func selectGates(list string, chaos bool) (rows []gate, err error) {
+	for _, name := range splitList(list) {
+		i := slices.IndexFunc(gates, func(g gate) bool { return g.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("-check: unknown gate %q", name)
+		}
+		if chaos && gates[i].before != nil {
+			return nil, fmt.Errorf("-check %s is incompatible with -chaos", name)
+		}
+		rows = append(rows, gates[i])
 	}
-	return float64(hot) / float64(all)
+	return rows, nil
 }
 
 // faultKind enumerates the hostile request shapes of chaos mode.
@@ -219,28 +223,38 @@ const (
 )
 
 func main() {
-	target := flag.String("target", "http://127.0.0.1:8080", "base URL of the adwars-serve instance")
-	rate := flag.Float64("rate", 0, "aggregate requests/sec across workers (0 = unthrottled)")
-	concurrency := flag.Int("concurrency", 8, "concurrent workers")
-	duration := flag.Duration("duration", 5*time.Second, "how long to fire")
-	jitter := flag.Float64("jitter", 0.2, "inter-request gap jitter fraction (0..1)")
-	classifyFrac := flag.Float64("classify-frac", 0.1, "fraction of requests that POST /v1/classify")
-	listsPath := flag.String("lists", "", "lists snapshot to harvest match URLs from")
-	seed := flag.Int64("seed", 1, "workload seed")
-	check := flag.Bool("check", false, "exit non-zero unless the run satisfies the accounting gate")
-	usageCheck := flag.Bool("usage-check", false, "reconcile /admin/usage hit totals against this run's parsed match verdicts")
-	analyticsCheck := flag.Bool("analytics-check", false, "reconcile /admin/analytics decision totals against this run's parsed verdicts (server must run -analytics at sampling 1.0)")
-	maxBackoff := flag.Duration("max-backoff", 100*time.Millisecond, "cap on honoring a 429 Retry-After")
-	chaos := flag.Bool("chaos", false, "mix hostile requests (malformed/oversized/trickle/abort) into the workload")
-	faultFrac := flag.Float64("fault-frac", 0.25, "with -chaos, fraction of requests made hostile")
-	bench := flag.Bool("bench", false, "emit a BenchmarkChaosLoadgen line (shed rate, recovered panics, aborted requests)")
-	benchFleet := flag.Bool("bench-fleet", false, "emit a BenchmarkFleetLoadgen line (target must be an adwars-gateway)")
-	benchBrownout := flag.Bool("bench-brownout", false, "emit a BenchmarkBrownoutLoadgen line (hot-only fraction, retry-budget exhaustions, transition p99)")
-	degradeURLs := flag.String("degrade-url", "", "comma-separated replica base URLs whose /admin/degrade to read for -degrade-check and -bench-brownout")
-	degradeCheck := flag.Bool("degrade-check", false, "after the run, wait for every -degrade-url replica to recover to L0 and assert the ladder climbed >= L2 and did not flap")
-	probe := flag.Bool("probe", false, "send canonical requests, retry to 2xx, print bodies, exit")
-	probeAttempts := flag.Int("probe-attempts", 50, "max retries per canonical probe request")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: 0 when the run (and every selected gate)
+// passed, 1 when a gate or the probe failed, 2 when the run could not be
+// set up as asked.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("adwars-loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	target := fs.String("target", "http://127.0.0.1:8080", "base URL of the adwars-serve instance")
+	rate := fs.Float64("rate", 0, "aggregate requests/sec across workers (0 = unthrottled)")
+	concurrency := fs.Int("concurrency", 8, "concurrent workers")
+	duration := fs.Duration("duration", 5*time.Second, "how long to fire")
+	jitter := fs.Float64("jitter", 0.2, "inter-request gap jitter fraction (0..1)")
+	classifyFrac := fs.Float64("classify-frac", 0.1, "fraction of requests that POST /v1/classify")
+	listsPath := fs.String("lists", "", "lists snapshot to harvest match URLs from")
+	seed := fs.Int64("seed", 1, "workload seed")
+	check := fs.String("check", "", "comma list of gates the run must pass: ledger, usage, analytics, degrade, failovers, hot-only")
+	chaos := fs.Bool("chaos", false, "mix hostile requests (malformed/oversized/trickle/abort) into the workload")
+	faultFrac := fs.Float64("fault-frac", 0.25, "with -chaos, fraction of requests made hostile")
+	degradeURLs := fs.String("degrade-url", "", "comma-separated replica base URLs whose /admin/degrade the degrade gate reads")
+	probe := fs.Bool("probe", false, "send canonical requests, retry to 2xx, print bodies, exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(format string, a ...interface{}) int {
+		fmt.Fprintf(stderr, "loadgen: "+format+"\n", a...)
+		return 2
+	}
 
 	client := &http.Client{
 		Timeout: 10 * time.Second,
@@ -248,47 +262,34 @@ func main() {
 			MaxIdleConnsPerHost: *concurrency,
 		},
 	}
+	defer client.CloseIdleConnections()
 
 	if *probe {
-		os.Exit(runProbe(client, *target, *probeAttempts))
+		return runProbe(client, *target, stdout, stderr)
 	}
-	if *usageCheck && *chaos {
-		fmt.Fprintln(os.Stderr, "loadgen: -usage-check is incompatible with -chaos")
-		os.Exit(2)
+	rows, err := selectGates(*check, *chaos)
+	if err != nil {
+		return fatal("%v", err)
 	}
-	if *analyticsCheck && *chaos {
-		fmt.Fprintln(os.Stderr, "loadgen: -analytics-check is incompatible with -chaos")
-		os.Exit(2)
-	}
-	var usageBefore uint64
-	if *usageCheck {
-		v, err := fetchUsageTotal(client, *target)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: usage-check baseline: %v\n", err)
-			os.Exit(2)
+	ck := &checker{client: client, target: *target, replicas: splitList(*degradeURLs), chaos: *chaos}
+	// A row with a baseline reconciles it against the verdicts in this
+	// run's 2xx bodies; without one, bodies are not parsed.
+	parse := false
+	for _, g := range rows {
+		if g.before == nil {
+			continue
 		}
-		usageBefore = v
-	}
-	var anlBefore *analyticsTotals
-	if *analyticsCheck {
-		at, err := fetchAnalyticsTotals(client, *target)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: analytics-check baseline: %v\n", err)
-			os.Exit(2)
+		parse = true
+		if err := g.before(ck); err != nil {
+			return fatal("%s-CHECK FAILED: baseline: %v", strings.ToUpper(g.name), err)
 		}
-		if at.Counters.SampleRate < 1 {
-			fmt.Fprintf(os.Stderr, "loadgen: analytics-check needs sampling 1.0, server is at %.3f\n", at.Counters.SampleRate)
-			os.Exit(2)
-		}
-		anlBefore = at
 	}
 
 	domains := syntheticDomains(*seed)
 	if *listsPath != "" {
 		snap, err := abp.LoadListsSnapshot(*listsPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: lists snapshot: %v\n", err)
-			os.Exit(2)
+			return fatal("lists snapshot: %v", err)
 		}
 		var harvested []string
 		for _, l := range snap.Lists {
@@ -301,7 +302,7 @@ func main() {
 		}
 	}
 	scripts := workloadScripts(*seed)
-	// One shared oversized body (default server cap is 1 MiB; this clears
+	// One shared oversized body (the server's cap is 1 MiB; this clears
 	// it). Workers only ever read it, so sharing is safe.
 	oversized := bytes.Repeat([]byte(`{"url":"x"} `), (1<<20)/12+2)
 
@@ -338,20 +339,20 @@ func main() {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				c.latencies = append(c.latencies, time.Since(t0))
-				c.observe(resp.StatusCode, resp.Header.Get("X-Adwars-Replica"),
-					resp.Header.Get("X-Adwars-Degrade"))
+				c.count(byStatus, strconv.Itoa(resp.StatusCode), 1)
+				c.count(byReplica, resp.Header.Get("X-Adwars-Replica"), 1)
+				c.count(byDegrade, resp.Header.Get("X-Adwars-Degrade"), 1)
 				switch {
 				case resp.StatusCode >= 200 && resp.StatusCode < 300:
 					c.ok2xx++
-					if *usageCheck && rk == reqMatch {
-						c.matchHits += countMatchHits(body)
-					}
-					if *analyticsCheck {
-						c.ledgerVerdict(rk, body)
+					if parse {
+						key, hits := parseVerdicts(rk, body)
+						c.count(byVerdict, key, 1)
+						c.matchHits += hits
 					}
 				case resp.StatusCode == http.StatusTooManyRequests:
 					c.shed429++
-					if d := retryAfter(resp, *maxBackoff); d > 0 {
+					if d := retryAfter(resp); d > 0 {
 						// Jitter the honored backoff into [d/2, d]: workers shed
 						// in the same overload wave would otherwise all sleep the
 						// same capped duration and re-arrive as a synchronized
@@ -395,56 +396,48 @@ func main() {
 	if *chaos {
 		mode = "loadgen[chaos]"
 	}
-	fmt.Printf("%s: %d requests in %v (%.0f req/s, %d workers)\n",
+	fmt.Fprintf(stdout, "%s: %d requests in %v (%.0f req/s, %d workers)\n",
 		mode, total.sent, elapsed.Round(time.Millisecond), float64(total.sent)/elapsed.Seconds(), *concurrency)
-	fmt.Printf("  2xx %d   429 shed %d   other 4xx %d   5xx %d   panic-5xx %d   aborted %d\n",
+	fmt.Fprintf(stdout, "  2xx %d   429 shed %d   other 4xx %d   5xx %d   panic-5xx %d   aborted %d\n",
 		total.ok2xx, total.shed429, total.other4xx, total.fail5xx, total.panic5xx, total.aborted)
-	fmt.Printf("  backoff: %d sleeps totaling %v (Retry-After honored, capped at %v)\n",
-		total.backoffs, total.backoffTotal.Round(time.Millisecond), *maxBackoff)
+	fmt.Fprintf(stdout, "  backoff: %d sleeps totaling %v (Retry-After honored, capped at %v)\n",
+		total.backoffs, total.backoffTotal.Round(time.Millisecond), maxBackoff)
 	if n := len(total.latencies); n > 0 {
-		fmt.Printf("  latency p50 %v   p90 %v   p99 %v   max %v\n",
+		fmt.Fprintf(stdout, "  latency p50 %v   p90 %v   p99 %v   max %v\n",
 			total.latencies[n/2].Round(time.Microsecond),
 			total.latencies[n*90/100].Round(time.Microsecond),
 			total.latencies[n*99/100].Round(time.Microsecond),
 			total.latencies[n-1].Round(time.Microsecond))
 	}
-	printBreakdowns(&total)
+	for _, dim := range []string{byStatus, byReplica, byDegrade} {
+		keys, counts := total.by(dim)
+		if len(keys) == 0 {
+			continue
+		}
+		fmt.Fprintf(stdout, "  by %s:", dim)
+		for _, k := range keys {
+			fmt.Fprintf(stdout, "  %s=%d", k, counts[k])
+		}
+		fmt.Fprintln(stdout)
+	}
 
-	if *bench {
-		emitBenchLine(client, *target, &total, elapsed)
-	}
-	if *benchFleet {
-		emitFleetBenchLine(client, *target, &total, elapsed)
-	}
-	if *benchBrownout {
-		emitBrownoutBenchLine(client, *target, splitURLs(*degradeURLs), &total, elapsed)
-	}
-
-	if *check {
-		if !runChecks(&total, *chaos) {
-			os.Exit(1)
+	ck.total = &total
+	code := 0
+	for _, g := range rows {
+		name := strings.ToUpper(g.name)
+		if found, err := g.after(ck); err != nil {
+			fmt.Fprintf(stderr, "loadgen: %s-CHECK FAILED: %v\n", name, err)
+			code = 1
+		} else {
+			fmt.Fprintf(stdout, "loadgen: %s-CHECK OK (%s)\n", name, found)
 		}
 	}
-	if *degradeCheck {
-		if !runDegradeCheck(client, splitURLs(*degradeURLs)) {
-			os.Exit(1)
-		}
-	}
-	if *usageCheck {
-		if !runUsageCheck(client, *target, usageBefore, total.matchHits) {
-			os.Exit(1)
-		}
-	}
-	if *analyticsCheck {
-		if !runAnalyticsCheck(client, *target, anlBefore, total.verdicts) {
-			os.Exit(1)
-		}
-	}
+	return code
 }
 
-// reqKind says which verdict-bearing endpoint a normal request hit, so
-// the usage-check and analytics-check ledgers know how to parse its body.
-// Fault requests are reqOther: their responses carry no verdicts.
+// reqKind says which verdict-bearing endpoint a normal request hit, so the
+// usage and analytics ledgers know how to parse its body. Fault requests
+// are reqOther: their responses carry no verdicts.
 type reqKind int
 
 const (
@@ -517,100 +510,126 @@ func fire(client *http.Client, target string, kind faultKind, rng *rand.Rand,
 	return resp, reqMatch, err
 }
 
-// countMatchHits parses one 2xx /v1/match body and counts the per-list
-// verdicts the server recorded usage for: every entry whose decision is
-// not "no-match" is exactly one RecordUsage tick.
-func countMatchHits(body []byte) int64 {
-	var res struct {
-		Lists []struct {
-			Decision string `json:"decision"`
-		} `json:"lists"`
-	}
-	if json.Unmarshal(body, &res) != nil {
-		return 0
-	}
-	var n int64
-	for _, lm := range res.Lists {
-		if lm.Decision != "no-match" {
-			n++
-		}
-	}
-	return n
-}
-
-// fetchUsageTotal reads total_hits from /admin/usage (top disabled — the
-// reconciliation only needs the aggregate).
-func fetchUsageTotal(client *http.Client, target string) (uint64, error) {
-	resp, err := client.Get(target + "/admin/usage?top=0")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /admin/usage: status %d", resp.StatusCode)
-	}
-	var dump struct {
-		TotalHits uint64 `json:"total_hits"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return 0, err
-	}
-	return dump.TotalHits, nil
-}
-
-// runUsageCheck re-reads /admin/usage and demands that the server-side
-// hit delta equals the run's own parsed-verdict ledger.
-func runUsageCheck(client *http.Client, target string, before uint64, matchHits int64) bool {
-	after, err := fetchUsageTotal(client, target)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: USAGE-CHECK FAILED: %v\n", err)
-		return false
-	}
-	delta := int64(after - before)
-	if delta != matchHits {
-		fmt.Fprintf(os.Stderr, "loadgen: USAGE-CHECK FAILED: server recorded %d hits (total %d→%d) but ledger parsed %d match verdicts\n",
-			delta, before, after, matchHits)
-		return false
-	}
-	fmt.Printf("loadgen: USAGE-CHECK OK (server hit delta %d == %d parsed match verdicts)\n", delta, matchHits)
-	return true
-}
-
-// ledgerVerdict parses one 2xx body into the -analytics-check ledger,
-// keyed exactly like the server's /admin/analytics totals: a match
-// response contributes "match/"+decision (the merged top-level verdict),
-// a classify response contributes classify/anti-adblock or
-// classify/benign.
-func (c *counters) ledgerVerdict(rk reqKind, body []byte) {
-	var key string
+// parseVerdicts reads from one 2xx body what the reconciling gates count.
+// key is the body's key in the analytics ledger, which is keyed exactly
+// like the server's /admin/analytics totals: a match response is
+// "match/"+decision (the merged top-level verdict), a classify response
+// classify/anti-adblock or classify/benign; "" is a body with no verdict.
+// hits is the usage ledger's share: every per-list verdict of a match
+// response that is not "no-match" is exactly one RecordUsage tick.
+func parseVerdicts(rk reqKind, body []byte) (key string, hits int64) {
 	switch rk {
 	case reqMatch:
 		var res struct {
 			Decision string `json:"decision"`
+			Lists    []struct {
+				Decision string `json:"decision"`
+			} `json:"lists"`
 		}
-		if json.Unmarshal(body, &res) != nil || res.Decision == "" {
-			return
+		if json.Unmarshal(body, &res) != nil {
+			return "", 0
 		}
-		key = "match/" + res.Decision
+		for _, lm := range res.Lists {
+			if lm.Decision != "no-match" {
+				hits++
+			}
+		}
+		if res.Decision != "" {
+			key = "match/" + res.Decision
+		}
 	case reqClassify:
 		var res struct {
 			AntiAdblock bool `json:"anti_adblock"`
 		}
 		if json.Unmarshal(body, &res) != nil {
-			return
+			return "", 0
 		}
+		key = "classify/benign"
 		if res.AntiAdblock {
 			key = "classify/anti-adblock"
-		} else {
-			key = "classify/benign"
 		}
-	default:
-		return
 	}
-	if c.verdicts == nil {
-		c.verdicts = make(map[string]int64)
+	return key, hits
+}
+
+// getJSON GETs url and decodes a 200's body into v.
+func getJSON(client *http.Client, url string, v interface{}) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
 	}
-	c.verdicts[key]++
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// ledger is the accounting gate: at least one request succeeded, there
+// were no unexplained 5xx, and every request sent is accounted for — as a
+// 2xx or a 429, with no panic-5xx and no transport error, or under the
+// chaos ledger below. It is unchanged behind a gateway: retries and hedges
+// happen inside it, so every client-visible request still ends as exactly
+// one 2xx or 429.
+func (ck *checker) ledger() (string, error) {
+	t := ck.total
+	if t.ok2xx == 0 {
+		return "", errors.New("no successful requests")
+	}
+	if t.fail5xx > 0 {
+		return "", fmt.Errorf("%d unexplained 5xx responses", t.fail5xx)
+	}
+	if ck.chaos {
+		// Chaos ledger: every request ends as a success, an explicit
+		// rejection, a counted recovered panic, or a counted abort.
+		accounted := t.ok2xx + t.other4xx + t.shed429 + t.panic5xx + t.aborted
+		if accounted != t.sent {
+			return "", fmt.Errorf("sent %d but accounted %d (2xx %d + 4xx %d + 429 %d + panic-5xx %d + aborted %d)",
+				t.sent, accounted, t.ok2xx, t.other4xx, t.shed429, t.panic5xx, t.aborted)
+		}
+		return fmt.Sprintf("chaos ledger balanced: %d sent = %d 2xx + %d 4xx + %d shed + %d panic-5xx + %d aborted",
+			t.sent, t.ok2xx, t.other4xx, t.shed429, t.panic5xx, t.aborted), nil
+	}
+	if t.panic5xx > 0 {
+		return "", fmt.Errorf("%d panic 5xx responses outside chaos mode", t.panic5xx)
+	}
+	if t.aborted > 0 {
+		return "", fmt.Errorf("%d transport errors", t.aborted)
+	}
+	if accounted := t.ok2xx + t.shed429; accounted != t.sent {
+		return "", fmt.Errorf("sent %d but only %d accounted as 2xx+429", t.sent, accounted)
+	}
+	return "all requests 2xx or 429, zero 5xx", nil
+}
+
+// usageTotal reads total_hits from /admin/usage (top disabled — the
+// reconciliation only needs the aggregate).
+func (ck *checker) usageTotal() (uint64, error) {
+	var dump struct {
+		TotalHits uint64 `json:"total_hits"`
+	}
+	err := getJSON(ck.client, ck.target+"/admin/usage?top=0", &dump)
+	return dump.TotalHits, err
+}
+
+func (ck *checker) usageBaseline() (err error) {
+	ck.usageBefore, err = ck.usageTotal()
+	return err
+}
+
+// usage re-reads /admin/usage and demands that the server-side hit delta
+// equals the run's own parsed-verdict ledger.
+func (ck *checker) usage() (string, error) {
+	after, err := ck.usageTotal()
+	if err != nil {
+		return "", err
+	}
+	delta := int64(after - ck.usageBefore)
+	if delta != ck.total.matchHits {
+		return "", fmt.Errorf("server recorded %d hits (total %d→%d) but ledger parsed %d match verdicts",
+			delta, ck.usageBefore, after, ck.total.matchHits)
+	}
+	return fmt.Sprintf("server hit delta %d == %d parsed match verdicts", delta, ck.total.matchHits), nil
 }
 
 // analyticsTotals is the slice of the /admin/analytics snapshot the
@@ -628,46 +647,45 @@ type analyticsTotals struct {
 	} `json:"counters"`
 }
 
-func fetchAnalyticsTotals(client *http.Client, target string) (*analyticsTotals, error) {
-	resp, err := client.Get(target + "/admin/analytics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /admin/analytics: status %d (server not running -analytics?)", resp.StatusCode)
-	}
-	var at analyticsTotals
-	if err := json.NewDecoder(resp.Body).Decode(&at); err != nil {
-		return nil, err
+func (ck *checker) analyticsNow() (at analyticsTotals, err error) {
+	if err = getJSON(ck.client, ck.target+"/admin/analytics", &at); err != nil {
+		return at, fmt.Errorf("%w (server not running -analytics?)", err)
 	}
 	if !at.Enabled {
-		return nil, fmt.Errorf("analytics disabled on server")
+		return at, errors.New("analytics disabled on server")
 	}
-	return &at, nil
+	return at, nil
 }
 
-// runAnalyticsCheck re-reads /admin/analytics — polling briefly so the
-// consumer can finish draining the rings — and demands that every
-// per-"kind/verdict" total delta equals this run's ledger exactly, with
-// zero new drops and zero sampled-out decisions.
-func runAnalyticsCheck(client *http.Client, target string, before *analyticsTotals, ledger map[string]int64) bool {
-	fail := func(format string, args ...interface{}) bool {
-		fmt.Fprintf(os.Stderr, "loadgen: ANALYTICS-CHECK FAILED: "+format+"\n", args...)
-		return false
+func (ck *checker) analyticsBaseline() (err error) {
+	if ck.anlBefore, err = ck.analyticsNow(); err != nil {
+		return err
 	}
+	if rate := ck.anlBefore.Counters.SampleRate; rate < 1 {
+		return fmt.Errorf("needs sampling 1.0, server is at %.3f", rate)
+	}
+	return nil
+}
+
+// analytics re-reads /admin/analytics — polling briefly so the consumer
+// can finish draining the rings — and demands that every per-"kind/verdict"
+// total delta equals this run's ledger exactly, with zero new drops and
+// zero sampled-out decisions.
+func (ck *checker) analytics() (string, error) {
+	before := &ck.anlBefore
+	_, ledger := ck.total.by(byVerdict)
 	var ledgerSum int64
 	for _, v := range ledger {
 		ledgerSum += v
 	}
 	// Poll until the rings are empty and the recorded delta covers the
 	// ledger (the consumer drains on a few-ms cadence; 3s is generous).
-	var after *analyticsTotals
+	var after analyticsTotals
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		at, err := fetchAnalyticsTotals(client, target)
+		at, err := ck.analyticsNow()
 		if err != nil {
-			return fail("%v", err)
+			return "", err
 		}
 		after = at
 		settled := at.Counters.RingOccupancy == 0 &&
@@ -678,84 +696,122 @@ func runAnalyticsCheck(client *http.Client, target string, before *analyticsTota
 		time.Sleep(20 * time.Millisecond)
 	}
 	if d := after.Counters.Dropped - before.Counters.Dropped; d != 0 {
-		return fail("%d decisions dropped at the rings during the run", d)
+		return "", fmt.Errorf("%d decisions dropped at the rings during the run", d)
 	}
 	if d := after.Counters.SampledOut - before.Counters.SampledOut; d != 0 {
-		return fail("%d decisions sampled out (server not at sampling 1.0?)", d)
+		return "", fmt.Errorf("%d decisions sampled out (server not at sampling 1.0?)", d)
 	}
 	// Every key either side saw must reconcile — a key the server counted
 	// but the ledger didn't (or vice versa) is as much a failure as a
-	// mismatched count.
-	keys := make(map[string]bool, len(ledger))
-	for k := range ledger {
-		keys[k] = true
-	}
+	// mismatched count — so the ledger takes on the server's keys, at zero.
+	parsedKeys := len(ledger)
 	for k := range after.Totals {
-		if after.Totals[k] != before.Totals[k] {
-			keys[k] = true
+		ledger[k] += 0
+	}
+	var drift []string
+	for k, want := range ledger {
+		if delta := int64(after.Totals[k] - before.Totals[k]); delta != want {
+			drift = append(drift, fmt.Sprintf("%s: server delta %d != ledger %d", k, delta, want))
 		}
 	}
-	ok := true
-	for k := range keys {
-		delta := int64(after.Totals[k] - before.Totals[k])
-		if delta != ledger[k] {
-			fmt.Fprintf(os.Stderr, "loadgen: ANALYTICS-CHECK FAILED: %s: server delta %d != ledger %d\n",
-				k, delta, ledger[k])
-			ok = false
-		}
+	if len(drift) > 0 {
+		sort.Strings(drift)
+		return "", errors.New(strings.Join(drift, "; "))
 	}
-	if !ok {
-		return false
-	}
-	fmt.Printf("loadgen: ANALYTICS-CHECK OK (%d decisions across %d verdict keys reconcile exactly, zero drops)\n",
-		ledgerSum, len(ledger))
-	return true
+	return fmt.Sprintf("%d decisions across %d verdict keys reconcile exactly, zero drops", ledgerSum, parsedKeys), nil
 }
 
-// runChecks applies the pass/fail gate and reports the first violation.
-func runChecks(total *counters, chaos bool) bool {
-	fail := func(format string, args ...interface{}) bool {
-		fmt.Fprintf(os.Stderr, "loadgen: CHECK FAILED: "+format+"\n", args...)
-		return false
+// degrade is the brownout recovery gate: each replica must come back to L0
+// within the poll window, its ladder must have climbed to at least L2
+// under the load this run generated, and the transition ledger must show
+// exactly one climb and one descent — transitions == 2×peak with step-ups
+// == step-downs — so hysteresis demonstrably prevented flapping.
+func (ck *checker) degrade() (string, error) {
+	if len(ck.replicas) == 0 {
+		return "", errors.New("no -degrade-url given")
 	}
-	if total.ok2xx == 0 {
-		return fail("no successful requests")
-	}
-	if total.fail5xx > 0 {
-		return fail("%d unexplained 5xx responses", total.fail5xx)
-	}
-	if chaos {
-		// Chaos ledger: every request ends as a success, an explicit
-		// rejection, a counted recovered panic, or a counted abort.
-		accounted := total.ok2xx + total.other4xx + total.shed429 + total.panic5xx + total.aborted
-		if accounted != total.sent {
-			return fail("sent %d but accounted %d (2xx %d + 4xx %d + 429 %d + panic-5xx %d + aborted %d)",
-				total.sent, accounted, total.ok2xx, total.other4xx, total.shed429, total.panic5xx, total.aborted)
+	var ladders []string
+	for _, u := range ck.replicas {
+		var snap struct {
+			Level       string `json:"level"`
+			LevelNum    int    `json:"level_num"`
+			PeakLevel   int    `json:"peak_level"`
+			Transitions uint64 `json:"transitions"`
+			StepUps     uint64 `json:"step_ups"`
+			StepDowns   uint64 `json:"step_downs"`
 		}
-		fmt.Printf("loadgen: CHECK OK (chaos ledger balanced: %d sent = %d 2xx + %d 4xx + %d shed + %d panic-5xx + %d aborted)\n",
-			total.sent, total.ok2xx, total.other4xx, total.shed429, total.panic5xx, total.aborted)
-		return true
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			if err := getJSON(ck.client, u+"/admin/degrade", &snap); err != nil {
+				return "", fmt.Errorf("%w (replica not running -degrade?)", err)
+			}
+			if snap.LevelNum == 0 || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+		if snap.LevelNum != 0 {
+			return "", fmt.Errorf("%s: still at %s after 15s, never recovered to L0", u, snap.Level)
+		}
+		if snap.PeakLevel < 2 {
+			return "", fmt.Errorf("%s: peak level L%d, want >= L2 (the run never pushed the ladder)", u, snap.PeakLevel)
+		}
+		if snap.Transitions != 2*uint64(snap.PeakLevel) || snap.StepUps != snap.StepDowns {
+			return "", fmt.Errorf("%s: %d transitions (%d up, %d down) for peak L%d — want exactly %d (one climb, one descent): the ladder flapped",
+				u, snap.Transitions, snap.StepUps, snap.StepDowns, snap.PeakLevel, 2*snap.PeakLevel)
+		}
+		ladders = append(ladders, fmt.Sprintf("%s peak L%d, %d up / %d down", u, snap.PeakLevel, snap.StepUps, snap.StepDowns))
 	}
-	if total.panic5xx > 0 {
-		return fail("%d panic 5xx responses outside chaos mode", total.panic5xx)
-	}
-	if total.aborted > 0 {
-		return fail("%d transport errors", total.aborted)
-	}
-	if accounted := total.ok2xx + total.shed429; accounted != total.sent {
-		return fail("sent %d but only %d accounted as 2xx+429", total.sent, accounted)
-	}
-	if len(total.perDegrade) > 0 {
-		fmt.Printf("loadgen: CHECK OK (all requests 2xx or 429, zero 5xx; by degrade level:%s)\n",
-			degradeBreakdown(total))
-		return true
-	}
-	fmt.Println("loadgen: CHECK OK (all requests 2xx or 429, zero 5xx)")
-	return true
+	return fmt.Sprintf("%d replicas climbed >= L2 and recovered to L0 without flapping: %s",
+		len(ladders), strings.Join(ladders, "; ")), nil
 }
 
-// retryAfter parses a 429's Retry-After header (seconds form) and caps it.
-func retryAfter(resp *http.Response, limit time.Duration) time.Duration {
+// failovers reads the gateway's own failover ledger from the
+// "adwars_gateway" tree of its /debug/vars: a replica killed mid-run must
+// have been absorbed by failover, not by luck.
+func (ck *checker) failovers() (string, error) {
+	var vars struct {
+		Gateway *struct {
+			Failovers float64 `json:"failovers"`
+			Retries   float64 `json:"retries"`
+			Hedges    float64 `json:"hedges"`
+		} `json:"adwars_gateway"`
+	}
+	if err := getJSON(ck.client, ck.target+"/debug/vars", &vars); err != nil {
+		return "", err
+	}
+	gw := vars.Gateway
+	if gw == nil {
+		return "", errors.New("no adwars_gateway tree in /debug/vars (target is not a gateway?)")
+	}
+	if gw.Failovers < 1 {
+		return "", fmt.Errorf("gateway reports %.0f failovers; a killed replica was not absorbed by failover", gw.Failovers)
+	}
+	replicas, _ := ck.total.by(byReplica)
+	return fmt.Sprintf("gateway reports %.0f failovers, %.0f retries, %.0f hedges; %d replicas answered",
+		gw.Failovers, gw.Retries, gw.Hedges, len(replicas)), nil
+}
+
+// hotOnly demands that the brownout was real: some answers were served at
+// L2 or above — levels where match answers come from the hot tier only.
+func (ck *checker) hotOnly() (string, error) {
+	var all, hot int64
+	_, counts := ck.total.by(byDegrade)
+	for lvl, n := range counts {
+		all += n
+		if lvl >= "L2" {
+			hot += n
+		}
+	}
+	if hot == 0 {
+		return "", errors.New("hot-only fraction is 0; no answers were served at L2+")
+	}
+	return fmt.Sprintf("hot-only fraction %.4f", float64(hot)/float64(all)), nil
+}
+
+// retryAfter parses a 429's Retry-After header (seconds form) and caps it
+// at maxBackoff.
+func retryAfter(resp *http.Response) time.Duration {
 	h := resp.Header.Get("Retry-After")
 	if h == "" {
 		return 0
@@ -765,8 +821,8 @@ func retryAfter(resp *http.Response, limit time.Duration) time.Duration {
 		return 0
 	}
 	d := time.Duration(secs) * time.Second
-	if d > limit {
-		d = limit
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	return d
 }
@@ -782,83 +838,8 @@ func isPanicEnvelope(body []byte) bool {
 	return json.Unmarshal(body, &envelope) == nil && envelope.Error.Code == "internal_panic"
 }
 
-// emitBenchLine prints a go-bench formatted result line for the chaos run.
-// recovered-panics comes from the
-// server's own /debug/vars (chaos-exempt control plane); if that read
-// fails the line still goes out with the counter at -1.
-func emitBenchLine(client *http.Client, target string, total *counters, elapsed time.Duration) {
-	shedRate := 0.0
-	if total.sent > 0 {
-		shedRate = float64(total.shed429) / float64(total.sent)
-	}
-	recovered := float64(-1)
-	if v, err := fetchPanicsRecovered(client, target); err == nil {
-		recovered = v
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: warning: /debug/vars unreadable: %v\n", err)
-	}
-	nsPerOp := float64(elapsed.Nanoseconds())
-	if total.sent > 0 {
-		nsPerOp /= float64(total.sent)
-	}
-	fmt.Printf("BenchmarkChaosLoadgen %d %.0f ns/op %.4f shed-rate %.0f recovered-panics %d aborted-requests\n",
-		total.sent, nsPerOp, shedRate, recovered, total.aborted)
-}
-
-// printBreakdowns renders the per-status and per-replica attribution of
-// everything the run received.
-func printBreakdowns(total *counters) {
-	if len(total.perStatus) > 0 {
-		statuses := make([]int, 0, len(total.perStatus))
-		for s := range total.perStatus {
-			statuses = append(statuses, s)
-		}
-		sort.Ints(statuses)
-		fmt.Printf("  by status:")
-		for _, s := range statuses {
-			fmt.Printf("  %d=%d", s, total.perStatus[s])
-		}
-		fmt.Println()
-	}
-	if len(total.perReplica) > 0 {
-		names := make([]string, 0, len(total.perReplica))
-		for n := range total.perReplica {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var answered int64
-		for _, n := range names {
-			answered += total.perReplica[n]
-		}
-		fmt.Printf("  by replica:")
-		for _, n := range names {
-			fmt.Printf("  %s=%d (%.0f%%)", n, total.perReplica[n],
-				100*float64(total.perReplica[n])/float64(answered))
-		}
-		fmt.Println()
-	}
-	if len(total.perDegrade) > 0 {
-		fmt.Printf("  by degrade level:%s  (hot-only fraction %.3f)\n",
-			degradeBreakdown(total), total.hotOnlyFraction())
-	}
-}
-
-// degradeBreakdown renders the per-level response counts in ladder order.
-func degradeBreakdown(total *counters) string {
-	levels := make([]string, 0, len(total.perDegrade))
-	for l := range total.perDegrade {
-		levels = append(levels, l)
-	}
-	sort.Strings(levels)
-	var sb strings.Builder
-	for _, l := range levels {
-		fmt.Fprintf(&sb, "  %s=%d", l, total.perDegrade[l])
-	}
-	return sb.String()
-}
-
-// splitURLs splits a comma-separated URL list, dropping empties.
-func splitURLs(s string) []string {
+// splitList splits a comma-separated list, dropping empties.
+func splitList(s string) []string {
 	var out []string
 	for _, u := range strings.Split(s, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -868,181 +849,10 @@ func splitURLs(s string) []string {
 	return out
 }
 
-// degradeSnap is the slice of a replica's /admin/degrade snapshot the
-// recovery check and brownout benchmark read.
-type degradeSnap struct {
-	Level           string `json:"level"`
-	LevelNum        int    `json:"level_num"`
-	PeakLevel       int    `json:"peak_level"`
-	Transitions     uint64 `json:"transitions"`
-	StepUps         uint64 `json:"step_ups"`
-	StepDowns       uint64 `json:"step_downs"`
-	TransitionP99Ns int64  `json:"transition_p99_ns"`
-}
-
-func fetchDegrade(client *http.Client, base string) (*degradeSnap, error) {
-	resp, err := client.Get(base + "/admin/degrade")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s/admin/degrade: status %d (replica not running -degrade?)", base, resp.StatusCode)
-	}
-	var snap degradeSnap
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// runDegradeCheck is the brownout recovery gate: each replica must come
-// back to L0 within the poll window, its ladder must have climbed to at
-// least L2 under the load this run generated, and the transition ledger
-// must show exactly one climb and one descent — transitions == 2×peak
-// with step-ups == step-downs — so hysteresis demonstrably prevented
-// flapping.
-func runDegradeCheck(client *http.Client, urls []string) bool {
-	fail := func(format string, args ...interface{}) bool {
-		fmt.Fprintf(os.Stderr, "loadgen: DEGRADE-CHECK FAILED: "+format+"\n", args...)
-		return false
-	}
-	if len(urls) == 0 {
-		return fail("no -degrade-url given")
-	}
-	for _, u := range urls {
-		var snap *degradeSnap
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			s, err := fetchDegrade(client, u)
-			if err != nil {
-				return fail("%v", err)
-			}
-			snap = s
-			if snap.LevelNum == 0 || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if snap.LevelNum != 0 {
-			return fail("%s: still at %s after 15s, never recovered to L0", u, snap.Level)
-		}
-		if snap.PeakLevel < 2 {
-			return fail("%s: peak level L%d, want >= L2 (the run never pushed the ladder)", u, snap.PeakLevel)
-		}
-		if snap.Transitions != 2*uint64(snap.PeakLevel) || snap.StepUps != snap.StepDowns {
-			return fail("%s: %d transitions (%d up, %d down) for peak L%d — want exactly %d (one climb, one descent): the ladder flapped",
-				u, snap.Transitions, snap.StepUps, snap.StepDowns, snap.PeakLevel, 2*snap.PeakLevel)
-		}
-		fmt.Printf("loadgen: degrade %s: peak L%d, %d transitions (%d up / %d down), recovered to L0\n",
-			u, snap.PeakLevel, snap.Transitions, snap.StepUps, snap.StepDowns)
-	}
-	fmt.Printf("loadgen: DEGRADE-CHECK OK (%d replicas climbed >= L2 and recovered without flapping)\n", len(urls))
-	return true
-}
-
-// emitBrownoutBenchLine prints the brownout benchmark result: the share
-// of answers served hot-only, the gateway's retry-budget exhaustions,
-// and the worst replica's level-transition p99.
-func emitBrownoutBenchLine(client *http.Client, target string, degradeURLs []string, total *counters, elapsed time.Duration) {
-	budgetExhaustions := float64(-1)
-	if gw, err := fetchGatewayVars(client, target); err == nil {
-		budgetExhaustions = gw.BudgetExhausted
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: warning: gateway /debug/vars unreadable: %v\n", err)
-	}
-	transP99 := int64(-1)
-	for _, u := range degradeURLs {
-		if snap, err := fetchDegrade(client, u); err == nil {
-			if snap.TransitionP99Ns > transP99 {
-				transP99 = snap.TransitionP99Ns
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "loadgen: warning: %v\n", err)
-		}
-	}
-	nsPerOp := float64(elapsed.Nanoseconds())
-	if total.sent > 0 {
-		nsPerOp /= float64(total.sent)
-	}
-	fmt.Printf("BenchmarkBrownoutLoadgen %d %.0f ns/op %.4f hot-only-fraction %.0f retry-budget-exhaustions %d degrade-transition-p99-ns\n",
-		total.sent, nsPerOp, total.hotOnlyFraction(), budgetExhaustions, transP99)
-}
-
-// emitFleetBenchLine prints the fleet benchmark result: throughput through
-// the gateway plus the gateway's own failover ledger (failovers, retries,
-// hedges) read from its /debug/vars.
-func emitFleetBenchLine(client *http.Client, target string, total *counters, elapsed time.Duration) {
-	failovers, retries, hedges := float64(-1), float64(-1), float64(-1)
-	if gw, err := fetchGatewayVars(client, target); err == nil {
-		failovers, retries, hedges = gw.Failovers, gw.Retries, gw.Hedges
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: warning: gateway /debug/vars unreadable: %v\n", err)
-	}
-	nsPerOp := float64(elapsed.Nanoseconds())
-	if total.sent > 0 {
-		nsPerOp /= float64(total.sent)
-	}
-	fmt.Printf("BenchmarkFleetLoadgen %d %.0f ns/op %.0f failovers %.0f retries %.0f hedges %d replicas-seen\n",
-		total.sent, nsPerOp, failovers, retries, hedges, len(total.perReplica))
-}
-
-// gatewayVars is the slice of the gateway's "adwars_gateway" expvar tree
-// the fleet benchmark reports.
-type gatewayVars struct {
-	Failovers       float64 `json:"failovers"`
-	Retries         float64 `json:"retries"`
-	Hedges          float64 `json:"hedges"`
-	BudgetExhausted float64 `json:"retry_budget_exhaustions"`
-}
-
-func fetchGatewayVars(client *http.Client, target string) (*gatewayVars, error) {
-	resp, err := client.Get(target + "/debug/vars")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var vars struct {
-		Gateway *gatewayVars `json:"adwars_gateway"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		return nil, err
-	}
-	if vars.Gateway == nil {
-		return nil, fmt.Errorf("no adwars_gateway tree (target is not a gateway?)")
-	}
-	return vars.Gateway, nil
-}
-
-// fetchPanicsRecovered reads panics_recovered from the server's expvar
-// endpoint.
-func fetchPanicsRecovered(client *http.Client, target string) (float64, error) {
-	resp, err := client.Get(target + "/debug/vars")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var vars struct {
-		Serve struct {
-			PanicsRecovered float64 `json:"panics_recovered"`
-		} `json:"adwars_serve"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		return 0, err
-	}
-	return vars.Serve.PanicsRecovered, nil
-}
-
 // runProbe sends the canonical match and classify requests, retrying each
 // until a 2xx (the target may be mid-chaos), and prints the bodies in a
 // fixed order for byte-comparison between servers. Returns the exit code.
-func runProbe(client *http.Client, target string, attempts int) int {
+func runProbe(client *http.Client, target string, stdout, stderr io.Writer) int {
 	probes := []struct {
 		name, path, ctype, body string
 	}{
@@ -1053,25 +863,23 @@ func runProbe(client *http.Client, target string, attempts int) int {
 	for _, p := range probes {
 		var body []byte
 		got := false
-		for i := 0; i < attempts && !got; i++ {
+		for i := 0; i < probeAttempts && !got; i++ {
+			if i > 0 {
+				time.Sleep(50 * time.Millisecond)
+			}
 			resp, err := client.Post(target+p.path, p.ctype, bytes.NewReader([]byte(p.body)))
 			if err != nil {
-				time.Sleep(50 * time.Millisecond)
 				continue
 			}
-			b, _ := io.ReadAll(resp.Body)
+			body, _ = io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-				body, got = b, true
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
+			got = resp.StatusCode >= 200 && resp.StatusCode < 300
 		}
 		if !got {
-			fmt.Fprintf(os.Stderr, "loadgen: probe %s: no 2xx in %d attempts\n", p.name, attempts)
+			fmt.Fprintf(stderr, "loadgen: probe %s: no 2xx in %d attempts\n", p.name, probeAttempts)
 			return 1
 		}
-		fmt.Printf("%s: %s\n", p.name, body)
+		fmt.Fprintf(stdout, "%s: %s\n", p.name, body)
 	}
 	return 0
 }

@@ -1,0 +1,358 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"adwars/internal/abp"
+	"adwars/internal/analytics"
+	"adwars/internal/degrade"
+	"adwars/internal/ml"
+	"adwars/internal/serve"
+)
+
+// The fixture server is internal/serve's own: a hand-built model whose
+// arithmetic is exact (a script probing both offsetHeight and offsetWidth
+// scores 1, anything else 0) and two small lists, one of which blocks the
+// probe's ads.example.com.
+const testModelJSON = `{
+  "format": "adwars-model",
+  "version": 1,
+  "classifier": "adaboost",
+  "feature_set": "keyword",
+  "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
+  "model": {
+    "alphas": [2],
+    "models": [{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}]
+  },
+  "meta": {"top_k": 2}
+}`
+
+const testListA = `! test list A
+||ads.example.com^
+@@||ads.example.com/allowed$script
+/adframe/$third-party
+`
+
+const testListB = `! test list B
+||tracker.example^$script
+`
+
+// fixture is one in-process serve.Server behind httptest, with the lists
+// snapshot it serves also on disk for -lists.
+type fixture struct {
+	srv   *serve.Server
+	url   string
+	lists string
+}
+
+// newFixture starts a server built from cfg. wrap, when non-nil, stands
+// between the listener and the server's handler: it is how a test breaks
+// one invariant.
+func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) http.Handler) *fixture {
+	t.Helper()
+	model, err := ml.ReadModelSnapshot(strings.NewReader(testModelJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &abp.ListsSnapshot{Label: "test"}
+	for _, l := range []struct{ name, body string }{{"list-a", testListA}, {"list-b", testListB}} {
+		list, errs := abp.ParseAndBuild(l.name, l.body)
+		if len(errs) != 0 {
+			t.Fatalf("%s: %v", l.name, errs)
+		}
+		snap.Lists = append(snap.Lists, list)
+	}
+	f := &fixture{srv: serve.New(cfg), lists: filepath.Join(t.TempDir(), "lists.json")}
+	if err := abp.SaveListsSnapshot(f.lists, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.srv.SetModelSnapshot(model); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.srv.SetListsSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	h := f.srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		f.srv.CloseAnalytics()
+	})
+	f.url = ts.URL
+	return f
+}
+
+// load runs the command against the fixture for a short, busy while.
+func (f *fixture) load(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	args = append([]string{"-target", f.url, "-lists", f.lists,
+		"-duration", "150ms", "-concurrency", "2", "-classify-frac", "0.3"}, args...)
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+func exactAnalytics() *analytics.Config {
+	return &analytics.Config{SampleRate: 1, DrainInterval: time.Millisecond}
+}
+
+// Ladder signals: a full queue is over-pressure, an idle server is calm.
+var (
+	hot  = degrade.Signals{QueueDepth: 10, QueueLimit: 10}
+	calm = degrade.Signals{}
+)
+
+// governed is a server whose ladder moves one level per observation and
+// only when the test says so: nothing starts the governor's own ticker.
+func governed() serve.Config {
+	return serve.Config{Degrade: &degrade.Config{StepUpTicks: 1, StepDownTicks: 1}}
+}
+
+func tick(f *fixture, signals ...degrade.Signals) {
+	for _, s := range signals {
+		f.srv.Degrade().Tick(s)
+	}
+}
+
+// gatewayVars answers /debug/vars as an adwars-gateway with this failover
+// count would; everything else goes to the server.
+func gatewayVars(failovers int) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/debug/vars" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			fmt.Fprintf(w, `{"adwars_gateway":{"failovers":%d,"retries":3,"hedges":1}}`, failovers)
+		})
+	}
+}
+
+// afterRequests calls fn once, from the handler of the n-th data-plane
+// request: an event inside the run, not a sleep beside it.
+func afterRequests(n int64, fn func()) func(http.Handler) http.Handler {
+	var seen atomic.Int64
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/") && seen.Add(1) == n {
+				fn()
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// foreignAfter answers the first GET of path — a gate's baseline read — and
+// then sends the server one blocked match request loadgen never made.
+func foreignAfter(path string) func(http.Handler) http.Handler {
+	var once sync.Once
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			next.ServeHTTP(w, r)
+			if r.URL.Path == path {
+				once.Do(func() {
+					req := httptest.NewRequest(http.MethodPost, "/v1/match",
+						strings.NewReader(`{"url":"http://ads.example.com/foreign.js","type":"script"}`))
+					next.ServeHTTP(httptest.NewRecorder(), req)
+				})
+			}
+		})
+	}
+}
+
+func wantExit(t *testing.T, code, want int) {
+	t.Helper()
+	if code != want {
+		t.Errorf("exit %d, want %d", code, want)
+	}
+}
+
+func wantOutput(t *testing.T, out string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Errorf("output lacks %q:\n%s", w, out)
+		}
+	}
+}
+
+// TestGatesPass: every gate passes on a run whose invariants hold — the
+// reconciling gates on a quiet exact-analytics server, the chaos ledger
+// under hostile load, and the brownout gates on a ladder that climbed to
+// L2 before the run and is stepped back to L0 in the middle of it.
+func TestGatesPass(t *testing.T) {
+	t.Run("ledger usage analytics", func(t *testing.T) {
+		f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, nil)
+		code, stdout, stderr := f.load("-check", "ledger,usage,analytics")
+		wantExit(t, code, 0)
+		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK (all requests 2xx or 429, zero 5xx)",
+			"loadgen: USAGE-CHECK OK (server hit delta ", "loadgen: ANALYTICS-CHECK OK (", "  by status:  200=")
+		if stderr != "" {
+			t.Errorf("stderr: %s", stderr)
+		}
+		if strings.Contains(stdout, "hit delta 0 ==") || strings.Contains(stdout, "(0 decisions") {
+			t.Errorf("a reconciliation of nothing proves nothing:\n%s", stdout)
+		}
+	})
+	t.Run("chaos ledger", func(t *testing.T) {
+		f := newFixture(t, serve.Config{}, nil)
+		code, stdout, stderr := f.load("-chaos", "-check", "ledger")
+		wantExit(t, code, 0)
+		wantOutput(t, stdout, "loadgen[chaos]: ", "loadgen: LEDGER-CHECK OK (chaos ledger balanced: ")
+		if stderr != "" {
+			t.Errorf("stderr: %s", stderr)
+		}
+	})
+	t.Run("degrade failovers hot-only", func(t *testing.T) {
+		var f *fixture
+		recoverMidRun := afterRequests(20, func() { tick(f, calm, calm) })
+		f = newFixture(t, governed(), func(next http.Handler) http.Handler {
+			return gatewayVars(2)(recoverMidRun(next))
+		})
+		tick(f, hot, hot)
+		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers,hot-only", "-degrade-url", f.url)
+		wantExit(t, code, 0)
+		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
+			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L2 and recovered to L0 without flapping: "+f.url+" peak L2, 2 up / 2 down)",
+			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries, 1 hedges; ",
+			"loadgen: HOT-ONLY-CHECK OK (hot-only fraction 0.")
+		if stderr != "" {
+			t.Errorf("stderr: %s", stderr)
+		}
+	})
+}
+
+// TestGatesFail: each gate fails, by name, when its own invariant is
+// broken, and the rows beside it are still judged.
+func TestGatesFail(t *testing.T) {
+	// The fifth data-plane request never reaches the server: it is
+	// answered 500 with a body that is not the recovered-panic envelope.
+	inject5xx := func(next http.Handler) http.Handler {
+		var seen atomic.Int64
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/") && seen.Add(1) == 5 {
+				http.Error(w, `{"error":{"code":"boom"}}`, http.StatusInternalServerError)
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    serve.Config
+		wrap   func(http.Handler) http.Handler
+		ladder []degrade.Signals // observations fed to the governor before the run
+		check  string
+		code   int
+		stderr string
+		stdout string // a row that must still pass
+	}{
+		{name: "ledger: a 5xx nobody explains", cfg: serve.Config{}, wrap: inject5xx,
+			check: "ledger,usage", code: 1,
+			stderr: "loadgen: LEDGER-CHECK FAILED: 1 unexplained 5xx responses", stdout: "loadgen: USAGE-CHECK OK"},
+		{name: "usage: foreign traffic between the reads", cfg: serve.Config{}, wrap: foreignAfter("/admin/usage"),
+			check: "ledger,usage", code: 1,
+			stderr: "loadgen: USAGE-CHECK FAILED: server recorded ", stdout: "loadgen: LEDGER-CHECK OK"},
+		{name: "analytics: foreign traffic between the reads", cfg: serve.Config{Analytics: exactAnalytics()},
+			wrap: foreignAfter("/admin/analytics"), check: "analytics", code: 1,
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: match/blocked: server delta "},
+		{name: "analytics: sampling below 1", check: "ledger,analytics", code: 2,
+			cfg:    serve.Config{Analytics: &analytics.Config{SampleRate: 0.5, DrainInterval: time.Millisecond}},
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.500"},
+		{name: "analytics: off", cfg: serve.Config{}, check: "analytics", code: 2,
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
+		{name: "degrade: peaked below L2", cfg: governed(), ladder: []degrade.Signals{hot, calm},
+			check: "degrade,ledger", code: 1,
+			stderr: "peak level L1, want >= L2", stdout: "loadgen: LEDGER-CHECK OK"},
+		{name: "degrade: flapped", cfg: governed(), ladder: []degrade.Signals{hot, hot, calm, hot, calm, calm},
+			check: "degrade", code: 1,
+			stderr: "6 transitions (3 up, 3 down) for peak L2 — want exactly 4 (one climb, one descent): the ladder flapped"},
+		{name: "degrade: no governor", cfg: serve.Config{}, check: "degrade", code: 1,
+			stderr: "loadgen: DEGRADE-CHECK FAILED: GET "},
+		{name: "failovers: none", cfg: serve.Config{}, wrap: gatewayVars(0), check: "failovers,ledger", code: 1,
+			stderr: "loadgen: FAILOVERS-CHECK FAILED: gateway reports 0 failovers", stdout: "loadgen: LEDGER-CHECK OK"},
+		{name: "failovers: not a gateway", cfg: serve.Config{}, check: "failovers", code: 1,
+			stderr: "loadgen: FAILOVERS-CHECK FAILED: "},
+		{name: "hot-only: never above L0", cfg: governed(), check: "hot-only,ledger", code: 1,
+			stderr: "loadgen: HOT-ONLY-CHECK FAILED: hot-only fraction is 0", stdout: "loadgen: LEDGER-CHECK OK"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, c.cfg, c.wrap)
+			tick(f, c.ladder...)
+			code, stdout, stderr := f.load("-check", c.check, "-degrade-url", f.url)
+			wantExit(t, code, c.code)
+			wantOutput(t, stderr, c.stderr)
+			wantOutput(t, stdout, c.stdout)
+			if c.code == 2 && stdout != "" {
+				t.Errorf("a run that could not be set up fired anyway:\n%s", stdout)
+			}
+		})
+	}
+}
+
+// TestRefusedBeforeFiring: what exits 2 does so before a request is sent.
+func TestRefusedBeforeFiring(t *testing.T) {
+	var requests atomic.Int64
+	f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			next.ServeHTTP(w, r)
+		})
+	})
+	for _, c := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-check", "ledger,latency"}, `loadgen: -check: unknown gate "latency"`},
+		{[]string{"-chaos", "-check", "ledger,usage"}, "loadgen: -check usage is incompatible with -chaos"},
+		{[]string{"-chaos", "-check", "analytics"}, "loadgen: -check analytics is incompatible with -chaos"},
+		{[]string{"-usage-check"}, "flag provided but not defined: -usage-check"},
+		{[]string{"-lists", filepath.Join(t.TempDir(), "absent.json")}, "loadgen: lists snapshot: "},
+	} {
+		code, stdout, stderr := f.load(c.args...)
+		wantExit(t, code, 2)
+		wantOutput(t, stderr, c.stderr)
+		if stdout != "" {
+			t.Errorf("%v printed a summary:\n%s", c.args, stdout)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d requests reached the server", n)
+	}
+}
+
+// TestProbePinned: -probe's output for a fixed server, byte for byte — it
+// is what scripts/smoke.sh diffs between a control and a survivor.
+func TestProbePinned(t *testing.T) {
+	f := newFixture(t, serve.Config{}, nil)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-target", f.url, "-probe"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1},"lists":{"label":"test","lists":2,"rules":4}}}
+
+classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1},"lists":{"label":"test","lists":2,"rules":4}}}
+
+`
+	if out.String() != want {
+		t.Errorf("probe output:\n%s\nwant:\n%s", out.String(), want)
+	}
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	defer dead.Close()
+	out.Reset()
+	code := run([]string{"-target", dead.URL, "-probe"}, &out, &errb)
+	wantExit(t, code, 1)
+	wantOutput(t, errb.String(), "loadgen: probe match: no 2xx in 50 attempts")
+}

@@ -8,12 +8,9 @@
 //
 //	adwars-serve -model model.json -lists lists.json [-addr :8080]
 //	             [-workers N] [-queue N] [-queue-timeout D]
-//	             [-max-body N] [-max-batch N] [-drain D] [-portfile PATH]
-//	             [-replica ID] [-drain-announce D]
-//	             [-analytics] [-analytics-sample F] [-analytics-spill DIR]
-//	             [-analytics-bucket D]
-//	             [-degrade] [-degrade-interval D] [-degrade-queue-frac F]
-//	             [-degrade-p99 D] [-degrade-drop-rate F]
+//	             [-portfile PATH] [-replica ID] [-drain-announce D]
+//	             [-analytics] [-analytics-spill DIR]
+//	             [-degrade] [-degrade-interval D] [-degrade-p99 D]
 //	             [-degrade-up-ticks N] [-degrade-down-ticks N]
 //
 // -degrade enables the adaptive overload governor: a ticker watches live
@@ -25,10 +22,10 @@
 // exposes the snapshot and manual pin/unpin.
 //
 // -analytics enables the decision analytics pipeline: every /v1/match and
-// /v1/classify verdict is logged (sampled at -analytics-sample) into
-// lock-free rings, aggregated into time buckets, snapshotted at
-// /admin/analytics, and — with -analytics-spill — written as rotated
-// JSONL files that adwars-report -live renders into coverage dashboards.
+// /v1/classify verdict is logged into lock-free rings, aggregated into
+// time buckets, snapshotted at /admin/analytics, and — with
+// -analytics-spill — written as rotated JSONL files that adwars-report
+// -live renders into coverage dashboards.
 // On SIGTERM the rings and final aggregator state flush to spill before
 // exit.
 //
@@ -39,7 +36,7 @@
 //
 // SIGHUP (or POST /admin/reload) atomically re-reads both snapshots from
 // disk without dropping in-flight requests; SIGINT/SIGTERM drain in-flight
-// requests (up to -drain) and flush a final metrics snapshot to stderr
+// requests (up to 5s) and flush a final metrics snapshot to stderr
 // before exiting. -portfile writes the bound host:port after listening,
 // so scripts can use -addr 127.0.0.1:0 for an ephemeral port.
 package main
@@ -69,9 +66,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent request slots (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "max queue wait before shedding (0 = default)")
-	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = default 1MiB)")
-	maxBatch := flag.Int("max-batch", 0, "max items per batch request (0 = default 256)")
-	drain := flag.Duration("drain", 0, "graceful-shutdown drain timeout (0 = default 5s)")
 	drainAnnounce := flag.Duration("drain-announce", 0, "pause between flipping /readyz to 503 and closing the listener, so gateways route away first")
 	replica := flag.String("replica", "", "replica identity reported in X-Adwars-Replica and /healthz")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
@@ -82,14 +76,10 @@ func main() {
 	chaosTruncateRate := flag.Float64("chaos-truncate-rate", 0, "fraction of data-plane requests whose body read is truncated")
 	chaosPanicRate := flag.Float64("chaos-panic-rate", 0, "fraction of data-plane requests that panic inside the handler")
 	anlOn := flag.Bool("analytics", false, "enable the decision analytics pipeline (/admin/analytics)")
-	anlSample := flag.Float64("analytics-sample", 1.0, "fraction of decisions recorded (1.0 = exact reconciliation)")
 	anlSpill := flag.String("analytics-spill", "", "directory for rotated JSONL analytics spill files (empty = in-memory only)")
-	anlBucket := flag.Duration("analytics-bucket", 0, "analytics aggregation bucket width (0 = default 10s)")
 	degOn := flag.Bool("degrade", false, "enable the adaptive overload governor (brownout ladder L0..L4)")
 	degInterval := flag.Duration("degrade-interval", 0, "governor tick cadence (0 = default 100ms)")
-	degQueueFrac := flag.Float64("degrade-queue-frac", 0, "queue-depth fraction that counts as pressure (0 = default 0.5)")
 	degP99 := flag.Duration("degrade-p99", 0, "windowed match p99 that counts as pressure (0 = default 20ms)")
-	degDropRate := flag.Float64("degrade-drop-rate", 0, "analytics ring drop rate that counts as pressure (0 = default 0.01)")
 	degUpTicks := flag.Int("degrade-up-ticks", 0, "consecutive hot ticks before stepping up (0 = default 2)")
 	degDownTicks := flag.Int("degrade-down-ticks", 0, "consecutive calm ticks before stepping down (0 = default 5)")
 	flag.Parse()
@@ -114,22 +104,15 @@ func main() {
 
 	var anl *analytics.Config
 	if *anlOn || *anlSpill != "" {
-		anl = &analytics.Config{
-			SampleRate: *anlSample,
-			SpillDir:   *anlSpill,
-			BucketDur:  *anlBucket,
-		}
-		fmt.Fprintf(os.Stderr, "adwars-serve: decision analytics on (sample=%.2f spill=%q)\n",
-			*anlSample, *anlSpill)
+		anl = &analytics.Config{SpillDir: *anlSpill}
+		fmt.Fprintf(os.Stderr, "adwars-serve: decision analytics on (spill=%q)\n", *anlSpill)
 	}
 
 	var deg *degrade.Config
 	if *degOn {
 		deg = &degrade.Config{
 			Interval:      *degInterval,
-			QueueHighFrac: *degQueueFrac,
 			P99HighNs:     degP99.Nanoseconds(),
-			DropHighRate:  *degDropRate,
 			StepUpTicks:   *degUpTicks,
 			StepDownTicks: *degDownTicks,
 		}
@@ -143,9 +126,6 @@ func main() {
 		Workers:       *workers,
 		Queue:         *queue,
 		QueueTimeout:  *queueTimeout,
-		MaxBody:       *maxBody,
-		MaxBatch:      *maxBatch,
-		DrainTimeout:  *drain,
 		DrainAnnounce: *drainAnnounce,
 		ReplicaID:     *replica,
 		MetricsOut:    os.Stderr,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
-	"strings"
 	"unsafe"
 
 	"adwars/internal/artifact"
@@ -183,16 +182,9 @@ func selectKeywords(rules []*Rule) []string {
 		if !r.IsHTTP() {
 			continue
 		}
-		// The runs must come from the pattern as the matcher compares it
-		// (buildMatcher), A–Z folded. For an ASCII pattern the two lowerings
-		// agree; a $match-case pattern is compared raw, so a letter Unicode
-		// lowering would turn ASCII (the Kelvin sign) must not join a run.
-		pat := r.Pattern
-		if r.MatchCase {
-			pat = lowerASCII(pat)
-		} else {
-			pat = strings.ToLower(pat)
-		}
+		// The runs come from the pattern as the matcher compares it
+		// (buildMatcher), A–Z folded: a byte ≥ 0x80 never joins a run.
+		pat := lowerASCII(r.Pattern)
 		pats[ord] = pat
 		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
 			count[pat[i:j]]++

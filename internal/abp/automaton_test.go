@@ -351,10 +351,10 @@ func TestNonASCIIURLs(t *testing.T) {
 
 	// testdata/parent-*.snapshot were written by the parent commit
 	// (b547b05, `SaveListsSnapshotCompiled` / `SaveListsSnapshotTiered`)
-	// from diffFixed plus every nonASCIICases rule except the $match-case
-	// one: that commit drew a $match-case rule's keyword from the
+	// from diffFixed plus every nonASCIICases rule of the time except the
+	// $match-case one: that commit drew every rule's keyword from the
 	// Unicode-lowered pattern, which only its token-index fallback made
-	// sound (see selectKeywords).
+	// sound under $match-case, and which kelvinPatternURL misses.
 	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
 		t.Run(name, func(t *testing.T) {
 			snap, err := LoadListsSnapshot(filepath.Join("testdata", name))
@@ -366,6 +366,9 @@ func TestNonASCIIURLs(t *testing.T) {
 			}
 			l := snap.Lists[0]
 			for _, c := range nonASCIICases {
+				if c.url == kelvinPatternURL {
+					continue
+				}
 				assertMatchesOracle(t, name, l, l, Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"})
 			}
 		})

@@ -22,10 +22,11 @@ var diffFixed = []string{
 }
 
 // nonASCIICases are the inputs the byte-literal folding rule decides: URL
-// bytes are matched as sent and only A–Z folds, so a non-ASCII byte is an
-// ordinary non-keyword byte to the automaton and an ordinary literal to the
-// rule matcher. want is the verdict of diffFixed plus the case's own rule.
-// They seed FuzzMatchDifferential and are the table of TestNonASCIIURLs.
+// and pattern bytes are matched as written and only A–Z folds, on both
+// sides, so a non-ASCII byte is an ordinary non-keyword byte to the
+// automaton and an ordinary literal to the rule matcher. want is the
+// verdict of diffFixed plus the case's own rule. They seed
+// FuzzMatchDifferential and are the table of TestNonASCIIURLs.
 var nonASCIICases = []struct {
 	line, url string
 	want      Decision
@@ -33,9 +34,11 @@ var nonASCIICases = []struct {
 	// Kelvin sign (U+212A): Unicode lowers it to 'k', the wire does not.
 	{"/kelvin-probe.js", "http://example.com/\u212aelvin-probe.js", NoMatch},
 	{"/kelvin-probe.js", "http://example.com/KELVIN-probe.js", Blocked},
-	// In a pattern it is lowered with the rest of the pattern, as before…
-	{"/\u212aelvin.js", "http://example.com/kelvin.js", Blocked},
-	// …but not under $match-case, where the pattern is compared raw.
+	// In a pattern it is the same literal: the rule matches the URL that
+	// spells it, not the 'k' Unicode lowering used to make of it…
+	{"/\u212aelvin.js", "http://example.com/kelvin.js", NoMatch},
+	{"/\u212aelvin.js", kelvinPatternURL, Blocked},
+	// …with or without $match-case, where nothing folds.
 	{"/ABC\u212a$match-case", "http://example.com/ABC\u212a", Blocked},
 	{"/ABC\u212a$match-case", "http://example.com/ABCK", NoMatch},
 	// Dotted İ (U+0130), which Unicode lowers to 'i'.
@@ -44,6 +47,10 @@ var nonASCIICases = []struct {
 	// Raw UTF-8 (é, É, ü): equal bytes match, the A–Z around them fold.
 	{"/caf\u00e9.png", "http://example.com/CAF\u00e9.PNG", Blocked},
 	{"/caf\u00e9.png", "http://example.com/CAF\u00c9.png", NoMatch},
+	// An upper-case non-ASCII letter in a pattern stays as written: the
+	// rule matches the URL it literally names and no other spelling.
+	{"/CAF\u00c9.png", "http://example.com/caf\u00c9.PNG", Blocked},
+	{"/CAF\u00c9.png", "http://example.com/caf\u00e9.png", NoMatch},
 	{"@@||example.com/ok/\u00fcber", "http://example.com/ok/\u00fcber.js", Allowed},
 	{"/caf%c3%a9.png", "http://example.com/caf%C3%A9.png", Blocked},
 	// Bytes that are not UTF-8 at all: a lone 0xFF, a truncated sequence.
@@ -57,6 +64,13 @@ var nonASCIICases = []struct {
 	{"/ads.js?", "http://x.com/" + strings.Repeat("Ab\u00e9/", 1000) + "ADS.js?x", Blocked},
 	{"/ads.js?", "http://x.com/" + strings.Repeat("Ab\u00e9/", 1000) + "ADS.jsx", NoMatch},
 }
+
+// kelvinPatternURL is the one nonASCIICases URL only a freshly compiled
+// list answers: the snapshots in testdata were compiled when patterns were
+// Unicode-lowered and index "/\u212aelvin.js" under "kelvin", a run this
+// URL does not contain (DESIGN §12 "Folding rule"). Tests that probe those
+// snapshots skip it.
+const kelvinPatternURL = "http://example.com/\u212aELVIN.js"
 
 // diffEngine is one way a List can come to exist.
 type diffEngine struct {

@@ -116,8 +116,7 @@ type matchCtx struct {
 // context to the heap and cost the hot path its zero-alloc property. The
 // view is rematerialized on each call instead (two instructions).
 const (
-	lowUnset uint8 = iota
-	lowIsString
+	lowIsString uint8 = iota + 1
 	lowIsBuf
 )
 
@@ -190,9 +189,13 @@ func lowerASCIIInto(dst []byte, s string) {
 	}
 }
 
-// lowerASCII returns a copy of s with A–Z folded to a–z. Unlike
+// lowerASCII returns s with A–Z folded to a–z: s itself when it holds none,
+// as strings.ToLower does, so a lower-case pattern is not copied. Unlike
 // strings.ToLower it never reinterprets bytes ≥ 0x80.
 func lowerASCII(s string) string {
+	if !hasUpperASCII(s) {
+		return s
+	}
 	b := make([]byte, len(s))
 	lowerASCIIInto(b, s)
 	return string(b)
@@ -330,10 +333,12 @@ type urlMatcher struct {
 }
 
 // buildMatcher derives the matcher from the rule's pattern and options.
+// The pattern folds as the URL does (lowerASCII: A–Z only), so a rule
+// matches the URL it literally names whatever bytes ≥ 0x80 it holds.
 func (r *Rule) buildMatcher() *urlMatcher {
 	p := r.Pattern
 	if !r.MatchCase {
-		p = strings.ToLower(p)
+		p = lowerASCII(p)
 	}
 	return &urlMatcher{pattern: p, matchCase: r.MatchCase}
 }

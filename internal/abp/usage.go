@@ -72,9 +72,6 @@ func (u *Usage) record(ord int) {
 	u.banks[(h>>48)&u.mask].counters[ord].Add(1)
 }
 
-// Rules returns the number of rule slots the bank was sized for.
-func (u *Usage) Rules() int { return u.rules }
-
 // Counts merges every shard into a fresh per-ordinal total. This is the
 // lazy aggregate read: O(shards·rules) on the reader, zero cost on
 // recorders. Concurrent recording is safe; a merge taken mid-traffic is a

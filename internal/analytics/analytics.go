@@ -9,6 +9,18 @@ import (
 	"time"
 )
 
+const (
+	// maxBuckets bounds how many time buckets stay in memory; older
+	// buckets are spilled and evicted.
+	maxBuckets = 64
+	// maxKeys bounds distinct (domain, rule, verdict) rows per bucket;
+	// past the cap new keys fold into the bucket's overflow row, so
+	// memory stays bounded no matter how adversarial the domain mix is.
+	maxKeys = 4096
+	// spillMaxBytes rotates the spill file past this size.
+	spillMaxBytes = 8 << 20
+)
+
 // Config parameterizes a Collector. The zero value records every decision
 // into GOMAXPROCS-sharded 4096-slot rings, aggregates into 10-second
 // buckets, and never spills (no directory configured).
@@ -25,20 +37,10 @@ type Config struct {
 	RingSize int
 	// BucketDur is the aggregation bucket width (0 = 10s).
 	BucketDur time.Duration
-	// MaxBuckets bounds how many time buckets stay in memory; older
-	// buckets are spilled and evicted (0 = 64).
-	MaxBuckets int
-	// MaxKeys bounds distinct (domain, rule, verdict) rows per bucket;
-	// past the cap new keys fold into the bucket's overflow row, so
-	// memory stays bounded no matter how adversarial the domain mix is
-	// (0 = 4096).
-	MaxKeys int
 	// SpillDir, when non-empty, receives rotated JSONL spill files of
 	// evicted and final bucket rows. Empty disables spill: evicted
 	// buckets fold into the cumulative totals only.
 	SpillDir string
-	// SpillMaxBytes rotates the spill file past this size (0 = 8 MiB).
-	SpillMaxBytes int64
 	// DrainInterval is the consumer's ring poll cadence (0 = 5ms).
 	DrainInterval time.Duration
 }
@@ -73,27 +75,6 @@ func (c *Config) bucketDur() time.Duration {
 		return c.BucketDur
 	}
 	return 10 * time.Second
-}
-
-func (c *Config) maxBuckets() int {
-	if c.MaxBuckets > 0 {
-		return c.MaxBuckets
-	}
-	return 64
-}
-
-func (c *Config) maxKeys() int {
-	if c.MaxKeys > 0 {
-		return c.MaxKeys
-	}
-	return 4096
-}
-
-func (c *Config) spillMaxBytes() int64 {
-	if c.SpillMaxBytes > 0 {
-		return c.SpillMaxBytes
-	}
-	return 8 << 20
 }
 
 func (c *Config) drainInterval() time.Duration {
@@ -166,14 +147,14 @@ func NewCollector(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:  cfg,
 		smp:  newSampler(cfg.sampleRate()),
-		agg:  newAggregator(cfg.bucketDur(), cfg.maxBuckets(), cfg.maxKeys()),
+		agg:  newAggregator(cfg.bucketDur(), maxBuckets, maxKeys),
 		done: make(chan struct{}),
 	}
 	for i := 0; i < cfg.shards(); i++ {
 		c.rings = append(c.rings, newRing(cfg.ringSize()))
 	}
 	if cfg.SpillDir != "" {
-		sw, err := newSpillWriter(cfg.SpillDir, cfg.spillMaxBytes())
+		sw, err := newSpillWriter(cfg.SpillDir, spillMaxBytes)
 		if err != nil {
 			return nil, fmt.Errorf("analytics: spill: %w", err)
 		}

@@ -26,14 +26,6 @@ func (k Kind) String() string {
 	return "match"
 }
 
-// KindFromString is the inverse of Kind.String for spill-row decoding.
-func KindFromString(s string) Kind {
-	if s == "classify" {
-		return KindClassify
-	}
-	return KindMatch
-}
-
 // Verdict is the decision outcome an event records. Match events use the
 // merged-list decision (blocked / allowed / no-match); classify events
 // use the model's binary call (anti-adblock / benign).
@@ -57,17 +49,6 @@ func (v Verdict) String() string {
 		return verdictNames[v]
 	}
 	return "no-match"
-}
-
-// VerdictFromString is the inverse of Verdict.String for spill-row
-// decoding; unknown strings map to no-match.
-func VerdictFromString(s string) Verdict {
-	for i, n := range verdictNames {
-		if n == s {
-			return Verdict(i)
-		}
-	}
-	return VerdictNoMatch
 }
 
 // Event is one recorded decision. The string fields alias memory the

@@ -68,31 +68,34 @@ type Signals struct {
 	DropRate float64 `json:"drop_rate"`
 }
 
+const (
+	// queueHighFrac: queue depth above this fraction of the limit is
+	// over-pressure.
+	queueHighFrac = 0.5
+	// dropHighRate: windowed analytics drop rate above this is
+	// over-pressure.
+	dropHighRate = 0.01
+	// calmFrac scales the high thresholds down to form the calm band: an
+	// observation is calm only when every signal is below calmFrac × its
+	// high threshold. The gap between calm and high is the hysteresis
+	// dead zone where the level holds.
+	calmFrac = 0.5
+)
+
 // Config tunes the governor. The zero value is usable: every field has
 // a sane default.
 type Config struct {
 	// Interval is the observation cadence. Default 100ms.
 	Interval time.Duration
-	// QueueHighFrac: queue depth above this fraction of the limit is
-	// over-pressure. Default 0.5.
-	QueueHighFrac float64
 	// P99HighNs: windowed match p99 above this is over-pressure.
 	// Default 20ms.
 	P99HighNs int64
-	// DropHighRate: windowed analytics drop rate above this is
-	// over-pressure. Default 0.01.
-	DropHighRate float64
 	// StepUpTicks consecutive over-pressure observations are required
 	// before climbing one level. Default 2.
 	StepUpTicks int
 	// StepDownTicks consecutive calm observations are required before
 	// descending one level. Default 5.
 	StepDownTicks int
-	// CalmFrac scales the high thresholds down to form the calm band:
-	// an observation is calm only when every signal is below
-	// CalmFrac × its high threshold. The gap between calm and high is
-	// the hysteresis dead zone where the level holds. Default 0.5.
-	CalmFrac float64
 	// MaxLevel caps the ladder. Default L4.
 	MaxLevel Level
 	// Source produces one windowed observation per tick. Required for
@@ -110,25 +113,11 @@ func (c *Config) interval() time.Duration {
 	return 100 * time.Millisecond
 }
 
-func (c *Config) queueHighFrac() float64 {
-	if c.QueueHighFrac > 0 {
-		return c.QueueHighFrac
-	}
-	return 0.5
-}
-
 func (c *Config) p99HighNs() int64 {
 	if c.P99HighNs > 0 {
 		return c.P99HighNs
 	}
 	return int64(20 * time.Millisecond)
-}
-
-func (c *Config) dropHighRate() float64 {
-	if c.DropHighRate > 0 {
-		return c.DropHighRate
-	}
-	return 0.01
 }
 
 func (c *Config) stepUpTicks() int {
@@ -143,13 +132,6 @@ func (c *Config) stepDownTicks() int {
 		return c.StepDownTicks
 	}
 	return 5
-}
-
-func (c *Config) calmFrac() float64 {
-	if c.CalmFrac > 0 {
-		return c.CalmFrac
-	}
-	return 0.5
 }
 
 func (c *Config) maxLevel() Level {
@@ -304,20 +286,17 @@ const (
 )
 
 // classify buckets one observation: hot if ANY signal exceeds its high
-// threshold, calm only if ALL signals sit below CalmFrac × high.
+// threshold, calm only if ALL signals sit below calmFrac × high.
 func (g *Governor) classify(s Signals) pressure {
 	queueFrac := 0.0
 	if s.QueueLimit > 0 {
 		queueFrac = float64(s.QueueDepth) / float64(s.QueueLimit)
 	}
-	qHigh := g.cfg.queueHighFrac()
 	pHigh := g.cfg.p99HighNs()
-	dHigh := g.cfg.dropHighRate()
-	if queueFrac > qHigh || s.MatchP99Ns > pHigh || s.DropRate > dHigh {
+	if queueFrac > queueHighFrac || s.MatchP99Ns > pHigh || s.DropRate > dropHighRate {
 		return pressureHot
 	}
-	cf := g.cfg.calmFrac()
-	if queueFrac < cf*qHigh && float64(s.MatchP99Ns) < cf*float64(pHigh) && s.DropRate < cf*dHigh {
+	if queueFrac < calmFrac*queueHighFrac && float64(s.MatchP99Ns) < calmFrac*float64(pHigh) && s.DropRate < calmFrac*dropHighRate {
 		return pressureCalm
 	}
 	return pressureHold

@@ -142,11 +142,6 @@ type Table3Config struct {
 	Pipeline PipelineConfig
 }
 
-// DefaultTable3Config mirrors the paper's sweep.
-func DefaultTable3Config(seed int64) Table3Config {
-	return Table3Config{TopK: []int{100, 1000, 10000}, Folds: 10, Seed: seed}
-}
-
 // Corpus is the labeled script corpus of §5.
 type Corpus struct {
 	Positives, Negatives []string

@@ -86,6 +86,3 @@ var webAPIKeywords = map[string]bool{
 
 // IsWebAPIKeyword reports whether name is in the Web API keyword table.
 func IsWebAPIKeyword(name string) bool { return webAPIKeywords[name] }
-
-// WebAPIKeywordCount returns the size of the Web API keyword table.
-func WebAPIKeywordCount() int { return len(webAPIKeywords) }

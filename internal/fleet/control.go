@@ -40,8 +40,6 @@ type Controller struct {
 	Poll time.Duration
 	// Watch bounds the post-rollout convergence check (0 = 5s).
 	Watch time.Duration
-	// Timeout bounds one replica HTTP exchange (0 = 3s).
-	Timeout time.Duration
 	// Client overrides the HTTP client (nil = default transport).
 	Client *http.Client
 	// Log, when non-nil, receives rollout progress lines.
@@ -80,12 +78,8 @@ func (c *Controller) watch() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *Controller) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 3 * time.Second
-}
+// replicaTimeout bounds one replica HTTP exchange.
+const replicaTimeout = 3 * time.Second
 
 func (c *Controller) client() *http.Client {
 	if c.Client != nil {
@@ -245,7 +239,7 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 // push POSTs the sealed bytes to one replica and checks the installed
 // version echoes back.
 func (c *Controller) push(ctx context.Context, url, kind, version string, data []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/admin/snapshot/"+kind, bytes.NewReader(data))
 	if err != nil {
@@ -275,7 +269,7 @@ func (c *Controller) push(ctx context.Context, url, kind, version string, data [
 
 // pull GETs a replica's installed raw snapshot bytes for the kind.
 func (c *Controller) pull(ctx context.Context, url, kind string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/admin/snapshot/"+kind, nil)
 	if err != nil {
@@ -427,7 +421,7 @@ func (c *Controller) rollback(ctx context.Context, kind string, updated []string
 }
 
 func (c *Controller) getJSON(ctx context.Context, url string, v any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

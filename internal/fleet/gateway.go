@@ -31,12 +31,6 @@ type GatewayConfig struct {
 	HedgeDelay time.Duration
 	// PerTryTimeout bounds a single backend exchange (0 = 5s).
 	PerTryTimeout time.Duration
-	// MaxBody bounds a proxied request body (0 = 8 MiB; kept above the
-	// replicas' own cap so oversized bodies get the replica's 413, not a
-	// gateway-invented answer).
-	MaxBody int64
-	// DrainTimeout bounds graceful shutdown (0 = 5s).
-	DrainTimeout time.Duration
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
@@ -56,19 +50,14 @@ func (c *GatewayConfig) perTryTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *GatewayConfig) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 8 << 20
-}
-
-func (c *GatewayConfig) drainTimeout() time.Duration {
-	if c.DrainTimeout > 0 {
-		return c.DrainTimeout
-	}
-	return 5 * time.Second
-}
+const (
+	// maxBody bounds a proxied request body; kept above the replicas' own
+	// cap so oversized bodies get the replica's 413, not a
+	// gateway-invented answer.
+	maxBody = 8 << 20
+	// drainTimeout bounds graceful shutdown.
+	drainTimeout = 5 * time.Second
+)
 
 // Gateway load-balances /v1/* traffic across a pool of serve replicas
 // with retry, failover, and optional hedging. Create with NewGateway,
@@ -118,7 +107,7 @@ func (g *Gateway) Metrics() fmt.Stringer { return gatewayVar{met: g.met, pool: g
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Serve runs the health loop and accepts connections on ln until ctx is
-// cancelled, then drains (bounded by DrainTimeout) and flushes metrics.
+// cancelled, then drains (bounded by drainTimeout) and flushes metrics.
 func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	healthCtx, stopHealth := context.WithCancel(context.Background())
 	defer stopHealth()
@@ -131,7 +120,7 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	case <-ctx.Done():
 	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), g.cfg.drainTimeout())
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := hs.Shutdown(drainCtx)
 	gatewayVar{met: g.met, pool: g.pool}.flush(g.cfg.MetricsOut)
@@ -175,7 +164,7 @@ func (t *triedSet) pick(p *Pool) *Backend {
 
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -39,10 +39,10 @@ type Backend struct {
 	unready   atomic.Uint64 // active health checks that came back not-ready
 }
 
-func newBackend(url string, failThreshold int, cooldown time.Duration, budgetCap, budgetRefill float64) *Backend {
+func newBackend(url string, failThreshold int, budgetCap, budgetRefill float64) *Backend {
 	b := &Backend{
 		URL:    url,
-		br:     newBreaker(failThreshold, cooldown),
+		br:     newBreaker(failThreshold, 0),
 		budget: newRetryBudget(budgetCap, budgetRefill),
 	}
 	b.healthy.Store(true)
@@ -73,16 +73,12 @@ func (b *Backend) fail() {
 
 // PoolConfig parameterizes backend availability tracking.
 type PoolConfig struct {
-	// HealthInterval is the active /readyz polling cadence (0 = 250ms).
+	// HealthInterval is the active /readyz polling cadence (0 = 250ms);
+	// it also bounds one health probe.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (0 = HealthInterval).
-	HealthTimeout time.Duration
 	// FailThreshold is the consecutive-failure count that ejects a
 	// backend (0 = 3).
 	FailThreshold int
-	// Cooldown is how long an ejected backend sits out before its
-	// half-open probe (0 = 1s).
-	Cooldown time.Duration
 	// RetryBudget is the per-backend retry/hedge token bucket size
 	// (0 = 10).
 	RetryBudget float64
@@ -96,13 +92,6 @@ func (c *PoolConfig) healthInterval() time.Duration {
 		return c.HealthInterval
 	}
 	return 250 * time.Millisecond
-}
-
-func (c *PoolConfig) healthTimeout() time.Duration {
-	if c.HealthTimeout > 0 {
-		return c.HealthTimeout
-	}
-	return c.healthInterval()
 }
 
 // Pool is the gateway's set of replica backends with round-robin
@@ -121,7 +110,7 @@ func NewPool(urls []string, cfg PoolConfig) *Pool {
 	p := &Pool{
 		cfg: cfg,
 		client: &http.Client{
-			Timeout: cfg.healthTimeout(),
+			Timeout: cfg.healthInterval(),
 		},
 	}
 	for _, u := range urls {
@@ -133,7 +122,7 @@ func NewPool(urls []string, cfg PoolConfig) *Pool {
 			u = "http://" + u
 		}
 		p.backends = append(p.backends, newBackend(strings.TrimSuffix(u, "/"),
-			cfg.FailThreshold, cfg.Cooldown, cfg.RetryBudget, cfg.RetryRefill))
+			cfg.FailThreshold, cfg.RetryBudget, cfg.RetryRefill))
 	}
 	return p
 }
@@ -204,7 +193,7 @@ func (p *Pool) checkAll(ctx context.Context) {
 }
 
 func (p *Pool) checkOne(ctx context.Context, b *Backend) {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.healthTimeout())
+	ctx, cancel := context.WithTimeout(ctx, p.cfg.healthInterval())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
 	if err != nil {

@@ -222,13 +222,6 @@ func (l *Lexer) regexAllowed() bool {
 	}
 }
 
-// Next returns the next token. At end of input it returns a TokEOF token.
-func (l *Lexer) Next() (Token, error) {
-	var tok Token
-	err := l.scan(&tok)
-	return tok, err
-}
-
 // scan lexes the next token into *tok, which Tokenize points at the slot
 // the token will live in: a Token is 48 bytes, and copying one out of the
 // lexer and again into the slice was a measurable share of lexing.

@@ -977,7 +977,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 			"no %s snapshot path configured on this replica", kind)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxSnapshot()))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshot))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -1171,7 +1171,7 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 // totals (which survive bucket eviction — the reconciliation anchor),
 // aggregator occupancy against its bounds, and the in-memory bucket rows.
 // adwars-report -live consumes it directly; adwars-loadgen
-// -analytics-check reconciles its totals against the client-side ledger.
+// -check analytics reconciles its totals against the client-side ledger.
 func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return

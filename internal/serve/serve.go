@@ -66,10 +66,6 @@ type Config struct {
 	// health-polling gateways time to stop routing here before connection
 	// teardown begins (0 = no announcement window).
 	DrainAnnounce time.Duration
-	// MaxSnapshot bounds the body of a control-plane snapshot push in
-	// bytes (0 = 64 MiB). Snapshots are far larger than data-plane request
-	// bodies, so they get their own cap.
-	MaxSnapshot int64
 	// DisableUsage turns off per-rule usage counters. They are on by
 	// default: recording is a single sharded atomic add on the match path
 	// (no locks, no allocation), and /admin/usage dumps the per-rule hit
@@ -137,12 +133,10 @@ func (c *Config) drainTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *Config) maxSnapshot() int64 {
-	if c.MaxSnapshot > 0 {
-		return c.MaxSnapshot
-	}
-	return 64 << 20
-}
+// maxSnapshot bounds the body of a control-plane snapshot push in bytes.
+// Snapshots are far larger than data-plane request bodies, so they get
+// their own cap.
+const maxSnapshot = 64 << 20
 
 // modelState is a loaded model snapshot prepared for the hot path: the
 // ensemble, the vocabulary projector, and the parsed feature set. It is
@@ -529,18 +523,11 @@ func (s *Server) reloadFailed(source string, err error) error {
 	return err
 }
 
-// LastReload returns the outcome of the most recent snapshot (re)load
-// attempt, or nil if none has happened yet.
-func (s *Server) LastReload() *ReloadOutcome { return s.lastReload.Load() }
-
 // StartDrain flips readiness off: /readyz answers 503 from now on while
 // the data plane keeps serving, so gateways that poll readiness stop
 // routing new traffic here before connections tear down. Serve calls it
 // at drain start; it is exported for fleet tests and embedders.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether drain has been announced.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Handler returns the server's HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
