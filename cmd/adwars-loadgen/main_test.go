@@ -59,7 +59,7 @@ type fixture struct {
 // one invariant.
 func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) http.Handler) *fixture {
 	t.Helper()
-	model, err := ml.ReadModelSnapshot(strings.NewReader(testModelJSON))
+	model, err := ml.ParseModelSnapshot([]byte(testModelJSON))
 	if err != nil {
 		t.Fatal(err)
 	}

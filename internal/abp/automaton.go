@@ -127,22 +127,17 @@ type automaton struct {
 // aliases the automaton's backing memory and must not be modified.
 func (a *automaton) Bytes() []byte { return a.blob }
 
-// keywordChar reports whether c can appear inside an automaton keyword:
-// the lower-case alphanumerics plus '%' — after case folding, exactly the
-// bytes acClass gives a non-zero scan class.
-func keywordChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '%'
-}
-
 // nextKeywordRun returns the bounds [i, j) of the first maximal run of
-// keyword characters in the lower-cased pattern at or after from that is at
-// least acMinKeyword long, or i < 0 when there is none.
+// keyword characters in the pattern at or after from that is at least
+// acMinKeyword long, or i < 0 when there is none. A keyword character is a
+// byte with a non-zero scan class, so the pattern is read as written: the
+// classes fold A–Z, and the bounds are those of the folded pattern.
 func nextKeywordRun(pat string, from int) (i, j int) {
 	for i = from; i < len(pat); i = j {
-		for i < len(pat) && !keywordChar(pat[i]) {
+		for i < len(pat) && acClass[pat[i]] == 0 {
 			i++
 		}
-		for j = i; j < len(pat) && keywordChar(pat[j]); j++ {
+		for j = i; j < len(pat) && acClass[pat[j]] != 0; j++ {
 		}
 		if j-i >= acMinKeyword {
 			return i, j
@@ -154,15 +149,20 @@ func nextKeywordRun(pat string, from int) (i, j int) {
 // acUbiquitous are keyword runs nearly every URL contains. A rule indexed
 // under one is a candidate for nearly every request, however few rules of
 // its list spell the run, so selection ranks them after every other run.
-var acUbiquitous = map[string]bool{
-	"http": true, "https": true, "www": true,
-	"com": true, "net": true, "org": true,
-}
+var acUbiquitous = []string{"http", "https", "www", "com", "net", "org"}
+
+// kwSpan is the run of a rule's Pattern the automaton indexes the rule
+// under, bytes [lo, hi); the zero span marks a rule without one. The build
+// reads the run through acClass, which folds A–Z, so the span of the pattern
+// as written names the same keyword as the span of the folded pattern.
+type kwSpan struct{ lo, hi uint32 }
+
+func (s kwSpan) none() bool { return s.hi == 0 }
 
 // selectKeywords chooses, for every HTTP rule of a list, the run of its
-// pattern the automaton indexes it under; "" marks a rule without a usable
-// run (and every non-HTTP rule). Any run is a sound keyword: a run is a
-// contiguous literal span of the pattern, so every URL the rule matches
+// pattern the automaton indexes it under; the zero span marks a rule without
+// a usable run (and every non-HTTP rule). Any run is a sound keyword: a run
+// is a contiguous literal span of the pattern, so every URL the rule matches
 // contains it as a substring — exactly the occurrence an Aho–Corasick scan
 // detects, no token boundaries needed (so "/detect123*.js" is indexable
 // under "detect123"). Soundness leaves the
@@ -173,34 +173,52 @@ var acUbiquitous = map[string]bool{
 // "||host123.com/js/advertisement.js" then sits under "host123" with a
 // handful of rules, not under "advertisement" with every sibling that
 // shares the path. One selection feeds the flat, hot and cold builds of a
-// list, and a rule has a keyword under this choice exactly when it has one
-// under any other, so tier membership does not depend on it.
-func selectKeywords(rules []*Rule) []string {
-	pats := make([]string, len(rules))
-	count := make(map[string]int32)
-	for ord, r := range rules {
+// list (NewList keeps it for CompileTiered), and a rule has a keyword under
+// this choice exactly when it has one under any other, so tier membership
+// does not depend on it.
+func selectKeywords(rules []*Rule) []kwSpan {
+	// First pass: each distinct run gets an id the first time it is seen,
+	// and every run of every pattern, in order, leaves its id in runIDs — so
+	// the second pass reads its counts by index and hashes nothing.
+	ids := make(map[string]int32, len(rules))
+	count := make([]int32, 0, len(rules))
+	runIDs := make([]int32, 0, 2*len(rules))
+	for _, r := range rules {
 		if !r.IsHTTP() {
 			continue
 		}
 		// The runs come from the pattern as the matcher compares it
 		// (buildMatcher), A–Z folded: a byte ≥ 0x80 never joins a run.
 		pat := lowerASCII(r.Pattern)
-		pats[ord] = pat
 		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
-			count[pat[i:j]]++
+			id, seen := ids[pat[i:j]]
+			if !seen {
+				id = int32(len(count))
+				ids[pat[i:j]] = id
+				count = append(count, 0)
+			}
+			count[id]++
+			runIDs = append(runIDs, id)
 		}
 	}
-	kws := make([]string, len(rules))
-	for ord, pat := range pats {
-		best, bestN := "", int32(0)
-		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
-			run := pat[i:j]
-			n := count[run]
-			if acUbiquitous[run] {
-				n = math.MaxInt32
-			}
-			if best == "" || n < bestN || n == bestN && len(run) > len(best) {
-				best, bestN = run, n
+	for _, run := range acUbiquitous {
+		if id, ok := ids[run]; ok {
+			count[id] = math.MaxInt32
+		}
+	}
+	kws := make([]kwSpan, len(rules))
+	next := 0
+	for ord, r := range rules {
+		if !r.IsHTTP() {
+			continue
+		}
+		var best kwSpan
+		bestN := int32(0)
+		for i, j := nextKeywordRun(r.Pattern, 0); i >= 0; i, j = nextKeywordRun(r.Pattern, j) {
+			n := count[runIDs[next]]
+			next++
+			if best.none() || n < bestN || n == bestN && uint32(j-i) > best.hi-best.lo {
+				best, bestN = kwSpan{uint32(i), uint32(j)}, n
 			}
 		}
 		kws[ord] = best
@@ -214,24 +232,35 @@ var rulesCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // rulesChecksum is the canonical CRC-64 over a compiled rule set: the raw
 // lines in ordinal order, newline-terminated — artifact.Checksum of that
-// text, folded in line by line so the text is never assembled. It is
+// text, folded in a few kilobytes at a time so the text is never assembled
+// (crc64 runs several times faster over a block than over a line). It is
 // stored inside the serialized automaton and re-derived at load to refuse
 // stale sections.
 func rulesChecksum(rules []*Rule) uint64 {
 	var crc uint64
-	nl := []byte{'\n'}
+	var block [4096]byte
+	n := 0
 	for _, r := range rules {
-		crc = crc64.Update(crc, rulesCRCTable, []byte(r.Raw))
-		crc = crc64.Update(crc, rulesCRCTable, nl)
+		if n+len(r.Raw)+1 > len(block) {
+			crc = crc64.Update(crc, rulesCRCTable, block[:n])
+			n = 0
+		}
+		if len(r.Raw) >= len(block) {
+			crc = crc64.Update(crc, rulesCRCTable, []byte(r.Raw))
+		} else {
+			n += copy(block[n:], r.Raw)
+		}
+		block[n] = '\n'
+		n++
 	}
-	return crc
+	return crc64.Update(crc, rulesCRCTable, block[:n])
 }
 
 // acTrieNode is a build-time trie node: 16 bytes and no pointers, so the
-// node slice grows by plain copy and the collector never scans it. A
-// node's children form a list through sibling, kept in ascending symbol
-// order; index 0 is the root and, since the root is nobody's child or
-// sibling, doubles as "none".
+// node slice is plain memory the collector never scans. A node's children
+// form a list through sibling, kept in ascending symbol order; index 0 is
+// the root and, since the root is nobody's child or sibling, doubles as
+// "none".
 type acTrieNode struct {
 	child   int32
 	sibling int32
@@ -239,26 +268,55 @@ type acTrieNode struct {
 	sym     uint8 // scan class 1..37 of the edge into this node
 }
 
-type acTrie []acTrieNode
+// acTrie is the build-time trie. Every insert and most fail-link steps
+// start at the root, whose sibling list — and those of its children — grows
+// to the width of the alphabet, so the edges out of the root and out of
+// each depth-1 node are resolved by index: top[0][c] is the root's child
+// along c, top[s][c] the child along c of the root's child along s. Those
+// nodes get their sibling lists from the table once every keyword is in
+// (linkTop); deeper nodes keep theirs as they go.
+type acTrie struct {
+	nodes []acTrieNode
+	top   [acAlpha][acAlpha]int32
+}
 
 // step returns n's child along symbol c, or 0.
-func (t acTrie) step(n int32, c uint8) int32 {
-	ch := t[n].child
-	for ch != 0 && t[ch].sym < c {
-		ch = t[ch].sibling
+func (t *acTrie) step(n int32, c uint8) int32 {
+	if n == 0 {
+		return t.top[0][c]
 	}
-	if ch != 0 && t[ch].sym == c {
+	if s := t.nodes[n].sym; t.top[0][s] == n {
+		return t.top[s][c]
+	}
+	ch := t.nodes[n].child
+	for ch != 0 && t.nodes[ch].sym < c {
+		ch = t.nodes[ch].sibling
+	}
+	if ch != 0 && t.nodes[ch].sym == c {
 		return ch
 	}
 	return 0
 }
 
-// insert adds the keyword's path and returns its final node.
+// insert adds the keyword's path and returns its final node. The keyword
+// is read through acClass, so it may be spelled in either case.
 func (t *acTrie) insert(kw string) int32 {
-	nodes := *t
+	nodes := t.nodes
 	cur := int32(0)
 	for i := 0; i < len(kw); i++ {
 		c := acClass[kw[i]]
+		if i < 2 {
+			edge := &t.top[0][c]
+			if i == 1 {
+				edge = &t.top[nodes[cur].sym][c]
+			}
+			if *edge == 0 {
+				nodes = append(nodes, acTrieNode{sym: c})
+				*edge = int32(len(nodes) - 1)
+			}
+			cur = *edge
+			continue
+		}
 		prev, ch := int32(0), nodes[cur].child
 		for ch != 0 && nodes[ch].sym < c {
 			prev, ch = ch, nodes[ch].sibling
@@ -274,8 +332,29 @@ func (t *acTrie) insert(kw string) int32 {
 		}
 		cur = ch
 	}
-	*t = nodes
+	t.nodes = nodes
 	return cur
+}
+
+// linkTop threads the sibling lists of the root's and the depth-1 nodes'
+// children from the table, in ascending symbol order like every other list.
+func (t *acTrie) linkTop() {
+	for s := range t.top {
+		parent := int32(0)
+		if s != 0 {
+			if parent = t.top[0][s]; parent == 0 {
+				continue
+			}
+		}
+		head := int32(0)
+		for c := acAlpha - 1; c > 0; c-- {
+			if ch := t.top[s][c]; ch != 0 {
+				t.nodes[ch].sibling = head
+				head = ch
+			}
+		}
+		t.nodes[parent].child = head
+	}
 }
 
 // buildAutomaton compiles the automaton over the rules member admits (nil
@@ -290,23 +369,36 @@ func (t *acTrie) insert(kw string) int32 {
 // symbol order, BFS, first-fit slot placement — so the same rules and
 // keywords always serialize to the same bytes (snapshot versions are
 // content CRCs; a rebuild must not change them).
-func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool) *automaton {
+func buildAutomaton(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []bool) *automaton {
 	// Trie construction. ends[i] is the node the i-th keyworded rule's
-	// path stops at; ords[i] is that rule's ordinal.
-	trie := acTrie{{}}
-	var ords, generic []uint32
-	var ends []int32
+	// path stops at; ords[i] is that rule's ordinal. A keyword adds at most
+	// its length in nodes, but keywords share prefixes and rules share
+	// keywords (a 70 k-rule list: 588 k keyword bytes, 121 k nodes), so the
+	// trie starts at a quarter of that bound and append takes it further.
+	nkw, kwBytes := 0, 0
+	for ord, r := range rules {
+		if r.IsHTTP() && (member == nil || member[ord]) && !kws[ord].none() {
+			nkw++
+			kwBytes += int(kws[ord].hi - kws[ord].lo)
+		}
+	}
+	t := &acTrie{nodes: make([]acTrieNode, 1, 1+kwBytes/4)}
+	ords, ends := make([]uint32, 0, nkw), make([]int32, 0, nkw)
+	var generic []uint32
 	for ord, r := range rules {
 		if !r.IsHTTP() || member != nil && !member[ord] {
 			continue
 		}
-		if kws[ord] == "" {
+		kw := kws[ord]
+		if kw.none() {
 			generic = append(generic, uint32(ord))
 			continue
 		}
 		ords = append(ords, uint32(ord))
-		ends = append(ends, trie.insert(kws[ord]))
+		ends = append(ends, t.insert(r.Pattern[kw.lo:kw.hi]))
 	}
+	t.linkTop()
+	trie := t.nodes
 
 	// own[ownIdx[n]:ownIdx[n+1]] are the ordinals of the rules whose
 	// keyword ends at node n, ascending (a counting sort of ords by ends).
@@ -336,12 +428,12 @@ func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool)
 			if n != 0 {
 				c := trie[ch].sym
 				f := trie[n].fail
-				t := trie.step(f, c)
-				for t == 0 && f != 0 {
+				to := t.step(f, c)
+				for to == 0 && f != 0 {
 					f = trie[f].fail
-					t = trie.step(f, c)
+					to = t.step(f, c)
 				}
-				trie[ch].fail = t
+				trie[ch].fail = to
 			}
 			nout[ch] = ownIdx[ch+1] - ownIdx[ch] + nout[trie[ch].fail]
 			totalOut += int(nout[ch])
@@ -360,10 +452,13 @@ func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool)
 		baseOf[n], used, minFree = placeChildren(trie, n, slot, used, minFree)
 	}
 
-	// Fill the arrays, then serialize them behind the header into the
-	// contiguous little-endian region.
+	// Fill the arrays in place, behind the header of the contiguous
+	// little-endian region: on a little-endian host body is a view of the
+	// region itself, elsewhere a copy encoded into it afterwards.
 	numSlots := len(used)
-	body := make([]uint32, 3*numSlots+(numSlots+1)+totalOut+len(generic))
+	nbody := 3*numSlots + (numSlots + 1) + totalOut + len(generic)
+	blob := alignedBytes(acHeaderSize + 4*nbody)
+	body := u32view(blob[acHeaderSize:])
 	base, check, fail := body[:numSlots], body[numSlots:2*numSlots], body[2*numSlots:3*numSlots]
 	outIdx := body[3*numSlots : 4*numSlots+1]
 	outputs := body[4*numSlots+1 : 4*numSlots+1+totalOut]
@@ -391,7 +486,6 @@ func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool)
 		}
 	}
 
-	blob := alignedBytes(acHeaderSize + 4*len(body))
 	copy(blob, acMagic)
 	le := binary.LittleEndian
 	le.PutUint32(blob[4:], acVersion)
@@ -401,8 +495,10 @@ func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool)
 	le.PutUint32(blob[20:], uint32(len(generic)))
 	le.PutUint32(blob[24:], uint32(len(rules)))
 	le.PutUint64(blob[32:], rulesCRC)
-	for i, v := range body {
-		le.PutUint32(blob[acHeaderSize+4*i:], v)
+	if !hostLittleEndian {
+		for i, v := range body {
+			le.PutUint32(blob[acHeaderSize+4*i:], v)
+		}
 	}
 
 	a, err := openAutomaton(blob, len(rules), rulesCRC)
@@ -417,7 +513,7 @@ func buildAutomaton(rules []*Rule, kws []string, rulesCRC uint64, member []bool)
 // the advanced lowest free slot. The search is the inner loop of the
 // build, so the children's symbols are copied out of the sibling list
 // once and each candidate base is tested against that local array.
-func placeChildren(trie acTrie, n int32, slot []int32, used []bool, minFree int) (int32, []bool, int) {
+func placeChildren(trie []acTrieNode, n int32, slot []int32, used []bool, minFree int) (int32, []bool, int) {
 	var syms [acAlpha]int
 	k := 0
 	for ch := trie[n].child; ch != 0; ch = trie[ch].sibling {
@@ -438,11 +534,11 @@ next:
 				continue next
 			}
 		}
+		if grow := b + syms[k-1] + 1 - len(used); grow > 0 {
+			used = append(used, make([]bool, grow)...)
+		}
 		ch := trie[n].child
 		for _, c := range syms[:k] {
-			for b+c >= len(used) {
-				used = append(used, false)
-			}
 			used[b+c] = true
 			slot[ch] = int32(b + c)
 			ch = trie[ch].sibling

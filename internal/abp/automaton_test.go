@@ -14,6 +14,16 @@ import (
 
 func isCorrupt(err error) bool { return errors.Is(err, artifact.ErrCorrupt) }
 
+// selectedKeywords spells selectKeywords' choice: each rule's run, folded,
+// "" for none.
+func selectedKeywords(rules []*Rule) []string {
+	out := make([]string, len(rules))
+	for ord, kw := range selectKeywords(rules) {
+		out[ord] = lowerASCII(rules[ord].Pattern[kw.lo:kw.hi])
+	}
+	return out
+}
+
 // TestSelectKeywords pins the selection rule: the run rarest in the list,
 // ties to the longest and then the leftmost, ubiquitous runs last.
 func TestSelectKeywords(t *testing.T) {
@@ -37,7 +47,7 @@ func TestSelectKeywords(t *testing.T) {
 		"smashboards.com###notice":   "",      // element hiding: never indexed
 	}
 	for line, want := range alone {
-		if got := selectKeywords([]*Rule{mustParse(t, line)})[0]; got != want {
+		if got := selectedKeywords([]*Rule{mustParse(t, line)})[0]; got != want {
 			t.Errorf("selectKeywords(%q) = %q, want %q", line, got, want)
 		}
 	}
@@ -51,7 +61,7 @@ func TestSelectKeywords(t *testing.T) {
 		"||duo.example/duo",
 	).Rules()
 	want := []string{"host1", "host2", "advertisement", "solo", "duo"}
-	for ord, got := range selectKeywords(rules) {
+	for ord, got := range selectedKeywords(rules) {
 		if got != want[ord] {
 			t.Errorf("rule %q indexed under %q, want %q", rules[ord].Raw, got, want[ord])
 		}
@@ -135,16 +145,15 @@ func TestBuildDeterministic(t *testing.T) {
 
 // longestRunKeywords is the per-rule choice every snapshot written before
 // rarity ranking carries: each rule under the longest run of its pattern.
-func longestRunKeywords(rules []*Rule) []string {
-	kws := make([]string, len(rules))
+func longestRunKeywords(rules []*Rule) []kwSpan {
+	kws := make([]kwSpan, len(rules))
 	for ord, r := range rules {
 		if !r.IsHTTP() {
 			continue
 		}
-		pat := strings.ToLower(r.Pattern)
-		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
-			if j-i > len(kws[ord]) {
-				kws[ord] = pat[i:j]
+		for i, j := nextKeywordRun(r.Pattern, 0); i >= 0; i, j = nextKeywordRun(r.Pattern, j) {
+			if uint32(j-i) > kws[ord].hi-kws[ord].lo {
+				kws[ord] = kwSpan{uint32(i), uint32(j)}
 			}
 		}
 	}
@@ -174,7 +183,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 	hot, cold := make([]bool, n), make([]bool, n)
 	for ord, r := range plain.Rules() {
 		if r.IsHTTP() {
-			isHot := r.Kind == KindHTTPException || kws[ord] == "" || ord%2 == 0
+			isHot := r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0
 			hot[ord], cold[ord] = isHot, !isHot
 		}
 	}
@@ -192,7 +201,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 // list indexed it under occurs in the lower-cased URL as a plain substring.
 func TestChosenKeywordIsSubstringOfMatches(t *testing.T) {
 	rules := NewList("sound", benchRules(2000)).Rules()
-	kws := selectKeywords(rules)
+	kws := selectedKeywords(rules)
 	for _, u := range tierURLs() {
 		q := Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
 		low := strings.ToLower(u)
@@ -297,6 +306,15 @@ func TestRulesChecksumPinned(t *testing.T) {
 	}
 	if want := artifact.Checksum([]byte(strings.Join(lines, "\n") + "\n")); got != want {
 		t.Errorf("rulesChecksum = %#016x, artifact.Checksum of the text = %#016x", got, want)
+	}
+	// The text is folded in by the block: lines that end exactly at a block's
+	// edge, one byte either side of it, and one longer than a block.
+	for _, n := range []int{4094, 4095, 4096, 9000} {
+		long := append(slices.Clone(lines), "/"+strings.Repeat("a", n-1), "/tail")
+		want := artifact.Checksum([]byte(strings.Join(long, "\n") + "\n"))
+		if got := rulesChecksum(buildList(t, "long", long...).Rules()); got != want {
+			t.Errorf("with a %d-byte line: rulesChecksum = %#016x, artifact.Checksum of the text = %#016x", n, got, want)
+		}
 	}
 	if got, want := rulesChecksum(NewList("b", benchRules(2000)).Rules()), uint64(0x863779bba709bd71); got != want {
 		t.Errorf("rulesChecksum(benchRules(2000)) = %#016x, parent commit computed %#016x", got, want)

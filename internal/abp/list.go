@@ -45,6 +45,10 @@ type List struct {
 	rules    []*Rule
 	auto     *automaton
 	rulesCRC uint64
+	// kws is the keyword selection auto was built from, kept so that
+	// CompileTiered builds its tiers from the same choice without making it
+	// again. Nil on a list whose automaton was attached from a snapshot.
+	kws []kwSpan
 
 	// Tiered lists (see tier.go) keep the hot automaton in auto and the
 	// cold fallback here: the decision path probes cold only when the hot
@@ -97,7 +101,7 @@ func NewListCompiled(name string, rules []*Rule, auto []byte) (*List, error) {
 }
 
 func newList(name string, rules []*Rule, auto []byte) (*List, error) {
-	l := &List{Name: name}
+	l := &List{Name: name, rules: make([]*Rule, 0, len(rules))}
 	for _, r := range rules {
 		switch r.Kind {
 		case KindHTTPBlock, KindHTTPException, KindElemHide, KindElemHideException:
@@ -120,7 +124,8 @@ func newList(name string, rules []*Rule, auto []byte) (*List, error) {
 	}
 	l.rulesCRC = rulesChecksum(l.rules)
 	if auto == nil {
-		l.auto = buildAutomaton(l.rules, selectKeywords(l.rules), l.rulesCRC, nil)
+		l.kws = selectKeywords(l.rules)
+		l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
 	} else {
 		a, err := openAutomaton(auto, len(l.rules), l.rulesCRC)
 		if err != nil {

@@ -52,7 +52,9 @@ func parseElemHide(raw, prefix, sel string, exception bool) (*Rule, error) {
 	}
 	prefix = strings.TrimSpace(prefix)
 	if prefix != "" {
-		for _, d := range strings.Split(prefix, ",") {
+		for rest, more := prefix, true; more; {
+			var d string
+			d, rest, more = strings.Cut(rest, ",")
 			d = strings.ToLower(strings.TrimSpace(d))
 			if d == "" {
 				continue
@@ -120,7 +122,9 @@ func looksLikeOptions(s string) bool {
 	if s == "" {
 		return false
 	}
-	for _, opt := range strings.Split(s, ",") {
+	for rest, more := s, true; more; {
+		var opt string
+		opt, rest, more = strings.Cut(rest, ",")
 		opt = strings.TrimPrefix(strings.TrimSpace(opt), "~")
 		if opt == "" {
 			return false
@@ -162,7 +166,9 @@ var typeOptions = map[string]RequestType{
 
 // parseOptions parses the comma-separated option list after '$'.
 func (r *Rule) parseOptions(opts string) error {
-	for _, opt := range strings.Split(opts, ",") {
+	for rest, more := opts, true; more; {
+		var opt string
+		opt, rest, more = strings.Cut(rest, ",")
 		opt = strings.TrimSpace(opt)
 		neg := strings.HasPrefix(opt, "~")
 		if neg {
@@ -175,7 +181,9 @@ func (r *Rule) parseOptions(opts string) error {
 		name = strings.ToLower(name)
 		switch {
 		case name == "domain":
-			for _, d := range strings.Split(value, "|") {
+			for rest, more := value, true; more; {
+				var d string
+				d, rest, more = strings.Cut(rest, "|")
 				d = strings.ToLower(strings.TrimSpace(d))
 				if d == "" {
 					continue
@@ -217,7 +225,10 @@ func (r *Rule) parseOptions(opts string) error {
 // and blank lines are skipped. Malformed rule lines are collected into errs
 // but do not abort parsing, matching how adblockers tolerate bad lines.
 func ParseList(body string) (rules []*Rule, errs []error) {
-	for _, line := range strings.Split(body, "\n") {
+	rules = make([]*Rule, 0, strings.Count(body, "\n")+1)
+	for rest, more := body, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		r, err := Parse(line)
 		switch {
 		case err == nil:

@@ -1,10 +1,10 @@
 package abp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"adwars/internal/artifact"
@@ -37,9 +37,9 @@ const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
 	ListsSnapshotFormat = "adwars-lists"
 	// ListsSnapshotVersion is the newest snapshot schema version this
-	// build reads and the version WriteListsSnapshotTiered writes.
+	// build reads and the version MarshalListsSnapshotTiered writes.
 	ListsSnapshotVersion = 4
-	// listsSnapshotPlainVersion is the version WriteListsSnapshot writes:
+	// listsSnapshotPlainVersion is the version MarshalListsSnapshot writes:
 	// JSON only, no compiled sections.
 	listsSnapshotPlainVersion = 2
 	// listsSnapshotSealedVersion is the first schema version that requires
@@ -47,7 +47,7 @@ const (
 	listsSnapshotSealedVersion = 2
 	// listsSnapshotCompiledVersion is the first schema version that may
 	// carry compiled automaton sections (and the version
-	// WriteListsSnapshotCompiled writes).
+	// MarshalListsSnapshotCompiled writes).
 	listsSnapshotCompiledVersion = 3
 	// listsSnapshotTieredVersion is the first schema version that may
 	// carry hot/cold tier section pairs (see adwars-compact).
@@ -74,6 +74,9 @@ type ListsSnapshot struct {
 	// Tiered reports whether every list carries a hot/cold tier split
 	// (schema v4, produced by adwars-compact from a usage dump).
 	Tiered bool
+	// Version is the artifact version (artifact.Version) of the file the
+	// snapshot was parsed from; empty for one assembled in memory.
+	Version string
 }
 
 // Rules returns the total rule count across all lists.
@@ -97,57 +100,54 @@ type listsSnapshotJSON struct {
 	Lists   []listJSON `json:"lists"`
 }
 
-// WriteListsSnapshot writes the snapshot to w as a plain (JSON-only,
+// MarshalListsSnapshot returns the snapshot as a plain (JSON-only,
 // version 2) document, sealed with an integrity trailer. Loaders rebuild
 // each list's automaton from the rules.
-func WriteListsSnapshot(w io.Writer, s *ListsSnapshot) error {
-	payload, err := marshalListsJSON(s, listsSnapshotPlainVersion)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(artifact.Seal(payload))
-	return err
+func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
+	return marshalListsSnapshot(s, listsSnapshotPlainVersion)
 }
 
-// WriteListsSnapshotCompiled writes the snapshot to w as a version-3
+// MarshalListsSnapshotCompiled returns the snapshot as a version-3
 // document: the JSON rule lists followed by one framed binary section per
 // list ("automaton.<i>") holding that list's serialized match automaton,
 // all sealed under the integrity trailer. Loaders attach the sections
 // instead of recompiling.
-func WriteListsSnapshotCompiled(w io.Writer, s *ListsSnapshot) error {
-	payload, err := marshalListsJSON(s, listsSnapshotCompiledVersion)
-	if err != nil {
-		return err
-	}
-	for i, l := range s.Lists {
-		payload = artifact.AppendSection(payload, automatonSectionName(i), l.AutomatonBytes())
-	}
-	_, err = w.Write(artifact.Seal(payload))
-	return err
+func MarshalListsSnapshotCompiled(s *ListsSnapshot) ([]byte, error) {
+	return marshalListsSnapshot(s, listsSnapshotCompiledVersion)
 }
 
-// WriteListsSnapshotTiered writes the snapshot to w as a version-4
+// MarshalListsSnapshotTiered returns the snapshot as a version-4
 // document: the JSON rule lists followed by a hot/cold section pair per
 // list ("automaton.hot.<i>" / "automaton.cold.<i>") holding that list's
 // tier automatons, all sealed under the integrity trailer. Every list
 // must be tiered (CompileTiered); loaders reattach both tiers and
 // re-derive the membership invariants from the sections themselves.
-func WriteListsSnapshotTiered(w io.Writer, s *ListsSnapshot) error {
-	for _, l := range s.Lists {
-		if !l.Tiered() {
-			return fmt.Errorf("abp: tiered snapshot: list %q is not tiered", l.Name)
+func MarshalListsSnapshotTiered(s *ListsSnapshot) ([]byte, error) {
+	return marshalListsSnapshot(s, listsSnapshotTieredVersion)
+}
+
+// marshalListsSnapshot assembles the sealed file of the given schema
+// version: the JSON document, then the sections that version carries.
+func marshalListsSnapshot(s *ListsSnapshot, version int) ([]byte, error) {
+	var sections []artifact.Section
+	for i, l := range s.Lists {
+		switch version {
+		case listsSnapshotCompiledVersion:
+			sections = append(sections, artifact.Section{Name: automatonSectionName(i), Data: l.AutomatonBytes()})
+		case listsSnapshotTieredVersion:
+			if !l.Tiered() {
+				return nil, fmt.Errorf("abp: tiered snapshot: list %q is not tiered", l.Name)
+			}
+			sections = append(sections,
+				artifact.Section{Name: hotSectionName(i), Data: l.AutomatonBytes()},
+				artifact.Section{Name: coldSectionName(i), Data: l.ColdAutomatonBytes()})
 		}
 	}
-	payload, err := marshalListsJSON(s, listsSnapshotTieredVersion)
+	primary, err := marshalListsJSON(s, version)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, l := range s.Lists {
-		payload = artifact.AppendSection(payload, hotSectionName(i), l.AutomatonBytes())
-		payload = artifact.AppendSection(payload, coldSectionName(i), l.ColdAutomatonBytes())
-	}
-	_, err = w.Write(artifact.Seal(payload))
-	return err
+	return artifact.SealSections(primary, sections), nil
 }
 
 // automatonSectionName names list i's automaton section in a v3 snapshot.
@@ -158,45 +158,42 @@ func automatonSectionName(i int) string { return fmt.Sprintf("automaton.%d", i) 
 func hotSectionName(i int) string  { return fmt.Sprintf("automaton.hot.%d", i) }
 func coldSectionName(i int) string { return fmt.Sprintf("automaton.cold.%d", i) }
 
+// marshalListsJSON returns the snapshot's JSON document, newline-terminated.
 func marshalListsJSON(s *ListsSnapshot, version int) ([]byte, error) {
 	doc := listsSnapshotJSON{
 		Format:  ListsSnapshotFormat,
 		Version: version,
 		Label:   s.Label,
 	}
+	size := 0
 	for _, l := range s.Lists {
 		lj := listJSON{Name: l.Name, Rules: make([]string, 0, l.Len())}
 		for _, r := range l.Rules() {
 			lj.Rules = append(lj.Rules, r.Raw)
+			size += len(r.Raw) + 3
 		}
 		doc.Lists = append(doc.Lists, lj)
 	}
-	payload, err := json.Marshal(&doc)
-	if err != nil {
+	// Encode is Marshal plus the newline, written once into a buffer sized
+	// from the rule text.
+	var buf bytes.Buffer
+	buf.Grow(size + size/16 + 256)
+	if err := json.NewEncoder(&buf).Encode(&doc); err != nil {
 		return nil, err
 	}
-	return append(payload, '\n'), nil
+	return buf.Bytes(), nil
 }
 
-// ReadListsSnapshot parses and recompiles a snapshot, rejecting foreign
-// files (ErrSnapshotFormat), unknown schema versions (ErrSnapshotVersion),
-// corrupt files — bad checksum, torn length framing, or a sealed-version
-// payload missing its trailer (errors wrap artifact.ErrCorrupt) — and
-// snapshots whose rules no longer parse (they would silently change
-// match decisions).
-func ReadListsSnapshot(r io.Reader) (*ListsSnapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("abp: reading lists snapshot: %w", err)
-	}
-	return parseListsSnapshot(data)
-}
-
-// parseListsSnapshot decodes a snapshot in place: the returned lists (and
-// their automata, for compiled snapshots) alias data, which therefore must
-// stay live and unmodified for the snapshot's lifetime.
-func parseListsSnapshot(data []byte) (*ListsSnapshot, error) {
-	payload, sealed, err := artifact.Open(data)
+// ParseListsSnapshot parses and recompiles a snapshot file held in memory,
+// rejecting foreign files (ErrSnapshotFormat), unknown schema versions
+// (ErrSnapshotVersion), corrupt files — bad checksum, torn length framing,
+// or a sealed-version payload missing its trailer (errors wrap
+// artifact.ErrCorrupt) — and snapshots whose rules no longer parse (they
+// would silently change match decisions). The snapshot is decoded in place:
+// the automata of a compiled snapshot alias data, which the caller must
+// therefore keep unmodified for as long as the lists are in use.
+func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
+	payload, sealed, version, err := artifact.OpenVersion(data)
 	if err != nil {
 		return nil, fmt.Errorf("abp: lists snapshot: %w", err)
 	}
@@ -232,6 +229,7 @@ func parseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	}
 	out := &ListsSnapshot{
 		Label:    doc.Label,
+		Version:  version,
 		Compiled: len(doc.Lists) > 0,
 		Tiered:   len(doc.Lists) > 0 && doc.Version >= listsSnapshotTieredVersion,
 	}
@@ -282,58 +280,38 @@ func parseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 // SaveListsSnapshot writes the snapshot to path atomically (temp file +
 // rename) so hot-reloading readers never observe a torn file.
 func SaveListsSnapshot(path string, s *ListsSnapshot) error {
-	return saveListsSnapshot(path, s, WriteListsSnapshot)
+	return saveListsSnapshot(path, s, listsSnapshotPlainVersion)
 }
 
 // SaveListsSnapshotCompiled is SaveListsSnapshot in the version-3 compiled
 // format (automaton sections included).
 func SaveListsSnapshotCompiled(path string, s *ListsSnapshot) error {
-	return saveListsSnapshot(path, s, WriteListsSnapshotCompiled)
+	return saveListsSnapshot(path, s, listsSnapshotCompiledVersion)
 }
 
 // SaveListsSnapshotTiered is SaveListsSnapshot in the version-4 tiered
 // format (hot/cold section pairs; every list must be tiered).
 func SaveListsSnapshotTiered(path string, s *ListsSnapshot) error {
-	return saveListsSnapshot(path, s, WriteListsSnapshotTiered)
+	return saveListsSnapshot(path, s, listsSnapshotTieredVersion)
 }
 
-func saveListsSnapshot(path string, s *ListsSnapshot, write func(io.Writer, *ListsSnapshot) error) error {
-	tmp, err := os.CreateTemp(snapshotDir(path), ".lists-*.json")
+func saveListsSnapshot(path string, s *ListsSnapshot, version int) error {
+	data, err := marshalListsSnapshot(s, version)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return artifact.WriteFileAtomic(path, data, 0o644)
 }
 
 // LoadListsSnapshot reads and recompiles a snapshot from path.
 func LoadListsSnapshot(path string) (*ListsSnapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := ReadListsSnapshot(f)
+	s, err := ParseListsSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// snapshotDir returns the directory containing path ("." for bare names),
-// keeping the temp file on the same filesystem as the rename target.
-func snapshotDir(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i+1]
-		}
-	}
-	return "."
 }

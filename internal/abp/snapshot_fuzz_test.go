@@ -2,7 +2,6 @@ package abp
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -44,18 +43,18 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 		second.CompileTiered(func(ord int) bool { return ord%3 == 0 }),
 	}}
 	for _, w := range []struct {
-		write func(io.Writer, *ListsSnapshot) error
-		snap  *ListsSnapshot
+		marshal func(*ListsSnapshot) ([]byte, error)
+		snap    *ListsSnapshot
 	}{
-		{WriteListsSnapshot, plain},
-		{WriteListsSnapshotCompiled, plain},
-		{WriteListsSnapshotTiered, tiered},
+		{MarshalListsSnapshot, plain},
+		{MarshalListsSnapshotCompiled, plain},
+		{MarshalListsSnapshotTiered, tiered},
 	} {
-		var buf bytes.Buffer
-		if err := w.write(&buf, w.snap); err != nil {
+		file, err := w.marshal(w.snap)
+		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, buf.Bytes())
+		files = append(files, file)
 	}
 	return files
 }
@@ -146,7 +145,7 @@ func FuzzReadListsSnapshot(f *testing.F) {
 			payload = data[:i]
 		}
 		load := func(file []byte, assert func(*testing.T, string, *List, *List, Request)) {
-			snap, err := ReadListsSnapshot(bytes.NewReader(file))
+			snap, err := ParseListsSnapshot(file)
 			if err != nil {
 				return
 			}

@@ -3,8 +3,9 @@ package abp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adwars/internal/artifact"
@@ -43,9 +44,20 @@ func TestListsSnapshotRoundTrip(t *testing.T) {
 	if err := SaveListsSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot frozen under one user is served under another.
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Errorf("saved with mode %v (err %v), want 0644", st.Mode().Perm(), err)
+	}
 	got, err := LoadListsSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := artifact.Version(raw); got.Version != want || want == "" {
+		t.Errorf("loaded snapshot carries version %q, the file's is %q", got.Version, want)
 	}
 	if got.Label != "unit" || len(got.Lists) != 1 {
 		t.Fatalf("snapshot = %q/%d lists, want unit/1", got.Label, len(got.Lists))
@@ -99,17 +111,17 @@ func TestListsSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestListsSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
-	if _, err := ReadListsSnapshot(strings.NewReader(`{"format":"nope","version":1}`)); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := ParseListsSnapshot([]byte(`{"format":"nope","version":1}`)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("foreign format: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ReadListsSnapshot(strings.NewReader(`garbage`)); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := ParseListsSnapshot([]byte(`garbage`)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("garbage: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ReadListsSnapshot(strings.NewReader(`{"format":"adwars-lists","version":42,"lists":[]}`)); !errors.Is(err, ErrSnapshotVersion) {
+	if _, err := ParseListsSnapshot([]byte(`{"format":"adwars-lists","version":42,"lists":[]}`)); !errors.Is(err, ErrSnapshotVersion) {
 		t.Errorf("future version: err = %v, want ErrSnapshotVersion", err)
 	}
 	bad := `{"format":"adwars-lists","version":1,"lists":[{"name":"x","rules":["##["]}]}`
-	if _, err := ReadListsSnapshot(strings.NewReader(bad)); err == nil {
+	if _, err := ParseListsSnapshot([]byte(bad)); err == nil {
 		t.Error("unparseable rule must error")
 	}
 }
@@ -121,11 +133,11 @@ func sealedListsBytes(t *testing.T) []byte {
 	if len(errs) != 0 {
 		t.Fatalf("parse errors: %v", errs)
 	}
-	var buf bytes.Buffer
-	if err := WriteListsSnapshot(&buf, &ListsSnapshot{Label: "unit", Lists: []*List{l}}); err != nil {
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Label: "unit", Lists: []*List{l}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 func TestListsSnapshotIsSealed(t *testing.T) {
@@ -136,7 +148,7 @@ func TestListsSnapshotIsSealed(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"version":2`)) {
 		t.Fatal("written snapshot is not schema version 2")
 	}
-	if _, err := ReadListsSnapshot(bytes.NewReader(data)); err != nil {
+	if _, err := ParseListsSnapshot(data); err != nil {
 		t.Fatalf("clean sealed snapshot failed to load: %v", err)
 	}
 }
@@ -170,7 +182,7 @@ func TestListsSnapshotCorruptionDetected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadListsSnapshot(bytes.NewReader(tc.mutate(data)))
+			_, err := ParseListsSnapshot(tc.mutate(data))
 			if err == nil {
 				t.Fatal("corrupt snapshot loaded without error")
 			}
@@ -192,11 +204,11 @@ func compiledListsBytes(t *testing.T) ([]byte, *List) {
 	if len(errs) != 0 {
 		t.Fatalf("parse errors: %v", errs)
 	}
-	var buf bytes.Buffer
-	if err := WriteListsSnapshotCompiled(&buf, &ListsSnapshot{Label: "unit", Lists: []*List{l}}); err != nil {
+	data, err := MarshalListsSnapshotCompiled(&ListsSnapshot{Label: "unit", Lists: []*List{l}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), l
+	return data, l
 }
 
 func TestListsSnapshotCompiledRoundTrip(t *testing.T) {
@@ -207,7 +219,7 @@ func TestListsSnapshotCompiledRoundTrip(t *testing.T) {
 	if !bytes.Contains(data, []byte(artifact.SectionPrefix)) {
 		t.Fatal("compiled snapshot carries no automaton section")
 	}
-	snap, err := ReadListsSnapshot(bytes.NewReader(data))
+	snap, err := ParseListsSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +239,11 @@ func TestListsSnapshotCompiledRoundTrip(t *testing.T) {
 	}
 	// Determinism: writing again yields byte-identical output (snapshot
 	// versions are content checksums).
-	var again bytes.Buffer
-	if err := WriteListsSnapshotCompiled(&again, &ListsSnapshot{Label: "unit", Lists: []*List{orig}}); err != nil {
+	again, err := MarshalListsSnapshotCompiled(&ListsSnapshot{Label: "unit", Lists: []*List{orig}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), data) {
+	if !bytes.Equal(again, data) {
 		t.Fatal("compiled snapshot serialization is not deterministic")
 	}
 }
@@ -248,7 +260,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 		b := bytes.Clone(data)
 		i := bytes.Index(b, []byte(artifact.SectionPrefix)) + 80 // inside section data
 		b[i] ^= 0x01
-		if _, err := ReadListsSnapshot(bytes.NewReader(b)); !errors.Is(err, artifact.ErrCorrupt) {
+		if _, err := ParseListsSnapshot(b); !errors.Is(err, artifact.ErrCorrupt) {
 			t.Fatalf("err = %v, want artifact.ErrCorrupt", err)
 		}
 	})
@@ -263,7 +275,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 		mark := bytes.Index(b, []byte(artifact.SectionPrefix))
 		hdrEnd := mark + bytes.IndexByte(b[mark:], '\n') + 1
 		b[hdrEnd+16+8] ^= 0x01 // past padding and magic, inside automaton data
-		if _, err := ReadListsSnapshot(bytes.NewReader(artifact.Seal(b))); !errors.Is(err, artifact.ErrCorrupt) {
+		if _, err := ParseListsSnapshot(artifact.Seal(b)); !errors.Is(err, artifact.ErrCorrupt) {
 			t.Fatalf("err = %v, want artifact.ErrCorrupt (section checksum)", err)
 		}
 	})
@@ -276,7 +288,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 		if bytes.Equal(b, payload) {
 			t.Fatal("rule edit did not take")
 		}
-		_, err := ReadListsSnapshot(bytes.NewReader(artifact.Seal(b)))
+		_, err := ParseListsSnapshot(artifact.Seal(b))
 		if !errors.Is(err, artifact.ErrCorrupt) {
 			t.Fatalf("err = %v, want artifact.ErrCorrupt (stale automaton)", err)
 		}
@@ -284,7 +296,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 
 	t.Run("sections on a pre-v3 schema", func(t *testing.T) {
 		b := bytes.Replace(bytes.Clone(payload), []byte(`"version":3`), []byte(`"version":2`), 1)
-		_, err := ReadListsSnapshot(bytes.NewReader(artifact.Seal(b)))
+		_, err := ParseListsSnapshot(artifact.Seal(b))
 		if !errors.Is(err, artifact.ErrCorrupt) {
 			t.Fatalf("err = %v, want artifact.ErrCorrupt (v2 with sections)", err)
 		}
@@ -303,7 +315,7 @@ func TestListsSnapshotV3WithoutSectionsRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadListsSnapshot(bytes.NewReader(artifact.Seal(payload)))
+	snap, err := ParseListsSnapshot(artifact.Seal(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +330,64 @@ func TestListsSnapshotV3WithoutSectionsRebuilds(t *testing.T) {
 func TestListsSnapshotLegacyV1StillLoads(t *testing.T) {
 	legacy := `{"format":"adwars-lists","version":1,"label":"old",` +
 		`"lists":[{"name":"legacy","rules":["||ads.example.com^","@@||ads.example.com/ok$script"]}]}` + "\n"
-	snap, err := ReadListsSnapshot(strings.NewReader(legacy))
+	snap, err := ParseListsSnapshot([]byte(legacy))
 	if err != nil {
 		t.Fatalf("legacy v1 snapshot rejected: %v", err)
 	}
 	if snap.Label != "old" || snap.Rules() != 2 {
 		t.Fatalf("legacy snapshot mis-parsed: label=%q rules=%d", snap.Label, snap.Rules())
+	}
+}
+
+// pinnedLines is the fixed list TestSnapshotBytesPinned freezes: the lines
+// of TestBuildDeterministic (every run occurs twice), keywords that share
+// their first one and two symbols, exceptions beside them, a three-byte
+// keyword, a rule with none but ubiquitous runs, two keyword-less rules and
+// the element-hiding kinds.
+func pinnedLines() []string {
+	var lines []string
+	for i := 0; i < 400; i++ {
+		lines = append(lines,
+			fmt.Sprintf("||aaa%03d.example/bbb%03d/ccc%03d.js", i, i, i),
+			fmt.Sprintf("/ccc%03d/bbb%03d/aaa%03d^", i, i, i))
+	}
+	for i := 0; i < 40; i++ {
+		lines = append(lines,
+			fmt.Sprintf("||q%c%02d.test^", 'a'+i%26, i),
+			fmt.Sprintf("/qa%c%02d/", 'a'+(i*7)%26, i),
+			fmt.Sprintf("@@||qa%c%02dx.test^$script", 'a'+(i*7)%26, i))
+	}
+	return append(lines,
+		"||xyz.example^",
+		"|https://www.com/",
+		"/ad/",
+		"*^*",
+		"news.example##.adblock-notice",
+		"@@||trusted.example^$elemhide")
+}
+
+// TestSnapshotBytesPinned: not one byte of a snapshot moved. The two
+// versions are artifact.Version of the flat and the tiered snapshot of
+// pinnedLines as commit 6ddcbf9 wrote them, before keyword selection was
+// kept, the top of the build trie indexed and the payload sized once.
+func TestSnapshotBytesPinned(t *testing.T) {
+	l := buildList(t, "pinned", pinnedLines()...)
+	tl := l.CompileTiered(func(ord int) bool { return ord%3 == 0 })
+	for _, c := range []struct {
+		name    string
+		marshal func(*ListsSnapshot) ([]byte, error)
+		list    *List
+		want    string
+	}{
+		{"flat", MarshalListsSnapshotCompiled, l, "292a4d90490667ac"},
+		{"tiered", MarshalListsSnapshotTiered, tl, "6b41036ea2a6f6a1"},
+	} {
+		data, err := c.marshal(&ListsSnapshot{Label: "pinned", Lists: []*List{c.list}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := artifact.Version(data); err != nil || got != c.want {
+			t.Errorf("%s snapshot: version %s (err %v), commit 6ddcbf9 wrote %s", c.name, got, err, c.want)
+		}
 	}
 }

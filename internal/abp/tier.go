@@ -20,7 +20,7 @@ import (
 // crowdsourced rules never fire; tiering turns that skew into a working-
 // set win: the memory a typical verdict walks shrinks to the hot tier
 // while answers stay byte-identical to the untiered list (differential-
-// tested and fuzzned against the linear reference).
+// tested and fuzzed against the linear reference).
 //
 // Two membership invariants make the staged probe exact, both enforced at
 // attach time and guaranteed by CompileTiered's normalization:
@@ -45,7 +45,10 @@ import (
 // unchanged; rules are shared, both lists stay safe for concurrent
 // matchers.
 func (l *List) CompileTiered(keep func(ord int) bool) *List {
-	kws := selectKeywords(l.rules)
+	kws := l.kws
+	if kws == nil {
+		kws = selectKeywords(l.rules)
+	}
 	hot := make([]bool, len(l.rules))
 	cold := make([]bool, len(l.rules))
 	for ord, r := range l.rules {
@@ -54,7 +57,7 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		}
 		switch {
 		case r.Kind == KindHTTPException,
-			kws[ord] == "",
+			kws[ord].none(),
 			keep != nil && keep(ord):
 			hot[ord] = true
 		default:
@@ -65,6 +68,7 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		Name:        l.Name,
 		rules:       l.rules,
 		rulesCRC:    l.rulesCRC,
+		kws:         kws,
 		elemHide:    l.elemHide,
 		elemExcept:  l.elemExcept,
 		hideIdx:     l.hideIdx,

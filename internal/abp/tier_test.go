@@ -1,6 +1,7 @@
 package abp
 
 import (
+	"bytes"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -187,6 +188,20 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	if !s.Compiled || s.Tiered {
 		t.Fatalf("v3: Compiled=%v Tiered=%v, want compiled untiered", s.Compiled, s.Tiered)
 	}
+
+	// One selection per list: NewList kept its choice for CompileTiered; the
+	// list attached from the snapshot built nothing, kept nothing, and
+	// selects when it is tiered — arriving at the same bytes.
+	attached := s.Lists[0]
+	if plain.kws == nil || attached.kws != nil {
+		t.Fatalf("kept selection: built list %v, attached list %v; want kept and not kept",
+			plain.kws != nil, attached.kws != nil)
+	}
+	again := attached.CompileTiered(func(ord int) bool { return ord%4 == 0 })
+	if !bytes.Equal(again.AutomatonBytes(), tiered.AutomatonBytes()) ||
+		!bytes.Equal(again.ColdAutomatonBytes(), tiered.ColdAutomatonBytes()) {
+		t.Fatal("tiers compiled from the attached list differ from those compiled from the built one")
+	}
 }
 
 // TestTieredHistoryDifferential runs the tier transparency gate at the
@@ -236,7 +251,7 @@ func TestTieredValidation(t *testing.T) {
 	var excOrd = -1
 	kws := selectKeywords(plain.Rules())
 	for ord, r := range plain.Rules() {
-		if r.Kind == KindHTTPException && kws[ord] != "" {
+		if r.Kind == KindHTTPException && !kws[ord].none() {
 			excOrd = ord
 			break
 		}
@@ -271,7 +286,7 @@ func TestTieredValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload = artifact.AppendSection(payload, hotSectionName(0), hot)
-	if _, err := parseListsSnapshot(artifact.Seal(payload)); err == nil {
+	if _, err := ParseListsSnapshot(artifact.Seal(payload)); err == nil {
 		t.Fatal("half a tier pair accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("half-pair error %v does not wrap ErrCorrupt", err)

@@ -68,18 +68,25 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // trailer.
 func Checksum(payload []byte) uint64 { return crc64.Checksum(payload, crcTable) }
 
-// Seal returns payload with an integrity trailer line appended. The
-// payload should end with '\n' (JSON encoders do); if it does not, a
+// trailerBound is more than any trailer line takes: the prefix, "v1", a
+// 19-digit length, 16 hex digits and the field names come to 70 bytes.
+const trailerBound = 96
+
+// Seal returns a copy of payload with an integrity trailer line appended.
+// The payload should end with '\n' (JSON encoders do); if it does not, a
 // newline is inserted so the trailer stays on its own line.
 func Seal(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+64)
-	out = append(out, payload...)
-	if len(out) > 0 && out[len(out)-1] != '\n' {
-		out = append(out, '\n')
+	return appendTrailer(append(make([]byte, 0, len(payload)+trailerBound), payload...))
+}
+
+// appendTrailer is Seal in place: the trailer goes behind payload in
+// payload's own backing array when that has the room.
+func appendTrailer(payload []byte) []byte {
+	n, crc := len(payload), Checksum(payload)
+	if n > 0 && payload[n-1] != '\n' {
+		payload = append(payload, '\n')
 	}
-	out = append(out, fmt.Sprintf("%sv%d len=%d crc64=%016x\n",
-		TrailerPrefix, TrailerVersion, len(payload), Checksum(payload))...)
-	return out
+	return fmt.Appendf(payload, "%sv%d len=%d crc64=%016x\n", TrailerPrefix, TrailerVersion, n, crc)
 }
 
 // Open splits data into payload and trailer and verifies the trailer when
@@ -88,13 +95,22 @@ func Seal(payload []byte) []byte {
 // CorruptError when a trailer is present but malformed or fails its
 // length or checksum check.
 func Open(data []byte) (payload []byte, sealed bool, err error) {
+	payload, sealed, _, err = OpenVersion(data)
+	return payload, sealed, err
+}
+
+// OpenVersion is Open and Version in one pass over data: the payload,
+// whether a trailer sealed it, and the artifact's content version — for a
+// sealed artifact the trailer's CRC, once the payload has verified against
+// it.
+func OpenVersion(data []byte) (payload []byte, sealed bool, version string, err error) {
 	line, start := lastLine(data)
 	if !strings.HasPrefix(line, TrailerPrefix) {
-		return data, false, nil
+		return data, false, fmt.Sprintf("%016x", Checksum(data)), nil
 	}
 	wantLen, wantCRC, err := parseTrailer(line)
 	if err != nil {
-		return nil, false, err
+		return nil, false, "", err
 	}
 	payload = data[:start]
 	// The trailer states the exact payload length Seal saw; Seal only adds
@@ -105,33 +121,31 @@ func Open(data []byte) (payload []byte, sealed bool, err error) {
 	case len(payload) == wantLen+1 && payload[wantLen] == '\n':
 		payload = payload[:wantLen]
 	default:
-		return nil, false, &CorruptError{
+		return nil, false, "", &CorruptError{
 			Reason: "length-mismatch",
 			Detail: fmt.Sprintf("trailer framed %d payload bytes, found %d (torn write?)", wantLen, len(payload)),
 		}
 	}
 	if got := Checksum(payload); got != wantCRC {
-		return nil, false, &CorruptError{
+		return nil, false, "", &CorruptError{
 			Reason: "checksum-mismatch",
 			Detail: fmt.Sprintf("payload crc64 %016x, trailer says %016x (bit rot?)", got, wantCRC),
 		}
 	}
-	return payload, true, nil
+	return payload, true, fmt.Sprintf("%016x", wantCRC), nil
 }
 
 // Version derives the content version of an artifact: the CRC64 of its
-// payload rendered as 16 hex digits. The trailer is excluded, so a sealed
+// payload rendered as 16 hex digits (read off the verified trailer when there
+// is one, so the payload is summed once). The trailer is excluded, so a sealed
 // artifact and the legacy file it was sealed from version identically,
 // and re-sealing an unchanged payload never changes its version. The
 // serving fleet and the snapshot control plane both use this as the
 // snapshot identity they compare during rollouts. Corrupt artifacts have
 // no version.
 func Version(data []byte) (string, error) {
-	payload, _, err := Open(data)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%016x", Checksum(payload)), nil
+	_, _, version, err := OpenVersion(data)
+	return version, err
 }
 
 // WriteFileAtomic writes data to path via a temp file in the same

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -117,4 +119,100 @@ func flipHex(c byte) string {
 		return "0"
 	}
 	return "f"
+}
+
+// TestVersionIsPayloadChecksum: the version of a sealed artifact is read off
+// the trailer Open verified, and is still the payload's CRC64 — the same for
+// the legacy file, the sealed one and one sealed again; a corrupt artifact
+// has none.
+func TestVersionIsPayloadChecksum(t *testing.T) {
+	for _, payload := range []string{"{\"a\":1}\n", "no trailing newline", ""} {
+		want := fmt.Sprintf("%016x", Checksum([]byte(payload)))
+		sealed := Seal([]byte(payload))
+		opened, _, err := Open(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			"legacy":   []byte(payload),
+			"sealed":   sealed,
+			"resealed": Seal(opened),
+		} {
+			got, err := Version(data)
+			if err != nil || got != want {
+				t.Errorf("payload %q %s: Version = %q, %v; Checksum(payload) is %s", payload, name, got, err, want)
+			}
+			p, isSealed, v, err := OpenVersion(data)
+			if err != nil || v != want || string(p) != payload || isSealed != (name != "legacy") {
+				t.Errorf("payload %q %s: OpenVersion = (%q, %v, %q, %v)", payload, name, p, isSealed, v, err)
+			}
+		}
+	}
+	sealed := Seal([]byte("{\"a\":1}\n"))
+	sealed[2] ^= 0x20
+	if v, err := Version(sealed); !errors.Is(err, ErrCorrupt) || v != "" {
+		t.Errorf("corrupt artifact: Version = %q, %v; want ErrCorrupt", v, err)
+	}
+}
+
+// TestSealSections: one sized buffer holds exactly what AppendSection and
+// Seal build step by step, and the size was enough.
+func TestSealSections(t *testing.T) {
+	primary := []byte("{\"doc\":true}\n")
+	sections := []Section{
+		{Name: "automaton.hot.0", Data: bytes.Repeat([]byte{0xAB}, 1001)},
+		{Name: "empty", Data: nil},
+		{Name: strings.Repeat("n", 200), Data: []byte("#adwars-section looks like a header\n")},
+	}
+	for _, secs := range [][]Section{sections, nil} {
+		want := bytes.Clone(primary)
+		size := len(primary) + trailerBound
+		for _, sec := range secs {
+			want = AppendSection(want, sec.Name, sec.Data)
+			size += len(sec.Name) + len(sec.Data) + sectionBound
+		}
+		got := SealSections(primary, secs)
+		if !bytes.Equal(got, Seal(want)) {
+			t.Fatalf("%d sections: SealSections differs from AppendSection + Seal", len(secs))
+		}
+		if cap(got) != size {
+			t.Errorf("%d sections: buffer regrown: cap %d, sized %d", len(secs), cap(got), size)
+		}
+	}
+}
+
+// TestWriteFileAtomic: the file appears whole under the mode asked for, and
+// a write that cannot complete leaves nothing behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.json")
+	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "two" {
+		t.Fatalf("file holds %q, want the second write", got)
+	}
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v (err %v), want 0644", st.Mode().Perm(), err)
+	}
+	// A non-empty directory in the way: the rename fails.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("three"), 0o644); err == nil {
+		t.Fatal("writing over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "snap.json" && e.Name() != "blocked" {
+			t.Errorf("failed write left %q behind", e.Name())
+		}
+	}
 }

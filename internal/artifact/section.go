@@ -79,6 +79,28 @@ func AppendSection(payload []byte, name string, data []byte) []byte {
 	return payload
 }
 
+// sectionBound is more than the framing AppendSection puts around a
+// section's name and data: a separating newline, the header's fixed text
+// with a 19-digit length and 16 hex digits, seven bytes of padding and the
+// closing newline come to 87 bytes.
+const sectionBound = 96
+
+// SealSections returns primary followed by the sections, each framed as
+// AppendSection frames it, and the integrity trailer: what Seal makes of
+// the payload AppendSection builds, in one buffer sized from the section
+// lengths and filled once.
+func SealSections(primary []byte, sections []Section) []byte {
+	n := len(primary) + trailerBound
+	for _, sec := range sections {
+		n += len(sec.Name) + len(sec.Data) + sectionBound
+	}
+	out := append(make([]byte, 0, n), primary...)
+	for _, sec := range sections {
+		out = AppendSection(out, sec.Name, sec.Data)
+	}
+	return appendTrailer(out)
+}
+
 // sectionMark locates the first section header: a header line always
 // follows a newline (or starts the payload). The primary document cannot
 // contain the mark — a raw newline inside a JSON string is invalid JSON —

@@ -28,11 +28,11 @@ func sealedLists(t *testing.T, label string) []byte {
 	if len(errs) != 0 {
 		t.Fatalf("list parse errors: %v", errs)
 	}
-	var buf bytes.Buffer
-	if err := abp.WriteListsSnapshot(&buf, &abp.ListsSnapshot{Label: label, Lists: []*abp.List{l}}); err != nil {
+	data, err := abp.MarshalListsSnapshot(&abp.ListsSnapshot{Label: label, Lists: []*abp.List{l}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // replica is one live serve.Server on a real listener for fleet tests.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"adwars/internal/artifact"
@@ -58,6 +57,9 @@ type ModelSnapshot struct {
 	Vocab      []string
 	Model      *AdaBoost
 	Meta       ModelMeta
+	// Version is the artifact version (artifact.Version) of the file the
+	// snapshot was parsed from; empty for one trained in this process.
+	Version string
 }
 
 // modelSnapshotJSON is the on-disk schema.
@@ -71,15 +73,15 @@ type modelSnapshotJSON struct {
 	Meta       ModelMeta       `json:"meta,omitempty"`
 }
 
-// WriteModelSnapshot writes the snapshot to w in the current schema
-// version, sealed with an integrity trailer.
-func WriteModelSnapshot(w io.Writer, s *ModelSnapshot) error {
+// MarshalModelSnapshot returns the snapshot in the current schema version,
+// sealed with an integrity trailer.
+func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 	if s.Model == nil {
-		return fmt.Errorf("ml: snapshot has no model")
+		return nil, fmt.Errorf("ml: snapshot has no model")
 	}
 	model, err := json.Marshal(s.Model)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	doc := modelSnapshotJSON{
 		Format:     ModelSnapshotFormat,
@@ -92,26 +94,20 @@ func WriteModelSnapshot(w io.Writer, s *ModelSnapshot) error {
 	}
 	payload, err := json.Marshal(&doc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	payload = append(payload, '\n')
-	_, err = w.Write(artifact.Seal(payload))
-	return err
+	return artifact.Seal(append(payload, '\n')), nil
 }
 
-// ReadModelSnapshot parses a snapshot, rejecting foreign files
-// (ErrSnapshotFormat), unknown schema versions (ErrSnapshotVersion), and
-// corrupt files — bad checksum, torn length framing, a sealed-version
-// payload whose trailer was truncated away, or a model that parses but
-// cannot be scored faithfully: unsorted or out-of-vocabulary support
-// vectors, non-finite weights, a non-positive RBF width (errors wrap
-// artifact.ErrCorrupt).
-func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ml: reading model snapshot: %w", err)
-	}
-	payload, sealed, err := artifact.Open(data)
+// ParseModelSnapshot parses a snapshot file held in memory, rejecting
+// foreign files (ErrSnapshotFormat), unknown schema versions
+// (ErrSnapshotVersion), and corrupt files — bad checksum, torn length
+// framing, a sealed-version payload whose trailer was truncated away, or a
+// model that parses but cannot be scored faithfully: unsorted or
+// out-of-vocabulary support vectors, non-finite weights, a non-positive RBF
+// width (errors wrap artifact.ErrCorrupt).
+func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
+	payload, sealed, version, err := artifact.OpenVersion(data)
 	if err != nil {
 		return nil, fmt.Errorf("ml: model snapshot: %w", err)
 	}
@@ -150,6 +146,7 @@ func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
 		Vocab:      doc.Vocab,
 		Model:      model,
 		Meta:       doc.Meta,
+		Version:    version,
 	}, nil
 }
 
@@ -157,42 +154,22 @@ func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
 // rename), so a reader never observes a torn snapshot mid-write — the
 // hot-reload path depends on this.
 func SaveModelSnapshot(path string, s *ModelSnapshot) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".model-*.json")
+	data, err := MarshalModelSnapshot(s)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteModelSnapshot(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return artifact.WriteFileAtomic(path, data, 0o644)
 }
 
 // LoadModelSnapshot reads a snapshot from path.
 func LoadModelSnapshot(path string) (*ModelSnapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := ReadModelSnapshot(f)
+	s, err := ParseModelSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// dirOf returns the directory containing path ("." for bare names), so the
-// temp file lands on the same filesystem as the final rename target.
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i+1]
-		}
-	}
-	return "."
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adwars/internal/artifact"
@@ -36,9 +36,20 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 	if err := SaveModelSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot frozen under one user is served under another.
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Errorf("saved with mode %v (err %v), want 0644", st.Mode().Perm(), err)
+	}
 	got, err := LoadModelSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := artifact.Version(raw); got.Version != want || want == "" {
+		t.Errorf("loaded snapshot carries version %q, the file's is %q", got.Version, want)
 	}
 	if got.FeatureSet != snap.FeatureSet {
 		t.Errorf("feature set %q, want %q", got.FeatureSet, snap.FeatureSet)
@@ -70,23 +81,22 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestModelSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
-	if _, err := ReadModelSnapshot(strings.NewReader(`{"format":"something-else","version":1}`)); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := ParseModelSnapshot([]byte(`{"format":"something-else","version":1}`)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("foreign format: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ReadModelSnapshot(strings.NewReader(`not json`)); !errors.Is(err, ErrSnapshotFormat) {
+	if _, err := ParseModelSnapshot([]byte(`not json`)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("garbage: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ReadModelSnapshot(strings.NewReader(`{"format":"adwars-model","version":999,"classifier":"adaboost"}`)); !errors.Is(err, ErrSnapshotVersion) {
+	if _, err := ParseModelSnapshot([]byte(`{"format":"adwars-model","version":999,"classifier":"adaboost"}`)); !errors.Is(err, ErrSnapshotVersion) {
 		t.Errorf("future version: err = %v, want ErrSnapshotVersion", err)
 	}
-	if _, err := ReadModelSnapshot(strings.NewReader(`{"format":"adwars-model","version":1,"classifier":"forest","model":{}}`)); err == nil {
+	if _, err := ParseModelSnapshot([]byte(`{"format":"adwars-model","version":1,"classifier":"forest","model":{}}`)); err == nil {
 		t.Error("unknown classifier must error")
 	}
 }
 
 func TestModelSnapshotWriteRequiresModel(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteModelSnapshot(&buf, &ModelSnapshot{FeatureSet: "keyword"}); err == nil {
+	if _, err := MarshalModelSnapshot(&ModelSnapshot{FeatureSet: "keyword"}); err == nil {
 		t.Error("nil model must error")
 	}
 }
@@ -95,11 +105,11 @@ func TestModelSnapshotWriteRequiresModel(t *testing.T) {
 // file bytes for corruption tests.
 func sealedModelBytes(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteModelSnapshot(&buf, trainedSnapshot(t)); err != nil {
+	data, err := MarshalModelSnapshot(trainedSnapshot(t))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 func TestModelSnapshotIsSealed(t *testing.T) {
@@ -110,7 +120,7 @@ func TestModelSnapshotIsSealed(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"version":2`)) {
 		t.Fatal("written snapshot is not schema version 2")
 	}
-	if _, err := ReadModelSnapshot(bytes.NewReader(data)); err != nil {
+	if _, err := ParseModelSnapshot(data); err != nil {
 		t.Fatalf("clean sealed snapshot failed to load: %v", err)
 	}
 }
@@ -151,7 +161,7 @@ func TestModelSnapshotCorruptionDetected(t *testing.T) {
 	data := sealedModelBytes(t)
 	for _, tc := range modelCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadModelSnapshot(bytes.NewReader(tc.mutate(data)))
+			_, err := ParseModelSnapshot(tc.mutate(data))
 			if err == nil {
 				t.Fatal("corrupt snapshot loaded without error")
 			}
@@ -194,13 +204,13 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 	}
 	for _, tc := range invalidModelFiles {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadModelSnapshot(strings.NewReader(legacyModelFile(tc.model)))
+			_, err := ParseModelSnapshot([]byte(legacyModelFile(tc.model)))
 			wantInvalid(t, err)
 		})
 	}
 	// The same shape with nothing wrong loads.
 	ok := `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1,-1],"vectors":[[0,2],[]]}]}`
-	if _, err := ReadModelSnapshot(strings.NewReader(legacyModelFile(ok))); err != nil {
+	if _, err := ParseModelSnapshot([]byte(legacyModelFile(ok))); err != nil {
 		t.Errorf("valid model refused: %v", err)
 	}
 
@@ -240,7 +250,7 @@ func FuzzReadModelSnapshot(f *testing.F) {
 	}
 	sample := features.Sample{0, 1, 2, 5, 8, 13, 21, 34, 1 << 20}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := ReadModelSnapshot(bytes.NewReader(data))
+		snap, err := ParseModelSnapshot(data)
 		if err != nil {
 			return
 		}
@@ -254,7 +264,7 @@ func TestModelSnapshotLegacyV1StillLoads(t *testing.T) {
 	legacy := `{"format":"adwars-model","version":1,"classifier":"adaboost",` +
 		`"feature_set":"keyword","vocab":["Identifier:offsetHeight"],` +
 		`"model":{"alphas":[1],"models":[{"kernel":"linear","bias":-0.5,"coefs":[1],"vectors":[[0]]}]}}` + "\n"
-	snap, err := ReadModelSnapshot(strings.NewReader(legacy))
+	snap, err := ParseModelSnapshot([]byte(legacy))
 	if err != nil {
 		t.Fatalf("legacy v1 snapshot rejected: %v", err)
 	}

@@ -38,7 +38,7 @@ func benchServer(b *testing.B) *Server {
 	}
 	l := abp.NewList("bench", rules)
 	s := New(Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
-	snap, err := ml.ReadModelSnapshot(bytes.NewReader([]byte(benchModelJSON)))
+	snap, err := ml.ParseModelSnapshot([]byte(benchModelJSON))
 	if err != nil {
 		b.Fatal(err)
 	}

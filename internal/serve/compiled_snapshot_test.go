@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"adwars/internal/abp"
 	"adwars/internal/artifact"
@@ -135,4 +137,86 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	if after := match(); after != before {
 		t.Fatalf("answer changed after restore:\n%s\nvs\n%s", after, before)
 	}
+}
+
+// TestReloadServesFromOneBuffer: a reload reads the file once and serves
+// from that buffer — every automaton of a compiled or tiered snapshot lies
+// inside the raw bytes the state retains (the ones GET /admin/snapshot
+// returns), 4-aligned so the u32 views are views and not copies, whether the
+// bytes came from disk or from a push. The version the state reports is the
+// file's.
+func TestReloadServesFromOneBuffer(t *testing.T) {
+	checkGoroutineLeaks(t)
+	var lines []string
+	for i := 0; i < 3000; i++ {
+		lines = append(lines, fmt.Sprintf("||host%d.example/path%d/unit.js", i, i%7))
+	}
+	big, errs := abp.ParseAndBuild("big", strings.Join(lines, "\n"))
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	flat := testListsSnapshot(t)
+	flat.Lists = append(flat.Lists, big)
+	tiered := &abp.ListsSnapshot{Label: "tiered"}
+	for _, l := range flat.Lists {
+		tiered.Lists = append(tiered.Lists, l.CompileTiered(func(ord int) bool { return ord%3 == 0 }))
+	}
+
+	inside := func(what string, region, raw []byte) {
+		t.Helper()
+		if len(region) == 0 {
+			t.Fatalf("%s: empty region", what)
+		}
+		lo, hi := uintptr(unsafe.Pointer(&raw[0])), uintptr(unsafe.Pointer(&raw[len(raw)-1]))
+		first, last := uintptr(unsafe.Pointer(&region[0])), uintptr(unsafe.Pointer(&region[len(region)-1]))
+		if first < lo || last > hi {
+			t.Errorf("%s: automaton lives outside the retained snapshot bytes (a copy was made)", what)
+		}
+		if first%4 != 0 {
+			t.Errorf("%s: automaton at %#x is not 4-aligned", what, first)
+		}
+	}
+	check := func(name string, s *Server, wantTiered bool) {
+		t.Helper()
+		st := s.lists.Load()
+		if want, err := artifact.Version(st.raw); err != nil || st.version != want {
+			t.Errorf("%s: state version %q, artifact.Version of its bytes %q (%v)", name, st.version, want, err)
+		}
+		for _, l := range st.snap.Lists {
+			inside(name+"/"+l.Name, l.AutomatonBytes(), st.raw)
+			if l.Tiered() != wantTiered {
+				t.Fatalf("%s/%s: tiered=%v, want %v", name, l.Name, l.Tiered(), wantTiered)
+			}
+			if wantTiered {
+				inside(name+"/"+l.Name+"/cold", l.ColdAutomatonBytes(), st.raw)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	modelPath, listsPath := writeSnapshotFiles(t, dir)
+	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	if err := abp.SaveListsSnapshotCompiled(listsPath, flat); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	check("disk-compiled", s, false)
+	if err := abp.SaveListsSnapshotTiered(listsPath, tiered); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	check("disk-tiered", s, true)
+
+	art, err := abp.MarshalListsSnapshotCompiled(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "POST", "/admin/snapshot/lists", string(art)); rec.Code != 200 {
+		t.Fatalf("push status %d: %s", rec.Code, rec.Body)
+	}
+	check("push-compiled", s, false)
 }

@@ -17,11 +17,11 @@ func listsArtifact(t *testing.T, label string) []byte {
 	t.Helper()
 	snap := testListsSnapshot(t)
 	snap.Label = label
-	var buf bytes.Buffer
-	if err := abp.WriteListsSnapshot(&buf, snap); err != nil {
+	data, err := abp.MarshalListsSnapshot(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 func decodeHealth(t *testing.T, body []byte) Health {

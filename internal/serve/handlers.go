@@ -990,62 +990,39 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 	}
 	// The wire format is the artifact framing itself: an unsealed push has
 	// no integrity story over the network, so it is refused outright.
-	version, verr := artifact.Version(data)
-	if verr == nil {
-		if _, sealed, _ := artifact.Open(data); !sealed {
-			verr = artifact.Corruptf("missing-trailer", "pushed %s snapshot is not sealed", kind)
-		}
-	}
-	if verr != nil {
-		s.reloadFailed("push", verr)
-		writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-			"pushed %s snapshot refused: %v", kind, verr)
-		return
+	_, sealed, version, err := artifact.OpenVersion(data)
+	if err == nil && !sealed {
+		err = artifact.Corruptf("missing-trailer", "pushed %s snapshot is not sealed", kind)
 	}
 	// Parse before persisting so a schema-broken artifact never reaches
 	// disk, then persist before installing so disk and memory can only
 	// disagree in the direction of "disk newer, reload pending".
-	switch kind {
-	case "lists":
-		snap, err := abp.ReadListsSnapshot(bytes.NewReader(data))
-		if err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-				"pushed lists snapshot refused: %v", err)
-			return
-		}
-		if err := artifact.WriteFileAtomic(path, data, 0o644); err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusInternalServerError, "persist_failed",
-				"persisting pushed snapshot: %v", err)
-			return
-		}
-		if err := s.installLists(snap, version, data); err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-				"pushed lists snapshot refused: %v", err)
-			return
-		}
-	case "model":
-		snap, err := ml.ReadModelSnapshot(bytes.NewReader(data))
-		if err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-				"pushed model snapshot refused: %v", err)
-			return
-		}
-		if err := artifact.WriteFileAtomic(path, data, 0o644); err != nil {
+	var install func() error
+	switch {
+	case err != nil:
+	case kind == "lists":
+		var snap *abp.ListsSnapshot
+		snap, err = abp.ParseListsSnapshot(data)
+		install = func() error { return s.installLists(snap, version, data) }
+	default:
+		var snap *ml.ModelSnapshot
+		snap, err = ml.ParseModelSnapshot(data)
+		install = func() error { return s.installModel(snap, version, data) }
+	}
+	if err == nil {
+		if err = artifact.WriteFileAtomic(path, data, 0o644); err != nil {
 			s.reloadFailed("push", err)
 			writeError(w, http.StatusInternalServerError, "persist_failed",
 				"persisting pushed snapshot: %v", err)
 			return
 		}
-		if err := s.installModel(snap, version, data); err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-				"pushed model snapshot refused: %v", err)
-			return
-		}
+		err = install()
+	}
+	if err != nil {
+		s.reloadFailed("push", err)
+		writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
+			"pushed %s snapshot refused: %v", kind, err)
+		return
 	}
 	s.met.reloads.Add(1)
 	s.met.pushes.Add(1)

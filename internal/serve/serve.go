@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -161,8 +160,11 @@ type modelState struct {
 // safe for concurrent matchers, so a state is shared freely across
 // requests.
 type listsState struct {
-	snap    *abp.ListsSnapshot
-	rules   int
+	snap  *abp.ListsSnapshot
+	rules int
+	// version and raw are as in modelState. raw is also the memory the
+	// automata of a compiled snapshot read (abp.ParseListsSnapshot decodes in
+	// place), so it is never written once the state is installed.
 	version string
 	raw     []byte
 	// info is the precomputed response descriptor (see modelState.info).
@@ -439,27 +441,6 @@ func (s *Server) installLists(snap *abp.ListsSnapshot, version string, raw []byt
 	return nil
 }
 
-// loadedArtifact is one snapshot file read and parsed but not yet
-// installed, so a two-file reload can be all-or-nothing.
-type loadedArtifact struct {
-	raw     []byte
-	version string
-}
-
-// readArtifactFile reads path and derives its version. The parse happens
-// at the caller per format; version derivation only needs the framing.
-func readArtifactFile(path string) (loadedArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return loadedArtifact{}, err
-	}
-	version, err := artifact.Version(data)
-	if err != nil {
-		return loadedArtifact{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return loadedArtifact{raw: data, version: version}, nil
-}
-
 // ReloadSnapshots re-reads the configured snapshot paths and installs
 // whatever loads cleanly. On any error the previous snapshots stay
 // installed untouched — a bad reload never degrades a serving process. A
@@ -472,31 +453,33 @@ func readArtifactFile(path string) (loadedArtifact, error) {
 func (s *Server) ReloadSnapshots() error {
 	var model *ml.ModelSnapshot
 	var lists *abp.ListsSnapshot
-	var modelArt, listsArt loadedArtifact
+	var modelRaw, listsRaw []byte
 	var err error
-	if s.cfg.ModelPath != "" {
-		if modelArt, err = readArtifactFile(s.cfg.ModelPath); err != nil {
+	if path := s.cfg.ModelPath; path != "" {
+		if modelRaw, err = os.ReadFile(path); err != nil {
 			return s.reloadFailed("disk", err)
 		}
-		if model, err = ml.ReadModelSnapshot(bytes.NewReader(modelArt.raw)); err != nil {
-			return s.reloadFailed("disk", fmt.Errorf("%s: %w", s.cfg.ModelPath, err))
+		if model, err = ml.ParseModelSnapshot(modelRaw); err != nil {
+			return s.reloadFailed("disk", fmt.Errorf("%s: %w", path, err))
 		}
 	}
-	if s.cfg.ListsPath != "" {
-		if listsArt, err = readArtifactFile(s.cfg.ListsPath); err != nil {
+	if path := s.cfg.ListsPath; path != "" {
+		if listsRaw, err = os.ReadFile(path); err != nil {
 			return s.reloadFailed("disk", err)
 		}
-		if lists, err = abp.ReadListsSnapshot(bytes.NewReader(listsArt.raw)); err != nil {
-			return s.reloadFailed("disk", fmt.Errorf("%s: %w", s.cfg.ListsPath, err))
+		// The lists' automata alias listsRaw from here on: the state keeps
+		// the one buffer, and nothing writes it after install.
+		if lists, err = abp.ParseListsSnapshot(listsRaw); err != nil {
+			return s.reloadFailed("disk", fmt.Errorf("%s: %w", path, err))
 		}
 	}
 	if model != nil {
-		if err := s.installModel(model, modelArt.version, modelArt.raw); err != nil {
+		if err := s.installModel(model, model.Version, modelRaw); err != nil {
 			return s.reloadFailed("disk", err)
 		}
 	}
 	if lists != nil {
-		if err := s.installLists(lists, listsArt.version, listsArt.raw); err != nil {
+		if err := s.installLists(lists, lists.Version, listsRaw); err != nil {
 			return s.reloadFailed("disk", err)
 		}
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adwars/internal/abp"
@@ -60,7 +59,7 @@ func testListsSnapshot(t *testing.T) *abp.ListsSnapshot {
 // testModelSnapshot parses the hand-built model JSON.
 func testModelSnapshot(t *testing.T) *ml.ModelSnapshot {
 	t.Helper()
-	snap, err := ml.ReadModelSnapshot(strings.NewReader(testModelJSON))
+	snap, err := ml.ParseModelSnapshot([]byte(testModelJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
