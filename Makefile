@@ -61,12 +61,18 @@ bench-test:
 # FuzzReadListsSnapshot: a snapshot cut at or inside any section, or with its
 # sections reordered, repeated or renamed, never panics the loader, and
 # whatever loads answers as the linear scan over its own rules does. Its
-# seeds are whole snapshot files, hence the same cap.
+# seeds are whole snapshot files, hence the same cap. Then ten seconds of
+# FuzzBackendReply: the gateway reads replica replies off its own keep-alive
+# connections, so whatever bytes a replica answers with, and whether it then
+# closes or goes silent, the gateway neither panics nor hangs past its
+# per-try timeout, and pools the connection only after a reply that
+# net/http's own reader finds complete, keep-alive and followed by nothing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/jsast
 	$(GO) test -run '^$$' -fuzz FuzzReadListsSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/abp
+	$(GO) test -run '^$$' -fuzz FuzzBackendReply -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 
 # smoke runs the serving stack as real processes: scripts/smoke.sh builds
 # the binaries and freezes the snapshots once, then runs its scenarios in

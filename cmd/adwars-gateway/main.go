@@ -20,8 +20,13 @@
 // deadline the client already propagated — so replicas can refuse work
 // they cannot finish in time.
 //
-// SIGINT/SIGTERM drain in-flight requests and flush a final metrics
-// snapshot to stderr.
+// Backends are plain-HTTP base URLs (http://host[:port][/prefix]); the
+// gateway keeps up to 64 idle keep-alive connections to each and reports
+// dials, stale_redials and idle_conns per backend in /healthz and the
+// metrics tree.
+//
+// SIGINT/SIGTERM drain in-flight requests, close the idle backend
+// connections and flush a final metrics snapshot to stderr.
 package main
 
 import (

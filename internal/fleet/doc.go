@@ -14,6 +14,14 @@
 // second attempt when the first is slow. A killed replica therefore costs
 // retries and failover ticks, not user-visible 5xx.
 //
+// The backend leg is the gateway's own HTTP/1.1 keep-alive wire (wire.go):
+// the goroutine serving the client renders the request into a pooled
+// connection's buffer, writes it, and has net/http's ReadResponse parse the
+// reply off that connection — no transport goroutines in between. A
+// kept-alive connection the replica closed while it sat idle is redialled
+// once without charging the replica; hop-by-hop headers cross in neither
+// direction, and nothing unvalidated is written to a backend.
+//
 // The control plane (Controller) treats a snapshot as an opaque sealed
 // artifact (the CRC64 framing from internal/artifact is the wire format).
 // A rollout verifies the artifact locally, captures last-good bytes from

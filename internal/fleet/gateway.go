@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 )
@@ -63,11 +62,10 @@ const (
 // with retry, failover, and optional hedging. Create with NewGateway,
 // run the health loop, and expose Handler (or use Serve).
 type Gateway struct {
-	cfg    GatewayConfig
-	pool   *Pool
-	met    *gatewayMetrics
-	client *http.Client
-	mux    http.Handler
+	cfg  GatewayConfig
+	pool *Pool
+	met  *gatewayMetrics
+	mux  http.Handler
 }
 
 // NewGateway builds a gateway over cfg.Backends.
@@ -76,16 +74,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(pool.Backends()) == 0 {
 		return nil, errors.New("fleet: gateway needs at least one backend")
 	}
-	g := &Gateway{
-		cfg:  cfg,
-		pool: pool,
-		met:  &gatewayMetrics{},
-		client: &http.Client{
-			// Per-try contexts carry the deadline; the client itself must
-			// not cut hedged winners short.
-			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
-		},
+	for _, b := range pool.Backends() {
+		var err error
+		if b.host, b.addr, b.prefix, err = splitBackendURL(b.URL); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
 	}
+	g := &Gateway{cfg: cfg, pool: pool, met: &gatewayMetrics{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/", g.handleProxy)
 	mux.HandleFunc("/healthz", g.handleHealthz)
@@ -123,6 +118,7 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := hs.Shutdown(drainCtx)
+	g.pool.closeIdle()
 	gatewayVar{met: g.met, pool: g.pool}.flush(g.cfg.MetricsOut)
 	if err != nil {
 		return fmt.Errorf("fleet: gateway drain incomplete: %w", err)
@@ -135,37 +131,58 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 // attemptResult is one chain's outcome: a fully buffered backend
 // response, or the error that exhausted the chain. Buffering the body
 // makes retries and hedging race-free — there is never a half-consumed
-// stream to clean up.
+// stream to clean up. body is pooled: whoever ends up holding the result
+// hands it back (release).
 type attemptResult struct {
-	status  int
-	header  http.Header
-	body    []byte
+	reply
+	body    *buffer
 	backend *Backend
-	hedge   bool
 	err     error
 }
 
-// triedSet shares the tried-backend set between the primary and hedge
-// chains so they never duplicate work on the same replica.
+func (res *attemptResult) release() { putBuffer(res.body) }
+
+// triedSet is the set of backends a request has been sent to, shared
+// between the primary and hedge chains so they never duplicate work on
+// the same replica. It lives on the handler's stack: the first few
+// entries are held in place, and only a longer chain spills to the heap.
+// mu is set only when two chains share the set (a sync.Mutex held by
+// value would move the whole set to the heap for every request).
 type triedSet struct {
-	mu sync.Mutex
-	m  map[*Backend]bool
+	mu    *sync.Mutex
+	n     int
+	first [4]*Backend
+	more  []*Backend // the fifth and later
 }
 
+func (t *triedSet) has(b *Backend) bool {
+	return slices.Contains(t.first[:t.n], b) || slices.Contains(t.more, b)
+}
+
+// pick draws the pool's next untried backend and marks it tried.
 func (t *triedSet) pick(p *Pool) *Backend {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := p.pick(t.m)
-	if b != nil {
-		t.m[b] = true
+	if t.mu != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	b := p.pick(t)
+	switch {
+	case b == nil:
+	case t.n < len(t.first):
+		t.first[t.n] = b
+		t.n++
+	default:
+		t.more = append(t.more, b)
 	}
 	return b
 }
 
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
+	o := getOutbound()
+	defer putOutbound(o)
+	var err error
+	if o.body, err = readAll(o.body, http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeGatewayError(w, http.StatusRequestEntityTooLarge, "body_too_large",
@@ -175,50 +192,66 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if err = o.render(r); err != nil {
+		writeGatewayError(w, http.StatusBadRequest, "bad_request", "%v", err)
+		return
+	}
 
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	tried := &triedSet{m: make(map[*Backend]bool)}
-	// Buffered to the maximum chain count: a losing chain's send never
-	// blocks, so no goroutine outlives the request.
-	resc := make(chan attemptResult, 2)
-	chains := 1
-	go g.attemptChain(ctx, r, body, tried, resc, false)
-
-	var timerC <-chan time.Time
+	var res attemptResult
 	if g.cfg.HedgeDelay > 0 && len(g.pool.Backends()) > 1 {
-		timer := time.NewTimer(g.cfg.HedgeDelay)
-		defer timer.Stop()
-		timerC = timer.C
+		res = g.hedged(r.Context(), o)
+	} else {
+		var tried triedSet
+		res = g.attemptChain(r.Context(), o, &tried, false)
 	}
+	defer res.release()
+	if res.err != nil {
+		g.met.noBackend.Add(1)
+		writeGatewayError(w, http.StatusBadGateway, "no_backend",
+			"no replica could answer: %v", res.err)
+		return
+	}
+	g.deliver(w, &res)
+}
 
-	received := 0
-	var lastFail attemptResult
-	for {
-		select {
-		case res := <-resc:
-			received++
-			if res.err == nil {
-				if res.hedge {
-					g.met.hedgeWins.Add(1)
-				}
-				g.deliver(w, res)
-				return
-			}
-			lastFail = res
-			if received == chains {
-				g.met.noBackend.Add(1)
-				writeGatewayError(w, http.StatusBadGateway, "no_backend",
-					"no replica could answer: %v", lastFail.err)
-				return
-			}
-		case <-timerC:
-			timerC = nil
-			g.met.hedges.Add(1)
-			chains++
-			go g.attemptChain(ctx, r, body, tried, resc, true)
+// hedged runs the primary chain on the caller's goroutine and, if it has
+// not finished within the hedge delay, a second chain against different
+// backends on the timer's. The first success wins and cancels the other
+// chain; a failed chain waits for the other's verdict. Both chains have
+// returned before hedged does — the loser exits at once, its connection's
+// deadline forced — so nothing touches o, the client's request or a pooled
+// buffer once the handler is done.
+func (g *Gateway) hedged(ctx context.Context, o *outbound) attemptResult {
+	tried := &triedSet{mu: new(sync.Mutex)}
+	pctx, cancelPrimary := context.WithCancel(ctx)
+	defer cancelPrimary()
+	hctx, cancelHedge := context.WithCancel(ctx)
+	defer cancelHedge()
+	var hedge attemptResult
+	hedgeDone := make(chan struct{})
+	timer := time.AfterFunc(g.cfg.HedgeDelay, func() {
+		defer close(hedgeDone)
+		g.met.hedges.Add(1)
+		hedge = g.attemptChain(hctx, o, tried, true)
+		if hedge.err == nil {
+			cancelPrimary()
 		}
+	})
+	primary := g.attemptChain(pctx, o, tried, false)
+	if timer.Stop() {
+		return primary // the hedge never fired
 	}
+	if primary.err == nil {
+		cancelHedge()
+	}
+	<-hedgeDone
+	if primary.err == nil || hedge.err != nil {
+		hedge.release()
+		return primary
+	}
+	primary.release()
+	g.met.hedgeWins.Add(1)
+	return hedge
 }
 
 // attemptChain tries successive backends until one answers (any status
@@ -227,14 +260,14 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 // must be paid for out of the target backend's retry budget: when the
 // bucket is dry the chain stops instead of amplifying load against a
 // fleet that is already failing.
-func (g *Gateway) attemptChain(ctx context.Context, r *http.Request, body []byte,
-	tried *triedSet, resc chan<- attemptResult, hedge bool) {
+func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet, hedge bool) attemptResult {
 	budget := g.cfg.maxAttempts(g.pool)
-	lastErr := errors.New("no available backend")
+	lastErr := errNoBackend
+	res := attemptResult{body: getBuffer()}
 	for i := 0; i < budget; i++ {
 		if ctx.Err() != nil {
-			resc <- attemptResult{err: ctx.Err(), hedge: hedge}
-			return
+			lastErr = ctx.Err()
+			break
 		}
 		b := tried.pick(g.pool)
 		if b == nil {
@@ -250,22 +283,22 @@ func (g *Gateway) attemptChain(ctx context.Context, r *http.Request, body []byte
 		if i > 0 {
 			g.met.retries.Add(1)
 		}
-		res, err := g.forward(ctx, b, r, body)
-		if err == nil && res.status < http.StatusInternalServerError {
+		b.requests.Add(1)
+		rep, err := b.exchange(ctx, o, g.cfg.perTryTimeout(), res.body)
+		if err == nil && rep.status < http.StatusInternalServerError {
 			// Anything below 500 is the replica's real answer — including
 			// 429 shed (backpressure a retry would amplify) and 4xx input
 			// rejections (deterministic: every replica would refuse too).
 			b.br.success()
 			b.budget.earn()
-			if res.status == http.StatusTooManyRequests {
+			if rep.status == http.StatusTooManyRequests {
 				g.met.passthrough.Add(1)
 			}
 			if i > 0 {
 				g.met.failovers.Add(1)
 			}
-			res.hedge = hedge
-			resc <- res
-			return
+			res.reply, res.backend = rep, b
+			return res
 		}
 		// Transport death or replica-side 5xx (a 503 draining replica, a
 		// recovered panic): the request is idempotent, fail over.
@@ -273,41 +306,14 @@ func (g *Gateway) attemptChain(ctx context.Context, r *http.Request, body []byte
 		if err != nil {
 			lastErr = fmt.Errorf("backend %s: %w", b.ID(), err)
 		} else {
-			lastErr = fmt.Errorf("backend %s answered %d", b.ID(), res.status)
+			lastErr = fmt.Errorf("backend %s answered %d", b.ID(), rep.status)
 		}
 	}
-	resc <- attemptResult{err: lastErr, hedge: hedge}
+	res.err = lastErr
+	return res
 }
 
-// forward performs one backend exchange with the per-try deadline,
-// buffering the response fully.
-func (g *Gateway) forward(ctx context.Context, b *Backend, r *http.Request, body []byte) (attemptResult, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.perTryTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.URL+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		return attemptResult{}, err
-	}
-	req.Header = r.Header.Clone()
-	req.Header.Del("Connection")
-	setDeadlineHeader(req, ctx)
-	b.requests.Add(1)
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return attemptResult{}, err
-	}
-	defer resp.Body.Close()
-	rbody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return attemptResult{}, err
-	}
-	return attemptResult{
-		status:  resp.StatusCode,
-		header:  resp.Header.Clone(),
-		body:    rbody,
-		backend: b,
-	}, nil
-}
+var errNoBackend = errors.New("no available backend")
 
 // DeadlineHeader carries the remaining request deadline downstream as
 // integer milliseconds. Milliseconds-remaining (not an absolute
@@ -315,43 +321,21 @@ func (g *Gateway) forward(ctx context.Context, b *Backend, r *http.Request, body
 // "how long do I have" from its own clock.
 const DeadlineHeader = "X-Adwars-Deadline"
 
-// setDeadlineHeader stamps the outbound request with the tightest known
-// deadline: the per-try context deadline, narrowed further by any
-// deadline the client itself propagated in. Serve admission reads this
-// to refuse work it cannot finish in time instead of queueing it to die.
-func setDeadlineHeader(req *http.Request, ctx context.Context) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return
-	}
-	ms := time.Until(dl).Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	if vs := req.Header[DeadlineHeader]; len(vs) > 0 {
-		if inbound, err := strconv.ParseInt(vs[0], 10, 64); err == nil && inbound < ms {
-			ms = inbound
-		}
-	}
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
-}
-
 // deliver relays a buffered backend response to the client, replica
 // attribution header included.
-func (g *Gateway) deliver(w http.ResponseWriter, res attemptResult) {
+func (g *Gateway) deliver(w http.ResponseWriter, res *attemptResult) {
 	g.met.proxied.Add(1)
-	if id := res.header.Get("X-Adwars-Replica"); id != "" {
-		res.backend.learnID(id)
+	if id := res.header["X-Adwars-Replica"]; len(id) > 0 {
+		res.backend.learnID(id[0])
 	}
 	h := w.Header()
 	for k, vs := range res.header {
-		if k == "Connection" || k == "Transfer-Encoding" || k == "Content-Length" {
-			continue
+		if !hopByHop(k) {
+			h[k] = vs
 		}
-		h[k] = vs
 	}
 	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.Write(res.body.b)
 }
 
 // ---- gateway control plane ----

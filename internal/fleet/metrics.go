@@ -37,6 +37,12 @@ type backendSnapshot struct {
 	Unready   uint64 `json:"unready_checks"`
 	// BudgetTokens is the backend's remaining retry-budget tokens.
 	BudgetTokens float64 `json:"budget_tokens"`
+	// The proxy path's connection pool to this backend: connections
+	// opened, exchanges resent on a fresh connection because a kept-alive
+	// one had died idle, and connections idle now.
+	Dials        uint64 `json:"dials"`
+	StaleRedials uint64 `json:"stale_redials"`
+	IdleConns    int    `json:"idle_conns"`
 }
 
 type gatewaySnapshot struct {
@@ -75,6 +81,9 @@ func (m *gatewayMetrics) snapshotFor(p *Pool) gatewaySnapshot {
 			Ejections:    b.ejections.Load(),
 			Unready:      b.unready.Load(),
 			BudgetTokens: b.budget.level(),
+			Dials:        b.dials.Load(),
+			StaleRedials: b.staleRedials.Load(),
+			IdleConns:    b.idleConns(),
 		}
 		if id := b.ID(); id != b.URL {
 			bs.Replica = id

@@ -37,6 +37,15 @@ type Backend struct {
 	failures  atomic.Uint64 // transport errors + replica 5xx
 	ejections atomic.Uint64 // circuit-breaker trips
 	unready   atomic.Uint64 // active health checks that came back not-ready
+
+	// The proxy path's own wire to this backend (wire.go): what of URL goes
+	// into a request (set once by NewGateway), and the LIFO pool of idle
+	// keep-alive connections with its counters.
+	host, addr, prefix string
+	idleMu             sync.Mutex
+	idle               []*backendConn
+	dials              atomic.Uint64 // connections opened
+	staleRedials       atomic.Uint64 // exchanges resent after a dead keep-alive connection
 }
 
 func newBackend(url string, failThreshold int, budgetCap, budgetRefill float64) *Backend {
@@ -57,8 +66,14 @@ func (b *Backend) ID() string {
 	return b.URL
 }
 
+// learnID records the replica's identity. Every proxied reply names it, so
+// the store — an allocation and a write to a shared cache line — happens
+// only when the name has changed: once per replica lifetime.
 func (b *Backend) learnID(id string) {
-	if id != "" {
+	if id == "" {
+		return
+	}
+	if known, _ := b.id.Load().(string); known != id {
 		b.id.Store(id)
 	}
 }
@@ -135,7 +150,7 @@ func (p *Pool) Backends() []*Backend { return p.backends }
 // lagging reality, e.g. right after a mass restart), any breaker-allowed
 // backend, so the gateway degrades to trying rather than refusing.
 // Returns nil when nothing is willing to take traffic.
-func (p *Pool) pick(tried map[*Backend]bool) *Backend {
+func (p *Pool) pick(tried *triedSet) *Backend {
 	n := len(p.backends)
 	if n == 0 {
 		return nil
@@ -143,7 +158,7 @@ func (p *Pool) pick(tried map[*Backend]bool) *Backend {
 	start := int(p.rr.Add(1))
 	for i := 0; i < n; i++ {
 		b := p.backends[(start+i)%n]
-		if tried[b] || !b.healthy.Load() {
+		if tried.has(b) || !b.healthy.Load() {
 			continue
 		}
 		if b.br.allow() {
@@ -152,7 +167,7 @@ func (p *Pool) pick(tried map[*Backend]bool) *Backend {
 	}
 	for i := 0; i < n; i++ {
 		b := p.backends[(start+i)%n]
-		if tried[b] {
+		if tried.has(b) {
 			continue
 		}
 		if b.br.allow() {
