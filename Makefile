@@ -2,14 +2,21 @@ GO ?= go
 
 .PHONY: build test vet fmt-check race verify loc fault-check bench-test fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
 
+# bench/ is a module of its own, so `go build ./...` and `go vet ./...` at
+# the root do not reach it: build and vet name it, so that a change to an
+# identifier the benchmark uses fails here in seconds and not thirty seconds
+# into bench-test. (bench/ is one main package, which a bare `go build` would
+# write out as bench/bench: hence -o /dev/null.)
 build:
 	$(GO) build ./...
+	$(GO) build -C bench -o /dev/null ./...
 
 test:
 	$(GO) test ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # fmt-check fails when gofmt would change any file: it lists them. The
 # shell half of the tree gets the check it can have: every script parses.

@@ -1,7 +1,7 @@
 // Command adwars-compact closes the usage→compaction loop: it reads the
 // per-rule hit telemetry a serving instance accumulated (the /admin/usage
 // dump) plus the lists snapshot that instance serves, and emits a tiered
-// v4 snapshot — the rules that actually fired compiled into a small hot
+// snapshot — the rules that actually fired compiled into a small hot
 // automaton probed on every request, everything else relegated to a cold
 // fallback automaton probed only on hot-tier miss. Verdicts are
 // byte-identical to the untiered list (the tier split is a working-set
@@ -11,8 +11,9 @@
 //
 // Usage:
 //
-//	adwars-compact -lists lists.json -usage usage.json -out lists_v4.json
-//	adwars-compact -lists lists.json -usage http://127.0.0.1:8080/admin/usage -out lists_v4.json
+//	adwars-compact -lists lists.json -usage usage.json -out tiered.json
+//	adwars-compact -lists lists.json -usage http://127.0.0.1:8080/admin/usage -out tiered.json
+//	adwars-compact -lists old.json -out lists.json
 //
 // -usage accepts a file path or an http(s) URL; the URL form reads the
 // live /admin/usage endpoint of a running adwars-serve, so compacting
@@ -20,7 +21,15 @@
 // hot-tier bar: a rule needs at least that many recorded verdicts to stay
 // hot (default 1 — any rule that ever fired). Lists present in the
 // snapshot but absent from the usage dump compact to an all-cold tier
-// (usage says nothing fired), with a warning.
+// (usage says nothing fired), with a warning. -label overrides the output
+// snapshot's label.
+//
+// Without -usage nothing is tiered: the lists are written back flat. That
+// is the format converter. adwars-serve and every other loader read the
+// current snapshot schema only; this tool reads the older sealed schemas
+// (2 and 3) as well, because all it takes from a file is the rule text — it
+// verifies the seal, compiles the rules afresh and writes the current
+// schema, whichever mode it runs in.
 package main
 
 import (
@@ -34,30 +43,110 @@ import (
 	"strings"
 
 	"adwars/internal/abp"
+	"adwars/internal/artifact"
 	"adwars/internal/serve"
 )
 
 func main() {
-	listsPath := flag.String("lists", "", "input lists snapshot (v2/v3/v4)")
-	usagePath := flag.String("usage", "", "usage dump: /admin/usage JSON file or http(s) URL")
-	out := flag.String("out", "", "output path for the tiered v4 snapshot")
+	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 4)")
+	usagePath := flag.String("usage", "", "usage dump: /admin/usage JSON file or http(s) URL; omit to convert -lists to the current schema, flat")
+	out := flag.String("out", "", "output path for the snapshot")
 	minHits := flag.Uint64("min-hits", 1, "minimum recorded hits for a rule to stay in the hot tier")
-	label := flag.String("label", "", "override the output snapshot label (default: input label + \" [tiered]\")")
+	label := flag.String("label", "", "override the output snapshot label (default: input label, + \" [tiered]\" with -usage)")
 	flag.Parse()
-	if *listsPath == "" || *usagePath == "" || *out == "" {
-		fmt.Fprintln(os.Stderr, "adwars-compact: -lists, -usage, and -out are all required")
+	if *listsPath == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "adwars-compact: -lists and -out are required")
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := run(*listsPath, *usagePath, *out, *minHits, *label); err != nil {
+		log.Fatalf("adwars-compact: %v", err)
+	}
+}
 
-	snap, err := abp.LoadListsSnapshot(*listsPath)
+// run reads the lists, tiers them by the usage dump when there is one, and
+// writes the result.
+func run(listsPath, usagePath, out string, minHits uint64, label string) error {
+	snap, schema, err := readLists(listsPath)
 	if err != nil {
-		log.Fatalf("adwars-compact: lists snapshot: %v", err)
+		return fmt.Errorf("lists snapshot: %w", err)
 	}
-	dump, err := readUsage(*usagePath)
+	if usagePath == "" {
+		fmt.Printf("adwars-compact: schema %d -> %d, flat: %d lists, %d rules\n",
+			schema, abp.ListsSnapshotVersion, len(snap.Lists), snap.Rules())
+	} else {
+		dump, err := readUsage(usagePath)
+		if err != nil {
+			return fmt.Errorf("usage dump: %w", err)
+		}
+		snap.Label += " [tiered]"
+		tier(snap, dump, minHits)
+	}
+	if label != "" {
+		snap.Label = label
+	}
+	if err := abp.SaveListsSnapshot(out, snap); err != nil {
+		return fmt.Errorf("save: %w", err)
+	}
+	fmt.Printf("adwars-compact: wrote snapshot %s (label %q)\n", out, snap.Label)
+	return nil
+}
+
+// readLists is the one reader of older snapshot schemas in the tree. Every
+// sealed schema keeps the rules the same way — a JSON document of named
+// lists of canonical rule lines in front of whatever sections that schema
+// had — so the seal is verified, the sections are ignored, and the lists
+// are compiled from the rule text as adwars-lists compiled them.
+func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("adwars-compact: usage dump: %v", err)
+		return nil, 0, err
 	}
+	payload, err := artifact.Open(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	primary, _, err := artifact.SplitSections(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	var doc struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
+		Label   string `json:"label"`
+		Lists   []struct {
+			Name  string   `json:"name"`
+			Rules []string `json:"rules"`
+		} `json:"lists"`
+	}
+	if err := json.Unmarshal(primary, &doc); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
+	}
+	if doc.Format != abp.ListsSnapshotFormat {
+		return nil, 0, fmt.Errorf("%w: format %q", abp.ErrSnapshotFormat, doc.Format)
+	}
+	if doc.Version < 2 || doc.Version > abp.ListsSnapshotVersion {
+		return nil, 0, fmt.Errorf("%w: version %d (this tool reads 2 to %d)",
+			abp.ErrSnapshotVersion, doc.Version, abp.ListsSnapshotVersion)
+	}
+	snap = &abp.ListsSnapshot{Label: doc.Label}
+	for _, lj := range doc.Lists {
+		rules := make([]*abp.Rule, 0, len(lj.Rules))
+		for _, line := range lj.Rules {
+			r, err := abp.Parse(line)
+			if err != nil {
+				return nil, 0, fmt.Errorf("list %q: rule %q: %w", lj.Name, line, err)
+			}
+			rules = append(rules, r)
+		}
+		snap.Lists = append(snap.Lists, abp.NewList(lj.Name, rules))
+	}
+	return snap, doc.Version, nil
+}
+
+// tier replaces every list of snap with its tiered compile: the rules the
+// dump saw fire at least minHits times hot, the rest cold.
+func tier(snap *abp.ListsSnapshot, dump *serve.UsageDump, minHits uint64) {
 	hits := make(map[string]map[int]uint64, len(dump.Lists))
 	for _, ul := range dump.Lists {
 		m := make(map[int]uint64, len(ul.Hits))
@@ -66,31 +155,21 @@ func main() {
 		}
 		hits[ul.List] = m
 	}
-
-	tiered := &abp.ListsSnapshot{Label: *label, Tiered: true}
-	if tiered.Label == "" {
-		tiered.Label = snap.Label + " [tiered]"
-	}
 	fmt.Printf("adwars-compact: %d lists, %d rules, %d recorded hits (min-hits %d)\n",
-		len(snap.Lists), snap.Rules(), dump.TotalHits, *minHits)
-	for _, l := range snap.Lists {
+		len(snap.Lists), snap.Rules(), dump.TotalHits, minHits)
+	for i, l := range snap.Lists {
 		u, ok := hits[l.Name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "adwars-compact: warning: list %q has no usage entry; compacting all-cold\n", l.Name)
 		}
-		ct := l.CompileTiered(func(ord int) bool { return u[ord] >= *minHits })
-		tiered.Lists = append(tiered.Lists, ct)
+		ct := l.CompileTiered(func(ord int) bool { return u[ord] >= minHits })
+		snap.Lists[i] = ct
 		st := ct.TierStats()
 		flat := l.TierStats().HotBytes
 		fmt.Printf("  %-24s hot %5d rules %7d B   cold %5d rules %7d B   (flat %7d B, hot set %4.1f%%)\n",
 			l.Name, st.HotRules, st.HotBytes, st.ColdRules, st.ColdBytes,
 			flat, 100*float64(st.HotBytes)/float64(flat))
 	}
-
-	if err := abp.SaveListsSnapshotTiered(*out, tiered); err != nil {
-		log.Fatalf("adwars-compact: save: %v", err)
-	}
-	fmt.Printf("adwars-compact: wrote tiered snapshot %s (label %q)\n", *out, tiered.Label)
 }
 
 // readUsage loads a /admin/usage dump from a file or straight off a

@@ -1,0 +1,196 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"adwars/internal/abp"
+	"adwars/internal/artifact"
+)
+
+// The fixtures are the two snapshots the parent of PR 14 (b547b05) wrote
+// from one rule set: schema 3 (flat) and schema 4 (tiered).
+func fixture(name string) string {
+	return filepath.Join("..", "..", "internal", "abp", "testdata", name)
+}
+
+// section returns the data of the named section of a sealed file.
+func section(t *testing.T, path, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := artifact.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, err := artifact.SplitSections(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range secs {
+		if s.Name == name {
+			return s.Data
+		}
+	}
+	t.Fatalf("%s has no section %s", path, name)
+	return nil
+}
+
+// assertLinear holds l to the linear scan over its own rules, on a URL made
+// from every HTTP rule's pattern (so most of them hit something) asked from
+// a first- and a third-party page.
+func assertLinear(t *testing.T, l *abp.List) {
+	t.Helper()
+	strip := strings.NewReplacer("||", "", "|", "", "^", "/", "*", "x")
+	hit := 0
+	for _, r := range l.Rules() {
+		if !r.IsHTTP() {
+			continue
+		}
+		for _, page := range []string{"page.com", "host1.example", "host2.example"} {
+			q := abp.Request{URL: "http://" + strip.Replace(r.Pattern), Type: abp.TypeScript, PageDomain: page}
+			wd, wr := l.MatchRequestLinear(q)
+			if d, got := l.MatchRequest(q); d != wd || got != wr {
+				t.Fatalf("%q from %s: MatchRequest (%v, %v) != linear (%v, %v)", q.URL, page, d, got, wd, wr)
+			}
+			want := l.MatchingHTTPRulesLinear(q)
+			hits := l.AppendHits(nil, q)
+			if len(hits) != len(want) {
+				t.Fatalf("%q from %s: %d hits != linear %d", q.URL, page, len(hits), len(want))
+			}
+			for i := range hits {
+				if hits[i].Rule != want[i] {
+					t.Fatalf("%q from %s: hit %d is %q, linear has %q", q.URL, page, i, hits[i].Rule.Raw, want[i].Raw)
+				}
+			}
+			hit += len(hits)
+		}
+	}
+	if hit == 0 {
+		t.Fatal("no URL hit any rule: the comparison exercised nothing")
+	}
+}
+
+// TestConvertOlderSchema: the loader refuses the schema-3 file and says what
+// converts it; converted, it loads and answers as the linear scan does. The
+// automaton is compiled afresh, not carried over: b547b05 drew keywords
+// from Unicode-lowered patterns, so the file's own automaton.0 differs from
+// today's build and misses a URL ("/\u212aelvin.js" asked as written) that
+// the converted list answers.
+func TestConvertOlderSchema(t *testing.T) {
+	old := fixture("parent-v3.snapshot")
+	if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
+		t.Fatalf("loading schema 3: err = %v, want ErrSnapshotVersion naming adwars-compact", err)
+	}
+	out := filepath.Join(t.TempDir(), "lists.json")
+	if err := run(old, "", out, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := abp.LoadListsSnapshot(out)
+	if err != nil {
+		t.Fatalf("converted file: %v", err)
+	}
+	if snap.Label != "written by b547b05" || len(snap.Lists) != 1 || snap.Tiered() {
+		t.Fatalf("converted snapshot: label %q, %d lists, tiered %v", snap.Label, len(snap.Lists), snap.Tiered())
+	}
+	l := snap.Lists[0]
+	if !bytes.Equal(section(t, out, "automaton.hot.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
+		t.Error("the converted file's automaton.hot.0 is not this build's compile of its rules")
+	}
+	if bytes.Equal(l.AutomatonBytes(), section(t, old, "automaton.0")) {
+		t.Error("the converted automaton is the one b547b05 compiled: the fixture no longer shows that conversion recompiles")
+	}
+	assertLinear(t, l)
+}
+
+// TestConvertCurrentSchema: the schema-4 file loads as it is; through the
+// tool without -usage it comes out flat, with the same rules and the same
+// answers; with a usage dump either file is tiered in one step.
+func TestConvertCurrentSchema(t *testing.T) {
+	cur := fixture("parent-v4.snapshot")
+	loaded, err := abp.LoadListsSnapshot(cur)
+	if err != nil || !loaded.Tiered() {
+		t.Fatalf("loading schema 4: tiered %v, err %v", loaded != nil && loaded.Tiered(), err)
+	}
+
+	dir := t.TempDir()
+	flat := filepath.Join(dir, "flat.json")
+	if err := run(cur, "", flat, 1, "relabelled"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := abp.LoadListsSnapshot(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Label != "relabelled" || snap.Tiered() || snap.Rules() != loaded.Rules() {
+		t.Fatalf("flattened snapshot: label %q, tiered %v, %d rules (want %d)", snap.Label, snap.Tiered(), snap.Rules(), loaded.Rules())
+	}
+	assertLinear(t, snap.Lists[0])
+
+	usage := filepath.Join(dir, "usage.json")
+	dump := `{"total_hits":3,"lists":[{"list":"parent-b547b05","hits":[[1,2],[5,1]]}]}`
+	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{fixture("parent-v3.snapshot"), cur, flat} {
+		tiered := filepath.Join(dir, "tiered.json")
+		if err := run(in, usage, tiered, 1, ""); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		snap, err := abp.LoadListsSnapshot(tiered)
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		l := snap.Lists[0]
+		if !snap.Tiered() || !strings.HasSuffix(snap.Label, " [tiered]") || !l.IsHotRule(1) || !l.IsHotRule(5) || l.IsHotRule(3) {
+			t.Fatalf("%s: tiered %v, label %q, hot(1,5,3) = %v %v %v", in, snap.Tiered(), snap.Label, l.IsHotRule(1), l.IsHotRule(5), l.IsHotRule(3))
+		}
+		assertLinear(t, l)
+	}
+}
+
+// TestRefusesWhatItCannotVouchFor: the tool reads more schemas than the
+// loader, not less carefully — no trailer, a damaged payload and a schema
+// from before sealing are all refused, and nothing is written.
+func TestRefusesWhatItCannotVouchFor(t *testing.T) {
+	good, err := os.ReadFile(fixture("parent-v3.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/3] ^= 0x01
+	dir := t.TempDir()
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"unsealed":  {good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))], artifact.ErrCorrupt},
+		"bit flip":  {flipped, artifact.ErrCorrupt},
+		"schema 1":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 5":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"foreign":   {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
+		"bad rule":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":2,"lists":[{"name":"x","rules":["##["]}]}`)), nil},
+		"not there": {nil, os.ErrNotExist},
+	} {
+		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+		os.Remove(in)
+		if tc.data != nil {
+			if err := os.WriteFile(in, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := run(in, "", out, 1, "")
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%s: refused, and wrote %s all the same", name, out)
+		}
+	}
+}

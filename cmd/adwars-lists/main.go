@@ -7,16 +7,16 @@
 //
 // Usage:
 //
-//	adwars-lists [-scale N] [-seed S]
+//	adwars-lists [-scale N] [-seed S] [-dump DIR] [-save-snapshot PATH [-label L]]
 //
 // -scale shrinks the world by N× (1 = paper scale, slow; 20 = quick).
+// -dump DIR writes the generated filter lists as .txt files.
 // -save-snapshot PATH freezes the latest version of the three anti-adblock
-// filter lists as a versioned snapshot for adwars-serve; by default the
-// snapshot embeds each list's compiled match automaton (schema v3) so
-// loaders attach it instead of recompiling — -compile=false writes the
-// JSON-only v2 form. To go further and split each automaton into
-// usage-driven hot/cold tiers (schema v4), serve the v3 snapshot, collect
-// traffic, and feed the /admin/usage dump to adwars-compact.
+// filter lists as a versioned snapshot for adwars-serve: the rules and each
+// list's compiled match automaton, which loaders attach instead of
+// compiling. -label overrides the snapshot's label. To split each automaton
+// into usage-driven hot/cold tiers, serve the snapshot, collect traffic, and
+// feed the /admin/usage dump to adwars-compact.
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	dump := flag.String("dump", "", "directory to write the generated filter lists as .txt files")
 	saveSnapshot := flag.String("save-snapshot", "", "write the latest compiled lists as a serving snapshot to this path")
-	compile := flag.Bool("compile", true, "embed compiled match automata in the snapshot (schema v3); false writes JSON-only v2")
 	label := flag.String("label", "", "override the snapshot label (default \"seed S scale N\"); distinct labels give distinct snapshot versions for staged rollouts")
 	flag.Parse()
 
@@ -61,17 +60,11 @@ func main() {
 				lab.Lists.AWRL.LatestList(),
 			},
 		}
-		save := abp.SaveListsSnapshot
-		kind := "lists snapshot"
-		if *compile {
-			save = abp.SaveListsSnapshotCompiled
-			kind = "compiled lists snapshot"
-		}
-		if err := save(*saveSnapshot, snap); err != nil {
+		if err := abp.SaveListsSnapshot(*saveSnapshot, snap); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s %s (%d lists, %d rules)\n",
-			kind, *saveSnapshot, len(snap.Lists), snap.Rules())
+		fmt.Fprintf(os.Stderr, "wrote lists snapshot %s (%d lists, %d rules)\n",
+			*saveSnapshot, len(snap.Lists), snap.Rules())
 	}
 
 	fmt.Println(experiments.Fig1(lab.Lists.AAK, lab.World.Cfg.End).Render())

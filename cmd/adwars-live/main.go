@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	adwars-live [-scale N] [-seed S] [-workers W] [-shards K]
+//	adwars-live [-scale N] [-seed S] [-workers W]
 package main
 
 import (
@@ -22,8 +22,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 10, "world shrink factor (1 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	workers := flag.Int("workers", 10, "parallel crawler instances")
-	shards := flag.Int("shards", 0, "replay fan-out for per-site rule matching (0 = workers)")
+	workers := flag.Int("workers", 10, "parallel crawler instances (also the rule-matching fan-out)")
 	flag.Parse()
 
 	cfg := simworld.DefaultConfig(*seed)
@@ -34,7 +33,7 @@ func main() {
 	lab := experiments.NewLab(cfg)
 
 	var metrics crawler.Metrics
-	res, err := lab.RunLive(context.Background(), experiments.LiveConfig{Workers: *workers, Shards: *shards, Metrics: &metrics})
+	res, err := lab.RunLive(context.Background(), experiments.LiveConfig{Workers: *workers, Metrics: &metrics})
 	if err != nil {
 		log.Fatal(err)
 	}

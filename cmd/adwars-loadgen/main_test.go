@@ -14,6 +14,7 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
+	"adwars/internal/artifact"
 	"adwars/internal/degrade"
 	"adwars/internal/ml"
 	"adwars/internal/serve"
@@ -25,7 +26,7 @@ import (
 // probe's ads.example.com.
 const testModelJSON = `{
   "format": "adwars-model",
-  "version": 1,
+  "version": 2,
   "classifier": "adaboost",
   "feature_set": "keyword",
   "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
@@ -59,7 +60,7 @@ type fixture struct {
 // one invariant.
 func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) http.Handler) *fixture {
 	t.Helper()
-	model, err := ml.ParseModelSnapshot([]byte(testModelJSON))
+	model, err := ml.ParseModelSnapshot(artifact.Seal([]byte(testModelJSON)))
 	if err != nil {
 		t.Fatal(err)
 	}

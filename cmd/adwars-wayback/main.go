@@ -13,7 +13,6 @@
 // Usage:
 //
 //	adwars-wayback [-scale N] [-seed S] [-stride M] [-workers W]
-//	               [-shards K] [-linear-scan]
 //	               [-fault-rate P] [-max-retries R]
 //	               [-checkpoint FILE] [-resume]
 package main
@@ -35,9 +34,7 @@ func main() {
 	scale := flag.Int("scale", 10, "world shrink factor (1 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	stride := flag.Int("stride", 1, "crawl every Mth month")
-	workers := flag.Int("workers", 10, "parallel crawler instances")
-	shards := flag.Int("shards", 0, "replay fan-out for per-site rule matching (0 = workers); any value renders identical figures")
-	linearScan := flag.Bool("linear-scan", false, "bypass the keyword index and match every rule (slow reference baseline)")
+	workers := flag.Int("workers", 10, "parallel crawler instances (also the replay fan-out; any value renders identical figures)")
 	faultRate := flag.Float64("fault-rate", 0, "per-attempt transient archive failure probability (0 disables fault injection)")
 	maxRetries := flag.Int("max-retries", 0, "attempts per archive request (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "journal completed site-months to this file")
@@ -63,8 +60,6 @@ func main() {
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		Metrics:        &metrics,
-		Shards:         *shards,
-		LinearScan:     *linearScan,
 	}
 	if *faultRate > 0 {
 		retroCfg.Faults = wayback.DefaultFaultConfig(*faultRate, *seed)

@@ -173,7 +173,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("longest-run and rarest-run builds coincide: the test exercises nothing")
 	}
-	flat, err := NewListCompiled("old", rules, old.Bytes())
+	flat, err := NewListAttached("old", rules, old.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("longest-run automaton refused: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 			hot[ord], cold[ord] = isHot, !isHot
 		}
 	}
-	tiered, err := NewListTiered("old", rules,
+	tiered, err := NewListAttached("old", rules,
 		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes(),
 		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, cold).Bytes())
 	if err != nil {
@@ -214,15 +214,15 @@ func TestChosenKeywordIsSubstringOfMatches(t *testing.T) {
 }
 
 // TestAutomatonRoundTrip proves the serialized region is self-contained:
-// reattaching a list's own bytes (NewListCompiled) reproduces the exact
+// reattaching a list's own bytes (NewListAttached) reproduces the exact
 // decisions and serializes back to identical bytes.
 func TestAutomatonRoundTrip(t *testing.T) {
 	rules := benchRules(1000)
 	orig := NewList("rt", rules)
 	blob := orig.AutomatonBytes()
-	re, err := NewListCompiled("rt", rules, blob)
+	re, err := NewListAttached("rt", rules, blob, nil)
 	if err != nil {
-		t.Fatalf("NewListCompiled: %v", err)
+		t.Fatalf("NewListAttached: %v", err)
 	}
 	if got := re.AutomatonBytes(); string(got) != string(blob) {
 		t.Fatal("reattached automaton serializes to different bytes")
@@ -367,30 +367,29 @@ func TestNonASCIIURLs(t *testing.T) {
 		}
 	})
 
-	// testdata/parent-*.snapshot were written by the parent commit
-	// (b547b05, `SaveListsSnapshotCompiled` / `SaveListsSnapshotTiered`)
-	// from diffFixed plus every nonASCIICases rule of the time except the
-	// $match-case one: that commit drew every rule's keyword from the
-	// Unicode-lowered pattern, which only its token-index fallback made
-	// sound under $match-case, and which kelvinPatternURL misses.
-	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
-		t.Run(name, func(t *testing.T) {
-			snap, err := LoadListsSnapshot(filepath.Join("testdata", name))
-			if err != nil {
-				t.Fatal(err)
+	// testdata/parent-v4.snapshot was written by the parent commit (b547b05,
+	// `SaveListsSnapshotTiered`) from diffFixed plus every nonASCIICases
+	// rule of the time except the $match-case one: that commit drew every
+	// rule's keyword from the Unicode-lowered pattern, which only its
+	// token-index fallback made sound under $match-case, and which
+	// kelvinPatternURL misses. (Its schema-3 twin is the converter's
+	// fixture: cmd/adwars-compact.)
+	t.Run("parent-v4.snapshot", func(t *testing.T) {
+		snap, err := LoadListsSnapshot(filepath.Join("testdata", "parent-v4.snapshot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snap.Tiered() {
+			t.Fatal("parent v4 loaded untiered")
+		}
+		l := snap.Lists[0]
+		for _, c := range nonASCIICases {
+			if c.url == kelvinPatternURL {
+				continue
 			}
-			if !snap.Compiled || snap.Tiered != (name == "parent-v4.snapshot") {
-				t.Fatalf("Compiled=%v Tiered=%v", snap.Compiled, snap.Tiered)
-			}
-			l := snap.Lists[0]
-			for _, c := range nonASCIICases {
-				if c.url == kelvinPatternURL {
-					continue
-				}
-				assertMatchesOracle(t, name, l, l, Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"})
-			}
-		})
-	}
+			assertMatchesOracle(t, "parent-v4.snapshot", l, l, Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"})
+		}
+	})
 }
 
 // TestNoMatchZeroAllocs is the hot-path allocation gate: a miss through the

@@ -35,7 +35,7 @@ func (d Decision) String() string {
 // (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold it to, plus
 // a selector-id index over element hiding rules so that matching inspects
 // only a few candidates. Build lists with NewList (compiles the automaton)
-// or NewListCompiled (attaches a serialized one); every rule matcher is
+// or NewListAttached (attaches serialized ones); every rule matcher is
 // precompiled there and nothing is built lazily, so a List is safe for
 // concurrent readers — nothing is written after construction.
 type List struct {
@@ -79,28 +79,45 @@ type List struct {
 // (idempotent for rules built by Parse), which is what makes the returned
 // List read-only and therefore safe for concurrent matchers.
 func NewList(name string, rules []*Rule) *List {
-	l, err := newList(name, rules, nil)
-	if err != nil {
-		// Unreachable: with no serialized region there is nothing to
-		// validate, and a freshly built automaton panics internally rather
-		// than returning an error.
-		panic(err)
-	}
+	l := indexRules(name, rules)
+	l.kws = selectKeywords(l.rules)
+	l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
 	return l
 }
 
-// NewListCompiled is NewList for a snapshot load path that carries a
-// serialized automaton region: instead of rebuilding the probe automaton
-// from the rules (O(rules·keyword)), the region is validated and attached
-// (O(states) bounds checks, in place over the caller's buffer). The
-// region must have been compiled from exactly these rules — a checksum
-// mismatch or any structural damage is refused with an error wrapping
-// artifact.ErrCorrupt.
-func NewListCompiled(name string, rules []*Rule, auto []byte) (*List, error) {
-	return newList(name, rules, auto)
+// NewListAttached is NewList for the snapshot load path, which carries the
+// list's serialized automaton regions: instead of rebuilding the probe
+// automaton from the rules (O(rules·keyword)), hot is validated and
+// attached (O(states) bounds checks, in place over the caller's buffer).
+// cold is the cold tier's region, nil for a flat list; when given, it is
+// attached too. Membership is re-derived from the automatons' own output
+// sets and enforced (see attachCold). The regions must have been compiled
+// from exactly these rules — a checksum mismatch, any structural damage, a
+// rule neither region holds or a miscompiled tier pair (an exception
+// relegated to cold, a rule present in both tiers) is refused with an error
+// wrapping artifact.ErrCorrupt.
+func NewListAttached(name string, rules []*Rule, hot, cold []byte) (*List, error) {
+	l := indexRules(name, rules)
+	var err error
+	if l.auto, err = openAutomaton(hot, len(l.rules), l.rulesCRC); err != nil {
+		return nil, err
+	}
+	var c *automaton
+	if cold != nil {
+		if c, err = openAutomaton(cold, len(l.rules), l.rulesCRC); err != nil {
+			return nil, err
+		}
+	}
+	if err := l.attachCold(c); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
-func newList(name string, rules []*Rule, auto []byte) (*List, error) {
+// indexRules is what both constructors share: the servable rules
+// precompiled and split by kind, and their checksum. The automaton is the
+// caller's to build or attach.
+func indexRules(name string, rules []*Rule) *List {
 	l := &List{Name: name, rules: make([]*Rule, 0, len(rules))}
 	for _, r := range rules {
 		switch r.Kind {
@@ -123,21 +140,11 @@ func newList(name string, rules []*Rule, auto []byte) (*List, error) {
 		}
 	}
 	l.rulesCRC = rulesChecksum(l.rules)
-	if auto == nil {
-		l.kws = selectKeywords(l.rules)
-		l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
-	} else {
-		a, err := openAutomaton(auto, len(l.rules), l.rulesCRC)
-		if err != nil {
-			return nil, err
-		}
-		l.auto = a
-	}
-	return l, nil
+	return l
 }
 
 // AutomatonBytes returns the list's compiled automaton as its contiguous
-// serialized region — the exact bytes NewListCompiled accepts. The slice
+// serialized region — the exact bytes NewListAttached accepts. The slice
 // aliases the list's automaton and must not be modified.
 func (l *List) AutomatonBytes() []byte { return l.auto.Bytes() }
 

@@ -11,19 +11,16 @@ import (
 )
 
 // snapshotFuzzFiles are the well-formed files FuzzReadListsSnapshot starts
-// from: the two the parent of PR 14 wrote (schema 3 and 4) and one of each
-// kind this build writes, over two lists so that a section can land on the
-// wrong one.
+// from: the tiered one the parent of PR 14 wrote, and flat, tiered and mixed
+// ones this build writes, each over two lists so that a section can land on
+// the wrong one.
 func snapshotFuzzFiles(t testing.TB) [][]byte {
 	t.Helper()
-	var files [][]byte
-	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, data)
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snapshot"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	files := [][]byte{parent}
 	first, errs := ParseAndBuild("first", snapshotTestList)
 	if len(errs) != 0 {
 		t.Fatalf("parse errors: %v", errs)
@@ -37,20 +34,14 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 		rules = append(rules, r)
 	}
 	second := NewList("second", rules)
-	plain := &ListsSnapshot{Label: "fuzz", Lists: []*List{first, second}}
-	tiered := &ListsSnapshot{Label: "fuzz", Lists: []*List{
-		first.CompileTiered(func(ord int) bool { return ord%2 == 0 }),
-		second.CompileTiered(func(ord int) bool { return ord%3 == 0 }),
-	}}
-	for _, w := range []struct {
-		marshal func(*ListsSnapshot) ([]byte, error)
-		snap    *ListsSnapshot
-	}{
-		{MarshalListsSnapshot, plain},
-		{MarshalListsSnapshotCompiled, plain},
-		{MarshalListsSnapshotTiered, tiered},
+	firstTiered := first.CompileTiered(func(ord int) bool { return ord%2 == 0 })
+	secondTiered := second.CompileTiered(func(ord int) bool { return ord%3 == 0 })
+	for _, lists := range [][]*List{
+		{first, second},
+		{firstTiered, secondTiered},
+		{first, secondTiered},
 	} {
-		file, err := w.marshal(w.snap)
+		file, err := MarshalListsSnapshot(&ListsSnapshot{Label: "fuzz", Lists: lists})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +58,7 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 // keeps the last section of a name — after the right ones.
 func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 	t.Helper()
-	payload, _, err := artifact.Open(file)
+	payload, err := artifact.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +114,7 @@ func FuzzReadListsSnapshot(f *testing.F) {
 			f.Add(seed, uint8(0), uint32(0), []byte(nil))
 		}
 		// Inside every section: its header stomped, and its middle.
-		payload, _, _ := artifact.Open(file)
+		payload, _ := artifact.Open(file)
 		_, secs, _ := artifact.SplitSections(payload)
 		for k, s := range secs {
 			f.Add(file, uint8(k), uint32(0), bytes.Repeat([]byte{0xff}, 8))

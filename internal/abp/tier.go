@@ -83,39 +83,16 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 	return tl
 }
 
-// NewListTiered is NewListCompiled for a tiered (schema v4) snapshot: the
-// hot and cold serialized automaton regions are validated against the
-// rule set — both carry the full set's count and checksum — then the tier
-// membership invariants are re-derived from the automatons' own output
-// sets and enforced, so a snapshot whose tiers were miscompiled (an
-// exception relegated to cold, a rule present in both tiers or in
-// neither) is refused as corrupt rather than silently changing verdicts.
-func NewListTiered(name string, rules []*Rule, hotAuto, coldAuto []byte) (*List, error) {
-	l, err := newList(name, rules, hotAuto)
-	if err != nil {
-		return nil, err
-	}
-	cold, err := openAutomaton(coldAuto, len(l.rules), l.rulesCRC)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.attachCold(cold); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // attachCold validates the tier membership invariants against the already
 // attached hot automaton and installs the cold tier. Membership is
 // derived from the automatons themselves (outputs ∪ generic), so no
 // separate membership table needs serializing — the snapshot sections are
-// self-describing.
+// self-describing. A nil cold is a flat list: there is nothing to install,
+// and the one automaton must hold every HTTP rule itself — which is what
+// refuses a tiered list's hot region arriving without its cold one.
 func (l *List) attachCold(cold *automaton) error {
 	corrupt := func(format string, args ...any) error {
 		return artifact.Corruptf("tier-invalid", format, args...)
-	}
-	if n := len(cold.generic); n > 0 {
-		return corrupt("cold tier carries %d keyword-less rules (they must be hot)", n)
 	}
 	hot := make([]bool, len(l.rules))
 	for _, o := range l.auto.outputs {
@@ -124,15 +101,21 @@ func (l *List) attachCold(cold *automaton) error {
 	for _, g := range l.auto.generic {
 		hot[g] = true
 	}
-	inCold := make([]bool, len(l.rules))
+	var inCold []bool
 	minBlk := ^uint32(0)
-	for _, o := range cold.outputs {
-		if hot[o] {
-			return corrupt("rule %d present in both tiers", o)
+	if cold != nil {
+		if n := len(cold.generic); n > 0 {
+			return corrupt("cold tier carries %d keyword-less rules (they must be hot)", n)
 		}
-		inCold[o] = true
-		if o < minBlk {
-			minBlk = o
+		inCold = make([]bool, len(l.rules))
+		for _, o := range cold.outputs {
+			if hot[o] {
+				return corrupt("rule %d present in both tiers", o)
+			}
+			inCold[o] = true
+			if o < minBlk {
+				minBlk = o
+			}
 		}
 	}
 	for ord, r := range l.rules {
@@ -142,16 +125,18 @@ func (l *List) attachCold(cold *automaton) error {
 		if hot[ord] {
 			continue
 		}
-		if !inCold[ord] {
-			return corrupt("HTTP rule %d missing from both tiers", ord)
+		if cold == nil || !inCold[ord] {
+			return corrupt("HTTP rule %d is in no automaton", ord)
 		}
 		if r.Kind != KindHTTPBlock {
 			return corrupt("exception rule %d relegated to the cold tier", ord)
 		}
 	}
-	l.cold = cold
-	l.hot = hot
-	l.coldMinBlk = minBlk
+	if cold != nil {
+		l.cold = cold
+		l.hot = hot
+		l.coldMinBlk = minBlk
+	}
 	return nil
 }
 

@@ -146,7 +146,7 @@ func TestAppendHitsHotDegradationIsOneSided(t *testing.T) {
 	}
 }
 
-// TestTieredSnapshotRoundTrip proves the v4 snapshot is lossless: a
+// TestTieredSnapshotRoundTrip proves the snapshot is lossless: a
 // tiered snapshot reloads tiered, with byte-identical tier regions and
 // identical match behavior.
 func TestTieredSnapshotRoundTrip(t *testing.T) {
@@ -155,16 +155,16 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	second := NewList("CEL", benchRules(300)).CompileTiered(nil)
 	snap := &ListsSnapshot{Label: "tiered-rt", Lists: []*List{tiered, second}}
 
-	path := filepath.Join(t.TempDir(), "lists.v4.json")
-	if err := SaveListsSnapshotTiered(path, snap); err != nil {
-		t.Fatalf("SaveListsSnapshotTiered: %v", err)
+	path := filepath.Join(t.TempDir(), "lists.tiered.json")
+	if err := SaveListsSnapshot(path, snap); err != nil {
+		t.Fatalf("SaveListsSnapshot: %v", err)
 	}
 	got, err := LoadListsSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Compiled || !got.Tiered {
-		t.Fatalf("Compiled=%v Tiered=%v, want both true", got.Compiled, got.Tiered)
+	if !got.Tiered() {
+		t.Fatal("reloaded snapshot is not tiered")
 	}
 	rt := got.Lists[0]
 	if !rt.Tiered() {
@@ -176,17 +176,17 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	}
 	assertTierTransparent(t, "reloaded", plain, rt)
 
-	// A plain v3 compiled snapshot still loads and reports untiered.
-	v3 := filepath.Join(t.TempDir(), "lists.v3.json")
-	if err := SaveListsSnapshotCompiled(v3, &ListsSnapshot{Lists: []*List{plain}}); err != nil {
+	// The flat list through the same writer reloads untiered.
+	flat := filepath.Join(t.TempDir(), "lists.flat.json")
+	if err := SaveListsSnapshot(flat, &ListsSnapshot{Lists: []*List{plain}}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadListsSnapshot(v3)
+	s, err := LoadListsSnapshot(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Compiled || s.Tiered {
-		t.Fatalf("v3: Compiled=%v Tiered=%v, want compiled untiered", s.Compiled, s.Tiered)
+	if s.Tiered() {
+		t.Fatal("flat snapshot reloaded tiered")
 	}
 
 	// One selection per list: NewList kept its choice for CompileTiered; the
@@ -232,18 +232,18 @@ func TestTieredValidation(t *testing.T) {
 	hot, cold := tiered.AutomatonBytes(), tiered.ColdAutomatonBytes()
 
 	// The pristine pair attaches.
-	if _, err := NewListTiered("v", rules, hot, cold); err != nil {
+	if _, err := NewListAttached("v", rules, hot, cold); err != nil {
 		t.Fatalf("pristine tier pair refused: %v", err)
 	}
 	// Hot paired with itself: every hot ordinal lands in both tiers.
-	if _, err := NewListTiered("v", rules, hot, hot); err == nil {
+	if _, err := NewListAttached("v", rules, hot, hot); err == nil {
 		t.Fatal("overlapping tiers accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("overlap error %v does not wrap ErrCorrupt", err)
 	}
 	// Cold tier alone as the hot automaton: exceptions vanish from both
 	// tiers (and plenty of blocks are missing too).
-	if _, err := NewListTiered("v", rules, cold, cold); err == nil {
+	if _, err := NewListAttached("v", rules, cold, cold); err == nil {
 		t.Fatal("tiers with missing rules accepted")
 	}
 	// An "exception relegated to cold" compile: build tier automatons by
@@ -273,15 +273,22 @@ func TestTieredValidation(t *testing.T) {
 	}
 	badHot := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hotM)
 	badCold := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, coldM)
-	if _, err := NewListTiered("v", rules, badHot.Bytes(), badCold.Bytes()); err == nil {
+	if _, err := NewListAttached("v", rules, badHot.Bytes(), badCold.Bytes()); err == nil {
 		t.Fatal("cold exception accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("cold-exception error %v does not wrap ErrCorrupt", err)
 	}
 
-	// A v4 snapshot carrying only one tier section of the pair is corrupt.
+	// Half a tier pair is corrupt, as a region and as a snapshot: the hot
+	// automaton alone does not hold every rule, so it cannot pass for a flat
+	// list's.
+	if _, err := NewListAttached("v", rules, hot, nil); err == nil {
+		t.Fatal("hot tier alone accepted as a flat list")
+	} else if !isCorrupt(err) {
+		t.Fatalf("hot-alone error %v does not wrap ErrCorrupt", err)
+	}
 	snap := &ListsSnapshot{Lists: []*List{tiered}}
-	payload, err := marshalListsJSON(snap, listsSnapshotTieredVersion)
+	payload, err := marshalListsJSON(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

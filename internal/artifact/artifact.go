@@ -9,12 +9,11 @@
 // The trailer is length-framed (a torn write that loses payload bytes
 // breaks the length check even when the tail happens to survive) and
 // checksummed (a bit flip anywhere in the payload breaks the CRC). The
-// line starts with '#', which can never begin a JSON document, so legacy
-// readers that ignore trailing garbage and new readers agree on where the
-// payload ends. Un-sealed (legacy) files open cleanly with sealed=false;
-// format owners decide whether that is acceptable for the schema version
-// they parsed (version-1 snapshots predate sealing, version-2 snapshots
-// require it — so truncating the trailer off a v2 file is detected).
+// line starts with '#', which can never begin a JSON document, so a reader
+// that takes the first line and ignores the rest still finds the payload.
+// An artifact is sealed or it is refused: Open reports input without a
+// trailer as corrupt ("missing-trailer"), so a file whose trailer was cut
+// off is caught here and no format owner checks for it again.
 package artifact
 
 import (
@@ -55,8 +54,8 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 // Corruptf builds a CorruptError; format owners use it to report
-// corruption conditions the trailer itself cannot see (e.g. a schema
-// version that requires sealing found without a trailer).
+// corruption conditions the trailer itself cannot see (e.g. a section the
+// schema requires that the payload does not carry).
 func Corruptf(reason, format string, args ...any) error {
 	return &CorruptError{Reason: reason, Detail: fmt.Sprintf(format, args...)}
 }
@@ -89,28 +88,29 @@ func appendTrailer(payload []byte) []byte {
 	return fmt.Appendf(payload, "%sv%d len=%d crc64=%016x\n", TrailerPrefix, TrailerVersion, n, crc)
 }
 
-// Open splits data into payload and trailer and verifies the trailer when
-// present. It returns (payload, true, nil) for a sealed artifact that
-// verifies, (data, false, nil) for an un-sealed (legacy) artifact, and a
-// CorruptError when a trailer is present but malformed or fails its
-// length or checksum check.
-func Open(data []byte) (payload []byte, sealed bool, err error) {
-	payload, sealed, _, err = OpenVersion(data)
-	return payload, sealed, err
+// Open splits data into payload and trailer and verifies the trailer. It
+// returns the payload of a sealed artifact that verifies, and a
+// CorruptError when the trailer is missing, malformed, or fails its length
+// or checksum check.
+func Open(data []byte) (payload []byte, err error) {
+	payload, _, err = OpenVersion(data)
+	return payload, err
 }
 
-// OpenVersion is Open and Version in one pass over data: the payload,
-// whether a trailer sealed it, and the artifact's content version — for a
-// sealed artifact the trailer's CRC, once the payload has verified against
-// it.
-func OpenVersion(data []byte) (payload []byte, sealed bool, version string, err error) {
+// OpenVersion is Open and Version in one pass over data: the payload and
+// the artifact's content version — the trailer's CRC, once the payload has
+// verified against it.
+func OpenVersion(data []byte) (payload []byte, version string, err error) {
 	line, start := lastLine(data)
 	if !strings.HasPrefix(line, TrailerPrefix) {
-		return data, false, fmt.Sprintf("%016x", Checksum(data)), nil
+		return nil, "", &CorruptError{
+			Reason: "missing-trailer",
+			Detail: "no integrity trailer (unsealed or truncated?)",
+		}
 	}
 	wantLen, wantCRC, err := parseTrailer(line)
 	if err != nil {
-		return nil, false, "", err
+		return nil, "", err
 	}
 	payload = data[:start]
 	// The trailer states the exact payload length Seal saw; Seal only adds
@@ -121,30 +121,28 @@ func OpenVersion(data []byte) (payload []byte, sealed bool, version string, err 
 	case len(payload) == wantLen+1 && payload[wantLen] == '\n':
 		payload = payload[:wantLen]
 	default:
-		return nil, false, "", &CorruptError{
+		return nil, "", &CorruptError{
 			Reason: "length-mismatch",
 			Detail: fmt.Sprintf("trailer framed %d payload bytes, found %d (torn write?)", wantLen, len(payload)),
 		}
 	}
 	if got := Checksum(payload); got != wantCRC {
-		return nil, false, "", &CorruptError{
+		return nil, "", &CorruptError{
 			Reason: "checksum-mismatch",
 			Detail: fmt.Sprintf("payload crc64 %016x, trailer says %016x (bit rot?)", got, wantCRC),
 		}
 	}
-	return payload, true, fmt.Sprintf("%016x", wantCRC), nil
+	return payload, fmt.Sprintf("%016x", wantCRC), nil
 }
 
 // Version derives the content version of an artifact: the CRC64 of its
-// payload rendered as 16 hex digits (read off the verified trailer when there
-// is one, so the payload is summed once). The trailer is excluded, so a sealed
-// artifact and the legacy file it was sealed from version identically,
-// and re-sealing an unchanged payload never changes its version. The
-// serving fleet and the snapshot control plane both use this as the
-// snapshot identity they compare during rollouts. Corrupt artifacts have
-// no version.
+// payload rendered as 16 hex digits, read off the verified trailer, so the
+// payload is summed once. The trailer is excluded, so re-sealing an
+// unchanged payload never changes its version. The serving fleet and the
+// snapshot control plane both use this as the snapshot identity they
+// compare during rollouts. Corrupt and unsealed artifacts have no version.
 func Version(data []byte) (string, error) {
-	_, _, version, err := OpenVersion(data)
+	_, version, err := OpenVersion(data)
 	return version, err
 }
 

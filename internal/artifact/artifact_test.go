@@ -18,12 +18,9 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		"line one\nline two\n",
 	} {
 		sealed := Seal([]byte(payload))
-		got, ok, err := Open(sealed)
+		got, err := Open(sealed)
 		if err != nil {
 			t.Fatalf("payload %q: %v", payload, err)
-		}
-		if !ok {
-			t.Fatalf("payload %q: sealed artifact opened as legacy", payload)
 		}
 		if string(got) != payload {
 			t.Fatalf("payload %q round-tripped to %q", payload, got)
@@ -31,14 +28,28 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenLegacyPassthrough(t *testing.T) {
-	legacy := []byte("{\"format\":\"adwars-model\",\"version\":1}\n")
-	got, sealed, err := Open(legacy)
-	if err != nil || sealed {
-		t.Fatalf("legacy open: sealed=%v err=%v", sealed, err)
-	}
-	if !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy payload mutated: %q", got)
+// TestOpenRefusesUnsealed: input without a trailer — a file from before
+// sealing, a file whose trailer was cut off, nothing at all — is
+// missing-trailer from Open, OpenVersion and Version alike.
+func TestOpenRefusesUnsealed(t *testing.T) {
+	sealed := Seal([]byte("{\"a\":1}\n"))
+	for name, data := range map[string][]byte{
+		"never sealed":    []byte("{\"format\":\"adwars-model\",\"version\":1}\n"),
+		"trailer cut":     sealed[:bytes.LastIndex(sealed, []byte(TrailerPrefix))],
+		"empty":           nil,
+		"prefix mid-line": []byte("x " + TrailerPrefix + "v1 len=0 crc64=0000000000000000\n"),
+	} {
+		payload, err := Open(data)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Reason != "missing-trailer" || payload != nil {
+			t.Errorf("%s: Open = (%q, %v), want missing-trailer", name, payload, err)
+		}
+		if p, v, err := OpenVersion(data); !errors.As(err, &ce) || ce.Reason != "missing-trailer" || p != nil || v != "" {
+			t.Errorf("%s: OpenVersion = (%q, %q, %v), want missing-trailer", name, p, v, err)
+		}
+		if v, err := Version(data); !errors.As(err, &ce) || ce.Reason != "missing-trailer" || v != "" {
+			t.Errorf("%s: Version = (%q, %v), want missing-trailer", name, v, err)
+		}
 	}
 }
 
@@ -47,7 +58,7 @@ func TestOpenDetectsPayloadBitFlip(t *testing.T) {
 	for _, i := range []int{0, 5, 12, 20} {
 		damaged := bytes.Clone(sealed)
 		damaged[i] ^= 0x20
-		_, _, err := Open(damaged)
+		_, err := Open(damaged)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: err = %v, want ErrCorrupt", i, err)
 		}
@@ -63,22 +74,22 @@ func TestOpenDetectsTrailerDamage(t *testing.T) {
 	// Flip a checksum hex digit.
 	i := strings.LastIndex(sealed, "crc64=") + len("crc64=")
 	flipped := sealed[:i] + flipHex(sealed[i]) + sealed[i+1:]
-	if _, _, err := Open([]byte(flipped)); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open([]byte(flipped)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("flipped crc digit: err = %v, want ErrCorrupt", err)
 	}
 	// Mangle the length field.
 	mangled := strings.Replace(sealed, "len=", "len=9", 1)
-	if _, _, err := Open([]byte(mangled)); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open([]byte(mangled)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mangled length: err = %v, want ErrCorrupt", err)
 	}
 	// Unsupported trailer version.
 	future := strings.Replace(sealed, " v1 ", " v99 ", 1)
-	if _, _, err := Open([]byte(future)); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open([]byte(future)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("future trailer version: err = %v, want ErrCorrupt", err)
 	}
 	// Garbage after the prefix.
 	garbage := []byte("payload\n" + TrailerPrefix + "what even is this\n")
-	if _, _, err := Open(garbage); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(garbage); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("garbage trailer: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -89,7 +100,7 @@ func TestOpenDetectsTornPayload(t *testing.T) {
 	// Remove bytes from the middle so the trailer survives but frames the
 	// wrong length — the shape of a torn write that lost a block.
 	torn := append(bytes.Clone(sealed[:5]), sealed[10:]...)
-	_, _, err := Open(torn)
+	_, err := Open(torn)
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Reason != "length-mismatch" {
 		t.Fatalf("torn payload: err = %v, want length-mismatch", err)
@@ -123,18 +134,16 @@ func flipHex(c byte) string {
 
 // TestVersionIsPayloadChecksum: the version of a sealed artifact is read off
 // the trailer Open verified, and is still the payload's CRC64 — the same for
-// the legacy file, the sealed one and one sealed again; a corrupt artifact
-// has none.
+// the sealed file and one sealed again; a corrupt artifact has none.
 func TestVersionIsPayloadChecksum(t *testing.T) {
 	for _, payload := range []string{"{\"a\":1}\n", "no trailing newline", ""} {
 		want := fmt.Sprintf("%016x", Checksum([]byte(payload)))
 		sealed := Seal([]byte(payload))
-		opened, _, err := Open(sealed)
+		opened, err := Open(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, data := range map[string][]byte{
-			"legacy":   []byte(payload),
 			"sealed":   sealed,
 			"resealed": Seal(opened),
 		} {
@@ -142,9 +151,9 @@ func TestVersionIsPayloadChecksum(t *testing.T) {
 			if err != nil || got != want {
 				t.Errorf("payload %q %s: Version = %q, %v; Checksum(payload) is %s", payload, name, got, err, want)
 			}
-			p, isSealed, v, err := OpenVersion(data)
-			if err != nil || v != want || string(p) != payload || isSealed != (name != "legacy") {
-				t.Errorf("payload %q %s: OpenVersion = (%q, %v, %q, %v)", payload, name, p, isSealed, v, err)
+			p, v, err := OpenVersion(data)
+			if err != nil || v != want || string(p) != payload {
+				t.Errorf("payload %q %s: OpenVersion = (%q, %q, %v)", payload, name, p, v, err)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ var knownReasons = map[string]bool{
 // arbitrary bytes, seeded with the corruption matrix the unit tests
 // enumerate: valid sealed artifacts, payload bit flips, trailer digit
 // flips, mangled length fields, future trailer versions, garbage after
-// the prefix, torn payloads, and legacy unsealed files. The invariants:
+// the prefix, torn payloads, and unsealed files. The invariants:
 // Open never panics, every failure is a structured CorruptError wrapping
 // ErrCorrupt with a known reason tag, a clean sealed open re-seals to the
 // identical artifact, and Version agrees with the payload checksum.
@@ -51,12 +51,12 @@ func FuzzParseTrailer(f *testing.F) {
 	f.Add([]byte(TrailerPrefix + "v1 len=-5 crc64=0000000000000000\n"))
 	// Torn payload: bytes missing from the middle (length-mismatch).
 	f.Add(append(bytes.Clone(good[:5]), good[10:]...))
-	// Legacy unsealed files pass through untouched.
+	// Unsealed input is refused (missing-trailer).
 	f.Add([]byte("{\"format\":\"adwars-model\",\"version\":1}\n"))
 	f.Add([]byte(""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, sealed, err := Open(data)
+		payload, err := Open(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open error does not wrap ErrCorrupt: %v", err)
@@ -73,17 +73,12 @@ func FuzzParseTrailer(f *testing.F) {
 			}
 			return
 		}
-		if !sealed {
-			if !bytes.Equal(payload, data) {
-				t.Fatalf("legacy passthrough mutated payload: %q != %q", payload, data)
-			}
-		}
 		// A clean open must survive the seal→open round trip bit-for-bit,
 		// and version identically before and after sealing.
 		resealed := Seal(payload)
-		p2, s2, err2 := Open(resealed)
-		if err2 != nil || !s2 {
-			t.Fatalf("reseal of clean payload failed: sealed=%v err=%v", s2, err2)
+		p2, err2 := Open(resealed)
+		if err2 != nil {
+			t.Fatalf("reseal of clean payload failed: %v", err2)
 		}
 		if !bytes.Equal(p2, payload) {
 			t.Fatalf("reseal round trip mutated payload: %q != %q", p2, payload)

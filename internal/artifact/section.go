@@ -24,8 +24,8 @@ import (
 // bytes from the beginning of the payload; combined with an 8-aligned map
 // base, an mmap consumer gets aligned views over the data for free. Like
 // the trailer, headers begin with '#', which can never start a JSON
-// document, so legacy readers that take the first line and ignore the
-// rest still find the primary document.
+// document, so a reader that takes the first line and ignores the rest
+// still finds the primary document.
 //
 // Sections ride inside the sealed payload: the trailer's CRC covers the
 // primary and every section, so a bit flip anywhere is caught by Open

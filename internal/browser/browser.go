@@ -49,29 +49,10 @@ func (l *PageLog) Triggered() bool { return len(l.HTTP) > 0 || len(l.HTML) > 0 }
 // URLs) against a list and returns the triggers. pageDomain scopes
 // $domain= and $third-party options.
 func MatchHTTPURLs(list *abp.List, urls []string, pageDomain string) []HTTPTrigger {
-	return matchHTTPURLs(list, urls, pageDomain, false)
-}
-
-// MatchHTTPURLsLinear is the ablation twin of MatchHTTPURLs: it bypasses
-// the list's automaton and scans every rule. It exists so the replay
-// benchmarks and differential tests can compare the indexed path against
-// the reference linear scan; production callers want MatchHTTPURLs.
-func MatchHTTPURLsLinear(list *abp.List, urls []string, pageDomain string) []HTTPTrigger {
-	return matchHTTPURLs(list, urls, pageDomain, true)
-}
-
-func matchHTTPURLs(list *abp.List, urls []string, pageDomain string, linear bool) []HTTPTrigger {
 	var out []HTTPTrigger
 	for _, u := range urls {
 		q := abp.Request{URL: u, Type: guessType(u), PageDomain: pageDomain}
-		var dec abp.Decision
-		var rule *abp.Rule
-		if linear {
-			dec, rule = list.MatchRequestLinear(q)
-		} else {
-			dec, rule = list.MatchRequest(q)
-		}
-		if dec != abp.NoMatch {
+		if dec, rule := list.MatchRequest(q); dec != abp.NoMatch {
 			out = append(out, HTTPTrigger{URL: u, Rule: rule, Decision: dec})
 		}
 	}

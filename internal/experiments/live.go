@@ -13,13 +13,12 @@ import (
 type LiveConfig struct {
 	// TopN is the ranking cut (100,000 in the paper).
 	TopN int
-	// Workers is crawl parallelism.
+	// Workers is crawl parallelism, and the fan-out of the per-site rule
+	// matching that follows, merged deterministically like the
+	// retrospective replay.
 	Workers int
 	// Metrics, when non-nil, accumulates crawl counters.
 	Metrics *crawler.Metrics
-	// Shards is the replay fan-out for per-site rule matching, merged
-	// deterministically like the retrospective replay. 0 means Workers.
-	Shards int
 }
 
 // LiveScript is a detected anti-adblock script from the live crawl, used
@@ -52,9 +51,6 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 	if cfg.Workers <= 0 {
 		cfg.Workers = 10
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-	}
 	domains := l.World.TopDomains(cfg.TopN)
 	results, err := crawler.CrawlLive(ctx, l.World, domains, crawler.Config{Workers: cfg.Workers, Metrics: cfg.Metrics})
 	if err != nil {
@@ -75,10 +71,10 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 	seenScript := map[string]bool{}
 
 	// Fan-out per-site matching, then fold sequentially in crawl order —
-	// same two-stage shape as ReplayRun.Run, so shard count never changes
+	// same two-stage shape as ReplayRun.Run, so the fan-out never changes
 	// the rendered numbers.
 	replays := make([]siteReplay, len(results))
-	crawler.ForEach(context.Background(), cfg.Shards, len(results), func(i int) {
+	crawler.ForEach(context.Background(), cfg.Workers, len(results), func(i int) {
 		r := results[i]
 		if r.Page == nil {
 			return
@@ -96,7 +92,7 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 			if list == nil {
 				continue
 			}
-			rep.blocked[name] = blockedHTTP(list, urls, r.Domain, false)
+			rep.blocked[name] = blockedHTTP(list, urls, r.Domain)
 			rep.htmlHit[name] = len(list.HiddenElements(r.Domain, views)) > 0
 		}
 		replays[i] = rep

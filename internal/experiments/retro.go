@@ -44,10 +44,6 @@ type RetroConfig struct {
 	// merged deterministically, so the figures are byte-identical to a
 	// sequential run. 0 means Workers.
 	Shards int
-	// LinearScan bypasses the lists' automaton and matches every
-	// request against every rule — the reference baseline the benchmarks
-	// and differential tests compare the indexed path against.
-	LinearScan bool
 }
 
 // MonthCoverage is one month's measurement outcome.
@@ -88,16 +84,15 @@ func (l *Lab) RunRetrospective(ctx context.Context, cfg RetroConfig) (*RetroResu
 	if err != nil {
 		return nil, err
 	}
-	return run.Run(cfg.Shards, cfg.LinearScan), nil
+	return run.Run(cfg.Shards, false), nil
 }
 
 // ReplayRun holds one crawl's worth of monthly snapshots so the replay —
 // the pure matching half of the pipeline — can be repeated without
 // refetching. Snapshot HTML is parsed and HAR URLs truncated once, at
 // prepare time, so Run measures rule matching rather than DOM parsing.
-// Benchmarks crawl once and time Run under different shard counts and
-// match strategies; the determinism test asserts Run(1, …) and Run(n, …)
-// render identical figures.
+// Benchmarks crawl once and time Run; the determinism test asserts Run(1, …)
+// and Run(n, …) render identical figures.
 type ReplayRun struct {
 	lab     *Lab
 	months  []*crawler.MonthResult
@@ -207,11 +202,10 @@ type siteReplay struct {
 // matching fans out across shards workers; the fold runs sequentially in
 // (month, site, list) order, so any shard count renders the same bytes.
 //
-// linear reproduces the pre-index pipeline as the ablation baseline: every
-// request is matched against every rule, and the month's lists are
-// recompiled from their revisions instead of coming from the per-revision
-// cache — the two costs the indexed, cached replay exists to remove.
-func (rr *ReplayRun) Run(shards int, linear bool) *RetroResult {
+// The second parameter selected a linear-scan replay that is gone; it is
+// ignored, and still here only because bench/pipeline.go passes it and a PR
+// may not edit bench/ (it goes with ROADMAP item 1a's seam).
+func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
 	if shards <= 0 {
 		shards = rr.workers
 	}
@@ -236,21 +230,7 @@ func (rr *ReplayRun) Run(shards int, linear bool) *RetroResult {
 			HTTPTriggered: map[string]int{},
 			HTMLTriggered: map[string]int{},
 		}
-		var lists map[string]*abp.List
-		if linear {
-			// Baseline cost model: one fresh compile per list per month,
-			// like the pipeline before the per-revision cache.
-			lists = make(map[string]*abp.List, 2)
-			for name, h := range rr.lab.histories() {
-				if rev, ok := h.At(month); ok {
-					lists[name] = abp.NewList(name, rev.Rules)
-				} else {
-					lists[name] = nil
-				}
-			}
-		} else {
-			lists = rr.lab.listsAt(month)
-		}
+		lists := rr.lab.listsAt(month)
 
 		// Fan-out: match every surviving site against every list. The
 		// compiled lists are shared across workers — they are immutable
@@ -261,7 +241,7 @@ func (rr *ReplayRun) Run(shards int, linear bool) *RetroResult {
 			if mr.Results[i].Status != crawler.StatusOK {
 				return
 			}
-			replays[i] = replaySite(lists, mr.Results[i].Domain, inputs[i], linear)
+			replays[i] = replaySite(lists, mr.Results[i].Domain, inputs[i])
 		})
 
 		// Fold: sequential, in crawl order — identical accounting to the
@@ -307,7 +287,7 @@ func (rr *ReplayRun) Run(shards int, linear bool) *RetroResult {
 // replaySite matches one prepared site-month against every list in force:
 // its live request URLs against the HTTP rules and its parsed DOM (shared
 // by every list) against the element-hiding rules.
-func replaySite(lists map[string]*abp.List, domain string, in siteInput, linear bool) siteReplay {
+func replaySite(lists map[string]*abp.List, domain string, in siteInput) siteReplay {
 	rep := siteReplay{
 		blocked: make(map[string]map[string]bool, len(lists)),
 		htmlHit: make(map[string]bool, len(lists)),
@@ -316,7 +296,7 @@ func replaySite(lists map[string]*abp.List, domain string, in siteInput, linear 
 		if list == nil {
 			continue
 		}
-		rep.blocked[name] = blockedHTTP(list, in.urls, domain, linear)
+		rep.blocked[name] = blockedHTTP(list, in.urls, domain)
 		rep.htmlHit[name] = len(list.HiddenElements(domain, in.views)) > 0
 	}
 	return rep
@@ -324,13 +304,9 @@ func replaySite(lists map[string]*abp.List, domain string, in siteInput, linear 
 
 // blockedHTTP returns the set of URLs a list's blocking rules match
 // (exception-allowed requests do not make a site "anti-adblocking").
-func blockedHTTP(list *abp.List, urls []string, pageDomain string, linear bool) map[string]bool {
-	match := browser.MatchHTTPURLs
-	if linear {
-		match = browser.MatchHTTPURLsLinear
-	}
+func blockedHTTP(list *abp.List, urls []string, pageDomain string) map[string]bool {
 	var blocked map[string]bool
-	for _, trig := range match(list, urls, pageDomain) {
+	for _, trig := range browser.MatchHTTPURLs(list, urls, pageDomain) {
 		if trig.Decision == abp.Blocked {
 			if blocked == nil {
 				blocked = map[string]bool{}

@@ -155,7 +155,7 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 	// process.
 	version, err := artifact.Version(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArtifact, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadArtifact, err)
 	}
 	res := &RolloutResult{Kind: kind, Version: version}
 	c.logf("rollout %s version=%s replicas=%d canaries=%d", kind, version, len(c.Replicas), c.canaries())

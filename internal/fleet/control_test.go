@@ -72,11 +72,20 @@ func TestRolloutRefusesCorruptArtifactLocally(t *testing.T) {
 	ctl := newController(urls(reps))
 	before := healthOf(t, reps[0].ts.URL).ListsVersion
 
-	bad := bytes.Clone(sealedLists(t, "v2"))
+	v2 := sealedLists(t, "v2")
+	bad := bytes.Clone(v2)
 	bad[len(bad)/4] ^= 0x01
 	_, err := ctl.Rollout(context.Background(), "lists", bad)
 	if !errors.Is(err, ErrBadArtifact) {
 		t.Fatalf("err = %v, want ErrBadArtifact", err)
+	}
+	// A well-formed snapshot without its trailer has no integrity story
+	// over the network: refused here, as missing-trailer, like everywhere.
+	unsealed := v2[:bytes.LastIndex(v2, []byte(artifact.TrailerPrefix))]
+	_, err = ctl.Rollout(context.Background(), "lists", unsealed)
+	var ce *artifact.CorruptError
+	if !errors.Is(err, ErrBadArtifact) || !errors.As(err, &ce) || ce.Reason != "missing-trailer" {
+		t.Fatalf("unsealed: err = %v, want ErrBadArtifact over missing-trailer", err)
 	}
 	// Nothing was pushed: both replicas untouched.
 	for _, r := range reps {

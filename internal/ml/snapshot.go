@@ -16,28 +16,23 @@ import (
 // a model is only meaningful against the exact feature indices it saw at
 // training time.
 //
-// Since schema version 2 every snapshot is sealed with an
-// artifact integrity trailer (CRC64 + payload length), so torn writes and
-// bit rot are detected at load instead of silently skewing decisions.
-// Version-1 files predate the trailer and still load.
+// Every snapshot is sealed with an artifact integrity trailer (CRC64 +
+// payload length), so torn writes and bit rot are detected at load instead
+// of silently skewing decisions; a file without one is refused.
 
 const (
 	// ModelSnapshotFormat is the format tag every model snapshot carries.
 	ModelSnapshotFormat = "adwars-model"
-	// ModelSnapshotVersion is the current snapshot schema version. Readers
-	// reject snapshots from a newer (unknown) schema instead of guessing.
+	// ModelSnapshotVersion is the one snapshot schema version this build
+	// reads and writes. Readers reject any other instead of guessing.
 	ModelSnapshotVersion = 2
-	// modelSnapshotSealedVersion is the first schema version that requires
-	// an integrity trailer; reading such a file without one means the
-	// trailer (and possibly payload) was truncated away.
-	modelSnapshotSealedVersion = 2
 )
 
 // ErrSnapshotFormat reports a file that is not a model snapshot at all.
 var ErrSnapshotFormat = errors.New("ml: not an adwars model snapshot")
 
-// ErrSnapshotVersion reports a snapshot written by an unknown (newer)
-// schema version.
+// ErrSnapshotVersion reports a snapshot of any schema version but
+// ModelSnapshotVersion.
 var ErrSnapshotVersion = errors.New("ml: unsupported model snapshot version")
 
 // ModelMeta records where a snapshot came from — training corpus shape and
@@ -100,14 +95,13 @@ func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 }
 
 // ParseModelSnapshot parses a snapshot file held in memory, rejecting
-// foreign files (ErrSnapshotFormat), unknown schema versions
-// (ErrSnapshotVersion), and corrupt files — bad checksum, torn length
-// framing, a sealed-version payload whose trailer was truncated away, or a
-// model that parses but cannot be scored faithfully: unsorted or
-// out-of-vocabulary support vectors, non-finite weights, a non-positive RBF
-// width (errors wrap artifact.ErrCorrupt).
+// foreign files (ErrSnapshotFormat), other schema versions
+// (ErrSnapshotVersion), and corrupt files — no trailer, bad checksum, torn
+// length framing, or a model that parses but cannot be scored faithfully:
+// unsorted or out-of-vocabulary support vectors, non-finite weights, a
+// non-positive RBF width (errors wrap artifact.ErrCorrupt).
 func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
-	payload, sealed, version, err := artifact.OpenVersion(data)
+	payload, version, err := artifact.OpenVersion(data)
 	if err != nil {
 		return nil, fmt.Errorf("ml: model snapshot: %w", err)
 	}
@@ -118,14 +112,9 @@ func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
 	if doc.Format != ModelSnapshotFormat {
 		return nil, fmt.Errorf("%w: format %q", ErrSnapshotFormat, doc.Format)
 	}
-	if doc.Version < 1 || doc.Version > ModelSnapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (supported: 1..%d)",
+	if doc.Version != ModelSnapshotVersion {
+		return nil, fmt.Errorf("%w: version %d (this build reads %d)",
 			ErrSnapshotVersion, doc.Version, ModelSnapshotVersion)
-	}
-	if doc.Version >= modelSnapshotSealedVersion && !sealed {
-		return nil, fmt.Errorf("ml: model snapshot: %w",
-			artifact.Corruptf("missing-trailer",
-				"version %d snapshot has no integrity trailer (truncated?)", doc.Version))
 	}
 	if doc.Classifier != "adaboost" {
 		return nil, fmt.Errorf("ml: unknown classifier %q in snapshot", doc.Classifier)

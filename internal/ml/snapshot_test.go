@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adwars/internal/artifact"
@@ -81,17 +82,24 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestModelSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
-	if _, err := ParseModelSnapshot([]byte(`{"format":"something-else","version":1}`)); !errors.Is(err, ErrSnapshotFormat) {
+	parse := func(payload string) error {
+		_, err := ParseModelSnapshot(artifact.Seal([]byte(payload)))
+		return err
+	}
+	if err := parse(`{"format":"something-else","version":2}`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("foreign format: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ParseModelSnapshot([]byte(`not json`)); !errors.Is(err, ErrSnapshotFormat) {
+	if err := parse(`not json`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("garbage: err = %v, want ErrSnapshotFormat", err)
 	}
-	if _, err := ParseModelSnapshot([]byte(`{"format":"adwars-model","version":999,"classifier":"adaboost"}`)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("future version: err = %v, want ErrSnapshotVersion", err)
+	for _, v := range []string{"999", "1", "0"} {
+		if err := parse(`{"format":"adwars-model","version":` + v + `,"classifier":"adaboost"}`); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("version %s: err = %v, want ErrSnapshotVersion", v, err)
+		}
 	}
-	if _, err := ParseModelSnapshot([]byte(`{"format":"adwars-model","version":1,"classifier":"forest","model":{}}`)); err == nil {
-		t.Error("unknown classifier must error")
+	if err := parse(`{"format":"adwars-model","version":2,"classifier":"forest","model":{}}`); err == nil ||
+		errors.Is(err, artifact.ErrCorrupt) || errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("unknown classifier: err = %v, want its own error", err)
 	}
 }
 
@@ -175,11 +183,11 @@ func TestModelSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-// legacyModelFile wraps a model document in an unsealed version-1
-// snapshot over a three-feature vocabulary.
-func legacyModelFile(model string) string {
-	return `{"format":"adwars-model","version":1,"classifier":"adaboost","feature_set":"keyword",` +
-		`"vocab":["a:x","b:y","c:z"],"model":` + model + "}\n"
+// modelFile wraps a model document in a sealed snapshot over a
+// three-feature vocabulary.
+func modelFile(model string) []byte {
+	return artifact.Seal([]byte(`{"format":"adwars-model","version":2,"classifier":"adaboost","feature_set":"keyword",` +
+		`"vocab":["a:x","b:y","c:z"],"model":` + model + "}\n"))
 }
 
 // invalidModelFiles are snapshots that parse but describe a model that
@@ -204,13 +212,13 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 	}
 	for _, tc := range invalidModelFiles {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseModelSnapshot([]byte(legacyModelFile(tc.model)))
+			_, err := ParseModelSnapshot(modelFile(tc.model))
 			wantInvalid(t, err)
 		})
 	}
 	// The same shape with nothing wrong loads.
 	ok := `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1,-1],"vectors":[[0,2],[]]}]}`
-	if _, err := ParseModelSnapshot([]byte(legacyModelFile(ok))); err != nil {
+	if _, err := ParseModelSnapshot(modelFile(ok)); err != nil {
 		t.Errorf("valid model refused: %v", err)
 	}
 
@@ -237,8 +245,11 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 }
 
 // FuzzReadModelSnapshot: loading never panics, whatever the bytes, and a
-// model that loads scores a fixed sample without panicking. Seeds are the
-// clean file, the corruption matrix and the invalid-model files.
+// model that loads scores a fixed sample without panicking. Every input is
+// tried as given and again under a fresh integrity trailer, so that the
+// fuzzer's edits reach the model loader behind the trailer's checksum.
+// Seeds are the clean file, the corruption matrix and the invalid-model
+// files.
 func FuzzReadModelSnapshot(f *testing.F) {
 	data := sealedModelBytes(f)
 	f.Add(data)
@@ -246,29 +257,42 @@ func FuzzReadModelSnapshot(f *testing.F) {
 		f.Add(tc.mutate(data))
 	}
 	for _, tc := range invalidModelFiles {
-		f.Add([]byte(legacyModelFile(tc.model)))
+		f.Add(modelFile(tc.model))
 	}
 	sample := features.Sample{0, 1, 2, 5, 8, 13, 21, 34, 1 << 20}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := ParseModelSnapshot(data)
-		if err != nil {
-			return
+		payload := data
+		if i := bytes.LastIndex(data, []byte(artifact.TrailerPrefix)); i >= 0 {
+			payload = data[:i]
 		}
-		snap.Model.Predict(sample)
-		snap.Model.Predict(nil)
+		for _, file := range [][]byte{data, artifact.Seal(payload)} {
+			snap, err := ParseModelSnapshot(file)
+			if err != nil {
+				continue
+			}
+			snap.Model.Predict(sample)
+			snap.Model.Predict(nil)
+		}
 	})
 }
 
-func TestModelSnapshotLegacyV1StillLoads(t *testing.T) {
-	// A hand-built version-1 file: no trailer, pre-integrity schema.
-	legacy := `{"format":"adwars-model","version":1,"classifier":"adaboost",` +
+// TestModelSnapshotUnsealedRefused: a well-formed model document without a
+// trailer — what a version-1 file was — is missing-trailer, and the same
+// document sealed is refused by its version.
+func TestModelSnapshotUnsealedRefused(t *testing.T) {
+	v1 := `{"format":"adwars-model","version":1,"classifier":"adaboost",` +
 		`"feature_set":"keyword","vocab":["Identifier:offsetHeight"],` +
 		`"model":{"alphas":[1],"models":[{"kernel":"linear","bias":-0.5,"coefs":[1],"vectors":[[0]]}]}}` + "\n"
-	snap, err := ParseModelSnapshot([]byte(legacy))
-	if err != nil {
-		t.Fatalf("legacy v1 snapshot rejected: %v", err)
+	_, err := ParseModelSnapshot([]byte(v1))
+	var ce *artifact.CorruptError
+	if !errors.As(err, &ce) || ce.Reason != "missing-trailer" {
+		t.Errorf("unsealed: err = %v, want missing-trailer", err)
 	}
-	if snap.FeatureSet != "keyword" || len(snap.Vocab) != 1 {
-		t.Fatalf("legacy snapshot mis-parsed: %+v", snap)
+	if _, err := ParseModelSnapshot(artifact.Seal([]byte(v1))); !errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("sealed v1: err = %v, want ErrSnapshotVersion", err)
+	}
+	v2 := strings.Replace(v1, `"version":1`, `"version":2`, 1)
+	if _, err := ParseModelSnapshot(artifact.Seal([]byte(v2))); err != nil {
+		t.Errorf("the same document as sealed v2: %v", err)
 	}
 }

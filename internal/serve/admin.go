@@ -1,0 +1,303 @@
+package serve
+
+import (
+	"errors"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+
+	"adwars/internal/artifact"
+	"adwars/internal/degrade"
+)
+
+// ---- admin ----
+
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !requireMethod(w, r, http.MethodPost) {
+		return
+	}
+	if s.cfg.ModelPath == "" && s.cfg.ListsPath == "" {
+		writeError(w, http.StatusBadRequest, "snapshot", "no snapshot paths configured")
+		return
+	}
+	if err := s.ReloadSnapshots(); err != nil {
+		// The old snapshots are still installed; the operator gets a
+		// structured 4xx, not a broken server.
+		writeError(w, http.StatusBadRequest, "snapshot", "reload failed: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, reloadResponse{Reloaded: true, Snapshot: s.snapshotInfo()})
+}
+
+// Health is the /healthz and /readyz response body: liveness, readiness,
+// per-snapshot versions, and the last reload outcome — everything the
+// gateway's health poller and the control plane's rollout watcher need in
+// one fetch.
+type Health struct {
+	Status       string `json:"status"`
+	Replica      string `json:"replica,omitempty"`
+	Ready        bool   `json:"ready"`
+	Draining     bool   `json:"draining,omitempty"`
+	Model        bool   `json:"model"`
+	Lists        bool   `json:"lists"`
+	ModelVersion string `json:"model_version,omitempty"`
+	ListsVersion string `json:"lists_version,omitempty"`
+	// ListsTiered reports whether every served list carries a hot/cold
+	// tier split (as adwars-compact produces).
+	ListsTiered bool           `json:"lists_tiered,omitempty"`
+	LastReload  *ReloadOutcome `json:"last_reload,omitempty"`
+}
+
+// health assembles the shared health/readiness report.
+func (s *Server) health() Health {
+	h := Health{
+		Status:   "ok",
+		Replica:  s.cfg.ReplicaID,
+		Draining: s.draining.Load(),
+	}
+	if ms := s.model.Load(); ms != nil {
+		h.Model = true
+		h.ModelVersion = ms.version
+	}
+	if ls := s.lists.Load(); ls != nil {
+		h.Lists = true
+		h.ListsVersion = ls.version
+		h.ListsTiered = ls.snap.Tiered()
+	}
+	h.LastReload = s.lastReload.Load()
+	h.Ready = (h.Model || h.Lists) && !h.Draining
+	switch {
+	case !h.Model && !h.Lists:
+		h.Status = "no snapshots"
+	case h.Draining:
+		h.Status = "draining"
+	}
+	return h
+}
+
+// handleHealthz is liveness: 200 as long as the process can answer and
+// has any snapshot, even while draining.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h := s.health()
+	status := http.StatusOK
+	if !h.Model && !h.Lists {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, h)
+}
+
+// handleReadyz is routability: 503 once drain is announced (or before any
+// snapshot is loaded), so gateways stop sending traffic here while the
+// data plane finishes the requests it already has.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	h := s.health()
+	status := http.StatusOK
+	if !h.Ready {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, h)
+}
+
+// pushResponse answers a successful control-plane snapshot push.
+type pushResponse struct {
+	Installed bool   `json:"installed"`
+	Kind      string `json:"kind"`
+	Version   string `json:"version"`
+}
+
+// handleSnapshot is the control-plane snapshot exchange, keyed by
+// /admin/snapshot/{lists,model}:
+//
+//   - POST installs a pushed artifact: the body is the sealed wire format
+//     (the same CRC64 framing snapshots carry on disk). It is verified,
+//     parsed, prepared for serving, persisted atomically to the configured
+//     path, and stored — in that order, so a replica restart always finds
+//     what it was last serving and the file on disk is always one this
+//     replica can serve. A damaged, unsealed or unservable push is refused
+//     with 422, leaves disk and memory as they were, and is counted
+//     exactly like a failed disk reload (reload_errors, and reload_rejected
+//     when it was the bytes that were refused).
+//   - GET returns the raw sealed bytes of the installed snapshot, which is
+//     how the control plane captures last-good before a rollout so it can
+//     roll back without any other storage.
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	kind := strings.TrimPrefix(r.URL.Path, "/admin/snapshot/")
+	if kind != "lists" && kind != "model" {
+		writeError(w, http.StatusNotFound, "not_found", "unknown snapshot kind %q", kind)
+		return
+	}
+	switch r.Method {
+	case http.MethodGet:
+		s.handleSnapshotGet(w, kind)
+	case http.MethodPost:
+		s.handleSnapshotPush(w, r, kind)
+	default:
+		w.Header().Set("Allow", "GET, POST")
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			"%s requires GET or POST", r.URL.Path)
+	}
+}
+
+func (s *Server) handleSnapshotGet(w http.ResponseWriter, kind string) {
+	var raw []byte
+	var version string
+	switch kind {
+	case "lists":
+		if ls := s.lists.Load(); ls != nil {
+			raw, version = ls.raw, ls.version
+		}
+	case "model":
+		if ms := s.model.Load(); ms != nil {
+			raw, version = ms.raw, ms.version
+		}
+	}
+	if len(raw) == 0 {
+		writeError(w, http.StatusNotFound, "no_snapshot",
+			"no artifact-backed %s snapshot installed", kind)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Adwars-Snapshot-Version", version)
+	w.Write(raw)
+}
+
+func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind string) {
+	path := s.cfg.ListsPath
+	if kind == "model" {
+		path = s.cfg.ModelPath
+	}
+	if path == "" {
+		writeError(w, http.StatusBadRequest, "snapshot",
+			"no %s snapshot path configured on this replica", kind)
+		return
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshot))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				"snapshot exceeds %d bytes", tooLarge.Limit)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad_request", "reading snapshot body: %v", err)
+		}
+		return
+	}
+	// Parse and prepare before persisting, so an artifact this replica
+	// could not serve — unsealed, damaged, schema-broken, or well-formed and
+	// empty — never replaces the last-good file; persist before storing, so
+	// disk and memory can only disagree in the direction of "disk newer,
+	// reload pending". The wire format is the artifact framing itself, and
+	// the parsers refuse what is not sealed.
+	var version string
+	var store func()
+	if kind == "lists" {
+		var ls *listsState
+		if ls, err = s.parseLists(data); err == nil {
+			version, store = ls.version, func() { s.lists.Store(ls) }
+		}
+	} else {
+		var ms *modelState
+		if ms, err = parseModel(data); err == nil {
+			version, store = ms.version, func() { s.model.Store(ms) }
+		}
+	}
+	if err != nil {
+		s.reloadFailed("push", err)
+		writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
+			"pushed %s snapshot refused: %v", kind, err)
+		return
+	}
+	if err := artifact.WriteFileAtomic(path, data, 0o644); err != nil {
+		s.reloadFailed("push", err)
+		writeError(w, http.StatusInternalServerError, "persist_failed",
+			"persisting pushed snapshot: %v", err)
+		return
+	}
+	store()
+	s.met.reloads.Add(1)
+	s.met.pushes.Add(1)
+	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "push"})
+	writeJSON(w, http.StatusOK, pushResponse{Installed: true, Kind: kind, Version: version})
+}
+
+// ---- analytics ----
+
+// handleAnalytics snapshots the decision analytics pipeline: producer
+// counters (recorded / dropped / sampled-out), cumulative per-verdict
+// totals (which survive bucket eviction — the reconciliation anchor),
+// aggregator occupancy against its bounds, and the in-memory bucket rows.
+// adwars-report -live consumes it directly; adwars-loadgen
+// -check analytics reconciles its totals against the client-side ledger.
+func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
+	if !requireMethod(w, r, http.MethodGet) {
+		return
+	}
+	if s.anl == nil {
+		writeError(w, http.StatusNotFound, "analytics_disabled",
+			"decision analytics are disabled on this replica")
+		return
+	}
+	snap := s.anl.Snapshot()
+	writeJSON(w, http.StatusOK, &snap)
+}
+
+// ---- degrade ----
+
+// parseDegradeLevel accepts "L2" or "2" forms for operator pins.
+func parseDegradeLevel(v string) (degrade.Level, bool) {
+	if len(v) == 2 && (v[0] == 'L' || v[0] == 'l') {
+		v = v[1:]
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 || n > int(degrade.L4) {
+		return 0, false
+	}
+	return degrade.Level(n), true
+}
+
+// handleDegrade is the operator surface for the overload governor:
+//
+//   - GET returns the governor snapshot (level, pin state, transition
+//     ledger, last pressure signals).
+//   - POST ?pin=L2 pins the ladder at a level — the ticker keeps
+//     counting but cannot move it — for incident response or brownout
+//     drills; POST ?unpin releases it back to automatic control.
+func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
+	if s.gov == nil {
+		writeError(w, http.StatusNotFound, "degrade_disabled",
+			"the overload governor is disabled on this replica")
+		return
+	}
+	switch r.Method {
+	case http.MethodGet:
+		snap := s.gov.Snapshot()
+		writeJSON(w, http.StatusOK, &snap)
+	case http.MethodPost:
+		q := r.URL.Query()
+		switch {
+		case q.Has("pin"):
+			lvl, ok := parseDegradeLevel(q.Get("pin"))
+			if !ok {
+				writeError(w, http.StatusBadRequest, "bad_request",
+					"invalid pin level %q (want L0..L4)", q.Get("pin"))
+				return
+			}
+			s.gov.Pin(lvl)
+		case q.Has("unpin"):
+			s.gov.Unpin()
+		default:
+			writeError(w, http.StatusBadRequest, "bad_request",
+				"POST needs ?pin=L0..L4 or ?unpin")
+			return
+		}
+		snap := s.gov.Snapshot()
+		writeJSON(w, http.StatusOK, &snap)
+	default:
+		w.Header().Set("Allow", "GET, POST")
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			"%s requires GET or POST", r.URL.Path)
+	}
+}
+
+// degradeVars renders the governor snapshot for /debug/vars.

@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,19 +15,16 @@ import (
 	"adwars/internal/artifact"
 )
 
-// TestCompiledSnapshotServesAndRejectsDamage: the serving layer must load a
-// compiled (v3) lists snapshot, surface lists_compiled through /healthz, and
-// answer /v1/match identically to a plain snapshot; a damaged automaton
-// section — resealed under a fresh trailer so only the section CRC can
-// catch it — must be refused at /admin/reload with the last-good snapshot
-// kept serving.
+// TestCompiledSnapshotServesAndRejectsDamage: the serving layer attaches
+// the automata a lists snapshot carries and answers /v1/match identically
+// to the same lists compiled in this process; a damaged automaton section —
+// resealed under a fresh trailer so only the section CRC can catch it —
+// must be refused at /admin/reload with the last-good snapshot kept
+// serving.
 func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	if err := abp.SaveListsSnapshotCompiled(listsPath, testListsSnapshot(t)); err != nil {
-		t.Fatal(err)
-	}
 	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
@@ -44,8 +41,16 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, `"lists_compiled":true`) {
-		t.Fatalf("healthz = %d %s, want 200 with lists_compiled", code, body)
+	healthz := func() (h Health) {
+		code, body := get("/healthz")
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &h) != nil {
+			t.Fatalf("healthz = %d %s", code, body)
+		}
+		return h
+	}
+	healthBefore := healthz()
+	if healthBefore.ListsVersion == "" || healthBefore.ListsTiered {
+		t.Fatalf("healthz = %+v, want a versioned flat snapshot", healthBefore)
 	}
 
 	query := `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
@@ -63,20 +68,12 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	}
 	before := match()
 
-	// A plain snapshot of the same lists must answer byte-identically.
-	plainPath := filepath.Join(dir, "plain.json")
-	if err := abp.SaveListsSnapshot(plainPath, testListsSnapshot(t)); err != nil {
+	// The same lists compiled here, never written, must answer
+	// byte-identically. Compare decisions only: the snapshot metadata block
+	// legitimately differs (a direct Set carries no artifact version).
+	if err := s.SetListsSnapshot(testListsSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := abp.LoadListsSnapshot(plainPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetListsSnapshot(plain); err != nil {
-		t.Fatal(err)
-	}
-	// Compare decisions only: the snapshot metadata block legitimately
-	// differs (a direct Set carries no artifact version).
 	decisions := func(body string) string {
 		if i := strings.Index(body, `,"snapshot":`); i >= 0 {
 			return body[:i]
@@ -84,9 +81,9 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		return body
 	}
 	if got := match(); decisions(got) != decisions(before) {
-		t.Fatalf("plain snapshot answers differently:\n%s\nvs\n%s", got, before)
+		t.Fatalf("built lists answer differently:\n%s\nvs\n%s", got, before)
 	}
-	if err := s.ReloadSnapshots(); err != nil { // back to the compiled file
+	if err := s.ReloadSnapshots(); err != nil { // back to the file
 		t.Fatal(err)
 	}
 
@@ -97,9 +94,9 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, sealed, err := artifact.Open(good)
-	if err != nil || !sealed {
-		t.Fatalf("Open: sealed=%v err=%v", sealed, err)
+	payload, err := artifact.Open(good)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
 	bad := append([]byte(nil), payload...)
 	mark := strings.Index(string(bad), artifact.SectionPrefix)
@@ -123,11 +120,11 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	if after := match(); after != before {
 		t.Fatalf("served answer changed after rejected reload:\n%s\nvs\n%s", after, before)
 	}
-	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, `"lists_compiled":true`) {
-		t.Fatalf("healthz after rejected reload = %d %s, want compiled last-good", code, body)
+	if h := healthz(); h.ListsVersion != healthBefore.ListsVersion {
+		t.Fatalf("healthz after rejected reload: lists_version %s, want last-good %s", h.ListsVersion, healthBefore.ListsVersion)
 	}
 
-	// Restoring the good compiled file makes the next reload succeed.
+	// Restoring the good file makes the next reload succeed.
 	if err := os.WriteFile(listsPath, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 }
 
 // TestReloadServesFromOneBuffer: a reload reads the file once and serves
-// from that buffer — every automaton of a compiled or tiered snapshot lies
+// from that buffer — every automaton of a flat or tiered snapshot lies
 // inside the raw bytes the state retains (the ones GET /admin/snapshot
 // returns), 4-aligned so the u32 views are views and not copies, whether the
 // bytes came from disk or from a push. The version the state reports is the
@@ -196,14 +193,14 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
 	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
-	if err := abp.SaveListsSnapshotCompiled(listsPath, flat); err != nil {
+	if err := abp.SaveListsSnapshot(listsPath, flat); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
-	check("disk-compiled", s, false)
-	if err := abp.SaveListsSnapshotTiered(listsPath, tiered); err != nil {
+	check("disk-flat", s, false)
+	if err := abp.SaveListsSnapshot(listsPath, tiered); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadSnapshots(); err != nil {
@@ -211,12 +208,12 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 	}
 	check("disk-tiered", s, true)
 
-	art, err := abp.MarshalListsSnapshotCompiled(flat)
+	art, err := abp.MarshalListsSnapshot(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec := do(t, s, "POST", "/admin/snapshot/lists", string(art)); rec.Code != 200 {
 		t.Fatalf("push status %d: %s", rec.Code, rec.Body)
 	}
-	check("push-compiled", s, false)
+	check("push-flat", s, false)
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adwars/internal/abp"
 	"adwars/internal/artifact"
+	"adwars/internal/ml"
 )
 
 // listsArtifact renders the fixture lists snapshot (with the given label)
@@ -137,7 +139,7 @@ func TestSnapshotPushRejectsDamage(t *testing.T) {
 	}{
 		{"bit-flip", func() []byte { b := bytes.Clone(good); b[len(b)/3] ^= 0x20; return b }()},
 		{"truncated", good[:len(good)/2]},
-		{"unsealed", []byte(`{"format":"adwars-lists","version":1,"lists":[{"name":"x","rules":["||a.example^"]}]}`)},
+		{"unsealed", good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))]},
 		{"sealed-garbage", artifact.Seal([]byte(`{"this is": not json`))},
 	}
 	rejected := s.met.reloadRejected.Load()
@@ -173,5 +175,126 @@ func TestSnapshotPushUnconfiguredAndUnknownKind(t *testing.T) {
 	}
 	if rec := do(t, s, "GET", "/admin/snapshot/model", ""); rec.Code != 404 {
 		t.Errorf("pull with no artifact-backed model = %d, want 404", rec.Code)
+	}
+}
+
+// TestSnapshotPushRefusedLeavesDiskAndMemory: a push that is sealed and
+// well formed but that this server cannot serve — a lists snapshot with no
+// lists, a model over a feature set that does not exist — is refused before
+// it is persisted. The last-good file keeps its bytes, /healthz keeps its
+// versions, and a replica restarted on those paths comes up.
+func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
+	dir := t.TempDir()
+	modelPath, listsPath := writeSnapshotFiles(t, dir)
+	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	before := decodeHealth(t, do(t, s, "GET", "/healthz", "").Body.Bytes())
+
+	noLists, err := abp.MarshalListsSnapshot(&abp.ListsSnapshot{Label: "empty"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := abp.ParseListsSnapshot(noLists); err != nil {
+		t.Fatalf("the empty snapshot must be well formed for this test to mean anything: %v", err)
+	}
+	badSet := artifact.Seal([]byte(strings.Replace(testModelJSON, `"keyword"`, `"no-such-set"`, 1)))
+	if _, err := ml.ParseModelSnapshot(badSet); err != nil {
+		t.Fatalf("the bad-feature-set model must be well formed for this test to mean anything: %v", err)
+	}
+	for _, tc := range []struct {
+		kind, path string
+		body       []byte
+	}{
+		{"lists", listsPath, noLists},
+		{"model", modelPath, badSet},
+	} {
+		good, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloads := s.met.reloads.Load()
+		if rec := do(t, s, "POST", "/admin/snapshot/"+tc.kind, string(tc.body)); rec.Code != 422 {
+			t.Fatalf("%s: push = %d, want 422 (%s)", tc.kind, rec.Code, rec.Body.Bytes())
+		}
+		if onDisk, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(onDisk, good) {
+			t.Errorf("%s: the refused push replaced the last-good file (err %v)", tc.kind, err)
+		}
+		after := decodeHealth(t, do(t, s, "GET", "/healthz", "").Body.Bytes())
+		if after.ListsVersion != before.ListsVersion || after.ModelVersion != before.ModelVersion {
+			t.Errorf("%s: versions moved across a refused push: %+v → %+v", tc.kind, before, after)
+		}
+		if after.LastReload == nil || after.LastReload.OK || after.LastReload.Source != "push" {
+			t.Errorf("%s: last_reload = %+v, want a failed push", tc.kind, after.LastReload)
+		}
+		if got := s.met.reloads.Load(); got != reloads {
+			t.Errorf("%s: reloads ticked %d → %d", tc.kind, reloads, got)
+		}
+	}
+	restarted := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	if err := restarted.ReloadSnapshots(); err != nil {
+		t.Fatalf("a replica restarted after the refused pushes cannot load: %v", err)
+	}
+}
+
+// TestReloadIsAllOrNothing: a reload whose model is new and good and whose
+// lists are refused — damaged, or well formed and empty — reports the
+// error, does not count as a reload, and leaves the model it found.
+func TestReloadIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	modelPath, listsPath := writeSnapshotFiles(t, dir)
+	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	before := decodeHealth(t, do(t, s, "GET", "/healthz", "").Body.Bytes())
+
+	newModel := artifact.Seal([]byte(strings.Replace(testModelJSON, `"top_k": 2`, `"top_k": 3`, 1)))
+	if v, err := artifact.Version(newModel); err != nil || v == before.ModelVersion {
+		t.Fatalf("new model version %q (err %v) must differ from %q", v, err, before.ModelVersion)
+	}
+	if err := os.WriteFile(modelPath, newModel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goodLists, err := os.ReadFile(listsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noLists, err := abp.MarshalListsSnapshot(&abp.ListsSnapshot{Label: "empty"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"damaged": goodLists[:len(goodLists)/2],
+		"empty":   noLists,
+	} {
+		if err := os.WriteFile(listsPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reloads := s.met.reloads.Load()
+		if err := s.ReloadSnapshots(); err == nil {
+			t.Fatalf("%s lists: reload succeeded", name)
+		}
+		after := decodeHealth(t, do(t, s, "GET", "/healthz", "").Body.Bytes())
+		if after.ModelVersion != before.ModelVersion || after.ListsVersion != before.ListsVersion {
+			t.Errorf("%s lists: a failed reload moved versions: model %s → %s, lists %s → %s", name,
+				before.ModelVersion, after.ModelVersion, before.ListsVersion, after.ListsVersion)
+		}
+		if got := s.met.reloads.Load(); got != reloads {
+			t.Errorf("%s lists: reloads ticked %d → %d", name, reloads, got)
+		}
+	}
+	// With the lists whole again the same reload takes both.
+	if err := os.WriteFile(listsPath, goodLists, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	after := decodeHealth(t, do(t, s, "GET", "/healthz", "").Body.Bytes())
+	if after.ModelVersion == before.ModelVersion || after.ListsVersion != before.ListsVersion {
+		t.Errorf("after the good reload: model %s (was %s), lists %s (was %s)",
+			after.ModelVersion, before.ModelVersion, after.ListsVersion, before.ListsVersion)
 	}
 }

@@ -4,24 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
-	"adwars/internal/artifact"
 	"adwars/internal/degrade"
 	"adwars/internal/features"
-	"adwars/internal/ml"
 )
+
+// The data plane: wire types, request plumbing (body reader, admission,
+// routes) and the four /v1 handlers. The control endpoints are in admin.go,
+// the usage dump and /debug/vars in vars.go.
 
 // ---- wire types ----
 
@@ -172,35 +169,12 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	}})
 }
 
-// decodeBody reads and JSON-decodes a bounded request body, translating
-// the failure modes into typed 4xx responses (true = proceed).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
-		return false
-	}
-	return true
-}
-
-// readBody reads the bounded raw body (true = proceed).
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
-	if err != nil {
-		s.bodyReadError(w, err)
-		return nil, false
-	}
-	return body, true
-}
-
-// readBodyInto is readBody for the match hot path: the bounded body
-// drains through the scratch's LimitedReader into its reusable buffer, so
-// a steady-state read allocates nothing — no MaxBytesReader wrapper, no
-// fresh io.ReadAll slice. The limit check reads one byte past the cap
-// instead of wrapping the reader, which preserves the 413 envelope.
+// readBodyInto reads the bounded request body of every data-plane
+// endpoint, translating the failure modes into typed 4xx responses (true =
+// proceed): the body drains through the scratch's LimitedReader into its
+// reusable buffer, so a steady-state read allocates nothing — no
+// MaxBytesReader wrapper, no fresh io.ReadAll slice. The limit check reads
+// one byte past the cap instead of wrapping the reader.
 func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, sc *matchScratch) bool {
 	max := s.cfg.maxBody()
 	sc.body.Reset()
@@ -217,16 +191,6 @@ func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, sc *matchS
 		return false
 	}
 	return true
-}
-
-func (s *Server) bodyReadError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-			"request body exceeds %d bytes", tooLarge.Limit)
-	} else {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-	}
 }
 
 // snapshotInfo reports the currently installed snapshots. The descriptors
@@ -322,9 +286,9 @@ func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.Respons
 // the governor's pre-admission gates (ladder sheds, deadline refusal),
 // acquire a worker-pool ticket, absorb the configured test/chaos delays,
 // and hand back the latency clock. On shed it writes the 429 itself and
-// returns ok=false. Every true return must be paired with endAdmitted —
-// the pair is the closure-free form of admitted, used by the match hot
-// path so admission adds zero allocations.
+// returns ok=false. Every true return must be paired with endAdmitted: one
+// worker-pool ticket per request, latency observed on every outcome, and no
+// closure, so admission adds zero allocations.
 func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
 	stats := s.met.endpoints[ep]
 	start = time.Now()
@@ -376,19 +340,6 @@ func (s *Server) endAdmitted(ep string, start time.Time) {
 	stats := s.met.endpoints[ep]
 	stats.requests.Add(1)
 	stats.latency.Observe(time.Since(start))
-}
-
-// admitted wraps a handler body in admission control and metrics: one
-// worker-pool ticket per request (a batch rides on a single ticket, which
-// is where its amortization comes from), latency observed on every
-// outcome, 429 with Retry-After on shed.
-func (s *Server) admitted(ep string, w http.ResponseWriter, r *http.Request, fn func()) {
-	start, ok := s.beginAdmitted(ep, w, r)
-	if !ok {
-		return
-	}
-	defer s.endAdmitted(ep, start)
-	fn()
 }
 
 // requireMethod enforces the endpoint's verb (true = proceed).
@@ -643,8 +594,17 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
 		return
 	}
+	// One scratch serves the whole batch: the body is read into it, and its
+	// arenas grow monotonically, so every result's slices stay valid until
+	// the encode below.
+	sc := getMatchScratch()
+	defer matchScratchPool.Put(sc)
+	if !s.readBodyInto(w, r, sc) {
+		return
+	}
 	var batch matchBatchRequest
-	if !s.decodeBody(w, r, &batch) {
+	if err := json.Unmarshal(sc.body.Bytes(), &batch); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Requests) == 0 {
@@ -663,28 +623,29 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.admitted(epMatchBatch, w, r, func() {
-		s.met.endpoints[epMatchBatch].batchItems.Add(uint64(len(batch.Requests)))
-		out := matchBatchResponse{
-			Count:    len(batch.Requests),
-			Results:  make([]MatchResult, 0, len(batch.Requests)),
-			Snapshot: s.snapshotInfo(),
+	// A batch rides on a single worker-pool ticket, which is where its
+	// amortization comes from.
+	start, ok := s.beginAdmitted(epMatchBatch, w, r)
+	if !ok {
+		return
+	}
+	defer s.endAdmitted(epMatchBatch, start)
+	s.met.endpoints[epMatchBatch].batchItems.Add(uint64(len(batch.Requests)))
+	out := matchBatchResponse{
+		Count:    len(batch.Requests),
+		Results:  make([]MatchResult, 0, len(batch.Requests)),
+		Snapshot: s.snapshotInfo(),
+	}
+	now := time.Now()
+	hotOnly := s.degradeHotOnly()
+	for i := range batch.Requests {
+		res, win := matchOne(ls, batch.Requests[i], sc, hotOnly)
+		if s.anl != nil {
+			s.recordMatch(&batch.Requests[i], win, now)
 		}
-		// One scratch serves the whole batch: the arenas grow monotonically
-		// and every result's slices stay valid until the encode below.
-		sc := getMatchScratch()
-		defer matchScratchPool.Put(sc)
-		now := time.Now()
-		hotOnly := s.degradeHotOnly()
-		for i := range batch.Requests {
-			res, win := matchOne(ls, batch.Requests[i], sc, hotOnly)
-			if s.anl != nil {
-				s.recordMatch(&batch.Requests[i], win, now)
-			}
-			out.Results = append(out.Results, res)
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
+		out.Results = append(out.Results, res)
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // ---- classify ----
@@ -745,21 +706,24 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "empty script body")
 		return
 	}
-	s.admitted(epClassify, w, r, func() {
-		res, err := classifyOne(ms, src)
-		if err != nil {
-			s.met.endpoints[epClassify].errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "bad_script",
-				"script does not parse: %v", err)
-			return
-		}
-		if s.anl != nil {
-			s.recordClassify(res.AntiAdblock, time.Now())
-		}
-		writeJSON(w, http.StatusOK, classifyResponse{
-			ClassifyResult: res,
-			Snapshot:       s.snapshotInfo(),
-		})
+	start, ok := s.beginAdmitted(epClassify, w, r)
+	if !ok {
+		return
+	}
+	defer s.endAdmitted(epClassify, start)
+	res, err := classifyOne(ms, src)
+	if err != nil {
+		s.met.endpoints[epClassify].errors.Add(1)
+		writeError(w, http.StatusUnprocessableEntity, "bad_script",
+			"script does not parse: %v", err)
+		return
+	}
+	if s.anl != nil {
+		s.recordClassify(res.AntiAdblock, time.Now())
+	}
+	writeJSON(w, http.StatusOK, classifyResponse{
+		ClassifyResult: res,
+		Snapshot:       s.snapshotInfo(),
 	})
 }
 
@@ -772,8 +736,15 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
 		return
 	}
+	sc := getMatchScratch()
+	defer matchScratchPool.Put(sc)
+	if !s.readBodyInto(w, r, sc) {
+		return
+	}
+	// Unmarshal copies the scripts out of the pooled buffer.
 	var batch classifyBatchRequest
-	if !s.decodeBody(w, r, &batch) {
+	if err := json.Unmarshal(sc.body.Bytes(), &batch); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Scripts) == 0 {
@@ -785,536 +756,34 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			"%d scripts exceed the %d-item batch limit", len(batch.Scripts), s.cfg.maxBatch())
 		return
 	}
-	s.admitted(epClassifyBatch, w, r, func() {
-		s.met.endpoints[epClassifyBatch].batchItems.Add(uint64(len(batch.Scripts)))
-		// The batch amortizes classifyOne's parse and projection across
-		// the worker pool: one fan-out for all scripts instead of one
-		// request round-trip each. Per-script parse failures annotate
-		// their slot instead of failing the batch.
-		samples, errs, _ := ms.vocab.ProjectAll(context.Background(), batch.Scripts, ms.set, s.cfg.workers())
-		out := classifyBatchResponse{
-			Count:    len(batch.Scripts),
-			Results:  make([]ClassifyResult, len(batch.Scripts)),
-			Snapshot: s.snapshotInfo(),
-		}
-		now := time.Now()
-		for i := range batch.Scripts {
-			if errs[i] != nil {
-				// A parse failure is not a verdict; it annotates the slot and
-				// stays out of the analytics stream.
-				out.Results[i] = ClassifyResult{Error: fmt.Sprintf("script does not parse: %v", errs[i])}
-				continue
-			}
-			out.Results[i] = ms.score(samples[i])
-			if s.anl != nil {
-				s.recordClassify(out.Results[i].AntiAdblock, now)
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-}
-
-// ---- admin ----
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	start, ok := s.beginAdmitted(epClassifyBatch, w, r)
+	if !ok {
 		return
 	}
-	if s.cfg.ModelPath == "" && s.cfg.ListsPath == "" {
-		writeError(w, http.StatusBadRequest, "snapshot", "no snapshot paths configured")
-		return
+	defer s.endAdmitted(epClassifyBatch, start)
+	s.met.endpoints[epClassifyBatch].batchItems.Add(uint64(len(batch.Scripts)))
+	// The batch amortizes classifyOne's parse and projection across
+	// the worker pool: one fan-out for all scripts instead of one
+	// request round-trip each. Per-script parse failures annotate
+	// their slot instead of failing the batch.
+	samples, errs, _ := ms.vocab.ProjectAll(context.Background(), batch.Scripts, ms.set, s.cfg.workers())
+	out := classifyBatchResponse{
+		Count:    len(batch.Scripts),
+		Results:  make([]ClassifyResult, len(batch.Scripts)),
+		Snapshot: s.snapshotInfo(),
 	}
-	if err := s.ReloadSnapshots(); err != nil {
-		// The old snapshots are still installed; the operator gets a
-		// structured 4xx, not a broken server.
-		writeError(w, http.StatusBadRequest, "snapshot", "reload failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, reloadResponse{Reloaded: true, Snapshot: s.snapshotInfo()})
-}
-
-// Health is the /healthz and /readyz response body: liveness, readiness,
-// per-snapshot versions, and the last reload outcome — everything the
-// gateway's health poller and the control plane's rollout watcher need in
-// one fetch.
-type Health struct {
-	Status       string `json:"status"`
-	Replica      string `json:"replica,omitempty"`
-	Ready        bool   `json:"ready"`
-	Draining     bool   `json:"draining,omitempty"`
-	Model        bool   `json:"model"`
-	Lists        bool   `json:"lists"`
-	ModelVersion string `json:"model_version,omitempty"`
-	ListsVersion string `json:"lists_version,omitempty"`
-	// ListsCompiled reports whether the serving snapshot carried
-	// pre-compiled match automata (schema v3) rather than being recompiled
-	// at load.
-	ListsCompiled bool `json:"lists_compiled,omitempty"`
-	// ListsTiered reports whether every served list carries a hot/cold
-	// tier split (schema v4, produced by adwars-compact).
-	ListsTiered bool           `json:"lists_tiered,omitempty"`
-	LastReload  *ReloadOutcome `json:"last_reload,omitempty"`
-}
-
-// health assembles the shared health/readiness report.
-func (s *Server) health() Health {
-	h := Health{
-		Status:   "ok",
-		Replica:  s.cfg.ReplicaID,
-		Draining: s.draining.Load(),
-	}
-	if ms := s.model.Load(); ms != nil {
-		h.Model = true
-		h.ModelVersion = ms.version
-	}
-	if ls := s.lists.Load(); ls != nil {
-		h.Lists = true
-		h.ListsVersion = ls.version
-		h.ListsCompiled = ls.snap.Compiled
-		h.ListsTiered = ls.snap.Tiered
-	}
-	h.LastReload = s.lastReload.Load()
-	h.Ready = (h.Model || h.Lists) && !h.Draining
-	switch {
-	case !h.Model && !h.Lists:
-		h.Status = "no snapshots"
-	case h.Draining:
-		h.Status = "draining"
-	}
-	return h
-}
-
-// handleHealthz is liveness: 200 as long as the process can answer and
-// has any snapshot, even while draining.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	status := http.StatusOK
-	if !h.Model && !h.Lists {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, h)
-}
-
-// handleReadyz is routability: 503 once drain is announced (or before any
-// snapshot is loaded), so gateways stop sending traffic here while the
-// data plane finishes the requests it already has.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	status := http.StatusOK
-	if !h.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, h)
-}
-
-// pushResponse answers a successful control-plane snapshot push.
-type pushResponse struct {
-	Installed bool   `json:"installed"`
-	Kind      string `json:"kind"`
-	Version   string `json:"version"`
-}
-
-// handleSnapshot is the control-plane snapshot exchange, keyed by
-// /admin/snapshot/{lists,model}:
-//
-//   - POST installs a pushed artifact: the body is the sealed wire format
-//     (the same CRC64 framing snapshots carry on disk). It is verified,
-//     parsed, persisted atomically to the configured path, and installed —
-//     in that order, so a replica restart always finds what it was last
-//     serving. A damaged or unsealed push is refused with 422 and ticks
-//     reload_rejected, exactly like a corrupt disk reload.
-//   - GET returns the raw sealed bytes of the installed snapshot, which is
-//     how the control plane captures last-good before a rollout so it can
-//     roll back without any other storage.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	kind := strings.TrimPrefix(r.URL.Path, "/admin/snapshot/")
-	if kind != "lists" && kind != "model" {
-		writeError(w, http.StatusNotFound, "not_found", "unknown snapshot kind %q", kind)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		s.handleSnapshotGet(w, kind)
-	case http.MethodPost:
-		s.handleSnapshotPush(w, r, kind)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires GET or POST", r.URL.Path)
-	}
-}
-
-func (s *Server) handleSnapshotGet(w http.ResponseWriter, kind string) {
-	var raw []byte
-	var version string
-	switch kind {
-	case "lists":
-		if ls := s.lists.Load(); ls != nil {
-			raw, version = ls.raw, ls.version
-		}
-	case "model":
-		if ms := s.model.Load(); ms != nil {
-			raw, version = ms.raw, ms.version
-		}
-	}
-	if len(raw) == 0 {
-		writeError(w, http.StatusNotFound, "no_snapshot",
-			"no artifact-backed %s snapshot installed", kind)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Adwars-Snapshot-Version", version)
-	w.Write(raw)
-}
-
-func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind string) {
-	path := s.cfg.ListsPath
-	if kind == "model" {
-		path = s.cfg.ModelPath
-	}
-	if path == "" {
-		writeError(w, http.StatusBadRequest, "snapshot",
-			"no %s snapshot path configured on this replica", kind)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshot))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				"snapshot exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading snapshot body: %v", err)
-		}
-		return
-	}
-	// The wire format is the artifact framing itself: an unsealed push has
-	// no integrity story over the network, so it is refused outright.
-	_, sealed, version, err := artifact.OpenVersion(data)
-	if err == nil && !sealed {
-		err = artifact.Corruptf("missing-trailer", "pushed %s snapshot is not sealed", kind)
-	}
-	// Parse before persisting so a schema-broken artifact never reaches
-	// disk, then persist before installing so disk and memory can only
-	// disagree in the direction of "disk newer, reload pending".
-	var install func() error
-	switch {
-	case err != nil:
-	case kind == "lists":
-		var snap *abp.ListsSnapshot
-		snap, err = abp.ParseListsSnapshot(data)
-		install = func() error { return s.installLists(snap, version, data) }
-	default:
-		var snap *ml.ModelSnapshot
-		snap, err = ml.ParseModelSnapshot(data)
-		install = func() error { return s.installModel(snap, version, data) }
-	}
-	if err == nil {
-		if err = artifact.WriteFileAtomic(path, data, 0o644); err != nil {
-			s.reloadFailed("push", err)
-			writeError(w, http.StatusInternalServerError, "persist_failed",
-				"persisting pushed snapshot: %v", err)
-			return
-		}
-		err = install()
-	}
-	if err != nil {
-		s.reloadFailed("push", err)
-		writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
-			"pushed %s snapshot refused: %v", kind, err)
-		return
-	}
-	s.met.reloads.Add(1)
-	s.met.pushes.Add(1)
-	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "push"})
-	writeJSON(w, http.StatusOK, pushResponse{Installed: true, Kind: kind, Version: version})
-}
-
-// ---- usage ----
-
-// UsageRule is one entry of a list's top-K hit ranking.
-type UsageRule struct {
-	Ordinal int    `json:"ordinal"`
-	Rule    string `json:"rule"`
-	Hits    uint64 `json:"hits"`
-}
-
-// UsageList is one list's per-rule usage distribution. Hits carries every
-// rule that fired as an [ordinal, count] pair in ordinal order — the
-// machine-readable form adwars-compact consumes; Top is the human-readable
-// ranking. DeadFraction is over HTTP rules only (element-hiding rules
-// never take the match path, counting them as "dead" would be noise).
-type UsageList struct {
-	List         string      `json:"list"`
-	Rules        int         `json:"rules"`
-	HTTPRules    int         `json:"http_rules"`
-	TotalHits    uint64      `json:"total_hits"`
-	DeadRules    int         `json:"dead_rules"`
-	DeadFraction float64     `json:"dead_fraction"`
-	Top          []UsageRule `json:"top,omitempty"`
-	Hits         [][2]uint64 `json:"hits"`
-}
-
-// UsageDump is the /admin/usage response body.
-type UsageDump struct {
-	TotalHits uint64      `json:"total_hits"`
-	Lists     []UsageList `json:"lists"`
-}
-
-// usageList builds one list's usage report with the given top-K depth.
-func usageList(l *abp.List, topK int) UsageList {
-	counts := l.Usage().Counts()
-	rules := l.Rules()
-	ul := UsageList{List: l.Name, Rules: len(rules), Hits: make([][2]uint64, 0, 16)}
-	for ord, r := range rules {
-		if !r.IsHTTP() {
+	now := time.Now()
+	for i := range batch.Scripts {
+		if errs[i] != nil {
+			// A parse failure is not a verdict; it annotates the slot and
+			// stays out of the analytics stream.
+			out.Results[i] = ClassifyResult{Error: fmt.Sprintf("script does not parse: %v", errs[i])}
 			continue
 		}
-		ul.HTTPRules++
-		if counts[ord] == 0 {
-			ul.DeadRules++
-			continue
-		}
-		ul.TotalHits += counts[ord]
-		ul.Hits = append(ul.Hits, [2]uint64{uint64(ord), counts[ord]})
-	}
-	if ul.HTTPRules > 0 {
-		ul.DeadFraction = float64(ul.DeadRules) / float64(ul.HTTPRules)
-	}
-	if topK > 0 && len(ul.Hits) > 0 {
-		ranked := append([][2]uint64(nil), ul.Hits...)
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i][1] != ranked[j][1] {
-				return ranked[i][1] > ranked[j][1]
-			}
-			return ranked[i][0] < ranked[j][0]
-		})
-		if len(ranked) > topK {
-			ranked = ranked[:topK]
-		}
-		for _, p := range ranked {
-			ul.Top = append(ul.Top, UsageRule{
-				Ordinal: int(p[0]),
-				Rule:    rules[p[0]].Raw,
-				Hits:    p[1],
-			})
+		out.Results[i] = ms.score(samples[i])
+		if s.anl != nil {
+			s.recordClassify(out.Results[i].AntiAdblock, now)
 		}
 	}
-	return ul
-}
-
-// handleUsage dumps the per-rule hit counters of every served list: the
-// shard banks are merged on read (recording never pays for reporting).
-// The dump is both an operator surface (top-K, dead-rule fraction — the
-// paper's "most rules never fire" skew, observed live) and the input
-// adwars-compact turns into a tiered snapshot. ?top=N adjusts the ranking
-// depth (default 10, 0 disables).
-func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	ls := s.lists.Load()
-	if ls == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
-		return
-	}
-	topK := 10
-	if v := r.URL.Query().Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad_request", "invalid top=%q", v)
-			return
-		}
-		topK = n
-	}
-	dump := UsageDump{Lists: make([]UsageList, 0, len(ls.snap.Lists))}
-	for _, l := range ls.snap.Lists {
-		if l.Usage() == nil {
-			writeError(w, http.StatusNotFound, "usage_disabled",
-				"usage counters are disabled on this replica")
-			return
-		}
-		ul := usageList(l, topK)
-		dump.TotalHits += ul.TotalHits
-		dump.Lists = append(dump.Lists, ul)
-	}
-	writeJSON(w, http.StatusOK, dump)
-}
-
-// ---- analytics ----
-
-// handleAnalytics snapshots the decision analytics pipeline: producer
-// counters (recorded / dropped / sampled-out), cumulative per-verdict
-// totals (which survive bucket eviction — the reconciliation anchor),
-// aggregator occupancy against its bounds, and the in-memory bucket rows.
-// adwars-report -live consumes it directly; adwars-loadgen
-// -check analytics reconciles its totals against the client-side ledger.
-func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if s.anl == nil {
-		writeError(w, http.StatusNotFound, "analytics_disabled",
-			"decision analytics are disabled on this replica")
-		return
-	}
-	snap := s.anl.Snapshot()
-	writeJSON(w, http.StatusOK, &snap)
-}
-
-// ---- degrade ----
-
-// parseDegradeLevel accepts "L2" or "2" forms for operator pins.
-func parseDegradeLevel(v string) (degrade.Level, bool) {
-	if len(v) == 2 && (v[0] == 'L' || v[0] == 'l') {
-		v = v[1:]
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 || n > int(degrade.L4) {
-		return 0, false
-	}
-	return degrade.Level(n), true
-}
-
-// handleDegrade is the operator surface for the overload governor:
-//
-//   - GET returns the governor snapshot (level, pin state, transition
-//     ledger, last pressure signals).
-//   - POST ?pin=L2 pins the ladder at a level — the ticker keeps
-//     counting but cannot move it — for incident response or brownout
-//     drills; POST ?unpin releases it back to automatic control.
-func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
-	if s.gov == nil {
-		writeError(w, http.StatusNotFound, "degrade_disabled",
-			"the overload governor is disabled on this replica")
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		snap := s.gov.Snapshot()
-		writeJSON(w, http.StatusOK, &snap)
-	case http.MethodPost:
-		q := r.URL.Query()
-		switch {
-		case q.Has("pin"):
-			lvl, ok := parseDegradeLevel(q.Get("pin"))
-			if !ok {
-				writeError(w, http.StatusBadRequest, "bad_request",
-					"invalid pin level %q (want L0..L4)", q.Get("pin"))
-				return
-			}
-			s.gov.Pin(lvl)
-		case q.Has("unpin"):
-			s.gov.Unpin()
-		default:
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"POST needs ?pin=L0..L4 or ?unpin")
-			return
-		}
-		snap := s.gov.Snapshot()
-		writeJSON(w, http.StatusOK, &snap)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires GET or POST", r.URL.Path)
-	}
-}
-
-// degradeVars renders the governor snapshot for /debug/vars.
-func (s *Server) degradeVars() string {
-	if s.gov == nil {
-		return `{"enabled":false}`
-	}
-	data, err := json.Marshal(s.gov.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
-
-// analyticsVars renders the collector's cheap accounting for /debug/vars
-// (lazy-read contract: nothing is computed until scraped).
-func (s *Server) analyticsVars() string {
-	if s.anl == nil {
-		return `{"enabled":false}`
-	}
-	data, err := json.Marshal(s.anl.Vars())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
-
-// usageAggregate is the cheap usage summary inlined into /debug/vars.
-type usageAggregate struct {
-	Enabled      bool    `json:"enabled"`
-	TotalHits    uint64  `json:"total_hits"`
-	HTTPRules    int     `json:"http_rules"`
-	DeadRules    int     `json:"dead_rules"`
-	DeadFraction float64 `json:"dead_fraction"`
-}
-
-// usageVars renders the aggregate as JSON. The counters are sharded
-// per-bank atomics; merging them happens here, on the read side, so the
-// match path never pays for metrics export (satellite of the lazy-read
-// contract: /debug/vars computes the aggregate only when scraped).
-func (s *Server) usageVars() string {
-	agg := usageAggregate{}
-	if ls := s.lists.Load(); ls != nil {
-		for _, l := range ls.snap.Lists {
-			u := l.Usage()
-			if u == nil {
-				continue
-			}
-			agg.Enabled = true
-			counts := u.Counts()
-			for ord, r := range l.Rules() {
-				if !r.IsHTTP() {
-					continue
-				}
-				agg.HTTPRules++
-				if counts[ord] == 0 {
-					agg.DeadRules++
-				} else {
-					agg.TotalHits += counts[ord]
-				}
-			}
-		}
-	}
-	if agg.HTTPRules > 0 {
-		agg.DeadFraction = float64(agg.DeadRules) / float64(agg.HTTPRules)
-	}
-	data, err := json.Marshal(agg)
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
-
-// handleDebugVars renders the process-global expvar registry plus this
-// server's metrics tree under "adwars_serve" — the standard /debug/vars
-// shape without requiring the server to win a global registration race
-// (tests run many servers in one process).
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "adwars_serve" {
-			return // replaced below with this server's tree
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	if !first {
-		fmt.Fprintf(w, ",\n")
-	}
-	fmt.Fprintf(w, "%q: %s", "adwars_serve", s.met.String())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_usage", s.usageVars())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_analytics", s.analyticsVars())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_degrade", s.degradeVars())
-	fmt.Fprintf(w, "\n}\n")
+	writeJSON(w, http.StatusOK, out)
 }

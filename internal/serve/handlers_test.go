@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adwars/internal/abp"
+	"adwars/internal/artifact"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -177,8 +178,8 @@ func TestReloadFromDiskAndVersionError(t *testing.T) {
 
 	// A future-versioned model snapshot must be rejected with a structured
 	// 4xx and must not disturb the installed snapshots.
-	bad := strings.Replace(testModelJSON, `"version": 1`, `"version": 999`, 1)
-	if err := os.WriteFile(modelPath, []byte(bad), 0o644); err != nil {
+	bad := strings.Replace(testModelJSON, `"version": 2`, `"version": 999`, 1)
+	if err := os.WriteFile(modelPath, artifact.Seal([]byte(bad)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec = do(t, s, "POST", "/admin/reload", "")

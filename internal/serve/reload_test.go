@@ -95,7 +95,7 @@ func TestReloadUnderFire(t *testing.T) {
 				t.Error(err)
 			}
 		} else {
-			if err := os.WriteFile(modelPath, []byte(testModelJSON), 0o644); err != nil {
+			if err := os.WriteFile(modelPath, testModelFile(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := ts.Client().Post(ts.URL+"/admin/reload", "application/json", nil)

@@ -163,8 +163,8 @@ type listsState struct {
 	snap  *abp.ListsSnapshot
 	rules int
 	// version and raw are as in modelState. raw is also the memory the
-	// automata of a compiled snapshot read (abp.ParseListsSnapshot decodes in
-	// place), so it is never written once the state is installed.
+	// lists' automata read (abp.ParseListsSnapshot decodes in place), so it
+	// is never written once the state is installed.
 	version string
 	raw     []byte
 	// info is the precomputed response descriptor (see modelState.info).
@@ -382,18 +382,29 @@ func (s *Server) CloseAnalytics() error {
 // requests keep the state they already loaded; new requests see the new
 // snapshot — no request ever observes a half-installed model.
 func (s *Server) SetModelSnapshot(snap *ml.ModelSnapshot) error {
-	return s.installModel(snap, "", nil)
+	ms, err := prepareModel(snap, "", nil)
+	if err != nil {
+		return err
+	}
+	s.model.Store(ms)
+	return nil
 }
 
-// installModel validates snap and swaps it in, remembering the version
-// and raw bytes when it came from an artifact.
-func (s *Server) installModel(snap *ml.ModelSnapshot, version string, raw []byte) error {
+// Installing a snapshot is two steps: a prepare* that does everything that
+// can fail and returns the finished state, and an atomic Store that cannot.
+// A caller with more than one thing to validate — both snapshots of a
+// reload, a push that must also reach disk — finishes all of it before the
+// first Store, so a refusal leaves disk and memory exactly as they were.
+
+// prepareModel validates snap and builds its serving state; version and raw
+// are those of the artifact it was parsed from, empty when there is none.
+func prepareModel(snap *ml.ModelSnapshot, version string, raw []byte) (*modelState, error) {
 	set, err := features.SetFromString(snap.FeatureSet)
 	if err != nil {
-		return fmt.Errorf("serve: model snapshot: %w", err)
+		return nil, fmt.Errorf("serve: model snapshot: %w", err)
 	}
 	if len(snap.Vocab) == 0 {
-		return fmt.Errorf("serve: model snapshot has an empty vocabulary")
+		return nil, fmt.Errorf("serve: model snapshot has an empty vocabulary")
 	}
 	ms := &modelState{
 		snap:     snap,
@@ -409,18 +420,34 @@ func (s *Server) installModel(snap *ml.ModelSnapshot, version string, raw []byte
 		Rounds:     ms.snap.Model.Rounds(),
 		Version:    ms.version,
 	}
-	s.model.Store(ms)
-	return nil
+	return ms, nil
+}
+
+// parseModel is the artifact form of prepareModel: the sealed bytes parsed,
+// then prepared.
+func parseModel(raw []byte) (*modelState, error) {
+	snap, err := ml.ParseModelSnapshot(raw)
+	if err != nil {
+		return nil, err
+	}
+	return prepareModel(snap, snap.Version, raw)
 }
 
 // SetListsSnapshot installs a compiled-lists snapshot atomically.
 func (s *Server) SetListsSnapshot(snap *abp.ListsSnapshot) error {
-	return s.installLists(snap, "", nil)
+	ls, err := s.prepareLists(snap, "", nil)
+	if err != nil {
+		return err
+	}
+	s.lists.Store(ls)
+	return nil
 }
 
-func (s *Server) installLists(snap *abp.ListsSnapshot, version string, raw []byte) error {
+// prepareLists validates snap and builds its serving state; version and raw
+// are as in prepareModel.
+func (s *Server) prepareLists(snap *abp.ListsSnapshot, version string, raw []byte) (*listsState, error) {
 	if len(snap.Lists) == 0 {
-		return fmt.Errorf("serve: lists snapshot has no lists")
+		return nil, fmt.Errorf("serve: lists snapshot has no lists")
 	}
 	if !s.cfg.DisableUsage {
 		// Attach the per-rule hit counters before the state becomes visible
@@ -435,53 +462,59 @@ func (s *Server) installLists(snap *abp.ListsSnapshot, version string, raw []byt
 		Label:   snap.Label,
 		Lists:   len(snap.Lists),
 		Rules:   ls.rules,
-		Version: version,
+		Version: ls.version,
 	}
-	s.lists.Store(ls)
-	return nil
+	return ls, nil
+}
+
+// parseLists is the artifact form of prepareLists. The lists' automata
+// alias raw from here on: the state keeps the one buffer, and nothing
+// writes it after it is stored.
+func (s *Server) parseLists(raw []byte) (*listsState, error) {
+	snap, err := abp.ParseListsSnapshot(raw)
+	if err != nil {
+		return nil, err
+	}
+	return s.prepareLists(snap, snap.Version, raw)
 }
 
 // ReloadSnapshots re-reads the configured snapshot paths and installs
-// whatever loads cleanly. On any error the previous snapshots stay
-// installed untouched — a bad reload never degrades a serving process. A
-// snapshot rejected for failing its integrity check (torn write, bit rot,
-// missing trailer) additionally ticks reload_rejected, so corruption is
-// distinguishable from operational errors like a missing file. Each
-// installed state remembers the artifact version (payload CRC64) it was
-// loaded from; /healthz reports it and the control plane compares it
-// during rollouts.
+// them. On any error — either file unreadable, damaged, or holding a
+// snapshot this server cannot serve — the previous snapshots both stay
+// installed untouched: everything is prepared before anything is stored, so
+// a bad reload never degrades a serving process or leaves it on a model
+// and lists from two different reloads. A snapshot rejected for failing its
+// integrity check (torn write, bit rot, missing trailer) additionally
+// ticks reload_rejected, so corruption is distinguishable from operational
+// errors like a missing file. Each installed state remembers the artifact
+// version (payload CRC64) it was loaded from; /healthz reports it and the
+// control plane compares it during rollouts.
 func (s *Server) ReloadSnapshots() error {
-	var model *ml.ModelSnapshot
-	var lists *abp.ListsSnapshot
-	var modelRaw, listsRaw []byte
-	var err error
+	var ms *modelState
+	var ls *listsState
 	if path := s.cfg.ModelPath; path != "" {
-		if modelRaw, err = os.ReadFile(path); err != nil {
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			return s.reloadFailed("disk", err)
 		}
-		if model, err = ml.ParseModelSnapshot(modelRaw); err != nil {
+		if ms, err = parseModel(raw); err != nil {
 			return s.reloadFailed("disk", fmt.Errorf("%s: %w", path, err))
 		}
 	}
 	if path := s.cfg.ListsPath; path != "" {
-		if listsRaw, err = os.ReadFile(path); err != nil {
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			return s.reloadFailed("disk", err)
 		}
-		// The lists' automata alias listsRaw from here on: the state keeps
-		// the one buffer, and nothing writes it after install.
-		if lists, err = abp.ParseListsSnapshot(listsRaw); err != nil {
+		if ls, err = s.parseLists(raw); err != nil {
 			return s.reloadFailed("disk", fmt.Errorf("%s: %w", path, err))
 		}
 	}
-	if model != nil {
-		if err := s.installModel(model, model.Version, modelRaw); err != nil {
-			return s.reloadFailed("disk", err)
-		}
+	if ms != nil {
+		s.model.Store(ms)
 	}
-	if lists != nil {
-		if err := s.installLists(lists, lists.Version, listsRaw); err != nil {
-			return s.reloadFailed("disk", err)
-		}
+	if ls != nil {
+		s.lists.Store(ls)
 	}
 	s.met.reloads.Add(1)
 	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "disk"})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adwars/internal/abp"
+	"adwars/internal/artifact"
 	"adwars/internal/ml"
 )
 
@@ -16,7 +17,7 @@ import (
 // probes scores 1.0, anything else 0.0.
 const testModelJSON = `{
   "format": "adwars-model",
-  "version": 1,
+  "version": 2,
   "classifier": "adaboost",
   "feature_set": "keyword",
   "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
@@ -56,10 +57,14 @@ func testListsSnapshot(t *testing.T) *abp.ListsSnapshot {
 	return &abp.ListsSnapshot{Label: "test", Lists: []*abp.List{la, lb}}
 }
 
-// testModelSnapshot parses the hand-built model JSON.
+// testModelFile is the hand-built model as the file adwars-detect would
+// have written.
+func testModelFile() []byte { return artifact.Seal([]byte(testModelJSON)) }
+
+// testModelSnapshot parses the hand-built model.
 func testModelSnapshot(t *testing.T) *ml.ModelSnapshot {
 	t.Helper()
-	snap, err := ml.ParseModelSnapshot([]byte(testModelJSON))
+	snap, err := ml.ParseModelSnapshot(testModelFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func writeSnapshotFiles(t *testing.T, dir string) (modelPath, listsPath string) 
 	t.Helper()
 	modelPath = filepath.Join(dir, "model.json")
 	listsPath = filepath.Join(dir, "lists.json")
-	if err := os.WriteFile(modelPath, []byte(testModelJSON), 0o644); err != nil {
+	if err := os.WriteFile(modelPath, testModelFile(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := abp.SaveListsSnapshot(listsPath, testListsSnapshot(t)); err != nil {

@@ -140,7 +140,7 @@ func TestUsageDebugVarsAggregate(t *testing.T) {
 }
 
 // TestServeTieredSnapshot proves the serving stack is tier-transparent
-// end to end: a v4 tiered snapshot loads from disk, /healthz advertises
+// end to end: a tiered snapshot loads from disk, /healthz advertises
 // it, and /v1/match answers byte-identically to the untiered server.
 func TestServeTieredSnapshot(t *testing.T) {
 	snap := testListsSnapshot(t)
@@ -149,8 +149,8 @@ func TestServeTieredSnapshot(t *testing.T) {
 		tiered.Lists = append(tiered.Lists, l.CompileTiered(nil))
 	}
 	dir := t.TempDir()
-	path := dir + "/lists.v4.json"
-	if err := abp.SaveListsSnapshotTiered(path, tiered); err != nil {
+	path := dir + "/lists.tiered.json"
+	if err := abp.SaveListsSnapshot(path, tiered); err != nil {
 		t.Fatal(err)
 	}
 	ts := New(Config{ListsPath: path})
@@ -164,8 +164,8 @@ func TestServeTieredSnapshot(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.ListsCompiled || !h.ListsTiered {
-		t.Fatalf("health = compiled %v tiered %v, want both", h.ListsCompiled, h.ListsTiered)
+	if !h.ListsTiered {
+		t.Fatal("health does not report the tiered snapshot")
 	}
 
 	for _, body := range []string{

@@ -159,7 +159,7 @@ dashboard() {
 # no 5xx; the reload must show in the log); then, the server quiet, a pass
 # whose usage ledger and one whose analytics ledger must reconcile to the
 # unit; the live dashboard over /admin/analytics; /admin/usage compacted
-# into a tiered v4 snapshot that a second server serves clean; both drain
+# into a tiered snapshot that a second server serves clean; both drain
 # cleanly; and the drain flushed the analytics spill, which the dashboard
 # renders again from disk.
 scenario_serve() {
@@ -181,7 +181,7 @@ scenario_serve() {
     say "live analytics dashboard..."
     dashboard "live analytics dashboard" -url "$MAIN"
 
-    say "compacting usage into a tiered v4 snapshot..."
+    say "compacting usage into a tiered snapshot..."
     mkdir -p "$W/tiered"
     "$BIN/adwars-compact" -lists "$DIR/lists.json" \
         -usage "$MAIN/admin/usage" -out "$W/tiered/lists.json"
