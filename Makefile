@@ -66,8 +66,9 @@ bench-test:
 # bound, and what parses must survive Print and a second Parse. Its seeds
 # include nests at the depth bound, hence the same cap. Then ten seconds of
 # FuzzReadListsSnapshot: a snapshot cut at or inside any section, or with its
-# sections reordered, repeated or renamed, never panics the loader, and
-# whatever loads answers as the linear scan over its own rules does. Its
+# sections reordered, repeated or renamed, or with the bytes of its rule text
+# or of an automaton overwritten under a fresh frame, never panics the loader,
+# and whatever loads answers as the linear scan over its own rules does. Its
 # seeds are whole snapshot files, hence the same cap. Then ten seconds of
 # FuzzBackendReply: the gateway reads replica replies off its own keep-alive
 # connections, so whatever bytes a replica answers with, and whether it then
@@ -88,8 +89,8 @@ fuzz-smoke:
 #
 #   serve     one adwars-serve: ~2s of mixed load with a SIGHUP hot reload
 #             mid-fire, usage and analytics ledgers reconciled to the unit,
-#             live and spill dashboards, a compacted tiered snapshot served
-#             clean, a clean drain.
+#             live and spill dashboards, a compacted tiered snapshot and a
+#             converted schema-4 one served clean, a clean drain.
 #   chaos     every fault class injected (-chaos-* flags) under hostile
 #             load (malformed / oversized / slow-trickle / mid-body-abort),
 #             a corrupted-snapshot reload mid-fire rejected while last-good

@@ -27,7 +27,7 @@
 // Without -usage nothing is tiered: the lists are written back flat. That
 // is the format converter. adwars-serve and every other loader read the
 // current snapshot schema only; this tool reads the older sealed schemas
-// (2 and 3) as well, because all it takes from a file is the rule text — it
+// (2 to 4) as well, because all it takes from a file is the rule text — it
 // verifies the seal, compiles the rules afresh and writes the current
 // schema, whichever mode it runs in.
 package main
@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 4)")
+	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 5)")
 	usagePath := flag.String("usage", "", "usage dump: /admin/usage JSON file or http(s) URL; omit to convert -lists to the current schema, flat")
 	out := flag.String("out", "", "output path for the snapshot")
 	minHits := flag.Uint64("min-hits", 1, "minimum recorded hits for a rule to stay in the hot tier")
@@ -92,11 +92,13 @@ func run(listsPath, usagePath, out string, minHits uint64, label string) error {
 	return nil
 }
 
-// readLists is the one reader of older snapshot schemas in the tree. Every
-// sealed schema keeps the rules the same way — a JSON document of named
+// readLists is the one reader of older snapshot schemas in the tree.
+// Schemas 2 to 4 keep the rules the same way — a JSON document of named
 // lists of canonical rule lines in front of whatever sections that schema
-// had — so the seal is verified, the sections are ignored, and the lists
-// are compiled from the rule text as adwars-lists compiled them.
+// had — so the seal is verified, the sections are ignored and the lines are
+// parsed; the current schema is read by its own loader, every check made.
+// Either way the lists are compiled from the rule text as adwars-lists
+// compiled them, so what is written is flat until tier says otherwise.
 func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -110,14 +112,12 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// Lists waits for the version: schema 5 counts where the others list.
 	var doc struct {
-		Format  string `json:"format"`
-		Version int    `json:"version"`
-		Label   string `json:"label"`
-		Lists   []struct {
-			Name  string   `json:"name"`
-			Rules []string `json:"rules"`
-		} `json:"lists"`
+		Format  string          `json:"format"`
+		Version int             `json:"version"`
+		Label   string          `json:"label"`
+		Lists   json.RawMessage `json:"lists"`
 	}
 	if err := json.Unmarshal(primary, &doc); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
@@ -130,7 +130,24 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 			abp.ErrSnapshotVersion, doc.Version, abp.ListsSnapshotVersion)
 	}
 	snap = &abp.ListsSnapshot{Label: doc.Label}
-	for _, lj := range doc.Lists {
+	if doc.Version == abp.ListsSnapshotVersion {
+		loaded, err := abp.ParseListsSnapshot(data)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, l := range loaded.Lists {
+			snap.Lists = append(snap.Lists, abp.NewList(l.Name, l.Rules()))
+		}
+		return snap, doc.Version, nil
+	}
+	var lists []struct {
+		Name  string   `json:"name"`
+		Rules []string `json:"rules"`
+	}
+	if err := json.Unmarshal(doc.Lists, &lists); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
+	}
+	for _, lj := range lists {
 		rules := make([]*abp.Rule, 0, len(lj.Rules))
 		for _, line := range lj.Rules {
 			r, err := abp.Parse(line)

@@ -13,7 +13,8 @@ import (
 )
 
 // The fixtures are the two snapshots the parent of PR 14 (b547b05) wrote
-// from one rule set: schema 3 (flat) and schema 4 (tiered).
+// from one rule set: schema 3 (flat) and schema 4 (tiered). No loader reads
+// either any more.
 func fixture(name string) string {
 	return filepath.Join("..", "..", "internal", "abp", "testdata", name)
 }
@@ -77,49 +78,63 @@ func assertLinear(t *testing.T, l *abp.List) {
 	}
 }
 
-// TestConvertOlderSchema: the loader refuses the schema-3 file and says what
-// converts it; converted, it loads and answers as the linear scan does. The
-// automaton is compiled afresh, not carried over: b547b05 drew keywords
-// from Unicode-lowered patterns, so the file's own automaton.0 differs from
-// today's build and misses a URL ("/\u212aelvin.js" asked as written) that
-// the converted list answers.
+// TestConvertOlderSchema: the loader refuses both older files by version and
+// says what converts them; converted, each loads flat and answers as the
+// linear scan does. The automaton is compiled afresh, not carried over:
+// b547b05 drew keywords from Unicode-lowered patterns, so the files' own
+// automata differ from today's build and miss a URL ("/\u212aelvin.js" asked
+// as written) that the converted list answers.
 func TestConvertOlderSchema(t *testing.T) {
-	old := fixture("parent-v3.snapshot")
-	if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
-		t.Fatalf("loading schema 3: err = %v, want ErrSnapshotVersion naming adwars-compact", err)
+	for _, c := range []struct{ file, ownAutomaton string }{
+		{"parent-v3.snapshot", "automaton.0"},
+		{"parent-v4.snapshot", "automaton.hot.0"},
+	} {
+		old := fixture(c.file)
+		if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
+			t.Fatalf("loading %s: err = %v, want ErrSnapshotVersion naming adwars-compact", c.file, err)
+		}
+		out := filepath.Join(t.TempDir(), "lists.json")
+		if err := run(old, "", out, 1, ""); err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		snap, err := abp.LoadListsSnapshot(out)
+		if err != nil {
+			t.Fatalf("%s converted: %v", c.file, err)
+		}
+		if snap.Label != "written by b547b05" || len(snap.Lists) != 1 || snap.Tiered() {
+			t.Fatalf("%s converted: label %q, %d lists, tiered %v", c.file, snap.Label, len(snap.Lists), snap.Tiered())
+		}
+		l := snap.Lists[0]
+		if !bytes.Equal(section(t, out, "automaton.hot.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
+			t.Errorf("%s converted: automaton.hot.0 is not this build's compile of its rules", c.file)
+		}
+		if bytes.Equal(l.AutomatonBytes(), section(t, old, c.ownAutomaton)) {
+			t.Errorf("%s converted: the automaton is the one b547b05 compiled: the fixture no longer shows that conversion recompiles", c.file)
+		}
+		assertLinear(t, l)
 	}
-	out := filepath.Join(t.TempDir(), "lists.json")
-	if err := run(old, "", out, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := abp.LoadListsSnapshot(out)
-	if err != nil {
-		t.Fatalf("converted file: %v", err)
-	}
-	if snap.Label != "written by b547b05" || len(snap.Lists) != 1 || snap.Tiered() {
-		t.Fatalf("converted snapshot: label %q, %d lists, tiered %v", snap.Label, len(snap.Lists), snap.Tiered())
-	}
-	l := snap.Lists[0]
-	if !bytes.Equal(section(t, out, "automaton.hot.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
-		t.Error("the converted file's automaton.hot.0 is not this build's compile of its rules")
-	}
-	if bytes.Equal(l.AutomatonBytes(), section(t, old, "automaton.0")) {
-		t.Error("the converted automaton is the one b547b05 compiled: the fixture no longer shows that conversion recompiles")
-	}
-	assertLinear(t, l)
 }
 
-// TestConvertCurrentSchema: the schema-4 file loads as it is; through the
-// tool without -usage it comes out flat, with the same rules and the same
-// answers; with a usage dump either file is tiered in one step.
+// TestConvertCurrentSchema: a file of the current schema goes through its
+// own loader; without -usage a tiered one comes out flat, with the same
+// rules and the same answers; with a usage dump a file of any schema is
+// tiered in one step.
 func TestConvertCurrentSchema(t *testing.T) {
-	cur := fixture("parent-v4.snapshot")
+	dir := t.TempDir()
+	usage := filepath.Join(dir, "usage.json")
+	dump := `{"total_hits":3,"lists":[{"list":"parent-b547b05","hits":[[1,2],[5,1]]}]}`
+	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Join(dir, "current.json")
+	if err := run(fixture("parent-v4.snapshot"), usage, cur, 1, ""); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := abp.LoadListsSnapshot(cur)
 	if err != nil || !loaded.Tiered() {
-		t.Fatalf("loading schema 4: tiered %v, err %v", loaded != nil && loaded.Tiered(), err)
+		t.Fatalf("loading the current schema: tiered %v, err %v", loaded != nil && loaded.Tiered(), err)
 	}
 
-	dir := t.TempDir()
 	flat := filepath.Join(dir, "flat.json")
 	if err := run(cur, "", flat, 1, "relabelled"); err != nil {
 		t.Fatal(err)
@@ -131,14 +146,14 @@ func TestConvertCurrentSchema(t *testing.T) {
 	if snap.Label != "relabelled" || snap.Tiered() || snap.Rules() != loaded.Rules() {
 		t.Fatalf("flattened snapshot: label %q, tiered %v, %d rules (want %d)", snap.Label, snap.Tiered(), snap.Rules(), loaded.Rules())
 	}
+	for i, r := range snap.Lists[0].Rules() {
+		if want := loaded.Lists[0].Rules()[i].Raw; r.Raw != want {
+			t.Fatalf("flattened snapshot: rule %d is %q, was %q", i, r.Raw, want)
+		}
+	}
 	assertLinear(t, snap.Lists[0])
 
-	usage := filepath.Join(dir, "usage.json")
-	dump := `{"total_hits":3,"lists":[{"list":"parent-b547b05","hits":[[1,2],[5,1]]}]}`
-	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range []string{fixture("parent-v3.snapshot"), cur, flat} {
+	for _, in := range []string{fixture("parent-v3.snapshot"), fixture("parent-v4.snapshot"), cur, flat} {
 		tiered := filepath.Join(dir, "tiered.json")
 		if err := run(in, usage, tiered, 1, ""); err != nil {
 			t.Fatalf("%s: %v", in, err)
@@ -170,13 +185,15 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		data []byte
 		want error
 	}{
-		"unsealed":  {good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))], artifact.ErrCorrupt},
-		"bit flip":  {flipped, artifact.ErrCorrupt},
-		"schema 1":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
-		"schema 5":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[]}`)), abp.ErrSnapshotVersion},
-		"foreign":   {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
-		"bad rule":  {artifact.Seal([]byte(`{"format":"adwars-lists","version":2,"lists":[{"name":"x","rules":["##["]}]}`)), nil},
-		"not there": {nil, os.ErrNotExist},
+		"unsealed":              {good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))], artifact.ErrCorrupt},
+		"bit flip":              {flipped, artifact.ErrCorrupt},
+		"schema 1":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 6":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 5, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
+		"schema 4, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":4}`)), abp.ErrSnapshotFormat},
+		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
+		"bad rule":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":2,"lists":[{"name":"x","rules":["##["]}]}`)), nil},
+		"not there":             {nil, os.ErrNotExist},
 	} {
 		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
 		os.Remove(in)

@@ -577,6 +577,16 @@ func u32view(b []byte) []uint32 {
 	return out
 }
 
+// textView reinterprets b as a string, zero-copy: the string aliases b, so
+// b must stay unmodified for as long as the string, or any substring cut
+// from it, is in use.
+func textView(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 // openAutomaton decodes and validates a serialized region against the
 // rule set it will index. Validation is what makes scanning a hostile or
 // stale blob safe: every structural invariant the scan loop relies on —

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -173,7 +172,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("longest-run and rarest-run builds coincide: the test exercises nothing")
 	}
-	flat, err := NewListAttached("old", rules, old.Bytes(), nil)
+	flat, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("longest-run automaton refused: %v", err)
 	}
@@ -187,7 +186,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 			hot[ord], cold[ord] = isHot, !isHot
 		}
 	}
-	tiered, err := NewListAttached("old", rules,
+	tiered, err := NewListAttached("old", rules, plain.rulesCRC,
 		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes(),
 		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, cold).Bytes())
 	if err != nil {
@@ -220,7 +219,7 @@ func TestAutomatonRoundTrip(t *testing.T) {
 	rules := benchRules(1000)
 	orig := NewList("rt", rules)
 	blob := orig.AutomatonBytes()
-	re, err := NewListAttached("rt", rules, blob, nil)
+	re, err := NewListAttached("rt", rules, orig.rulesCRC, blob, nil)
 	if err != nil {
 		t.Fatalf("NewListAttached: %v", err)
 	}
@@ -372,10 +371,12 @@ func TestNonASCIIURLs(t *testing.T) {
 	// rule of the time except the $match-case one: that commit drew every
 	// rule's keyword from the Unicode-lowered pattern, which only its
 	// token-index fallback made sound under $match-case, and which
-	// kelvinPatternURL misses. (Its schema-3 twin is the converter's
-	// fixture: cmd/adwars-compact.)
+	// kelvinPatternURL misses. Its automata are attached as that commit
+	// compiled them, under today's schema (parentV4AsCurrent); the file as it
+	// is, and its schema-3 twin, are the converter's fixtures
+	// (cmd/adwars-compact).
 	t.Run("parent-v4.snapshot", func(t *testing.T) {
-		snap, err := LoadListsSnapshot(filepath.Join("testdata", "parent-v4.snapshot"))
+		snap, err := ParseListsSnapshot(parentV4AsCurrent(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,12 +84,12 @@ type diffEngine struct {
 func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
 	t.Helper()
 	list := NewList("diff", rules)
-	re, err := NewListAttached("diff", rules, list.AutomatonBytes(), nil)
+	re, err := NewListAttached("diff", rules, list.rulesCRC, list.AutomatonBytes(), nil)
 	if err != nil {
 		t.Fatalf("round-trip rejected own bytes: %v", err)
 	}
 	mixed := list.CompileTiered(func(ord int) bool { return (ord+salt)%3 == 0 })
-	tre, err := NewListAttached("diff", rules, mixed.AutomatonBytes(), mixed.ColdAutomatonBytes())
+	tre, err := NewListAttached("diff", rules, list.rulesCRC, mixed.AutomatonBytes(), mixed.ColdAutomatonBytes())
 	if err != nil {
 		t.Fatalf("tier round-trip rejected own bytes: %v", err)
 	}

@@ -80,6 +80,7 @@ type List struct {
 // List read-only and therefore safe for concurrent matchers.
 func NewList(name string, rules []*Rule) *List {
 	l := indexRules(name, rules)
+	l.rulesCRC = rulesChecksum(l.rules)
 	l.kws = selectKeywords(l.rules)
 	l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
 	return l
@@ -91,13 +92,17 @@ func NewList(name string, rules []*Rule) *List {
 // attached (O(states) bounds checks, in place over the caller's buffer).
 // cold is the cold tier's region, nil for a flat list; when given, it is
 // attached too. Membership is re-derived from the automatons' own output
-// sets and enforced (see attachCold). The regions must have been compiled
-// from exactly these rules — a checksum mismatch, any structural damage, a
-// rule neither region holds or a miscompiled tier pair (an exception
-// relegated to cold, a rule present in both tiers) is refused with an error
-// wrapping artifact.ErrCorrupt.
-func NewListAttached(name string, rules []*Rule, hot, cold []byte) (*List, error) {
+// sets and enforced (see attachCold). rulesCRC is the checksum of the rules'
+// text (rulesChecksum), which the caller already has: the snapshot loader
+// parsed the rules out of a section whose frame checksum is that value by
+// definition, so the text is not summed again here. The regions must have
+// been compiled from exactly these rules — a checksum mismatch, any
+// structural damage, a rule neither region holds or a miscompiled tier pair
+// (an exception relegated to cold, a rule present in both tiers) is refused
+// with an error wrapping artifact.ErrCorrupt.
+func NewListAttached(name string, rules []*Rule, rulesCRC uint64, hot, cold []byte) (*List, error) {
 	l := indexRules(name, rules)
+	l.rulesCRC = rulesCRC
 	var err error
 	if l.auto, err = openAutomaton(hot, len(l.rules), l.rulesCRC); err != nil {
 		return nil, err
@@ -115,8 +120,8 @@ func NewListAttached(name string, rules []*Rule, hot, cold []byte) (*List, error
 }
 
 // indexRules is what both constructors share: the servable rules
-// precompiled and split by kind, and their checksum. The automaton is the
-// caller's to build or attach.
+// precompiled and split by kind. Their checksum and the automaton are the
+// caller's to compute or take, build or attach.
 func indexRules(name string, rules []*Rule) *List {
 	l := &List{Name: name, rules: make([]*Rule, 0, len(rules))}
 	for _, r := range rules {
@@ -139,7 +144,6 @@ func indexRules(name string, rules []*Rule) *List {
 			l.elemExcept = append(l.elemExcept, r)
 		}
 	}
-	l.rulesCRC = rulesChecksum(l.rules)
 	return l
 }
 

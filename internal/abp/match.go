@@ -335,12 +335,12 @@ type urlMatcher struct {
 // buildMatcher derives the matcher from the rule's pattern and options.
 // The pattern folds as the URL does (lowerASCII: A–Z only), so a rule
 // matches the URL it literally names whatever bytes ≥ 0x80 it holds.
-func (r *Rule) buildMatcher() *urlMatcher {
+func (r *Rule) buildMatcher() urlMatcher {
 	p := r.Pattern
 	if !r.MatchCase {
 		p = lowerASCII(p)
 	}
-	return &urlMatcher{pattern: p, matchCase: r.MatchCase}
+	return urlMatcher{pattern: p, matchCase: r.MatchCase}
 }
 
 // Precompile builds the rule's URL matcher eagerly. Parse calls it for
@@ -353,7 +353,8 @@ func (r *Rule) Precompile() {
 		return
 	}
 	if r.matcher.Load() == nil {
-		r.matcher.Store(r.buildMatcher())
+		m := r.buildMatcher()
+		r.matcher.Store(&m)
 	}
 }
 
@@ -366,8 +367,8 @@ func (r *Rule) matcherRef() *urlMatcher {
 		return m
 	}
 	m := r.buildMatcher()
-	r.matcher.Store(m)
-	return m
+	r.matcher.Store(&m)
+	return &m
 }
 
 // matchURLCtx applies the rule's URL pattern (with anchors) to the request

@@ -19,34 +19,50 @@ var (
 // Parse parses a single filter list line into a Rule. Comment lines ("!",
 // "[") return a Rule with KindComment and ErrCommentLine; blank lines return
 // ErrEmptyLine. Lines that look like rules but are malformed return a nil
-// Rule and a descriptive error.
+// Rule and a descriptive error. The rule is an allocation of its own, so a
+// caller may keep one rule of a list without keeping the rest (History and
+// listgen share rules across revisions).
 func Parse(line string) (*Rule, error) {
-	raw := line
+	r := new(Rule)
+	err := r.parse(line, nil)
+	if err != nil && !errors.Is(err, ErrCommentLine) {
+		return nil, err
+	}
+	return r, err
+}
+
+// parse fills the zero Rule r from one filter list line; an HTTP rule's URL
+// matcher is built in m, or in an allocation of its own when m is nil. On an
+// error other than ErrCommentLine r is left half-filled and must be zeroed
+// before it is used again.
+func (r *Rule) parse(line string, m *urlMatcher) error {
+	r.Raw = line
 	line = strings.TrimSpace(line)
 	if line == "" {
-		return nil, ErrEmptyLine
+		return ErrEmptyLine
 	}
-	if strings.HasPrefix(line, "!") || strings.HasPrefix(line, "[") {
-		return &Rule{Raw: raw, Kind: KindComment}, ErrCommentLine
+	if line[0] == '!' || line[0] == '[' {
+		r.Kind = KindComment
+		return ErrCommentLine
 	}
 
 	// Element hiding rules: domains##selector, domains#@#selector.
 	// Check before HTTP parsing so "#" inside URLs does not confuse us:
 	// the element hiding separator is "##" or "#@#".
 	if i := strings.Index(line, "#@#"); i >= 0 {
-		return parseElemHide(raw, line[:i], line[i+3:], true)
+		return r.parseElemHide(line[:i], line[i+3:], true)
 	}
 	if i := strings.Index(line, "##"); i >= 0 {
-		return parseElemHide(raw, line[:i], line[i+2:], false)
+		return r.parseElemHide(line[:i], line[i+2:], false)
 	}
 
-	return parseHTTP(raw, line)
+	return r.parseHTTP(line, m)
 }
 
 // parseElemHide parses the element hiding form. prefix is the (possibly
 // empty) comma-separated domain list, sel the CSS selector text.
-func parseElemHide(raw, prefix, sel string, exception bool) (*Rule, error) {
-	r := &Rule{Raw: raw, Kind: KindElemHide}
+func (r *Rule) parseElemHide(prefix, sel string, exception bool) error {
+	r.Kind = KindElemHide
 	if exception {
 		r.Kind = KindElemHideException
 	}
@@ -68,15 +84,15 @@ func parseElemHide(raw, prefix, sel string, exception bool) (*Rule, error) {
 	}
 	selector, err := ParseSelector(strings.TrimSpace(sel))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q: %v", ErrBadSelector, sel, err)
+		return fmt.Errorf("%w: %q: %v", ErrBadSelector, sel, err)
 	}
 	r.Selector = selector
-	return r, nil
+	return nil
 }
 
 // parseHTTP parses an HTTP request rule (blocking or "@@" exception).
-func parseHTTP(raw, line string) (*Rule, error) {
-	r := &Rule{Raw: raw, Kind: KindHTTPBlock}
+func (r *Rule) parseHTTP(line string, m *urlMatcher) error {
+	r.Kind = KindHTTPBlock
 	if strings.HasPrefix(line, "@@") {
 		r.Kind = KindHTTPException
 		line = line[2:]
@@ -88,7 +104,7 @@ func parseHTTP(raw, line string) (*Rule, error) {
 	if i := strings.LastIndexByte(line, '$'); i >= 0 {
 		if opts := line[i+1:]; looksLikeOptions(opts) {
 			if err := r.parseOptions(opts); err != nil {
-				return nil, err
+				return err
 			}
 			line = line[:i]
 		}
@@ -106,14 +122,18 @@ func parseHTTP(raw, line string) (*Rule, error) {
 		line = line[:len(line)-1]
 	}
 	if line == "" {
-		return nil, ErrEmptyPattern
+		return ErrEmptyPattern
 	}
 	r.Pattern = line
 	// Compile the URL matcher now, while the rule is still private to this
 	// call: rule objects are shared across list revisions and concurrent
 	// readers, so matcher state must never be written lazily at match time.
-	r.Precompile()
-	return r, nil
+	if m == nil {
+		m = new(urlMatcher)
+	}
+	*m = r.buildMatcher()
+	r.matcher.Store(m)
+	return nil
 }
 
 // looksLikeOptions reports whether s is plausibly a comma-separated option
@@ -223,20 +243,39 @@ func (r *Rule) parseOptions(opts string) error {
 
 // ParseList parses an entire filter list body (one rule per line). Comments
 // and blank lines are skipped. Malformed rule lines are collected into errs
-// but do not abort parsing, matching how adblockers tolerate bad lines.
+// but do not abort parsing, matching how adblockers tolerate bad lines. The
+// rules of one call share two allocations (see parseLines), so keeping one
+// of them keeps them all.
 func ParseList(body string) (rules []*Rule, errs []error) {
-	rules = make([]*Rule, 0, strings.Count(body, "\n")+1)
+	return parseLines(body, false)
+}
+
+// parseLines is the line loop under ParseList and under the snapshot
+// loader: every line of body, split at '\n', through Rule.parse. The rules
+// and their URL matchers are two arrays sized from the line count — one
+// slab per list, not two allocations per rule. Run strict, it is the
+// loader's rule: every line is a rule, so the first line that is blank, a
+// comment or malformed is the one error returned, and no rules with it.
+func parseLines(body string, strict bool) (rules []*Rule, errs []error) {
+	lines := strings.Count(body, "\n") + 1
+	rules = make([]*Rule, 0, lines)
+	slab := make([]Rule, lines)
+	matchers := make([]urlMatcher, lines)
 	for rest, more := body, true; more; {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
-		r, err := Parse(line)
-		switch {
-		case err == nil:
+		r := &slab[len(rules)]
+		err := r.parse(line, &matchers[len(rules)])
+		if err == nil {
 			rules = append(rules, r)
-		case errors.Is(err, ErrEmptyLine), errors.Is(err, ErrCommentLine):
-			// skip
-		default:
+			continue
+		}
+		*r = Rule{}
+		if strict || !errors.Is(err, ErrEmptyLine) && !errors.Is(err, ErrCommentLine) {
 			errs = append(errs, fmt.Errorf("line %q: %w", line, err))
+			if strict {
+				return nil, errs
+			}
 		}
 	}
 	return rules, errs

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 
 	"adwars/internal/artifact"
 )
@@ -13,30 +14,48 @@ import (
 // List snapshots freeze a set of compiled filter lists for the serving
 // layer: adwars-lists -save-snapshot and adwars-compact write them,
 // adwars-serve loads them and answers /v1/match from the result. There is one
-// schema. A snapshot is a JSON document holding each list's rules as their
-// canonical source lines (Rule.Raw), then each list's compiled match
-// automata as framed binary sections (artifact.AppendSection), all sealed
-// under an artifact integrity trailer:
+// schema. A snapshot is a small JSON header — format, version, label and, per
+// list, its name and rule count — followed by framed sections
+// (artifact.AppendSection), all sealed under an artifact integrity trailer:
 //
+//	rules.<i>           list i's rules: the canonical source lines (Rule.Raw)
+//	                    in ordinal order, each newline-terminated
 //	automaton.hot.<i>   list i's automaton — every list has one
 //	automaton.cold.<i>  list i's cold tier — exactly when the list is tiered
 //
 // A flat list is a tiered list whose cold tier is empty, so the writer
 // decides the sections from the lists it is given and the loader always
-// attaches: rules are re-parsed (Parse is deterministic) and the sections are
-// validated in place and served zero-copy from the buffer the file was read
-// into — nothing is compiled at load. Every automaton section embeds the
-// CRC-64 of the exact rule lines it was compiled from; a snapshot whose JSON
-// was edited without recompiling is refused as corrupt rather than matching
-// against stale states. Files of an older schema are refused by version;
-// adwars-compact -lists OLD -out NEW (without -usage) converts them.
+// attaches. Nothing is decoded and nothing is compiled at load; everything is
+// read in place from the buffer the file was read into, which the caller
+// keeps, unmodified, for as long as the lists are in use (adwars-serve holds
+// it in the installed state):
+//
+//   - The rule section is walked line by line and every line is parsed
+//     before the list exists (Parse is deterministic), under the strict line
+//     rule: the section ends in a newline, holds exactly as many lines as the
+//     header says and no NUL, and every line is a rule — a blank line, a
+//     comment or a line that does not parse refuses the file. Rule.Raw, and
+//     so the pattern, domains and selector text cut from it, alias the
+//     buffer.
+//   - The automaton sections are validated in place (openAutomaton,
+//     attachCold) and scanned from the buffer.
+//   - Every section belongs to exactly one list: a name that occurs twice,
+//     or one no list claims, refuses the file.
+//
+// Every automaton section embeds the CRC-64 of the exact rule lines it was
+// compiled from, and that text is the rules section's data, so the checksum
+// the section frame carries and the loader verifies is the value the
+// automata must hold: a snapshot whose rules were edited without recompiling
+// is refused as corrupt rather than matching against stale states. Files of
+// an older schema are refused by version; adwars-compact -lists OLD -out NEW
+// (without -usage) converts them.
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
 	ListsSnapshotFormat = "adwars-lists"
 	// ListsSnapshotVersion is the one snapshot schema version this build
 	// reads and writes.
-	ListsSnapshotVersion = 4
+	ListsSnapshotVersion = 5
 )
 
 // ErrSnapshotFormat reports a file that is not a lists snapshot at all.
@@ -78,75 +97,86 @@ func (s *ListsSnapshot) Rules() int {
 	return n
 }
 
-type listJSON struct {
-	Name  string   `json:"name"`
-	Rules []string `json:"rules"`
+// listHeader is what the header document says of one list; the rules
+// themselves are the list's rules section.
+type listHeader struct {
+	Name  string `json:"name"`
+	Rules int    `json:"rules"`
 }
 
-type listsSnapshotJSON struct {
-	Format  string     `json:"format"`
-	Version int        `json:"version"`
-	Label   string     `json:"label,omitempty"`
-	Lists   []listJSON `json:"lists"`
+// snapshotHeader is the header document. Lists stays undecoded until the
+// version has been checked: where this schema has a rule count, older ones
+// have the rule lines.
+type snapshotHeader struct {
+	Format  string          `json:"format"`
+	Version int             `json:"version"`
+	Label   string          `json:"label,omitempty"`
+	Lists   json.RawMessage `json:"lists"`
 }
 
-// MarshalListsSnapshot returns the snapshot as a sealed file: the JSON rule
-// lists, then per list its automaton.hot section and, when the list is
-// tiered, its automaton.cold section.
+// MarshalListsSnapshot returns the snapshot as a sealed file: the header
+// document, then per list its rules section, its automaton.hot section and,
+// when the list is tiered, its automaton.cold section. A rule whose Raw
+// holds a newline or a NUL (no parsed line does; a hand-built rule can) is an
+// error: the loader would read back different rules, or none.
 func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
-	sections := make([]artifact.Section, 0, 2*len(s.Lists))
+	headers := make([]listHeader, len(s.Lists))
+	sections := make([]artifact.Section, 0, 3*len(s.Lists))
 	for i, l := range s.Lists {
-		sections = append(sections, artifact.Section{Name: hotSectionName(i), Data: l.AutomatonBytes()})
+		size := 0
+		for _, r := range l.rules {
+			size += len(r.Raw) + 1
+		}
+		text := make([]byte, 0, size)
+		for _, r := range l.rules {
+			text = append(append(text, r.Raw...), '\n')
+		}
+		if bytes.Count(text, []byte{'\n'}) != len(l.rules) || bytes.IndexByte(text, 0) >= 0 {
+			return nil, fmt.Errorf("abp: snapshot list %q: a rule line holds a newline or a NUL byte", l.Name)
+		}
+		headers[i] = listHeader{Name: l.Name, Rules: len(l.rules)}
+		sections = append(sections,
+			artifact.Section{Name: sectionName(rulesSection, i), Data: text},
+			artifact.Section{Name: sectionName(hotSection, i), Data: l.AutomatonBytes()})
 		if l.Tiered() {
-			sections = append(sections, artifact.Section{Name: coldSectionName(i), Data: l.ColdAutomatonBytes()})
+			sections = append(sections, artifact.Section{Name: sectionName(coldSection, i), Data: l.ColdAutomatonBytes()})
 		}
 	}
-	primary, err := marshalListsJSON(s)
+	lists, err := json.Marshal(headers)
 	if err != nil {
 		return nil, err
 	}
-	return artifact.SealSections(primary, sections), nil
-}
-
-// hotSectionName / coldSectionName name list i's automaton sections.
-func hotSectionName(i int) string  { return fmt.Sprintf("automaton.hot.%d", i) }
-func coldSectionName(i int) string { return fmt.Sprintf("automaton.cold.%d", i) }
-
-// marshalListsJSON returns the snapshot's JSON document, newline-terminated.
-func marshalListsJSON(s *ListsSnapshot) ([]byte, error) {
-	doc := listsSnapshotJSON{
+	primary, err := json.Marshal(snapshotHeader{
 		Format:  ListsSnapshotFormat,
 		Version: ListsSnapshotVersion,
 		Label:   s.Label,
-	}
-	size := 0
-	for _, l := range s.Lists {
-		lj := listJSON{Name: l.Name, Rules: make([]string, 0, l.Len())}
-		for _, r := range l.Rules() {
-			lj.Rules = append(lj.Rules, r.Raw)
-			size += len(r.Raw) + 3
-		}
-		doc.Lists = append(doc.Lists, lj)
-	}
-	// Encode is Marshal plus the newline, written once into a buffer sized
-	// from the rule text.
-	var buf bytes.Buffer
-	buf.Grow(size + size/16 + 256)
-	if err := json.NewEncoder(&buf).Encode(&doc); err != nil {
+		Lists:   lists,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return artifact.SealSections(append(primary, '\n'), sections), nil
 }
+
+// The three kinds of section; list i's are named kind + "." + i.
+const (
+	rulesSection = "rules"
+	hotSection   = "automaton.hot"
+	coldSection  = "automaton.cold"
+)
+
+func sectionName(kind string, i int) string { return kind + "." + strconv.Itoa(i) }
 
 // ParseListsSnapshot parses a snapshot file held in memory, rejecting
 // corrupt files — no trailer, bad checksum, torn length framing, a list
-// without its automaton section, a section that does not belong to its
-// rules (errors wrap artifact.ErrCorrupt) — foreign files
+// without its rules or automaton section, a section of no list or of two, a
+// rules section that breaks the strict line rule, a section that does not
+// belong to its rules (errors wrap artifact.ErrCorrupt) — foreign files
 // (ErrSnapshotFormat), every schema version but the current one
 // (ErrSnapshotVersion) and snapshots whose rules no longer parse (they would
-// silently change match decisions). The snapshot is decoded in place: the
-// lists' automata alias data, which the caller must therefore keep
-// unmodified for as long as the lists are in use.
+// silently change match decisions). The snapshot is read in place: the
+// lists' rules and automata alias data, which the caller must therefore keep
+// unmodified for as long as the lists, or any rule of them, are in use.
 func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	payload, version, err := artifact.OpenVersion(data)
 	if err != nil {
@@ -156,7 +186,7 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("abp: lists snapshot: %w", err)
 	}
-	var doc listsSnapshotJSON
+	var doc snapshotHeader
 	if err := json.Unmarshal(primary, &doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
 	}
@@ -167,34 +197,87 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		return nil, fmt.Errorf("%w: version %d (this build reads %d; an older file converts with adwars-compact -lists OLD -out NEW)",
 			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion)
 	}
-	autoByName := make(map[string][]byte, len(sections))
-	for _, sec := range sections {
-		autoByName[sec.Name] = sec.Data
+	var headers []listHeader
+	if err := json.Unmarshal(doc.Lists, &headers); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
 	}
-	out := &ListsSnapshot{Label: doc.Label, Version: version}
-	for i, lj := range doc.Lists {
-		rules := make([]*Rule, 0, len(lj.Rules))
-		for _, line := range lj.Rules {
-			rule, err := Parse(line)
-			if err != nil {
-				return nil, fmt.Errorf("abp: snapshot list %q: rule %q: %w", lj.Name, line, err)
-			}
-			rules = append(rules, rule)
+	malformed := func(format string, args ...any) error {
+		return fmt.Errorf("abp: lists snapshot: %w", sectionMalformed(format, args...))
+	}
+	// unclaimed holds each section until its list takes it.
+	unclaimed := make(map[string]artifact.Section, len(sections))
+	for _, sec := range sections {
+		if _, twice := unclaimed[sec.Name]; twice {
+			return nil, malformed("two sections are named %s", sec.Name)
 		}
-		hot, ok := autoByName[hotSectionName(i)]
+		unclaimed[sec.Name] = sec
+	}
+	claim := func(kind string, i int) (artifact.Section, bool) {
+		name := sectionName(kind, i)
+		sec, ok := unclaimed[name]
+		delete(unclaimed, name)
+		return sec, ok
+	}
+	out := &ListsSnapshot{Label: doc.Label, Version: version, Lists: make([]*List, 0, len(headers))}
+	for i, h := range headers {
+		text, ok := claim(rulesSection, i)
 		if !ok {
-			return nil, fmt.Errorf("abp: lists snapshot: %w",
-				artifact.Corruptf("section-malformed",
-					"list %q has no %s section", lj.Name, hotSectionName(i)))
+			return nil, malformed("list %q has no %s section", h.Name, sectionName(rulesSection, i))
 		}
-		// A cold section that is absent reads as nil here: a flat list.
-		l, err := NewListAttached(lj.Name, rules, hot, autoByName[coldSectionName(i)])
+		hot, ok := claim(hotSection, i)
+		if !ok {
+			return nil, malformed("list %q has no %s section", h.Name, sectionName(hotSection, i))
+		}
+		// A cold section that is absent leaves cold.Data nil: a flat list.
+		cold, _ := claim(coldSection, i)
+		rules, err := parseRulesSection(text.Data, h.Rules)
 		if err != nil {
-			return nil, fmt.Errorf("abp: snapshot list %q: %w", lj.Name, err)
+			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
+		}
+		// text.CRC is artifact.Checksum of the rule lines, verified against
+		// these very bytes a moment ago — which is rulesChecksum of the rules
+		// just parsed from them, line for line.
+		l, err := NewListAttached(h.Name, rules, text.CRC, hot.Data, cold.Data)
+		if err != nil {
+			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
 		}
 		out.Lists = append(out.Lists, l)
 	}
+	for _, sec := range sections {
+		if _, left := unclaimed[sec.Name]; left {
+			return nil, malformed("section %s belongs to no list", sec.Name)
+		}
+	}
 	return out, nil
+}
+
+func sectionMalformed(format string, args ...any) error {
+	return artifact.Corruptf("section-malformed", format, args...)
+}
+
+// parseRulesSection reads one rules section under the strict line rule
+// (see the comment at the top of the file): want lines, every one of them a
+// rule. The rules alias text. A section that is not want newline-terminated
+// lines of text is section-malformed; a line that is no rule is that line's
+// parse error.
+func parseRulesSection(text []byte, want int) ([]*Rule, error) {
+	if bytes.IndexByte(text, 0) >= 0 {
+		return nil, sectionMalformed("rules section holds a NUL byte")
+	}
+	if len(text) > 0 && text[len(text)-1] != '\n' {
+		return nil, sectionMalformed("rules section does not end in a newline")
+	}
+	if lines := bytes.Count(text, []byte{'\n'}); lines != want {
+		return nil, sectionMalformed("rules section holds %d lines, header says %d rules", lines, want)
+	}
+	if len(text) == 0 {
+		return nil, nil
+	}
+	rules, errs := parseLines(textView(text[:len(text)-1]), true)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	return rules, nil
 }
 
 // SaveListsSnapshot writes the snapshot to path atomically (temp file +

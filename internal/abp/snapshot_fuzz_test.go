@@ -2,24 +2,20 @@ package abp
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"adwars/internal/artifact"
 )
 
 // snapshotFuzzFiles are the well-formed files FuzzReadListsSnapshot starts
-// from: the tiered one the parent of PR 14 wrote, and flat, tiered and mixed
-// ones this build writes, each over two lists so that a section can land on
-// the wrong one.
+// from: the tiered one the parent of PR 14 wrote, carried into this schema
+// with its own automata, and flat, tiered and mixed ones this build writes,
+// each over two lists so that a section can land on the wrong one.
 func snapshotFuzzFiles(t testing.TB) [][]byte {
 	t.Helper()
-	parent, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	parent := parentV4AsCurrent(t)
 	files := [][]byte{parent}
 	first, errs := ParseAndBuild("first", snapshotTestList)
 	if len(errs) != 0 {
@@ -54,8 +50,8 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 // it: cut at every section boundary and in the middle of every section
 // (trailer lost, as a torn write leaves it — the fuzz target also reseals
 // whatever it is given), sections in reverse order, every section twice,
-// every section's bytes under its neighbour's name, and both — the loader
-// keeps the last section of a name — after the right ones.
+// every section's bytes under its neighbour's name, and both after the right
+// ones (a name twice is refused; the parent kept the last).
 func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 	t.Helper()
 	payload, err := artifact.Open(file)
@@ -103,10 +99,12 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 // the section parser and the list loaders behind the trailer's checksum.
 // Behind that stands each section's own checksum, so a third file lays
 // patch over the bytes of one section (sec, at off) and frames every
-// section anew with artifact.AppendSection: hostile bytes inside an
-// automaton reach openAutomaton and attachCold. Those prove a blob safe to
-// scan, not that it indexes every rule — that would be compiling it again —
-// so that file is held to assertNoInventedHit instead.
+// section anew with artifact.AppendSection. Hostile bytes inside a rules
+// section reach the line loop and the strict line rule: that file is
+// refused, or answers as a fresh compile of the lines that loaded. Hostile
+// bytes inside an automaton reach openAutomaton and attachCold, which prove
+// a blob safe to scan, not that it indexes every rule — that would be
+// compiling it again — so that file is held to assertNoInventedHit instead.
 // `make fuzz-smoke` runs it for ten seconds; plain `go test` runs the seeds.
 func FuzzReadListsSnapshot(f *testing.F) {
 	for _, file := range snapshotFuzzFiles(f) {
@@ -119,6 +117,13 @@ func FuzzReadListsSnapshot(f *testing.F) {
 		for k, s := range secs {
 			f.Add(file, uint8(k), uint32(0), bytes.Repeat([]byte{0xff}, 8))
 			f.Add(file, uint8(k), uint32(len(s.Data)/2), []byte{0, 0, 0, 0, 1, 0, 0, 0})
+			if strings.HasPrefix(s.Name, rulesSection+".") {
+				// Still text: one byte of a rule, a line break where there
+				// was none, a comment, a line that is no rule.
+				for _, text := range []string{"x", "\n", "\n! c\n", "\n##[\n"} {
+					f.Add(file, uint8(k), uint32(len(s.Data)/2), []byte(text))
+				}
+			}
 		}
 	}
 	var requests []Request
@@ -151,15 +156,19 @@ func FuzzReadListsSnapshot(f *testing.F) {
 		load(artifact.Seal(payload), assertMatchesOracle)
 		if primary, secs, err := artifact.SplitSections(payload); err == nil && len(secs) > 0 && len(patch) > 0 {
 			p := bytes.Clone(primary)
+			assert := assertNoInventedHit
 			for k, s := range secs {
 				d := s.Data
 				if k == int(sec)%len(secs) && len(d) > 0 {
 					d = bytes.Clone(d)
 					copy(d[int(off)%len(d):], patch)
+					if strings.HasPrefix(s.Name, rulesSection+".") {
+						assert = assertMatchesOracle
+					}
 				}
 				p = artifact.AppendSection(p, s.Name, d)
 			}
-			load(artifact.Seal(p), assertNoInventedHit)
+			load(artifact.Seal(p), assert)
 		}
 	})
 }

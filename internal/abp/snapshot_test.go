@@ -2,6 +2,7 @@ package abp
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -117,7 +118,7 @@ func TestListsSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
 		_, err := ParseListsSnapshot(artifact.Seal([]byte(payload)))
 		return err
 	}
-	if err := parse(`{"format":"nope","version":4}`); !errors.Is(err, ErrSnapshotFormat) {
+	if err := parse(`{"format":"nope","version":5}`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("foreign format: err = %v, want ErrSnapshotFormat", err)
 	}
 	if err := parse(`garbage`); !errors.Is(err, ErrSnapshotFormat) {
@@ -126,9 +127,15 @@ func TestListsSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
 	if err := parse(`{"format":"adwars-lists","version":42,"lists":[]}`); !errors.Is(err, ErrSnapshotVersion) {
 		t.Errorf("future version: err = %v, want ErrSnapshotVersion", err)
 	}
-	bad := `{"format":"adwars-lists","version":4,"lists":[{"name":"x","rules":["##["]}]}`
-	if err := parse(bad); err == nil || errors.Is(err, artifact.ErrCorrupt) || errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("unparseable rule: err = %v, want the rule's parse error", err)
+	// This version's header with another's list bodies is no lists snapshot.
+	if err := parse(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("rule lines where the count belongs: err = %v, want ErrSnapshotFormat", err)
+	}
+	if err := parse(`{"format":"adwars-lists","version":5}`); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("no lists at all: err = %v, want ErrSnapshotFormat", err)
+	}
+	if snap, err := ParseListsSnapshot(artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[]}`))); err != nil || len(snap.Lists) != 0 {
+		t.Errorf("zero lists: %v, err = %v; want an empty snapshot", snap, err)
 	}
 }
 
@@ -137,8 +144,8 @@ func TestListsSnapshotIsSealed(t *testing.T) {
 	if !bytes.Contains(data, []byte(artifact.TrailerPrefix)) {
 		t.Fatal("written snapshot carries no integrity trailer")
 	}
-	if !bytes.Contains(data, []byte(`"version":4`)) {
-		t.Fatal("written snapshot is not schema version 4")
+	if !bytes.Contains(data, []byte(`"version":5`)) {
+		t.Fatal("written snapshot is not schema version 5")
 	}
 	if _, err := ParseListsSnapshot(data); err != nil {
 		t.Fatalf("clean sealed snapshot failed to load: %v", err)
@@ -237,8 +244,9 @@ func TestListsSnapshotCompiledRoundTrip(t *testing.T) {
 // TestListsSnapshotCompiledCorruption is the compiled-snapshot corruption
 // matrix. A flipped bit anywhere is caught by the outer trailer; the deeper
 // cases reseal the damaged payload with a fresh (valid) trailer, so only
-// the per-section CRC and the automaton's embedded rule checksum stand
-// between a stale or damaged section and silently wrong match decisions.
+// the per-section CRC stands between a damaged section and silently wrong
+// match decisions — and, once the rule text is framed anew as well, only the
+// automaton's embedded rule checksum between stale states and the rules.
 func TestListsSnapshotCompiledCorruption(t *testing.T) {
 	data, _ := snapshotTestBytes(t)
 
@@ -246,8 +254,8 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 		b := bytes.Clone(data)
 		i := bytes.Index(b, []byte(artifact.SectionPrefix)) + 80 // inside section data
 		b[i] ^= 0x01
-		if _, err := ParseListsSnapshot(b); !errors.Is(err, artifact.ErrCorrupt) {
-			t.Fatalf("err = %v, want artifact.ErrCorrupt", err)
+		if _, err := ParseListsSnapshot(b); corruptReason(err) != "checksum-mismatch" {
+			t.Fatalf("err = %v, want checksum-mismatch", err)
 		}
 	})
 
@@ -257,33 +265,45 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 	}
 
 	t.Run("bit flip in section, resealed", func(t *testing.T) {
-		b := bytes.Clone(payload)
-		mark := bytes.Index(b, []byte(artifact.SectionPrefix))
-		hdrEnd := mark + bytes.IndexByte(b[mark:], '\n') + 1
-		b[hdrEnd+16+8] ^= 0x01 // past padding and magic, inside automaton data
-		if _, err := ParseListsSnapshot(artifact.Seal(b)); !errors.Is(err, artifact.ErrCorrupt) {
-			t.Fatalf("err = %v, want artifact.ErrCorrupt (section checksum)", err)
+		// Every section in turn: its own frame checksum is all that sees it.
+		_, secs, err := artifact.SplitSections(payload)
+		if err != nil || len(secs) != 2 {
+			t.Fatalf("%d sections, err %v", len(secs), err)
+		}
+		for _, sec := range secs {
+			b := bytes.Clone(payload)
+			at := bytes.Index(b, sec.Data) + len(sec.Data)/2
+			b[at] ^= 0x01
+			if _, err := ParseListsSnapshot(artifact.Seal(b)); corruptReason(err) != "section-checksum-mismatch" {
+				t.Errorf("%s: err = %v, want section-checksum-mismatch", sec.Name, err)
+			}
 		}
 	})
 
 	t.Run("stale rules, resealed", func(t *testing.T) {
-		// Edit one rule line in the JSON without recompiling the section:
-		// the automaton's embedded rule CRC must refuse the mismatch.
-		b := bytes.Replace(bytes.Clone(payload),
-			[]byte(`baitserver.example^$script`), []byte(`baitserver.example^$iframe`), 1)
-		if bytes.Equal(b, payload) {
+		// Edit one rule line without recompiling and frame the text anew, so
+		// that the section verifies: the automaton's embedded rule CRC must
+		// refuse the mismatch. The edited line is a rule and the count stands.
+		edited := false
+		stale := reframe(t, data, func(sec artifact.Section) []artifact.Section {
+			if sec.Name == sectionName(rulesSection, 0) {
+				sec.Data = bytes.Replace(sec.Data, []byte("baitserver.example^$script"), []byte("baitserver.example^$image"), 1)
+				edited = true
+			}
+			return []artifact.Section{sec}
+		})
+		if !edited || bytes.Equal(stale, data) {
 			t.Fatal("rule edit did not take")
 		}
-		_, err := ParseListsSnapshot(artifact.Seal(b))
-		if !errors.Is(err, artifact.ErrCorrupt) {
-			t.Fatalf("err = %v, want artifact.ErrCorrupt (stale automaton)", err)
+		if _, err := ParseListsSnapshot(stale); corruptReason(err) != "automaton-invalid" {
+			t.Fatalf("err = %v, want automaton-invalid (stale automaton)", err)
 		}
 	})
 
 	t.Run("sections on a pre-v3 schema", func(t *testing.T) {
 		// No older schema is read, with sections or without: the version
 		// refuses it before a section is looked at.
-		b := bytes.Replace(bytes.Clone(payload), []byte(`"version":4`), []byte(`"version":2`), 1)
+		b := bytes.Replace(bytes.Clone(payload), []byte(`"version":5`), []byte(`"version":2`), 1)
 		if bytes.Equal(b, payload) {
 			t.Fatal("version edit did not take")
 		}
@@ -293,9 +313,16 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 	})
 }
 
-// reframe returns file's primary document and sections framed anew and
-// sealed, with the sections keep refuses left out.
-func reframe(t *testing.T, file []byte, keep func(name string) bool) []byte {
+// reframe returns file with every section put through edit — which returns
+// what to frame in its place: the section itself, altered, none or several —
+// framed anew, so that each frame checksum holds, and sealed.
+func reframe(t *testing.T, file []byte, edit func(artifact.Section) []artifact.Section) []byte {
+	t.Helper()
+	return reframeUnder(t, file, func(primary []byte) []byte { return primary }, edit)
+}
+
+// reframeUnder is reframe with the header document edited too.
+func reframeUnder(t *testing.T, file []byte, header func([]byte) []byte, edit func(artifact.Section) []artifact.Section) []byte {
 	t.Helper()
 	payload, err := artifact.Open(file)
 	if err != nil {
@@ -305,13 +332,23 @@ func reframe(t *testing.T, file []byte, keep func(name string) bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := bytes.Clone(primary)
+	p := header(bytes.Clone(primary))
 	for _, sec := range secs {
-		if keep(sec.Name) {
-			p = artifact.AppendSection(p, sec.Name, sec.Data)
+		for _, out := range edit(sec) {
+			p = artifact.AppendSection(p, out.Name, out.Data)
 		}
 	}
 	return artifact.Seal(p)
+}
+
+// without is the reframe edit that leaves out the named sections.
+func without(names ...string) func(artifact.Section) []artifact.Section {
+	return func(sec artifact.Section) []artifact.Section {
+		if slices.Contains(names, sec.Name) {
+			return nil
+		}
+		return []artifact.Section{sec}
+	}
 }
 
 // corruptReason is the CorruptError reason err carries, "" when it carries
@@ -336,8 +373,8 @@ func TestListsSnapshotMixedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]bool{
-		hotSectionName(0): true, coldSectionName(0): false,
-		hotSectionName(1): true, coldSectionName(1): true,
+		"rules.0": true, "automaton.hot.0": true, "automaton.cold.0": false,
+		"rules.1": true, "automaton.hot.1": true, "automaton.cold.1": true,
 	} {
 		if got := bytes.Contains(data, []byte(" name="+name+" ")); got != want {
 			t.Errorf("section %s present = %v, want %v", name, got, want)
@@ -364,9 +401,10 @@ func TestListsSnapshotMixedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestListsSnapshotMissingHotSectionRefused: the loader attaches and never
-// compiles, so a list whose automaton.hot section is not in the file — with
-// or without its cold one — is section-malformed, whichever list it is.
+// TestListsSnapshotMissingHotSectionRefused: the loader reads rules from
+// their section and attaches and never compiles, so a list whose rules or
+// automaton.hot section is not in the file — with or without its cold one —
+// is section-malformed, whichever list it is.
 func TestListsSnapshotMissingHotSectionRefused(t *testing.T) {
 	flat := NewList("flat", benchRules(100))
 	tiered := NewList("tiered", benchRules(200)).CompileTiered(nil)
@@ -374,61 +412,144 @@ func TestListsSnapshotMissingHotSectionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseListsSnapshot(reframe(t, data, func(string) bool { return true })); err != nil {
+	if _, err := ParseListsSnapshot(reframe(t, data, without())); err != nil {
 		t.Fatalf("reframed whole: %v", err)
 	}
 	for _, drop := range [][]string{
-		{hotSectionName(0)},
-		{hotSectionName(1)},
-		{hotSectionName(1), coldSectionName(1)},
-		{hotSectionName(0), hotSectionName(1), coldSectionName(1)},
+		{"automaton.hot.0"},
+		{"automaton.hot.1"},
+		{"automaton.hot.1", "automaton.cold.1"},
+		{"automaton.hot.0", "automaton.hot.1", "automaton.cold.1"},
+		{"rules.0"},
+		{"rules.1"},
+		{"rules.1", "automaton.hot.1", "automaton.cold.1"},
 	} {
-		damaged := reframe(t, data, func(name string) bool { return !slices.Contains(drop, name) })
-		if _, err := ParseListsSnapshot(damaged); corruptReason(err) != "section-malformed" {
+		if _, err := ParseListsSnapshot(reframe(t, data, without(drop...))); corruptReason(err) != "section-malformed" {
 			t.Errorf("without %v: err = %v, want section-malformed", drop, err)
 		}
 	}
 	// A tiered list that lost its cold section only is caught one step
 	// later: the hot automaton alone does not hold every rule.
-	damaged := reframe(t, data, func(name string) bool { return name != coldSectionName(1) })
-	if _, err := ParseListsSnapshot(damaged); !errors.Is(err, artifact.ErrCorrupt) {
-		t.Errorf("without the cold section: err = %v, want artifact.ErrCorrupt", err)
+	if _, err := ParseListsSnapshot(reframe(t, data, without("automaton.cold.1"))); corruptReason(err) != "tier-invalid" {
+		t.Errorf("without the cold section: err = %v, want tier-invalid", err)
+	}
+}
+
+// TestListsSnapshotSectionOwnership: a section belongs to exactly one list
+// or the file is refused. Each layout is framed anew and sealed, and every
+// section in it is one the writer wrote — so each frame checksum holds, each
+// automaton opens against its rules, and nothing but the ownership check
+// stands between the file and a loader that would pick one of two sections
+// of a name (the parent kept the last) or serve beside bytes it never read.
+func TestListsSnapshotSectionOwnership(t *testing.T) {
+	flat := NewList("flat", benchRules(100))
+	tiered := NewList("tiered", benchRules(200)).CompileTiered(func(ord int) bool { return ord%2 == 0 })
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{flat, tiered}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := func(name string) func(artifact.Section) []artifact.Section {
+		return func(sec artifact.Section) []artifact.Section {
+			if sec.Name == name {
+				return []artifact.Section{sec, sec}
+			}
+			return []artifact.Section{sec}
+		}
+	}
+	// also frames a copy of section from under the name as, behind it.
+	also := func(from, as string) func(artifact.Section) []artifact.Section {
+		return func(sec artifact.Section) []artifact.Section {
+			if sec.Name == from {
+				return []artifact.Section{sec, {Name: as, Data: sec.Data}}
+			}
+			return []artifact.Section{sec}
+		}
+	}
+	for name, edit := range map[string]func(artifact.Section) []artifact.Section{
+		"two automaton.hot.0":     twice("automaton.hot.0"),
+		"two rules.1":             twice("rules.1"),
+		"two automaton.cold.1":    twice("automaton.cold.1"),
+		"stray automaton.cold.7":  also("automaton.cold.1", "automaton.cold.7"),
+		"stray automaton.hot.2":   also("automaton.hot.1", "automaton.hot.2"),
+		"stray rules.2":           also("rules.0", "rules.2"),
+		"a name of no kind":       also("rules.0", "notes"),
+		"an index that is no int": also("rules.0", "rules.00"),
+	} {
+		_, err := ParseListsSnapshot(reframe(t, data, edit))
+		if corruptReason(err) != "section-malformed" || !errors.Is(err, artifact.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want section-malformed", name, err)
+		}
 	}
 }
 
 // TestListsSnapshotOlderSchemasRefused: one schema is read. Whatever
 // carries no trailer is missing-trailer before its version is looked at; a
-// sealed file of an older schema — testdata/parent-v3.snapshot is one the
-// parent of PR 14 wrote — is ErrSnapshotVersion, and the error says what
-// converts it. testdata/parent-v4.snapshot, written by the same commit,
-// loads as it is.
+// sealed file of an older schema — testdata/parent-v3.snapshot and
+// parent-v4.snapshot are the two the parent of PR 14 wrote — is
+// ErrSnapshotVersion, and the error says what converts it. The version is
+// read before the list bodies are, so that a schema-4 file, whose "rules" is
+// an array of lines where this schema has a count, is refused for its
+// version and not for a JSON type.
 func TestListsSnapshotOlderSchemasRefused(t *testing.T) {
 	v1 := `{"format":"adwars-lists","version":1,"label":"old",` +
 		`"lists":[{"name":"legacy","rules":["||ads.example.com^","@@||ads.example.com/ok$script"]}]}` + "\n"
 	if _, err := ParseListsSnapshot([]byte(v1)); corruptReason(err) != "missing-trailer" {
 		t.Errorf("unsealed v1: err = %v, want missing-trailer", err)
 	}
-	parentV3, err := os.ReadFile(filepath.Join("testdata", "parent-v3.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, file := range map[string][]byte{
+	files := map[string][]byte{
 		"sealed v1": artifact.Seal([]byte(v1)),
 		"sealed v2": artifact.Seal([]byte(strings.Replace(v1, `"version":1`, `"version":2`, 1))),
-		"parent v3": parentV3,
-	} {
+		"sealed v4": artifact.Seal([]byte(strings.Replace(v1, `"version":1`, `"version":4`, 1))),
+	}
+	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
+		file, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = file
+	}
+	for name, file := range files {
 		_, err := ParseListsSnapshot(file)
 		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
 			t.Errorf("%s: err = %v, want ErrSnapshotVersion naming adwars-compact", name, err)
 		}
 	}
-	snap, err := LoadListsSnapshot(filepath.Join("testdata", "parent-v4.snapshot"))
+}
+
+// parentV4AsCurrent returns testdata/parent-v4.snapshot — the tiered
+// snapshot the parent of PR 14 (b547b05) wrote — carried into the current
+// schema with its automata as that commit compiled them: its rule lines as
+// the rules section, its own automaton.hot.0 and automaton.cold.0 sections
+// byte for byte. (adwars-compact converts such a file by compiling it
+// afresh; the tests that want that commit's automata attach them here.)
+func parentV4AsCurrent(t testing.TB) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snapshot"))
 	if err != nil {
-		t.Fatalf("parent v4: %v", err)
+		t.Fatal(err)
 	}
-	if !snap.Tiered() {
-		t.Error("parent v4 loaded untiered")
+	payload, err := artifact.Open(file)
+	if err != nil {
+		t.Fatal(err)
 	}
+	primary, secs, err := artifact.SplitSections(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Label string
+		Lists []struct {
+			Name  string
+			Rules []string
+		}
+	}
+	if err := json.Unmarshal(primary, &doc); err != nil || len(doc.Lists) != 1 || len(secs) != 2 {
+		t.Fatalf("parent v4: %d lists, %d sections, err %v", len(doc.Lists), len(secs), err)
+	}
+	header := fmt.Sprintf(`{"format":"adwars-lists","version":%d,"label":%q,"lists":[{"name":%q,"rules":%d}]}`+"\n",
+		ListsSnapshotVersion, doc.Label, doc.Lists[0].Name, len(doc.Lists[0].Rules))
+	text := strings.Join(doc.Lists[0].Rules, "\n") + "\n"
+	return artifact.SealSections([]byte(header), append([]artifact.Section{{Name: "rules.0", Data: []byte(text)}}, secs...))
 }
 
 // pinnedLines is the fixed list TestSnapshotBytesPinned freezes: the lines
@@ -460,20 +581,27 @@ func pinnedLines() []string {
 
 // TestSnapshotBytesPinned: not one byte of a snapshot moved. The versions
 // are artifact.Version of the flat and the tiered snapshot of pinnedLines.
-// The tiered one is as commit 6ddcbf9 wrote it, before keyword selection
-// was kept, the top of the build trie indexed and the payload sized once;
-// the flat one was recorded when flat lists moved into the tiered schema
-// (the same automaton bytes under "version":4 and the name automaton.hot).
+// Both were recorded again when the rule lines moved out of the JSON
+// document into the rules section (schema 5: the header shrank to names and
+// counts, the lines lost their quotes and commas and gained a frame), which
+// moves every file's bytes and compiles nothing differently — so the
+// automaton sections are pinned beside them, by the frame checksums they had
+// under the parent's pins (a1af6d7ca59ef7a5 flat, 6b41036ea2a6f6a1 tiered):
+// the tiered pair as commit 6ddcbf9 compiled it, before keyword selection
+// was kept, the top of the build trie indexed and the payload sized once.
 func TestSnapshotBytesPinned(t *testing.T) {
 	l := buildList(t, "pinned", pinnedLines()...)
 	tl := l.CompileTiered(func(ord int) bool { return ord%3 == 0 })
 	for _, c := range []struct {
-		name string
-		list *List
-		want string
+		name     string
+		list     *List
+		want     string
+		sections map[string]uint64
 	}{
-		{"flat", l, "a1af6d7ca59ef7a5"},
-		{"tiered", tl, "6b41036ea2a6f6a1"},
+		{"flat", l, "9dd4688a1e5c7d2e", map[string]uint64{
+			"rules.0": 0x6c69d4de5413cc0d, "automaton.hot.0": 0xc1e5f022cca6b1fd}},
+		{"tiered", tl, "044c6906eaec62df", map[string]uint64{
+			"rules.0": 0x6c69d4de5413cc0d, "automaton.hot.0": 0x1d1c9888abd45e31, "automaton.cold.0": 0xefe5b284d2dcd932}},
 	} {
 		data, err := MarshalListsSnapshot(&ListsSnapshot{Label: "pinned", Lists: []*List{c.list}})
 		if err != nil {
@@ -481,6 +609,16 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		}
 		if got, err := artifact.Version(data); err != nil || got != c.want {
 			t.Errorf("%s snapshot: version %s (err %v), pinned %s", c.name, got, err, c.want)
+		}
+		payload, _ := artifact.Open(data)
+		_, secs, err := artifact.SplitSections(payload)
+		if err != nil || len(secs) != len(c.sections) {
+			t.Fatalf("%s snapshot: %d sections (err %v), want %d", c.name, len(secs), err, len(c.sections))
+		}
+		for _, sec := range secs {
+			if want := c.sections[sec.Name]; sec.CRC != want {
+				t.Errorf("%s snapshot: section %s has crc %016x, pinned %016x", c.name, sec.Name, sec.CRC, want)
+			}
 		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"adwars/internal/artifact"
 )
 
 // tierURLs extends the bench mix with queries that force every tier
@@ -232,18 +230,18 @@ func TestTieredValidation(t *testing.T) {
 	hot, cold := tiered.AutomatonBytes(), tiered.ColdAutomatonBytes()
 
 	// The pristine pair attaches.
-	if _, err := NewListAttached("v", rules, hot, cold); err != nil {
+	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, cold); err != nil {
 		t.Fatalf("pristine tier pair refused: %v", err)
 	}
 	// Hot paired with itself: every hot ordinal lands in both tiers.
-	if _, err := NewListAttached("v", rules, hot, hot); err == nil {
+	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, hot); err == nil {
 		t.Fatal("overlapping tiers accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("overlap error %v does not wrap ErrCorrupt", err)
 	}
 	// Cold tier alone as the hot automaton: exceptions vanish from both
 	// tiers (and plenty of blocks are missing too).
-	if _, err := NewListAttached("v", rules, cold, cold); err == nil {
+	if _, err := NewListAttached("v", rules, plain.rulesCRC, cold, cold); err == nil {
 		t.Fatal("tiers with missing rules accepted")
 	}
 	// An "exception relegated to cold" compile: build tier automatons by
@@ -273,7 +271,7 @@ func TestTieredValidation(t *testing.T) {
 	}
 	badHot := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hotM)
 	badCold := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, coldM)
-	if _, err := NewListAttached("v", rules, badHot.Bytes(), badCold.Bytes()); err == nil {
+	if _, err := NewListAttached("v", rules, plain.rulesCRC, badHot.Bytes(), badCold.Bytes()); err == nil {
 		t.Fatal("cold exception accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("cold-exception error %v does not wrap ErrCorrupt", err)
@@ -282,18 +280,16 @@ func TestTieredValidation(t *testing.T) {
 	// Half a tier pair is corrupt, as a region and as a snapshot: the hot
 	// automaton alone does not hold every rule, so it cannot pass for a flat
 	// list's.
-	if _, err := NewListAttached("v", rules, hot, nil); err == nil {
+	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, nil); err == nil {
 		t.Fatal("hot tier alone accepted as a flat list")
 	} else if !isCorrupt(err) {
 		t.Fatalf("hot-alone error %v does not wrap ErrCorrupt", err)
 	}
-	snap := &ListsSnapshot{Lists: []*List{tiered}}
-	payload, err := marshalListsJSON(snap)
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{tiered}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = artifact.AppendSection(payload, hotSectionName(0), hot)
-	if _, err := ParseListsSnapshot(artifact.Seal(payload)); err == nil {
+	if _, err := ParseListsSnapshot(reframe(t, data, without("automaton.cold.0"))); err == nil {
 		t.Fatal("half a tier pair accepted")
 	} else if !isCorrupt(err) {
 		t.Fatalf("half-pair error %v does not wrap ErrCorrupt", err)

@@ -19,7 +19,7 @@ type aggKey struct {
 // bucket is one time window's counters.
 type bucket struct {
 	start    int64 // aligned unix nanos
-	rows     map[aggKey]uint64
+	rows     map[aggKey]*uint64
 	overflow uint64 // events folded here once rows hit the key cap
 	total    uint64
 }
@@ -75,18 +75,25 @@ func (a *aggregator) add(ev *Event, sw *spillWriter) {
 	}
 	b.total++
 	key := aggKey{domain: ev.Domain, rule: ev.Rule, ordinal: ev.Ordinal, kind: ev.Kind, verdict: ev.Verdict}
-	if _, ok := b.rows[key]; !ok && len(b.rows) >= a.maxKeys {
+	// A row that exists is counted through its pointer, not by assigning to
+	// the map: an assignment under an equal key stores that key's strings
+	// over the row's own, and the event's alias what the producer owns — the
+	// request body, and the whole snapshot file a served rule's text lies in.
+	if n := b.rows[key]; n != nil {
+		*n++
+		return
+	}
+	if len(b.rows) >= a.maxKeys {
 		b.overflow++
 		a.overflowEvents++
 		return
 	}
-	if _, ok := b.rows[key]; !ok {
-		// Copy the aliased strings before they outlive the drain cycle.
-		key.domain = cloneString(ev.Domain)
-		key.rule = cloneString(ev.Rule)
-		a.bytes += rowOverhead + int64(len(key.domain)+len(key.rule))
-	}
-	b.rows[key]++
+	// Copy the aliased strings before they outlive the drain cycle.
+	key.domain = cloneString(ev.Domain)
+	key.rule = cloneString(ev.Rule)
+	a.bytes += rowOverhead + int64(len(key.domain)+len(key.rule))
+	n := uint64(1)
+	b.rows[key] = &n
 }
 
 // cloneString forces a fresh allocation so aggregator keys never alias
@@ -110,7 +117,7 @@ func (a *aggregator) bucketFor(start int64, sw *spillWriter) *bucket {
 		if a.buckets[i].start < start {
 			// Insert after i: a fresh window, possibly out of order when
 			// shards drained interleaved across a bucket boundary.
-			b := &bucket{start: start, rows: make(map[aggKey]uint64)}
+			b := &bucket{start: start, rows: make(map[aggKey]*uint64)}
 			a.buckets = append(a.buckets, nil)
 			copy(a.buckets[i+2:], a.buckets[i+1:])
 			a.buckets[i+1] = b
@@ -119,7 +126,7 @@ func (a *aggregator) bucketFor(start int64, sw *spillWriter) *bucket {
 		}
 	}
 	if len(a.buckets) == 0 {
-		b := &bucket{start: start, rows: make(map[aggKey]uint64)}
+		b := &bucket{start: start, rows: make(map[aggKey]*uint64)}
 		a.buckets = append(a.buckets, b)
 		return b
 	}
@@ -206,7 +213,7 @@ func bucketRows(b *bucket, dur time.Duration) []Row {
 			Domain:  k.domain,
 			Rule:    k.rule,
 			Ordinal: k.ordinal,
-			Count:   n,
+			Count:   *n,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {

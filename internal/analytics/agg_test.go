@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func addEvent(a *aggregator, sw *spillWriter, ts time.Time, domain, rule string, v Verdict) {
@@ -140,15 +141,29 @@ func TestAggregatorLateEvents(t *testing.T) {
 }
 
 // TestAggregatorKeyCloning proves aggregator keys do not alias the
-// event's strings (which belong to the producer and get recycled).
+// event's strings (which belong to the producer: a request body, a snapshot
+// file) — neither when the row is made nor when a later, equal event is
+// counted into it.
 func TestAggregatorKeyCloning(t *testing.T) {
 	a := newAggregator(time.Minute, 2, 16)
-	buf := []byte("mutable.example")
-	ev := Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: VerdictBlocked, Domain: string(buf)}
-	a.add(&ev, nil)
-	for k := range a.buckets[0].rows {
-		if k.domain != "mutable.example" {
-			t.Fatalf("key domain = %q", k.domain)
+	now := time.Now().UnixNano()
+	events := make([]Event, 3)
+	for i := range events {
+		events[i] = Event{UnixNano: now, Kind: KindMatch, Verdict: VerdictBlocked,
+			Domain: string([]byte("mutable.example")), Rule: string([]byte("||ads.example^"))}
+		a.add(&events[i], nil)
+	}
+	if len(a.buckets[0].rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(a.buckets[0].rows))
+	}
+	for k, n := range a.buckets[0].rows {
+		if k.domain != "mutable.example" || k.rule != "||ads.example^" || *n != 3 {
+			t.Fatalf("row %q %q counts %d", k.domain, k.rule, *n)
+		}
+		for i := range events {
+			if unsafe.StringData(k.domain) == unsafe.StringData(events[i].Domain) || unsafe.StringData(k.rule) == unsafe.StringData(events[i].Rule) {
+				t.Fatalf("the row's key aliases event %d's strings", i)
+			}
 		}
 	}
 }

@@ -187,6 +187,34 @@ func TestSealSections(t *testing.T) {
 		if cap(got) != size {
 			t.Errorf("%d sections: buffer regrown: cap %d, sized %d", len(secs), cap(got), size)
 		}
+		// What comes back carries the checksum that was verified.
+		payload, err := Open(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, split, err := SplitSections(payload)
+		if err != nil || len(split) != len(secs) {
+			t.Fatalf("%d sections: split into %d (err %v)", len(secs), len(split), err)
+		}
+		for i, sec := range split {
+			if sec.Name != secs[i].Name || !bytes.Equal(sec.Data, secs[i].Data) || sec.CRC != Checksum(secs[i].Data) {
+				t.Errorf("section %d came back as %q, %d bytes, crc %016x", i, sec.Name, len(sec.Data), sec.CRC)
+			}
+		}
+	}
+}
+
+// TestSplitSectionsRefusesWrappingLength: a header may claim any length an
+// int holds; one that would wrap the end offset is a length mismatch like
+// any other, not an index out of range.
+func TestSplitSectionsRefusesWrappingLength(t *testing.T) {
+	for _, length := range []string{"9223372036854775807", "9223372036854775700", "4"} {
+		payload := []byte("{}\n" + SectionPrefix + "v1 name=x len=" + length + " pad=0 crc64=0000000000000000\nabc\n")
+		_, _, err := SplitSections(payload)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Reason != "section-length-mismatch" {
+			t.Errorf("len=%s: err = %v, want section-length-mismatch", length, err)
+		}
 	}
 }
 

@@ -43,10 +43,13 @@ const (
 
 // Section is one framed binary region of an artifact payload. Data
 // aliases the payload it was split from (zero-copy, mmap-preserved) and
-// must not be modified.
+// must not be modified. CRC is Checksum(Data) as SplitSections verified it,
+// for a format owner whose own integrity value is defined over the same
+// bytes; the writers ignore it and sum Data themselves.
 type Section struct {
 	Name string
 	Data []byte
+	CRC  uint64
 }
 
 // AppendSection appends a framed binary section to a payload under
@@ -139,8 +142,8 @@ func SplitSections(payload []byte) (primary []byte, sections []Section, err erro
 			return nil, nil, perr
 		}
 		start := p + nl + 1 + pad
-		end := start + length
-		if end+1 > len(payload) {
+		// Compared this way round, a length near the top of int cannot wrap.
+		if length > len(payload)-start-1 {
 			return nil, nil, Corruptf("section-length-mismatch",
 				"section %q frames %d data bytes, payload has %d left (torn write?)",
 				name, length, len(payload)-start)
@@ -151,6 +154,7 @@ func SplitSections(payload []byte) (primary []byte, sections []Section, err erro
 					"section %q has non-zero padding", name)
 			}
 		}
+		end := start + length
 		data := payload[start:end]
 		if got := Checksum(data); got != crc {
 			return nil, nil, Corruptf("section-checksum-mismatch",
@@ -160,7 +164,7 @@ func SplitSections(payload []byte) (primary []byte, sections []Section, err erro
 			return nil, nil, Corruptf("section-malformed",
 				"section %q data not newline-terminated", name)
 		}
-		sections = append(sections, Section{Name: name, Data: data})
+		sections = append(sections, Section{Name: name, Data: data, CRC: crc})
 		p = end + 1
 	}
 	return primary, sections, nil

@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"adwars/internal/abp"
+	"adwars/internal/analytics"
 	"adwars/internal/artifact"
 )
 
@@ -99,7 +102,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	bad := append([]byte(nil), payload...)
-	mark := strings.Index(string(bad), artifact.SectionPrefix)
+	mark := strings.Index(string(bad), artifact.SectionPrefix+"v1 name=automaton.hot.0 ")
 	hdrEnd := mark + strings.IndexByte(string(bad[mark:]), '\n') + 1
 	bad[hdrEnd+16+8] ^= 0x01
 	if err := os.WriteFile(listsPath, artifact.Seal(bad), 0o644); err != nil {
@@ -139,9 +142,9 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 // TestReloadServesFromOneBuffer: a reload reads the file once and serves
 // from that buffer — every automaton of a flat or tiered snapshot lies
 // inside the raw bytes the state retains (the ones GET /admin/snapshot
-// returns), 4-aligned so the u32 views are views and not copies, whether the
-// bytes came from disk or from a push. The version the state reports is the
-// file's.
+// returns), 4-aligned so the u32 views are views and not copies, and so does
+// the text of every rule, whether the bytes came from disk or from a push.
+// The version the state reports is the file's.
 func TestReloadServesFromOneBuffer(t *testing.T) {
 	checkGoroutineLeaks(t)
 	var lines []string
@@ -159,7 +162,7 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 		tiered.Lists = append(tiered.Lists, l.CompileTiered(func(ord int) bool { return ord%3 == 0 }))
 	}
 
-	inside := func(what string, region, raw []byte) {
+	within := func(what string, region, raw []byte) uintptr {
 		t.Helper()
 		if len(region) == 0 {
 			t.Fatalf("%s: empty region", what)
@@ -167,9 +170,13 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 		lo, hi := uintptr(unsafe.Pointer(&raw[0])), uintptr(unsafe.Pointer(&raw[len(raw)-1]))
 		first, last := uintptr(unsafe.Pointer(&region[0])), uintptr(unsafe.Pointer(&region[len(region)-1]))
 		if first < lo || last > hi {
-			t.Errorf("%s: automaton lives outside the retained snapshot bytes (a copy was made)", what)
+			t.Errorf("%s lives outside the retained snapshot bytes (a copy was made)", what)
 		}
-		if first%4 != 0 {
+		return first
+	}
+	inside := func(what string, region, raw []byte) {
+		t.Helper()
+		if first := within(what+": automaton", region, raw); first%4 != 0 {
 			t.Errorf("%s: automaton at %#x is not 4-aligned", what, first)
 		}
 	}
@@ -181,6 +188,9 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 		}
 		for _, l := range st.snap.Lists {
 			inside(name+"/"+l.Name, l.AutomatonBytes(), st.raw)
+			for _, r := range l.Rules() {
+				within(name+"/"+l.Name+": rule "+r.Raw, unsafe.Slice(unsafe.StringData(r.Raw), len(r.Raw)), st.raw)
+			}
 			if l.Tiered() != wantTiered {
 				t.Fatalf("%s/%s: tiered=%v, want %v", name, l.Name, l.Tiered(), wantTiered)
 			}
@@ -216,4 +226,59 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 		t.Fatalf("push status %d: %s", rec.Code, rec.Body)
 	}
 	check("push-flat", s, false)
+}
+
+// TestReloadReleasesPreviousBuffer: the rules of a served snapshot alias the
+// buffer its file was read into, so whatever keeps a rule's text keeps five
+// megabytes of the 70 k list. With analytics on and decisions recorded — the
+// events carry the winning rule's text through the ring — a second reload
+// and a drain leave nothing holding the first buffer: the ring clears a slot
+// as it pops it and the aggregator keys its rows by a copy. Two collections
+// (the handlers' pooled scratch lives through one) run its finalizer.
+func TestReloadReleasesPreviousBuffer(t *testing.T) {
+	checkGoroutineLeaks(t)
+	dir := t.TempDir()
+	modelPath, listsPath := writeSnapshotFiles(t, dir)
+	s := New(Config{ModelPath: modelPath, ListsPath: listsPath, Analytics: testAnalyticsCfg()})
+	if err := s.AnalyticsError(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.CloseAnalytics() })
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	func() {
+		raw := s.lists.Load().raw
+		rule := s.lists.Load().snap.Lists[0].Rules()[0].Raw
+		within := uintptr(unsafe.Pointer(unsafe.StringData(rule))) - uintptr(unsafe.Pointer(&raw[0]))
+		if within >= uintptr(len(raw)) {
+			t.Fatal("the served rules do not alias the retained buffer: the test exercises nothing")
+		}
+		runtime.SetFinalizer(&raw[0], func(*byte) { close(released) })
+	}()
+
+	const blocked = 40
+	for i := 0; i < blocked; i++ {
+		rec := do(t, s, "POST", "/v1/match",
+			`{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`)
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"blocked"`) {
+			t.Fatalf("match: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	snap := waitForTotals(t, s, map[string]uint64{"match/blocked": blocked})
+	if rows := analytics.RowsFromSnapshot(&snap); snap.Counters.Dropped != 0 || len(rows) == 0 || rows[0].Rule == "" {
+		t.Fatalf("analytics: %d dropped, rows %v; want the winning rule's text recorded", snap.Counters.Dropped, rows)
+	}
+	for i := 0; i < 2; i++ {
+		runtime.GC()
+	}
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first snapshot's buffer is still reachable after a reload, a drain and two collections")
+	}
 }

@@ -159,9 +159,11 @@ dashboard() {
 # no 5xx; the reload must show in the log); then, the server quiet, a pass
 # whose usage ledger and one whose analytics ledger must reconcile to the
 # unit; the live dashboard over /admin/analytics; /admin/usage compacted
-# into a tiered snapshot that a second server serves clean; both drain
-# cleanly; and the drain flushed the analytics spill, which the dashboard
-# renders again from disk.
+# into a tiered snapshot that a second server serves clean; the schema-4
+# snapshot an older build wrote (internal/abp/testdata) converted by
+# adwars-compact and served clean by a third; all three drain cleanly; and
+# the drain flushed the analytics spill, which the dashboard renders again
+# from disk.
 scenario_serve() {
     start_replica main -analytics -analytics-spill "$W/spill"
     MAIN="http://$(addr main)"
@@ -189,13 +191,22 @@ scenario_serve() {
     say "tiered server on $(addr tiered)"
     load "tiered snapshot does not serve clean" \
         -target "http://$(addr tiered)" -duration 1s -concurrency 2 -check ledger,usage
-    stop_pid tiered main
+
+    say "converting a schema-4 snapshot..."
+    mkdir -p "$W/converted"
+    "$BIN/adwars-compact" -lists internal/abp/testdata/parent-v4.snapshot \
+        -out "$W/converted/lists.json"
+    start_replica converted
+    "$BIN/adwars-loadgen" -lists "$W/converted/lists.json" \
+        -target "http://$(addr converted)" -duration 1s -concurrency 2 -check ledger \
+        || fail "converted schema-4 snapshot does not serve clean"
+    stop_pid converted tiered main
 
     ls "$W/spill"/analytics-*.jsonl >/dev/null 2>&1 \
         || fail "no analytics spill files after drain"
     say "post-drain spill dashboard..."
     dashboard "spill dashboard after drain" -spill "$W/spill"
-    say "OK (zero drops across hot reload, usage + analytics ledgers reconciled, live + spill dashboards rendered, tiered snapshot served clean, clean drain)"
+    say "OK (zero drops across hot reload, usage + analytics ledgers reconciled, live + spill dashboards rendered, tiered and converted snapshots served clean, clean drain)"
 }
 
 # --- chaos: the server under deliberate fire. -----------------------------
