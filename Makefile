@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc fault-check bench-test fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
+.PHONY: build test vet fmt-check race verify loc fault-check bench-test bench-smoke fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
 
 # bench/ is a module of its own, so `go build ./...` and `go vet ./...` at
 # the root do not reach it: build and vet name it, so that a change to an
@@ -31,14 +31,15 @@ race:
 # race detector over the whole tree (the crawl engine is heavily concurrent
 # — breaker, journal, and metrics are all shared state; loadgen's gate table
 # is tested there too), the benchmark module's own tests (bench/ is a
-# separate module, so `go test ./...` at the root does not reach them), ten
-# seconds of each fuzz target, and the four smoke scenarios of the serving
+# separate module, so `go test ./...` at the root does not reach them), one
+# iteration of every in-package benchmark, ten seconds of each fuzz target,
+# and the four smoke scenarios of the serving
 # stack, shortened, through one invocation of the harness: one build, one
 # snapshot freeze. The hot-path gates (0 allocs/op on the match paths, the
 # sub-microsecond median match, the handlers' allocation budgets) are plain
 # tests and run under `test`. Performance is measured by `bash bench/run.sh`
 # (BENCHMARK.json, bench/README.md), not here.
-verify: build vet fmt-check test race bench-test fuzz-smoke
+verify: build vet fmt-check test race bench-test bench-smoke fuzz-smoke
 	SMOKE_SHORT=1 $(MAKE) smoke
 
 # loc prints the ROADMAP's code-size measures: non-test Go lines outside the
@@ -52,6 +53,14 @@ loc:
 # and a short smoke of every workload (~30 s).
 bench-test:
 	cd bench && $(GO) test ./...
+
+# bench-smoke runs every `go test -bench` function once. They are for
+# measuring while working, not for claims, and nothing else runs them, so a
+# benchmark whose set-up no longer builds its fixture (serve's, once the
+# artifact seal became mandatory) would otherwise fail unseen. One iteration
+# each takes seconds for the whole tree.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # fuzz-smoke runs the matcher's differential fuzz for ten seconds. With one
 # match engine, FuzzMatchDifferential is the only proof that it equals the
@@ -75,12 +84,23 @@ bench-test:
 # closes or goes silent, the gateway neither panics nor hangs past its
 # per-try timeout, and pools the connection only after a reply that
 # net/http's own reader finds complete, keep-alive and followed by nothing.
+# Then ten seconds of FuzzServeConn, the same for the other direction: both
+# servers read client bytes on their own loop (internal/wire), so whatever
+# arrives, the loop neither panics nor keeps the connection past its window,
+# and every request http.ReadRequest finds in the bytes is answered as the
+# handler answers it under httptest. Then ten seconds of
+# FuzzMatchQueryDecode: /v1/match's hand-written decoder, where it takes an
+# input at all, gives the value json.Unmarshal gives (where it does not,
+# json.Unmarshal is what runs), and the response encoder writes any text as
+# json.Encoder does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/jsast
 	$(GO) test -run '^$$' -fuzz FuzzReadListsSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzBackendReply -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzMatchQueryDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 
 # smoke runs the serving stack as real processes: scripts/smoke.sh builds
 # the binaries and freezes the snapshots once, then runs its scenarios in

@@ -12,6 +12,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"adwars/internal/wire"
 )
 
 // GatewayConfig parameterizes a Gateway.
@@ -107,9 +109,9 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	healthCtx, stopHealth := context.WithCancel(context.Background())
 	defer stopHealth()
 	go g.pool.HealthLoop(healthCtx)
-	hs := &http.Server{Handler: g.mux}
+	ws := &wire.Server{Handler: g.mux}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- ws.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
@@ -117,7 +119,7 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	err := hs.Shutdown(drainCtx)
+	err := ws.Shutdown(drainCtx)
 	g.pool.closeIdle()
 	gatewayVar{met: g.met, pool: g.pool}.flush(g.cfg.MetricsOut)
 	if err != nil {

@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"adwars/internal/wire"
 )
 
 // The gateway's backend leg. One exchange is one HTTP/1.1 request written
@@ -124,7 +126,7 @@ func putOutbound(o *outbound) {
 // refused with a 400: nothing of it ever reaches a backend.
 func (o *outbound) render(r *http.Request) error {
 	o.r, o.uri = r, r.URL.RequestURI()
-	if !validToken(r.Method) {
+	if !wire.ValidToken(r.Method) {
 		return fmt.Errorf("invalid method %q", r.Method)
 	}
 	if !validRequestURI(o.uri) {
@@ -146,11 +148,11 @@ func (o *outbound) render(r *http.Request) error {
 					o.inboundDeadline = ms
 				}
 			}
-		case !validToken(k):
+		case !wire.ValidToken(k):
 			return fmt.Errorf("invalid header name %q", k)
 		default:
 			for _, v := range vs {
-				if !validFieldValue(v) {
+				if !wire.ValidFieldValue(v) {
 					return fmt.Errorf("invalid %s header value %q", k, v)
 				}
 				h = append(h, k...)
@@ -164,40 +166,6 @@ func (o *outbound) render(r *http.Request) error {
 	h = strconv.AppendInt(h, int64(len(o.body)), 10)
 	o.head = append(h, "\r\n"...)
 	return nil
-}
-
-// isTokenByte is RFC 7230's tchar.
-var isTokenByte = func() (t [256]bool) {
-	for c := '0'; c <= '9'; c++ {
-		t[c] = true
-	}
-	for c := 'a'; c <= 'z'; c++ {
-		t[c], t[c-'a'+'A'] = true, true
-	}
-	for _, c := range "!#$%&'*+-.^_`|~" {
-		t[c] = true
-	}
-	return t
-}()
-
-func validToken(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !isTokenByte[s[i]] {
-			return false
-		}
-	}
-	return s != ""
-}
-
-// validFieldValue admits what RFC 7230 admits in a field value: no control
-// byte but HTAB, so no CR, LF or NUL.
-func validFieldValue(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < ' ' && c != '\t') || c == 0x7f {
-			return false
-		}
-	}
-	return true
 }
 
 // validRequestURI admits no control byte and no space: either would end

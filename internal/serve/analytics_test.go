@@ -148,7 +148,7 @@ func TestServeAnalyticsDomainFallback(t *testing.T) {
 }
 
 // TestServeMatchAnalyticsAllocs is the hot-path gate with analytics ON:
-// recording a decision must not add a single allocation to the ≤8 budget
+// recording a decision must not add a single allocation to the ≤4 budget
 // TestServeMatchAllocs pins with analytics off.
 func TestServeMatchAnalyticsAllocs(t *testing.T) {
 	if raceSrvEnabled {
@@ -169,8 +169,8 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 	if w.status != 200 {
 		t.Fatalf("status = %d", w.status)
 	}
-	if allocs > 8 {
-		t.Fatalf("/v1/match with analytics allocates %.1f/op, budget is 8", allocs)
+	if allocs > 4 {
+		t.Fatalf("/v1/match with analytics allocates %.1f/op, budget is 4", allocs)
 	}
 	t.Logf("/v1/match with analytics: %.1f allocs/op", allocs)
 }

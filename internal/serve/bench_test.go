@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
@@ -38,7 +43,7 @@ func benchServer(b *testing.B) *Server {
 	}
 	l := abp.NewList("bench", rules)
 	s := New(Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
-	snap, err := ml.ParseModelSnapshot([]byte(benchModelJSON))
+	snap, err := ml.ParseModelSnapshot(testModelFile())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,18 +55,6 @@ func benchServer(b *testing.B) *Server {
 	}
 	return s
 }
-
-const benchModelJSON = `{
-  "format": "adwars-model",
-  "version": 1,
-  "classifier": "adaboost",
-  "feature_set": "keyword",
-  "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
-  "model": {
-    "alphas": [2],
-    "models": [{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}]
-  }
-}`
 
 // reportLatencies attaches p50/p99 custom metrics.
 func reportLatencies(b *testing.B, lat []time.Duration) {
@@ -89,6 +82,76 @@ func benchDrive(b *testing.B, s *Server, path string, bodies [][]byte) {
 	}
 	b.StopTimer()
 	reportLatencies(b, lat)
+}
+
+// benchMatchBodies is a pool of single-match queries over the bench list:
+// five in six name a listed ad server, and every fourth carries a query
+// string whose & json.Marshal writes as an escape, as a Go client's would.
+func benchMatchBodies() [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 256)
+	for i := range bodies {
+		u := fmt.Sprintf("http://adserver%03d.example/slot/%d/ad.js", rng.Intn(600), i)
+		if i%4 == 3 {
+			u += fmt.Sprintf("?v=%d&cb=%d", i, rng.Int63())
+		}
+		bodies[i], _ = json.Marshal(MatchQuery{URL: u, Type: "script", PageDomain: "news.example"})
+	}
+	return bodies
+}
+
+// BenchmarkServeMatch is the /v1/match handler alone: routing, admission,
+// decode, probe, encode, no socket.
+func BenchmarkServeMatch(b *testing.B) {
+	b.ReportAllocs()
+	benchDrive(b, benchServer(b), "/v1/match", benchMatchBodies())
+}
+
+// BenchmarkWireRoundTrip is the same request over a real loopback socket:
+// Serve's own loop on one side, one kept-alive client connection writing a
+// prepared request and reading the reply into a reused buffer on the other,
+// so what it adds to BenchmarkServeMatch is the server half of the wire and
+// two crossings of the kernel.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	s := benchServer(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := benchMatchBodies()
+	reqs := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		reqs[i] = []byte(fmt.Sprintf("POST /v1/match HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	}
+	br := bufio.NewReader(conn)
+	post := &http.Request{Method: http.MethodPost}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, post)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != 200 {
+			b.Fatalf("status %d, %v", resp.StatusCode, err)
+		}
+	}
+	b.StopTimer()
+	conn.Close()
+	stop()
+	if err := <-served; err != nil {
+		b.Fatal(err)
+	}
 }
 
 func BenchmarkServeMatchBatch(b *testing.B) {

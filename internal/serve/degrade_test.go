@@ -307,7 +307,7 @@ func TestHistogramWindowQuantile(t *testing.T) {
 
 // TestServeMatchDegradeAllocs extends the hot-path allocation gate to a
 // governed server: reading the level, stamping the header, and the
-// hot-only probe at L2 must all fit in the same 8-alloc budget as the
+// hot-only probe at L2 must all fit in the same 4-alloc budget as the
 // ungoverned path.
 func TestServeMatchDegradeAllocs(t *testing.T) {
 	if raceSrvEnabled {
@@ -326,8 +326,8 @@ func TestServeMatchDegradeAllocs(t *testing.T) {
 			if w.status != 200 {
 				t.Fatalf("status = %d", w.status)
 			}
-			if allocs > 8 {
-				t.Fatalf("/v1/match at %s allocates %.1f/op, budget is 8", lvl, allocs)
+			if allocs > 4 {
+				t.Fatalf("/v1/match at %s allocates %.1f/op, budget is 4", lvl, allocs)
 			}
 			t.Logf("/v1/match at %s: %.1f allocs/op", lvl, allocs)
 		})

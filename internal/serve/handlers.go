@@ -150,16 +150,26 @@ var jsonBufPool = sync.Pool{New: func() any {
 	return jb
 }}
 
+// jsonContentType is the Content-Type of every reply, as the header map
+// holds it: assigning the shared slice costs nothing, where Header.Set
+// allocates a slice a call. Nothing may mutate it.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	jb := jsonBufPool.Get().(*jsonBuf)
 	jb.buf.Reset()
-	err := jb.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	if err == nil {
-		w.Write(jb.buf.Bytes())
+	if err := jb.enc.Encode(v); err != nil {
+		jb.buf.Reset() // what does not encode (a NaN score) sends its status and no body
 	}
+	writeBody(w, status, jb.buf.Bytes())
 	jsonBufPool.Put(jb)
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
@@ -396,20 +406,23 @@ func checkQuery(q *MatchQuery) *apiError {
 }
 
 // matchScratch is the pooled per-request working set of the match hot
-// path: the decoded query, the body read buffer, the per-list hit buffer,
-// and append-only arenas for the response's ListMatch and matched-rule
-// slices. Response slices carve sub-slices out of the arenas; a grown
+// path: the decoded query and the buffer its strings are unescaped into, the
+// body read buffer, the per-list hit buffer, append-only arenas for the
+// response's ListMatch and matched-rule slices, and the buffer the response
+// is encoded into. Response slices carve sub-slices out of the arenas; a grown
 // arena strands earlier carves on the old backing array, where their data
 // stays intact, so the arenas are safe across a whole batch. The scratch
 // may be returned to the pool only after the response is encoded.
 type matchScratch struct {
 	q       MatchQuery
+	strs    []byte
 	body    bytes.Buffer
 	lr      io.LimitedReader
 	hits    []abp.Hit
 	lists   []ListMatch
 	matched []string
 	resp    matchResponse
+	out     []byte
 }
 
 var matchScratchPool = sync.Pool{New: func() any {
@@ -559,8 +572,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !s.readBodyInto(w, r, sc) {
 		return
 	}
-	sc.q = MatchQuery{}
-	if err := json.Unmarshal(sc.body.Bytes(), &sc.q); err != nil {
+	if err := sc.decode(sc.body.Bytes()); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
@@ -582,7 +594,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		MatchResult: res,
 		Snapshot:    s.snapshotInfo(),
 	}
-	writeJSON(w, http.StatusOK, &sc.resp)
+	sc.out = appendMatchResponse(sc.out[:0], &sc.resp)
+	writeBody(w, http.StatusOK, sc.out)
 }
 
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {

@@ -26,6 +26,7 @@ import (
 	"adwars/internal/degrade"
 	"adwars/internal/features"
 	"adwars/internal/ml"
+	"adwars/internal/wire"
 )
 
 // Config parameterizes a Server. The zero value serves with sane defaults
@@ -187,8 +188,8 @@ type ReloadOutcome struct {
 
 // Server is the online serving engine. Create with New, then load
 // snapshots (SetModelSnapshot/SetListsSnapshot or ReloadSnapshots) and
-// expose Handler on an http.Server — or use Serve, which also handles
-// graceful drain.
+// expose Handler on any HTTP server — or use Serve, which runs it on the
+// repository's own serving loop (internal/wire) and handles graceful drain.
 type Server struct {
 	cfg   Config
 	adm   *admission
@@ -272,10 +273,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// withReplicaHeader stamps every response with this replica's identity.
+// withReplicaHeader stamps every response with this replica's identity (one
+// slice shared by every response, never mutated: see jsonContentType).
 func (s *Server) withReplicaHeader(next http.Handler) http.Handler {
+	id := []string{s.cfg.ReplicaID}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Adwars-Replica", s.cfg.ReplicaID)
+		w.Header()["X-Adwars-Replica"] = id
 		next.ServeHTTP(w, r)
 	})
 }
@@ -555,9 +558,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.StartDegrade()
-	hs := &http.Server{Handler: s.mux}
+	ws := &wire.Server{Handler: s.mux}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- ws.Serve(ln) }()
 	select {
 	case err := <-errc:
 		s.CloseDegrade()
@@ -570,7 +573,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout())
 	defer cancel()
-	err := hs.Shutdown(drainCtx)
+	err := ws.Shutdown(drainCtx)
 	// The governor stops first: with the listener closed there is no
 	// pressure left to govern, and closing it before the analytics
 	// collector keeps the ticker from probing a closed pipeline.
