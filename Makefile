@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc fault-check bench-test bench-smoke fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
+.PHONY: build test vet fmt-check race verify loc loc-check fault-check bench-test bench-smoke fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
 
 # bench/ is a module of its own, so `go build ./...` and `go vet ./...` at
 # the root do not reach it: build and vet name it, so that a change to an
@@ -39,15 +39,26 @@ race:
 # sub-microsecond median match, the handlers' allocation budgets) are plain
 # tests and run under `test`. Performance is measured by `bash bench/run.sh`
 # (BENCHMARK.json, bench/README.md), not here.
-verify: build vet fmt-check test race bench-test bench-smoke fuzz-smoke
+verify: build vet fmt-check loc-check test race bench-test bench-smoke fuzz-smoke
 	SMOKE_SHORT=1 $(MAKE) smoke
 
 # loc prints the ROADMAP's code-size measures: non-test Go lines outside the
 # benchmark module, then the lines of shell under scripts/ — the other half
 # of the verification layer.
+LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@$(LOC)
 	@cat scripts/*.sh | wc -l
+
+# loc-check is the ratchet on the first of those figures: it fails when the
+# tree has grown past LOC_CEILING. A PR that needs more room raises the
+# number here, in its own diff, where a reviewer sees it; one that shrinks
+# the tree lowers it to its result.
+LOC_CEILING = 26262
+loc-check:
+	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
+		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
+
 # bench-test runs the tests of bench/, the whole-stack benchmark behind
 # BENCHMARK.json: corpus determinism, the oracle, the run-must-fail checks
 # and a short smoke of every workload (~30 s).

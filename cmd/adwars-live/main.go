@@ -38,5 +38,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res.Render())
-	fmt.Fprintf(os.Stderr, "crawl: %s\n", metrics.Snapshot())
+	fmt.Fprintf(os.Stderr, "crawl: %s\n", &metrics)
 }

@@ -79,6 +79,7 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/antiadblock"
+	"adwars/internal/chassis"
 )
 
 const (
@@ -340,8 +341,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				resp.Body.Close()
 				c.latencies = append(c.latencies, time.Since(t0))
 				c.count(byStatus, strconv.Itoa(resp.StatusCode), 1)
-				c.count(byReplica, resp.Header.Get("X-Adwars-Replica"), 1)
-				c.count(byDegrade, resp.Header.Get("X-Adwars-Degrade"), 1)
+				c.count(byReplica, resp.Header.Get(chassis.ReplicaHeader), 1)
+				c.count(byDegrade, resp.Header.Get(chassis.DegradeHeader), 1)
 				switch {
 				case resp.StatusCode >= 200 && resp.StatusCode < 300:
 					c.ok2xx++

@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -139,9 +138,6 @@ func main() {
 	if err := s.ReloadSnapshots(); err != nil {
 		log.Fatalf("initial snapshot load: %v", err)
 	}
-	expvar.Publish("adwars_serve", expvar.Func(func() interface{} {
-		return jsonRaw(s.Metrics().String())
-	}))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -186,9 +182,3 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "adwars-serve: drained, bye")
 }
-
-// jsonRaw marks an already-encoded JSON string so expvar prints it
-// verbatim instead of quoting it.
-type jsonRaw string
-
-func (r jsonRaw) MarshalJSON() ([]byte, error) { return []byte(r), nil }

@@ -75,5 +75,5 @@ func main() {
 	fmt.Println(lab.Fig7(0).Render())
 	fmt.Printf("corpus: %d anti-adblock scripts, %d benign scripts\n",
 		len(retro.CorpusPos), len(retro.CorpusNeg))
-	fmt.Fprintf(os.Stderr, "crawl: %s\n", metrics.Snapshot())
+	fmt.Fprintf(os.Stderr, "crawl: %s\n", &metrics)
 }

@@ -3,6 +3,8 @@ package crawler
 import (
 	"sync"
 	"time"
+
+	"adwars/internal/chassis"
 )
 
 // BreakerConfig parameterizes the shared circuit breaker / adaptive rate
@@ -50,19 +52,13 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// Breaker is a circuit breaker with an AIMD rate-limit penalty, shared by
+// Breaker is the gate between the crawl workers and the archive, shared by
 // all workers of a crawl (and, in the retrospective study, across the 60
-// monthly crawls). During an archive outage it sheds load instead of
-// hammering: after FailureThreshold consecutive transient failures every
-// request is rejected at the gate until a half-open probe succeeds.
+// monthly crawls): a circuit breaker (chassis.Breaker, probing after a count
+// of sheds) with an AIMD rate-limit penalty beside it. During an archive
+// outage it sheds load instead of hammering: after FailureThreshold
+// consecutive transient failures every request is rejected at the gate
+// until a half-open probe succeeds.
 //
 // Shed requests do not consume the per-site retry budget — the worker
 // waits and re-asks the gate — so outages delay the crawl but never turn
@@ -70,63 +66,36 @@ const (
 type Breaker struct {
 	cfg     BreakerConfig
 	metrics *Metrics
+	circuit *chassis.Breaker
 
 	mu      sync.Mutex
-	state   breakerState
-	fails   int           // consecutive transient failures while closed
-	sheds   int           // rejections since the breaker opened
-	probing bool          // a half-open probe is in flight
 	penalty time.Duration // adaptive rate-limit penalty (AIMD)
 }
 
 // NewBreaker builds a breaker; metrics may be nil.
 func NewBreaker(cfg BreakerConfig, m *Metrics) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), metrics: m}
+	cfg = cfg.withDefaults()
+	return &Breaker{cfg: cfg, metrics: m,
+		circuit: chassis.NewBreaker(cfg.FailureThreshold, chassis.AfterSheds(cfg.ProbeAfterSheds))}
 }
 
 // Allow reports whether a request may proceed. While open it sheds the
 // caller (who should wait and retry the gate); every ProbeAfterSheds
 // rejections it admits a single probe instead.
 func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		b.sheds++
-		if b.sheds >= b.cfg.ProbeAfterSheds {
-			b.state = breakerHalfOpen
-			b.probing = true
-			return true
-		}
-		if b.metrics != nil {
-			b.metrics.BreakerSheds.Add(1)
-		}
-		return false
-	default: // half-open: one probe at a time
-		if !b.probing {
-			b.probing = true
-			return true
-		}
-		if b.metrics != nil {
-			b.metrics.BreakerSheds.Add(1)
-		}
-		return false
+	ok := b.circuit.Allow()
+	if !ok && b.metrics != nil {
+		b.metrics.BreakerSheds.Add(1)
 	}
+	return ok
 }
 
 // Success records a healthy archive response: it closes the breaker,
 // resets the failure streak, and decays the rate-limit penalty.
 func (b *Breaker) Success() {
+	b.circuit.Success()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fails = 0
-	if b.state != breakerClosed {
-		b.state = breakerClosed
-		b.sheds = 0
-		b.probing = false
-	}
 	if b.penalty > 0 {
 		b.penalty /= 2
 		if b.penalty < time.Millisecond {
@@ -138,28 +107,7 @@ func (b *Breaker) Success() {
 // Failure records a transient archive failure. Enough consecutive failures
 // open the breaker; a failed half-open probe re-opens it.
 func (b *Breaker) Failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		b.fails++
-		if b.fails >= b.cfg.FailureThreshold {
-			b.open()
-		}
-	case breakerHalfOpen:
-		b.open()
-	case breakerOpen:
-		// A straggler admitted before the breaker opened; nothing to do.
-	}
-}
-
-// open transitions to the open state (caller holds the lock).
-func (b *Breaker) open() {
-	b.state = breakerOpen
-	b.sheds = 0
-	b.probing = false
-	b.fails = 0
-	if b.metrics != nil {
+	if b.circuit.Failure() && b.metrics != nil {
 		b.metrics.BreakerOpens.Add(1)
 	}
 }
@@ -192,15 +140,4 @@ func (b *Breaker) Penalty() time.Duration {
 }
 
 // State names the breaker state, for logs and tests.
-func (b *Breaker) State() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
+func (b *Breaker) State() string { return b.circuit.State() }

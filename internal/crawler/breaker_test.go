@@ -5,69 +5,41 @@ import (
 	"time"
 )
 
+// TestBreakerOpenHalfOpenClose: the gate books what its circuit does — every
+// open, every shed — in the crawl's metrics. (The circuit itself is
+// internal/chassis's, walked through every transition there under this probe
+// rule.)
 func TestBreakerOpenHalfOpenClose(t *testing.T) {
 	var m Metrics
 	b := NewBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfterSheds: 2}, &m)
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatal("new breaker must be closed and admitting")
-	}
-	// Failures below the threshold keep it closed; a success resets the
-	// streak.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != "closed" {
-		t.Fatal("success must reset the failure streak")
-	}
-	// Cross the threshold → open.
-	b.Failure()
-	if b.State() != "open" {
-		t.Fatalf("state = %s, want open", b.State())
-	}
-	if m.BreakerOpens.Load() != 1 {
-		t.Fatalf("opens = %d", m.BreakerOpens.Load())
-	}
-	// Open: sheds until ProbeAfterSheds, then admits one probe.
-	if b.Allow() {
-		t.Fatal("open breaker must shed")
-	}
-	if !b.Allow() {
-		t.Fatal("second gate hit must admit the half-open probe")
-	}
-	if b.State() != "half-open" {
-		t.Fatalf("state = %s, want half-open", b.State())
-	}
-	// While the probe is in flight, other callers are shed.
-	if b.Allow() {
-		t.Fatal("half-open must admit only one probe")
-	}
-	// Failed probe → open again.
-	b.Failure()
-	if b.State() != "open" {
-		t.Fatalf("state = %s, want open after failed probe", b.State())
-	}
-	if m.BreakerOpens.Load() != 2 {
-		t.Fatalf("opens = %d, want 2", m.BreakerOpens.Load())
-	}
-	// Next probe succeeds → closed, and the gate admits freely again.
-	b.Allow()
-	if !b.Allow() {
-		t.Fatal("probe not admitted")
-	}
-	b.Success()
-	if b.State() != "closed" {
-		t.Fatalf("state = %s, want closed after successful probe", b.State())
-	}
-	for i := 0; i < 5; i++ {
-		if !b.Allow() {
-			t.Fatal("closed breaker must admit")
+	ledger := func(state string, opens, sheds int64) {
+		t.Helper()
+		if b.State() != state || m.BreakerOpens.Load() != opens || m.BreakerSheds.Load() != sheds {
+			t.Fatalf("state %s opens %d sheds %d, want %s %d %d",
+				b.State(), m.BreakerOpens.Load(), m.BreakerSheds.Load(), state, opens, sheds)
 		}
 	}
-	if m.BreakerSheds.Load() == 0 {
-		t.Fatal("sheds not counted")
+	if !b.Allow() {
+		t.Fatal("new breaker must admit")
 	}
+	b.Failure()
+	b.Failure()
+	ledger("closed", 0, 0)
+	b.Failure()
+	ledger("open", 1, 0)
+	// One shed, then the second gate hit is the probe, beside which a third
+	// caller is shed.
+	if b.Allow() || !b.Allow() || b.Allow() {
+		t.Fatal("want shed, probe, shed")
+	}
+	ledger("half-open", 1, 2)
+	b.Failure() // the probe fails: a second open
+	ledger("open", 2, 2)
+	if b.Allow() || !b.Allow() {
+		t.Fatal("want shed, probe")
+	}
+	b.Success()
+	ledger("closed", 2, 3)
 }
 
 func TestBreakerAdaptivePenalty(t *testing.T) {

@@ -216,12 +216,12 @@ func TestCrawlMonthFaultEquivalence(t *testing.T) {
 	if got.Counts[StatusError] != 0 {
 		t.Fatalf("transient faults leaked into StatusError: %d", got.Counts[StatusError])
 	}
-	snap := metrics.Snapshot()
-	if snap.TransientFailures == 0 || snap.Retries == 0 {
+	snap := &metrics
+	if snap.TransientFailures.Load() == 0 || snap.Retries.Load() == 0 {
 		t.Fatalf("faults were not exercised: %s", snap)
 	}
-	if snap.RetriesExhausted != 0 {
-		t.Fatalf("retry budget exhausted %d times", snap.RetriesExhausted)
+	if snap.RetriesExhausted.Load() != 0 {
+		t.Fatalf("retry budget exhausted %d times", snap.RetriesExhausted.Load())
 	}
 	if faulty.Faults().InjectedTotal() == 0 {
 		t.Fatal("injector idle")
@@ -257,11 +257,11 @@ func TestCrawlMonthOutageBreaker(t *testing.T) {
 	if res.Counts[StatusError] != 0 {
 		t.Fatalf("outage leaked into StatusError: %d", res.Counts[StatusError])
 	}
-	snap := metrics.Snapshot()
-	if snap.BreakerOpens == 0 {
+	snap := &metrics
+	if snap.BreakerOpens.Load() == 0 {
 		t.Fatalf("breaker never opened during a full outage: %s", snap)
 	}
-	if snap.BreakerSheds == 0 {
+	if snap.BreakerSheds.Load() == 0 {
 		t.Fatalf("breaker shed no load during a full outage: %s", snap)
 	}
 }
@@ -361,11 +361,11 @@ func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Snapshot().Resumed == 0 {
+	if metrics.Resumed.Load() == 0 {
 		t.Fatal("no site-months restored from the journal")
 	}
-	if int(metrics.Snapshot().Resumed) < completedFirst {
-		t.Fatalf("resumed %d < %d journaled", metrics.Snapshot().Resumed, completedFirst)
+	if int(metrics.Resumed.Load()) < completedFirst {
+		t.Fatalf("resumed %d < %d journaled", metrics.Resumed.Load(), completedFirst)
 	}
 	for i := range want.Results {
 		if got.Results[i].Status != want.Results[i].Status {

@@ -86,54 +86,17 @@ func (m *Metrics) observeLive(res []LiveResult) {
 	}
 }
 
-// Snapshot returns a point-in-time copy of the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		PagesFetched:      m.PagesFetched.Load(),
-		PagesMissing:      m.PagesMissing.Load(),
-		PartialSnapshots:  m.PartialSnapshots.Load(),
-		Errors:            m.Errors.Load(),
-		HARBytes:          m.HARBytes.Load(),
-		Busy:              time.Duration(m.BusyNanos.Load()),
-		TransientFailures: m.TransientFailures.Load(),
-		Retries:           m.Retries.Load(),
-		RateLimited:       m.RateLimited.Load(),
-		RetriesExhausted:  m.RetriesExhausted.Load(),
-		BreakerOpens:      m.BreakerOpens.Load(),
-		BreakerSheds:      m.BreakerSheds.Load(),
-		Backoff:           time.Duration(m.BackoffNanos.Load()),
-		Resumed:           m.Resumed.Load(),
-	}
-}
-
-// MetricsSnapshot is an immutable view of crawl counters.
-type MetricsSnapshot struct {
-	PagesFetched     int64
-	PagesMissing     int64
-	PartialSnapshots int64
-	Errors           int64
-	HARBytes         int64
-	Busy             time.Duration
-
-	TransientFailures int64
-	Retries           int64
-	RateLimited       int64
-	RetriesExhausted  int64
-	BreakerOpens      int64
-	BreakerSheds      int64
-	Backoff           time.Duration
-	Resumed           int64
-}
-
 // String renders the counters for progress logs.
-func (s MetricsSnapshot) String() string {
+func (m *Metrics) String() string {
 	out := fmt.Sprintf("fetched=%d missing=%d partial=%d errors=%d har=%dKiB busy=%s",
-		s.PagesFetched, s.PagesMissing, s.PartialSnapshots, s.Errors,
-		s.HARBytes/1024, s.Busy.Round(time.Millisecond))
-	if s.TransientFailures > 0 || s.Retries > 0 || s.Resumed > 0 {
+		m.PagesFetched.Load(), m.PagesMissing.Load(), m.PartialSnapshots.Load(), m.Errors.Load(),
+		m.HARBytes.Load()/1024, time.Duration(m.BusyNanos.Load()).Round(time.Millisecond))
+	transient, retries, resumed := m.TransientFailures.Load(), m.Retries.Load(), m.Resumed.Load()
+	if transient > 0 || retries > 0 || resumed > 0 {
 		out += fmt.Sprintf(" transient=%d retries=%d ratelimited=%d exhausted=%d breaker=%d(open)/%d(shed) backoff=%s resumed=%d",
-			s.TransientFailures, s.Retries, s.RateLimited, s.RetriesExhausted,
-			s.BreakerOpens, s.BreakerSheds, s.Backoff.Round(time.Millisecond), s.Resumed)
+			transient, retries, m.RateLimited.Load(), m.RetriesExhausted.Load(),
+			m.BreakerOpens.Load(), m.BreakerSheds.Load(),
+			time.Duration(m.BackoffNanos.Load()).Round(time.Millisecond), resumed)
 	}
 	return out
 }

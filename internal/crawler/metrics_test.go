@@ -24,17 +24,17 @@ func TestMetricsAccumulate(t *testing.T) {
 		}
 		total += res.Counts[StatusOK]
 	}
-	snap := m.Snapshot()
-	if snap.PagesFetched != int64(total) {
-		t.Fatalf("fetched = %d, want %d", snap.PagesFetched, total)
+	snap := &m
+	if snap.PagesFetched.Load() != int64(total) {
+		t.Fatalf("fetched = %d, want %d", snap.PagesFetched.Load(), total)
 	}
-	if snap.PagesMissing == 0 {
+	if snap.PagesMissing.Load() == 0 {
 		t.Error("missing counter empty")
 	}
-	if snap.HARBytes == 0 {
+	if snap.HARBytes.Load() == 0 {
 		t.Error("HAR bytes not accumulated")
 	}
-	if snap.Busy <= 0 {
+	if snap.BusyNanos.Load() <= 0 {
 		t.Error("busy time not tracked")
 	}
 	if !strings.Contains(snap.String(), "fetched=") {
@@ -68,8 +68,8 @@ func TestMetricsConcurrentCrawls(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	snap := m.Snapshot()
-	if snap.PagesFetched+snap.PagesMissing+snap.PartialSnapshots+snap.Errors != int64(4*len(domains)) {
-		t.Fatalf("counters lost updates: %+v", snap)
+	snap := &m
+	if snap.PagesFetched.Load()+snap.PagesMissing.Load()+snap.PartialSnapshots.Load()+snap.Errors.Load() != int64(4*len(domains)) {
+		t.Fatalf("counters lost updates: %s", snap)
 	}
 }

@@ -42,12 +42,12 @@ func TestRetroFaultEquivalence(t *testing.T) {
 	if got, want := faulty.RenderFig6(), clean.RenderFig6(); got != want {
 		t.Errorf("Figure 6 diverged under faults:\nclean:\n%s\nfaulty:\n%s", want, got)
 	}
-	snap := metrics.Snapshot()
-	if snap.TransientFailures == 0 || snap.Retries == 0 {
+	snap := &metrics
+	if snap.TransientFailures.Load() == 0 || snap.Retries.Load() == 0 {
 		t.Fatalf("fault injection idle: %s", snap)
 	}
-	if snap.RetriesExhausted != 0 {
-		t.Fatalf("%d requests exhausted the retry budget (equivalence broken)", snap.RetriesExhausted)
+	if snap.RetriesExhausted.Load() != 0 {
+		t.Fatalf("%d requests exhausted the retry budget (equivalence broken)", snap.RetriesExhausted.Load())
 	}
 	// The corpora feed §5; they must survive faults unchanged too.
 	if len(faulty.CorpusPos) != len(clean.CorpusPos) || len(faulty.CorpusNeg) != len(clean.CorpusNeg) {
@@ -89,7 +89,7 @@ func TestRetroCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if metrics.Snapshot().Resumed == 0 {
+	if metrics.Resumed.Load() == 0 {
 		t.Fatal("resume refetched everything instead of restoring the journal")
 	}
 	if g, w := got.RenderFig5(), want.RenderFig5(); g != w {

@@ -1,82 +1,22 @@
 package fleet
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-func TestBreakerTripCooldownHalfOpen(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(3, time.Second)
-	b.now = func() time.Time { return now }
-
-	// Closed: admits traffic, counts the streak.
-	for i := 0; i < 2; i++ {
-		if !b.allow() {
-			t.Fatalf("closed breaker refused request %d", i)
-		}
-		if b.failure() {
-			t.Fatalf("failure %d ejected before threshold", i+1)
-		}
-	}
-	if !b.failure() {
-		t.Fatal("third consecutive failure did not eject")
-	}
-	if got := b.current(); got != breakerOpen {
-		t.Fatalf("state after trip = %v, want open", got)
-	}
-
-	// Open: refuses until the cooldown elapses.
-	if b.allow() {
-		t.Fatal("open breaker admitted during cooldown")
-	}
-	now = now.Add(999 * time.Millisecond)
-	if b.allow() {
-		t.Fatal("open breaker admitted 1ms early")
-	}
-	now = now.Add(time.Millisecond)
-	if !b.allow() {
-		t.Fatal("breaker refused the half-open probe after cooldown")
-	}
-	// Half-open: exactly one probe in flight.
-	if b.allow() {
-		t.Fatal("half-open breaker admitted a second probe")
-	}
-
-	// Probe failure re-ejects for a fresh cooldown.
-	if !b.failure() {
-		t.Fatal("half-open probe failure did not re-eject")
-	}
-	if b.allow() {
-		t.Fatal("re-opened breaker admitted immediately")
-	}
-
-	// Probe success closes.
-	now = now.Add(time.Second)
-	if !b.allow() {
-		t.Fatal("no probe after second cooldown")
-	}
-	b.success()
-	if got := b.current(); got != breakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", got)
-	}
-	if !b.allow() {
-		t.Fatal("closed breaker refused")
-	}
-
-	// Success clears the streak: two failures, success, two more failures
-	// must not trip.
-	b.failure()
-	b.failure()
-	b.success()
-	if b.failure() || b.failure() {
-		t.Fatal("streak survived an intervening success")
-	}
-}
-
+// TestBreakerDefaults: a backend built with no fail threshold ejects on its
+// third consecutive failure and is not re-admitted before its cooldown. (The
+// circuit itself is internal/chassis's, tested there under this probe rule.)
 func TestBreakerDefaults(t *testing.T) {
-	b := newBreaker(0, 0)
-	if b.threshold != 3 || b.cooldown != time.Second {
-		t.Fatalf("defaults = threshold %d cooldown %v, want 3, 1s", b.threshold, b.cooldown)
+	b := newBackend("http://replica", 0, 0, 0)
+	b.fail()
+	b.fail()
+	if b.ejections.Load() != 0 || !b.br.Allow() {
+		t.Fatal("ejected before the third consecutive failure")
+	}
+	b.fail()
+	if b.ejections.Load() != 1 || b.br.State() != "open" {
+		t.Fatalf("after three failures: ejections=%d breaker=%s, want 1, open", b.ejections.Load(), b.br.State())
+	}
+	if b.br.Allow() {
+		t.Fatal("an ejected backend was re-admitted at once")
 	}
 }

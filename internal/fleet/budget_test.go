@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adwars/internal/chassis"
 )
 
 func TestRetryBudgetBucket(t *testing.T) {
@@ -85,7 +87,7 @@ func TestGatewayRetryBudgetStopsRetryStorm(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, status)
 		}
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.BudgetExhausted == 0 || !exhaustedSeen {
 		t.Fatalf("budget never exhausted: metrics %+v, 502 seen %v", snap, exhaustedSeen)
 	}
@@ -178,7 +180,7 @@ func TestGatewayHedgeSpendsBudget(t *testing.T) {
 	// one backend exchange, ever.
 	client := &http.Client{Timeout: 5 * time.Second}
 	sent := uint64(0)
-	for i := 0; i < 6 && g.met.budgetExhausted.Load() == 0; i++ {
+	for i := 0; i < 6 && g.met.BudgetExhausted.Load() == 0; i++ {
 		resp, err := client.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(`{"url":"http://x/a"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -187,10 +189,10 @@ func TestGatewayHedgeSpendsBudget(t *testing.T) {
 		resp.Body.Close()
 		sent++
 	}
-	if got := g.met.budgetExhausted.Load(); got == 0 {
+	if got := g.met.BudgetExhausted.Load(); got == 0 {
 		t.Fatal("retry_budget_exhaustions = 0, want > 0 for the refused hedge")
 	}
-	if g.met.hedges.Load() == 0 {
+	if g.met.Hedges.Load() == 0 {
 		t.Fatal("hedge chain never fired — the test exercised nothing")
 	}
 	if total := slowHits.Load() + fastHits.Load(); total != sent {
@@ -206,7 +208,7 @@ func TestGatewayForwardsDeadlineHeader(t *testing.T) {
 	checkGoroutineLeaks(t)
 	var gotDeadline atomic.Value
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotDeadline.Store(r.Header.Get(DeadlineHeader))
+		gotDeadline.Store(r.Header.Get(chassis.DeadlineHeader))
 		w.Write([]byte(`{}`)) //nolint:errcheck
 	}))
 	defer backend.Close()
@@ -233,7 +235,7 @@ func TestGatewayForwardsDeadlineHeader(t *testing.T) {
 
 	// A tighter client deadline wins over the per-try budget.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match", strings.NewReader(`{"url":"http://x/a"}`))
-	req.Header.Set(DeadlineHeader, "50")
+	req.Header.Set(chassis.DeadlineHeader, "50")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -246,5 +248,61 @@ func TestGatewayForwardsDeadlineHeader(t *testing.T) {
 	}
 	if ms > 50 {
 		t.Fatalf("deadline header %dms, want <= client's 50ms", ms)
+	}
+}
+
+// TestGatewayDeadlineGarbageBecomesOwnBudget: the gateway and the replica
+// read X-Adwars-Deadline with one parser, so a client value that is not a
+// plain run of digits — negative, signed, trailing garbage — narrows nothing:
+// what reaches a real replica is the gateway's own remaining per-try budget,
+// present, never below 0, and the replica's deadline refusal stays armed with
+// it.
+func TestGatewayDeadlineGarbageBecomesOwnBudget(t *testing.T) {
+	checkGoroutineLeaks(t)
+	rep := newReplica(t, "r1", sealedLists(t, "v1"))
+	var reached atomic.Value // what the replica was sent, "absent" if nothing
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got := "absent"
+		if vs := r.Header[chassis.DeadlineHeader]; len(vs) == 1 {
+			got = vs[0]
+		}
+		reached.Store(got)
+		rep.srv.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	const perTry = 2 * time.Second
+	_, ts := newTestGateway(t, GatewayConfig{Backends: []string{front.URL}, PerTryTimeout: perTry})
+
+	send := func(inbound string) (status int, forwarded string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match",
+			strings.NewReader(`{"url":"http://ads.example.com/banner.js"}`))
+		req.Header.Set(chassis.DeadlineHeader, inbound)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode, reached.Load().(string)
+	}
+	for _, inbound := range []string{"-5", "+5", "5x", "5 ms", "1099511627777x", "0x10", "-0"} {
+		status, forwarded := send(inbound)
+		ms, err := strconv.ParseUint(forwarded, 10, 63)
+		if err != nil {
+			t.Fatalf("inbound %q reached the replica as %q, want a run of digits", inbound, forwarded)
+		}
+		// The whole per-try budget but for the time it took to get here.
+		if ms == 0 || ms > uint64(perTry.Milliseconds()) || ms < uint64(perTry.Milliseconds())/2 {
+			t.Errorf("inbound %q reached the replica as %dms, want the gateway's own budget (just under %v)", inbound, ms, perTry)
+		}
+		if status != http.StatusOK {
+			t.Errorf("inbound %q: status %d, want 200 (a garbled hint refuses nothing)", inbound, status)
+		}
+	}
+	// A value both sides read as a budget still narrows, and still refuses:
+	// 5ms cannot cover the replica's queue wait.
+	if status, forwarded := send("5"); status != http.StatusTooManyRequests || forwarded > "5" || len(forwarded) != 1 {
+		t.Errorf("inbound 5: status %d, replica was sent %q; want 429 and at most 5", status, forwarded)
 	}
 }

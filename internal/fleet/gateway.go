@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"adwars/internal/chassis"
 	"adwars/internal/wire"
 )
 
@@ -82,13 +81,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
 	}
-	g := &Gateway{cfg: cfg, pool: pool, met: &gatewayMetrics{}}
+	g := &Gateway{cfg: cfg, pool: pool, met: &gatewayMetrics{pool: pool}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/", g.handleProxy)
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.HandleFunc("/debug/vars", g.handleDebugVars)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeGatewayError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)
+		chassis.WriteError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)
 	})
 	g.mux = mux
 	return g, nil
@@ -98,7 +97,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 func (g *Gateway) Pool() *Pool { return g.pool }
 
 // Metrics returns the gateway metrics tree as an expvar-compatible Var.
-func (g *Gateway) Metrics() fmt.Stringer { return gatewayVar{met: g.met, pool: g.pool} }
+func (g *Gateway) Metrics() fmt.Stringer { return g.met }
 
 // Handler returns the gateway's HTTP handler tree.
 func (g *Gateway) Handler() http.Handler { return g.mux }
@@ -110,20 +109,11 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	defer stopHealth()
 	go g.pool.HealthLoop(healthCtx)
 	ws := &wire.Server{Handler: g.mux}
-	errc := make(chan error, 1)
-	go func() { errc <- ws.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	err := ws.Shutdown(drainCtx)
+	err := ws.Run(ctx, ln, drainTimeout, nil)
 	g.pool.closeIdle()
-	gatewayVar{met: g.met, pool: g.pool}.flush(g.cfg.MetricsOut)
+	chassis.Flush(g.cfg.MetricsOut, g.met)
 	if err != nil {
-		return fmt.Errorf("fleet: gateway drain incomplete: %w", err)
+		return fmt.Errorf("fleet: gateway %w", err)
 	}
 	return nil
 }
@@ -180,22 +170,15 @@ func (t *triedSet) pick(p *Pool) *Backend {
 }
 
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
-	g.met.requests.Add(1)
+	g.met.Requests.Add(1)
 	o := getOutbound()
 	defer putOutbound(o)
-	var err error
-	if o.body, err = readAll(o.body, http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeGatewayError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeGatewayError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		}
+	var ok bool
+	if o.body, ok = chassis.ReadBody(w, r, o.body, maxBody); !ok {
 		return
 	}
-	if err = o.render(r); err != nil {
-		writeGatewayError(w, http.StatusBadRequest, "bad_request", "%v", err)
+	if err := o.render(r); err != nil {
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
 
@@ -208,8 +191,8 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer res.release()
 	if res.err != nil {
-		g.met.noBackend.Add(1)
-		writeGatewayError(w, http.StatusBadGateway, "no_backend",
+		g.met.NoBackend.Add(1)
+		chassis.WriteError(w, http.StatusBadGateway, "no_backend",
 			"no replica could answer: %v", res.err)
 		return
 	}
@@ -233,7 +216,7 @@ func (g *Gateway) hedged(ctx context.Context, o *outbound) attemptResult {
 	hedgeDone := make(chan struct{})
 	timer := time.AfterFunc(g.cfg.HedgeDelay, func() {
 		defer close(hedgeDone)
-		g.met.hedges.Add(1)
+		g.met.Hedges.Add(1)
 		hedge = g.attemptChain(hctx, o, tried, true)
 		if hedge.err == nil {
 			cancelPrimary()
@@ -252,7 +235,7 @@ func (g *Gateway) hedged(ctx context.Context, o *outbound) attemptResult {
 		return primary
 	}
 	primary.release()
-	g.met.hedgeWins.Add(1)
+	g.met.HedgeWins.Add(1)
 	return hedge
 }
 
@@ -277,13 +260,13 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 		}
 		if i > 0 || hedge {
 			if !b.budget.spend() {
-				g.met.budgetExhausted.Add(1)
+				g.met.BudgetExhausted.Add(1)
 				lastErr = fmt.Errorf("backend %s: retry budget exhausted", b.ID())
 				break
 			}
 		}
 		if i > 0 {
-			g.met.retries.Add(1)
+			g.met.Retries.Add(1)
 		}
 		b.requests.Add(1)
 		rep, err := b.exchange(ctx, o, g.cfg.perTryTimeout(), res.body)
@@ -291,13 +274,13 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 			// Anything below 500 is the replica's real answer — including
 			// 429 shed (backpressure a retry would amplify) and 4xx input
 			// rejections (deterministic: every replica would refuse too).
-			b.br.success()
+			b.br.Success()
 			b.budget.earn()
 			if rep.status == http.StatusTooManyRequests {
-				g.met.passthrough.Add(1)
+				g.met.Passthrough.Add(1)
 			}
 			if i > 0 {
-				g.met.failovers.Add(1)
+				g.met.Failovers.Add(1)
 			}
 			res.reply, res.backend = rep, b
 			return res
@@ -317,17 +300,11 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 
 var errNoBackend = errors.New("no available backend")
 
-// DeadlineHeader carries the remaining request deadline downstream as
-// integer milliseconds. Milliseconds-remaining (not an absolute
-// timestamp) keeps the wire format clock-skew-free: each hop re-derives
-// "how long do I have" from its own clock.
-const DeadlineHeader = "X-Adwars-Deadline"
-
 // deliver relays a buffered backend response to the client, replica
 // attribution header included.
 func (g *Gateway) deliver(w http.ResponseWriter, res *attemptResult) {
-	g.met.proxied.Add(1)
-	if id := res.header["X-Adwars-Replica"]; len(id) > 0 {
+	g.met.Proxied.Add(1)
+	if id := res.header[chassis.ReplicaHeader]; len(id) > 0 {
 		res.backend.learnID(id[0])
 	}
 	h := w.Header()
@@ -345,9 +322,12 @@ func (g *Gateway) deliver(w http.ResponseWriter, res *attemptResult) {
 // handleHealthz reports the gateway's own routability: 200 while at
 // least one backend is available.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := g.met.snapshotFor(g.pool)
+	if !chassis.RequireMethod(w, r, http.MethodGet, http.MethodHead) {
+		return
+	}
+	backends := g.pool.snapshot()
 	available := 0
-	for _, b := range snap.Backends {
+	for _, b := range backends {
 		if b.Healthy && b.Breaker != "open" {
 			available++
 		}
@@ -358,53 +338,16 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no available backends"
 	}
-	writeGatewayJSON(w, status, struct {
+	chassis.WriteJSON(w, status, struct {
 		Status    string            `json:"status"`
 		Available int               `json:"available"`
 		Backends  []backendSnapshot `json:"backends"`
-	}{state, available, snap.Backends})
+	}{state, available, backends})
 }
 
 // handleDebugVars renders the process-global expvar registry plus the
-// gateway tree under "adwars_gateway", mirroring serve's endpoint shape
-// so adwars-loadgen can read either side with one code path.
+// gateway tree under "adwars_gateway", the shape serve's endpoint has, so
+// adwars-loadgen reads either side with one code path.
 func (g *Gateway) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "adwars_gateway" {
-			return // replaced below with this gateway's tree
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	if !first {
-		fmt.Fprintf(w, ",\n")
-	}
-	fmt.Fprintf(w, "%q: %s", "adwars_gateway", g.Metrics().String())
-	fmt.Fprintf(w, "\n}\n")
-}
-
-func writeGatewayJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeGatewayError mirrors serve's structured error envelope so gateway
-// clients parse one shape regardless of which layer answered.
-func writeGatewayError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeGatewayJSON(w, status, struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}{struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}{code, fmt.Sprintf(format, args...)}})
+	chassis.WriteVars(w, r, chassis.Var{Key: "adwars_gateway", Tree: g.met})
 }

@@ -23,6 +23,30 @@ func newTestGateway(t *testing.T, cfg GatewayConfig) (*Gateway, *httptest.Server
 	return g, ts
 }
 
+// gatewaySnapshot is the gateway's metrics tree as the tests read it back
+// from its JSON.
+type gatewaySnapshot struct {
+	Requests        uint64            `json:"requests"`
+	Proxied         uint64            `json:"proxied"`
+	Retries         uint64            `json:"retries"`
+	Failovers       uint64            `json:"failovers"`
+	Hedges          uint64            `json:"hedges"`
+	HedgeWins       uint64            `json:"hedge_wins"`
+	NoBackend       uint64            `json:"no_backend_5xx"`
+	Passthrough     uint64            `json:"passthrough_429"`
+	BudgetExhausted uint64            `json:"retry_budget_exhaustions"`
+	Backends        []backendSnapshot `json:"backends"`
+}
+
+func snapshotOf(t *testing.T, g *Gateway) gatewaySnapshot {
+	t.Helper()
+	var snap gatewaySnapshot
+	if err := jsonDecode(strings.NewReader(g.Metrics().String()), &snap); err != nil {
+		t.Fatalf("metrics tree is not JSON: %v", err)
+	}
+	return snap
+}
+
 func TestGatewayBalancesAndIsByteIdentical(t *testing.T) {
 	checkGoroutineLeaks(t)
 	seed := sealedLists(t, "v1")
@@ -51,7 +75,7 @@ func TestGatewayBalancesAndIsByteIdentical(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("9 requests hit %d replicas (%v), want all 3", len(seen), seen)
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Requests != 9 || snap.Proxied != 9 || snap.Retries != 0 || snap.NoBackend != 0 {
 		t.Errorf("metrics = %+v, want 9 clean proxied", snap)
 	}
@@ -77,7 +101,7 @@ func TestGatewayFailoverOnDeadBackend(t *testing.T) {
 			t.Fatalf("request %d after kill: status %d, want 200 (failover)", i, status)
 		}
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Retries == 0 || snap.Failovers == 0 {
 		t.Errorf("retries=%d failovers=%d, want both > 0 after a dead backend", snap.Retries, snap.Failovers)
 	}
@@ -116,7 +140,7 @@ func TestGatewayAllBackendsDead(t *testing.T) {
 	if !strings.Contains(string(body), "no_backend") {
 		t.Errorf("502 body = %s, want no_backend envelope", body)
 	}
-	if snap := g.met.snapshotFor(g.pool); snap.NoBackend != 1 {
+	if snap := snapshotOf(t, g); snap.NoBackend != 1 {
 		t.Errorf("no_backend_5xx = %d, want 1", snap.NoBackend)
 	}
 }
@@ -153,7 +177,7 @@ func TestGateway429PassthroughNoRetry(t *testing.T) {
 	if !sawShed {
 		t.Fatal("round-robin never surfaced the shedding backend's 429")
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Passthrough == 0 {
 		t.Errorf("passthrough_429 = 0, want > 0")
 	}
@@ -191,7 +215,7 @@ func TestGatewayHedgeWinsOverSlowBackend(t *testing.T) {
 	// lands on the stuck one — and the hedge chain must still win every
 	// time within the per-try budget.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.met.hedgeWins.Load() == 0 {
+	for g.met.HedgeWins.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no hedge win within 5s")
 		}
@@ -203,7 +227,7 @@ func TestGatewayHedgeWinsOverSlowBackend(t *testing.T) {
 			t.Fatalf("winner replica = %q, want fast", rid)
 		}
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Hedges == 0 || snap.HedgeWins == 0 {
 		t.Errorf("hedges=%d hedge_wins=%d, want both > 0", snap.Hedges, snap.HedgeWins)
 	}
@@ -237,7 +261,7 @@ func TestGatewayHealthLoopRoutesAroundDrain(t *testing.T) {
 			t.Fatalf("request %d routed to %q, want r2 only while r1 drains", i, rid)
 		}
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Retries != 0 {
 		t.Errorf("retries = %d, want 0 — drain routing is proactive, not reactive", snap.Retries)
 	}
@@ -277,5 +301,23 @@ func TestGatewayDebugVarsExposesTree(t *testing.T) {
 	}
 	if len(vars.Gateway.Backends) != 1 || vars.Gateway.Backends[0].Replica != "r1" {
 		t.Errorf("backends = %+v, want learned replica id r1", vars.Gateway.Backends)
+	}
+
+	// Read-only, like /healthz: any other verb is a 405 in the envelope the
+	// replicas use.
+	for _, path := range []string{"/healthz", "/debug/vars"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := `{"error":{"code":"method_not_allowed","message":"` + path + ` requires GET or HEAD"}}` + "\n"
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" || string(body) != want {
+			t.Errorf("POST %s = %d, Allow %q, body %s", path, resp.StatusCode, resp.Header.Get("Allow"), body)
+		}
+		if resp, err := http.Head(ts.URL + path); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("HEAD %s: %v %v", path, resp, err)
+		}
 	}
 }

@@ -2,30 +2,44 @@ package fleet
 
 import (
 	"encoding/json"
-	"io"
-	"sync/atomic"
+
+	"adwars/internal/chassis"
 )
 
 // gatewayMetrics is the gateway's counter tree, exported as one JSON
-// object under "adwars_gateway" in /debug/vars. The headline counters are
+// object under "adwars_gateway" in /debug/vars: the counters as they stand,
+// then what the pool's backends look like now. The headline counters are
 // the failover ledger: retries and failovers say how often a replica
 // failed under a request and the request survived anyway.
 type gatewayMetrics struct {
-	requests    atomic.Uint64 // /v1 requests entering the proxy
-	proxied     atomic.Uint64 // responses relayed from a backend (any status)
-	retries     atomic.Uint64 // extra attempts after a backend failure
-	failovers   atomic.Uint64 // requests that succeeded on a different backend than first tried
-	hedges      atomic.Uint64 // hedge chains fired
-	hedgeWins   atomic.Uint64 // requests won by the hedge chain
-	noBackend   atomic.Uint64 // 502s: every attempt exhausted
-	passthrough atomic.Uint64 // backend 429s relayed untouched (no retry)
-	// budgetExhausted counts attempt chains stopped because the target
+	pool *Pool
+
+	Requests    chassis.Counter `json:"requests"`        // /v1 requests entering the proxy
+	Proxied     chassis.Counter `json:"proxied"`         // responses relayed from a backend (any status)
+	Retries     chassis.Counter `json:"retries"`         // extra attempts after a backend failure
+	Failovers   chassis.Counter `json:"failovers"`       // requests that succeeded on a different backend than first tried
+	Hedges      chassis.Counter `json:"hedges"`          // hedge chains fired
+	HedgeWins   chassis.Counter `json:"hedge_wins"`      // requests won by the hedge chain
+	NoBackend   chassis.Counter `json:"no_backend_5xx"`  // 502s: every attempt exhausted
+	Passthrough chassis.Counter `json:"passthrough_429"` // backend 429s relayed untouched (no retry)
+	// BudgetExhausted counts attempt chains stopped because the target
 	// backend's retry budget was dry — extra load the gateway refused
 	// to generate.
-	budgetExhausted atomic.Uint64
+	BudgetExhausted chassis.Counter `json:"retry_budget_exhaustions"`
 }
 
-// backendSnapshot is one backend's counters in the metrics tree.
+func (m *gatewayMetrics) MarshalJSON() ([]byte, error) {
+	type counters gatewayMetrics // the tagged fields without this method
+	return json.Marshal(struct {
+		*counters
+		Backends []backendSnapshot `json:"backends"`
+	}{(*counters)(m), m.pool.snapshot()})
+}
+
+// String renders the tree as JSON, satisfying expvar.Var.
+func (m *gatewayMetrics) String() string { return chassis.JSON(m) }
+
+// backendSnapshot is one backend as the metrics tree and /healthz show it.
 type backendSnapshot struct {
 	URL       string `json:"url"`
 	Replica   string `json:"replica,omitempty"`
@@ -45,37 +59,14 @@ type backendSnapshot struct {
 	IdleConns    int    `json:"idle_conns"`
 }
 
-type gatewaySnapshot struct {
-	Requests        uint64            `json:"requests"`
-	Proxied         uint64            `json:"proxied"`
-	Retries         uint64            `json:"retries"`
-	Failovers       uint64            `json:"failovers"`
-	Hedges          uint64            `json:"hedges"`
-	HedgeWins       uint64            `json:"hedge_wins"`
-	NoBackend       uint64            `json:"no_backend_5xx"`
-	Passthrough     uint64            `json:"passthrough_429"`
-	BudgetExhausted uint64            `json:"retry_budget_exhaustions"`
-	Backends        []backendSnapshot `json:"backends"`
-}
-
-// snapshotFor renders the tree over the given pool.
-func (m *gatewayMetrics) snapshotFor(p *Pool) gatewaySnapshot {
-	out := gatewaySnapshot{
-		Requests:        m.requests.Load(),
-		Proxied:         m.proxied.Load(),
-		Retries:         m.retries.Load(),
-		Failovers:       m.failovers.Load(),
-		Hedges:          m.hedges.Load(),
-		HedgeWins:       m.hedgeWins.Load(),
-		NoBackend:       m.noBackend.Load(),
-		Passthrough:     m.passthrough.Load(),
-		BudgetExhausted: m.budgetExhausted.Load(),
-	}
-	for _, b := range p.Backends() {
+// snapshot reads every backend's state.
+func (p *Pool) snapshot() []backendSnapshot {
+	var out []backendSnapshot
+	for _, b := range p.backends {
 		bs := backendSnapshot{
 			URL:          b.URL,
 			Healthy:      b.healthy.Load(),
-			Breaker:      b.br.current().String(),
+			Breaker:      b.br.State(),
 			Requests:     b.requests.Load(),
 			Failures:     b.failures.Load(),
 			Ejections:    b.ejections.Load(),
@@ -88,33 +79,7 @@ func (m *gatewayMetrics) snapshotFor(p *Pool) gatewaySnapshot {
 		if id := b.ID(); id != b.URL {
 			bs.Replica = id
 		}
-		out.Backends = append(out.Backends, bs)
+		out = append(out, bs)
 	}
 	return out
-}
-
-// gatewayVar adapts the metrics tree to expvar.Var / fmt.Stringer.
-type gatewayVar struct {
-	met  *gatewayMetrics
-	pool *Pool
-}
-
-func (v gatewayVar) String() string {
-	data, err := json.Marshal(v.met.snapshotFor(v.pool))
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
-
-// flush writes a final indented snapshot on shutdown.
-func (v gatewayVar) flush(w io.Writer) {
-	if w == nil {
-		return
-	}
-	data, err := json.MarshalIndent(v.met.snapshotFor(v.pool), "", "  ")
-	if err != nil {
-		return
-	}
-	w.Write(append(data, '\n'))
 }

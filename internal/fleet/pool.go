@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"adwars/internal/chassis"
 )
 
 // Backend is one serve replica behind the gateway: its base URL, the
@@ -27,7 +29,7 @@ type Backend struct {
 	// health pass corrects any optimism within one interval.
 	healthy atomic.Bool
 
-	br *breaker
+	br *chassis.Breaker
 
 	// budget bounds the extra attempts (retries + hedges) the gateway
 	// may aim at this backend; refilled by successes.
@@ -49,9 +51,15 @@ type Backend struct {
 }
 
 func newBackend(url string, failThreshold int, budgetCap, budgetRefill float64) *Backend {
+	if failThreshold <= 0 {
+		failThreshold = 3
+	}
 	b := &Backend{
-		URL:    url,
-		br:     newBreaker(failThreshold, 0),
+		URL: url,
+		// Driven by real proxied traffic (the active health poller flips a
+		// separate availability bit): an ejected backend sits out a second,
+		// then one probe request re-admits it or ejects it afresh.
+		br:     chassis.NewBreaker(failThreshold, chassis.AfterCooldown(time.Second, time.Now)),
 		budget: newRetryBudget(budgetCap, budgetRefill),
 	}
 	b.healthy.Store(true)
@@ -81,7 +89,7 @@ func (b *Backend) learnID(id string) {
 // fail records a failed exchange on this backend.
 func (b *Backend) fail() {
 	b.failures.Add(1)
-	if b.br.failure() {
+	if b.br.Failure() {
 		b.ejections.Add(1)
 	}
 }
@@ -161,7 +169,7 @@ func (p *Pool) pick(tried *triedSet) *Backend {
 		if tried.has(b) || !b.healthy.Load() {
 			continue
 		}
-		if b.br.allow() {
+		if b.br.Allow() {
 			return b
 		}
 	}
@@ -170,7 +178,7 @@ func (p *Pool) pick(tried *triedSet) *Backend {
 		if tried.has(b) {
 			continue
 		}
-		if b.br.allow() {
+		if b.br.Allow() {
 			return b
 		}
 	}

@@ -5,18 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/textproto"
 	"net/url"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"adwars/internal/chassis"
 	"adwars/internal/wire"
 )
 
@@ -58,25 +57,6 @@ func putBuffer(buf *buffer) {
 	if buf != nil && cap(buf.b) <= maxPooledBuf {
 		buf.b = buf.b[:0]
 		bufPool.Put(buf)
-	}
-}
-
-// readAll appends r to dst until EOF. hint is the expected length (-1 when
-// unknown); it sizes the first read but is not trusted beyond maxPooledBuf.
-func readAll(dst []byte, r io.Reader, hint int64) ([]byte, error) {
-	dst = slices.Grow(dst, int(min(max(hint+1, 512), maxPooledBuf)))
-	for {
-		if len(dst) == cap(dst) {
-			dst = slices.Grow(dst, 512)
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return dst, err
-		}
 	}
 }
 
@@ -133,6 +113,9 @@ func (o *outbound) render(r *http.Request) error {
 		return fmt.Errorf("invalid request target %q", o.uri)
 	}
 	o.inboundDeadline = math.MaxInt64
+	if ms, ok := chassis.DeadlineMs(r.Header); ok {
+		o.inboundDeadline = ms
+	}
 	h := o.head[:0]
 	for k, vs := range r.Header {
 		k = textproto.CanonicalMIMEHeaderKey(k)
@@ -142,12 +125,8 @@ func (o *outbound) render(r *http.Request) error {
 		case k == "Expect":
 			// The body is already buffered: a forwarded "100-continue" would
 			// only make the replica emit a 1xx nobody is waiting for.
-		case k == DeadlineHeader:
-			if len(vs) > 0 {
-				if ms, err := strconv.ParseInt(vs[0], 10, 64); err == nil {
-					o.inboundDeadline = ms
-				}
-			}
+		case k == chassis.DeadlineHeader:
+			// Ours to write (send): the client's only narrows it.
 		case !wire.ValidToken(k):
 			return fmt.Errorf("invalid header name %q", k)
 		default:
@@ -349,7 +328,7 @@ func (c *backendConn) send(b *Backend, o *outbound, deadline time.Time) error {
 	// whatever the client itself propagated. Serve admission reads it to
 	// refuse work it cannot finish in time instead of queueing it to die.
 	ms := min(max(time.Until(deadline).Milliseconds(), 0), o.inboundDeadline)
-	w = append(w, DeadlineHeader+": "...)
+	w = append(w, chassis.DeadlineHeader+": "...)
 	w = strconv.AppendInt(w, ms, 10)
 	w = append(w, "\r\n\r\n"...)
 	var err error
@@ -379,7 +358,7 @@ func (c *backendConn) receive(o *outbound, body *buffer) (rep reply, keep bool, 
 		// status at all.
 		return reply{}, false, fmt.Errorf("unexpected %q reply", resp.Status)
 	}
-	if body.b, err = readAll(body.b[:0], resp.Body, resp.ContentLength); err != nil {
+	if body.b, err = chassis.ReadAll(body.b[:0], resp.Body, resp.ContentLength, math.MaxInt64); err != nil {
 		return reply{}, false, fmt.Errorf("reading reply body: %w", err)
 	}
 	return reply{resp.StatusCode, resp.Header}, !resp.Close && c.br.Buffered() == 0, nil

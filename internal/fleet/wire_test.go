@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adwars/internal/chassis"
 )
 
 // ---- stubs ----
@@ -254,7 +256,7 @@ func TestWireForwardsOnlyEndToEndHeaders(t *testing.T) {
 			if n := strings.Count(head, "Content-Length:"); n != 1 || !strings.Contains(head, "\r\nContent-Length: "+strconv.Itoa(len(body))+"\r\n") {
 				t.Errorf("want exactly one Content-Length of %d:\n%s", len(body), head)
 			}
-			for _, want := range []string{"\r\nContent-Type: application/json", "\r\nX-Multi: one\r\n", "\r\nX-Multi: two", "\r\n" + DeadlineHeader + ": "} {
+			for _, want := range []string{"\r\nContent-Type: application/json", "\r\nX-Multi: one\r\n", "\r\nX-Multi: two", "\r\n" + chassis.DeadlineHeader + ": "} {
 				if !strings.Contains(head, want) {
 					t.Errorf("missing %q in:\n%s", want, head)
 				}
@@ -363,7 +365,7 @@ func exchangeOnce(t *testing.T, b *Backend, r *http.Request, timeout time.Durati
 	o := getOutbound()
 	defer putOutbound(o)
 	var err error
-	if o.body, err = readAll(o.body, r.Body, r.ContentLength); err != nil {
+	if o.body, err = chassis.ReadAll(o.body, r.Body, r.ContentLength, maxBody); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.render(r); err != nil {
@@ -400,9 +402,9 @@ func TestWireDifferentialAgainstNetHTTP(t *testing.T) {
 		{"1 MiB body", "POST", "/v1/match", big, nil, nil, 1},
 		{"query string", "POST", "/v1/match?a=1&b=%20x&c=%2F", `{"q":1}`, nil, nil, 1},
 		{"repeated headers", "POST", "/v1/match", `{}`, http.Header{"X-Multi": {"one", "two", ""}, "Accept": {"*/*"}}, nil, 1},
-		{"narrower inbound deadline", "POST", "/v1/match", `{}`, http.Header{DeadlineHeader: {"50"}},
+		{"narrower inbound deadline", "POST", "/v1/match", `{}`, http.Header{chassis.DeadlineHeader: {"50"}},
 			func(ms int64) bool { return ms == 50 }, 1},
-		{"wider inbound deadline", "POST", "/v1/match", `{}`, http.Header{DeadlineHeader: {"999999"}},
+		{"wider inbound deadline", "POST", "/v1/match", `{}`, http.Header{chassis.DeadlineHeader: {"999999"}},
 			func(ms int64) bool { return ms > 0 && ms <= perTry.Milliseconds() }, 1},
 		{"chunked reply", "POST", "/v1/chunked", `{}`, nil, nil, 1},
 		{"connection-close reply", "POST", "/v1/close", `{}`, nil, nil, 0},
@@ -441,7 +443,7 @@ func TestWireDifferentialAgainstNetHTTP(t *testing.T) {
 
 			// The replica must not be able to tell the two clients apart,
 			// the deadline stamp aside.
-			stamp := gotSeen.Header[DeadlineHeader]
+			stamp := gotSeen.Header[chassis.DeadlineHeader]
 			if len(stamp) != 1 {
 				t.Fatalf("X-Adwars-Deadline = %q, want exactly one", stamp)
 			}
@@ -452,7 +454,7 @@ func TestWireDifferentialAgainstNetHTTP(t *testing.T) {
 			// ... and Content-Length, which net/http leaves off a bodyless GET
 			// and the exchange always sends; Length is what either framed.
 			for _, h := range []http.Header{gotSeen.Header, wantSeen.Header} {
-				delete(h, DeadlineHeader)
+				delete(h, chassis.DeadlineHeader)
 				delete(h, "Content-Length")
 			}
 			if !reflect.DeepEqual(gotSeen, wantSeen) {
@@ -499,7 +501,7 @@ func TestWireStaleKeepAliveIsRedialledNotCharged(t *testing.T) {
 		}
 		ts.CloseClientConnections()
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Retries != 0 || snap.Failovers != 0 || snap.NoBackend != 0 || snap.Backends[0].Failures != 0 {
 		t.Errorf("a stale connection was charged to the backend: %+v", snap)
 	}
@@ -541,7 +543,7 @@ func TestWireBrokenReplyFailsOverAndIsNotResent(t *testing.T) {
 			t.Fatalf("request %d: %d %q", i, w.Code, w.Body)
 		}
 	}
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if got.Load() != 2 {
 		t.Errorf("flaky replica received %d requests, want 2: the broken one must not be resent to it", got.Load())
 	}
@@ -669,7 +671,7 @@ func TestGatewayHedgedStress(t *testing.T) {
 		}(wk)
 	}
 	wg.Wait()
-	snap := g.met.snapshotFor(g.pool)
+	snap := snapshotOf(t, g)
 	if snap.Proxied != workers*each || snap.NoBackend != 0 {
 		t.Errorf("proxied=%d no_backend=%d, want %d and 0", snap.Proxied, snap.NoBackend, workers*each)
 	}
@@ -715,8 +717,7 @@ func TestServeDrainClosesIdleBackendConnections(t *testing.T) {
 	go func() { served <- g.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 	client := &http.Client{Transport: &http.Transport{}}
-	get := func(path string) []byte {
-		resp, err := client.Post(base+path, "application/json", strings.NewReader("{}"))
+	read := func(resp *http.Response, err error) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -725,12 +726,12 @@ func TestServeDrainClosesIdleBackendConnections(t *testing.T) {
 		return body
 	}
 	for i := 0; i < 3; i++ {
-		get("/v1/match")
+		read(client.Post(base+"/v1/match", "application/json", strings.NewReader("{}")))
 	}
 
 	// The pool shows in both trees, under new keys only.
 	for _, path := range []string{"/healthz", "/debug/vars"} {
-		doc := string(get(path))
+		doc := string(read(client.Get(base + path)))
 		for _, want := range []string{`"dials":1`, `"stale_redials":0`, `"idle_conns":1`} {
 			if !strings.Contains(doc, want) {
 				t.Errorf("%s lacks %s: %s", path, want, doc)

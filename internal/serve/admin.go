@@ -8,26 +8,27 @@ import (
 	"strings"
 
 	"adwars/internal/artifact"
+	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 )
 
 // ---- admin ----
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	if s.cfg.ModelPath == "" && s.cfg.ListsPath == "" {
-		writeError(w, http.StatusBadRequest, "snapshot", "no snapshot paths configured")
+		chassis.WriteError(w, http.StatusBadRequest, "snapshot", "no snapshot paths configured")
 		return
 	}
 	if err := s.ReloadSnapshots(); err != nil {
 		// The old snapshots are still installed; the operator gets a
 		// structured 4xx, not a broken server.
-		writeError(w, http.StatusBadRequest, "snapshot", "reload failed: %v", err)
+		chassis.WriteError(w, http.StatusBadRequest, "snapshot", "reload failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reloadResponse{Reloaded: true, Snapshot: s.snapshotInfo()})
+	chassis.WriteJSON(w, http.StatusOK, reloadResponse{Reloaded: true, Snapshot: s.snapshotInfo()})
 }
 
 // Health is the /healthz and /readyz response body: liveness, readiness,
@@ -79,12 +80,15 @@ func (s *Server) health() Health {
 // handleHealthz is liveness: 200 as long as the process can answer and
 // has any snapshot, even while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if !chassis.RequireMethod(w, r, http.MethodGet, http.MethodHead) {
+		return
+	}
 	h := s.health()
 	status := http.StatusOK
 	if !h.Model && !h.Lists {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	chassis.WriteJSON(w, status, h)
 }
 
 // handleReadyz is routability: 503 once drain is announced (or before any
@@ -96,7 +100,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !h.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	chassis.WriteJSON(w, status, h)
 }
 
 // pushResponse answers a successful control-plane snapshot push.
@@ -124,7 +128,7 @@ type pushResponse struct {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	kind := strings.TrimPrefix(r.URL.Path, "/admin/snapshot/")
 	if kind != "lists" && kind != "model" {
-		writeError(w, http.StatusNotFound, "not_found", "unknown snapshot kind %q", kind)
+		chassis.WriteError(w, http.StatusNotFound, "not_found", "unknown snapshot kind %q", kind)
 		return
 	}
 	switch r.Method {
@@ -133,9 +137,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		s.handleSnapshotPush(w, r, kind)
 	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires GET or POST", r.URL.Path)
+		chassis.RequireMethod(w, r, http.MethodGet, http.MethodPost)
 	}
 }
 
@@ -153,7 +155,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, kind string) {
 		}
 	}
 	if len(raw) == 0 {
-		writeError(w, http.StatusNotFound, "no_snapshot",
+		chassis.WriteError(w, http.StatusNotFound, "no_snapshot",
 			"no artifact-backed %s snapshot installed", kind)
 		return
 	}
@@ -168,7 +170,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 		path = s.cfg.ModelPath
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, "snapshot",
+		chassis.WriteError(w, http.StatusBadRequest, "snapshot",
 			"no %s snapshot path configured on this replica", kind)
 		return
 	}
@@ -176,10 +178,10 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			chassis.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 				"snapshot exceeds %d bytes", tooLarge.Limit)
 		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading snapshot body: %v", err)
+			chassis.WriteError(w, http.StatusBadRequest, "bad_request", "reading snapshot body: %v", err)
 		}
 		return
 	}
@@ -204,21 +206,21 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 	}
 	if err != nil {
 		s.reloadFailed("push", err)
-		writeError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
+		chassis.WriteError(w, http.StatusUnprocessableEntity, "corrupt_artifact",
 			"pushed %s snapshot refused: %v", kind, err)
 		return
 	}
 	if err := artifact.WriteFileAtomic(path, data, 0o644); err != nil {
 		s.reloadFailed("push", err)
-		writeError(w, http.StatusInternalServerError, "persist_failed",
+		chassis.WriteError(w, http.StatusInternalServerError, "persist_failed",
 			"persisting pushed snapshot: %v", err)
 		return
 	}
 	store()
-	s.met.reloads.Add(1)
-	s.met.pushes.Add(1)
+	s.met.Reloads.Add(1)
+	s.met.Pushes.Add(1)
 	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "push"})
-	writeJSON(w, http.StatusOK, pushResponse{Installed: true, Kind: kind, Version: version})
+	chassis.WriteJSON(w, http.StatusOK, pushResponse{Installed: true, Kind: kind, Version: version})
 }
 
 // ---- analytics ----
@@ -230,16 +232,16 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 // adwars-report -live consumes it directly; adwars-loadgen
 // -check analytics reconciles its totals against the client-side ledger.
 func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !chassis.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.anl == nil {
-		writeError(w, http.StatusNotFound, "analytics_disabled",
+		chassis.WriteError(w, http.StatusNotFound, "analytics_disabled",
 			"decision analytics are disabled on this replica")
 		return
 	}
 	snap := s.anl.Snapshot()
-	writeJSON(w, http.StatusOK, &snap)
+	chassis.WriteJSON(w, http.StatusOK, &snap)
 }
 
 // ---- degrade ----
@@ -265,21 +267,21 @@ func parseDegradeLevel(v string) (degrade.Level, bool) {
 //     drills; POST ?unpin releases it back to automatic control.
 func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 	if s.gov == nil {
-		writeError(w, http.StatusNotFound, "degrade_disabled",
+		chassis.WriteError(w, http.StatusNotFound, "degrade_disabled",
 			"the overload governor is disabled on this replica")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		snap := s.gov.Snapshot()
-		writeJSON(w, http.StatusOK, &snap)
+		chassis.WriteJSON(w, http.StatusOK, &snap)
 	case http.MethodPost:
 		q := r.URL.Query()
 		switch {
 		case q.Has("pin"):
 			lvl, ok := parseDegradeLevel(q.Get("pin"))
 			if !ok {
-				writeError(w, http.StatusBadRequest, "bad_request",
+				chassis.WriteError(w, http.StatusBadRequest, "bad_request",
 					"invalid pin level %q (want L0..L4)", q.Get("pin"))
 				return
 			}
@@ -287,17 +289,13 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 		case q.Has("unpin"):
 			s.gov.Unpin()
 		default:
-			writeError(w, http.StatusBadRequest, "bad_request",
+			chassis.WriteError(w, http.StatusBadRequest, "bad_request",
 				"POST needs ?pin=L0..L4 or ?unpin")
 			return
 		}
 		snap := s.gov.Snapshot()
-		writeJSON(w, http.StatusOK, &snap)
+		chassis.WriteJSON(w, http.StatusOK, &snap)
 	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires GET or POST", r.URL.Path)
+		chassis.RequireMethod(w, r, http.MethodGet, http.MethodPost)
 	}
 }
-
-// degradeVars renders the governor snapshot for /debug/vars.

@@ -272,15 +272,11 @@ func TestLoadSheddingEndToEnd(t *testing.T) {
 	if !retryAfterSeen.Load() {
 		t.Error("429s missing Retry-After")
 	}
-	var snap metricsSnapshot
-	if err := json.Unmarshal([]byte(s.met.String()), &snap); err != nil {
-		t.Fatal(err)
+	ep := s.met.endpoints[epMatch]
+	if shed := int64(ep.Shed.Load()); shed != shed429.Load() {
+		t.Errorf("shed metric = %d, clients saw %d", shed, shed429.Load())
 	}
-	ep := snap.Endpoints["match"]
-	if int64(ep.Shed) != shed429.Load() {
-		t.Errorf("shed metric = %d, clients saw %d", ep.Shed, shed429.Load())
-	}
-	if int64(ep.Requests) != ok200.Load()+shed429.Load() {
-		t.Errorf("requests metric = %d, want %d", ep.Requests, ok200.Load()+shed429.Load())
+	if reqs := int64(ep.Requests.Load()); reqs != ok200.Load()+shed429.Load() {
+		t.Errorf("requests metric = %d, want %d", reqs, ok200.Load()+shed429.Load())
 	}
 }

@@ -114,7 +114,7 @@ func (s *Server) withChaos(next http.Handler) http.Handler {
 		}
 		switch s.chaos.drawAction() {
 		case chaosClose:
-			s.met.chaos.closeInjections.Add(1)
+			s.met.Chaos.CloseInjections.Add(1)
 			if hj, ok := w.(http.Hijacker); ok {
 				if conn, _, err := hj.Hijack(); err == nil {
 					conn.Close()
@@ -124,10 +124,10 @@ func (s *Server) withChaos(next http.Handler) http.Handler {
 			// No hijack support: abort the connection the sanctioned way.
 			panic(http.ErrAbortHandler)
 		case chaosTruncate:
-			s.met.chaos.truncateInjection.Add(1)
+			s.met.Chaos.TruncateInjections.Add(1)
 			r.Body = &truncatedBody{inner: r.Body, remaining: 3}
 		case chaosPanic:
-			s.met.chaos.panicInjections.Add(1)
+			s.met.Chaos.PanicInjections.Add(1)
 			panic(fmt.Sprintf("chaos: injected panic (seed %d)", cc.Seed))
 		}
 		next.ServeHTTP(w, r)

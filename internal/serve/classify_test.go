@@ -104,7 +104,7 @@ func TestClassifyRefusesDeepNesting(t *testing.T) {
 	if rec := do(t, s, "POST", "/v1/classify", testAntiScript); rec.Code != 200 {
 		t.Errorf("after the refusals: %d %s", rec.Code, rec.Body.Bytes())
 	}
-	if got := s.met.panicsRecovered.Load(); got != 0 {
+	if got := s.met.PanicsRecovered.Load(); got != 0 {
 		t.Errorf("panics_recovered = %d; the bound is an error, not a recovered panic", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestClassifyBoundsPackerOutput(t *testing.T) {
 	if rec := do(t, s, "POST", "/v1/classify", testAntiScript); rec.Code != 200 {
 		t.Errorf("after the packer: %d %s", rec.Code, rec.Body.Bytes())
 	}
-	if got := s.met.panicsRecovered.Load(); got != 0 {
+	if got := s.met.PanicsRecovered.Load(); got != 0 {
 		t.Errorf("panics_recovered = %d; the budget leaves a payload packed, it does not panic", got)
 	}
 }

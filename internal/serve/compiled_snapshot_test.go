@@ -117,7 +117,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("reload of damaged section: status %d (%s), want 400", resp.StatusCode, body)
 	}
-	if got := s.met.reloadRejected.Load(); got != 1 {
+	if got := s.met.ReloadRejected.Load(); got != 1 {
 		t.Errorf("reload_rejected = %d, want 1", got)
 	}
 	if after := match(); after != before {

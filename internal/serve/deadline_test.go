@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adwars/internal/chassis"
 )
 
 // doWithDeadline is do with an X-Adwars-Deadline header attached.
@@ -13,7 +15,7 @@ func doWithDeadline(t *testing.T, s *Server, path, body, deadline string) *httpt
 	t.Helper()
 	req := httptest.NewRequest("POST", path, strings.NewReader(body))
 	if deadline != "" {
-		req.Header.Set(DeadlineHeader, deadline)
+		req.Header.Set(chassis.DeadlineHeader, deadline)
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -41,7 +43,7 @@ func TestDeadlineRefusedImmediately(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra == "" {
 		t.Fatal("deadline refusal carries no Retry-After")
 	}
-	if got := s.met.deadlineRefused.Load(); got != 1 {
+	if got := s.met.DeadlineRefused.Load(); got != 1 {
 		t.Fatalf("deadline_refused = %d, want 1", got)
 	}
 	// The refusal left admission untouched: no slot held, nothing queued.
@@ -52,7 +54,7 @@ func TestDeadlineRefusedImmediately(t *testing.T) {
 		t.Fatalf("%d worker slots held after refusal, want 0", n)
 	}
 	// The refusal is booked as a shed so ledgers stay sent == 2xx + 429.
-	if shed := s.met.endpoints[epMatch].shed.Load(); shed != 1 {
+	if shed := s.met.endpoints[epMatch].Shed.Load(); shed != 1 {
 		t.Fatalf("match shed = %d, want 1", shed)
 	}
 }
@@ -86,7 +88,7 @@ func TestDeadlineMalformedIgnored(t *testing.T) {
 			t.Fatalf("deadline %q: status %d, want 200 (advisory header)", bad, rec.Code)
 		}
 	}
-	if got := s.met.deadlineRefused.Load(); got != 0 {
+	if got := s.met.DeadlineRefused.Load(); got != 0 {
 		t.Fatalf("deadline_refused = %d, want 0", got)
 	}
 }
@@ -106,7 +108,7 @@ func TestDeadlineRefusalOnBatchAndClassify(t *testing.T) {
 			t.Fatalf("%s with 10ms deadline: status %d, want 429", path, rec.Code)
 		}
 	}
-	if got := s.met.deadlineRefused.Load(); got != uint64(len(probes)) {
+	if got := s.met.DeadlineRefused.Load(); got != uint64(len(probes)) {
 		t.Fatalf("deadline_refused = %d, want %d", got, len(probes))
 	}
 }
@@ -123,16 +125,22 @@ func TestDeadlineMsParse(t *testing.T) {
 		{"", 0, false},
 		{"x", 0, false},
 		{"-1", 0, false},
+		{"+5", 0, false},
 		{"12a", 0, false},
+		{" 12", 0, false},
+		// Past the cap the value saturates, and the rest of it is still read.
+		{"1099511627777", 1 << 40, true},
+		{"99999999999999999999999999", 1 << 40, true},
+		{"1099511627777x", 0, false},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("POST", "/v1/match", nil)
 		if c.in != "" {
-			req.Header.Set(DeadlineHeader, c.in)
+			req.Header.Set(chassis.DeadlineHeader, c.in)
 		}
-		ms, have := deadlineMs(req)
+		ms, have := chassis.DeadlineMs(req.Header)
 		if have != c.have || (have && ms != c.ms) {
-			t.Fatalf("deadlineMs(%q) = %d,%v want %d,%v", c.in, ms, have, c.ms, c.have)
+			t.Fatalf("DeadlineMs(%q) = %d,%v want %d,%v", c.in, ms, have, c.ms, c.have)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adwars/internal/analytics"
+	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 )
 
@@ -32,8 +33,8 @@ func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("level %s: /v1/match status %d", lvl, rec.Code)
 		}
-		if got := rec.Header().Get(DegradeHeader); got != lvl.String() {
-			t.Fatalf("level %s: %s header = %q", lvl, DegradeHeader, got)
+		if got := rec.Header().Get(chassis.DegradeHeader); got != lvl.String() {
+			t.Fatalf("level %s: %s header = %q", lvl, chassis.DegradeHeader, got)
 		}
 	}
 
@@ -41,8 +42,8 @@ func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 	// shape is untouched.
 	plain := newTestServer(t, Config{})
 	rec := do(t, plain, "POST", "/v1/match", matchBlockedBody)
-	if vs, ok := rec.Header()[DegradeHeader]; ok {
-		t.Fatalf("governor-less server stamped %s: %v", DegradeHeader, vs)
+	if vs, ok := rec.Header()[chassis.DegradeHeader]; ok {
+		t.Fatalf("governor-less server stamped %s: %v", chassis.DegradeHeader, vs)
 	}
 }
 
@@ -139,7 +140,7 @@ func TestDegradeLadderSheds(t *testing.T) {
 			}
 		}
 	}
-	if got := s.met.degradeShed.Load(); got != 5 {
+	if got := s.met.DegradeShed.Load(); got != 5 {
 		t.Fatalf("degrade_shed = %d, want 5 (2 at L3 + 3 at L4)", got)
 	}
 }
@@ -269,7 +270,7 @@ func TestDegradeSourceWindowedSignals(t *testing.T) {
 	}
 
 	// Slow traffic shows up in the next window...
-	s.met.endpoints[epMatch].latency.Observe(50 * time.Millisecond)
+	s.met.endpoints[epMatch].Latency.Observe(50 * time.Millisecond)
 	if sig = src(); sig.MatchP99Ns < (50 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("windowed p99 = %dns, want >= 50ms", sig.MatchP99Ns)
 	}
@@ -277,31 +278,6 @@ func TestDegradeSourceWindowedSignals(t *testing.T) {
 	// keep the ladder stuck at its peak forever.
 	if sig = src(); sig.MatchP99Ns != 0 {
 		t.Fatalf("stale p99 leaked into the next window: %dns", sig.MatchP99Ns)
-	}
-}
-
-func TestHistogramWindowQuantile(t *testing.T) {
-	h := &histogram{}
-	var prev [44]uint64
-	if got := h.windowQuantile(&prev, 0.99); got != 0 {
-		t.Fatalf("empty window p99 = %d, want 0", got)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1000)
-	}
-	if got := h.windowQuantile(&prev, 0.99); got == 0 || got > 2048 {
-		t.Fatalf("first window p99 = %dns, want ≈1µs bucket", got)
-	}
-	// A second window sees only its own observations, so ten slow ones
-	// dominate even though a hundred fast ones precede them cumulatively.
-	for i := 0; i < 10; i++ {
-		h.Observe(16 * time.Millisecond)
-	}
-	if got := h.windowQuantile(&prev, 0.99); got < uint64((16 * time.Millisecond).Nanoseconds()) {
-		t.Fatalf("second window p99 = %dns, want >= 16ms", got)
-	}
-	if got := h.windowQuantile(&prev, 0.99); got != 0 {
-		t.Fatalf("drained window p99 = %d, want 0", got)
 	}
 }
 

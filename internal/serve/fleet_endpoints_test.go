@@ -142,14 +142,14 @@ func TestSnapshotPushRejectsDamage(t *testing.T) {
 		{"unsealed", good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))]},
 		{"sealed-garbage", artifact.Seal([]byte(`{"this is": not json`))},
 	}
-	rejected := s.met.reloadRejected.Load()
+	rejected := s.met.ReloadRejected.Load()
 	for _, tc := range cases {
 		rec := do(t, s, "POST", "/admin/snapshot/lists", string(tc.body))
 		if rec.Code != 422 {
 			t.Errorf("%s: push = %d, want 422 (%s)", tc.name, rec.Code, rec.Body.Bytes())
 		}
 	}
-	if got := s.met.reloadRejected.Load(); got != rejected+uint64(len(cases)) {
+	if got := s.met.ReloadRejected.Load(); got != rejected+uint64(len(cases)) {
 		t.Errorf("reload_rejected = %d, want %d", got, rejected+uint64(len(cases)))
 	}
 	// Last-good kept serving: version unchanged, pull returns good bytes.
@@ -214,7 +214,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reloads := s.met.reloads.Load()
+		reloads := s.met.Reloads.Load()
 		if rec := do(t, s, "POST", "/admin/snapshot/"+tc.kind, string(tc.body)); rec.Code != 422 {
 			t.Fatalf("%s: push = %d, want 422 (%s)", tc.kind, rec.Code, rec.Body.Bytes())
 		}
@@ -228,7 +228,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 		if after.LastReload == nil || after.LastReload.OK || after.LastReload.Source != "push" {
 			t.Errorf("%s: last_reload = %+v, want a failed push", tc.kind, after.LastReload)
 		}
-		if got := s.met.reloads.Load(); got != reloads {
+		if got := s.met.Reloads.Load(); got != reloads {
 			t.Errorf("%s: reloads ticked %d → %d", tc.kind, reloads, got)
 		}
 	}
@@ -272,7 +272,7 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 		if err := os.WriteFile(listsPath, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		reloads := s.met.reloads.Load()
+		reloads := s.met.Reloads.Load()
 		if err := s.ReloadSnapshots(); err == nil {
 			t.Fatalf("%s lists: reload succeeded", name)
 		}
@@ -281,7 +281,7 @@ func TestReloadIsAllOrNothing(t *testing.T) {
 			t.Errorf("%s lists: a failed reload moved versions: model %s → %s, lists %s → %s", name,
 				before.ModelVersion, after.ModelVersion, before.ListsVersion, after.ListsVersion)
 		}
-		if got := s.met.reloads.Load(); got != reloads {
+		if got := s.met.Reloads.Load(); got != reloads {
 			t.Errorf("%s lists: reloads ticked %d → %d", name, reloads, got)
 		}
 	}

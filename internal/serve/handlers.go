@@ -1,17 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
+	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 	"adwars/internal/features"
 )
@@ -120,87 +119,13 @@ type reloadResponse struct {
 	Snapshot SnapshotInfo `json:"snapshot"`
 }
 
-// apiError is the structured error envelope every non-2xx response
-// carries. Handlers never emit 500s: every failure mode maps to a typed
-// 4xx (or 503 while a snapshot is missing).
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorResponse struct {
-	Error apiError `json:"error"`
-}
-
 // ---- plumbing ----
 
-// jsonBuf is a pooled response-encoding pair: the encoder is bound to the
-// buffer once, so a steady-state response encode allocates nothing (the
-// buffer's capacity and the encoder's internal machinery are both reused).
-// The output is byte-identical to json.NewEncoder(w).Encode(v) — including
-// the trailing newline the golden files pin.
-type jsonBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonBufPool = sync.Pool{New: func() any {
-	jb := &jsonBuf{}
-	jb.enc = json.NewEncoder(&jb.buf)
-	return jb
-}}
-
-// jsonContentType is the Content-Type of every reply, as the header map
-// holds it: assigning the shared slice costs nothing, where Header.Set
-// allocates a slice a call. Nothing may mutate it.
-var jsonContentType = []string{"application/json; charset=utf-8"}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	jb := jsonBufPool.Get().(*jsonBuf)
-	jb.buf.Reset()
-	if err := jb.enc.Encode(v); err != nil {
-		jb.buf.Reset() // what does not encode (a NaN score) sends its status and no body
-	}
-	writeBody(w, status, jb.buf.Bytes())
-	jsonBufPool.Put(jb)
-}
-
-// writeBody sends an encoded JSON body.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: apiError{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
-}
-
-// readBodyInto reads the bounded request body of every data-plane
-// endpoint, translating the failure modes into typed 4xx responses (true =
-// proceed): the body drains through the scratch's LimitedReader into its
-// reusable buffer, so a steady-state read allocates nothing — no
-// MaxBytesReader wrapper, no fresh io.ReadAll slice. The limit check reads
-// one byte past the cap instead of wrapping the reader.
-func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, sc *matchScratch) bool {
-	max := s.cfg.maxBody()
-	sc.body.Reset()
-	sc.lr = io.LimitedReader{R: r.Body, N: max + 1}
-	_, err := sc.body.ReadFrom(&sc.lr)
-	sc.lr.R = nil
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return false
-	}
-	if int64(sc.body.Len()) > max {
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-			"request body exceeds %d bytes", max)
-		return false
-	}
-	return true
+// readBodyInto reads the bounded request body of a data-plane endpoint into
+// the scratch's reusable buffer (true = proceed; the refusal is written).
+func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, sc *matchScratch) (ok bool) {
+	sc.body, ok = chassis.ReadBody(w, r, sc.body, s.cfg.maxBody())
+	return ok
 }
 
 // snapshotInfo reports the currently installed snapshots. The descriptors
@@ -226,41 +151,6 @@ var (
 	retryAfterVals    = [3][]string{{"1"}, {"2"}, {"3"}}
 )
 
-// DegradeHeader carries the governor level every response was served
-// under; DeadlineHeader carries the caller's remaining deadline budget
-// in milliseconds (a duration, not a wall timestamp, so it survives
-// clock skew between hops).
-const (
-	DegradeHeader  = "X-Adwars-Degrade"
-	DeadlineHeader = "X-Adwars-Deadline"
-)
-
-// deadlineMs extracts the propagated deadline budget. The header lookup
-// indexes the map directly with the canonical key and the parse is a
-// manual digit walk — no strconv, no allocation on the hot path. A
-// malformed value reads as "no deadline" rather than an error: the
-// header is advisory, and refusing work over a garbled hint would turn
-// a telemetry bug into an outage.
-func deadlineMs(r *http.Request) (int64, bool) {
-	vs := r.Header[DeadlineHeader]
-	if len(vs) == 0 || vs[0] == "" {
-		return 0, false
-	}
-	v := vs[0]
-	var ms int64
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		ms = ms*10 + int64(c-'0')
-		if ms > 1<<40 {
-			return ms, true
-		}
-	}
-	return ms, true
-}
-
 // degradeSheds reports whether the ladder sheds this endpoint at lvl:
 // L3 drops the classify plane (model inference is the expensive
 // non-priority work), L4 additionally drops match batches. Single
@@ -281,15 +171,15 @@ func degradeSheds(ep string, lvl degrade.Level) bool {
 // jittered Retry-After so synchronized clients desynchronize instead of
 // re-arriving as one thundering herd.
 func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.ResponseWriter, code, msg string) {
-	stats.shed.Add(1)
-	stats.requests.Add(1)
-	stats.latency.Observe(time.Since(start))
+	stats.Shed.Add(1)
+	stats.Requests.Add(1)
+	stats.Latency.Observe(time.Since(start))
 	retry := retryAfterVals[0]
 	if s.gov != nil {
 		retry = retryAfterVals[s.gov.Jitter3()]
 	}
 	w.Header()["Retry-After"] = retry
-	writeError(w, http.StatusTooManyRequests, code, "%s", msg)
+	chassis.WriteError(w, http.StatusTooManyRequests, code, "%s", msg)
 }
 
 // beginAdmitted admits one request: stamp the degradation level, apply
@@ -304,9 +194,9 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 	start = time.Now()
 	if s.gov != nil {
 		lvl := s.gov.Level()
-		w.Header()[DegradeHeader] = degradeHeaderVals[lvl]
+		w.Header()[chassis.DegradeHeader] = degradeHeaderVals[lvl]
 		if degradeSheds(ep, lvl) {
-			s.met.degradeShed.Add(1)
+			s.met.DegradeShed.Add(1)
 			s.refuse429(stats, start, w, "degraded",
 				"service degraded, endpoint temporarily shed")
 			return start, false
@@ -319,9 +209,9 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 	// still make it if a slot frees immediately). Independent of the
 	// governor — the gate only exists when a caller propagated the
 	// header, so deadline-less traffic is untouched.
-	if ms, have := deadlineMs(r); have &&
+	if ms, have := chassis.DeadlineMs(r.Header); have &&
 		time.Duration(ms)*time.Millisecond < s.cfg.queueTimeout() {
-		s.met.deadlineRefused.Add(1)
+		s.met.DeadlineRefused.Add(1)
 		s.refuse429(stats, start, w, "deadline",
 			"deadline too short to queue, refused early")
 		return start, false
@@ -337,7 +227,7 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 	// so it consumes real capacity and can push admission into shedding.
 	if s.chaos != nil {
 		if d, ok := s.chaos.drawLatency(); ok {
-			s.met.chaos.latencyInjections.Add(1)
+			s.met.Chaos.LatencyInjections.Add(1)
 			time.Sleep(d)
 		}
 	}
@@ -348,19 +238,8 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 func (s *Server) endAdmitted(ep string, start time.Time) {
 	s.adm.release()
 	stats := s.met.endpoints[ep]
-	stats.requests.Add(1)
-	stats.latency.Observe(time.Since(start))
-}
-
-// requireMethod enforces the endpoint's verb (true = proceed).
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires %s", r.URL.Path, method)
-		return false
-	}
-	return true
+	stats.Requests.Add(1)
+	stats.Latency.Observe(time.Since(start))
 }
 
 // routes builds the handler tree once at construction.
@@ -379,7 +258,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/debug/vars", s.handleDebugVars)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)
+		chassis.WriteError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)
 	})
 	return mux
 }
@@ -393,16 +272,16 @@ var validTypes = map[string]bool{
 	"document": true, "popup": true, "other": true,
 }
 
-// checkQuery validates one match query, returning a non-nil apiError for
-// bad input.
-func checkQuery(q *MatchQuery) *apiError {
+// checkQuery validates one match query: what is wrong with it, "" if
+// nothing.
+func checkQuery(q *MatchQuery) string {
 	if q.URL == "" {
-		return &apiError{Code: "bad_request", Message: `missing "url"`}
+		return `missing "url"`
 	}
 	if !validTypes[q.Type] {
-		return &apiError{Code: "bad_request", Message: fmt.Sprintf("unknown request type %q", q.Type)}
+		return fmt.Sprintf("unknown request type %q", q.Type)
 	}
-	return nil
+	return ""
 }
 
 // matchScratch is the pooled per-request working set of the match hot
@@ -416,8 +295,7 @@ func checkQuery(q *MatchQuery) *apiError {
 type matchScratch struct {
 	q       MatchQuery
 	strs    []byte
-	body    bytes.Buffer
-	lr      io.LimitedReader
+	body    []byte
 	hits    []abp.Hit
 	lists   []ListMatch
 	matched []string
@@ -559,12 +437,12 @@ func (s *Server) recordClassify(anti bool, ts time.Time) {
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	ls := s.lists.Load()
 	if ls == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
 		return
 	}
 	sc := getMatchScratch()
@@ -572,13 +450,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !s.readBodyInto(w, r, sc) {
 		return
 	}
-	if err := sc.decode(sc.body.Bytes()); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+	if err := sc.decode(sc.body); err != nil {
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
-	if apiErr := checkQuery(&sc.q); apiErr != nil {
-		s.met.endpoints[epMatch].errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: *apiErr})
+	if msg := checkQuery(&sc.q); msg != "" {
+		s.met.endpoints[epMatch].Errors.Add(1)
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "%s", msg)
 		return
 	}
 	start, ok := s.beginAdmitted(epMatch, w, r)
@@ -595,16 +473,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		Snapshot:    s.snapshotInfo(),
 	}
 	sc.out = appendMatchResponse(sc.out[:0], &sc.resp)
-	writeBody(w, http.StatusOK, sc.out)
+	chassis.WriteBody(w, http.StatusOK, sc.out)
 }
 
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	ls := s.lists.Load()
 	if ls == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
 		return
 	}
 	// One scratch serves the whole batch: the body is read into it, and its
@@ -616,23 +494,23 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch matchBatchRequest
-	if err := json.Unmarshal(sc.body.Bytes(), &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+	if err := json.Unmarshal(sc.body, &batch); err != nil {
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty batch")
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch")
 		return
 	}
 	if len(batch.Requests) > s.cfg.maxBatch() {
-		writeError(w, http.StatusBadRequest, "batch_too_large",
+		chassis.WriteError(w, http.StatusBadRequest, "batch_too_large",
 			"%d requests exceed the %d-item batch limit", len(batch.Requests), s.cfg.maxBatch())
 		return
 	}
 	for i := range batch.Requests {
-		if apiErr := checkQuery(&batch.Requests[i]); apiErr != nil {
-			s.met.endpoints[epMatchBatch].errors.Add(1)
-			writeError(w, http.StatusBadRequest, apiErr.Code, "request %d: %s", i, apiErr.Message)
+		if msg := checkQuery(&batch.Requests[i]); msg != "" {
+			s.met.endpoints[epMatchBatch].Errors.Add(1)
+			chassis.WriteError(w, http.StatusBadRequest, "bad_request", "request %d: %s", i, msg)
 			return
 		}
 	}
@@ -643,7 +521,7 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endAdmitted(epMatchBatch, start)
-	s.met.endpoints[epMatchBatch].batchItems.Add(uint64(len(batch.Requests)))
+	s.met.endpoints[epMatchBatch].BatchItems.Add(uint64(len(batch.Requests)))
 	out := matchBatchResponse{
 		Count:    len(batch.Requests),
 		Results:  make([]MatchResult, 0, len(batch.Requests)),
@@ -658,7 +536,7 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results = append(out.Results, res)
 	}
-	writeJSON(w, http.StatusOK, out)
+	chassis.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- classify ----
@@ -698,12 +576,12 @@ func classifyOne(ms *modelState, src string) (ClassifyResult, error) {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	ms := s.model.Load()
 	if ms == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
 		return
 	}
 	sc := getMatchScratch()
@@ -713,10 +591,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	// The tokens and the tree alias the script, so it leaves the pooled
 	// buffer as an immutable string before the buffer goes back.
-	src := sc.body.String()
+	src := string(sc.body)
 	matchScratchPool.Put(sc)
 	if len(src) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty script body")
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty script body")
 		return
 	}
 	start, ok := s.beginAdmitted(epClassify, w, r)
@@ -726,27 +604,27 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	defer s.endAdmitted(epClassify, start)
 	res, err := classifyOne(ms, src)
 	if err != nil {
-		s.met.endpoints[epClassify].errors.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "bad_script",
+		s.met.endpoints[epClassify].Errors.Add(1)
+		chassis.WriteError(w, http.StatusUnprocessableEntity, "bad_script",
 			"script does not parse: %v", err)
 		return
 	}
 	if s.anl != nil {
 		s.recordClassify(res.AntiAdblock, time.Now())
 	}
-	writeJSON(w, http.StatusOK, classifyResponse{
+	chassis.WriteJSON(w, http.StatusOK, classifyResponse{
 		ClassifyResult: res,
 		Snapshot:       s.snapshotInfo(),
 	})
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	ms := s.model.Load()
 	if ms == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
 		return
 	}
 	sc := getMatchScratch()
@@ -756,16 +634,16 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Unmarshal copies the scripts out of the pooled buffer.
 	var batch classifyBatchRequest
-	if err := json.Unmarshal(sc.body.Bytes(), &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+	if err := json.Unmarshal(sc.body, &batch); err != nil {
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Scripts) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty batch")
+		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch")
 		return
 	}
 	if len(batch.Scripts) > s.cfg.maxBatch() {
-		writeError(w, http.StatusBadRequest, "batch_too_large",
+		chassis.WriteError(w, http.StatusBadRequest, "batch_too_large",
 			"%d scripts exceed the %d-item batch limit", len(batch.Scripts), s.cfg.maxBatch())
 		return
 	}
@@ -774,7 +652,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endAdmitted(epClassifyBatch, start)
-	s.met.endpoints[epClassifyBatch].batchItems.Add(uint64(len(batch.Scripts)))
+	s.met.endpoints[epClassifyBatch].BatchItems.Add(uint64(len(batch.Scripts)))
 	// The batch amortizes classifyOne's parse and projection across
 	// the worker pool: one fan-out for all scripts instead of one
 	// request round-trip each. Per-script parse failures annotate
@@ -798,5 +676,5 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			s.recordClassify(out.Results[i].AntiAdblock, now)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	chassis.WriteJSON(w, http.StatusOK, out)
 }

@@ -204,6 +204,18 @@ func TestHealthzAndDebugVars(t *testing.T) {
 		t.Fatalf("empty healthz = %d, want 503", rec.Code)
 	}
 
+	// Both are read-only: any other verb is a 405 in the shared envelope.
+	for _, path := range []string{"/healthz", "/debug/vars"} {
+		rec := do(t, s, "POST", path, "")
+		want := `{"error":{"code":"method_not_allowed","message":"` + path + ` requires GET or HEAD"}}` + "\n"
+		if rec.Code != 405 || rec.Header().Get("Allow") != "GET, HEAD" || rec.Body.String() != want {
+			t.Errorf("POST %s = %d, Allow %q, body %s", path, rec.Code, rec.Header().Get("Allow"), rec.Body)
+		}
+		if rec := do(t, s, "HEAD", path, ""); rec.Code != 200 {
+			t.Errorf("HEAD %s = %d, want 200", path, rec.Code)
+		}
+	}
+
 	// Traffic shows up in /debug/vars under adwars_serve.
 	do(t, s, "POST", "/v1/match", `{"url":"http://ads.example.com/banner.js"}`)
 	rec := do(t, s, "GET", "/debug/vars", "")

@@ -33,7 +33,7 @@ func TestRecoveryConvertsPanicToStructured500(t *testing.T) {
 	if !strings.Contains(envelope.Error.Message, "handler exploded") {
 		t.Errorf("message %q lost the panic value", envelope.Error.Message)
 	}
-	if got := s.met.panicsRecovered.Load(); got != 1 {
+	if got := s.met.PanicsRecovered.Load(); got != 1 {
 		t.Errorf("panics_recovered = %d, want 1", got)
 	}
 
@@ -64,7 +64,7 @@ func TestRecoveryAfterPartialWrite(t *testing.T) {
 	if body := rec.Body.String(); strings.Contains(body, "internal_panic") {
 		t.Errorf("error envelope appended to a started response: %q", body)
 	}
-	if got := s.met.panicsRecovered.Load(); got != 1 {
+	if got := s.met.PanicsRecovered.Load(); got != 1 {
 		t.Errorf("panics_recovered = %d, want 1", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestRecoveryRepanicsAbortHandler(t *testing.T) {
 		if v := recover(); v == nil {
 			t.Fatal("ErrAbortHandler swallowed instead of re-panicked")
 		}
-		if got := s.met.panicsRecovered.Load(); got != 0 {
+		if got := s.met.PanicsRecovered.Load(); got != 0 {
 			t.Errorf("panics_recovered = %d for ErrAbortHandler, want 0", got)
 		}
 	}()
@@ -117,10 +117,10 @@ func TestPanicIsolationOverRealConnections(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if got := s.met.panicsRecovered.Load(); got != n {
+	if got := s.met.PanicsRecovered.Load(); got != n {
 		t.Errorf("panics_recovered = %d, want %d", got, n)
 	}
-	if got := s.met.chaos.panicInjections.Load(); got != n {
+	if got := s.met.Chaos.PanicInjections.Load(); got != n {
 		t.Errorf("chaos panic_injections = %d, want %d", got, n)
 	}
 	// The control plane is exempt from chaos: health stays green.

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"sync"
+
+	"adwars/internal/chassis"
 )
 
 // withRecovery is the outermost request boundary: a panic anywhere in
@@ -36,9 +38,9 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
 					panic(v)
 				}
-				s.met.panicsRecovered.Add(1)
+				s.met.PanicsRecovered.Add(1)
 				if !tw.wrote {
-					writeError(tw, http.StatusInternalServerError, "internal_panic",
+					chassis.WriteError(tw, http.StatusInternalServerError, "internal_panic",
 						"panic recovered while handling %s: %v", r.URL.Path, v)
 				}
 				// If the response already started, the envelope cannot be

@@ -209,7 +209,7 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 		if !strings.Contains(string(body), `"code":"snapshot"`) {
 			t.Errorf("%s: reload error not structured: %s", c.name, body)
 		}
-		if got := s.met.reloadRejected.Load(); got != uint64(i+1) {
+		if got := s.met.ReloadRejected.Load(); got != uint64(i+1) {
 			t.Errorf("%s: reload_rejected = %d, want %d", c.name, got, i+1)
 		}
 		if after := fetch(); after != before {

@@ -23,6 +23,7 @@ import (
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
+	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 	"adwars/internal/features"
 	"adwars/internal/ml"
@@ -232,8 +233,11 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		adm: newAdmission(cfg.workers(), cfg.queue(), cfg.queueTimeout()),
 	}
-	s.met = newMetrics(&s.adm.queued, &s.model)
-	s.met.chaosEnabled = cfg.Chaos.Enabled()
+	s.met = &metrics{
+		endpoints:  map[string]*endpointStats{epMatch: {}, epMatchBatch: {}, epClassify: {}, epClassifyBatch: {}},
+		queueDepth: &s.adm.queued,
+		model:      &s.model,
+	}
 	if cfg.Analytics != nil {
 		if anl, err := analytics.NewCollector(*cfg.Analytics); err != nil {
 			s.anlErr = err
@@ -259,8 +263,9 @@ func New(cfg Config) *Server {
 	// from chaos injection and handlers alike; chaos sits between recovery
 	// and the routes so injected faults exercise real handler paths.
 	h := s.routes()
-	if s.met.chaosEnabled {
+	if cfg.Chaos.Enabled() {
 		s.chaos = newChaosState(cfg.Chaos)
+		s.met.Chaos = &chaosStats{}
 		h = s.withChaos(h)
 	}
 	h = s.withRecovery(h)
@@ -274,11 +279,11 @@ func New(cfg Config) *Server {
 }
 
 // withReplicaHeader stamps every response with this replica's identity (one
-// slice shared by every response, never mutated: see jsonContentType).
+// slice shared by every response, never mutated, like chassis's Content-Type).
 func (s *Server) withReplicaHeader(next http.Handler) http.Handler {
 	id := []string{s.cfg.ReplicaID}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header()["X-Adwars-Replica"] = id
+		w.Header()[chassis.ReplicaHeader] = id
 		next.ServeHTTP(w, r)
 	})
 }
@@ -295,13 +300,13 @@ const degradeSampleRate = 0.1
 // since boot. The probe runs on the governor's ticker goroutine only,
 // so the closed-over previous-reading state needs no locking.
 func (s *Server) degradeSource() func() degrade.Signals {
-	var prevBuckets [44]uint64
+	var window chassis.Window
 	var prevDropped, prevAttempted uint64
 	return func() degrade.Signals {
 		sig := degrade.Signals{
 			QueueDepth: s.adm.queued.Load(),
 			QueueLimit: s.adm.maxQueue,
-			MatchP99Ns: int64(s.met.endpoints[epMatch].latency.windowQuantile(&prevBuckets, 0.99)),
+			MatchP99Ns: int64(s.met.endpoints[epMatch].Latency.WindowQuantile(&window, 0.99)),
 		}
 		if s.anl != nil {
 			c := s.anl.CountersNow()
@@ -519,7 +524,7 @@ func (s *Server) ReloadSnapshots() error {
 	if ls != nil {
 		s.lists.Store(ls)
 	}
-	s.met.reloads.Add(1)
+	s.met.Reloads.Add(1)
 	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "disk"})
 	return nil
 }
@@ -531,12 +536,12 @@ func (s *Server) ReloadSnapshots() error {
 // fine before is the same event: a damaged artifact. Pure I/O errors
 // (missing file, permissions) count only as reload_errors.
 func (s *Server) reloadFailed(source string, err error) error {
-	s.met.reloadErrors.Add(1)
+	s.met.ReloadErrors.Add(1)
 	rejected := errors.Is(err, artifact.ErrCorrupt) ||
 		errors.Is(err, ml.ErrSnapshotFormat) || errors.Is(err, ml.ErrSnapshotVersion) ||
 		errors.Is(err, abp.ErrSnapshotFormat) || errors.Is(err, abp.ErrSnapshotVersion)
 	if rejected {
-		s.met.reloadRejected.Add(1)
+		s.met.ReloadRejected.Add(1)
 	}
 	s.lastReload.Store(&ReloadOutcome{Rejected: rejected, Error: err.Error(), Source: source})
 	return err
@@ -559,21 +564,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.StartDegrade()
 	ws := &wire.Server{Handler: s.mux}
-	errc := make(chan error, 1)
-	go func() { errc <- ws.Serve(ln) }()
-	select {
-	case err := <-errc:
-		s.CloseDegrade()
-		return err
-	case <-ctx.Done():
-	}
-	s.StartDrain()
-	if d := s.cfg.DrainAnnounce; d > 0 {
-		time.Sleep(d)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout())
-	defer cancel()
-	err := ws.Shutdown(drainCtx)
+	err := ws.Run(ctx, ln, s.cfg.drainTimeout(), func() {
+		s.StartDrain()
+		time.Sleep(s.cfg.DrainAnnounce)
+	})
 	// The governor stops first: with the listener closed there is no
 	// pressure left to govern, and closing it before the analytics
 	// collector keeps the ticker from probing a closed pipeline.
@@ -581,12 +575,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// With no more requests in flight, the analytics rings hold the last
 	// recorded decisions; flush them and the aggregator to spill before
 	// the process report, so a drained run loses no telemetry.
-	if aerr := s.CloseAnalytics(); aerr != nil && err == nil {
+	if aerr := s.CloseAnalytics(); err == nil {
 		err = aerr
 	}
-	s.met.flush(s.cfg.MetricsOut)
+	chassis.Flush(s.cfg.MetricsOut, s.met)
 	if err != nil {
-		return fmt.Errorf("serve: drain incomplete: %w", err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }

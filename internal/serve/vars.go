@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
 
 	"adwars/internal/abp"
+	"adwars/internal/chassis"
 )
 
 // ---- usage ----
@@ -91,19 +89,19 @@ func usageList(l *abp.List, topK int) UsageList {
 // adwars-compact turns into a tiered snapshot. ?top=N adjusts the ranking
 // depth (default 10, 0 disables).
 func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !chassis.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	ls := s.lists.Load()
 	if ls == nil {
-		writeError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
 		return
 	}
 	topK := 10
 	if v := r.URL.Query().Get("top"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad_request", "invalid top=%q", v)
+			chassis.WriteError(w, http.StatusBadRequest, "bad_request", "invalid top=%q", v)
 			return
 		}
 		topK = n
@@ -111,7 +109,7 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 	dump := UsageDump{Lists: make([]UsageList, 0, len(ls.snap.Lists))}
 	for _, l := range ls.snap.Lists {
 		if l.Usage() == nil {
-			writeError(w, http.StatusNotFound, "usage_disabled",
+			chassis.WriteError(w, http.StatusNotFound, "usage_disabled",
 				"usage counters are disabled on this replica")
 			return
 		}
@@ -119,34 +117,10 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 		dump.TotalHits += ul.TotalHits
 		dump.Lists = append(dump.Lists, ul)
 	}
-	writeJSON(w, http.StatusOK, dump)
+	chassis.WriteJSON(w, http.StatusOK, dump)
 }
 
 // ---- vars ----
-
-func (s *Server) degradeVars() string {
-	if s.gov == nil {
-		return `{"enabled":false}`
-	}
-	data, err := json.Marshal(s.gov.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
-
-// analyticsVars renders the collector's cheap accounting for /debug/vars
-// (lazy-read contract: nothing is computed until scraped).
-func (s *Server) analyticsVars() string {
-	if s.anl == nil {
-		return `{"enabled":false}`
-	}
-	data, err := json.Marshal(s.anl.Vars())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
-}
 
 // usageAggregate is the cheap usage summary inlined into /debug/vars.
 type usageAggregate struct {
@@ -157,67 +131,50 @@ type usageAggregate struct {
 	DeadFraction float64 `json:"dead_fraction"`
 }
 
-// usageVars renders the aggregate as JSON. The counters are sharded
-// per-bank atomics; merging them happens here, on the read side, so the
-// match path never pays for metrics export (satellite of the lazy-read
-// contract: /debug/vars computes the aggregate only when scraped).
-func (s *Server) usageVars() string {
+// usageVars sums the lists' usage reports. The counters are sharded per-bank
+// atomics; merging them happens here, on the read side, so the match path
+// never pays for metrics export (/debug/vars computes the aggregate only
+// when scraped).
+func (s *Server) usageVars() usageAggregate {
 	agg := usageAggregate{}
 	if ls := s.lists.Load(); ls != nil {
 		for _, l := range ls.snap.Lists {
-			u := l.Usage()
-			if u == nil {
+			if l.Usage() == nil {
 				continue
 			}
+			ul := usageList(l, 0)
 			agg.Enabled = true
-			counts := u.Counts()
-			for ord, r := range l.Rules() {
-				if !r.IsHTTP() {
-					continue
-				}
-				agg.HTTPRules++
-				if counts[ord] == 0 {
-					agg.DeadRules++
-				} else {
-					agg.TotalHits += counts[ord]
-				}
-			}
+			agg.TotalHits += ul.TotalHits
+			agg.HTTPRules += ul.HTTPRules
+			agg.DeadRules += ul.DeadRules
 		}
 	}
 	if agg.HTTPRules > 0 {
 		agg.DeadFraction = float64(agg.DeadRules) / float64(agg.HTTPRules)
 	}
-	data, err := json.Marshal(agg)
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
+	return agg
 }
 
-// handleDebugVars renders the process-global expvar registry plus this
-// server's metrics tree under "adwars_serve" — the standard /debug/vars
-// shape without requiring the server to win a global registration race
-// (tests run many servers in one process).
+// off is what /debug/vars says of a subsystem that is not configured.
+type off struct {
+	Enabled bool `json:"enabled"`
+}
+
+// handleDebugVars renders the process-global expvar registry, then this
+// server's metrics tree under "adwars_serve", the usage aggregate, the
+// analytics collector's cheap accounting and the governor's snapshot
+// (lazy-read contract: nothing is computed until scraped).
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "adwars_serve" {
-			return // replaced below with this server's tree
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	if !first {
-		fmt.Fprintf(w, ",\n")
+	var anl, gov any = off{}, off{}
+	if s.anl != nil {
+		anl = s.anl.Vars()
 	}
-	fmt.Fprintf(w, "%q: %s", "adwars_serve", s.met.String())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_usage", s.usageVars())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_analytics", s.analyticsVars())
-	fmt.Fprintf(w, ",\n%q: %s", "adwars_degrade", s.degradeVars())
-	fmt.Fprintf(w, "\n}\n")
+	if s.gov != nil {
+		gov = s.gov.Snapshot()
+	}
+	chassis.WriteVars(w, r,
+		chassis.Var{Key: "adwars_serve", Tree: s.met},
+		chassis.Var{Key: "adwars_usage", Tree: s.usageVars()},
+		chassis.Var{Key: "adwars_analytics", Tree: anl},
+		chassis.Var{Key: "adwars_degrade", Tree: gov})
 }

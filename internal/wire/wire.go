@@ -1,8 +1,9 @@
 // Package wire is the server half of the HTTP/1.x wire: the one serving
 // loop under serve.Server.Serve and fleet.Gateway.Serve. It has the shape of
 // the two net/http calls it replaces — Serve(ln) and Shutdown(ctx) over an
-// http.Handler — and keeps one piece of the standard library: every request
-// is parsed by http.ReadRequest, so request framing, chunked bodies and the
+// http.Handler, and Run, the life both servers lead around them — and keeps
+// one piece of the standard library: every request is parsed by
+// http.ReadRequest, so request framing, chunked bodies and the
 // smuggling defences (Content-Length against Transfer-Encoding, duplicate
 // lengths) stay net/http's problem. Framing the reply is ours.
 //
@@ -36,6 +37,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"math"
@@ -197,6 +199,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		return ctx.Err()
 	}
+}
+
+// Run serves ln until ctx is cancelled, lets announce (if any) tell the world
+// while the listener is still open — a replica flips its readiness and waits
+// for its gateways to look — then shuts down within drain. A listener that
+// fails first ends the run with its error; either way the caller's own
+// teardown (flush, close) follows.
+func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration, announce func()) error {
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	if announce != nil {
+		announce()
+	}
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := s.Shutdown(drainCtx); err != nil {
+		return fmt.Errorf("drain incomplete: %w", err)
+	}
+	return nil
 }
 
 // A connection is idle while it waits for the first byte of a request and
