@@ -18,24 +18,22 @@ import (
 // so startup cost for a compiled list is O(read) plus validation instead
 // of O(rules) index construction.
 //
-// Role in matching: the automaton is the probe stage, and it is total over
-// byte strings. Scanning the request URL once (O(len) amortized, byte
-// class table folds ASCII case so the raw URL is scanned — no lower-cased
-// copy is ever allocated on this path) yields the ordinals of every rule
-// whose automaton keyword occurs in the URL. Those ordinals, plus the few
-// keyword-less generic rules, are a superset of all rules that can match;
-// each candidate is then verified with the full rule matcher in insertion
-// order, which makes the automaton path's answers — decision, winning
-// rule, and all-matches set — identical to the linear reference scan (see
-// the differential tests and FuzzMatchDifferential).
+// Role in matching: the automaton is the probe stage, total over byte
+// strings. One scan of the raw request URL (the byte class table folds
+// ASCII case, so no lower-cased copy is allocated) yields the ordinals of
+// every rule whose keyword occurs in it. Those, the keyword-less generic
+// rules and the rules the page-domain index (tier.go) files under the
+// request's page are a superset of the rules that can match; each candidate
+// is verified with the full rule matcher in insertion order, which makes
+// the answers — decision, winning rule, all-matches set — identical to the
+// linear reference scan (the differential tests, FuzzMatchDifferential).
 //
-// Soundness of the probe for every input, ASCII or not: keywords are runs
-// of [a-z0-9%] taken from the pattern as the matcher compares it, A–Z
-// folded; a rule matching a URL means the pattern's literal spans occur in
-// the URL as the matcher sees it (matchCtx.low: A–Z folded, every other
-// byte as sent), so the keyword occurs in that view; and the scan reads
-// exactly that view — acClass folds A–Z, and any byte outside the keyword
-// alphabet, '/' and 0xC3 alike, is class 0 and resets it to the root.
+// The probe is sound for every input, ASCII or not: keywords are runs of
+// [a-z0-9%] of the pattern as the matcher compares it, A–Z folded; a rule
+// matching a URL means that run occurs in the URL as the matcher sees it
+// (matchCtx.low: A–Z folded, every other byte as sent); and the scan reads
+// exactly that view — a byte outside the keyword alphabet, '/' and 0xC3
+// alike, is class 0 and resets it to the root.
 //
 // Memory layout (all integers little-endian, fixed width):
 //
@@ -151,31 +149,36 @@ func nextKeywordRun(pat string, from int) (i, j int) {
 // its list spell the run, so selection ranks them after every other run.
 var acUbiquitous = []string{"http", "https", "www", "com", "net", "org"}
 
-// kwSpan is the run of a rule's Pattern the automaton indexes the rule
-// under, bytes [lo, hi); the zero span marks a rule without one. The build
-// reads the run through acClass, which folds A–Z, so the span of the pattern
-// as written names the same keyword as the span of the folded pattern.
+// kwSpan says where a list files an HTTP rule: under the run of its Pattern
+// at bytes [lo, hi), which the automaton finds; nowhere (the zero span: the
+// always-appended generic array); or under its page domains (kwByDomain: the
+// page-domain index, no automaton). The build reads a run through acClass,
+// which folds A–Z, so the span of the pattern as written names the same
+// keyword as the span of the folded pattern.
 type kwSpan struct{ lo, hi uint32 }
 
-func (s kwSpan) none() bool { return s.hi == 0 }
+// kwByDomain is no run's span (lo > hi), and has no run: none() holds.
+var kwByDomain = kwSpan{lo: 1}
 
-// selectKeywords chooses, for every HTTP rule of a list, the run of its
-// pattern the automaton indexes it under; the zero span marks a rule without
-// a usable run (and every non-HTTP rule). Any run is a sound keyword: a run
-// is a contiguous literal span of the pattern, so every URL the rule matches
-// contains it as a substring — exactly the occurrence an Aho–Corasick scan
-// detects, no token boundaries needed (so "/detect123*.js" is indexable
-// under "detect123"). Soundness leaves the
-// choice free, and the choice decides how many candidates a probe must
-// verify, so it is made per list, not per rule: the run that occurs least
-// often in the list's patterns wins (ties: the longest, then the leftmost;
-// acUbiquitous runs only when nothing else is left). A rule
-// "||host123.com/js/advertisement.js" then sits under "host123" with a
-// handful of rules, not under "advertisement" with every sibling that
-// shares the path. One selection feeds the flat, hot and cold builds of a
-// list (NewList keeps it for CompileTiered), and a rule has a keyword under
-// this choice exactly when it has one under any other, so tier membership
-// does not depend on it.
+func (s kwSpan) none() bool     { return s.hi == 0 }
+func (s kwSpan) byDomain() bool { return s == kwByDomain }
+
+// selectKeywords files every HTTP rule of a list under the rarest thing a
+// request it matches must carry; the zero span marks a rule with nothing to
+// file it under (and every non-HTTP rule). First, a run of its pattern. Any
+// run is a sound keyword — a contiguous literal span of the pattern, so every
+// URL the rule matches contains it as a substring, which is what the scan
+// detects: no token boundaries needed ("/detect123*.js" goes under
+// "detect123"). The choice is therefore free, and it decides how many
+// candidates a probe verifies, so it is made per list: the run fewest of the
+// list's patterns spell wins (ties: the longest, then the leftmost;
+// acUbiquitous runs last), and "||host123.com/js/advertisement.js" sits under
+// "host123" with a handful of rules, not under "advertisement" with every
+// sibling that shares the path. Second, for a rule with a positive $domain=,
+// the page domain: "/ads.js$domain=a.com" shares "ads" with every path-only
+// rule of the list and a.com with a handful, so a rule with no run, or whose
+// most-named domain fewer rules name than spell its run, is filed under its
+// domains. One selection feeds the flat, hot and cold builds of a list.
 func selectKeywords(rules []*Rule) []kwSpan {
 	// First pass: each distinct run gets an id the first time it is seen,
 	// and every run of every pattern, in order, leaves its id in runIDs — so
@@ -183,6 +186,7 @@ func selectKeywords(rules []*Rule) []kwSpan {
 	ids := make(map[string]int32, len(rules))
 	count := make([]int32, 0, len(rules))
 	runIDs := make([]int32, 0, 2*len(rules))
+	named := make(map[string]int32) // rules naming a domain in $domain=
 	for _, r := range rules {
 		if !r.IsHTTP() {
 			continue
@@ -199,6 +203,9 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			}
 			count[id]++
 			runIDs = append(runIDs, id)
+		}
+		for _, d := range r.Domains {
+			named[d]++
 		}
 	}
 	for _, run := range acUbiquitous {
@@ -220,6 +227,13 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			if best.none() || n < bestN || n == bestN && uint32(j-i) > best.hi-best.lo {
 				best, bestN = kwSpan{uint32(i), uint32(j)}, n
 			}
+		}
+		most := int32(0)
+		for _, d := range r.Domains {
+			most = max(most, named[d])
+		}
+		if most > 0 && (best.none() || most < bestN) {
+			best = kwByDomain
 		}
 		kws[ord] = best
 	}
@@ -360,8 +374,9 @@ func (t *acTrie) linkTop() {
 // buildAutomaton compiles the automaton over the rules member admits (nil
 // admits all), each indexed under its entry of kws — selectKeywords'
 // choice, though any run of the rule's pattern would do. A rule member
-// excludes contributes no keyword and no generic entry: it is invisible to
-// this automaton, not demoted to its generic bucket. Ordinals in the
+// excludes, or kws files under its page domains, contributes no keyword and
+// no generic entry: it is invisible to this automaton, not demoted to its
+// generic bucket. Ordinals in the
 // output arrays index the FULL rule set (and the header carries the full
 // set's count and CRC), which is what lets a hot and a cold automaton
 // compiled from the same list share one rules array, one checksum, and the
@@ -386,10 +401,10 @@ func buildAutomaton(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []bool)
 	ords, ends := make([]uint32, 0, nkw), make([]int32, 0, nkw)
 	var generic []uint32
 	for ord, r := range rules {
-		if !r.IsHTTP() || member != nil && !member[ord] {
+		kw := kws[ord]
+		if !r.IsHTTP() || kw.byDomain() || member != nil && !member[ord] {
 			continue
 		}
-		kw := kws[ord]
 		if kw.none() {
 			generic = append(generic, uint32(ord))
 			continue
@@ -730,26 +745,13 @@ func openAutomaton(blob []byte, wantRules int, wantCRC uint64) (*automaton, erro
 	return a, nil
 }
 
-// collect scans the request URL once and fills the context's candidate
-// scratch with the ordinals of every rule whose keyword occurs in the URL
-// plus the generic (keyword-less) rules, sorted ascending and deduplicated
-// — i.e. insertion order, which is what makes candidate verification
-// reproduce the linear scan exactly. The common path allocates nothing:
-// the scratch is part of the stack-allocated matchCtx and only overflows
-// into a heap spill beyond matchScratchCap candidates.
-func (a *automaton) collect(c *matchCtx) []uint32 {
-	c.resetCands()
-	a.scanInto(c)
-	return c.sortedCands()
-}
-
-// scanInto is collect without the reset and the sort: it pushes this
-// automaton's candidates (keyword hits plus its generic ordinals) into
-// whatever the context already holds. The tiered match path scans the hot
-// and cold automata into one scratch and sorts once, so candidate
-// verification still walks the combined set in insertion order. Every
-// byte has a scan class, so every string scans: a byte outside the keyword
-// alphabet — punctuation or ≥ 0x80 — is class 0 and returns to the root.
+// scanInto scans the request URL once and pushes the ordinals of every rule
+// whose keyword occurs in it, plus the generic (keyword-less) rules, into
+// whatever the context's scratch already holds: a lookup scans the hot
+// automaton, the page-domain index and, when it needs it, the cold automaton
+// into one scratch and sorts once (sortedCands), so verification walks the
+// combined set in insertion order and reproduces the linear scan. Every byte
+// has a scan class, so every string scans.
 func (a *automaton) scanInto(c *matchCtx) {
 	s := c.q.URL
 	st := a.root

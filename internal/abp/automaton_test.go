@@ -13,12 +13,18 @@ import (
 
 func isCorrupt(err error) bool { return errors.Is(err, artifact.ErrCorrupt) }
 
+// byDomain is how selectedKeywords spells a rule filed under its page
+// domains: no run holds a '$'.
+const byDomain = "$domain"
+
 // selectedKeywords spells selectKeywords' choice: each rule's run, folded,
-// "" for none.
+// "" for none, byDomain for the page-domain index.
 func selectedKeywords(rules []*Rule) []string {
 	out := make([]string, len(rules))
 	for ord, kw := range selectKeywords(rules) {
-		out[ord] = lowerASCII(rules[ord].Pattern[kw.lo:kw.hi])
+		if out[ord] = byDomain; !kw.byDomain() {
+			out[ord] = lowerASCII(rules[ord].Pattern[kw.lo:kw.hi])
+		}
 	}
 	return out
 }
@@ -44,6 +50,10 @@ func TestSelectKeywords(t *testing.T) {
 		"|https://abc.":              "abc",   // shorter, but "https" is ubiquitous
 		"|https://www.com/":          "https", // only ubiquitous runs: longest of them
 		"smashboards.com###notice":   "",      // element hiding: never indexed
+		// One rule names a.com and one spells "ads": the domain is no rarer.
+		"/ads.js$domain=a.com":      "ads",
+		"*$script,domain=a.com|b.c": byDomain, // no run, and not generic either
+		"*$script,domain=~a.com":    "",       // no page domain to file it under
 	}
 	for line, want := range alone {
 		if got := selectedKeywords([]*Rule{mustParse(t, line)})[0]; got != want {
@@ -51,15 +61,22 @@ func TestSelectKeywords(t *testing.T) {
 		}
 	}
 
-	// In a list, rarity beats length.
+	// In a list, rarity beats length, and a page domain named by fewer rules
+	// than spell the rule's rarest run beats the run: the most-named of a
+	// rule's domains decides.
 	rules := buildList(t, "rarity",
 		"||host1.example/js/advertisement.js",
 		"||host2.example/js/advertisement.js",
 		"/js/advertisement.js$domain=page.example",
 		"||solo.example^",
 		"||duo.example/duo",
+		"/js/advertisement.js$domain=page.example|other.example",
+		"/js/advertisement.js$script,domain=other.example|~not.example",
+		"||host3.example/js/advertisement.js$domain=other.example",
+		"@@/js/advertisement.js$domain=other.example",
+		"@@||rare9.example^$domain=other.example|third.example",
 	).Rules()
-	want := []string{"host1", "host2", "advertisement", "solo", "duo"}
+	want := []string{"host1", "host2", byDomain, "solo", "duo", byDomain, byDomain, "host3", byDomain, "rare9"}
 	for ord, got := range selectedKeywords(rules) {
 		if got != want[ord] {
 			t.Errorf("rule %q indexed under %q, want %q", rules[ord].Raw, got, want[ord])
@@ -79,11 +96,9 @@ func sharedPathLines(n int) []string {
 
 // candidates returns how many rules the probe stage hands to verification
 // for a request — the number selection exists to keep small.
-func candidates(t *testing.T, l *List, url string) int {
-	t.Helper()
-	c := newMatchCtx(Request{URL: url, Type: TypeScript, PageDomain: "page.example"})
-	c.resetCands()
-	l.auto.scanInto(&c)
+func candidates(l *List, q Request) int {
+	c := matchCtx{q: normalized(q)}
+	l.scanHot(&c)
 	if l.cold != nil {
 		l.cold.scanInto(&c)
 	}
@@ -101,7 +116,7 @@ func TestCandidatesSharedPath(t *testing.T) {
 			l = l.CompileTiered(func(ord int) bool { return ord%7 == 0 })
 		}
 		url := "https://host1234.example/js/advertisement.js"
-		if n := candidates(t, l, url); n > 4 {
+		if n := candidates(l, Request{URL: url}); n > 4 {
 			t.Errorf("tiered=%v: %d candidates for %q, want <= 4", tiered, n, url)
 		}
 		if d, r := l.MatchRequest(Request{URL: url, Type: TypeScript}); d != Blocked || r != rules[1234] {
@@ -109,7 +124,7 @@ func TestCandidatesSharedPath(t *testing.T) {
 		}
 		// The last rule must sit under "zq7", not under the "https" every
 		// request here starts with.
-		if n := candidates(t, l, "https://unlisted.example/"); n != 0 {
+		if n := candidates(l, Request{URL: "https://unlisted.example/"}); n != 0 {
 			t.Errorf("tiered=%v: %d candidates for an unlisted https URL, want 0", tiered, n)
 		}
 	}
@@ -205,7 +220,7 @@ func TestChosenKeywordIsSubstringOfMatches(t *testing.T) {
 		q := Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
 		low := strings.ToLower(u)
 		for ord, r := range rules {
-			if r.IsHTTP() && r.MatchRequest(q) && !strings.Contains(low, kws[ord]) {
+			if r.IsHTTP() && r.MatchRequest(q) && kws[ord] != byDomain && !strings.Contains(low, kws[ord]) {
 				t.Errorf("rule %q matches %q but keyword %q is not a substring", r.Raw, u, kws[ord])
 			}
 		}
@@ -348,8 +363,7 @@ func TestNonASCIIURLs(t *testing.T) {
 		// fails on the path.
 		list := NewList("gate", benchRules(2000))
 		q := Request{URL: "http://site0001.com/Caf\u00e9/\u212a/ADS.JSX", Type: TypeScript, PageDomain: "page.com"}
-		c := newMatchCtx(q)
-		if n := len(list.auto.collect(&c)); n == 0 {
+		if candidates(list, q) == 0 {
 			t.Fatal("no candidate: the URL is never folded and the gate exercises nothing")
 		}
 		buf := make([]Hit, 0, 16)

@@ -166,6 +166,14 @@ func FuzzMatchDifferential(f *testing.F) {
 	f.Add("||host3.example/js/advertisement.js", "https://HOST1.example/JS/Advertisement.js?x=host3", "Host1.Example")
 	f.Add("/js/advertisement.js$domain=host2.example", "https://host9.example/js/advertisement.js", "www.HOST2.example")
 	f.Add("|https://advertisement.", "https://advertisement.host1.example/js/", "x.com")
+	// The page-domain index: diffFixed's $domain= rules are filed there, and
+	// these join them — several domains, a negated one, no run at all, a bare
+	// TLD; pages that are a subdomain, fully qualified, excluded, empty.
+	f.Add("/js/advertisement.js$domain=host2.example|other.example|~www.host2.example", "https://host9.example/js/advertisement.js", "cdn.HOST2.example")
+	f.Add("/js/advertisement.js$domain=host2.example|~www.host2.example", "https://host9.example/js/advertisement.js", "a.www.host2.example")
+	f.Add("*$script,domain=host1.example", "https://x.com/", "Sub.Host1.Example.")
+	f.Add("@@/js/advertisement.js$domain=example", "https://host1.example/js/advertisement.js", "host1.example")
+	f.Add("@@*$domain=host1.example", "https://host1.example/js/advertisement.js", "")
 	for _, c := range nonASCIICases {
 		f.Add(c.line, c.url, "page.com")
 	}

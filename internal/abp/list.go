@@ -1,8 +1,7 @@
 package abp
 
 import (
-	"sort"
-	"strings"
+	"fmt"
 )
 
 // Decision is the outcome of matching a request against a List.
@@ -30,11 +29,11 @@ func (d Decision) String() string {
 }
 
 // List is a compiled filter list: rules split by kind, with one match
-// engine — an Aho–Corasick automaton over HTTP-rule keywords as the probe
-// stage, total over byte strings — and one linear oracle
-// (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold it to, plus
-// a selector-id index over element hiding rules so that matching inspects
-// only a few candidates. Build lists with NewList (compiles the automaton)
+// engine — an Aho–Corasick automaton over HTTP-rule keywords, beside an index
+// by page domain, as the probe stage, total over byte strings — and one
+// linear oracle (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold
+// it to, plus a selector-id index over element hiding rules so that matching
+// inspects only a few candidates. Build lists with NewList (compiles the automaton)
 // or NewListAttached (attaches serialized ones); every rule matcher is
 // precompiled there and nothing is built lazily, so a List is safe for
 // concurrent readers — nothing is written after construction.
@@ -49,6 +48,9 @@ type List struct {
 	// CompileTiered builds its tiers from the same choice without making it
 	// again. Nil on a list whose automaton was attached from a snapshot.
 	kws []kwSpan
+	// dom serves the HTTP rules no automaton holds, by page domain; probed
+	// with auto on every lookup. Never nil once the list is built.
+	dom *domainIndex
 
 	// Tiered lists (see tier.go) keep the hot automaton in auto and the
 	// cold fallback here: the decision path probes cold only when the hot
@@ -83,6 +85,9 @@ func NewList(name string, rules []*Rule) *List {
 	l.rulesCRC = rulesChecksum(l.rules)
 	l.kws = selectKeywords(l.rules)
 	l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
+	if err := l.attachCold(nil); err != nil {
+		panic(fmt.Sprintf("abp: internal: freshly compiled list failed validation: %v", err))
+	}
 	return l
 }
 
@@ -172,19 +177,18 @@ func (l *List) Rules() []*Rule { return l.rules }
 // matching exception in insertion order, else the first matching block in
 // insertion order — the same rule MatchRequestLinear returns.
 //
-// The probe stage is the compiled automaton: one case-folded scan of the
-// raw URL yields every candidate rule ordinal into stack scratch, so the
-// common no-match lookup performs zero heap allocations. URL bytes are
-// matched as sent — only A–Z folds (see matchCtx.low). On a tiered list
-// the cold automaton is probed only when the hot tier cannot conclude the
-// verdict (see matchVerdictCtx). When usage counters are enabled the
-// winning rule's ordinal is recorded — an atomic add, no allocation.
+// The probe stage is one case-folded scan of the raw URL by the compiled
+// automaton and a lookup of the page domain (scanHot), which leave every
+// candidate rule's ordinal in stack scratch, so the common no-match lookup
+// performs zero heap allocations. URL bytes are matched as sent — only A–Z
+// folds (see matchCtx.low). On a tiered list the cold automaton is probed
+// only when the hot tier cannot conclude the verdict (see matchVerdictCtx).
+// When usage counters are enabled the winning rule's ordinal is recorded —
+// an atomic add, no allocation.
 func (l *List) MatchRequest(q Request) (Decision, *Rule) {
-	c := newMatchCtx(q)
+	c := matchCtx{q: normalized(q)}
 	d, r, ord := l.matchVerdictCtx(&c)
-	if u := l.usage; u != nil {
-		u.record(ord)
-	}
+	l.RecordUsage(ord)
 	return d, r
 }
 
@@ -202,7 +206,8 @@ func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 // winning rules in the hot tier, most verdicts never touch the cold
 // automaton's memory.
 func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
-	cands := l.auto.collect(c)
+	l.scanHot(c)
+	cands := c.sortedCands()
 	for _, ord := range cands {
 		if r := l.rules[ord]; r.Kind == KindHTTPException && r.matchCtx(c) {
 			return Allowed, r, int(ord)
@@ -217,9 +222,10 @@ func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 	}
 	if l.cold != nil && !(win >= 0 && uint32(win) < l.coldMinBlk) {
 		// The hot candidates in the scratch are no longer needed — only win
-		// survives — so a plain collect (which resets the scratch) is safe
-		// here.
-		cands = l.cold.collect(c)
+		// survives — so the scratch is reset for the cold ones.
+		c.resetCands()
+		l.cold.scanInto(c)
+		cands = c.sortedCands()
 		for _, ord := range cands {
 			if win >= 0 && int(ord) >= win {
 				break
@@ -242,7 +248,7 @@ func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 // reference oracle the differential tests and the benchmark hold the
 // automaton to; production paths use MatchRequest.
 func (l *List) MatchRequestLinear(q Request) (Decision, *Rule) {
-	c := newMatchCtx(q)
+	c := matchCtx{q: normalized(q)}
 	for _, r := range l.rules {
 		if r.Kind == KindHTTPException && r.matchCtx(&c) {
 			return Allowed, r
@@ -289,14 +295,21 @@ func (l *List) AppendHitsHot(dst []Hit, q Request) []Hit {
 	return l.appendHits(dst, q, false)
 }
 
-// appendHits scans the hot automaton and, when withCold is set, the cold
-// one into the same scratch, sorts once, and verifies the combined
+// scanHot starts a probe: the scratch holds, unsorted, the candidates every
+// lookup verifies — the hot automaton's and the page-domain index's.
+func (l *List) scanHot(c *matchCtx) {
+	c.resetCands()
+	l.auto.scanInto(c)
+	l.dom.scanInto(c)
+}
+
+// appendHits scans the hot candidates and, when withCold is set, the cold
+// automaton's into the same scratch, sorts once, and verifies the combined
 // candidates in insertion order — exactly as on an untiered list, so the
 // verified matches append in linear-scan order with no further sort.
 func (l *List) appendHits(dst []Hit, q Request, withCold bool) []Hit {
-	c := newMatchCtx(q)
-	c.resetCands()
-	l.auto.scanInto(&c)
+	c := matchCtx{q: normalized(q)}
+	l.scanHot(&c)
 	if withCold && l.cold != nil {
 		l.cold.scanInto(&c)
 	}
@@ -330,7 +343,7 @@ func DecideHits(hits []Hit) (Decision, *Rule, int) {
 // every matching HTTP rule in insertion order, the set AppendHits must
 // reproduce.
 func (l *List) MatchingHTTPRulesLinear(q Request) []*Rule {
-	c := newMatchCtx(q)
+	c := matchCtx{q: normalized(q)}
 	var out []*Rule
 	for _, r := range l.rules {
 		if r.IsHTTP() && r.matchCtx(&c) {
@@ -347,12 +360,7 @@ func (l *List) ElemHideDisabled(pageDomain string) (all, genericOnly bool) {
 	if len(l.hideToggles) == 0 {
 		return false, false
 	}
-	q := Request{
-		URL:        "http://" + pageDomain + "/",
-		Type:       TypeDocument,
-		PageDomain: pageDomain,
-	}
-	c := newMatchCtx(q)
+	c := matchCtx{q: normalized(Request{URL: "http://" + pageDomain + "/", Type: TypeDocument, PageDomain: pageDomain})}
 	for _, r := range l.hideToggles {
 		if r.matchCtx(&c) {
 			if r.DisableElemHide {
@@ -375,6 +383,7 @@ func (l *List) HiddenElements(pageDomain string, elems []*Element) map[int]*Rule
 	if allOff {
 		return map[int]*Rule{}
 	}
+	pageDomain = lowerDomain(pageDomain)
 	hidden := make(map[int]*Rule)
 	if len(l.elemHide) == 0 || len(elems) == 0 {
 		return hidden
@@ -412,18 +421,13 @@ func (m *domainMemo) appliesOn(rules []*Rule, ord int) bool {
 	if m.known == nil {
 		m.known = make([]int8, len(rules))
 	}
-	switch m.known[ord] {
-	case 1:
-		return true
-	case -1:
-		return false
+	if m.known[ord] == 0 {
+		m.known[ord] = -1
+		if rules[ord].appliesOn(m.domain) {
+			m.known[ord] = 1
+		}
 	}
-	if rules[ord].appliesOn(m.domain) {
-		m.known[ord] = 1
-		return true
-	}
-	m.known[ord] = -1
-	return false
+	return m.known[ord] > 0
 }
 
 // hideIndex buckets element hiding rules by the id their selector demands.
@@ -476,30 +480,6 @@ func (h *hideIndex) firstMatch(rules []*Rule, e *Element, genericOff bool, appli
 	return nil
 }
 
-// appliesOn reports whether an element hiding rule is active on a page
-// domain, honoring the rule's domain prefix and ~negations.
-func (r *Rule) appliesOn(pageDomain string) bool {
-	pageDomain = strings.ToLower(pageDomain)
-	if len(r.Domains) > 0 {
-		ok := false
-		for _, d := range r.Domains {
-			if domainWithin(pageDomain, d) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	for _, d := range r.NotDomains {
-		if domainWithin(pageDomain, d) {
-			return false
-		}
-	}
-	return true
-}
-
 // CountByClass tallies the list's rules by Figure 1 class.
 func (l *List) CountByClass() map[Class]int {
 	out := make(map[Class]int, len(AllClasses))
@@ -519,12 +499,7 @@ func (l *List) Domains() []string {
 			seen[d] = true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(seen)
 }
 
 // ExceptionDomainSplit returns the sets of domains that appear in exception
@@ -542,13 +517,5 @@ func (l *List) ExceptionDomainSplit() (exception, nonException []string) {
 			}
 		}
 	}
-	for d := range exc {
-		exception = append(exception, d)
-	}
-	for d := range non {
-		nonException = append(nonException, d)
-	}
-	sort.Strings(exception)
-	sort.Strings(nonException)
-	return exception, nonException
+	return sortedKeys(exc), sortedKeys(non)
 }

@@ -24,31 +24,19 @@ func (q Request) Host() string { return HostOf(q.URL) }
 // IsThirdParty reports whether the request host falls outside the page's
 // domain (the $third-party notion).
 func (q Request) IsThirdParty() bool {
-	h := q.Host()
-	if h == "" || q.PageDomain == "" {
-		return false
-	}
-	return !domainWithin(h, strings.ToLower(q.PageDomain))
+	h, page := q.Host(), lowerDomain(q.PageDomain)
+	return h != "" && page != "" && !domainWithin(h, page)
 }
 
 // HostOf extracts the lower-cased host (without port, credentials, or IPv6
 // brackets) from an absolute URL. It returns "" when the URL has no
 // authority component, and "" for an unterminated IPv6 literal.
 func HostOf(rawurl string) string {
-	s := rawurl
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	} else if strings.HasPrefix(s, "//") {
-		s = s[2:]
-	} else {
+	lo, hi, ok := hostSpan(rawurl)
+	if !ok {
 		return ""
 	}
-	if i := strings.IndexAny(s, "/?#"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.LastIndexByte(s, '@'); i >= 0 {
-		s = s[i+1:]
-	}
+	s := rawurl[lo:hi]
 	if strings.HasPrefix(s, "[") {
 		// IPv6 literal: the host is the bracketed section; a port can only
 		// follow the closing bracket, so the first ':' must not cut it.
@@ -61,13 +49,44 @@ func HostOf(rawurl string) string {
 	if i := strings.IndexByte(s, ':'); i >= 0 {
 		s = s[:i]
 	}
-	return strings.ToLower(s)
+	return lowerDomain(s)
+}
+
+// hostSpan returns the bounds in u of its host and port: what follows the
+// scheme's "://" (or a leading "//") up to the first of "/?#", less the RFC
+// 3986 userinfo — the host begins after the last '@' of the authority, so an
+// '@' in the path, query or fragment never moves it ("||host.com" matches
+// "http://user@host.com/" and not "http://host.com@evil.com/"). ok is false
+// when u has no authority.
+func hostSpan(u string) (lo, hi int, ok bool) {
+	if i := strings.Index(u, "://"); i >= 0 {
+		lo = i + 3
+	} else if strings.HasPrefix(u, "//") {
+		lo = 2
+	} else {
+		return 0, 0, false
+	}
+	hi = len(u)
+	if i := strings.IndexAny(u[lo:], "/?#"); i >= 0 {
+		hi = lo + i
+	}
+	if i := strings.LastIndexByte(u[lo:hi], '@'); i >= 0 {
+		lo += i + 1
+	}
+	return lo, hi, true
+}
+
+// lowerDomain lower-cases a host or page domain and drops the one trailing
+// dot of its fully qualified spelling: "example.com." is example.com to
+// every $domain= and $third-party rule.
+func lowerDomain(d string) string {
+	return strings.TrimSuffix(strings.ToLower(d), ".")
 }
 
 // domainWithin reports whether host equals domain or is a subdomain of it.
 // Both must already be lower-cased: it runs once per candidate rule per
 // $domain= entry, so callers lower their side once per request (HostOf and
-// newMatchCtx do) and rule domains are lowered when parsed.
+// normalized do) and rule domains are lowered when parsed.
 func domainWithin(host, domain string) bool {
 	n := len(host) - len(domain)
 	return n >= 0 && host[n:] == domain && (n == 0 || host[n-1] == '.')
@@ -75,16 +94,17 @@ func domainWithin(host, domain string) bool {
 
 // matchScratchCap sizes the matchCtx candidate scratch. On the paper's
 // lists (1.3 k and 1.6 k rules) a request yields 1.6 to 4.5 candidates; on
-// a 70 k-rule EasyList-shaped list a mean of 101 (p50 72, p90 203, max
-// 344), nearly all of them path-only rules that differ in $domain= alone
-// and so share their one run. The scratch covers the first case and a
-// third of the second; anything beyond it spills to a heap slice.
-const matchScratchCap = 48
+// a 70 k-rule EasyList-shaped list a mean of 19 (p50 5, p90 52, p99 89,
+// max 97): the tail is one plain rule per numbered creative
+// ("-ad-300x250.N"), which share the run a request for any of them
+// carries. The scratch covers that p99; anything beyond it spills to a heap
+// slice.
+const matchScratchCap = 96
 
 // matchCtx caches the per-request derived values — the case-folded URL, the
-// request host, the third-party verdict — that every candidate rule of a
-// List lookup would otherwise recompute, plus the candidate-ordinal scratch
-// the automaton probe stage writes into. It is built once per request on
+// third-party verdict — that every candidate rule of a List lookup would
+// otherwise recompute, plus the candidate-ordinal scratch the probe stage
+// writes into. It is built once per request on
 // the caller's stack and never escapes a single call, which is what makes
 // the no-match hot path allocation-free: the URL is folded lazily (and
 // into lowBuf when it fits), candidates live in the inline array, and
@@ -97,8 +117,6 @@ type matchCtx struct {
 	lowState uint8
 	lowN     int // valid when lowState == lowIsBuf
 
-	host     string
-	hasHost  bool
 	third    bool
 	hasThird bool
 
@@ -120,18 +138,19 @@ const (
 	lowIsBuf
 )
 
-// newMatchCtx normalizes the request: the type defaults, and the page
-// domain is lowered once here for every domainWithin that follows (an
-// already-lower domain, the usual case, is returned as is). Lowering of
-// the URL is deferred to the first rule that needs a case-insensitive view
-// (see low): the automaton scans the raw URL through its case-folding byte
-// classes, so a no-match lookup often never folds at all.
-func newMatchCtx(q Request) matchCtx {
+// normalized is the request a matchCtx starts from (matchCtx{q:
+// normalized(q)}, built in place: a context is most of a kilobyte): the type
+// defaults, and the page domain is lowered once here for every domainWithin
+// that follows (an already-lower domain, the usual case, is returned as is).
+// Lowering of the URL is deferred to the first rule that needs a
+// case-insensitive view (see low): the automaton scans the raw URL through
+// its case-folding byte classes, so a no-match lookup often never folds.
+func normalized(q Request) Request {
 	if q.Type == "" {
 		q.Type = TypeOther
 	}
-	q.PageDomain = strings.ToLower(q.PageDomain)
-	return matchCtx{q: q}
+	q.PageDomain = lowerDomain(q.PageDomain)
+	return q
 }
 
 // low returns the case-insensitive view of q.URL, computed at most once per
@@ -253,17 +272,9 @@ func sortDedupU32(v []uint32) []uint32 {
 	return slices.Compact(v)
 }
 
-func (c *matchCtx) hostOf() string {
-	if !c.hasHost {
-		c.host = HostOf(c.q.URL)
-		c.hasHost = true
-	}
-	return c.host
-}
-
 func (c *matchCtx) isThirdParty() bool {
 	if !c.hasThird {
-		h := c.hostOf()
+		h := HostOf(c.q.URL)
 		c.third = h != "" && c.q.PageDomain != "" && !domainWithin(h, c.q.PageDomain)
 		c.hasThird = true
 	}
@@ -274,7 +285,7 @@ func (c *matchCtx) isThirdParty() bool {
 // evaluates the $ options (type, third-party, domain) and then the URL
 // pattern with its anchors. Element hiding rules never match requests.
 func (r *Rule) MatchRequest(q Request) bool {
-	c := newMatchCtx(q)
+	c := matchCtx{q: normalized(q)}
 	return r.matchCtx(&c)
 }
 
@@ -284,44 +295,31 @@ func (r *Rule) matchCtx(c *matchCtx) bool {
 	if !r.IsHTTP() {
 		return false
 	}
-	if len(r.Types) > 0 && !containsType(r.Types, c.q.Type) {
+	if len(r.Types) > 0 && !slices.Contains(r.Types, c.q.Type) || slices.Contains(r.NotTypes, c.q.Type) {
 		return false
 	}
-	if containsType(r.NotTypes, c.q.Type) {
+	if r.ThirdParty != 0 && (r.ThirdParty > 0) != c.isThirdParty() {
 		return false
 	}
-	if r.ThirdParty != 0 {
-		if (r.ThirdParty > 0) != c.isThirdParty() {
-			return false
-		}
-	}
-	if len(r.Domains) > 0 {
-		ok := false
-		for _, d := range r.Domains {
-			if domainWithin(c.q.PageDomain, d) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	for _, d := range r.NotDomains {
-		if domainWithin(c.q.PageDomain, d) {
-			return false
-		}
-	}
-	return r.matchURLCtx(c)
+	return r.appliesOn(c.q.PageDomain) && r.matchURLCtx(c)
 }
 
-func containsType(ts []RequestType, t RequestType) bool {
-	for _, x := range ts {
-		if x == t {
+// appliesOn reports whether the rule's domain scope — the $domain= option of
+// an HTTP rule, the domain prefix of an element hiding rule — admits a page
+// domain (lower-cased: lowerDomain): within one of Domains when there are
+// any, and within none of NotDomains.
+func (r *Rule) appliesOn(pageDomain string) bool {
+	for _, d := range r.NotDomains {
+		if domainWithin(pageDomain, d) {
+			return false
+		}
+	}
+	for _, d := range r.Domains {
+		if domainWithin(pageDomain, d) {
 			return true
 		}
 	}
-	return false
+	return len(r.Domains) == 0
 }
 
 // urlMatcher holds the pre-lowered pattern for repeated matching. Matchers
@@ -349,12 +347,8 @@ func (r *Rule) buildMatcher() urlMatcher {
 // state is ever written again. It is idempotent and cheap for non-HTTP
 // rules.
 func (r *Rule) Precompile() {
-	if !r.IsHTTP() {
-		return
-	}
-	if r.matcher.Load() == nil {
-		m := r.buildMatcher()
-		r.matcher.Store(&m)
+	if r.IsHTTP() {
+		r.matcherRef()
 	}
 }
 
@@ -379,39 +373,18 @@ func (r *Rule) matchURLCtx(c *matchCtx) bool {
 	if !m.matchCase {
 		u = c.low()
 	}
-	switch {
-	case r.DomainAnchor:
+	if r.DomainAnchor {
 		return matchDomainAnchored(m.pattern, u, r.EndAnchor)
-	case r.StartAnchor:
-		return globMatch(m.pattern, u, r.EndAnchor, false)
-	default:
-		return globMatch(m.pattern, u, r.EndAnchor, true)
 	}
+	return globMatch(m.pattern, u, r.EndAnchor, !r.StartAnchor)
 }
 
 // matchDomainAnchored implements "||": the pattern must match starting at
 // the beginning of the URL's host or immediately after a dot inside it.
 func matchDomainAnchored(pat, u string, endAnchor bool) bool {
-	hostStart := 0
-	if i := strings.Index(u, "://"); i >= 0 {
-		hostStart = i + 3
-	} else if strings.HasPrefix(u, "//") {
-		hostStart = 2
-	} else {
+	hostStart, hostEnd, ok := hostSpan(u)
+	if !ok {
 		return false
-	}
-	hostEnd := len(u)
-	if i := strings.IndexAny(u[hostStart:], "/?#"); i >= 0 {
-		hostEnd = hostStart + i
-	}
-	// RFC 3986 userinfo: "||" anchors to the host, which begins after the
-	// last '@' of the authority. The cut is bounded to [hostStart, hostEnd)
-	// so an '@' in the path, query, or fragment can never shift the anchor
-	// (HostOf bounds its credential cut the same way). Without the cut,
-	// "||host.com" both misses "http://user@host.com/" and false-matches
-	// "http://host.com@evil.com/".
-	if i := strings.LastIndexByte(u[hostStart:hostEnd], '@'); i >= 0 {
-		hostStart += i + 1
 	}
 	if globMatch(pat, u[hostStart:], endAnchor, false) {
 		return true
@@ -494,6 +467,15 @@ func globMatch(pat, s string, endAnchor, floating bool) bool {
 			return false
 		}
 		starSi++
+		// A pattern that resumes with a literal can only resume where the
+		// input holds that byte: one IndexByte instead of a retry per offset.
+		if starPi < len(pat) && pat[starPi] != '*' && pat[starPi] != '^' {
+			i := strings.IndexByte(s[starSi:], pat[starPi])
+			if i < 0 {
+				return false
+			}
+			starSi += i
+		}
 		pi, si = starPi, starSi
 	}
 }

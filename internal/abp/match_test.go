@@ -294,7 +294,7 @@ func TestDomainOptionsIgnoreCase(t *testing.T) {
 		if got := q.IsThirdParty(); got != c.third {
 			t.Errorf("page %q: IsThirdParty = %v, want %v", c.page, got, c.third)
 		}
-		if got := hideRule.appliesOn(c.page); got != c.hide {
+		if got := hideRule.appliesOn(lowerDomain(c.page)); got != c.hide {
 			t.Errorf("page %q: hiding rule applies = %v, want %v", c.page, got, c.hide)
 		}
 	}

@@ -66,28 +66,30 @@ func (r *Rule) parseElemHide(prefix, sel string, exception bool) error {
 	if exception {
 		r.Kind = KindElemHideException
 	}
-	prefix = strings.TrimSpace(prefix)
-	if prefix != "" {
-		for rest, more := prefix, true; more; {
-			var d string
-			d, rest, more = strings.Cut(rest, ",")
-			d = strings.ToLower(strings.TrimSpace(d))
-			if d == "" {
-				continue
-			}
-			if strings.HasPrefix(d, "~") {
-				r.NotDomains = append(r.NotDomains, d[1:])
-			} else {
-				r.Domains = append(r.Domains, d)
-			}
-		}
-	}
+	r.addDomains(prefix, ",")
 	selector, err := ParseSelector(strings.TrimSpace(sel))
 	if err != nil {
 		return fmt.Errorf("%w: %q: %v", ErrBadSelector, sel, err)
 	}
 	r.Selector = selector
 	return nil
+}
+
+// addDomains adds the entries of a sep-separated domain list, lower-cased,
+// to Domains or, when they begin with '~', to NotDomains.
+func (r *Rule) addDomains(list, sep string) {
+	for rest, more := list, true; more; {
+		var d string
+		d, rest, more = strings.Cut(rest, sep)
+		d = strings.ToLower(strings.TrimSpace(d))
+		switch {
+		case d == "":
+		case d[0] == '~':
+			r.NotDomains = append(r.NotDomains, d[1:])
+		default:
+			r.Domains = append(r.Domains, d)
+		}
+	}
 }
 
 // parseHTTP parses an HTTP request rule (blocking or "@@" exception).
@@ -201,19 +203,7 @@ func (r *Rule) parseOptions(opts string) error {
 		name = strings.ToLower(name)
 		switch {
 		case name == "domain":
-			for rest, more := value, true; more; {
-				var d string
-				d, rest, more = strings.Cut(rest, "|")
-				d = strings.ToLower(strings.TrimSpace(d))
-				if d == "" {
-					continue
-				}
-				if strings.HasPrefix(d, "~") {
-					r.NotDomains = append(r.NotDomains, d[1:])
-				} else {
-					r.Domains = append(r.Domains, d)
-				}
-			}
+			r.addDomains(value, "|")
 		case name == "third-party":
 			if neg {
 				r.ThirdParty = -1

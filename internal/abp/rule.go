@@ -224,12 +224,14 @@ func (r *Rule) TargetDomains() []string {
 			seen[d] = true
 		}
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
+	return sortedKeys(seen)
+}
+
+// sortedKeys returns the members of a set in order, nil for the empty set.
+func sortedKeys(set map[string]bool) []string {
+	var out []string
+	for k := range set {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -238,18 +240,10 @@ func (r *Rule) TargetDomains() []string {
 // anchorDomain extracts the host portion at the front of a "||" pattern:
 // everything up to the first '/', '^', '*', '$', or '|'.
 func anchorDomain(pattern string) string {
-	end := len(pattern)
-	for i := 0; i < len(pattern); i++ {
-		switch pattern[i] {
-		case '/', '^', '*', '$', '|', '?':
-			end = i
-		}
-		if end != len(pattern) {
-			break
-		}
+	if end := strings.IndexAny(pattern, "/^*$|?"); end >= 0 {
+		pattern = pattern[:end]
 	}
-	host := strings.ToLower(pattern[:end])
-	host = strings.TrimSuffix(host, ".")
+	host := lowerDomain(pattern)
 	if host == "" || strings.ContainsAny(host, " \t") {
 		return ""
 	}

@@ -1,7 +1,11 @@
 package abp
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"adwars/internal/artifact"
 )
@@ -22,7 +26,7 @@ import (
 // while answers stay byte-identical to the untiered list (differential-
 // tested and fuzzed against the linear reference).
 //
-// Two membership invariants make the staged probe exact, both enforced at
+// Three membership invariants make the staged probe exact, all enforced at
 // attach time and guaranteed by CompileTiered's normalization:
 //
 //  1. Every exception rule is hot. An Allowed verdict can then conclude
@@ -31,10 +35,82 @@ import (
 //  2. Every keyword-less HTTP rule is hot. The cold automaton carries no
 //     generic bucket (a keyword-less cold rule would never be probed), so
 //     a cold rule is always reachable through its keyword.
+//  3. An HTTP rule in neither automaton names a page domain, and is served
+//     from the page-domain index (domainIndex) with the hot tier.
 //
 // Cold rules are therefore exactly a subset of keyword-bearing blocking
 // rules. coldMinBlk — the lowest cold ordinal — lets a hot block below it
 // win without the cold probe at all.
+
+// domainIndex files the HTTP rules no automaton holds under each of their
+// positive $domain= entries, sorted by domain and then ordinal. A rule whose
+// $domain= condition holds on a page names the page's domain or a parent of
+// it (domainWithin), so the entries under those are every rule of the index
+// a request from the page can match. Most pages are named by no rule, so a
+// one-hash Bloom filter over the filed domains (16 bits or more each) stands
+// before the search. It is derived from the automatons at attach
+// time, never serialized: a region compiled with every rule under its run
+// leaves it empty.
+type domainIndex struct {
+	entries []domainEntry
+	filter  []uint64 // a power of two of words; see has
+	rules   int      // rules filed, each under one domain or more
+}
+
+type domainEntry struct {
+	domain string
+	ord    uint32
+}
+
+func newDomainIndex(rules []*Rule, filed []uint32) *domainIndex {
+	x := &domainIndex{rules: len(filed)}
+	for _, ord := range filed {
+		for _, d := range rules[ord].Domains {
+			x.entries = append(x.entries, domainEntry{d, ord})
+		}
+	}
+	slices.SortFunc(x.entries, func(a, b domainEntry) int {
+		return cmp.Or(strings.Compare(a.domain, b.domain), cmp.Compare(a.ord, b.ord))
+	})
+	x.filter = make([]uint64, 1<<bits.Len(uint(len(x.entries)/4+4)))
+	for _, e := range x.entries {
+		h := uint32(0)
+		for i := len(e.domain); i > 0; i-- {
+			h = domainHash(h, e.domain[i-1])
+		}
+		x.filter[h>>6&uint32(len(x.filter)-1)] |= 1 << (h & 63)
+	}
+	return x
+}
+
+// domainHash extends the hash of a domain's tail by the byte before it
+// (FNV-1a, last byte first): one backward pass over a page domain yields the
+// hash of every suffix of it.
+func domainHash(h uint32, b byte) uint32 { return (h ^ uint32(b)) * 16777619 }
+
+// has reports whether a filed domain may hash to h.
+func (x *domainIndex) has(h uint32) bool {
+	return x.filter[h>>6&uint32(len(x.filter)-1)]>>(h&63)&1 != 0
+}
+
+// scanInto pushes the rules filed under the request's page domain and under
+// every parent of it — the suffixes domainWithin accepts — into the context.
+func (x *domainIndex) scanInto(c *matchCtx) {
+	p, h := c.q.PageDomain, uint32(0)
+	for n := len(p); n >= 0 && len(x.entries) > 0; n-- {
+		if (n == 0 || p[n-1] == '.') && x.has(h) {
+			i, _ := slices.BinarySearchFunc(x.entries, p[n:], func(e domainEntry, d string) int {
+				return strings.Compare(e.domain, d)
+			})
+			for ; i < len(x.entries) && x.entries[i].domain == p[n:]; i++ {
+				c.pushCand(x.entries[i].ord)
+			}
+		}
+		if n > 0 {
+			h = domainHash(h, p[n-1])
+		}
+	}
+}
 
 // CompileTiered compiles the list into a tiered copy: keep reports
 // whether the rule at an ordinal belongs in the hot tier (typically
@@ -45,9 +121,21 @@ import (
 // unchanged; rules are shared, both lists stay safe for concurrent
 // matchers.
 func (l *List) CompileTiered(keep func(ord int) bool) *List {
-	kws := l.kws
-	if kws == nil {
-		kws = selectKeywords(l.rules)
+	tl := &List{
+		Name:        l.Name,
+		rules:       l.rules,
+		rulesCRC:    l.rulesCRC,
+		kws:         l.kws,
+		dom:         l.dom,
+		elemHide:    l.elemHide,
+		elemExcept:  l.elemExcept,
+		hideIdx:     l.hideIdx,
+		hideToggles: l.hideToggles,
+	}
+	if tl.kws == nil {
+		// l was attached from a snapshot: its index goes with the selection
+		// its regions were compiled under, not with this one.
+		tl.kws, tl.dom = selectKeywords(l.rules), nil
 	}
 	hot := make([]bool, len(l.rules))
 	cold := make([]bool, len(l.rules))
@@ -57,25 +145,15 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		}
 		switch {
 		case r.Kind == KindHTTPException,
-			kws[ord].none(),
+			tl.kws[ord].none(),
 			keep != nil && keep(ord):
 			hot[ord] = true
 		default:
 			cold[ord] = true
 		}
 	}
-	tl := &List{
-		Name:        l.Name,
-		rules:       l.rules,
-		rulesCRC:    l.rulesCRC,
-		kws:         kws,
-		elemHide:    l.elemHide,
-		elemExcept:  l.elemExcept,
-		hideIdx:     l.hideIdx,
-		hideToggles: l.hideToggles,
-	}
-	tl.auto = buildAutomaton(l.rules, kws, l.rulesCRC, hot)
-	if err := tl.attachCold(buildAutomaton(l.rules, kws, l.rulesCRC, cold)); err != nil {
+	tl.auto = buildAutomaton(l.rules, tl.kws, l.rulesCRC, hot)
+	if err := tl.attachCold(buildAutomaton(l.rules, tl.kws, l.rulesCRC, cold)); err != nil {
 		// Unreachable: the normalization above establishes every invariant
 		// attachCold checks.
 		panic(fmt.Sprintf("abp: internal: freshly compiled tiers failed validation: %v", err))
@@ -84,12 +162,14 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 }
 
 // attachCold validates the tier membership invariants against the already
-// attached hot automaton and installs the cold tier. Membership is
-// derived from the automatons themselves (outputs ∪ generic), so no
-// separate membership table needs serializing — the snapshot sections are
-// self-describing. A nil cold is a flat list: there is nothing to install,
-// and the one automaton must hold every HTTP rule itself — which is what
-// refuses a tiered list's hot region arriving without its cold one.
+// attached hot automaton and installs the cold tier and the page-domain
+// index. Membership is derived from the automatons themselves (outputs ∪
+// generic), so no separate membership table needs serializing — the snapshot
+// sections are self-describing. A nil cold is a flat list: the one automaton
+// must hold every HTTP rule the index cannot serve — which is what refuses a
+// tiered list's hot region arriving without its cold one. An index the list
+// already has (CompileTiered: that of the list whose selection the tiers
+// share) is kept, not derived again.
 func (l *List) attachCold(cold *automaton) error {
 	corrupt := func(format string, args ...any) error {
 		return artifact.Corruptf("tier-invalid", format, args...)
@@ -118,19 +198,26 @@ func (l *List) attachCold(cold *automaton) error {
 			}
 		}
 	}
+	var byDomain []uint32
 	for ord, r := range l.rules {
-		if !r.IsHTTP() {
+		if !r.IsHTTP() || hot[ord] {
 			continue
 		}
-		if hot[ord] {
-			continue
-		}
-		if cold == nil || !inCold[ord] {
+		switch {
+		case cold != nil && inCold[ord]:
+			if r.Kind != KindHTTPBlock {
+				return corrupt("exception rule %d relegated to the cold tier", ord)
+			}
+		case len(r.Domains) > 0:
+			// Always consulted, like the hot tier.
+			hot[ord] = true
+			byDomain = append(byDomain, uint32(ord))
+		default:
 			return corrupt("HTTP rule %d is in no automaton", ord)
 		}
-		if r.Kind != KindHTTPBlock {
-			return corrupt("exception rule %d relegated to the cold tier", ord)
-		}
+	}
+	if l.dom == nil {
+		l.dom = newDomainIndex(l.rules, byDomain)
 	}
 	if cold != nil {
 		l.cold = cold
@@ -146,10 +233,7 @@ func (l *List) Tiered() bool { return l.cold != nil }
 // IsHotRule reports whether the rule at ord is served from the hot tier.
 // Every rule of an untiered list counts as hot (there is only one tier).
 func (l *List) IsHotRule(ord int) bool {
-	if l.hot == nil {
-		return true
-	}
-	return ord >= 0 && ord < len(l.hot) && l.hot[ord]
+	return l.hot == nil || ord >= 0 && ord < len(l.hot) && l.hot[ord]
 }
 
 // ColdAutomatonBytes returns the cold tier's serialized region (nil for
@@ -164,36 +248,36 @@ func (l *List) ColdAutomatonBytes() []byte {
 
 // TierStats describes a list's tier geometry: automaton region sizes and
 // HTTP-rule membership counts. For an untiered list everything is "hot".
+// DomainRules (served from the page-domain index) and GenericRules (no
+// keyword: candidates of every request) are among HotRules; the rest of
+// HotRules and all ColdRules are the KeywordRules an automaton finds.
 type TierStats struct {
-	HotBytes  int
-	ColdBytes int
-	HotRules  int
-	ColdRules int
+	HotBytes     int
+	ColdBytes    int
+	HotRules     int
+	ColdRules    int
+	KeywordRules int
+	DomainRules  int
+	GenericRules int
 }
 
 // TierStats reports the list's tier geometry. HotBytes is the memory the
 // staged decision path touches when the hot tier concludes the verdict —
 // the "hot working set" the compaction loop minimizes.
 func (l *List) TierStats() TierStats {
-	st := TierStats{HotBytes: len(l.auto.blob)}
-	if l.cold == nil {
-		for _, r := range l.rules {
-			if r.IsHTTP() {
-				st.HotRules++
-			}
-		}
-		return st
+	st := TierStats{HotBytes: len(l.auto.blob), DomainRules: l.dom.rules, GenericRules: len(l.auto.generic)}
+	if l.cold != nil {
+		st.ColdBytes = len(l.cold.blob)
 	}
-	st.ColdBytes = len(l.cold.blob)
 	for ord, r := range l.rules {
-		if !r.IsHTTP() {
-			continue
-		}
-		if l.hot[ord] {
+		switch {
+		case !r.IsHTTP():
+		case l.IsHotRule(ord):
 			st.HotRules++
-		} else {
+		default:
 			st.ColdRules++
 		}
 	}
+	st.KeywordRules = st.HotRules + st.ColdRules - st.DomainRules - st.GenericRules
 	return st
 }

@@ -79,19 +79,13 @@ func (u *Usage) record(ord int) {
 // which is all reconciliation needs once traffic has stopped.
 func (u *Usage) Counts() []uint64 {
 	out := make([]uint64, u.rules)
-	u.AddCounts(out)
-	return out
-}
-
-// AddCounts accumulates the merged totals into dst (len >= Rules),
-// allowing callers with a reusable buffer to aggregate without allocating.
-func (u *Usage) AddCounts(dst []uint64) {
 	for i := range u.banks {
 		c := u.banks[i].counters
 		for ord := range c {
-			dst[ord] += c[ord].Load()
+			out[ord] += c[ord].Load()
 		}
 	}
+	return out
 }
 
 // Total returns the merged hit count across all rules.

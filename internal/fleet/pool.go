@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,15 +136,9 @@ func NewPool(urls []string, cfg PoolConfig) *Pool {
 		},
 	}
 	for _, u := range urls {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
+		if u = normalizeURL(u); u != "" {
+			p.backends = append(p.backends, newBackend(u, cfg.FailThreshold, cfg.RetryBudget, cfg.RetryRefill))
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		p.backends = append(p.backends, newBackend(strings.TrimSuffix(u, "/"),
-			cfg.FailThreshold, cfg.RetryBudget, cfg.RetryRefill))
 	}
 	return p
 }

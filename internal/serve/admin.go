@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -77,30 +75,23 @@ func (s *Server) health() Health {
 	return h
 }
 
-// handleHealthz is liveness: 200 as long as the process can answer and
-// has any snapshot, even while draining.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !chassis.RequireMethod(w, r, http.MethodGet, http.MethodHead) {
-		return
+// handleHealth answers a probe with the health report: 200 when ok holds of
+// it. /healthz is liveness — ok as long as the process can answer and has
+// any snapshot, even while draining; /readyz is routability — not ok once
+// drain is announced (or before any snapshot is loaded), so gateways stop
+// sending traffic here while the data plane finishes what it already has.
+func (s *Server) handleHealth(ok func(Health) bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !chassis.RequireMethod(w, r, http.MethodGet, http.MethodHead) {
+			return
+		}
+		h := s.health()
+		status := http.StatusOK
+		if !ok(h) {
+			status = http.StatusServiceUnavailable
+		}
+		chassis.WriteJSON(w, status, h)
 	}
-	h := s.health()
-	status := http.StatusOK
-	if !h.Model && !h.Lists {
-		status = http.StatusServiceUnavailable
-	}
-	chassis.WriteJSON(w, status, h)
-}
-
-// handleReadyz is routability: 503 once drain is announced (or before any
-// snapshot is loaded), so gateways stop sending traffic here while the
-// data plane finishes the requests it already has.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	status := http.StatusOK
-	if !h.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	chassis.WriteJSON(w, status, h)
 }
 
 // pushResponse answers a successful control-plane snapshot push.
@@ -174,15 +165,8 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 			"no %s snapshot path configured on this replica", kind)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshot))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			chassis.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				"snapshot exceeds %d bytes", tooLarge.Limit)
-		} else {
-			chassis.WriteError(w, http.StatusBadRequest, "bad_request", "reading snapshot body: %v", err)
-		}
+	data, ok := chassis.ReadBody(w, r, nil, maxSnapshot)
+	if !ok {
 		return
 	}
 	// Parse and prepare before persisting, so an artifact this replica
@@ -193,6 +177,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 	// the parsers refuse what is not sealed.
 	var version string
 	var store func()
+	var err error
 	if kind == "lists" {
 		var ls *listsState
 		if ls, err = s.parseLists(data); err == nil {

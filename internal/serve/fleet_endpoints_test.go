@@ -62,6 +62,12 @@ func TestReadyzDrainFlip(t *testing.T) {
 	if rec := do(t, s, "GET", "/healthz", ""); rec.Code != 200 {
 		t.Errorf("healthz while draining = %d, want 200", rec.Code)
 	}
+	// One handler answers both probes: GET and HEAD only, on either.
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if rec := do(t, s, "POST", path, ""); rec.Code != 405 || rec.Header().Get("Allow") != "GET, HEAD" {
+			t.Errorf("POST %s = %d Allow %q, want 405 and GET, HEAD", path, rec.Code, rec.Header().Get("Allow"))
+		}
+	}
 	if rec := do(t, s, "POST", "/v1/match", `{"url":"http://x.example/a.js"}`); rec.Code != 200 {
 		t.Errorf("match while draining = %d, want 200", rec.Code)
 	}

@@ -121,11 +121,23 @@ type reloadResponse struct {
 
 // ---- plumbing ----
 
-// readBodyInto reads the bounded request body of a data-plane endpoint into
-// the scratch's reusable buffer (true = proceed; the refusal is written).
-func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, sc *matchScratch) (ok bool) {
-	sc.body, ok = chassis.ReadBody(w, r, sc.body, s.cfg.maxBody())
-	return ok
+// readPost is how the four /v1 handlers begin: POST only, the snapshot they
+// answer from loaded, the bounded body read into a pooled scratch the caller
+// puts back. nil means refused, and answered.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request, kind string, loaded bool) *matchScratch {
+	if !chassis.RequireMethod(w, r, http.MethodPost) {
+		return nil
+	}
+	if !loaded {
+		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no %s snapshot loaded", kind)
+		return nil
+	}
+	sc, ok := getMatchScratch(), false
+	if sc.body, ok = chassis.ReadBody(w, r, sc.body, s.cfg.maxBody()); !ok {
+		matchScratchPool.Put(sc)
+		return nil
+	}
+	return sc
 }
 
 // snapshotInfo reports the currently installed snapshots. The descriptors
@@ -254,8 +266,8 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/admin/usage", s.handleUsage)
 	mux.HandleFunc("/admin/analytics", s.handleAnalytics)
 	mux.HandleFunc("/admin/degrade", s.handleDegrade)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/healthz", s.handleHealth(func(h Health) bool { return h.Model || h.Lists }))
+	mux.HandleFunc("/readyz", s.handleHealth(func(h Health) bool { return h.Ready }))
 	mux.HandleFunc("/debug/vars", s.handleDebugVars)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		chassis.WriteError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)
@@ -437,19 +449,12 @@ func (s *Server) recordClassify(anti bool, ts time.Time) {
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	if !chassis.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
 	ls := s.lists.Load()
-	if ls == nil {
-		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
+	sc := s.readPost(w, r, "lists", ls != nil)
+	if sc == nil {
 		return
 	}
-	sc := getMatchScratch()
 	defer matchScratchPool.Put(sc)
-	if !s.readBodyInto(w, r, sc) {
-		return
-	}
 	if err := sc.decode(sc.body); err != nil {
 		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
@@ -477,22 +482,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
-	if !chassis.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
-	ls := s.lists.Load()
-	if ls == nil {
-		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no lists snapshot loaded")
-		return
-	}
 	// One scratch serves the whole batch: the body is read into it, and its
 	// arenas grow monotonically, so every result's slices stay valid until
 	// the encode below.
-	sc := getMatchScratch()
-	defer matchScratchPool.Put(sc)
-	if !s.readBodyInto(w, r, sc) {
+	ls := s.lists.Load()
+	sc := s.readPost(w, r, "lists", ls != nil)
+	if sc == nil {
 		return
 	}
+	defer matchScratchPool.Put(sc)
 	var batch matchBatchRequest
 	if err := json.Unmarshal(sc.body, &batch); err != nil {
 		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
@@ -576,17 +574,9 @@ func classifyOne(ms *modelState, src string) (ClassifyResult, error) {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if !chassis.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
 	ms := s.model.Load()
-	if ms == nil {
-		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
-		return
-	}
-	sc := getMatchScratch()
-	if !s.readBodyInto(w, r, sc) {
-		matchScratchPool.Put(sc)
+	sc := s.readPost(w, r, "model", ms != nil)
+	if sc == nil {
 		return
 	}
 	// The tokens and the tree alias the script, so it leaves the pooled
@@ -619,19 +609,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	if !chassis.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
 	ms := s.model.Load()
-	if ms == nil {
-		chassis.WriteError(w, http.StatusServiceUnavailable, "no_snapshot", "no model snapshot loaded")
+	sc := s.readPost(w, r, "model", ms != nil)
+	if sc == nil {
 		return
 	}
-	sc := getMatchScratch()
 	defer matchScratchPool.Put(sc)
-	if !s.readBodyInto(w, r, sc) {
-		return
-	}
 	// Unmarshal copies the scripts out of the pooled buffer.
 	var batch classifyBatchRequest
 	if err := json.Unmarshal(sc.body, &batch); err != nil {

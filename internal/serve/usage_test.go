@@ -139,6 +139,45 @@ func TestUsageDebugVarsAggregate(t *testing.T) {
 	}
 }
 
+// TestUsageProbeGeometry: /admin/usage (per list) and /debug/vars (summed)
+// say how a list's HTTP rules reach a probe — by keyword, by page domain, or
+// as candidates of every request — with usage counters on or off.
+func TestUsageProbeGeometry(t *testing.T) {
+	want := probeGeometry{KeywordRules: 1, DomainRules: 2, GenericRules: 1}
+	for _, off := range []bool{false, true} {
+		l, errs := abp.ParseAndBuild("geometry", strings.Join([]string{
+			"||ads.example^",
+			"/banner/ads.js$domain=x.example",
+			"/banner/ads.js$domain=y.example",
+			"*$image",
+			"##.ad-banner",
+		}, "\n"))
+		if len(errs) != 0 {
+			t.Fatal(errs)
+		}
+		s := New(Config{DisableUsage: off})
+		if err := s.SetListsSnapshot(&abp.ListsSnapshot{Lists: []*abp.List{l}}); err != nil {
+			t.Fatal(err)
+		}
+		var vars struct {
+			Usage usageAggregate `json:"adwars_usage"`
+		}
+		if err := json.Unmarshal(do(t, s, "GET", "/debug/vars", "").Body.Bytes(), &vars); err != nil {
+			t.Fatal(err)
+		}
+		if vars.Usage.probeGeometry != want || vars.Usage.Enabled == off {
+			t.Errorf("usage off=%v: /debug/vars says %+v, want %+v", off, vars.Usage, want)
+		}
+		if off {
+			continue
+		}
+		dump := decodeUsage(t, do(t, s, "GET", "/admin/usage", "").Body.Bytes())
+		if got := dump.Lists[0]; got.probeGeometry != want || got.HTTPRules != 4 {
+			t.Errorf("/admin/usage says %+v of 4 HTTP rules, want %+v", got.probeGeometry, want)
+		}
+	}
+}
+
 // TestServeTieredSnapshot proves the serving stack is tier-transparent
 // end to end: a tiered snapshot loads from disk, /healthz advertises
 // it, and /v1/match answers byte-identically to the untiered server.

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 
 	"adwars/internal/abp"
@@ -18,15 +19,32 @@ type UsageRule struct {
 	Hits    uint64 `json:"hits"`
 }
 
+// probeGeometry says how a list's HTTP rules reach a probe (abp.TierStats):
+// through an automaton keyword, through the page-domain index, or as
+// candidates of every request.
+type probeGeometry struct {
+	KeywordRules int `json:"keyword_rules"`
+	DomainRules  int `json:"domain_rules"`
+	GenericRules int `json:"generic_rules"`
+}
+
+func (g *probeGeometry) add(l *abp.List) {
+	st := l.TierStats()
+	g.KeywordRules += st.KeywordRules
+	g.DomainRules += st.DomainRules
+	g.GenericRules += st.GenericRules
+}
+
 // UsageList is one list's per-rule usage distribution. Hits carries every
 // rule that fired as an [ordinal, count] pair in ordinal order — the
 // machine-readable form adwars-compact consumes; Top is the human-readable
 // ranking. DeadFraction is over HTTP rules only (element-hiding rules
 // never take the match path, counting them as "dead" would be noise).
 type UsageList struct {
-	List         string      `json:"list"`
-	Rules        int         `json:"rules"`
-	HTTPRules    int         `json:"http_rules"`
+	List      string `json:"list"`
+	Rules     int    `json:"rules"`
+	HTTPRules int    `json:"http_rules"`
+	probeGeometry
 	TotalHits    uint64      `json:"total_hits"`
 	DeadRules    int         `json:"dead_rules"`
 	DeadFraction float64     `json:"dead_fraction"`
@@ -45,6 +63,7 @@ func usageList(l *abp.List, topK int) UsageList {
 	counts := l.Usage().Counts()
 	rules := l.Rules()
 	ul := UsageList{List: l.Name, Rules: len(rules), Hits: make([][2]uint64, 0, 16)}
+	ul.add(l)
 	for ord, r := range rules {
 		if !r.IsHTTP() {
 			continue
@@ -61,17 +80,11 @@ func usageList(l *abp.List, topK int) UsageList {
 		ul.DeadFraction = float64(ul.DeadRules) / float64(ul.HTTPRules)
 	}
 	if topK > 0 && len(ul.Hits) > 0 {
-		ranked := append([][2]uint64(nil), ul.Hits...)
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i][1] != ranked[j][1] {
-				return ranked[i][1] > ranked[j][1]
-			}
-			return ranked[i][0] < ranked[j][0]
+		ranked := slices.Clone(ul.Hits)
+		slices.SortFunc(ranked, func(a, b [2]uint64) int {
+			return cmp.Or(cmp.Compare(b[1], a[1]), cmp.Compare(a[0], b[0]))
 		})
-		if len(ranked) > topK {
-			ranked = ranked[:topK]
-		}
-		for _, p := range ranked {
+		for _, p := range ranked[:min(topK, len(ranked))] {
 			ul.Top = append(ul.Top, UsageRule{
 				Ordinal: int(p[0]),
 				Rule:    rules[p[0]].Raw,
@@ -129,24 +142,33 @@ type usageAggregate struct {
 	HTTPRules    int     `json:"http_rules"`
 	DeadRules    int     `json:"dead_rules"`
 	DeadFraction float64 `json:"dead_fraction"`
+	probeGeometry
 }
 
-// usageVars sums the lists' usage reports. The counters are sharded per-bank
-// atomics; merging them happens here, on the read side, so the match path
-// never pays for metrics export (/debug/vars computes the aggregate only
-// when scraped).
+// usageVars sums the lists' usage counters, and their probe geometry
+// whether they count or not. The counters are sharded per-bank atomics;
+// merging them happens here, on the read side, so the match path never pays
+// for metrics export (/debug/vars computes the aggregate only when scraped).
 func (s *Server) usageVars() usageAggregate {
 	agg := usageAggregate{}
 	if ls := s.lists.Load(); ls != nil {
 		for _, l := range ls.snap.Lists {
+			agg.add(l)
 			if l.Usage() == nil {
 				continue
 			}
-			ul := usageList(l, 0)
 			agg.Enabled = true
-			agg.TotalHits += ul.TotalHits
-			agg.HTTPRules += ul.HTTPRules
-			agg.DeadRules += ul.DeadRules
+			counts := l.Usage().Counts()
+			for ord, r := range l.Rules() {
+				if !r.IsHTTP() {
+					continue
+				}
+				agg.HTTPRules++
+				agg.TotalHits += counts[ord]
+				if counts[ord] == 0 {
+					agg.DeadRules++
+				}
+			}
 		}
 	}
 	if agg.HTTPRules > 0 {
