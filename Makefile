@@ -54,7 +54,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 26258
+LOC_CEILING = 26470
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -103,9 +103,11 @@ bench-smoke:
 # FuzzMatchQueryDecode: /v1/match's hand-written decoder, where it takes an
 # input at all, gives the value json.Unmarshal gives (where it does not,
 # json.Unmarshal is what runs), and the response encoder writes any text as
-# json.Encoder does. Last, ten seconds of FuzzGlobMatch: the glob that jumps
+# json.Encoder does. Then ten seconds of FuzzGlobMatch: the glob that jumps
 # to the next byte its pattern can resume at answers as the loop that retries
-# every offset.
+# every offset. Last, ten seconds of FuzzGuard: whenever a rule's pattern
+# matches a URL, each of its runs occurs there somewhere its guard admits —
+# what lets the scan drop an occurrence out of context.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
@@ -115,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMatchQueryDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzGlobMatch -fuzztime 10s ./internal/abp
+	$(GO) test -run '^$$' -fuzz FuzzGuard -fuzztime 10s ./internal/abp
 
 # smoke runs the serving stack as real processes: scripts/smoke.sh builds
 # the binaries and freezes the snapshots once, then runs its scenarios in

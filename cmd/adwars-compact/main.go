@@ -183,9 +183,9 @@ func tier(snap *abp.ListsSnapshot, dump *serve.UsageDump, minHits uint64) {
 		snap.Lists[i] = ct
 		st := ct.TierStats()
 		flat := l.TierStats().HotBytes
-		fmt.Printf("  %-24s hot %5d rules %7d B   cold %5d rules %7d B   (flat %7d B, hot set %4.1f%%)   by keyword %d, page domain %d, generic %d\n",
+		fmt.Printf("  %-24s hot %5d rules %7d B   cold %5d rules %7d B   (flat %7d B, hot set %4.1f%%)   by keyword %d (%d guarded), page domain %d, generic %d\n",
 			l.Name, st.HotRules, st.HotBytes, st.ColdRules, st.ColdBytes,
-			flat, 100*float64(st.HotBytes)/float64(flat), st.KeywordRules, st.DomainRules, st.GenericRules)
+			flat, 100*float64(st.HotBytes)/float64(flat), st.KeywordRules, st.GuardedRules, st.DomainRules, st.GenericRules)
 	}
 }
 

@@ -745,14 +745,114 @@ func openAutomaton(blob []byte, wantRules int, wantCRC uint64) (*automaton, erro
 	return a, nil
 }
 
+// A guard is the literal context of the run a rule is filed under, in the
+// rule's own pattern: the byte before the run and up to guardAfter bytes after
+// it, cut at '*', '^' or the pattern's end and folded as matchCtx.low folds
+// the URL. A run is maximal, so what stands next to it is never a keyword
+// byte: the context costs the automaton no states, and the byte before, no
+// letter, needs no folding. The scan checks the guard at each occurrence of
+// the run before nominating the rule. A rule that matches a URL lays its run
+// somewhere in it with exactly those neighbours (under $match-case too: equal
+// bytes fold equal), so "-ad-300x250.7" is no candidate of "-ad-300x250.3.js",
+// nor "||site12.example^" of site1234.example, nor a rule filed under "123" of
+// every three digits of a cache-buster. Zero admits every occurrence.
+//
+//	bits 0–31   the bytes after the run, the nearest lowest
+//	bits 32–39  the byte before the run
+//	bits 40–47  the run's length when the byte before is held (it says where
+//	            to look), 0 when there is none or the run is past 255 bytes
+//	bits 48–50  how many bytes after are held
+type guard uint64
+
+const guardAfter = 4
+
+// ruleGuard reads the guard of the run at kw out of the pattern.
+func ruleGuard(pat string, kw kwSpan) guard {
+	var g guard
+	if n := kw.hi - kw.lo; kw.lo > 0 && n <= 0xff {
+		if b := pat[kw.lo-1]; b != '*' && b != '^' {
+			g = guard(n)<<40 | guard(b)<<32
+		}
+	}
+	k := 0
+	for after := pat[kw.hi:]; k < guardAfter && k < len(after) && after[k] != '*' && after[k] != '^'; k++ {
+		g |= guard(lowerByte(after[k])) << (8 * k)
+	}
+	return g | guard(k)<<48
+}
+
+// ruleGuards is the guard of every rule kws files under a run.
+func ruleGuards(rules []*Rule, kws []kwSpan) []guard {
+	guards := make([]guard, len(rules))
+	for ord, kw := range kws {
+		if !kw.none() && !kw.byDomain() {
+			guards[ord] = ruleGuard(rules[ord].Pattern, kw)
+		}
+	}
+	return guards
+}
+
+// admits reports whether the run that ends just before s[end] stands in the
+// guard's context there. A context that would begin before s or end after it
+// is not there.
+func (g guard) admits(s string, end int) bool {
+	if n := int(g >> 40 & 0xff); n != 0 {
+		if p := end - n - 1; p < 0 || s[p] != byte(g>>32) {
+			return false
+		}
+	}
+	after := s[end:]
+	k := int(g >> 48)
+	if k > len(after) {
+		return false
+	}
+	for i := 0; i < k; i++ {
+		if lowerByte(after[i]) != byte(g>>(8*i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// spelling appends the symbols on the path from the root to state s, last
+// first: the keyword whose occurrences end in s, as scan classes.
+func (a *automaton) spelling(dst []byte, s uint32) []byte {
+	for s != a.root {
+		p := a.check[s]
+		dst = append(dst, byte(s-a.base[p]))
+		s = p
+	}
+	return dst
+}
+
+// findRun returns the first maximal run of the pattern that spells the keyword
+// kw begins with: scan classes, last first, ended by a 0 (spelling's form, as
+// attachCold stores it).
+func findRun(pat string, kw []byte) (kwSpan, bool) {
+next:
+	for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
+		if n := j - i; n >= len(kw) || kw[n] != 0 {
+			continue
+		}
+		for k := i; k < j; k++ {
+			if acClass[pat[k]] != kw[j-1-k] {
+				continue next
+			}
+		}
+		return kwSpan{uint32(i), uint32(j)}, true
+	}
+	return kwSpan{}, false
+}
+
 // scanInto scans the request URL once and pushes the ordinals of every rule
-// whose keyword occurs in it, plus the generic (keyword-less) rules, into
-// whatever the context's scratch already holds: a lookup scans the hot
-// automaton, the page-domain index and, when it needs it, the cold automaton
-// into one scratch and sorts once (sortedCands), so verification walks the
-// combined set in insertion order and reproduces the linear scan. Every byte
-// has a scan class, so every string scans.
-func (a *automaton) scanInto(c *matchCtx) {
+// whose keyword occurs in it somewhere its guard admits, plus the generic
+// (keyword-less) rules, into whatever the context's scratch already holds: a
+// lookup scans the hot automaton, the page-domain index and, when it needs
+// it, the cold automaton into one scratch and sorts once (sortedCands), so
+// verification walks the combined set in insertion order and reproduces the
+// linear scan. Every byte has a scan class, so every string scans. guards is
+// the list's, indexed by ordinal like the outputs.
+func (a *automaton) scanInto(c *matchCtx, guards []guard) {
 	s := c.q.URL
 	st := a.root
 	base, check, fail := a.base, a.check, a.fail
@@ -777,7 +877,9 @@ func (a *automaton) scanInto(c *matchCtx) {
 		}
 		if lo, hi := outIdx[st], outIdx[st+1]; hi > lo {
 			for _, ord := range a.outputs[lo:hi] {
-				c.pushCand(ord)
+				if guards[ord].admits(s, i+1) {
+					c.pushCand(ord)
+				}
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func candidates(l *List, q Request) int {
 	c := matchCtx{q: normalized(q)}
 	l.scanHot(&c)
 	if l.cold != nil {
-		l.cold.scanInto(&c)
+		l.cold.scanInto(&c, l.guards)
 	}
 	return len(c.sortedCands())
 }

@@ -97,6 +97,29 @@ func BenchmarkProbeSharedPath(b *testing.B) {
 	b.ReportMetric(float64(cands)/float64(len(pool)), "cands/op")
 }
 
+// BenchmarkAttachList measures NewListAttached over the regions of the same
+// 20 k-rule list, flat and tiered: validation, membership and the guards
+// derived from the regions — what a reload pays per list beyond reading and
+// parsing the rule text.
+func BenchmarkAttachList(b *testing.B) {
+	lines, _ := easyShaped(1, 20_000, 0)
+	flat, errs := ParseAndBuild("bench", strings.Join(lines, "\n"))
+	if len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	for _, e := range []diffEngine{{"flat", flat}, {"tiered", flat.CompileTiered(func(ord int) bool { return ord%4 == 0 })}} {
+		l := e.l
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewListAttached("bench", l.rules, l.rulesCRC, l.AutomatonBytes(), l.ColdAutomatonBytes()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGlobPathological pins the wildcard fix: a star-heavy pattern
 // against a long non-matching URL was exponential under the recursive
 // matcher and is linear-ish under the two-pointer glob.

@@ -12,8 +12,9 @@ import (
 // that share a path and differ in $domain= alone, multi-domain options with a
 // negation, exceptions scoped to a page, rules with no run at all — beside
 // rules that stay under their runs (a run rarer than the domain, no domain,
-// only a negated one) and 200 plain rules sharing one run, so that a request
-// spills the candidate scratch.
+// only a negated one) and 200 rules sharing one run and what stands next to
+// it — no guard tells them apart — so that a request spills the candidate
+// scratch.
 func domainIndexLines() []string {
 	lines := []string{
 		"||vendor.example^$third-party",
@@ -32,8 +33,8 @@ func domainIndexLines() []string {
 			fmt.Sprintf("/js/ads.js$domain=site%02d.example", i),
 			fmt.Sprintf("/banner/ads.js$script,domain=site%02d.example|site%02d.example", i, (i+1)%60))
 	}
-	for i := 0; i < 100; i++ {
-		lines = append(lines, fmt.Sprintf("-ad-300x250.%d", i), fmt.Sprintf("_ad-300x250.%d", i))
+	for i := 0; i < 200; i++ {
+		lines = append(lines, fmt.Sprintf("-ad-300x250.7$domain=~x%d.com", i))
 	}
 	return lines
 }
@@ -49,7 +50,7 @@ func domainIndexQueries() []Request {
 	pages := []string{
 		"a.example", "b.example", "sub.b.example", "deep.sub.b.example", "www.c.example",
 		"d.example", "e.example", "site07.example", "WWW.Site59.Example", "A.EXAMPLE.",
-		"notsite07.example", "example", "x.com", "unrelated.net", ".", "",
+		"notsite07.example", "example", "x.com", "x7.com", "unrelated.net", ".", "",
 	}
 	var qs []Request
 	for _, u := range urls {
@@ -246,8 +247,8 @@ func easyShaped(seed int64, n, requests int) (lines []string, pool []Request) {
 // verification on a fixed list and request pool: counts, not timings, so the
 // test cannot flake, and it fails when selection regresses. Regions with
 // every rule under its run (runsOnly, the layout before the page-domain
-// index) are pinned beside today's: what the index leaves are the
-// plain rules that share "300x250" or "adbanner".
+// index) are pinned beside today's: the guards cannot tell apart its
+// path-only $domain= rules, which share run and context.
 func TestCandidateBudget(t *testing.T) {
 	lines, pool := easyShaped(42, 10_000, 1000)
 	flat := buildList(t, "budget", lines...)
@@ -262,9 +263,9 @@ func TestCandidateBudget(t *testing.T) {
 		l         *List
 		sum, most int
 	}{
-		{"flat", flat, 23969, 111},
-		{"tiered", flat.CompileTiered(func(ord int) bool { return ord%2 == 0 }), 23969, 111},
-		{"keyword-only", keywordOnly, 44256, 146},
+		{"flat", flat, 6067, 18},
+		{"tiered", flat.CompileTiered(func(ord int) bool { return ord%2 == 0 }), 6067, 18},
+		{"keyword-only", keywordOnly, 24793, 62},
 	} {
 		sum, most := 0, 0
 		for _, q := range pool {

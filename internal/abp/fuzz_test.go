@@ -177,6 +177,16 @@ func FuzzMatchDifferential(f *testing.F) {
 	for _, c := range nonASCIICases {
 		f.Add(c.line, c.url, "page.com")
 	}
+	// The guards: the run in and out of its pattern's context — at either end
+	// of the URL, twice with the second occurrence the one in context, in upper
+	// case, under $match-case, beside '*', '^' and every anchor.
+	f.Add("-ad-300x250.3", "http://x.com/img/-ad-300x250.3x?-AD-300X250.3", "x.com")
+	f.Add("/advertisement.", "advertisement.js", "x.com")
+	f.Add("/advertisement", "http://x.com/advertisement", "x.com")
+	f.Add("||host1.exam^", "https://host1.example/js/advertisement.js", "x.com")
+	f.Add("/JS/Advertisement.JS$match-case", "https://host1.example/JS/Advertisement.JS", "x.com")
+	f.Add("^advertisement*detect007^", "https://host1.example/js/advertisement.js?detect007", "x.com")
+	f.Add("|https://host1.example/js/advertisement.js|", "https://host1.example/js/advertisement.js", "x.com")
 
 	f.Fuzz(func(t *testing.T, line, url, page string) {
 		var rules []*Rule

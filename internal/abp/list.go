@@ -51,6 +51,11 @@ type List struct {
 	// dom serves the HTTP rules no automaton holds, by page domain; probed
 	// with auto on every lookup. Never nil once the list is built.
 	dom *domainIndex
+	// guards holds, by ordinal, the literal context of the run each rule is
+	// filed under (automaton.go: guard), which the scan checks before it
+	// nominates the rule. Derived — from kws at a compile, from the regions
+	// at a load — never serialized, and shared with CompileTiered's copy.
+	guards []guard
 
 	// Tiered lists (see tier.go) keep the hot automaton in auto and the
 	// cold fallback here: the decision path probes cold only when the hot
@@ -84,6 +89,7 @@ func NewList(name string, rules []*Rule) *List {
 	l := indexRules(name, rules)
 	l.rulesCRC = rulesChecksum(l.rules)
 	l.kws = selectKeywords(l.rules)
+	l.guards = ruleGuards(l.rules, l.kws)
 	l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
 	if err := l.attachCold(nil); err != nil {
 		panic(fmt.Sprintf("abp: internal: freshly compiled list failed validation: %v", err))
@@ -208,6 +214,7 @@ func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 	l.scanHot(c)
 	cands := c.sortedCands()
+	l.recordProbe(1, len(cands))
 	for _, ord := range cands {
 		if r := l.rules[ord]; r.Kind == KindHTTPException && r.matchCtx(c) {
 			return Allowed, r, int(ord)
@@ -224,8 +231,9 @@ func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
 		// The hot candidates in the scratch are no longer needed — only win
 		// survives — so the scratch is reset for the cold ones.
 		c.resetCands()
-		l.cold.scanInto(c)
+		l.cold.scanInto(c, l.guards)
 		cands = c.sortedCands()
+		l.recordProbe(0, len(cands))
 		for _, ord := range cands {
 			if win >= 0 && int(ord) >= win {
 				break
@@ -299,7 +307,7 @@ func (l *List) AppendHitsHot(dst []Hit, q Request) []Hit {
 // lookup verifies — the hot automaton's and the page-domain index's.
 func (l *List) scanHot(c *matchCtx) {
 	c.resetCands()
-	l.auto.scanInto(c)
+	l.auto.scanInto(c, l.guards)
 	l.dom.scanInto(c)
 }
 
@@ -311,9 +319,11 @@ func (l *List) appendHits(dst []Hit, q Request, withCold bool) []Hit {
 	c := matchCtx{q: normalized(q)}
 	l.scanHot(&c)
 	if withCold && l.cold != nil {
-		l.cold.scanInto(&c)
+		l.cold.scanInto(&c, l.guards)
 	}
-	for _, ord := range c.sortedCands() {
+	cands := c.sortedCands()
+	l.recordProbe(1, len(cands))
+	for _, ord := range cands {
 		if r := l.rules[ord]; r.matchCtx(&c) {
 			dst = append(dst, Hit{r, int(ord)})
 		}

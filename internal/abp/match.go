@@ -92,14 +92,13 @@ func domainWithin(host, domain string) bool {
 	return n >= 0 && host[n:] == domain && (n == 0 || host[n-1] == '.')
 }
 
-// matchScratchCap sizes the matchCtx candidate scratch. On the paper's
-// lists (1.3 k and 1.6 k rules) a request yields 1.6 to 4.5 candidates; on
-// a 70 k-rule EasyList-shaped list a mean of 19 (p50 5, p90 52, p99 89,
-// max 97): the tail is one plain rule per numbered creative
-// ("-ad-300x250.N"), which share the run a request for any of them
-// carries. The scratch covers that p99; anything beyond it spills to a heap
-// slice.
-const matchScratchCap = 96
+// matchScratchCap sizes the matchCtx candidate scratch. A request yields 0.2
+// candidates on the paper's lists and a mean of 0.59 on a 70 k-rule
+// EasyList-shaped list (p90 2, p99 3, max 7). Only a region compiled before
+// the page-domain index runs longer — its path-only $domain= rules share run
+// and context, 62 at most in TestCandidateBudget — and what the scratch does
+// not hold spills to a heap slice.
+const matchScratchCap = 32
 
 // matchCtx caches the per-request derived values — the case-folded URL, the
 // third-party verdict — that every candidate rule of a List lookup would
@@ -200,12 +199,16 @@ func hasUpperASCII(s string) bool {
 // a–z and every other byte unchanged.
 func lowerASCIIInto(dst []byte, s string) {
 	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		dst[i] = b
+		dst[i] = lowerByte(s[i])
 	}
+}
+
+// lowerByte is the fold of one byte: A–Z to a–z, every other byte unchanged.
+func lowerByte(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		b += 'a' - 'A'
+	}
+	return b
 }
 
 // lowerASCII returns s with A–Z folded to a–z: s itself when it holds none,
@@ -266,7 +269,7 @@ func (c *matchCtx) sortedCands() []uint32 {
 // sortDedupU32 sorts v ascending in place and compacts duplicates,
 // returning the shortened prefix. slices.Sort allocates nothing and is an
 // insertion sort up to a dozen elements, O(n log n) beyond — candidate
-// sets run from a handful to a few hundred (see matchScratchCap).
+// sets run from none to a few dozen (see matchScratchCap).
 func sortDedupU32(v []uint32) []uint32 {
 	slices.Sort(v)
 	return slices.Compact(v)

@@ -103,8 +103,11 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 // section reach the line loop and the strict line rule: that file is
 // refused, or answers as a fresh compile of the lines that loaded. Hostile
 // bytes inside an automaton reach openAutomaton and attachCold, which prove
-// a blob safe to scan, not that it indexes every rule — that would be
-// compiling it again — so that file is held to assertNoInventedHit instead.
+// a blob safe to scan and every rule filed under a run of its own pattern,
+// not that the rule is found wherever that run occurs — a fail link or an
+// output list merged down a fail chain can still hide it, and proving them
+// would be compiling the region again — so that file is held to
+// assertNoInventedHit instead.
 // `make fuzz-smoke` runs it for ten seconds; plain `go test` runs the seeds.
 func FuzzReadListsSnapshot(f *testing.F) {
 	for _, file := range snapshotFuzzFiles(f) {

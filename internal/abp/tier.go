@@ -127,15 +127,17 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 		rulesCRC:    l.rulesCRC,
 		kws:         l.kws,
 		dom:         l.dom,
+		guards:      l.guards,
 		elemHide:    l.elemHide,
 		elemExcept:  l.elemExcept,
 		hideIdx:     l.hideIdx,
 		hideToggles: l.hideToggles,
 	}
 	if tl.kws == nil {
-		// l was attached from a snapshot: its index goes with the selection
-		// its regions were compiled under, not with this one.
+		// l was attached from a snapshot: its index and guards go with the
+		// selection its regions were compiled under, not with this one.
 		tl.kws, tl.dom = selectKeywords(l.rules), nil
+		tl.guards = ruleGuards(l.rules, tl.kws)
 	}
 	hot := make([]bool, len(l.rules))
 	cold := make([]bool, len(l.rules))
@@ -162,44 +164,93 @@ func (l *List) CompileTiered(keep func(ord int) bool) *List {
 }
 
 // attachCold validates the tier membership invariants against the already
-// attached hot automaton and installs the cold tier and the page-domain
-// index. Membership is derived from the automatons themselves (outputs ∪
-// generic), so no separate membership table needs serializing — the snapshot
-// sections are self-describing. A nil cold is a flat list: the one automaton
-// must hold every HTTP rule the index cannot serve — which is what refuses a
-// tiered list's hot region arriving without its cold one. An index the list
-// already has (CompileTiered: that of the list whose selection the tiers
-// share) is kept, not derived again.
+// attached hot automaton and installs the cold tier, the page-domain index and
+// the guards. Membership is derived from the automatons themselves — a rule
+// is a member of the one that files it under a keyword of its own, or lists
+// it as generic — so no separate membership table needs serializing: the
+// snapshot sections are self-describing. A nil cold is a flat list: the one
+// automaton must hold every HTTP rule the index cannot serve — which is what
+// refuses a tiered list's hot region arriving without its cold one. An index
+// and guards the list already has (a compile: those of the selection its
+// regions were built from) are kept; a loaded list derives them here, the
+// guards from the run each rule is found filed under.
 func (l *List) attachCold(cold *automaton) error {
 	corrupt := func(format string, args ...any) error {
 		return artifact.Corruptf("tier-invalid", format, args...)
 	}
 	hot := make([]bool, len(l.rules))
-	for _, o := range l.auto.outputs {
-		hot[o] = true
+	// Only a load has guards to derive. For that, spelled collects the keyword
+	// of every state that files a rule (automaton.spelling, each ended by a 0:
+	// no symbol) and at[o] is where rule o's begins, plus one.
+	guards, at, spelled := l.guards, []uint32(nil), []byte(nil)
+	if guards == nil {
+		guards, at = make([]guard, len(l.rules)), make([]uint32, len(l.rules))
+		spelled = make([]byte, 0, 8*len(l.rules))
+	}
+	// file marks in in[] the rules a files under a keyword. A state's own
+	// rules lead its output list, ahead of the lists merged in down its fail
+	// chain, so each rule is met once, at the state its keyword spells.
+	file := func(a *automaton, in []bool) error {
+		for s, f := range a.fail {
+			lo, hi := a.outIdx[s], a.outIdx[s+1]
+			if lo == hi {
+				continue
+			}
+			merged := a.outIdx[f+1] - a.outIdx[f]
+			if merged > hi-lo {
+				return corrupt("state %d lists fewer rules than its fail state %d", s, f)
+			}
+			begins := uint32(len(spelled) + 1)
+			if hi -= merged; hi > lo && at != nil {
+				spelled = append(a.spelling(spelled, uint32(s)), 0)
+			}
+			for _, o := range a.outputs[lo:hi] {
+				if hot[o] || in[o] {
+					return corrupt("rule %d filed twice, or present in both tiers", o)
+				}
+				in[o] = true
+				if at != nil {
+					at[o] = begins
+				}
+			}
+		}
+		return nil
+	}
+	if err := file(l.auto, hot); err != nil {
+		return err
 	}
 	for _, g := range l.auto.generic {
 		hot[g] = true
 	}
 	var inCold []bool
-	minBlk := ^uint32(0)
 	if cold != nil {
 		if n := len(cold.generic); n > 0 {
 			return corrupt("cold tier carries %d keyword-less rules (they must be hot)", n)
 		}
 		inCold = make([]bool, len(l.rules))
-		for _, o := range cold.outputs {
-			if hot[o] {
-				return corrupt("rule %d present in both tiers", o)
-			}
-			inCold[o] = true
-			if o < minBlk {
-				minBlk = o
-			}
+		if err := file(cold, inCold); err != nil {
+			return err
 		}
 	}
 	var byDomain []uint32
+	minBlk := ^uint32(0)
 	for ord, r := range l.rules {
+		if at != nil && at[ord] != 0 {
+			// The keyword a rule is found filed under must be a run of its
+			// pattern, and the run's context there is the rule's guard. The
+			// states were walked in their order and the rules are read in
+			// theirs, so that neither the region nor the rule text is jumped
+			// about in.
+			kw := spelled[at[ord]-1:]
+			if span, ok := findRun(r.Pattern, kw); ok {
+				guards[ord] = ruleGuard(r.Pattern, span)
+			} else if _, ok := findRun(strings.ToLower(r.Pattern), kw); !ok {
+				// (A region compiled before the folding rule drew its runs
+				// from the Unicode-lowered pattern — DESIGN §12 — and is
+				// served as it was, unguarded.)
+				return corrupt("rule %d is filed under a run its pattern does not have", ord)
+			}
+		}
 		if !r.IsHTTP() || hot[ord] {
 			continue
 		}
@@ -208,6 +259,7 @@ func (l *List) attachCold(cold *automaton) error {
 			if r.Kind != KindHTTPBlock {
 				return corrupt("exception rule %d relegated to the cold tier", ord)
 			}
+			minBlk = min(minBlk, uint32(ord))
 		case len(r.Domains) > 0:
 			// Always consulted, like the hot tier.
 			hot[ord] = true
@@ -216,6 +268,7 @@ func (l *List) attachCold(cold *automaton) error {
 			return corrupt("HTTP rule %d is in no automaton", ord)
 		}
 	}
+	l.guards = guards
 	if l.dom == nil {
 		l.dom = newDomainIndex(l.rules, byDomain)
 	}
@@ -250,7 +303,8 @@ func (l *List) ColdAutomatonBytes() []byte {
 // HTTP-rule membership counts. For an untiered list everything is "hot".
 // DomainRules (served from the page-domain index) and GenericRules (no
 // keyword: candidates of every request) are among HotRules; the rest of
-// HotRules and all ColdRules are the KeywordRules an automaton finds.
+// HotRules and all ColdRules are the KeywordRules an automaton finds, of which
+// GuardedRules are nominated only where their run stands in its context.
 type TierStats struct {
 	HotBytes     int
 	ColdBytes    int
@@ -259,6 +313,7 @@ type TierStats struct {
 	KeywordRules int
 	DomainRules  int
 	GenericRules int
+	GuardedRules int
 }
 
 // TierStats reports the list's tier geometry. HotBytes is the memory the
@@ -276,6 +331,9 @@ func (l *List) TierStats() TierStats {
 			st.HotRules++
 		default:
 			st.ColdRules++
+		}
+		if l.guards[ord] != 0 {
+			st.GuardedRules++
 		}
 	}
 	st.KeywordRules = st.HotRules + st.ColdRules - st.DomainRules - st.GenericRules

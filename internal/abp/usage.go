@@ -22,6 +22,10 @@ import (
 // value that costs nothing to derive and needs no runtime hooks — so
 // concurrent goroutines spread across shards while a single goroutine
 // stays on one.
+//
+// Behind the per-rule counters each bank keeps two more: the probes the list
+// answered and the candidates they verified — what selection and the guards
+// exist to keep small, live.
 type Usage struct {
 	banks []usageBank
 	mask  uint64
@@ -51,7 +55,7 @@ func newUsage(nrules int) *Usage {
 		rules: nrules,
 	}
 	for i := range u.banks {
-		u.banks[i].counters = make([]atomic.Uint64, nrules)
+		u.banks[i].counters = make([]atomic.Uint64, nrules+2)
 	}
 	return u
 }
@@ -63,13 +67,26 @@ func (u *Usage) record(ord int) {
 	if ord < 0 || ord >= u.rules {
 		return
 	}
-	// A stack variable's address is stable within this call and distinct
-	// across concurrently running goroutines — exactly the locality a
-	// shard key needs. Fibonacci hashing mixes the low, allocator-aligned
-	// bits into the top, where the mask reads them.
+	u.bank()[ord].Add(1)
+}
+
+// bank picks the calling goroutine's shard. A stack variable's address is
+// stable within a call and distinct across concurrently running goroutines —
+// exactly the locality a shard key needs. Fibonacci hashing mixes the low,
+// allocator-aligned bits into the top, where the mask reads them.
+func (u *Usage) bank() []atomic.Uint64 {
 	var probe byte
 	h := uint64(uintptr(unsafe.Pointer(&probe))) * 0x9E3779B97F4A7C15
-	u.banks[(h>>48)&u.mask].counters[ord].Add(1)
+	return u.banks[(h>>48)&u.mask].counters
+}
+
+// Probes merges the probe counters: lookups answered, candidates verified.
+func (u *Usage) Probes() (probes, candidates uint64) {
+	for i := range u.banks {
+		probes += u.banks[i].counters[u.rules].Load()
+		candidates += u.banks[i].counters[u.rules+1].Load()
+	}
+	return probes, candidates
 }
 
 // Counts merges every shard into a fresh per-ordinal total. This is the
@@ -80,7 +97,7 @@ func (u *Usage) record(ord int) {
 func (u *Usage) Counts() []uint64 {
 	out := make([]uint64, u.rules)
 	for i := range u.banks {
-		c := u.banks[i].counters
+		c := u.banks[i].counters[:u.rules]
 		for ord := range c {
 			out[ord] += c[ord].Load()
 		}
@@ -92,7 +109,7 @@ func (u *Usage) Counts() []uint64 {
 func (u *Usage) Total() uint64 {
 	var t uint64
 	for i := range u.banks {
-		c := u.banks[i].counters
+		c := u.banks[i].counters[:u.rules]
 		for ord := range c {
 			t += c[ord].Load()
 		}
@@ -122,5 +139,16 @@ func (l *List) Usage() *Usage { return l.usage }
 func (l *List) RecordUsage(ord int) {
 	if u := l.usage; u != nil {
 		u.record(ord)
+	}
+}
+
+// recordProbe counts a probe (with probes 0, the second stage of one) and the
+// candidates it handed to verification. Like RecordUsage, a nil check when
+// usage is disabled.
+func (l *List) recordProbe(probes, candidates int) {
+	if u := l.usage; u != nil {
+		b := u.bank()
+		b[u.rules].Add(uint64(probes))
+		b[u.rules+1].Add(uint64(candidates))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adwars/internal/abp"
 	"adwars/internal/features"
 )
 
@@ -140,5 +141,27 @@ func TestPaperComparison(t *testing.T) {
 	out := RenderComparison(rows)
 	if !strings.Contains(out, "measured") {
 		t.Error("render malformed")
+	}
+}
+
+// TestSummaryAgreesWithFig1: the "rules (Jul 2016)" figures of the comparison
+// are the last row of each list's Figure 1 series — the revision in force at
+// the end of the study window, not one committed after it (AAK keeps
+// releasing past the window; Collect once took its latest).
+func TestSummaryAgreesWithFig1(t *testing.T) {
+	l, _ := lab(t)
+	s := l.Collect(nil, nil, nil, nil, nil)
+	for _, c := range []struct {
+		h    *abp.History
+		have int
+	}{
+		{l.Lists.AAK, s.AAKRulesFinal},
+		{l.Lists.EasyListAA, s.EasyListAARulesFinal},
+		{l.Lists.AWRL, s.AWRLRulesFinal},
+	} {
+		pts := Fig1(c.h, l.World.Cfg.End).Points
+		if len(pts) == 0 || pts[len(pts)-1].Total != c.have {
+			t.Errorf("%s: summary says %d rules, Figure 1 ends at %+v", c.h.Name, c.have, pts[len(pts)-1:])
+		}
 	}
 }

@@ -39,7 +39,7 @@ type Summary struct {
 // nil, leaving the corresponding fields zero).
 func (l *Lab) Collect(retro *RetroResult, live *LiveResult, fig7 *Fig7Result, rows []Table3Row, liveTest *LiveTestResult) Summary {
 	var s Summary
-	if rev, ok := l.Lists.AAK.Latest(); ok {
+	if rev, ok := l.Lists.AAK.At(l.World.Cfg.End); ok {
 		s.AAKRulesFinal = countRules(rev.Rules)
 	}
 	if rev, ok := l.Lists.EasyListAA.At(l.World.Cfg.End); ok {

@@ -140,11 +140,18 @@ func TestUsageDebugVarsAggregate(t *testing.T) {
 }
 
 // TestUsageProbeGeometry: /admin/usage (per list) and /debug/vars (summed)
-// say how a list's HTTP rules reach a probe — by keyword, by page domain, or
-// as candidates of every request — with usage counters on or off.
+// say how a list's HTTP rules reach a probe — by keyword (guarded or not), by
+// page domain, or as candidates of every request — with usage counters on or
+// off, and, with them on, how many probes the list answered and how many
+// candidates they verified: here the keyworded rule once (its run stands in
+// its context in one of the two URLs that spell it), a page's rule once, the
+// generic rule every time.
 func TestUsageProbeGeometry(t *testing.T) {
-	want := probeGeometry{KeywordRules: 1, DomainRules: 2, GenericRules: 1}
 	for _, off := range []bool{false, true} {
+		want := probeGeometry{KeywordRules: 1, DomainRules: 2, GenericRules: 1, GuardedRules: 1}
+		if !off {
+			want.Probes, want.Candidates = 3, 5
+		}
 		l, errs := abp.ParseAndBuild("geometry", strings.Join([]string{
 			"||ads.example^",
 			"/banner/ads.js$domain=x.example",
@@ -158,6 +165,15 @@ func TestUsageProbeGeometry(t *testing.T) {
 		s := New(Config{DisableUsage: off})
 		if err := s.SetListsSnapshot(&abp.ListsSnapshot{Lists: []*abp.List{l}}); err != nil {
 			t.Fatal(err)
+		}
+		for _, body := range []string{
+			`{"url":"http://ads.example/x.js","type":"script"}`,
+			`{"url":"http://ads-example.test/x.js","type":"script"}`,
+			`{"url":"http://cdn.test/banner/ads.js","type":"image","page_domain":"x.example"}`,
+		} {
+			if rec := do(t, s, "POST", "/v1/match", body); rec.Code != http.StatusOK {
+				t.Fatalf("match %s: status %d", body, rec.Code)
+			}
 		}
 		var vars struct {
 			Usage usageAggregate `json:"adwars_usage"`

@@ -20,12 +20,17 @@ type UsageRule struct {
 }
 
 // probeGeometry says how a list's HTTP rules reach a probe (abp.TierStats):
-// through an automaton keyword, through the page-domain index, or as
-// candidates of every request.
+// through an automaton keyword (guarded: the scan also checks the run's
+// context), through the page-domain index, or as candidates of every request;
+// and, while usage counters are on, what that comes to: the probes the list
+// answered and the candidates they verified.
 type probeGeometry struct {
-	KeywordRules int `json:"keyword_rules"`
-	DomainRules  int `json:"domain_rules"`
-	GenericRules int `json:"generic_rules"`
+	KeywordRules int    `json:"keyword_rules"`
+	DomainRules  int    `json:"domain_rules"`
+	GenericRules int    `json:"generic_rules"`
+	Probes       uint64 `json:"probes"`
+	Candidates   uint64 `json:"candidates"`
+	GuardedRules int    `json:"guarded_rules"`
 }
 
 func (g *probeGeometry) add(l *abp.List) {
@@ -33,6 +38,12 @@ func (g *probeGeometry) add(l *abp.List) {
 	g.KeywordRules += st.KeywordRules
 	g.DomainRules += st.DomainRules
 	g.GenericRules += st.GenericRules
+	g.GuardedRules += st.GuardedRules
+	if u := l.Usage(); u != nil {
+		probes, candidates := u.Probes()
+		g.Probes += probes
+		g.Candidates += candidates
+	}
 }
 
 // UsageList is one list's per-rule usage distribution. Hits carries every
