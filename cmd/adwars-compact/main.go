@@ -1,13 +1,12 @@
 // Command adwars-compact closes the usage→compaction loop: it reads the
 // per-rule hit telemetry a serving instance accumulated (the /admin/usage
 // dump) plus the lists snapshot that instance serves, and emits a tiered
-// snapshot — the rules that actually fired compiled into a small hot
-// automaton probed on every request, everything else relegated to a cold
-// fallback automaton probed only on hot-tier miss. Verdicts are
-// byte-identical to the untiered list (the tier split is a working-set
-// optimization, never a semantic one); the hot working set typically
-// shrinks by the dead-rule fraction, which the paper's lists put at well
-// over half.
+// snapshot — each list's whole automaton, as the flat snapshot has it, and
+// beside it a small hot automaton over the rules that actually fired, which
+// is what a replica scans instead under a brownout. Full verdicts are
+// byte-identical to the untiered list's (they come from the same automaton);
+// the hot working set typically shrinks by the dead-rule fraction, which the
+// paper's lists put at well over half.
 //
 // Usage:
 //
@@ -20,14 +19,14 @@
 // against current production traffic is one command. -min-hits raises the
 // hot-tier bar: a rule needs at least that many recorded verdicts to stay
 // hot (default 1 — any rule that ever fired). Lists present in the
-// snapshot but absent from the usage dump compact to an all-cold tier
+// snapshot but absent from the usage dump compact with nothing kept hot
 // (usage says nothing fired), with a warning. -label overrides the output
 // snapshot's label.
 //
 // Without -usage nothing is tiered: the lists are written back flat. That
 // is the format converter. adwars-serve and every other loader read the
 // current snapshot schema only; this tool reads the older sealed schemas
-// (2 to 4) as well, because all it takes from a file is the rule text — it
+// (2 to 5) as well, because all it takes from a file is the rule text — it
 // verifies the seal, compiles the rules afresh and writes the current
 // schema, whichever mode it runs in.
 package main
@@ -40,6 +39,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 
 	"adwars/internal/abp"
@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 5)")
+	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 6)")
 	usagePath := flag.String("usage", "", "usage dump: /admin/usage JSON file or http(s) URL; omit to convert -lists to the current schema, flat")
 	out := flag.String("out", "", "output path for the snapshot")
 	minHits := flag.Uint64("min-hits", 1, "minimum recorded hits for a rule to stay in the hot tier")
@@ -92,13 +92,16 @@ func run(listsPath, usagePath, out string, minHits uint64, label string) error {
 	return nil
 }
 
-// readLists is the one reader of older snapshot schemas in the tree.
-// Schemas 2 to 4 keep the rules the same way — a JSON document of named
-// lists of canonical rule lines in front of whatever sections that schema
-// had — so the seal is verified, the sections are ignored and the lines are
-// parsed; the current schema is read by its own loader, every check made.
-// Either way the lists are compiled from the rule text as adwars-lists
-// compiled them, so what is written is flat until tier says otherwise.
+// readLists is the one reader of older snapshot schemas in the tree. All it
+// takes from one is the rule text: the seal is verified, the automaton
+// sections are ignored and the lines are parsed, every one of them a rule.
+// Schemas 2 to 4 keep the lines in the JSON document, as named lists in
+// front of whatever sections that schema had; schema 5 keeps names and
+// counts there and the lines in rules.<i> sections, newline-terminated, as
+// the current one does. The current schema is read by its own loader, every
+// check made. Either way the lists are compiled from the rule text as
+// adwars-lists compiled them, so what is written is flat until tier says
+// otherwise.
 func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -108,11 +111,11 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	primary, _, err := artifact.SplitSections(payload)
+	primary, sections, err := artifact.SplitSections(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Lists waits for the version: schema 5 counts where the others list.
+	// Lists waits for the version: schema 5 on counts where the others list.
 	var doc struct {
 		Format  string          `json:"format"`
 		Version int             `json:"version"`
@@ -141,28 +144,61 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 		return snap, doc.Version, nil
 	}
 	var lists []struct {
-		Name  string   `json:"name"`
-		Rules []string `json:"rules"`
+		Name  string          `json:"name"`
+		Rules json.RawMessage `json:"rules"`
 	}
 	if err := json.Unmarshal(doc.Lists, &lists); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
 	}
-	for _, lj := range lists {
-		rules := make([]*abp.Rule, 0, len(lj.Rules))
-		for _, line := range lj.Rules {
-			r, err := abp.Parse(line)
-			if err != nil {
-				return nil, 0, fmt.Errorf("list %q: rule %q: %w", lj.Name, line, err)
-			}
-			rules = append(rules, r)
+	for i, lj := range lists {
+		var rules []*abp.Rule
+		if doc.Version == 5 {
+			rules, err = sectionRules(sections, "rules."+strconv.Itoa(i), lj.Rules)
+		} else {
+			rules, err = documentRules(lj.Rules)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("list %q: %w", lj.Name, err)
 		}
 		snap.Lists = append(snap.Lists, abp.NewList(lj.Name, rules))
 	}
 	return snap, doc.Version, nil
 }
 
+// documentRules parses the rule lines schemas 2 to 4 keep in the header.
+func documentRules(raw json.RawMessage) ([]*abp.Rule, error) {
+	var lines []string
+	if err := json.Unmarshal(raw, &lines); err != nil {
+		return nil, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
+	}
+	rules := make([]*abp.Rule, 0, len(lines))
+	for _, line := range lines {
+		r, err := abp.Parse(line)
+		if err != nil {
+			return nil, fmt.Errorf("rule %q: %w", line, err)
+		}
+		rules = append(rules, r)
+	}
+	return rules, nil
+}
+
+// sectionRules parses the named rules section of a schema-5 file, which
+// holds as many lines as the header counts, under the loader's own rule.
+func sectionRules(sections []artifact.Section, name string, count json.RawMessage) ([]*abp.Rule, error) {
+	var want int
+	if err := json.Unmarshal(count, &want); err != nil {
+		return nil, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
+	}
+	for _, sec := range sections {
+		if sec.Name == name {
+			return abp.ParseRulesSection(sec.Data, want)
+		}
+	}
+	return nil, artifact.Corruptf("section-malformed", "no %s section", name)
+}
+
 // tier replaces every list of snap with its tiered compile: the rules the
-// dump saw fire at least minHits times hot, the rest cold.
+// dump saw fire at least minHits times are kept hot.
 func tier(snap *abp.ListsSnapshot, dump *serve.UsageDump, minHits uint64) {
 	hits := make(map[string]map[int]uint64, len(dump.Lists))
 	for _, ul := range dump.Lists {
@@ -177,15 +213,14 @@ func tier(snap *abp.ListsSnapshot, dump *serve.UsageDump, minHits uint64) {
 	for i, l := range snap.Lists {
 		u, ok := hits[l.Name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "adwars-compact: warning: list %q has no usage entry; compacting all-cold\n", l.Name)
+			fmt.Fprintf(os.Stderr, "adwars-compact: warning: list %q has no usage entry; nothing kept hot\n", l.Name)
 		}
 		ct := l.CompileTiered(func(ord int) bool { return u[ord] >= minHits })
 		snap.Lists[i] = ct
 		st := ct.TierStats()
-		flat := l.TierStats().HotBytes
-		fmt.Printf("  %-24s hot %5d rules %7d B   cold %5d rules %7d B   (flat %7d B, hot set %4.1f%%)   by keyword %d (%d guarded), page domain %d, generic %d\n",
-			l.Name, st.HotRules, st.HotBytes, st.ColdRules, st.ColdBytes,
-			flat, 100*float64(st.HotBytes)/float64(flat), st.KeywordRules, st.GuardedRules, st.DomainRules, st.GenericRules)
+		fmt.Printf("  %-24s hot %5d rules %7d bytes / whole %7d bytes   (%d rules not hot, hot set %4.1f%%)   by keyword %d (%d guarded), page domain %d, generic %d\n",
+			l.Name, st.HotRules, st.HotBytes, st.ColdBytes, st.ColdRules,
+			100*float64(st.HotBytes)/float64(st.ColdBytes), st.KeywordRules, st.GuardedRules, st.DomainRules, st.GenericRules)
 	}
 }
 

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,8 +16,10 @@ import (
 )
 
 // The fixtures are the two snapshots the parent of PR 14 (b547b05) wrote
-// from one rule set: schema 3 (flat) and schema 4 (tiered). No loader reads
-// either any more.
+// from one rule set, schema 3 (flat) and schema 4 (tiered), and the two the
+// parent of PR 28 (a8062f5) wrote from benchRules(2000), schema 5 flat and
+// tiered (every fourth rule kept), with what that commit answered from them.
+// No loader reads any of the four any more.
 func fixture(name string) string {
 	return filepath.Join("..", "..", "internal", "abp", "testdata", name)
 }
@@ -105,13 +110,114 @@ func TestConvertOlderSchema(t *testing.T) {
 			t.Fatalf("%s converted: label %q, %d lists, tiered %v", c.file, snap.Label, len(snap.Lists), snap.Tiered())
 		}
 		l := snap.Lists[0]
-		if !bytes.Equal(section(t, out, "automaton.hot.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
-			t.Errorf("%s converted: automaton.hot.0 is not this build's compile of its rules", c.file)
+		if !bytes.Equal(section(t, out, "automaton.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
+			t.Errorf("%s converted: automaton.0 is not this build's compile of its rules", c.file)
 		}
 		if bytes.Equal(l.AutomatonBytes(), section(t, old, c.ownAutomaton)) {
 			t.Errorf("%s converted: the automaton is the one b547b05 compiled: the fixture no longer shows that conversion recompiles", c.file)
 		}
 		assertLinear(t, l)
+	}
+}
+
+// TestConvertSchema5: the two files the parent commit wrote are refused by
+// the loader, which says what converts them, and convert. Flat, each answers
+// every query of testdata/parent-v5.answers.tsv — abp's tierQueries — as the
+// parent answered it from its own file; tiered by the parent's hot set, a
+// hot-only lookup answers as the parent's did too, and the tool prints the
+// pair it wrote: the hot automaton and the whole one, no cold tier.
+func TestConvertSchema5(t *testing.T) {
+	answers, err := os.ReadFile(fixture("parent-v5.answers.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ords := func(hits []abp.Hit) string {
+		s := make([]string, len(hits))
+		for i, h := range hits {
+			s[i] = strconv.Itoa(h.Ord)
+		}
+		return strings.Join(s, ",")
+	}
+	// asParent holds l to the parent's answers; hot says whether l is tiered
+	// by the parent's hot set, so that its hot-only answers are the parent's.
+	asParent := func(name string, l *abp.List, hot bool) {
+		t.Helper()
+		for _, line := range strings.Split(strings.TrimSuffix(string(answers), "\n"), "\n") {
+			f := strings.Split(line, "\t")
+			if len(f) != 7 {
+				t.Fatalf("answers: %q", line)
+			}
+			q := abp.Request{URL: f[0], Type: abp.RequestType(f[1]), PageDomain: f[2]}
+			full := l.AppendHits(nil, q)
+			d, _, win := abp.DecideHits(full)
+			md, mr := l.MatchRequest(q)
+			if d.String() != f[3] || strconv.Itoa(win) != f[4] || ords(full) != f[5] || md != d || (win >= 0) != (mr != nil) || mr != nil && mr != l.Rules()[win] {
+				t.Errorf("%s: %s %s from %s: (%v, %d, hits %s), MatchRequest %v; the parent answered (%s, %s, hits %s)",
+					name, q.Type, q.URL, q.PageDomain, d, win, ords(full), md, f[3], f[4], f[5])
+			}
+			if got := ords(l.AppendHitsHot(nil, q)); hot && got != f[6] {
+				t.Errorf("%s: %s %s from %s: hot-only hits %s; the parent's were %s", name, q.Type, q.URL, q.PageDomain, got, f[6])
+			}
+		}
+	}
+	dir := t.TempDir()
+	var hits []string
+	for ord := 0; ord < 2000; ord += 4 {
+		hits = append(hits, "["+strconv.Itoa(ord)+",1]")
+	}
+	usage := filepath.Join(dir, "usage.json")
+	dump := `{"total_hits":500,"lists":[{"list":"parent-a8062f5","hits":[` + strings.Join(hits, ",") + `]}]}`
+	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"parent-v5-flat.snapshot", "parent-v5-tiered.snapshot"} {
+		old := fixture(file)
+		if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
+			t.Fatalf("loading %s: err = %v, want ErrSnapshotVersion naming adwars-compact", file, err)
+		}
+		out := filepath.Join(dir, "lists.json")
+		if err := run(old, "", out, 1, ""); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		snap, err := abp.LoadListsSnapshot(out)
+		if err != nil {
+			t.Fatalf("%s converted: %v", file, err)
+		}
+		if snap.Label != "written by a8062f5" || len(snap.Lists) != 1 || snap.Tiered() || snap.Rules() != 2000 {
+			t.Fatalf("%s converted: label %q, %d lists, %d rules, tiered %v", file, snap.Label, len(snap.Lists), snap.Rules(), snap.Tiered())
+		}
+		// a8062f5 selected and built as this commit does: the whole automaton
+		// is the one its flat file holds, compiled again.
+		if !bytes.Equal(section(t, out, "automaton.0"), section(t, fixture("parent-v5-flat.snapshot"), "automaton.hot.0")) {
+			t.Errorf("%s converted: automaton.0 is not the automaton a8062f5 compiled for the flat list", file)
+		}
+		asParent(file+" converted", snap.Lists[0], false)
+
+		stdout := os.Stdout
+		printed, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = printed
+		err = run(old, usage, out, 1, "")
+		os.Stdout = stdout
+		printed.Close()
+		if err != nil {
+			t.Fatalf("%s with -usage: %v", file, err)
+		}
+		if snap, err = abp.LoadListsSnapshot(out); err != nil || !snap.Tiered() {
+			t.Fatalf("%s tiered: tiered %v, err %v", file, snap != nil && snap.Tiered(), err)
+		}
+		if !bytes.Equal(section(t, out, "automaton.hot.0"), section(t, fixture("parent-v5-tiered.snapshot"), "automaton.hot.0")) {
+			t.Errorf("%s tiered: automaton.hot.0 is not the hot region a8062f5 compiled for this hot set", file)
+		}
+		asParent(file+" tiered", snap.Lists[0], true)
+		st := snap.Lists[0].TierStats()
+		text, _ := os.ReadFile(printed.Name())
+		want := regexp.MustCompile(fmt.Sprintf(`(?m)^  parent-a8062f5 +hot +%d rules +%d bytes / whole +%d bytes `, st.HotRules, st.HotBytes, st.ColdBytes))
+		if !want.Match(text) || bytes.Contains(text, []byte("cold")) {
+			t.Errorf("%s tiered: printed\n%s\nwant a line matching %s and no cold tier", file, text, want)
+		}
 	}
 }
 
@@ -188,7 +294,11 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		"unsealed":              {good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))], artifact.ErrCorrupt},
 		"bit flip":              {flipped, artifact.ErrCorrupt},
 		"schema 1":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
-		"schema 6":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 7":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":7,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 6, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
+		"schema 5, short":       {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":2}]}`+"\n"), "rules.0", []byte("||a.example^\n"))), artifact.ErrCorrupt},
+		"schema 5, comment":     {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), "rules.0", []byte("! a comment\n"))), abp.ErrCommentLine},
+		"schema 5, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
 		"schema 5, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
 		"schema 4, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":4}`)), abp.ErrSnapshotFormat},
 		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},

@@ -178,7 +178,7 @@ func (s kwSpan) byDomain() bool { return s == kwByDomain }
 // the page domain: "/ads.js$domain=a.com" shares "ads" with every path-only
 // rule of the list and a.com with a handful, so a rule with no run, or whose
 // most-named domain fewer rules name than spell its run, is filed under its
-// domains. One selection feeds the flat, hot and cold builds of a list.
+// domains. One selection feeds the whole and the hot build of a list.
 func selectKeywords(rules []*Rule) []kwSpan {
 	// First pass: each distinct run gets an id the first time it is seen,
 	// and every run of every pattern, in order, leaves its id in runIDs — so
@@ -378,9 +378,9 @@ func (t *acTrie) linkTop() {
 // no generic entry: it is invisible to this automaton, not demoted to its
 // generic bucket. Ordinals in the
 // output arrays index the FULL rule set (and the header carries the full
-// set's count and CRC), which is what lets a hot and a cold automaton
-// compiled from the same list share one rules array, one checksum, and the
-// untiered validation path. The build is deterministic — children in
+// set's count and CRC), which is what lets a hot automaton compiled from the
+// same list as its whole one share one rules array, one checksum, one guard
+// array and the untiered validation path. The build is deterministic — children in
 // symbol order, BFS, first-fit slot placement — so the same rules and
 // keywords always serialize to the same bytes (snapshot versions are
 // content CRCs; a rebuild must not change them).
@@ -827,7 +827,7 @@ func (a *automaton) spelling(dst []byte, s uint32) []byte {
 
 // findRun returns the first maximal run of the pattern that spells the keyword
 // kw begins with: scan classes, last first, ended by a 0 (spelling's form, as
-// attachCold stores it).
+// attachHot stores it).
 func findRun(pat string, kw []byte) (kwSpan, bool) {
 next:
 	for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
@@ -847,10 +847,9 @@ next:
 // scanInto scans the request URL once and pushes the ordinals of every rule
 // whose keyword occurs in it somewhere its guard admits, plus the generic
 // (keyword-less) rules, into whatever the context's scratch already holds: a
-// lookup scans the hot automaton, the page-domain index and, when it needs
-// it, the cold automaton into one scratch and sorts once (sortedCands), so
-// verification walks the combined set in insertion order and reproduces the
-// linear scan. Every byte has a scan class, so every string scans. guards is
+// lookup scans one automaton and the page-domain index into one scratch and
+// sorts once (sortedCands), so verification walks the combined set in
+// insertion order and reproduces the linear scan. Every byte has a scan class, so every string scans. guards is
 // the list's, indexed by ordinal like the outputs.
 func (a *automaton) scanInto(c *matchCtx, guards []guard) {
 	s := c.q.URL

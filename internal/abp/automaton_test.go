@@ -98,11 +98,7 @@ func sharedPathLines(n int) []string {
 // for a request — the number selection exists to keep small.
 func candidates(l *List, q Request) int {
 	c := matchCtx{q: normalized(q)}
-	l.scanHot(&c)
-	if l.cold != nil {
-		l.cold.scanInto(&c, l.guards)
-	}
-	return len(c.sortedCands())
+	return len(l.probe(&c, l.auto))
 }
 
 // TestCandidatesSharedPath is the regression gate for the EasyList-scale
@@ -151,7 +147,7 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 		tl := l.CompileTiered(keep)
 		if !bytes.Equal(tl.AutomatonBytes(), firstTiered.AutomatonBytes()) ||
-			!bytes.Equal(tl.ColdAutomatonBytes(), firstTiered.ColdAutomatonBytes()) {
+			!bytes.Equal(tl.HotAutomatonBytes(), firstTiered.HotAutomatonBytes()) {
 			t.Fatal("tier bytes differ across identical compiles")
 		}
 	}
@@ -193,17 +189,12 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 	}
 	assertTierTransparent(t, "flat", plain, flat)
 
-	n := len(plain.Rules())
-	hot, cold := make([]bool, n), make([]bool, n)
+	hot := make([]bool, len(plain.Rules()))
 	for ord, r := range plain.Rules() {
-		if r.IsHTTP() {
-			isHot := r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0
-			hot[ord], cold[ord] = isHot, !isHot
-		}
+		hot[ord] = r.IsHTTP() && (r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0)
 	}
-	tiered, err := NewListAttached("old", rules, plain.rulesCRC,
-		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes(),
-		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, cold).Bytes())
+	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
+		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes())
 	if err != nil {
 		t.Fatalf("longest-run tier pair refused: %v", err)
 	}

@@ -73,6 +73,24 @@ func BenchmarkListCompileLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileTiered measures CompileTiered over easyShaped's 20 k-rule
+// list with every fifth rule kept hot: the hot automaton's build and the
+// subset check — what a tiering costs beyond the NewList it starts from.
+func BenchmarkCompileTiered(b *testing.B) {
+	lines, _ := easyShaped(1, 20_000, 0)
+	flat, errs := ParseAndBuild("bench", strings.Join(lines, "\n"))
+	if len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tl := flat.CompileTiered(func(ord int) bool { return ord%5 == 0 }); !tl.Tiered() {
+			b.Fatal("not tiered")
+		}
+	}
+}
+
 // BenchmarkProbeSharedPath measures one AppendHits over a 20 k-rule list in
 // the shapes of a deployed one — path-only rules that differ in $domain=
 // alone, numbered plain rules that share a run ("-ad-300x250.N") — on ad-path
@@ -112,7 +130,7 @@ func BenchmarkAttachList(b *testing.B) {
 		b.Run(e.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewListAttached("bench", l.rules, l.rulesCRC, l.AutomatonBytes(), l.ColdAutomatonBytes()); err != nil {
+				if _, err := NewListAttached("bench", l.rules, l.rulesCRC, l.AutomatonBytes(), l.HotAutomatonBytes()); err != nil {
 					b.Fatal(err)
 				}
 			}

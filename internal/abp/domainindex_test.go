@@ -137,20 +137,16 @@ func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("keyword-only and indexed builds coincide: the test exercises nothing")
 	}
-	hot, cold := make([]bool, len(rules)), make([]bool, len(rules))
+	hot := make([]bool, len(rules))
 	for ord, r := range rules {
-		if r.IsHTTP() {
-			hot[ord] = r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0
-			cold[ord] = !hot[ord]
-		}
+		hot[ord] = r.IsHTTP() && (r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0)
 	}
 	flat, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("keyword-only automaton refused: %v", err)
 	}
-	tiered, err := NewListAttached("old", rules, plain.rulesCRC,
-		buildAutomaton(rules, kws, plain.rulesCRC, hot).Bytes(),
-		buildAutomaton(rules, kws, plain.rulesCRC, cold).Bytes())
+	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
+		buildAutomaton(rules, kws, plain.rulesCRC, hot).Bytes())
 	if err != nil {
 		t.Fatalf("keyword-only tier pair refused: %v", err)
 	}

@@ -79,8 +79,8 @@ type diffEngine struct {
 }
 
 // diffEngines compiles rules every way there is — built, reattached from
-// its own bytes, tiered all-cold, all-hot and mixed, and a tier pair
-// reattached — with the built list first: the oracle runs on that one.
+// its own bytes, tiered with nothing kept, everything and a mix, and a
+// (whole, hot) pair reattached — with the built list first: the oracle runs on that one.
 func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
 	t.Helper()
 	list := NewList("diff", rules)
@@ -89,7 +89,7 @@ func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
 		t.Fatalf("round-trip rejected own bytes: %v", err)
 	}
 	mixed := list.CompileTiered(func(ord int) bool { return (ord+salt)%3 == 0 })
-	tre, err := NewListAttached("diff", rules, list.rulesCRC, mixed.AutomatonBytes(), mixed.ColdAutomatonBytes())
+	tre, err := NewListAttached("diff", rules, list.rulesCRC, mixed.AutomatonBytes(), mixed.HotAutomatonBytes())
 	if err != nil {
 		t.Fatalf("tier round-trip rejected own bytes: %v", err)
 	}
@@ -106,8 +106,8 @@ func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
 // assertMatchesOracle holds every automaton path of l to oracle's linear
 // scan on one request: MatchRequest's verdict and winner, AppendHits' full
 // hit list in order, DecideHits, and AppendHitsHot, which must be exactly
-// the hot-tier hits — so it may differ from the oracle solely by a cold
-// block reading as no-match. oracle and l hold the same rules in the same
+// the hits on hot rules — so it may differ from the oracle solely by a
+// non-hot block reading as no-match. oracle and l hold the same rules in the same
 // order; l may be a reloaded copy, so rules are identified by ordinal.
 func assertMatchesOracle(t *testing.T, name string, oracle, l *List, q Request) {
 	t.Helper()
@@ -129,6 +129,8 @@ func assertMatchesOracle(t *testing.T, name string, oracle, l *List, q Request) 
 		}
 		if l.IsHotRule(h.Ord) {
 			hotWant = append(hotWant, h)
+		} else if h.Rule.Kind != KindHTTPBlock {
+			t.Fatalf("%s: url %q page %q: hit %d, %q, is no block and not hot", name, q.URL, q.PageDomain, i, h.Rule.Raw)
 		}
 	}
 	if d, r, ord := DecideHits(hits); d != wd || raw(r) != raw(wr) || r != nil && l.Rules()[ord] != r {

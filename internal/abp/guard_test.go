@@ -168,7 +168,8 @@ func unguarded(l *List) *List {
 // in which two rules stand in each other's output lists — each reachable only
 // under a run of the other's pattern, so both silently lost — loaded until
 // the loader looked each rule's run up; it is tier-invalid now, flat and
-// in either tier.
+// in either region of a tiered pair (in the hot one: the rule is filed under
+// another run than in the whole automaton, whose guards serve both).
 func TestGuardRefusesMisfiledRule(t *testing.T) {
 	plain := buildList(t, "swap", "||alpha.example^", "/bravo/charlie.js", "@@||delta.example^", "/echo-foxtrot_")
 	tiered := plain.CompileTiered(func(ord int) bool { return ord < 1 })
@@ -176,19 +177,7 @@ func TestGuardRefusesMisfiledRule(t *testing.T) {
 	// keyword here ends another, so each list is one rule of the state's own).
 	swapOwn := func(region []byte) []byte {
 		region = slices.Clone(region)
-		a, err := openAutomaton(region, plain.Len(), plain.rulesCRC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var at []int
-		for s := range a.fail {
-			if a.outIdx[s+1] > a.outIdx[s] {
-				at = append(at, acHeaderSize+4*(4*int(a.numSlots)+1+int(a.outIdx[s])))
-			}
-		}
-		if len(at) < 2 {
-			t.Fatal("region files fewer than two rules")
-		}
+		at := firstOutputs(t, region, plain.Len(), plain.rulesCRC)
 		le := binary.LittleEndian
 		x, y := le.Uint32(region[at[0]:]), le.Uint32(region[at[1]:])
 		le.PutUint32(region[at[0]:], y)
@@ -196,15 +185,15 @@ func TestGuardRefusesMisfiledRule(t *testing.T) {
 		return region
 	}
 	for name, regions := range map[string][2][]byte{
-		"flat": {swapOwn(plain.AutomatonBytes()), nil},
-		"hot":  {swapOwn(tiered.AutomatonBytes()), tiered.ColdAutomatonBytes()},
-		"cold": {tiered.AutomatonBytes(), swapOwn(tiered.ColdAutomatonBytes())},
+		"flat":  {swapOwn(plain.AutomatonBytes()), nil},
+		"whole": {swapOwn(tiered.AutomatonBytes()), tiered.HotAutomatonBytes()},
+		"hot":   {tiered.AutomatonBytes(), swapOwn(tiered.HotAutomatonBytes())},
 	} {
 		if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, regions[0], regions[1]); corruptReason(err) != "tier-invalid" {
 			t.Errorf("%s region with two ordinals exchanged: err = %v, want tier-invalid", name, err)
 		}
 	}
-	if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, tiered.AutomatonBytes(), tiered.ColdAutomatonBytes()); err != nil {
+	if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, tiered.AutomatonBytes(), tiered.HotAutomatonBytes()); err != nil {
 		t.Fatalf("the regions as compiled: %v", err)
 	}
 }
@@ -241,4 +230,25 @@ func FuzzGuard(f *testing.F) {
 			}
 		}
 	})
+}
+
+// firstOutputs returns where in region each state that lists rules keeps the
+// first of them — a rule of its own, its keyword ending there — as byte
+// offsets, in state order; a test edits a valid region through them.
+func firstOutputs(t *testing.T, region []byte, rules int, crc uint64) []int {
+	t.Helper()
+	a, err := openAutomaton(region, rules, crc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []int
+	for s := range a.fail {
+		if a.outIdx[s+1] > a.outIdx[s] {
+			at = append(at, acHeaderSize+4*(4*int(a.numSlots)+1+int(a.outIdx[s])))
+		}
+	}
+	if len(at) < 2 {
+		t.Fatal("region files fewer than two rules")
+	}
+	return at
 }

@@ -57,15 +57,13 @@ type List struct {
 	// at a load — never serialized, and shared with CompileTiered's copy.
 	guards []guard
 
-	// Tiered lists (see tier.go) keep the hot automaton in auto and the
-	// cold fallback here: the decision path probes cold only when the hot
-	// tier cannot conclude the verdict on its own. hot marks each
-	// ordinal's tier and coldMinBlk is the lowest cold ordinal — a hot
-	// block below it cannot be outranked by any cold rule. All nil/zero
+	// A tiered list (see tier.go) is the list above plus hot, the small
+	// automaton over the rules a hot-only lookup (AppendHitsHot) still
+	// consults, filed under the same runs as in auto so that guards serves
+	// both; hotRule marks those rules and the index's by ordinal. Both nil
 	// for untiered lists.
-	cold       *automaton
-	hot        []bool
-	coldMinBlk uint32
+	hot     *automaton
+	hotRule []bool
 
 	// usage, when enabled, counts match verdicts per rule ordinal. Nil
 	// (and therefore free) unless EnableUsage was called before serving.
@@ -91,7 +89,7 @@ func NewList(name string, rules []*Rule) *List {
 	l.kws = selectKeywords(l.rules)
 	l.guards = ruleGuards(l.rules, l.kws)
 	l.auto = buildAutomaton(l.rules, l.kws, l.rulesCRC, nil)
-	if err := l.attachCold(nil); err != nil {
+	if err := l.attachHot(nil); err != nil {
 		panic(fmt.Sprintf("abp: internal: freshly compiled list failed validation: %v", err))
 	}
 	return l
@@ -99,32 +97,33 @@ func NewList(name string, rules []*Rule) *List {
 
 // NewListAttached is NewList for the snapshot load path, which carries the
 // list's serialized automaton regions: instead of rebuilding the probe
-// automaton from the rules (O(rules·keyword)), hot is validated and
+// automaton from the rules (O(rules·keyword)), whole is validated and
 // attached (O(states) bounds checks, in place over the caller's buffer).
-// cold is the cold tier's region, nil for a flat list; when given, it is
-// attached too. Membership is re-derived from the automatons' own output
-// sets and enforced (see attachCold). rulesCRC is the checksum of the rules'
-// text (rulesChecksum), which the caller already has: the snapshot loader
-// parsed the rules out of a section whose frame checksum is that value by
-// definition, so the text is not summed again here. The regions must have
-// been compiled from exactly these rules — a checksum mismatch, any
-// structural damage, a rule neither region holds or a miscompiled tier pair
-// (an exception relegated to cold, a rule present in both tiers) is refused
-// with an error wrapping artifact.ErrCorrupt.
-func NewListAttached(name string, rules []*Rule, rulesCRC uint64, hot, cold []byte) (*List, error) {
+// hot is the hot automaton's region, nil for a flat list; when given, it is
+// attached too. What each region files is re-derived from its own output
+// sets and the pair's invariants enforced (see attachHot). rulesCRC is the
+// checksum of the rules' text (rulesChecksum), which the caller already has:
+// the snapshot loader parsed the rules out of a section whose frame checksum
+// is that value by definition, so the text is not summed again here. The
+// regions must have been compiled from exactly these rules — a checksum
+// mismatch, any structural damage, a rule the whole region does not hold or a
+// miscompiled pair (an exception left out of hot, a hot rule the whole region
+// files elsewhere or not at all) is refused with an error wrapping
+// artifact.ErrCorrupt.
+func NewListAttached(name string, rules []*Rule, rulesCRC uint64, whole, hot []byte) (*List, error) {
 	l := indexRules(name, rules)
 	l.rulesCRC = rulesCRC
 	var err error
-	if l.auto, err = openAutomaton(hot, len(l.rules), l.rulesCRC); err != nil {
+	if l.auto, err = openAutomaton(whole, len(l.rules), l.rulesCRC); err != nil {
 		return nil, err
 	}
-	var c *automaton
-	if cold != nil {
-		if c, err = openAutomaton(cold, len(l.rules), l.rulesCRC); err != nil {
+	var h *automaton
+	if hot != nil {
+		if h, err = openAutomaton(hot, len(l.rules), l.rulesCRC); err != nil {
 			return nil, err
 		}
 	}
-	if err := l.attachCold(c); err != nil {
+	if err := l.attachHot(h); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -158,7 +157,7 @@ func indexRules(name string, rules []*Rule) *List {
 	return l
 }
 
-// AutomatonBytes returns the list's compiled automaton as its contiguous
+// AutomatonBytes returns the list's whole automaton as its contiguous
 // serialized region — the exact bytes NewListAttached accepts. The slice
 // aliases the list's automaton and must not be modified.
 func (l *List) AutomatonBytes() []byte { return l.auto.Bytes() }
@@ -184,13 +183,12 @@ func (l *List) Rules() []*Rule { return l.rules }
 // insertion order — the same rule MatchRequestLinear returns.
 //
 // The probe stage is one case-folded scan of the raw URL by the compiled
-// automaton and a lookup of the page domain (scanHot), which leave every
+// automaton and a lookup of the page domain (probe), which leave every
 // candidate rule's ordinal in stack scratch, so the common no-match lookup
 // performs zero heap allocations. URL bytes are matched as sent — only A–Z
-// folds (see matchCtx.low). On a tiered list the cold automaton is probed
-// only when the hot tier cannot conclude the verdict (see matchVerdictCtx).
-// When usage counters are enabled the winning rule's ordinal is recorded —
-// an atomic add, no allocation.
+// folds (see matchCtx.low). A tiered list answers from its whole automaton,
+// exactly as its flat list does. When usage counters are enabled the winning
+// rule's ordinal is recorded — an atomic add, no allocation.
 func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 	c := matchCtx{q: normalized(q)}
 	d, r, ord := l.matchVerdictCtx(&c)
@@ -198,55 +196,19 @@ func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 	return d, r
 }
 
-// matchVerdictCtx is the decision core shared by MatchRequest: it returns
-// the verdict, the winning rule, and that rule's ordinal (-1 for
-// NoMatch).
-//
-// Tiered lists resolve in two stages. The hot probe alone settles the
-// verdict when (a) an exception matches — every exception rule lives in
-// the hot tier by construction, so the first matching hot exception is
-// the globally first one — or (b) a hot block matches with an ordinal
-// below coldMinBlk, which no cold rule can outrank. Otherwise the cold
-// automaton is probed for a block with a lower ordinal than the hot
-// winner. That staging is what the compaction loop buys: with ≥95% of
-// winning rules in the hot tier, most verdicts never touch the cold
-// automaton's memory.
+// matchVerdictCtx is the decision core of MatchRequest: it returns the
+// verdict, the winning rule, and that rule's ordinal (-1 for NoMatch).
 func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
-	l.scanHot(c)
-	cands := c.sortedCands()
-	l.recordProbe(1, len(cands))
+	cands := l.probe(c, l.auto)
 	for _, ord := range cands {
 		if r := l.rules[ord]; r.Kind == KindHTTPException && r.matchCtx(c) {
 			return Allowed, r, int(ord)
 		}
 	}
-	win := -1
 	for _, ord := range cands {
 		if r := l.rules[ord]; r.Kind == KindHTTPBlock && r.matchCtx(c) {
-			win = int(ord)
-			break
+			return Blocked, r, int(ord)
 		}
-	}
-	if l.cold != nil && !(win >= 0 && uint32(win) < l.coldMinBlk) {
-		// The hot candidates in the scratch are no longer needed — only win
-		// survives — so the scratch is reset for the cold ones.
-		c.resetCands()
-		l.cold.scanInto(c, l.guards)
-		cands = c.sortedCands()
-		l.recordProbe(0, len(cands))
-		for _, ord := range cands {
-			if win >= 0 && int(ord) >= win {
-				break
-			}
-			// Cold rules are all blocking rules (attachCold enforces it).
-			if r := l.rules[ord]; r.matchCtx(c) {
-				win = int(ord)
-				break
-			}
-		}
-	}
-	if win >= 0 {
-		return Blocked, l.rules[win], win
 	}
 	return NoMatch, nil, -1
 }
@@ -286,44 +248,41 @@ type Hit struct {
 // MatchRequest would return, so the serving layer probes each list once
 // per request instead of twice. With a pre-sized dst nothing is allocated.
 func (l *List) AppendHits(dst []Hit, q Request) []Hit {
-	return l.appendHits(dst, q, true)
+	return l.appendHits(dst, q, l.auto)
 }
 
-// AppendHitsHot is AppendHits restricted to the hot-tier automaton: the
-// cold tier — the long tail of rules usage telemetry saw never fire —
-// is skipped entirely. It is the overload governor's brownout match
-// path (ladder level L2+): cheaper by the cold probe and the cold
-// working set, at the cost of possibly missing a cold blocking rule.
-// The degradation is one-sided by the tier invariants (every exception
-// and every keyword-less rule is hot): an Allowed verdict is exact,
-// a Blocked verdict is exact, and the only possible drift is a cold
-// block reported as NoMatch. On an untiered list (no cold automaton)
-// the result is identical to AppendHits.
+// AppendHitsHot is AppendHits restricted to the hot automaton: the long
+// tail of rules usage telemetry saw never fire is skipped entirely. It is
+// the overload governor's brownout match path (ladder level L2+): a scan
+// of the small region instead of the whole one, at the cost of possibly
+// missing a non-hot blocking rule. The degradation is one-sided by the tier
+// invariants (every exception and every keyword-less rule is hot): an
+// Allowed verdict is exact, a Blocked verdict is exact, and the only
+// possible drift is a non-hot block reported as NoMatch. On an untiered
+// list (no hot automaton) the result is identical to AppendHits.
 func (l *List) AppendHitsHot(dst []Hit, q Request) []Hit {
-	return l.appendHits(dst, q, false)
-}
-
-// scanHot starts a probe: the scratch holds, unsorted, the candidates every
-// lookup verifies — the hot automaton's and the page-domain index's.
-func (l *List) scanHot(c *matchCtx) {
-	c.resetCands()
-	l.auto.scanInto(c, l.guards)
-	l.dom.scanInto(c)
-}
-
-// appendHits scans the hot candidates and, when withCold is set, the cold
-// automaton's into the same scratch, sorts once, and verifies the combined
-// candidates in insertion order — exactly as on an untiered list, so the
-// verified matches append in linear-scan order with no further sort.
-func (l *List) appendHits(dst []Hit, q Request, withCold bool) []Hit {
-	c := matchCtx{q: normalized(q)}
-	l.scanHot(&c)
-	if withCold && l.cold != nil {
-		l.cold.scanInto(&c, l.guards)
+	if l.hot != nil {
+		return l.appendHits(dst, q, l.hot)
 	}
+	return l.appendHits(dst, q, l.auto)
+}
+
+// probe is the probe stage of every lookup: one scan of a — the list's whole
+// automaton, or its hot one — and of the page-domain index into the scratch,
+// one sort. The candidates come back in insertion order.
+func (l *List) probe(c *matchCtx, a *automaton) []uint32 {
+	a.scanInto(c, l.guards)
+	l.dom.scanInto(c)
 	cands := c.sortedCands()
-	l.recordProbe(1, len(cands))
-	for _, ord := range cands {
+	l.recordProbe(len(cands))
+	return cands
+}
+
+// appendHits verifies a's candidates in insertion order, so the verified
+// matches append in linear-scan order with no further sort.
+func (l *List) appendHits(dst []Hit, q Request, a *automaton) []Hit {
+	c := matchCtx{q: normalized(q)}
+	for _, ord := range l.probe(&c, a) {
 		if r := l.rules[ord]; r.matchCtx(&c) {
 			dst = append(dst, Hit{r, int(ord)})
 		}

@@ -223,12 +223,6 @@ func lowerASCII(s string) string {
 	return string(b)
 }
 
-// resetCands empties the candidate scratch before a fresh probe pass.
-func (c *matchCtx) resetCands() {
-	c.ncand = 0
-	c.spill = c.spill[:0]
-}
-
 // pushCand records a candidate rule ordinal from the automaton scan,
 // spilling past the inline scratch only on pathological inputs.
 func (c *matchCtx) pushCand(ord uint32) {
@@ -242,28 +236,13 @@ func (c *matchCtx) pushCand(ord uint32) {
 
 // sortedCands returns the pushed candidates sorted ascending and
 // deduplicated, i.e. in list insertion order — the order that makes
-// candidate verification reproduce the linear reference scan.
-//
-// The scratch is left describing exactly the returned set, so callers may
-// keep pushing candidates afterwards (the tiered match path scans a
-// second automaton into the same context) and sort again: the compacted
-// run and the new pushes merge on the next call.
+// candidate verification reproduce the linear reference scan. A context is
+// probed once: nothing is pushed after the sort.
 func (c *matchCtx) sortedCands() []uint32 {
-	// The two storage cases stay in separate branches on purpose: the
-	// compacted slice is written back into c.spill only where it provably
-	// derives from c.spill itself. A single merged path would store a
-	// maybe-aliases-c.cand slice into the context — a self-referential
-	// store that escape analysis must send to the heap, costing the hot
-	// path its zero-alloc property (see the low() comment).
 	if len(c.spill) == 0 {
-		out := sortDedupU32(c.cand[:c.ncand])
-		c.ncand = len(out)
-		return out
+		return sortDedupU32(c.cand[:c.ncand])
 	}
-	c.spill = append(c.spill, c.cand[:c.ncand]...)
-	c.ncand = 0
-	c.spill = sortDedupU32(c.spill)
-	return c.spill
+	return sortDedupU32(append(c.spill, c.cand[:c.ncand]...))
 }
 
 // sortDedupU32 sorts v ascending in place and compacts duplicates,

@@ -20,10 +20,10 @@ import (
 //
 //	rules.<i>           list i's rules: the canonical source lines (Rule.Raw)
 //	                    in ordinal order, each newline-terminated
-//	automaton.hot.<i>   list i's automaton — every list has one
-//	automaton.cold.<i>  list i's cold tier — exactly when the list is tiered
+//	automaton.<i>       list i's whole automaton — every list has one
+//	automaton.hot.<i>   list i's hot automaton — exactly when the list is tiered
 //
-// A flat list is a tiered list whose cold tier is empty, so the writer
+// A tiered list is its flat list plus a hot subset (tier.go), so the writer
 // decides the sections from the lists it is given and the loader always
 // attaches. Nothing is decoded and nothing is compiled at load; everything is
 // read in place from the buffer the file was read into, which the caller
@@ -38,7 +38,7 @@ import (
 //     so the pattern, domains and selector text cut from it, alias the
 //     buffer.
 //   - The automaton sections are validated in place (openAutomaton,
-//     attachCold) and scanned from the buffer.
+//     attachHot) and scanned from the buffer.
 //   - Every section belongs to exactly one list: a name that occurs twice,
 //     or one no list claims, refuses the file.
 //
@@ -47,15 +47,17 @@ import (
 // the section frame carries and the loader verifies is the value the
 // automata must hold: a snapshot whose rules were edited without recompiling
 // is refused as corrupt rather than matching against stale states. Files of
-// an older schema are refused by version; adwars-compact -lists OLD -out NEW
-// (without -usage) converts them.
+// an older schema are refused by version — schema 5 too, whose automaton.hot
+// and automaton.cold sections split the rules this schema's whole automaton
+// holds together; adwars-compact -lists OLD -out NEW converts them (flat
+// without -usage, tiered with it).
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
 	ListsSnapshotFormat = "adwars-lists"
 	// ListsSnapshotVersion is the one snapshot schema version this build
 	// reads and writes.
-	ListsSnapshotVersion = 5
+	ListsSnapshotVersion = 6
 )
 
 // ErrSnapshotFormat reports a file that is not a lists snapshot at all.
@@ -77,8 +79,8 @@ type ListsSnapshot struct {
 	Version string
 }
 
-// Tiered reports whether every list carries a hot/cold tier split (as
-// adwars-compact produces from a usage dump).
+// Tiered reports whether every list carries a hot automaton beside its whole
+// one (as adwars-compact produces from a usage dump).
 func (s *ListsSnapshot) Tiered() bool {
 	for _, l := range s.Lists {
 		if !l.Tiered() {
@@ -115,8 +117,8 @@ type snapshotHeader struct {
 }
 
 // MarshalListsSnapshot returns the snapshot as a sealed file: the header
-// document, then per list its rules section, its automaton.hot section and,
-// when the list is tiered, its automaton.cold section. A rule whose Raw
+// document, then per list its rules section, its automaton section and,
+// when the list is tiered, its automaton.hot section. A rule whose Raw
 // holds a newline or a NUL (no parsed line does; a hand-built rule can) is an
 // error: the loader would read back different rules, or none.
 func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
@@ -137,9 +139,9 @@ func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 		headers[i] = listHeader{Name: l.Name, Rules: len(l.rules)}
 		sections = append(sections,
 			artifact.Section{Name: sectionName(rulesSection, i), Data: text},
-			artifact.Section{Name: sectionName(hotSection, i), Data: l.AutomatonBytes()})
+			artifact.Section{Name: sectionName(wholeSection, i), Data: l.AutomatonBytes()})
 		if l.Tiered() {
-			sections = append(sections, artifact.Section{Name: sectionName(coldSection, i), Data: l.ColdAutomatonBytes()})
+			sections = append(sections, artifact.Section{Name: sectionName(hotSection, i), Data: l.HotAutomatonBytes()})
 		}
 	}
 	lists, err := json.Marshal(headers)
@@ -161,8 +163,8 @@ func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 // The three kinds of section; list i's are named kind + "." + i.
 const (
 	rulesSection = "rules"
+	wholeSection = "automaton"
 	hotSection   = "automaton.hot"
-	coldSection  = "automaton.cold"
 )
 
 func sectionName(kind string, i int) string { return kind + "." + strconv.Itoa(i) }
@@ -224,20 +226,20 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		if !ok {
 			return nil, malformed("list %q has no %s section", h.Name, sectionName(rulesSection, i))
 		}
-		hot, ok := claim(hotSection, i)
+		whole, ok := claim(wholeSection, i)
 		if !ok {
-			return nil, malformed("list %q has no %s section", h.Name, sectionName(hotSection, i))
+			return nil, malformed("list %q has no %s section", h.Name, sectionName(wholeSection, i))
 		}
-		// A cold section that is absent leaves cold.Data nil: a flat list.
-		cold, _ := claim(coldSection, i)
-		rules, err := parseRulesSection(text.Data, h.Rules)
+		// A hot section that is absent leaves hot.Data nil: a flat list.
+		hot, _ := claim(hotSection, i)
+		rules, err := ParseRulesSection(text.Data, h.Rules)
 		if err != nil {
 			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
 		}
 		// text.CRC is artifact.Checksum of the rule lines, verified against
 		// these very bytes a moment ago — which is rulesChecksum of the rules
 		// just parsed from them, line for line.
-		l, err := NewListAttached(h.Name, rules, text.CRC, hot.Data, cold.Data)
+		l, err := NewListAttached(h.Name, rules, text.CRC, whole.Data, hot.Data)
 		if err != nil {
 			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
 		}
@@ -255,12 +257,13 @@ func sectionMalformed(format string, args ...any) error {
 	return artifact.Corruptf("section-malformed", format, args...)
 }
 
-// parseRulesSection reads one rules section under the strict line rule
+// ParseRulesSection reads one rules section under the strict line rule
 // (see the comment at the top of the file): want lines, every one of them a
 // rule. The rules alias text. A section that is not want newline-terminated
 // lines of text is section-malformed; a line that is no rule is that line's
-// parse error.
-func parseRulesSection(text []byte, want int) ([]*Rule, error) {
+// parse error. The loader reads every list through it, and adwars-compact the
+// rules sections of an older schema that kept them the same way.
+func ParseRulesSection(text []byte, want int) ([]*Rule, error) {
 	if bytes.IndexByte(text, 0) >= 0 {
 		return nil, sectionMalformed("rules section holds a NUL byte")
 	}

@@ -102,7 +102,7 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 // section anew with artifact.AppendSection. Hostile bytes inside a rules
 // section reach the line loop and the strict line rule: that file is
 // refused, or answers as a fresh compile of the lines that loaded. Hostile
-// bytes inside an automaton reach openAutomaton and attachCold, which prove
+// bytes inside an automaton reach openAutomaton and attachHot, which prove
 // a blob safe to scan and every rule filed under a run of its own pattern,
 // not that the rule is found wherever that run occurs — a fail link or an
 // output list merged down a fail chain can still hide it, and proving them

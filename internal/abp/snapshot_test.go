@@ -118,7 +118,7 @@ func TestListsSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
 		_, err := ParseListsSnapshot(artifact.Seal([]byte(payload)))
 		return err
 	}
-	if err := parse(`{"format":"nope","version":5}`); !errors.Is(err, ErrSnapshotFormat) {
+	if err := parse(`{"format":"nope","version":6}`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("foreign format: err = %v, want ErrSnapshotFormat", err)
 	}
 	if err := parse(`garbage`); !errors.Is(err, ErrSnapshotFormat) {
@@ -128,13 +128,13 @@ func TestListsSnapshotRejectsForeignAndFutureFiles(t *testing.T) {
 		t.Errorf("future version: err = %v, want ErrSnapshotVersion", err)
 	}
 	// This version's header with another's list bodies is no lists snapshot.
-	if err := parse(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`); !errors.Is(err, ErrSnapshotFormat) {
+	if err := parse(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":["||a^"]}]}`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("rule lines where the count belongs: err = %v, want ErrSnapshotFormat", err)
 	}
-	if err := parse(`{"format":"adwars-lists","version":5}`); !errors.Is(err, ErrSnapshotFormat) {
+	if err := parse(`{"format":"adwars-lists","version":6}`); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("no lists at all: err = %v, want ErrSnapshotFormat", err)
 	}
-	if snap, err := ParseListsSnapshot(artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[]}`))); err != nil || len(snap.Lists) != 0 {
+	if snap, err := ParseListsSnapshot(artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[]}`))); err != nil || len(snap.Lists) != 0 {
 		t.Errorf("zero lists: %v, err = %v; want an empty snapshot", snap, err)
 	}
 }
@@ -144,8 +144,8 @@ func TestListsSnapshotIsSealed(t *testing.T) {
 	if !bytes.Contains(data, []byte(artifact.TrailerPrefix)) {
 		t.Fatal("written snapshot carries no integrity trailer")
 	}
-	if !bytes.Contains(data, []byte(`"version":5`)) {
-		t.Fatal("written snapshot is not schema version 5")
+	if !bytes.Contains(data, []byte(`"version":6`)) {
+		t.Fatal("written snapshot is not schema version 6")
 	}
 	if _, err := ParseListsSnapshot(data); err != nil {
 		t.Fatalf("clean sealed snapshot failed to load: %v", err)
@@ -303,7 +303,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 	t.Run("sections on a pre-v3 schema", func(t *testing.T) {
 		// No older schema is read, with sections or without: the version
 		// refuses it before a section is looked at.
-		b := bytes.Replace(bytes.Clone(payload), []byte(`"version":5`), []byte(`"version":2`), 1)
+		b := bytes.Replace(bytes.Clone(payload), []byte(`"version":6`), []byte(`"version":2`), 1)
 		if bytes.Equal(b, payload) {
 			t.Fatal("version edit did not take")
 		}
@@ -373,8 +373,8 @@ func TestListsSnapshotMixedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]bool{
-		"rules.0": true, "automaton.hot.0": true, "automaton.cold.0": false,
-		"rules.1": true, "automaton.hot.1": true, "automaton.cold.1": true,
+		"rules.0": true, "automaton.0": true, "automaton.hot.0": false,
+		"rules.1": true, "automaton.1": true, "automaton.hot.1": true,
 	} {
 		if got := bytes.Contains(data, []byte(" name="+name+" ")); got != want {
 			t.Errorf("section %s present = %v, want %v", name, got, want)
@@ -389,9 +389,9 @@ func TestListsSnapshotMixedRoundTrip(t *testing.T) {
 			snap.Tiered(), snap.Lists[0].Tiered(), snap.Lists[1].Tiered())
 	}
 	if !bytes.Equal(snap.Lists[0].AutomatonBytes(), flat.AutomatonBytes()) ||
-		snap.Lists[0].ColdAutomatonBytes() != nil ||
+		snap.Lists[0].HotAutomatonBytes() != nil ||
 		!bytes.Equal(snap.Lists[1].AutomatonBytes(), tiered.AutomatonBytes()) ||
-		!bytes.Equal(snap.Lists[1].ColdAutomatonBytes(), tiered.ColdAutomatonBytes()) {
+		!bytes.Equal(snap.Lists[1].HotAutomatonBytes(), tiered.HotAutomatonBytes()) {
 		t.Fatal("automaton regions differ after the round trip")
 	}
 	assertTierTransparent(t, "flat", flat, snap.Lists[0])
@@ -401,14 +401,14 @@ func TestListsSnapshotMixedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestListsSnapshotMissingHotSectionRefused: the loader reads rules from
+// TestListsSnapshotMissingSectionRefused: the loader reads rules from
 // their section and attaches and never compiles, so a list whose rules or
-// automaton.hot section is not in the file — with or without its cold one —
-// is section-malformed, whichever list it is.
-func TestListsSnapshotMissingHotSectionRefused(t *testing.T) {
+// automaton section is not in the file — with or without its hot one — is
+// section-malformed, whichever list it is.
+func TestListsSnapshotMissingSectionRefused(t *testing.T) {
 	flat := NewList("flat", benchRules(100))
-	tiered := NewList("tiered", benchRules(200)).CompileTiered(nil)
-	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{flat, tiered}})
+	plain := NewList("tiered", benchRules(200))
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{flat, plain.CompileTiered(nil)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,22 +416,37 @@ func TestListsSnapshotMissingHotSectionRefused(t *testing.T) {
 		t.Fatalf("reframed whole: %v", err)
 	}
 	for _, drop := range [][]string{
-		{"automaton.hot.0"},
-		{"automaton.hot.1"},
-		{"automaton.hot.1", "automaton.cold.1"},
-		{"automaton.hot.0", "automaton.hot.1", "automaton.cold.1"},
+		{"automaton.0"},
+		{"automaton.1"},
+		{"automaton.1", "automaton.hot.1"},
+		{"automaton.0", "automaton.1", "automaton.hot.1"},
 		{"rules.0"},
 		{"rules.1"},
-		{"rules.1", "automaton.hot.1", "automaton.cold.1"},
+		{"rules.1", "automaton.1", "automaton.hot.1"},
 	} {
 		if _, err := ParseListsSnapshot(reframe(t, data, without(drop...))); corruptReason(err) != "section-malformed" {
 			t.Errorf("without %v: err = %v, want section-malformed", drop, err)
 		}
 	}
-	// A tiered list that lost its cold section only is caught one step
-	// later: the hot automaton alone does not hold every rule.
-	if _, err := ParseListsSnapshot(reframe(t, data, without("automaton.cold.1"))); corruptReason(err) != "tier-invalid" {
-		t.Errorf("without the cold section: err = %v, want tier-invalid", err)
+	// A tiered list is its flat list plus a hot subset: sealed again without
+	// the hot section it is that flat list, whole and answering as before.
+	snap, err := ParseListsSnapshot(reframe(t, data, without("automaton.hot.1")))
+	if err != nil || snap.Lists[1].Tiered() {
+		t.Fatalf("without the hot section: err = %v, want the flat list", err)
+	}
+	assertTierTransparent(t, "without hot", plain, snap.Lists[1])
+	// The hot region standing in for the whole one does not hold every rule.
+	asWhole := func(sec artifact.Section) []artifact.Section {
+		switch sec.Name {
+		case "automaton.1":
+			return nil
+		case "automaton.hot.1":
+			sec.Name = "automaton.1"
+		}
+		return []artifact.Section{sec}
+	}
+	if _, err := ParseListsSnapshot(reframe(t, data, asWhole)); corruptReason(err) != "tier-invalid" {
+		t.Errorf("the hot region as the whole one: err = %v, want tier-invalid", err)
 	}
 }
 
@@ -466,11 +481,12 @@ func TestListsSnapshotSectionOwnership(t *testing.T) {
 		}
 	}
 	for name, edit := range map[string]func(artifact.Section) []artifact.Section{
-		"two automaton.hot.0":     twice("automaton.hot.0"),
+		"two automaton.0":         twice("automaton.0"),
 		"two rules.1":             twice("rules.1"),
-		"two automaton.cold.1":    twice("automaton.cold.1"),
-		"stray automaton.cold.7":  also("automaton.cold.1", "automaton.cold.7"),
-		"stray automaton.hot.2":   also("automaton.hot.1", "automaton.hot.2"),
+		"two automaton.hot.1":     twice("automaton.hot.1"),
+		"stray automaton.hot.7":   also("automaton.hot.1", "automaton.hot.7"),
+		"stray automaton.2":       also("automaton.1", "automaton.2"),
+		"schema 5's cold section": also("automaton.hot.1", "automaton.cold.1"),
 		"stray rules.2":           also("rules.0", "rules.2"),
 		"a name of no kind":       also("rules.0", "notes"),
 		"an index that is no int": also("rules.0", "rules.00"),
@@ -485,7 +501,8 @@ func TestListsSnapshotSectionOwnership(t *testing.T) {
 // TestListsSnapshotOlderSchemasRefused: one schema is read. Whatever
 // carries no trailer is missing-trailer before its version is looked at; a
 // sealed file of an older schema — testdata/parent-v3.snapshot and
-// parent-v4.snapshot are the two the parent of PR 14 wrote — is
+// parent-v4.snapshot are the two the parent of PR 14 wrote, parent-v5-flat
+// and parent-v5-tiered the two the parent of PR 28 (a8062f5) did — is
 // ErrSnapshotVersion, and the error says what converts it. The version is
 // read before the list bodies are, so that a schema-4 file, whose "rules" is
 // an array of lines where this schema has a count, is refused for its
@@ -501,7 +518,7 @@ func TestListsSnapshotOlderSchemasRefused(t *testing.T) {
 		"sealed v2": artifact.Seal([]byte(strings.Replace(v1, `"version":1`, `"version":2`, 1))),
 		"sealed v4": artifact.Seal([]byte(strings.Replace(v1, `"version":1`, `"version":4`, 1))),
 	}
-	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot"} {
+	for _, name := range []string{"parent-v3.snapshot", "parent-v4.snapshot", "parent-v5-flat.snapshot", "parent-v5-tiered.snapshot"} {
 		file, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -519,9 +536,12 @@ func TestListsSnapshotOlderSchemasRefused(t *testing.T) {
 // parentV4AsCurrent returns testdata/parent-v4.snapshot — the tiered
 // snapshot the parent of PR 14 (b547b05) wrote — carried into the current
 // schema with its automata as that commit compiled them: its rule lines as
-// the rules section, its own automaton.hot.0 and automaton.cold.0 sections
-// byte for byte. (adwars-compact converts such a file by compiling it
-// afresh; the tests that want that commit's automata attach them here.)
+// the rules section, its own automaton.hot.0 section byte for byte, and as
+// the whole automaton every rule under the run one of its two regions files
+// it under (that commit's selection, read back off the regions: it drew runs
+// from the Unicode-lowered pattern, so the build reads them there too).
+// (adwars-compact converts such a file by compiling it afresh; the tests that
+// want that commit's automata attach them here.)
 func parentV4AsCurrent(t testing.TB) []byte {
 	t.Helper()
 	file, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snapshot"))
@@ -543,13 +563,42 @@ func parentV4AsCurrent(t testing.TB) []byte {
 			Rules []string
 		}
 	}
-	if err := json.Unmarshal(primary, &doc); err != nil || len(doc.Lists) != 1 || len(secs) != 2 {
+	if err := json.Unmarshal(primary, &doc); err != nil || len(doc.Lists) != 1 || len(secs) != 2 || secs[0].Name != "automaton.hot.0" {
 		t.Fatalf("parent v4: %d lists, %d sections, err %v", len(doc.Lists), len(secs), err)
 	}
 	header := fmt.Sprintf(`{"format":"adwars-lists","version":%d,"label":%q,"lists":[{"name":%q,"rules":%d}]}`+"\n",
 		ListsSnapshotVersion, doc.Label, doc.Lists[0].Name, len(doc.Lists[0].Rules))
 	text := strings.Join(doc.Lists[0].Rules, "\n") + "\n"
-	return artifact.SealSections([]byte(header), append([]artifact.Section{{Name: "rules.0", Data: []byte(text)}}, secs...))
+	crc := artifact.Checksum([]byte(text))
+	lowered := make([]*Rule, len(doc.Lists[0].Rules))
+	for ord, line := range doc.Lists[0].Rules {
+		r, err := Parse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Pattern = strings.ToLower(r.Pattern)
+		lowered[ord] = r
+	}
+	kws := make([]kwSpan, len(lowered))
+	for _, sec := range secs {
+		a, err := openAutomaton(sec.Data, len(lowered), crc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, f := range a.fail {
+			own := a.outputs[a.outIdx[s] : a.outIdx[s+1]-(a.outIdx[f+1]-a.outIdx[f])]
+			for _, o := range own {
+				span, ok := findRun(lowered[o].Pattern, append(a.spelling(nil, uint32(s)), 0))
+				if !ok {
+					t.Fatalf("parent v4: rule %d is filed under no run of its pattern", o)
+				}
+				kws[o] = span
+			}
+		}
+	}
+	whole := buildAutomaton(lowered, kws, crc, nil).Bytes()
+	return artifact.SealSections([]byte(header), []artifact.Section{
+		{Name: "rules.0", Data: []byte(text)}, {Name: "automaton.0", Data: whole}, secs[0]})
 }
 
 // pinnedLines is the fixed list TestSnapshotBytesPinned freezes: the lines
@@ -579,16 +628,23 @@ func pinnedLines() []string {
 		"@@||trusted.example^$elemhide")
 }
 
-// TestSnapshotBytesPinned: not one byte of a snapshot moved. The versions
-// are artifact.Version of the flat and the tiered snapshot of pinnedLines.
-// Both were recorded again when the rule lines moved out of the JSON
-// document into the rules section (schema 5: the header shrank to names and
-// counts, the lines lost their quotes and commas and gained a frame), which
-// moves every file's bytes and compiles nothing differently — so the
-// automaton sections are pinned beside them, by the frame checksums they had
-// under the parent's pins (a1af6d7ca59ef7a5 flat, 6b41036ea2a6f6a1 tiered):
-// the tiered pair as commit 6ddcbf9 compiled it, before keyword selection
-// was kept, the top of the build trie indexed and the payload sized once.
+// TestSnapshotBytesPinned: not one byte of an automaton moved. The versions
+// are artifact.Version of the flat and the tiered snapshot of pinnedLines,
+// recorded again at every schema step — schema 5 moved the rule lines out of
+// the JSON document into the rules section; schema 6 names the sections
+// automaton.<i> and automaton.hot.<i> and gives a tiered list its whole
+// automaton where it had a cold one — each of which moves every file's bytes
+// and compiles nothing differently. That is what the section checksums beside
+// them say, and the argument is in which pins they are: the whole region's,
+// in the flat and in the tiered file, is the checksum the *flat* list's one
+// automaton had under schema 5, and the hot region's is the checksum the
+// tiered file's *hot* section had there — both as in the files schema 4
+// pinned (a1af6d7ca59ef7a5 flat, 6b41036ea2a6f6a1 tiered), the pair as commit
+// 6ddcbf9 compiled it, before keyword selection was kept, the top of the
+// build trie indexed and the payload sized once. So a flat list is served by the bytes it was
+// served by, a brownout scans the bytes it scanned, and a tiered list's full
+// lookup scans its flat list's bytes; schema 5's cold region (efe5b284d2dcd932)
+// is the only one no file holds any more.
 func TestSnapshotBytesPinned(t *testing.T) {
 	l := buildList(t, "pinned", pinnedLines()...)
 	tl := l.CompileTiered(func(ord int) bool { return ord%3 == 0 })
@@ -598,10 +654,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		want     string
 		sections map[string]uint64
 	}{
-		{"flat", l, "9dd4688a1e5c7d2e", map[string]uint64{
-			"rules.0": 0x6c69d4de5413cc0d, "automaton.hot.0": 0xc1e5f022cca6b1fd}},
-		{"tiered", tl, "044c6906eaec62df", map[string]uint64{
-			"rules.0": 0x6c69d4de5413cc0d, "automaton.hot.0": 0x1d1c9888abd45e31, "automaton.cold.0": 0xefe5b284d2dcd932}},
+		{"flat", l, "3ef15a9bcdc1cbef", map[string]uint64{
+			"rules.0": 0x6c69d4de5413cc0d, "automaton.0": 0xc1e5f022cca6b1fd}},
+		{"tiered", tl, "78a52df097e7037e", map[string]uint64{
+			"rules.0": 0x6c69d4de5413cc0d, "automaton.0": 0xc1e5f022cca6b1fd, "automaton.hot.0": 0x1d1c9888abd45e31}},
 	} {
 		data, err := MarshalListsSnapshot(&ListsSnapshot{Label: "pinned", Lists: []*List{c.list}})
 		if err != nil {

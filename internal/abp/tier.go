@@ -1,6 +1,7 @@
 package abp
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/bits"
@@ -10,37 +11,33 @@ import (
 	"adwars/internal/artifact"
 )
 
-// Tiered lists split one rule set across two automatons compiled against
-// the same rules array and checksum:
-//
-//   - the HOT automaton (List.auto) holds the rules that actually fire in
-//     production — plus every rule correctness pins there — in a small,
-//     dense double-array that the decision path probes first;
-//   - the COLD automaton (List.cold) holds the long tail of never-firing
-//     blocking rules and is probed only when the hot tier cannot conclude
-//     the verdict on its own.
+// A tiered list is its flat list plus a hot subset. List.auto is always the
+// whole automaton — every HTTP rule filed under a keyword, and the generic
+// array — and every full lookup (AppendHits, MatchRequest) is one scan of it
+// and of the page-domain index, on a tiered list exactly as on a flat one.
+// Tiering adds List.hot: a second, small automaton compiled from the same
+// rules array, checksum and keyword selection over the rules a brownout still
+// consults (AppendHitsHot, the overload governor's L2 path) — the rules that
+// actually fire in production plus every rule correctness pins there.
 //
 // "Who Filters the Filters" measures that the overwhelming majority of
-// crowdsourced rules never fire; tiering turns that skew into a working-
-// set win: the memory a typical verdict walks shrinks to the hot tier
-// while answers stay byte-identical to the untiered list (differential-
-// tested and fuzzed against the linear reference).
+// crowdsourced rules never fire, and motivates tiering by memory and shipping
+// size, never by probe time: a lookup that scanned hot first and the rest
+// second paid two scans for one verdict. So the hot automaton is not a stage
+// of the full lookup; it is what a degraded replica scans instead of it, and
+// the dead-rule exhibit's measure of the working set.
 //
-// Three membership invariants make the staged probe exact, all enforced at
-// attach time and guaranteed by CompileTiered's normalization:
+// The subset invariants, all enforced at attach time (attachHot) and
+// guaranteed by CompileTiered's normalization:
 //
-//  1. Every exception rule is hot. An Allowed verdict can then conclude
-//     from the hot probe alone: the first matching hot exception is the
-//     globally first matching exception.
-//  2. Every keyword-less HTTP rule is hot. The cold automaton carries no
-//     generic bucket (a keyword-less cold rule would never be probed), so
-//     a cold rule is always reachable through its keyword.
-//  3. An HTTP rule in neither automaton names a page domain, and is served
-//     from the page-domain index (domainIndex) with the hot tier.
-//
-// Cold rules are therefore exactly a subset of keyword-bearing blocking
-// rules. coldMinBlk — the lowest cold ordinal — lets a hot block below it
-// win without the cold probe at all.
+//  1. The whole automaton files every HTTP rule the page-domain index
+//     (domainIndex) does not serve, exactly once.
+//  2. Every rule hot files is filed by the whole automaton under the same
+//     run, so one guard per ordinal serves both scans; both carry the same
+//     generic array.
+//  3. Every exception rule and every keyword-less HTTP rule is hot. An
+//     Allowed verdict is then exact under a brownout, and the only drift a
+//     hot-only lookup can show is a non-hot block reported as NoMatch.
 
 // domainIndex files the HTTP rules no automaton holds under each of their
 // positive $domain= entries, sorted by domain and then ordinal. A rule whose
@@ -113,84 +110,65 @@ func (x *domainIndex) scanInto(c *matchCtx) {
 }
 
 // CompileTiered compiles the list into a tiered copy: keep reports
-// whether the rule at an ordinal belongs in the hot tier (typically
+// whether the rule at an ordinal belongs in the hot automaton (typically
 // "usage counters saw it fire"). The hot set is normalized with the rules
 // correctness requires to stay hot — every exception rule and every
 // keyword-less HTTP rule — so any keep predicate (including nil: nothing
-// voluntarily hot) yields a semantically identical list. The receiver is
-// unchanged; rules are shared, both lists stay safe for concurrent
-// matchers.
+// voluntarily hot) yields a list whose brownout answers drift one way only.
+// The copy shares the receiver's rules, whole automaton, keyword selection,
+// guards and index — a tiered receiver hands on its whole automaton, never
+// its hot one — and only the hot automaton is built. The receiver is
+// unchanged; both lists stay safe for concurrent matchers.
 func (l *List) CompileTiered(keep func(ord int) bool) *List {
-	tl := &List{
-		Name:        l.Name,
-		rules:       l.rules,
-		rulesCRC:    l.rulesCRC,
-		kws:         l.kws,
-		dom:         l.dom,
-		guards:      l.guards,
-		elemHide:    l.elemHide,
-		elemExcept:  l.elemExcept,
-		hideIdx:     l.hideIdx,
-		hideToggles: l.hideToggles,
-	}
+	tl := *l
+	tl.usage, tl.hot, tl.hotRule = nil, nil, nil
 	if tl.kws == nil {
-		// l was attached from a snapshot: its index and guards go with the
-		// selection its regions were compiled under, not with this one.
+		// l was attached from a snapshot: its automaton, index and guards go
+		// with the selection its regions were compiled under, not with this one.
 		tl.kws, tl.dom = selectKeywords(l.rules), nil
 		tl.guards = ruleGuards(l.rules, tl.kws)
+		tl.auto = buildAutomaton(l.rules, tl.kws, l.rulesCRC, nil)
 	}
-	hot := make([]bool, len(l.rules))
-	cold := make([]bool, len(l.rules))
+	member := make([]bool, len(l.rules))
 	for ord, r := range l.rules {
-		if !r.IsHTTP() {
-			continue
-		}
-		switch {
-		case r.Kind == KindHTTPException,
-			tl.kws[ord].none(),
-			keep != nil && keep(ord):
-			hot[ord] = true
-		default:
-			cold[ord] = true
-		}
+		member[ord] = r.IsHTTP() &&
+			(r.Kind == KindHTTPException || tl.kws[ord].none() || keep != nil && keep(ord))
 	}
-	tl.auto = buildAutomaton(l.rules, tl.kws, l.rulesCRC, hot)
-	if err := tl.attachCold(buildAutomaton(l.rules, tl.kws, l.rulesCRC, cold)); err != nil {
+	if err := tl.attachHot(buildAutomaton(l.rules, tl.kws, l.rulesCRC, member)); err != nil {
 		// Unreachable: the normalization above establishes every invariant
-		// attachCold checks.
+		// attachHot checks.
 		panic(fmt.Sprintf("abp: internal: freshly compiled tiers failed validation: %v", err))
 	}
-	return tl
+	return &tl
 }
 
-// attachCold validates the tier membership invariants against the already
-// attached hot automaton and installs the cold tier, the page-domain index and
-// the guards. Membership is derived from the automatons themselves — a rule
-// is a member of the one that files it under a keyword of its own, or lists
-// it as generic — so no separate membership table needs serializing: the
-// snapshot sections are self-describing. A nil cold is a flat list: the one
-// automaton must hold every HTTP rule the index cannot serve — which is what
-// refuses a tiered list's hot region arriving without its cold one. An index
-// and guards the list already has (a compile: those of the selection its
-// regions were built from) are kept; a loaded list derives them here, the
-// guards from the run each rule is found filed under.
-func (l *List) attachCold(cold *automaton) error {
+// attachHot validates the already attached whole automaton and, when hot is
+// not nil, the subset invariants of the pair (see the top of the file), then
+// installs the hot automaton, the page-domain index and the guards. What each
+// automaton files is read off the automaton itself — a rule is filed where a
+// state lists it under a keyword of its own, or in the generic array — so no
+// membership table needs serializing: the snapshot sections are
+// self-describing. A nil hot is a flat list. An index and guards the list
+// already has (a compile: those of the selection its regions were built from)
+// are kept; a loaded list derives them here, the guards from the run each rule
+// is found filed under in the whole region, which is also where a hot region
+// that files a rule under another run is caught.
+func (l *List) attachHot(hot *automaton) error {
 	corrupt := func(format string, args ...any) error {
 		return artifact.Corruptf("tier-invalid", format, args...)
 	}
-	hot := make([]bool, len(l.rules))
 	// Only a load has guards to derive. For that, spelled collects the keyword
-	// of every state that files a rule (automaton.spelling, each ended by a 0:
-	// no symbol) and at[o] is where rule o's begins, plus one.
+	// of every state of the whole automaton that files a rule (automaton.spelling,
+	// each ended by a 0: no symbol) and at[o] is where rule o's begins, plus one.
 	guards, at, spelled := l.guards, []uint32(nil), []byte(nil)
 	if guards == nil {
 		guards, at = make([]guard, len(l.rules)), make([]uint32, len(l.rules))
 		spelled = make([]byte, 0, 8*len(l.rules))
 	}
-	// file marks in in[] the rules a files under a keyword. A state's own
-	// rules lead its output list, ahead of the lists merged in down its fail
-	// chain, so each rule is met once, at the state its keyword spells.
-	file := func(a *automaton, in []bool) error {
+	// own visits every state of a that files rules with the rules it files. A
+	// state's own rules lead its output list, ahead of the lists merged in down
+	// its fail chain, so each rule is met once, at the state its keyword spells.
+	own := func(a *automaton, visit func(s uint32, rules []uint32) error) error {
 		for s, f := range a.fail {
 			lo, hi := a.outIdx[s], a.outIdx[s+1]
 			if lo == hi {
@@ -200,40 +178,71 @@ func (l *List) attachCold(cold *automaton) error {
 			if merged > hi-lo {
 				return corrupt("state %d lists fewer rules than its fail state %d", s, f)
 			}
-			begins := uint32(len(spelled) + 1)
-			if hi -= merged; hi > lo && at != nil {
-				spelled = append(a.spelling(spelled, uint32(s)), 0)
-			}
-			for _, o := range a.outputs[lo:hi] {
-				if hot[o] || in[o] {
-					return corrupt("rule %d filed twice, or present in both tiers", o)
-				}
-				in[o] = true
-				if at != nil {
-					at[o] = begins
+			if hi -= merged; hi > lo {
+				if err := visit(uint32(s), a.outputs[lo:hi]); err != nil {
+					return err
 				}
 			}
 		}
 		return nil
 	}
-	if err := file(l.auto, hot); err != nil {
+	// filed marks the rules the whole automaton holds; hotRule the rules a
+	// hot-only lookup of a tiered list consults. The generic array is marked
+	// after the keyword passes, which must not meet its rules.
+	filed := make([]bool, len(l.rules))
+	err := own(l.auto, func(s uint32, rules []uint32) error {
+		begins := uint32(len(spelled) + 1)
+		if at != nil {
+			spelled = append(l.auto.spelling(spelled, s), 0)
+		}
+		for _, o := range rules {
+			if filed[o] {
+				return corrupt("rule %d filed twice", o)
+			}
+			filed[o] = true
+			if at != nil {
+				at[o] = begins
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	for _, g := range l.auto.generic {
-		hot[g] = true
-	}
-	var inCold []bool
-	if cold != nil {
-		if n := len(cold.generic); n > 0 {
-			return corrupt("cold tier carries %d keyword-less rules (they must be hot)", n)
+	hotRule := make([]bool, len(l.rules))
+	if hot != nil {
+		if !slices.Equal(hot.generic, l.auto.generic) {
+			return corrupt("the hot automaton's keyword-less rules are not the whole automaton's")
 		}
-		inCold = make([]bool, len(l.rules))
-		if err := file(cold, inCold); err != nil {
+		var kw []byte
+		err := own(hot, func(s uint32, rules []uint32) error {
+			if at != nil {
+				kw = append(hot.spelling(kw[:0], s), 0)
+			}
+			for _, o := range rules {
+				switch {
+				case hotRule[o]:
+					return corrupt("rule %d filed twice in the hot automaton", o)
+				case !filed[o]:
+					return corrupt("hot rule %d is not filed by the whole automaton", o)
+				case at != nil && !bytes.HasPrefix(spelled[at[o]-1:], kw):
+					return corrupt("hot rule %d is filed under another run than in the whole automaton", o)
+				}
+				hotRule[o] = true
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
+	for _, g := range l.auto.generic {
+		if filed[g] {
+			return corrupt("rule %d filed twice", g)
+		}
+		filed[g], hotRule[g] = true, true
+	}
 	var byDomain []uint32
-	minBlk := ^uint32(0)
 	for ord, r := range l.rules {
 		if at != nil && at[ord] != 0 {
 			// The keyword a rule is found filed under must be a run of its
@@ -251,19 +260,16 @@ func (l *List) attachCold(cold *automaton) error {
 				return corrupt("rule %d is filed under a run its pattern does not have", ord)
 			}
 		}
-		if !r.IsHTTP() || hot[ord] {
-			continue
-		}
 		switch {
-		case cold != nil && inCold[ord]:
-			if r.Kind != KindHTTPBlock {
-				return corrupt("exception rule %d relegated to the cold tier", ord)
+		case !r.IsHTTP():
+		case filed[ord]:
+			if hot != nil && !hotRule[ord] && r.Kind == KindHTTPException {
+				return corrupt("exception rule %d is not in the hot automaton", ord)
 			}
-			minBlk = min(minBlk, uint32(ord))
 		case len(r.Domains) > 0:
-			// Always consulted, like the hot tier.
-			hot[ord] = true
+			// Always consulted, like the hot automaton.
 			byDomain = append(byDomain, uint32(ord))
+			hotRule[ord] = true
 		default:
 			return corrupt("HTTP rule %d is in no automaton", ord)
 		}
@@ -272,31 +278,30 @@ func (l *List) attachCold(cold *automaton) error {
 	if l.dom == nil {
 		l.dom = newDomainIndex(l.rules, byDomain)
 	}
-	if cold != nil {
-		l.cold = cold
-		l.hot = hot
-		l.coldMinBlk = minBlk
+	if hot != nil {
+		l.hot, l.hotRule = hot, hotRule
 	}
 	return nil
 }
 
-// Tiered reports whether the list carries a hot/cold tier split.
-func (l *List) Tiered() bool { return l.cold != nil }
+// Tiered reports whether the list carries a hot automaton beside its whole one.
+func (l *List) Tiered() bool { return l.hot != nil }
 
-// IsHotRule reports whether the rule at ord is served from the hot tier.
-// Every rule of an untiered list counts as hot (there is only one tier).
+// IsHotRule reports whether a hot-only lookup (AppendHitsHot) consults the
+// rule at ord. Every rule of an untiered list counts as hot (there is only one
+// automaton); no ordinal outside the list does, on either kind.
 func (l *List) IsHotRule(ord int) bool {
-	return l.hot == nil || ord >= 0 && ord < len(l.hot) && l.hot[ord]
+	return ord >= 0 && ord < len(l.rules) && (l.hotRule == nil || l.hotRule[ord])
 }
 
-// ColdAutomatonBytes returns the cold tier's serialized region (nil for
+// HotAutomatonBytes returns the hot automaton's serialized region (nil for
 // untiered lists). Like AutomatonBytes, the slice aliases the automaton
 // and must not be modified.
-func (l *List) ColdAutomatonBytes() []byte {
-	if l.cold == nil {
+func (l *List) HotAutomatonBytes() []byte {
+	if l.hot == nil {
 		return nil
 	}
-	return l.cold.Bytes()
+	return l.hot.Bytes()
 }
 
 // TierStats describes a list's tier geometry: automaton region sizes and
@@ -306,7 +311,11 @@ func (l *List) ColdAutomatonBytes() []byte {
 // HotRules and all ColdRules are the KeywordRules an automaton finds, of which
 // GuardedRules are nominated only where their run stands in its context.
 type TierStats struct {
-	HotBytes     int
+	// HotBytes is the region a hot-only lookup scans: the hot automaton, or
+	// an untiered list's one automaton.
+	HotBytes int
+	// ColdBytes is the region a full lookup of a tiered list scans — the
+	// whole automaton, hot rules included — and 0 on an untiered list.
 	ColdBytes    int
 	HotRules     int
 	ColdRules    int
@@ -316,13 +325,13 @@ type TierStats struct {
 	GuardedRules int
 }
 
-// TierStats reports the list's tier geometry. HotBytes is the memory the
-// staged decision path touches when the hot tier concludes the verdict —
-// the "hot working set" the compaction loop minimizes.
+// TierStats reports the list's tier geometry. HotBytes is the memory a
+// degraded lookup touches — the "hot working set" the compaction loop
+// minimizes.
 func (l *List) TierStats() TierStats {
 	st := TierStats{HotBytes: len(l.auto.blob), DomainRules: l.dom.rules, GenericRules: len(l.auto.generic)}
-	if l.cold != nil {
-		st.ColdBytes = len(l.cold.blob)
+	if l.hot != nil {
+		st.HotBytes, st.ColdBytes = len(l.hot.blob), len(l.auto.blob)
 	}
 	for ord, r := range l.rules {
 		switch {

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // tierURLs extends the bench mix with queries that force every tier
-// interaction: hot exception over cold block, cold-only block, hot block
-// below and above coldMinBlk, pure miss, and a non-ASCII URL.
+// interaction: hot exception over non-hot block, non-hot block alone, hot
+// blocks low and high in the list, pure miss, and a non-ASCII URL.
 func tierURLs() []string {
 	urls := append([]string(nil), benchURLs...)
 	return append(urls,
@@ -50,30 +52,69 @@ func assertTierTransparent(t *testing.T, name string, plain, tiered *List) {
 	}
 }
 
+// probeCounts is what usage counters read after one AppendHits and one
+// MatchRequest of every tier query: probes made, candidates verified.
+func probeCounts(l *List) (probes, candidates uint64) {
+	l.usage = newUsage(l.Len())
+	defer func() { l.usage = nil }()
+	for _, q := range tierQueries() {
+		l.AppendHits(nil, q)
+		l.MatchRequest(q)
+	}
+	return l.usage.Probes()
+}
+
 // TestTieredDifferential is the tier transparency gate over adversarial
-// splits: nothing voluntarily hot (every keyword block cold), everything
-// hot (cold tier empty), and striped mixes that scatter hot and cold
-// ordinals through the candidate sets.
+// hot sets: nothing voluntarily hot, everything hot, striped mixes that
+// scatter hot and other ordinals through the candidate sets, and the set
+// usage counters derive from the queries themselves — each freshly compiled
+// and after a trip through the snapshot. Full lookups equal the flat list's
+// and the linear oracle's, hot-only lookups miss non-hot blocks and nothing
+// else (assertMatchesOracle), and a full lookup is one probe of exactly the
+// flat list's candidates.
 func TestTieredDifferential(t *testing.T) {
 	plain := NewList("tier", benchRules(2000))
+	plain.EnableUsage()
+	for _, q := range tierQueries() {
+		plain.MatchRequest(q)
+	}
+	fired := plain.Usage().Counts()
+	probes, cands := probeCounts(plain)
+	if probes != uint64(2*len(tierQueries())) || cands == 0 {
+		t.Fatalf("flat list: %d probes, %d candidates over %d queries", probes, cands, len(tierQueries()))
+	}
 	splits := map[string]func(int) bool{
-		"all-cold": nil,
-		"all-hot":  func(int) bool { return true },
+		"none":     nil,
+		"all":      func(int) bool { return true },
 		"stripe-2": func(ord int) bool { return ord%2 == 0 },
 		"stripe-3": func(ord int) bool { return ord%3 == 1 },
-		"low-hot":  func(ord int) bool { return ord < 700 },
-		"high-hot": func(ord int) bool { return ord >= 1300 },
+		"low":      func(ord int) bool { return ord < 700 },
+		"high":     func(ord int) bool { return ord >= 1300 },
+		"usage":    func(ord int) bool { return fired[ord] > 0 },
 	}
 	for name, keep := range splits {
 		tiered := plain.CompileTiered(keep)
 		if !tiered.Tiered() || plain.Tiered() {
 			t.Fatalf("%s: Tiered flags wrong", name)
 		}
-		assertTierTransparent(t, name, plain, tiered)
+		data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{tiered}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ParseListsSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for stage, l := range map[string]*List{"compiled": tiered, "reloaded": snap.Lists[0]} {
+			if p, c := probeCounts(l); p != probes || c != cands {
+				t.Errorf("%s %s: %d probes, %d candidates; the flat list makes %d, %d", name, stage, p, c, probes, cands)
+			}
+			assertTierTransparent(t, name+" "+stage, plain, l)
+		}
 	}
 }
 
-// TestAppendHitsHotUntieredIdentical: on a list with no cold tier the
+// TestAppendHitsHotUntieredIdentical: on a list with no hot automaton the
 // brownout path is the full path — byte-for-byte the same hits.
 func TestAppendHitsHotUntieredIdentical(t *testing.T) {
 	plain := NewList("tier", benchRules(2000))
@@ -95,7 +136,7 @@ func TestAppendHitsHotUntieredIdentical(t *testing.T) {
 // tiered list: the hot-only hit set is a subset of the full set, every
 // Allowed verdict is exact (exceptions are hot by construction), every
 // hot-only Blocked verdict agrees with the full path, and the ONLY
-// permitted drift is a cold block degraded to NoMatch. The adversarial
+// permitted drift is a non-hot block degraded to NoMatch. The adversarial
 // all-cold split must actually exhibit that drift, or the test has no
 // teeth.
 func TestAppendHitsHotDegradationIsOneSided(t *testing.T) {
@@ -139,13 +180,13 @@ func TestAppendHitsHotDegradationIsOneSided(t *testing.T) {
 			}
 		}
 		if name == "all-cold" && !drifted {
-			t.Fatalf("%s: no cold block degraded — the differential exercised nothing", name)
+			t.Fatalf("%s: no non-hot block degraded — the differential exercised nothing", name)
 		}
 	}
 }
 
 // TestTieredSnapshotRoundTrip proves the snapshot is lossless: a
-// tiered snapshot reloads tiered, with byte-identical tier regions and
+// tiered snapshot reloads tiered, with byte-identical regions and
 // identical match behavior.
 func TestTieredSnapshotRoundTrip(t *testing.T) {
 	plain := NewList("AAK", benchRules(1000))
@@ -169,8 +210,8 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("reloaded list lost its tiers")
 	}
 	if string(rt.AutomatonBytes()) != string(tiered.AutomatonBytes()) ||
-		string(rt.ColdAutomatonBytes()) != string(tiered.ColdAutomatonBytes()) {
-		t.Fatal("tier regions not byte-identical after round trip")
+		string(rt.HotAutomatonBytes()) != string(tiered.HotAutomatonBytes()) {
+		t.Fatal("regions not byte-identical after round trip")
 	}
 	assertTierTransparent(t, "reloaded", plain, rt)
 
@@ -186,27 +227,52 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	if s.Tiered() {
 		t.Fatal("flat snapshot reloaded tiered")
 	}
+}
 
-	// One selection per list: NewList kept its choice for CompileTiered; the
-	// list attached from the snapshot built nothing, kept nothing, and
-	// selects when it is tiered — arriving at the same bytes.
-	attached := s.Lists[0]
-	if plain.kws == nil || attached.kws != nil {
-		t.Fatalf("kept selection: built list %v, attached list %v; want kept and not kept",
-			plain.kws != nil, attached.kws != nil)
+// TestRetiering: whatever list a tiering starts from — the compiled flat
+// list, a tiered one (its whole automaton is handed on, never its hot one),
+// or either attached from a snapshot (which built nothing, kept no selection,
+// and selects and builds when it is tiered) — the same hot set gives the same
+// bytes, and the whole region is the flat list's.
+func TestRetiering(t *testing.T) {
+	plain := NewList("re", benchRules(1000))
+	keep := func(ord int) bool { return ord%4 == 0 }
+	want := plain.CompileTiered(keep)
+	if !bytes.Equal(want.AutomatonBytes(), plain.AutomatonBytes()) {
+		t.Fatal("a tiered list's whole automaton is not its flat list's")
 	}
-	again := attached.CompileTiered(func(ord int) bool { return ord%4 == 0 })
-	if !bytes.Equal(again.AutomatonBytes(), tiered.AutomatonBytes()) ||
-		!bytes.Equal(again.ColdAutomatonBytes(), tiered.ColdAutomatonBytes()) {
-		t.Fatal("tiers compiled from the attached list differ from those compiled from the built one")
+	if want.auto != plain.auto {
+		t.Error("tiering a compiled list built its whole automaton again")
+	}
+	other := plain.CompileTiered(func(ord int) bool { return ord%3 == 0 })
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{plain, other}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseListsSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, from := range map[string]*List{
+		"flat": plain, "tiered": other, "want": want,
+		"attached flat": snap.Lists[0], "attached tiered": snap.Lists[1],
+	} {
+		if attached := strings.HasPrefix(name, "attached"); attached != (from.kws == nil) {
+			t.Fatalf("%s: kept selection %v", name, from.kws != nil)
+		}
+		again := from.CompileTiered(keep)
+		if !bytes.Equal(again.AutomatonBytes(), want.AutomatonBytes()) ||
+			!bytes.Equal(again.HotAutomatonBytes(), want.HotAutomatonBytes()) {
+			t.Errorf("tiers compiled from the %s list differ from those compiled from the flat one", name)
+		}
+		assertTierTransparent(t, name, plain, again)
 	}
 }
 
 // TestTieredHistoryDifferential runs the tier transparency gate at the
 // history level: every revision's in-force list, compiled tiered, must
 // answer identically to its untiered compile — growing rule sets shift
-// every ordinal boundary the staged probe depends on (coldMinBlk, the
-// exception frontier), so each revision is a fresh adversarial split.
+// which ordinals are hot, so each revision is a fresh adversarial split.
 func TestTieredHistoryDifferential(t *testing.T) {
 	all := benchRules(900)
 	h := NewHistory("tier-history")
@@ -220,79 +286,131 @@ func TestTieredHistoryDifferential(t *testing.T) {
 	}
 }
 
-// TestTieredValidation is the corruption matrix for tier attachment:
-// miscompiled tiers — membership overlap, missing rules, an exception in
-// the cold tier, a keyword-less cold rule — are refused as corrupt.
+// TestTieredValidation is the corruption matrix for the subset check: a
+// pair in which the hot region is not a subset of the whole one filed the
+// same way, or leaves out a rule correctness pins there, or whose whole
+// region is not whole, is refused as tier-invalid. Every region here is
+// structurally sound (openAutomaton takes each), so nothing but attachHot
+// stands between the pair and a list that would miss rules.
 func TestTieredValidation(t *testing.T) {
-	rules := benchRules(500)
+	rules := append(benchRules(500), buildList(t, "short", "/ad/", "/x1/").Rules()...)
 	plain := NewList("v", rules)
-	tiered := plain.CompileTiered(func(ord int) bool { return ord%2 == 0 })
-	hot, cold := tiered.AutomatonBytes(), tiered.ColdAutomatonBytes()
+	// Every rule under its longest run: each HTTP rule with a run is in the
+	// automata by keyword, whether or not it names a page domain.
+	kws := longestRunKeywords(rules)
+	crc := plain.rulesCRC
+	build := func(kws []kwSpan, member func(ord int) bool) []byte {
+		m := make([]bool, len(rules))
+		for ord := range m {
+			m[ord] = member(ord)
+		}
+		return buildAutomaton(rules, kws, crc, m).Bytes()
+	}
+	// pick returns the first HTTP rule want holds of.
+	pick := func(what string, want func(ord int, r *Rule) bool) int {
+		for ord, r := range rules {
+			if r.IsHTTP() && want(ord, r) {
+				return ord
+			}
+		}
+		t.Fatalf("the rules hold no %s", what)
+		return -1
+	}
+	hotSet := func(ord int) bool {
+		return rules[ord].Kind == KindHTTPException || kws[ord].none() || ord%2 == 0
+	}
+	all := func(int) bool { return true }
+	except := func(set func(int) bool, out int) func(int) bool {
+		return func(ord int) bool { return ord != out && set(ord) }
+	}
+	hotBlock := pick("hot block that names no page domain", func(ord int, r *Rule) bool {
+		return r.Kind == KindHTTPBlock && len(r.Domains) == 0 && !kws[ord].none() && hotSet(ord)
+	})
+	hotDomainBlock := pick("hot block that names a page domain", func(ord int, r *Rule) bool {
+		return r.Kind == KindHTTPBlock && len(r.Domains) > 0 && !kws[ord].none() && hotSet(ord)
+	})
+	exception := pick("keyworded exception", func(ord int, r *Rule) bool {
+		return r.Kind == KindHTTPException && !kws[ord].none()
+	})
+	generic := pick("keyword-less rule", func(ord int, r *Rule) bool { return kws[ord].none() })
+	// refiled is kws with hotBlock under another run of its pattern, ungeneric
+	// with it under none.
+	refiled, ungeneric := slices.Clone(kws), slices.Clone(kws)
+	pat := rules[hotBlock].Pattern
+	for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
+		if span := (kwSpan{uint32(i), uint32(j)}); span != kws[hotBlock] {
+			refiled[hotBlock] = span
+		}
+	}
+	if refiled[hotBlock] == kws[hotBlock] {
+		t.Fatalf("%q has one run", pat)
+	}
+	ungeneric[hotBlock] = kwSpan{}
+	whole, hot := build(kws, all), build(kws, hotSet)
+	// twice is whole with the rule the second filing state files replaced by
+	// the rule the first one files.
+	twice := slices.Clone(whole)
+	at := firstOutputs(t, twice, len(rules), crc)
+	copy(twice[at[1]:at[1]+4], twice[at[0]:at[0]+4])
 
-	// The pristine pair attaches.
-	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, cold); err != nil {
-		t.Fatalf("pristine tier pair refused: %v", err)
+	if _, err := NewListAttached("v", rules, crc, whole, hot); err != nil {
+		t.Fatalf("pristine pair refused: %v", err)
 	}
-	// Hot paired with itself: every hot ordinal lands in both tiers.
-	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, hot); err == nil {
-		t.Fatal("overlapping tiers accepted")
-	} else if !isCorrupt(err) {
-		t.Fatalf("overlap error %v does not wrap ErrCorrupt", err)
+	if _, err := NewListAttached("v", rules, crc, whole, whole); err != nil {
+		t.Fatalf("a hot region that is the whole one refused: %v", err)
 	}
-	// Cold tier alone as the hot automaton: exceptions vanish from both
-	// tiers (and plenty of blocks are missing too).
-	if _, err := NewListAttached("v", rules, plain.rulesCRC, cold, cold); err == nil {
-		t.Fatal("tiers with missing rules accepted")
-	}
-	// An "exception relegated to cold" compile: build tier automatons by
-	// hand with one exception moved cold.
-	var excOrd = -1
-	kws := selectKeywords(plain.Rules())
-	for ord, r := range plain.Rules() {
-		if r.Kind == KindHTTPException && !kws[ord].none() {
-			excOrd = ord
-			break
+	for name, pair := range map[string][2][]byte{
+		"hot rule absent from the whole automaton": {build(kws, except(all, hotDomainBlock)), hot},
+		"hot rule filed under another run":         {whole, build(refiled, hotSet)},
+		"hot files a rule the whole one has not":   {whole, build(ungeneric, hotSet)},
+		"keyword-less rule not hot":                {whole, build(kws, except(hotSet, generic))},
+		"exception not hot":                        {whole, build(kws, except(hotSet, exception))},
+		"rule in no automaton and not indexable":   {build(kws, except(all, hotBlock)), build(kws, except(hotSet, hotBlock))},
+		"rule filed twice":                         {twice, hot},
+		"rule filed twice, flat":                   {twice, nil},
+		"the hot region alone, as a flat list":     {hot, nil},
+		"the pair the wrong way round":             {hot, whole},
+	} {
+		_, err := NewListAttached("v", rules, crc, pair[0], pair[1])
+		if corruptReason(err) != "tier-invalid" || !isCorrupt(err) {
+			t.Errorf("%s: err = %v, want tier-invalid", name, err)
 		}
 	}
-	if excOrd < 0 {
-		t.Fatal("bench rules carry no keyworded exception")
+	// What the index can serve, the whole region may leave out — of both.
+	if _, err := NewListAttached("v", rules, crc, build(kws, except(all, hotDomainBlock)), build(kws, except(hotSet, hotDomainBlock))); err != nil {
+		t.Fatalf("pair without a rule the index serves refused: %v", err)
 	}
-	n := len(plain.Rules())
-	hotM, coldM := make([]bool, n), make([]bool, n)
-	for ord, r := range plain.Rules() {
-		if !r.IsHTTP() {
-			continue
-		}
-		if ord == excOrd {
-			coldM[ord] = true
-		} else {
-			hotM[ord] = true
-		}
-	}
-	badHot := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hotM)
-	badCold := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, coldM)
-	if _, err := NewListAttached("v", rules, plain.rulesCRC, badHot.Bytes(), badCold.Bytes()); err == nil {
-		t.Fatal("cold exception accepted")
-	} else if !isCorrupt(err) {
-		t.Fatalf("cold-exception error %v does not wrap ErrCorrupt", err)
-	}
+}
 
-	// Half a tier pair is corrupt, as a region and as a snapshot: the hot
-	// automaton alone does not hold every rule, so it cannot pass for a flat
-	// list's.
-	if _, err := NewListAttached("v", rules, plain.rulesCRC, hot, nil); err == nil {
-		t.Fatal("hot tier alone accepted as a flat list")
-	} else if !isCorrupt(err) {
-		t.Fatalf("hot-alone error %v does not wrap ErrCorrupt", err)
-	}
-	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{tiered}})
+// TestIsHotRuleRange: an ordinal outside the list — -1 is DecideHits' no-match
+// — is hot on neither kind of list; inside it, every rule of a flat list is.
+func TestIsHotRuleRange(t *testing.T) {
+	last, err := Parse("/ad/$domain=a.example")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseListsSnapshot(reframe(t, data, without("automaton.cold.0"))); err == nil {
-		t.Fatal("half a tier pair accepted")
-	} else if !isCorrupt(err) {
-		t.Fatalf("half-pair error %v does not wrap ErrCorrupt", err)
+	flat := NewList("r", append(benchRules(10), last))
+	tiered := flat.CompileTiered(func(ord int) bool { return ord == 0 })
+	for _, c := range []struct {
+		ord          int
+		flat, tiered bool
+	}{
+		{-1, false, false},
+		{-1 << 40, false, false},
+		{0, true, true},  // kept
+		{1, true, false}, // a block nothing kept
+		{2, true, false}, // an element-hiding rule: no lookup consults it
+		{3, true, true},  // an exception
+		{10, true, true}, // no run, a page domain: served from the index
+		{11, false, false},
+		{1 << 40, false, false},
+	} {
+		if got := flat.IsHotRule(c.ord); got != c.flat {
+			t.Errorf("flat.IsHotRule(%d) = %v, want %v", c.ord, got, c.flat)
+		}
+		if got := tiered.IsHotRule(c.ord); got != c.tiered {
+			t.Errorf("tiered.IsHotRule(%d) = %v, want %v", c.ord, got, c.tiered)
+		}
 	}
 }
 

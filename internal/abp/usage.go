@@ -142,13 +142,12 @@ func (l *List) RecordUsage(ord int) {
 	}
 }
 
-// recordProbe counts a probe (with probes 0, the second stage of one) and the
-// candidates it handed to verification. Like RecordUsage, a nil check when
-// usage is disabled.
-func (l *List) recordProbe(probes, candidates int) {
+// recordProbe counts a probe and the candidates it handed to verification.
+// Like RecordUsage, a nil check when usage is disabled.
+func (l *List) recordProbe(candidates int) {
 	if u := l.usage; u != nil {
 		b := u.bank()
-		b[u.rules].Add(uint64(probes))
+		b[u.rules].Add(1)
 		b[u.rules+1].Add(uint64(candidates))
 	}
 }

@@ -102,7 +102,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	bad := append([]byte(nil), payload...)
-	mark := strings.Index(string(bad), artifact.SectionPrefix+"v1 name=automaton.hot.0 ")
+	mark := strings.Index(string(bad), artifact.SectionPrefix+"v1 name=automaton.0 ")
 	hdrEnd := mark + strings.IndexByte(string(bad[mark:]), '\n') + 1
 	bad[hdrEnd+16+8] ^= 0x01
 	if err := os.WriteFile(listsPath, artifact.Seal(bad), 0o644); err != nil {
@@ -195,7 +195,7 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 				t.Fatalf("%s/%s: tiered=%v, want %v", name, l.Name, l.Tiered(), wantTiered)
 			}
 			if wantTiered {
-				inside(name+"/"+l.Name+"/cold", l.ColdAutomatonBytes(), st.raw)
+				inside(name+"/"+l.Name+"/hot", l.HotAutomatonBytes(), st.raw)
 			}
 		}
 	}

@@ -159,9 +159,9 @@ dashboard() {
 # no 5xx; the reload must show in the log); then, the server quiet, a pass
 # whose usage ledger and one whose analytics ledger must reconcile to the
 # unit; the live dashboard over /admin/analytics; /admin/usage compacted
-# into a tiered snapshot that a second server serves clean; the schema-4
-# snapshot an older build wrote (internal/abp/testdata) converted by
-# adwars-compact and served clean by a third; all three drain cleanly; and
+# into a tiered snapshot that a second server serves clean; the schema-4 and
+# the tiered schema-5 snapshot older builds wrote (internal/abp/testdata) each
+# converted by adwars-compact and served clean by another; all drain cleanly; and
 # the drain flushed the analytics spill, which the dashboard renders again
 # from disk.
 scenario_serve() {
@@ -192,15 +192,18 @@ scenario_serve() {
     load "tiered snapshot does not serve clean" \
         -target "http://$(addr tiered)" -duration 1s -concurrency 2 -check ledger,usage
 
-    say "converting a schema-4 snapshot..."
-    mkdir -p "$W/converted"
-    "$BIN/adwars-compact" -lists internal/abp/testdata/parent-v4.snapshot \
-        -out "$W/converted/lists.json"
-    start_replica converted
-    "$BIN/adwars-loadgen" -lists "$W/converted/lists.json" \
-        -target "http://$(addr converted)" -duration 1s -concurrency 2 -check ledger \
-        || fail "converted schema-4 snapshot does not serve clean"
-    stop_pid converted tiered main
+    for _old in parent-v4 parent-v5-tiered; do
+        say "converting $_old.snapshot..."
+        mkdir -p "$W/$_old"
+        "$BIN/adwars-compact" -lists "internal/abp/testdata/$_old.snapshot" \
+            -out "$W/$_old/lists.json"
+        start_replica "$_old"
+        "$BIN/adwars-loadgen" -lists "$W/$_old/lists.json" \
+            -target "http://$(addr "$_old")" -duration 1s -concurrency 2 -check ledger \
+            || fail "converted $_old.snapshot does not serve clean"
+        stop_pid "$_old"
+    done
+    stop_pid tiered main
 
     ls "$W/spill"/analytics-*.jsonl >/dev/null 2>&1 \
         || fail "no analytics spill files after drain"
