@@ -54,7 +54,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 26453
+LOC_CEILING = 26622
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -105,9 +105,13 @@ bench-smoke:
 # json.Unmarshal is what runs), and the response encoder writes any text as
 # json.Encoder does. Then ten seconds of FuzzGlobMatch: the glob that jumps
 # to the next byte its pattern can resume at answers as the loop that retries
-# every offset. Last, ten seconds of FuzzGuard: whenever a rule's pattern
+# every offset. Then ten seconds of FuzzGuard: whenever a rule's pattern
 # matches a URL, each of its runs occurs there somewhere its guard admits —
-# what lets the scan drop an occurrence out of context.
+# what lets the scan drop an occurrence out of context. Last, ten seconds of
+# FuzzOpenSections: the one-pass sectioned reader accepts and refuses what
+# Open followed by the old two-pass section walk did, for the same reason,
+# and returns the same sections and version. Its seeds are whole sealed
+# files, hence the cap.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
@@ -118,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchQueryDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzGlobMatch -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzGuard -fuzztime 10s ./internal/abp
+	$(GO) test -run '^$$' -fuzz FuzzOpenSections -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
 
 # smoke runs the serving stack as real processes: scripts/smoke.sh builds
 # the binaries and freezes the snapshots once, then runs its scenarios in

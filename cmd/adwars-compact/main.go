@@ -107,11 +107,7 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := artifact.Open(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	primary, sections, err := artifact.SplitSections(payload)
+	primary, sections, _, err := artifact.OpenSections(data)
 	if err != nil {
 		return nil, 0, err
 	}

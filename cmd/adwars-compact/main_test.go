@@ -31,11 +31,7 @@ func section(t *testing.T, path, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := artifact.Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, secs, err := artifact.SplitSections(payload)
+	_, secs, _, err := artifact.OpenSections(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,6 +157,22 @@ func BenchmarkGlobPathological(b *testing.B) {
 	}
 }
 
+// BenchmarkParseList measures ParseList over 70 k easyShaped lines, a
+// deployed list's size: the line loop, one chunk per core — what the update
+// cycle pays to read the published text, and the loader to read it back.
+func BenchmarkParseList(b *testing.B) {
+	lines, _ := easyShaped(1, 70_000, 0)
+	body := strings.Join(lines, "\n")
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, errs := ParseList(body); len(errs) > 0 {
+			b.Fatal(errs[0])
+		}
+	}
+}
+
 // BenchmarkParseRule measures single-rule parsing.
 func BenchmarkParseRule(b *testing.B) {
 	lines := []string{

@@ -3,7 +3,9 @@ package abp
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // Parse errors returned for malformed lines. Callers that ingest whole lists
@@ -237,36 +239,99 @@ func (r *Rule) parseOptions(opts string) error {
 // rules of one call share two allocations (see parseLines), so keeping one
 // of them keeps them all.
 func ParseList(body string) (rules []*Rule, errs []error) {
-	return parseLines(body, false)
+	chunks, lines := cutLines(body)
+	return parseLines(chunks, lines, false)
+}
+
+// parallelLines is the body size, in lines, from which cutLines gives every
+// core a chunk: below it a parse takes about a millisecond.
+const parallelLines = 4096
+
+// lineChunk is a contiguous run of a body's lines, text without its last
+// newline, and what parsing it left: n rules, filed from index first on, and
+// its errors in line order.
+type lineChunk struct {
+	text         string
+	first, lines int
+	n            int
+	errs         []error
+}
+
+// cutLines cuts body at line boundaries into GOMAXPROCS chunks about equal
+// in bytes, one below parallelLines lines, and counts each chunk's lines:
+// the one count of body's lines, returned beside the chunks.
+func cutLines(body string) (chunks []lineChunk, lines int) {
+	workers := runtime.GOMAXPROCS(0)
+	size := len(body)/workers + 1
+	chunks = make([]lineChunk, 0, workers)
+	for rest, last := body, false; !last; {
+		c := lineChunk{text: rest, first: lines}
+		last = true
+		if len(chunks) < workers-1 && len(rest) > size {
+			if i := strings.IndexByte(rest[size:], '\n'); i >= 0 {
+				c.text, rest, last = rest[:size+i], rest[size+i+1:], false
+			}
+		}
+		c.lines = strings.Count(c.text, "\n") + 1
+		lines += c.lines
+		chunks = append(chunks, c)
+	}
+	if lines < parallelLines {
+		chunks = append(chunks[:0], lineChunk{text: body, lines: lines})
+	}
+	return chunks, lines
 }
 
 // parseLines is the line loop under ParseList and under the snapshot
-// loader: every line of body, split at '\n', through Rule.parse. The rules
-// and their URL matchers are two arrays sized from the line count — one
-// slab per list, not two allocations per rule. Run strict, it is the
-// loader's rule: every line is a rule, so the first line that is blank, a
-// comment or malformed is the one error returned, and no rules with it.
-func parseLines(body string, strict bool) (rules []*Rule, errs []error) {
-	lines := strings.Count(body, "\n") + 1
-	rules = make([]*Rule, 0, lines)
+// loader: every line through Rule.parse, each chunk after the first on a
+// goroutine of its own. The rules and their URL matchers are two arrays
+// sized from the line count — one slab per list, not two allocations per
+// rule — each chunk filling its own range; rules and errors are joined in
+// chunk order. Run strict, it is the loader's rule: every line is a rule, so
+// the earliest line that is blank, a comment or malformed is the one error
+// returned, and no rules with it.
+func parseLines(chunks []lineChunk, lines int, strict bool) (rules []*Rule, errs []error) {
+	all := make([]*Rule, lines)
 	slab := make([]Rule, lines)
 	matchers := make([]urlMatcher, lines)
-	for rest, more := body, true; more; {
-		var line string
-		line, rest, more = strings.Cut(rest, "\n")
-		r := &slab[len(rules)]
-		err := r.parse(line, &matchers[len(rules)])
-		if err == nil {
-			rules = append(rules, r)
-			continue
-		}
-		*r = Rule{}
-		if strict || !errors.Is(err, ErrEmptyLine) && !errors.Is(err, ErrCommentLine) {
-			errs = append(errs, fmt.Errorf("line %q: %w", line, err))
-			if strict {
-				return nil, errs
+	parse := func(c *lineChunk) {
+		for rest, more := c.text, true; more; {
+			var line string
+			line, rest, more = strings.Cut(rest, "\n")
+			at := c.first + c.n
+			err := slab[at].parse(line, &matchers[at])
+			if err == nil {
+				all[at] = &slab[at]
+				c.n++
+				continue
+			}
+			slab[at] = Rule{}
+			if strict || !errors.Is(err, ErrEmptyLine) && !errors.Is(err, ErrCommentLine) {
+				c.errs = append(c.errs, fmt.Errorf("line %q: %w", line, err))
+				if strict {
+					return
+				}
 			}
 		}
 	}
-	return rules, errs
+	var wg sync.WaitGroup
+	for i := 1; i < len(chunks); i++ {
+		wg.Add(1)
+		go func(c *lineChunk) {
+			defer wg.Done()
+			parse(c)
+		}(&chunks[i])
+	}
+	parse(&chunks[0])
+	wg.Wait()
+	n := 0
+	for _, c := range chunks {
+		if strict && len(c.errs) > 0 {
+			return nil, c.errs
+		}
+		n += copy(all[n:], all[c.first:c.first+c.n])
+		errs = append(errs, c.errs...)
+	}
+	clear(all[n:])
+	return all[:n], errs
 }

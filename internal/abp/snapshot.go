@@ -138,7 +138,7 @@ func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 		}
 		headers[i] = listHeader{Name: l.Name, Rules: len(l.rules)}
 		sections = append(sections,
-			artifact.Section{Name: sectionName(rulesSection, i), Data: text},
+			artifact.Section{Name: sectionName(rulesSection, i), Data: text, CRC: l.rulesCRC},
 			artifact.Section{Name: sectionName(wholeSection, i), Data: l.AutomatonBytes()})
 		if l.Tiered() {
 			sections = append(sections, artifact.Section{Name: sectionName(hotSection, i), Data: l.HotAutomatonBytes()})
@@ -180,11 +180,7 @@ func sectionName(kind string, i int) string { return kind + "." + strconv.Itoa(i
 // lists' rules and automata alias data, which the caller must therefore keep
 // unmodified for as long as the lists, or any rule of them, are in use.
 func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
-	payload, version, err := artifact.OpenVersion(data)
-	if err != nil {
-		return nil, fmt.Errorf("abp: lists snapshot: %w", err)
-	}
-	primary, sections, err := artifact.SplitSections(payload)
+	primary, sections, version, err := artifact.OpenSections(data)
 	if err != nil {
 		return nil, fmt.Errorf("abp: lists snapshot: %w", err)
 	}
@@ -270,13 +266,18 @@ func ParseRulesSection(text []byte, want int) ([]*Rule, error) {
 	if len(text) > 0 && text[len(text)-1] != '\n' {
 		return nil, sectionMalformed("rules section does not end in a newline")
 	}
-	if lines := bytes.Count(text, []byte{'\n'}); lines != want {
+	var chunks []lineChunk
+	lines := 0
+	if len(text) > 0 {
+		chunks, lines = cutLines(textView(text[:len(text)-1]))
+	}
+	if lines != want {
 		return nil, sectionMalformed("rules section holds %d lines, header says %d rules", lines, want)
 	}
-	if len(text) == 0 {
+	if lines == 0 {
 		return nil, nil
 	}
-	rules, errs := parseLines(textView(text[:len(text)-1]), true)
+	rules, errs := parseLines(chunks, lines, true)
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}

@@ -54,11 +54,7 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 // ones (a name twice is refused; the parent kept the last).
 func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 	t.Helper()
-	payload, err := artifact.Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, secs, err := artifact.SplitSections(payload)
+	primary, secs, _, err := artifact.OpenSections(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +111,7 @@ func FuzzReadListsSnapshot(f *testing.F) {
 			f.Add(seed, uint8(0), uint32(0), []byte(nil))
 		}
 		// Inside every section: its header stomped, and its middle.
-		payload, _ := artifact.Open(file)
-		_, secs, _ := artifact.SplitSections(payload)
+		_, secs, _, _ := artifact.OpenSections(file)
 		for k, s := range secs {
 			f.Add(file, uint8(k), uint32(0), bytes.Repeat([]byte{0xff}, 8))
 			f.Add(file, uint8(k), uint32(len(s.Data)/2), []byte{0, 0, 0, 0, 1, 0, 0, 0})
@@ -156,8 +151,9 @@ func FuzzReadListsSnapshot(f *testing.F) {
 			}
 		}
 		load(data, assertMatchesOracle)
-		load(artifact.Seal(payload), assertMatchesOracle)
-		if primary, secs, err := artifact.SplitSections(payload); err == nil && len(secs) > 0 && len(patch) > 0 {
+		resealed := artifact.Seal(payload)
+		load(resealed, assertMatchesOracle)
+		if primary, secs, _, err := artifact.OpenSections(resealed); err == nil && len(secs) > 0 && len(patch) > 0 {
 			p := bytes.Clone(primary)
 			assert := assertNoInventedHit
 			for k, s := range secs {

@@ -45,8 +45,7 @@ func TestRulesSectionKeepsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := artifact.Open(data)
-	_, secs, err := artifact.SplitSections(payload)
+	_, secs, _, err := artifact.OpenSections(data)
 	if err != nil || len(secs) != 7 {
 		t.Fatalf("%d sections (err %v), want 7", len(secs), err)
 	}
@@ -200,8 +199,7 @@ func TestRulesSectionCRCIsRulesChecksum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, _ := artifact.Open(data)
-		_, secs, err := artifact.SplitSections(payload)
+		_, secs, _, err := artifact.OpenSections(data)
 		if err != nil || secs[0].Name != "rules.0" {
 			t.Fatalf("round %d: %v", round, err)
 		}

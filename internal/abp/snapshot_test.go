@@ -266,7 +266,7 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 
 	t.Run("bit flip in section, resealed", func(t *testing.T) {
 		// Every section in turn: its own frame checksum is all that sees it.
-		_, secs, err := artifact.SplitSections(payload)
+		_, secs, _, err := artifact.OpenSections(data)
 		if err != nil || len(secs) != 2 {
 			t.Fatalf("%d sections, err %v", len(secs), err)
 		}
@@ -324,11 +324,7 @@ func reframe(t *testing.T, file []byte, edit func(artifact.Section) []artifact.S
 // reframeUnder is reframe with the header document edited too.
 func reframeUnder(t *testing.T, file []byte, header func([]byte) []byte, edit func(artifact.Section) []artifact.Section) []byte {
 	t.Helper()
-	payload, err := artifact.Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, secs, err := artifact.SplitSections(payload)
+	primary, secs, _, err := artifact.OpenSections(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +544,7 @@ func parentV4AsCurrent(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := artifact.Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, secs, err := artifact.SplitSections(payload)
+	primary, secs, _, err := artifact.OpenSections(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,8 +658,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if got, err := artifact.Version(data); err != nil || got != c.want {
 			t.Errorf("%s snapshot: version %s (err %v), pinned %s", c.name, got, err, c.want)
 		}
-		payload, _ := artifact.Open(data)
-		_, secs, err := artifact.SplitSections(payload)
+		_, secs, _, err := artifact.OpenSections(data)
 		if err != nil || len(secs) != len(c.sections) {
 			t.Fatalf("%s snapshot: %d sections (err %v), want %d", c.name, len(secs), err, len(c.sections))
 		}

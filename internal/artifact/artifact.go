@@ -14,6 +14,8 @@
 // An artifact is sealed or it is refused: Open reports input without a
 // trailer as corrupt ("missing-trailer"), so a file whose trailer was cut
 // off is caught here and no format owner checks for it again.
+// A payload with binary sections (section.go) opens with OpenSections,
+// which verifies the same trailer in the pass that frames and sums them.
 package artifact
 
 import (
@@ -67,6 +69,47 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // trailer.
 func Checksum(payload []byte) uint64 { return crc64.Checksum(payload, crcTable) }
 
+// crcZeros[k] appends 2^k zero bytes to a CRC-64 register: x^(8·2^k) mod
+// the ECMA polynomial, in the bit-reflected form crc64 keeps (bit 63 is x^0).
+// Forty-eight of them reach any length below 2^48 bytes.
+var crcZeros = func() (ops [48]uint64) {
+	ops[0] = 1 << (63 - 8)
+	for k := 1; k < len(ops); k++ {
+		ops[k] = crcMulMod(ops[k-1], ops[k-1])
+	}
+	return ops
+}()
+
+// crcMulMod multiplies two polynomials modulo the ECMA polynomial, both in
+// crc64's reflected form.
+func crcMulMod(a, b uint64) (p uint64) {
+	for m := uint64(1) << 63; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				break
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc64.ECMA
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crcCombine returns Checksum(A‖B) from a = Checksum(A), b = Checksum(B)
+// and n = len(B), reading neither: a advanced over n zero bytes, b added in.
+func crcCombine(a, b uint64, n int) uint64 {
+	for k := 0; n > 0; k, n = k+1, n>>1 {
+		if n&1 != 0 {
+			a = crcMulMod(crcZeros[k], a)
+		}
+	}
+	return a ^ b
+}
+
 // trailerBound is more than any trailer line takes: the prefix, "v1", a
 // 19-digit length, 16 hex digits and the field names come to 70 bytes.
 const trailerBound = 96
@@ -75,13 +118,14 @@ const trailerBound = 96
 // The payload should end with '\n' (JSON encoders do); if it does not, a
 // newline is inserted so the trailer stays on its own line.
 func Seal(payload []byte) []byte {
-	return appendTrailer(append(make([]byte, 0, len(payload)+trailerBound), payload...))
+	return appendTrailer(append(make([]byte, 0, len(payload)+trailerBound), payload...), Checksum(payload))
 }
 
-// appendTrailer is Seal in place: the trailer goes behind payload in
-// payload's own backing array when that has the room.
-func appendTrailer(payload []byte) []byte {
-	n, crc := len(payload), Checksum(payload)
+// appendTrailer is Seal in place, given crc, the payload's checksum: the
+// trailer goes behind payload in payload's own backing array when that has
+// the room.
+func appendTrailer(payload []byte, crc uint64) []byte {
+	n := len(payload)
 	if n > 0 && payload[n-1] != '\n' {
 		payload = append(payload, '\n')
 	}
@@ -101,16 +145,30 @@ func Open(data []byte) (payload []byte, err error) {
 // the artifact's content version — the trailer's CRC, once the payload has
 // verified against it.
 func OpenVersion(data []byte) (payload []byte, version string, err error) {
+	payload, want, err := trailerFrame(data)
+	if err != nil {
+		return nil, "", err
+	}
+	if got := Checksum(payload); got != want {
+		return nil, "", payloadMismatch(got, want)
+	}
+	return payload, fmt.Sprintf("%016x", want), nil
+}
+
+// trailerFrame is everything OpenVersion checks but the checksum: that data
+// ends in a well-formed trailer that frames the bytes before it. It returns
+// the payload so framed and the CRC the trailer states for it.
+func trailerFrame(data []byte) (payload []byte, crc uint64, err error) {
 	line, start := lastLine(data)
 	if !strings.HasPrefix(line, TrailerPrefix) {
-		return nil, "", &CorruptError{
+		return nil, 0, &CorruptError{
 			Reason: "missing-trailer",
 			Detail: "no integrity trailer (unsealed or truncated?)",
 		}
 	}
-	wantLen, wantCRC, err := parseTrailer(line)
+	wantLen, crc, err := parseTrailer(line)
 	if err != nil {
-		return nil, "", err
+		return nil, 0, err
 	}
 	payload = data[:start]
 	// The trailer states the exact payload length Seal saw; Seal only adds
@@ -121,18 +179,19 @@ func OpenVersion(data []byte) (payload []byte, version string, err error) {
 	case len(payload) == wantLen+1 && payload[wantLen] == '\n':
 		payload = payload[:wantLen]
 	default:
-		return nil, "", &CorruptError{
+		return nil, 0, &CorruptError{
 			Reason: "length-mismatch",
 			Detail: fmt.Sprintf("trailer framed %d payload bytes, found %d (torn write?)", wantLen, len(payload)),
 		}
 	}
-	if got := Checksum(payload); got != wantCRC {
-		return nil, "", &CorruptError{
-			Reason: "checksum-mismatch",
-			Detail: fmt.Sprintf("payload crc64 %016x, trailer says %016x (bit rot?)", got, wantCRC),
-		}
+	return payload, crc, nil
+}
+
+func payloadMismatch(got, want uint64) error {
+	return &CorruptError{
+		Reason: "checksum-mismatch",
+		Detail: fmt.Sprintf("payload crc64 %016x, trailer says %016x (bit rot?)", got, want),
 	}
-	return payload, fmt.Sprintf("%016x", wantCRC), nil
 }
 
 // Version derives the content version of an artifact: the CRC64 of its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,11 +189,7 @@ func TestSealSections(t *testing.T) {
 			t.Errorf("%d sections: buffer regrown: cap %d, sized %d", len(secs), cap(got), size)
 		}
 		// What comes back carries the checksum that was verified.
-		payload, err := Open(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, split, err := SplitSections(payload)
+		_, split, _, err := OpenSections(got)
 		if err != nil || len(split) != len(secs) {
 			t.Fatalf("%d sections: split into %d (err %v)", len(secs), len(split), err)
 		}
@@ -204,16 +201,63 @@ func TestSealSections(t *testing.T) {
 	}
 }
 
-// TestSplitSectionsRefusesWrappingLength: a header may claim any length an
+// TestOpenSectionsRefusesWrappingLength: a header may claim any length an
 // int holds; one that would wrap the end offset is a length mismatch like
 // any other, not an index out of range.
-func TestSplitSectionsRefusesWrappingLength(t *testing.T) {
+func TestOpenSectionsRefusesWrappingLength(t *testing.T) {
 	for _, length := range []string{"9223372036854775807", "9223372036854775700", "4"} {
 		payload := []byte("{}\n" + SectionPrefix + "v1 name=x len=" + length + " pad=0 crc64=0000000000000000\nabc\n")
-		_, _, err := SplitSections(payload)
+		_, _, _, err := OpenSections(Seal(payload))
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Reason != "section-length-mismatch" {
 			t.Errorf("len=%s: err = %v, want section-length-mismatch", length, err)
+		}
+	}
+}
+
+// TestSealSectionsTrustsGivenCRC: a CRC the writer hands SealSections is
+// written into the header and folded into the trailer unchecked — which is
+// safe only because a wrong one yields a file no reader accepts. The file
+// sealed with the right CRC given is the one sealed with none.
+func TestSealSectionsTrustsGivenCRC(t *testing.T) {
+	primary := []byte("{\"doc\":true}\n")
+	data := bytes.Repeat([]byte("||ads.example^\n"), 100)
+	right := SealSections(primary, []Section{{Name: "rules.0", Data: data}})
+	if given := SealSections(primary, []Section{{Name: "rules.0", Data: data, CRC: Checksum(data)}}); !bytes.Equal(given, right) {
+		t.Fatal("sealing with the right CRC given differs from sealing with none")
+	}
+	for _, crc := range []uint64{Checksum(data) ^ 1, Checksum(data[1:]), 0xdeadbeef} {
+		sealed := SealSections(primary, []Section{
+			{Name: "automaton.0", Data: []byte("automaton bytes")},
+			{Name: "rules.0", Data: data, CRC: crc},
+		})
+		var ce *CorruptError
+		if _, secs, v, err := OpenSections(sealed); !errors.As(err, &ce) || ce.Reason != "checksum-mismatch" || secs != nil || v != "" {
+			t.Errorf("crc %016x: OpenSections = (%d sections, %q, %v), want checksum-mismatch", crc, len(secs), v, err)
+		}
+		if p, err := Open(sealed); !errors.As(err, &ce) || ce.Reason != "checksum-mismatch" || p != nil {
+			t.Errorf("crc %016x: Open = %v, want checksum-mismatch", crc, err)
+		}
+	}
+}
+
+// TestCombine: crcCombine(Checksum(A), Checksum(B), len(B)) is
+// Checksum(A‖B) for random splits of random data, with A or B empty and
+// with B past a megabyte, so every one of the zero operators a length that
+// size needs is exercised.
+func TestCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 3<<20)
+	rng.Read(data)
+	cuts := [][2]int{{0, 0}, {0, 1}, {1, 1}, {0, 1 << 20}, {1 << 20, 1 << 20}, {5, len(data)}, {0, len(data)}, {len(data), len(data)}}
+	for i := 0; i < 40; i++ {
+		end := rng.Intn(len(data) + 1)
+		cuts = append(cuts, [2]int{rng.Intn(end + 1), end})
+	}
+	for _, c := range cuts {
+		a, b := data[:c[0]], data[c[0]:c[1]]
+		if got, want := crcCombine(Checksum(a), Checksum(b), len(b)), Checksum(data[:c[1]]); got != want {
+			t.Errorf("len(A) %d, len(B) %d: combined %016x, Checksum(A‖B) %016x", len(a), len(b), got, want)
 		}
 	}
 }
@@ -250,6 +294,48 @@ func TestWriteFileAtomic(t *testing.T) {
 	for _, e := range entries {
 		if e.Name() != "snap.json" && e.Name() != "blocked" {
 			t.Errorf("failed write left %q behind", e.Name())
+		}
+	}
+}
+
+// benchSections is a payload the size of the benchmark's tiered snapshot,
+// ≈ 5 MB in three sections: 2 MB of rule text, whose CRC the writer holds,
+// and two binary regions it does not.
+func benchSections() (primary []byte, sections []Section) {
+	rng := rand.New(rand.NewSource(1))
+	text := bytes.Repeat([]byte("||ads.example^$third-party\n"), 2<<20/27)
+	whole, hot := make([]byte, 2600<<10), make([]byte, 660<<10)
+	rng.Read(whole)
+	rng.Read(hot)
+	return []byte(`{"format":"adwars-lists","version":6}` + "\n"), []Section{
+		{Name: "rules.0", Data: text, CRC: Checksum(text)},
+		{Name: "automaton.0", Data: whole},
+		{Name: "automaton.hot.0", Data: hot},
+	}
+}
+
+// BenchmarkSealSections measures sealing that payload: the binary regions
+// summed once, the rule text not at all, the trailer derived.
+func BenchmarkSealSections(b *testing.B) {
+	primary, sections := benchSections()
+	b.SetBytes(int64(len(SealSections(primary, sections))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SealSections(primary, sections)
+	}
+}
+
+// BenchmarkOpenSections measures opening it: every section framed and
+// summed once, the trailer checked against the folded sums.
+func BenchmarkOpenSections(b *testing.B) {
+	file := SealSections(benchSections())
+	b.SetBytes(int64(len(file)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := OpenSections(file); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

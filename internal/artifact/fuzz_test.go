@@ -3,19 +3,24 @@ package artifact
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
-// knownReasons is the closed set of CorruptError reason tags; the fuzz
-// target asserts corruption never reports outside it, so downstream
-// consumers (the serve reload path, the control plane) can switch on the
-// tag safely.
+// knownReasons is the closed set of CorruptError reason tags: the four the
+// trailer reports and the three a section frame does. The fuzz targets
+// assert corruption never reports outside it, so downstream consumers (the
+// serve reload path, the control plane) can switch on the tag safely.
 var knownReasons = map[string]bool{
-	"trailer-malformed": true,
-	"length-mismatch":   true,
-	"checksum-mismatch": true,
-	"missing-trailer":   true,
+	"trailer-malformed":         true,
+	"length-mismatch":           true,
+	"checksum-mismatch":         true,
+	"missing-trailer":           true,
+	"section-malformed":         true,
+	"section-length-mismatch":   true,
+	"section-checksum-mismatch": true,
 }
 
 // FuzzParseTrailer drives Open (and through it parseTrailer) with
@@ -90,6 +95,204 @@ func FuzzParseTrailer(f *testing.F) {
 		v2, err := Version(resealed)
 		if err != nil || v1 != v2 {
 			t.Fatalf("version changed across reseal: %q → %q (err %v)", v1, v2, err)
+		}
+	})
+}
+
+// splitTwoPass is the section reader OpenSections replaced, verbatim but for
+// its name: run on the payload Open returns, it re-reads every section byte
+// the whole-payload check has just summed. FuzzOpenSections holds the
+// one-pass reader to it.
+func splitTwoPass(payload []byte) (primary []byte, sections []Section, err error) {
+	var p int
+	if bytes.HasPrefix(payload, []byte(SectionPrefix)) {
+		p = 0
+	} else if i := bytes.Index(payload, sectionMark); i >= 0 {
+		p = i + 1
+	} else {
+		return payload, nil, nil
+	}
+	primary = payload[:p]
+	for p < len(payload) {
+		if !bytes.HasPrefix(payload[p:], []byte(SectionPrefix)) {
+			return nil, nil, Corruptf("section-malformed",
+				"expected section header at payload offset %d", p)
+		}
+		nl := bytes.IndexByte(payload[p:], '\n')
+		if nl < 0 {
+			return nil, nil, Corruptf("section-malformed",
+				"unterminated section header at payload offset %d", p)
+		}
+		name, length, pad, crc, perr := parseSectionHeader(string(payload[p : p+nl]))
+		if perr != nil {
+			return nil, nil, perr
+		}
+		start := p + nl + 1 + pad
+		// Compared this way round, a length near the top of int cannot wrap.
+		if length > len(payload)-start-1 {
+			return nil, nil, Corruptf("section-length-mismatch",
+				"section %q frames %d data bytes, payload has %d left (torn write?)",
+				name, length, len(payload)-start)
+		}
+		for _, b := range payload[p+nl+1 : start] {
+			if b != 0 {
+				return nil, nil, Corruptf("section-malformed",
+					"section %q has non-zero padding", name)
+			}
+		}
+		end := start + length
+		data := payload[start:end]
+		if got := Checksum(data); got != crc {
+			return nil, nil, Corruptf("section-checksum-mismatch",
+				"section %q data crc64 %016x, header says %016x (bit rot?)", name, got, crc)
+		}
+		if payload[end] != '\n' {
+			return nil, nil, Corruptf("section-malformed",
+				"section %q data not newline-terminated", name)
+		}
+		sections = append(sections, Section{Name: name, Data: data, CRC: crc})
+		p = end + 1
+	}
+	return primary, sections, nil
+}
+
+// tieredSnapshot is a sealed file in the shape of a three-list tiered lists
+// snapshot (abp cannot be imported here): the header document, then per
+// list rules.<i> — rule lines, sealed with their CRC given, as the lists
+// writer seals them — automaton.<i> and automaton.hot.<i>, binary regions
+// that hold newlines, zero bytes and text that reads like a header. Their
+// lengths vary, so the headers carry different pads.
+func tieredSnapshot() (file []byte, sections []Section) {
+	rng := rand.New(rand.NewSource(29))
+	primary := []byte(`{"format":"adwars-lists","version":6,"label":"fuzz","lists":[{"name":"a","rules":3},{"name":"b","rules":2},{"name":"c","rules":4}]}` + "\n")
+	rules := []string{
+		"||ads.example^\n/detect.js$script\n@@||ok.example/ads.js\n",
+		"example.com###banner\n-ad-300x250.\n",
+		"||a.example^\n||b.example^$third-party\n##.ad\n/x*y|\n",
+	}
+	for i, text := range rules {
+		whole := make([]byte, 200+61*i)
+		rng.Read(whole)
+		copy(whole[17:], "\n"+SectionPrefix+"v1 name=x len=1 pad=0 crc64=0\n")
+		hot := make([]byte, 33+i)
+		rng.Read(hot)
+		hot[3], hot[9] = '\n', 0
+		sections = append(sections,
+			Section{Name: fmt.Sprintf("rules.%d", i), Data: []byte(text), CRC: Checksum([]byte(text))},
+			Section{Name: fmt.Sprintf("automaton.%d", i), Data: whole},
+			Section{Name: fmt.Sprintf("automaton.hot.%d", i), Data: hot})
+	}
+	return SealSections(primary, sections), sections
+}
+
+// FuzzOpenSections holds OpenSections to Open followed by the two-pass
+// section reader: the same accept or refuse, the same CorruptError reason,
+// the same primary, section names, bytes and CRCs, and the same version; and
+// what opens seals again into a file that opens to the same sections. Its
+// seeds are a tiered snapshot and its corruption matrix: a bit flipped in
+// the primary, in a header's length, pad and crc digits, in a pad byte, in
+// each section's data and in the newline after it (each also resealed), and
+// in the trailer's version, length and crc digits; the file cut at every
+// section boundary, as a torn write leaves it and resealed, and inside every
+// section, resealed; and its sections reordered, duplicated and renamed.
+func FuzzOpenSections(f *testing.F) {
+	file, secs := tieredSnapshot()
+	payload, err := Open(file)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	f.Add(Seal(nil))
+	f.Add(Seal([]byte(SectionPrefix + "v1 name=x len=0 pad=0 crc64=0000000000000000\n\n")))
+	// flip adds the file with one bit flipped and, when the bit is in the
+	// payload, that payload sealed afresh: what the trailer catches, and
+	// what only the section frames can.
+	flip := func(at int, bit byte) {
+		b := bytes.Clone(file)
+		b[at] ^= bit
+		f.Add(b)
+		if at < len(payload) {
+			f.Add(Seal(b[:len(payload)]))
+		}
+	}
+	flip(3, 0x01)
+	first := bytes.Index(payload, sectionMark) + 1
+	for _, sec := range secs {
+		h := first + bytes.Index(payload[first:], []byte("name="+sec.Name+" "))
+		line := h + bytes.IndexByte(payload[h:], '\n')
+		for _, field := range []string{"len=", "pad=", "crc64="} {
+			flip(h+bytes.Index(payload[h:line], []byte(field))+len(field), 0x01)
+		}
+		start := bytes.Index(payload, sec.Data)
+		if start > line+1 {
+			flip(line+1, 0x40) // a pad byte
+		}
+		flip(start+len(sec.Data)/2, 0x08)
+		flip(start+len(sec.Data), 0x01) // the newline after the data
+		f.Add(payload[:start+len(sec.Data)+1])
+		f.Add(Seal(payload[:start+len(sec.Data)+1]))
+		f.Add(Seal(payload[:h-len(SectionPrefix)]))
+		f.Add(Seal(payload[:start+len(sec.Data)/2]))
+	}
+	trailer := bytes.LastIndex(file, []byte(TrailerPrefix))
+	for _, field := range []string{"v", "len=", "crc64="} {
+		flip(trailer+bytes.Index(file[trailer:], []byte(" "+field))+1+len(field), 0x01)
+	}
+	frame := func(order ...Section) {
+		p := bytes.Clone(payload[:first])
+		for _, s := range order {
+			p = AppendSection(p, s.Name, s.Data)
+		}
+		f.Add(Seal(p))
+	}
+	frame(secs[2], secs[0], secs[1])
+	frame(secs[0], secs[0], secs[1])
+	frame(Section{Name: "automaton.9", Data: secs[1].Data}, secs[0])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		primary, sections, version, err := OpenSections(data)
+		var wantPrimary []byte
+		var wantSections []Section
+		var wantVersion string
+		payload, wantErr := Open(data)
+		if wantErr == nil {
+			wantPrimary, wantSections, wantErr = splitTwoPass(payload)
+			wantVersion, _ = Version(data)
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("OpenSections err %v, two-pass err %v", err, wantErr)
+		}
+		if err != nil {
+			var ce, want *CorruptError
+			if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) || !knownReasons[ce.Reason] {
+				t.Fatalf("OpenSections error %v is no known CorruptError", err)
+			}
+			if errors.As(wantErr, &want); ce.Reason != want.Reason {
+				t.Fatalf("OpenSections refuses for %q (%v), two-pass for %q (%v)", ce.Reason, err, want.Reason, wantErr)
+			}
+			if primary != nil || sections != nil || version != "" {
+				t.Fatal("a refusal returned a primary, sections or a version")
+			}
+			return
+		}
+		if !bytes.Equal(primary, wantPrimary) || version != wantVersion || len(sections) != len(wantSections) {
+			t.Fatalf("OpenSections = (%q, %d sections, %q), two-pass (%q, %d sections, %q)",
+				primary, len(sections), version, wantPrimary, len(wantSections), wantVersion)
+		}
+		for i, s := range sections {
+			if w := wantSections[i]; s.Name != w.Name || !bytes.Equal(s.Data, w.Data) || s.CRC != w.CRC {
+				t.Fatalf("section %d: %q, %d bytes, crc %016x; two-pass %q, %d bytes, crc %016x",
+					i, s.Name, len(s.Data), s.CRC, w.Name, len(w.Data), w.CRC)
+			}
+		}
+		p2, s2, _, err := OpenSections(SealSections(primary, sections))
+		if err != nil || !bytes.Equal(p2, primary) || len(s2) != len(sections) {
+			t.Fatalf("resealed: %d sections, err %v", len(s2), err)
+		}
+		for i, s := range s2 {
+			if s.Name != sections[i].Name || !bytes.Equal(s.Data, sections[i].Data) || s.CRC != sections[i].CRC {
+				t.Fatalf("resealed section %d differs", i)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"fmt"
+	"hash/crc64"
 	"strconv"
 	"strings"
 )
@@ -28,9 +29,13 @@ import (
 // still finds the primary document.
 //
 // Sections ride inside the sealed payload: the trailer's CRC covers the
-// primary and every section, so a bit flip anywhere is caught by Open
-// before SplitSections ever runs; the per-section CRCs additionally
-// localize damage (and catch it when the caller skips sealing).
+// primary and every section, and each header carries its section's CRC.
+// Each side sums every byte once: the trailer's CRC is the section CRCs
+// folded together with the framing bytes between them (crcCombine). A reader
+// compares the trailer's CRC first, so a bit flip anywhere is
+// "checksum-mismatch" exactly as Open reports it, and the section CRCs second;
+// when a frame is broken there is nothing to fold, and the whole payload is
+// summed instead.
 const (
 	// SectionPrefix starts every section header line.
 	SectionPrefix = "#adwars-section "
@@ -42,10 +47,11 @@ const (
 )
 
 // Section is one framed binary region of an artifact payload. Data
-// aliases the payload it was split from (zero-copy, mmap-preserved) and
-// must not be modified. CRC is Checksum(Data) as SplitSections verified it,
-// for a format owner whose own integrity value is defined over the same
-// bytes; the writers ignore it and sum Data themselves.
+// aliases the payload it was opened from (zero-copy, mmap-preserved) and
+// must not be modified. CRC is Checksum(Data): as OpenSections verified it,
+// or as a writer already holds it (0: SealSections sums Data). SealSections
+// trusts a CRC it is given because it may: the trailer is derived from it,
+// so a wrong one seals a file every reader refuses as "checksum-mismatch".
 type Section struct {
 	Name string
 	Data []byte
@@ -57,6 +63,11 @@ type Section struct {
 // and free of spaces and control characters. The result is meant to be
 // sealed (artifact.Seal) once all sections are appended.
 func AppendSection(payload []byte, name string, data []byte) []byte {
+	return appendSection(payload, name, data, Checksum(data))
+}
+
+// appendSection is AppendSection given crc, the checksum of data.
+func appendSection(payload []byte, name string, data []byte, crc uint64) []byte {
 	if name == "" || strings.ContainsAny(name, " \t\n\r") {
 		panic(fmt.Sprintf("artifact: invalid section name %q", name))
 	}
@@ -68,7 +79,7 @@ func AppendSection(payload []byte, name string, data []byte) []byte {
 	// has a fixed point: compute the header once with pad=0, then set the
 	// real pad from the resulting data offset.
 	header := fmt.Sprintf("%sv%d name=%s len=%d pad=0 crc64=%016x\n",
-		SectionPrefix, SectionVersion, name, len(data), Checksum(data))
+		SectionPrefix, SectionVersion, name, len(data), crc)
 	pad := (sectionAlign - (len(payload)+len(header))%sectionAlign) % sectionAlign
 	if pad != 0 {
 		header = strings.Replace(header, " pad=0 ", fmt.Sprintf(" pad=%d ", pad), 1)
@@ -91,17 +102,25 @@ const sectionBound = 96
 // SealSections returns primary followed by the sections, each framed as
 // AppendSection frames it, and the integrity trailer: what Seal makes of
 // the payload AppendSection builds, in one buffer sized from the section
-// lengths and filled once.
+// lengths and filled once, with each section's data summed at most once.
 func SealSections(primary []byte, sections []Section) []byte {
 	n := len(primary) + trailerBound
 	for _, sec := range sections {
 		n += len(sec.Name) + len(sec.Data) + sectionBound
 	}
 	out := append(make([]byte, 0, n), primary...)
+	// crc is the checksum of out[:summed].
+	crc, summed := Checksum(primary), len(out)
 	for _, sec := range sections {
-		out = AppendSection(out, sec.Name, sec.Data)
+		if sec.CRC == 0 {
+			sec.CRC = Checksum(sec.Data)
+		}
+		out = appendSection(out, sec.Name, sec.Data, sec.CRC)
+		start := len(out) - len(sec.Data) - 1
+		crc = crcCombine(crc64.Update(crc, crcTable, out[summed:start]), sec.CRC, len(sec.Data))
+		summed = start + len(sec.Data)
 	}
-	return appendTrailer(out)
+	return appendTrailer(out, crc64.Update(crc, crcTable, out[summed:]))
 }
 
 // sectionMark locates the first section header: a header line always
@@ -111,63 +130,92 @@ func SealSections(primary []byte, sections []Section) []byte {
 // for, because parsing after the first header is length-directed.
 var sectionMark = []byte("\n" + SectionPrefix)
 
-// SplitSections splits an opened artifact payload into the primary
-// document and its binary sections, verifying each section's frame and
-// checksum. Payloads with no sections return (payload, nil, nil).
-// Callers pass the payload returned by Open, so the whole-file CRC has
-// already been verified; section errors wrap ErrCorrupt all the same for
-// callers that assemble payloads by other means.
-func SplitSections(payload []byte) (primary []byte, sections []Section, err error) {
-	var p int
+// OpenSections is OpenVersion plus the split of the payload into its
+// primary document and binary sections, in one pass over data: each
+// section's data is summed once and the sums are folded into the payload's
+// checksum. A file is refused for the reason Open followed by a walk of the
+// sections would give (see the top of the file). Payloads with no sections
+// return (payload, nil, version, nil). Primary and every Data alias data.
+func OpenSections(data []byte) (primary []byte, sections []Section, version string, err error) {
+	payload, want, err := trailerFrame(data)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	p := len(payload)
 	if bytes.HasPrefix(payload, []byte(SectionPrefix)) {
 		p = 0
 	} else if i := bytes.Index(payload, sectionMark); i >= 0 {
 		p = i + 1
-	} else {
-		return payload, nil, nil
 	}
 	primary = payload[:p]
+	// got is the checksum of payload[:p]; bad reports the first section
+	// whose data does not sum to its header's CRC.
+	got := Checksum(primary)
+	var bad, frameErr error
 	for p < len(payload) {
-		if !bytes.HasPrefix(payload[p:], []byte(SectionPrefix)) {
-			return nil, nil, Corruptf("section-malformed",
-				"expected section header at payload offset %d", p)
+		sec, start, err := frameSection(payload, p)
+		if err != nil {
+			frameErr = err
+			break
 		}
-		nl := bytes.IndexByte(payload[p:], '\n')
-		if nl < 0 {
-			return nil, nil, Corruptf("section-malformed",
-				"unterminated section header at payload offset %d", p)
+		sum := Checksum(sec.Data)
+		got = crcCombine(crc64.Update(got, crcTable, payload[p:start]), sum, len(sec.Data))
+		if sum != sec.CRC && bad == nil {
+			bad = Corruptf("section-checksum-mismatch",
+				"section %q data crc64 %016x, header says %016x (bit rot?)", sec.Name, sum, sec.CRC)
 		}
-		name, length, pad, crc, perr := parseSectionHeader(string(payload[p : p+nl]))
-		if perr != nil {
-			return nil, nil, perr
+		if p = start + len(sec.Data); payload[p] != '\n' {
+			frameErr = Corruptf("section-malformed", "section %q data not newline-terminated", sec.Name)
+			break
 		}
-		start := p + nl + 1 + pad
-		// Compared this way round, a length near the top of int cannot wrap.
-		if length > len(payload)-start-1 {
-			return nil, nil, Corruptf("section-length-mismatch",
-				"section %q frames %d data bytes, payload has %d left (torn write?)",
-				name, length, len(payload)-start)
-		}
-		for _, b := range payload[p+nl+1 : start] {
-			if b != 0 {
-				return nil, nil, Corruptf("section-malformed",
-					"section %q has non-zero padding", name)
-			}
-		}
-		end := start + length
-		data := payload[start:end]
-		if got := Checksum(data); got != crc {
-			return nil, nil, Corruptf("section-checksum-mismatch",
-				"section %q data crc64 %016x, header says %016x (bit rot?)", name, got, crc)
-		}
-		if payload[end] != '\n' {
-			return nil, nil, Corruptf("section-malformed",
-				"section %q data not newline-terminated", name)
-		}
-		sections = append(sections, Section{Name: name, Data: data, CRC: crc})
-		p = end + 1
+		got = crc64.Update(got, crcTable, payload[p:p+1])
+		p++
+		sections = append(sections, sec)
 	}
-	return primary, sections, nil
+	if frameErr != nil {
+		got = Checksum(payload)
+	}
+	switch {
+	case got != want:
+		err = payloadMismatch(got, want)
+	case bad != nil:
+		err = bad
+	case frameErr != nil:
+		err = frameErr
+	default:
+		return primary, sections, fmt.Sprintf("%016x", want), nil
+	}
+	return nil, nil, "", err
+}
+
+// frameSection reads the header of the section at payload[p:] and checks
+// the length and padding it states. It returns the section, with the CRC
+// the header states, and the offset its data starts at.
+func frameSection(payload []byte, p int) (sec Section, start int, err error) {
+	if !bytes.HasPrefix(payload[p:], []byte(SectionPrefix)) {
+		return sec, 0, Corruptf("section-malformed", "expected section header at payload offset %d", p)
+	}
+	nl := bytes.IndexByte(payload[p:], '\n')
+	if nl < 0 {
+		return sec, 0, Corruptf("section-malformed", "unterminated section header at payload offset %d", p)
+	}
+	name, length, pad, crc, err := parseSectionHeader(string(payload[p : p+nl]))
+	if err != nil {
+		return sec, 0, err
+	}
+	start = p + nl + 1 + pad
+	// Compared this way round, a length near the top of int cannot wrap.
+	if length > len(payload)-start-1 {
+		return sec, 0, Corruptf("section-length-mismatch",
+			"section %q frames %d data bytes, payload has %d left (torn write?)",
+			name, length, len(payload)-start)
+	}
+	for _, b := range payload[p+nl+1 : start] {
+		if b != 0 {
+			return sec, 0, Corruptf("section-malformed", "section %q has non-zero padding", name)
+		}
+	}
+	return Section{Name: name, Data: payload[start : start+length], CRC: crc}, start, nil
 }
 
 // parseSectionHeader validates one header line of the form
