@@ -25,10 +25,11 @@
 //
 // Without -usage nothing is tiered: the lists are written back flat. That
 // is the format converter. adwars-serve and every other loader read the
-// current snapshot schema only; this tool reads the older sealed schemas
-// (2 to 5) as well, because all it takes from a file is the rule text — it
-// verifies the seal, compiles the rules afresh and writes the current
-// schema, whichever mode it runs in.
+// current snapshot schema only; this tool reads the one before it (5) as
+// well, because all it takes from a file is the rule text — it verifies the
+// seal, compiles the rules afresh and writes the current schema, whichever
+// mode it runs in. A file two or more schemas old converts through the
+// release whose tool still reads it.
 package main
 
 import (
@@ -48,7 +49,7 @@ import (
 )
 
 func main() {
-	listsPath := flag.String("lists", "", "input lists snapshot (schema 2 to 6)")
+	listsPath := flag.String("lists", "", "input lists snapshot (schema 5 or 6)")
 	usagePath := flag.String("usage", "", "usage dump: /admin/usage JSON file or http(s) URL; omit to convert -lists to the current schema, flat")
 	out := flag.String("out", "", "output path for the snapshot")
 	minHits := flag.Uint64("min-hits", 1, "minimum recorded hits for a rule to stay in the hot tier")
@@ -92,16 +93,15 @@ func run(listsPath, usagePath, out string, minHits uint64, label string) error {
 	return nil
 }
 
-// readLists is the one reader of older snapshot schemas in the tree. All it
-// takes from one is the rule text: the seal is verified, the automaton
-// sections are ignored and the lines are parsed, every one of them a rule.
-// Schemas 2 to 4 keep the lines in the JSON document, as named lists in
-// front of whatever sections that schema had; schema 5 keeps names and
-// counts there and the lines in rules.<i> sections, newline-terminated, as
-// the current one does. The current schema is read by its own loader, every
-// check made. Either way the lists are compiled from the rule text as
-// adwars-lists compiled them, so what is written is flat until tier says
-// otherwise.
+// readLists is the one reader of an older snapshot schema in the tree, and
+// it reads only the schema before the current one. All it takes from that
+// is the rule text: the seal is verified, the automaton sections are ignored
+// and the lines are parsed, every one of them a rule. Schema 5 keeps names
+// and counts in the JSON document and the lines in rules.<i> sections,
+// newline-terminated, as the current one does. The current schema is read by
+// its own loader, every check made. Either way the lists are compiled from
+// the rule text as adwars-lists compiled them, so what is written is flat
+// until tier says otherwise.
 func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -111,7 +111,7 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// Lists waits for the version: schema 5 on counts where the others list.
+	// Lists waits for the version: the current schema's loader reads it.
 	var doc struct {
 		Format  string          `json:"format"`
 		Version int             `json:"version"`
@@ -124,9 +124,9 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 	if doc.Format != abp.ListsSnapshotFormat {
 		return nil, 0, fmt.Errorf("%w: format %q", abp.ErrSnapshotFormat, doc.Format)
 	}
-	if doc.Version < 2 || doc.Version > abp.ListsSnapshotVersion {
-		return nil, 0, fmt.Errorf("%w: version %d (this tool reads 2 to %d)",
-			abp.ErrSnapshotVersion, doc.Version, abp.ListsSnapshotVersion)
+	if doc.Version < abp.ListsSnapshotVersion-1 || doc.Version > abp.ListsSnapshotVersion {
+		return nil, 0, fmt.Errorf("%w: version %d (this tool reads %d and %d)",
+			abp.ErrSnapshotVersion, doc.Version, abp.ListsSnapshotVersion-1, abp.ListsSnapshotVersion)
 	}
 	snap = &abp.ListsSnapshot{Label: doc.Label}
 	if doc.Version == abp.ListsSnapshotVersion {
@@ -147,35 +147,13 @@ func readLists(path string) (snap *abp.ListsSnapshot, schema int, err error) {
 		return nil, 0, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
 	}
 	for i, lj := range lists {
-		var rules []*abp.Rule
-		if doc.Version == 5 {
-			rules, err = sectionRules(sections, "rules."+strconv.Itoa(i), lj.Rules)
-		} else {
-			rules, err = documentRules(lj.Rules)
-		}
+		rules, err := sectionRules(sections, "rules."+strconv.Itoa(i), lj.Rules)
 		if err != nil {
 			return nil, 0, fmt.Errorf("list %q: %w", lj.Name, err)
 		}
 		snap.Lists = append(snap.Lists, abp.NewList(lj.Name, rules))
 	}
 	return snap, doc.Version, nil
-}
-
-// documentRules parses the rule lines schemas 2 to 4 keep in the header.
-func documentRules(raw json.RawMessage) ([]*abp.Rule, error) {
-	var lines []string
-	if err := json.Unmarshal(raw, &lines); err != nil {
-		return nil, fmt.Errorf("%w: %v", abp.ErrSnapshotFormat, err)
-	}
-	rules := make([]*abp.Rule, 0, len(lines))
-	for _, line := range lines {
-		r, err := abp.Parse(line)
-		if err != nil {
-			return nil, fmt.Errorf("rule %q: %w", line, err)
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
 }
 
 // sectionRules parses the named rules section of a schema-5 file, which

@@ -15,11 +15,9 @@ import (
 	"adwars/internal/artifact"
 )
 
-// The fixtures are the two snapshots the parent of PR 14 (b547b05) wrote
-// from one rule set, schema 3 (flat) and schema 4 (tiered), and the two the
-// parent of PR 28 (a8062f5) wrote from benchRules(2000), schema 5 flat and
-// tiered (every fourth rule kept), with what that commit answered from them.
-// No loader reads any of the four any more.
+// The fixtures are the two snapshots the parent of PR 28 (a8062f5) wrote
+// from benchRules(2000), schema 5 flat and tiered (every fourth rule kept),
+// with what that commit answered from them. No loader reads either any more.
 func fixture(name string) string {
 	return filepath.Join("..", "..", "internal", "abp", "testdata", name)
 }
@@ -76,43 +74,6 @@ func assertLinear(t *testing.T, l *abp.List) {
 	}
 	if hit == 0 {
 		t.Fatal("no URL hit any rule: the comparison exercised nothing")
-	}
-}
-
-// TestConvertOlderSchema: the loader refuses both older files by version and
-// says what converts them; converted, each loads flat and answers as the
-// linear scan does. The automaton is compiled afresh, not carried over:
-// b547b05 drew keywords from Unicode-lowered patterns, so the files' own
-// automata differ from today's build and miss a URL ("/\u212aelvin.js" asked
-// as written) that the converted list answers.
-func TestConvertOlderSchema(t *testing.T) {
-	for _, c := range []struct{ file, ownAutomaton string }{
-		{"parent-v3.snapshot", "automaton.0"},
-		{"parent-v4.snapshot", "automaton.hot.0"},
-	} {
-		old := fixture(c.file)
-		if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
-			t.Fatalf("loading %s: err = %v, want ErrSnapshotVersion naming adwars-compact", c.file, err)
-		}
-		out := filepath.Join(t.TempDir(), "lists.json")
-		if err := run(old, "", out, 1, ""); err != nil {
-			t.Fatalf("%s: %v", c.file, err)
-		}
-		snap, err := abp.LoadListsSnapshot(out)
-		if err != nil {
-			t.Fatalf("%s converted: %v", c.file, err)
-		}
-		if snap.Label != "written by b547b05" || len(snap.Lists) != 1 || snap.Tiered() {
-			t.Fatalf("%s converted: label %q, %d lists, tiered %v", c.file, snap.Label, len(snap.Lists), snap.Tiered())
-		}
-		l := snap.Lists[0]
-		if !bytes.Equal(section(t, out, "automaton.0"), abp.NewList(l.Name, l.Rules()).AutomatonBytes()) {
-			t.Errorf("%s converted: automaton.0 is not this build's compile of its rules", c.file)
-		}
-		if bytes.Equal(l.AutomatonBytes(), section(t, old, c.ownAutomaton)) {
-			t.Errorf("%s converted: the automaton is the one b547b05 compiled: the fixture no longer shows that conversion recompiles", c.file)
-		}
-		assertLinear(t, l)
 	}
 }
 
@@ -219,17 +180,17 @@ func TestConvertSchema5(t *testing.T) {
 
 // TestConvertCurrentSchema: a file of the current schema goes through its
 // own loader; without -usage a tiered one comes out flat, with the same
-// rules and the same answers; with a usage dump a file of any schema is
+// rules and the same answers; with a usage dump a file of either schema is
 // tiered in one step.
 func TestConvertCurrentSchema(t *testing.T) {
 	dir := t.TempDir()
 	usage := filepath.Join(dir, "usage.json")
-	dump := `{"total_hits":3,"lists":[{"list":"parent-b547b05","hits":[[1,2],[5,1]]}]}`
+	dump := `{"total_hits":3,"lists":[{"list":"parent-a8062f5","hits":[[1,2],[5,1]]}]}`
 	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cur := filepath.Join(dir, "current.json")
-	if err := run(fixture("parent-v4.snapshot"), usage, cur, 1, ""); err != nil {
+	if err := run(fixture("parent-v5-tiered.snapshot"), usage, cur, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := abp.LoadListsSnapshot(cur)
@@ -255,7 +216,7 @@ func TestConvertCurrentSchema(t *testing.T) {
 	}
 	assertLinear(t, snap.Lists[0])
 
-	for _, in := range []string{fixture("parent-v3.snapshot"), fixture("parent-v4.snapshot"), cur, flat} {
+	for _, in := range []string{fixture("parent-v5-flat.snapshot"), cur, flat} {
 		tiered := filepath.Join(dir, "tiered.json")
 		if err := run(in, usage, tiered, 1, ""); err != nil {
 			t.Fatalf("%s: %v", in, err)
@@ -265,18 +226,19 @@ func TestConvertCurrentSchema(t *testing.T) {
 			t.Fatalf("%s: %v", in, err)
 		}
 		l := snap.Lists[0]
-		if !snap.Tiered() || !strings.HasSuffix(snap.Label, " [tiered]") || !l.IsHotRule(1) || !l.IsHotRule(5) || l.IsHotRule(3) {
-			t.Fatalf("%s: tiered %v, label %q, hot(1,5,3) = %v %v %v", in, snap.Tiered(), snap.Label, l.IsHotRule(1), l.IsHotRule(5), l.IsHotRule(3))
+		if !snap.Tiered() || !strings.HasSuffix(snap.Label, " [tiered]") || !l.IsHotRule(1) || !l.IsHotRule(5) || l.IsHotRule(6) {
+			t.Fatalf("%s: tiered %v, label %q, hot(1,5,6) = %v %v %v", in, snap.Tiered(), snap.Label, l.IsHotRule(1), l.IsHotRule(5), l.IsHotRule(6))
 		}
 		assertLinear(t, l)
 	}
 }
 
-// TestRefusesWhatItCannotVouchFor: the tool reads more schemas than the
-// loader, not less carefully — no trailer, a damaged payload and a schema
-// from before sealing are all refused, and nothing is written.
+// TestRefusesWhatItCannotVouchFor: the tool reads one more schema than the
+// loader, not less carefully — no trailer, a damaged payload, a schema from
+// before sealing and one two steps old are all refused, and nothing is
+// written.
 func TestRefusesWhatItCannotVouchFor(t *testing.T) {
-	good, err := os.ReadFile(fixture("parent-v3.snapshot"))
+	good, err := os.ReadFile(fixture("parent-v5-flat.snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +258,10 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		"schema 5, comment":     {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), "rules.0", []byte("! a comment\n"))), abp.ErrCommentLine},
 		"schema 5, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
 		"schema 5, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
-		"schema 4, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":4}`)), abp.ErrSnapshotFormat},
+		"schema 5, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":5}`)), abp.ErrSnapshotFormat},
+		"schema 4":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":4,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotVersion},
 		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
-		"bad rule":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":2,"lists":[{"name":"x","rules":["##["]}]}`)), nil},
+		"bad rule":              {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), "rules.0", []byte("##[\n"))), nil},
 		"not there":             {nil, os.ErrNotExist},
 	} {
 		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")

@@ -49,8 +49,9 @@ import (
 // is refused as corrupt rather than matching against stale states. Files of
 // an older schema are refused by version — schema 5 too, whose automaton.hot
 // and automaton.cold sections split the rules this schema's whole automaton
-// holds together; adwars-compact -lists OLD -out NEW converts them (flat
-// without -usage, tiered with it).
+// holds together; adwars-compact -lists OLD -out NEW converts a schema-5
+// file (flat without -usage, tiered with it), and a file two or more schemas
+// old converts first through an earlier release's adwars-compact.
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
@@ -192,8 +193,8 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		return nil, fmt.Errorf("%w: format %q", ErrSnapshotFormat, doc.Format)
 	}
 	if doc.Version != ListsSnapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads %d; an older file converts with adwars-compact -lists OLD -out NEW)",
-			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion)
+		return nil, fmt.Errorf("%w: version %d (this build reads %d; a schema-%d file converts with adwars-compact -lists OLD -out NEW, an older one first through an earlier release's adwars-compact)",
+			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion, ListsSnapshotVersion-1)
 	}
 	var headers []listHeader
 	if err := json.Unmarshal(doc.Lists, &headers); err != nil {

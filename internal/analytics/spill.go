@@ -2,8 +2,10 @@ package analytics
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,7 +118,9 @@ func (sw *spillWriter) close() error {
 	return sw.err
 }
 
-// ReadSpillFile parses one JSONL spill file into rows.
+// ReadSpillFile parses one JSONL spill file into rows. A final line with no
+// newline that does not parse is what a crash mid-write leaves, and is
+// dropped; any other line that does not parse is an error.
 func ReadSpillFile(path string) ([]Row, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -124,22 +128,25 @@ func ReadSpillFile(path string) ([]Row, error) {
 	}
 	defer f.Close()
 	var rows []Row
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	r := bufio.NewReader(f)
+	for line := 1; ; line++ {
+		data, rerr := r.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return nil, fmt.Errorf("%s: %w", path, rerr)
 		}
-		var row Row
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+		if text := bytes.TrimSuffix(data, []byte{'\n'}); len(text) > 0 {
+			var row Row
+			if err := json.Unmarshal(text, &row); err != nil {
+				if rerr == io.EOF {
+					break
+				}
+				return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+			}
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		if rerr == io.EOF {
+			break
+		}
 	}
 	return rows, nil
 }

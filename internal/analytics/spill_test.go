@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -87,5 +89,67 @@ func TestSpillRotation(t *testing.T) {
 func TestReadSpillDirEmpty(t *testing.T) {
 	if _, err := ReadSpillDir(t.TempDir()); err == nil {
 		t.Fatal("ReadSpillDir on an empty dir returned nil error")
+	}
+}
+
+// TestSpillCrashAtEveryByte: a crash stops the spill at any byte of its
+// current file, the files it rotated out of already whole. Cut at every byte
+// of a real rotated spill, the directory reads without error and yields
+// exactly the rows whose line the cut holds whole, in write order; a line
+// that does not parse before the end of a file is still an error.
+func TestSpillCrashAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	sw, err := newSpillWriter(dir, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testRows(12)
+	want[3].Overflow, want[5].Domain, want[7].Rule = true, "", ""
+	for i := range want {
+		sw.write(&want[i])
+	}
+	if err := sw.close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "analytics-*.jsonl"))
+	if len(paths) < 3 {
+		t.Fatalf("%d spill files, want rotation into ≥ 3", len(paths))
+	}
+	crash := t.TempDir()
+	whole := 0 // rows in the files before the one being cut
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := filepath.Join(crash, filepath.Base(p))
+		for n := 0; n <= len(data); n++ {
+			if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadSpillDir(crash)
+			if err != nil {
+				t.Fatalf("%s cut at %d of %d: %v", filepath.Base(p), n, len(data), err)
+			}
+			// A row is whole once its closing brace is in the cut.
+			rows := whole + bytes.Count(data[:n], []byte("}\n"))
+			if n > 0 && data[n-1] == '}' {
+				rows++
+			}
+			if len(got) != rows || rows > 0 && !reflect.DeepEqual(got, want[:rows]) {
+				t.Fatalf("%s cut at %d of %d: read %d rows, want the first %d", filepath.Base(p), n, len(data), len(got), rows)
+			}
+		}
+		whole += bytes.Count(data, []byte("\n"))
+	}
+	if whole != len(want) {
+		t.Fatalf("the files hold %d rows, %d were written", whole, len(want))
+	}
+	// Damage before the end of a file is not a crash's: it is refused.
+	if err := os.WriteFile(filepath.Join(crash, "analytics-000000.jsonl"), []byte("{\"bucket\":\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSpillDir(crash); err == nil {
+		t.Fatal("a torn line followed by a newline was read without error")
 	}
 }

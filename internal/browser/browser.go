@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"adwars/internal/abp"
-	"adwars/internal/wayback"
 	"adwars/internal/web"
 )
 
@@ -30,20 +29,6 @@ type HTMLTrigger struct {
 	// Rule is the element hiding rule that hid it.
 	Rule *abp.Rule
 }
-
-// PageLog is the adblocker's log for one page load — the equivalent of the
-// Adblock Plus logs the paper extracts triggered rules from.
-type PageLog struct {
-	// Domain is the page's domain.
-	Domain string
-	// HTTP lists HTTP rule triggers in request order.
-	HTTP []HTTPTrigger
-	// HTML lists element hiding triggers in document order.
-	HTML []HTMLTrigger
-}
-
-// Triggered reports whether any rule fired at all.
-func (l *PageLog) Triggered() bool { return len(l.HTTP) > 0 || len(l.HTML) > 0 }
 
 // MatchHTTPURLs matches a set of request URLs (already truncated to live
 // URLs) against a list and returns the triggers. pageDomain scopes
@@ -126,38 +111,4 @@ func OpenArchivedHTML(list *abp.List, html, pageDomain string) []HTMLTrigger {
 		}
 	}
 	return out
-}
-
-// ReplaySnapshot runs the full §4.2 detection on one archived snapshot:
-// HAR URLs are truncated back to live URLs and matched against HTTP rules,
-// and the archived HTML is opened with element hiding active.
-func ReplaySnapshot(list *abp.List, snap *wayback.Snapshot) *PageLog {
-	log := &PageLog{Domain: snap.Ref.Domain}
-	urls := make([]string, 0, len(snap.HAR.Entries))
-	for _, u := range snap.HAR.URLs() {
-		urls = append(urls, wayback.TruncateURL(u))
-	}
-	log.HTTP = MatchHTTPURLs(list, urls, snap.Ref.Domain)
-	log.HTML = OpenArchivedHTML(list, snap.HTML, snap.Ref.Domain)
-	return log
-}
-
-// ReplayLivePage runs the same detection against a live page (the §4.3
-// top-100K crawl): its request URLs need no truncation and its DOM is
-// available directly.
-func ReplayLivePage(list *abp.List, page *web.Page) *PageLog {
-	log := &PageLog{Domain: page.Domain}
-	urls := make([]string, 0, len(page.Requests))
-	for _, q := range page.Requests {
-		urls = append(urls, q.URL)
-	}
-	log.HTTP = MatchHTTPURLs(list, urls, page.Domain)
-	views := PageViews(page)
-	hidden := list.HiddenElements(page.Domain, views)
-	for i := range views {
-		if rule, ok := hidden[i]; ok {
-			log.HTML = append(log.HTML, HTMLTrigger{ElementID: views[i].ID, Rule: rule})
-		}
-	}
-	return log
 }

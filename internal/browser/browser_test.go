@@ -95,20 +95,22 @@ func TestReplayLivePage(t *testing.T) {
 		"||pagefair.com^$third-party",
 		"dailynews.com###"+d.NoticeID,
 	)
-	log := ReplayLivePage(list, page)
-	if !log.Triggered() {
-		t.Fatal("anti-adblock page should trigger rules")
+	// A live page's request URLs need no truncation and its DOM is
+	// available directly.
+	replay := func(p *web.Page) (http []HTTPTrigger, hidden int) {
+		urls := make([]string, 0, len(p.Requests))
+		for _, q := range p.Requests {
+			urls = append(urls, q.URL)
+		}
+		return MatchHTTPURLs(list, urls, p.Domain), len(list.HiddenElements(p.Domain, PageViews(p)))
 	}
-	if len(log.HTTP) == 0 {
-		t.Error("vendor script request should trigger the HTTP rule")
-	}
-	if len(log.HTML) == 0 {
-		t.Error("notice overlay should trigger the HTML rule")
+	if http, hidden := replay(page); len(http) == 0 || hidden == 0 {
+		t.Errorf("anti-adblock page: %d HTTP triggers, %d hidden elements; want both > 0", len(http), hidden)
 	}
 	benign := web.NewPage("benign.com", "B")
 	benign.AddRequest("http://benign.com/app.js", abp.TypeScript)
-	if ReplayLivePage(list, benign).Triggered() {
-		t.Error("benign page must not trigger")
+	if http, hidden := replay(benign); len(http) != 0 || hidden != 0 {
+		t.Errorf("benign page triggered: %d HTTP, %d HTML", len(http), hidden)
 	}
 }
 
@@ -126,11 +128,14 @@ func TestReplaySnapshotTruncatesWaybackURLs(t *testing.T) {
 		HAR:  harLog,
 		Page: page,
 	}
-	log := ReplaySnapshot(l, snap)
-	if len(log.HTTP) == 0 {
+	var urls []string
+	for _, u := range snap.HAR.URLs() {
+		urls = append(urls, wayback.TruncateURL(u))
+	}
+	if len(MatchHTTPURLs(l, urls, snap.Ref.Domain)) == 0 {
 		t.Fatal("rewritten vendor URL should match after truncation")
 	}
-	if len(log.HTML) == 0 {
+	if len(OpenArchivedHTML(l, snap.HTML, snap.Ref.Domain)) == 0 {
 		t.Fatal("archived notice should trigger the HTML rule")
 	}
 }

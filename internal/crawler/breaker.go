@@ -7,56 +7,25 @@ import (
 	"adwars/internal/chassis"
 )
 
-// BreakerConfig parameterizes the shared circuit breaker / adaptive rate
-// limiter that sits between the crawl workers and the archive.
-type BreakerConfig struct {
-	// FailureThreshold is how many consecutive transient failures open
-	// the breaker (default 10).
-	FailureThreshold int
-	// ProbeAfterSheds is how many requests the open breaker sheds before
-	// letting one probe through (half-open). Counting sheds rather than
-	// wall-clock time keeps the breaker deterministic under the
-	// accounting-only sleeper (default 50).
-	ProbeAfterSheds int
-	// PenaltyBase seeds the adaptive rate-limit penalty applied after a
-	// 429-style response (default 100ms).
-	PenaltyBase time.Duration
-	// PenaltyMax caps the adaptive penalty (default 5s).
-	PenaltyMax time.Duration
-}
-
-// DefaultBreakerConfig returns the standard thresholds.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		FailureThreshold: 10,
-		ProbeAfterSheds:  50,
-		PenaltyBase:      100 * time.Millisecond,
-		PenaltyMax:       5 * time.Second,
-	}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = d.FailureThreshold
-	}
-	if c.ProbeAfterSheds <= 0 {
-		c.ProbeAfterSheds = d.ProbeAfterSheds
-	}
-	if c.PenaltyBase <= 0 {
-		c.PenaltyBase = d.PenaltyBase
-	}
-	if c.PenaltyMax <= 0 {
-		c.PenaltyMax = d.PenaltyMax
-	}
-	return c
-}
+// The breaker's thresholds. Counting sheds rather than wall-clock time keeps
+// the breaker deterministic under the accounting-only sleeper.
+const (
+	// failureThreshold consecutive transient failures open the breaker.
+	failureThreshold = 10
+	// probeAfterSheds requests are shed by the open breaker before it lets
+	// one probe through (half-open).
+	probeAfterSheds = 50
+	// penaltyBase seeds the adaptive rate-limit penalty applied after a
+	// 429-style response; penaltyMax caps it.
+	penaltyBase = 100 * time.Millisecond
+	penaltyMax  = 5 * time.Second
+)
 
 // Breaker is the gate between the crawl workers and the archive, shared by
 // all workers of a crawl (and, in the retrospective study, across the 60
 // monthly crawls): a circuit breaker (chassis.Breaker, probing after a count
 // of sheds) with an AIMD rate-limit penalty beside it. During an archive
-// outage it sheds load instead of hammering: after FailureThreshold
+// outage it sheds load instead of hammering: after failureThreshold
 // consecutive transient failures every request is rejected at the gate
 // until a half-open probe succeeds.
 //
@@ -64,7 +33,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // waits and re-asks the gate — so outages delay the crawl but never turn
 // sites into StatusError. Safe for concurrent use.
 type Breaker struct {
-	cfg     BreakerConfig
 	metrics *Metrics
 	circuit *chassis.Breaker
 
@@ -73,14 +41,13 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker; metrics may be nil.
-func NewBreaker(cfg BreakerConfig, m *Metrics) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, metrics: m,
-		circuit: chassis.NewBreaker(cfg.FailureThreshold, chassis.AfterSheds(cfg.ProbeAfterSheds))}
+func NewBreaker(m *Metrics) *Breaker {
+	return &Breaker{metrics: m,
+		circuit: chassis.NewBreaker(failureThreshold, chassis.AfterSheds(probeAfterSheds))}
 }
 
 // Allow reports whether a request may proceed. While open it sheds the
-// caller (who should wait and retry the gate); every ProbeAfterSheds
+// caller (who should wait and retry the gate); every probeAfterSheds
 // rejections it admits a single probe instead.
 func (b *Breaker) Allow() bool {
 	ok := b.circuit.Allow()
@@ -121,13 +88,13 @@ func (b *Breaker) OnRateLimit(hint time.Duration) {
 	defer b.mu.Unlock()
 	p := b.penalty * 2
 	if p == 0 {
-		p = b.cfg.PenaltyBase
+		p = penaltyBase
 	}
 	if hint > p {
 		p = hint
 	}
-	if p > b.cfg.PenaltyMax {
-		p = b.cfg.PenaltyMax
+	if p > penaltyMax {
+		p = penaltyMax
 	}
 	b.penalty = p
 }

@@ -119,7 +119,7 @@ func (cfg Config) withDefaults() Config {
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.Breaker == nil {
-		cfg.Breaker = NewBreaker(DefaultBreakerConfig(), cfg.Metrics)
+		cfg.Breaker = NewBreaker(cfg.Metrics)
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = NoSleep

@@ -241,16 +241,17 @@ func TestCrawlMonthOutageBreaker(t *testing.T) {
 		src[domains[i]] = p
 	}
 	cfg := wayback.DefaultConfig(7)
-	cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: 5, Seed: 7}
+	cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: failureThreshold + 2, Seed: 7}
 	a := wayback.New(src, domains, cfg)
 
-	// One worker and a low threshold make the breaker walk deterministic:
-	// each request fails 5 times in a row, far past the threshold.
+	// One worker makes the breaker walk deterministic: each request fails
+	// past the threshold in a row, within a budget that outlasts the outage.
 	var metrics Metrics
-	br := NewBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfterSheds: 2}, &metrics)
+	br := NewBreaker(&metrics)
 	res, err := CrawlMonth(context.Background(), a, domains,
 		time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC),
-		Config{Workers: 1, Metrics: &metrics, Breaker: br})
+		Config{Workers: 1, Metrics: &metrics, Breaker: br,
+			Retry: RetryPolicy{MaxAttempts: failureThreshold + 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func (j *Journal) load(path string) error {
 		return fmt.Errorf("crawler: load journal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReader(f)
 	for {
 		line, err := r.ReadBytes('\n')
 		if len(line) > 0 {

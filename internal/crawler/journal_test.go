@@ -1,8 +1,12 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -190,5 +194,94 @@ func TestJournalSkipsPending(t *testing.T) {
 	}
 	if j.Len() != 0 {
 		t.Fatal("pending results must not be journaled")
+	}
+}
+
+// TestJournalCrashAtEveryByte: a crash stops the journal at any byte. Cut at
+// every byte of a real crawl's journal and reopened for resume, it neither
+// errors nor panics, restores exactly the site-months whose line the cut
+// holds whole, each as the whole file restores it, and keeps the world
+// stamp exactly when its line is whole. Resuming from such cuts renders the
+// figures of a clean study: experiments' TestRetroResumeFromEveryCut.
+func TestJournalCrashAtEveryByte(t *testing.T) {
+	a, _, domains := buildWorld(17) // 15 excluded, 2 fetched
+	month := journalTestMonth()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Stamp("world"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts[StatusOK] == 0 {
+		t.Fatalf("no site fetched (%v): the journal carries no snapshot", res.Counts)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := func(r SiteResult) string {
+		s := fmt.Sprintf("%v %v", r.Status, r.Err)
+		if r.Snapshot != nil {
+			s += fmt.Sprintf(" %v %d %d %d", r.Snapshot.Ref, len(r.Snapshot.HTML), len(r.Snapshot.HAR.Entries), len(r.Snapshot.Page.Scripts))
+		}
+		return s
+	}
+	reopen := func(n int) (*Journal, map[string]string) {
+		t.Helper()
+		cut := filepath.Join(dir, "cut.jsonl")
+		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(cut, true)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", n, len(data), err)
+		}
+		got := map[string]string{}
+		for d, r := range j.Completed(month) {
+			got[d] = summary(r)
+		}
+		return j, got
+	}
+	j, full := reopen(len(data))
+	j.Close()
+	if len(full) != len(domains) {
+		t.Fatalf("the whole journal restores %d site-months, want %d", len(full), len(domains))
+	}
+	// ends[i] is the offset just past line i's closing brace; line 0 is the
+	// stamp, and domains[i-1] names line i's site.
+	var ends []int
+	var lineDomain []string
+	for off := 0; off < len(data); {
+		n := bytes.IndexByte(data[off:], '\n')
+		var rec journalRecord
+		if err := json.Unmarshal(data[off:off+n], &rec); err != nil {
+			t.Fatal(err)
+		}
+		ends, lineDomain = append(ends, off+n), append(lineDomain, rec.Domain)
+		off += n + 1
+	}
+	for n := 0; n <= len(data); n++ {
+		j, got := reopen(n)
+		want := map[string]string{}
+		for i := 1; i < len(ends) && ends[i] <= n; i++ {
+			want[lineDomain[i]] = full[lineDomain[i]]
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("cut at %d of %d: restored %d site-months, want %d:\n got %v\nwant %v", n, len(data), len(got), len(want), got, want)
+		}
+		if err := j.Stamp("other world"); (err == nil) == (ends[0] <= n) {
+			t.Fatalf("cut at %d of %d (stamp line ends at %d): a foreign stamp gave %v", n, len(data), ends[0], err)
+		}
+		j.Close()
 	}
 }

@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+const (
+	// backoffMultiplier grows the delay per retry.
+	backoffMultiplier = 2
+	// maxBackoff caps one backoff.
+	maxBackoff = 30 * time.Second
+)
+
 // RetryPolicy controls per-request retry of transient archive failures:
 // exponential backoff with deterministic jitter, capped per-domain by an
 // attempt budget.
@@ -19,10 +26,6 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (default 250ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 30s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized, in [0,1]
 	// (default 0.5): the delay is scaled by [1-Jitter/2, 1+Jitter/2).
 	Jitter float64
@@ -34,8 +37,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 8,
 		BaseDelay:   250 * time.Millisecond,
-		MaxDelay:    30 * time.Second,
-		Multiplier:  2,
 		Jitter:      0.5,
 	}
 }
@@ -48,12 +49,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = d.Multiplier
 	}
 	if p.Jitter <= 0 || p.Jitter > 1 {
 		p.Jitter = d.Jitter
@@ -70,14 +65,10 @@ func (p RetryPolicy) Delay(domain string, retry int, seed int64) time.Duration {
 	if retry < 1 {
 		retry = 1
 	}
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(retry-1))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
+	d := float64(p.BaseDelay) * math.Pow(backoffMultiplier, float64(retry-1))
+	d = min(d, float64(maxBackoff))
 	d *= 1 - p.Jitter/2 + p.Jitter*jitterFloat(domain, retry, seed)
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
+	d = min(d, float64(maxBackoff))
 	return time.Duration(d)
 }
 
@@ -91,22 +82,6 @@ func jitterFloat(domain string, retry int, seed int64) float64 {
 // SleepFunc pauses between retries, returning ctx.Err() early on
 // cancellation.
 type SleepFunc func(ctx context.Context, d time.Duration) error
-
-// RealSleep waits on the wall clock; use it when pacing a real remote
-// archive.
-func RealSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
 
 // NoSleep is the default SleepFunc: it observes cancellation but does not
 // wait. Against the in-memory simulated archive backoff exists to be

@@ -54,8 +54,8 @@ func TestBackoffScheduleShape(t *testing.T) {
 		if d < lo {
 			t.Fatalf("retry %d: delay %v below jitter floor %v", retry, d, lo)
 		}
-		if d > p.MaxDelay {
-			t.Fatalf("retry %d: delay %v exceeds cap %v", retry, d, p.MaxDelay)
+		if d > maxBackoff {
+			t.Fatalf("retry %d: delay %v exceeds cap %v", retry, d, maxBackoff)
 		}
 	}
 	// Exponential growth: the ceiling of retry n+1 exceeds retry n's
@@ -72,19 +72,9 @@ func TestSleepFuncs(t *testing.T) {
 	if err := NoSleep(ctx, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if err := RealSleep(ctx, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("RealSleep returned early")
-	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if err := NoSleep(cancelled, 0); err == nil {
 		t.Fatal("NoSleep must observe cancellation")
-	}
-	if err := RealSleep(cancelled, time.Hour); err == nil {
-		t.Fatal("RealSleep must observe cancellation")
 	}
 }

@@ -96,8 +96,6 @@ type Config struct {
 	// StepDownTicks consecutive calm observations are required before
 	// descending one level. Default 5.
 	StepDownTicks int
-	// MaxLevel caps the ladder. Default L4.
-	MaxLevel Level
 	// Source produces one windowed observation per tick. Required for
 	// Start; Tick can be driven directly in tests without it.
 	Source func() Signals
@@ -132,13 +130,6 @@ func (c *Config) stepDownTicks() int {
 		return c.StepDownTicks
 	}
 	return 5
-}
-
-func (c *Config) maxLevel() Level {
-	if c.MaxLevel > L0 && c.MaxLevel <= L4 {
-		return c.MaxLevel
-	}
-	return L4
 }
 
 // transitionRing keeps the most recent transition costs for the p99
@@ -259,7 +250,7 @@ func (g *Governor) Tick(s Signals) {
 	case pressureHot:
 		g.calmTicks = 0
 		g.hotTicks++
-		if cur := g.Level(); g.hotTicks >= g.cfg.stepUpTicks() && cur < g.cfg.maxLevel() {
+		if cur := g.Level(); g.hotTicks >= g.cfg.stepUpTicks() && cur < L4 {
 			g.setLevel(cur, cur+1)
 			g.hotTicks = 0
 		}
@@ -335,14 +326,9 @@ func (g *Governor) setLevel(from, to Level) {
 
 // Pin fixes the ladder at lvl until Unpin: the level changes
 // immediately (firing OnTransition if it moved) and automatic stepping
-// stops. Clamped to [L0, MaxLevel].
+// stops. Clamped to [L0, L4].
 func (g *Governor) Pin(lvl Level) {
-	if lvl < L0 {
-		lvl = L0
-	}
-	if max := g.cfg.maxLevel(); lvl > max {
-		lvl = max
-	}
+	lvl = min(max(lvl, L0), L4)
 	g.pinned.Store(int32(lvl))
 	if cur := g.Level(); cur != lvl {
 		g.setLevel(cur, lvl)

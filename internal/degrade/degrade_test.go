@@ -177,10 +177,10 @@ func TestPinOverridesLadder(t *testing.T) {
 }
 
 func TestPinClampsToLadderBounds(t *testing.T) {
-	g := newTestGovernor(t, Config{MaxLevel: L2})
-	g.Pin(L4)
-	if got := g.Level(); got != L2 {
-		t.Fatalf("pin above MaxLevel: level %v, want L2", got)
+	g := newTestGovernor(t, Config{})
+	g.Pin(L4 + 3)
+	if got := g.Level(); got != L4 {
+		t.Fatalf("pin above L4: level %v, want L4", got)
 	}
 	g.Pin(Level(-5))
 	if got := g.Level(); got != L0 {
@@ -189,12 +189,12 @@ func TestPinClampsToLadderBounds(t *testing.T) {
 }
 
 func TestMaxLevelCapsClimb(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 1, MaxLevel: L2})
+	g := newTestGovernor(t, Config{StepUpTicks: 1})
 	for i := 0; i < 10; i++ {
 		g.Tick(hotSignals())
 	}
-	if got := g.Level(); got != L2 {
-		t.Fatalf("capped ladder: level %v, want L2", got)
+	if got := g.Level(); got != L4 {
+		t.Fatalf("capped ladder: level %v, want L4", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -97,5 +99,57 @@ func TestRetroCheckpointResume(t *testing.T) {
 	}
 	if g, w := got.RenderFig6(), want.RenderFig6(); g != w {
 		t.Errorf("Figure 6 diverged after resume:\nwant:\n%s\ngot:\n%s", w, g)
+	}
+}
+
+// TestRetroResumeFromEveryCut: a study killed at any byte of its journal
+// resumes to the figures of a clean run. What a cut restores depends only on
+// which lines it holds whole (crawler's TestJournalCrashAtEveryByte reopens
+// every byte), so the study resumes from each line's end and from the middle
+// of each line, torn.
+func TestRetroResumeFromEveryCut(t *testing.T) {
+	l := resilienceLab()
+	months := l.RetroMonths(6)
+	cfg := RetroConfig{TopN: 10, Months: months[len(months)-3:]}
+	want, err := l.RunRetrospective(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg.CheckpointPath = filepath.Join(dir, "whole.jsonl")
+	if _, err := l.RunRetrospective(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []int
+	for start := 0; start < len(data); {
+		end := start + bytes.IndexByte(data[start:], '\n') + 1
+		cuts = append(cuts, (start+end)/2, end)
+		start = end
+	}
+	cfg.CheckpointPath, cfg.Resume = filepath.Join(dir, "cut.jsonl"), true
+	for _, n := range cuts {
+		if err := os.WriteFile(cfg.CheckpointPath, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var metrics crawler.Metrics
+		cfg.Metrics = &metrics
+		got, err := l.RunRetrospective(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", n, len(data), err)
+		}
+		if g, w := got.RenderFig5()+got.RenderFig6(), want.RenderFig5()+want.RenderFig6(); g != w {
+			t.Fatalf("cut at %d of %d (%d site-months restored): figures diverged:\nwant:\n%s\ngot:\n%s", n, len(data), metrics.Resumed.Load(), w, g)
+		}
+		// The whole journal (its last cut) restores every site-month of it.
+		if n == len(data) && metrics.Resumed.Load() != int64(len(cuts)/2-1) {
+			t.Fatalf("the whole journal restored %d site-months, it holds %d", metrics.Resumed.Load(), len(cuts)/2-1)
+		}
+	}
+	if len(cuts) < 20 {
+		t.Fatalf("%d cuts: the journal holds too few lines to exercise resume", len(cuts))
 	}
 }

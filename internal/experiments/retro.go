@@ -153,7 +153,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
 		Retry:   cfg.Retry,
-		Breaker: crawler.NewBreaker(crawler.DefaultBreakerConfig(), cfg.Metrics),
+		Breaker: crawler.NewBreaker(cfg.Metrics),
 		Journal: journal,
 		Seed:    l.Seed,
 	}

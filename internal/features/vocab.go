@@ -52,10 +52,6 @@ func (d *Dataset) Vocabulary() *Vocab {
 // Len returns the vocabulary size.
 func (v *Vocab) Len() int { return len(v.names) }
 
-// Names returns the feature names in index order. The returned slice must
-// not be modified.
-func (v *Vocab) Names() []string { return v.names }
-
 // Project maps a script's feature set onto the vocabulary, ignoring unseen
 // features (they carry no weight at test time).
 func (v *Vocab) Project(fs map[string]bool) Sample {

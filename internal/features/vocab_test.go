@@ -54,7 +54,7 @@ func TestVocabProjectMatchesDataset(t *testing.T) {
 	names := append([]string(nil), ds.Vocab...)
 	v := NewVocab(names)
 	names[0] = "mutated"
-	if v.Names()[0] == "mutated" {
+	if v.names[0] == "mutated" {
 		t.Error("NewVocab aliases caller slice")
 	}
 }

@@ -144,28 +144,6 @@ func Unmarshal(data []byte) (*Log, error) {
 	return wrapper.Log, nil
 }
 
-// Union merges several logs for one site into a single request list,
-// deduplicating by URL — the paper takes "a union of all HTTP requests in
-// HAR files" for sites that refresh and produce multiple HARs.
-func Union(logs ...*Log) *Log {
-	if len(logs) == 0 {
-		return New("union")
-	}
-	out := New(logs[0].Creator.Name)
-	out.Pages = append(out.Pages, logs[0].Pages...)
-	seen := make(map[string]bool)
-	for _, l := range logs {
-		for _, e := range l.Entries {
-			if seen[e.Request.URL] {
-				continue
-			}
-			seen[e.Request.URL] = true
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
-}
-
 // Size returns the serialized size in bytes; the crawler uses it to detect
 // partial snapshots (the paper discards HARs under 10% of a site's average
 // yearly HAR size).

@@ -66,22 +66,6 @@ func TestURLs(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := sampleLog()
-	b := sampleLog() // identical URLs → dedup to 3
-	extra := New("adwars-crawler")
-	pid := extra.AddPage("refresh", time.Now().UTC())
-	extra.AddEntry(pid, "http://dailynews.com/refresh.js", abp.TypeScript, 200, "", time.Now().UTC())
-
-	u := Union(a, b, extra)
-	if len(u.Entries) != 4 {
-		t.Fatalf("union entries = %d, want 4", len(u.Entries))
-	}
-	if Union().Entries != nil {
-		t.Error("empty union should have no entries")
-	}
-}
-
 func TestMimeFor(t *testing.T) {
 	cases := map[abp.RequestType]string{
 		abp.TypeScript:     "application/javascript",

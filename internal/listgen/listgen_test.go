@@ -322,10 +322,14 @@ func TestRenderListRoundTrip(t *testing.T) {
 
 func TestRenderAt(t *testing.T) {
 	_, ls := lists(t)
-	if RenderAt(ls.AAK, day(2013, 1, 1)) != "" {
-		t.Error("AAK should not render before it exists")
+	if _, ok := ls.AAK.At(day(2013, 1, 1)); ok {
+		t.Error("AAK should have no revision before it exists")
 	}
-	text := RenderAt(ls.AAK, day(2015, 6, 1))
+	rev, ok := ls.AAK.At(day(2015, 6, 1))
+	if !ok {
+		t.Fatal("AAK has no revision in force in June 2015")
+	}
+	text := RenderList(ls.AAK.Name, rev)
 	if !strings.Contains(text, "[Adblock Plus 2.0]") || !strings.Contains(text, "! Title:") {
 		t.Error("header missing")
 	}

@@ -3,7 +3,6 @@ package listgen
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"adwars/internal/abp"
 )
@@ -63,16 +62,6 @@ func RenderList(name string, rev abp.Revision) string {
 // for empty histories.
 func RenderLatest(h *abp.History) string {
 	rev, ok := h.Latest()
-	if !ok {
-		return ""
-	}
-	return RenderList(h.Name, rev)
-}
-
-// RenderAt serializes the revision in force at time t, or "" when the
-// list did not exist yet.
-func RenderAt(h *abp.History, t time.Time) string {
-	rev, ok := h.At(t)
 	if !ok {
 		return ""
 	}

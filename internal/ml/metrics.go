@@ -52,23 +52,6 @@ func (c Confusion) FPRate() float64 {
 	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
-// Accuracy is overall correctness.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
-// Precision is TP/(TP+FP).
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
 // String renders the matrix with the paper's headline rates.
 func (c Confusion) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d (TP rate %.1f%%, FP rate %.1f%%)",

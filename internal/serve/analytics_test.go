@@ -183,8 +183,7 @@ func TestServeAnalyticsShutdownFlush(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	s := newTestServer(t, Config{
-		Workers:      2,
-		DrainTimeout: 5 * time.Second,
+		Workers: 2,
 		Analytics: &analytics.Config{
 			SampleRate: 1, SpillDir: dir,
 			// A long cadence and bucket keep everything in the rings and

@@ -74,7 +74,7 @@ func TestClassifyRefusesDeepNesting(t *testing.T) {
 		t.Skip("lexes twelve one-megabyte bodies; skipped in -short")
 	}
 	s := newTestServer(t, Config{})
-	limit := int(s.cfg.maxBody())
+	limit := maxBody
 	for _, unit := range []string{"(", "[", "{", "a+", "a.", "f(", "a=", "a?a:", "!", "new ", "if(a)", "a:"} {
 		body := strings.Repeat(unit, limit/len(unit))
 		start := time.Now()
@@ -119,7 +119,7 @@ func TestClassifyRefusesDeepNesting(t *testing.T) {
 // size before the parser sees them; this body measures 22).
 func TestClassifyBoundsPackerOutput(t *testing.T) {
 	s := newTestServer(t, Config{})
-	limit := int(s.cfg.maxBody())
+	limit := maxBody
 	head, mid, tail := `eval(function(p,a,c,k,e,d){}('`, `',10,1,'`, `'.split('|'),0,{}));`
 	half := (limit - len(head) - len(mid) - len(tail)) / 2
 	body := head + strings.Repeat("0 ", half/2) + mid + strings.Repeat("w", half) + tail

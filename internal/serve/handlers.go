@@ -123,9 +123,11 @@ type reloadResponse struct {
 
 // readPost is how the four /v1 handlers begin: POST only, the snapshot they
 // answer from loaded, the bounded body read into a pooled scratch the caller
-// puts back. nil means refused, and answered.
-func (s *Server) readPost(w http.ResponseWriter, r *http.Request, kind string, loaded bool) *matchScratch {
+// puts back. nil means refused, and answered; a refused method or body is
+// booked against ep's errors, as clientError books the handlers' own.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request, ep, kind string, loaded bool) *matchScratch {
 	if !chassis.RequireMethod(w, r, http.MethodPost) {
+		s.met.endpoints[ep].Errors.Add(1)
 		return nil
 	}
 	if !loaded {
@@ -133,11 +135,19 @@ func (s *Server) readPost(w http.ResponseWriter, r *http.Request, kind string, l
 		return nil
 	}
 	sc, ok := getMatchScratch(), false
-	if sc.body, ok = chassis.ReadBody(w, r, sc.body, s.cfg.maxBody()); !ok {
+	if sc.body, ok = chassis.ReadBody(w, r, sc.body, maxBody); !ok {
+		s.met.endpoints[ep].Errors.Add(1)
 		matchScratchPool.Put(sc)
 		return nil
 	}
 	return sc
+}
+
+// clientError answers a /v1 request the client got wrong (any 4xx but a
+// 429 shed, which refuse429 books) and counts it in ep's errors.
+func (s *Server) clientError(ep string, w http.ResponseWriter, status int, code, format string, args ...any) {
+	s.met.endpoints[ep].Errors.Add(1)
+	chassis.WriteError(w, status, code, format, args...)
 }
 
 // snapshotInfo reports the currently installed snapshots. The descriptors
@@ -450,18 +460,17 @@ func (s *Server) recordClassify(anti bool, ts time.Time) {
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ls := s.lists.Load()
-	sc := s.readPost(w, r, "lists", ls != nil)
+	sc := s.readPost(w, r, epMatch, "lists", ls != nil)
 	if sc == nil {
 		return
 	}
 	defer matchScratchPool.Put(sc)
 	if err := sc.decode(sc.body); err != nil {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+		s.clientError(epMatch, w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if msg := checkQuery(&sc.q); msg != "" {
-		s.met.endpoints[epMatch].Errors.Add(1)
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "%s", msg)
+		s.clientError(epMatch, w, http.StatusBadRequest, "bad_request", "%s", msg)
 		return
 	}
 	start, ok := s.beginAdmitted(epMatch, w, r)
@@ -486,29 +495,28 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	// arenas grow monotonically, so every result's slices stay valid until
 	// the encode below.
 	ls := s.lists.Load()
-	sc := s.readPost(w, r, "lists", ls != nil)
+	sc := s.readPost(w, r, epMatchBatch, "lists", ls != nil)
 	if sc == nil {
 		return
 	}
 	defer matchScratchPool.Put(sc)
 	var batch matchBatchRequest
 	if err := json.Unmarshal(sc.body, &batch); err != nil {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+		s.clientError(epMatchBatch, w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Requests) == 0 {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch")
+		s.clientError(epMatchBatch, w, http.StatusBadRequest, "bad_request", "empty batch")
 		return
 	}
-	if len(batch.Requests) > s.cfg.maxBatch() {
-		chassis.WriteError(w, http.StatusBadRequest, "batch_too_large",
-			"%d requests exceed the %d-item batch limit", len(batch.Requests), s.cfg.maxBatch())
+	if len(batch.Requests) > maxBatch {
+		s.clientError(epMatchBatch, w, http.StatusBadRequest, "batch_too_large",
+			"%d requests exceed the %d-item batch limit", len(batch.Requests), maxBatch)
 		return
 	}
 	for i := range batch.Requests {
 		if msg := checkQuery(&batch.Requests[i]); msg != "" {
-			s.met.endpoints[epMatchBatch].Errors.Add(1)
-			chassis.WriteError(w, http.StatusBadRequest, "bad_request", "request %d: %s", i, msg)
+			s.clientError(epMatchBatch, w, http.StatusBadRequest, "bad_request", "request %d: %s", i, msg)
 			return
 		}
 	}
@@ -575,7 +583,7 @@ func classifyOne(ms *modelState, src string) (ClassifyResult, error) {
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	ms := s.model.Load()
-	sc := s.readPost(w, r, "model", ms != nil)
+	sc := s.readPost(w, r, epClassify, "model", ms != nil)
 	if sc == nil {
 		return
 	}
@@ -584,7 +592,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	src := string(sc.body)
 	matchScratchPool.Put(sc)
 	if len(src) == 0 {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty script body")
+		s.clientError(epClassify, w, http.StatusBadRequest, "bad_request", "empty script body")
 		return
 	}
 	start, ok := s.beginAdmitted(epClassify, w, r)
@@ -594,8 +602,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	defer s.endAdmitted(epClassify, start)
 	res, err := classifyOne(ms, src)
 	if err != nil {
-		s.met.endpoints[epClassify].Errors.Add(1)
-		chassis.WriteError(w, http.StatusUnprocessableEntity, "bad_script",
+		s.clientError(epClassify, w, http.StatusUnprocessableEntity, "bad_script",
 			"script does not parse: %v", err)
 		return
 	}
@@ -610,7 +617,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	ms := s.model.Load()
-	sc := s.readPost(w, r, "model", ms != nil)
+	sc := s.readPost(w, r, epClassifyBatch, "model", ms != nil)
 	if sc == nil {
 		return
 	}
@@ -618,16 +625,16 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	// Unmarshal copies the scripts out of the pooled buffer.
 	var batch classifyBatchRequest
 	if err := json.Unmarshal(sc.body, &batch); err != nil {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
+		s.clientError(epClassifyBatch, w, http.StatusBadRequest, "bad_request", "malformed JSON body: %v", err)
 		return
 	}
 	if len(batch.Scripts) == 0 {
-		chassis.WriteError(w, http.StatusBadRequest, "bad_request", "empty batch")
+		s.clientError(epClassifyBatch, w, http.StatusBadRequest, "bad_request", "empty batch")
 		return
 	}
-	if len(batch.Scripts) > s.cfg.maxBatch() {
-		chassis.WriteError(w, http.StatusBadRequest, "batch_too_large",
-			"%d scripts exceed the %d-item batch limit", len(batch.Scripts), s.cfg.maxBatch())
+	if len(batch.Scripts) > maxBatch {
+		s.clientError(epClassifyBatch, w, http.StatusBadRequest, "batch_too_large",
+			"%d scripts exceed the %d-item batch limit", len(batch.Scripts), maxBatch)
 		return
 	}
 	start, ok := s.beginAdmitted(epClassifyBatch, w, r)

@@ -49,7 +49,6 @@ func do(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRe
 
 func TestHandlersGolden(t *testing.T) {
 	deflt := newTestServer(t, Config{})
-	tiny := newTestServer(t, Config{MaxBody: 64})
 	bare := New(Config{}) // no snapshots loaded
 
 	cases := []struct {
@@ -89,8 +88,8 @@ func TestHandlersGolden(t *testing.T) {
 		{"error_batch_item", deflt, "POST", "/v1/match/batch", `{"requests":[{"type":"script"}]}`, 400},
 		{"error_empty_script", deflt, "POST", "/v1/classify", ``, 400},
 		{"error_malformed_js", deflt, "POST", "/v1/classify", `function ((( {`, 422},
-		{"error_oversized", tiny, "POST", "/v1/classify",
-			strings.Repeat("var xxxxxxxx = 1; ", 16), 413},
+		{"error_oversized", deflt, "POST", "/v1/classify",
+			strings.Repeat("x", maxBody+1), 413},
 		{"error_method", deflt, "GET", "/v1/match", ``, 405},
 		{"error_not_found", deflt, "POST", "/v1/nope", `{}`, 404},
 		{"error_no_lists", bare, "POST", "/v1/match", `{"url":"http://x.example/"}`, 503},
@@ -152,13 +151,73 @@ func quoteJSON(s string) string {
 }
 
 func TestBatchTooLarge(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 2})
-	body := `{"requests":[{"url":"http://a.example/"},{"url":"http://b.example/"},{"url":"http://c.example/"}]}`
+	s := newTestServer(t, Config{})
+	body := `{"requests":[` + strings.Repeat(`{"url":"http://a.example/"},`, maxBatch) + `{"url":"http://b.example/"}]}`
 	rec := do(t, s, "POST", "/v1/match/batch", body)
 	if rec.Code != 400 || !strings.Contains(rec.Body.String(), "batch_too_large") {
 		t.Fatalf("status %d body %s", rec.Code, rec.Body.Bytes())
 	}
 	golden(t, "error_batch_too_large", rec.Body.Bytes())
+}
+
+// TestClientErrorsCounted: every 4xx a /v1 endpoint answers, sheds aside, is
+// one more in that endpoint's errors and in no other's; an answered request
+// is in none.
+func TestClientErrorsCounted(t *testing.T) {
+	s := newTestServer(t, Config{})
+	oversized := strings.Repeat("x", maxBody+1)
+	urls := func(n int) string {
+		return `{"requests":[` + strings.Repeat(`{"url":"http://a.example/"},`, n-1) + `{"url":"http://a.example/"}]}`
+	}
+	scripts := `{"scripts":[` + strings.Repeat(`"var a = 1;",`, maxBatch) + `"var a = 1;"]}`
+	cases := []struct {
+		ep, method, path, body string
+		status                 int
+	}{
+		{epMatch, "GET", "/v1/match", ``, 405},
+		{epMatch, "POST", "/v1/match", oversized, 413},
+		{epMatch, "POST", "/v1/match", `{"url":`, 400},
+		{epMatch, "POST", "/v1/match", `{"type":"script"}`, 400},
+		{epMatch, "POST", "/v1/match", `{"url":"http://a.example/"}`, 200},
+		{epMatchBatch, "GET", "/v1/match/batch", ``, 405},
+		{epMatchBatch, "POST", "/v1/match/batch", oversized, 413},
+		{epMatchBatch, "POST", "/v1/match/batch", `{"requests":`, 400},
+		{epMatchBatch, "POST", "/v1/match/batch", `{"requests":[]}`, 400},
+		{epMatchBatch, "POST", "/v1/match/batch", urls(maxBatch + 1), 400},
+		{epMatchBatch, "POST", "/v1/match/batch", `{"requests":[{"type":"script"}]}`, 400},
+		{epMatchBatch, "POST", "/v1/match/batch", urls(2), 200},
+		{epClassify, "GET", "/v1/classify", ``, 405},
+		{epClassify, "POST", "/v1/classify", oversized, 413},
+		{epClassify, "POST", "/v1/classify", ``, 400},
+		{epClassify, "POST", "/v1/classify", `function ((( {`, 422},
+		{epClassify, "POST", "/v1/classify", `var a = 1;`, 200},
+		{epClassifyBatch, "GET", "/v1/classify/batch", ``, 405},
+		{epClassifyBatch, "POST", "/v1/classify/batch", oversized, 413},
+		{epClassifyBatch, "POST", "/v1/classify/batch", `{"scripts":`, 400},
+		{epClassifyBatch, "POST", "/v1/classify/batch", `{"scripts":[]}`, 400},
+		{epClassifyBatch, "POST", "/v1/classify/batch", scripts, 400},
+		{epClassifyBatch, "POST", "/v1/classify/batch", `{"scripts":["var a = 1;"]}`, 200},
+	}
+	errs := func() map[string]uint64 {
+		m := make(map[string]uint64, len(s.met.endpoints))
+		for ep, st := range s.met.endpoints {
+			m[ep] = st.Errors.Load()
+		}
+		return m
+	}
+	for _, c := range cases {
+		before := errs()
+		if rec := do(t, s, c.method, c.path, c.body); rec.Code != c.status {
+			t.Fatalf("%s %s (%.40q): status %d, want %d", c.method, c.path, c.body, rec.Code, c.status)
+		}
+		want := before
+		if c.status != 200 {
+			want[c.ep]++
+		}
+		if got := errs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s (%.40q) → %d: errors %v, want %v", c.method, c.path, c.body, c.status, got, want)
+		}
+	}
 }
 
 func TestReloadFromDiskAndVersionError(t *testing.T) {

@@ -45,13 +45,6 @@ type Config struct {
 	// QueueTimeout is the deadline a request may wait for a slot before
 	// being shed with 429 (0 = 25ms).
 	QueueTimeout time.Duration
-	// MaxBody bounds request body size in bytes (0 = 1 MiB). Oversized
-	// bodies get 413.
-	MaxBody int64
-	// MaxBatch bounds items per batch request (0 = 256).
-	MaxBatch int
-	// DrainTimeout bounds graceful shutdown (0 = 5s).
-	DrainTimeout time.Duration
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
@@ -67,11 +60,6 @@ type Config struct {
 	// health-polling gateways time to stop routing here before connection
 	// teardown begins (0 = no announcement window).
 	DrainAnnounce time.Duration
-	// DisableUsage turns off per-rule usage counters. They are on by
-	// default: recording is a single sharded atomic add on the match path
-	// (no locks, no allocation), and /admin/usage dumps the per-rule hit
-	// distribution that adwars-compact turns into a tiered snapshot.
-	DisableUsage bool
 	// Analytics, when non-nil, enables the decision analytics pipeline:
 	// every /v1/match and /v1/classify verdict is logged (sampled per
 	// Analytics.SampleRate) into lock-free rings that a background
@@ -113,26 +101,15 @@ func (c *Config) queueTimeout() time.Duration {
 	return 25 * time.Millisecond
 }
 
-func (c *Config) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return 1 << 20
-}
-
-func (c *Config) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 256
-}
-
-func (c *Config) drainTimeout() time.Duration {
-	if c.DrainTimeout > 0 {
-		return c.DrainTimeout
-	}
-	return 5 * time.Second
-}
+const (
+	// maxBody bounds a data-plane request body in bytes; larger bodies get
+	// 413.
+	maxBody = 1 << 20
+	// maxBatch bounds the items of one batch request.
+	maxBatch = 256
+	// drainTimeout bounds graceful shutdown.
+	drainTimeout = 5 * time.Second
+)
 
 // maxSnapshot bounds the body of a control-plane snapshot push in bytes.
 // Snapshots are far larger than data-plane request bodies, so they get
@@ -457,13 +434,14 @@ func (s *Server) prepareLists(snap *abp.ListsSnapshot, version string, raw []byt
 	if len(snap.Lists) == 0 {
 		return nil, fmt.Errorf("serve: lists snapshot has no lists")
 	}
-	if !s.cfg.DisableUsage {
-		// Attach the per-rule hit counters before the state becomes visible
-		// to matchers (EnableUsage is idempotent but not concurrency-safe
-		// against in-flight matches on the same list value).
-		for _, l := range snap.Lists {
-			l.EnableUsage()
-		}
+	// Attach the per-rule hit counters before the state becomes visible to
+	// matchers (EnableUsage is idempotent but not concurrency-safe against
+	// in-flight matches on the same list value). Recording is one sharded
+	// atomic add on the match path, no lock and no allocation, and
+	// /admin/usage dumps the per-rule hit distribution that adwars-compact
+	// turns into a tiered snapshot.
+	for _, l := range snap.Lists {
+		l.EnableUsage()
 	}
 	ls := &listsState{snap: snap, rules: snap.Rules(), version: version, raw: raw}
 	ls.info = &ListsInfo{
@@ -559,12 +537,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on ln until ctx is cancelled, then announces
 // drain (readiness flips to 503 and stays that way for DrainAnnounce so
 // polling gateways route away first), drains in-flight requests (bounded
-// by DrainTimeout), and flushes a final metrics snapshot to MetricsOut.
+// by drainTimeout), and flushes a final metrics snapshot to MetricsOut.
 // It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.StartDegrade()
 	ws := &wire.Server{Handler: s.mux}
-	err := ws.Run(ctx, ln, s.cfg.drainTimeout(), func() {
+	err := ws.Run(ctx, ln, drainTimeout, func() {
 		s.StartDrain()
 		time.Sleep(s.cfg.DrainAnnounce)
 	})

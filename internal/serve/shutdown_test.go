@@ -19,9 +19,8 @@ import (
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	var metricsOut bytes.Buffer
 	s := newTestServer(t, Config{
-		Workers:      2,
-		DrainTimeout: 5 * time.Second,
-		MetricsOut:   &metricsOut,
+		Workers:    2,
+		MetricsOut: &metricsOut,
 	})
 	// Hold each request in the handler long enough for the shutdown to
 	// race in behind it.

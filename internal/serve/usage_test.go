@@ -97,25 +97,6 @@ func TestUsageEndpoint(t *testing.T) {
 	}
 }
 
-// TestUsageDisabled pins the opt-out: a DisableUsage replica matches
-// normally but refuses the usage dump, and /debug/vars reports the
-// aggregate as disabled.
-func TestUsageDisabled(t *testing.T) {
-	s := newTestServer(t, Config{DisableUsage: true})
-	if rec := do(t, s, "POST", "/v1/match",
-		`{"url":"http://ads.example.com/banner.js","type":"script"}`); rec.Code != 200 {
-		t.Fatalf("match with usage off = %d", rec.Code)
-	}
-	rec := do(t, s, "GET", "/admin/usage", "")
-	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "usage_disabled") {
-		t.Fatalf("usage dump with usage off = %d: %s", rec.Code, rec.Body.Bytes())
-	}
-	rec = do(t, s, "GET", "/debug/vars", "")
-	if !strings.Contains(rec.Body.String(), `"adwars_usage": {"enabled":false`) {
-		t.Fatalf("debug vars missing disabled usage aggregate: %s", rec.Body.Bytes())
-	}
-}
-
 // TestUsageDebugVarsAggregate checks the lazily merged /debug/vars
 // summary agrees with the full dump.
 func TestUsageDebugVarsAggregate(t *testing.T) {
@@ -141,56 +122,47 @@ func TestUsageDebugVarsAggregate(t *testing.T) {
 
 // TestUsageProbeGeometry: /admin/usage (per list) and /debug/vars (summed)
 // say how a list's HTTP rules reach a probe — by keyword (guarded or not), by
-// page domain, or as candidates of every request — with usage counters on or
-// off, and, with them on, how many probes the list answered and how many
-// candidates they verified: here the keyworded rule once (its run stands in
-// its context in one of the two URLs that spell it), a page's rule once, the
-// generic rule every time.
+// page domain, or as candidates of every request — and how many probes the
+// list answered and how many candidates they verified: here the keyworded
+// rule once (its run stands in its context in one of the two URLs that spell
+// it), a page's rule once, the generic rule every time.
 func TestUsageProbeGeometry(t *testing.T) {
-	for _, off := range []bool{false, true} {
-		want := probeGeometry{KeywordRules: 1, DomainRules: 2, GenericRules: 1, GuardedRules: 1}
-		if !off {
-			want.Probes, want.Candidates = 3, 5
+	want := probeGeometry{KeywordRules: 1, DomainRules: 2, GenericRules: 1, GuardedRules: 1, Probes: 3, Candidates: 5}
+	l, errs := abp.ParseAndBuild("geometry", strings.Join([]string{
+		"||ads.example^",
+		"/banner/ads.js$domain=x.example",
+		"/banner/ads.js$domain=y.example",
+		"*$image",
+		"##.ad-banner",
+	}, "\n"))
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	s := New(Config{})
+	if err := s.SetListsSnapshot(&abp.ListsSnapshot{Lists: []*abp.List{l}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"url":"http://ads.example/x.js","type":"script"}`,
+		`{"url":"http://ads-example.test/x.js","type":"script"}`,
+		`{"url":"http://cdn.test/banner/ads.js","type":"image","page_domain":"x.example"}`,
+	} {
+		if rec := do(t, s, "POST", "/v1/match", body); rec.Code != http.StatusOK {
+			t.Fatalf("match %s: status %d", body, rec.Code)
 		}
-		l, errs := abp.ParseAndBuild("geometry", strings.Join([]string{
-			"||ads.example^",
-			"/banner/ads.js$domain=x.example",
-			"/banner/ads.js$domain=y.example",
-			"*$image",
-			"##.ad-banner",
-		}, "\n"))
-		if len(errs) != 0 {
-			t.Fatal(errs)
-		}
-		s := New(Config{DisableUsage: off})
-		if err := s.SetListsSnapshot(&abp.ListsSnapshot{Lists: []*abp.List{l}}); err != nil {
-			t.Fatal(err)
-		}
-		for _, body := range []string{
-			`{"url":"http://ads.example/x.js","type":"script"}`,
-			`{"url":"http://ads-example.test/x.js","type":"script"}`,
-			`{"url":"http://cdn.test/banner/ads.js","type":"image","page_domain":"x.example"}`,
-		} {
-			if rec := do(t, s, "POST", "/v1/match", body); rec.Code != http.StatusOK {
-				t.Fatalf("match %s: status %d", body, rec.Code)
-			}
-		}
-		var vars struct {
-			Usage usageAggregate `json:"adwars_usage"`
-		}
-		if err := json.Unmarshal(do(t, s, "GET", "/debug/vars", "").Body.Bytes(), &vars); err != nil {
-			t.Fatal(err)
-		}
-		if vars.Usage.probeGeometry != want || vars.Usage.Enabled == off {
-			t.Errorf("usage off=%v: /debug/vars says %+v, want %+v", off, vars.Usage, want)
-		}
-		if off {
-			continue
-		}
-		dump := decodeUsage(t, do(t, s, "GET", "/admin/usage", "").Body.Bytes())
-		if got := dump.Lists[0]; got.probeGeometry != want || got.HTTPRules != 4 {
-			t.Errorf("/admin/usage says %+v of 4 HTTP rules, want %+v", got.probeGeometry, want)
-		}
+	}
+	var vars struct {
+		Usage usageAggregate `json:"adwars_usage"`
+	}
+	if err := json.Unmarshal(do(t, s, "GET", "/debug/vars", "").Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if vars.Usage.probeGeometry != want || !vars.Usage.Enabled {
+		t.Errorf("/debug/vars says %+v, want %+v", vars.Usage, want)
+	}
+	dump := decodeUsage(t, do(t, s, "GET", "/admin/usage", "").Body.Bytes())
+	if got := dump.Lists[0]; got.probeGeometry != want || got.HTTPRules != 4 {
+		t.Errorf("/admin/usage says %+v of 4 HTTP rules, want %+v", got.probeGeometry, want)
 	}
 }
 

@@ -22,8 +22,8 @@ type UsageRule struct {
 // probeGeometry says how a list's HTTP rules reach a probe (abp.TierStats):
 // through an automaton keyword (guarded: the scan also checks the run's
 // context), through the page-domain index, or as candidates of every request;
-// and, while usage counters are on, what that comes to: the probes the list
-// answered and the candidates they verified.
+// and, from the list's usage counters, what that comes to: the probes the
+// list answered and the candidates they verified.
 type probeGeometry struct {
 	KeywordRules int    `json:"keyword_rules"`
 	DomainRules  int    `json:"domain_rules"`
@@ -39,11 +39,9 @@ func (g *probeGeometry) add(l *abp.List) {
 	g.DomainRules += st.DomainRules
 	g.GenericRules += st.GenericRules
 	g.GuardedRules += st.GuardedRules
-	if u := l.Usage(); u != nil {
-		probes, candidates := u.Probes()
-		g.Probes += probes
-		g.Candidates += candidates
-	}
+	probes, candidates := l.Usage().Probes()
+	g.Probes += probes
+	g.Candidates += candidates
 }
 
 // UsageList is one list's per-rule usage distribution. Hits carries every
@@ -132,11 +130,6 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 	}
 	dump := UsageDump{Lists: make([]UsageList, 0, len(ls.snap.Lists))}
 	for _, l := range ls.snap.Lists {
-		if l.Usage() == nil {
-			chassis.WriteError(w, http.StatusNotFound, "usage_disabled",
-				"usage counters are disabled on this replica")
-			return
-		}
 		ul := usageList(l, topK)
 		dump.TotalHits += ul.TotalHits
 		dump.Lists = append(dump.Lists, ul)
@@ -156,19 +149,17 @@ type usageAggregate struct {
 	probeGeometry
 }
 
-// usageVars sums the lists' usage counters, and their probe geometry
-// whether they count or not. The counters are sharded per-bank atomics;
-// merging them happens here, on the read side, so the match path never pays
-// for metrics export (/debug/vars computes the aggregate only when scraped).
+// usageVars sums the lists' usage counters and their probe geometry. The
+// counters are sharded per-bank atomics; merging them happens here, on the
+// read side, so the match path never pays for metrics export (/debug/vars
+// computes the aggregate only when scraped). Every served list counts, so
+// the aggregate is enabled whenever lists are loaded.
 func (s *Server) usageVars() usageAggregate {
 	agg := usageAggregate{}
 	if ls := s.lists.Load(); ls != nil {
+		agg.Enabled = true
 		for _, l := range ls.snap.Lists {
 			agg.add(l)
-			if l.Usage() == nil {
-				continue
-			}
-			agg.Enabled = true
 			counts := l.Usage().Counts()
 			for ord, r := range l.Rules() {
 				if !r.IsHTTP() {

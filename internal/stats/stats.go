@@ -63,18 +63,6 @@ func (c *CDF) Render(xs []float64) string {
 	return b.String()
 }
 
-// Mean returns the sample mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MonthSeries is a time series with one value per month label.
 type MonthSeries struct {
 	Months []time.Time

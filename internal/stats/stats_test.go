@@ -72,15 +72,6 @@ func TestCDFRender(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
 func TestMonthSeries(t *testing.T) {
 	var s MonthSeries
 	m1 := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)

@@ -1,7 +1,6 @@
 package wayback
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,7 @@ func (k FaultKind) String() string {
 
 // TransientError is a retriable archive failure. Permanent failures (a
 // snapshot that genuinely has no source content) are plain errors; the
-// crawler distinguishes the two with IsTransient.
+// crawler distinguishes the two with errors.As.
 type TransientError struct {
 	Kind   FaultKind
 	Domain string
@@ -70,13 +69,6 @@ func (e *TransientError) Error() string {
 		return fmt.Sprintf("wayback: transient %s for %s (retry after %s)", e.Kind, e.Domain, e.RetryAfter)
 	}
 	return fmt.Sprintf("wayback: transient %s for %s", e.Kind, e.Domain)
-}
-
-// IsTransient reports whether err is (or wraps) a retriable archive
-// failure.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
 }
 
 // FaultConfig parameterizes fault injection. The zero value disables it.

@@ -143,21 +143,6 @@ func TestFaultRetryAfterOnRateLimit(t *testing.T) {
 	}
 }
 
-func TestIsTransient(t *testing.T) {
-	if !IsTransient(&TransientError{Kind: FaultTimeout}) {
-		t.Fatal("TransientError must be transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", &TransientError{Kind: FaultOutage})) {
-		t.Fatal("wrapped TransientError must be transient")
-	}
-	if IsTransient(errors.New("no source content")) {
-		t.Fatal("plain error must be permanent")
-	}
-	if IsTransient(nil) {
-		t.Fatal("nil must not be transient")
-	}
-}
-
 func TestFaultKindStrings(t *testing.T) {
 	want := map[FaultKind]string{
 		FaultRateLimit: "rate-limit", FaultTimeout: "timeout",

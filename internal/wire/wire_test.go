@@ -160,7 +160,7 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(io.Discard) // both servers log the panic case
 
-	s := newServe(t, serve.Config{MaxBody: 128, ReplicaID: "r0", Degrade: &degrade.Config{}})
+	s := newServe(t, serve.Config{ReplicaID: "r0", Degrade: &degrade.Config{}})
 	chaos := newServe(t, serve.Config{Chaos: &serve.ChaosConfig{Seed: 1, CloseRate: 1}})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
@@ -208,7 +208,7 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 		{"two pipelined", []step{{match + get, []string{P, G}}}},
 		{"three pipelined, the second says close", []step{
 			{get + post("/v1/match", "Connection: close\r\n", matchBody) + get, []string{G, P}}}},
-		{"body over maxBody", []step{{post("/v1/match", "", `{"url":"`+strings.Repeat("x", 200)+`"}`), []string{P}}, {get, []string{G}}}},
+		{"body over maxBody", []step{{post("/v1/match", "", `{"url":"`+strings.Repeat("x", 1<<20)+`"}`), []string{P}}, {get, []string{G}}}},
 		{"method not allowed", []step{{"GET /v1/match HTTP/1.1\r\nHost: x\r\n\r\n", []string{G}}}},
 		{"refused with retry-after", []step{{post("/v1/match", "X-Adwars-Deadline: 1\r\n", matchBody), []string{P}}, {get, []string{G}}}},
 		{"not found", []step{{post("/v1/nope", "", "{}"), []string{P}}}},

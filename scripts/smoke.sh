@@ -192,7 +192,7 @@ scenario_serve() {
     load "tiered snapshot does not serve clean" \
         -target "http://$(addr tiered)" -duration 1s -concurrency 2 -check ledger,usage
 
-    for _old in parent-v4 parent-v5-tiered; do
+    for _old in parent-v5-flat parent-v5-tiered; do
         say "converting $_old.snapshot..."
         mkdir -p "$W/$_old"
         "$BIN/adwars-compact" -lists "internal/abp/testdata/$_old.snapshot" \
