@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc loc-check fault-check bench-test bench-smoke fuzz-smoke smoke serve-smoke chaos-smoke fleet-smoke brownout-smoke
+.PHONY: build test vet fmt-check race verify loc loc-check fault-check bench-test bench-smoke fuzz-smoke
 
 # bench/ is a module of its own, so `go build ./...` and `go vet ./...` at
 # the root do not reach it: build and vet name it, so that a change to an
@@ -18,11 +18,9 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
-# fmt-check fails when gofmt would change any file: it lists them. The
-# shell half of the tree gets the check it can have: every script parses.
+# fmt-check fails when gofmt would change any file: it lists them.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	@for f in scripts/*.sh; do sh -n "$$f" || exit 1; done
 
 race:
 	$(GO) test -race ./...
@@ -30,31 +28,29 @@ race:
 # verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the
 # race detector over the whole tree (the crawl engine is heavily concurrent
 # — breaker, journal, and metrics are all shared state; loadgen's gate table
-# is tested there too), the benchmark module's own tests (bench/ is a
-# separate module, so `go test ./...` at the root does not reach them), one
-# iteration of every in-package benchmark, ten seconds of each fuzz target,
-# and the four smoke scenarios of the serving
-# stack, shortened, through one invocation of the harness: one build, one
-# snapshot freeze. The hot-path gates (0 allocs/op on the match paths, the
-# sub-microsecond median match, the handlers' allocation budgets) are plain
-# tests and run under `test`. Performance is measured by `bash bench/run.sh`
-# (BENCHMARK.json, bench/README.md), not here.
+# and the serving stack's scenario table are tested there too), the
+# benchmark module's own tests (bench/ is a separate module, so `go test
+# ./...` at the root does not reach them), one iteration of every
+# in-package benchmark and ten seconds of each fuzz target. The serving
+# scenarios (cmd/adwars-loadgen/scenario_test.go) run in-process under both
+# `test` and `race`, and through the built binaries under `test`. The
+# hot-path gates (0 allocs/op on the match paths, the sub-microsecond median
+# match, the handlers' allocation budgets) are plain tests and run under
+# `test`. Performance is measured by `bash bench/run.sh` (BENCHMARK.json,
+# bench/README.md), not here.
 verify: build vet fmt-check loc-check test race bench-test bench-smoke fuzz-smoke
-	SMOKE_SHORT=1 $(MAKE) smoke
 
-# loc prints the ROADMAP's code-size measures: non-test Go lines outside the
-# benchmark module, then the lines of shell under scripts/ — the other half
-# of the verification layer.
+# loc prints the ROADMAP's code-size measure: non-test Go lines outside the
+# benchmark module.
 LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 loc:
 	@$(LOC)
-	@cat scripts/*.sh | wc -l
 
 # loc-check is the ratchet on the first of those figures: it fails when the
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 25844
+LOC_CEILING = 25739
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -123,34 +119,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGlobMatch -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzGuard -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzOpenSections -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
-
-# smoke runs the serving stack as real processes: scripts/smoke.sh builds
-# the binaries and freezes the snapshots once, then runs its scenarios in
-# order. Each is also a target of its own. SMOKE_SHORT=1 shortens the
-# firing windows; the gates are the same.
-#
-#   serve     one adwars-serve: ~2s of mixed load with a SIGHUP hot reload
-#             mid-fire, usage and analytics ledgers reconciled to the unit,
-#             live and spill dashboards, a compacted tiered snapshot and a
-#             converted schema-4 one served clean, a clean drain.
-#   chaos     every fault class injected (-chaos-* flags) under hostile
-#             load (malformed / oversized / slow-trickle / mid-body-abort),
-#             a corrupted-snapshot reload mid-fire rejected while last-good
-#             serves; the chaos ledger balances and the survivor answers
-#             byte-identically to a fault-free control.
-#   fleet     three replicas behind adwars-gateway, one SIGKILLed and
-#             restarted mid-load (zero 5xx, failovers >= 1, answers
-#             identical to a single node), then adwars-ctl: a corrupt
-#             artifact refused locally, a sealed-garbage one rolled back at
-#             the canary, a good v2 converging on all replicas.
-#   brownout  two starved governed replicas overdriven until the ladder
-#             climbs to >= L2, then proven to recover to L0 without
-#             flapping, with some answers really served hot-only.
-smoke:
-	sh scripts/smoke.sh serve chaos fleet brownout
-
-serve-smoke chaos-smoke fleet-smoke brownout-smoke:
-	sh scripts/smoke.sh $(@:-smoke=)
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical

@@ -1,14 +1,15 @@
 // Command adwars-ctl is the fleet snapshot control plane: it pushes
 // artifact-sealed model/lists snapshots through a fleet of adwars-serve
-// replicas in stages — canary first, then everyone — watching each
-// replica's /healthz and reload_rejected/reload_errors counters, and
-// automatically rolling every updated replica back to its last-good
-// snapshot when a stage rejects or degrades.
+// replicas in stages — the first replica as canary, baked for 500ms, then
+// everyone, converged within 5s — watching each replica's /healthz and
+// reload_rejected/reload_errors counters, and automatically rolling every
+// updated replica back to its last-good snapshot when a stage rejects or
+// degrades.
 //
 // Usage:
 //
 //	adwars-ctl -replicas host:port,host:port,... -status
-//	adwars-ctl -replicas ... -push-lists lists.json [-canary N] [-bake D] [-watch D]
+//	adwars-ctl -replicas ... -push-lists lists.json
 //	adwars-ctl -replicas ... -push-model model.json
 //	adwars-ctl -seal payload.json -out sealed.json
 //
@@ -48,9 +49,6 @@ func run() int {
 	status := flag.Bool("status", false, "print every replica's health and snapshot versions, then exit")
 	pushLists := flag.String("push-lists", "", "roll out this sealed lists snapshot to the fleet")
 	pushModel := flag.String("push-model", "", "roll out this sealed model snapshot to the fleet")
-	canary := flag.Int("canary", 0, "canary stage size (0 = 1)")
-	bake := flag.Duration("bake", 0, "canary observation window before the fleet stage (0 = default 500ms)")
-	watch := flag.Duration("watch", 0, "post-rollout convergence deadline (0 = default 5s)")
 	seal := flag.String("seal", "", "seal this payload file with the artifact integrity trailer and exit")
 	out := flag.String("out", "", "output path for -seal")
 	flag.Parse()
@@ -83,9 +81,6 @@ func run() int {
 	}
 	ctl := &fleet.Controller{
 		Replicas: strings.Split(*replicas, ","),
-		Canaries: *canary,
-		Bake:     *bake,
-		Watch:    *watch,
 		Log:      os.Stderr,
 	}
 	ctx := context.Background()

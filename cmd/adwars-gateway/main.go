@@ -9,13 +9,12 @@
 // Usage:
 //
 //	adwars-gateway -backends host:port,host:port,... [-addr :8090]
-//	               [-health-interval D] [-retries N] [-hedge-delay D]
-//	               [-retry-budget N] [-retry-refill F] [-portfile PATH]
+//	               [-retries N] [-hedge-delay D] [-portfile PATH]
 //
-// Retries and hedges spend from a per-replica token budget (capacity
-// -retry-budget, refilled by -retry-refill tokens per successful
-// exchange), so a struggling fleet is never hammered with unbounded
-// extra attempts. The gateway also stamps X-Adwars-Deadline — the
+// Each replica's /readyz is polled every 250ms. Retries and hedges spend
+// from a per-replica token budget (10 tokens, refilled by 0.1 per
+// successful exchange), so a struggling fleet is never hammered with
+// unbounded extra attempts. The gateway also stamps X-Adwars-Deadline — the
 // remaining per-try time budget in milliseconds, narrowed by any
 // deadline the client already propagated — so replicas can refuse work
 // they cannot finish in time.
@@ -48,11 +47,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (host:0 picks an ephemeral port)")
 	backends := flag.String("backends", "", "comma-separated replica base URLs or host:port list (required)")
-	healthInterval := flag.Duration("health-interval", 0, "active /readyz polling cadence (0 = default 250ms)")
 	retries := flag.Int("retries", 0, "max distinct replicas tried per request (0 = all)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fire a second attempt on another replica after this delay (0 = hedging off)")
-	retryBudget := flag.Float64("retry-budget", 0, "per-replica retry token bucket capacity (0 = default 10)")
-	retryRefill := flag.Float64("retry-refill", 0, "retry tokens earned per successful exchange (0 = default 0.1)")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
 	flag.Parse()
 
@@ -60,12 +56,7 @@ func main() {
 		log.Fatal("need -backends (comma-separated replica addresses)")
 	}
 	g, err := fleet.NewGateway(fleet.GatewayConfig{
-		Backends: strings.Split(*backends, ","),
-		Pool: fleet.PoolConfig{
-			HealthInterval: *healthInterval,
-			RetryBudget:    *retryBudget,
-			RetryRefill:    *retryRefill,
-		},
+		Backends:    strings.Split(*backends, ","),
 		MaxAttempts: *retries,
 		HedgeDelay:  *hedgeDelay,
 		MetricsOut:  os.Stderr,

@@ -1,8 +1,8 @@
 // Command adwars-loadgen drives an adwars-serve instance (or an
 // adwars-gateway in front of several) with a mixed match/classify workload,
 // reports throughput, latency quantiles and shed totals, and — with -check —
-// holds the run to a table of named gates. It is the load half of
-// scripts/smoke.sh.
+// holds the run to a table of named gates. The serving stack's scenario
+// table (scenario_test.go) drives every load window through it.
 //
 // Usage:
 //
@@ -56,8 +56,7 @@
 // -probe sends one canonical /v1/match and one canonical /v1/classify
 // request, retrying each until it gets a 2xx (50 attempts), and prints the
 // response bodies. Two probes against equivalent servers — e.g. a
-// fault-free control and a post-chaos survivor — must be byte-identical;
-// scripts/smoke.sh diffs them.
+// fault-free control and a post-chaos survivor — must be byte-identical.
 package main
 
 import (
@@ -255,6 +254,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fatal := func(format string, a ...interface{}) int {
 		fmt.Fprintf(stderr, "loadgen: "+format+"\n", a...)
 		return 2
+	}
+	if *concurrency < 1 {
+		return fatal("-concurrency %d: need at least one worker", *concurrency)
 	}
 
 	client := &http.Client{
@@ -658,9 +660,17 @@ func (ck *checker) analyticsNow() (at analyticsTotals, err error) {
 	return at, nil
 }
 
+// analyticsBaseline waits for the rings to empty first: decisions of earlier
+// traffic still in them would reach the totals during the run and read as
+// this run's.
 func (ck *checker) analyticsBaseline() (err error) {
-	if ck.anlBefore, err = ck.analyticsNow(); err != nil {
-		return err
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if ck.anlBefore, err = ck.analyticsNow(); err != nil {
+			return err
+		}
+		if ck.anlBefore.Counters.RingOccupancy == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if rate := ck.anlBefore.Counters.SampleRate; rate < 1 {
 		return fmt.Errorf("needs sampling 1.0, server is at %.3f", rate)

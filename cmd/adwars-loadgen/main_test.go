@@ -47,6 +47,20 @@ const testListB = `! test list B
 ||tracker.example^$script
 `
 
+// testSnapshot is the fixture's two lists under the given label.
+func testSnapshot(t *testing.T, label string) *abp.ListsSnapshot {
+	t.Helper()
+	snap := &abp.ListsSnapshot{Label: label}
+	for _, l := range []struct{ name, body string }{{"list-a", testListA}, {"list-b", testListB}} {
+		list, errs := abp.ParseAndBuild(l.name, l.body)
+		if len(errs) != 0 {
+			t.Fatalf("%s: %v", l.name, errs)
+		}
+		snap.Lists = append(snap.Lists, list)
+	}
+	return snap
+}
+
 // fixture is one in-process serve.Server behind httptest, with the lists
 // snapshot it serves also on disk for -lists.
 type fixture struct {
@@ -64,14 +78,7 @@ func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &abp.ListsSnapshot{Label: "test"}
-	for _, l := range []struct{ name, body string }{{"list-a", testListA}, {"list-b", testListB}} {
-		list, errs := abp.ParseAndBuild(l.name, l.body)
-		if len(errs) != 0 {
-			t.Fatalf("%s: %v", l.name, errs)
-		}
-		snap.Lists = append(snap.Lists, list)
-	}
+	snap := testSnapshot(t, "test")
 	f := &fixture{srv: serve.New(cfg), lists: filepath.Join(t.TempDir(), "lists.json")}
 	if err := abp.SaveListsSnapshot(f.lists, snap); err != nil {
 		t.Fatal(err)
@@ -108,21 +115,34 @@ func exactAnalytics() *analytics.Config {
 	return &analytics.Config{SampleRate: 1, DrainInterval: time.Millisecond}
 }
 
-// Ladder signals: a full queue is over-pressure, an idle server is calm.
+// Ladder moves at the governor's real hysteresis: a full queue is
+// over-pressure and two such observations climb one level; an idle server
+// is calm and five such observations descend one.
 var (
-	hot  = degrade.Signals{QueueDepth: 10, QueueLimit: 10}
-	calm = degrade.Signals{}
+	up   = repeat(degrade.Signals{QueueDepth: 10, QueueLimit: 10}, 2)
+	down = repeat(degrade.Signals{}, 5)
 )
 
-// governed is a server whose ladder moves one level per observation and
-// only when the test says so: nothing starts the governor's own ticker.
-func governed() serve.Config {
-	return serve.Config{Degrade: &degrade.Config{StepUpTicks: 1, StepDownTicks: 1}}
+func repeat(s degrade.Signals, n int) []degrade.Signals {
+	out := make([]degrade.Signals, n)
+	for i := range out {
+		out[i] = s
+	}
+	return out
 }
 
-func tick(f *fixture, signals ...degrade.Signals) {
-	for _, s := range signals {
-		f.srv.Degrade().Tick(s)
+// governed is a server whose ladder moves only when the test says so:
+// nothing starts the governor's own ticker.
+func governed() serve.Config {
+	return serve.Config{Degrade: &degrade.Config{}}
+}
+
+// tick feeds the governor every observation of the given moves, in order.
+func tick(f *fixture, moves ...[]degrade.Signals) {
+	for _, m := range moves {
+		for _, s := range m {
+			f.srv.Degrade().Tick(s)
+		}
 	}
 }
 
@@ -206,6 +226,21 @@ func TestGatesPass(t *testing.T) {
 			t.Errorf("a reconciliation of nothing proves nothing:\n%s", stdout)
 		}
 	})
+	t.Run("analytics after traffic still in the rings", func(t *testing.T) {
+		f := newFixture(t, serve.Config{Analytics: &analytics.Config{SampleRate: 1, DrainInterval: 200 * time.Millisecond}}, nil)
+		resp, err := http.Post(f.url+"/v1/match", "application/json",
+			strings.NewReader(`{"url":"http://ads.example.com/earlier.js","type":"script"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		code, stdout, stderr := f.load("-check", "analytics")
+		wantExit(t, code, 0)
+		wantOutput(t, stdout, "loadgen: ANALYTICS-CHECK OK (")
+		if stderr != "" {
+			t.Errorf("stderr: %s", stderr)
+		}
+	})
 	t.Run("chaos ledger", func(t *testing.T) {
 		f := newFixture(t, serve.Config{}, nil)
 		code, stdout, stderr := f.load("-chaos", "-check", "ledger")
@@ -217,11 +252,11 @@ func TestGatesPass(t *testing.T) {
 	})
 	t.Run("degrade failovers hot-only", func(t *testing.T) {
 		var f *fixture
-		recoverMidRun := afterRequests(20, func() { tick(f, calm, calm) })
+		recoverMidRun := afterRequests(20, func() { tick(f, down, down) })
 		f = newFixture(t, governed(), func(next http.Handler) http.Handler {
 			return gatewayVars(2)(recoverMidRun(next))
 		})
-		tick(f, hot, hot)
+		tick(f, up, up)
 		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers,hot-only", "-degrade-url", f.url)
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
@@ -253,7 +288,7 @@ func TestGatesFail(t *testing.T) {
 		name   string
 		cfg    serve.Config
 		wrap   func(http.Handler) http.Handler
-		ladder []degrade.Signals // observations fed to the governor before the run
+		ladder [][]degrade.Signals // moves fed to the governor before the run
 		check  string
 		code   int
 		stderr string
@@ -273,10 +308,10 @@ func TestGatesFail(t *testing.T) {
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.500"},
 		{name: "analytics: off", cfg: serve.Config{}, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
-		{name: "degrade: peaked below L2", cfg: governed(), ladder: []degrade.Signals{hot, calm},
+		{name: "degrade: peaked below L2", cfg: governed(), ladder: [][]degrade.Signals{up, down},
 			check: "degrade,ledger", code: 1,
 			stderr: "peak level L1, want >= L2", stdout: "loadgen: LEDGER-CHECK OK"},
-		{name: "degrade: flapped", cfg: governed(), ladder: []degrade.Signals{hot, hot, calm, hot, calm, calm},
+		{name: "degrade: flapped", cfg: governed(), ladder: [][]degrade.Signals{up, up, down, up, down, down},
 			check: "degrade", code: 1,
 			stderr: "6 transitions (3 up, 3 down) for peak L2 — want exactly 4 (one climb, one descent): the ladder flapped"},
 		{name: "degrade: no governor", cfg: serve.Config{}, check: "degrade", code: 1,
@@ -320,6 +355,8 @@ func TestRefusedBeforeFiring(t *testing.T) {
 		{[]string{"-chaos", "-check", "analytics"}, "loadgen: -check analytics is incompatible with -chaos"},
 		{[]string{"-usage-check"}, "flag provided but not defined: -usage-check"},
 		{[]string{"-lists", filepath.Join(t.TempDir(), "absent.json")}, "loadgen: lists snapshot: "},
+		{[]string{"-concurrency", "0"}, "loadgen: -concurrency 0: need at least one worker"},
+		{[]string{"-concurrency", "-1"}, "loadgen: -concurrency -1: need at least one worker"},
 	} {
 		code, stdout, stderr := f.load(c.args...)
 		wantExit(t, code, 2)
@@ -334,7 +371,7 @@ func TestRefusedBeforeFiring(t *testing.T) {
 }
 
 // TestProbePinned: -probe's output for a fixed server, byte for byte — it
-// is what scripts/smoke.sh diffs between a control and a survivor.
+// is what the scenario table compares between a control and a survivor.
 func TestProbePinned(t *testing.T) {
 	f := newFixture(t, serve.Config{}, nil)
 	var out, errb bytes.Buffer

@@ -9,12 +9,10 @@
 //	adwars-serve -model model.json -lists lists.json [-addr :8080]
 //	             [-workers N] [-queue N] [-queue-timeout D]
 //	             [-portfile PATH] [-replica ID] [-drain-announce D]
-//	             [-analytics] [-analytics-spill DIR]
-//	             [-degrade] [-degrade-interval D] [-degrade-p99 D]
-//	             [-degrade-up-ticks N] [-degrade-down-ticks N]
+//	             [-analytics] [-analytics-spill DIR] [-degrade]
 //
-// -degrade enables the adaptive overload governor: a ticker watches live
-// pressure (admission queue depth, windowed match p99, analytics drop
+// -degrade enables the adaptive overload governor: a 100ms ticker watches
+// live pressure (admission queue depth, windowed match p99, analytics drop
 // rate) and steps a degradation ladder L0..L4 — forced analytics
 // sampling, hot-tier-only matching, classify shed, batch shed — with
 // hysteresis so the level climbs fast and recovers calmly. Every
@@ -68,37 +66,13 @@ func main() {
 	drainAnnounce := flag.Duration("drain-announce", 0, "pause between flipping /readyz to 503 and closing the listener, so gateways route away first")
 	replica := flag.String("replica", "", "replica identity reported in X-Adwars-Replica and /healthz")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
-	chaosSeed := flag.Int64("chaos-seed", 0, "chaos fault-injection seed (0 = chaos disabled unless a rate is set)")
-	chaosLatencyRate := flag.Float64("chaos-latency-rate", 0, "fraction of data-plane requests that get injected latency")
-	chaosLatency := flag.Duration("chaos-latency", 0, "injected latency per latency fault (0 = default 5ms)")
-	chaosCloseRate := flag.Float64("chaos-close-rate", 0, "fraction of data-plane requests whose connection is closed early")
-	chaosTruncateRate := flag.Float64("chaos-truncate-rate", 0, "fraction of data-plane requests whose body read is truncated")
-	chaosPanicRate := flag.Float64("chaos-panic-rate", 0, "fraction of data-plane requests that panic inside the handler")
 	anlOn := flag.Bool("analytics", false, "enable the decision analytics pipeline (/admin/analytics)")
 	anlSpill := flag.String("analytics-spill", "", "directory for rotated JSONL analytics spill files (empty = in-memory only)")
 	degOn := flag.Bool("degrade", false, "enable the adaptive overload governor (brownout ladder L0..L4)")
-	degInterval := flag.Duration("degrade-interval", 0, "governor tick cadence (0 = default 100ms)")
-	degP99 := flag.Duration("degrade-p99", 0, "windowed match p99 that counts as pressure (0 = default 20ms)")
-	degUpTicks := flag.Int("degrade-up-ticks", 0, "consecutive hot ticks before stepping up (0 = default 2)")
-	degDownTicks := flag.Int("degrade-down-ticks", 0, "consecutive calm ticks before stepping down (0 = default 5)")
 	flag.Parse()
 
 	if *model == "" && *lists == "" {
 		log.Fatal("need at least one of -model or -lists")
-	}
-
-	var chaos *serve.ChaosConfig
-	if *chaosLatencyRate > 0 || *chaosCloseRate > 0 || *chaosTruncateRate > 0 || *chaosPanicRate > 0 {
-		chaos = &serve.ChaosConfig{
-			Seed:         *chaosSeed,
-			LatencyRate:  *chaosLatencyRate,
-			Latency:      *chaosLatency,
-			CloseRate:    *chaosCloseRate,
-			TruncateRate: *chaosTruncateRate,
-			PanicRate:    *chaosPanicRate,
-		}
-		fmt.Fprintf(os.Stderr, "adwars-serve: CHAOS MODE on data plane (seed=%d latency=%.2f close=%.2f truncate=%.2f panic=%.2f)\n",
-			chaos.Seed, chaos.LatencyRate, chaos.CloseRate, chaos.TruncateRate, chaos.PanicRate)
 	}
 
 	var anl *analytics.Config
@@ -109,14 +83,8 @@ func main() {
 
 	var deg *degrade.Config
 	if *degOn {
-		deg = &degrade.Config{
-			Interval:      *degInterval,
-			P99HighNs:     degP99.Nanoseconds(),
-			StepUpTicks:   *degUpTicks,
-			StepDownTicks: *degDownTicks,
-		}
-		fmt.Fprintf(os.Stderr, "adwars-serve: overload governor on (interval=%v p99=%v up=%d down=%d)\n",
-			*degInterval, *degP99, *degUpTicks, *degDownTicks)
+		deg = &degrade.Config{}
+		fmt.Fprintln(os.Stderr, "adwars-serve: overload governor on")
 	}
 
 	s := serve.New(serve.Config{
@@ -128,7 +96,6 @@ func main() {
 		DrainAnnounce: *drainAnnounce,
 		ReplicaID:     *replica,
 		MetricsOut:    os.Stderr,
-		Chaos:         chaos,
 		Analytics:     anl,
 		Degrade:       deg,
 	})

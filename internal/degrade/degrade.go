@@ -12,9 +12,9 @@
 //	L3  /v1/classify degraded to match-only fallback (classify shed)
 //	L4  non-priority traffic shed early with jittered Retry-After
 //
-// Hysteresis: the governor steps UP one level only after StepUpTicks
-// consecutive over-pressure observations, and steps DOWN one level only
-// after StepDownTicks consecutive calm observations — with the counters
+// Hysteresis: the governor observes every 100ms, steps UP one level only
+// after 2 consecutive over-pressure observations, and steps DOWN one level
+// only after 5 consecutive calm observations — with the counters
 // reset on every transition, so recovery is level-by-level rather than
 // a cliff, and a borderline signal holds the current level instead of
 // flapping. Operators can pin the ladder to a fixed level via
@@ -75,27 +75,26 @@ const (
 	// dropHighRate: windowed analytics drop rate above this is
 	// over-pressure.
 	dropHighRate = 0.01
+	// p99HighNs: windowed match p99 above this is over-pressure.
+	p99HighNs = int64(20 * time.Millisecond)
 	// calmFrac scales the high thresholds down to form the calm band: an
 	// observation is calm only when every signal is below calmFrac × its
 	// high threshold. The gap between calm and high is the hysteresis
 	// dead zone where the level holds.
 	calmFrac = 0.5
+
+	// interval is the observation cadence of the Start loop.
+	interval = 100 * time.Millisecond
+	// stepUpTicks consecutive over-pressure observations are required
+	// before climbing one level.
+	stepUpTicks = 2
+	// stepDownTicks consecutive calm observations are required before
+	// descending one level.
+	stepDownTicks = 5
 )
 
-// Config tunes the governor. The zero value is usable: every field has
-// a sane default.
+// Config wires the governor to its server. The zero value is usable.
 type Config struct {
-	// Interval is the observation cadence. Default 100ms.
-	Interval time.Duration
-	// P99HighNs: windowed match p99 above this is over-pressure.
-	// Default 20ms.
-	P99HighNs int64
-	// StepUpTicks consecutive over-pressure observations are required
-	// before climbing one level. Default 2.
-	StepUpTicks int
-	// StepDownTicks consecutive calm observations are required before
-	// descending one level. Default 5.
-	StepDownTicks int
 	// Source produces one windowed observation per tick. Required for
 	// Start; Tick can be driven directly in tests without it.
 	Source func() Signals
@@ -104,37 +103,9 @@ type Config struct {
 	OnTransition func(from, to Level)
 }
 
-func (c *Config) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 100 * time.Millisecond
-}
-
-func (c *Config) p99HighNs() int64 {
-	if c.P99HighNs > 0 {
-		return c.P99HighNs
-	}
-	return int64(20 * time.Millisecond)
-}
-
-func (c *Config) stepUpTicks() int {
-	if c.StepUpTicks > 0 {
-		return c.StepUpTicks
-	}
-	return 2
-}
-
-func (c *Config) stepDownTicks() int {
-	if c.StepDownTicks > 0 {
-		return c.StepDownTicks
-	}
-	return 5
-}
-
 // transitionRing keeps the most recent transition costs for the p99
 // export. Tiny, mutex-guarded: transitions are rare by construction
-// (hysteresis bounds them to at most one per StepUpTicks intervals).
+// (hysteresis bounds them to at most one per stepUpTicks intervals).
 const transitionRingSize = 64
 
 // Governor steps the degradation level. Construct with New; Start
@@ -217,7 +188,7 @@ func (g *Governor) Close() {
 
 func (g *Governor) run() {
 	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.interval())
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -250,14 +221,14 @@ func (g *Governor) Tick(s Signals) {
 	case pressureHot:
 		g.calmTicks = 0
 		g.hotTicks++
-		if cur := g.Level(); g.hotTicks >= g.cfg.stepUpTicks() && cur < L4 {
+		if cur := g.Level(); g.hotTicks >= stepUpTicks && cur < L4 {
 			g.setLevel(cur, cur+1)
 			g.hotTicks = 0
 		}
 	case pressureCalm:
 		g.hotTicks = 0
 		g.calmTicks++
-		if cur := g.Level(); g.calmTicks >= g.cfg.stepDownTicks() && cur > L0 {
+		if cur := g.Level(); g.calmTicks >= stepDownTicks && cur > L0 {
 			g.setLevel(cur, cur-1)
 			g.calmTicks = 0
 		}
@@ -283,11 +254,10 @@ func (g *Governor) classify(s Signals) pressure {
 	if s.QueueLimit > 0 {
 		queueFrac = float64(s.QueueDepth) / float64(s.QueueLimit)
 	}
-	pHigh := g.cfg.p99HighNs()
-	if queueFrac > queueHighFrac || s.MatchP99Ns > pHigh || s.DropRate > dropHighRate {
+	if queueFrac > queueHighFrac || s.MatchP99Ns > p99HighNs || s.DropRate > dropHighRate {
 		return pressureHot
 	}
-	if queueFrac < calmFrac*queueHighFrac && float64(s.MatchP99Ns) < calmFrac*float64(pHigh) && s.DropRate < calmFrac*dropHighRate {
+	if queueFrac < calmFrac*queueHighFrac && float64(s.MatchP99Ns) < calmFrac*float64(p99HighNs) && s.DropRate < calmFrac*dropHighRate {
 		return pressureCalm
 	}
 	return pressureHold

@@ -21,13 +21,15 @@ func holdSignals() Signals {
 	return Signals{QueueDepth: 4, QueueLimit: 10, MatchP99Ns: 0, DropRate: 0}
 }
 
-func newTestGovernor(t *testing.T, cfg Config) *Governor {
-	t.Helper()
-	return New(cfg)
+// feed ticks g with s, n times.
+func feed(g *Governor, s Signals, n int) {
+	for i := 0; i < n; i++ {
+		g.Tick(s)
+	}
 }
 
 func TestLadderClimbsWithHysteresis(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 2, StepDownTicks: 3})
+	g := New(Config{})
 
 	// One hot tick is not enough.
 	g.Tick(hotSignals())
@@ -49,27 +51,23 @@ func TestLadderClimbsWithHysteresis(t *testing.T) {
 		t.Fatalf("after 4 hot ticks: level %v, want L2", got)
 	}
 	// Climb to the cap and stay there.
-	for i := 0; i < 10; i++ {
-		g.Tick(hotSignals())
-	}
+	feed(g, hotSignals(), 10)
 	if got := g.Level(); got != L4 {
 		t.Fatalf("under sustained pressure: level %v, want L4 cap", got)
 	}
 }
 
 func TestLadderRecoversLevelByLevel(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 1, StepDownTicks: 3})
-	for i := 0; i < 4; i++ {
-		g.Tick(hotSignals())
-	}
+	g := New(Config{})
+	feed(g, hotSignals(), 4*stepUpTicks)
 	if got := g.Level(); got != L4 {
 		t.Fatalf("setup: level %v, want L4", got)
 	}
 
-	// Each descent needs StepDownTicks consecutive calm observations,
-	// and the streak resets after each step: L4→L0 is 4 × 3 ticks.
+	// Each descent needs stepDownTicks consecutive calm observations,
+	// and the streak resets after each step: L4→L0 is 4 × 5 ticks.
 	for step := 4; step > 0; step-- {
-		for i := 0; i < 2; i++ {
+		for i := 0; i < stepDownTicks-1; i++ {
 			g.Tick(calmSignals())
 			if got := g.Level(); got != Level(step) {
 				t.Fatalf("mid-streak: level %v, want L%d", got, step)
@@ -93,26 +91,24 @@ func TestLadderRecoversLevelByLevel(t *testing.T) {
 }
 
 func TestDeadZoneHoldsLevelAndResetsStreaks(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 2, StepDownTicks: 2})
-	g.Tick(hotSignals())
-	g.Tick(hotSignals())
+	g := New(Config{})
+	feed(g, hotSignals(), stepUpTicks)
 	if got := g.Level(); got != L1 {
 		t.Fatalf("setup: level %v, want L1", got)
 	}
 
 	// A long run of in-between observations never moves the level.
-	for i := 0; i < 20; i++ {
-		g.Tick(holdSignals())
-	}
+	feed(g, holdSignals(), 20)
 	if got := g.Level(); got != L1 {
 		t.Fatalf("dead zone: level %v, want L1 held", got)
 	}
 
-	// And it resets the calm streak: calm, hold, calm must NOT step
-	// down (non-consecutive), but calm, calm must.
-	g.Tick(calmSignals())
+	// And it resets the calm streak: a calm streak one short, a hold, and
+	// another streak one short must NOT step down (together they are more
+	// than enough, but not consecutive); one more calm tick must.
+	feed(g, calmSignals(), stepDownTicks-1)
 	g.Tick(holdSignals())
-	g.Tick(calmSignals())
+	feed(g, calmSignals(), stepDownTicks-1)
 	if got := g.Level(); got != L1 {
 		t.Fatalf("broken calm streak stepped down: level %v, want L1", got)
 	}
@@ -123,7 +119,7 @@ func TestDeadZoneHoldsLevelAndResetsStreaks(t *testing.T) {
 }
 
 func TestAnySignalTriggersPressure(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 1})
+	g := New(Config{})
 	cases := []struct {
 		name string
 		s    Signals
@@ -134,7 +130,7 @@ func TestAnySignalTriggersPressure(t *testing.T) {
 	}
 	for _, tc := range cases {
 		before := g.Level()
-		g.Tick(tc.s)
+		feed(g, tc.s, stepUpTicks)
 		if got := g.Level(); got != before+1 {
 			t.Fatalf("%s signal: level %v, want %v", tc.name, got, before+1)
 		}
@@ -142,7 +138,7 @@ func TestAnySignalTriggersPressure(t *testing.T) {
 }
 
 func TestPinOverridesLadder(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 1, StepDownTicks: 1})
+	g := New(Config{})
 	g.Pin(L3)
 	if got := g.Level(); got != L3 {
 		t.Fatalf("pinned level %v, want L3", got)
@@ -151,9 +147,8 @@ func TestPinOverridesLadder(t *testing.T) {
 		t.Fatalf("Pinned() = %v, want L3", got)
 	}
 	// Ticks in either direction do not move a pinned governor.
-	g.Tick(hotSignals())
-	g.Tick(calmSignals())
-	g.Tick(calmSignals())
+	feed(g, hotSignals(), stepUpTicks)
+	feed(g, calmSignals(), stepDownTicks-1)
 	if got := g.Level(); got != L3 {
 		t.Fatalf("pinned governor moved: level %v, want L3", got)
 	}
@@ -170,14 +165,20 @@ func TestPinOverridesLadder(t *testing.T) {
 	if got := g.Level(); got != L3 {
 		t.Fatalf("level after Unpin = %v, want L3", got)
 	}
+	// The calm ticks seen while pinned do not count: a full streak
+	// after the unpin is needed, and is enough.
 	g.Tick(calmSignals())
+	if got := g.Level(); got != L3 {
+		t.Fatalf("level after one calm tick = %v, want L3 (streak carried over the pin)", got)
+	}
+	feed(g, calmSignals(), stepDownTicks-1)
 	if got := g.Level(); got != L2 {
-		t.Fatalf("level after calm tick = %v, want L2", got)
+		t.Fatalf("level after a calm streak = %v, want L2", got)
 	}
 }
 
 func TestPinClampsToLadderBounds(t *testing.T) {
-	g := newTestGovernor(t, Config{})
+	g := New(Config{})
 	g.Pin(L4 + 3)
 	if got := g.Level(); got != L4 {
 		t.Fatalf("pin above L4: level %v, want L4", got)
@@ -189,24 +190,24 @@ func TestPinClampsToLadderBounds(t *testing.T) {
 }
 
 func TestMaxLevelCapsClimb(t *testing.T) {
-	g := newTestGovernor(t, Config{StepUpTicks: 1})
-	for i := 0; i < 10; i++ {
-		g.Tick(hotSignals())
-	}
+	g := New(Config{})
+	feed(g, hotSignals(), 10*stepUpTicks)
 	if got := g.Level(); got != L4 {
 		t.Fatalf("capped ladder: level %v, want L4", got)
+	}
+	if snap := g.Snapshot(); snap.StepUps != 4 {
+		t.Fatalf("step_ups = %d past the cap, want 4", snap.StepUps)
 	}
 }
 
 func TestOnTransitionHookSeesEveryStep(t *testing.T) {
 	type hop struct{ from, to Level }
 	var hops []hop
-	g := New(Config{StepUpTicks: 1, StepDownTicks: 1, OnTransition: func(from, to Level) {
+	g := New(Config{OnTransition: func(from, to Level) {
 		hops = append(hops, hop{from, to})
 	}})
-	g.Tick(hotSignals())
-	g.Tick(hotSignals())
-	g.Tick(calmSignals())
+	feed(g, hotSignals(), 2*stepUpTicks)
+	feed(g, calmSignals(), stepDownTicks)
 	want := []hop{{L0, L1}, {L1, L2}, {L2, L1}}
 	if len(hops) != len(want) {
 		t.Fatalf("hook fired %d times, want %d: %v", len(hops), len(want), hops)
@@ -221,7 +222,7 @@ func TestOnTransitionHookSeesEveryStep(t *testing.T) {
 func TestStartCloseLifecycle(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	g := New(Config{Interval: time.Millisecond, Source: func() Signals {
+	g := New(Config{Source: func() Signals {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -234,7 +235,7 @@ func TestStartCloseLifecycle(t *testing.T) {
 		mu.Lock()
 		n := calls
 		mu.Unlock()
-		if n >= 3 {
+		if n >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -285,13 +286,13 @@ func TestDegradeLevelZeroAllocs(t *testing.T) {
 // overhead: one ladder step (atomic swap + hook + ring accounting)
 // must stay far below one observation interval.
 func TestDegradeTransitionCost(t *testing.T) {
-	g := New(Config{StepUpTicks: 1, StepDownTicks: 1, OnTransition: func(from, to Level) {}})
-	for i := 0; i < 200; i++ {
-		if i%2 == 0 {
-			g.Tick(hotSignals())
-		} else {
-			g.Tick(calmSignals())
-		}
+	g := New(Config{OnTransition: func(from, to Level) {}})
+	for i := 0; i < 100; i++ {
+		feed(g, hotSignals(), stepUpTicks)
+		feed(g, calmSignals(), stepDownTicks)
+	}
+	if snap := g.Snapshot(); snap.Transitions != 200 {
+		t.Fatalf("transitions = %d, want 200", snap.Transitions)
 	}
 	p99 := g.TransitionP99Ns()
 	if p99 <= 0 {
@@ -332,11 +333,13 @@ func BenchmarkDegradeLevelRead(b *testing.B) {
 }
 
 func BenchmarkDegradeTransition(b *testing.B) {
-	g := New(Config{StepUpTicks: 1, StepDownTicks: 1})
+	g := New(Config{})
 	hot, calm := hotSignals(), calmSignals()
 	b.ReportAllocs()
+	// One cycle is one step up and one step down.
+	const cycle = stepUpTicks + stepDownTicks
 	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
+		if i%cycle < stepUpTicks {
 			g.Tick(hot)
 		} else {
 			g.Tick(calm)

@@ -27,11 +27,9 @@ var ErrRolledBack = errors.New("fleet: rollout rolled back")
 // artifacts and pushes them through the fleet in stages (canary first),
 // rolling back to last-good when a stage rejects or degrades.
 type Controller struct {
-	// Replicas are the replica base URLs in stage order: the first
-	// Canaries entries form the canary stage.
+	// Replicas are the replica base URLs in stage order: the first is the
+	// canary stage, the rest the fleet stage.
 	Replicas []string
-	// Canaries is the canary stage size (0 = 1; capped at len(Replicas)).
-	Canaries int
 	// Bake is how long the canary is observed after installing before the
 	// fleet stage proceeds (0 = 500ms).
 	Bake time.Duration
@@ -44,17 +42,6 @@ type Controller struct {
 	Client *http.Client
 	// Log, when non-nil, receives rollout progress lines.
 	Log io.Writer
-}
-
-func (c *Controller) canaries() int {
-	n := c.Canaries
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(c.Replicas) {
-		n = len(c.Replicas)
-	}
-	return n
 }
 
 func (c *Controller) bake() time.Duration {
@@ -157,8 +144,9 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadArtifact, err)
 	}
-	res := &RolloutResult{Kind: kind, Version: version}
-	c.logf("rollout %s version=%s replicas=%d canaries=%d", kind, version, len(c.Replicas), c.canaries())
+	canary := normalizeURL(c.Replicas[0])
+	res := &RolloutResult{Kind: kind, Version: version, Canaries: []string{canary}}
+	c.logf("rollout %s version=%s replicas=%d canary=%s", kind, version, len(c.Replicas), canary)
 
 	// Stage 1: capture last-good bytes from every replica so rollback has
 	// something to restore. A replica without an artifact-backed snapshot
@@ -174,11 +162,6 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 		lastGood[url] = raw
 	}
 
-	nCanary := c.canaries()
-	for _, r := range c.Replicas[:nCanary] {
-		res.Canaries = append(res.Canaries, normalizeURL(r))
-	}
-
 	fail := func(stage, replica string, cause error) (*RolloutResult, error) {
 		res.Reason = fmt.Sprintf("%s stage failed at %s: %v", stage, replica, cause)
 		c.logf("  %s — rolling back %d replica(s)", res.Reason, len(res.Updated))
@@ -192,31 +175,25 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 	// before the push: a successful install ticks neither failure counter,
 	// so anything that does tick during the bake — including damage the
 	// push itself set off — reads as degradation.
-	baseline := make(map[string]*replicaVitals, len(res.Canaries))
-	for _, url := range res.Canaries {
-		v, err := c.vitals(ctx, url)
-		if err != nil {
-			return fail("canary", url, err)
-		}
-		baseline[url] = v
+	baseline, err := c.vitals(ctx, canary)
+	if err != nil {
+		return fail("canary", canary, err)
 	}
 	// Push is synchronous verification — the replica verifies, parses,
 	// persists, and installs before answering — so a 422 here is the
 	// canary refusing the snapshot.
-	for _, url := range res.Canaries {
-		if err := c.push(ctx, url, kind, version, data); err != nil {
-			return fail("canary", url, err)
-		}
-		res.Updated = append(res.Updated, url)
-		c.logf("  canary %s installed %s", url, version)
+	if err := c.push(ctx, canary, kind, version, data); err != nil {
+		return fail("canary", canary, err)
 	}
-	if bad, err := c.observe(ctx, res.Canaries, kind, version, c.bake(), baseline); err != nil {
-		return fail("bake", bad, err)
+	res.Updated = append(res.Updated, canary)
+	c.logf("  canary %s installed %s", canary, version)
+	if err := c.observe(ctx, canary, kind, version, baseline); err != nil {
+		return fail("bake", canary, err)
 	}
 	c.logf("  canary bake ok (%s)", c.bake())
 
 	// Stage 3: fleet push.
-	for _, r := range c.Replicas[nCanary:] {
+	for _, r := range c.Replicas[1:] {
 		url := normalizeURL(r)
 		if err := c.push(ctx, url, kind, version, data); err != nil {
 			return fail("fleet", url, err)
@@ -314,58 +291,51 @@ func (c *Controller) vitals(ctx context.Context, url string) (*replicaVitals, er
 }
 
 // check verifies one replica is healthy and actually serving the target
-// version of the kind.
-func (c *Controller) check(ctx context.Context, url, kind, version string) error {
+// version of the kind, and returns the vitals it read.
+func (c *Controller) check(ctx context.Context, url, kind, version string) (*replicaVitals, error) {
 	v, err := c.vitals(ctx, url)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if v.health.Status != "ok" {
-		return fmt.Errorf("health status %q", v.health.Status)
+		return nil, fmt.Errorf("health status %q", v.health.Status)
 	}
 	got := v.health.ListsVersion
 	if kind == "model" {
 		got = v.health.ModelVersion
 	}
 	if got != version {
-		return fmt.Errorf("serving version %s, want %s", got, version)
+		return nil, fmt.Errorf("serving version %s, want %s", got, version)
 	}
 	if lr := v.health.LastReload; lr != nil && !lr.OK {
-		return fmt.Errorf("last reload failed (%s): %s", lr.Source, lr.Error)
+		return nil, fmt.Errorf("last reload failed (%s): %s", lr.Source, lr.Error)
 	}
-	return nil
+	return v, nil
 }
 
-// observe watches the given replicas for the bake window, polling health,
-// served version, and the reload failure counters against the pre-push
-// baseline. Any regression — unreachable, unhealthy, wrong version,
-// reload_rejected/reload_errors ticking — fails the bake and names the
-// offending replica.
-func (c *Controller) observe(ctx context.Context, urls []string, kind, version string, window time.Duration, baseline map[string]*replicaVitals) (string, error) {
-	deadline := time.Now().Add(window)
+// observe watches the canary for the bake window, polling health, served
+// version, and the reload failure counters against the pre-push baseline.
+// Any regression — unreachable, unhealthy, wrong version,
+// reload_rejected/reload_errors ticking — fails the bake.
+func (c *Controller) observe(ctx context.Context, url, kind, version string, baseline *replicaVitals) error {
+	deadline := time.Now().Add(c.bake())
 	for {
-		for _, url := range urls {
-			if err := c.check(ctx, url, kind, version); err != nil {
-				return url, err
-			}
-			v, err := c.vitals(ctx, url)
-			if err != nil {
-				return url, err
-			}
-			base := baseline[url]
-			if v.reloadRejected > base.reloadRejected {
-				return url, fmt.Errorf("reload_rejected ticked %d -> %d during bake", base.reloadRejected, v.reloadRejected)
-			}
-			if v.reloadErrors > base.reloadErrors {
-				return url, fmt.Errorf("reload_errors ticked %d -> %d during bake", base.reloadErrors, v.reloadErrors)
-			}
+		v, err := c.check(ctx, url, kind, version)
+		if err != nil {
+			return err
+		}
+		if v.reloadRejected > baseline.reloadRejected {
+			return fmt.Errorf("reload_rejected ticked %d -> %d during bake", baseline.reloadRejected, v.reloadRejected)
+		}
+		if v.reloadErrors > baseline.reloadErrors {
+			return fmt.Errorf("reload_errors ticked %d -> %d during bake", baseline.reloadErrors, v.reloadErrors)
 		}
 		if time.Now().After(deadline) {
-			return "", nil
+			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return urls[0], ctx.Err()
+			return ctx.Err()
 		case <-time.After(c.poll()):
 		}
 	}
@@ -378,7 +348,7 @@ func (c *Controller) converge(ctx context.Context, urls []string, kind, version 
 	for {
 		badURL, lastErr := "", error(nil)
 		for _, url := range urls {
-			if err := c.check(ctx, url, kind, version); err != nil {
+			if _, err := c.check(ctx, url, kind, version); err != nil {
 				badURL, lastErr = url, err
 				break
 			}

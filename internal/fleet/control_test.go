@@ -146,12 +146,13 @@ type fakeReplica struct {
 	mu             sync.Mutex
 	installed      []byte
 	reloadRejected uint64
-	degradeOnce    bool // tick reload_rejected after the next push
+	degradeOnce    bool           // tick reload_rejected after the next push
+	reads          map[string]int // GETs of /healthz and /debug/vars
 	ts             *httptest.Server
 }
 
 func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
-	f := &fakeReplica{installed: seed}
+	f := &fakeReplica{installed: seed, reads: map[string]int{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/admin/snapshot/lists", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -177,6 +178,7 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
+		f.reads[r.URL.Path]++
 		version, _ := artifact.Version(f.installed)
 		json.NewEncoder(w).Encode(serve.Health{
 			Status: "ok", Replica: "fake", Ready: true, Lists: true, ListsVersion: version,
@@ -185,6 +187,7 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
+		f.reads[r.URL.Path]++
 		fmt.Fprintf(w, `{"adwars_serve":{"reload_rejected":%d,"reload_errors":0}}`, f.reloadRejected)
 	})
 	f.ts = httptest.NewServer(mux)
@@ -222,6 +225,33 @@ func TestRolloutBakeDegradationRollsBackCanary(t *testing.T) {
 	}
 	if got := healthOf(t, follower.ts.URL).ListsVersion; got != goodVersion {
 		t.Errorf("follower serves %s, want untouched last-good %s", got, goodVersion)
+	}
+}
+
+// TestRolloutReadsVitalsOncePerPoll: every poll reads each replica's
+// /healthz and /debug/vars once. A bake window of 1ns is exactly one bake
+// poll, and a replica that installs on push converges on the first poll, so
+// the canary is read three times (baseline, bake, convergence) and the
+// follower once.
+func TestRolloutReadsVitalsOncePerPoll(t *testing.T) {
+	v1 := sealedLists(t, "v1")
+	canary, follower := newFakeReplica(t, v1), newFakeReplica(t, v1)
+	ctl := newController([]string{canary.ts.URL, follower.ts.URL})
+	ctl.Bake = time.Nanosecond
+	if _, err := ctl.Rollout(context.Background(), "lists", sealedLists(t, "v2")); err != nil {
+		t.Fatalf("rollout: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		f     *fakeReplica
+		polls int
+	}{{"canary", canary, 3}, {"follower", follower, 1}} {
+		c.f.mu.Lock()
+		hz, vars := c.f.reads["/healthz"], c.f.reads["/debug/vars"]
+		c.f.mu.Unlock()
+		if hz != c.polls || vars != c.polls {
+			t.Errorf("%s: %d /healthz and %d /debug/vars reads, want %d of each (one per poll)", c.name, hz, vars, c.polls)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 type GatewayConfig struct {
 	// Backends are the replica base URLs ("host:port" gets "http://").
 	Backends []string
-	// Pool tunes availability tracking (health cadence, breaker).
+	// Pool tunes availability tracking (breaker, retry budget).
 	Pool PoolConfig
 	// MaxAttempts bounds how many distinct backends one attempt chain
 	// tries before giving up (0 = one try per backend).

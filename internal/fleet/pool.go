@@ -93,11 +93,12 @@ func (b *Backend) fail() {
 	}
 }
 
+// healthInterval is the active /readyz polling cadence; it also bounds one
+// health probe.
+const healthInterval = 250 * time.Millisecond
+
 // PoolConfig parameterizes backend availability tracking.
 type PoolConfig struct {
-	// HealthInterval is the active /readyz polling cadence (0 = 250ms);
-	// it also bounds one health probe.
-	HealthInterval time.Duration
 	// FailThreshold is the consecutive-failure count that ejects a
 	// backend (0 = 3).
 	FailThreshold int
@@ -107,13 +108,6 @@ type PoolConfig struct {
 	// RetryRefill is the fraction of a token earned back per
 	// successful exchange (0 = 0.1).
 	RetryRefill float64
-}
-
-func (c *PoolConfig) healthInterval() time.Duration {
-	if c.HealthInterval > 0 {
-		return c.HealthInterval
-	}
-	return 250 * time.Millisecond
 }
 
 // Pool is the gateway's set of replica backends with round-robin
@@ -130,10 +124,8 @@ type Pool struct {
 // and passive failure detection take it from there.
 func NewPool(urls []string, cfg PoolConfig) *Pool {
 	p := &Pool{
-		cfg: cfg,
-		client: &http.Client{
-			Timeout: cfg.healthInterval(),
-		},
+		cfg:    cfg,
+		client: &http.Client{Timeout: healthInterval},
 	}
 	for _, u := range urls {
 		if u = normalizeURL(u); u != "" {
@@ -178,12 +170,12 @@ func (p *Pool) pick(tried *triedSet) *Backend {
 	return nil
 }
 
-// HealthLoop polls every backend's /readyz on the configured cadence
-// until ctx is cancelled. A 200 marks the backend healthy and teaches the
+// HealthLoop polls every backend's /readyz every healthInterval until ctx
+// is cancelled. A 200 marks the backend healthy and teaches the
 // pool its replica ID; anything else (including a draining replica's 503)
 // marks it unhealthy so pick routes around it before connections fail.
 func (p *Pool) HealthLoop(ctx context.Context) {
-	ticker := time.NewTicker(p.cfg.healthInterval())
+	ticker := time.NewTicker(healthInterval)
 	defer ticker.Stop()
 	p.checkAll(ctx)
 	for {
@@ -209,7 +201,7 @@ func (p *Pool) checkAll(ctx context.Context) {
 }
 
 func (p *Pool) checkOne(ctx context.Context, b *Backend) {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.healthInterval())
+	ctx, cancel := context.WithTimeout(ctx, healthInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
 	if err != nil {

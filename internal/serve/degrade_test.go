@@ -47,7 +47,7 @@ func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 	}
 }
 
-// TestDegradeL0ByteIdentical pins the wire contract the brownout smoke
+// TestDegradeL0ByteIdentical pins the wire contract the brownout scenario
 // leans on: at L0 a governed server's /v1/match body is byte-identical
 // to a governor-less server's, so post-recovery probes can be diffed
 // against an unloaded control.
