@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
@@ -112,7 +111,7 @@ func (f *fixture) load(args ...string) (code int, stdout, stderr string) {
 }
 
 func exactAnalytics() *analytics.Config {
-	return &analytics.Config{SampleRate: 1, DrainInterval: time.Millisecond}
+	return &analytics.Config{SampleRate: 1}
 }
 
 // Ladder moves at the governor's real hysteresis: a full queue is
@@ -174,19 +173,31 @@ func afterRequests(n int64, fn func()) func(http.Handler) http.Handler {
 	}
 }
 
-// foreignAfter answers the first GET of path — a gate's baseline read — and
-// then sends the server one blocked match request loadgen never made.
-func foreignAfter(path string) func(http.Handler) http.Handler {
+// foreign sends the server one blocked match request loadgen never made,
+// once, at the first GET of path — a gate's baseline read: after the read is
+// answered (traffic between the gate's reads), or just before it (a decision
+// still in the analytics rings when the baseline is taken).
+func foreign(path string, beforeRead bool) func(http.Handler) http.Handler {
 	var once sync.Once
 	return func(next http.Handler) http.Handler {
+		send := func() {
+			once.Do(func() {
+				req := httptest.NewRequest(http.MethodPost, "/v1/match",
+					strings.NewReader(`{"url":"http://ads.example.com/foreign.js","type":"script"}`))
+				next.ServeHTTP(httptest.NewRecorder(), req)
+			})
+		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != path {
+				next.ServeHTTP(w, r)
+				return
+			}
+			if beforeRead {
+				send()
+			}
 			next.ServeHTTP(w, r)
-			if r.URL.Path == path {
-				once.Do(func() {
-					req := httptest.NewRequest(http.MethodPost, "/v1/match",
-						strings.NewReader(`{"url":"http://ads.example.com/foreign.js","type":"script"}`))
-					next.ServeHTTP(httptest.NewRecorder(), req)
-				})
+			if !beforeRead {
+				send()
 			}
 		})
 	}
@@ -227,13 +238,7 @@ func TestGatesPass(t *testing.T) {
 		}
 	})
 	t.Run("analytics after traffic still in the rings", func(t *testing.T) {
-		f := newFixture(t, serve.Config{Analytics: &analytics.Config{SampleRate: 1, DrainInterval: 200 * time.Millisecond}}, nil)
-		resp, err := http.Post(f.url+"/v1/match", "application/json",
-			strings.NewReader(`{"url":"http://ads.example.com/earlier.js","type":"script"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, foreign("/admin/analytics", true))
 		code, stdout, stderr := f.load("-check", "analytics")
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: ANALYTICS-CHECK OK (")
@@ -297,14 +302,14 @@ func TestGatesFail(t *testing.T) {
 		{name: "ledger: a 5xx nobody explains", cfg: serve.Config{}, wrap: inject5xx,
 			check: "ledger,usage", code: 1,
 			stderr: "loadgen: LEDGER-CHECK FAILED: 1 unexplained 5xx responses", stdout: "loadgen: USAGE-CHECK OK"},
-		{name: "usage: foreign traffic between the reads", cfg: serve.Config{}, wrap: foreignAfter("/admin/usage"),
+		{name: "usage: foreign traffic between the reads", cfg: serve.Config{}, wrap: foreign("/admin/usage", false),
 			check: "ledger,usage", code: 1,
 			stderr: "loadgen: USAGE-CHECK FAILED: server recorded ", stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "analytics: foreign traffic between the reads", cfg: serve.Config{Analytics: exactAnalytics()},
-			wrap: foreignAfter("/admin/analytics"), check: "analytics", code: 1,
+			wrap: foreign("/admin/analytics", false), check: "analytics", code: 1,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: match/blocked: server delta "},
 		{name: "analytics: sampling below 1", check: "ledger,analytics", code: 2,
-			cfg:    serve.Config{Analytics: &analytics.Config{SampleRate: 0.5, DrainInterval: time.Millisecond}},
+			cfg:    serve.Config{Analytics: &analytics.Config{SampleRate: 0.5}},
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.500"},
 		{name: "analytics: off", cfg: serve.Config{}, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},

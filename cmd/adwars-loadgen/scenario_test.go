@@ -437,13 +437,13 @@ func answers(url string) (string, error) {
 	return out.String(), nil
 }
 
-// health reads one replica's /healthz as adwars-ctl -status does.
+// health reads one replica's /healthz.
 func health(url string) (*serve.Health, error) {
-	st := (&fleet.Controller{Replicas: []string{url}, Client: client}).Status(context.Background())[0]
-	if !st.Reachable {
-		return nil, errors.New(st.Err)
+	var h serve.Health
+	if err := getJSON(client, url+"/healthz", &h); err != nil {
+		return nil, err
 	}
-	return st.Health, nil
+	return &h, nil
 }
 
 // lastGood is the version of the frozen lists every replica boots from.

@@ -29,10 +29,7 @@ type bucket struct {
 // under the collector's mutex; nothing here is called from the recording
 // hot path.
 type aggregator struct {
-	dur        time.Duration
-	maxBuckets int
-	maxKeys    int
-	buckets    []*bucket // ordered by start ascending
+	buckets []*bucket // ordered by start ascending
 	// bytes estimates aggregator heap occupancy: per-row fixed overhead
 	// plus the copied key strings. It only moves on insert/evict, so
 	// reading it is free.
@@ -49,10 +46,6 @@ type aggregator struct {
 // struct + value + bucket slot overhead).
 const rowOverhead = 96
 
-func newAggregator(dur time.Duration, maxBuckets, maxKeys int) *aggregator {
-	return &aggregator{dur: dur, maxBuckets: maxBuckets, maxKeys: maxKeys}
-}
-
 // add folds one event into its time bucket, creating (and bounding)
 // buckets as needed; a bucket evicted to make room spills through sw.
 func (a *aggregator) add(ev *Event, sw *spillWriter) {
@@ -62,7 +55,7 @@ func (a *aggregator) add(ev *Event, sw *spillWriter) {
 	}
 	a.totals[kindIdx][ev.Verdict]++
 
-	start := ev.UnixNano - ev.UnixNano%int64(a.dur)
+	start := ev.UnixNano - ev.UnixNano%int64(bucketDur)
 	b := a.bucketFor(start, sw)
 	if b == nil {
 		// Older than the oldest retained bucket: count it there rather
@@ -83,7 +76,7 @@ func (a *aggregator) add(ev *Event, sw *spillWriter) {
 		*n++
 		return
 	}
-	if len(b.rows) >= a.maxKeys {
+	if len(b.rows) >= maxKeys {
 		b.overflow++
 		a.overflowEvents++
 		return
@@ -137,7 +130,7 @@ func (a *aggregator) bucketFor(start int64, sw *spillWriter) *bucket {
 // rows. The new bucket is never the front (it inserts after an older
 // one), so it always survives its own admission.
 func (a *aggregator) enforceCap(sw *spillWriter) {
-	for len(a.buckets) > a.maxBuckets {
+	for len(a.buckets) > maxBuckets {
 		a.retire(a.buckets[0], sw)
 		a.buckets = a.buckets[1:]
 	}
@@ -146,8 +139,8 @@ func (a *aggregator) enforceCap(sw *spillWriter) {
 // evictExpired retires buckets whose window ended more than the retention
 // span ago, spilling their rows.
 func (a *aggregator) evictExpired(nowNano int64, sw *spillWriter) {
-	horizon := nowNano - int64(a.dur)*int64(a.maxBuckets)
-	for len(a.buckets) > 0 && a.buckets[0].start+int64(a.dur) <= horizon {
+	horizon := nowNano - int64(bucketDur)*maxBuckets
+	for len(a.buckets) > 0 && a.buckets[0].start+int64(bucketDur) <= horizon {
 		a.retire(a.buckets[0], sw)
 		a.buckets = a.buckets[1:]
 	}
@@ -165,7 +158,7 @@ func (a *aggregator) flushAll(sw *spillWriter) {
 // releases its memory accounting.
 func (a *aggregator) retire(b *bucket, sw *spillWriter) {
 	if sw != nil {
-		for _, row := range bucketRows(b, a.dur) {
+		for _, row := range bucketRows(b) {
 			sw.write(&row)
 		}
 	}
@@ -202,12 +195,12 @@ func (a *aggregator) totalsMap() map[string]uint64 {
 // bucketRows renders one bucket's rows in deterministic order (count
 // descending, then key ascending), with the overflow fold as a final
 // marked row.
-func bucketRows(b *bucket, dur time.Duration) []Row {
+func bucketRows(b *bucket) []Row {
 	rows := make([]Row, 0, len(b.rows)+1)
 	for k, n := range b.rows {
 		rows = append(rows, Row{
 			Bucket:  time.Unix(0, b.start).UTC(),
-			DurS:    int(dur / time.Second),
+			DurS:    int(bucketDur / time.Second),
 			Kind:    k.kind.String(),
 			Verdict: k.verdict.String(),
 			Domain:  k.domain,
@@ -231,7 +224,7 @@ func bucketRows(b *bucket, dur time.Duration) []Row {
 	if b.overflow > 0 {
 		rows = append(rows, Row{
 			Bucket:   time.Unix(0, b.start).UTC(),
-			DurS:     int(dur / time.Second),
+			DurS:     int(bucketDur / time.Second),
 			Kind:     KindMatch.String(),
 			Verdict:  VerdictNoMatch.String(),
 			Ordinal:  -1,
@@ -249,7 +242,7 @@ func (a *aggregator) bucketSnapshots() []BucketSnapshot {
 		out = append(out, BucketSnapshot{
 			Start: time.Unix(0, b.start).UTC(),
 			Total: b.total,
-			Rows:  bucketRows(b, a.dur),
+			Rows:  bucketRows(b),
 		})
 	}
 	return out

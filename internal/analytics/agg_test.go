@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func addEvent(a *aggregator, sw *spillWriter, ts time.Time, domain, rule string,
 // TestAggregatorBuckets checks bucket alignment, row counting, and the
 // cumulative totals.
 func TestAggregatorBuckets(t *testing.T) {
-	a := newAggregator(10*time.Second, 8, 16)
+	a := new(aggregator)
 	base := time.Date(2026, 8, 8, 12, 0, 3, 0, time.UTC)
 	addEvent(a, nil, base, "a.example", "||ads^", VerdictBlocked)
 	addEvent(a, nil, base.Add(time.Second), "a.example", "||ads^", VerdictBlocked)
@@ -48,17 +49,17 @@ func TestAggregatorBucketEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newAggregator(time.Second, 4, 16)
+	a := new(aggregator)
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	const buckets = 12
+	const buckets = maxBuckets + 8
 	for i := 0; i < buckets; i++ {
-		addEvent(a, sw, base.Add(time.Duration(i)*time.Second), "dom.example", "||ads^", VerdictBlocked)
+		addEvent(a, sw, base.Add(time.Duration(i)*bucketDur), "dom.example", "||ads^", VerdictBlocked)
 	}
-	if len(a.buckets) != 4 {
-		t.Fatalf("retained %d buckets, cap is 4", len(a.buckets))
+	if len(a.buckets) != maxBuckets {
+		t.Fatalf("retained %d buckets, cap is %d", len(a.buckets), maxBuckets)
 	}
-	if a.rowCount() != 4 {
-		t.Fatalf("rowCount = %d, want 4", a.rowCount())
+	if a.rowCount() != maxBuckets {
+		t.Fatalf("rowCount = %d, want %d", a.rowCount(), maxBuckets)
 	}
 	if a.totalsMap()["match/blocked"] != buckets {
 		t.Fatalf("totals lost events across eviction: %v", a.totalsMap())
@@ -71,8 +72,8 @@ func TestAggregatorBucketEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != buckets-4 {
-		t.Fatalf("spilled %d rows, want %d", len(rows), buckets-4)
+	if len(rows) != buckets-maxBuckets {
+		t.Fatalf("spilled %d rows, want %d", len(rows), buckets-maxBuckets)
 	}
 	// Expired-time eviction flushes the rest.
 	sw2, err := newSpillWriter(filepath.Join(dir, "late"), 1<<20)
@@ -92,16 +93,17 @@ func TestAggregatorBucketEviction(t *testing.T) {
 // the cap new keys must fold into the overflow row, keeping memory
 // bounded, while known keys still count normally.
 func TestAggregatorKeyCapOverflow(t *testing.T) {
-	a := newAggregator(time.Minute, 2, 4)
-	base := time.Date(2026, 8, 8, 12, 0, 30, 0, time.UTC)
-	for i := 0; i < 10; i++ {
-		addEvent(a, nil, base, string(rune('a'+i))+".example", "", VerdictNoMatch)
+	a := new(aggregator)
+	base := time.Date(2026, 8, 8, 12, 0, 5, 0, time.UTC)
+	const keys = maxKeys + 6
+	for i := 0; i < keys; i++ {
+		addEvent(a, nil, base, fmt.Sprintf("d%d.example", i), "", VerdictNoMatch)
 	}
 	// A repeat of a retained key still lands on its row.
-	addEvent(a, nil, base, "a.example", "", VerdictNoMatch)
+	addEvent(a, nil, base, "d0.example", "", VerdictNoMatch)
 	b := a.buckets[0]
-	if len(b.rows) != 4 {
-		t.Fatalf("rows = %d, want cap 4", len(b.rows))
+	if len(b.rows) != maxKeys {
+		t.Fatalf("rows = %d, want cap %d", len(b.rows), maxKeys)
 	}
 	if b.overflow != 6 {
 		t.Fatalf("overflow = %d, want 6", b.overflow)
@@ -109,10 +111,10 @@ func TestAggregatorKeyCapOverflow(t *testing.T) {
 	if a.overflowEvents != 6 {
 		t.Fatalf("overflowEvents = %d, want 6", a.overflowEvents)
 	}
-	if b.total != 11 {
-		t.Fatalf("total = %d, want 11", b.total)
+	if b.total != keys+1 {
+		t.Fatalf("total = %d, want %d", b.total, keys+1)
 	}
-	rows := bucketRows(b, time.Minute)
+	rows := bucketRows(b)
 	last := rows[len(rows)-1]
 	if !last.Overflow || last.Count != 6 {
 		t.Fatalf("overflow row = %+v", last)
@@ -123,17 +125,17 @@ func TestAggregatorKeyCapOverflow(t *testing.T) {
 // bucket: it must fold into the oldest bucket and tick the late counter
 // instead of resurrecting an evicted window.
 func TestAggregatorLateEvents(t *testing.T) {
-	a := newAggregator(time.Second, 2, 16)
+	a := new(aggregator)
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 4; i++ { // buckets 0..3, retention 2 → keeps 2,3
-		addEvent(a, nil, base.Add(time.Duration(i)*time.Second), "d.example", "", VerdictNoMatch)
+	for i := 0; i < maxBuckets+2; i++ { // the first two are evicted
+		addEvent(a, nil, base.Add(time.Duration(i)*bucketDur), "d.example", "", VerdictNoMatch)
 	}
 	addEvent(a, nil, base, "late.example", "", VerdictNoMatch)
 	if a.lateEvents != 1 {
 		t.Fatalf("lateEvents = %d, want 1", a.lateEvents)
 	}
-	if len(a.buckets) != 2 {
-		t.Fatalf("buckets = %d, want 2", len(a.buckets))
+	if len(a.buckets) != maxBuckets {
+		t.Fatalf("buckets = %d, want %d", len(a.buckets), maxBuckets)
 	}
 	if a.buckets[0].total != 2 {
 		t.Fatalf("late event not folded into oldest bucket: total = %d", a.buckets[0].total)
@@ -145,7 +147,7 @@ func TestAggregatorLateEvents(t *testing.T) {
 // file) — neither when the row is made nor when a later, equal event is
 // counted into it.
 func TestAggregatorKeyCloning(t *testing.T) {
-	a := newAggregator(time.Minute, 2, 16)
+	a := new(aggregator)
 	now := time.Now().UnixNano()
 	events := make([]Event, 3)
 	for i := range events {

@@ -10,6 +10,12 @@ import (
 )
 
 const (
+	// shardCap bounds the producer rings: min(GOMAXPROCS, shardCap) of them.
+	shardCap = 8
+	// ringSize is each ring's slot count.
+	ringSize = 4096
+	// bucketDur is the aggregation bucket width.
+	bucketDur = 10 * time.Second
 	// maxBuckets bounds how many time buckets stay in memory; older
 	// buckets are spilled and evicted.
 	maxBuckets = 64
@@ -17,32 +23,26 @@ const (
 	// past the cap new keys fold into the bucket's overflow row, so
 	// memory stays bounded no matter how adversarial the domain mix is.
 	maxKeys = 4096
+	// drainInterval is the consumer's ring poll cadence.
+	drainInterval = 5 * time.Millisecond
 	// spillMaxBytes rotates the spill file past this size.
 	spillMaxBytes = 8 << 20
 )
 
 // Config parameterizes a Collector. The zero value records every decision
-// into GOMAXPROCS-sharded 4096-slot rings, aggregates into 10-second
-// buckets, and never spills (no directory configured).
+// and never spills (no directory configured). Decisions go into
+// min(GOMAXPROCS, 8) rings of 4096 slots, drained every 5 ms into 10-second
+// buckets.
 type Config struct {
 	// SampleRate is the fraction of decisions recorded, in (0, 1]. Zero
 	// means 1.0 (record everything — the reconciliation-exact mode);
 	// operators turn it down under load. Sampling decisions are counted
 	// (SampledOut), so a sampled run still accounts for every decision.
 	SampleRate float64
-	// Shards is the number of independent producer rings (0 = min(GOMAXPROCS, 8)).
-	Shards int
-	// RingSize is each shard's slot count, rounded up to a power of two
-	// (0 = 4096).
-	RingSize int
-	// BucketDur is the aggregation bucket width (0 = 10s).
-	BucketDur time.Duration
 	// SpillDir, when non-empty, receives rotated JSONL spill files of
 	// evicted and final bucket rows. Empty disables spill: evicted
 	// buckets fold into the cumulative totals only.
 	SpillDir string
-	// DrainInterval is the consumer's ring poll cadence (0 = 5ms).
-	DrainInterval time.Duration
 }
 
 func (c *Config) sampleRate() float64 {
@@ -50,38 +50,6 @@ func (c *Config) sampleRate() float64 {
 		return 1
 	}
 	return c.SampleRate
-}
-
-func (c *Config) shards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
-
-func (c *Config) ringSize() int {
-	if c.RingSize > 0 {
-		return c.RingSize
-	}
-	return 4096
-}
-
-func (c *Config) bucketDur() time.Duration {
-	if c.BucketDur > 0 {
-		return c.BucketDur
-	}
-	return 10 * time.Second
-}
-
-func (c *Config) drainInterval() time.Duration {
-	if c.DrainInterval > 0 {
-		return c.DrainInterval
-	}
-	return 5 * time.Millisecond
 }
 
 // sampler decides record-or-skip with one atomic add and a splitmix64
@@ -147,11 +115,11 @@ func NewCollector(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:  cfg,
 		smp:  newSampler(cfg.sampleRate()),
-		agg:  newAggregator(cfg.bucketDur(), maxBuckets, maxKeys),
+		agg:  new(aggregator),
 		done: make(chan struct{}),
 	}
-	for i := 0; i < cfg.shards(); i++ {
-		c.rings = append(c.rings, newRing(cfg.ringSize()))
+	for i := 0; i < min(runtime.GOMAXPROCS(0), shardCap); i++ {
+		c.rings = append(c.rings, newRing(ringSize))
 	}
 	if cfg.SpillDir != "" {
 		sw, err := newSpillWriter(cfg.SpillDir, spillMaxBytes)
@@ -188,7 +156,7 @@ func (c *Collector) Record(ev Event) {
 // expired buckets to spill, and on shutdown flush everything.
 func (c *Collector) run() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.drainInterval())
+	t := time.NewTicker(drainInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -311,7 +279,7 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snap.BucketDurS = int(c.agg.dur / time.Second)
+	snap.BucketDurS = int(bucketDur / time.Second)
 	snap.Buckets = c.agg.bucketSnapshots()
 	snap.AggBytes = c.agg.bytes
 	snap.AggBuckets = len(c.agg.buckets)

@@ -24,14 +24,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // Close flushes the final state to spill.
 func TestCollectorEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCollector(Config{
-		SampleRate:    1,
-		Shards:        4,
-		RingSize:      256,
-		BucketDur:     time.Second,
-		SpillDir:      dir,
-		DrainInterval: time.Millisecond,
-	})
+	c, err := NewCollector(Config{SampleRate: 1, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,28 +91,34 @@ func TestCollectorEndToEnd(t *testing.T) {
 }
 
 // TestCollectorExactAtFullSampling is the reconciliation contract: at
-// sampling 1.0 with rings large enough to never drop, the totals equal
-// the client-side ledger exactly.
+// sampling 1.0, with every burst smaller than one ring and drained before
+// the next, the totals equal the client-side ledger exactly.
 func TestCollectorExactAtFullSampling(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1, RingSize: 1 << 14, BucketDur: time.Second, DrainInterval: time.Millisecond})
+	c, err := NewCollector(Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	want := map[string]uint64{}
+	sent := 0
+	record := func(ev Event, key string) {
+		c.Record(ev)
+		want[key]++
+		if sent++; sent%1000 == 0 {
+			waitFor(t, "the consumer to empty the rings", func() bool { return c.CountersNow().RingOccupancy == 0 })
+		}
+	}
 	for i := 0; i < 5000; i++ {
 		v := []Verdict{VerdictBlocked, VerdictAllowed, VerdictNoMatch}[i%3]
-		c.Record(Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: v, Ordinal: -1})
-		want["match/"+v.String()]++
+		record(Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: v, Ordinal: -1}, "match/"+v.String())
 	}
 	for i := 0; i < 100; i++ {
-		c.Record(Event{UnixNano: time.Now().UnixNano(), Kind: KindClassify, Verdict: VerdictAntiAdblock, Ordinal: -1})
-		want["classify/anti-adblock"]++
+		record(Event{UnixNano: time.Now().UnixNano(), Kind: KindClassify, Verdict: VerdictAntiAdblock, Ordinal: -1}, "classify/anti-adblock")
 	}
 	waitFor(t, "totals to reconcile exactly", func() bool {
 		snap := c.Snapshot()
 		if snap.Counters.Dropped != 0 {
-			t.Fatalf("dropped %d with an oversized ring", snap.Counters.Dropped)
+			t.Fatalf("dropped %d with every burst below a ring's size", snap.Counters.Dropped)
 		}
 		if len(snap.Totals) != len(want) {
 			return false
@@ -159,7 +158,7 @@ func TestSamplerRates(t *testing.T) {
 // TestCollectorSampledOutAccounting runs a sampled collector and checks
 // recorded + sampledOut + dropped == sent.
 func TestCollectorSampledOutAccounting(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 0.5, RingSize: 1 << 14, DrainInterval: time.Millisecond})
+	c, err := NewCollector(Config{SampleRate: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestCollectorSampledOutAccounting(t *testing.T) {
 // TestRecordZeroAllocs pins the hot-path contract: recording allocates
 // nothing, whether the event is kept or sampled out.
 func TestRecordZeroAllocs(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1, RingSize: 1 << 16})
+	c, err := NewCollector(Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestRecordZeroAllocs(t *testing.T) {
 // effective rate down, shows up in the counters, and Clear restores the
 // configured rate exactly.
 func TestSampleOverride(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1, RingSize: 1 << 14, DrainInterval: time.Millisecond})
+	c, err := NewCollector(Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestSampleOverride(t *testing.T) {
 // TestRecordZeroAllocsUnderOverride pins that the override path adds no
 // allocations to Record.
 func TestRecordZeroAllocsUnderOverride(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1, RingSize: 1 << 16})
+	c, err := NewCollector(Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestReportFromRows(t *testing.T) {
 // TestReportSnapshotRows proves the live endpoint path feeds the same
 // builder: snapshot bucket rows → report.
 func TestReportSnapshotRows(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1, BucketDur: time.Minute, DrainInterval: time.Millisecond})
+	c, err := NewCollector(Config{SampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

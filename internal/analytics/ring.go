@@ -91,13 +91,9 @@ type ring struct {
 	drops atomic.Uint64 // events refused because the ring was full
 }
 
-// newRing builds a ring with capacity rounded up to a power of two.
+// newRing builds a ring of size slots; size must be a power of two.
 func newRing(size int) *ring {
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	r := &ring{slots: make([]slot, n), mask: uint64(n - 1)}
+	r := &ring{slots: make([]slot, size), mask: uint64(size - 1)}
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}

@@ -93,7 +93,7 @@ type Config struct {
 	// Metrics, when non-nil, accumulates crawl counters across calls.
 	Metrics *Metrics
 	// Retry controls per-request retry/backoff of transient archive
-	// failures. Zero fields take DefaultRetryPolicy values.
+	// failures. A zero MaxAttempts means 8.
 	Retry RetryPolicy
 	// Breaker, when non-nil, is the shared circuit breaker / adaptive
 	// rate limiter (share one across the 60 monthly crawls); nil creates
@@ -295,7 +295,7 @@ func (c *monthCrawler) withRetry(ctx context.Context, domain string, fn func(att
 		if !br.Allow() {
 			// Load shedding: the archive is down. Wait out the open
 			// window; the site's own budget is untouched.
-			if err := c.pause(ctx, c.cfg.Retry.BaseDelay); err != nil {
+			if err := c.pause(ctx, baseDelay); err != nil {
 				return err
 			}
 			continue

@@ -9,49 +9,34 @@ import (
 )
 
 const (
+	// defaultMaxAttempts is the attempt budget of a policy that sets none.
+	defaultMaxAttempts = 8
+	// baseDelay is the backoff before the first retry.
+	baseDelay = 250 * time.Millisecond
 	// backoffMultiplier grows the delay per retry.
 	backoffMultiplier = 2
 	// maxBackoff caps one backoff.
 	maxBackoff = 30 * time.Second
+	// jitter is the fraction of each delay that is randomized: the delay is
+	// scaled by [1-jitter/2, 1+jitter/2).
+	jitter = 0.5
 )
 
 // RetryPolicy controls per-request retry of transient archive failures:
-// exponential backoff with deterministic jitter, capped per-domain by an
-// attempt budget.
+// exponential backoff with deterministic jitter (250ms base, doubling, 30s
+// cap, 50% jitter), capped per-domain by an attempt budget.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempts per request, first try included
 	// (default 8). It must exceed the archive's worst-case consecutive
 	// failure count (wayback.FaultConfig.MaxFailuresPerRequest) for
 	// transients to always resolve.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 250ms).
-	BaseDelay time.Duration
-	// Jitter is the fraction of each delay that is randomized, in [0,1]
-	// (default 0.5): the delay is scaled by [1-Jitter/2, 1+Jitter/2).
-	Jitter float64
 }
 
-// DefaultRetryPolicy mirrors common crawl-hardening practice: 8 attempts,
-// 250ms base, doubling, 30s cap, 50% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   250 * time.Millisecond,
-		Jitter:      0.5,
-	}
-}
-
-// withDefaults fills unset knobs so a partially-specified policy works.
+// withDefaults fills an unset attempt budget.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = d.Jitter
+		p.MaxAttempts = defaultMaxAttempts
 	}
 	return p
 }
@@ -65,9 +50,9 @@ func (p RetryPolicy) Delay(domain string, retry int, seed int64) time.Duration {
 	if retry < 1 {
 		retry = 1
 	}
-	d := float64(p.BaseDelay) * math.Pow(backoffMultiplier, float64(retry-1))
+	d := float64(baseDelay) * math.Pow(backoffMultiplier, float64(retry-1))
 	d = min(d, float64(maxBackoff))
-	d *= 1 - p.Jitter/2 + p.Jitter*jitterFloat(domain, retry, seed)
+	d *= 1 - jitter/2 + jitter*jitterFloat(domain, retry, seed)
 	d = min(d, float64(maxBackoff))
 	return time.Duration(d)
 }

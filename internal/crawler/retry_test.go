@@ -7,20 +7,17 @@ import (
 )
 
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	d := DefaultRetryPolicy()
-	if p != d {
-		t.Fatalf("withDefaults() = %+v, want %+v", p, d)
+	if p := (RetryPolicy{}).withDefaults(); p.MaxAttempts != 8 {
+		t.Fatalf("withDefaults() = %+v, want 8 attempts", p)
 	}
-	// Partial overrides survive.
-	p = RetryPolicy{MaxAttempts: 3}.withDefaults()
-	if p.MaxAttempts != 3 || p.BaseDelay != d.BaseDelay {
-		t.Fatalf("partial override broken: %+v", p)
+	// An explicit budget survives.
+	if p := (RetryPolicy{MaxAttempts: 3}).withDefaults(); p.MaxAttempts != 3 {
+		t.Fatalf("explicit budget overridden: %+v", p)
 	}
 }
 
 func TestBackoffDeterministicUnderSeed(t *testing.T) {
-	p := DefaultRetryPolicy()
+	var p RetryPolicy
 	for retry := 1; retry <= 8; retry++ {
 		d1 := p.Delay("example.com", retry, 42)
 		d2 := p.Delay("example.com", retry, 42)
@@ -47,10 +44,10 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestBackoffScheduleShape(t *testing.T) {
-	p := DefaultRetryPolicy()
+	var p RetryPolicy
 	for retry := 1; retry <= 20; retry++ {
 		d := p.Delay("example.com", retry, 1)
-		lo := time.Duration(float64(p.BaseDelay) * (1 - p.Jitter/2))
+		lo := time.Duration(float64(baseDelay) * (1 - jitter/2))
 		if d < lo {
 			t.Fatalf("retry %d: delay %v below jitter floor %v", retry, d, lo)
 		}

@@ -99,14 +99,16 @@ type Config struct {
 	// Start; Tick can be driven directly in tests without it.
 	Source func() Signals
 	// OnTransition, if set, is called synchronously after every level
-	// change (automatic or pinned) with the old and new levels.
+	// change (automatic or pinned) with the old and new levels, one
+	// transition at a time and in order; it must not call back into the
+	// governor's Tick, Pin, Unpin, Snapshot or TransitionP99Ns.
 	OnTransition func(from, to Level)
 }
 
 // transitionRing keeps the most recent transition costs for the p99
 // export. Tiny, mutex-guarded: transitions are rare by construction
 // (hysteresis bounds them to at most one per stepUpTicks intervals).
-const transitionRingSize = 64
+const transitionRingCap = 64
 
 // Governor steps the degradation level. Construct with New; Start
 // launches the observation loop (optional — Tick can be driven
@@ -117,8 +119,14 @@ type Governor struct {
 	level  atomic.Int32 // current Level; the ONLY hot-path read
 	pinned atomic.Int32 // -1 = unpinned, else the pinned Level
 
-	hotTicks  int // consecutive over-pressure ticks (loop-only state)
-	calmTicks int // consecutive calm ticks (loop-only state)
+	// mu makes each transition — Tick's decide-and-store, Pin's and
+	// Unpin's — one step, so a pin can never land between a Tick's read
+	// of the level and its store of the next one. OnTransition runs under
+	// it: hooks see transitions in order and must not call back into the
+	// governor. It also guards the streaks and the cost ring.
+	mu        sync.Mutex
+	hotTicks  int // consecutive over-pressure ticks
+	calmTicks int // consecutive calm ticks
 
 	ticks       atomic.Uint64
 	stepUps     atomic.Uint64
@@ -129,8 +137,7 @@ type Governor struct {
 
 	jitterState atomic.Uint64 // splitmix64 counter for Jitter3
 
-	ringMu   sync.Mutex
-	ring     [transitionRingSize]int64 // transition durations, ns
+	ring     [transitionRingCap]int64 // transition durations, ns
 	ringN    int
 	ringNext int
 
@@ -202,14 +209,15 @@ func (g *Governor) run() {
 
 // Tick feeds one observation through the hysteresis ladder. Exported
 // so tests (and alternative drivers) can step the governor
-// deterministically without the timer loop. Not safe for concurrent
-// Tick callers (the loop is the only production caller); safe against
-// concurrent Level/Snapshot/Pin readers.
+// deterministically without the timer loop. Safe against concurrent
+// Tick, Pin, Unpin, Level and Snapshot callers.
 func (g *Governor) Tick(s Signals) {
 	g.ticks.Add(1)
 	sc := s
 	g.lastSignals.Store(&sc)
 
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.pinned.Load() >= 0 {
 		// Pinned: keep observing, stop stepping, and do not let stale
 		// streak counters fire the instant the operator unpins.
@@ -264,7 +272,7 @@ func (g *Governor) classify(s Signals) pressure {
 }
 
 // setLevel performs one transition: swap the level, fire the hook,
-// account the cost.
+// account the cost. The caller holds mu.
 func (g *Governor) setLevel(from, to Level) {
 	t0 := time.Now()
 	g.level.Store(int32(to))
@@ -285,13 +293,11 @@ func (g *Governor) setLevel(from, to Level) {
 			break
 		}
 	}
-	g.ringMu.Lock()
 	g.ring[g.ringNext] = d
-	g.ringNext = (g.ringNext + 1) % transitionRingSize
-	if g.ringN < transitionRingSize {
+	g.ringNext = (g.ringNext + 1) % transitionRingCap
+	if g.ringN < transitionRingCap {
 		g.ringN++
 	}
-	g.ringMu.Unlock()
 }
 
 // Pin fixes the ladder at lvl until Unpin: the level changes
@@ -299,6 +305,8 @@ func (g *Governor) setLevel(from, to Level) {
 // stops. Clamped to [L0, L4].
 func (g *Governor) Pin(lvl Level) {
 	lvl = min(max(lvl, L0), L4)
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.pinned.Store(int32(lvl))
 	if cur := g.Level(); cur != lvl {
 		g.setLevel(cur, lvl)
@@ -308,6 +316,8 @@ func (g *Governor) Pin(lvl Level) {
 // Unpin returns control to the automatic ladder. The level stays where
 // it was pinned and descends (or climbs) from there by hysteresis.
 func (g *Governor) Unpin() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.pinned.Store(-1)
 }
 
@@ -319,8 +329,8 @@ func (g *Governor) Pinned() Level {
 // TransitionP99Ns is the p99 transition cost over the recent ring, or
 // 0 when no transition has happened yet.
 func (g *Governor) TransitionP99Ns() int64 {
-	g.ringMu.Lock()
-	defer g.ringMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.ringN == 0 {
 		return 0
 	}

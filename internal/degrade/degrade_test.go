@@ -177,6 +177,35 @@ func TestPinOverridesLadder(t *testing.T) {
 	}
 }
 
+// TestPinRacingTickKeepsThePin: an operator's Pin lands between a Tick's
+// read of the level and its store of the next one. Whatever the order, the
+// governor must end serving the level it reports pinned — never a step the
+// Tick decided from the level before the pin.
+func TestPinRacingTickKeepsThePin(t *testing.T) {
+	for i := 0; i < 50000; i++ {
+		g := New(Config{})
+		g.Tick(hotSignals()) // one more hot tick climbs
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			g.Tick(hotSignals())
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			g.Pin(L3)
+		}()
+		close(start)
+		wg.Wait()
+		if got := g.Level(); got != L3 {
+			t.Fatalf("round %d: pinned %v, serving %v", i, g.Pinned(), got)
+		}
+	}
+}
+
 func TestPinClampsToLadderBounds(t *testing.T) {
 	g := New(Config{})
 	g.Pin(L4 + 3)

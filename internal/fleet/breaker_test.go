@@ -2,11 +2,11 @@ package fleet
 
 import "testing"
 
-// TestBreakerDefaults: a backend built with no fail threshold ejects on its
-// third consecutive failure and is not re-admitted before its cooldown. (The
-// circuit itself is internal/chassis's, tested there under this probe rule.)
+// TestBreakerDefaults: a backend ejects on its third consecutive failure and
+// is not re-admitted before its cooldown. (The circuit itself is
+// internal/chassis's, tested there under this probe rule.)
 func TestBreakerDefaults(t *testing.T) {
-	b := newBackend("http://replica", 0, 0, 0)
+	b := newBackend("http://replica")
 	b.fail()
 	b.fail()
 	if b.ejections.Load() != 0 || !b.br.Allow() {

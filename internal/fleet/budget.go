@@ -2,6 +2,11 @@ package fleet
 
 import "sync"
 
+// budgetTenths is a full retry budget, ten tokens, counted in the tenths
+// of a token a successful exchange earns back: ten successes fund exactly
+// one extra attempt.
+const budgetTenths = 100
+
 // retryBudget is a per-backend token bucket bounding the *extra* load
 // the gateway may generate against that backend: every retry and every
 // hedge attempt spends one token, and only successful exchanges earn
@@ -12,19 +17,7 @@ import "sync"
 // local overload into a fleet-wide retry storm.
 type retryBudget struct {
 	mu     sync.Mutex
-	tokens float64
-	cap    float64
-	refill float64 // tokens earned per successful exchange
-}
-
-func newRetryBudget(cap, refill float64) *retryBudget {
-	if cap <= 0 {
-		cap = 10
-	}
-	if refill <= 0 {
-		refill = 0.1
-	}
-	return &retryBudget{tokens: cap, cap: cap, refill: refill}
+	tenths int
 }
 
 // spend takes one token; false means the budget is exhausted and the
@@ -32,8 +25,8 @@ func newRetryBudget(cap, refill float64) *retryBudget {
 func (b *retryBudget) spend() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tokens >= 1 {
-		b.tokens--
+	if b.tenths >= 10 {
+		b.tenths -= 10
 		return true
 	}
 	return false
@@ -43,15 +36,12 @@ func (b *retryBudget) spend() bool {
 func (b *retryBudget) earn() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tokens += b.refill
-	if b.tokens > b.cap {
-		b.tokens = b.cap
-	}
+	b.tenths = min(b.tenths+1, budgetTenths)
 }
 
 // level reads the current token count for metrics.
 func (b *retryBudget) level() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.tokens
+	return float64(b.tenths) / 10
 }

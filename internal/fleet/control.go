@@ -30,50 +30,21 @@ type Controller struct {
 	// Replicas are the replica base URLs in stage order: the first is the
 	// canary stage, the rest the fleet stage.
 	Replicas []string
-	// Bake is how long the canary is observed after installing before the
-	// fleet stage proceeds (0 = 500ms).
-	Bake time.Duration
-	// Poll is the observation cadence during bake and convergence
-	// (0 = 100ms).
-	Poll time.Duration
-	// Watch bounds the post-rollout convergence check (0 = 5s).
-	Watch time.Duration
-	// Client overrides the HTTP client (nil = default transport).
-	Client *http.Client
 	// Log, when non-nil, receives rollout progress lines.
 	Log io.Writer
 }
 
-func (c *Controller) bake() time.Duration {
-	if c.Bake > 0 {
-		return c.Bake
-	}
-	return 500 * time.Millisecond
-}
-
-func (c *Controller) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 100 * time.Millisecond
-}
-
-func (c *Controller) watch() time.Duration {
-	if c.Watch > 0 {
-		return c.Watch
-	}
-	return 5 * time.Second
-}
-
-// replicaTimeout bounds one replica HTTP exchange.
-const replicaTimeout = 3 * time.Second
-
-func (c *Controller) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return http.DefaultClient
-}
+const (
+	// bake is how long the canary is observed after installing before the
+	// fleet stage proceeds.
+	bake = 500 * time.Millisecond
+	// poll is the observation cadence during bake and convergence.
+	poll = 100 * time.Millisecond
+	// watch bounds the post-rollout convergence check.
+	watch = 5 * time.Second
+	// replicaTimeout bounds one replica HTTP exchange.
+	replicaTimeout = 3 * time.Second
+)
 
 func (c *Controller) logf(format string, args ...any) {
 	if c.Log != nil {
@@ -190,7 +161,7 @@ func (c *Controller) Rollout(ctx context.Context, kind string, data []byte) (*Ro
 	if err := c.observe(ctx, canary, kind, version, baseline); err != nil {
 		return fail("bake", canary, err)
 	}
-	c.logf("  canary bake ok (%s)", c.bake())
+	c.logf("  canary bake ok (%s)", bake)
 
 	// Stage 3: fleet push.
 	for _, r := range c.Replicas[1:] {
@@ -223,7 +194,7 @@ func (c *Controller) push(ctx context.Context, url, kind, version string, data [
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -252,7 +223,7 @@ func (c *Controller) pull(ctx context.Context, url, kind string) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +289,7 @@ func (c *Controller) check(ctx context.Context, url, kind, version string) (*rep
 // Any regression — unreachable, unhealthy, wrong version,
 // reload_rejected/reload_errors ticking — fails the bake.
 func (c *Controller) observe(ctx context.Context, url, kind, version string, baseline *replicaVitals) error {
-	deadline := time.Now().Add(c.bake())
+	deadline := time.Now().Add(bake)
 	for {
 		v, err := c.check(ctx, url, kind, version)
 		if err != nil {
@@ -336,7 +307,7 @@ func (c *Controller) observe(ctx context.Context, url, kind, version string, bas
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(c.poll()):
+		case <-time.After(poll):
 		}
 	}
 }
@@ -344,7 +315,7 @@ func (c *Controller) observe(ctx context.Context, url, kind, version string, bas
 // converge polls until every replica reports the target version healthy,
 // bounded by the watch window.
 func (c *Controller) converge(ctx context.Context, urls []string, kind, version string) (string, error) {
-	deadline := time.Now().Add(c.watch())
+	deadline := time.Now().Add(watch)
 	for {
 		badURL, lastErr := "", error(nil)
 		for _, url := range urls {
@@ -362,7 +333,7 @@ func (c *Controller) converge(ctx context.Context, urls []string, kind, version 
 		select {
 		case <-ctx.Done():
 			return badURL, ctx.Err()
-		case <-time.After(c.poll()):
+		case <-time.After(poll):
 		}
 	}
 }
@@ -397,7 +368,7 @@ func (c *Controller) getJSON(ctx context.Context, url string, v any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,13 +19,7 @@ import (
 )
 
 func newController(reps []string) *Controller {
-	return &Controller{
-		Replicas: reps,
-		Bake:     50 * time.Millisecond,
-		Poll:     10 * time.Millisecond,
-		Watch:    2 * time.Second,
-		Log:      io.Discard,
-	}
+	return &Controller{Replicas: reps, Log: io.Discard}
 }
 
 func TestRolloutConvergesFleet(t *testing.T) {
@@ -146,13 +141,19 @@ type fakeReplica struct {
 	mu             sync.Mutex
 	installed      []byte
 	reloadRejected uint64
-	degradeOnce    bool           // tick reload_rejected after the next push
-	reads          map[string]int // GETs of /healthz and /debug/vars
+	degradeOnce    bool       // tick reload_rejected after the next push
+	pushed         time.Time  // when the last push arrived
+	reads          []fakeRead // GETs of /healthz and /debug/vars, in order
 	ts             *httptest.Server
 }
 
+type fakeRead struct {
+	path string
+	at   time.Time
+}
+
 func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
-	f := &fakeReplica{installed: seed, reads: map[string]int{}}
+	f := &fakeReplica{installed: seed}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/admin/snapshot/lists", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -167,7 +168,7 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 				w.WriteHeader(http.StatusUnprocessableEntity)
 				return
 			}
-			f.installed = body
+			f.installed, f.pushed = body, time.Now()
 			if f.degradeOnce {
 				f.degradeOnce = false
 				f.reloadRejected++ // as if a concurrent disk reload rejected
@@ -178,7 +179,7 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		f.reads[r.URL.Path]++
+		f.reads = append(f.reads, fakeRead{r.URL.Path, time.Now()})
 		version, _ := artifact.Version(f.installed)
 		json.NewEncoder(w).Encode(serve.Health{
 			Status: "ok", Replica: "fake", Ready: true, Lists: true, ListsVersion: version,
@@ -187,12 +188,19 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		f.reads[r.URL.Path]++
+		f.reads = append(f.reads, fakeRead{r.URL.Path, time.Now()})
 		fmt.Fprintf(w, `{"adwars_serve":{"reload_rejected":%d,"reload_errors":0}}`, f.reloadRejected)
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
+}
+
+// log returns the reads f has answered and when its last push arrived.
+func (f *fakeReplica) log() ([]fakeRead, time.Time) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.reads), f.pushed
 }
 
 func TestRolloutBakeDegradationRollsBackCanary(t *testing.T) {
@@ -229,29 +237,47 @@ func TestRolloutBakeDegradationRollsBackCanary(t *testing.T) {
 }
 
 // TestRolloutReadsVitalsOncePerPoll: every poll reads each replica's
-// /healthz and /debug/vars once. A bake window of 1ns is exactly one bake
-// poll, and a replica that installs on push converges on the first poll, so
-// the canary is read three times (baseline, bake, convergence) and the
-// follower once.
+// /healthz and then its /debug/vars, once each. The follower, which
+// installs on push, converges on its first poll: one pair. The canary's
+// bake polls are the reads between its push and the follower's, and polls
+// are a poll interval apart, so two /healthz reads closer than that are one
+// poll reading twice.
 func TestRolloutReadsVitalsOncePerPoll(t *testing.T) {
 	v1 := sealedLists(t, "v1")
 	canary, follower := newFakeReplica(t, v1), newFakeReplica(t, v1)
 	ctl := newController([]string{canary.ts.URL, follower.ts.URL})
-	ctl.Bake = time.Nanosecond
 	if _, err := ctl.Rollout(context.Background(), "lists", sealedLists(t, "v2")); err != nil {
 		t.Fatalf("rollout: %v", err)
 	}
+	canaryReads, canaryPushed := canary.log()
+	followerReads, followerPushed := follower.log()
 	for _, c := range []struct {
 		name  string
-		f     *fakeReplica
-		polls int
-	}{{"canary", canary, 3}, {"follower", follower, 1}} {
-		c.f.mu.Lock()
-		hz, vars := c.f.reads["/healthz"], c.f.reads["/debug/vars"]
-		c.f.mu.Unlock()
-		if hz != c.polls || vars != c.polls {
-			t.Errorf("%s: %d /healthz and %d /debug/vars reads, want %d of each (one per poll)", c.name, hz, vars, c.polls)
+		reads []fakeRead
+	}{{"canary", canaryReads}, {"follower", followerReads}} {
+		for i, r := range c.reads {
+			if want := []string{"/healthz", "/debug/vars"}[i%2]; r.path != want || len(c.reads)%2 != 0 {
+				t.Fatalf("%s: read %d of %d is %s, want %s: reads come in /healthz, /debug/vars pairs", c.name, i, len(c.reads), r.path, want)
+			}
 		}
+	}
+	if len(followerReads) != 2 {
+		t.Errorf("follower: %d reads, want one pair", len(followerReads))
+	}
+	var last time.Time
+	bakePolls := 0
+	for _, r := range canaryReads {
+		if r.path != "/healthz" || !r.at.After(canaryPushed) || r.at.After(followerPushed) {
+			continue
+		}
+		if bakePolls > 0 && r.at.Sub(last) < poll {
+			t.Errorf("bake poll %d read /healthz %v after the one before, want >= %v: a poll read it twice", bakePolls+1, r.at.Sub(last), poll)
+		}
+		last = r.at
+		bakePolls++
+	}
+	if bakePolls == 0 || bakePolls > int(bake/poll)+1 {
+		t.Errorf("%d bake polls in a %v bake at %v", bakePolls, bake, poll)
 	}
 }
 

@@ -19,8 +19,6 @@ import (
 type GatewayConfig struct {
 	// Backends are the replica base URLs ("host:port" gets "http://").
 	Backends []string
-	// Pool tunes availability tracking (breaker, retry budget).
-	Pool PoolConfig
 	// MaxAttempts bounds how many distinct backends one attempt chain
 	// tries before giving up (0 = one try per backend).
 	MaxAttempts int
@@ -29,8 +27,6 @@ type GatewayConfig struct {
 	// the first success wins. All /v1 endpoints are idempotent pure
 	// functions, so hedging is always safe here.
 	HedgeDelay time.Duration
-	// PerTryTimeout bounds a single backend exchange (0 = 5s).
-	PerTryTimeout time.Duration
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
@@ -43,18 +39,14 @@ func (c *GatewayConfig) maxAttempts(pool *Pool) int {
 	return len(pool.Backends())
 }
 
-func (c *GatewayConfig) perTryTimeout() time.Duration {
-	if c.PerTryTimeout > 0 {
-		return c.PerTryTimeout
-	}
-	return 5 * time.Second
-}
-
 const (
 	// maxBody bounds a proxied request body; kept above the replicas' own
 	// cap so oversized bodies get the replica's 413, not a
 	// gateway-invented answer.
 	maxBody = 8 << 20
+	// perTryTimeout bounds a single backend exchange; a client context
+	// with an earlier deadline narrows it.
+	perTryTimeout = 5 * time.Second
 	// drainTimeout bounds graceful shutdown.
 	drainTimeout = 5 * time.Second
 )
@@ -71,7 +63,7 @@ type Gateway struct {
 
 // NewGateway builds a gateway over cfg.Backends.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
-	pool := NewPool(cfg.Backends, cfg.Pool)
+	pool := newPool(cfg.Backends)
 	if len(pool.Backends()) == 0 {
 		return nil, errors.New("fleet: gateway needs at least one backend")
 	}
@@ -269,7 +261,7 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 			g.met.Retries.Add(1)
 		}
 		b.requests.Add(1)
-		rep, err := b.exchange(ctx, o, g.cfg.perTryTimeout(), res.body)
+		rep, err := b.exchange(ctx, o, res.body)
 		if err == nil && rep.status < http.StatusInternalServerError {
 			// Anything below 500 is the replica's real answer — including
 			// 429 shed (backpressure a retry would amplify) and 4xx input

@@ -32,7 +32,7 @@ type Backend struct {
 
 	// budget bounds the extra attempts (retries + hedges) the gateway
 	// may aim at this backend; refilled by successes.
-	budget *retryBudget
+	budget retryBudget
 
 	requests  atomic.Uint64 // proxied requests sent to this backend
 	failures  atomic.Uint64 // transport errors + replica 5xx
@@ -49,17 +49,17 @@ type Backend struct {
 	staleRedials       atomic.Uint64 // exchanges resent after a dead keep-alive connection
 }
 
-func newBackend(url string, failThreshold int, budgetCap, budgetRefill float64) *Backend {
-	if failThreshold <= 0 {
-		failThreshold = 3
-	}
+// failThreshold is the consecutive-failure count that ejects a backend.
+const failThreshold = 3
+
+func newBackend(url string) *Backend {
 	b := &Backend{
 		URL: url,
 		// Driven by real proxied traffic (the active health poller flips a
 		// separate availability bit): an ejected backend sits out a second,
 		// then one probe request re-admits it or ejects it afresh.
 		br:     chassis.NewBreaker(failThreshold, chassis.AfterCooldown(time.Second, time.Now)),
-		budget: newRetryBudget(budgetCap, budgetRefill),
+		budget: retryBudget{tenths: budgetTenths},
 	}
 	b.healthy.Store(true)
 	return b
@@ -97,39 +97,22 @@ func (b *Backend) fail() {
 // health probe.
 const healthInterval = 250 * time.Millisecond
 
-// PoolConfig parameterizes backend availability tracking.
-type PoolConfig struct {
-	// FailThreshold is the consecutive-failure count that ejects a
-	// backend (0 = 3).
-	FailThreshold int
-	// RetryBudget is the per-backend retry/hedge token bucket size
-	// (0 = 10).
-	RetryBudget float64
-	// RetryRefill is the fraction of a token earned back per
-	// successful exchange (0 = 0.1).
-	RetryRefill float64
-}
-
 // Pool is the gateway's set of replica backends with round-robin
 // selection over the currently available ones.
 type Pool struct {
-	cfg      PoolConfig
 	backends []*Backend
 	rr       atomic.Uint64
 	client   *http.Client
 }
 
-// NewPool builds a pool over the given base URLs (scheme-less entries get
+// newPool builds a pool over the given base URLs (scheme-less entries get
 // "http://"). All backends start available; the health loop (HealthLoop)
 // and passive failure detection take it from there.
-func NewPool(urls []string, cfg PoolConfig) *Pool {
-	p := &Pool{
-		cfg:    cfg,
-		client: &http.Client{Timeout: healthInterval},
-	}
+func newPool(urls []string) *Pool {
+	p := &Pool{client: &http.Client{Timeout: healthInterval}}
 	for _, u := range urls {
 		if u = normalizeURL(u); u != "" {
-			p.backends = append(p.backends, newBackend(u, cfg.FailThreshold, cfg.RetryBudget, cfg.RetryRefill))
+			p.backends = append(p.backends, newBackend(u))
 		}
 	}
 	return p

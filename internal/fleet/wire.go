@@ -262,7 +262,8 @@ type reply struct {
 }
 
 // exchange sends o to b and reads the whole reply, body into body.b, within
-// timeout; cancelling ctx aborts it mid-flight.
+// perTryTimeout or ctx's deadline, whichever is first; cancelling ctx aborts
+// it mid-flight.
 //
 // The one stale keep-alive rule: a reused connection that fails on the
 // write, or ends before the reply's first byte, was most likely closed by
@@ -270,8 +271,8 @@ type reply struct {
 // about the replica now. It is replaced by a fresh connection, once, and
 // the request resent — safe because every /v1 endpoint is an idempotent
 // pure function. Every other failure is the backend's and is returned.
-func (b *Backend) exchange(ctx context.Context, o *outbound, timeout time.Duration, body *buffer) (reply, error) {
-	deadline := time.Now().Add(timeout)
+func (b *Backend) exchange(ctx context.Context, o *outbound, body *buffer) (reply, error) {
+	deadline := time.Now().Add(perTryTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}

@@ -209,65 +209,76 @@ func TestAdmissionShutdownRacingAdmission(t *testing.T) {
 // capacity and checks the overload contract: every request is answered,
 // overflow becomes 429 (with Retry-After and a structured body), nothing
 // becomes a 5xx, and the shed counter matches the 429s the clients saw.
+// The test holds the one worker ticket itself while the clients fire, so
+// every one of them finds the server at capacity, and frees it for a last
+// request that must be served.
 func TestLoadSheddingEndToEnd(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:      1,
 		Queue:        2,
 		QueueTimeout: 5 * time.Millisecond,
 	})
-	s.testDelay = 20 * time.Millisecond // each request hogs the one worker
-
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const clients = 16
 	var ok200, shed429, other atomic.Int64
 	var retryAfterSeen atomic.Bool
+	post := func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/match", "application/json",
+			strings.NewReader(`{"url":"http://ads.example.com/banner.js"}`))
+		if err != nil {
+			other.Add(1)
+			return
+		}
+		defer resp.Body.Close()
+		switch resp.StatusCode {
+		case 200:
+			ok200.Add(1)
+		case 429:
+			shed429.Add(1)
+			if resp.Header.Get("Retry-After") != "" {
+				retryAfterSeen.Store(true)
+			}
+			var envelope struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Code != "shed" {
+				t.Errorf("shed body not structured: %v %+v", err, envelope)
+			}
+		default:
+			other.Add(1)
+		}
+	}
+
+	release, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 16
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				resp, err := ts.Client().Post(ts.URL+"/v1/match", "application/json",
-					strings.NewReader(`{"url":"http://ads.example.com/banner.js"}`))
-				if err != nil {
-					other.Add(1)
-					return
-				}
-				switch resp.StatusCode {
-				case 200:
-					ok200.Add(1)
-				case 429:
-					shed429.Add(1)
-					if resp.Header.Get("Retry-After") != "" {
-						retryAfterSeen.Store(true)
-					}
-					var envelope struct {
-						Error struct {
-							Code string `json:"code"`
-						} `json:"error"`
-					}
-					if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Code != "shed" {
-						t.Errorf("shed body not structured: %v %+v", err, envelope)
-					}
-				default:
-					other.Add(1)
-				}
-				resp.Body.Close()
+				post()
 			}
 		}()
 	}
 	wg.Wait()
+	if ok200.Load() != 0 || shed429.Load() != clients*4 {
+		t.Fatalf("with the only worker busy: %d served, %d shed of %d", ok200.Load(), shed429.Load(), clients*4)
+	}
+	release()
+	post()
 
 	if other.Load() != 0 {
 		t.Fatalf("%d unexpected responses", other.Load())
 	}
-	if ok200.Load() == 0 {
-		t.Fatal("no request succeeded")
-	}
-	if shed429.Load() == 0 {
-		t.Fatal("overload never shed — admission control inert")
+	if ok200.Load() != 1 {
+		t.Fatal("the request after the worker freed up was not served")
 	}
 	if !retryAfterSeen.Load() {
 		t.Error("429s missing Retry-After")

@@ -16,11 +16,10 @@ import (
 	"adwars/internal/analytics"
 )
 
-// testAnalyticsCfg is the fast-drain configuration the analytics tests
-// share: sampling 1.0 (reconciliation-exact) and a 1ms consumer cadence so
-// polls settle quickly.
+// testAnalyticsCfg is the configuration the analytics tests share:
+// sampling 1.0, reconciliation-exact.
 func testAnalyticsCfg() *analytics.Config {
-	return &analytics.Config{SampleRate: 1, DrainInterval: time.Millisecond}
+	return &analytics.Config{SampleRate: 1}
 }
 
 // newAnalyticsServer builds a fixture server with analytics enabled and
@@ -154,10 +153,13 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 	if raceSrvEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	s := newAnalyticsServer(t, Config{
-		Workers: 4, Queue: 64, QueueTimeout: time.Second,
-		Analytics: &analytics.Config{SampleRate: 1, RingSize: 1 << 16, DrainInterval: time.Hour},
-	})
+	s := newAnalyticsServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
+	// With the consumer stopped, what is measured is the handler alone:
+	// recording into an undrained ring neither allocates nor blocks, full
+	// or not.
+	if err := s.CloseAnalytics(); err != nil {
+		t.Fatal(err)
+	}
 	const body = `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
 	h, w, req, rb := matchAllocRig(s, body)
 
@@ -178,18 +180,15 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 // TestServeAnalyticsShutdownFlush proves the graceful-drain contract: a
 // SIGTERM-equivalent context cancel flushes the rings and the final
 // aggregator state to spill before Serve returns, and the consumer
-// goroutine exits (no leak).
+// goroutine exits (no leak). Nothing is spilled before it: a bucket is
+// evicted only once it is older than the aggregator's whole retention, so
+// every decision this short run made reaches disk through the flush.
 func TestServeAnalyticsShutdownFlush(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	s := newTestServer(t, Config{
-		Workers: 2,
-		Analytics: &analytics.Config{
-			SampleRate: 1, SpillDir: dir,
-			// A long cadence and bucket keep everything in the rings and
-			// aggregator until shutdown — the flush has to do all the work.
-			DrainInterval: time.Hour, BucketDur: time.Hour,
-		},
+		Workers:   2,
+		Analytics: &analytics.Config{SampleRate: 1, SpillDir: dir},
 	})
 	if err := s.AnalyticsError(); err != nil {
 		t.Fatal(err)
@@ -345,10 +344,7 @@ func TestServeAnalyticsOverheadGate(t *testing.T) {
 		t.Skip("latency gating is meaningless under -race")
 	}
 	off := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-	on := newAnalyticsServer(t, Config{
-		Workers: 4, Queue: 64, QueueTimeout: time.Second,
-		Analytics: &analytics.Config{SampleRate: 1, RingSize: 1 << 16},
-	})
+	on := newAnalyticsServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
 
 	const iters = 4000
 	// Interleave whole passes so machine-wide noise (GC, CPU frequency,

@@ -74,8 +74,8 @@ type Config struct {
 	// hot path reads the level with one atomic load; transitions force
 	// analytics sampling down (L1+), switch matching to the hot tier
 	// only (L2+), shed /v1/classify* (L3+) and /v1/match/batch (L4).
-	// Source and OnTransition are wired by the server; any OnTransition
-	// the embedder sets is chained after the server's own hook. Nil
+	// The server wires the governor's Source and OnTransition itself and
+	// ignores any set here: a non-nil value only switches it on. Nil
 	// means no governor: no goroutine, no header, no ladder.
 	Degrade *degrade.Config
 }
@@ -183,9 +183,9 @@ type Server struct {
 
 	// gov is the adaptive overload governor, nil unless cfg.Degrade is
 	// set. Handlers read its level with one atomic load; Serve starts
-	// its ticker and closes it during drain. Embedders that drive the
-	// Handler directly call StartDegrade/CloseDegrade themselves (or
-	// drive gov.Tick in tests — New never spawns the goroutine).
+	// its ticker and closes it during drain. New never spawns the
+	// goroutine, so a Handler driven without Serve moves only when
+	// gov.Tick is called.
 	gov *degrade.Governor
 
 	model atomic.Pointer[modelState]
@@ -197,10 +197,6 @@ type Server struct {
 	lastReload atomic.Pointer[ReloadOutcome]
 
 	mux http.Handler
-
-	// testDelay artificially lengthens request processing; tests use it
-	// to hold requests in flight across reloads and shutdowns.
-	testDelay time.Duration
 }
 
 // New builds a Server from cfg without loading any snapshots; call
@@ -223,18 +219,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	if cfg.Degrade != nil {
-		dcfg := *cfg.Degrade
-		if dcfg.Source == nil {
-			dcfg.Source = s.degradeSource()
-		}
-		userHook := dcfg.OnTransition
-		dcfg.OnTransition = func(from, to degrade.Level) {
-			s.onDegradeTransition(from, to)
-			if userHook != nil {
-				userHook(from, to)
-			}
-		}
-		s.gov = degrade.New(dcfg)
+		s.gov = degrade.New(degrade.Config{Source: s.degradeSource(), OnTransition: s.onDegradeTransition})
 	}
 	// Middleware order matters: recovery is outermost so it catches panics
 	// from chaos injection and handlers alike; chaos sits between recovery
@@ -321,22 +306,6 @@ func (s *Server) onDegradeTransition(from, to degrade.Level) {
 // Degrade returns the overload governor, or nil when degradation is
 // disabled.
 func (s *Server) Degrade() *degrade.Governor { return s.gov }
-
-// StartDegrade starts the governor's ticker goroutine. Nil-safe and
-// idempotent; Serve calls it, embedders that drive the Handler directly
-// call it themselves (tests usually drive gov.Tick instead).
-func (s *Server) StartDegrade() {
-	if s.gov != nil {
-		s.gov.Start()
-	}
-}
-
-// CloseDegrade stops the governor's ticker. Nil-safe and idempotent.
-func (s *Server) CloseDegrade() {
-	if s.gov != nil {
-		s.gov.Close()
-	}
-}
 
 // Metrics returns the server's metrics tree as an expvar-compatible Var
 // (its String method renders JSON). Commands publish it in the global
@@ -540,7 +509,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // by drainTimeout), and flushes a final metrics snapshot to MetricsOut.
 // It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.StartDegrade()
+	if s.gov != nil {
+		s.gov.Start()
+	}
 	ws := &wire.Server{Handler: s.mux}
 	err := ws.Run(ctx, ln, drainTimeout, func() {
 		s.StartDrain()
@@ -549,7 +520,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// The governor stops first: with the listener closed there is no
 	// pressure left to govern, and closing it before the analytics
 	// collector keeps the ticker from probing a closed pipeline.
-	s.CloseDegrade()
+	if s.gov != nil {
+		s.gov.Close()
+	}
 	// With no more requests in flight, the analytics rings hold the last
 	// recorded decisions; flush them and the aggregator to spill before
 	// the process report, so a drained run loses no telemetry.

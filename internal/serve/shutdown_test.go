@@ -15,26 +15,35 @@ import (
 // TestGracefulShutdownDrainsInFlight proves the shutdown contract: after
 // the serve context is cancelled, a request already in flight completes
 // with 200 (not a reset connection), Serve returns nil, and the final
-// metrics snapshot lands on MetricsOut.
+// metrics snapshot lands on MetricsOut. The test holds both worker tickets
+// itself, so the request waits in the admission queue until the drain has
+// closed the listener, and only then lets it through.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	var metricsOut bytes.Buffer
 	s := newTestServer(t, Config{
-		Workers:    2,
-		MetricsOut: &metricsOut,
+		Workers:      2,
+		QueueTimeout: 10 * time.Second,
+		MetricsOut:   &metricsOut,
 	})
-	// Hold each request in the handler long enough for the shutdown to
-	// race in behind it.
-	s.testDelay = 300 * time.Millisecond
+	var held []func()
+	for i := 0; i < 2; i++ {
+		release, err := s.adm.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, release)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(ctx, ln) }()
 
-	url := fmt.Sprintf("http://%s/v1/match", ln.Addr())
+	url := fmt.Sprintf("http://%s/v1/match", addr)
 	reqDone := make(chan error, 1)
 	var status int
 	go func() {
@@ -50,9 +59,20 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		reqDone <- nil
 	}()
 
-	// Let the request get in flight, then pull the plug.
-	time.Sleep(100 * time.Millisecond)
+	// The request is in flight once it queues for a worker; then pull the
+	// plug, and free the workers only once the listener is gone.
+	waitUntil(t, "the request to queue", func() bool { return s.adm.queued.Load() == 1 })
 	cancel()
+	waitUntil(t, "the drain to close the listener", func() bool {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	})
+	for _, release := range held {
+		release()
+	}
 
 	if err := <-reqDone; err != nil {
 		t.Fatalf("in-flight request killed by shutdown: %v", err)
@@ -80,6 +100,16 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	if !strings.Contains(out, `"requests": 1`) {
 		t.Errorf("flushed metrics missed the drained request: %s", out)
+	}
+}
+
+// waitUntil polls cond for up to 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
