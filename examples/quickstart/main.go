@@ -70,7 +70,7 @@ smashboards.com###noticeMain
 			antiadblock.RandomBenignScript(rng, antiadblock.GenOptions{}),
 			antiadblock.RandomBenignScript(rng, antiadblock.GenOptions{}))
 	}
-	det, err := adwars.TrainDetector(positives, negatives, adwars.DefaultDetectorConfig(1))
+	det, err := adwars.TrainDetector(positives, negatives, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 	for i := 0; i < len(positives)*2; i++ {
 		negatives = append(negatives, antiadblock.RandomBenignScript(rng, opt))
 	}
-	det, err := adwars.TrainDetector(positives, negatives, adwars.DefaultDetectorConfig(7))
+	det, err := adwars.TrainDetector(positives, negatives, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

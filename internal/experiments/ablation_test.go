@@ -38,7 +38,7 @@ func cvAccuracy(t *testing.T, c *Corpus, set features.Set, topK int) (tp, fp flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf, err := ml.CrossValidate(ds, 5, ml.SVMTrainer(ml.DefaultSVMConfig()), 9)
+	conf, err := ml.CrossValidateSVM(ds, ml.DefaultSVMConfig(), ml.CVConfig{Folds: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,7 @@ func TestAblationUnpackingMatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fully packed test scripts.
+	vocab := features.NewVocab(ds.Vocab)
 	packed := antiadblock.GenOptions{PackProbability: 1}
 	detected := 0
 	const n = 30
@@ -91,7 +92,7 @@ func TestAblationUnpackingMatters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if model.Predict(ds.Project(fs)) > 0 {
+		if model.Predict(vocab.Project(fs)) > 0 {
 			detected++
 		}
 	}
@@ -118,11 +119,11 @@ func TestAblationChiSquareBeatsNoSelection(t *testing.T) {
 	if small.NumFeatures() >= full.NumFeatures() {
 		t.Fatalf("selection did not shrink: %d vs %d", small.NumFeatures(), full.NumFeatures())
 	}
-	confFull, err := ml.CrossValidate(full, 5, ml.SVMTrainer(ml.DefaultSVMConfig()), 9)
+	confFull, err := ml.CrossValidateSVM(full, ml.DefaultSVMConfig(), ml.CVConfig{Folds: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	confSmall, err := ml.CrossValidate(small, 5, ml.SVMTrainer(ml.DefaultSVMConfig()), 9)
+	confSmall, err := ml.CrossValidateSVM(small, ml.DefaultSVMConfig(), ml.CVConfig{Folds: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

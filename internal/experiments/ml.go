@@ -315,12 +315,18 @@ type LiveTestResult struct {
 // (AdaBoost+SVM over keyword features).
 const headlineTopK = 1000
 
-// TrainHeadlineModel trains the paper's headline configuration — AdaBoost
-// over RBF-SVM weak learners, keyword features, top-1K chi-square selection
-// — on the full retrospective corpus and freezes it as a serving snapshot
-// (model + vocabulary + provenance). This is the model adwars-serve loads.
+// TrainHeadlineModel trains the paper's headline configuration on the full
+// retrospective corpus, trimmed to its 10:1 imbalance, and freezes it as a
+// serving snapshot. This is the model adwars-serve loads.
 func TrainHeadlineModel(train *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnapshot, error) {
-	corpus := train.trim(0, seed)
+	return TrainModel(train.trim(0, seed), seed, pipe)
+}
+
+// TrainModel trains the paper's headline configuration — AdaBoost over
+// RBF-SVM weak learners, keyword features, top-1K chi-square selection — on
+// the corpus exactly as given, and freezes it as a serving snapshot (model +
+// vocabulary + provenance). Unparseable scripts drop out.
+func TrainModel(corpus *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnapshot, error) {
 	ds, err := buildDataset(corpus, features.SetKeyword, headlineTopK, pipe)
 	if err != nil {
 		return nil, err

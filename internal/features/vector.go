@@ -45,8 +45,6 @@ type Dataset struct {
 	Vocab   []string
 	Samples []Sample
 	Labels  []int
-
-	index map[string]int
 }
 
 // Build constructs a Dataset from per-script feature sets and labels
@@ -73,7 +71,7 @@ func Build(featureSets []map[string]bool, labels []int) (*Dataset, error) {
 		index[f] = i
 	}
 
-	ds := &Dataset{Vocab: vocab, Labels: append([]int(nil), labels...), index: index}
+	ds := &Dataset{Vocab: vocab, Labels: append([]int(nil), labels...)}
 	for _, fs := range featureSets {
 		s := make(Sample, 0, len(fs))
 		for f := range fs {
@@ -84,10 +82,6 @@ func Build(featureSets []map[string]bool, labels []int) (*Dataset, error) {
 	}
 	return ds, nil
 }
-
-// Project maps a new script's feature set onto the dataset's vocabulary
-// (Vocab.Project).
-func (d *Dataset) Project(fs map[string]bool) Sample { return d.Vocabulary().Project(fs) }
 
 // NumFeatures returns the vocabulary size.
 func (d *Dataset) NumFeatures() int { return len(d.Vocab) }
@@ -124,11 +118,7 @@ func (d *Dataset) remap(keep []int32) *Dataset {
 		newIdx[oldI] = int32(newI)
 		vocab[newI] = d.Vocab[oldI]
 	}
-	index := make(map[string]int, len(vocab))
-	for i, f := range vocab {
-		index[f] = i
-	}
-	out := &Dataset{Vocab: vocab, Labels: d.Labels, index: index, Samples: make([]Sample, 0, len(d.Samples))}
+	out := &Dataset{Vocab: vocab, Labels: d.Labels, Samples: make([]Sample, 0, len(d.Samples))}
 	for _, s := range d.Samples {
 		var ns Sample
 		for _, f := range s {
@@ -288,7 +278,7 @@ func (d *Dataset) SelectPipeline(k int) *Dataset {
 // Subset returns a dataset restricted to the given sample indices (shared
 // vocabulary). Used by cross-validation.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{Vocab: d.Vocab, index: d.index}
+	out := &Dataset{Vocab: d.Vocab}
 	for _, i := range idx {
 		out.Samples = append(out.Samples, d.Samples[i])
 		out.Labels = append(out.Labels, d.Labels[i])

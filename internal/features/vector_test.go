@@ -177,7 +177,7 @@ func TestRemapPreservesMembership(t *testing.T) {
 
 func TestProjectIgnoresUnseen(t *testing.T) {
 	ds := testDataset(t)
-	s := ds.Project(fset("Identifier:offsetHeight", "Identifier:never-seen"))
+	s := NewVocab(ds.Vocab).Project(fset("Identifier:offsetHeight", "Identifier:never-seen"))
 	if len(s) != 1 {
 		t.Fatalf("projected = %v, want single known feature", s)
 	}

@@ -23,8 +23,9 @@ func SetFromString(name string) (Set, error) {
 // Vocab is a frozen feature vocabulary detached from any Dataset: the
 // selected feature names in index order plus the reverse index. The serving
 // layer projects incoming scripts through a Vocab loaded from a model
-// snapshot; Dataset.Project goes through the same Vocab.Project, so a
-// served model sees exactly the vectors it was trained on.
+// snapshot, and NewVocab(ds.Vocab).Project of a training script is the
+// sample Build made of it, so a served model sees exactly the vectors it
+// was trained on.
 type Vocab struct {
 	names []string
 	index map[string]int
@@ -43,14 +44,12 @@ func NewVocab(names []string) *Vocab {
 	return v
 }
 
-// Vocabulary returns the dataset's vocabulary as a standalone Vocab (shares
-// the underlying read-only storage).
-func (d *Dataset) Vocabulary() *Vocab {
-	return &Vocab{names: d.Vocab, index: d.index}
-}
-
 // Len returns the vocabulary size.
 func (v *Vocab) Len() int { return len(v.names) }
+
+// Distinct returns how many different names the vocabulary holds: fewer
+// than Len when a name repeats, which NewVocab indexes at its last position.
+func (v *Vocab) Distinct() int { return len(v.index) }
 
 // Project maps a script's feature set onto the vocabulary, ignoring unseen
 // features (they carry no weight at test time).

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -26,35 +27,34 @@ func TestVocabProjectMatchesDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromNames := NewVocab(ds.Vocab)
-	fromDataset := ds.Vocabulary()
-	if fromNames.Len() != ds.NumFeatures() || fromDataset.Len() != ds.NumFeatures() {
-		t.Fatalf("vocab sizes %d/%d, want %d", fromNames.Len(), fromDataset.Len(), ds.NumFeatures())
+	v := NewVocab(ds.Vocab)
+	if v.Len() != ds.NumFeatures() || v.Distinct() != v.Len() {
+		t.Fatalf("vocab of %d (%d distinct), want %d", v.Len(), v.Distinct(), ds.NumFeatures())
 	}
-	probe := map[string]bool{"a:x": true, "c:z": true, "unseen:q": true}
-	want := ds.Project(probe)
-	for _, v := range []*Vocab{fromNames, fromDataset} {
-		got := v.Project(probe)
-		if len(got) != len(want) {
-			t.Fatalf("projected %v, want %v", got, want)
+	// A training script projects onto the sample Build made of it, and an
+	// unseen feature adds nothing.
+	for i, fs := range sets {
+		probe := map[string]bool{"unseen:q": true}
+		for f := range fs {
+			probe[f] = true
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("projected %v, want %v", got, want)
-			}
+		if got := v.Project(probe); !slices.Equal(got, ds.Samples[i]) {
+			t.Fatalf("script %d projected %v, Build made %v", i, got, ds.Samples[i])
 		}
 	}
-	// A projection costs its result slice and nothing more, by either door.
-	for name, project := range map[string]func(map[string]bool) Sample{"Vocab": fromNames.Project, "Dataset": ds.Project} {
-		if allocs := testing.AllocsPerRun(100, func() { project(probe) }); allocs > 1 {
-			t.Errorf("%s.Project allocates %v times per call, want ≤ 1", name, allocs)
-		}
+	// A projection costs its result slice and nothing more.
+	if allocs := testing.AllocsPerRun(100, func() { v.Project(sets[2]) }); allocs > 1 {
+		t.Errorf("Vocab.Project allocates %v times per call, want ≤ 1", allocs)
 	}
 	// NewVocab copies its input: mutating the source must not leak in.
 	names := append([]string(nil), ds.Vocab...)
-	v := NewVocab(names)
+	v = NewVocab(names)
 	names[0] = "mutated"
 	if v.names[0] == "mutated" {
 		t.Error("NewVocab aliases caller slice")
+	}
+	// A repeated name is indexed once, and Distinct says so.
+	if r := NewVocab([]string{"a:x", "b:y", "a:x"}); r.Len() != 3 || r.Distinct() != 2 {
+		t.Errorf("repeated name: Len %d Distinct %d, want 3 and 2", r.Len(), r.Distinct())
 	}
 }

@@ -103,7 +103,7 @@ func TestConfusionObserveAndAdd(t *testing.T) {
 
 func TestCrossValidate(t *testing.T) {
 	ds := synthDataset(t, 30, 90, 15)
-	c, err := CrossValidate(ds, 5, SVMTrainer(DefaultSVMConfig()), 42)
+	c, err := CrossValidateSVM(ds, DefaultSVMConfig(), CVConfig{Folds: 5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateDeterministic(t *testing.T) {
 	ds := synthDataset(t, 20, 60, 16)
-	c1, err := CrossValidate(ds, 4, SVMTrainer(DefaultSVMConfig()), 7)
+	c1, err := CrossValidateSVM(ds, DefaultSVMConfig(), CVConfig{Folds: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := CrossValidate(ds, 4, SVMTrainer(DefaultSVMConfig()), 7)
+	c2, err := CrossValidateSVM(ds, DefaultSVMConfig(), CVConfig{Folds: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestCrossValidateDeterministic(t *testing.T) {
 
 func TestCrossValidateErrors(t *testing.T) {
 	ds := synthDataset(t, 5, 15, 17)
-	if _, err := CrossValidate(ds, 1, SVMTrainer(DefaultSVMConfig()), 1); err == nil {
+	if _, err := CrossValidateSVM(ds, DefaultSVMConfig(), CVConfig{Folds: 1, Seed: 1}); err == nil {
 		t.Error("k=1 must error")
 	}
 	tiny := ds.Subset([]int{0, 1})
-	if _, err := CrossValidate(tiny, 10, SVMTrainer(DefaultSVMConfig()), 1); err == nil {
+	if _, err := CrossValidateSVM(tiny, DefaultSVMConfig(), CVConfig{Folds: 10, Seed: 1}); err == nil {
 		t.Error("k greater than samples must error")
 	}
 }

@@ -125,21 +125,46 @@ func TestGramSubsetGathersExactValues(t *testing.T) {
 	}
 }
 
+// perFoldCV is the reference the shared-Gram entry points are held to: the
+// same stratified folds and per-fold rng seeds, each fold trained from
+// scratch by TrainSVM or TrainAdaBoost on its own subset (so one Gram matrix
+// per fold), one fold after another.
+func perFoldCV(t *testing.T, ds *features.Dataset, k int, seed int64, boost bool) Confusion {
+	t.Helper()
+	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(seed)))
+	var total Confusion
+	for f := range folds {
+		var trainIdx []int
+		for g := range folds {
+			if g != f {
+				trainIdx = append(trainIdx, folds[g]...)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed + int64(f) + 1))
+		var model Classifier
+		var err error
+		if boost {
+			model, err = TrainAdaBoost(ds.Subset(trainIdx), DefaultAdaBoostConfig(), rng)
+		} else {
+			model, err = TrainSVM(ds.Subset(trainIdx), nil, DefaultSVMConfig(), rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Add(Evaluate(model, ds.Subset(folds[f])))
+	}
+	return total
+}
+
 // TestCrossValidateSharedMatchesLegacy proves the shared-Gram CV entry
-// points reproduce CrossValidate, whose trainers build one Gram matrix per
-// fold, exactly — for both classifiers, at several worker counts.
+// points reproduce perFoldCV, which builds one Gram matrix per fold,
+// exactly — for both classifiers, at several worker counts.
 func TestCrossValidateSharedMatchesLegacy(t *testing.T) {
 	ds := synthDataset(t, 25, 75, 3)
 	const folds, seed = 5, 21
 
-	legacySVM, err := CrossValidate(ds, folds, SVMTrainer(DefaultSVMConfig()), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyAda, err := CrossValidate(ds, folds, AdaBoostTrainer(DefaultAdaBoostConfig()), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacySVM := perFoldCV(t, ds, folds, seed, false)
+	legacyAda := perFoldCV(t, ds, folds, seed, true)
 	for _, workers := range []int{1, 3, 8} {
 		cv := CVConfig{Folds: folds, Seed: seed, Workers: workers}
 		gotSVM, err := CrossValidateSVM(ds, DefaultSVMConfig(), cv)

@@ -10,27 +10,10 @@ import (
 	"adwars/internal/features"
 )
 
-// Trainer builds a classifier from a training dataset. The rng is owned by
-// the call (cross-validation passes an independent one per fold so folds
-// can run concurrently and deterministically).
-type Trainer func(train *features.Dataset, rng *rand.Rand) (Classifier, error)
-
-// CrossValidate performs stratified k-fold cross-validation — the paper's
-// 10-fold protocol — and returns the confusion matrix accumulated across
-// held-out folds. Folds are evaluated concurrently. seed fixes both the
-// stratified shuffle and the per-fold training rngs, making results
-// reproducible.
-func CrossValidate(ds *features.Dataset, k int, trainer Trainer, seed int64) (Confusion, error) {
-	return crossValidate(ds, CVConfig{Folds: k, Seed: seed},
-		func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
-			return trainer(ds.Subset(trainIdx), rng)
-		})
-}
-
-// crossValidate is the fold loop every entry point runs: stratify, train
-// fold f on the other k−1 folds with an rng seeded cv.Seed+f+1, evaluate it
-// on the held-out one, and merge the confusions in fold order — so the
-// result is identical at any worker count.
+// crossValidate is the paper's stratified k-fold protocol, the fold loop
+// both entry points run: stratify, train fold f on the other k−1 folds with
+// an rng seeded cv.Seed+f+1, evaluate it on the held-out one, and merge the
+// confusions in fold order — so the result is identical at any worker count.
 func crossValidate(ds *features.Dataset, cv CVConfig,
 	train func(trainIdx []int, rng *rand.Rand) (Classifier, error)) (Confusion, error) {
 	k := cv.Folds
@@ -102,9 +85,8 @@ func stratifiedFolds(ds *features.Dataset, k int, rng *rand.Rand) [][]int {
 type CVConfig struct {
 	// Folds is k (the paper's protocol uses 10).
 	Folds int
-	// Seed fixes the stratified shuffle and the per-fold training rngs —
-	// the same scheme as CrossValidate, so results are identical between
-	// the entry points.
+	// Seed fixes the stratified shuffle and the per-fold training rngs,
+	// so results are reproducible and identical between the entry points.
 	Seed int64
 	// Workers caps concurrent fold training and Gram precompute fan-out
 	// (0 = GOMAXPROCS, 1 = strictly sequential).
@@ -143,18 +125,4 @@ func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		return trainAdaBoostGram(ds.Subset(trainIdx), cfg, rng, shared.subset(trainIdx))
 	})
-}
-
-// SVMTrainer adapts TrainSVM to the Trainer signature.
-func SVMTrainer(cfg SVMConfig) Trainer {
-	return func(train *features.Dataset, rng *rand.Rand) (Classifier, error) {
-		return TrainSVM(train, nil, cfg, rng)
-	}
-}
-
-// AdaBoostTrainer adapts TrainAdaBoost to the Trainer signature.
-func AdaBoostTrainer(cfg AdaBoostConfig) Trainer {
-	return func(train *features.Dataset, rng *rand.Rand) (Classifier, error) {
-		return TrainAdaBoost(train, cfg, rng)
-	}
 }

@@ -17,7 +17,7 @@ import (
 // bit-identical to that loop.
 //
 // A scorer is built by compile when a model comes into being (end of
-// training, UnmarshalJSON) and never written afterwards, so concurrent
+// training, ParseModelSnapshot) and never written afterwards, so concurrent
 // Decision calls need no synchronization.
 type scorer struct {
 	// kernels are the distinct kernels of the compiled rounds. tables[k] is

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -200,14 +199,7 @@ func TestCompiledFormSurvivesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back AdaBoost
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
+	back := adaBoostRoundTrip(t, a, ds.Vocab)
 	if !reflect.DeepEqual(a.sc, back.sc) {
 		t.Errorf("compiled form changed across marshal/unmarshal:\ntrained %+v\nloaded  %+v", a.sc, back.sc)
 	}
@@ -259,10 +251,10 @@ func TestDecisionConcurrent(t *testing.T) {
 func TestMarshalRefusesForeignKernel(t *testing.T) {
 	m := &SVM{kernel: jaccard{}, vectors: []features.Sample{{1}}, coefs: []float64{1}}
 	compile(m)
-	if _, err := json.Marshal(m); err == nil {
+	if _, err := m.toJSON(); err == nil {
 		t.Error("an SVM over a kernel with no serialized form marshalled")
 	}
-	if _, err := json.Marshal(solo(m)); err == nil {
+	if _, err := MarshalModelSnapshot(&ModelSnapshot{FeatureSet: "keyword", Vocab: []string{"a", "b"}, Model: solo(m)}); err == nil {
 		t.Error("an ensemble over a kernel with no serialized form marshalled")
 	}
 }

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -9,9 +8,10 @@ import (
 	"adwars/internal/features"
 )
 
-// Serialized model formats. The paper's online deployment ships the
-// trained model inside adblockers; these types give it a stable JSON wire
-// form (support vectors, coefficients, ensemble weights).
+// Serialized model form. The paper's online deployment ships the trained
+// model inside adblockers; these types are the model field of a model
+// snapshot (support vectors, coefficients, ensemble weights), the one file a
+// trained model is written to.
 
 type svmJSON struct {
 	KernelType string    `json:"kernel"`
@@ -43,6 +43,18 @@ func (m *SVM) toJSON() (*svmJSON, error) {
 	return out, nil
 }
 
+func (a *AdaBoost) toJSON() (*adaBoostJSON, error) {
+	out := &adaBoostJSON{Alphas: a.alphas}
+	for _, m := range a.models {
+		j, err := m.toJSON()
+		if err != nil {
+			return nil, err
+		}
+		out.Models = append(out.Models, j)
+	}
+	return out, nil
+}
+
 // invalidModel reports model content that parses but cannot be scored
 // faithfully. It wraps artifact.ErrCorrupt, so a serving process refuses
 // the file as damaged and keeps its last-good model.
@@ -51,12 +63,6 @@ func invalidModel(format string, args ...any) error {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// maxFeatures bounds the feature indices of a model that arrives without a
-// vocabulary (bare UnmarshalJSON): the scorer's postings index is dense
-// over them, so a hostile index must not size it. The paper's largest
-// feature set, before any selection, has 1.7M features.
-const maxFeatures = 1 << 22
 
 // svmFromJSON validates j against a feature space of numFeatures indices
 // and returns the SVM it describes, not yet compiled for scoring.
@@ -98,57 +104,6 @@ func svmFromJSON(j *svmJSON, numFeatures int) (*SVM, error) {
 		m.vectors = append(m.vectors, features.Sample(v))
 	}
 	return m, nil
-}
-
-// MarshalJSON implements json.Marshaler for trained SVMs.
-func (m *SVM) MarshalJSON() ([]byte, error) {
-	j, err := m.toJSON()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *SVM) UnmarshalJSON(data []byte) error {
-	var j svmJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	restored, err := svmFromJSON(&j, maxFeatures)
-	if err != nil {
-		return err
-	}
-	compile(restored)
-	*m = *restored
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler for trained ensembles.
-func (a *AdaBoost) MarshalJSON() ([]byte, error) {
-	out := adaBoostJSON{Alphas: a.alphas}
-	for _, m := range a.models {
-		j, err := m.toJSON()
-		if err != nil {
-			return nil, err
-		}
-		out.Models = append(out.Models, j)
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *AdaBoost) UnmarshalJSON(data []byte) error {
-	var j adaBoostJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	restored, err := adaBoostFromJSON(&j, maxFeatures)
-	if err != nil {
-		return err
-	}
-	*a = *restored
-	return nil
 }
 
 // adaBoostFromJSON validates j against a feature space of numFeatures

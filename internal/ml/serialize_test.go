@@ -6,20 +6,52 @@ import (
 	"testing"
 )
 
+// svmRoundTrip sends m through the JSON form a model snapshot stores each
+// round in, and back over a space of numFeatures features.
+func svmRoundTrip(t *testing.T, m *SVM, numFeatures int) *SVM {
+	t.Helper()
+	j, err := m.toJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back svmJSON
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	got, err := svmFromJSON(&back, numFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile(got)
+	return got
+}
+
+// adaBoostRoundTrip writes a as the model of a sealed snapshot over vocab
+// and returns the model ParseModelSnapshot reads back.
+func adaBoostRoundTrip(t *testing.T, a *AdaBoost, vocab []string) *AdaBoost {
+	t.Helper()
+	data, err := MarshalModelSnapshot(&ModelSnapshot{FeatureSet: "keyword", Vocab: vocab, Model: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseModelSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Model
+}
+
 func TestSVMSerializationRoundTrip(t *testing.T) {
 	ds := synthDataset(t, 20, 60, 31)
 	m, err := TrainSVM(ds, nil, DefaultSVMConfig(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back SVM
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
+	back := svmRoundTrip(t, m, ds.NumFeatures())
 	for i, s := range ds.Samples {
 		if m.Predict(s) != back.Predict(s) {
 			t.Fatalf("sample %d: prediction changed after round trip", i)
@@ -36,14 +68,7 @@ func TestAdaBoostSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back AdaBoost
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
+	back := adaBoostRoundTrip(t, m, ds.Vocab)
 	if back.Rounds() != m.Rounds() {
 		t.Fatalf("rounds %d != %d", back.Rounds(), m.Rounds())
 	}
@@ -62,32 +87,25 @@ func TestLinearKernelSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back SVM
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := back.kernel.(Linear); !ok {
+	if back := svmRoundTrip(t, m, ds.NumFeatures()); back.kernel != (Linear{}) {
 		t.Fatalf("kernel type lost: %T", back.kernel)
 	}
 }
 
 func TestSerializationErrors(t *testing.T) {
-	var m SVM
-	if err := json.Unmarshal([]byte(`{"kernel":"warp-drive"}`), &m); err == nil {
-		t.Error("unknown kernel must error")
+	for _, doc := range []string{`{"kernel":"warp-drive"}`, `{"kernel":"rbf","gamma":0.05,"coefs":[1],"vectors":[]}`} {
+		var j svmJSON
+		if err := json.Unmarshal([]byte(doc), &j); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svmFromJSON(&j, 1); err == nil {
+			t.Errorf("%s: want an error (unknown kernel, coef/vector mismatch)", doc)
+		}
 	}
-	if err := json.Unmarshal([]byte(`{"kernel":"rbf","coefs":[1],"vectors":[]}`), &m); err == nil {
-		t.Error("coef/vector mismatch must error")
-	}
-	var a AdaBoost
-	if err := json.Unmarshal([]byte(`{"alphas":[1,2],"models":[]}`), &a); err == nil {
+	if _, err := adaBoostFromJSON(&adaBoostJSON{Alphas: []float64{1, 2}}, 1); err == nil {
 		t.Error("alpha/model mismatch must error")
 	}
-	if err := json.Unmarshal([]byte(`not json`), &a); err == nil {
-		t.Error("bad JSON must error")
+	if _, err := ParseModelSnapshot(modelFile(`"not a model"`)); err == nil {
+		t.Error("a model field that is not a model must error")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"adwars/internal/artifact"
+	"adwars/internal/features"
 )
 
 // Model snapshots are the wire format between the offline training pipeline
@@ -74,7 +75,11 @@ func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 	if s.Model == nil {
 		return nil, fmt.Errorf("ml: snapshot has no model")
 	}
-	model, err := json.Marshal(s.Model)
+	j, err := s.Model.toJSON()
+	if err != nil {
+		return nil, err
+	}
+	model, err := json.Marshal(j)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +104,8 @@ func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 // (ErrSnapshotVersion), and corrupt files — no trailer, bad checksum, torn
 // length framing, or a model that parses but cannot be scored faithfully:
 // unsorted or out-of-vocabulary support vectors, non-finite weights, a
-// non-positive RBF width (errors wrap artifact.ErrCorrupt).
+// non-positive RBF width, and whatever Projection refuses (errors wrap
+// artifact.ErrCorrupt).
 func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
 	payload, version, err := artifact.OpenVersion(data)
 	if err != nil {
@@ -130,13 +136,38 @@ func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
 	if model.Rounds() == 0 {
 		return nil, fmt.Errorf("ml: snapshot model has no rounds")
 	}
-	return &ModelSnapshot{
+	snap := &ModelSnapshot{
 		FeatureSet: doc.FeatureSet,
 		Vocab:      doc.Vocab,
 		Model:      model,
 		Meta:       doc.Meta,
 		Version:    version,
-	}, nil
+	}
+	if _, _, err := snap.Projection(); err != nil {
+		return nil, fmt.Errorf("ml: model snapshot: %w", err)
+	}
+	return snap, nil
+}
+
+// Projection parses the snapshot's feature set and indexes its vocabulary:
+// what turns a script into the sample its model scores. Every consumer of a
+// snapshot (the serving layer, the library's Detector) prepares it here, so
+// each refuses what the other refuses: an unknown feature set, an empty
+// vocabulary, and one that repeats a name — a repeated name would index only
+// its last position, and the features at the others could never fire.
+func (s *ModelSnapshot) Projection() (features.Set, *features.Vocab, error) {
+	set, err := features.SetFromString(s.FeatureSet)
+	if err != nil {
+		return 0, nil, invalidModel("%v", err)
+	}
+	if len(s.Vocab) == 0 {
+		return 0, nil, invalidModel("empty vocabulary")
+	}
+	vocab := features.NewVocab(s.Vocab)
+	if vocab.Distinct() != vocab.Len() {
+		return 0, nil, invalidModel("vocabulary of %d names holds %d distinct ones", vocab.Len(), vocab.Distinct())
+	}
+	return set, vocab, nil
 }
 
 // SaveModelSnapshot writes the snapshot to path atomically (temp file +

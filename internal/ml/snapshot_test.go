@@ -222,6 +222,25 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 		t.Errorf("valid model refused: %v", err)
 	}
 
+	// The feature set and vocabulary are held to what a consumer can project
+	// with (ModelSnapshot.Projection): a name listed twice would index only
+	// its last position, so a support vector's feature at the other could
+	// never fire.
+	file := func(set, vocab, model string) []byte {
+		return artifact.Seal([]byte(`{"format":"adwars-model","version":2,"classifier":"adaboost","feature_set":"` + set +
+			`","vocab":` + vocab + `,"model":` + model + "}\n"))
+	}
+	for _, tc := range []struct{ name, set, vocab, model string }{
+		{"repeated vocabulary name", "keyword", `["a:x","a:x","c:z"]`, ok},
+		{"unknown feature set", "no-such-set", `["a:x","b:y","c:z"]`, ok},
+		{"empty vocabulary", "keyword", `[]`, `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[]]}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseModelSnapshot(file(tc.set, tc.vocab, tc.model))
+			wantInvalid(t, err)
+		})
+	}
+
 	// JSON has no spelling for NaN or Inf, so non-finite weights are held
 	// to the same refusal one level down.
 	nan, inf := math.NaN(), math.Inf(1)

@@ -133,7 +133,7 @@ func TestSVMWeightsShiftDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb := ds.Project(map[string]bool{"x": true})
+	amb := features.NewVocab(ds.Vocab).Project(map[string]bool{"x": true})
 	if m.Predict(amb) != 1 {
 		t.Error("positively-weighted SVM should label ambiguous point +1")
 	}

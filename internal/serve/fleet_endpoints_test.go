@@ -10,7 +10,6 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/artifact"
-	"adwars/internal/ml"
 )
 
 // listsArtifact renders the fixture lists snapshot (with the given label)
@@ -184,11 +183,13 @@ func TestSnapshotPushUnconfiguredAndUnknownKind(t *testing.T) {
 	}
 }
 
-// TestSnapshotPushRefusedLeavesDiskAndMemory: a push that is sealed and
-// well formed but that this server cannot serve — a lists snapshot with no
-// lists, a model over a feature set that does not exist — is refused before
-// it is persisted. The last-good file keeps its bytes, /healthz keeps its
-// versions, and a replica restarted on those paths comes up.
+// TestSnapshotPushRefusedLeavesDiskAndMemory: a push that is sealed but that
+// this server cannot serve — a well-formed lists snapshot with no lists, a
+// model over a feature set that does not exist, a model whose vocabulary
+// repeats a name — is refused before it is persisted. The last-good file
+// keeps its bytes, /healthz keeps its versions, and a replica restarted on
+// those paths comes up. The two models are refused by ml.ParseModelSnapshot
+// itself (model-invalid), so reload_rejected ticks for them.
 func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
@@ -206,21 +207,22 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 		t.Fatalf("the empty snapshot must be well formed for this test to mean anything: %v", err)
 	}
 	badSet := artifact.Seal([]byte(strings.Replace(testModelJSON, `"keyword"`, `"no-such-set"`, 1)))
-	if _, err := ml.ParseModelSnapshot(badSet); err != nil {
-		t.Fatalf("the bad-feature-set model must be well formed for this test to mean anything: %v", err)
-	}
+	repeated := artifact.Seal([]byte(strings.Replace(testModelJSON,
+		`"Identifier:offsetWidth"]`, `"Identifier:offsetHeight"]`, 1)))
 	for _, tc := range []struct {
 		kind, path string
 		body       []byte
+		rejected   bool
 	}{
-		{"lists", listsPath, noLists},
-		{"model", modelPath, badSet},
+		{"lists", listsPath, noLists, false},
+		{"model", modelPath, badSet, true},
+		{"model", modelPath, repeated, true},
 	} {
 		good, err := os.ReadFile(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reloads := s.met.Reloads.Load()
+		reloads, rejected := s.met.Reloads.Load(), s.met.ReloadRejected.Load()
 		if rec := do(t, s, "POST", "/admin/snapshot/"+tc.kind, string(tc.body)); rec.Code != 422 {
 			t.Fatalf("%s: push = %d, want 422 (%s)", tc.kind, rec.Code, rec.Body.Bytes())
 		}
@@ -231,11 +233,15 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 		if after.ListsVersion != before.ListsVersion || after.ModelVersion != before.ModelVersion {
 			t.Errorf("%s: versions moved across a refused push: %+v → %+v", tc.kind, before, after)
 		}
-		if after.LastReload == nil || after.LastReload.OK || after.LastReload.Source != "push" {
-			t.Errorf("%s: last_reload = %+v, want a failed push", tc.kind, after.LastReload)
+		if after.LastReload == nil || after.LastReload.OK || after.LastReload.Source != "push" ||
+			after.LastReload.Rejected != tc.rejected {
+			t.Errorf("%s: last_reload = %+v, want a failed push, rejected %v", tc.kind, after.LastReload, tc.rejected)
 		}
 		if got := s.met.Reloads.Load(); got != reloads {
 			t.Errorf("%s: reloads ticked %d → %d", tc.kind, reloads, got)
+		}
+		if got := s.met.ReloadRejected.Load() - rejected; (got == 1) != tc.rejected || got > 1 {
+			t.Errorf("%s: reload_rejected ticked %d, want it to tick only for a refused file (%v)", tc.kind, got, tc.rejected)
 		}
 	}
 	restarted := New(Config{ModelPath: modelPath, ListsPath: listsPath})

@@ -353,16 +353,13 @@ func (s *Server) SetModelSnapshot(snap *ml.ModelSnapshot) error {
 // prepareModel validates snap and builds its serving state; version and raw
 // are those of the artifact it was parsed from, empty when there is none.
 func prepareModel(snap *ml.ModelSnapshot, version string, raw []byte) (*modelState, error) {
-	set, err := features.SetFromString(snap.FeatureSet)
+	set, vocab, err := snap.Projection()
 	if err != nil {
 		return nil, fmt.Errorf("serve: model snapshot: %w", err)
 	}
-	if len(snap.Vocab) == 0 {
-		return nil, fmt.Errorf("serve: model snapshot has an empty vocabulary")
-	}
 	ms := &modelState{
 		snap:     snap,
-		vocab:    features.NewVocab(snap.Vocab),
+		vocab:    vocab,
 		set:      set,
 		alphaSum: snap.Model.AlphaSum(),
 		version:  version,
