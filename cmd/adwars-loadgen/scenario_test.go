@@ -5,10 +5,10 @@ package main
 // the gateway failovers and the client no 5xx, a poisoned rollout stops at
 // the canary and rolls back, and brownout climbs to the hot tier and
 // recovers without flapping. Each row is a list of steps: replicas booted
-// with their serve.Config, a gateway in front of them, load windows judged
-// by this command's own -check gates, probes held to a control's answers,
-// and events that fire from inside a window, when its N-th data-plane
-// request arrives.
+// with their serve.Config, a gateway in front of them, doors that inject
+// faults in front of a replica, load windows judged by this command's own
+// -check gates, probes held to a control's answers, and events that fire
+// from inside a window, when its N-th data-plane request arrives.
 //
 // TestScenarios plays every row on in-process stand-ins: serve.Server and
 // fleet.Gateway, each running its own Serve on its own loopback listener.
@@ -72,15 +72,16 @@ type window struct {
 	events  []event
 }
 
-// starved is a brownout replica: one worker whose every request is
-// stretched by the 5ms default chaos latency, behind a queue of eight, so a
-// replica answers ≈ 200 requests a second and the queue stays full under
-// load, and the governor's queue-depth signal reads hot at every tick.
+// starved is a brownout replica: one worker behind a queue of eight. Behind
+// a door that holds every answer's worker slot 5ms (starve), a replica
+// answers ≈ 200 requests a second and the queue stays full under load, and
+// the governor's queue-depth signal reads hot at every tick.
 var starved = serve.Config{
 	Workers: 1, Queue: 8, QueueTimeout: 50 * time.Millisecond,
-	Chaos:   &serve.ChaosConfig{Seed: 42, LatencyRate: 1},
 	Degrade: &degrade.Config{},
 }
+
+var starve = faults{slowEvery: 1, slow: 5 * time.Millisecond}
 
 var scenarios = []scenario{
 	// One replica through its life: two hot reloads under load (the first
@@ -102,22 +103,21 @@ var scenarios = []scenario{
 		drain("tiered", "main"),
 		spilled("main"),
 	}},
-	// A replica under fire: every fault class injected, an admission queue
-	// small enough to shed, hostile requests among the normal ones, and its
-	// snapshot cut and restored mid-fire. The chaos ledger balances and the
-	// survivor answers as a fault-free control did.
+	// A replica under fire: every fault class injected at its door, an
+	// admission queue small enough to shed, hostile requests among the
+	// normal ones, and its snapshot cut and restored mid-fire. The chaos
+	// ledger balances and the survivor answers as a fault-free control did.
 	{name: "chaos", steps: []step{
 		boot("control", serve.Config{}),
 		probe("control"),
 		drain("control"),
-		boot("main", serve.Config{Workers: 1, Queue: 2, QueueTimeout: 2 * time.Millisecond,
-			Chaos: &serve.ChaosConfig{Seed: 1337, LatencyRate: 0.1, Latency: 10 * time.Millisecond,
-				CloseRate: 0.05, TruncateRate: 0.05, PanicRate: 0.05}}),
-		load(window{target: "main", check: "ledger", args: []string{"-duration", "1s", "-concurrency", "8",
+		boot("main", serve.Config{Workers: 1, Queue: 2, QueueTimeout: 2 * time.Millisecond}),
+		front("faulty", "main", faults{every: 20, slowEvery: 10, slow: 10 * time.Millisecond}),
+		load(window{target: "faulty", check: "ledger", args: []string{"-duration", "1s", "-concurrency", "8",
 			"-classify-frac", "0.3", "-chaos", "-fault-frac", "0.25"},
 			events: []event{{100, reload("main", true)}, {250, reload("main", false)}}}),
 		probe("main"),
-		drain("main"),
+		drain("faulty", "main"),
 	}},
 	// Three replicas behind the gateway: one killed mid-load and restarted
 	// on its address (failovers, no 5xx, answers as a single node's), then
@@ -151,12 +151,14 @@ var scenarios = []scenario{
 	{name: "brownout", steps: []step{
 		boot("r1", starved),
 		boot("r2", starved),
-		gateway(0, "r1", "r2"),
+		front("r1-slow", "r1", starve),
+		front("r2-slow", "r2", starve),
+		gateway(0, "r1-slow", "r2-slow"),
 		probe("gateway"),
 		load(window{target: "gateway", check: "ledger,degrade,hot-only", degrade: []string{"r1", "r2"},
 			args: []string{"-duration", "1500ms", "-concurrency", "32", "-classify-frac", "0.3"}}),
 		probe("gateway"),
-		drain("gateway", "r1", "r2"),
+		drain("gateway", "r1-slow", "r2-slow", "r1", "r2"),
 	}},
 }
 
@@ -201,6 +203,9 @@ func TestScenarioProcesses(t *testing.T) {
 type stage interface {
 	boot(name string, cfg serve.Config) error
 	gateway(hedge time.Duration, backends []string) error
+	// front starts name, a door in front of running replica target that
+	// meets the data-plane requests passing it with f.
+	front(name, target string, f faults) error
 	url(name string) string
 	// reload makes name re-read its snapshots, as SIGHUP does; the error is
 	// the reload's.
@@ -313,6 +318,10 @@ func boot(name string, cfg serve.Config) step {
 		}
 		return e.boot(name, c)
 	}}
+}
+
+func front(name, target string, f faults) step {
+	return step{"front " + target + " with " + name, func(e *env) error { return e.front(name, target, f) }}
 }
 
 func gateway(hedge time.Duration, replicas ...string) step {
@@ -620,7 +629,7 @@ type inProc struct {
 
 // node is one running stand-in: its Serve on its own listener.
 type node struct {
-	srv     *serve.Server // nil for the gateway
+	srv     *serve.Server // nil for the gateway and fronts
 	handler http.Handler
 	ln      *killable
 	cancel  context.CancelFunc
@@ -644,6 +653,19 @@ func (s *inProc) gateway(hedge time.Duration, backends []string) error {
 		return err
 	}
 	return s.start("gateway", nil, g.Handler(), g.Serve)
+}
+
+// front serves f around target's handler on a wire loop of its own; target
+// keeps running its Serve, so its governor still ticks.
+func (s *inProc) front(name, target string, f faults) error {
+	n, err := s.get(target, false)
+	if err != nil {
+		return err
+	}
+	h := f.wrap(n.handler)
+	return s.start(name, nil, h, func(ctx context.Context, ln net.Listener) error {
+		return (&wire.Server{Handler: h}).Run(ctx, ln, 5*time.Second, nil)
+	})
 }
 
 func (s *inProc) start(name string, srv *serve.Server, h http.Handler, serveOn func(context.Context, net.Listener) error) error {
@@ -820,7 +842,7 @@ type proc struct {
 // boot runs adwars-serve for the configs the process rows use: plain, or
 // with analytics spilling.
 func (p *procs) boot(name string, cfg serve.Config) error {
-	if cfg.Chaos != nil || cfg.Degrade != nil || cfg.Workers != 0 || cfg.Queue != 0 || cfg.QueueTimeout != 0 {
+	if cfg.Degrade != nil || cfg.Workers != 0 || cfg.Queue != 0 || cfg.QueueTimeout != 0 {
 		return errors.New("the process pass boots plain or analytics replicas only")
 	}
 	args := []string{"-lists", cfg.ListsPath, "-model", cfg.ModelPath, "-replica", name}
@@ -828,6 +850,10 @@ func (p *procs) boot(name string, cfg serve.Config) error {
 		args = append(args, "-analytics", "-analytics-spill", cfg.Analytics.SpillDir)
 	}
 	return p.start(name, "adwars-serve", args...)
+}
+
+func (p *procs) front(string, string, faults) error {
+	return errors.New("the process pass has no fronts: a fault is injected around a Handler")
 }
 
 func (p *procs) gateway(hedge time.Duration, backends []string) error {

@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
@@ -100,8 +99,8 @@ func jsonShape(t *testing.T, data []byte, registry bool) string {
 // TestVarsShapePinned pins what both servers publish: the key paths, their
 // order and their JSON types (never values) of Server.Metrics().String(),
 // Gateway.Metrics().String() and both /debug/vars bodies, for a replica with
-// everything optional switched on (chaos, a model, analytics, the governor,
-// a replica ID) and one with everything off, before any traffic and after
+// everything optional switched on (a model, analytics, the governor, a
+// replica ID) and one with everything off, before any traffic and after
 // one fixed script sent through a gateway: each /v1 endpoint once, one
 // request refused at admission, one 4xx. The golden file was recorded from
 // the commit before the metrics trees moved onto internal/chassis; a key
@@ -134,7 +133,6 @@ func TestVarsShapePinned(t *testing.T) {
 	}{
 		{"full", serve.Config{
 			ReplicaID: "r1",
-			Chaos:     &serve.ChaosConfig{Seed: 1, LatencyRate: 1, Latency: time.Millisecond},
 			Analytics: &analytics.Config{},
 			Degrade:   &degrade.Config{},
 		}, true},

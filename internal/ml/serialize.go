@@ -126,6 +126,12 @@ func adaBoostFromJSON(j *adaBoostJSON, numFeatures int) (*AdaBoost, error) {
 		}
 		a.models = append(a.models, m)
 	}
+	// Each weight finite is not enough: |Decision| ≤ Σ|αₜ| holds in floating
+	// point too, so a finite sum is what keeps every decision, and the score
+	// a consumer divides out of it, finite.
+	if sum := a.AlphaSum(); !finite(sum) {
+		return nil, invalidModel("alphas sum to %v", sum)
+	}
 	a.sc = compile(a.models...)
 	return a, nil
 }

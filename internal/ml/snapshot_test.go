@@ -200,6 +200,10 @@ var invalidModelFiles = []struct{ name, model string }{
 	{"rbf without gamma", `{"alphas":[1],"models":[{"kernel":"rbf","bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 	{"negative gamma", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":-0.05,"bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 	{"null round", `{"alphas":[1],"models":[null]}`},
+	// Each weight is finite, their sum is not: every decision would be ±Inf
+	// or NaN, and so would the score a consumer divides out of it.
+	{"alphas overflowing their sum", `{"alphas":[1e308,1e308],"models":[` +
+		`{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0]]},{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 }
 
 func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
@@ -264,7 +268,8 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 }
 
 // FuzzReadModelSnapshot: loading never panics, whatever the bytes, and a
-// model that loads scores a fixed sample without panicking. Every input is
+// model that loads has a finite Σ|αₜ| and scores fixed samples to finite
+// decisions, without panicking. Every input is
 // tried as given and again under a fresh integrity trailer, so that the
 // fuzzer's edits reach the model loader behind the trailer's checksum.
 // Seeds are the clean file, the corruption matrix and the invalid-model
@@ -289,8 +294,14 @@ func FuzzReadModelSnapshot(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			snap.Model.Predict(sample)
-			snap.Model.Predict(nil)
+			if sum := snap.Model.AlphaSum(); !finite(sum) {
+				t.Fatalf("loaded a model whose alphas sum to %v", sum)
+			}
+			for _, s := range []features.Sample{sample, nil} {
+				if d := snap.Model.Decision(s); !finite(d) {
+					t.Fatalf("loaded a model whose decision on %v is %v", s, d)
+				}
+			}
 		}
 	})
 }

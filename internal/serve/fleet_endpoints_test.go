@@ -209,6 +209,10 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 	badSet := artifact.Seal([]byte(strings.Replace(testModelJSON, `"keyword"`, `"no-such-set"`, 1)))
 	repeated := artifact.Seal([]byte(strings.Replace(testModelJSON,
 		`"Identifier:offsetWidth"]`, `"Identifier:offsetHeight"]`, 1)))
+	round := `{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}`
+	overflowing := artifact.Seal([]byte(strings.Replace(testModelJSON,
+		`"alphas": [2],
+    "models": [`+round+`]`, `"alphas": [1e308, 1e308], "models": [`+round+`, `+round+`]`, 1)))
 	for _, tc := range []struct {
 		kind, path string
 		body       []byte
@@ -217,6 +221,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 		{"lists", listsPath, noLists, false},
 		{"model", modelPath, badSet, true},
 		{"model", modelPath, repeated, true},
+		{"model", modelPath, overflowing, true},
 	} {
 		good, err := os.ReadFile(tc.path)
 		if err != nil {

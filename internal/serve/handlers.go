@@ -206,11 +206,11 @@ func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.Respons
 
 // beginAdmitted admits one request: stamp the degradation level, apply
 // the governor's pre-admission gates (ladder sheds, deadline refusal),
-// acquire a worker-pool ticket, absorb any injected chaos latency, and
-// hand back the latency clock. On shed it writes the 429 itself and
-// returns ok=false. Every true return must be paired with endAdmitted: one
-// worker-pool ticket per request, latency observed on every outcome, and no
-// closure, so admission adds zero allocations.
+// acquire a worker-pool ticket, and hand back the latency clock. On shed
+// it writes the 429 itself and returns ok=false. Every true return must be
+// paired with endAdmitted: one worker-pool ticket per request, latency
+// observed on every outcome, and no closure, so admission adds zero
+// allocations.
 func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
 	stats := s.met.endpoints[ep]
 	start = time.Now()
@@ -241,14 +241,6 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 	if _, err := s.adm.acquire(r.Context()); err != nil {
 		s.refuse429(stats, start, w, "shed", "server overloaded, retry later")
 		return start, false
-	}
-	// Injected chaos latency sleeps here, while holding the worker slot,
-	// so it consumes real capacity and can push admission into shedding.
-	if s.chaos != nil {
-		if d, ok := s.chaos.drawLatency(); ok {
-			s.met.Chaos.LatencyInjections.Add(1)
-			time.Sleep(d)
-		}
 	}
 	return start, true
 }

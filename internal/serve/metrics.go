@@ -39,16 +39,6 @@ const (
 	epClassifyBatch = "classify_batch"
 )
 
-// chaosStats counts the faults the chaos middleware injected, so a chaos
-// run's client-side accounting can be reconciled against what the server
-// actually did.
-type chaosStats struct {
-	LatencyInjections  chassis.Counter `json:"latency_injections"`
-	CloseInjections    chassis.Counter `json:"close_injections"`
-	TruncateInjections chassis.Counter `json:"truncate_injections"`
-	PanicInjections    chassis.Counter `json:"panic_injections"`
-}
-
 // metrics is the server's full counter tree, exported as one JSON object
 // under "adwars_serve" in /debug/vars: the tagged fields as they stand,
 // after the three values MarshalJSON reads off the server.
@@ -79,8 +69,6 @@ type metrics struct {
 	// DegradeShed counts requests shed pre-admission by the overload
 	// governor's ladder (L3 sheds classify, L4 also sheds match batches).
 	DegradeShed chassis.Counter `json:"degrade_shed"`
-	// Chaos is there, and exported, only when fault injection is configured.
-	Chaos *chaosStats `json:"chaos,omitempty"`
 }
 
 // modelVars sizes the installed model: the ensemble's support vectors are

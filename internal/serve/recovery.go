@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
-	"net"
 	"net/http"
 	"sync"
 
@@ -11,16 +9,16 @@ import (
 )
 
 // withRecovery is the outermost request boundary: a panic anywhere in
-// per-request work (handler body, parser, matcher — or an injected chaos
-// panic) is converted into a structured 500 envelope and a
+// per-request work (handler body, parser, matcher, a request body's
+// reader) is converted into a structured 500 envelope and a
 // panics_recovered tick instead of killing the process. net/http would
 // already confine the panic to the one connection, but without this
 // boundary the client sees a bare connection reset and the operator sees
 // nothing; with it the failure is a counted, typed response.
 //
 // http.ErrAbortHandler is re-panicked untouched: it is the sanctioned
-// "abandon this connection silently" signal (used after a hijack) and
-// net/http suppresses it without logging.
+// "abandon this connection silently" signal, and both net/http and
+// internal/wire suppress it without logging.
 // twPool recycles tracking writers: the wrapper lives only for the span
 // of one request, so pooling it keeps the recovery boundary off the
 // per-request allocation budget. A writer that re-panics (ErrAbortHandler)
@@ -55,9 +53,7 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 }
 
 // trackingWriter records whether the response has started, so the
-// recovery boundary knows if it can still write an error envelope. It
-// forwards Hijack and Flush to the underlying writer (the chaos
-// middleware hijacks to inject connection closes).
+// recovery boundary knows if it can still write an error envelope.
 type trackingWriter struct {
 	http.ResponseWriter
 	wrote bool
@@ -71,19 +67,4 @@ func (t *trackingWriter) WriteHeader(code int) {
 func (t *trackingWriter) Write(b []byte) (int, error) {
 	t.wrote = true
 	return t.ResponseWriter.Write(b)
-}
-
-func (t *trackingWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	hj, ok := t.ResponseWriter.(http.Hijacker)
-	if !ok {
-		return nil, nil, errors.New("serve: underlying ResponseWriter does not support hijacking")
-	}
-	t.wrote = true
-	return hj.Hijack()
-}
-
-func (t *trackingWriter) Flush() {
-	if f, ok := t.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }

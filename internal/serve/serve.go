@@ -48,9 +48,6 @@ type Config struct {
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
-	// Chaos, when non-nil and enabled, injects deterministic faults into
-	// the data plane (see ChaosConfig). Production servers leave it nil.
-	Chaos *ChaosConfig
 	// ReplicaID, when set, identifies this replica in the fleet: every
 	// response carries it in an X-Adwars-Replica header and /healthz
 	// reports it, so gateways and load generators can attribute traffic.
@@ -169,10 +166,9 @@ type ReloadOutcome struct {
 // expose Handler on any HTTP server — or use Serve, which runs it on the
 // repository's own serving loop (internal/wire) and handles graceful drain.
 type Server struct {
-	cfg   Config
-	adm   *admission
-	met   *metrics
-	chaos *chaosState // nil unless cfg.Chaos is enabled
+	cfg Config
+	adm *admission
+	met *metrics
 
 	// anl is the decision analytics collector, nil unless cfg.Analytics
 	// is set; anlErr latches a collector construction failure (unwritable
@@ -221,16 +217,7 @@ func New(cfg Config) *Server {
 	if cfg.Degrade != nil {
 		s.gov = degrade.New(degrade.Config{Source: s.degradeSource(), OnTransition: s.onDegradeTransition})
 	}
-	// Middleware order matters: recovery is outermost so it catches panics
-	// from chaos injection and handlers alike; chaos sits between recovery
-	// and the routes so injected faults exercise real handler paths.
-	h := s.routes()
-	if cfg.Chaos.Enabled() {
-		s.chaos = newChaosState(cfg.Chaos)
-		s.met.Chaos = &chaosStats{}
-		h = s.withChaos(h)
-	}
-	h = s.withRecovery(h)
+	h := s.withRecovery(s.routes())
 	if cfg.ReplicaID != "" {
 		// Outermost so even recovered-panic envelopes carry the replica
 		// attribution the gateway and loadgen key on.

@@ -20,8 +20,7 @@
 // 100-continue", HEAD, a 1 MiB cap on a request head (431 and close), 400
 // and close on a head that does not parse, a bounded drain of a body the
 // handler left unread (past the bound the connection closes), a handler
-// panic closing its connection only, Hijack, and the drain contract of
-// Shutdown.
+// panic closing its connection only, and the drain contract of Shutdown.
 //
 // Dropped, each named because a handler written against net/http could have
 // used it: a client that hangs up does not cancel r.Context(), which is
@@ -29,8 +28,10 @@
 // gateway by its per-try timeout); no Content-Type sniffing (a handler that
 // sets none sends none); no streaming — no Flush, no chunked replies, a
 // reply is buffered whole and framed by Content-Length; no 1xx from a
-// handler; no trailers; no HTTP/2; no ConnState, no per-request deadlines
-// beyond the connection's one coarse read deadline (readWindow).
+// handler; no handing the connection over to the handler (one that wants
+// its connection gone panics http.ErrAbortHandler); no trailers; no HTTP/2;
+// no ConnState, no per-request deadlines beyond the connection's one coarse
+// read deadline (readWindow).
 package wire
 
 import (
@@ -303,9 +304,7 @@ func (c *conn) serve() {
 				log.Printf("wire: panic serving %s: %v\n%s", c.remote, v, debug.Stack())
 			}
 		}
-		if !c.w.hijacked {
-			c.rwc.Close()
-		}
+		c.rwc.Close()
 		c.srv.untrack(c)
 	}()
 	now := time.Now()
@@ -342,9 +341,6 @@ func (c *conn) serve() {
 		w := &c.w
 		w.reset(req)
 		c.srv.Handler.ServeHTTP(w, req)
-		if w.hijacked {
-			return
-		}
 		if !w.wroteHeader {
 			w.WriteHeader(http.StatusOK)
 		}
@@ -432,7 +428,6 @@ type response struct {
 	header      http.Header
 	status      int
 	wroteHeader bool
-	hijacked    bool
 	closeAfter  bool // the handler set "Connection: close"
 	sawDate     bool // the handler set Date
 	head        []byte
@@ -456,7 +451,7 @@ func (w *response) reset(req *http.Request) {
 func (w *response) Header() http.Header { return w.header }
 
 func (w *response) WriteHeader(status int) {
-	if w.wroteHeader || w.hijacked {
+	if w.wroteHeader {
 		return
 	}
 	if status < 100 || status > 999 {
@@ -503,9 +498,6 @@ func (w *response) WriteHeader(status int) {
 }
 
 func (w *response) Write(p []byte) (int, error) {
-	if w.hijacked {
-		return 0, http.ErrHijacked
-	}
 	if !w.wroteHeader {
 		w.WriteHeader(http.StatusOK)
 	}
@@ -518,17 +510,6 @@ func (w *response) Write(p []byte) (int, error) {
 
 func bodyAllowed(status int) bool {
 	return status != http.StatusNoContent && status != http.StatusNotModified
-}
-
-// Hijack hands the connection to the handler: the loop neither replies nor
-// closes, and the read deadline is lifted.
-func (w *response) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if w.hijacked {
-		return nil, nil, http.ErrHijacked
-	}
-	w.hijacked = true
-	w.c.rwc.SetReadDeadline(time.Time{})
-	return w.c.rwc, bufio.NewReadWriter(w.c.br, bufio.NewWriter(w.c.rwc)), nil
 }
 
 // finish frames and sends the reply.

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"adwars/internal/abp"
@@ -161,12 +162,15 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 	log.SetOutput(io.Discard) // both servers log the panic case
 
 	s := newServe(t, serve.Config{ReplicaID: "r0", Degrade: &degrade.Config{}})
-	chaos := newServe(t, serve.Config{Chaos: &serve.ChaosConfig{Seed: 1, CloseRate: 1}})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
-	mux.Handle("/chaos/", http.StripPrefix("/chaos", chaos.Handler()))
-	trunc := newServe(t, serve.Config{Chaos: &serve.ChaosConfig{Seed: 1, TruncateRate: 1}})
-	mux.Handle("/trunc/", http.StripPrefix("/trunc", trunc.Handler()))
+	// A client that dies mid-body: serve reads three bytes, then
+	// io.ErrUnexpectedEOF.
+	mux.Handle("/trunc/", http.StripPrefix("/trunc", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = io.NopCloser(io.MultiReader(io.LimitReader(r.Body, 3), iotest.ErrReader(io.ErrUnexpectedEOF)))
+		s.Handler().ServeHTTP(w, r)
+	})))
+	mux.HandleFunc("/raw/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
 	mux.HandleFunc("/raw/unread", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		w.Header().Set("X-Seen", r.Method)
@@ -215,7 +219,7 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 		{"handler leaves a small body unread", []step{{post("/raw/unread", "", strings.Repeat("u", 3000)), []string{P}}, {get, []string{G}}}},
 		{"handler leaves a large body unread", []step{{post("/raw/unread", "", strings.Repeat("u", 300<<10)), []string{P}}}},
 		{"handler panics", []step{{get, []string{G}}, {"GET /raw/panic HTTP/1.1\r\nHost: x\r\n\r\n", []string{G}}}},
-		{"chaos hijack", []step{{post("/chaos/v1/match", "", matchBody), []string{P}}}},
+		{"handler aborts", []step{{post("/raw/abort", "", matchBody), []string{P}}}},
 		{"chaos truncated body", []step{{post("/trunc/v1/match", "", matchBody), []string{P}}, {get, []string{G}}}},
 		{"large reply", []step{{"GET /raw/big HTTP/1.1\r\nHost: x\r\n\r\n", []string{G}}, {get, []string{G}}}},
 	}
