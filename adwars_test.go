@@ -43,7 +43,7 @@ func TestParseFilterRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.DomainAnchor || len(r.Domains) != 1 {
+	if !r.DomainAnchor || len(r.Domains()) != 1 {
 		t.Fatalf("parse wrong: %+v", r)
 	}
 	if _, err := ParseFilterRule("! comment"); err == nil {

@@ -192,7 +192,7 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			continue
 		}
 		// The runs come from the pattern as the matcher compares it
-		// (buildMatcher), A–Z folded: a byte ≥ 0x80 never joins a run.
+		// (foldPattern), A–Z folded: a byte ≥ 0x80 never joins a run.
 		pat := lowerASCII(r.Pattern)
 		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
 			id, seen := ids[pat[i:j]]
@@ -204,7 +204,7 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			count[id]++
 			runIDs = append(runIDs, id)
 		}
-		for _, d := range r.Domains {
+		for _, d := range r.Domains() {
 			named[d]++
 		}
 	}
@@ -229,7 +229,7 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			}
 		}
 		most := int32(0)
-		for _, d := range r.Domains {
+		for _, d := range r.Domains() {
 			most = max(most, named[d])
 		}
 		if most > 0 && (best.none() || most < bestN) {

@@ -174,9 +174,9 @@ func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 		}
 		_, err := NewListAttached("old", rules, plain.rulesCRC, buildAutomaton(rules, kws, plain.rulesCRC, member).Bytes(), nil)
 		switch {
-		case len(r.Domains) > 0 && err != nil:
+		case len(r.Domains()) > 0 && err != nil:
 			t.Fatalf("region without %q refused, though the index serves it: %v", r.Raw, err)
-		case len(r.Domains) == 0 && (err == nil || !isCorrupt(err) || !strings.Contains(err.Error(), "tier-invalid")):
+		case len(r.Domains()) == 0 && (err == nil || !isCorrupt(err) || !strings.Contains(err.Error(), "tier-invalid")):
 			t.Fatalf("region without %q: error %v, want tier-invalid", r.Raw, err)
 		}
 		if ord > 12 {

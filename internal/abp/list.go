@@ -34,9 +34,9 @@ func (d Decision) String() string {
 // linear oracle (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold
 // it to, plus a selector-id index over element hiding rules so that matching
 // inspects only a few candidates. Build lists with NewList (compiles the automaton)
-// or NewListAttached (attaches serialized ones); every rule matcher is
-// precompiled there and nothing is built lazily, so a List is safe for
-// concurrent readers — nothing is written after construction.
+// or NewListAttached (attaches serialized ones); nothing is built lazily, so
+// a List is safe for concurrent readers — nothing is written after
+// construction, to the list or to its rules.
 type List struct {
 	// Name identifies the list (e.g. "Anti-Adblock Killer").
 	Name string
@@ -80,9 +80,9 @@ type List struct {
 }
 
 // NewList compiles a set of parsed rules into a matchable list. Comment and
-// invalid rules are ignored. Every rule's URL matcher is precompiled here
-// (idempotent for rules built by Parse), which is what makes the returned
-// List read-only and therefore safe for concurrent matchers.
+// invalid rules are ignored. The rules are only read, here and by every
+// match, which is what makes the returned List safe for concurrent
+// matchers.
 func NewList(name string, rules []*Rule) *List {
 	l := indexRules(name, rules)
 	l.rulesCRC = rulesChecksum(l.rules)
@@ -129,9 +129,9 @@ func NewListAttached(name string, rules []*Rule, rulesCRC uint64, whole, hot []b
 	return l, nil
 }
 
-// indexRules is what both constructors share: the servable rules
-// precompiled and split by kind. Their checksum and the automaton are the
-// caller's to compute or take, build or attach.
+// indexRules is what both constructors share: the servable rules split by
+// kind. Their checksum and the automaton are the caller's to compute or
+// take, build or attach.
 func indexRules(name string, rules []*Rule) *List {
 	l := &List{Name: name, rules: make([]*Rule, 0, len(rules))}
 	for _, r := range rules {
@@ -140,7 +140,6 @@ func indexRules(name string, rules []*Rule) *List {
 		default:
 			continue
 		}
-		r.Precompile()
 		l.rules = append(l.rules, r)
 		switch r.Kind {
 		case KindHTTPException:

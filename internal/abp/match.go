@@ -119,6 +119,10 @@ type matchCtx struct {
 	third    bool
 	hasThird bool
 
+	// tbit is the request type's typeBit with typeBitSet added, 0 until
+	// typeBit computes it.
+	tbit uint16
+
 	ncand int
 	spill []uint32
 	cand  [matchScratchCap]uint32
@@ -254,6 +258,19 @@ func sortDedupU32(v []uint32) []uint32 {
 	return slices.Compact(v)
 }
 
+// typeBitSet marks matchCtx.tbit as computed; no rule mask holds it.
+const typeBitSet uint16 = 1 << 15
+
+// typeBit returns the request type's bit, computed at most once per
+// context; a type that is none of the request types has none, so it is in
+// no rule's positive mask and in no negative one.
+func (c *matchCtx) typeBit() uint16 {
+	if c.tbit == 0 {
+		c.tbit = c.q.Type.typeBit() | typeBitSet
+	}
+	return c.tbit &^ typeBitSet
+}
+
 func (c *matchCtx) isThirdParty() bool {
 	if !c.hasThird {
 		h := HostOf(c.q.URL)
@@ -277,8 +294,10 @@ func (r *Rule) matchCtx(c *matchCtx) bool {
 	if !r.IsHTTP() {
 		return false
 	}
-	if len(r.Types) > 0 && !slices.Contains(r.Types, c.q.Type) || slices.Contains(r.NotTypes, c.q.Type) {
-		return false
+	if r.types|r.notTypes != 0 {
+		if t := c.typeBit(); r.types != 0 && r.types&t == 0 || r.notTypes&t != 0 {
+			return false
+		}
 	}
 	if r.ThirdParty != 0 && (r.ThirdParty > 0) != c.isThirdParty() {
 		return false
@@ -291,74 +310,46 @@ func (r *Rule) matchCtx(c *matchCtx) bool {
 // domain (lower-cased: lowerDomain): within one of Domains when there are
 // any, and within none of NotDomains.
 func (r *Rule) appliesOn(pageDomain string) bool {
-	for _, d := range r.NotDomains {
+	for _, d := range r.NotDomains() {
 		if domainWithin(pageDomain, d) {
 			return false
 		}
 	}
-	for _, d := range r.Domains {
+	for _, d := range r.Domains() {
 		if domainWithin(pageDomain, d) {
 			return true
 		}
 	}
-	return len(r.Domains) == 0
+	return r.nDomains == 0
 }
 
-// urlMatcher holds the pre-lowered pattern for repeated matching. Matchers
-// are built eagerly by Parse and NewList (see Rule.Precompile) so that a
-// compiled List is truly read-only for concurrent matchers.
-type urlMatcher struct {
-	pattern   string
-	matchCase bool
-}
-
-// buildMatcher derives the matcher from the rule's pattern and options.
-// The pattern folds as the URL does (lowerASCII: A–Z only), so a rule
-// matches the URL it literally names whatever bytes ≥ 0x80 it holds.
-func (r *Rule) buildMatcher() urlMatcher {
-	p := r.Pattern
-	if !r.MatchCase {
-		p = lowerASCII(p)
+// foldPattern is the pattern as the matcher compares it: folded as the URL
+// is (lowerASCII: A–Z only, so a rule matches the URL it literally names
+// whatever bytes ≥ 0x80 it holds) unless the rule is $match-case.
+func (r *Rule) foldPattern() string {
+	if r.MatchCase {
+		return r.Pattern
 	}
-	return urlMatcher{pattern: p, matchCase: r.MatchCase}
-}
-
-// Precompile builds the rule's URL matcher eagerly. Parse calls it for
-// every HTTP rule it returns and NewList calls it for every rule it
-// indexes, so by the time a List is handed to concurrent readers no matcher
-// state is ever written again. It is idempotent and cheap for non-HTTP
-// rules.
-func (r *Rule) Precompile() {
-	if r.IsHTTP() {
-		r.matcherRef()
-	}
-}
-
-// matcherRef returns the compiled matcher, building it on the fly for rules
-// constructed by hand rather than through Parse/NewList. The fallback store
-// is atomic, so even un-precompiled rules are safe (if slower) to match
-// concurrently.
-func (r *Rule) matcherRef() *urlMatcher {
-	if m := r.matcher.Load(); m != nil {
-		return m
-	}
-	m := r.buildMatcher()
-	r.matcher.Store(&m)
-	return &m
+	return lowerASCII(r.Pattern)
 }
 
 // matchURLCtx applies the rule's URL pattern (with anchors) to the request
 // URL, reusing the context's pre-lowered copy for case-insensitive rules.
+// A rule Parse did not build has no folded pattern and folds it here, into
+// a local: the rule is never written, so concurrent first matches are as
+// race-free as any other.
 func (r *Rule) matchURLCtx(c *matchCtx) bool {
-	m := r.matcherRef()
-	u := c.q.URL
-	if !m.matchCase {
+	pat, u := r.folded, c.q.URL
+	if pat == "" {
+		pat = r.foldPattern()
+	}
+	if !r.MatchCase {
 		u = c.low()
 	}
 	if r.DomainAnchor {
-		return matchDomainAnchored(m.pattern, u, r.EndAnchor)
+		return matchDomainAnchored(pat, u, r.EndAnchor)
 	}
-	return globMatch(m.pattern, u, r.EndAnchor, !r.StartAnchor)
+	return globMatch(pat, u, r.EndAnchor, !r.StartAnchor)
 }
 
 // matchDomainAnchored implements "||": the pattern must match starting at

@@ -1,6 +1,7 @@
 package abp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,83 @@ func TestTypeOptions(t *testing.T) {
 	}
 	if !neg.MatchRequest(req("http://example1.com/a.png", "p.com", TypeImage)) {
 		t.Error("$~script should allow image requests")
+	}
+}
+
+// sliceTypeOptions is the option-name → request-type table the matcher had
+// when a rule kept its content types as two slices; with sliceTypesAdmit it
+// is the oracle TestTypeOptionTable holds the masks to.
+var sliceTypeOptions = map[string]RequestType{
+	"script": TypeScript, "image": TypeImage, "stylesheet": TypeStylesheet,
+	"object": TypeObject, "xmlhttprequest": TypeXHR,
+	"subdocument": TypeSubdocument, "document": TypeDocument,
+	"popup": TypePopup, "other": TypeOther, "media": TypeOther,
+	"font": TypeOther, "websocket": TypeOther, "ping": TypeOther,
+	"object-subrequest": TypeObject,
+}
+
+// sliceTypesAdmit is the slice form's type check: the options are filed
+// positive or negated, and a request's type (empty meaning other) is
+// admitted when the positive list is empty or holds it and the negated one
+// does not.
+func sliceTypesAdmit(opts []string, typ RequestType) bool {
+	var types, notTypes []RequestType
+	for _, opt := range opts {
+		if name, neg := strings.CutPrefix(opt, "~"); neg {
+			notTypes = append(notTypes, sliceTypeOptions[name])
+		} else {
+			types = append(types, sliceTypeOptions[opt])
+		}
+	}
+	if typ == "" {
+		typ = TypeOther
+	}
+	return !(len(types) > 0 && !slices.Contains(types, typ) || slices.Contains(notTypes, typ))
+}
+
+// TestTypeOptionTable pins content-type option semantics: every request
+// type, the empty type and one no rule can name, against no option, $t,
+// $~t, $t1,t2, $~t1,~t2 and $t,~t over every type option, those that fold
+// onto another type (media, font, websocket, ping → other,
+// object-subrequest → object) included — the rule alone, and in a list
+// through the automaton and the linear scan.
+func TestTypeOptionTable(t *testing.T) {
+	var names []string
+	for name := range sliceTypeOptions {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	optSets := [][]string{nil}
+	for i, a := range names {
+		optSets = append(optSets, []string{a}, []string{"~" + a}, []string{a, "~" + a})
+		for _, b := range names[i+1:] {
+			optSets = append(optSets, []string{a, b}, []string{"~" + a, "~" + b})
+		}
+	}
+	types := []RequestType{
+		TypeScript, TypeImage, TypeStylesheet, TypeObject, TypeXHR,
+		TypeSubdocument, TypeDocument, TypePopup, TypeOther, "", "font",
+	}
+	for _, opts := range optSets {
+		line := "||x.example^"
+		if opts != nil {
+			line += "$" + strings.Join(opts, ",")
+		}
+		r := mustParse(t, line)
+		l := NewList("types", []*Rule{r})
+		for _, typ := range types {
+			q := req("http://x.example/a", "p.example", typ)
+			want := sliceTypesAdmit(opts, typ)
+			wantDecision := NoMatch
+			if want {
+				wantDecision = Blocked
+			}
+			d, _ := l.MatchRequest(q)
+			dl, _ := l.MatchRequestLinear(q)
+			if got := r.MatchRequest(q); got != want || d != wantDecision || dl != wantDecision {
+				t.Errorf("%s on type %q: rule %v, list %v, linear %v; want %v", line, typ, got, d, dl, want)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -23,21 +24,22 @@ var (
 // ErrEmptyLine. Lines that look like rules but are malformed return a nil
 // Rule and a descriptive error. The rule is an allocation of its own, so a
 // caller may keep one rule of a list without keeping the rest (History and
-// listgen share rules across revisions).
+// listgen share rules across revisions). Everything matching reads is set
+// here, so the rule is never written again and may be shared by concurrent
+// readers.
 func Parse(line string) (*Rule, error) {
 	r := new(Rule)
-	err := r.parse(line, nil)
+	err := r.parse(line)
 	if err != nil && !errors.Is(err, ErrCommentLine) {
 		return nil, err
 	}
 	return r, err
 }
 
-// parse fills the zero Rule r from one filter list line; an HTTP rule's URL
-// matcher is built in m, or in an allocation of its own when m is nil. On an
-// error other than ErrCommentLine r is left half-filled and must be zeroed
-// before it is used again.
-func (r *Rule) parse(line string, m *urlMatcher) error {
+// parse fills the zero Rule r from one filter list line. On an error other
+// than ErrCommentLine r is left half-filled and must be zeroed before it is
+// used again.
+func (r *Rule) parse(line string) error {
 	r.Raw = line
 	line = strings.TrimSpace(line)
 	if line == "" {
@@ -58,7 +60,7 @@ func (r *Rule) parse(line string, m *urlMatcher) error {
 		return r.parseElemHide(line[:i], line[i+2:], false)
 	}
 
-	return r.parseHTTP(line, m)
+	return r.parseHTTP(line)
 }
 
 // parseElemHide parses the element hiding form. prefix is the (possibly
@@ -78,7 +80,8 @@ func (r *Rule) parseElemHide(prefix, sel string, exception bool) error {
 }
 
 // addDomains adds the entries of a sep-separated domain list, lower-cased,
-// to Domains or, when they begin with '~', to NotDomains.
+// to Domains or, when they begin with '~', to NotDomains: each in the order
+// it is listed, the positive ones in front.
 func (r *Rule) addDomains(list, sep string) {
 	for rest, more := list, true; more; {
 		var d string
@@ -87,15 +90,16 @@ func (r *Rule) addDomains(list, sep string) {
 		switch {
 		case d == "":
 		case d[0] == '~':
-			r.NotDomains = append(r.NotDomains, d[1:])
+			r.domains = append(r.domains, d[1:])
 		default:
-			r.Domains = append(r.Domains, d)
+			r.domains = slices.Insert(r.domains, int(r.nDomains), d)
+			r.nDomains++
 		}
 	}
 }
 
 // parseHTTP parses an HTTP request rule (blocking or "@@" exception).
-func (r *Rule) parseHTTP(line string, m *urlMatcher) error {
+func (r *Rule) parseHTTP(line string) error {
 	r.Kind = KindHTTPBlock
 	if strings.HasPrefix(line, "@@") {
 		r.Kind = KindHTTPException
@@ -129,14 +133,7 @@ func (r *Rule) parseHTTP(line string, m *urlMatcher) error {
 		return ErrEmptyPattern
 	}
 	r.Pattern = line
-	// Compile the URL matcher now, while the rule is still private to this
-	// call: rule objects are shared across list revisions and concurrent
-	// readers, so matcher state must never be written lazily at match time.
-	if m == nil {
-		m = new(urlMatcher)
-	}
-	*m = r.buildMatcher()
-	r.matcher.Store(m)
+	r.folded = r.foldPattern()
 	return nil
 }
 
@@ -164,19 +161,16 @@ func looksLikeOptions(s string) bool {
 	return true
 }
 
-// knownOptions enumerates the filter options the engine understands. Options
-// the paper's lists use but that do not affect matching in our substrate
-// (e.g. collapse) are accepted and ignored.
+// knownOptions enumerates the filter options the engine understands beside
+// the content types (typeOptions). Options the paper's lists use but that do
+// not affect matching in our substrate (e.g. collapse) are accepted and
+// ignored.
 var knownOptions = map[string]bool{
-	"script": true, "image": true, "stylesheet": true, "object": true,
-	"xmlhttprequest": true, "subdocument": true, "document": true,
-	"elemhide": true, "popup": true, "other": true, "third-party": true,
-	"domain": true, "match-case": true, "collapse": true, "media": true,
-	"font": true, "websocket": true, "ping": true, "object-subrequest": true,
-	"genericblock": true, "generichide": true,
+	"elemhide": true, "third-party": true, "domain": true, "match-case": true,
+	"collapse": true, "genericblock": true, "generichide": true,
 }
 
-func isOptionName(name string) bool { return knownOptions[name] }
+func isOptionName(name string) bool { return knownOptions[name] || typeOptions[name] != "" }
 
 // typeOptions maps option names to request types for content-type filtering.
 var typeOptions = map[string]RequestType{
@@ -203,7 +197,13 @@ func (r *Rule) parseOptions(opts string) error {
 			name, value = opt[:i], opt[i+1:]
 		}
 		name = strings.ToLower(name)
+		// A negated flag does not take the flag's meaning: as in Adblock
+		// Plus, ~match-case leaves the rule case-insensitive, ~elemhide
+		// and ~generichide are inverted types that turn nothing off, and
+		// a negated $domain= is no option at all.
 		switch {
+		case name == "domain" && neg:
+			return fmt.Errorf("%w: %q", ErrBadOption, "~"+opt)
 		case name == "domain":
 			r.addDomains(value, "|")
 		case name == "third-party":
@@ -212,6 +212,7 @@ func (r *Rule) parseOptions(opts string) error {
 			} else {
 				r.ThirdParty = +1
 			}
+		case neg && (name == "match-case" || name == "elemhide" || name == "generichide"):
 		case name == "match-case":
 			r.MatchCase = true
 		case name == "elemhide":
@@ -220,9 +221,9 @@ func (r *Rule) parseOptions(opts string) error {
 			r.DisableGenericHide = true
 		case typeOptions[name] != "":
 			if neg {
-				r.NotTypes = append(r.NotTypes, typeOptions[name])
+				r.notTypes |= typeOptions[name].typeBit()
 			} else {
-				r.Types = append(r.Types, typeOptions[name])
+				r.types |= typeOptions[name].typeBit()
 			}
 		case isOptionName(name):
 			// Recognized but irrelevant to our matcher (collapse, …).
@@ -236,8 +237,8 @@ func (r *Rule) parseOptions(opts string) error {
 // ParseList parses an entire filter list body (one rule per line). Comments
 // and blank lines are skipped. Malformed rule lines are collected into errs
 // but do not abort parsing, matching how adblockers tolerate bad lines. The
-// rules of one call share two allocations (see parseLines), so keeping one
-// of them keeps them all.
+// rules of one call share one allocation (see parseLines), so keeping one of
+// them keeps them all.
 func ParseList(body string) (rules []*Rule, errs []error) {
 	chunks, lines := cutLines(body)
 	return parseLines(chunks, lines, false)
@@ -284,22 +285,21 @@ func cutLines(body string) (chunks []lineChunk, lines int) {
 
 // parseLines is the line loop under ParseList and under the snapshot
 // loader: every line through Rule.parse, each chunk after the first on a
-// goroutine of its own. The rules and their URL matchers are two arrays
-// sized from the line count — one slab per list, not two allocations per
-// rule — each chunk filling its own range; rules and errors are joined in
-// chunk order. Run strict, it is the loader's rule: every line is a rule, so
-// the earliest line that is blank, a comment or malformed is the one error
-// returned, and no rules with it.
+// goroutine of its own. The rules are one array sized from the line count —
+// one slab per list, not an allocation per rule — each chunk filling its
+// own range; rules and errors are joined in chunk order. Run strict, it is
+// the loader's rule: every line is a rule, so the earliest line that is
+// blank, a comment or malformed is the one error returned, and no rules
+// with it.
 func parseLines(chunks []lineChunk, lines int, strict bool) (rules []*Rule, errs []error) {
 	all := make([]*Rule, lines)
 	slab := make([]Rule, lines)
-	matchers := make([]urlMatcher, lines)
 	parse := func(c *lineChunk) {
 		for rest, more := c.text, true; more; {
 			var line string
 			line, rest, more = strings.Cut(rest, "\n")
 			at := c.first + c.n
-			err := slab[at].parse(line, &matchers[at])
+			err := slab[at].parse(line)
 			if err == nil {
 				all[at] = &slab[at]
 				c.n++

@@ -9,19 +9,17 @@ import (
 	"testing"
 )
 
-// parseLinesSerial is the line loop parseLines replaced, verbatim but for
-// its name: one pass over the whole body on the caller's goroutine. The
-// chunked loop is held to it.
+// parseLinesSerial is the line loop parseLines replaced: one pass over the
+// whole body on the caller's goroutine. The chunked loop is held to it.
 func parseLinesSerial(body string, strict bool) (rules []*Rule, errs []error) {
 	lines := strings.Count(body, "\n") + 1
 	rules = make([]*Rule, 0, lines)
 	slab := make([]Rule, lines)
-	matchers := make([]urlMatcher, lines)
 	for rest, more := body, true; more; {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
 		r := &slab[len(rules)]
-		err := r.parse(line, &matchers[len(rules)])
+		err := r.parse(line)
 		if err == nil {
 			rules = append(rules, r)
 			continue
@@ -148,10 +146,10 @@ func assertSameParse(t *testing.T, name string, got []*Rule, gotErrs []error, wa
 	}
 	for i, r := range got {
 		w := want[i]
-		if r.Raw != w.Raw || r.Kind != w.Kind || r.Pattern != w.Pattern || !slices.Equal(r.Domains, w.Domains) ||
+		if r.Raw != w.Raw || r.Kind != w.Kind || r.Pattern != w.Pattern || !slices.Equal(r.Domains(), w.Domains()) ||
 			(r.Selector == nil) != (w.Selector == nil) || r.Selector != nil && r.Selector.String() != w.Selector.String() {
 			t.Fatalf("%s: rule %d is %q (%v %q %v), serial %q (%v %q %v)", name, i,
-				r.Raw, r.Kind, r.Pattern, r.Domains, w.Raw, w.Kind, w.Pattern, w.Domains)
+				r.Raw, r.Kind, r.Pattern, r.Domains(), w.Raw, w.Kind, w.Pattern, w.Domains())
 		}
 	}
 	for i, err := range gotErrs {

@@ -2,7 +2,11 @@ package abp
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, line string) *Rule {
@@ -39,8 +43,8 @@ func TestParseDomainAnchor(t *testing.T) {
 
 func TestParseDomainAnchorWithScriptOption(t *testing.T) {
 	r := mustParse(t, "||example1.com$script")
-	if len(r.Types) != 1 || r.Types[0] != TypeScript {
-		t.Fatalf("types = %v, want [script]", r.Types)
+	if r.types != TypeScript.typeBit() || r.notTypes != 0 {
+		t.Fatalf("types = %#x, not %#x, want script only", r.types, r.notTypes)
 	}
 	if got := r.Class(); got != ClassHTTPAnchor {
 		t.Fatalf("class = %v, want %v", got, ClassHTTPAnchor)
@@ -53,8 +57,8 @@ func TestParseAnchorAndTag(t *testing.T) {
 	if !r.DomainAnchor {
 		t.Fatal("want domain anchor")
 	}
-	if len(r.Domains) != 1 || r.Domains[0] != "example2.com" {
-		t.Fatalf("domains = %v", r.Domains)
+	if d := r.Domains(); len(d) != 1 || d[0] != "example2.com" {
+		t.Fatalf("domains = %v", d)
 	}
 	if got := r.Class(); got != ClassHTTPAnchorTag {
 		t.Fatalf("class = %v, want %v", got, ClassHTTPAnchorTag)
@@ -107,8 +111,8 @@ func TestParseElemHideWithDomain(t *testing.T) {
 	if r.Kind != KindElemHide {
 		t.Fatalf("kind = %v", r.Kind)
 	}
-	if len(r.Domains) != 1 || r.Domains[0] != "smashboards.com" {
-		t.Fatalf("domains = %v", r.Domains)
+	if d := r.Domains(); len(d) != 1 || d[0] != "smashboards.com" {
+		t.Fatalf("domains = %v", d)
 	}
 	if r.Selector.ID != "noticeMain" {
 		t.Fatalf("selector id = %q", r.Selector.ID)
@@ -129,8 +133,8 @@ func TestParseElemHideClassSelector(t *testing.T) {
 func TestParseElemHideGeneric(t *testing.T) {
 	// Rule 3 of Code 2 in the paper.
 	r := mustParse(t, "###examplebanner")
-	if len(r.Domains) != 0 {
-		t.Fatalf("domains = %v, want none", r.Domains)
+	if d := r.Domains(); len(d) != 0 {
+		t.Fatalf("domains = %v, want none", d)
 	}
 	if got := r.Class(); got != ClassHTMLNoDomain {
 		t.Fatalf("class = %v, want %v", got, ClassHTMLNoDomain)
@@ -161,8 +165,8 @@ func TestParseCommentAndBlank(t *testing.T) {
 
 func TestParseNegatedDomains(t *testing.T) {
 	r := mustParse(t, "/banner.js$domain=a.com|~sub.a.com|b.com")
-	if len(r.Domains) != 2 || len(r.NotDomains) != 1 {
-		t.Fatalf("domains=%v notdomains=%v", r.Domains, r.NotDomains)
+	if len(r.Domains()) != 2 || len(r.NotDomains()) != 1 {
+		t.Fatalf("domains=%v notdomains=%v", r.Domains(), r.NotDomains())
 	}
 }
 
@@ -232,4 +236,66 @@ func TestKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
 	}
+}
+
+// TestParseNegatedFlags: a negated flag option does not take the flag's
+// meaning. As in Adblock Plus, ~match-case leaves the rule case-insensitive,
+// ~elemhide and ~generichide are inverted types that turn no hiding off,
+// and ~domain= is refused.
+func TestParseNegatedFlags(t *testing.T) {
+	r := mustParse(t, "/BannerAd.gif$~match-case")
+	if r.MatchCase {
+		t.Error("$~match-case set MatchCase")
+	}
+	if !r.MatchRequest(req("http://x.com/bannerad.gif", "x.com", TypeImage)) {
+		t.Error("$~match-case rule does not block a differently cased URL")
+	}
+	for _, line := range []string{"@@||a.com^$~elemhide", "@@||a.com^$~generichide"} {
+		r := mustParse(t, line)
+		if r.DisableElemHide || r.DisableGenericHide {
+			t.Errorf("%s: DisableElemHide %v, DisableGenericHide %v", line, r.DisableElemHide, r.DisableGenericHide)
+		}
+		all, generic := NewList("l", []*Rule{r}).ElemHideDisabled("a.com")
+		if all || generic {
+			t.Errorf("%s turns hiding off on a.com: all %v, generic %v", line, all, generic)
+		}
+	}
+	if _, err := Parse("||a.com^$~domain=b.com"); !errors.Is(err, ErrBadOption) {
+		t.Errorf("$~domain= parses: error %v, want ErrBadOption", err)
+	}
+}
+
+// TestParseListBytesPerLine is the memory budget of a parsed list: what
+// ParseList allocates per option-free line, the rule and the pointer to it.
+func TestParseListBytesPerLine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	if size := unsafe.Sizeof(Rule{}); size > 96 {
+		t.Errorf("a Rule is %d bytes, budget 96", size)
+	}
+	const n = 50_000
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "||ads%05d.example^\n", i)
+	}
+	body := b.String()
+	var fewest uint64
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rules, _ := ParseList(body)
+		runtime.ReadMemStats(&after)
+		if len(rules) != n {
+			t.Fatalf("%d rules, want %d", len(rules), n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; run == 0 || got < fewest {
+			fewest = got
+		}
+	}
+	perLine := float64(fewest) / n
+	if perLine > 112 {
+		t.Errorf("ParseList allocates %.1f B per line, budget 112", perLine)
+	}
+	t.Logf("%.1f B per line", perLine)
 }

@@ -3,11 +3,10 @@ package abp
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Kind identifies the broad category of a filter rule.
-type Kind int
+type Kind uint8
 
 const (
 	// KindInvalid marks lines that could not be parsed as a rule.
@@ -116,17 +115,76 @@ const (
 	TypeOther       RequestType = "other"
 )
 
+// typeBit is t's bit in a rule's type masks, 0 for a string that is none of
+// the request types; "" is TypeOther, as a Request's empty Type is. An
+// option that names a type the matcher does not tell apart takes the bit of
+// the type it folds onto (typeOptions).
+func (t RequestType) typeBit() uint16 {
+	switch t {
+	case TypeScript:
+		return 1 << 0
+	case TypeImage:
+		return 1 << 1
+	case TypeStylesheet:
+		return 1 << 2
+	case TypeObject:
+		return 1 << 3
+	case TypeXHR:
+		return 1 << 4
+	case TypeSubdocument:
+		return 1 << 5
+	case TypeDocument:
+		return 1 << 6
+	case TypePopup:
+		return 1 << 7
+	case TypeOther, "":
+		return 1 << 8
+	}
+	return 0
+}
+
+// Valid reports whether t is one of the request types above or "", which
+// means TypeOther.
+func (t RequestType) Valid() bool { return t.typeBit() != 0 }
+
 // Rule is a single parsed filter rule. The zero value is an invalid rule;
-// use Parse to construct rules.
+// use Parse to construct rules. A rule is what a list holds per line, so its
+// options are packed: content types are two bit masks, the $domain= (or
+// element hiding prefix) entries one slice, and the small fields share one
+// word — 96 bytes in all.
 type Rule struct {
 	// Raw is the original filter list line, unchanged.
 	Raw string
-	// Kind is the rule's broad category.
-	Kind Kind
 
 	// Pattern is the URL pattern of an HTTP rule with anchors stripped:
 	// the text after "||", between "|...|", or the bare pattern.
 	Pattern string
+	// folded is Pattern as the matcher compares it: A–Z folded unless
+	// MatchCase (lowerASCII: the same string when there is nothing to
+	// fold). Parse sets it; a rule built by hand leaves it empty and has
+	// its pattern folded per match (matchURLCtx), writing nothing.
+	folded string
+
+	// domains holds the $domain= entries of an HTTP rule or the domain
+	// prefix of an element hiding rule, lower-cased: the first nDomains
+	// are the positive ones (Domains), the rest were negated with '~'
+	// (NotDomains).
+	domains []string
+
+	// Selector is the element hiding selector (after "##" / "#@#").
+	Selector *Selector
+
+	nDomains uint32
+	// types and notTypes are the typeBit masks of the positive ($script,
+	// $image, …) and negated ($~script, …) content-type options. A zero
+	// types applies the rule to every request type.
+	types, notTypes uint16
+
+	// Kind is the rule's broad category.
+	Kind Kind
+	// ThirdParty is +1 for $third-party, -1 for $~third-party, 0 if unset.
+	ThirdParty int8
+
 	// DomainAnchor is true for "||" rules (match at a domain boundary of
 	// the request host).
 	DomainAnchor bool
@@ -134,14 +192,6 @@ type Rule struct {
 	// the start or end of the URL with "|".
 	StartAnchor bool
 	EndAnchor   bool
-
-	// Types holds the positive content-type options ($script, $image, …).
-	// Empty means the rule applies to every request type.
-	Types []RequestType
-	// NotTypes holds negated content-type options ($~script, …).
-	NotTypes []RequestType
-	// ThirdParty is +1 for $third-party, -1 for $~third-party, 0 if unset.
-	ThirdParty int
 	// MatchCase reports the $match-case option.
 	MatchCase bool
 	// DisableElemHide reports the $elemhide option: an exception rule
@@ -150,19 +200,16 @@ type Rule struct {
 	// DisableGenericHide reports the $generichide option: an exception
 	// rule carrying it disables only generic (domain-less) hiding rules.
 	DisableGenericHide bool
-	// Domains and NotDomains come from the $domain= option of HTTP rules
-	// or the domain prefix of element hiding rules. Lower-cased.
-	Domains    []string
-	NotDomains []string
-
-	// Selector is the element hiding selector (after "##" / "#@#").
-	Selector *Selector
-
-	// matcher is the compiled URL matcher. Parse and NewList populate it
-	// eagerly (Precompile); the atomic pointer keeps even hand-built rules
-	// race-free when first matched from several goroutines.
-	matcher atomic.Pointer[urlMatcher]
 }
+
+// Domains returns the domains the rule's $domain= option or element hiding
+// prefix scopes it to, lower-cased. The slice aliases the rule and must
+// not be modified.
+func (r *Rule) Domains() []string { return r.domains[:r.nDomains:r.nDomains] }
+
+// NotDomains returns the domains negated there with '~', lower-cased. The
+// slice aliases the rule and must not be modified.
+func (r *Rule) NotDomains() []string { return r.domains[r.nDomains:] }
 
 // IsException reports whether the rule is an exception (allow) rule.
 func (r *Rule) IsException() bool {
@@ -181,15 +228,13 @@ func (r *Rule) IsElemHide() bool {
 
 // HasDomainTag reports whether the rule carries a $domain= option or an
 // element-hiding domain prefix.
-func (r *Rule) HasDomainTag() bool {
-	return len(r.Domains) > 0 || len(r.NotDomains) > 0
-}
+func (r *Rule) HasDomainTag() bool { return len(r.domains) > 0 }
 
 // Class returns the rule's position in the six-way taxonomy of Figure 1.
 func (r *Rule) Class() Class {
 	switch {
 	case r.IsElemHide():
-		if len(r.Domains) > 0 || len(r.NotDomains) > 0 {
+		if r.HasDomainTag() {
 			return ClassHTMLWithDomain
 		}
 		return ClassHTMLNoDomain
@@ -216,7 +261,7 @@ func (r *Rule) Class() Class {
 // deduplicated. Rules with no domain scope return nil.
 func (r *Rule) TargetDomains() []string {
 	seen := make(map[string]bool)
-	for _, d := range r.Domains {
+	for _, d := range r.Domains() {
 		seen[d] = true
 	}
 	if r.DomainAnchor {

@@ -62,7 +62,7 @@ type domainEntry struct {
 func newDomainIndex(rules []*Rule, filed []uint32) *domainIndex {
 	x := &domainIndex{rules: len(filed)}
 	for _, ord := range filed {
-		for _, d := range rules[ord].Domains {
+		for _, d := range rules[ord].Domains() {
 			x.entries = append(x.entries, domainEntry{d, ord})
 		}
 	}
@@ -266,7 +266,7 @@ func (l *List) attachHot(hot *automaton) error {
 			if hot != nil && !hotRule[ord] && r.Kind == KindHTTPException {
 				return corrupt("exception rule %d is not in the hot automaton", ord)
 			}
-		case len(r.Domains) > 0:
+		case r.nDomains > 0:
 			// Always consulted, like the hot automaton.
 			byDomain = append(byDomain, uint32(ord))
 			hotRule[ord] = true

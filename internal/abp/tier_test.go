@@ -324,10 +324,10 @@ func TestTieredValidation(t *testing.T) {
 		return func(ord int) bool { return ord != out && set(ord) }
 	}
 	hotBlock := pick("hot block that names no page domain", func(ord int, r *Rule) bool {
-		return r.Kind == KindHTTPBlock && len(r.Domains) == 0 && !kws[ord].none() && hotSet(ord)
+		return r.Kind == KindHTTPBlock && len(r.Domains()) == 0 && !kws[ord].none() && hotSet(ord)
 	})
 	hotDomainBlock := pick("hot block that names a page domain", func(ord int, r *Rule) bool {
-		return r.Kind == KindHTTPBlock && len(r.Domains) > 0 && !kws[ord].none() && hotSet(ord)
+		return r.Kind == KindHTTPBlock && len(r.Domains()) > 0 && !kws[ord].none() && hotSet(ord)
 	})
 	exception := pick("keyworded exception", func(ord int, r *Rule) bool {
 		return r.Kind == KindHTTPException && !kws[ord].none()

@@ -276,20 +276,13 @@ func (s *Server) routes() http.Handler {
 
 // ---- match ----
 
-// validTypes mirrors abp.RequestType; an empty type means "other".
-var validTypes = map[string]bool{
-	"": true, "script": true, "image": true, "stylesheet": true,
-	"object": true, "xmlhttprequest": true, "subdocument": true,
-	"document": true, "popup": true, "other": true,
-}
-
 // checkQuery validates one match query: what is wrong with it, "" if
 // nothing.
 func checkQuery(q *MatchQuery) string {
 	if q.URL == "" {
 		return `missing "url"`
 	}
-	if !validTypes[q.Type] {
+	if !abp.RequestType(q.Type).Valid() {
 		return fmt.Sprintf("unknown request type %q", q.Type)
 	}
 	return ""

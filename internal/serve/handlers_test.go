@@ -160,6 +160,23 @@ func TestBatchTooLarge(t *testing.T) {
 	golden(t, "error_batch_too_large", rec.Body.Bytes())
 }
 
+// TestMatchRequestTypes: /v1/match takes the request types abp matches on
+// and "" (other), and refuses every other spelling, an option name that only
+// folds onto a type or a type in capitals included.
+func TestMatchRequestTypes(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for typ, status := range map[string]int{
+		"": 200, "script": 200, "image": 200, "stylesheet": 200, "object": 200,
+		"xmlhttprequest": 200, "subdocument": 200, "document": 200, "popup": 200,
+		"other": 200, "font": 400, "Script": 400, "teapot": 400,
+	} {
+		body := `{"url":"http://a.example/","type":` + quoteJSON(typ) + `}`
+		if rec := do(t, s, "POST", "/v1/match", body); rec.Code != status {
+			t.Errorf("type %q: status %d, want %d", typ, rec.Code, status)
+		}
+	}
+}
+
 // TestClientErrorsCounted: every 4xx a /v1 endpoint answers, sheds aside, is
 // one more in that endpoint's errors and in no other's; an answered request
 // is in none.
