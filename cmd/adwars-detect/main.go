@@ -58,8 +58,8 @@ func main() {
 	var topk []int
 	for _, s := range strings.Split(*topkFlag, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			log.Fatalf("bad -topk value %q: %v", s, err)
+		if err != nil || k < 1 {
+			log.Fatalf("bad -topk value %q: want a feature budget of at least 1", s)
 		}
 		topk = append(topk, k)
 	}

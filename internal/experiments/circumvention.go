@@ -95,15 +95,3 @@ func (r *CircumventionResult) Render() string {
 	}
 	return b.String()
 }
-
-// ProtectedRate returns the fraction of deployed sites where the list
-// spares the user the wall (circumvented, suppressed, or undetected).
-func (r *CircumventionResult) ProtectedRate(list string) float64 {
-	if r.Deployed == 0 {
-		return 0
-	}
-	c := r.Outcomes[list]
-	protected := c[browser.OutcomeCircumvented] +
-		c[browser.OutcomeWallSuppressed] + c[browser.OutcomeUndetected]
-	return float64(protected) / float64(r.Deployed)
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adwars/internal/abp"
+	"adwars/internal/browser"
 	"adwars/internal/features"
 )
 
@@ -98,9 +99,9 @@ func TestCircumvention(t *testing.T) {
 	if res.Deployed == 0 {
 		t.Fatal("no deployed sites")
 	}
-	aak := res.ProtectedRate("Anti-Adblock Killer")
-	cel := res.ProtectedRate("Combined EasyList")
-	none := res.ProtectedRate("(no anti-adblock list)")
+	aak := protectedRate(res, "Anti-Adblock Killer")
+	cel := protectedRate(res, "Combined EasyList")
+	none := protectedRate(res, "(no anti-adblock list)")
 	// AAK's broad vendor rules protect far more users than CEL; without
 	// any anti-adblock list nearly every deployed site walls the user.
 	if aak <= cel {
@@ -164,4 +165,16 @@ func TestSummaryAgreesWithFig1(t *testing.T) {
 			t.Errorf("%s: summary says %d rules, Figure 1 ends at %+v", c.h.Name, c.have, pts[len(pts)-1:])
 		}
 	}
+}
+
+// protectedRate returns the fraction of deployed sites where the list
+// spares the user the wall (circumvented, suppressed, or undetected).
+func protectedRate(r *CircumventionResult, list string) float64 {
+	if r.Deployed == 0 {
+		return 0
+	}
+	c := r.Outcomes[list]
+	protected := c[browser.OutcomeCircumvented] +
+		c[browser.OutcomeWallSuppressed] + c[browser.OutcomeUndetected]
+	return float64(protected) / float64(r.Deployed)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,74 +180,105 @@ func (c *Corpus) trim(maxSamples int, seed int64) *Corpus {
 	return &Corpus{Positives: pos, Negatives: neg}
 }
 
-// buildDatasetRaw extracts features for the corpus under one feature set
-// (no selection). Feature extraction is the expensive step, so callers
-// sweeping several feature budgets extract once and select per budget.
-// Extraction fans out over pipe.workers(); unparseable scripts drop out
-// (as in the paper) and the surviving sets are compacted in corpus order,
-// so the dataset is identical to a sequential ExtractSource loop.
-func buildDatasetRaw(c *Corpus, set features.Set, pipe PipelineConfig) (*features.Dataset, error) {
+// buildDatasetRaw extracts features for the corpus under each of the given
+// feature sets (no selection), parsing each script once, and returns one
+// dataset per set. Extraction is the expensive step, so callers sweeping
+// several feature budgets select per budget from the one raw dataset.
+// Extraction fans out over pipe.workers(); unparseable scripts drop out of
+// every set (as in the paper) and the surviving sets are compacted in
+// corpus order, so each dataset is identical to a sequential ExtractSource
+// loop under its set.
+func buildDatasetRaw(c *Corpus, sets []features.Set, pipe PipelineConfig) ([]*features.Dataset, error) {
 	srcs := make([]string, 0, len(c.Positives)+len(c.Negatives))
 	srcs = append(srcs, c.Positives...)
 	srcs = append(srcs, c.Negatives...)
-	fsets, errs, err := features.ExtractAll(context.Background(), srcs, set, pipe.workers())
+	fsets, errs, err := features.ExtractAll(context.Background(), srcs, sets, pipe.workers())
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]map[string]bool, 0, len(srcs))
 	labels := make([]int, 0, len(srcs))
 	for i := range srcs {
 		if errs[i] != nil {
 			continue // unparseable scripts drop out, as in the paper
 		}
-		sets = append(sets, fsets[i])
 		if i < len(c.Positives) {
 			labels = append(labels, +1)
 		} else {
 			labels = append(labels, -1)
 		}
 	}
-	return features.Build(sets, labels)
+	out := make([]*features.Dataset, len(sets))
+	for s := range sets {
+		kept := make([]map[string]bool, 0, len(labels))
+		for i, fs := range fsets[s] {
+			if errs[i] == nil {
+				kept = append(kept, fs)
+			}
+		}
+		fsets[s] = nil // the maps die with kept once this set is built
+		if out[s], err = features.Build(kept, labels); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // buildDataset extracts features for the corpus under one feature set and
 // applies the paper's selection pipeline.
 func buildDataset(c *Corpus, set features.Set, topK int, pipe PipelineConfig) (*features.Dataset, error) {
-	ds, err := buildDatasetRaw(c, set, pipe)
+	raw, err := buildDatasetRaw(c, []features.Set{set}, pipe)
 	if err != nil {
 		return nil, err
 	}
-	return ds.SelectPipeline(topK), nil
+	return raw[0].SelectPipeline(topK), nil
 }
 
 // Table3 runs the paper's classifier sweep: {all, literal, keyword} ×
 // TopK × {SVM, AdaBoost+SVM} with stratified k-fold cross-validation.
+//
+// Budgets past a set's vocabulary select the whole vocabulary, so every
+// budget at or above it gives the same dataset and, under the same seeded
+// folds, the same two rows. Each (set, min(k, vocabulary)) pair is
+// cross-validated once; a later budget with the same pair repeats its
+// rows. Every budget must be at least 1.
 func Table3(c *Corpus, cfg Table3Config) ([]Table3Row, error) {
+	if len(cfg.TopK) == 0 || slices.Min(cfg.TopK) < 1 {
+		return nil, fmt.Errorf("experiments: feature budgets %v, want one or more, each at least 1", cfg.TopK)
+	}
 	corpus := c.trim(cfg.MaxSamples, cfg.Seed)
 	if len(corpus.Positives) < cfg.Folds {
 		return nil, fmt.Errorf("experiments: only %d positives for %d folds",
 			len(corpus.Positives), cfg.Folds)
 	}
 	pipe := cfg.Pipeline
+	raws, err := buildDatasetRaw(corpus, features.Sets, pipe)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Table3Row
-	for _, set := range features.Sets {
-		raw, err := buildDatasetRaw(corpus, set, pipe)
-		if err != nil {
-			return nil, err
-		}
-		base := raw.FilterVariance(0.01).DeduplicateColumns()
+	for s, set := range features.Sets {
+		base := raws[s].FilterVariance(0.01).DeduplicateColumns()
+		done := map[int][]Table3Row{} // effective budget → its two rows
 		for _, k := range cfg.TopK {
-			ds := base.SelectTopChiSquare(k)
-			conf, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, true)
-			if err != nil {
-				return nil, err
+			eff := min(k, base.NumFeatures())
+			pair, ok := done[eff]
+			if !ok {
+				ds := base.SelectTopChiSquare(k)
+				boosted, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, true)
+				if err != nil {
+					return nil, err
+				}
+				plain, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, false)
+				if err != nil {
+					return nil, err
+				}
+				pair = []Table3Row{
+					table3Row("AdaBoost + SVM", set, ds, boosted),
+					table3Row("SVM", set, ds, plain),
+				}
+				done[eff] = pair
 			}
-			rows = append(rows, table3Row("AdaBoost + SVM", set, ds, conf))
-			conf, err = crossValidate(ds, cfg.Folds, cfg.Seed, pipe, false)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, table3Row("SVM", set, ds, conf))
+			rows = append(rows, pair...)
 		}
 	}
 	return rows, nil
@@ -367,7 +399,7 @@ func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, see
 		}
 		eligible = append(eligible, s.Source)
 	}
-	fsets, errs, err := features.ExtractAll(context.Background(), eligible, features.SetKeyword, pipe.workers())
+	fsets, errs, err := features.ExtractAll(context.Background(), eligible, []features.Set{features.SetKeyword}, pipe.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +409,7 @@ func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, see
 			continue
 		}
 		res.Scripts++
-		if model.Predict(vocab.Project(fsets[i])) > 0 {
+		if model.Predict(vocab.Project(fsets[0][i])) > 0 {
 			res.Detected++
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,16 +73,18 @@ func TestTable3ParallelMatchesSequential(t *testing.T) {
 func TestSelectedVocabularyMatchesSequential(t *testing.T) {
 	c := pipelineCorpus(12, 48, 23).trim(0, 9)
 	for _, set := range features.Sets {
-		rawSeq, err := buildDatasetRaw(c, set, PipelineConfig{Workers: 1})
+		rawsSeq, err := buildDatasetRaw(c, []features.Set{set}, PipelineConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rawSeq := rawsSeq[0]
 		wantSel := rawSeq.SelectPipeline(50)
 		for _, pipe := range []PipelineConfig{{}, {Workers: 6}} {
-			raw, err := buildDatasetRaw(c, set, pipe)
+			raws, err := buildDatasetRaw(c, []features.Set{set}, pipe)
 			if err != nil {
 				t.Fatal(err)
 			}
+			raw := raws[0]
 			if !reflect.DeepEqual(raw.Vocab, rawSeq.Vocab) {
 				t.Fatalf("set %v pipe %+v: raw vocabulary diverges", set, pipe)
 			}
@@ -145,5 +148,85 @@ func TestTable3Pinned(t *testing.T) {
 	text := RenderTable3(rows)
 	if got, want := artifact.Checksum([]byte(text)), uint64(0x2b4034082d919bda); got != want {
 		t.Errorf("Table 3 checksums to %#016x, commit fe48e85 computed %#016x:\n%s", got, want, text)
+	}
+}
+
+// TestExtractAllSetsMatchExtractSource: one parse serving every feature set
+// gives, per set and per script, what parsing the script again for that set
+// alone gives, error slots included.
+func TestExtractAllSetsMatchExtractSource(t *testing.T) {
+	c := pipelineCorpus(15, 60, 11)
+	srcs := append(append(append([]string(nil), c.Positives...), c.Negatives...), "function (")
+	for _, workers := range []int{1, 4} {
+		sets, errs, err := features.ExtractAll(context.Background(), srcs, features.Sets, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[len(srcs)-1] == nil {
+			t.Fatalf("workers %d: the unparseable script has no error", workers)
+		}
+		for s, set := range features.Sets {
+			for i, src := range srcs {
+				want, wantErr := features.ExtractSource(src, set)
+				if (errs[i] != nil) != (wantErr != nil) {
+					t.Fatalf("workers %d set %v: slot %d error %v, ExtractSource's %v", workers, set, i, errs[i], wantErr)
+				}
+				if !reflect.DeepEqual(sets[s][i], want) {
+					t.Fatalf("workers %d set %v: slot %d features differ from ExtractSource", workers, set, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTable3CollapsedBudgetsExact: cross-validating each distinct effective
+// budget once is invisible. A sweep over unsorted and repeated budgets, some
+// past every set's vocabulary, equals row for row, rate bits included, the
+// sweeps of each budget alone.
+func TestTable3CollapsedBudgetsExact(t *testing.T) {
+	c := pipelineCorpus(15, 60, 11)
+	cfg := Table3Config{TopK: []int{60, 20, 10000, 20}, Folds: 5, Seed: 4}
+	got, err := Table3(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Table3Row, len(got))
+	for j, k := range cfg.TopK {
+		one := cfg
+		one.TopK = []int{k}
+		rows, err := Table3(c, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2*len(features.Sets) {
+			t.Fatalf("budget %d alone: %d rows", k, len(rows))
+		}
+		for s := range features.Sets { // set-major, as one sweep orders them
+			copy(want[(s*len(cfg.TopK)+j)*2:], rows[2*s:2*s+2])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Classifier != w.Classifier || g.FeatureSet != w.FeatureSet || g.NumFeatures != w.NumFeatures ||
+			math.Float64bits(g.TPRate) != math.Float64bits(w.TPRate) ||
+			math.Float64bits(g.FPRate) != math.Float64bits(w.FPRate) {
+			t.Fatalf("row %d: %+v, budgets alone give %+v", i, g, w)
+		}
+	}
+}
+
+// TestTable3RefusesBadBudgets: no budget, or a budget below one, is an
+// error before any script is parsed, never a panic or a table of empty
+// models.
+func TestTable3RefusesBadBudgets(t *testing.T) {
+	c := pipelineCorpus(15, 60, 11)
+	for _, topK := range [][]int{nil, {}, {0}, {-5}, {100, 0}, {20, -1, 60}} {
+		rows, err := Table3(c, Table3Config{TopK: topK, Folds: 5, Seed: 4})
+		if err == nil {
+			t.Fatalf("TopK %v: %d rows and no error", topK, len(rows))
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"adwars/internal/jsast"
 )
 
 func parallelCorpus() []string {
@@ -43,7 +45,7 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 			wantSets[i] = fs
 		}
 		for _, workers := range []int{1, 2, 7, 64} {
-			sets, errs, err := ExtractAll(context.Background(), srcs, set, workers)
+			sets, errs, err := ExtractAll(context.Background(), srcs, []Set{set}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +53,7 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 				if (errs[i] != nil) != wantErr[i] {
 					t.Fatalf("set %v workers %d: slot %d error mismatch", set, workers, i)
 				}
-				if !reflect.DeepEqual(sets[i], wantSets[i]) {
+				if !reflect.DeepEqual(sets[0][i], wantSets[i]) {
 					t.Fatalf("set %v workers %d: slot %d features diverge", set, workers, i)
 				}
 			}
@@ -75,7 +77,7 @@ func TestRunIsolatedConfinesPanics(t *testing.T) {
 	// A panic mid-corpus must not poison neighbouring slots: run a real
 	// fan-out and check every slot still gets its sequential result.
 	srcs := parallelCorpus()
-	sets, errs, err := ExtractAll(context.Background(), srcs, SetAll, 4)
+	sets, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestRunIsolatedConfinesPanics(t *testing.T) {
 		if errs[i] != nil && errors.Is(errs[i], ErrPanic) {
 			t.Fatalf("slot %d: unexpected panic error %v", i, errs[i])
 		}
-		if errs[i] == nil && sets[i] == nil {
+		if errs[i] == nil && sets[0][i] == nil {
 			t.Fatalf("slot %d: no error but nil feature set", i)
 		}
 	}
@@ -94,11 +96,11 @@ func TestRunIsolatedConfinesPanics(t *testing.T) {
 func TestExtractAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sets, errs, err := ExtractAll(ctx, parallelCorpus(), SetAll, 2)
+	sets, errs, err := ExtractAll(ctx, parallelCorpus(), []Set{SetAll}, 2)
 	if err == nil {
 		t.Fatal("want context error")
 	}
-	if len(sets) != 30 || len(errs) != 30 {
+	if len(sets[0]) != 30 || len(errs) != 30 {
 		t.Fatal("slots must keep input length")
 	}
 }
@@ -126,14 +128,14 @@ func TestBuildOrderInsensitiveVocab(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, errs, err := ExtractAll(context.Background(), srcs, SetAll, 8)
+	par, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := make([]map[string]bool, 0, len(srcs))
-	for i := range par {
+	for i := range par[0] {
 		if errs[i] == nil {
-			kept = append(kept, par[i])
+			kept = append(kept, par[0][i])
 		}
 	}
 	dsPar, err := Build(kept, labels)
@@ -239,5 +241,44 @@ func TestPopcount(t *testing.T) {
 	}
 	if got := (Sample{}).Popcount(); got != 0 {
 		t.Fatalf("empty Popcount = %d, want 0", got)
+	}
+}
+
+// TestExtractAllPanicCostsOneScript: ExtractAll parses a script once for
+// every set, so a walk that panics under one set drops that script from
+// every set, and no other script loses anything.
+func TestExtractAllPanicCostsOneScript(t *testing.T) {
+	srcs := parallelCorpus()
+	const victim = 11
+	defer func(orig func(*jsast.Program, Set) map[string]bool) { extract = orig }(extract)
+	extract = func(prog *jsast.Program, set Set) map[string]bool {
+		// The last set's walk fails, after the others have succeeded.
+		if set == SetKeyword && Extract(prog, SetAll)["Identifier:bait11"] {
+			panic("walk failed")
+		}
+		return Extract(prog, set)
+	}
+	for _, workers := range []int{1, 4} {
+		sets, errs, err := ExtractAll(context.Background(), srcs, Sets, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(errs[victim], ErrPanic) {
+			t.Fatalf("workers %d: slot %d err = %v, want ErrPanic", workers, victim, errs[victim])
+		}
+		for s, set := range Sets {
+			if sets[s][victim] != nil {
+				t.Fatalf("workers %d: panicked script kept its %v features", workers, set)
+			}
+			for i, src := range srcs {
+				if i == victim {
+					continue
+				}
+				want, wantErr := ExtractSource(src, set)
+				if (errs[i] != nil) != (wantErr != nil) || !reflect.DeepEqual(sets[s][i], want) {
+					t.Fatalf("workers %d set %v: slot %d differs from ExtractSource", workers, set, i)
+				}
+			}
+		}
 	}
 }

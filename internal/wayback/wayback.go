@@ -183,22 +183,6 @@ func (a *Archive) ExclusionOf(domain string) Exclusion {
 	return a.exclusions[domain]
 }
 
-// ExcludedCount returns the number of permanently excluded domains by
-// reason.
-func (a *Archive) ExcludedCount() (robots, admin, undefined int) {
-	for _, e := range a.exclusions {
-		switch e {
-		case ExclRobots:
-			robots++
-		case ExclAdmin:
-			admin++
-		case ExclUndefined:
-			undefined++
-		}
-	}
-	return
-}
-
 // SnapshotRef identifies one archived snapshot.
 type SnapshotRef struct {
 	// Domain is the archived site.
