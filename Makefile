@@ -50,7 +50,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 25288
+LOC_CEILING = 25359
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -103,11 +103,16 @@ bench-smoke:
 # to the next byte its pattern can resume at answers as the loop that retries
 # every offset. Then ten seconds of FuzzGuard: whenever a rule's pattern
 # matches a URL, each of its runs occurs there somewhere its guard admits —
-# what lets the scan drop an occurrence out of context. Last, ten seconds of
+# what lets the scan drop an occurrence out of context. Then ten seconds of
 # FuzzOpenSections: the one-pass sectioned reader accepts and refuses what
 # Open followed by the old two-pass section walk did, for the same reason,
 # and returns the same sections and version. Its seeds are whole sealed
-# files, hence the cap.
+# files, hence the cap. Last, ten seconds of FuzzLogSize: the crawl's
+# partial-snapshot rule reads har.Log.Size, which counts the encoding
+# instead of running it, so for any URL, body, title and MIME strings (HTML
+# bytes, controls, invalid UTF-8, U+2028/2029) and any time (any zone,
+# nanoseconds, years outside 0–9999) it must equal len(Marshal), and be 0
+# where Marshal fails.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
@@ -119,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGlobMatch -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzGuard -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzOpenSections -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz FuzzLogSize -fuzztime 10s ./internal/har
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical

@@ -55,10 +55,10 @@ func main() {
 	}
 
 	started := time.Now()
-	cfg := simworld.DefaultConfig(*seed)
-	if *scale > 1 {
-		cfg = simworld.Scaled(*seed, *scale)
+	if *scale < 1 {
+		log.Fatalf("-scale %d: want a shrink factor of at least 1 (1 = paper scale)", *scale)
 	}
+	cfg := simworld.Scaled(*seed, *scale)
 	fmt.Printf("adwars-report — scale 1/%d (universe %d domains), seed %d\n",
 		*scale, cfg.UniverseSize, *seed)
 	lab := experiments.NewLab(cfg)

@@ -45,10 +45,10 @@ func main() {
 		log.Fatal("-resume requires -checkpoint")
 	}
 
-	cfg := simworld.DefaultConfig(*seed)
-	if *scale > 1 {
-		cfg = simworld.Scaled(*seed, *scale)
+	if *scale < 1 {
+		log.Fatalf("-scale %d: want a shrink factor of at least 1 (1 = paper scale)", *scale)
 	}
+	cfg := simworld.Scaled(*seed, *scale)
 	fmt.Fprintf(os.Stderr, "building world (universe %d, seed %d)...\n", cfg.UniverseSize, *seed)
 	lab := experiments.NewLab(cfg)
 

@@ -2,10 +2,10 @@ package crawler
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
+
+	"adwars/internal/stats"
 )
 
 const (
@@ -52,16 +52,9 @@ func (p RetryPolicy) Delay(domain string, retry int, seed int64) time.Duration {
 	}
 	d := float64(baseDelay) * math.Pow(backoffMultiplier, float64(retry-1))
 	d = min(d, float64(maxBackoff))
-	d *= 1 - jitter/2 + jitter*jitterFloat(domain, retry, seed)
+	d *= 1 - jitter/2 + jitter*stats.HashFloat("backoff", domain, int64(retry), seed)
 	d = min(d, float64(maxBackoff))
 	return time.Duration(d)
-}
-
-// jitterFloat maps (domain, retry, seed) to [0,1) deterministically.
-func jitterFloat(domain string, retry int, seed int64) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "backoff|%s|%d|%d", domain, retry, seed)
-	return float64(h.Sum64()>>11) / float64(1<<53)
 }
 
 // SleepFunc pauses between retries, returning ctx.Err() early on

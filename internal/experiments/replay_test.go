@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"adwars/internal/abp"
+	"adwars/internal/browser"
+	"adwars/internal/crawler"
 	"adwars/internal/simworld"
+	"adwars/internal/stats"
 )
 
 // replayLab is a small dedicated lab so the determinism tests can crawl
@@ -64,6 +68,36 @@ func TestReplayShardDeterminism(t *testing.T) {
 		if par.CorpusPos[i] != seq.CorpusPos[i] {
 			t.Fatalf("8 shards: CorpusPos[%d] differs", i)
 		}
+	}
+}
+
+// TestReplayViewsMatchParse: PrepareReplay keeps a domain's DOM views only
+// while its snapshot HTML is byte-equal to the last month's, so every
+// site-month's views equal a fresh parse of its own HTML, and some are
+// reused while others are reparsed.
+func TestReplayViewsMatchParse(t *testing.T) {
+	_, run := replayLab(t)
+	last := map[string]string{}
+	reused, parsed := 0, 0
+	for mi, mr := range run.months {
+		for i, sr := range mr.Results {
+			if sr.Status != crawler.StatusOK {
+				continue
+			}
+			html := sr.Snapshot.HTML
+			if !reflect.DeepEqual(run.inputs[mi][i].views, browser.DOMViews(html)) {
+				t.Fatalf("%s %s: views differ from a parse of the snapshot HTML", stats.MonthLabel(mr.Month), sr.Domain)
+			}
+			if last[sr.Domain] == html {
+				reused++
+			} else {
+				parsed++
+			}
+			last[sr.Domain] = html
+		}
+	}
+	if reused == 0 || parsed == 0 {
+		t.Fatalf("reused %d, parsed %d: want both", reused, parsed)
 	}
 }
 

@@ -159,6 +159,11 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 	}
 
 	run := &ReplayRun{lab: l, workers: cfg.Workers}
+	// A domain's snapshot HTML changes only with its content year or its
+	// deployment, so its DOM views are kept while the HTML is byte-equal
+	// to the last month's (the zero values are DOMViews("")).
+	lastHTML := make([]string, len(domains))
+	lastViews := make([][]*abp.Element, len(domains))
 	for _, month := range cfg.Months {
 		mr, err := crawler.CrawlMonth(ctx, arch, domains, month, crawlCfg)
 		if err != nil {
@@ -178,7 +183,10 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 			for _, u := range snap.HAR.URLs() {
 				urls = append(urls, wayback.TruncateURL(u))
 			}
-			inputs[i] = siteInput{urls: urls, views: browser.DOMViews(snap.HTML)}
+			if snap.HTML != lastHTML[i] {
+				lastHTML[i], lastViews[i] = snap.HTML, browser.DOMViews(snap.HTML)
+			}
+			inputs[i] = siteInput{urls: urls, views: lastViews[i]}
 		})
 		run.months = append(run.months, mr)
 		run.inputs = append(run.inputs, inputs)

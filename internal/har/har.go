@@ -7,7 +7,10 @@ package har
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"adwars/internal/abp"
 )
@@ -144,13 +147,86 @@ func Unmarshal(data []byte) (*Log, error) {
 	return wrapper.Log, nil
 }
 
-// Size returns the serialized size in bytes; the crawler uses it to detect
-// partial snapshots (the paper discards HARs under 10% of a site's average
-// yearly HAR size).
+// Size returns len(Marshal(l)) without encoding, or 0 where Marshal fails
+// (a time outside years 0–9999 or with a zone a day or more off UTC): strings
+// are counted as encoding/json escapes them, times as MarshalJSON writes
+// them. crawler.markPartials uses it to discard a HAR under 10% of the
+// month's average size over the sites it fetched (DESIGN §6).
 func (l *Log) Size() int {
-	b, err := Marshal(l)
-	if err != nil {
+	if l == nil {
+		return len(`{"log":null}`)
+	}
+	var last time.Time
+	tlen, failed := 0, false
+	timeLen := func(t time.Time) int { // a crawl's log carries one time throughout
+		if tlen == 0 || t != last {
+			b, err := t.MarshalJSON()
+			last, tlen, failed = t, len(b), failed || err != nil
+		}
+		return tlen
+	}
+	n := len(`{"log":{"version":,"creator":{"name":,"version":},"pages":,"entries":}}`) +
+		stringLen(l.Version) + stringLen(l.Creator.Name) + stringLen(l.Creator.Version) +
+		arrayLen(l.Pages == nil, len(l.Pages)) + arrayLen(l.Entries == nil, len(l.Entries))
+	for _, p := range l.Pages {
+		n += len(`{"startedDateTime":,"id":,"title":}`) + timeLen(p.StartedDateTime) +
+			stringLen(p.ID) + stringLen(p.Title)
+	}
+	var num [20]byte
+	for _, e := range l.Entries {
+		n += len(`{"pageref":,"startedDateTime":,"request":{"method":,"url":},"response":{"status":,"content":{"size":,"mimeType":}}}`) +
+			stringLen(e.PageRef) + timeLen(e.StartedDateTime) + stringLen(e.Request.Method) +
+			stringLen(e.Request.URL) + len(strconv.AppendInt(num[:0], int64(e.Response.Status), 10)) +
+			len(strconv.AppendInt(num[:0], int64(e.Response.Content.Size), 10)) + stringLen(e.Response.Content.MimeType)
+		if e.Request.ResourceType != "" {
+			n += len(`,"_resourceType":`) + stringLen(e.Request.ResourceType)
+		}
+		if e.Response.Content.Text != "" {
+			n += len(`,"text":`) + stringLen(e.Response.Content.Text)
+		}
+	}
+	if failed {
 		return 0
 	}
-	return len(b)
+	return n
 }
+
+// arrayLen is the brackets and commas of an n-element JSON array, or null.
+func arrayLen(null bool, n int) int {
+	if null {
+		return len("null")
+	}
+	return 2 + max(n-1, 0)
+}
+
+// stringLen is the length of s as encoding/json writes it, quotes included:
+// invalid UTF-8 becomes \ufffd and U+2028/U+2029 are escaped.
+func stringLen(s string) int {
+	n := len(s) + 2
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < utf8.RuneSelf {
+			n += int(escapeExtra[b])
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+			n += len(`\ufffd`) - size
+		}
+		i += size - 1
+	}
+	return n
+}
+
+// escapeExtra is what encoding/json adds to an ASCII byte: 5 for controls
+// and HTML's <>& (\u00XX), 1 for \" \\ \b \f \n \r \t.
+var escapeExtra = func() (t [utf8.RuneSelf]uint8) {
+	for b := range t {
+		if b < 0x20 || strings.IndexByte("<>&", byte(b)) >= 0 {
+			t[b] = 5
+		}
+		if strings.IndexByte("\"\\\b\f\n\r\t", byte(b)) >= 0 {
+			t[b] = 1
+		}
+	}
+	return t
+}()

@@ -8,14 +8,16 @@ package simworld
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/alexa"
 	"adwars/internal/antiadblock"
+	"adwars/internal/stats"
 	"adwars/internal/web"
 )
 
@@ -79,10 +81,14 @@ func Scaled(seed int64, k int) Config {
 }
 
 // World is the generated synthetic web. Once New returns, a World is
-// immutable: every accessor (PageAt, LivePage, TopDomains, RankOf, …)
-// derives its answer from frozen state and per-call hashes, so a single
-// World is safe for concurrent use by crawler workers and replay shards
-// without locking.
+// observably immutable: every accessor (PageAt, LivePage, TopDomains,
+// RankOf, …) derives its answer from frozen state and per-call hashes, so a
+// single World is safe for concurrent use by crawler workers and replay
+// shards without locking. The one thing inside that changes is PageAt's
+// memo: one slot per universe domain, allocated on the first PageAt and
+// swapped atomically, holding the last page built and the (content year,
+// deployment active) it was built for. Pages are never written after the
+// build, so handing one out again is invisible to callers.
 type World struct {
 	Cfg      Config
 	Universe *alexa.Universe
@@ -90,6 +96,16 @@ type World struct {
 	deployments map[string]*antiadblock.Deployment
 	deployOrder []string // sorted domains with deployments
 	tailRanks   map[string]int
+
+	memoOnce sync.Once
+	memo     []atomic.Pointer[builtPage] // by rank-1
+}
+
+// builtPage is one memo slot: a page and the key it was built for.
+type builtPage struct {
+	epoch  int64
+	active bool
+	page   *web.Page
 }
 
 // categoryAdoption multiplies a site's adoption probability; streaming,
@@ -131,9 +147,9 @@ func rankAdoption(rank int) float64 {
 	}
 }
 
-// adoptionFrac is the cumulative adoption curve: the fraction of eventual
-// adopters already live at time t. Anti-adblocking existed in 2011 but
-// took off after 2014 (Figure 6a).
+// adoptionCurve is the cumulative adoption curve: the fraction of eventual
+// adopters already live at each time, linear between the points.
+// Anti-adblocking existed in 2011 but took off after 2014 (Figure 6a).
 var adoptionCurve = []struct {
 	t time.Time
 	f float64
@@ -148,22 +164,7 @@ var adoptionCurve = []struct {
 	{time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC), 1.00},
 }
 
-func adoptionFrac(t time.Time) float64 {
-	if !t.After(adoptionCurve[0].t) {
-		return 0
-	}
-	for i := 1; i < len(adoptionCurve); i++ {
-		if !t.After(adoptionCurve[i].t) {
-			a, b := adoptionCurve[i-1], adoptionCurve[i]
-			span := b.t.Sub(a.t)
-			frac := float64(t.Sub(a.t)) / float64(span)
-			return a.f + (b.f-a.f)*frac
-		}
-	}
-	return 1
-}
-
-// adoptionTime inverts adoptionFrac for a quantile q in (0,1].
+// adoptionTime inverts the curve for a quantile q in (0,1].
 func adoptionTime(q float64) time.Time {
 	for i := 1; i < len(adoptionCurve); i++ {
 		a, b := adoptionCurve[i-1], adoptionCurve[i]
@@ -356,15 +357,27 @@ func (w *World) StaticNotice(domain string) bool {
 func contentEpoch(t time.Time) int64 { return int64(t.Year()) }
 
 // PageAt implements wayback.SiteSource: the domain's homepage at time t.
+// A page depends only on t's content year and on whether the deployment is
+// active, so it is built once per such key and memoized.
 func (w *World) PageAt(domain string, t time.Time) (*web.Page, bool) {
-	if _, ok := w.Universe.Site(domain); !ok {
+	s, ok := w.Universe.Site(domain)
+	if !ok {
 		return nil, false
 	}
-	return w.buildPage(domain, t), true
+	d := w.deployments[domain]
+	key := builtPage{epoch: contentEpoch(t), active: d != nil && d.ActiveAt(t)}
+	w.memoOnce.Do(func() { w.memo = make([]atomic.Pointer[builtPage], w.Universe.Len()) })
+	slot := &w.memo[s.Rank-1]
+	if b := slot.Load(); b != nil && b.epoch == key.epoch && b.active == key.active {
+		return b.page, true
+	}
+	key.page = w.buildPage(domain, t)
+	slot.Store(&key)
+	return key.page, true
 }
 
 // LivePage implements crawler.LiveSource at the configured live-crawl
-// date; a small fraction of sites is unreachable.
+// date; a small fraction of sites is unreachable. It builds on every call.
 func (w *World) LivePage(domain string) (*web.Page, bool) {
 	if _, ok := w.Universe.Site(domain); !ok {
 		return nil, false
@@ -446,11 +459,9 @@ func (w *World) rng(salt, domain string, epoch int64) *rand.Rand {
 }
 
 func (w *World) hash64(salt, domain string, epoch int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", salt, domain, epoch, w.Cfg.Seed)
-	return h.Sum64()
+	return stats.Hash64(salt, domain, epoch, w.Cfg.Seed)
 }
 
 func (w *World) hashFloat(salt, domain string, epoch int64) float64 {
-	return float64(w.hash64(salt, domain, epoch)>>11) / float64(1<<53)
+	return stats.HashFloat(salt, domain, epoch, w.Cfg.Seed)
 }

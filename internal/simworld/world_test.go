@@ -2,17 +2,38 @@ package simworld
 
 import (
 	"fmt"
+	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"adwars/internal/jsast"
+	"adwars/internal/stats"
+	"adwars/internal/web"
 )
 
 // testWorld is a 1/20-scale world (top-5K universe) shared by tests.
 func testWorld(t *testing.T) *World {
 	t.Helper()
 	return New(Scaled(1, 20))
+}
+
+// adoptionFrac reads adoptionCurve forward: the fraction of eventual
+// adopters live at t. The tests hold adoptionTime to it as its inverse.
+func adoptionFrac(t time.Time) float64 {
+	if !t.After(adoptionCurve[0].t) {
+		return 0
+	}
+	for i := 1; i < len(adoptionCurve); i++ {
+		if !t.After(adoptionCurve[i].t) {
+			a, b := adoptionCurve[i-1], adoptionCurve[i]
+			span := b.t.Sub(a.t)
+			frac := float64(t.Sub(a.t)) / float64(span)
+			return a.f + (b.f-a.f)*frac
+		}
+	}
+	return 1
 }
 
 func TestWorldDeterministic(t *testing.T) {
@@ -318,6 +339,95 @@ func TestConcurrentPageAt(t *testing.T) {
 	for worker := 0; worker < 8; worker++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPageAtMatchesFreshBuild holds PageAt's memo to the pages the parent
+// built on every call: over every top domain and every retro month (on the
+// 1st and mid-month, where deployments start), the memoized page renders,
+// requests and scripts exactly as an uncached build keyed the old way. A
+// month with the same content year and deployment state returns the same
+// pointer; a new year or a deployment start returns a new page; LivePage
+// never returns a memoized page.
+func TestPageAtMatchesFreshBuild(t *testing.T) {
+	w := New(Scaled(1, 40))
+	domains := w.TopDomains(5000 / 40)
+	type last struct {
+		epoch  int64
+		active bool
+		page   *web.Page
+	}
+	prev := map[string]last{}
+	reused, newYear, deployed := 0, 0, 0
+	for _, month := range stats.MonthsBetween(w.Cfg.Start, w.Cfg.End) {
+		for _, at := range []time.Time{month, month.AddDate(0, 0, 14)} {
+			for _, d := range domains {
+				got, ok := w.PageAt(d, at)
+				if !ok {
+					t.Fatalf("PageAt(%s, %s) missing", d, at)
+				}
+				dep := w.DeploymentOf(d)
+				key := last{int64(at.Year()), dep != nil && dep.ActiveAt(at), got}
+				want := w.buildPage(d, at)
+				if web.RenderHTML(got) != web.RenderHTML(want) ||
+					!reflect.DeepEqual(got.Requests, want.Requests) ||
+					!reflect.DeepEqual(got.Scripts, want.Scripts) {
+					t.Fatalf("PageAt(%s, %s) differs from a fresh build", d, at.Format("2006-01-02"))
+				}
+				p, seen := prev[d]
+				switch {
+				case !seen:
+				case p.epoch == key.epoch && p.active == key.active:
+					if got != p.page {
+						t.Fatalf("PageAt(%s, %s) rebuilt an unchanged page", d, at.Format("2006-01-02"))
+					}
+					reused++
+				case got == p.page:
+					t.Fatalf("PageAt(%s, %s) kept the page of another year or deployment state", d, at.Format("2006-01-02"))
+				case p.epoch != key.epoch:
+					newYear++
+				default:
+					deployed++
+				}
+				prev[d] = key
+			}
+		}
+	}
+	if reused == 0 || newYear == 0 || deployed == 0 {
+		t.Fatalf("reused %d, new year %d, deployment started %d: want every case covered", reused, newYear, deployed)
+	}
+	for _, d := range domains[:20] {
+		memo, _ := w.PageAt(d, w.Cfg.LiveDate)
+		live, ok := w.LivePage(d)
+		if !ok {
+			continue
+		}
+		again, _ := w.LivePage(d)
+		if live == memo || live == again {
+			t.Fatalf("LivePage(%s) returned a shared page", d)
+		}
+		if web.RenderHTML(live) != web.RenderHTML(memo) {
+			t.Fatalf("LivePage(%s) differs from PageAt at the live date", d)
+		}
+	}
+}
+
+// TestHash64MatchesFmt holds the world's draws to the bytes they were keyed
+// by before stats.Hash64: FNV-1a of the formatted (salt, domain, epoch,
+// seed) tuple, negative epochs and seeds and empty strings included.
+func TestHash64MatchesFmt(t *testing.T) {
+	for _, seed := range []int64{42, 0, -7} {
+		w := &World{Cfg: Config{Seed: seed}}
+		for _, c := range []struct {
+			salt, domain string
+			epoch        int64
+		}{{"content", "example.com", 2014}, {"", "", 0}, {"aab", "", -1325376000}, {"", "x.org", -1}} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%s|%s|%d|%d", c.salt, c.domain, c.epoch, seed)
+			if got := w.hash64(c.salt, c.domain, c.epoch); got != h.Sum64() {
+				t.Errorf("seed %d: hash64%+v = %x, want %x", seed, c, got, h.Sum64())
+			}
 		}
 	}
 }

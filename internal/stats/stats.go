@@ -1,12 +1,14 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: empirical CDFs (Figures 3 and 7), monthly time series
-// (Figures 1, 5, 6), and basic summaries.
+// harness uses: empirical CDFs (Figures 3 and 7), month schedules and
+// labels (Figures 1, 5, 6), and the deterministic hash every simulated draw
+// is keyed by.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -63,36 +65,6 @@ func (c *CDF) Render(xs []float64) string {
 	return b.String()
 }
 
-// MonthSeries is a time series with one value per month label.
-type MonthSeries struct {
-	Months []time.Time
-	Values []float64
-}
-
-// Add appends one (month, value) point.
-func (s *MonthSeries) Add(m time.Time, v float64) {
-	s.Months = append(s.Months, m)
-	s.Values = append(s.Values, v)
-}
-
-// At returns the value for month m (matched by year+month), or 0.
-func (s *MonthSeries) At(m time.Time) float64 {
-	for i, t := range s.Months {
-		if t.Year() == m.Year() && t.Month() == m.Month() {
-			return s.Values[i]
-		}
-	}
-	return 0
-}
-
-// Last returns the final value, or 0 when empty.
-func (s *MonthSeries) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
 // MonthsBetween returns the first day of every month from start to end
 // inclusive (both normalized to their month starts).
 func MonthsBetween(start, end time.Time) []time.Time {
@@ -118,4 +90,27 @@ func Lerp(a, b, frac float64) float64 {
 		frac = 1
 	}
 	return a + (b-a)*frac
+}
+
+// Hash64 is the deterministic 64-bit hash every simulated draw is keyed
+// by: FNV-1a over the bytes fmt.Sprintf("%s|%s|%d|%d", salt, domain, epoch,
+// seed) would produce, fed without formatting or allocation.
+func Hash64(salt, domain string, epoch, seed int64) uint64 {
+	var num [20]byte
+	h := fnv1a(14695981039346656037, salt) // the FNV-1a 64 offset basis
+	h = fnv1a(fnv1a(h, "|"), domain)
+	h = fnv1a(fnv1a(h, "|"), string(strconv.AppendInt(num[:0], epoch, 10)))
+	return fnv1a(fnv1a(h, "|"), string(strconv.AppendInt(num[:0], seed, 10)))
+}
+
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// HashFloat maps Hash64 to [0,1).
+func HashFloat(salt, domain string, epoch, seed int64) float64 {
+	return float64(Hash64(salt, domain, epoch, seed)>>11) / float64(1<<53)
 }

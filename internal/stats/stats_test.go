@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -72,27 +74,6 @@ func TestCDFRender(t *testing.T) {
 	}
 }
 
-func TestMonthSeries(t *testing.T) {
-	var s MonthSeries
-	m1 := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	m2 := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
-	s.Add(m1, 10)
-	s.Add(m2, 20)
-	if s.At(m1) != 10 || s.At(m2) != 20 {
-		t.Fatal("At lookup wrong")
-	}
-	if s.At(time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)) != 0 {
-		t.Fatal("missing month should read 0")
-	}
-	if s.Last() != 20 {
-		t.Fatal("Last wrong")
-	}
-	var empty MonthSeries
-	if empty.Last() != 0 {
-		t.Fatal("empty Last should be 0")
-	}
-}
-
 func TestMonthsBetween(t *testing.T) {
 	months := MonthsBetween(
 		time.Date(2011, 8, 15, 0, 0, 0, 0, time.UTC),
@@ -114,5 +95,33 @@ func TestLerp(t *testing.T) {
 	}
 	if Lerp(0, 10, -1) != 0 || Lerp(0, 10, 2) != 10 {
 		t.Error("clamping wrong")
+	}
+}
+
+// TestHash64MatchesFmt holds Hash64 to the bytes it replaced: FNV-1a of the
+// formatted tuple, negative epochs and seeds and empty strings included.
+func TestHash64MatchesFmt(t *testing.T) {
+	cases := []struct {
+		salt, domain string
+		epoch, seed  int64
+	}{
+		{"content", "example.com", 2014, 42},
+		{"", "", 0, 0},
+		{"adopt", "", -1, -42},
+		{"", "b.org", math.MinInt64, math.MaxInt64},
+		{"fault|fetch|3", "ünï.com", -24193, math.MinInt64},
+	}
+	for _, c := range cases {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%s|%d|%d", c.salt, c.domain, c.epoch, c.seed)
+		if got := Hash64(c.salt, c.domain, c.epoch, c.seed); got != h.Sum64() {
+			t.Errorf("Hash64%+v = %x, want %x", c, got, h.Sum64())
+		}
+		if got, want := HashFloat(c.salt, c.domain, c.epoch, c.seed), float64(h.Sum64()>>11)/float64(1<<53); got != want {
+			t.Errorf("HashFloat%+v = %v, want %v", c, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Hash64("content", "example.com", -2014, 42) }); n != 0 {
+		t.Errorf("Hash64 allocates %v times, want 0", n)
 	}
 }

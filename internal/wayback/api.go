@@ -82,7 +82,7 @@ func (a *Archive) queryAvailability(domain string, want time.Time) ([]byte, erro
 		// The nearest snapshot is far from the requested date. Shift
 		// deterministically 7–14 months into the past (or future for
 		// early months).
-		months := 7 + int(hash64("outdist", domain, monthKey(want), a.cfg.Seed)%8)
+		months := 7 + int(stats.Hash64("outdist", domain, monthKey(want), a.cfg.Seed)%8)
 		ts := want.AddDate(0, -months, 0)
 		if ts.Before(a.cfg.Start) {
 			ts = want.AddDate(0, months, 0)
@@ -132,7 +132,7 @@ func WithinSkew(requested, snapshot time.Time) bool {
 // the fetch path needs.
 func (a *Archive) RefFor(domain string, ts time.Time) SnapshotRef {
 	frac := a.monthFrac(ts)
-	u := hashFloat("defect", domain, monthKey(ts), a.cfg.Seed)
+	u := stats.HashFloat("defect", domain, monthKey(ts), a.cfg.Seed)
 	r := a.cfg.Rates
 	pNA := stats.Lerp(r.NotArchivedStart, r.NotArchivedEnd, frac)
 	pOut := stats.Lerp(r.OutdatedStart, r.OutdatedEnd, frac)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"adwars/internal/stats"
 )
 
 // This file injects the transient failures a real Wayback Machine crawl
@@ -189,7 +191,7 @@ func (f *FaultInjector) outageMonth(epoch int64) bool {
 	if f.cfg.OutageRate <= 0 {
 		return false
 	}
-	return hashFloat("outage", "", epoch, f.cfg.Seed) < f.cfg.OutageRate
+	return stats.HashFloat("outage", "", epoch, f.cfg.Seed) < f.cfg.OutageRate
 }
 
 // failures returns how many consecutive attempts of one request fault: a
@@ -202,7 +204,7 @@ func (f *FaultInjector) failures(op, domain string, epoch int64) int {
 	}
 	n := 0
 	for n < f.cfg.MaxConsecutive &&
-		hashFloat(fmt.Sprintf("fault|%s|%d", op, n), domain, epoch, f.cfg.Seed) < f.cfg.Rate {
+		stats.HashFloat(fmt.Sprintf("fault|%s|%d", op, n), domain, epoch, f.cfg.Seed) < f.cfg.Rate {
 		n++
 	}
 	return n
@@ -210,7 +212,7 @@ func (f *FaultInjector) failures(op, domain string, epoch int64) int {
 
 // kindFor picks which failure mode a faulting request exhibits.
 func (f *FaultInjector) kindFor(op, domain string, epoch int64) FaultKind {
-	switch hash64("faultkind|"+op, domain, epoch, f.cfg.Seed) % 3 {
+	switch stats.Hash64("faultkind|"+op, domain, epoch, f.cfg.Seed) % 3 {
 	case 0:
 		return FaultRateLimit
 	case 1:

@@ -9,7 +9,6 @@ package wayback
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -157,7 +156,7 @@ func New(src SiteSource, domains []string, cfg Config) *Archive {
 	}
 	rs := make([]ranked, 0, len(domains))
 	for _, d := range domains {
-		rs = append(rs, ranked{d, hash64("excl", d, 0, cfg.Seed)})
+		rs = append(rs, ranked{d, stats.Hash64("excl", d, 0, cfg.Seed)})
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].h < rs[j].h })
 	k := cfg.Robots + cfg.Admin + cfg.Undefined
@@ -217,7 +216,7 @@ func (a *Archive) Available(domain string, want time.Time) (SnapshotRef, Availab
 		return SnapshotRef{}, Excluded
 	}
 	frac := a.monthFrac(want)
-	u := hashFloat("defect", domain, monthKey(want), a.cfg.Seed)
+	u := stats.HashFloat("defect", domain, monthKey(want), a.cfg.Seed)
 	r := a.cfg.Rates
 	pNA := stats.Lerp(r.NotArchivedStart, r.NotArchivedEnd, frac)
 	pOut := stats.Lerp(r.OutdatedStart, r.OutdatedEnd, frac)
@@ -231,7 +230,7 @@ func (a *Archive) Available(domain string, want time.Time) (SnapshotRef, Availab
 		return SnapshotRef{}, Outdated
 	}
 	// Capture day varies deterministically within the month.
-	day := 1 + int(hash64("day", domain, monthKey(want), a.cfg.Seed)%28)
+	day := 1 + int(stats.Hash64("day", domain, monthKey(want), a.cfg.Seed)%28)
 	ts := time.Date(want.Year(), want.Month(), day, 0, 0, 0, 0, time.UTC)
 	return SnapshotRef{
 		Domain:    domain,
@@ -324,7 +323,7 @@ func scriptBodyFor(p *web.Page, url string) string {
 }
 
 func (a *Archive) isEscapeURL(domain string, i int) bool {
-	return hashFloat("escape", domain, int64(i), a.cfg.Seed) < a.cfg.EscapeURLFraction
+	return stats.HashFloat("escape", domain, int64(i), a.cfg.Seed) < a.cfg.EscapeURLFraction
 }
 
 // archivePrefix is the rewritten-URL prefix the real Wayback Machine
@@ -357,17 +356,4 @@ func TruncateURL(u string) string {
 // monthKey collapses a time to a per-month integer for hashing.
 func monthKey(t time.Time) int64 {
 	return int64(t.Year())*12 + int64(t.Month())
-}
-
-// hash64 is a deterministic 64-bit hash of the salt/domain/epoch/seed
-// tuple.
-func hash64(salt, domain string, epoch, seed int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", salt, domain, epoch, seed)
-	return h.Sum64()
-}
-
-// hashFloat maps hash64 to [0,1).
-func hashFloat(salt, domain string, epoch, seed int64) float64 {
-	return float64(hash64(salt, domain, epoch, seed)>>11) / float64(1<<53)
 }
