@@ -50,7 +50,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 25359
+LOC_CEILING = 25760
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -81,7 +81,11 @@ bench-smoke:
 # must answer as the reference lexer does, no tree may be deeper than the
 # bound, and what parses must survive Print and a second Parse. Its seeds
 # include nests at the depth bound, hence the same cap. Then ten seconds of
-# FuzzReadListsSnapshot: a snapshot cut at or inside any section, or with its
+# FuzzProjectProgram: the served projection turns most texts away on one bit
+# of their first byte and length before looking at them, and a shortcut like
+# that is exactly what drops a hit on an input nobody wrote down, so for
+# whatever parses it must equal Project(Extract) under every feature set.
+# Then ten seconds of FuzzReadListsSnapshot: a snapshot cut at or inside any section, or with its
 # sections reordered, repeated or renamed, or with the bytes of its rule text
 # or of an automaton overwritten under a fresh frame, never panics the loader,
 # and whatever loads answers as the linear scan over its own rules does. Its
@@ -117,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/jsast
+	$(GO) test -run '^$$' -fuzz FuzzProjectProgram -fuzztime 10s -fuzzminimizetime 1s ./internal/features
 	$(GO) test -run '^$$' -fuzz FuzzReadListsSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzBackendReply -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s -fuzzminimizetime 1s ./internal/wire

@@ -1,6 +1,8 @@
 package features
 
 import (
+	"unicode/utf8"
+
 	"adwars/internal/jsast"
 )
 
@@ -42,6 +44,10 @@ const (
 	kindIdentifier textKind = iota
 	kindLiteral
 	kindKeyword
+	// kindName is a name not yet told apart: a Web API keyword or a plain
+	// identifier. Only the keyword set keeps one and drops the other, so
+	// only it asks, and only about a name it may keep.
+	kindName
 )
 
 // keep reports whether a text of the given kind belongs to the feature set.
@@ -62,49 +68,96 @@ func (s Set) keep(k textKind) bool {
 // single script cannot blow up the vocabulary.
 const maxTextLen = 64
 
+// featureText is the text a feature names for the text element s: s cut
+// to at most maxTextLen bytes on a character boundary, and valid UTF-8
+// whatever s holds. A vocabulary travels in a model snapshot as JSON, which
+// rewrites invalid UTF-8, so a feature whose text is not valid UTF-8 would
+// name, once loaded, a string no walk produces. Identifiers may hold any
+// byte above 0x7f, and a \xNN escape decodes to one raw byte; each byte
+// that is not part of a UTF-8 sequence stands for its Latin-1 character,
+// which is what \xNN means in JavaScript.
+func featureText(s string) string {
+	n := min(len(s), maxTextLen)
+	i := 0
+	for i < n && s[i] < utf8.RuneSelf {
+		i++
+	}
+	if i == n {
+		return s[:n]
+	}
+	b := make([]byte, i, maxTextLen)
+	copy(b, s)
+	for i < len(s) {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			r = rune(s[i])
+		}
+		if len(b)+utf8.RuneLen(r) > maxTextLen {
+			break
+		}
+		b = utf8.AppendRune(b, r)
+		i += size
+	}
+	return string(b)
+}
+
 // Extract returns the binary feature set of a script's AST under the given
 // feature set. Each feature is "Context:Text"; for every text-bearing node
 // up to three contexts are emitted: the node's own type, its parent's type,
 // and the nearest enclosing statement construct (loop, try, catch, if,
 // switch, function — the contexts §5 names).
 func Extract(prog *jsast.Program, set Set) map[string]bool {
-	out := make(map[string]bool)
-	walk(prog, set, func(context, text string) { out[context+":"+text] = true })
-	return out
-}
-
-// walk is the one feature walk: it visits every node of prog and hands sink
-// each (context, text) pair the feature set keeps, the text already cut to
-// maxTextLen. Pairs repeat — a script names document many times — and sink
-// sees every repeat. Extract's sink builds the feature map; ProjectProgram's
-// looks the pair up in a vocabulary without building anything.
-func walk(prog *jsast.Program, set Set, sink func(context, text string)) {
-	w := walker{set: set, sink: sink}
+	w := walker{set: set, out: make(map[string]bool)}
 	w.node(prog, "Program", "")
+	return w.out
 }
 
+// walker is the one feature walk: it visits every node of a program and
+// finds each text the feature set keeps, with the contexts it stands in.
+// Texts repeat — a script names document many times — and the walker sees
+// every repeat. Extract's walker collects the features in out;
+// ProjectProgram's looks each text up in vocab and marks the features the
+// vocabulary has in hit, building nothing.
 type walker struct {
-	set  Set
-	sink func(context, text string)
+	set Set
+	out map[string]bool
+
+	vocab *Vocab
+	hit   []uint64
 }
 
-func (w *walker) emit(context, text string, kind textKind) {
-	if !w.set.keep(kind) || text == "" {
+// found takes one text element, found under the contexts c0, c1 and c2,
+// the last two empty when absent or a repeat of one before.
+func (w *walker) found(s string, kind textKind, c0, c1, c2 string) {
+	if kind == kindName && w.set != SetKeyword {
+		kind = kindIdentifier
+	}
+	if s == "" || kind != kindName && !w.set.keep(kind) {
 		return
 	}
-	if len(text) > maxTextLen {
-		text = text[:maxTextLen]
+	text := featureText(s)
+	if w.vocab != nil {
+		t := w.vocab.lookup(text)
+		if t == nil || kind == kindName && !t.webAPI {
+			return
+		}
+		for _, c := range t.contexts {
+			if c.context == c0 || c.context == c1 || c.context == c2 {
+				w.hit[c.i>>6] |= 1 << (c.i & 63)
+			}
+		}
+		return
 	}
-	w.sink(context, text)
-}
-
-// nameKind tells a Web API keyword from a plain identifier. Only the
-// keyword set keeps one and drops the other, so only it pays for the lookup.
-func (w *walker) nameKind(name string) textKind {
-	if w.set == SetKeyword && IsWebAPIKeyword(name) {
-		return kindKeyword
+	if kind == kindName && !IsWebAPIKeyword(s) {
+		return
 	}
-	return kindIdentifier
+	w.out[c0+":"+text] = true
+	if c1 != "" {
+		w.out[c1+":"+text] = true
+	}
+	if c2 != "" {
+		w.out[c2+":"+text] = true
+	}
 }
 
 // node emits n's features and walks its children. parent is the type of
@@ -113,68 +166,66 @@ func (w *walker) nameKind(name string) textKind {
 // try/catch, if, switch and function bodies — or "" outside any.
 func (w *walker) node(n jsast.Node, parent, enclosing string) {
 	typ := n.Type()
-	emitAll := func(text string, kind textKind) {
-		w.emit(typ, text, kind)
-		if parent != typ {
-			w.emit(parent, text, kind)
-		}
-		if enclosing != "" && enclosing != parent && enclosing != typ {
-			w.emit(enclosing, text, kind)
-		}
+	// A text-bearing node's text stands under its own type, its parent's
+	// and the enclosing construct's, each once.
+	ctxParent, ctxEnclosing := parent, enclosing
+	if parent == typ {
+		ctxParent = ""
+	}
+	if enclosing == parent || enclosing == typ {
+		ctxEnclosing = ""
 	}
 
 	// A construct is the enclosing context of its children, not its own.
 	inside := enclosing
 	switch v := n.(type) {
 	case *jsast.Ident:
-		emitAll(v.Name, w.nameKind(v.Name))
+		w.found(v.Name, kindName, typ, ctxParent, ctxEnclosing)
 	case *jsast.Literal:
-		emitAll(v.Value, kindLiteral)
+		w.found(v.Value, kindLiteral, typ, ctxParent, ctxEnclosing)
 	case *jsast.Declarator:
-		emitAll(v.Name, w.nameKind(v.Name))
+		w.found(v.Name, kindName, typ, ctxParent, ctxEnclosing)
 	case *jsast.FunctionDecl:
-		emitAll(v.Name, kindIdentifier)
-		w.emit(typ, "function", kindKeyword)
+		w.found(v.Name, kindIdentifier, typ, ctxParent, ctxEnclosing)
+		w.found("function", kindKeyword, typ, "", "")
 		inside = typ
 	case *jsast.FunctionExpr:
-		if v.Name != "" {
-			emitAll(v.Name, kindIdentifier)
-		}
-		w.emit(typ, "function", kindKeyword)
+		w.found(v.Name, kindIdentifier, typ, ctxParent, ctxEnclosing)
+		w.found("function", kindKeyword, typ, "", "")
 		inside = typ
 	case *jsast.Unary:
 		if jsast.IsKeyword(v.Op) { // typeof, void, delete
-			w.emit(typ, v.Op, kindKeyword)
+			w.found(v.Op, kindKeyword, typ, "", "")
 		}
 	case *jsast.This:
-		w.emit(parent, "this", kindKeyword)
+		w.found("this", kindKeyword, parent, "", "")
 	case *jsast.VarDecl:
-		w.emit(parent, "var", kindKeyword)
+		w.found("var", kindKeyword, parent, "", "")
 	case *jsast.If:
-		w.emit(parent, "if", kindKeyword)
+		w.found("if", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.For, *jsast.ForIn:
-		w.emit(parent, "for", kindKeyword)
+		w.found("for", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.While, *jsast.DoWhile:
-		w.emit(parent, "while", kindKeyword)
+		w.found("while", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.Try:
-		w.emit(parent, "try", kindKeyword)
+		w.found("try", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.Catch:
-		w.emit(parent, "catch", kindKeyword)
+		w.found("catch", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.Switch:
-		w.emit(parent, "switch", kindKeyword)
+		w.found("switch", kindKeyword, parent, "", "")
 		inside = typ
 	case *jsast.Return:
-		w.emit(parent, "return", kindKeyword)
+		w.found("return", kindKeyword, parent, "", "")
 	case *jsast.New:
-		w.emit(parent, "new", kindKeyword)
+		w.found("new", kindKeyword, parent, "", "")
 	case *jsast.Binary:
 		if jsast.IsKeyword(v.Op) { // in, instanceof
-			w.emit(typ, v.Op, kindKeyword)
+			w.found(v.Op, kindKeyword, typ, "", "")
 		}
 	}
 	jsast.EachChild(n, func(c jsast.Node) { w.node(c, typ, inside) })

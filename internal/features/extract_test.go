@@ -1,7 +1,9 @@
 package features
 
 import (
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"adwars/internal/jsast"
 )
@@ -183,5 +185,27 @@ func TestExtractTruncatesHugeLiterals(t *testing.T) {
 func TestSetString(t *testing.T) {
 	if SetAll.String() != "all" || SetLiteral.String() != "literal" || SetKeyword.String() != "keyword" {
 		t.Error("Set.String mismatch")
+	}
+}
+
+// TestFeatureText holds the cut and the repair that keep every feature
+// text valid UTF-8 of at most maxTextLen bytes.
+func TestFeatureText(t *testing.T) {
+	a63 := strings.Repeat("a", 63)
+	for _, tc := range []struct{ in, want string }{
+		{"document", "document"},
+		{strings.Repeat("x", 70), strings.Repeat("x", 64)},
+		{a63 + "é", a63}, // é would straddle byte 64
+		{"été" + strings.Repeat("x", 70), "été" + strings.Repeat("x", 59)},
+		{"\xe9t\xe9", "été"}, // \xNN escapes: Latin-1
+		{"\xff\xfe", "ÿþ"},
+		{"a\xc3", "aÃ"}, // a torn sequence
+		{"�", "�"},      // a real replacement character stays
+		{strings.Repeat("\xe9", 40), strings.Repeat("é", 32)},
+	} {
+		got := featureText(tc.in)
+		if got != tc.want || !utf8.ValidString(got) || len(got) > maxTextLen {
+			t.Errorf("featureText(%q) = %q, want %q", tc.in, got, tc.want)
+		}
 	}
 }

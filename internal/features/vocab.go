@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"adwars/internal/jsast"
 )
@@ -29,6 +30,33 @@ func SetFromString(name string) (Set, error) {
 type Vocab struct {
 	names []string
 	index map[string]int
+
+	// The names again, indexed by their text for ProjectProgram, which
+	// meets a text first and its contexts after. lead[c] has bit l set when
+	// some text starting with byte c is l bytes long (63 standing for 63
+	// and more), and texts[c] lists those texts. A text no name has is thus
+	// mostly turned away by one bit test, and one that gets further is
+	// found by comparing strings in a short list, never hashed.
+	lead  [256]uint64
+	texts [256][]vocabText
+}
+
+// vocabText is one text some name of the vocabulary has, with the names
+// that have it. webAPI is IsWebAPIKeyword(text), which is also the answer
+// for any name the walk made text from: a Web API keyword is short ASCII,
+// so it is its own feature text, and a text cut or repaired from a longer
+// or non-ASCII name is none.
+type vocabText struct {
+	text     string
+	webAPI   bool
+	contexts []vocabContext
+}
+
+// vocabContext is one name of the vocabulary under its text: the context
+// it puts the text in, and the name's index.
+type vocabContext struct {
+	context string
+	i       int
 }
 
 // NewVocab builds a Vocab from feature names in index order. The slice is
@@ -41,7 +69,49 @@ func NewVocab(names []string) *Vocab {
 	for i, f := range v.names {
 		v.index[f] = i
 	}
+	v.indexTexts()
 	return v
+}
+
+// leadBit is text's bit in lead[text[0]].
+func leadBit(text string) uint64 { return 1 << min(len(text), 63) }
+
+// indexTexts files every name a walk can produce under its text. The walk's
+// contexts are node type names, which hold no ':', so a feature's context is
+// everything before its first ':' and its text everything after; a name
+// without a context or a text is never produced and is left out, and so is
+// a repeated name at any position but its last, as in index.
+func (v *Vocab) indexTexts() {
+	at := map[string]int{} // a text's position in its texts list
+	for i, f := range v.names {
+		context, text, ok := strings.Cut(f, ":")
+		if !ok || context == "" || text == "" || v.index[f] != i {
+			continue
+		}
+		ts := v.texts[text[0]]
+		k, seen := at[text]
+		if !seen {
+			k, at[text] = len(ts), len(ts)
+			ts = append(ts, vocabText{text: text, webAPI: IsWebAPIKeyword(text)})
+			v.lead[text[0]] |= leadBit(text)
+		}
+		ts[k].contexts = append(ts[k].contexts, vocabContext{context, i})
+		v.texts[text[0]] = ts
+	}
+}
+
+// lookup returns the vocabulary's entry for text, nil when no name has it.
+func (v *Vocab) lookup(text string) *vocabText {
+	if v.lead[text[0]]&leadBit(text) == 0 {
+		return nil
+	}
+	ts := v.texts[text[0]]
+	for i := range ts {
+		if ts[i].text == text {
+			return &ts[i]
+		}
+	}
+	return nil
 }
 
 // Len returns the vocabulary size.
@@ -76,30 +146,24 @@ func (v *Vocab) ProjectSource(src string, set Set) (Sample, error) {
 }
 
 // ProjectProgram is Project(Extract(prog, set)) without the feature map in
-// between: the feature walk looks each (context, text) pair up in the
-// vocabulary as it goes and marks the hit in a bitset, which read out in
-// index order is the sample — nothing to build, nothing to sort. A script
-// emits a few hundred pairs and a vocabulary of the paper's size holds a
-// few dozen of them, so the strings Extract would make for the rest were
-// made to be thrown away. This is the inference path: /v1/classify, its
-// batch form and the Detector all classify through it.
+// between: the feature walk looks each text up in the vocabulary's text
+// index as it goes, compares the contexts the text stands in against those
+// the vocabulary has it under, and marks each hit in a bitset, which read
+// out in index order is the sample — nothing to build, nothing to hash,
+// nothing to sort. A script emits a few hundred texts and a vocabulary of
+// the paper's size names a few dozen, so most texts are turned away by one
+// bit test before anything else is asked about them, and the keyword set's
+// Web API test is a flag of the entry a surviving text finds. This is the
+// inference path: /v1/classify, its batch form and the Detector all
+// classify through it.
 func (v *Vocab) ProjectProgram(prog *jsast.Program, set Set) Sample {
 	var stack [32]uint64 // vocabularies up to 2048 features need no heap
 	hit := stack[:]
 	if words := (len(v.names) + 63) / 64; words > len(stack) {
 		hit = make([]uint64, words)
 	}
-	// The map is indexed by string(key), a conversion the compiler does
-	// not allocate for, so a lookup costs one hash of the pair's bytes.
-	var buf [128]byte
-	walk(prog, set, func(context, text string) {
-		key := append(buf[:0], context...)
-		key = append(key, ':')
-		key = append(key, text...)
-		if i, ok := v.index[string(key)]; ok {
-			hit[i>>6] |= 1 << (i & 63)
-		}
-	})
+	w := walker{set: set, vocab: v, hit: hit}
+	w.node(prog, "Program", "")
 	n := 0
 	for _, w := range hit {
 		n += bits.OnesCount64(w)

@@ -7,7 +7,9 @@ import (
 
 // matchesReference lexes src with Tokenize and with the parent commit's
 // lexer and reports the first difference: in the error text, or in any
-// field of any token.
+// field of any token. The reference lexer predates operator codes, so a
+// token's Op is held to its text instead: a punctuator's or keyword's code
+// spells the token, and every other token has none.
 func matchesReference(src string) error {
 	got, gotErr := Tokenize(src)
 	want, wantErr := referenceTokenize(src)
@@ -18,8 +20,15 @@ func matchesReference(src string) error {
 		return fmt.Errorf("%d tokens, reference %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		op := got[i].Op
+		if got[i].Op = opNone; got[i] != want[i] {
 			return fmt.Errorf("token %d = %+v, reference %+v", i, got[i], want[i])
+		}
+		switch k := want[i].Kind; {
+		case (k == TokPunct || k == TokKeyword) != (op != opNone):
+			return fmt.Errorf("token %d = %+v has operator code %d", i, got[i], op)
+		case op != opNone && op.String() != want[i].Text:
+			return fmt.Errorf("token %d = %+v has the code of %q", i, got[i], op)
 		}
 	}
 	return nil

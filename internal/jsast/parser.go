@@ -1,6 +1,9 @@
 package jsast
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // maxDepth bounds the depth of the tree Parse returns, the Program at depth
 // zero. The deepest tree in the Table 3 corpus, the live crawl and every
@@ -18,21 +21,131 @@ const maxDepth = 512
 // than maxDepth is refused with a *SyntaxError like any other it cannot
 // parse.
 func Parse(src string) (*Program, error) {
-	toks, err := tokenize(src)
+	sc := scratchPool.Get().(*scratch)
+	prog, err := sc.parse(src)
+	sc.release()
+	return prog, err
+}
+
+// scratch is the memory a parse uses and no tree keeps: the token stream
+// and the lists under construction. Parse takes one from scratchPool and
+// clears what it used before putting it back, on every path out, so a
+// pooled scratch holds no script's text and no tree's nodes.
+type scratch struct {
+	toks   []Token
+	nodes  lists[Node]
+	decls  lists[*Declarator]
+	props  lists[*Property]
+	cases  lists[*Case]
+	params lists[string]
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledTokens bounds the scratch the pool keeps: one whose script had
+// more tokens than this is left to the collector, so a megabyte of one-byte
+// tokens is paid for once, not held for good.
+const maxPooledTokens = 1 << 14
+
+func (sc *scratch) parse(src string) (*Program, error) {
+	var err error
+	sc.toks, err = tokenize(src, sc.toks)
 	if err != nil {
 		return nil, err
 	}
-	p := parser{toks: toks}
+	p := parser{toks: sc.toks, sc: sc}
 	prog := &Program{}
+	m := sc.nodes.mark()
 	for !p.atEOF() {
 		stmt, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
-		prog.Body = append(prog.Body, stmt)
+		sc.nodes.push(stmt)
 	}
+	sc.nodes.finish(m, &prog.Body)
+	sc.nodes.seal()
+	sc.decls.seal()
+	sc.props.seal()
+	sc.cases.seal()
+	sc.params.seal()
 	prog.noEval = !p.sawEval
 	return prog, nil
+}
+
+// release clears what the parse used and puts sc back in the pool, unless
+// its token buffer outgrew maxPooledTokens. No list outgrows the tokens it
+// was parsed from, so that bounds the whole scratch.
+func (sc *scratch) release() {
+	if cap(sc.toks) > maxPooledTokens {
+		return
+	}
+	clear(sc.toks)
+	sc.toks = sc.toks[:0]
+	sc.nodes.reset()
+	sc.decls.reset()
+	sc.props.reset()
+	sc.cases.reset()
+	sc.params.reset()
+	scratchPool.Put(sc)
+}
+
+// lists builds the slices of one element type — statement bodies, argument
+// lists, declarators, … — for one parse. The elements of a list still being
+// parsed sit on top of open, above those of every list around it; finish
+// moves them to done and notes which field of which node they belong to.
+// seal, once the whole tree is parsed, makes one array exactly as long as
+// done and hands each field its range of it. A tree's lists thus cost one
+// allocation per element type instead of a growing append per list, and
+// each is cut with a full slice expression, so that appending to one (as
+// Unpack does to a Program's body) copies it instead of overwriting its
+// neighbour.
+type lists[T any] struct {
+	open, done []T
+	fields     []listField[T]
+}
+
+type listField[T any] struct {
+	dst    *[]T
+	lo, hi int
+}
+
+// mark returns where the list about to be parsed begins on open.
+func (l *lists[T]) mark() int { return len(l.open) }
+
+func (l *lists[T]) push(x T) { l.open = append(l.open, x) }
+
+// finish closes the list that began at mark and files it for *dst. An
+// empty list leaves *dst nil.
+func (l *lists[T]) finish(mark int, dst *[]T) {
+	if len(l.open) == mark {
+		return
+	}
+	lo := len(l.done)
+	l.done = append(l.done, l.open[mark:]...)
+	clear(l.open[mark:])
+	l.open = l.open[:mark]
+	l.fields = append(l.fields, listField[T]{dst, lo, len(l.done)})
+}
+
+// seal gives every finished list its slice.
+func (l *lists[T]) seal() {
+	if len(l.done) == 0 {
+		return
+	}
+	slab := make([]T, len(l.done))
+	copy(slab, l.done)
+	for _, f := range l.fields {
+		*f.dst = slab[f.lo:f.hi:f.hi]
+	}
+}
+
+// reset empties l, after a parse that sealed it or one abandoned midway.
+func (l *lists[T]) reset() {
+	clear(l.open)
+	clear(l.done)
+	clear(l.fields)
+	l.open, l.done, l.fields = l.open[:0], l.done[:0], l.fields[:0]
 }
 
 // chunkSize is how many nodes of one type a parse allocates at a time. The
@@ -60,6 +173,7 @@ func (c *chunk[T]) alloc() *T {
 type parser struct {
 	toks []Token // ends with the EOF sentinel
 	i    int
+	sc   *scratch
 
 	// depth is how far below the Program the node being parsed will sit;
 	// reach is how far below it the deepest node the current production has
@@ -145,9 +259,9 @@ func (p *parser) tooDeep() error {
 
 func (p *parser) atEOF() bool { return p.toks[p.i].Kind == TokEOF }
 
-// cur returns the current token: a pointer into the token slice, because a
-// Token is 48 bytes and the parser looks at one several times before it
-// moves on. At end of input it is the sentinel.
+// cur returns the current token: a pointer into the token slice, because
+// the parser looks at one several times before it moves on. At end of input
+// it is the sentinel.
 func (p *parser) cur() *Token { return &p.toks[p.i] }
 
 func (p *parser) peek(k int) *Token {
@@ -167,30 +281,23 @@ func (p *parser) next() *Token {
 
 func (p *parser) errorf(format string, args ...interface{}) error {
 	t := p.cur()
-	return &SyntaxError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Line: int(t.Line), Col: int(t.Col), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) atPunct(s string) bool {
-	t := p.cur()
-	return t.Kind == TokPunct && t.Text == s
-}
+// at reports whether the current token is the punctuator or keyword op.
+func (p *parser) at(op Op) bool { return p.toks[p.i].Op == op }
 
-func (p *parser) atKeyword(s string) bool {
-	t := p.cur()
-	return t.Kind == TokKeyword && t.Text == s
-}
-
-func (p *parser) eatPunct(s string) bool {
-	if p.atPunct(s) {
+func (p *parser) eat(op Op) bool {
+	if p.at(op) {
 		p.i++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectPunct(s string) error {
-	if !p.eatPunct(s) {
-		return p.errorf("expected %q, found %s", s, p.cur())
+func (p *parser) expect(op Op) error {
+	if !p.eat(op) {
+		return p.errorf("expected %q, found %s", opText[op], p.cur())
 	}
 	return nil
 }
@@ -208,10 +315,10 @@ func (p *parser) expectIdent() (string, error) {
 // insertion: an explicit ';', a '}' (not consumed), end of input, or a line
 // break before the next token all terminate the statement.
 func (p *parser) semicolon() error {
-	if p.eatPunct(";") {
+	if p.eat(opSemi) {
 		return nil
 	}
-	if p.atEOF() || p.atPunct("}") || p.cur().NewlineBefore {
+	if p.atEOF() || p.at(opRBrace) || p.cur().NewlineBefore {
 		return nil
 	}
 	return p.errorf("expected ';', found %s", p.cur())
@@ -220,7 +327,7 @@ func (p *parser) semicolon() error {
 // ---- Statements ----
 
 func (p *parser) statement() (Node, error) {
-	if p.atPunct("{") {
+	if p.at(opLBrace) {
 		return p.block() // which goes down itself
 	}
 	outer, err := p.down()
@@ -235,33 +342,35 @@ func (p *parser) statement() (Node, error) {
 // statementBelow parses any statement but a block, one level down already.
 func (p *parser) statementBelow() (Node, error) {
 	t := p.cur()
-	switch {
-	case t.Kind == TokPunct && t.Text == ";":
-		p.i++
-		return &Empty{}, nil
-	case t.Kind == TokKeyword:
-		switch t.Text {
-		case "var":
+	switch t.Kind {
+	case TokPunct:
+		if t.Op == opSemi {
+			p.i++
+			return &Empty{}, nil
+		}
+	case TokKeyword:
+		switch t.Op {
+		case kwVar:
 			return p.varStatement()
-		case "function":
+		case kwFunction:
 			return p.functionDecl()
-		case "if":
+		case kwIf:
 			return p.ifStatement()
-		case "for":
+		case kwFor:
 			return p.forStatement()
-		case "while":
+		case kwWhile:
 			return p.whileStatement()
-		case "do":
+		case kwDo:
 			return p.doWhileStatement()
-		case "return":
+		case kwReturn:
 			return p.returnStatement()
-		case "try":
+		case kwTry:
 			return p.tryStatement()
-		case "throw":
+		case kwThrow:
 			return p.throwStatement()
-		case "switch":
+		case kwSwitch:
 			return p.switchStatement()
-		case "break":
+		case kwBreak:
 			p.i++
 			b := &Break{}
 			if t := p.cur(); t.Kind == TokIdent && !t.NewlineBefore {
@@ -269,7 +378,7 @@ func (p *parser) statementBelow() (Node, error) {
 				p.i++
 			}
 			return b, p.semicolon()
-		case "continue":
+		case kwContinue:
 			p.i++
 			c := &Continue{}
 			if t := p.cur(); t.Kind == TokIdent && !t.NewlineBefore {
@@ -277,15 +386,15 @@ func (p *parser) statementBelow() (Node, error) {
 				p.i++
 			}
 			return c, p.semicolon()
-		case "with":
+		case kwWith:
 			return p.withStatement()
-		case "debugger":
+		case kwDebugger:
 			p.i++
 			return &Debugger{}, p.semicolon()
 		}
-	case t.Kind == TokIdent:
+	case TokIdent:
 		// Labeled statement: ident ':' stmt.
-		if n := p.peek(1); n.Kind == TokPunct && n.Text == ":" {
+		if p.peek(1).Op == opColon {
 			p.i += 2
 			body, err := p.statement()
 			if err != nil {
@@ -305,7 +414,7 @@ func (p *parser) statementBelow() (Node, error) {
 }
 
 func (p *parser) block() (*Block, error) {
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect(opLBrace); err != nil {
 		return nil, err
 	}
 	outer, err := p.down()
@@ -313,7 +422,8 @@ func (p *parser) block() (*Block, error) {
 		return nil, err
 	}
 	b := p.blocks.alloc()
-	for !p.atPunct("}") {
+	m := p.sc.nodes.mark()
+	for !p.at(opRBrace) {
 		if p.atEOF() {
 			return nil, p.errorf("unterminated block")
 		}
@@ -321,8 +431,9 @@ func (p *parser) block() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Body = append(b.Body, s)
+		p.sc.nodes.push(s)
 	}
+	p.sc.nodes.finish(m, &b.Body)
 	p.i++ // consume '}'
 	p.up(outer)
 	return b, nil
@@ -346,6 +457,7 @@ func (p *parser) varDecl(noIn bool) (*VarDecl, error) {
 		return nil, err
 	}
 	v := p.varDecls.alloc()
+	m := p.sc.decls.mark()
 	for {
 		name, err := p.expectIdent()
 		if err != nil {
@@ -353,15 +465,16 @@ func (p *parser) varDecl(noIn bool) (*VarDecl, error) {
 		}
 		d := p.declarators.alloc()
 		d.Name = name
-		if p.eatPunct("=") {
+		if p.eat(opAssign) {
 			init, err := p.assignExpr(noIn)
 			if err != nil {
 				return nil, err
 			}
 			d.Init = init
 		}
-		v.Decls = append(v.Decls, d)
-		if !p.eatPunct(",") {
+		p.sc.decls.push(d)
+		if !p.eat(opComma) {
+			p.sc.decls.finish(m, &v.Decls)
 			p.up(outer)
 			return v, nil
 		}
@@ -374,47 +487,47 @@ func (p *parser) functionDecl() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, body, err := p.functionRest()
+	fn := &FunctionDecl{Name: name}
+	fn.Body, err = p.functionRest(&fn.Params)
 	if err != nil {
 		return nil, err
 	}
-	return &FunctionDecl{Name: name, Params: params, Body: body}, nil
+	return fn, nil
 }
 
-func (p *parser) functionRest() ([]string, *Block, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, nil, err
+// functionRest parses a function's parameter list, filed for *params, and
+// its body.
+func (p *parser) functionRest(params *[]string) (*Block, error) {
+	if err := p.expect(opLParen); err != nil {
+		return nil, err
 	}
-	var params []string
-	for !p.atPunct(")") {
+	m := p.sc.params.mark()
+	for !p.at(opRParen) {
 		name, err := p.expectIdent()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		params = append(params, name)
-		if !p.eatPunct(",") {
+		p.sc.params.push(name)
+		if !p.eat(opComma) {
 			break
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, nil, err
+	if err := p.expect(opRParen); err != nil {
+		return nil, err
 	}
-	body, err := p.block()
-	if err != nil {
-		return nil, nil, err
-	}
-	return params, body, nil
+	p.sc.params.finish(m, params)
+	return p.block()
 }
 
 func (p *parser) parenExpr() (Node, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(opLParen); err != nil {
 		return nil, err
 	}
 	x, err := p.expression(false)
 	if err != nil {
 		return nil, err
 	}
-	return x, p.expectPunct(")")
+	return x, p.expect(opRParen)
 }
 
 func (p *parser) ifStatement() (Node, error) {
@@ -428,7 +541,7 @@ func (p *parser) ifStatement() (Node, error) {
 		return nil, err
 	}
 	stmt := &If{Cond: cond, Then: then}
-	if p.atKeyword("else") {
+	if p.at(kwElse) {
 		p.i++
 		els, err := p.statement()
 		if err != nil {
@@ -441,15 +554,15 @@ func (p *parser) ifStatement() (Node, error) {
 
 func (p *parser) forStatement() (Node, error) {
 	p.i++ // 'for'
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(opLParen); err != nil {
 		return nil, err
 	}
 	var init Node
 	var err error
 	switch {
-	case p.atPunct(";"):
+	case p.at(opSemi):
 		// no init
-	case p.atKeyword("var"):
+	case p.at(kwVar):
 		// The declaration is a child here, not the statement itself.
 		outer, err := p.down()
 		if err != nil {
@@ -466,13 +579,13 @@ func (p *parser) forStatement() (Node, error) {
 			return nil, err
 		}
 	}
-	if p.atKeyword("in") {
+	if p.at(kwIn) {
 		p.i++
 		right, err := p.expression(false)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.expect(opRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.statement()
@@ -481,26 +594,26 @@ func (p *parser) forStatement() (Node, error) {
 		}
 		return &ForIn{Left: init, Right: right, Body: body}, nil
 	}
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expect(opSemi); err != nil {
 		return nil, err
 	}
 	f := &For{Init: init}
-	if !p.atPunct(";") {
+	if !p.at(opSemi) {
 		f.Cond, err = p.expression(false)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expect(opSemi); err != nil {
 		return nil, err
 	}
-	if !p.atPunct(")") {
+	if !p.at(opRParen) {
 		f.Post, err = p.expression(false)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(opRParen); err != nil {
 		return nil, err
 	}
 	f.Body, err = p.statement()
@@ -526,7 +639,7 @@ func (p *parser) doWhileStatement() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atKeyword("while") {
+	if !p.at(kwWhile) {
 		return nil, p.errorf("expected 'while' after do body")
 	}
 	p.i++
@@ -541,7 +654,7 @@ func (p *parser) returnStatement() (Node, error) {
 	p.i++ // 'return'
 	r := &Return{}
 	t := p.cur()
-	if !(t.Kind == TokEOF || p.atPunct(";") || p.atPunct("}") || t.NewlineBefore) {
+	if !(t.Kind == TokEOF || t.Op == opSemi || t.Op == opRBrace || t.NewlineBefore) {
 		arg, err := p.expression(false)
 		if err != nil {
 			return nil, err
@@ -558,16 +671,16 @@ func (p *parser) tryStatement() (Node, error) {
 		return nil, err
 	}
 	stmt := &Try{Body: body}
-	if p.atKeyword("catch") {
+	if p.at(kwCatch) {
 		p.i++
-		if err := p.expectPunct("("); err != nil {
+		if err := p.expect(opLParen); err != nil {
 			return nil, err
 		}
 		param, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.expect(opRParen); err != nil {
 			return nil, err
 		}
 		outer, err := p.down() // the clause's level
@@ -581,7 +694,7 @@ func (p *parser) tryStatement() (Node, error) {
 		p.up(outer)
 		stmt.Catch = &Catch{Param: param, Body: cbody}
 	}
-	if p.atKeyword("finally") {
+	if p.at(kwFinally) {
 		p.i++
 		fbody, err := p.block()
 		if err != nil {
@@ -610,41 +723,45 @@ func (p *parser) switchStatement() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect(opLBrace); err != nil {
 		return nil, err
 	}
 	sw := &Switch{Disc: disc}
-	for !p.atPunct("}") {
+	cases := p.sc.cases.mark()
+	for !p.at(opRBrace) {
 		outer, err := p.down() // the case's level
 		if err != nil {
 			return nil, err
 		}
 		c := &Case{}
 		switch {
-		case p.atKeyword("case"):
+		case p.at(kwCase):
 			p.i++
 			c.Test, err = p.expression(false)
 			if err != nil {
 				return nil, err
 			}
-		case p.atKeyword("default"):
+		case p.at(kwDefault):
 			p.i++
 		default:
 			return nil, p.errorf("expected 'case' or 'default', found %s", p.cur())
 		}
-		if err := p.expectPunct(":"); err != nil {
+		if err := p.expect(opColon); err != nil {
 			return nil, err
 		}
-		for !p.atPunct("}") && !p.atKeyword("case") && !p.atKeyword("default") {
+		m := p.sc.nodes.mark()
+		for op := p.cur().Op; op != opRBrace && op != kwCase && op != kwDefault; op = p.cur().Op {
 			s, err := p.statement()
 			if err != nil {
 				return nil, err
 			}
-			c.Body = append(c.Body, s)
+			p.sc.nodes.push(s)
 		}
+		p.sc.nodes.finish(m, &c.Body)
 		p.up(outer)
-		sw.Cases = append(sw.Cases, c)
+		p.sc.cases.push(c)
 	}
+	p.sc.cases.finish(cases, &sw.Cases)
 	p.i++ // '}'
 	return sw, nil
 }
@@ -670,7 +787,7 @@ func (p *parser) expression(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atPunct(",") {
+	if !p.at(opComma) {
 		return x, nil
 	}
 	if err := p.lift(); err != nil {
@@ -680,24 +797,19 @@ func (p *parser) expression(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq := &Sequence{Exprs: []Node{x}}
-	for p.eatPunct(",") {
+	seq := &Sequence{}
+	m := p.sc.nodes.mark()
+	p.sc.nodes.push(x)
+	for p.eat(opComma) {
 		y, err := p.assignExpr(noIn)
 		if err != nil {
 			return nil, err
 		}
-		seq.Exprs = append(seq.Exprs, y)
+		p.sc.nodes.push(y)
 	}
+	p.sc.nodes.finish(m, &seq.Exprs)
 	p.up(outer)
 	return seq, nil
-}
-
-func isAssignOp(op string) bool {
-	switch op {
-	case "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", ">>>=", "&=", "|=", "^=":
-		return true
-	}
-	return false
 }
 
 // assignExpr parses one expression with no top-level comma. Every operand
@@ -718,7 +830,7 @@ func (p *parser) assignExprBelow(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := p.cur(); t.Kind == TokPunct && isAssignOp(t.Text) {
+	if t := p.cur(); opAssign <= t.Op && t.Op <= opXorAssign {
 		p.i++
 		if err := p.lift(); err != nil {
 			return nil, err
@@ -739,7 +851,7 @@ func (p *parser) conditionalExpr(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.eatPunct("?") {
+	if !p.eat(opQuestion) {
 		return cond, nil
 	}
 	if err := p.lift(); err != nil {
@@ -749,7 +861,7 @@ func (p *parser) conditionalExpr(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.expect(opColon); err != nil {
 		return nil, err
 	}
 	els, err := p.assignExpr(noIn)
@@ -759,45 +871,25 @@ func (p *parser) conditionalExpr(noIn bool) (Node, error) {
 	return &Conditional{Cond: cond, Then: then, Else: els}, nil
 }
 
+// binaryPrecs holds each binary or logical operator's precedence, higher
+// binding tighter; every other code's is zero.
+var binaryPrecs = [opCount]int8{
+	opOrOr: 1, opAndAnd: 2, opOr: 3, opXor: 4, opAnd: 5,
+	opEq: 6, opNe: 6, opStrictEq: 6, opStrictNe: 6,
+	opLt: 7, opGt: 7, opLe: 7, opGe: 7, kwIn: 7, kwInstanceof: 7,
+	opShl: 8, opShr: 8, opUshr: 8,
+	opPlus: 9, opMinus: 9,
+	opStar: 10, opSlash: 10, opPercent: 10,
+}
+
 // binaryPrec returns the precedence of a binary/logical operator token, or
 // -1 when the token is not a binary operator. Higher binds tighter.
 func binaryPrec(t *Token, noIn bool) int {
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "in":
-			if noIn {
-				return -1
-			}
-			return 7
-		case "instanceof":
-			return 7
-		}
+	if noIn && t.Op == kwIn {
 		return -1
 	}
-	if t.Kind != TokPunct {
-		return -1
-	}
-	switch t.Text {
-	case "||":
-		return 1
-	case "&&":
-		return 2
-	case "|":
-		return 3
-	case "^":
-		return 4
-	case "&":
-		return 5
-	case "==", "!=", "===", "!==":
-		return 6
-	case "<", ">", "<=", ">=":
-		return 7
-	case "<<", ">>", ">>>":
-		return 8
-	case "+", "-":
-		return 9
-	case "*", "/", "%":
-		return 10
+	if prec := binaryPrecs[t.Op]; prec > 0 {
+		return int(prec)
 	}
 	return -1
 }
@@ -826,7 +918,7 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) (Node, error) {
 			return nil, err
 		}
 		p.up(outer)
-		if t.Text == "&&" || t.Text == "||" {
+		if t.Op == opAndAnd || t.Op == opOrOr {
 			left = &Logical{Op: t.Text, L: left, R: right}
 		} else {
 			n := p.binaries.alloc()
@@ -838,15 +930,14 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) (Node, error) {
 
 func (p *parser) unaryExpr(noIn bool) (Node, error) {
 	t := p.cur()
-	switch {
-	case t.Kind == TokPunct && (t.Text == "!" || t.Text == "~" || t.Text == "+" || t.Text == "-"),
-		t.Kind == TokKeyword && (t.Text == "typeof" || t.Text == "void" || t.Text == "delete"):
+	switch t.Op {
+	case opNot, opTilde, opPlus, opMinus, kwTypeof, kwVoid, kwDelete:
 		x, err := p.prefixOperand(noIn)
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: t.Text, X: x}, nil
-	case t.Kind == TokPunct && (t.Text == "++" || t.Text == "--"):
+	case opInc, opDec:
 		x, err := p.prefixOperand(noIn)
 		if err != nil {
 			return nil, err
@@ -874,7 +965,7 @@ func (p *parser) postfixExpr(noIn bool) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := p.cur(); t.Kind == TokPunct && (t.Text == "++" || t.Text == "--") && !t.NewlineBefore {
+	if t := p.cur(); (t.Op == opInc || t.Op == opDec) && !t.NewlineBefore {
 		p.i++
 		return &Update{Op: t.Text, X: x}, p.lift()
 	}
@@ -885,7 +976,7 @@ func (p *parser) postfixExpr(noIn bool) (Node, error) {
 func (p *parser) callExpr(noIn bool) (Node, error) {
 	var x Node
 	var err error
-	if p.atKeyword("new") {
+	if p.at(kwNew) {
 		x, err = p.newExpr()
 	} else {
 		x, err = p.primaryExpr()
@@ -894,7 +985,7 @@ func (p *parser) callExpr(noIn bool) (Node, error) {
 		return nil, err
 	}
 	for {
-		if !p.atPunct("(") {
+		if !p.at(opLParen) {
 			var ok bool
 			x, ok, err = p.memberAccess(x)
 			if err != nil {
@@ -908,15 +999,14 @@ func (p *parser) callExpr(noIn bool) (Node, error) {
 		if err := p.lift(); err != nil {
 			return nil, err
 		}
-		args, err := p.arguments()
-		if err != nil {
-			return nil, err
-		}
 		if id, ok := x.(*Ident); ok && id.Name == "eval" {
 			p.sawEval = true
 		}
 		call := p.calls.alloc()
-		call.Callee, call.Args = x, args
+		call.Callee = x
+		if err := p.arguments(&call.Args); err != nil {
+			return nil, err
+		}
 		x = call
 	}
 }
@@ -925,14 +1015,14 @@ func (p *parser) callExpr(noIn bool) (Node, error) {
 // comes next.
 func (p *parser) memberAccess(obj Node) (Node, bool, error) {
 	switch {
-	case p.eatPunct("."):
+	case p.eat(opDot):
 		t := p.cur()
 		if t.Kind != TokIdent && t.Kind != TokKeyword {
 			return nil, false, p.errorf("expected property name, found %s", t)
 		}
 		p.i++
 		return p.member(obj, p.ident(t.Text), false), true, p.lift()
-	case p.eatPunct("["):
+	case p.eat(opLBracket):
 		if err := p.lift(); err != nil {
 			return nil, false, err
 		}
@@ -940,7 +1030,7 @@ func (p *parser) memberAccess(obj Node) (Node, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return p.member(obj, idx, true), true, p.expectPunct("]")
+		return p.member(obj, idx, true), true, p.expect(opRBracket)
 	}
 	return obj, false, nil
 }
@@ -953,7 +1043,7 @@ func (p *parser) newExpr() (Node, error) {
 		return nil, err
 	}
 	var callee Node
-	if p.atKeyword("new") {
+	if p.at(kwNew) {
 		callee, err = p.newExpr()
 	} else {
 		callee, err = p.primaryExpr()
@@ -971,32 +1061,35 @@ func (p *parser) newExpr() (Node, error) {
 	}
 	p.up(outer)
 	n := &New{Callee: callee}
-	if p.atPunct("(") {
-		args, err := p.arguments()
-		if err != nil {
+	if p.at(opLParen) {
+		if err := p.arguments(&n.Args); err != nil {
 			return nil, err
 		}
-		n.Args = args
 	}
 	return n, nil
 }
 
-func (p *parser) arguments() ([]Node, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
+// arguments parses a parenthesized argument list, filed for *args.
+func (p *parser) arguments(args *[]Node) error {
+	if err := p.expect(opLParen); err != nil {
+		return err
 	}
-	var args []Node
-	for !p.atPunct(")") {
+	m := p.sc.nodes.mark()
+	for !p.at(opRParen) {
 		a, err := p.assignExpr(false)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		args = append(args, a)
-		if !p.eatPunct(",") {
+		p.sc.nodes.push(a)
+		if !p.eat(opComma) {
 			break
 		}
 	}
-	return args, p.expectPunct(")")
+	if err := p.expect(opRParen); err != nil {
+		return err
+	}
+	p.sc.nodes.finish(m, args)
+	return nil
 }
 
 func (p *parser) primaryExpr() (Node, error) {
@@ -1015,39 +1108,39 @@ func (p *parser) primaryExpr() (Node, error) {
 		p.i++
 		return p.literal(LitRegex, t.Text), nil
 	case TokKeyword:
-		switch t.Text {
-		case "this":
+		switch t.Op {
+		case kwThis:
 			p.i++
 			return &This{}, nil
-		case "true", "false":
+		case kwTrue, kwFalse:
 			p.i++
 			return p.literal(LitBool, t.Text), nil
-		case "null":
+		case kwNull:
 			p.i++
 			return p.literal(LitNull, "null"), nil
-		case "undefined":
+		case kwUndefined:
 			p.i++
 			return p.literal(LitUndefined, "undefined"), nil
-		case "function":
+		case kwFunction:
 			p.i++
-			name := ""
+			fn := &FunctionExpr{}
 			if p.cur().Kind == TokIdent {
-				name = p.next().Text
+				fn.Name = p.next().Text
 			}
-			params, body, err := p.functionRest()
-			if err != nil {
+			var err error
+			if fn.Body, err = p.functionRest(&fn.Params); err != nil {
 				return nil, err
 			}
-			return &FunctionExpr{Name: name, Params: params, Body: body}, nil
+			return fn, nil
 		}
 		return nil, p.errorf("unexpected keyword %q", t.Text)
 	case TokPunct:
-		switch t.Text {
-		case "(":
+		switch t.Op {
+		case opLParen:
 			return p.parenExpr()
-		case "[":
+		case opLBracket:
 			return p.arrayLiteral()
-		case "{":
+		case opLBrace:
 			return p.objectLiteral()
 		}
 		return nil, p.errorf("unexpected token %q", t.Text)
@@ -1059,21 +1152,23 @@ func (p *parser) primaryExpr() (Node, error) {
 func (p *parser) arrayLiteral() (Node, error) {
 	p.i++ // '['
 	arr := &ArrayLit{}
-	for !p.atPunct("]") {
-		if p.eatPunct(",") {
+	m := p.sc.nodes.mark()
+	for !p.at(opRBracket) {
+		if p.eat(opComma) {
 			continue // elision
 		}
 		e, err := p.assignExpr(false)
 		if err != nil {
 			return nil, err
 		}
-		arr.Elems = append(arr.Elems, e)
-		if !p.atPunct("]") {
-			if err := p.expectPunct(","); err != nil {
+		p.sc.nodes.push(e)
+		if !p.at(opRBracket) {
+			if err := p.expect(opComma); err != nil {
 				return nil, err
 			}
 		}
 	}
+	p.sc.nodes.finish(m, &arr.Elems)
 	p.i++ // ']'
 	return arr, nil
 }
@@ -1086,7 +1181,8 @@ func (p *parser) objectLiteral() (Node, error) {
 		return nil, err
 	}
 	obj := &ObjectLit{}
-	for !p.atPunct("}") {
+	m := p.sc.props.mark()
+	for !p.at(opRBrace) {
 		t := p.cur()
 		var key string
 		switch t.Kind {
@@ -1096,21 +1192,22 @@ func (p *parser) objectLiteral() (Node, error) {
 		default:
 			return nil, p.errorf("expected property key, found %s", t)
 		}
-		if err := p.expectPunct(":"); err != nil {
+		if err := p.expect(opColon); err != nil {
 			return nil, err
 		}
 		val, err := p.assignExpr(false)
 		if err != nil {
 			return nil, err
 		}
-		obj.Props = append(obj.Props, &Property{Key: key, Value: val})
-		if !p.eatPunct(",") {
+		p.sc.props.push(&Property{Key: key, Value: val})
+		if !p.eat(opComma) {
 			break
 		}
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expect(opRBrace); err != nil {
 		return nil, err
 	}
+	p.sc.props.finish(m, &obj.Props)
 	p.up(outer)
 	return obj, nil
 }

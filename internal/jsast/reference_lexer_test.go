@@ -135,7 +135,7 @@ func (l *refLexer) Next() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
-	tok := Token{Line: l.line, Col: l.col, NewlineBefore: l.sawNewline}
+	tok := Token{Line: int32(l.line), Col: int32(l.col), NewlineBefore: l.sawNewline}
 	l.sawNewline = false
 	if l.pos >= len(l.src) {
 		tok.Kind = TokEOF

@@ -1,9 +1,13 @@
 package jsast
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // TokenKind classifies lexical tokens.
-type TokenKind int
+type TokenKind uint8
 
 // Token kinds produced by the lexer.
 const (
@@ -38,19 +42,24 @@ func (k TokenKind) String() string {
 	}
 }
 
-// Token is one lexical token with its source position.
+// Token is one lexical token with its source position, in 32 bytes: a
+// script lexes to some seven times its own size in tokens.
 type Token struct {
 	Kind TokenKind
-	// Text is the token's meaning-bearing text: the identifier or keyword
-	// name, the decoded string value, the number literal text, the regex
-	// source, or the punctuation characters.
-	Text string
-	// Line and Col locate the token (1-based).
-	Line, Col int
+	// Op says which punctuator or keyword the token is, zero for every
+	// other kind: the parser asks "is this a '('?" several times a token,
+	// and answers with one byte compare.
+	Op Op
 	// NewlineBefore reports whether a line terminator occurred between
 	// the previous token and this one; the parser's automatic semicolon
 	// insertion depends on it.
 	NewlineBefore bool
+	// Line and Col locate the token (1-based).
+	Line, Col int32
+	// Text is the token's meaning-bearing text: the identifier or keyword
+	// name, the decoded string value, the number literal text, the regex
+	// source, or the punctuation characters.
+	Text string
 }
 
 func (t Token) String() string {
@@ -58,37 +67,170 @@ func (t Token) String() string {
 }
 
 // IsKeyword reports whether name is a native JavaScript keyword: the
-// ECMAScript 5 reserved words the parser understands. The lexer asks once per
-// identifier, so this is a switch the compiler turns into a length dispatch
-// and a few comparisons, not a hashed lookup.
-func IsKeyword(name string) bool {
-	switch name {
-	case "break", "case", "catch", "continue", "debugger", "default",
-		"delete", "do", "else", "finally", "for", "function", "if", "in",
-		"instanceof", "new", "return", "switch", "this", "throw", "try",
-		"typeof", "var", "void", "while", "with", "true", "false", "null",
-		"undefined":
-		return true
+// ECMAScript 5 reserved words the parser understands.
+func IsKeyword(name string) bool { return keywordOp(name) != opNone }
+
+// Op is the operator code of a punctuator or keyword token. Its String is
+// the token's text.
+type Op uint8
+
+// The operator codes. Two runs are tested as ranges and must stay
+// contiguous: the assignment operators, and the keywords, which come after
+// every punctuator.
+const (
+	opNone Op = iota
+
+	opLBrace   // {
+	opRBrace   // }
+	opLParen   // (
+	opRParen   // )
+	opLBracket // [
+	opRBracket // ]
+	opSemi     // ;
+	opComma    // ,
+	opDot      // .
+	opQuestion // ?
+	opColon    // :
+	opArrow    // =>
+	opNot      // !
+	opTilde    // ~
+	opInc      // ++
+	opDec      // --
+	opOrOr     // ||
+	opAndAnd   // &&
+	opOr       // |
+	opXor      // ^
+	opAnd      // &
+	opEq       // ==
+	opNe       // !=
+	opStrictEq // ===
+	opStrictNe // !==
+	opLt       // <
+	opGt       // >
+	opLe       // <=
+	opGe       // >=
+	opShl      // <<
+	opShr      // >>
+	opUshr     // >>>
+	opPlus     // +
+	opMinus    // -
+	opStar     // *
+	opSlash    // /
+	opPercent  // %
+
+	opAssign     // =
+	opAddAssign  // +=
+	opSubAssign  // -=
+	opMulAssign  // *=
+	opDivAssign  // /=
+	opModAssign  // %=
+	opShlAssign  // <<=
+	opShrAssign  // >>=
+	opUshrAssign // >>>=
+	opAndAssign  // &=
+	opOrAssign   // |=
+	opXorAssign  // ^=
+
+	kwBreak
+	kwCase
+	kwCatch
+	kwContinue
+	kwDebugger
+	kwDefault
+	kwDelete
+	kwDo
+	kwElse
+	kwFinally
+	kwFor
+	kwFunction
+	kwIf
+	kwIn
+	kwInstanceof
+	kwNew
+	kwReturn
+	kwSwitch
+	kwThis
+	kwThrow
+	kwTry
+	kwTypeof
+	kwVar
+	kwVoid
+	kwWhile
+	kwWith
+	kwTrue
+	kwFalse
+	kwNull
+	kwUndefined
+
+	opCount
+)
+
+// opText is each code's token text.
+var opText = [opCount]string{
+	opLBrace: "{", opRBrace: "}", opLParen: "(", opRParen: ")",
+	opLBracket: "[", opRBracket: "]", opSemi: ";", opComma: ",",
+	opDot: ".", opQuestion: "?", opColon: ":", opArrow: "=>",
+	opNot: "!", opTilde: "~", opInc: "++", opDec: "--",
+	opOrOr: "||", opAndAnd: "&&", opOr: "|", opXor: "^", opAnd: "&",
+	opEq: "==", opNe: "!=", opStrictEq: "===", opStrictNe: "!==",
+	opLt: "<", opGt: ">", opLe: "<=", opGe: ">=",
+	opShl: "<<", opShr: ">>", opUshr: ">>>",
+	opPlus: "+", opMinus: "-", opStar: "*", opSlash: "/", opPercent: "%",
+	opAssign: "=", opAddAssign: "+=", opSubAssign: "-=", opMulAssign: "*=",
+	opDivAssign: "/=", opModAssign: "%=", opShlAssign: "<<=",
+	opShrAssign: ">>=", opUshrAssign: ">>>=", opAndAssign: "&=",
+	opOrAssign: "|=", opXorAssign: "^=",
+	kwBreak: "break", kwCase: "case", kwCatch: "catch",
+	kwContinue: "continue", kwDebugger: "debugger", kwDefault: "default",
+	kwDelete: "delete", kwDo: "do", kwElse: "else", kwFinally: "finally",
+	kwFor: "for", kwFunction: "function", kwIf: "if", kwIn: "in",
+	kwInstanceof: "instanceof", kwNew: "new", kwReturn: "return",
+	kwSwitch: "switch", kwThis: "this", kwThrow: "throw", kwTry: "try",
+	kwTypeof: "typeof", kwVar: "var", kwVoid: "void", kwWhile: "while",
+	kwWith: "with", kwTrue: "true", kwFalse: "false", kwNull: "null",
+	kwUndefined: "undefined",
+}
+
+func (o Op) String() string {
+	if o < opCount {
+		return opText[o]
 	}
-	return false
+	return ""
 }
 
-// punctuators, longest first, for maximal-munch scanning.
-var punctuators = []string{
-	">>>=", "===", "!==", ">>>", "<<=", ">>=", "==", "!=", "<=", ">=",
-	"&&", "||", "++", "--", "<<", ">>", "+=", "-=", "*=", "/=", "%=",
-	"&=", "|=", "^=", "=>",
-	"{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*",
-	"/", "%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
+// keywordsByLead groups the keyword codes by their first letter, which is
+// all keywordOp needs to leave at most five candidates.
+var keywordsByLead = func() (t [26][]Op) {
+	for op := kwBreak; op < opCount; op++ {
+		c := opText[op][0] - 'a'
+		t[c] = append(t[c], op)
+	}
+	return t
+}()
+
+// keywordOp returns name's keyword code, opNone for a name that is not a
+// keyword. The lexer asks once per identifier, so this is an index by the
+// first letter and a few comparisons, not a hashed lookup.
+func keywordOp(name string) Op {
+	if name == "" || name[0]-'a' >= 26 {
+		return opNone
+	}
+	for _, op := range keywordsByLead[name[0]-'a'] {
+		if opText[op] == name {
+			return op
+		}
+	}
+	return opNone
 }
 
-// punctByLead groups the punctuators by their first byte, each group in
-// table order — longest first — so the first prefix match in a group is the
-// maximal munch. More than half of all tokens are punctuators, most of them
-// ( ) ; , . at the far end of the flat table.
-var punctByLead = func() (t [128][]string) {
-	for _, p := range punctuators {
-		t[p[0]] = append(t[p[0]], p)
+// punctByLead groups the punctuators by their first byte, each group
+// longest first, so the first prefix match in a group is the maximal munch.
+// More than half of all tokens are punctuators.
+var punctByLead = func() (t [128][]Op) {
+	for op := opLBrace; op < kwBreak; op++ {
+		c := opText[op][0]
+		t[c] = append(t[c], op)
+		slices.SortStableFunc(t[c], func(a, b Op) int { return len(opText[b]) - len(opText[a]) })
 	}
 	return t
 }()
@@ -100,10 +242,10 @@ type Lexer struct {
 	line int
 	col  int
 
-	// prevKind and prevText are the last token's, used to disambiguate
+	// prevKind and prevOp are the last token's, used to disambiguate
 	// '/' (division vs regex literal).
 	prevKind TokenKind
-	prevText string
+	prevOp   Op
 	// sawNewline tracks line terminators since the previous token.
 	sawNewline bool
 }
@@ -206,14 +348,14 @@ func (l *Lexer) regexAllowed() bool {
 		return false
 	case TokKeyword:
 		// After 'this', 'true', etc. a '/' is division.
-		switch l.prevText {
-		case "this", "true", "false", "null", "undefined":
+		switch l.prevOp {
+		case kwThis, kwTrue, kwFalse, kwNull, kwUndefined:
 			return false
 		}
 		return true
 	case TokPunct:
-		switch l.prevText {
-		case ")", "]", "}", "++", "--":
+		switch l.prevOp {
+		case opRParen, opRBracket, opRBrace, opInc, opDec:
 			return false
 		}
 		return true
@@ -222,20 +364,24 @@ func (l *Lexer) regexAllowed() bool {
 	}
 }
 
-// scan lexes the next token into *tok, which Tokenize points at the slot
-// the token will live in: a Token is 48 bytes, and copying one out of the
-// lexer and again into the slice was a measurable share of lexing.
+// scan lexes the next token into *tok, which tokenize points at the slot
+// the token will live in, so that a token is written once, whole.
 func (l *Lexer) scan(tok *Token) error {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return err
 	}
-	*tok = Token{Line: l.line, Col: l.col, NewlineBefore: l.sawNewline}
+	line, col, newline := int32(l.line), int32(l.col), l.sawNewline
 	l.sawNewline = false
 	if l.pos >= len(l.src) {
-		l.prevKind, l.prevText = TokEOF, ""
+		*tok = Token{Line: line, Col: col, NewlineBefore: newline}
+		l.prevKind, l.prevOp = TokEOF, opNone
 		return nil
 	}
 
+	var kind TokenKind
+	var op Op
+	var text string
+	var err error
 	c := l.src[l.pos]
 	switch {
 	case isIdentStart(c):
@@ -243,56 +389,50 @@ func (l *Lexer) scan(tok *Token) error {
 		for end < len(l.src) && isIdentPart(l.src[end]) {
 			end++
 		}
-		tok.Text = l.src[l.pos:end]
+		text = l.src[l.pos:end]
 		l.skip(end - l.pos)
-		if IsKeyword(tok.Text) {
-			tok.Kind = TokKeyword
+		if op = keywordOp(text); op != opNone {
+			kind = TokKeyword
 		} else {
-			tok.Kind = TokIdent
+			kind = TokIdent
 		}
 	case isDigit(c) || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-		text, err := l.scanNumber()
-		if err != nil {
-			return err
-		}
-		tok.Kind, tok.Text = TokNumber, text
+		kind = TokNumber
+		text, err = l.scanNumber()
 	case c == '"' || c == '\'':
-		text, err := l.scanString(c)
-		if err != nil {
-			return err
-		}
-		tok.Kind, tok.Text = TokString, text
+		kind = TokString
+		text, err = l.scanString(c)
 	case c == '/' && l.regexAllowed():
-		text, err := l.scanRegex()
-		if err != nil {
-			return err
-		}
-		tok.Kind, tok.Text = TokRegex, text
+		kind = TokRegex
+		text, err = l.scanRegex()
 	default:
-		p := l.matchPunct()
-		if p == "" {
+		if op = l.matchPunct(); op == opNone {
 			return l.errorf("unexpected character %q", c)
 		}
-		l.skip(len(p))
-		tok.Kind, tok.Text = TokPunct, p
+		kind, text = TokPunct, opText[op]
+		l.skip(len(text))
 	}
-	l.prevKind, l.prevText = tok.Kind, tok.Text
+	if err != nil {
+		return err
+	}
+	*tok = Token{Kind: kind, Op: op, NewlineBefore: newline, Line: line, Col: col, Text: text}
+	l.prevKind, l.prevOp = kind, op
 	return nil
 }
 
 // matchPunct returns the longest punctuator at the current position: the
 // first match among those that share its leading byte.
-func (l *Lexer) matchPunct() string {
+func (l *Lexer) matchPunct() Op {
 	rest := l.src[l.pos:]
 	if rest[0] >= 0x80 {
-		return ""
+		return opNone
 	}
-	for _, p := range punctByLead[rest[0]] {
-		if len(rest) >= len(p) && rest[:len(p)] == p {
-			return p
+	for _, op := range punctByLead[rest[0]] {
+		if p := opText[op]; len(p) == 1 || strings.HasPrefix(rest[1:], p[1:]) {
+			return op
 		}
 	}
-	return ""
+	return opNone
 }
 
 func (l *Lexer) scanNumber() (string, error) {
@@ -458,7 +598,7 @@ func (l *Lexer) scanRegex() (string, error) {
 // Tokenize scans all of src, returning the token stream (without the
 // trailing EOF token).
 func Tokenize(src string) ([]Token, error) {
-	toks, err := tokenize(src)
+	toks, err := tokenize(src, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -479,11 +619,16 @@ const (
 )
 
 // tokenize is Tokenize with an EOF token as the slice's last element, the
-// sentinel the parser stops at. The sentinel carries no position: parse
-// errors at end of input have always read "at 0:0".
-func tokenize(src string) ([]Token, error) {
+// sentinel the parser stops at, appended to toks[:0]. The sentinel carries
+// no position: parse errors at end of input have always read "at 0:0". On
+// an error it returns the tokens written so far beside it, so that Parse can
+// clear a pooled buffer however far the lexer got.
+func tokenize(src string, toks []Token) ([]Token, error) {
 	l := NewLexer(src)
-	toks := make([]Token, 0, firstTokens)
+	toks = toks[:0]
+	if cap(toks) == 0 {
+		toks = make([]Token, 0, firstTokens)
+	}
 	for {
 		if len(toks) == cap(toks) {
 			// By at least a quarter, or a megabyte of one-byte tokens
@@ -496,7 +641,7 @@ func tokenize(src string) ([]Token, error) {
 		toks = toks[:len(toks)+1]
 		t := &toks[len(toks)-1]
 		if err := l.scan(t); err != nil {
-			return nil, err
+			return toks, err
 		}
 		if t.Kind == TokEOF {
 			*t = Token{Kind: TokEOF}

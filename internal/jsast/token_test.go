@@ -3,6 +3,7 @@ package jsast
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func toks(t *testing.T, src string) []Token {
@@ -146,5 +147,28 @@ func TestIsKeyword(t *testing.T) {
 	}
 	if IsKeyword("offsetHeight") {
 		t.Error("offsetHeight is not a JS keyword")
+	}
+}
+
+// TestOpCodes holds every operator code to its text: the lexer gives each
+// punctuator and keyword its code, and a Token stays 32 bytes.
+func TestOpCodes(t *testing.T) {
+	if size := unsafe.Sizeof(Token{}); size > 32 {
+		t.Errorf("a Token is %d bytes, want at most 32", size)
+	}
+	for op := opNone + 1; op < opCount; op++ {
+		ts := toks(t, "a "+op.String()) // after a name, '/' divides
+		kind := TokPunct
+		if op >= kwBreak {
+			kind = TokKeyword
+		}
+		if len(ts) != 2 || ts[1].Op != op || ts[1].Kind != kind || ts[1].Text != op.String() {
+			t.Errorf("%q lexes to %v, op %d; want one %s of op %d", op.String(), ts, ts[len(ts)-1].Op, kind, op)
+		}
+	}
+	for _, tok := range toks(t, `x = 1 + "s" + /r/g`) {
+		if (tok.Kind == TokPunct) != (tok.Op != opNone) {
+			t.Errorf("%v has op %d", tok, tok.Op)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package ml
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"adwars/internal/artifact"
 	"adwars/internal/features"
@@ -324,5 +327,89 @@ func TestModelSnapshotUnsealedRefused(t *testing.T) {
 	v2 := strings.Replace(v1, `"version":1`, `"version":2`, 1)
 	if _, err := ParseModelSnapshot(artifact.Seal([]byte(v2))); err != nil {
 		t.Errorf("the same document as sealed v2: %v", err)
+	}
+}
+
+// TestSnapshotKeepsNonUTF8Features trains on scripts whose literal texts
+// are not valid UTF-8 as the source spells them: one whose 64-byte cut
+// falls inside an é, and one whose \xNN escapes decode to bytes no UTF-8
+// sequence holds. The snapshot stores the vocabulary as JSON, which
+// rewrites invalid UTF-8; the walk must therefore name each such text in
+// valid UTF-8, so that the loaded model's vocabulary is the trained one and
+// the features still fire against it.
+func TestSnapshotKeepsNonUTF8Features(t *testing.T) {
+	cut := `x("` + strings.Repeat("a", 63) + `é");`
+	latin := `y("\xe9t\xe9");`
+	var scripts []string
+	var labels []int
+	for i := 0; i < 8; i++ {
+		pos := fmt.Sprintf("var n%d = %d;", i, i)
+		if i%2 == 0 {
+			pos += cut
+		} else {
+			pos += latin
+		}
+		if i%3 == 0 {
+			pos += cut + latin
+		}
+		scripts = append(scripts, pos, fmt.Sprintf(`z("benign%d"); w("%d");`, i%3, i))
+		labels = append(labels, +1, -1)
+	}
+	var sets []map[string]bool
+	for _, src := range scripts {
+		fs, err := features.ExtractSource(src, features.SetLiteral)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, fs)
+	}
+	ds, err := features.Build(sets, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traps := 0
+	for _, f := range ds.Vocab {
+		text, literal := strings.CutPrefix(f, "Literal:")
+		if literal && (strings.HasPrefix(text, "aaa") || strings.ContainsFunc(text, func(r rune) bool { return r >= utf8.RuneSelf })) {
+			traps++
+		}
+	}
+	if traps != 2 {
+		t.Fatalf("vocabulary %q: want the two trap literals in it", ds.Vocab)
+	}
+	model, err := TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &ModelSnapshot{FeatureSet: "literal", Vocab: ds.Vocab, Model: model}
+	data, err := MarshalModelSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ParseModelSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(loaded.Vocab, snap.Vocab) {
+		t.Fatalf("vocabulary after a save and a load:\n%q\nwant\n%q", loaded.Vocab, snap.Vocab)
+	}
+	set, trained, err := snap.Projection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, served, err := loaded.Projection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range scripts {
+		a, err := trained.ProjectSource(src, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := served.ProjectSource(src, set)
+		da, db := snap.Model.Decision(a), loaded.Model.Decision(b)
+		if !slices.Equal(a, b) || math.Float64bits(da) != math.Float64bits(db) {
+			t.Errorf("%s: served sample %v decides %v, trained %v decides %v", src, b, db, a, da)
+		}
 	}
 }

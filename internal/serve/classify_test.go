@@ -27,12 +27,13 @@ func classifyAllocScripts(t *testing.T) (plain, packed string) {
 
 // TestClassifyAllocBudget is the allocation gate of the classification
 // path, so that a regression fails `go test ./...` and not only the
-// benchmark's process.allocs_per_req: one fully served /v1/classify — body
-// read, lex, parse, unpack, projection onto the vocabulary, score, JSON
-// encode — within a quarter of what the byte-dispatched lexer, chunked
-// nodes and the map-free projection brought it to (119 and 119; the parent
-// commit: 1 052 and 997). What is left is the token slice, a chunk per eight
-// nodes of a type, the statement and argument slices, and the envelope.
+// benchmark's process.allocs_per_req and process.bytes_per_req: one fully
+// served /v1/classify — body read, lex, parse, unpack, projection onto the
+// vocabulary, score, JSON encode — within a quarter of what pooled tokens,
+// one slab of lists per element type and the reply codec brought it to
+// (70 and 75 allocations, 11 632 and 14 800 bytes; the commit before them:
+// 118 and 118, 33 290 and 34 690). What is left is a chunk per eight nodes
+// of a type, the other nodes, the list slabs and the script's string.
 func TestClassifyAllocBudget(t *testing.T) {
 	if raceSrvEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -40,27 +41,44 @@ func TestClassifyAllocBudget(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
 	plain, packed := classifyAllocScripts(t)
 	for _, tc := range []struct {
-		name   string
-		script string
-		budget float64 // 1.25 × measured
+		name          string
+		script        string
+		allocs, bytes float64 // 1.25 × measured
 	}{
-		{"BlockAdBlock template", plain, 149},
-		{"eval-packed", packed, 149},
+		{"BlockAdBlock template", plain, 88, 14540},
+		{"eval-packed", packed, 94, 18500},
 	} {
 		h, w, req, rb := allocRig(s, "/v1/classify", tc.script)
-		allocs := testing.AllocsPerRun(100, func() {
+		serve := func() {
 			rb.Reset(tc.script)
 			w.status = 0
 			h.ServeHTTP(w, req)
-		})
+		}
+		allocs := testing.AllocsPerRun(100, serve)
 		if w.status != 200 {
 			t.Fatalf("%s: status = %d", tc.name, w.status)
 		}
-		if allocs > tc.budget {
-			t.Errorf("%s (%d bytes): /v1/classify allocates %.0f/op, budget is %.0f", tc.name, len(tc.script), allocs, tc.budget)
+		bytes := bytesPerRun(100, serve)
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Errorf("%s (%d bytes): /v1/classify allocates %.0f times and %.0f bytes a request, budget is %.0f and %.0f",
+				tc.name, len(tc.script), allocs, bytes, tc.allocs, tc.bytes)
 		}
-		t.Logf("%s (%d bytes): %.0f allocs/op", tc.name, len(tc.script), allocs)
+		t.Logf("%s (%d bytes): %.0f allocs/op, %.0f B/op", tc.name, len(tc.script), allocs, bytes)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap f allocates per
+// call, averaged over runs calls after a warm-up one, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestClassifyRefusesDeepNesting posts /v1/classify's whole default body

@@ -2,13 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
 
-// The typed codec of /v1/match: a decoder for MatchQuery and an encoder for
-// matchResponse that know the two types and nothing else. Both answer
-// exactly as encoding/json would (FuzzMatchQueryDecode holds them to it).
+// The typed codec of /v1/match and /v1/classify: a decoder for MatchQuery
+// and encoders for matchResponse and classifyResponse that know those types
+// and nothing else. All answer exactly as encoding/json would
+// (FuzzMatchQueryDecode and TestClassifyReplyMatchesEncoder hold them to it).
 // The decoder does so by refusing: it takes only the shape every client
 // sends and hands any other input, untouched, to json.Unmarshal.
 
@@ -223,8 +225,49 @@ func appendMatchResponse(b []byte, r *matchResponse) []byte {
 	if r.Degraded != "" {
 		b = appendJSONString(append(b, `,"degraded":`...), r.Degraded)
 	}
+	return appendSnapshot(b, &r.Snapshot)
+}
+
+// appendClassifyResponse appends r as json.Encoder.Encode writes it, byte
+// for byte, and reports whether it could: a score or decision that is NaN
+// or infinite has no JSON form, and the encoder refuses the whole value.
+func appendClassifyResponse(b []byte, r *classifyResponse) ([]byte, bool) {
+	b = strconv.AppendBool(append(b, `{"anti_adblock":`...), r.AntiAdblock)
+	var ok1, ok2 bool
+	b, ok1 = appendJSONFloat(append(b, `,"score":`...), r.Score)
+	b, ok2 = appendJSONFloat(append(b, `,"decision":`...), r.Decision)
+	b = strconv.AppendInt(append(b, `,"features":`...), int64(r.Features), 10)
+	if r.Error != "" {
+		b = appendJSONString(append(b, `,"error":`...), r.Error)
+	}
+	return appendSnapshot(b, &r.Snapshot), ok1 && ok2
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest decimal that reads back as f, in exponent form below 1e-6 and
+// from 1e21 on with the exponent's leading zero dropped. ok is false for
+// NaN and ±Inf, which json refuses.
+func appendJSONFloat(b []byte, f float64) (_ []byte, ok bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b, true
+}
+
+// appendSnapshot appends the "snapshot" member both replies end with, and
+// closes the reply.
+func appendSnapshot(b []byte, s *SnapshotInfo) []byte {
 	b = append(b, `,"snapshot":{`...)
-	if m := r.Snapshot.Model; m != nil {
+	if m := s.Model; m != nil {
 		b = appendJSONString(append(b, `"model":{"feature_set":`...), m.FeatureSet)
 		b = strconv.AppendInt(append(b, `,"vocab":`...), int64(m.Vocab), 10)
 		b = strconv.AppendInt(append(b, `,"rounds":`...), int64(m.Rounds), 10)
@@ -233,8 +276,8 @@ func appendMatchResponse(b []byte, r *matchResponse) []byte {
 		}
 		b = append(b, '}')
 	}
-	if l := r.Snapshot.Lists; l != nil {
-		if r.Snapshot.Model != nil {
+	if l := s.Lists; l != nil {
+		if s.Model != nil {
 			b = append(b, ',')
 		}
 		b = append(b, `"lists":{`...)

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,4 +169,62 @@ func FuzzMatchQueryDecode(f *testing.F) {
 		}
 		assertEncodesAsJSON(t, nastyResponse(string(data)))
 	})
+}
+
+// TestClassifyReplyMatchesEncoder holds appendClassifyResponse to
+// json.Encoder over random results: scores and decisions at the edges of
+// the encoder's number formats (zero, negative zero, subnormal, just under
+// 1e-6, 1e21 and past it, random bits), with and without an error text,
+// and with model and lists info present or absent. A NaN or infinite
+// number has no JSON form: the encoder refuses the reply, and so does
+// appendClassifyResponse, which the handler answers with its status and no
+// body, as WriteJSON did.
+func TestClassifyReplyMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-7, -1e-7,
+		1e-6, 9.999999999999999e-7, 0.5, 1, -3.25, 1e20, 1e21, -1e21, 1.7976931348623157e308,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	number := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return math.Float64frombits(rng.Uint64())
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(50)-25))
+		}
+	}
+	refused := 0
+	for i := 0; i < 20000; i++ {
+		r := classifyResponse{ClassifyResult: ClassifyResult{
+			AntiAdblock: rng.Intn(2) == 0, Score: number(), Decision: number(),
+			Features: rng.Intn(200) - 10,
+		}}
+		if rng.Intn(3) == 0 {
+			r.Error = nastyStrings[rng.Intn(len(nastyStrings))]
+		}
+		if rng.Intn(2) == 0 {
+			r.Snapshot.Model = &ModelInfo{FeatureSet: "keyword", Vocab: rng.Intn(100), Rounds: rng.Intn(5)}
+			if rng.Intn(2) == 0 {
+				r.Snapshot.Model.Version = "1108c7926a237ccb"
+			}
+		}
+		if rng.Intn(2) == 0 {
+			r.Snapshot.Lists = &ListsInfo{Label: nastyStrings[rng.Intn(len(nastyStrings))], Lists: 2, Rules: rng.Intn(1000)}
+		}
+		var want bytes.Buffer
+		err := json.NewEncoder(&want).Encode(&r)
+		got, ok := appendClassifyResponse([]byte("stale"), &r)
+		switch {
+		case ok != (err == nil):
+			t.Fatalf("%+v: appendClassifyResponse ok = %v, json.Encoder error %v", r, ok, err)
+		case !ok:
+			refused++
+		case !bytes.Equal(got[len("stale"):], want.Bytes()):
+			t.Fatalf("%+v:\n got %q\nwant %q", r, got[len("stale"):], want.Bytes())
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no non-finite result was tried")
+	}
 }

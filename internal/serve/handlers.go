@@ -569,10 +569,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if sc == nil {
 		return
 	}
+	defer matchScratchPool.Put(sc)
 	// The tokens and the tree alias the script, so it leaves the pooled
-	// buffer as an immutable string before the buffer goes back.
+	// buffer as an immutable string.
 	src := string(sc.body)
-	matchScratchPool.Put(sc)
 	if len(src) == 0 {
 		s.clientError(epClassify, w, http.StatusBadRequest, "bad_request", "empty script body")
 		return
@@ -591,10 +591,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if s.anl != nil {
 		s.recordClassify(res.AntiAdblock, time.Now())
 	}
-	chassis.WriteJSON(w, http.StatusOK, classifyResponse{
-		ClassifyResult: res,
-		Snapshot:       s.snapshotInfo(),
-	})
+	resp := classifyResponse{ClassifyResult: res, Snapshot: s.snapshotInfo()}
+	if sc.out, ok = appendClassifyResponse(sc.out[:0], &resp); !ok {
+		sc.out = sc.out[:0] // what does not encode sends its status and no body, as WriteJSON does
+	}
+	chassis.WriteBody(w, http.StatusOK, sc.out)
 }
 
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
