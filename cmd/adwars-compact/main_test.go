@@ -254,14 +254,14 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		"schema 1":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
 		"schema 7":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":7,"lists":[]}`)), abp.ErrSnapshotVersion},
 		"schema 6, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
-		"schema 5, short":       {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":2}]}`+"\n"), "rules.0", []byte("||a.example^\n"))), artifact.ErrCorrupt},
-		"schema 5, comment":     {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), "rules.0", []byte("! a comment\n"))), abp.ErrCommentLine},
+		"schema 5, short":       {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":2}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), artifact.ErrCorrupt},
+		"schema 5, comment":     {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("! a comment\n")}}), abp.ErrCommentLine},
 		"schema 5, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
 		"schema 5, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
 		"schema 5, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":5}`)), abp.ErrSnapshotFormat},
 		"schema 4":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":4,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotVersion},
 		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
-		"bad rule":              {artifact.Seal(artifact.AppendSection([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), "rules.0", []byte("##[\n"))), nil},
+		"bad rule":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("##[\n")}}), nil},
 		"not there":             {nil, os.ErrNotExist},
 	} {
 		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")

@@ -77,8 +77,10 @@ import (
 	"time"
 
 	"adwars/internal/abp"
+	"adwars/internal/analytics"
 	"adwars/internal/antiadblock"
 	"adwars/internal/chassis"
+	"adwars/internal/degrade"
 )
 
 const (
@@ -172,7 +174,7 @@ type checker struct {
 	total    *counters
 
 	usageBefore uint64
-	anlBefore   analyticsTotals
+	anlBefore   analytics.Snapshot
 }
 
 // gate is one row of the -check table. before, when set, reads the row's
@@ -635,22 +637,10 @@ func (ck *checker) usage() (string, error) {
 	return fmt.Sprintf("server hit delta %d == %d parsed match verdicts", delta, ck.total.matchHits), nil
 }
 
-// analyticsTotals is the slice of the /admin/analytics snapshot the
-// reconciliation reads: cumulative per-"kind/verdict" totals plus the
-// accounting counters that prove nothing was dropped or sampled away.
-type analyticsTotals struct {
-	Enabled  bool              `json:"enabled"`
-	Totals   map[string]uint64 `json:"totals"`
-	Counters struct {
-		Recorded      uint64  `json:"recorded"`
-		Dropped       uint64  `json:"dropped"`
-		SampledOut    uint64  `json:"sampled_out"`
-		RingOccupancy int     `json:"ring_occupancy"`
-		SampleRate    float64 `json:"sample_rate"`
-	} `json:"counters"`
-}
-
-func (ck *checker) analyticsNow() (at analyticsTotals, err error) {
+// analyticsNow reads the /admin/analytics snapshot: the reconciliation reads
+// its cumulative per-"kind/verdict" totals and the accounting counters that
+// prove nothing was dropped or sampled away.
+func (ck *checker) analyticsNow() (at analytics.Snapshot, err error) {
 	if err = getJSON(ck.client, ck.target+"/admin/analytics", &at); err != nil {
 		return at, fmt.Errorf("%w (server not running -analytics?)", err)
 	}
@@ -691,7 +681,7 @@ func (ck *checker) analytics() (string, error) {
 	}
 	// Poll until the rings are empty and the recorded delta covers the
 	// ledger (the consumer drains on a few-ms cadence; 3s is generous).
-	var after analyticsTotals
+	var after analytics.Snapshot
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		at, err := ck.analyticsNow()
@@ -743,14 +733,7 @@ func (ck *checker) degrade() (string, error) {
 	}
 	var ladders []string
 	for _, u := range ck.replicas {
-		var snap struct {
-			Level       string `json:"level"`
-			LevelNum    int    `json:"level_num"`
-			PeakLevel   int    `json:"peak_level"`
-			Transitions uint64 `json:"transitions"`
-			StepUps     uint64 `json:"step_ups"`
-			StepDowns   uint64 `json:"step_downs"`
-		}
+		var snap degrade.Snapshot
 		deadline := time.Now().Add(15 * time.Second)
 		for {
 			if err := getJSON(ck.client, u+"/admin/degrade", &snap); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
 	"adwars/internal/degrade"
-	"adwars/internal/ml"
 	"adwars/internal/serve"
 )
 
@@ -73,19 +73,16 @@ type fixture struct {
 // one invariant.
 func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) http.Handler) *fixture {
 	t.Helper()
-	model, err := ml.ParseModelSnapshot(artifact.Seal([]byte(testModelJSON)))
-	if err != nil {
+	dir := t.TempDir()
+	cfg.ListsPath, cfg.ModelPath = filepath.Join(dir, "lists.json"), filepath.Join(dir, "model.json")
+	if err := abp.SaveListsSnapshot(cfg.ListsPath, testSnapshot(t, "test")); err != nil {
 		t.Fatal(err)
 	}
-	snap := testSnapshot(t, "test")
-	f := &fixture{srv: serve.New(cfg), lists: filepath.Join(t.TempDir(), "lists.json")}
-	if err := abp.SaveListsSnapshot(f.lists, snap); err != nil {
+	if err := os.WriteFile(cfg.ModelPath, artifact.Seal([]byte(testModelJSON)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.SetModelSnapshot(model); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.srv.SetListsSnapshot(snap); err != nil {
+	f := &fixture{srv: serve.New(cfg), lists: cfg.ListsPath}
+	if err := f.srv.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
 	h := f.srv.Handler()
@@ -377,15 +374,17 @@ func TestRefusedBeforeFiring(t *testing.T) {
 
 // TestProbePinned: -probe's output for a fixed server, byte for byte — it
 // is what the scenario table compares between a control and a survivor.
+// The server loads its snapshots from files, so the output names their
+// artifact versions.
 func TestProbePinned(t *testing.T) {
 	f := newFixture(t, serve.Config{}, nil)
 	var out, errb bytes.Buffer
 	if code := run([]string{"-target", f.url, "-probe"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1},"lists":{"label":"test","lists":2,"rules":4}}}
+	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"2afa695e5d6dde5f"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
 
-classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1},"lists":{"label":"test","lists":2,"rules":4}}}
+classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"2afa695e5d6dde5f"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
 
 `
 	if out.String() != want {

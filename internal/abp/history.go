@@ -113,30 +113,6 @@ func (h *History) Latest() (Revision, bool) {
 	return h.revisions[len(h.revisions)-1], true
 }
 
-// ClassSeries returns, for each revision, the revision time and the rule
-// count per Figure 1 class. This is exactly the data behind Figure 1.
-func (h *History) ClassSeries() []ClassPoint {
-	out := make([]ClassPoint, 0, len(h.revisions))
-	for _, rev := range h.revisions {
-		p := ClassPoint{Time: rev.Time, Counts: make(map[Class]int, len(AllClasses))}
-		for _, r := range rev.Rules {
-			if c := r.Class(); c != ClassUnknown {
-				p.Counts[c]++
-				p.Total++
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// ClassPoint is one revision's rule-count breakdown by class.
-type ClassPoint struct {
-	Time   time.Time
-	Counts map[Class]int
-	Total  int
-}
-
 // DomainFirstSeen returns, for every domain ever targeted by the list, the
 // time of the first revision whose rules target it. Figure 3 and Figure 7
 // are computed from these times.

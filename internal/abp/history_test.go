@@ -64,22 +64,6 @@ func TestHistoryListAt(t *testing.T) {
 	}
 }
 
-func TestClassSeries(t *testing.T) {
-	h := NewHistory("x")
-	h.Append(day(2014, 1, 1), rules(t, "||a.com^", "b.com###x"))
-	h.Append(day(2014, 2, 1), rules(t, "||a.com^", "b.com###x", "/ads.js"))
-	series := h.ClassSeries()
-	if len(series) != 2 {
-		t.Fatalf("len(series) = %d", len(series))
-	}
-	if series[0].Total != 2 || series[1].Total != 3 {
-		t.Fatalf("totals = %d, %d", series[0].Total, series[1].Total)
-	}
-	if series[1].Counts[ClassHTTPPlain] != 1 {
-		t.Error("plain HTTP rule not counted")
-	}
-}
-
 func TestDomainFirstSeen(t *testing.T) {
 	h := NewHistory("x")
 	h.Append(day(2014, 1, 1), rules(t, "||a.com^"))
@@ -101,6 +85,14 @@ func TestChurnPerRevision(t *testing.T) {
 	// Revision 2 added 2 rules, revision 3 added 0 → mean 1.0.
 	if got := h.ChurnPerRevision(); got != 1.0 {
 		t.Fatalf("churn = %v, want 1.0", got)
+	}
+	h = NewHistory("y")
+	h.Append(day(2014, 1, 1), rules(t, "||a.com^"))
+	h.Append(day(2014, 2, 1), rules(t, "||a.com^", "||b.com^", "||c.com^"))
+	h.Append(day(2014, 3, 1), rules(t, "||a.com^", "||b.com^", "||c.com^", "||d.com^"))
+	// 2 added, then 1 → mean 1.5.
+	if got := h.ChurnPerRevision(); got != 1.5 {
+		t.Fatalf("churn = %v, want 1.5", got)
 	}
 }
 

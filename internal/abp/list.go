@@ -470,6 +470,22 @@ func (l *List) Domains() []string {
 	return sortedKeys(seen)
 }
 
+// RulesForDomain returns the rules in a list that target the given domain,
+// in insertion order — the §3.3 comparison of how two lists implement
+// rules for the same site (Codes 9 and 10 in the paper).
+func (l *List) RulesForDomain(domain string) []*Rule {
+	var out []*Rule
+	for _, r := range l.rules {
+		for _, d := range r.TargetDomains() {
+			if d == domain {
+				out = append(out, r)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // ExceptionDomainSplit returns the sets of domains that appear in exception
 // rules and in non-exception rules (a domain can appear in both). §3.3 uses
 // the ratio of the two set sizes.

@@ -102,6 +102,29 @@ func TestListDomains(t *testing.T) {
 	}
 }
 
+func TestRulesForDomain(t *testing.T) {
+	l := buildList(t, "test",
+		"yocast.tv###notice",
+		"||yocast.tv/ads.js",
+		"||pagefair.com^$third-party",
+		"||pagefair.com/static/d.min.js$domain=majorleaguegaming.com",
+	)
+	got := l.RulesForDomain("yocast.tv")
+	if len(got) != 2 {
+		t.Fatalf("yocast.tv rules = %v", got)
+	}
+	// The anchor+tag rule targets both pagefair.com and the tagged site.
+	if got := l.RulesForDomain("majorleaguegaming.com"); len(got) != 1 {
+		t.Fatalf("mlg rules = %v", got)
+	}
+	if got := l.RulesForDomain("pagefair.com"); len(got) != 2 {
+		t.Fatalf("pagefair rules = %v", got)
+	}
+	if got := l.RulesForDomain("absent.com"); len(got) != 0 {
+		t.Fatalf("absent rules = %v", got)
+	}
+}
+
 func TestExceptionDomainSplit(t *testing.T) {
 	l := buildList(t, "test",
 		"@@||numerama.com/ads.js",

@@ -16,7 +16,7 @@ import (
 // adwars-serve loads them and answers /v1/match from the result. There is one
 // schema. A snapshot is a small JSON header — format, version, label and, per
 // list, its name and rule count — followed by framed sections
-// (artifact.AppendSection), all sealed under an artifact integrity trailer:
+// (artifact.SealSections), all sealed under an artifact integrity trailer:
 //
 //	rules.<i>           list i's rules: the canonical source lines (Rule.Raw)
 //	                    in ordinal order, each newline-terminated

@@ -59,9 +59,13 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 		t.Fatal(err)
 	}
 	frame := func(names, data []artifact.Section) []byte {
-		p := bytes.Clone(primary)
+		secs := make([]artifact.Section, len(names))
 		for i := range names {
-			p = artifact.AppendSection(p, names[i].Name, data[i].Data)
+			secs[i] = artifact.Section{Name: names[i].Name, Data: data[i].Data}
+		}
+		p, _, err := artifact.OpenVersion(artifact.SealSections(primary, secs))
+		if err != nil {
+			t.Fatal(err)
 		}
 		return p
 	}
@@ -95,7 +99,7 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 // the section parser and the list loaders behind the trailer's checksum.
 // Behind that stands each section's own checksum, so a third file lays
 // patch over the bytes of one section (sec, at off) and frames every
-// section anew with artifact.AppendSection. Hostile bytes inside a rules
+// section anew with artifact.SealSections. Hostile bytes inside a rules
 // section reach the line loop and the strict line rule: that file is
 // refused, or answers as a fresh compile of the lines that loaded. Hostile
 // bytes inside an automaton reach openAutomaton and attachHot, which prove
@@ -154,8 +158,8 @@ func FuzzReadListsSnapshot(f *testing.F) {
 		resealed := artifact.Seal(payload)
 		load(resealed, assertMatchesOracle)
 		if primary, secs, _, err := artifact.OpenSections(resealed); err == nil && len(secs) > 0 && len(patch) > 0 {
-			p := bytes.Clone(primary)
 			assert := assertNoInventedHit
+			patched := make([]artifact.Section, len(secs))
 			for k, s := range secs {
 				d := s.Data
 				if k == int(sec)%len(secs) && len(d) > 0 {
@@ -165,9 +169,9 @@ func FuzzReadListsSnapshot(f *testing.F) {
 						assert = assertMatchesOracle
 					}
 				}
-				p = artifact.AppendSection(p, s.Name, d)
+				patched[k] = artifact.Section{Name: s.Name, Data: d}
 			}
-			load(artifact.Seal(p), assert)
+			load(artifact.SealSections(primary, patched), assert)
 		}
 	})
 }

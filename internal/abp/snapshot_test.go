@@ -259,9 +259,9 @@ func TestListsSnapshotCompiledCorruption(t *testing.T) {
 		}
 	})
 
-	payload, err := artifact.Open(data)
+	payload, _, err := artifact.OpenVersion(data)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenVersion: %v", err)
 	}
 
 	t.Run("bit flip in section, resealed", func(t *testing.T) {
@@ -328,13 +328,13 @@ func reframeUnder(t *testing.T, file []byte, header func([]byte) []byte, edit fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := header(bytes.Clone(primary))
+	var edited []artifact.Section
 	for _, sec := range secs {
 		for _, out := range edit(sec) {
-			p = artifact.AppendSection(p, out.Name, out.Data)
+			edited = append(edited, artifact.Section{Name: out.Name, Data: out.Data})
 		}
 	}
-	return artifact.Seal(p)
+	return artifact.SealSections(header(bytes.Clone(primary)), edited)
 }
 
 // without is the reframe edit that leaves out the named sections.

@@ -518,12 +518,16 @@ func TestUsageCounters(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", got, want)
 		}
 	}
-	if total := l.Usage().Total(); total != 5 {
-		t.Fatalf("total = %d, want 5", total)
+	if n, fired := l.UsageProfile(); n != 3 || !slices.Equal(fired, [][2]uint64{{0, 2}, {1, 1}, {2, 2}}) {
+		t.Fatalf("UsageProfile = %d, %v; want 3 HTTP rules, each fired", n, fired)
 	}
 	// Disabled lists record nothing and stay nil.
-	if NewList("off", l.Rules()).Usage() != nil {
+	off := NewList("off", l.Rules())
+	if off.Usage() != nil {
 		t.Fatal("usage bank present without EnableUsage")
+	}
+	if n, fired := off.UsageProfile(); n != 3 || fired == nil || len(fired) != 0 {
+		t.Fatalf("UsageProfile without counters = %d, %v; want 3 HTTP rules, none fired", n, fired)
 	}
 }
 
@@ -601,7 +605,7 @@ func TestUsageStress(t *testing.T) {
 					return
 				default:
 				}
-				if tot := list.Usage().Total(); tot < last {
+				if tot := usageTotal(list); tot < last {
 					t.Error("usage total went backwards")
 					return
 				} else {
@@ -622,16 +626,18 @@ func TestUsageStress(t *testing.T) {
 	if want == 0 {
 		t.Fatal("stress issued no matching verdicts")
 	}
-	if got := list.Usage().Total(); got != want {
-		t.Fatalf("usage total %d != issued matches %d", got, want)
+	if got := usageTotal(list); got != want {
+		t.Fatalf("per-ordinal counts sum %d != issued matches %d", got, want)
 	}
+}
+
+// usageTotal is the merged hit count across all of l's rules.
+func usageTotal(l *List) uint64 {
 	var sum uint64
-	for _, c := range list.Usage().Counts() {
+	for _, c := range l.Usage().Counts() {
 		sum += c
 	}
-	if sum != want {
-		t.Fatalf("per-ordinal counts sum %d != issued matches %d", sum, want)
-	}
+	return sum
 }
 
 // TestUsageShardSpread sanity-checks the stack-address shard hash: under

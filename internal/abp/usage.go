@@ -105,16 +105,27 @@ func (u *Usage) Counts() []uint64 {
 	return out
 }
 
-// Total returns the merged hit count across all rules.
-func (u *Usage) Total() uint64 {
-	var t uint64
-	for i := range u.banks {
-		c := u.banks[i].counters[:u.rules]
-		for ord := range c {
-			t += c[ord].Load()
+// UsageProfile is the one count of which rules fire: how many of the list's
+// rules are HTTP rules, and every HTTP rule that won a verdict as an
+// (ordinal, hits) pair in ordinal order. An HTTP rule not among them is dead;
+// element-hiding rules never take the match path, so they are in neither
+// count. Without usage counters nothing has fired.
+func (l *List) UsageProfile() (httpRules int, fired [][2]uint64) {
+	var counts []uint64
+	if l.usage != nil {
+		counts = l.usage.Counts()
+	}
+	fired = make([][2]uint64, 0, 16)
+	for ord, r := range l.rules {
+		if !r.IsHTTP() {
+			continue
+		}
+		httpRules++
+		if counts != nil && counts[ord] > 0 {
+			fired = append(fired, [2]uint64{uint64(ord), counts[ord]})
 		}
 	}
-	return t
+	return httpRules, fired
 }
 
 // EnableUsage attaches a hit-counter bank to the list. It must be called

@@ -2,6 +2,7 @@ package antiadblock
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,7 +175,7 @@ func TestDeploymentApply(t *testing.T) {
 	p := web.NewPage("dailynews.com", "Daily News")
 	d.Apply(p, rng, GenOptions{})
 
-	if p.Root.Find(d.NoticeID) == nil {
+	if !slices.ContainsFunc(p.Elements(), func(e *web.Element) bool { return e.ID == d.NoticeID }) {
 		t.Fatal("warning overlay not injected")
 	}
 	foundScriptReq, foundBaitReq := false, false

@@ -11,7 +11,7 @@
 // checksummed (a bit flip anywhere in the payload breaks the CRC). The
 // line starts with '#', which can never begin a JSON document, so a reader
 // that takes the first line and ignores the rest still finds the payload.
-// An artifact is sealed or it is refused: Open reports input without a
+// An artifact is sealed or it is refused: OpenVersion reports input without a
 // trailer as corrupt ("missing-trailer"), so a file whose trailer was cut
 // off is caught here and no format owner checks for it again.
 // A payload with binary sections (section.go) opens with OpenSections,
@@ -62,7 +62,7 @@ func Corruptf(reason, format string, args ...any) error {
 	return &CorruptError{Reason: reason, Detail: fmt.Sprintf(format, args...)}
 }
 
-// crcTable is the ECMA polynomial table shared by Seal and Open.
+// crcTable is the ECMA polynomial table shared by Seal and OpenVersion.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Checksum returns the CRC64 (ECMA) of payload — the value carried in the
@@ -132,18 +132,11 @@ func appendTrailer(payload []byte, crc uint64) []byte {
 	return fmt.Appendf(payload, "%sv%d len=%d crc64=%016x\n", TrailerPrefix, TrailerVersion, n, crc)
 }
 
-// Open splits data into payload and trailer and verifies the trailer. It
-// returns the payload of a sealed artifact that verifies, and a
-// CorruptError when the trailer is missing, malformed, or fails its length
-// or checksum check.
-func Open(data []byte) (payload []byte, err error) {
-	payload, _, err = OpenVersion(data)
-	return payload, err
-}
-
-// OpenVersion is Open and Version in one pass over data: the payload and
-// the artifact's content version — the trailer's CRC, once the payload has
-// verified against it.
+// OpenVersion splits data into payload and trailer and verifies the
+// trailer. It returns the payload of a sealed artifact that verifies and the
+// artifact's content version — the trailer's CRC, once the payload has
+// verified against it — and a CorruptError when the trailer is missing,
+// malformed, or fails its length or checksum check.
 func OpenVersion(data []byte) (payload []byte, version string, err error) {
 	payload, want, err := trailerFrame(data)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		"line one\nline two\n",
 	} {
 		sealed := Seal([]byte(payload))
-		got, err := Open(sealed)
+		got, err := open(sealed)
 		if err != nil {
 			t.Fatalf("payload %q: %v", payload, err)
 		}
@@ -31,7 +31,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 // TestOpenRefusesUnsealed: input without a trailer — a file from before
 // sealing, a file whose trailer was cut off, nothing at all — is
-// missing-trailer from Open, OpenVersion and Version alike.
+// missing-trailer from OpenVersion and Version alike.
 func TestOpenRefusesUnsealed(t *testing.T) {
 	sealed := Seal([]byte("{\"a\":1}\n"))
 	for name, data := range map[string][]byte{
@@ -40,10 +40,10 @@ func TestOpenRefusesUnsealed(t *testing.T) {
 		"empty":           nil,
 		"prefix mid-line": []byte("x " + TrailerPrefix + "v1 len=0 crc64=0000000000000000\n"),
 	} {
-		payload, err := Open(data)
+		payload, err := open(data)
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Reason != "missing-trailer" || payload != nil {
-			t.Errorf("%s: Open = (%q, %v), want missing-trailer", name, payload, err)
+			t.Errorf("%s: OpenVersion = (%q, %v), want missing-trailer", name, payload, err)
 		}
 		if p, v, err := OpenVersion(data); !errors.As(err, &ce) || ce.Reason != "missing-trailer" || p != nil || v != "" {
 			t.Errorf("%s: OpenVersion = (%q, %q, %v), want missing-trailer", name, p, v, err)
@@ -59,7 +59,7 @@ func TestOpenDetectsPayloadBitFlip(t *testing.T) {
 	for _, i := range []int{0, 5, 12, 20} {
 		damaged := bytes.Clone(sealed)
 		damaged[i] ^= 0x20
-		_, err := Open(damaged)
+		_, err := open(damaged)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: err = %v, want ErrCorrupt", i, err)
 		}
@@ -75,22 +75,22 @@ func TestOpenDetectsTrailerDamage(t *testing.T) {
 	// Flip a checksum hex digit.
 	i := strings.LastIndex(sealed, "crc64=") + len("crc64=")
 	flipped := sealed[:i] + flipHex(sealed[i]) + sealed[i+1:]
-	if _, err := Open([]byte(flipped)); !errors.Is(err, ErrCorrupt) {
+	if _, err := open([]byte(flipped)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("flipped crc digit: err = %v, want ErrCorrupt", err)
 	}
 	// Mangle the length field.
 	mangled := strings.Replace(sealed, "len=", "len=9", 1)
-	if _, err := Open([]byte(mangled)); !errors.Is(err, ErrCorrupt) {
+	if _, err := open([]byte(mangled)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mangled length: err = %v, want ErrCorrupt", err)
 	}
 	// Unsupported trailer version.
 	future := strings.Replace(sealed, " v1 ", " v99 ", 1)
-	if _, err := Open([]byte(future)); !errors.Is(err, ErrCorrupt) {
+	if _, err := open([]byte(future)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("future trailer version: err = %v, want ErrCorrupt", err)
 	}
 	// Garbage after the prefix.
 	garbage := []byte("payload\n" + TrailerPrefix + "what even is this\n")
-	if _, err := Open(garbage); !errors.Is(err, ErrCorrupt) {
+	if _, err := open(garbage); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("garbage trailer: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestOpenDetectsTornPayload(t *testing.T) {
 	// Remove bytes from the middle so the trailer survives but frames the
 	// wrong length — the shape of a torn write that lost a block.
 	torn := append(bytes.Clone(sealed[:5]), sealed[10:]...)
-	_, err := Open(torn)
+	_, err := open(torn)
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Reason != "length-mismatch" {
 		t.Fatalf("torn payload: err = %v, want length-mismatch", err)
@@ -134,13 +134,13 @@ func flipHex(c byte) string {
 }
 
 // TestVersionIsPayloadChecksum: the version of a sealed artifact is read off
-// the trailer Open verified, and is still the payload's CRC64 — the same for
+// the trailer OpenVersion verified, and is still the payload's CRC64 — the same for
 // the sealed file and one sealed again; a corrupt artifact has none.
 func TestVersionIsPayloadChecksum(t *testing.T) {
 	for _, payload := range []string{"{\"a\":1}\n", "no trailing newline", ""} {
 		want := fmt.Sprintf("%016x", Checksum([]byte(payload)))
 		sealed := Seal([]byte(payload))
-		opened, err := Open(sealed)
+		opened, err := open(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestVersionIsPayloadChecksum(t *testing.T) {
 	}
 }
 
-// TestSealSections: one sized buffer holds exactly what AppendSection and
+// TestSealSections: one sized buffer holds exactly what appendSection and
 // Seal build step by step, and the size was enough.
 func TestSealSections(t *testing.T) {
 	primary := []byte("{\"doc\":true}\n")
@@ -178,12 +178,12 @@ func TestSealSections(t *testing.T) {
 		want := bytes.Clone(primary)
 		size := len(primary) + trailerBound
 		for _, sec := range secs {
-			want = AppendSection(want, sec.Name, sec.Data)
+			want = appendSection(want, sec.Name, sec.Data, Checksum(sec.Data))
 			size += len(sec.Name) + len(sec.Data) + sectionBound
 		}
 		got := SealSections(primary, secs)
 		if !bytes.Equal(got, Seal(want)) {
-			t.Fatalf("%d sections: SealSections differs from AppendSection + Seal", len(secs))
+			t.Fatalf("%d sections: SealSections differs from appendSection + Seal", len(secs))
 		}
 		if cap(got) != size {
 			t.Errorf("%d sections: buffer regrown: cap %d, sized %d", len(secs), cap(got), size)
@@ -235,8 +235,8 @@ func TestSealSectionsTrustsGivenCRC(t *testing.T) {
 		if _, secs, v, err := OpenSections(sealed); !errors.As(err, &ce) || ce.Reason != "checksum-mismatch" || secs != nil || v != "" {
 			t.Errorf("crc %016x: OpenSections = (%d sections, %q, %v), want checksum-mismatch", crc, len(secs), v, err)
 		}
-		if p, err := Open(sealed); !errors.As(err, &ce) || ce.Reason != "checksum-mismatch" || p != nil {
-			t.Errorf("crc %016x: Open = %v, want checksum-mismatch", crc, err)
+		if p, err := open(sealed); !errors.As(err, &ce) || ce.Reason != "checksum-mismatch" || p != nil {
+			t.Errorf("crc %016x: OpenVersion = %v, want checksum-mismatch", crc, err)
 		}
 	}
 }
@@ -338,4 +338,10 @@ func BenchmarkOpenSections(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// open is OpenVersion without the version.
+func open(data []byte) ([]byte, error) {
+	payload, _, err := OpenVersion(data)
+	return payload, err
 }

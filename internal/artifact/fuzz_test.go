@@ -23,12 +23,12 @@ var knownReasons = map[string]bool{
 	"section-checksum-mismatch": true,
 }
 
-// FuzzParseTrailer drives Open (and through it parseTrailer) with
+// FuzzParseTrailer drives OpenVersion (and through it parseTrailer) with
 // arbitrary bytes, seeded with the corruption matrix the unit tests
 // enumerate: valid sealed artifacts, payload bit flips, trailer digit
 // flips, mangled length fields, future trailer versions, garbage after
 // the prefix, torn payloads, and unsealed files. The invariants:
-// Open never panics, every failure is a structured CorruptError wrapping
+// OpenVersion never panics, every failure is a structured CorruptError wrapping
 // ErrCorrupt with a known reason tag, a clean sealed open re-seals to the
 // identical artifact, and Version agrees with the payload checksum.
 func FuzzParseTrailer(f *testing.F) {
@@ -61,27 +61,27 @@ func FuzzParseTrailer(f *testing.F) {
 	f.Add([]byte(""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := Open(data)
+		payload, err := open(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Open error does not wrap ErrCorrupt: %v", err)
+				t.Fatalf("OpenVersion error does not wrap ErrCorrupt: %v", err)
 			}
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Open error is not a CorruptError: %v", err)
+				t.Fatalf("OpenVersion error is not a CorruptError: %v", err)
 			}
 			if !knownReasons[ce.Reason] {
 				t.Fatalf("unknown corruption reason %q", ce.Reason)
 			}
 			if _, verr := Version(data); verr == nil {
-				t.Fatal("Version succeeded on an artifact Open rejected")
+				t.Fatal("Version succeeded on an artifact OpenVersion rejected")
 			}
 			return
 		}
 		// A clean open must survive the seal→open round trip bit-for-bit,
 		// and version identically before and after sealing.
 		resealed := Seal(payload)
-		p2, err2 := Open(resealed)
+		p2, err2 := open(resealed)
 		if err2 != nil {
 			t.Fatalf("reseal of clean payload failed: %v", err2)
 		}
@@ -90,7 +90,7 @@ func FuzzParseTrailer(f *testing.F) {
 		}
 		v1, err := Version(data)
 		if err != nil {
-			t.Fatalf("Version failed on an artifact Open accepted: %v", err)
+			t.Fatalf("Version failed on an artifact OpenVersion accepted: %v", err)
 		}
 		v2, err := Version(resealed)
 		if err != nil || v1 != v2 {
@@ -100,7 +100,7 @@ func FuzzParseTrailer(f *testing.F) {
 }
 
 // splitTwoPass is the section reader OpenSections replaced, verbatim but for
-// its name: run on the payload Open returns, it re-reads every section byte
+// its name: run on the payload OpenVersion returns, it re-reads every section byte
 // the whole-payload check has just summed. FuzzOpenSections holds the
 // one-pass reader to it.
 func splitTwoPass(payload []byte) (primary []byte, sections []Section, err error) {
@@ -185,7 +185,7 @@ func tieredSnapshot() (file []byte, sections []Section) {
 	return SealSections(primary, sections), sections
 }
 
-// FuzzOpenSections holds OpenSections to Open followed by the two-pass
+// FuzzOpenSections holds OpenSections to OpenVersion followed by the two-pass
 // section reader: the same accept or refuse, the same CorruptError reason,
 // the same primary, section names, bytes and CRCs, and the same version; and
 // what opens seals again into a file that opens to the same sections. Its
@@ -197,7 +197,7 @@ func tieredSnapshot() (file []byte, sections []Section) {
 // section, resealed; and its sections reordered, duplicated and renamed.
 func FuzzOpenSections(f *testing.F) {
 	file, secs := tieredSnapshot()
-	payload, err := Open(file)
+	payload, err := open(file)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func FuzzOpenSections(f *testing.F) {
 	frame := func(order ...Section) {
 		p := bytes.Clone(payload[:first])
 		for _, s := range order {
-			p = AppendSection(p, s.Name, s.Data)
+			p = appendSection(p, s.Name, s.Data, Checksum(s.Data))
 		}
 		f.Add(Seal(p))
 	}
@@ -254,7 +254,7 @@ func FuzzOpenSections(f *testing.F) {
 		var wantPrimary []byte
 		var wantSections []Section
 		var wantVersion string
-		payload, wantErr := Open(data)
+		payload, wantErr := open(data)
 		if wantErr == nil {
 			wantPrimary, wantSections, wantErr = splitTwoPass(payload)
 			wantVersion, _ = Version(data)

@@ -33,7 +33,7 @@ import (
 // Each side sums every byte once: the trailer's CRC is the section CRCs
 // folded together with the framing bytes between them (crcCombine). A reader
 // compares the trailer's CRC first, so a bit flip anywhere is
-// "checksum-mismatch" exactly as Open reports it, and the section CRCs second;
+// "checksum-mismatch" exactly as OpenVersion reports it, and the section CRCs second;
 // when a frame is broken there is nothing to fold, and the whole payload is
 // summed instead.
 const (
@@ -58,15 +58,9 @@ type Section struct {
 	CRC  uint64
 }
 
-// AppendSection appends a framed binary section to a payload under
-// construction and returns the extended payload. name must be non-empty
-// and free of spaces and control characters. The result is meant to be
-// sealed (artifact.Seal) once all sections are appended.
-func AppendSection(payload []byte, name string, data []byte) []byte {
-	return appendSection(payload, name, data, Checksum(data))
-}
-
-// appendSection is AppendSection given crc, the checksum of data.
+// appendSection appends a framed binary section to a payload under
+// construction and returns the extended payload; crc is the checksum of
+// data. name must be non-empty and free of spaces and control characters.
 func appendSection(payload []byte, name string, data []byte, crc uint64) []byte {
 	if name == "" || strings.ContainsAny(name, " \t\n\r") {
 		panic(fmt.Sprintf("artifact: invalid section name %q", name))
@@ -93,15 +87,15 @@ func appendSection(payload []byte, name string, data []byte, crc uint64) []byte 
 	return payload
 }
 
-// sectionBound is more than the framing AppendSection puts around a
+// sectionBound is more than the framing appendSection puts around a
 // section's name and data: a separating newline, the header's fixed text
 // with a 19-digit length and 16 hex digits, seven bytes of padding and the
 // closing newline come to 87 bytes.
 const sectionBound = 96
 
 // SealSections returns primary followed by the sections, each framed as
-// AppendSection frames it, and the integrity trailer: what Seal makes of
-// the payload AppendSection builds, in one buffer sized from the section
+// appendSection frames it, and the integrity trailer: what Seal makes of
+// the payload appendSection builds, in one buffer sized from the section
 // lengths and filled once, with each section's data summed at most once.
 func SealSections(primary []byte, sections []Section) []byte {
 	n := len(primary) + trailerBound
@@ -133,7 +127,7 @@ var sectionMark = []byte("\n" + SectionPrefix)
 // OpenSections is OpenVersion plus the split of the payload into its
 // primary document and binary sections, in one pass over data: each
 // section's data is summed once and the sums are folded into the payload's
-// checksum. A file is refused for the reason Open followed by a walk of the
+// checksum. A file is refused for the reason OpenVersion followed by a walk of the
 // sections would give (see the top of the file). Payloads with no sections
 // return (payload, nil, version, nil). Primary and every Data alias data.
 func OpenSections(data []byte) (primary []byte, sections []Section, version string, err error) {

@@ -22,14 +22,6 @@ type HTTPTrigger struct {
 	Decision abp.Decision
 }
 
-// HTMLTrigger records one element hiding rule firing on one element.
-type HTMLTrigger struct {
-	// ElementID is the id of the hidden element ("" for id-less ones).
-	ElementID string
-	// Rule is the element hiding rule that hid it.
-	Rule *abp.Rule
-}
-
 // MatchHTTPURLs matches a set of request URLs (already truncated to live
 // URLs) against a list and returns the triggers. pageDomain scopes
 // $domain= and $third-party options.
@@ -93,22 +85,4 @@ func guessType(u string) abp.RequestType {
 	default:
 		return abp.TypeOther
 	}
-}
-
-// OpenArchivedHTML loads archived page HTML in the "browser" with the
-// given filter list subscribed, and returns the element hiding triggers —
-// §4.2's HTML-rule detection step.
-func OpenArchivedHTML(list *abp.List, html, pageDomain string) []HTMLTrigger {
-	views := DOMViews(html)
-	if views == nil {
-		return nil
-	}
-	hidden := list.HiddenElements(pageDomain, views)
-	out := make([]HTMLTrigger, 0, len(hidden))
-	for i := range views {
-		if rule, ok := hidden[i]; ok {
-			out = append(out, HTMLTrigger{ElementID: views[i].ID, Rule: rule})
-		}
-	}
-	return out
 }

@@ -75,17 +75,23 @@ func TestOpenArchivedHTML(t *testing.T) {
 <div id="content">hello</div>
 </body></html>`
 	list := buildList(t, "dailynews.com###noticeMain")
-	triggers := OpenArchivedHTML(list, html, "dailynews.com")
-	if len(triggers) != 1 || triggers[0].ElementID != "noticeMain" {
-		t.Fatalf("triggers = %+v", triggers)
+	views := DOMViews(html)
+	hidden := list.HiddenElements("dailynews.com", views)
+	if len(hidden) != 1 {
+		t.Fatalf("hidden = %+v", hidden)
+	}
+	for i := range hidden {
+		if views[i].ID != "noticeMain" {
+			t.Fatalf("hid element %q, want noticeMain", views[i].ID)
+		}
 	}
 	// Domain-scoped rule must not fire elsewhere.
-	if got := OpenArchivedHTML(list, html, "other.com"); len(got) != 0 {
+	if got := list.HiddenElements("other.com", views); len(got) != 0 {
 		t.Fatalf("rule fired off-domain: %+v", got)
 	}
 	// Broken HTML must not panic.
-	if got := OpenArchivedHTML(list, "", "dailynews.com"); got != nil {
-		t.Fatalf("empty HTML produced triggers: %+v", got)
+	if got := DOMViews(""); got != nil {
+		t.Fatalf("empty HTML produced views: %+v", got)
 	}
 }
 
@@ -135,7 +141,7 @@ func TestReplaySnapshotTruncatesWaybackURLs(t *testing.T) {
 	if len(MatchHTTPURLs(l, urls, snap.Ref.Domain)) == 0 {
 		t.Fatal("rewritten vendor URL should match after truncation")
 	}
-	if len(OpenArchivedHTML(l, snap.HTML, snap.Ref.Domain)) == 0 {
+	if len(l.HiddenElements(snap.Ref.Domain, DOMViews(snap.HTML))) == 0 {
 		t.Fatal("archived notice should trigger the HTML rule")
 	}
 }

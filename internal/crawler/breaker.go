@@ -105,6 +105,3 @@ func (b *Breaker) Penalty() time.Duration {
 	defer b.mu.Unlock()
 	return b.penalty
 }
-
-// State names the breaker state, for logs and tests.
-func (b *Breaker) State() string { return b.circuit.State() }

@@ -11,9 +11,9 @@ func TestBreakerOpenHalfOpenClose(t *testing.T) {
 	b := NewBreaker(&m)
 	ledger := func(state string, opens, sheds int64) {
 		t.Helper()
-		if b.State() != state || m.BreakerOpens.Load() != opens || m.BreakerSheds.Load() != sheds {
+		if b.circuit.State() != state || m.BreakerOpens.Load() != opens || m.BreakerSheds.Load() != sheds {
 			t.Fatalf("state %s opens %d sheds %d, want %s %d %d",
-				b.State(), m.BreakerOpens.Load(), m.BreakerSheds.Load(), state, opens, sheds)
+				b.circuit.State(), m.BreakerOpens.Load(), m.BreakerSheds.Load(), state, opens, sheds)
 		}
 	}
 	// shed sends probeAfterSheds-1 callers away, each booked.

@@ -109,9 +109,6 @@ type Config struct {
 	Sleep SleepFunc
 }
 
-// DefaultConfig mirrors the paper's 10 parallel crawlers.
-func DefaultConfig() Config { return Config{Workers: 10} }
-
 // withDefaults normalizes a config for one crawl.
 func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {

@@ -321,11 +321,6 @@ func (g *Governor) Unpin() {
 	g.pinned.Store(-1)
 }
 
-// Pinned reports the pinned level, or -1 when automatic.
-func (g *Governor) Pinned() Level {
-	return Level(g.pinned.Load())
-}
-
 // TransitionP99Ns is the p99 transition cost over the recent ring, or
 // 0 when no transition has happened yet.
 func (g *Governor) TransitionP99Ns() int64 {

@@ -143,8 +143,8 @@ func TestPinOverridesLadder(t *testing.T) {
 	if got := g.Level(); got != L3 {
 		t.Fatalf("pinned level %v, want L3", got)
 	}
-	if got := g.Pinned(); got != L3 {
-		t.Fatalf("Pinned() = %v, want L3", got)
+	if snap := g.Snapshot(); !snap.Pinned || snap.PinnedLevel != 3 {
+		t.Fatalf("snapshot pinned=%v pinned_level=%d, want true/3", snap.Pinned, snap.PinnedLevel)
 	}
 	// Ticks in either direction do not move a pinned governor.
 	feed(g, hotSignals(), stepUpTicks)
@@ -159,8 +159,8 @@ func TestPinOverridesLadder(t *testing.T) {
 
 	// Unpin: the level stays put, then descends by hysteresis.
 	g.Unpin()
-	if got := g.Pinned(); got != Level(-1) {
-		t.Fatalf("Pinned() after Unpin = %v, want -1", got)
+	if snap := g.Snapshot(); snap.Pinned {
+		t.Fatalf("snapshot after Unpin: pinned_level=%d, want unpinned", snap.PinnedLevel)
 	}
 	if got := g.Level(); got != L3 {
 		t.Fatalf("level after Unpin = %v, want L3", got)
@@ -201,7 +201,7 @@ func TestPinRacingTickKeepsThePin(t *testing.T) {
 		close(start)
 		wg.Wait()
 		if got := g.Level(); got != L3 {
-			t.Fatalf("round %d: pinned %v, serving %v", i, g.Pinned(), got)
+			t.Fatalf("round %d: pinned L%d, serving %v", i, g.Snapshot().PinnedLevel, got)
 		}
 	}
 }

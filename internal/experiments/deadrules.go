@@ -79,41 +79,33 @@ func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 		// lab's shared per-revision list cache.
 		list := abp.NewList(name, latest.Rules())
 		list.EnableUsage()
-		var hits []abp.Hit
 		for _, s := range sites {
 			for _, rq := range s.reqs {
-				hits = list.AppendHits(hits[:0], abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: s.domain})
-				_, _, ord := abp.DecideHits(hits)
-				list.RecordUsage(ord)
+				list.MatchRequest(abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: s.domain})
 			}
 		}
-		counts := list.Usage().Counts()
-		dl := DeadRuleList{Name: name, Rules: len(list.Rules())}
-		var fired []uint64
-		for ord, r := range list.Rules() {
-			if !r.IsHTTP() {
-				continue
-			}
-			dl.HTTPRules++
-			if c := counts[ord]; c > 0 {
-				dl.FiredRules++
-				dl.TotalHits += c
-				fired = append(fired, c)
-			}
-		}
+		httpRules, fired := list.UsageProfile()
+		dl := DeadRuleList{Name: name, Rules: len(list.Rules()), HTTPRules: httpRules, FiredRules: len(fired)}
 		if dl.HTTPRules > 0 {
 			dl.DeadFraction = float64(dl.HTTPRules-dl.FiredRules) / float64(dl.HTTPRules)
 		}
-		sort.Slice(fired, func(i, j int) bool { return fired[i] > fired[j] })
+		hot := make([]bool, len(list.Rules()))
+		hits := make([]uint64, len(fired))
+		for i, p := range fired {
+			hot[p[0]] = true
+			hits[i] = p[1]
+			dl.TotalHits += p[1]
+		}
+		sort.Slice(hits, func(i, j int) bool { return hits[i] > hits[j] })
 		var top uint64
-		for i := 0; i < len(fired) && i < 10; i++ {
-			top += fired[i]
+		for i := 0; i < len(hits) && i < 10; i++ {
+			top += hits[i]
 		}
 		if dl.TotalHits > 0 {
 			dl.Top10Share = float64(top) / float64(dl.TotalHits)
 		}
 		dl.FlatBytes = list.TierStats().HotBytes
-		dl.HotBytes = list.CompileTiered(func(ord int) bool { return counts[ord] > 0 }).TierStats().HotBytes
+		dl.HotBytes = list.CompileTiered(func(ord int) bool { return hot[ord] }).TierStats().HotBytes
 		out.Lists = append(out.Lists, dl)
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/simworld"
@@ -31,6 +32,34 @@ func lab(t *testing.T) (*Lab, *RetroResult) {
 		t.Fatalf("retrospective: %v", retroE)
 	}
 	return testLab, retro
+}
+
+// TestFig1CountsClasses: each sampled month counts its in-force revision's
+// rules per class, and the total is the sum of the classes.
+func TestFig1CountsClasses(t *testing.T) {
+	month := func(m time.Month) time.Time { return time.Date(2014, m, 1, 0, 0, 0, 0, time.UTC) }
+	h := abp.NewHistory("x")
+	for m, lines := range [][]string{{"||a.com^", "b.com###x"}, {"||a.com^", "b.com###x", "/ads.js"}} {
+		var rules []*abp.Rule
+		for _, line := range lines {
+			r, err := abp.Parse(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules = append(rules, r)
+		}
+		h.Append(month(time.Month(m+1)), rules)
+	}
+	pts := Fig1(h, month(2)).Points
+	if len(pts) != 2 {
+		t.Fatalf("len(points) = %d", len(pts))
+	}
+	if pts[0].Total != 2 || pts[1].Total != 3 {
+		t.Fatalf("totals = %d, %d", pts[0].Total, pts[1].Total)
+	}
+	if pts[1].Counts[abp.ClassHTTPPlain] != 1 {
+		t.Error("plain HTTP rule not counted")
+	}
 }
 
 func TestFig1Shapes(t *testing.T) {

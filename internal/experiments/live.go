@@ -83,19 +83,7 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 		for _, q := range r.Page.Requests {
 			urls = append(urls, q.URL)
 		}
-		views := browser.PageViews(r.Page)
-		rep := siteReplay{
-			blocked: make(map[string]map[string]bool, len(lists)),
-			htmlHit: make(map[string]bool, len(lists)),
-		}
-		for name, list := range lists {
-			if list == nil {
-				continue
-			}
-			rep.blocked[name] = blockedHTTP(list, urls, r.Domain)
-			rep.htmlHit[name] = len(list.HiddenElements(r.Domain, views)) > 0
-		}
-		replays[i] = rep
+		replays[i] = replaySite(lists, r.Domain, siteInput{urls: urls, views: browser.PageViews(r.Page)})
 	})
 
 	for i, r := range results {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -35,7 +36,11 @@ func TestModelSnapshotDifferential(t *testing.T) {
 	if err := ml.SaveModelSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ml.LoadModelSnapshot(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ml.ParseModelSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,14 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 // TestRunIsolatedConfinesPanics: a panicking worker-pool task must turn
 // into an ErrPanic-wrapped error for its own slot, never a process crash.
 func TestRunIsolatedConfinesPanics(t *testing.T) {
-	err := runIsolated(func() { panic("boom in a pool task") })
+	err := RunIsolated(func() error { panic("boom in a pool task") })
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
 	if !strings.Contains(err.Error(), "boom in a pool task") {
 		t.Errorf("panic value lost from error: %v", err)
 	}
-	if err := runIsolated(func() {}); err != nil {
+	if err := RunIsolated(func() error { return nil }); err != nil {
 		t.Fatalf("clean task reported %v", err)
 	}
 	// A panic mid-corpus must not poison neighbouring slots: run a real

@@ -9,12 +9,6 @@ import (
 // present in one script.
 type Sample []int32
 
-// Has reports whether the sample contains feature index f.
-func (s Sample) Has(f int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= f })
-	return i < len(s) && s[i] == f
-}
-
 // Popcount returns the number of set features. Construction keeps the
 // index list deduplicated and sorted, so the popcount is the slice length
 // — an O(1) read kernel inner loops rely on instead of re-deriving vector

@@ -9,14 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"adwars/internal/abp"
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
 	"adwars/internal/degrade"
-	"adwars/internal/ml"
 	"adwars/internal/serve"
 )
 
@@ -106,10 +105,7 @@ func jsonShape(t *testing.T, data []byte, registry bool) string {
 // the commit before the metrics trees moved onto internal/chassis; a key
 // added, dropped, renamed, retyped or reordered fails here.
 func TestVarsShapePinned(t *testing.T) {
-	model, err := ml.ParseModelSnapshot(artifact.Seal([]byte(shapeModelJSON)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := artifact.Seal([]byte(shapeModelJSON))
 	var out strings.Builder
 	record := func(name string, data []byte) {
 		fmt.Fprintf(&out, "== %s ==\n%s\n", name, jsonShape(t, data, strings.HasSuffix(name, "/debug/vars")))
@@ -138,19 +134,21 @@ func TestVarsShapePinned(t *testing.T) {
 		}, true},
 		{"bare", serve.Config{}, false},
 	} {
-		s := serve.New(c.cfg)
-		t.Cleanup(func() { s.CloseAnalytics() })
-		snap, err := abp.ParseListsSnapshot(sealedLists(t, "v1"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetListsSnapshot(snap); err != nil {
+		dir := t.TempDir()
+		c.cfg.ListsPath = filepath.Join(dir, "lists.snapshot")
+		if err := os.WriteFile(c.cfg.ListsPath, sealedLists(t, "v1"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if c.full {
-			if err := s.SetModelSnapshot(model); err != nil {
+			c.cfg.ModelPath = filepath.Join(dir, "model.json")
+			if err := os.WriteFile(c.cfg.ModelPath, model, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+		s := serve.New(c.cfg)
+		t.Cleanup(func() { s.CloseAnalytics() })
+		if err := s.ReloadSnapshots(); err != nil {
+			t.Fatal(err)
 		}
 		rs := httptest.NewServer(s.Handler())
 		t.Cleanup(rs.Close)

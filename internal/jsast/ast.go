@@ -438,10 +438,3 @@ func Inspect(n Node, f func(Node) bool) {
 	}
 	visit(n)
 }
-
-// Count returns the number of nodes in the tree.
-func Count(n Node) int {
-	total := 0
-	Inspect(n, func(Node) bool { total++; return true })
-	return total
-}

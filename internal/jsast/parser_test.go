@@ -354,3 +354,11 @@ func TestEachChildSkipsAbsentChildren(t *testing.T) {
 		t.Errorf("Try without Catch: children %v, want its two blocks", got)
 	}
 }
+
+// Count returns the number of nodes in the tree. It is exported for the
+// external oracle test.
+func Count(n Node) int {
+	total := 0
+	Inspect(n, func(Node) bool { total++; return true })
+	return total
+}

@@ -153,15 +153,20 @@ func TestDomainOverlap(t *testing.T) {
 func TestGrowthMonotone(t *testing.T) {
 	_, ls := lists(t)
 	for _, h := range []*abp.History{ls.AAK, ls.EasyListAA, ls.AWRL, ls.Combined} {
-		series := h.ClassSeries()
 		prev := 0
-		for _, p := range series {
-			if p.Total < prev {
+		for _, rev := range h.Revisions() {
+			total := 0
+			for _, r := range rev.Rules {
+				if r.Class() != abp.ClassUnknown {
+					total++
+				}
+			}
+			if total < prev {
 				t.Errorf("%s shrinks at %s: %d → %d", h.Name,
-					p.Time.Format("2006-01"), prev, p.Total)
+					rev.Time.Format("2006-01"), prev, total)
 				break
 			}
-			prev = p.Total
+			prev = total
 		}
 		if prev == 0 {
 			t.Errorf("%s ends empty", h.Name)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"adwars/internal/artifact"
 	"adwars/internal/features"
@@ -179,17 +178,4 @@ func SaveModelSnapshot(path string, s *ModelSnapshot) error {
 		return err
 	}
 	return artifact.WriteFileAtomic(path, data, 0o644)
-}
-
-// LoadModelSnapshot reads a snapshot from path.
-func LoadModelSnapshot(path string) (*ModelSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := ParseModelSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

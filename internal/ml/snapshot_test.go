@@ -44,11 +44,11 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
 		t.Errorf("saved with mode %v (err %v), want 0644", st.Mode().Perm(), err)
 	}
-	got, err := LoadModelSnapshot(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	got, err := ParseModelSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,8 @@ func benchServer(b *testing.B) *Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.SetModelSnapshot(snap); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.SetListsSnapshot(&abp.ListsSnapshot{Label: "bench", Lists: []*abp.List{l}}); err != nil {
-		b.Fatal(err)
-	}
+	setModel(b, s, snap)
+	setLists(b, s, &abp.ListsSnapshot{Label: "bench", Lists: []*abp.List{l}})
 	return s
 }
 

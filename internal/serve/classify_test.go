@@ -25,6 +25,47 @@ func classifyAllocScripts(t *testing.T) (plain, packed string) {
 	return plain, packed
 }
 
+// TestClassifyBatchMatchesSingle: each slot of a batch that mixes scripts
+// that parse with ones that do not holds what /v1/classify answers for that
+// script alone — its result fields, or its bad_script message as the slot's
+// error.
+func TestClassifyBatchMatchesSingle(t *testing.T) {
+	s := newTestServer(t, Config{})
+	plain, packed := classifyAllocScripts(t)
+	scripts := []string{testAntiScript, "function (", testBenignScript, plain, "var = ;", packed}
+	body, _ := json.Marshal(classifyBatchRequest{Scripts: scripts})
+	rec := do(t, s, "POST", "/v1/classify/batch", string(body))
+	var batch classifyBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || rec.Code != 200 || len(batch.Results) != len(scripts) {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	bad := 0
+	for i, src := range scripts {
+		rec := do(t, s, "POST", "/v1/classify", src)
+		var want ClassifyResult
+		if rec.Code == 200 {
+			var single classifyResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil {
+				t.Fatal(err)
+			}
+			want = single.ClassifyResult
+		} else {
+			var envelope errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || rec.Code != 422 || envelope.Error.Code != "bad_script" {
+				t.Fatalf("script %d alone: %d %s", i, rec.Code, rec.Body.Bytes())
+			}
+			want = ClassifyResult{Error: envelope.Error.Message}
+			bad++
+		}
+		if batch.Results[i] != want {
+			t.Errorf("slot %d = %+v, alone %+v", i, batch.Results[i], want)
+		}
+	}
+	if bad != 2 {
+		t.Errorf("%d of the scripts do not parse, want 2", bad)
+	}
+}
+
 // TestClassifyAllocBudget is the allocation gate of the classification
 // path, so that a regression fails `go test ./...` and not only the
 // benchmark's process.allocs_per_req and process.bytes_per_req: one fully

@@ -73,10 +73,9 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 
 	// The same lists compiled here, never written, must answer
 	// byte-identically. Compare decisions only: the snapshot metadata block
-	// legitimately differs (a direct Set carries no artifact version).
-	if err := s.SetListsSnapshot(testListsSnapshot(t)); err != nil {
-		t.Fatal(err)
-	}
+	// legitimately differs (lists installed without a file carry no
+	// artifact version).
+	setLists(t, s, testListsSnapshot(t))
 	decisions := func(body string) string {
 		if i := strings.Index(body, `,"snapshot":`); i >= 0 {
 			return body[:i]
@@ -97,9 +96,9 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := artifact.Open(good)
+	payload, _, err := artifact.OpenVersion(good)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenVersion: %v", err)
 	}
 	bad := append([]byte(nil), payload...)
 	mark := strings.Index(string(bad), artifact.SectionPrefix+"v1 name=automaton.0 ")

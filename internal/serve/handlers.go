@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,9 +59,7 @@ type ClassifyResult struct {
 }
 
 // ModelInfo describes the installed model snapshot. Version is the
-// artifact payload CRC the snapshot was loaded from; snapshots installed
-// directly in-process (tests, embedders) have none and omit it, so golden
-// bodies from Set*Snapshot servers are unchanged.
+// artifact payload CRC the snapshot was loaded from, omitted when empty.
 type ModelInfo struct {
 	FeatureSet string `json:"feature_set"`
 	Vocab      int    `json:"vocab"`
@@ -626,27 +623,30 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endAdmitted(epClassifyBatch, start)
 	s.met.endpoints[epClassifyBatch].BatchItems.Add(uint64(len(batch.Scripts)))
-	// The batch amortizes classifyOne's parse and projection across
-	// the worker pool: one fan-out for all scripts instead of one
-	// request round-trip each. Per-script parse failures annotate
-	// their slot instead of failing the batch.
-	samples, errs, _ := ms.vocab.ProjectAll(context.Background(), batch.Scripts, ms.set, s.cfg.workers())
+	// The scripts run one after another in this goroutine, under the one
+	// ticket admission granted. Per-script parse failures, and panics,
+	// annotate their slot instead of failing the batch.
 	out := classifyBatchResponse{
 		Count:    len(batch.Scripts),
 		Results:  make([]ClassifyResult, len(batch.Scripts)),
 		Snapshot: s.snapshotInfo(),
 	}
 	now := time.Now()
-	for i := range batch.Scripts {
-		if errs[i] != nil {
+	for i, src := range batch.Scripts {
+		var res ClassifyResult
+		err := features.RunIsolated(func() (err error) {
+			res, err = classifyOne(ms, src)
+			return err
+		})
+		if err != nil {
 			// A parse failure is not a verdict; it annotates the slot and
 			// stays out of the analytics stream.
-			out.Results[i] = ClassifyResult{Error: fmt.Sprintf("script does not parse: %v", errs[i])}
+			out.Results[i] = ClassifyResult{Error: fmt.Sprintf("script does not parse: %v", err)}
 			continue
 		}
-		out.Results[i] = ms.score(samples[i])
+		out.Results[i] = res
 		if s.anl != nil {
-			s.recordClassify(out.Results[i].AntiAdblock, now)
+			s.recordClassify(res.AntiAdblock, now)
 		}
 	}
 	chassis.WriteJSON(w, http.StatusOK, out)

@@ -16,8 +16,8 @@ import (
 
 // TestReloadUnderFire is the hot-reload guarantee, run under -race by
 // `make race`: while many goroutines hammer /v1/match and /v1/classify
-// over real HTTP, the snapshots are swapped continuously (both via
-// Set*Snapshot and via /admin/reload against rewritten files). Every
+// over real HTTP, the snapshots are swapped continuously (both by
+// control-plane push and via /admin/reload against rewritten files). Every
 // single request must complete with 200 or 429 — a reload never drops,
 // 500s, or torn-reads a request.
 func TestReloadUnderFire(t *testing.T) {
@@ -83,16 +83,22 @@ func TestReloadUnderFire(t *testing.T) {
 		}(c)
 	}
 
-	// Reload continuously while the fire hose runs: alternate direct
-	// snapshot swaps with full file rewrites + /admin/reload round trips.
+	// Reload continuously while the fire hose runs: alternate control-plane
+	// pushes with full file rewrites + /admin/reload round trips.
+	model, lists := testModelFile(), listsArtifact(t, "test")
 	reloads := 0
 	for time.Now().Before(deadline) {
 		if reloads%2 == 0 {
-			if err := s.SetModelSnapshot(testModelSnapshot(t)); err != nil {
-				t.Error(err)
-			}
-			if err := s.SetListsSnapshot(testListsSnapshot(t)); err != nil {
-				t.Error(err)
+			for kind, art := range map[string][]byte{"model": model, "lists": lists} {
+				resp, err := ts.Client().Post(ts.URL+"/admin/snapshot/"+kind, "application/octet-stream", bytes.NewReader(art))
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("push %s status %d", kind, resp.StatusCode)
+				}
 			}
 		} else {
 			if err := os.WriteFile(modelPath, testModelFile(), 0o644); err != nil {

@@ -122,8 +122,8 @@ type modelState struct {
 	set      features.Set
 	alphaSum float64
 	// version is the artifact payload CRC of the bytes this state loaded
-	// from (empty when installed directly via SetModelSnapshot); raw is
-	// those bytes, served back to the control plane for rollback.
+	// from; raw is those bytes, served back to the control plane for
+	// rollback.
 	version string
 	raw     []byte
 	// info is the response-embedded snapshot descriptor, precomputed once
@@ -162,7 +162,7 @@ type ReloadOutcome struct {
 }
 
 // Server is the online serving engine. Create with New, then load
-// snapshots (SetModelSnapshot/SetListsSnapshot or ReloadSnapshots) and
+// snapshots (ReloadSnapshots, or a control-plane push) and
 // expose Handler on any HTTP server — or use Serve, which runs it on the
 // repository's own serving loop (internal/wire) and handles graceful drain.
 type Server struct {
@@ -196,7 +196,7 @@ type Server struct {
 }
 
 // New builds a Server from cfg without loading any snapshots; call
-// ReloadSnapshots (or the Set*Snapshot methods) before serving traffic.
+// ReloadSnapshots before serving traffic.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
@@ -319,20 +319,10 @@ func (s *Server) CloseAnalytics() error {
 	return s.anl.Close()
 }
 
-// SetModelSnapshot validates and installs a model snapshot. In-flight
-// requests keep the state they already loaded; new requests see the new
-// snapshot — no request ever observes a half-installed model.
-func (s *Server) SetModelSnapshot(snap *ml.ModelSnapshot) error {
-	ms, err := prepareModel(snap, "", nil)
-	if err != nil {
-		return err
-	}
-	s.model.Store(ms)
-	return nil
-}
-
 // Installing a snapshot is two steps: a prepare* that does everything that
 // can fail and returns the finished state, and an atomic Store that cannot.
+// In-flight requests keep the state they already loaded; new requests see
+// the new one — no request ever observes a half-installed snapshot.
 // A caller with more than one thing to validate — both snapshots of a
 // reload, a push that must also reach disk — finishes all of it before the
 // first Store, so a refusal leaves disk and memory exactly as they were.
@@ -369,16 +359,6 @@ func parseModel(raw []byte) (*modelState, error) {
 		return nil, err
 	}
 	return prepareModel(snap, snap.Version, raw)
-}
-
-// SetListsSnapshot installs a compiled-lists snapshot atomically.
-func (s *Server) SetListsSnapshot(snap *abp.ListsSnapshot) error {
-	ls, err := s.prepareLists(snap, "", nil)
-	if err != nil {
-		return err
-	}
-	s.lists.Store(ls)
-	return nil
 }
 
 // prepareLists validates snap and builds its serving state; version and raw

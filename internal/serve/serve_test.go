@@ -75,13 +75,29 @@ func testModelSnapshot(t *testing.T) *ml.ModelSnapshot {
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := New(cfg)
-	if err := s.SetModelSnapshot(testModelSnapshot(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetListsSnapshot(testListsSnapshot(t)); err != nil {
-		t.Fatal(err)
-	}
+	setModel(t, s, testModelSnapshot(t))
+	setLists(t, s, testListsSnapshot(t))
 	return s
+}
+
+// setModel and setLists install a snapshot as ReloadSnapshots does, less the
+// artifact version: the goldens carry none.
+func setModel(t testing.TB, s *Server, snap *ml.ModelSnapshot) {
+	t.Helper()
+	ms, err := prepareModel(snap, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.model.Store(ms)
+}
+
+func setLists(t testing.TB, s *Server, snap *abp.ListsSnapshot) {
+	t.Helper()
+	ls, err := s.prepareLists(snap, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.lists.Store(ls)
 }
 
 // writeSnapshotFiles writes both fixture snapshots into dir and returns
@@ -106,15 +122,15 @@ type errorResponse struct {
 
 func TestSnapshotValidation(t *testing.T) {
 	s := New(Config{})
-	if err := s.SetModelSnapshot(&ml.ModelSnapshot{FeatureSet: "bogus"}); err == nil {
+	if _, err := prepareModel(&ml.ModelSnapshot{FeatureSet: "bogus"}, "", nil); err == nil {
 		t.Error("unknown feature set must be rejected")
 	}
 	snap := testModelSnapshot(t)
 	snap.Vocab = nil
-	if err := s.SetModelSnapshot(snap); err == nil {
+	if _, err := prepareModel(snap, "", nil); err == nil {
 		t.Error("empty vocab must be rejected")
 	}
-	if err := s.SetListsSnapshot(&abp.ListsSnapshot{}); err == nil {
+	if _, err := s.prepareLists(&abp.ListsSnapshot{}, "", nil); err == nil {
 		t.Error("empty lists snapshot must be rejected")
 	}
 }

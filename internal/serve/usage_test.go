@@ -120,6 +120,58 @@ func TestUsageDebugVarsAggregate(t *testing.T) {
 	}
 }
 
+// TestUsageViewsAgree: after a fixed request stream over the two-list
+// snapshot, /debug/vars' adwars_usage is the sum over lists of
+// /admin/usage's http_rules, dead_rules, total_hits and probe geometry, its
+// dead_fraction is derived from those sums, and the dump's own total_hits is
+// the same sum.
+func TestUsageViewsAgree(t *testing.T) {
+	s := newTestServer(t, Config{})
+	urls := []string{
+		"http://ads.example.com/banner.js",
+		"http://ads.example.com/allowed",
+		"http://tracker.example/t.js",
+		"http://clean.example/app.js",
+	}
+	for i, u := range urls {
+		for k := 0; k <= i; k++ {
+			do(t, s, "POST", "/v1/match", `{"url":"`+u+`","type":"script","page_domain":"news.example"}`)
+		}
+	}
+	do(t, s, "POST", "/v1/match/batch", `{"requests":[{"url":"`+urls[0]+`"},{"url":"`+urls[2]+`","type":"script"}]}`)
+
+	dump := decodeUsage(t, do(t, s, "GET", "/admin/usage", "").Body.Bytes())
+	var vars struct {
+		Usage usageAggregate `json:"adwars_usage"`
+	}
+	if err := json.Unmarshal(do(t, s, "GET", "/debug/vars", "").Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	want := usageAggregate{Enabled: true}
+	for _, ul := range dump.Lists {
+		want.HTTPRules += ul.HTTPRules
+		want.DeadRules += ul.DeadRules
+		want.TotalHits += ul.TotalHits
+		g := &want.probeGeometry
+		g.KeywordRules += ul.KeywordRules
+		g.DomainRules += ul.DomainRules
+		g.GenericRules += ul.GenericRules
+		g.GuardedRules += ul.GuardedRules
+		g.Probes += ul.Probes
+		g.Candidates += ul.Candidates
+	}
+	want.DeadFraction = float64(want.DeadRules) / float64(want.HTTPRules)
+	if vars.Usage != want {
+		t.Errorf("/debug/vars adwars_usage = %+v\nsum of /admin/usage = %+v", vars.Usage, want)
+	}
+	if dump.TotalHits != want.TotalHits {
+		t.Errorf("/admin/usage total_hits = %d, its lists sum to %d", dump.TotalHits, want.TotalHits)
+	}
+	if len(dump.Lists) != 2 || want.TotalHits == 0 || want.DeadRules == 0 || want.DeadRules == want.HTTPRules {
+		t.Fatalf("the stream does not exercise both views: %+v", want)
+	}
+}
+
 // TestUsageProbeGeometry: /admin/usage (per list) and /debug/vars (summed)
 // say how a list's HTTP rules reach a probe — by keyword (guarded or not), by
 // page domain, or as candidates of every request — and how many probes the
@@ -139,9 +191,7 @@ func TestUsageProbeGeometry(t *testing.T) {
 		t.Fatal(errs)
 	}
 	s := New(Config{})
-	if err := s.SetListsSnapshot(&abp.ListsSnapshot{Lists: []*abp.List{l}}); err != nil {
-		t.Fatal(err)
-	}
+	setLists(t, s, &abp.ListsSnapshot{Lists: []*abp.List{l}})
 	for _, body := range []string{
 		`{"url":"http://ads.example/x.js","type":"script"}`,
 		`{"url":"http://ads-example.test/x.js","type":"script"}`,

@@ -69,21 +69,13 @@ type UsageDump struct {
 
 // usageList builds one list's usage report with the given top-K depth.
 func usageList(l *abp.List, topK int) UsageList {
-	counts := l.Usage().Counts()
 	rules := l.Rules()
-	ul := UsageList{List: l.Name, Rules: len(rules), Hits: make([][2]uint64, 0, 16)}
+	httpRules, fired := l.UsageProfile()
+	ul := UsageList{List: l.Name, Rules: len(rules), HTTPRules: httpRules,
+		DeadRules: httpRules - len(fired), Hits: fired}
 	ul.add(l)
-	for ord, r := range rules {
-		if !r.IsHTTP() {
-			continue
-		}
-		ul.HTTPRules++
-		if counts[ord] == 0 {
-			ul.DeadRules++
-			continue
-		}
-		ul.TotalHits += counts[ord]
-		ul.Hits = append(ul.Hits, [2]uint64{uint64(ord), counts[ord]})
+	for _, p := range fired {
+		ul.TotalHits += p[1]
 	}
 	if ul.HTTPRules > 0 {
 		ul.DeadFraction = float64(ul.DeadRules) / float64(ul.HTTPRules)
@@ -149,7 +141,7 @@ type usageAggregate struct {
 	probeGeometry
 }
 
-// usageVars sums the lists' usage counters and their probe geometry. The
+// usageVars sums the lists' usage reports and their probe geometry. The
 // counters are sharded per-bank atomics; merging them happens here, on the
 // read side, so the match path never pays for metrics export (/debug/vars
 // computes the aggregate only when scraped). Every served list counts, so
@@ -159,18 +151,11 @@ func (s *Server) usageVars() usageAggregate {
 	if ls := s.lists.Load(); ls != nil {
 		agg.Enabled = true
 		for _, l := range ls.snap.Lists {
+			ul := usageList(l, 0)
+			agg.TotalHits += ul.TotalHits
+			agg.HTTPRules += ul.HTTPRules
+			agg.DeadRules += ul.DeadRules
 			agg.add(l)
-			counts := l.Usage().Counts()
-			for ord, r := range l.Rules() {
-				if !r.IsHTTP() {
-					continue
-				}
-				agg.HTTPRules++
-				agg.TotalHits += counts[ord]
-				if counts[ord] == 0 {
-					agg.DeadRules++
-				}
-			}
 		}
 	}
 	if agg.HTTPRules > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -228,7 +229,7 @@ func TestStaticNoticeFraction(t *testing.T) {
 		}
 		p, _ := w.PageAt(d.SiteDomain, at)
 		total++
-		if p.Root.Find(d.NoticeID) != nil {
+		if slices.ContainsFunc(p.Elements(), func(e *web.Element) bool { return e.ID == d.NoticeID }) {
 			static++
 		}
 	}

@@ -37,24 +37,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)))
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
-}
-
 // Render prints the CDF sampled at the given x positions, one "x p" row per
 // line — the series behind Figures 3 and 7.
 func (c *CDF) Render(xs []float64) string {

@@ -28,19 +28,6 @@ func TestCDFEmptyAndQuantile(t *testing.T) {
 	if empty.At(5) != 0 {
 		t.Error("empty CDF should be 0 everywhere")
 	}
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	c := NewCDF([]float64{10, 20, 30, 40, 50})
-	if got := c.Quantile(0); got != 10 {
-		t.Errorf("Q(0) = %v", got)
-	}
-	if got := c.Quantile(1); got != 50 {
-		t.Errorf("Q(1) = %v", got)
-	}
-	if got := c.Quantile(0.5); got != 30 {
-		t.Errorf("Q(0.5) = %v", got)
-	}
 }
 
 func TestCDFMonotoneProperty(t *testing.T) {

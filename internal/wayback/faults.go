@@ -2,7 +2,6 @@ package wayback
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"adwars/internal/stats"
@@ -144,8 +143,7 @@ func (c FaultConfig) MaxFailuresPerRequest() int {
 // FaultInjector decides, deterministically, which request attempts fail and
 // how. Safe for concurrent use.
 type FaultInjector struct {
-	cfg      FaultConfig
-	injected [4]atomic.Int64 // indexed by FaultKind
+	cfg FaultConfig
 }
 
 // NewFaultInjector builds an injector; nil is returned for a disabled
@@ -166,7 +164,6 @@ func (f *FaultInjector) Check(op, domain string, epoch int64, attempt int) error
 	}
 	if f.outageMonth(epoch) {
 		if attempt < f.cfg.OutageDepth {
-			f.injected[FaultOutage].Add(1)
 			return &TransientError{Kind: FaultOutage, Domain: domain, RetryAfter: f.cfg.RetryAfter}
 		}
 		// The outage consumed the first OutageDepth attempts; the
@@ -177,7 +174,6 @@ func (f *FaultInjector) Check(op, domain string, epoch int64, attempt int) error
 		return nil
 	}
 	kind := f.kindFor(op, domain, epoch)
-	f.injected[kind].Add(1)
 	te := &TransientError{Kind: kind, Domain: domain}
 	if kind == FaultRateLimit {
 		// Escalating Retry-After, as archives under load emit.
@@ -220,25 +216,4 @@ func (f *FaultInjector) kindFor(op, domain string, epoch int64) FaultKind {
 	default:
 		return FaultTruncated
 	}
-}
-
-// InjectedCounts reports how many faults of each kind have been injected.
-func (f *FaultInjector) InjectedCounts() map[FaultKind]int64 {
-	out := make(map[FaultKind]int64, 4)
-	if f == nil {
-		return out
-	}
-	for k := FaultRateLimit; k <= FaultOutage; k++ {
-		out[k] = f.injected[k].Load()
-	}
-	return out
-}
-
-// InjectedTotal is the total number of injected faults.
-func (f *FaultInjector) InjectedTotal() int64 {
-	var n int64
-	for _, v := range f.InjectedCounts() {
-		n += v
-	}
-	return n
 }

@@ -89,9 +89,6 @@ func TestFaultOutageAffectsAllRequests(t *testing.T) {
 			t.Fatalf("post-outage attempt of %s fails: %v", domain, err)
 		}
 	}
-	if f.InjectedCounts()[FaultOutage] != 60 {
-		t.Fatalf("outage count = %d", f.InjectedCounts()[FaultOutage])
-	}
 }
 
 func TestFaultTruncatedAvailabilityJSON(t *testing.T) {
@@ -159,9 +156,6 @@ func TestNilInjectorNeverFaults(t *testing.T) {
 	var f *FaultInjector
 	if err := f.Check("avail", "x.com", 1, 0); err != nil {
 		t.Fatal("nil injector must not fault")
-	}
-	if f.InjectedTotal() != 0 {
-		t.Fatal("nil injector counts")
 	}
 	if NewFaultInjector(FaultConfig{}) != nil {
 		t.Fatal("disabled config must build a nil injector")

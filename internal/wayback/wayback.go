@@ -272,9 +272,6 @@ func (a *Archive) FetchAttempt(ref SnapshotRef, attempt int) (*Snapshot, error) 
 	return a.fetch(ref)
 }
 
-// Faults exposes the archive's fault injector (nil when disabled).
-func (a *Archive) Faults() *FaultInjector { return a.faults }
-
 func (a *Archive) fetch(ref SnapshotRef) (*Snapshot, error) {
 	page, ok := a.src.PageAt(ref.Domain, ref.Timestamp)
 	if !ok {

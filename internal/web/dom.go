@@ -62,17 +62,6 @@ func (e *Element) Flatten() []*Element {
 	return out
 }
 
-// Find returns the first descendant (or the element itself) with the given
-// id, or nil.
-func (e *Element) Find(id string) *Element {
-	for _, el := range e.Flatten() {
-		if el.ID == id {
-			return el
-		}
-	}
-	return nil
-}
-
 // ToABP adapts the element to the filter engine's element view.
 func (e *Element) ToABP() *abp.Element {
 	attrs := make(map[string]string, len(e.Attrs)+1)

@@ -44,17 +44,17 @@ func TestElementFlattenAndFind(t *testing.T) {
 	if len(elems) != 7 { // html, head, script, body, banner, content, img
 		t.Fatalf("flatten = %d elements, want 7", len(elems))
 	}
-	if p.Root.Find("noticeMain") == nil {
+	if find(p.Root, "noticeMain") == nil {
 		t.Fatal("Find(noticeMain) failed")
 	}
-	if p.Root.Find("absent") != nil {
+	if find(p.Root, "absent") != nil {
 		t.Fatal("Find(absent) should be nil")
 	}
 }
 
 func TestToABP(t *testing.T) {
 	p := samplePage()
-	banner := p.Root.Find("noticeMain").ToABP()
+	banner := find(p.Root, "noticeMain").ToABP()
 	if banner.ID != "noticeMain" || banner.Tag != "div" {
 		t.Fatalf("adapted element = %+v", banner)
 	}
@@ -82,7 +82,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 	if root == nil || root.Tag != "html" {
 		t.Fatalf("parsed root = %+v", root)
 	}
-	banner := root.Find("noticeMain")
+	banner := find(root, "noticeMain")
 	if banner == nil {
 		t.Fatal("banner lost in round trip")
 	}
@@ -133,7 +133,7 @@ func TestParseHTMLTolerance(t *testing.T) {
 
 func TestParseHTMLUnquotedAttrs(t *testing.T) {
 	root := ParseHTML(`<html><body><div id=bait class=x data-n=1></div></body></html>`)
-	d := root.Find("bait")
+	d := find(root, "bait")
 	if d == nil {
 		t.Fatal("unquoted id attr not parsed")
 	}
@@ -147,7 +147,7 @@ func TestParseHTMLUnquotedAttrs(t *testing.T) {
 
 func TestParseHTMLEntities(t *testing.T) {
 	root := ParseHTML(`<html><body><div id="q">a &amp; b &lt;tag&gt;</div></body></html>`)
-	d := root.Find("q")
+	d := find(root, "q")
 	if d.Text != "a & b <tag>" {
 		t.Fatalf("text = %q", d.Text)
 	}
@@ -165,8 +165,8 @@ func TestParseHTMLNeverPanics(t *testing.T) {
 
 func TestRenderDeterministic(t *testing.T) {
 	p := samplePage()
-	p.Root.Find("noticeMain").SetAttr("data-b", "2")
-	p.Root.Find("noticeMain").SetAttr("data-a", "1")
+	find(p.Root, "noticeMain").SetAttr("data-b", "2")
+	find(p.Root, "noticeMain").SetAttr("data-a", "1")
 	h1 := RenderHTML(p)
 	h2 := RenderHTML(p)
 	if h1 != h2 {
@@ -186,4 +186,14 @@ func TestVoidElementsNoCloseTag(t *testing.T) {
 	if strings.Contains(html, "</img>") {
 		t.Fatal("void element rendered with close tag")
 	}
+}
+
+// find returns the first element of e's tree with the given id, or nil.
+func find(e *Element, id string) *Element {
+	for _, el := range e.Flatten() {
+		if el.ID == id {
+			return el
+		}
+	}
+	return nil
 }

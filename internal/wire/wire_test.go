@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -37,8 +38,12 @@ func newServe(t testing.TB, cfg serve.Config) *serve.Server {
 	if len(errs) != 0 {
 		t.Fatal(errs)
 	}
+	cfg.ListsPath = filepath.Join(t.TempDir(), "lists.snapshot")
+	if err := abp.SaveListsSnapshot(cfg.ListsPath, &abp.ListsSnapshot{Label: "test", Lists: []*abp.List{l}}); err != nil {
+		t.Fatal(err)
+	}
 	s := serve.New(cfg)
-	if err := s.SetListsSnapshot(&abp.ListsSnapshot{Label: "test", Lists: []*abp.List{l}}); err != nil {
+	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
 	return s
