@@ -36,6 +36,7 @@ import (
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
+	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 	"adwars/internal/fleet"
 	"adwars/internal/serve"
@@ -447,8 +448,8 @@ func answers(url string) (string, error) {
 }
 
 // health reads one replica's /healthz.
-func health(url string) (*serve.Health, error) {
-	var h serve.Health
+func health(url string) (*chassis.Health, error) {
+	var h chassis.Health
 	if err := getJSON(client, url+"/healthz", &h); err != nil {
 		return nil, err
 	}

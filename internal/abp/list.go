@@ -181,36 +181,25 @@ func (l *List) Rules() []*Rule { return l.rules }
 // matching exception in insertion order, else the first matching block in
 // insertion order — the same rule MatchRequestLinear returns.
 //
-// The probe stage is one case-folded scan of the raw URL by the compiled
-// automaton and a lookup of the page domain (probe), which leave every
-// candidate rule's ordinal in stack scratch, so the common no-match lookup
-// performs zero heap allocations. URL bytes are matched as sent — only A–Z
-// folds (see matchCtx.low). A tiered list answers from its whole automaton,
+// It is DecideHits over the verification AppendHits runs, the one decision
+// the serving data plane makes too: one case-folded scan of the raw URL by
+// the compiled automaton and a lookup of the page domain (probe) leave every
+// candidate rule's ordinal in stack scratch, and the verified hits land in a
+// stack buffer, so a lookup performs zero heap allocations unless more than
+// matchHitsCap rules match. URL bytes are matched as sent — only A–Z folds
+// (see matchCtx.low). A tiered list answers from its whole automaton,
 // exactly as its flat list does. When usage counters are enabled the winning
 // rule's ordinal is recorded — an atomic add, no allocation.
 func (l *List) MatchRequest(q Request) (Decision, *Rule) {
-	c := matchCtx{q: normalized(q)}
-	d, r, ord := l.matchVerdictCtx(&c)
+	var buf [matchHitsCap]Hit
+	d, r, ord := DecideHits(l.appendHits(buf[:0], q, l.auto))
 	l.RecordUsage(ord)
 	return d, r
 }
 
-// matchVerdictCtx is the decision core of MatchRequest: it returns the
-// verdict, the winning rule, and that rule's ordinal (-1 for NoMatch).
-func (l *List) matchVerdictCtx(c *matchCtx) (Decision, *Rule, int) {
-	cands := l.probe(c, l.auto)
-	for _, ord := range cands {
-		if r := l.rules[ord]; r.Kind == KindHTTPException && r.matchCtx(c) {
-			return Allowed, r, int(ord)
-		}
-	}
-	for _, ord := range cands {
-		if r := l.rules[ord]; r.Kind == KindHTTPBlock && r.matchCtx(c) {
-			return Blocked, r, int(ord)
-		}
-	}
-	return NoMatch, nil, -1
-}
+// matchHitsCap sizes MatchRequest's hit buffer: a request matches a handful
+// of rules at most (see matchScratchCap); more spill to the heap.
+const matchHitsCap = 16
 
 // MatchRequestLinear is MatchRequest without the automaton: every HTTP rule
 // is tried in insertion order. With MatchingHTTPRulesLinear it is the

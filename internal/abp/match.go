@@ -18,13 +18,14 @@ type Request struct {
 	PageDomain string
 }
 
-// Host returns the lower-cased host of the request URL, without port.
-func (q Request) Host() string { return HostOf(q.URL) }
-
 // IsThirdParty reports whether the request host falls outside the page's
 // domain (the $third-party notion).
-func (q Request) IsThirdParty() bool {
-	h, page := q.Host(), lowerDomain(q.PageDomain)
+func (q Request) IsThirdParty() bool { return thirdParty(q.URL, lowerDomain(q.PageDomain)) }
+
+// thirdParty is IsThirdParty over a page domain already lowered
+// (lowerDomain): the one body the matcher shares.
+func thirdParty(url, page string) bool {
+	h := HostOf(url)
 	return h != "" && page != "" && !domainWithin(h, page)
 }
 
@@ -273,8 +274,7 @@ func (c *matchCtx) typeBit() uint16 {
 
 func (c *matchCtx) isThirdParty() bool {
 	if !c.hasThird {
-		h := HostOf(c.q.URL)
-		c.third = h != "" && c.q.PageDomain != "" && !domainWithin(h, c.q.PageDomain)
+		c.third = thirdParty(c.q.URL, c.q.PageDomain)
 		c.hasThird = true
 	}
 	return c.third

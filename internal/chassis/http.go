@@ -24,6 +24,40 @@ const (
 	DegradeHeader  = "X-Adwars-Degrade"
 )
 
+// Health is a replica's /healthz and /readyz response body: liveness,
+// readiness, per-snapshot versions, and the last reload outcome — everything
+// the gateway's health poller and the control plane's rollout watcher need
+// in one fetch. With ReloadOutcome it is the replica health contract: serve
+// writes it, fleet reads it, and neither imports the other for it.
+type Health struct {
+	Status       string `json:"status"`
+	Replica      string `json:"replica,omitempty"`
+	Ready        bool   `json:"ready"`
+	Draining     bool   `json:"draining,omitempty"`
+	Model        bool   `json:"model"`
+	Lists        bool   `json:"lists"`
+	ModelVersion string `json:"model_version,omitempty"`
+	ListsVersion string `json:"lists_version,omitempty"`
+	// ListsTiered reports whether every served list carries a hot/cold
+	// tier split (as adwars-compact produces).
+	ListsTiered bool           `json:"lists_tiered,omitempty"`
+	LastReload  *ReloadOutcome `json:"last_reload,omitempty"`
+}
+
+// ReloadOutcome records what happened to the most recent snapshot
+// (re)load attempt, exposed on /healthz so the control plane can see not
+// just counters but the shape of the last failure.
+type ReloadOutcome struct {
+	OK bool `json:"ok"`
+	// Rejected means the snapshot content was refused (integrity or
+	// format failure) while the previous snapshots kept serving.
+	Rejected bool   `json:"rejected,omitempty"`
+	Error    string `json:"error,omitempty"`
+	// Source is where the snapshot came from: "disk" (startup, SIGHUP,
+	// /admin/reload) or "push" (control-plane POST /admin/snapshot/*).
+	Source string `json:"source"`
+}
+
 // maxDeadlineMs is where a deadline saturates (some thirty years).
 const maxDeadlineMs = 1 << 40
 

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"adwars/internal/fanout"
 	"adwars/internal/wayback"
 	"adwars/internal/web"
 )
@@ -149,7 +150,7 @@ func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month
 
 	var journalErr error
 	var journalOnce sync.Once
-	err := ForEach(ctx, cfg.Workers, len(domains), func(i int) {
+	err := fanout.ForEach(ctx, cfg.Workers, len(domains), func(i int) {
 		if r, ok := done[domains[i]]; ok {
 			out.Results[i] = r
 			if cfg.Metrics != nil {
@@ -403,7 +404,7 @@ func CrawlLive(ctx context.Context, src LiveSource, domains []string, cfg Config
 	for i, d := range domains {
 		out[i] = LiveResult{Domain: d}
 	}
-	err := ForEach(ctx, cfg.Workers, len(domains), func(i int) {
+	err := fanout.ForEach(ctx, cfg.Workers, len(domains), func(i int) {
 		p, ok := src.LivePage(domains[i])
 		if ok {
 			out[i] = LiveResult{Domain: domains[i], Page: p, Crawled: true}

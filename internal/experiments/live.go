@@ -7,12 +7,11 @@ import (
 
 	"adwars/internal/browser"
 	"adwars/internal/crawler"
+	"adwars/internal/fanout"
 )
 
 // LiveConfig parameterizes the §4.3 live crawl.
 type LiveConfig struct {
-	// TopN is the ranking cut (100,000 in the paper).
-	TopN int
 	// Workers is crawl parallelism, and the fan-out of the per-site rule
 	// matching that follows, merged deterministically like the
 	// retrospective replay.
@@ -43,15 +42,13 @@ type LiveResult struct {
 	Scripts []LiveScript
 }
 
-// RunLive crawls the live top-N against the most recent list versions.
+// RunLive crawls the live universe (the paper's top 100,000, scaled) against
+// the most recent list versions.
 func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
-	if cfg.TopN <= 0 {
-		cfg.TopN = l.World.Cfg.UniverseSize
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 10
 	}
-	domains := l.World.TopDomains(cfg.TopN)
+	domains := l.World.TopDomains(l.World.Cfg.UniverseSize)
 	results, err := crawler.CrawlLive(ctx, l.World, domains, crawler.Config{Workers: cfg.Workers, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
@@ -74,7 +71,7 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 	// same two-stage shape as ReplayRun.Run, so the fan-out never changes
 	// the rendered numbers.
 	replays := make([]siteReplay, len(results))
-	crawler.ForEach(context.Background(), cfg.Workers, len(results), func(i int) {
+	fanout.ForEach(context.Background(), cfg.Workers, len(results), func(i int) {
 		r := results[i]
 		if r.Page == nil {
 			return

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 
+	"adwars/internal/fanout"
 	"adwars/internal/features"
 	"adwars/internal/jsast"
 	"adwars/internal/ml"
@@ -20,22 +20,15 @@ import (
 // the differential tests).
 type PipelineConfig struct {
 	// Workers is the fan-out width for extraction, the Gram matrix fill and
-	// cross-validation folds (0 = GOMAXPROCS).
+	// cross-validation folds (0 = one per core).
 	Workers int
-}
-
-func (p PipelineConfig) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // svm returns the default SVM config with the pipeline's worker setting
 // applied.
 func (p PipelineConfig) svm() ml.SVMConfig {
 	cfg := ml.DefaultSVMConfig()
-	cfg.Workers = p.workers()
+	cfg.Workers = p.Workers
 	return cfg
 }
 
@@ -43,7 +36,7 @@ func (p PipelineConfig) svm() ml.SVMConfig {
 // setting applied.
 func (p PipelineConfig) adaboost() ml.AdaBoostConfig {
 	cfg := ml.DefaultAdaBoostConfig()
-	cfg.SVM.Workers = p.workers()
+	cfg.SVM.Workers = p.Workers
 	return cfg
 }
 
@@ -184,7 +177,7 @@ func (c *Corpus) trim(maxSamples int, seed int64) *Corpus {
 // feature sets (no selection), parsing each script once, and returns one
 // dataset per set. Extraction is the expensive step, so callers sweeping
 // several feature budgets select per budget from the one raw dataset.
-// Extraction fans out over pipe.workers(); unparseable scripts drop out of
+// Extraction fans out over pipe.Workers; unparseable scripts drop out of
 // every set (as in the paper) and the surviving sets are compacted in
 // corpus order, so each dataset is identical to a sequential ExtractSource
 // loop under its set.
@@ -192,7 +185,7 @@ func buildDatasetRaw(c *Corpus, sets []features.Set, pipe PipelineConfig) ([]*fe
 	srcs := make([]string, 0, len(c.Positives)+len(c.Negatives))
 	srcs = append(srcs, c.Positives...)
 	srcs = append(srcs, c.Negatives...)
-	fsets, errs, err := features.ExtractAll(context.Background(), srcs, sets, pipe.workers())
+	fsets, errs, err := features.ExtractAll(context.Background(), srcs, sets, pipe.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +289,7 @@ func table3Row(name string, set features.Set, ds *features.Dataset, conf ml.Conf
 
 // crossValidate runs one Table 3 row's shared-Gram cross-validation.
 func crossValidate(ds *features.Dataset, folds int, seed int64, pipe PipelineConfig, boost bool) (ml.Confusion, error) {
-	cv := ml.CVConfig{Folds: folds, Seed: seed, Workers: pipe.workers()}
+	cv := ml.CVConfig{Folds: folds, Seed: seed, Workers: pipe.Workers}
 	if boost {
 		return ml.CrossValidateAdaBoost(ds, pipe.adaboost(), cv)
 	}
@@ -383,33 +376,36 @@ func TrainModel(corpus *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnaps
 // LiveModelTest trains the headline configuration (AdaBoost+SVM, keyword
 // features, top-1K) on the retrospective corpus and classifies the
 // anti-adblock scripts collected from live sites outside the training
-// population — the paper's 92.5% TP experiment.
+// population — the paper's 92.5% TP experiment. Each script is scored as
+// /v1/classify and adwars.Detector score it (Vocab.ProjectSource under the
+// snapshot's projection), one script per slot under its own recover
+// boundary; scoring fans out, the tally folds back in input order.
 func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, seed int64, pipe PipelineConfig) (*LiveTestResult, error) {
 	snap, err := TrainHeadlineModel(train, seed, pipe)
 	if err != nil {
 		return nil, err
 	}
-	model, vocab := snap.Model, features.NewVocab(snap.Vocab)
-	// Classify the out-of-population live scripts; extraction fans out,
-	// prediction folds back in input order.
-	eligible := make([]string, 0, len(liveScripts))
-	for _, s := range liveScripts {
-		if s.Rank > 0 && s.Rank <= excludeTopN {
-			continue // exclude the training population (top-5K)
-		}
-		eligible = append(eligible, s.Source)
-	}
-	fsets, errs, err := features.ExtractAll(context.Background(), eligible, []features.Set{features.SetKeyword}, pipe.workers())
+	set, vocab, err := snap.Projection()
 	if err != nil {
 		return nil, err
 	}
+	eligible := eligibleLiveScripts(liveScripts, excludeTopN)
+	detected := make([]bool, len(eligible))
+	errs := make([]error, len(eligible))
+	fanout.ForEach(context.Background(), pipe.Workers, len(eligible), func(i int) {
+		errs[i] = features.RunIsolated(func() error {
+			sample, err := vocab.ProjectSource(eligible[i], set)
+			detected[i] = err == nil && snap.Model.Predict(sample) > 0
+			return err
+		})
+	})
 	res := &LiveTestResult{}
 	for i := range eligible {
 		if errs[i] != nil {
 			continue
 		}
 		res.Scripts++
-		if model.Predict(vocab.Project(fsets[0][i])) > 0 {
+		if detected[i] {
 			res.Detected++
 		}
 	}
@@ -417,6 +413,20 @@ func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, see
 		res.TPRate = float64(res.Detected) / float64(res.Scripts)
 	}
 	return res, nil
+}
+
+// eligibleLiveScripts is the live test's population: the sources of the
+// live scripts in collection order, less the training population (sites
+// ranked within the top excludeTopN, the paper's top 5K).
+func eligibleLiveScripts(liveScripts []LiveScript, excludeTopN int) []string {
+	eligible := make([]string, 0, len(liveScripts))
+	for _, s := range liveScripts {
+		if s.Rank > 0 && s.Rank <= excludeTopN {
+			continue
+		}
+		eligible = append(eligible, s.Source)
+	}
+	return eligible
 }
 
 // Render prints the live-test headline.

@@ -9,6 +9,7 @@ import (
 	"adwars/internal/abp"
 	"adwars/internal/browser"
 	"adwars/internal/crawler"
+	"adwars/internal/fanout"
 	"adwars/internal/listgen"
 	"adwars/internal/stats"
 	"adwars/internal/wayback"
@@ -173,7 +174,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		// and HTML parsing are per-snapshot constants, so they belong to
 		// the crawl half, not the (repeatable) replay half.
 		inputs := make([]siteInput, len(mr.Results))
-		crawler.ForEach(ctx, cfg.Workers, len(mr.Results), func(i int) {
+		fanout.ForEach(ctx, cfg.Workers, len(mr.Results), func(i int) {
 			sr := mr.Results[i]
 			if sr.Status != crawler.StatusOK {
 				return
@@ -245,7 +246,7 @@ func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
 		// and race-free by construction (see abp: precompiled matchers).
 		inputs := rr.inputs[mi]
 		replays := make([]siteReplay, len(mr.Results))
-		crawler.ForEach(context.Background(), shards, len(mr.Results), func(i int) {
+		fanout.ForEach(context.Background(), shards, len(mr.Results), func(i int) {
 			if mr.Results[i].Status != crawler.StatusOK {
 				return
 			}

@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
-	"adwars/internal/crawler"
+	"adwars/internal/fanout"
 	"adwars/internal/jsast"
 )
 
@@ -33,7 +32,7 @@ func RunIsolated(fn func() error) (err error) {
 var extract = Extract
 
 // ExtractAll fans unpack+parse+Extract for a script corpus out over the
-// shared crawler worker pool, parsing each script once and walking it once
+// shared fanout.ForEach pool, parsing each script once and walking it once
 // per feature set. sets[s][i] is sources[i]'s features under featureSets[s].
 // Results land in caller-visible slots indexed by input position, so the
 // output order is the input order and feeding sets[s] to Build yields a
@@ -47,17 +46,14 @@ var extract = Extract
 // set, so a script with an error has no features in any set: a panic under
 // one set drops the script from all of them, and costs no other script.
 // The returned error is non-nil only when ctx is cancelled; slots not yet
-// fed keep nil sets and nil errors. workers ≤ 0 means GOMAXPROCS.
+// fed keep nil sets and nil errors. workers ≤ 0 means one per core.
 func ExtractAll(ctx context.Context, sources []string, featureSets []Set, workers int) (sets [][]map[string]bool, errs []error, err error) {
 	sets = make([][]map[string]bool, len(featureSets))
 	for s := range sets {
 		sets[s] = make([]map[string]bool, len(sources))
 	}
 	errs = make([]error, len(sources))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err = crawler.ForEach(ctx, workers, len(sources), func(i int) {
+	err = fanout.ForEach(ctx, workers, len(sources), func(i int) {
 		errs[i] = RunIsolated(func() error {
 			prog, _, err := jsast.ParseAndUnpack(sources[i])
 			if err != nil {

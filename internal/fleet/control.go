@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"adwars/internal/artifact"
-	"adwars/internal/serve"
+	"adwars/internal/chassis"
 )
 
 // ErrBadArtifact marks a rollout refused locally: the candidate artifact
@@ -65,10 +65,10 @@ func normalizeURL(u string) string {
 
 // ReplicaStatus is one replica's view in a fleet status report.
 type ReplicaStatus struct {
-	URL       string        `json:"url"`
-	Reachable bool          `json:"reachable"`
-	Err       string        `json:"error,omitempty"`
-	Health    *serve.Health `json:"health,omitempty"`
+	URL       string          `json:"url"`
+	Reachable bool            `json:"reachable"`
+	Err       string          `json:"error,omitempty"`
+	Health    *chassis.Health `json:"health,omitempty"`
 }
 
 // Status polls every replica's /healthz.
@@ -77,7 +77,7 @@ func (c *Controller) Status(ctx context.Context) []ReplicaStatus {
 	for _, r := range c.Replicas {
 		url := normalizeURL(r)
 		st := ReplicaStatus{URL: url}
-		var h serve.Health
+		var h chassis.Health
 		if err := c.getJSON(ctx, url+"/healthz", &h); err != nil {
 			st.Err = err.Error()
 		} else {
@@ -237,7 +237,7 @@ func (c *Controller) pull(ctx context.Context, url, kind string) ([]byte, error)
 // replicaVitals is the per-replica signal the controller watches: health
 // plus the reload failure counters from /debug/vars.
 type replicaVitals struct {
-	health         serve.Health
+	health         chassis.Health
 	reloadRejected uint64
 	reloadErrors   uint64
 }

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"adwars/internal/artifact"
-	"adwars/internal/serve"
+	"adwars/internal/chassis"
 )
 
 func newController(reps []string) *Controller {
@@ -181,7 +181,7 @@ func newFakeReplica(t *testing.T, seed []byte) *fakeReplica {
 		defer f.mu.Unlock()
 		f.reads = append(f.reads, fakeRead{r.URL.Path, time.Now()})
 		version, _ := artifact.Version(f.installed)
-		json.NewEncoder(w).Encode(serve.Health{
+		json.NewEncoder(w).Encode(chassis.Health{
 			Status: "ok", Replica: "fake", Ready: true, Lists: true, ListsVersion: version,
 		})
 	})

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adwars/internal/abp"
+	"adwars/internal/chassis"
 	"adwars/internal/serve"
 )
 
@@ -96,14 +97,14 @@ func jsonDecode(r io.Reader, v any) error {
 }
 
 // healthOf fetches a replica's /healthz.
-func healthOf(t *testing.T, base string) serve.Health {
+func healthOf(t *testing.T, base string) chassis.Health {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h serve.Health
+	var h chassis.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 
-	"adwars/internal/crawler"
+	"adwars/internal/fanout"
 	"adwars/internal/features"
 )
 
@@ -30,7 +29,7 @@ func crossValidate(ds *features.Dataset, cv CVConfig,
 		err error
 	}
 	results := make([]result, k)
-	_ = crawler.ForEach(context.Background(), cv.workers(), k, func(f int) {
+	_ = fanout.ForEach(context.Background(), cv.Workers, k, func(f int) {
 		var trainIdx, testIdx []int
 		for g := 0; g < k; g++ {
 			if g == f {
@@ -89,15 +88,8 @@ type CVConfig struct {
 	// so results are reproducible and identical between the entry points.
 	Seed int64
 	// Workers caps concurrent fold training and Gram precompute fan-out
-	// (0 = GOMAXPROCS, 1 = strictly sequential).
+	// (0 = one per core, 1 = strictly sequential).
 	Workers int
-}
-
-func (cv CVConfig) workers() int {
-	if cv.Workers > 0 {
-		return cv.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // CrossValidateSVM cross-validates a plain SVM, computing one Gram matrix
@@ -106,7 +98,7 @@ func (cv CVConfig) workers() int {
 // fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
 	cfg.Kernel = resolveKernel(cfg.Kernel)
-	shared := newGram(cfg.Kernel, ds.Samples, cv.workers())
+	shared := newGram(cfg.Kernel, ds.Samples, cv.Workers)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		train := ds.Subset(trainIdx)
 		if err := checkTrainInputs(train, nil); err != nil {
@@ -121,7 +113,7 @@ func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusi
 // that fold.
 func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig) (Confusion, error) {
 	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
-	shared := newGram(cfg.SVM.Kernel, ds.Samples, cv.workers())
+	shared := newGram(cfg.SVM.Kernel, ds.Samples, cv.Workers)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		return trainAdaBoostGram(ds.Subset(trainIdx), cfg, rng, shared.subset(trainIdx))
 	})

@@ -3,9 +3,8 @@ package ml
 import (
 	"context"
 	"math"
-	"runtime"
 
-	"adwars/internal/crawler"
+	"adwars/internal/fanout"
 	"adwars/internal/features"
 )
 
@@ -73,9 +72,9 @@ type gram struct {
 }
 
 // newGram evaluates the kernel on every pair of x, rows fanned out over the
-// shared worker pool (workers 0 = GOMAXPROCS). Worker i writes row i's upper
-// triangle and mirrors each value into column i — disjoint cells per worker,
-// so the fill is deterministic at any worker count. A binary kernel is
+// shared worker pool (workers 0 = one per core). Worker i writes row i's
+// upper triangle and mirrors each value into column i — disjoint cells per
+// worker, so the fill is deterministic at any worker count. A binary kernel is
 // evaluated from popcounts taken once per sample, so the inner loop is one
 // sorted-merge IntersectionSize plus integer arithmetic per pair.
 func newGram(kernel Kernel, x []features.Sample, workers int) *gram {
@@ -92,10 +91,7 @@ func newGram(kernel Kernel, x []features.Sample, workers int) *gram {
 		}
 		return kernel.Eval(x[i], x[j])
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	_ = crawler.ForEach(context.Background(), workers, n, func(i int) {
+	_ = fanout.ForEach(context.Background(), workers, n, func(i int) {
 		g.full[i*n+i] = eval(i, i)
 		for j := i + 1; j < n; j++ {
 			v := eval(i, j)

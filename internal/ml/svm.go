@@ -29,7 +29,7 @@ type SVMConfig struct {
 	// MaxIter hard-bounds total optimization sweeps.
 	MaxIter int
 	// Workers caps Gram-precompute fan-out over the shared worker pool
-	// (0 = GOMAXPROCS).
+	// (0 = one per core).
 	Workers int
 }
 

@@ -29,28 +29,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	chassis.WriteJSON(w, http.StatusOK, reloadResponse{Reloaded: true, Snapshot: s.snapshotInfo()})
 }
 
-// Health is the /healthz and /readyz response body: liveness, readiness,
-// per-snapshot versions, and the last reload outcome — everything the
-// gateway's health poller and the control plane's rollout watcher need in
-// one fetch.
-type Health struct {
-	Status       string `json:"status"`
-	Replica      string `json:"replica,omitempty"`
-	Ready        bool   `json:"ready"`
-	Draining     bool   `json:"draining,omitempty"`
-	Model        bool   `json:"model"`
-	Lists        bool   `json:"lists"`
-	ModelVersion string `json:"model_version,omitempty"`
-	ListsVersion string `json:"lists_version,omitempty"`
-	// ListsTiered reports whether every served list carries a hot/cold
-	// tier split (as adwars-compact produces).
-	ListsTiered bool           `json:"lists_tiered,omitempty"`
-	LastReload  *ReloadOutcome `json:"last_reload,omitempty"`
-}
-
 // health assembles the shared health/readiness report.
-func (s *Server) health() Health {
-	h := Health{
+func (s *Server) health() chassis.Health {
+	h := chassis.Health{
 		Status:   "ok",
 		Replica:  s.cfg.ReplicaID,
 		Draining: s.draining.Load(),
@@ -80,7 +61,7 @@ func (s *Server) health() Health {
 // any snapshot, even while draining; /readyz is routability — not ok once
 // drain is announced (or before any snapshot is loaded), so gateways stop
 // sending traffic here while the data plane finishes what it already has.
-func (s *Server) handleHealth(ok func(Health) bool) http.HandlerFunc {
+func (s *Server) handleHealth(ok func(chassis.Health) bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !chassis.RequireMethod(w, r, http.MethodGet, http.MethodHead) {
 			return
@@ -204,7 +185,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 	store()
 	s.met.Reloads.Add(1)
 	s.met.Pushes.Add(1)
-	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "push"})
+	s.lastReload.Store(&chassis.ReloadOutcome{OK: true, Source: "push"})
 	chassis.WriteJSON(w, http.StatusOK, pushResponse{Installed: true, Kind: kind, Version: version})
 }
 

@@ -16,6 +16,7 @@ import (
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
+	"adwars/internal/chassis"
 )
 
 // TestCompiledSnapshotServesAndRejectsDamage: the serving layer attaches
@@ -44,7 +45,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	healthz := func() (h Health) {
+	healthz := func() (h chassis.Health) {
 		code, body := get("/healthz")
 		if code != http.StatusOK || json.Unmarshal([]byte(body), &h) != nil {
 			t.Fatalf("healthz = %d %s", code, body)

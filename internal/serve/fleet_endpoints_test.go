@@ -10,6 +10,7 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/artifact"
+	"adwars/internal/chassis"
 )
 
 // listsArtifact renders the fixture lists snapshot (with the given label)
@@ -25,9 +26,9 @@ func listsArtifact(t *testing.T, label string) []byte {
 	return data
 }
 
-func decodeHealth(t *testing.T, body []byte) Health {
+func decodeHealth(t *testing.T, body []byte) chassis.Health {
 	t.Helper()
-	var h Health
+	var h chassis.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("health body %q: %v", body, err)
 	}

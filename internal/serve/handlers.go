@@ -262,8 +262,8 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/admin/usage", s.handleUsage)
 	mux.HandleFunc("/admin/analytics", s.handleAnalytics)
 	mux.HandleFunc("/admin/degrade", s.handleDegrade)
-	mux.HandleFunc("/healthz", s.handleHealth(func(h Health) bool { return h.Model || h.Lists }))
-	mux.HandleFunc("/readyz", s.handleHealth(func(h Health) bool { return h.Ready }))
+	mux.HandleFunc("/healthz", s.handleHealth(func(h chassis.Health) bool { return h.Model || h.Lists }))
+	mux.HandleFunc("/readyz", s.handleHealth(func(h chassis.Health) bool { return h.Ready }))
 	mux.HandleFunc("/debug/vars", s.handleDebugVars)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		chassis.WriteError(w, http.StatusNotFound, "not_found", "no such endpoint: %s", r.URL.Path)

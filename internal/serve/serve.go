@@ -147,20 +147,6 @@ type listsState struct {
 	info *ListsInfo
 }
 
-// ReloadOutcome records what happened to the most recent snapshot
-// (re)load attempt, exposed on /healthz so the control plane can see not
-// just counters but the shape of the last failure.
-type ReloadOutcome struct {
-	OK bool `json:"ok"`
-	// Rejected means the snapshot content was refused (integrity or
-	// format failure) while the previous snapshots kept serving.
-	Rejected bool   `json:"rejected,omitempty"`
-	Error    string `json:"error,omitempty"`
-	// Source is where the snapshot came from: "disk" (startup, SIGHUP,
-	// /admin/reload) or "push" (control-plane POST /admin/snapshot/*).
-	Source string `json:"source"`
-}
-
 // Server is the online serving engine. Create with New, then load
 // snapshots (ReloadSnapshots, or a control-plane push) and
 // expose Handler on any HTTP server — or use Serve, which runs it on the
@@ -190,7 +176,7 @@ type Server struct {
 	// draining flips /readyz to 503 at drain start so health-polling
 	// gateways route away before connections start tearing down.
 	draining   atomic.Bool
-	lastReload atomic.Pointer[ReloadOutcome]
+	lastReload atomic.Pointer[chassis.ReloadOutcome]
 
 	mux http.Handler
 }
@@ -327,9 +313,10 @@ func (s *Server) CloseAnalytics() error {
 // reload, a push that must also reach disk — finishes all of it before the
 // first Store, so a refusal leaves disk and memory exactly as they were.
 
-// prepareModel validates snap and builds its serving state; version and raw
-// are those of the artifact it was parsed from, empty when there is none.
-func prepareModel(snap *ml.ModelSnapshot, version string, raw []byte) (*modelState, error) {
+// prepareModel validates snap and builds its serving state; its version is
+// snap.Version, and raw the artifact it was parsed from (nil when there is
+// none).
+func prepareModel(snap *ml.ModelSnapshot, raw []byte) (*modelState, error) {
 	set, vocab, err := snap.Projection()
 	if err != nil {
 		return nil, fmt.Errorf("serve: model snapshot: %w", err)
@@ -339,7 +326,7 @@ func prepareModel(snap *ml.ModelSnapshot, version string, raw []byte) (*modelSta
 		vocab:    vocab,
 		set:      set,
 		alphaSum: snap.Model.AlphaSum(),
-		version:  version,
+		version:  snap.Version,
 		raw:      raw,
 	}
 	ms.info = &ModelInfo{
@@ -358,12 +345,12 @@ func parseModel(raw []byte) (*modelState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prepareModel(snap, snap.Version, raw)
+	return prepareModel(snap, raw)
 }
 
-// prepareLists validates snap and builds its serving state; version and raw
-// are as in prepareModel.
-func (s *Server) prepareLists(snap *abp.ListsSnapshot, version string, raw []byte) (*listsState, error) {
+// prepareLists validates snap and builds its serving state; its version and
+// raw are as in prepareModel.
+func (s *Server) prepareLists(snap *abp.ListsSnapshot, raw []byte) (*listsState, error) {
 	if len(snap.Lists) == 0 {
 		return nil, fmt.Errorf("serve: lists snapshot has no lists")
 	}
@@ -376,7 +363,7 @@ func (s *Server) prepareLists(snap *abp.ListsSnapshot, version string, raw []byt
 	for _, l := range snap.Lists {
 		l.EnableUsage()
 	}
-	ls := &listsState{snap: snap, rules: snap.Rules(), version: version, raw: raw}
+	ls := &listsState{snap: snap, rules: snap.Rules(), version: snap.Version, raw: raw}
 	ls.info = &ListsInfo{
 		Label:   snap.Label,
 		Lists:   len(snap.Lists),
@@ -394,7 +381,7 @@ func (s *Server) parseLists(raw []byte) (*listsState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.prepareLists(snap, snap.Version, raw)
+	return s.prepareLists(snap, raw)
 }
 
 // ReloadSnapshots re-reads the configured snapshot paths and installs
@@ -436,7 +423,7 @@ func (s *Server) ReloadSnapshots() error {
 		s.lists.Store(ls)
 	}
 	s.met.Reloads.Add(1)
-	s.lastReload.Store(&ReloadOutcome{OK: true, Source: "disk"})
+	s.lastReload.Store(&chassis.ReloadOutcome{OK: true, Source: "disk"})
 	return nil
 }
 
@@ -454,7 +441,7 @@ func (s *Server) reloadFailed(source string, err error) error {
 	if rejected {
 		s.met.ReloadRejected.Add(1)
 	}
-	s.lastReload.Store(&ReloadOutcome{Rejected: rejected, Error: err.Error(), Source: source})
+	s.lastReload.Store(&chassis.ReloadOutcome{Rejected: rejected, Error: err.Error(), Source: source})
 	return err
 }
 

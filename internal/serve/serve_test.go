@@ -81,10 +81,14 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // setModel and setLists install a snapshot as ReloadSnapshots does, less the
-// artifact version: the goldens carry none.
+// artifact version: the goldens carry none. The lists the tests install are
+// assembled in memory and have none; the model is parsed from its file, so
+// setModel installs a copy without it.
 func setModel(t testing.TB, s *Server, snap *ml.ModelSnapshot) {
 	t.Helper()
-	ms, err := prepareModel(snap, "", nil)
+	unversioned := *snap
+	unversioned.Version = ""
+	ms, err := prepareModel(&unversioned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +97,7 @@ func setModel(t testing.TB, s *Server, snap *ml.ModelSnapshot) {
 
 func setLists(t testing.TB, s *Server, snap *abp.ListsSnapshot) {
 	t.Helper()
-	ls, err := s.prepareLists(snap, "", nil)
+	ls, err := s.prepareLists(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +126,15 @@ type errorResponse struct {
 
 func TestSnapshotValidation(t *testing.T) {
 	s := New(Config{})
-	if _, err := prepareModel(&ml.ModelSnapshot{FeatureSet: "bogus"}, "", nil); err == nil {
+	if _, err := prepareModel(&ml.ModelSnapshot{FeatureSet: "bogus"}, nil); err == nil {
 		t.Error("unknown feature set must be rejected")
 	}
 	snap := testModelSnapshot(t)
 	snap.Vocab = nil
-	if _, err := prepareModel(snap, "", nil); err == nil {
+	if _, err := prepareModel(snap, nil); err == nil {
 		t.Error("empty vocab must be rejected")
 	}
-	if _, err := s.prepareLists(&abp.ListsSnapshot{}, "", nil); err == nil {
+	if _, err := s.prepareLists(&abp.ListsSnapshot{}, nil); err == nil {
 		t.Error("empty lists snapshot must be rejected")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adwars/internal/abp"
+	"adwars/internal/chassis"
 )
 
 func decodeUsage(t *testing.T, body []byte) UsageDump {
@@ -237,7 +238,7 @@ func TestServeTieredSnapshot(t *testing.T) {
 	plain := newTestServer(t, Config{})
 
 	rec := do(t, ts, "GET", "/healthz", "")
-	var h Health
+	var h chassis.Health
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
