@@ -114,7 +114,7 @@ func main() {
 	if err != nil {
 		// A corpus too small to cross-validate (a small world at a large
 		// scale) refuses Table 3; that refusal is the section, and the rest
-		// of the report, Collect included, does without its rows.
+		// of the report, its Table 3 targets included, does without its rows.
 		fmt.Printf("Table 3 not computed: %v\n\n", err)
 	} else {
 		fmt.Println(experiments.RenderTable3(rows3))
@@ -139,8 +139,9 @@ func main() {
 	fmt.Println(res.Render())
 
 	section("Paper vs measured")
-	summary := lab.Collect(retro, live, lab.Fig7(0), rows3, res)
-	fmt.Println(experiments.RenderComparison(experiments.PaperComparison(summary, lab.Scale())))
+	fmt.Println(experiments.RenderTargets(lab, &experiments.Results{
+		Retro: retro, Live: live, Fig7: lab.Fig7(0), Table3: rows3, LiveTest: res,
+	}))
 
 	fmt.Printf("report complete in %s\n", time.Since(started).Round(time.Second))
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // waitFor polls cond for up to 2s.
@@ -295,6 +296,25 @@ func TestReportFromRows(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestReportTrimsOnRuneBoundaries: a rule or page domain longer than its
+// column is cut to whole runes, so the dashboard stays valid UTF-8 whatever
+// a client sent in /v1/match.
+func TestReportTrimsOnRuneBoundaries(t *testing.T) {
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, c := range []struct{ name, rule, domain string }{
+		{"cyrillic domain", "||ads.example^", "новости-и-реклама.рф"},
+		{"cyrillic rule", "||новости-и-реклама-и-ещё-немного.рф/баннер^$script", "clean.example"},
+		{"cjk both", "##.広告広告広告広告広告広告広告広告広告広告広告広告広告広告広告広告", "広告広告広告広告広告広告広告広告広告広告広告.jp"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep := BuildReport([]Row{{Bucket: base, DurS: 10, Kind: "match", Verdict: "blocked", Domain: c.domain, Rule: c.rule, Count: 1}})
+			if out := rep.Render(10); !utf8.ValidString(out) {
+				t.Fatalf("render is not valid UTF-8:\n%q", out)
+			}
+		})
 	}
 }
 

@@ -161,12 +161,7 @@ func RowsFromSnapshot(snap *Snapshot) []Row {
 
 // bar renders an n-cell proportion bar.
 func bar(frac float64, cells int) string {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
+	frac = max(0, min(frac, 1))
 	full := int(frac*float64(cells) + 0.5)
 	return strings.Repeat("#", full) + strings.Repeat(".", cells-full)
 }
@@ -197,10 +192,7 @@ func (rep *Report) Render(topK int) string {
 	}
 
 	sb.WriteString("\ntop firing rules\n")
-	n := topK
-	if n > len(rep.Rules) {
-		n = len(rep.Rules)
-	}
+	n := min(topK, len(rep.Rules))
 	var ruleHits uint64
 	for _, rc := range rep.Rules {
 		ruleHits += rc.Hits
@@ -218,10 +210,7 @@ func (rep *Report) Render(topK int) string {
 	}
 
 	sb.WriteString("\nper-domain block rates (by traffic)\n")
-	n = topK
-	if n > len(rep.Domains) {
-		n = len(rep.Domains)
-	}
+	n = min(topK, len(rep.Domains))
 	for i := 0; i < n; i++ {
 		dr := rep.Domains[i]
 		frac := 0.0
@@ -243,13 +232,15 @@ func (rep *Report) Render(topK int) string {
 	return sb.String()
 }
 
-// trim shortens s to max runes with an ellipsis.
+// trim shortens s to max runes with an ellipsis, cutting on a rune
+// boundary: a client-supplied domain or rule may be any UTF-8.
 func trim(s string, max int) string {
-	if len(s) <= max {
+	r := []rune(s)
+	if len(r) <= max {
 		return s
 	}
 	if max <= 3 {
-		return s[:max]
+		return string(r[:max])
 	}
-	return s[:max-3] + "..."
+	return string(r[:max-3]) + "..."
 }

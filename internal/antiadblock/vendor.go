@@ -56,7 +56,7 @@ type Vendor struct {
 	// cannot deploy it earlier.
 	Available time.Time
 	// Share weights how often publishers pick this vendor. The paper
-	// finds >97% of detected sites use third-party vendor scripts.
+	// finds nearly every detected site uses a third-party vendor script.
 	Share float64
 }
 

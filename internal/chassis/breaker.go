@@ -22,8 +22,8 @@ const (
 type ProbeRule func() (admit func() bool)
 
 // AfterSheds admits the n-th caller an open circuit sees as the probe. It
-// reads no clock, so a crawl whose waits are only accounted (crawler.NoSleep)
-// recovers on the same schedule every run.
+// reads no clock, so a crawl whose waits are only accounted, never slept
+// (the crawler's pause), recovers on the same schedule every run.
 func AfterSheds(n int) ProbeRule {
 	return func() func() bool {
 		seen := 0

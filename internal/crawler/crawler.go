@@ -105,9 +105,6 @@ type Config struct {
 	Journal *Journal
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
-	// Sleep implements backoff waiting; nil means NoSleep (account the
-	// backoff, don't wall-clock wait — right for the simulated archive).
-	Sleep SleepFunc
 }
 
 // withDefaults normalizes a config for one crawl.
@@ -118,9 +115,6 @@ func (cfg Config) withDefaults() Config {
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.Breaker == nil {
 		cfg.Breaker = NewBreaker(cfg.Metrics)
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = NoSleep
 	}
 	return cfg
 }
@@ -345,12 +339,15 @@ func (c *monthCrawler) withRetry(ctx context.Context, domain string, fn func(att
 	}
 }
 
-// pause waits via the configured sleeper and accounts the backoff time.
+// pause accounts the backoff time without waiting it out: against the
+// in-memory archive backoff exists to be measured (Metrics.BackoffNanos),
+// not to pace a real service, so a crawl stays fast while it runs the exact
+// retry schedule. It returns ctx.Err(), so a cancelled crawl stops here.
 func (c *monthCrawler) pause(ctx context.Context, d time.Duration) error {
 	if m := c.cfg.Metrics; m != nil {
 		m.BackoffNanos.Add(int64(d))
 	}
-	return c.cfg.Sleep(ctx, d)
+	return ctx.Err()
 }
 
 // markPartials applies the paper's partial-snapshot rule: discard HARs
@@ -393,8 +390,8 @@ type LiveResult struct {
 }
 
 // CrawlLive visits every domain on the live web (§4.3). Unreachable sites
-// yield a nil Page; the caller counts reachable ones (the paper reports
-// 99,396 of 100K). On cancellation the completed portion is returned
+// yield a nil Page; the caller counts reachable ones (experiments' target
+// L1 holds the paper's). On cancellation the completed portion is returned
 // alongside ctx.Err(), with unvisited sites carrying Crawled=false.
 func CrawlLive(ctx context.Context, src LiveSource, domains []string, cfg Config) ([]LiveResult, error) {
 	if cfg.Workers <= 0 {

@@ -184,10 +184,30 @@ func buildFaultyWorld(n int, rate float64) (*wayback.Archive, stubSource, []stri
 		p.AddRequest("http://img."+domains[i]+"/hero.png", abp.TypeImage)
 		src[domains[i]] = p
 	}
+	return faultyArchive(src, domains, rate), src, domains
+}
+
+// faultyArchive is buildFaultyWorld's archive over any page source.
+func faultyArchive(src wayback.SiteSource, domains []string, rate float64) *wayback.Archive {
 	cfg := wayback.DefaultConfig(7)
 	cfg.Robots, cfg.Admin, cfg.Undefined = 10, 2, 3
 	cfg.Faults = wayback.DefaultFaultConfig(rate, 7)
-	return wayback.New(src, domains, cfg), src, domains
+	return wayback.New(src, domains, cfg)
+}
+
+// cancelAfter serves its source's pages and cancels a crawl on the nth.
+type cancelAfter struct {
+	wayback.SiteSource
+	served atomic.Int64
+	n      int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) PageAt(domain string, t time.Time) (*web.Page, bool) {
+	if c.served.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.SiteSource.PageAt(domain, t)
 }
 
 // TestCrawlMonthFaultEquivalence is the headline correctness claim at the
@@ -306,8 +326,8 @@ func TestCrawlMonthPartialOnCancel(t *testing.T) {
 	}
 }
 
-// TestCrawlMonthResumeAfterCancel kills a faulty crawl mid-month via a
-// sleeper hook, then resumes from the journal and checks the final result
+// TestCrawlMonthResumeAfterCancel kills a faulty crawl mid-month from its
+// page source, then resumes from the journal and checks the final result
 // matches an uninterrupted run — without refetching journaled sites.
 func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	month := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -322,18 +342,12 @@ func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interrupt: cancel after enough backoff pauses that a chunk of the
-	// month is done but not all of it.
-	arch, _, _ := buildFaultyWorld(300, 0.15)
+	// Interrupt: cancel after enough pages that a chunk of the month is
+	// done but not all of it.
+	_, src, _ := buildFaultyWorld(300, 0.15)
 	ctx, cancel := context.WithCancel(context.Background())
-	var pauses atomic.Int64
-	killer := func(c context.Context, d time.Duration) error {
-		if pauses.Add(1) == 10 {
-			cancel()
-		}
-		return NoSleep(c, d)
-	}
-	partial, err := CrawlMonth(ctx, arch, domains, month, Config{Workers: 6, Journal: j, Sleep: killer})
+	arch := faultyArchive(&cancelAfter{SiteSource: src, n: 100, cancel: cancel}, domains, 0.15)
+	partial, err := CrawlMonth(ctx, arch, domains, month, Config{Workers: 6, Journal: j})
 	j.Close()
 	if err == nil {
 		t.Fatal("interrupted crawl should have been cancelled (fault rate too low?)")

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"context"
 	"math"
 	"time"
 
@@ -55,21 +54,4 @@ func (p RetryPolicy) Delay(domain string, retry int, seed int64) time.Duration {
 	d *= 1 - jitter/2 + jitter*stats.HashFloat("backoff", domain, int64(retry), seed)
 	d = min(d, float64(maxBackoff))
 	return time.Duration(d)
-}
-
-// SleepFunc pauses between retries, returning ctx.Err() early on
-// cancellation.
-type SleepFunc func(ctx context.Context, d time.Duration) error
-
-// NoSleep is the default SleepFunc: it observes cancellation but does not
-// wait. Against the in-memory simulated archive backoff exists to be
-// measured (Metrics.Backoff), not to pace a real service, so crawls stay
-// fast while exercising the exact retry schedule.
-func NoSleep(ctx context.Context, d time.Duration) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
 }

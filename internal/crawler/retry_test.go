@@ -64,14 +64,20 @@ func TestBackoffScheduleShape(t *testing.T) {
 	}
 }
 
-func TestSleepFuncs(t *testing.T) {
-	ctx := context.Background()
-	if err := NoSleep(ctx, time.Hour); err != nil {
+// TestPauseAccountsBackoff: a retry's pause adds its delay to
+// Metrics.BackoffNanos without waiting it out, and reports cancellation.
+func TestPauseAccountsBackoff(t *testing.T) {
+	var m Metrics
+	c := &monthCrawler{cfg: Config{Metrics: &m}}
+	if err := c.pause(context.Background(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cancelled, cancel := context.WithCancel(ctx)
+	if got := time.Duration(m.BackoffNanos.Load()); got != time.Hour {
+		t.Fatalf("backoff accounted %v, want 1h", got)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := NoSleep(cancelled, 0); err == nil {
-		t.Fatal("NoSleep must observe cancellation")
+	if err := c.pause(cancelled, 0); err == nil {
+		t.Fatal("pause must observe cancellation")
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -118,52 +120,65 @@ func TestCircumvention(t *testing.T) {
 	}
 }
 
+// TestPaperComparison renders the target table over the test world with
+// every result but Table 3's: one row per target, Table 3's rows not
+// measured and every other row measured, and Figure 6a's AAK coverage — the
+// headline — inside its band.
 func TestPaperComparison(t *testing.T) {
 	l, r := lab(t)
 	live, err := l.RunLive(context.Background(), LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := l.Collect(r, live, l.Fig7(0), nil, nil)
-	rows := PaperComparison(s, l.Scale())
-	if len(rows) < 20 {
-		t.Fatalf("comparison rows = %d", len(rows))
+	corpus := &Corpus{Positives: r.CorpusPos, Negatives: r.CorpusNeg}
+	liveTest, err := LiveModelTest(corpus, live.Scripts, 5000, 3, PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Count-valued rows should land within 4x of the scaled paper value
-	// for the coverage headline (shape reproduction).
-	for _, row := range rows {
-		if row.Metric == "AAK HTTP-triggered sites (Jul 2016)" {
-			ratio := row.Measured / row.Paper
-			if ratio < 0.25 || ratio > 4 {
-				t.Errorf("Fig6a AAK ratio %.2f out of shape band", ratio)
-			}
+	out := RenderTargets(l, &Results{Retro: r, Live: live, Fig7: l.Fig7(0), LiveTest: liveTest})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	targets := Targets()
+	if len(lines) != len(targets)+2 {
+		t.Fatalf("%d table lines for %d targets:\n%s", len(lines), len(targets), out)
+	}
+	for i, tg := range targets {
+		cells := strings.Split(lines[i+2], " | ")
+		verdict := strings.TrimSuffix(cells[len(cells)-1], " |")
+		table3 := strings.HasPrefix(tg.Quantity, "best configuration")
+		if (verdict == "—") != table3 {
+			t.Errorf("%s %q: verdict %s", tg.ID, tg.Quantity, verdict)
 		}
-	}
-	out := RenderComparison(rows)
-	if !strings.Contains(out, "measured") {
-		t.Error("render malformed")
+		if tg.ID == "F6a" && tg.Quantity == "sites triggering AAK HTTP rules, Jul 2016" && verdict != "✓" {
+			t.Errorf("Figure 6a's AAK coverage out of its band: %s", lines[i+2])
+		}
 	}
 }
 
-// TestSummaryAgreesWithFig1: the "rules (Jul 2016)" figures of the comparison
-// are the last row of each list's Figure 1 series — the revision in force at
-// the end of the study window, not one committed after it (AAK keeps
-// releasing past the window; Collect once took its latest).
-func TestSummaryAgreesWithFig1(t *testing.T) {
+// TestTargetsAgreeWithFig1: the rule counts the targets hold a list to are
+// the first and last points of its Figure 1 series — the last the revision
+// in force at the end of the study window, not one committed after it (AAK
+// keeps releasing past the window; the comparison once took its latest).
+func TestTargetsAgreeWithFig1(t *testing.T) {
 	l, _ := lab(t)
-	s := l.Collect(nil, nil, nil, nil, nil)
-	for _, c := range []struct {
-		h    *abp.History
-		have int
-	}{
-		{l.Lists.AAK, s.AAKRulesFinal},
-		{l.Lists.EasyListAA, s.EasyListAARulesFinal},
-		{l.Lists.AWRL, s.AWRLRulesFinal},
-	} {
-		pts := Fig1(c.h, l.World.Cfg.End).Points
-		if len(pts) == 0 || pts[len(pts)-1].Total != c.have {
-			t.Errorf("%s: summary says %d rules, Figure 1 ends at %+v", c.h.Name, c.have, pts[len(pts)-1:])
+	lists := map[string]*abp.History{"AAK": l.Lists.AAK, "AWRL": l.Lists.AWRL, "EasyList-AA": l.Lists.EasyListAA}
+	checked := 0
+	for _, tg := range Targets() {
+		list, when, ok := strings.Cut(tg.Quantity, " rules, ")
+		if !ok || lists[list] == nil {
+			continue
 		}
+		pts := Fig1(lists[list], l.World.Cfg.End).Points
+		want := pts[len(pts)-1].Total
+		if when == "first revision" {
+			want = pts[0].Total
+		}
+		if got := tg.Measure(l, &Results{}); got != float64(want) {
+			t.Errorf("%s %q reads %v, Figure 1 says %d", tg.ID, tg.Quantity, got, want)
+		}
+		checked++
+	}
+	if checked != 2*len(lists) {
+		t.Fatalf("checked %d Figure 1 rule-count targets, want %d", checked, 2*len(lists))
 	}
 }
 
@@ -177,4 +192,57 @@ func protectedRate(r *CircumventionResult, list string) float64 {
 	protected := c[browser.OutcomeCircumvented] +
 		c[browser.OutcomeWallSuppressed] + c[browser.OutcomeUndetected]
 	return float64(protected) / float64(r.Deployed)
+}
+
+// TestExperimentsTableIsTheReport: EXPERIMENTS.md's table is the "Paper vs
+// measured" section of the committed report_full.txt, byte for byte; that
+// section declares the targets as Targets() does (ID, quantity, paper value
+// at scale 1 and band, so a target edited without regenerating the report
+// fails); and its verdicts are all ✓ but the two the paper's shape loses at
+// paper scale: which list has more domains (T1) and whose rules precede
+// deployment more often (F7 at 0 days).
+func TestExperimentsTableIsTheReport(t *testing.T) {
+	read := func(name string) []string {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(string(b), "\n")
+	}
+	table := func(lines []string) []string {
+		var rows []string
+		for _, line := range lines {
+			if strings.HasPrefix(line, "|") {
+				rows = append(rows, line)
+			}
+		}
+		return rows
+	}
+	report := read("report_full.txt")
+	for len(report) > 0 && !strings.Contains(report[0], "=== Paper vs measured ===") {
+		report = report[1:]
+	}
+	rows := table(report)
+	if doc := table(read("EXPERIMENTS.md")); strings.Join(doc, "\n") != strings.Join(rows, "\n") {
+		t.Fatal(`EXPERIMENTS.md's table is not report_full.txt's "Paper vs measured" section: paste that section in verbatim`)
+	}
+	targets := Targets()
+	if len(rows) != len(targets)+2 {
+		t.Fatalf("report_full.txt has %d target rows, Targets() %d: regenerate the report", len(rows)-2, len(targets))
+	}
+	var lost []string
+	for i, tg := range targets {
+		cells := strings.Split(strings.TrimSuffix(rows[i+2], " |"), " | ")
+		want := []string{"| " + tg.ID, tg.Quantity, formatValue(tg.Paper, tg.Unit)}
+		if got := cells[:3]; strings.Join(got, " | ") != strings.Join(want, " | ") ||
+			cells[5] != formatValue(tg.Band[0], "")+"–"+formatValue(tg.Band[1], "") {
+			t.Errorf("report_full.txt declares %q, Targets() %q band %v: regenerate the report", rows[i+2], want, tg.Band)
+		}
+		if cells[6] != "✓" {
+			lost = append(lost, tg.ID+" "+tg.Quantity)
+		}
+	}
+	if strings.Join(lost, "; ") != "T1 AAK ÷ CEL listed domains: AAK the larger; F7 CEL ÷ AAK at 0 days: CEL's rules more often first" {
+		t.Errorf("rows not ✓ at paper scale: %q", lost)
+	}
 }

@@ -35,7 +35,7 @@ type LiveResult struct {
 	HTTPTriggered map[string]int
 	HTMLTriggered map[string]int
 	// ThirdPartyShare is, per list, the share of HTTP-matched sites whose
-	// matched requests hit third-party hosts (the paper: 97% for AAK).
+	// matched requests hit third-party hosts (target L1 holds AAK's).
 	ThirdPartyShare map[string]float64
 	// Scripts are the unique detected anti-adblock scripts (deduplicated
 	// by source) with the detecting site's rank, feeding §5's live test.

@@ -376,7 +376,7 @@ func TrainModel(corpus *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnaps
 // LiveModelTest trains the headline configuration (AdaBoost+SVM, keyword
 // features, top-1K) on the retrospective corpus and classifies the
 // anti-adblock scripts collected from live sites outside the training
-// population — the paper's 92.5% TP experiment. Each script is scored as
+// population — the paper's live-web TP experiment. Each script is scored as
 // /v1/classify and adwars.Detector score it (Vocab.ProjectSource under the
 // snapshot's projection), one script per slot under its own recover
 // boundary; scoring fans out, the tally folds back in input order.

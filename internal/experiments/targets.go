@@ -2,168 +2,205 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"adwars/internal/abp"
 )
 
-// Summary gathers the headline metrics of one full experiment run.
-type Summary struct {
-	// §3 list statistics.
-	AAKRulesFinal, EasyListAARulesFinal, AWRLRulesFinal int
-	AAKDomains, CELDomains, Overlap                     int
-	AAKExcRatio, CELExcRatio                            float64
-	CELFirst, AAKFirst                                  int
-
-	// §4 retrospective coverage.
-	MissingFirst, MissingLast int
-	Fig6aAAK, Fig6aCEL        int
-	Fig6bAAK, Fig6bCEL        int
-
-	// §4.3 live coverage.
-	LiveAAK, LiveCEL         int
-	LiveHTMLAAK, LiveHTMLCEL int
-	LiveThirdPartyAAK        float64
-
-	// Figure 7.
-	Fig7CEL100, Fig7AAK100 float64
-	Fig7CEL0, Fig7AAK0     float64
-
-	// §5 classifier.
-	CorpusPositives int
-	BestTP, BestFP  float64
-	LiveModelTPRate float64
+// Results are what one report run measured beyond the lab's lists. The
+// report sets every field; Table3 is empty when the corpus was too small to
+// cross-validate, and its targets are then not measured.
+type Results struct {
+	Retro    *RetroResult
+	Live     *LiveResult
+	Fig7     *Fig7Result
+	Table3   []Table3Row
+	LiveTest *LiveTestResult
 }
 
-// Collect assembles a Summary from experiment results (any of which may be
-// nil, leaving the corresponding fields zero).
-func (l *Lab) Collect(retro *RetroResult, live *LiveResult, fig7 *Fig7Result, rows []Table3Row, liveTest *LiveTestResult) Summary {
-	var s Summary
-	if rev, ok := l.Lists.AAK.At(l.World.Cfg.End); ok {
-		s.AAKRulesFinal = countRules(rev.Rules)
-	}
-	if rev, ok := l.Lists.EasyListAA.At(l.World.Cfg.End); ok {
-		s.EasyListAARulesFinal = countRules(rev.Rules)
-	}
-	if rev, ok := l.Lists.AWRL.At(l.World.Cfg.End); ok {
-		s.AWRLRulesFinal = countRules(rev.Rules)
-	}
-	o := l.Overlap()
-	s.AAKDomains, s.CELDomains, s.Overlap = o.AAKDomains, o.CELDomains, o.Overlap
-	s.AAKExcRatio, s.CELExcRatio = o.AAKExceptionRatio, o.CELExceptionRatio
-	f3 := l.Fig3()
-	s.CELFirst, s.AAKFirst = f3.CELFirst, f3.AAKFirst
+// Target is one number the paper reports and how a run is held to it.
+type Target struct {
+	ID, Quantity string
+	Paper        float64
+	// Scaled marks a count of the world's domains, rules, sites or scripts:
+	// a world of a fraction s of the paper's is held to Paper × s.
+	Scaled bool
+	// Unit is "%" for a share printed as a percentage, "×" for a ratio.
+	Unit string
+	// Band bounds measured/paper where the run keeps the paper's shape.
+	Band [2]float64
+	// Measure reads the value off the lab and the run: NaN when the run has
+	// not got it.
+	Measure measure
+}
 
-	if retro != nil && len(retro.Months) > 0 {
-		first, last := retro.Months[0], retro.Months[len(retro.Months)-1]
-		s.MissingFirst = first.NotArchived + first.Outdated + first.Partial
-		s.MissingLast = last.NotArchived + last.Outdated + last.Partial
-		s.Fig6aAAK = last.HTTPTriggered["Anti-Adblock Killer"]
-		s.Fig6aCEL = last.HTTPTriggered["Combined EasyList"]
-		s.Fig6bAAK = last.HTMLTriggered["Anti-Adblock Killer"]
-		s.Fig6bCEL = last.HTMLTriggered["Combined EasyList"]
-		s.CorpusPositives = len(retro.CorpusPos)
+type measure = func(*Lab, *Results) float64
+
+// Bands of measured/paper.
+var (
+	twofold   = [2]float64{0.5, 2}   // the same size within a factor of two
+	fourfold  = [2]float64{0.25, 4}  // within a factor of four: "≫" keeps its sense
+	magnitude = [2]float64{0.1, 10}  // the same order of magnitude
+	near      = [2]float64{0.9, 1.1} // within 10 %
+	atMost    = [2]float64{0, 1}     // a bound the paper states: "within 0–5", FP
+	every     = [2]float64{1, 1}     // no exception: "in every month"
+)
+
+// Targets are the paper's numbers, in the order the report prints them.
+// Each paper value is written here once: a claim that relates two numbers
+// is a row whose value is their ratio, and a claim about which of the two
+// is larger is one whose band starts where that ratio crosses 1.
+func Targets() []Target {
+	var t []Target
+	value := func(id, q, unit string, paper float64, b [2]float64, m measure) Target {
+		t = append(t, Target{ID: id, Quantity: q, Paper: paper, Unit: unit, Band: b, Measure: m})
+		return t[len(t)-1]
 	}
-	if live != nil {
-		s.LiveAAK = live.HTTPTriggered["Anti-Adblock Killer"]
-		s.LiveCEL = live.HTTPTriggered["Combined EasyList"]
-		s.LiveHTMLAAK = live.HTMLTriggered["Anti-Adblock Killer"]
-		s.LiveHTMLCEL = live.HTMLTriggered["Combined EasyList"]
-		s.LiveThirdPartyAAK = live.ThirdPartyShare["Anti-Adblock Killer"]
+	count := func(id, q string, paper float64, b [2]float64, m measure) Target {
+		t = append(t, Target{ID: id, Quantity: q, Paper: paper, Scaled: true, Band: b, Measure: m})
+		return t[len(t)-1]
 	}
-	if fig7 != nil {
-		if c := fig7.CDFs["Combined EasyList"]; c != nil {
-			s.Fig7CEL0, s.Fig7CEL100 = c.At(0), c.At(100)
+	ratio := func(id, q string, num, den Target, b [2]float64) {
+		value(id, q, "×", num.Paper/den.Paper, b, func(l *Lab, r *Results) float64 { return num.Measure(l, r) / den.Measure(l, r) })
+	}
+	order := func(id, q string, num, den Target) {
+		ratio(id, q, num, den, [2]float64{den.Paper / num.Paper, math.Inf(1)})
+	}
+
+	for _, f := range []struct {
+		id, list                string
+		h                       func(*Lab) *abp.History
+		first, last, http, html float64
+	}{
+		{"F1a", "AAK", func(l *Lab) *abp.History { return l.Lists.AAK }, 353, 1811, 0.585, 0.415},
+		{"F1b", "AWRL", func(l *Lab) *abp.History { return l.Lists.AWRL }, 4, 167, 0.323, 0.677},
+		{"F1c", "EasyList-AA", func(l *Lab) *abp.History { return l.Lists.EasyListAA }, 67, 1317, 0.963, 0.037},
+	} {
+		fig1 := func(l *Lab) *Fig1Result { return Fig1(f.h(l), l.World.Cfg.End) }
+		html := func(l *Lab, _ *Results) float64 {
+			s := fig1(l).FinalShares()
+			return s[abp.ClassHTMLNoDomain] + s[abp.ClassHTMLWithDomain]
 		}
-		if c := fig7.CDFs["Anti-Adblock Killer"]; c != nil {
-			s.Fig7AAK0, s.Fig7AAK100 = c.At(0), c.At(100)
+		first := count(f.id, f.list+" rules, first revision", f.first, magnitude, func(l *Lab, _ *Results) float64 { return float64(fig1(l).Points[0].Total) })
+		last := count(f.id, f.list+" rules, Jul 2016", f.last, twofold, func(l *Lab, _ *Results) float64 { p := fig1(l).Points; return float64(p[len(p)-1].Total) })
+		order(f.id, f.list+" growth, Jul 2016 ÷ first revision", last, first)
+		value(f.id, f.list+" HTTP rule share, Jul 2016", "%", f.http, twofold, func(l *Lab, r *Results) float64 { return 1 - html(l, r) })
+		value(f.id, f.list+" HTML rule share, Jul 2016", "%", f.html, twofold, html)
+	}
+
+	aakDomains := count("T1", "AAK listed domains", 1415, twofold, func(l *Lab, _ *Results) float64 { return float64(l.Overlap().AAKDomains) })
+	celDomains := count("T1", "CEL listed domains", 1394, twofold, func(l *Lab, _ *Results) float64 { return float64(l.Overlap().CELDomains) })
+	order("T1", "AAK ÷ CEL listed domains: AAK the larger", aakDomains, celDomains)
+	count("X1", "domains on both lists", 282, twofold, func(l *Lab, _ *Results) float64 { return float64(l.Overlap().Overlap) })
+	aakExc := value("X1", "AAK exception : non-exception domains", "", 1, twofold, func(l *Lab, _ *Results) float64 { return l.Overlap().AAKExceptionRatio })
+	celExc := value("X1", "CEL exception : non-exception domains", "", 4, twofold, func(l *Lab, _ *Results) float64 { return l.Overlap().CELExceptionRatio })
+	ratio("X1", "CEL ÷ AAK exception ratio: CEL ≫ AAK", celExc, aakExc, fourfold)
+
+	celFirst := count("F3", "shared domains first in CEL", 185, twofold, func(l *Lab, _ *Results) float64 { return float64(l.Fig3().CELFirst) })
+	aakFirst := count("F3", "shared domains first in AAK", 92, fourfold, func(l *Lab, _ *Results) float64 { return float64(l.Fig3().AAKFirst) })
+	count("F3", "shared domains added the same day", 5, atMost, func(l *Lab, _ *Results) float64 { return float64(l.Fig3().SameDay) })
+	order("F3", "first in CEL ÷ first in AAK: CEL first for most", celFirst, aakFirst)
+
+	missing := func(m MonthCoverage) float64 { return float64(m.NotArchived + m.Outdated + m.Partial) }
+	final := func(r *Results) MonthCoverage { return r.Retro.Months[len(r.Retro.Months)-1] }
+	missFirst := count("F5", "missing snapshots of the top-5K, Aug 2011", 1524, twofold, func(_ *Lab, r *Results) float64 { return missing(r.Retro.Months[0]) })
+	missLast := count("F5", "missing snapshots of the top-5K, Jul 2016", 984, twofold, func(_ *Lab, r *Results) float64 { return missing(final(r)) })
+	order("F5", "Aug 2011 ÷ Jul 2016 missing: fewer by the end", missFirst, missLast)
+	value("F5", "months with outdated > not archived > partial", "", 60, every, func(_ *Lab, r *Results) float64 {
+		n := 0
+		for _, m := range r.Retro.Months {
+			if m.Outdated > m.NotArchived && m.NotArchived > m.Partial {
+				n++
+			}
+		}
+		return float64(n)
+	})
+
+	const aak, cel = "Anti-Adblock Killer", "Combined EasyList"
+	mostHTML := func(list string) measure {
+		return func(_ *Lab, r *Results) float64 {
+			n := 0
+			for _, m := range r.Retro.Months {
+				n = max(n, m.HTMLTriggered[list])
+			}
+			return float64(n)
 		}
 	}
-	if len(rows) > 0 {
-		best := BestRow(rows)
-		s.BestTP, s.BestFP = best.TPRate, best.FPRate
-	}
-	if liveTest != nil {
-		s.LiveModelTPRate = liveTest.TPRate
-	}
-	return s
-}
+	aak6a := count("F6a", "sites triggering AAK HTTP rules, Jul 2016", 331, twofold, func(_ *Lab, r *Results) float64 { return float64(final(r).HTTPTriggered[aak]) })
+	cel6a := count("F6a", "sites triggering CEL HTTP rules, Jul 2016", 16, twofold, func(_ *Lab, r *Results) float64 { return float64(final(r).HTTPTriggered[cel]) })
+	ratio("F6a", "AAK ÷ CEL HTTP-triggered: AAK ≫ CEL", aak6a, cel6a, fourfold)
+	count("F6b", "sites triggering AAK HTML rules, most in a month", 5, atMost, mostHTML(aak))
+	count("F6b", "sites triggering CEL HTML rules, most in a month", 4, atMost, mostHTML(cel))
 
-func countRules(rules []*abp.Rule) int {
-	n := 0
-	for _, r := range rules {
-		if r.Kind != abp.KindComment && r.Kind != abp.KindInvalid {
-			n++
+	cel100 := value("F7", "CEL detection delay CDF at 100 days", "", 0.82, twofold, func(_ *Lab, r *Results) float64 { return r.Fig7.CDFs[cel].At(100) })
+	aak100 := value("F7", "AAK detection delay CDF at 100 days", "", 0.32, twofold, func(_ *Lab, r *Results) float64 { return r.Fig7.CDFs[aak].At(100) })
+	order("F7", "CEL ÷ AAK at 100 days: CEL the more prompt", cel100, aak100)
+	cel0 := value("F7", "CEL detection delay CDF at 0 days", "", 0.42, twofold, func(_ *Lab, r *Results) float64 { return r.Fig7.CDFs[cel].At(0) })
+	aak0 := value("F7", "AAK detection delay CDF at 0 days", "", 0.23, twofold, func(_ *Lab, r *Results) float64 { return r.Fig7.CDFs[aak].At(0) })
+	order("F7", "CEL ÷ AAK at 0 days: CEL's rules more often first", cel0, aak0)
+
+	count("L1", "live top-100K sites reachable", 99396, near, func(_ *Lab, r *Results) float64 { return float64(r.Live.Reachable) })
+	aakLive := count("L1", "live sites triggering AAK HTTP rules", 4931, twofold, func(_ *Lab, r *Results) float64 { return float64(r.Live.HTTPTriggered[aak]) })
+	celLive := count("L1", "live sites triggering CEL HTTP rules", 182, twofold, func(_ *Lab, r *Results) float64 { return float64(r.Live.HTTPTriggered[cel]) })
+	ratio("L1", "AAK ÷ CEL live HTTP-triggered: AAK ≫ CEL", aakLive, celLive, fourfold)
+	count("L1", "live sites triggering AAK HTML rules", 11, fourfold, func(_ *Lab, r *Results) float64 { return float64(r.Live.HTMLTriggered[aak]) })
+	count("L1", "live sites triggering CEL HTML rules", 15, fourfold, func(_ *Lab, r *Results) float64 { return float64(r.Live.HTMLTriggered[cel]) })
+	value("L1", "AAK-matched live sites hit on third-party hosts", "%", 0.97, near, func(_ *Lab, r *Results) float64 { return r.Live.ThirdPartyShare[aak] })
+
+	best := func(r *Results) Table3Row {
+		if len(r.Table3) == 0 {
+			return Table3Row{TPRate: math.NaN(), FPRate: math.NaN()}
 		}
+		return BestRow(r.Table3)
 	}
-	return n
+	count("T3", "corpus positives", 372, twofold, func(_ *Lab, r *Results) float64 { return float64(len(r.Retro.CorpusPos)) })
+	value("T3", "best configuration's TP rate", "%", 0.997, near, func(_ *Lab, r *Results) float64 { return best(r).TPRate })
+	value("T3", "best configuration's FP rate", "%", 0.032, atMost, func(_ *Lab, r *Results) float64 { return best(r).FPRate })
+	count("L2", "live anti-adblock scripts tested", 2701, twofold, func(_ *Lab, r *Results) float64 { return float64(r.LiveTest.Scripts) })
+	value("L2", "live model TP rate", "%", 0.925, near, func(_ *Lab, r *Results) float64 { return r.LiveTest.TPRate })
+	return t
 }
 
-// ComparisonRow is one paper-vs-measured line.
-type ComparisonRow struct {
-	Artifact string
-	Metric   string
-	Paper    float64
-	Measured float64
-}
-
-// ratio returns measured/paper ("shape factor"); 1.0 is a perfect match.
-func (r ComparisonRow) ratio() float64 {
-	if r.Paper == 0 {
-		return 0
-	}
-	return r.Measured / r.Paper
-}
-
-// PaperComparison lines a run's summary up against the numbers the paper
-// reports. scale rescales count-valued paper targets for scaled worlds
-// (rates and ratios are scale-free).
-func PaperComparison(s Summary, scale float64) []ComparisonRow {
-	c := func(artifact, metric string, paper, measured float64) ComparisonRow {
-		return ComparisonRow{Artifact: artifact, Metric: metric, Paper: paper, Measured: measured}
-	}
-	k := scale
-	return []ComparisonRow{
-		c("Fig 1a", "AAK rules (Jul 2016)", 1811*k, float64(s.AAKRulesFinal)),
-		c("Fig 1b", "AWRL rules (Jul 2016)", 167*k, float64(s.AWRLRulesFinal)),
-		c("Fig 1c", "EasyList-AA rules (Jul 2016)", 1317*k, float64(s.EasyListAARulesFinal)),
-		c("§3.3", "AAK listed domains", 1415*k, float64(s.AAKDomains)),
-		c("§3.3", "CEL listed domains", 1394*k, float64(s.CELDomains)),
-		c("§3.3", "shared domains", 282*k, float64(s.Overlap)),
-		c("§3.3", "AAK exception ratio", 1.0, s.AAKExcRatio),
-		c("§3.3", "CEL exception ratio", 4.0, s.CELExcRatio),
-		c("Fig 3", "shared domains first in CEL", 185*k, float64(s.CELFirst)),
-		c("Fig 3", "shared domains first in AAK", 92*k, float64(s.AAKFirst)),
-		c("Fig 5", "missing snapshots (Aug 2011)", 1524*k, float64(s.MissingFirst)),
-		c("Fig 5", "missing snapshots (Jul 2016)", 984*k, float64(s.MissingLast)),
-		c("Fig 6a", "AAK HTTP-triggered sites (Jul 2016)", 331*k, float64(s.Fig6aAAK)),
-		c("Fig 6a", "CEL HTTP-triggered sites (Jul 2016)", 16*k, float64(s.Fig6aCEL)),
-		c("Fig 6b", "AAK HTML-triggered sites (≤5)", 5*k, float64(s.Fig6bAAK)),
-		c("Fig 6b", "CEL HTML-triggered sites (≤4)", 4*k, float64(s.Fig6bCEL)),
-		c("Fig 7", "CEL CDF at 100 days", 0.82, s.Fig7CEL100),
-		c("Fig 7", "AAK CDF at 100 days", 0.32, s.Fig7AAK100),
-		c("Fig 7", "CEL CDF at 0 days", 0.42, s.Fig7CEL0),
-		c("Fig 7", "AAK CDF at 0 days", 0.23, s.Fig7AAK0),
-		c("§4.3", "AAK live HTTP-triggered", 4931*k, float64(s.LiveAAK)),
-		c("§4.3", "CEL live HTTP-triggered", 182*k, float64(s.LiveCEL)),
-		c("§4.3", "AAK live HTML-triggered", 11*k, float64(s.LiveHTMLAAK)),
-		c("§4.3", "CEL live HTML-triggered", 15*k, float64(s.LiveHTMLCEL)),
-		c("§4.3", "AAK third-party share", 0.97, s.LiveThirdPartyAAK),
-		c("§5", "corpus positives", 372*k, float64(s.CorpusPositives)),
-		c("Table 3", "best TP rate", 0.997, s.BestTP),
-		c("Table 3", "best FP rate", 0.032, s.BestFP),
-		c("§5", "live model TP rate", 0.925, s.LiveModelTPRate),
-	}
-}
-
-// RenderComparison prints the paper-vs-measured table.
-func RenderComparison(rows []ComparisonRow) string {
+// RenderTargets prints every target as a markdown table row with its
+// verdict: ✓ the run keeps the paper's shape, ✗ it does not, — the run has
+// not got the value. It is the table of EXPERIMENTS.md.
+func RenderTargets(l *Lab, r *Results) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-38s %10s %10s %7s\n",
-		"artifact", "metric", "paper", "measured", "ratio")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %-38s %10.2f %10.2f %6.2fx\n",
-			r.Artifact, r.Metric, r.Paper, r.Measured, r.ratio())
+	b.WriteString("| ID | Quantity | Paper | Measured | Measured / paper | Band | Verdict |\n|---|---|---|---|---|---|---|\n")
+	for _, t := range Targets() {
+		paper, got := t.Paper, t.Measure(l, r)
+		if t.Scaled {
+			paper *= l.Scale()
+		}
+		verdict := "✗"
+		switch ratio := got / paper; {
+		case math.IsNaN(got):
+			verdict = "—"
+		case ratio >= t.Band[0] && ratio <= t.Band[1]:
+			verdict = "✓"
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s–%s | %s |\n", t.ID, t.Quantity, formatValue(paper, t.Unit),
+			formatValue(got, t.Unit), formatValue(got/paper, ""), formatValue(t.Band[0], ""), formatValue(t.Band[1], ""), verdict)
 	}
 	return b.String()
+}
+
+// formatValue prints v to three significant digits, or whole from 1000 on,
+// a "%" unit as a percentage, NaN (not measured) as "—".
+func formatValue(v float64, unit string) string {
+	prec := 3
+	if unit == "%" {
+		v, unit = 100*v, " %"
+	}
+	switch {
+	case math.IsNaN(v):
+		return "—"
+	case math.IsInf(v, 1):
+		return "∞"
+	case math.Abs(v) >= 1000:
+		v, prec = math.Round(v), -1
+	}
+	return strconv.FormatFloat(v, 'g', prec, 64) + unit
 }

@@ -37,19 +37,24 @@ type Config struct {
 	Start, End time.Time
 	// LiveDate is when the live crawl runs (Apr 2017 in the paper).
 	LiveDate time.Time
-	// BaseAdoption is the final (by LiveDate) adoption probability for a
-	// rank-1..5K site of an average category; deeper ranks adopt less.
-	BaseAdoption float64
-	// StaticNoticeFraction is how many deployments keep their warning
-	// overlay in static HTML (most inject it dynamically, which is why
-	// the paper's Figure 6(b) HTML-rule counts stay near zero).
-	StaticNoticeFraction float64
-	// UnreachableFraction of live-crawl sites fail to load (the paper
-	// reaches 99,396 of 100K).
-	UnreachableFraction float64
-	// Gen controls script generation (packing probability etc.).
-	Gen antiadblock.GenOptions
 }
+
+// The world's calibration, the same at every scale.
+const (
+	// baseAdoption is the final (by LiveDate) adoption probability for a
+	// rank-1..5K site of an average category; deeper ranks adopt less.
+	baseAdoption = 0.10
+	// staticNoticeFraction is how many deployments keep their warning
+	// overlay in static HTML, ~1 in 9 (most inject it dynamically, which is
+	// why the paper's Figure 6(b) HTML-rule counts stay near zero).
+	staticNoticeFraction = 0.11
+	// unreachableFraction of live-crawl sites fail to load (the paper's
+	// live crawl reached all but ≈0.6 % of its top-100K).
+	unreachableFraction = 0.006
+	// packProbability is the chance a generated script wraps itself in an
+	// eval packer.
+	packProbability = 0.12
+)
 
 // DefaultConfig is paper scale: 100K ranked domains, Aug 2011 – Jul 2016
 // retrospective window, Apr 2017 live crawl.
@@ -62,11 +67,6 @@ func DefaultConfig(seed int64) Config {
 		Start:        time.Date(2011, 8, 1, 0, 0, 0, 0, time.UTC),
 		End:          time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC),
 		LiveDate:     time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC),
-		BaseAdoption: 0.10,
-		// ~1 in 9 deployments keeps a static overlay.
-		StaticNoticeFraction: 0.11,
-		UnreachableFraction:  0.006,
-		Gen:                  antiadblock.GenOptions{PackProbability: 0.12},
 	}
 }
 
@@ -211,20 +211,10 @@ func New(cfg Config) *World {
 	return w
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // maybeAdopt decides whether (and when) a universe site adopts
 // anti-adblocking.
 func (w *World) maybeAdopt(domain string, rank int, cat alexa.Category) {
-	p := w.Cfg.BaseAdoption * rankAdoption(rank) * categoryAdoption[cat]
-	if p > 1 {
-		p = 1
-	}
+	p := min(baseAdoption*rankAdoption(rank)*categoryAdoption[cat], 1)
 	u := w.hashFloat("adopt", domain, 0)
 	if u >= p {
 		return
@@ -349,7 +339,7 @@ func (w *World) NonDeployedDomains(n int) []string {
 // dynamically on detection. The curation model uses this: list authors
 // write HTML hide rules for notices they can see.
 func (w *World) StaticNotice(domain string) bool {
-	return w.hashFloat("static", domain, 0) < w.Cfg.StaticNoticeFraction
+	return w.hashFloat("static", domain, 0) < staticNoticeFraction
 }
 
 // contentEpoch changes a site's baseline content once a year — websites
@@ -382,7 +372,7 @@ func (w *World) LivePage(domain string) (*web.Page, bool) {
 	if _, ok := w.Universe.Site(domain); !ok {
 		return nil, false
 	}
-	if w.hashFloat("unreachable", domain, 0) < w.Cfg.UnreachableFraction {
+	if w.hashFloat("unreachable", domain, 0) < unreachableFraction {
 		return nil, false
 	}
 	return w.buildPage(domain, w.Cfg.LiveDate), true
@@ -403,7 +393,7 @@ func (w *World) buildPage(domain string, t time.Time) *web.Page {
 	}
 	nScripts := 1 + rng.Intn(3)
 	for i := 0; i < nScripts; i++ {
-		src := antiadblock.RandomBenignScript(rng, w.Cfg.Gen)
+		src := antiadblock.RandomBenignScript(rng, antiadblock.GenOptions{PackProbability: packProbability})
 		if rng.Float64() < 0.6 {
 			u := fmt.Sprintf("http://%s/js/lib%d.js", domain, i)
 			p.AddRequest(u, abp.TypeScript)
@@ -430,7 +420,7 @@ func (w *World) buildPage(domain string, t time.Time) *web.Page {
 		// Deployment randomness keyed to the deployment, not the month:
 		// the anti-adblock integration stays stable once added.
 		drng := w.rng("aab", domain, d.Start.Unix())
-		applyDeployment(d, p, drng, w.Cfg.Gen, w.StaticNotice(domain))
+		applyDeployment(d, p, drng, antiadblock.GenOptions{PackProbability: packProbability}, w.StaticNotice(domain))
 	}
 	return p
 }

@@ -239,7 +239,7 @@ func TestStaticNoticeFraction(t *testing.T) {
 	frac := float64(static) / float64(total)
 	if frac < 0.02 || frac > 0.30 {
 		t.Errorf("static notice fraction = %.2f, want ≈ %.2f",
-			frac, w.Cfg.StaticNoticeFraction)
+			frac, staticNoticeFraction)
 	}
 }
 

@@ -28,9 +28,9 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X ≤ x).
+// At returns P(X ≤ x); a nil CDF, like an empty one, is 0 everywhere.
 func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
+	if c == nil || len(c.sorted) == 0 {
 		return 0
 	}
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))

@@ -24,10 +24,10 @@ import (
 var keptOnPurpose = map[string]string{
 	"adwars/internal/abp.List.MatchingHTTPRulesLinear":          "the all-matches reference oracle of the differential tests",
 	"adwars/internal/abp.Rule.MatchRequest":                     "one rule against one request: the matcher's test entry point",
+	"adwars/internal/abp.KindInvalid":                           "the zero Kind, which a line that does not parse carries; tests name it",
 	"adwars/internal/jsast.Tokenize":                            "the lexer's test entry point, held to the reference lexer",
 	"adwars/internal/ml.TrainSVM":                               "the base learner alone, as the SVM tests train it",
 	"adwars/internal/wayback.FaultConfig.MaxFailuresPerRequest": "the input of the invariant that the crawl's retry budget exceeds it",
-	"adwars/internal/experiments.Fig1Result.FinalShares":        "Figure 1's end point, which the regenerated fidelity table is to read",
 	"adwars/internal/scriptcorpus":                              "the pinned script corpus the jsast and features oracle tests share",
 	"adwars/internal/antiadblock.CanRunAdsScript":               "the bait script of the pinned corpus and the Table 3 positives",
 }
