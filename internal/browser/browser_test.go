@@ -37,38 +37,6 @@ func antiAdblockPage(t *testing.T) (*web.Page, *antiadblock.Deployment) {
 	return p, d
 }
 
-func TestMatchHTTPURLs(t *testing.T) {
-	list := buildList(t, "||pagefair.com^$third-party")
-	triggers := MatchHTTPURLs(list, []string{
-		"http://pagefair.com/static/adblock_detection/js/d.min.js",
-		"http://img.dailynews.com/logo.png",
-	}, "dailynews.com")
-	if len(triggers) != 1 {
-		t.Fatalf("triggers = %d, want 1", len(triggers))
-	}
-	if triggers[0].Decision != abp.Blocked {
-		t.Fatalf("decision = %v", triggers[0].Decision)
-	}
-}
-
-func TestGuessType(t *testing.T) {
-	cases := map[string]abp.RequestType{
-		"http://x.com/a.js":          abp.TypeScript,
-		"http://x.com/a.js?v=2":      abp.TypeScript,
-		"http://x.com/style.css":     abp.TypeStylesheet,
-		"http://x.com/logo.PNG":      abp.TypeImage,
-		"http://x.com/":              abp.TypeDocument,
-		"http://x.com/page.html":     abp.TypeDocument,
-		"http://x.com/api/data?x=1":  abp.TypeOther,
-		"http://x.com/pic.jpeg#frag": abp.TypeImage,
-	}
-	for u, want := range cases {
-		if got := guessType(u); got != want {
-			t.Errorf("guessType(%q) = %v, want %v", u, got, want)
-		}
-	}
-}
-
 func TestOpenArchivedHTML(t *testing.T) {
 	html := `<html><body>
 <div id="noticeMain" class="adblock-wall">disable your adblocker</div>
@@ -101,22 +69,23 @@ func TestReplayLivePage(t *testing.T) {
 		"||pagefair.com^$third-party",
 		"dailynews.com###"+d.NoticeID,
 	)
-	// A live page's request URLs need no truncation and its DOM is
-	// available directly.
-	replay := func(p *web.Page) (http []HTTPTrigger, hidden int) {
-		urls := make([]string, 0, len(p.Requests))
+	// A live page's requests need no truncation and carry their type and
+	// page domain; its DOM is available directly.
+	replay := func(p *web.Page) (http, hidden int) {
 		for _, q := range p.Requests {
-			urls = append(urls, q.URL)
+			if dec, _ := list.MatchRequest(q); dec != abp.NoMatch {
+				http++
+			}
 		}
-		return MatchHTTPURLs(list, urls, p.Domain), len(list.HiddenElements(p.Domain, PageViews(p)))
+		return http, len(list.HiddenElements(p.Domain, PageViews(p)))
 	}
-	if http, hidden := replay(page); len(http) == 0 || hidden == 0 {
-		t.Errorf("anti-adblock page: %d HTTP triggers, %d hidden elements; want both > 0", len(http), hidden)
+	if http, hidden := replay(page); http == 0 || hidden == 0 {
+		t.Errorf("anti-adblock page: %d HTTP triggers, %d hidden elements; want both > 0", http, hidden)
 	}
 	benign := web.NewPage("benign.com", "B")
 	benign.AddRequest("http://benign.com/app.js", abp.TypeScript)
-	if http, hidden := replay(benign); len(http) != 0 || hidden != 0 {
-		t.Errorf("benign page triggered: %d HTTP, %d HTML", len(http), hidden)
+	if http, hidden := replay(benign); http != 0 || hidden != 0 {
+		t.Errorf("benign page triggered: %d HTTP, %d HTML", http, hidden)
 	}
 }
 
@@ -134,11 +103,14 @@ func TestReplaySnapshotTruncatesWaybackURLs(t *testing.T) {
 		HAR:  harLog,
 		Page: page,
 	}
-	var urls []string
-	for _, u := range snap.HAR.URLs() {
-		urls = append(urls, wayback.TruncateURL(u))
+	blocked := 0
+	for _, e := range snap.HAR.Entries {
+		q := abp.Request{URL: wayback.TruncateURL(e.Request.URL), Type: abp.RequestType(e.Request.ResourceType), PageDomain: snap.Ref.Domain}
+		if dec, _ := l.MatchRequest(q); dec == abp.Blocked {
+			blocked++
+		}
 	}
-	if len(MatchHTTPURLs(l, urls, snap.Ref.Domain)) == 0 {
+	if blocked == 0 {
 		t.Fatal("rewritten vendor URL should match after truncation")
 	}
 	if len(l.HiddenElements(snap.Ref.Domain, DOMViews(snap.HTML))) == 0 {

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -283,5 +284,67 @@ func TestJournalCrashAtEveryByte(t *testing.T) {
 			t.Fatalf("cut at %d of %d (stamp line ends at %d): a foreign stamp gave %v", n, len(data), ends[0], err)
 		}
 		j.Close()
+	}
+}
+
+// TestJournalRefetchesBogusResourceType: the replay matches each HAR entry
+// with its recorded type, so a journaled site-month whose HAR carries a type
+// the matcher does not know is not restored; the resumed crawl fetches it
+// again and journals the fresh snapshot.
+func TestJournalRefetchesBogusResourceType(t *testing.T) {
+	a, _, domains := buildWorld(17) // 15 excluded, 2 fetched
+	month := journalTestMonth()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed := []byte(`"_resourceType":"script"`)
+	at := bytes.Index(data, typed)
+	if at < 0 {
+		t.Fatal("no journaled HAR entry carries a script type")
+	}
+	start := bytes.LastIndexByte(data[:at], '\n') + 1
+	var rec journalRecord
+	if err := json.Unmarshal(data[start:start+bytes.IndexByte(data[start:], '\n')], &rec); err != nil {
+		t.Fatal(err)
+	}
+	bogus := slices.Concat(data[:at], []byte(`"_resourceType":"bogus"`), data[at+len(typed):])
+	if err := os.WriteFile(path, bogus, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if _, ok := j2.Completed(month)[rec.Domain]; ok {
+		t.Fatalf("%s restored with a bogus _resourceType", rec.Domain)
+	}
+	if got := len(j2.Completed(month)); got != len(domains)-1 {
+		t.Fatalf("restored %d site-months, want %d", got, len(domains)-1)
+	}
+	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Results {
+		if r.Domain == rec.Domain && (r.Status != StatusOK || r.Snapshot == nil) {
+			t.Fatalf("%s after resume: %v, want a refetched snapshot", r.Domain, r.Status)
+		}
+	}
+	if r, ok := j2.Completed(month)[rec.Domain]; !ok || r.Snapshot == nil {
+		t.Fatalf("%s: the refetched snapshot was not journaled", rec.Domain)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"adwars/internal/abp"
-	"adwars/internal/web"
 )
 
 // ---- Dead-rule fraction: how much of each list ever fires ----
@@ -53,18 +52,14 @@ func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 	}
 	// Materialize the request streams once; both lists replay the same
 	// traffic.
-	type site struct {
-		domain string
-		reqs   []web.Request
-	}
-	var sites []site
+	var sites [][]abp.Request
 	out := &DeadRuleResult{}
 	for _, d := range l.World.TopDomains(topN) {
 		page, ok := l.World.LivePage(d)
 		if !ok {
 			continue
 		}
-		sites = append(sites, site{domain: d, reqs: page.Requests})
+		sites = append(sites, page.Requests)
 		out.Sites++
 		out.Requests += len(page.Requests)
 	}
@@ -79,9 +74,9 @@ func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 		// lab's shared per-revision list cache.
 		list := abp.NewList(name, latest.Rules())
 		list.EnableUsage()
-		for _, s := range sites {
-			for _, rq := range s.reqs {
-				list.MatchRequest(abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: s.domain})
+		for _, reqs := range sites {
+			for _, q := range reqs {
+				list.MatchRequest(q)
 			}
 		}
 		httpRules, fired := list.UsageProfile()

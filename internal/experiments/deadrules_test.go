@@ -61,7 +61,7 @@ func TestDeadRulesTieredTransparent(t *testing.T) {
 					continue
 				}
 				for _, rq := range page.Requests {
-					hits = list.AppendHits(hits[:0], abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: d})
+					hits = list.AppendHits(hits[:0], rq)
 					dec, r, ord := abp.DecideHits(hits)
 					list.RecordUsage(ord)
 					v := verdict{dec: dec}

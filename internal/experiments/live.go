@@ -76,11 +76,7 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 		if r.Page == nil {
 			return
 		}
-		urls := make([]string, 0, len(r.Page.Requests))
-		for _, q := range r.Page.Requests {
-			urls = append(urls, q.URL)
-		}
-		replays[i] = replaySite(lists, r.Domain, siteInput{urls: urls, views: browser.PageViews(r.Page)})
+		replays[i] = replaySite(lists, r.Domain, siteInput{reqs: r.Page.Requests, views: browser.PageViews(r.Page)})
 	})
 
 	for i, r := range results {

@@ -10,6 +10,7 @@ import (
 	"adwars/internal/crawler"
 	"adwars/internal/simworld"
 	"adwars/internal/stats"
+	"adwars/internal/wayback"
 )
 
 // replayLab is a small dedicated lab so the determinism tests can crawl
@@ -74,18 +75,36 @@ func TestReplayShardDeterminism(t *testing.T) {
 // TestReplayViewsMatchParse: PrepareReplay keeps a domain's DOM views only
 // while its snapshot HTML is byte-equal to the last month's, so every
 // site-month's views equal a fresh parse of its own HTML, and some are
-// reused while others are reparsed.
+// reused while others are reparsed. Every prepared request is its HAR
+// entry as the page issued it: the URL with the archive's prefix cut, the
+// type the crawl recorded, the site as page domain.
 func TestReplayViewsMatchParse(t *testing.T) {
 	_, run := replayLab(t)
 	last := map[string]string{}
-	reused, parsed := 0, 0
+	reused, parsed, truncated := 0, 0, 0
+	types := map[abp.RequestType]bool{}
 	for mi, mr := range run.months {
 		for i, sr := range mr.Results {
 			if sr.Status != crawler.StatusOK {
 				continue
 			}
+			in := run.inputs[mi][i]
+			entries := sr.Snapshot.HAR.Entries
+			if len(in.reqs) != len(entries) {
+				t.Fatalf("%s %s: %d requests for %d HAR entries", stats.MonthLabel(mr.Month), sr.Domain, len(in.reqs), len(entries))
+			}
+			for j, e := range entries {
+				want := abp.Request{URL: wayback.TruncateURL(e.Request.URL), Type: abp.RequestType(e.Request.ResourceType), PageDomain: sr.Domain}
+				if in.reqs[j] != want {
+					t.Fatalf("%s %s: request %d = %+v, want %+v", stats.MonthLabel(mr.Month), sr.Domain, j, in.reqs[j], want)
+				}
+				if want.URL != e.Request.URL {
+					truncated++
+				}
+				types[want.Type] = true
+			}
 			html := sr.Snapshot.HTML
-			if !reflect.DeepEqual(run.inputs[mi][i].views, browser.DOMViews(html)) {
+			if !reflect.DeepEqual(in.views, browser.DOMViews(html)) {
 				t.Fatalf("%s %s: views differ from a parse of the snapshot HTML", stats.MonthLabel(mr.Month), sr.Domain)
 			}
 			if last[sr.Domain] == html {
@@ -98,6 +117,28 @@ func TestReplayViewsMatchParse(t *testing.T) {
 	}
 	if reused == 0 || parsed == 0 {
 		t.Fatalf("reused %d, parsed %d: want both", reused, parsed)
+	}
+	if truncated == 0 || !types[abp.TypeScript] || !types[abp.TypeImage] {
+		t.Fatalf("%d archive URLs truncated, types %v: want rewritten URLs and several types", truncated, types)
+	}
+}
+
+// TestReplayMatchesCarriedType: the replay matches a request with the type
+// the crawl recorded for it, as an adblocker does, and not one guessed from
+// its URL: an extensionless loader typed script is blocked by a $script
+// rule, the same URL typed image is not.
+func TestReplayMatchesCarriedType(t *testing.T) {
+	r, err := abp.Parse("||vendor.example^$script")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := map[string]*abp.List{"L": abp.NewList("L", []*abp.Rule{r})}
+	const u = "http://vendor.example/loader"
+	for typ, want := range map[abp.RequestType]bool{abp.TypeScript: true, abp.TypeImage: false} {
+		in := siteInput{reqs: []abp.Request{{URL: u, Type: typ, PageDomain: "publisher.example"}}}
+		if got := replaySite(lists, "publisher.example", in).blocked["L"][u]; got != want {
+			t.Errorf("%s request to %s: blocked = %v, want %v", typ, u, got, want)
+		}
 	}
 }
 
@@ -145,18 +186,17 @@ func TestIndexedAgreesWithLinearOverHistories(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, rq := range page.Requests {
-					q := abp.Request{URL: rq.URL, Type: rq.Type, PageDomain: d}
+				for _, q := range page.Requests {
 					got := list.AppendHits(nil, q)
 					want := list.MatchingHTTPRulesLinear(q)
 					if len(got) != len(want) {
 						t.Fatalf("%s at %s: %q: indexed %d rules, linear %d",
-							name, month.Format("2006-01"), rq.URL, len(got), len(want))
+							name, month.Format("2006-01"), q.URL, len(got), len(want))
 					}
 					for i := range got {
 						if got[i].Rule != want[i] {
 							t.Fatalf("%s at %s: %q: rule %d: %q vs %q",
-								name, month.Format("2006-01"), rq.URL, i, got[i].Rule.Raw, want[i].Raw)
+								name, month.Format("2006-01"), q.URL, i, got[i].Rule.Raw, want[i].Raw)
 						}
 					}
 				}

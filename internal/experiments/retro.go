@@ -90,8 +90,8 @@ func (l *Lab) RunRetrospective(ctx context.Context, cfg RetroConfig) (*RetroResu
 
 // ReplayRun holds one crawl's worth of monthly snapshots so the replay —
 // the pure matching half of the pipeline — can be repeated without
-// refetching. Snapshot HTML is parsed and HAR URLs truncated once, at
-// prepare time, so Run measures rule matching rather than DOM parsing.
+// refetching. Snapshot HTML is parsed and HAR entries turned into requests
+// once, at prepare time, so Run measures rule matching rather than DOM parsing.
 // Benchmarks crawl once and time Run; the determinism test asserts Run(1, …)
 // and Run(n, …) render identical figures.
 type ReplayRun struct {
@@ -103,9 +103,11 @@ type ReplayRun struct {
 }
 
 // siteInput is one crawled site-month reduced to what matching consumes:
-// live request URLs and the parsed DOM's element views.
+// its requests as the adblocker sees them and the parsed DOM's element
+// views. Archived requests are index-aligned with the snapshot's HAR
+// entries.
 type siteInput struct {
-	urls  []string
+	reqs  []abp.Request
 	views []*abp.Element
 }
 
@@ -170,9 +172,10 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crawl %s: %w", stats.MonthLabel(month), err)
 		}
-		// Reduce each snapshot to match inputs up front: URL truncation
-		// and HTML parsing are per-snapshot constants, so they belong to
-		// the crawl half, not the (repeatable) replay half.
+		// Reduce each snapshot to match inputs up front: each HAR entry
+		// becomes the request the page issued (live URL, recorded type),
+		// and the HTML is parsed. Both are per-snapshot constants, so they
+		// belong to the crawl half, not the (repeatable) replay half.
 		inputs := make([]siteInput, len(mr.Results))
 		fanout.ForEach(ctx, cfg.Workers, len(mr.Results), func(i int) {
 			sr := mr.Results[i]
@@ -180,14 +183,14 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 				return
 			}
 			snap := sr.Snapshot
-			urls := make([]string, 0, len(snap.HAR.Entries))
-			for _, u := range snap.HAR.URLs() {
-				urls = append(urls, wayback.TruncateURL(u))
+			reqs := make([]abp.Request, len(snap.HAR.Entries))
+			for j, e := range snap.HAR.Entries {
+				reqs[j] = abp.Request{URL: wayback.TruncateURL(e.Request.URL), Type: abp.RequestType(e.Request.ResourceType), PageDomain: sr.Domain}
 			}
 			if snap.HTML != lastHTML[i] {
 				lastHTML[i], lastViews[i] = snap.HTML, browser.DOMViews(snap.HTML)
 			}
-			inputs[i] = siteInput{urls: urls, views: lastViews[i]}
+			inputs[i] = siteInput{reqs: reqs, views: lastViews[i]}
 		})
 		run.months = append(run.months, mr)
 		run.inputs = append(run.inputs, inputs)
@@ -275,7 +278,7 @@ func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
 						}
 					}
 					siteMatched = true
-					collectPositives(sr.Snapshot, blockedURLs, posSeen, &res.CorpusPos)
+					collectPositives(sr.Snapshot, inputs[i].reqs, blockedURLs, posSeen, &res.CorpusPos)
 				}
 				if rep.htmlHit[name] {
 					cov.HTMLTriggered[name]++
@@ -294,8 +297,8 @@ func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
 }
 
 // replaySite matches one prepared site-month against every list in force:
-// its live request URLs against the HTTP rules and its parsed DOM (shared
-// by every list) against the element-hiding rules.
+// its requests against the HTTP rules and its parsed DOM (shared by every
+// list) against the element-hiding rules.
 func replaySite(lists map[string]*abp.List, domain string, in siteInput) siteReplay {
 	rep := siteReplay{
 		blocked: make(map[string]map[string]bool, len(lists)),
@@ -305,22 +308,22 @@ func replaySite(lists map[string]*abp.List, domain string, in siteInput) siteRep
 		if list == nil {
 			continue
 		}
-		rep.blocked[name] = blockedHTTP(list, in.urls, domain)
+		rep.blocked[name] = blockedHTTP(list, in.reqs)
 		rep.htmlHit[name] = len(list.HiddenElements(domain, in.views)) > 0
 	}
 	return rep
 }
 
-// blockedHTTP returns the set of URLs a list's blocking rules match
+// blockedHTTP returns the URLs of the requests a list blocks
 // (exception-allowed requests do not make a site "anti-adblocking").
-func blockedHTTP(list *abp.List, urls []string, pageDomain string) map[string]bool {
+func blockedHTTP(list *abp.List, reqs []abp.Request) map[string]bool {
 	var blocked map[string]bool
-	for _, trig := range browser.MatchHTTPURLs(list, urls, pageDomain) {
-		if trig.Decision == abp.Blocked {
+	for _, q := range reqs {
+		if dec, _ := list.MatchRequest(q); dec == abp.Blocked {
 			if blocked == nil {
 				blocked = map[string]bool{}
 			}
-			blocked[trig.URL] = true
+			blocked[q.URL] = true
 		}
 	}
 	return blocked
@@ -337,13 +340,14 @@ func anyThirdParty(urls map[string]bool, pageDomain string) bool {
 	return false
 }
 
-// collectPositives stores the script bodies behind matched URLs.
-func collectPositives(snap *wayback.Snapshot, blocked map[string]bool, seen map[string]bool, out *[]string) {
-	for _, e := range snap.HAR.Entries {
+// collectPositives stores the script bodies behind matched URLs; reqs are
+// the snapshot's prepared requests, one per HAR entry.
+func collectPositives(snap *wayback.Snapshot, reqs []abp.Request, blocked map[string]bool, seen map[string]bool, out *[]string) {
+	for j, e := range snap.HAR.Entries {
 		if e.Response.Content.Text == "" {
 			continue
 		}
-		if !blocked[wayback.TruncateURL(e.Request.URL)] {
+		if !blocked[reqs[j].URL] {
 			continue
 		}
 		src := e.Response.Content.Text

@@ -133,7 +133,8 @@ func Marshal(l *Log) ([]byte, error) {
 }
 
 // Unmarshal decodes HAR JSON produced by Marshal (or any HAR 1.2 file
-// restricted to the modeled fields).
+// restricted to the modeled fields). An entry whose _resourceType is not an
+// abp request type is an error; an absent one means "other".
 func Unmarshal(data []byte) (*Log, error) {
 	var wrapper struct {
 		Log *Log `json:"log"`
@@ -143,6 +144,13 @@ func Unmarshal(data []byte) (*Log, error) {
 	}
 	if wrapper.Log == nil {
 		return nil, fmt.Errorf("har: missing log envelope")
+	}
+	// The replay matches each entry with its recorded type, so a type the
+	// matcher does not know is refused here rather than matched as none.
+	for i, e := range wrapper.Log.Entries {
+		if !abp.RequestType(e.Request.ResourceType).Valid() {
+			return nil, fmt.Errorf("har: entry %d (%s): unknown _resourceType %q", i, e.Request.URL, e.Request.ResourceType)
+		}
 	}
 	return wrapper.Log, nil
 }

@@ -53,6 +53,10 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal([]byte(`{"notlog": {}}`)); err == nil {
 		t.Error("missing envelope must error")
 	}
+	bogus := `{"log":{"entries":[{"request":{"url":"http://a.com/x"}},{"request":{"url":"http://b.com/y","_resourceType":"bogus"}}]}}`
+	if _, err := Unmarshal([]byte(bogus)); err == nil || !strings.Contains(err.Error(), "entry 1 (http://b.com/y)") {
+		t.Errorf("unknown _resourceType: err = %v, want one naming entry 1", err)
+	}
 }
 
 func TestURLs(t *testing.T) {

@@ -284,7 +284,7 @@ func (a *Archive) fetch(ref SnapshotRef) (*Snapshot, error) {
 	pageURL := RewriteURL(ref.Timestamp, page.URL())
 	pid := log.AddPage(pageURL, ref.Timestamp)
 
-	var entries []web.Request
+	var entries []abp.Request
 	if ref.Partial {
 		// Anti-bot error page: nothing loaded, so the HAR lands far
 		// below the 10%-of-average size cutoff the crawler applies.

@@ -4,14 +4,6 @@ import (
 	"adwars/internal/abp"
 )
 
-// Request is one subresource request a page issues while loading.
-type Request struct {
-	// URL is the absolute request URL.
-	URL string
-	// Type is the resource type as an adblocker would classify it.
-	Type abp.RequestType
-}
-
 // Script is one JavaScript resource of a page: external (URL set, Source
 // holds the fetched body) or inline (URL empty).
 type Script struct {
@@ -33,8 +25,9 @@ type Page struct {
 	Title string
 	// Root is the document tree (the <html> element).
 	Root *Element
-	// Requests are all subresource requests issued during load, in order.
-	Requests []Request
+	// Requests are all subresource requests issued during load, in order,
+	// as an adblocker sees them. AddRequest is their only writer.
+	Requests []abp.Request
 	// Scripts are the page's JavaScript resources.
 	Scripts []Script
 }
@@ -42,9 +35,9 @@ type Page struct {
 // URL returns the page's canonical homepage URL.
 func (p *Page) URL() string { return "http://" + p.Domain + "/" }
 
-// AddRequest records a subresource request.
+// AddRequest records a subresource request issued by this page.
 func (p *Page) AddRequest(url string, typ abp.RequestType) {
-	p.Requests = append(p.Requests, Request{URL: url, Type: typ})
+	p.Requests = append(p.Requests, abp.Request{URL: url, Type: typ, PageDomain: p.Domain})
 }
 
 // Elements returns the flattened document tree.
