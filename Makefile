@@ -50,7 +50,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 25399
+LOC_CEILING = 25355
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -80,8 +80,9 @@ deps-check:
 
 # fidelity-check is the ratchet on the paper's numbers, the targets of
 # internal/experiments/targets.go. TestReportRunsToTheEnd (cmd/adwars-report)
-# runs the report in three scaled worlds and fails when a verdict of its
-# "Paper vs measured" table flips from the one pinned there;
+# runs the report in five scaled worlds and fails when one of them stops
+# short of its closing line, or when a verdict of its "Paper vs measured"
+# table flips from the one pinned there for the three worlds it pins;
 # TestExperimentsTableIsTheReport (internal/experiments) fails when
 # EXPERIMENTS.md's table is not that section of the committed
 # report_full.txt, byte for byte, or when that section declares a target

@@ -86,7 +86,7 @@ type Detector struct {
 // fixing every randomized step. Scripts that fail to parse are skipped, as
 // in the paper's corpus construction.
 func TrainDetector(antiAdblock, benign []string, seed int64) (*Detector, error) {
-	snap, err := experiments.TrainModel(&experiments.Corpus{Positives: antiAdblock, Negatives: benign}, seed, experiments.PipelineConfig{})
+	snap, err := experiments.TrainModel(&experiments.Corpus{Positives: antiAdblock, Negatives: benign}, seed)
 	if err != nil {
 		return nil, fmt.Errorf("adwars: %w", err)
 	}

@@ -6,16 +6,16 @@
 // Usage:
 //
 //	adwars-detect [-scale N] [-seed S] [-folds K] [-maxsamples M] [-topk list]
-//	              [-workers W] [-save-model PATH [-model-only]]
+//	              [-save-model PATH [-model-only]]
 //
-// -workers sets the fan-out width for extraction, the Gram matrix fill and
-// cross-validation folds (0 = GOMAXPROCS). It changes only performance:
-// results are bit-identical at any width.
-//
-// Training holds the full n×n Gram matrix, n²·8 bytes. The Table 3 sweep
-// trains on at most -maxsamples scripts (1 100 by default, under 10 MB a
-// matrix); the headline model and the live test train on the whole corpus
-// trimmed 10:1, 4 081 scripts at -scale 1 -seed 42 — 133 MB.
+// Extraction, the Gram matrix fill and the cross-validation folds fan out
+// one worker per core, GOMAXPROCS of them; results are bit-identical at any
+// core count. Training holds the full n×n Gram matrix, n²·8 bytes. The
+// Table 3 sweep trains on at most -maxsamples scripts (1 100 by default,
+// under 10 MB a matrix), and each fold in flight gathers its own copy of
+// its share of that matrix, so GOMAXPROCS also bounds how many fold copies
+// are alive at once; the headline model and the live test train on the
+// whole corpus trimmed 10:1, 4 081 scripts at -scale 1 -seed 42 — 133 MB.
 //
 // -save-model PATH freezes the trained headline model (AdaBoost+SVM,
 // keyword features, top-1K) as a versioned snapshot for adwars-serve;
@@ -44,7 +44,6 @@ func main() {
 	folds := flag.Int("folds", 10, "cross-validation folds")
 	maxSamples := flag.Int("maxsamples", 1100, "Table 3 corpus cap; each Gram matrix is this squared × 8 bytes (0 = unlimited)")
 	topkFlag := flag.String("topk", "100,1000", "comma-separated feature budgets")
-	workers := flag.Int("workers", 0, "fan-out width for extraction, Gram fill and CV folds (0 = GOMAXPROCS); results do not depend on it")
 	saveModel := flag.String("save-model", "", "write the trained headline model snapshot to this path")
 	modelOnly := flag.Bool("model-only", false, "skip tables and live test; just train and save the headline model")
 	flag.Parse()
@@ -52,8 +51,6 @@ func main() {
 	if *modelOnly && *saveModel == "" {
 		log.Fatal("-model-only requires -save-model")
 	}
-
-	pipe := experiments.PipelineConfig{Workers: *workers}
 
 	var topk []int
 	for _, s := range strings.Split(*topkFlag, ",") {
@@ -93,7 +90,7 @@ func main() {
 
 	if *saveModel != "" {
 		fmt.Fprintln(os.Stderr, "training headline model for snapshot...")
-		snap, err := experiments.TrainHeadlineModel(corpus, *seed, pipe)
+		snap, err := experiments.TrainHeadlineModel(corpus, *seed, experiments.PipelineConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,7 +107,6 @@ func main() {
 	fmt.Fprintln(os.Stderr, "running Table 3 sweep...")
 	rows3, err := experiments.Table3(corpus, experiments.Table3Config{
 		TopK: topk, Folds: *folds, Seed: *seed, MaxSamples: *maxSamples,
-		Pipeline: pipe,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -122,7 +118,7 @@ func main() {
 		100*best.TPRate, 100*best.FPRate)
 
 	fmt.Fprintln(os.Stderr, "running signature-baseline comparison...")
-	base, err := experiments.CompareBaselines(corpus, *seed, pipe)
+	base, err := experiments.CompareBaselines(corpus, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,7 +131,7 @@ func main() {
 	}
 	// Ranks are paper-scale (effective), so the training cut is always
 	// the top-5K regardless of world scale.
-	res, err := experiments.LiveModelTest(corpus, live.Scripts, 5000, *seed, pipe)
+	res, err := experiments.LiveModelTest(corpus, live.Scripts, 5000, *seed, experiments.PipelineConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,10 +9,11 @@
 // Usage:
 //
 //	adwars-gateway -backends host:port,host:port,... [-addr :8090]
-//	               [-retries N] [-hedge-delay D] [-portfile PATH]
+//	               [-hedge-delay D] [-portfile PATH]
 //
-// Each replica's /readyz is polled every 250ms. Retries and hedges spend
-// from a per-replica token budget (10 tokens, refilled by 0.1 per
+// Each replica's /readyz is polled every 250ms. A request tries each
+// replica at most once, and its retries and hedges spend from a
+// per-replica token budget (10 tokens, refilled by 0.1 per
 // successful exchange), so a struggling fleet is never hammered with
 // unbounded extra attempts. The gateway also stamps X-Adwars-Deadline — the
 // remaining per-try time budget in milliseconds, narrowed by any
@@ -47,7 +48,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (host:0 picks an ephemeral port)")
 	backends := flag.String("backends", "", "comma-separated replica base URLs or host:port list (required)")
-	retries := flag.Int("retries", 0, "max distinct replicas tried per request (0 = all)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fire a second attempt on another replica after this delay (0 = hedging off)")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
 	flag.Parse()
@@ -56,10 +56,9 @@ func main() {
 		log.Fatal("need -backends (comma-separated replica addresses)")
 	}
 	g, err := fleet.NewGateway(fleet.GatewayConfig{
-		Backends:    strings.Split(*backends, ","),
-		MaxAttempts: *retries,
-		HedgeDelay:  *hedgeDelay,
-		MetricsOut:  os.Stderr,
+		Backends:   strings.Split(*backends, ","),
+		HedgeDelay: *hedgeDelay,
+		MetricsOut: os.Stderr,
 	})
 	if err != nil {
 		log.Fatal(err)

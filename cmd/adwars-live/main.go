@@ -2,9 +2,13 @@
 // ranked universe at the live date (April 2017) and match against the
 // most recent filter list versions.
 //
+// The crawl and the rule matching after it run ten wide, the paper's ten
+// browser instances (crawler.Browsers); the figures do not depend on the
+// width. The §5 fan-out (adwars-detect) is bounded by GOMAXPROCS instead.
+//
 // Usage:
 //
-//	adwars-live [-scale N] [-seed S] [-workers W]
+//	adwars-live [-scale N] [-seed S]
 package main
 
 import (
@@ -22,7 +26,6 @@ import (
 func main() {
 	scale := flag.Int("scale", 10, "world shrink factor (1 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	workers := flag.Int("workers", 10, "parallel crawler instances (also the rule-matching fan-out)")
 	flag.Parse()
 
 	if *scale < 1 {
@@ -33,7 +36,7 @@ func main() {
 	lab := experiments.NewLab(cfg)
 
 	var metrics crawler.Metrics
-	res, err := lab.RunLive(context.Background(), experiments.LiveConfig{Workers: *workers, Metrics: &metrics})
+	res, err := lab.RunLive(context.Background(), experiments.LiveConfig{Metrics: &metrics})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,14 @@
 // -checkpoint, completed site-months are journaled; a killed run restarted
 // with -resume picks up where it stopped without refetching.
 //
+// The crawl and the replay after it run ten wide, the paper's ten browser
+// instances (crawler.Browsers); the figures do not depend on the width.
+// The §5 fan-out that follows the crawl elsewhere (adwars-detect) is
+// bounded by GOMAXPROCS instead.
+//
 // Usage:
 //
-//	adwars-wayback [-scale N] [-seed S] [-stride M] [-workers W]
+//	adwars-wayback [-scale N] [-seed S] [-stride M]
 //	               [-fault-rate P] [-max-retries R]
 //	               [-checkpoint FILE] [-resume]
 package main
@@ -34,7 +39,6 @@ func main() {
 	scale := flag.Int("scale", 10, "world shrink factor (1 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	stride := flag.Int("stride", 1, "crawl every Mth month")
-	workers := flag.Int("workers", 10, "parallel crawler instances (also the replay fan-out; any value renders identical figures)")
 	faultRate := flag.Float64("fault-rate", 0, "per-attempt transient archive failure probability (0 disables fault injection)")
 	maxRetries := flag.Int("max-retries", 0, "attempts per archive request (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "journal completed site-months to this file")
@@ -55,7 +59,6 @@ func main() {
 	var metrics crawler.Metrics
 	retroCfg := experiments.RetroConfig{
 		Months:         lab.RetroMonths(*stride),
-		Workers:        *workers,
 		Retry:          crawler.RetryPolicy{MaxAttempts: *maxRetries},
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,

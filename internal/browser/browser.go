@@ -12,8 +12,9 @@ import (
 )
 
 // DOMViews parses page HTML and adapts its elements to the filter engine's
-// element views, in document order. It is the one conversion every replay
-// path shares (archived snapshots, live pages, the coverage experiments).
+// element views, in document order. The retrospective replay feeds it each
+// archived snapshot's HTML; a live page holds its DOM already and goes
+// through PageViews instead.
 func DOMViews(html string) []*abp.Element {
 	root := web.ParseHTML(html)
 	if root == nil {

@@ -87,10 +87,15 @@ func (m *MonthResult) recount() {
 	}
 }
 
-// Config controls crawl parallelism and resilience. The paper parallelizes
-// with 10 independent browser instances; Workers plays that role.
+// Browsers is the crawl's width: the paper crawls with 10 independent
+// browser instances, so CrawlMonth and CrawlLive visit that many domains at
+// once, and the per-site work after a crawl (the replay's input preparation
+// and matching) fans out as wide. No caller sets it: the results are merged
+// in domain order, so the figures do not depend on it.
+const Browsers = 10
+
+// Config controls crawl resilience.
 type Config struct {
-	Workers int
 	// Metrics, when non-nil, accumulates crawl counters across calls.
 	Metrics *Metrics
 	// Retry controls per-request retry/backoff of transient archive
@@ -109,9 +114,6 @@ type Config struct {
 
 // withDefaults normalizes a config for one crawl.
 func (cfg Config) withDefaults() Config {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.Breaker == nil {
 		cfg.Breaker = NewBreaker(cfg.Metrics)
@@ -144,7 +146,7 @@ func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month
 
 	var journalErr error
 	var journalOnce sync.Once
-	err := fanout.ForEach(ctx, cfg.Workers, len(domains), func(i int) {
+	err := fanout.ForEach(ctx, Browsers, len(domains), func(i int) {
 		if r, ok := done[domains[i]]; ok {
 			out.Results[i] = r
 			if cfg.Metrics != nil {
@@ -394,14 +396,11 @@ type LiveResult struct {
 // L1 holds the paper's). On cancellation the completed portion is returned
 // alongside ctx.Err(), with unvisited sites carrying Crawled=false.
 func CrawlLive(ctx context.Context, src LiveSource, domains []string, cfg Config) ([]LiveResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	out := make([]LiveResult, len(domains))
 	for i, d := range domains {
 		out[i] = LiveResult{Domain: d}
 	}
-	err := fanout.ForEach(ctx, cfg.Workers, len(domains), func(i int) {
+	err := fanout.ForEach(ctx, Browsers, len(domains), func(i int) {
 		p, ok := src.LivePage(domains[i])
 		if ok {
 			out[i] = LiveResult{Domain: domains[i], Page: p, Crawled: true}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func buildWorld(n int) (*wayback.Archive, stubSource, []string) {
 func TestCrawlMonth(t *testing.T) {
 	a, _, domains := buildWorld(400)
 	m := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
-	res, err := CrawlMonth(context.Background(), a, domains, m, Config{Workers: 10})
+	res, err := CrawlMonth(context.Background(), a, domains, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,20 +75,30 @@ func TestCrawlMonth(t *testing.T) {
 	}
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n and restores the
+// previous value when it ends. A test that calls it must not be parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestCrawlMonthDeterministic(t *testing.T) {
 	a, _, domains := buildWorld(200)
 	m := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
-	r1, err := CrawlMonth(context.Background(), a, domains, m, Config{Workers: 4})
+	setProcs(t, 1)
+	r1, err := CrawlMonth(context.Background(), a, domains, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CrawlMonth(context.Background(), a, domains, m, Config{Workers: 1})
+	setProcs(t, 3)
+	r2, err := CrawlMonth(context.Background(), a, domains, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r1.Results {
 		if r1.Results[i].Status != r2.Results[i].Status {
-			t.Fatalf("worker count changed status of %s", r1.Results[i].Domain)
+			t.Fatalf("GOMAXPROCS changed status of %s", r1.Results[i].Domain)
 		}
 	}
 }
@@ -96,7 +107,7 @@ func TestCrawlMonthCancellation(t *testing.T) {
 	a, _, domains := buildWorld(300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CrawlMonth(ctx, a, domains, time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC), Config{Workers: 10})
+	_, err := CrawlMonth(ctx, a, domains, time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC), Config{})
 	if err == nil {
 		t.Fatal("cancelled crawl must return an error")
 	}
@@ -107,7 +118,7 @@ func TestCrawlLive(t *testing.T) {
 	// Make a few domains unreachable.
 	delete(src, domains[3])
 	delete(src, domains[77])
-	res, err := CrawlLive(context.Background(), src, domains, Config{Workers: 8})
+	res, err := CrawlLive(context.Background(), src, domains, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestCrawlLiveCancellation(t *testing.T) {
 	_, src, domains := buildWorld(50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CrawlLive(ctx, src, domains, Config{Workers: 10}); err == nil {
+	if _, err := CrawlLive(ctx, src, domains, Config{}); err == nil {
 		t.Fatal("cancelled live crawl must return an error")
 	}
 }
@@ -218,12 +229,12 @@ func TestCrawlMonthFaultEquivalence(t *testing.T) {
 	clean, _, domains := buildWorld(400)
 	faulty, _, _ := buildFaultyWorld(400, 0.10)
 	m := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
-	want, err := CrawlMonth(context.Background(), clean, domains, m, Config{Workers: 10})
+	want, err := CrawlMonth(context.Background(), clean, domains, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var metrics Metrics
-	got, err := CrawlMonth(context.Background(), faulty, domains, m, Config{Workers: 10, Metrics: &metrics})
+	got, err := CrawlMonth(context.Background(), faulty, domains, m, Config{Metrics: &metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +272,13 @@ func TestCrawlMonthOutageBreaker(t *testing.T) {
 	cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: failureThreshold + 2, Seed: 7}
 	a := wayback.New(src, domains, cfg)
 
-	// One worker makes the breaker walk deterministic: each request fails
-	// past the threshold in a row, within a budget that outlasts the outage.
+	// Each request fails past the threshold in a row, within a budget that
+	// outlasts the outage, so the breaker opens whichever browser trips it.
 	var metrics Metrics
 	br := NewBreaker(&metrics)
 	res, err := CrawlMonth(context.Background(), a, domains,
 		time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC),
-		Config{Workers: 1, Metrics: &metrics, Breaker: br,
+		Config{Metrics: &metrics, Breaker: br,
 			Retry: RetryPolicy{MaxAttempts: failureThreshold + 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +301,7 @@ func TestCrawlMonthPartialOnCancel(t *testing.T) {
 	a, _, domains := buildWorld(300)
 	ctx, cancel := context.WithCancel(context.Background())
 	month := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	cfg := Config{Workers: 4}
+	cfg := Config{}
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
@@ -332,7 +343,7 @@ func TestCrawlMonthPartialOnCancel(t *testing.T) {
 func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	month := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
 	cleanArch, _, domains := buildFaultyWorld(300, 0.15)
-	want, err := CrawlMonth(context.Background(), cleanArch, domains, month, Config{Workers: 6})
+	want, err := CrawlMonth(context.Background(), cleanArch, domains, month, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +358,7 @@ func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	_, src, _ := buildFaultyWorld(300, 0.15)
 	ctx, cancel := context.WithCancel(context.Background())
 	arch := faultyArchive(&cancelAfter{SiteSource: src, n: 100, cancel: cancel}, domains, 0.15)
-	partial, err := CrawlMonth(ctx, arch, domains, month, Config{Workers: 6, Journal: j})
+	partial, err := CrawlMonth(ctx, arch, domains, month, Config{Journal: j})
 	j.Close()
 	if err == nil {
 		t.Fatal("interrupted crawl should have been cancelled (fault rate too low?)")
@@ -369,7 +380,7 @@ func TestCrawlMonthResumeAfterCancel(t *testing.T) {
 	arch2, _, _ := buildFaultyWorld(300, 0.15)
 	var metrics Metrics
 	got, err := CrawlMonth(context.Background(), arch2, domains, month,
-		Config{Workers: 6, Journal: j2, Metrics: &metrics})
+		Config{Journal: j2, Metrics: &metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +403,7 @@ func TestCrawlLivePartialOnCancel(t *testing.T) {
 	_, src, domains := buildWorld(100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := CrawlLive(ctx, src, domains, Config{Workers: 10})
+	res, err := CrawlLive(ctx, src, domains, Config{})
 	if err == nil {
 		t.Fatal("cancelled live crawl must surface ctx.Err()")
 	}

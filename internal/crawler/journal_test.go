@@ -29,7 +29,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 4, Journal: j})
+	want, err := CrawlMonth(context.Background(), a, domains, month, Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestJournalCrashAtEveryByte(t *testing.T) {
 	if err := j.Stamp("world"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j})
+	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestJournalRefetchesBogusResourceType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j}); err != nil {
+	if _, err := CrawlMonth(context.Background(), a, domains, month, Config{Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -335,7 +335,7 @@ func TestJournalRefetchesBogusResourceType(t *testing.T) {
 	if got := len(j2.Completed(month)); got != len(domains)-1 {
 		t.Fatalf("restored %d site-months, want %d", got, len(domains)-1)
 	}
-	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Workers: 2, Journal: j2})
+	res, err := CrawlMonth(context.Background(), a, domains, month, Config{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

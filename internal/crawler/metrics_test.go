@@ -11,7 +11,7 @@ import (
 func TestMetricsAccumulate(t *testing.T) {
 	a, _, domains := buildWorld(300)
 	var m Metrics
-	cfg := Config{Workers: 4, Metrics: &m}
+	cfg := Config{Metrics: &m}
 	months := []time.Time{
 		time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC),
@@ -46,7 +46,7 @@ func TestMetricsNilSafe(t *testing.T) {
 	a, _, domains := buildWorld(50)
 	// No metrics configured: must not panic.
 	if _, err := CrawlMonth(context.Background(), a, domains,
-		time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), Config{Workers: 2}); err != nil {
+		time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), Config{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,7 +61,7 @@ func TestMetricsConcurrentCrawls(t *testing.T) {
 			defer wg.Done()
 			month := time.Date(2013+i, 5, 1, 0, 0, 0, 0, time.UTC)
 			_, err := CrawlMonth(context.Background(), a, domains, month,
-				Config{Workers: 3, Metrics: &m})
+				Config{Metrics: &m})
 			if err != nil {
 				t.Error(err)
 			}

@@ -34,7 +34,7 @@ func buildAblationCorpus(seed int64, n int, pack float64) *Corpus {
 // cvAccuracy cross-validates one configuration and returns TP/FP rates.
 func cvAccuracy(t *testing.T, c *Corpus, set features.Set, topK int) (tp, fp float64) {
 	t.Helper()
-	ds, err := buildDataset(c, set, topK, PipelineConfig{})
+	ds, err := buildDataset(c, set, topK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAblationKeywordSetSurvivesRandomization(t *testing.T) {
 func TestAblationUnpackingMatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	train := buildAblationCorpus(2, 50, 0) // unpacked training corpus
-	ds, err := buildDataset(train, features.SetKeyword, 1000, PipelineConfig{})
+	ds, err := buildDataset(train, features.SetKeyword, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestAblationChiSquareBeatsNoSelection(t *testing.T) {
 		t.Skip("ablation CV is slow")
 	}
 	c := buildAblationCorpus(3, 60, 0.1)
-	full, err := buildDataset(c, features.SetAll, 1<<30, PipelineConfig{}) // effectively no top-k cut
+	full, err := buildDataset(c, features.SetAll, 1<<30) // effectively no top-k cut
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := buildDataset(c, features.SetAll, 25, PipelineConfig{})
+	small, err := buildDataset(c, features.SetAll, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAblationAdaBoostRounds(t *testing.T) {
 		t.Skip("ablation training is slow")
 	}
 	c := buildAblationCorpus(5, 40, 0)
-	ds, err := buildDataset(c, features.SetKeyword, 500, PipelineConfig{})
+	ds, err := buildDataset(c, features.SetKeyword, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type BaselineResult struct {
 // configuration (AdaBoost+SVM, keyword top-1K, 10-fold CV) on one corpus.
 // The ML classifier should dominate on randomized builds while signatures
 // stay near-zero FP — the trade-off §5 motivates.
-func CompareBaselines(c *Corpus, seed int64, pipe PipelineConfig) (*BaselineResult, error) {
+func CompareBaselines(c *Corpus, seed int64) (*BaselineResult, error) {
 	corpus := c.trim(0, seed)
 	out := &BaselineResult{Matched: map[string]int{}}
 
@@ -34,15 +34,15 @@ func CompareBaselines(c *Corpus, seed int64, pipe PipelineConfig) (*BaselineResu
 		}
 	}
 
-	ds, err := buildDataset(corpus, features.SetKeyword, 1000, pipe)
+	ds, err := buildDataset(corpus, features.SetKeyword, 1000)
 	if err != nil {
 		return nil, err
 	}
-	folds := 10
-	if n := positiveCount(ds); n < folds {
-		folds = n
+	n := positiveCount(ds)
+	if n < 2 {
+		return nil, fmt.Errorf("experiments: only %d positives, the baseline's cross-validation needs 2", n)
 	}
-	conf, err := crossValidate(ds, folds, seed, pipe, true)
+	conf, err := crossValidate(ds, min(10, n), seed, true)
 	if err != nil {
 		return nil, err
 	}

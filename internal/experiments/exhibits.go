@@ -107,7 +107,7 @@ type FeatureImportance struct {
 // author would read to understand the classifier's fingerprint.
 func TopFeatures(c *Corpus, set features.Set, k int) ([]FeatureImportance, error) {
 	corpus := c.trim(0, 1)
-	ds, err := buildDataset(corpus, set, 1<<30, PipelineConfig{})
+	ds, err := buildDataset(corpus, set, 1<<30)
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func TestCompareBaselines(t *testing.T) {
 	}
 	_, r := lab(t)
 	c := &Corpus{Positives: r.CorpusPos, Negatives: r.CorpusNeg}
-	res, err := CompareBaselines(c, 7, PipelineConfig{})
+	res, err := CompareBaselines(c, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,6 @@ import (
 
 // LiveConfig parameterizes the §4.3 live crawl.
 type LiveConfig struct {
-	// Workers is crawl parallelism, and the fan-out of the per-site rule
-	// matching that follows, merged deterministically like the
-	// retrospective replay.
-	Workers int
 	// Metrics, when non-nil, accumulates crawl counters.
 	Metrics *crawler.Metrics
 }
@@ -45,11 +41,8 @@ type LiveResult struct {
 // RunLive crawls the live universe (the paper's top 100,000, scaled) against
 // the most recent list versions.
 func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 10
-	}
 	domains := l.World.TopDomains(l.World.Cfg.UniverseSize)
-	results, err := crawler.CrawlLive(ctx, l.World, domains, crawler.Config{Workers: cfg.Workers, Metrics: cfg.Metrics})
+	results, err := crawler.CrawlLive(ctx, l.World, domains, crawler.Config{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -68,10 +61,10 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 	seenScript := map[string]bool{}
 
 	// Fan-out per-site matching, then fold sequentially in crawl order —
-	// same two-stage shape as ReplayRun.Run, so the fan-out never changes
+	// same two-stage shape as ReplayRun.Replay, so the fan-out never changes
 	// the rendered numbers.
 	replays := make([]siteReplay, len(results))
-	fanout.ForEach(context.Background(), cfg.Workers, len(results), func(i int) {
+	fanout.ForEach(context.Background(), crawler.Browsers, len(results), func(i int) {
 		r := results[i]
 		if r.Page == nil {
 			return

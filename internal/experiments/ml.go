@@ -14,31 +14,12 @@ import (
 	"adwars/internal/ml"
 )
 
-// PipelineConfig controls how the §5 detection pipeline executes. It never
-// changes results: extraction compacts in corpus order and fold confusions
-// merge in fold order, so outputs are identical at any setting (asserted by
-// the differential tests).
-type PipelineConfig struct {
-	// Workers is the fan-out width for extraction, the Gram matrix fill and
-	// cross-validation folds (0 = one per core).
-	Workers int
-}
-
-// svm returns the default SVM config with the pipeline's worker setting
-// applied.
-func (p PipelineConfig) svm() ml.SVMConfig {
-	cfg := ml.DefaultSVMConfig()
-	cfg.Workers = p.Workers
-	return cfg
-}
-
-// adaboost returns the default AdaBoost config with the pipeline's worker
-// setting applied.
-func (p PipelineConfig) adaboost() ml.AdaBoostConfig {
-	cfg := ml.DefaultAdaBoostConfig()
-	cfg.SVM.Workers = p.Workers
-	return cfg
-}
+// PipelineConfig is empty and ignored: every §5 fan-out (extraction, the
+// Gram fill, the folds, the live test's scoring) runs one worker per core.
+// TrainHeadlineModel and LiveModelTest still take it only because the
+// benchmark module (bench/, changed on its own) passes it; ROADMAP item
+// 10(a)'s seam deletes it.
+type PipelineConfig struct{}
 
 // ---- Table 2: example features ----
 
@@ -127,13 +108,10 @@ type Table3Config struct {
 	// Seed fixes fold assignment and SMO randomness.
 	Seed int64
 	// MaxSamples optionally subsamples the corpus to bound runtime
-	// (0 = use everything).
+	// (0 = use everything). The sweep's largest Gram matrix is
+	// MaxSamples² float64s (capped corpus), 4 081² ≈ 133 MB for the
+	// uncapped headline corpus at -scale 1 -seed 42.
 	MaxSamples int
-	// Pipeline sets the worker fan-out; the zero value uses every core.
-	// The sweep's largest Gram matrix is MaxSamples² float64s (capped
-	// corpus), 4 081² ≈ 133 MB for the uncapped headline corpus at
-	// -scale 1 -seed 42.
-	Pipeline PipelineConfig
 }
 
 // Corpus is the labeled script corpus of §5.
@@ -177,15 +155,15 @@ func (c *Corpus) trim(maxSamples int, seed int64) *Corpus {
 // feature sets (no selection), parsing each script once, and returns one
 // dataset per set. Extraction is the expensive step, so callers sweeping
 // several feature budgets select per budget from the one raw dataset.
-// Extraction fans out over pipe.Workers; unparseable scripts drop out of
+// Extraction fans out one worker per core; unparseable scripts drop out of
 // every set (as in the paper) and the surviving sets are compacted in
 // corpus order, so each dataset is identical to a sequential ExtractSource
 // loop under its set.
-func buildDatasetRaw(c *Corpus, sets []features.Set, pipe PipelineConfig) ([]*features.Dataset, error) {
+func buildDatasetRaw(c *Corpus, sets []features.Set) ([]*features.Dataset, error) {
 	srcs := make([]string, 0, len(c.Positives)+len(c.Negatives))
 	srcs = append(srcs, c.Positives...)
 	srcs = append(srcs, c.Negatives...)
-	fsets, errs, err := features.ExtractAll(context.Background(), srcs, sets, pipe.Workers)
+	fsets, errs, err := features.ExtractAll(context.Background(), srcs, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +196,8 @@ func buildDatasetRaw(c *Corpus, sets []features.Set, pipe PipelineConfig) ([]*fe
 
 // buildDataset extracts features for the corpus under one feature set and
 // applies the paper's selection pipeline.
-func buildDataset(c *Corpus, set features.Set, topK int, pipe PipelineConfig) (*features.Dataset, error) {
-	raw, err := buildDatasetRaw(c, []features.Set{set}, pipe)
+func buildDataset(c *Corpus, set features.Set, topK int) (*features.Dataset, error) {
+	raw, err := buildDatasetRaw(c, []features.Set{set})
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +221,7 @@ func Table3(c *Corpus, cfg Table3Config) ([]Table3Row, error) {
 		return nil, fmt.Errorf("experiments: only %d positives for %d folds",
 			len(corpus.Positives), cfg.Folds)
 	}
-	pipe := cfg.Pipeline
-	raws, err := buildDatasetRaw(corpus, features.Sets, pipe)
+	raws, err := buildDatasetRaw(corpus, features.Sets)
 	if err != nil {
 		return nil, err
 	}
@@ -257,11 +234,11 @@ func Table3(c *Corpus, cfg Table3Config) ([]Table3Row, error) {
 			pair, ok := done[eff]
 			if !ok {
 				ds := base.SelectTopChiSquare(k)
-				boosted, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, true)
+				boosted, err := crossValidate(ds, cfg.Folds, cfg.Seed, true)
 				if err != nil {
 					return nil, err
 				}
-				plain, err := crossValidate(ds, cfg.Folds, cfg.Seed, pipe, false)
+				plain, err := crossValidate(ds, cfg.Folds, cfg.Seed, false)
 				if err != nil {
 					return nil, err
 				}
@@ -288,12 +265,12 @@ func table3Row(name string, set features.Set, ds *features.Dataset, conf ml.Conf
 }
 
 // crossValidate runs one Table 3 row's shared-Gram cross-validation.
-func crossValidate(ds *features.Dataset, folds int, seed int64, pipe PipelineConfig, boost bool) (ml.Confusion, error) {
-	cv := ml.CVConfig{Folds: folds, Seed: seed, Workers: pipe.Workers}
+func crossValidate(ds *features.Dataset, folds int, seed int64, boost bool) (ml.Confusion, error) {
+	cv := ml.CVConfig{Folds: folds, Seed: seed}
 	if boost {
-		return ml.CrossValidateAdaBoost(ds, pipe.adaboost(), cv)
+		return ml.CrossValidateAdaBoost(ds, ml.DefaultAdaBoostConfig(), cv)
 	}
-	return ml.CrossValidateSVM(ds, pipe.svm(), cv)
+	return ml.CrossValidateSVM(ds, ml.DefaultSVMConfig(), cv)
 }
 
 // RenderTable3 prints Table 3's rows.
@@ -343,20 +320,20 @@ const headlineTopK = 1000
 // TrainHeadlineModel trains the paper's headline configuration on the full
 // retrospective corpus, trimmed to its 10:1 imbalance, and freezes it as a
 // serving snapshot. This is the model adwars-serve loads.
-func TrainHeadlineModel(train *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnapshot, error) {
-	return TrainModel(train.trim(0, seed), seed, pipe)
+func TrainHeadlineModel(train *Corpus, seed int64, _ PipelineConfig) (*ml.ModelSnapshot, error) {
+	return TrainModel(train.trim(0, seed), seed)
 }
 
 // TrainModel trains the paper's headline configuration — AdaBoost over
 // RBF-SVM weak learners, keyword features, top-1K chi-square selection — on
 // the corpus exactly as given, and freezes it as a serving snapshot (model +
 // vocabulary + provenance). Unparseable scripts drop out.
-func TrainModel(corpus *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnapshot, error) {
-	ds, err := buildDataset(corpus, features.SetKeyword, headlineTopK, pipe)
+func TrainModel(corpus *Corpus, seed int64) (*ml.ModelSnapshot, error) {
+	ds, err := buildDataset(corpus, features.SetKeyword, headlineTopK)
 	if err != nil {
 		return nil, err
 	}
-	model, err := ml.TrainAdaBoost(ds, pipe.adaboost(), rand.New(rand.NewSource(seed)))
+	model, err := ml.TrainAdaBoost(ds, ml.DefaultAdaBoostConfig(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +357,8 @@ func TrainModel(corpus *Corpus, seed int64, pipe PipelineConfig) (*ml.ModelSnaps
 // /v1/classify and adwars.Detector score it (Vocab.ProjectSource under the
 // snapshot's projection), one script per slot under its own recover
 // boundary; scoring fans out, the tally folds back in input order.
-func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, seed int64, pipe PipelineConfig) (*LiveTestResult, error) {
-	snap, err := TrainHeadlineModel(train, seed, pipe)
+func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, seed int64, _ PipelineConfig) (*LiveTestResult, error) {
+	snap, err := TrainHeadlineModel(train, seed, PipelineConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +369,7 @@ func LiveModelTest(train *Corpus, liveScripts []LiveScript, excludeTopN int, see
 	eligible := eligibleLiveScripts(liveScripts, excludeTopN)
 	detected := make([]bool, len(eligible))
 	errs := make([]error, len(eligible))
-	fanout.ForEach(context.Background(), pipe.Workers, len(eligible), func(i int) {
+	fanout.ForEach(context.Background(), 0, len(eligible), func(i int) {
 		errs[i] = features.RunIsolated(func() error {
 			sample, err := vocab.ProjectSource(eligible[i], set)
 			detected[i] = err == nil && snap.Model.Predict(sample) > 0

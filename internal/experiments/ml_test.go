@@ -126,7 +126,7 @@ func TestBuildDatasetSkipsUnparseable(t *testing.T) {
 		Positives: []string{"var bait = document.body.offsetHeight;", "((("},
 		Negatives: []string{"var x = 1;", "var y = 2;", ")))"},
 	}
-	ds, err := buildDataset(c, features.SetAll, 100, PipelineConfig{})
+	ds, err := buildDataset(c, features.SetAll, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

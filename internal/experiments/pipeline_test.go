@@ -34,75 +34,68 @@ func pipelineCorpus(nPos, nNeg int, seed int64) *Corpus {
 }
 
 // TestTable3ParallelMatchesSequential is the pipeline's end-to-end
-// differential gate: the fanned-out sweep must produce exactly the
-// one-worker sweep's Table 3 rows — same TP/FP rates, same feature counts —
-// at every worker count.
+// differential gate: the sweep fanned out over several cores must produce
+// exactly the one-core sweep's Table 3 rows — same TP/FP rates, same
+// feature counts.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
 	c := pipelineCorpus(15, 60, 11)
-	base := Table3Config{TopK: []int{20, 60}, Folds: 5, Seed: 4}
+	cfg := Table3Config{TopK: []int{20, 60}, Folds: 5, Seed: 4}
 
-	seq := base
-	seq.Pipeline = PipelineConfig{Workers: 1}
-	want, err := Table3(c, seq)
+	setProcs(t, 1)
+	want, err := Table3(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, pipe := range []PipelineConfig{
-		{},           // default: GOMAXPROCS workers
-		{Workers: 2}, // as many as the benchmark's cores
-		{Workers: 3}, // does not divide the folds
-		{Workers: 4}, // oversubscribed fan-out
-	} {
-		cfg := base
-		cfg.Pipeline = pipe
+	// 3 does not divide the folds, 4 oversubscribes the benchmark's cores.
+	for _, procs := range []int{2, 3, 4} {
+		setProcs(t, procs)
 		got, err := Table3(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pipeline %+v: Table 3 rows diverge from sequential reference\ngot:  %+v\nwant: %+v",
-				pipe, got, want)
+			t.Fatalf("GOMAXPROCS %d: Table 3 rows diverge from the one-core reference\ngot:  %+v\nwant: %+v",
+				procs, got, want)
 		}
 	}
 }
 
 // TestSelectedVocabularyMatchesSequential asserts selection chooses a
-// byte-identical vocabulary however wide extraction fanned out: same raw
-// dataset, same surviving columns, same top-k order.
+// byte-identical vocabulary on one core and on several: same raw dataset,
+// same surviving columns, same top-k order.
 func TestSelectedVocabularyMatchesSequential(t *testing.T) {
 	c := pipelineCorpus(12, 48, 23).trim(0, 9)
 	for _, set := range features.Sets {
-		rawsSeq, err := buildDatasetRaw(c, []features.Set{set}, PipelineConfig{Workers: 1})
+		setProcs(t, 1)
+		rawsSeq, err := buildDatasetRaw(c, []features.Set{set})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rawSeq := rawsSeq[0]
 		wantSel := rawSeq.SelectPipeline(50)
-		for _, pipe := range []PipelineConfig{{}, {Workers: 6}} {
-			raws, err := buildDatasetRaw(c, []features.Set{set}, pipe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := raws[0]
-			if !reflect.DeepEqual(raw.Vocab, rawSeq.Vocab) {
-				t.Fatalf("set %v pipe %+v: raw vocabulary diverges", set, pipe)
-			}
-			if !reflect.DeepEqual(raw.Samples, rawSeq.Samples) {
-				t.Fatalf("set %v pipe %+v: samples diverge", set, pipe)
-			}
-			sel := raw.SelectPipeline(50)
-			if !reflect.DeepEqual(sel.Vocab, wantSel.Vocab) {
-				t.Fatalf("set %v pipe %+v: selected vocabulary diverges\ngot:  %v\nwant: %v",
-					set, pipe, sel.Vocab, wantSel.Vocab)
-			}
+		setProcs(t, 6)
+		raws, err := buildDatasetRaw(c, []features.Set{set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := raws[0]
+		if !reflect.DeepEqual(raw.Vocab, rawSeq.Vocab) {
+			t.Fatalf("set %v: raw vocabulary diverges", set)
+		}
+		if !reflect.DeepEqual(raw.Samples, rawSeq.Samples) {
+			t.Fatalf("set %v: samples diverge", set)
+		}
+		sel := raw.SelectPipeline(50)
+		if !reflect.DeepEqual(sel.Vocab, wantSel.Vocab) {
+			t.Fatalf("set %v: selected vocabulary diverges\ngot:  %v\nwant: %v",
+				set, sel.Vocab, wantSel.Vocab)
 		}
 	}
 }
 
 // TestLiveModelTestParallelMatchesSequential covers the live-script leg:
-// fanned-out extraction and Gram fill must reproduce the one-worker result
-// exactly.
+// extraction, Gram fill and scoring fanned out over several cores must
+// reproduce the one-core result exactly.
 func TestLiveModelTestParallelMatchesSequential(t *testing.T) {
 	train := pipelineCorpus(14, 56, 31)
 	rng := rand.New(rand.NewSource(5))
@@ -111,11 +104,13 @@ func TestLiveModelTestParallelMatchesSequential(t *testing.T) {
 		src := antiadblock.HTMLBaitScript("live", rng, antiadblock.GenOptions{})
 		live = append(live, LiveScript{Rank: 6000 + i, Source: src})
 	}
-	want, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{Workers: 1})
+	setProcs(t, 1)
+	want, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{Workers: 4})
+	setProcs(t, 4)
+	got, err := LiveModelTest(train, live, 5000, 2, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +130,7 @@ func TestTable3Pinned(t *testing.T) {
 		t.Skip("crawls and sweeps Table 3 at 1/40 scale; skipped in -short")
 	}
 	l := NewLab(simworld.Scaled(1, 40))
-	r, err := l.RunRetrospective(context.Background(), RetroConfig{Shards: 1})
+	r, err := l.RunRetrospective(context.Background(), RetroConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,23 +152,21 @@ func TestTable3Pinned(t *testing.T) {
 func TestExtractAllSetsMatchExtractSource(t *testing.T) {
 	c := pipelineCorpus(15, 60, 11)
 	srcs := append(append(append([]string(nil), c.Positives...), c.Negatives...), "function (")
-	for _, workers := range []int{1, 4} {
-		sets, errs, err := features.ExtractAll(context.Background(), srcs, features.Sets, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errs[len(srcs)-1] == nil {
-			t.Fatalf("workers %d: the unparseable script has no error", workers)
-		}
-		for s, set := range features.Sets {
-			for i, src := range srcs {
-				want, wantErr := features.ExtractSource(src, set)
-				if (errs[i] != nil) != (wantErr != nil) {
-					t.Fatalf("workers %d set %v: slot %d error %v, ExtractSource's %v", workers, set, i, errs[i], wantErr)
-				}
-				if !reflect.DeepEqual(sets[s][i], want) {
-					t.Fatalf("workers %d set %v: slot %d features differ from ExtractSource", workers, set, i)
-				}
+	sets, errs, err := features.ExtractAll(context.Background(), srcs, features.Sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[len(srcs)-1] == nil {
+		t.Fatal("the unparseable script has no error")
+	}
+	for s, set := range features.Sets {
+		for i, src := range srcs {
+			want, wantErr := features.ExtractSource(src, set)
+			if (errs[i] != nil) != (wantErr != nil) {
+				t.Fatalf("set %v: slot %d error %v, ExtractSource's %v", set, i, errs[i], wantErr)
+			}
+			if !reflect.DeepEqual(sets[s][i], want) {
+				t.Fatalf("set %v: slot %d features differ from ExtractSource", set, i)
 			}
 		}
 	}

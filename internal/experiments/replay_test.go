@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"adwars/internal/abp"
@@ -27,38 +28,49 @@ func replayLab(t *testing.T) (*Lab, *ReplayRun) {
 	return l, run
 }
 
-// TestReplayShardDeterminism is the acceptance gate for the sharded
-// pipeline: one shard and many shards must render byte-identical Figure 5/6
-// output and identical downstream accounting — sharding changes wall-clock,
-// never results. (TestIndexedAgreesWithLinearOverHistories below holds the
-// automaton these replays match through to the linear scan.)
+// setProcs runs the rest of the test at GOMAXPROCS n and restores the
+// previous value when it ends. A test that calls it must not be parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestReplayShardDeterminism is the acceptance gate for the fanned-out
+// replay: on one core and on several it must render byte-identical Figure
+// 5/6 output and identical downstream accounting — scheduling changes
+// wall-clock, never results. (TestIndexedAgreesWithLinearOverHistories
+// below holds the automaton these replays match through to the linear
+// scan.)
 func TestReplayShardDeterminism(t *testing.T) {
 	_, run := replayLab(t)
-	seq := run.Run(1, false)
-	par := run.Run(8, false)
+	setProcs(t, 1)
+	seq := run.Replay()
+	setProcs(t, 3)
+	par := run.Replay()
 
 	if got, want := par.RenderFig5(), seq.RenderFig5(); got != want {
-		t.Errorf("8 shards: Figure 5 diverged\n--- sequential\n%s--- got\n%s", want, got)
+		t.Errorf("GOMAXPROCS 3: Figure 5 diverged\n--- sequential\n%s--- got\n%s", want, got)
 	}
 	if got, want := par.RenderFig6(), seq.RenderFig6(); got != want {
-		t.Errorf("8 shards: Figure 6 diverged\n--- sequential\n%s--- got\n%s", want, got)
+		t.Errorf("GOMAXPROCS 3: Figure 6 diverged\n--- sequential\n%s--- got\n%s", want, got)
 	}
 	if got, want := len(par.CorpusPos), len(seq.CorpusPos); got != want {
-		t.Errorf("8 shards: CorpusPos %d, want %d", got, want)
+		t.Errorf("GOMAXPROCS 3: CorpusPos %d, want %d", got, want)
 	}
 	if got, want := len(par.CorpusNeg), len(seq.CorpusNeg); got != want {
-		t.Errorf("8 shards: CorpusNeg %d, want %d", got, want)
+		t.Errorf("GOMAXPROCS 3: CorpusNeg %d, want %d", got, want)
 	}
 	for _, name := range ListNames {
 		if got, want := par.ThirdPartyMatched[name], seq.ThirdPartyMatched[name]; got != want {
-			t.Errorf("8 shards: ThirdPartyMatched[%s] = %d, want %d", name, got, want)
+			t.Errorf("GOMAXPROCS 3: ThirdPartyMatched[%s] = %d, want %d", name, got, want)
 		}
 		if got, want := len(par.FirstMatch[name]), len(seq.FirstMatch[name]); got != want {
-			t.Errorf("8 shards: FirstMatch[%s] has %d sites, want %d", name, got, want)
+			t.Errorf("GOMAXPROCS 3: FirstMatch[%s] has %d sites, want %d", name, got, want)
 		}
 		for site, when := range seq.FirstMatch[name] {
 			if !par.FirstMatch[name][site].Equal(when) {
-				t.Errorf("8 shards: FirstMatch[%s][%s] = %v, want %v",
+				t.Errorf("GOMAXPROCS 3: FirstMatch[%s][%s] = %v, want %v",
 					name, site, par.FirstMatch[name][site], when)
 			}
 		}
@@ -142,20 +154,22 @@ func TestReplayMatchesCarriedType(t *testing.T) {
 	}
 }
 
-// TestLiveShardDeterminism repeats the guarantee for the §4.3 crawl, whose
-// fan-out is its crawl parallelism.
+// TestLiveShardDeterminism repeats the guarantee for the §4.3 crawl and
+// its matching, both crawler.Browsers wide.
 func TestLiveShardDeterminism(t *testing.T) {
 	l := NewLab(simworld.Scaled(7, 40))
-	seq, err := l.RunLive(context.Background(), LiveConfig{Workers: 1})
+	setProcs(t, 1)
+	seq, err := l.RunLive(context.Background(), LiveConfig{})
 	if err != nil {
-		t.Fatalf("RunLive sequential: %v", err)
+		t.Fatalf("RunLive at GOMAXPROCS 1: %v", err)
 	}
-	par, err := l.RunLive(context.Background(), LiveConfig{Workers: 8})
+	setProcs(t, 3)
+	par, err := l.RunLive(context.Background(), LiveConfig{})
 	if err != nil {
-		t.Fatalf("RunLive sharded: %v", err)
+		t.Fatalf("RunLive at GOMAXPROCS 3: %v", err)
 	}
 	if got, want := par.Render(), seq.Render(); got != want {
-		t.Errorf("live coverage diverged under sharding\n--- 1 worker\n%s--- 8 workers\n%s", want, got)
+		t.Errorf("live coverage diverged with the core count\n--- GOMAXPROCS 1\n%s--- GOMAXPROCS 3\n%s", want, got)
 	}
 	if len(par.Scripts) != len(seq.Scripts) {
 		t.Fatalf("live scripts: %d vs %d", len(par.Scripts), len(seq.Scripts))

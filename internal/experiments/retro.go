@@ -21,8 +21,6 @@ type RetroConfig struct {
 	TopN int
 	// Months is the crawl schedule (use Lab.RetroMonths).
 	Months []time.Time
-	// Workers is crawl parallelism (the paper used 10 browsers).
-	Workers int
 	// Faults injects deterministic transient archive failures (rate
 	// limiting, timeouts, truncated bodies, outages). The zero value
 	// disables injection; with it enabled, the crawl engine's retry path
@@ -40,10 +38,9 @@ type RetroConfig struct {
 	Resume bool
 	// Metrics, when non-nil, accumulates crawl counters for reporting.
 	Metrics *crawler.Metrics
-	// Shards is the replay fan-out: after each month's crawl, per-site
-	// rule matching runs across this many workers and the results are
-	// merged deterministically, so the figures are byte-identical to a
-	// sequential run. 0 means Workers.
+	// Shards is ignored: the replay runs crawler.Browsers wide. It stays
+	// only because the benchmark module (bench/, changed on its own) sets
+	// it; ROADMAP item 10(a)'s seam deletes it.
 	Shards int
 }
 
@@ -79,27 +76,25 @@ type RetroResult struct {
 // RunRetrospective crawls monthly top-N snapshots through the archive and
 // replays each against the filter-list version in force at that time —
 // exactly the paper's Figure 4 pipeline. The crawl and the replay are the
-// two halves of PrepareReplay + ReplayRun.Run; this runs both.
+// two halves of PrepareReplay + ReplayRun.Replay; this runs both.
 func (l *Lab) RunRetrospective(ctx context.Context, cfg RetroConfig) (*RetroResult, error) {
 	run, err := l.PrepareReplay(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return run.Run(cfg.Shards, false), nil
+	return run.Replay(), nil
 }
 
 // ReplayRun holds one crawl's worth of monthly snapshots so the replay —
 // the pure matching half of the pipeline — can be repeated without
 // refetching. Snapshot HTML is parsed and HAR entries turned into requests
-// once, at prepare time, so Run measures rule matching rather than DOM parsing.
-// Benchmarks crawl once and time Run; the determinism test asserts Run(1, …)
-// and Run(n, …) render identical figures.
+// once, at prepare time, so Replay measures rule matching rather than DOM
+// parsing. Benchmarks crawl once and time Replay.
 type ReplayRun struct {
 	lab     *Lab
 	months  []*crawler.MonthResult
 	inputs  [][]siteInput
 	exclude int
-	workers int
 }
 
 // siteInput is one crawled site-month reduced to what matching consumes:
@@ -117,9 +112,6 @@ type siteInput struct {
 func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, error) {
 	if cfg.TopN <= 0 {
 		cfg.TopN = int(5000 * l.Scale())
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 10
 	}
 	if len(cfg.Months) == 0 {
 		cfg.Months = l.RetroMonths(1)
@@ -153,7 +145,6 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 	// One breaker across all months: archive health is global, not
 	// per-month.
 	crawlCfg := crawler.Config{
-		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
 		Retry:   cfg.Retry,
 		Breaker: crawler.NewBreaker(cfg.Metrics),
@@ -161,7 +152,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		Seed:    l.Seed,
 	}
 
-	run := &ReplayRun{lab: l, workers: cfg.Workers}
+	run := &ReplayRun{lab: l}
 	// A domain's snapshot HTML changes only with its content year or its
 	// deployment, so its DOM views are kept while the HTML is byte-equal
 	// to the last month's (the zero values are DOMViews("")).
@@ -177,7 +168,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		// and the HTML is parsed. Both are per-snapshot constants, so they
 		// belong to the crawl half, not the (repeatable) replay half.
 		inputs := make([]siteInput, len(mr.Results))
-		fanout.ForEach(ctx, cfg.Workers, len(mr.Results), func(i int) {
+		fanout.ForEach(ctx, crawler.Browsers, len(mr.Results), func(i int) {
 			sr := mr.Results[i]
 			if sr.Status != crawler.StatusOK {
 				return
@@ -209,18 +200,18 @@ type siteReplay struct {
 	htmlHit map[string]bool
 }
 
-// Run replays every crawled month against the filter-list version in force
-// at that time (§4.2 uses historic versions, not the final lists). Per-site
-// matching fans out across shards workers; the fold runs sequentially in
-// (month, site, list) order, so any shard count renders the same bytes.
-//
-// The second parameter selected a linear-scan replay that is gone; it is
-// ignored, and still here only because bench/pipeline.go passes it and a PR
-// may not edit bench/ (it goes with ROADMAP item 1a's seam).
-func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
-	if shards <= 0 {
-		shards = rr.workers
-	}
+// Run is Replay. Both parameters are ignored: the shard count set a width
+// the replay no longer takes and the bool a linear-scan replay that is gone.
+// It stays only because the benchmark module (bench/pipeline.go, changed on
+// its own) calls it; ROADMAP item 10(a)'s seam deletes it.
+func (rr *ReplayRun) Run(int, bool) *RetroResult { return rr.Replay() }
+
+// Replay replays every crawled month against the filter-list version in
+// force at that time (§4.2 uses historic versions, not the final lists).
+// Per-site matching fans out crawler.Browsers wide; the fold runs
+// sequentially in (month, site, list) order, so the fan-out never changes
+// the rendered bytes.
+func (rr *ReplayRun) Replay() *RetroResult {
 	res := &RetroResult{
 		Excluded:          rr.exclude,
 		FirstMatch:        map[string]map[string]time.Time{},
@@ -249,7 +240,7 @@ func (rr *ReplayRun) Run(shards int, _ bool) *RetroResult {
 		// and race-free by construction (see abp: precompiled matchers).
 		inputs := rr.inputs[mi]
 		replays := make([]siteReplay, len(mr.Results))
-		fanout.ForEach(context.Background(), shards, len(mr.Results), func(i int) {
+		fanout.ForEach(context.Background(), crawler.Browsers, len(mr.Results), func(i int) {
 			if mr.Results[i].Status != crawler.StatusOK {
 				return
 			}

@@ -11,7 +11,8 @@ import (
 
 // Results are what one report run measured beyond the lab's lists. The
 // report sets every field; Table3 is empty when the corpus was too small to
-// cross-validate, and its targets are then not measured.
+// cross-validate, LiveTest nil when it was too small to train on, and their
+// targets are then not measured.
 type Results struct {
 	Retro    *RetroResult
 	Live     *LiveResult
@@ -158,8 +159,16 @@ func Targets() []Target {
 	count("T3", "corpus positives", 372, twofold, func(_ *Lab, r *Results) float64 { return float64(len(r.Retro.CorpusPos)) })
 	value("T3", "best configuration's TP rate", "%", 0.997, near, func(_ *Lab, r *Results) float64 { return best(r).TPRate })
 	value("T3", "best configuration's FP rate", "%", 0.032, atMost, func(_ *Lab, r *Results) float64 { return best(r).FPRate })
-	count("L2", "live anti-adblock scripts tested", 2701, twofold, func(_ *Lab, r *Results) float64 { return float64(r.LiveTest.Scripts) })
-	value("L2", "live model TP rate", "%", 0.925, near, func(_ *Lab, r *Results) float64 { return r.LiveTest.TPRate })
+	liveTest := func(f func(*LiveTestResult) float64) measure {
+		return func(_ *Lab, r *Results) float64 {
+			if r.LiveTest == nil {
+				return math.NaN()
+			}
+			return f(r.LiveTest)
+		}
+	}
+	count("L2", "live anti-adblock scripts tested", 2701, twofold, liveTest(func(t *LiveTestResult) float64 { return float64(t.Scripts) }))
+	value("L2", "live model TP rate", "%", 0.925, near, liveTest(func(t *LiveTestResult) float64 { return t.TPRate }))
 	return t
 }
 

@@ -1,7 +1,9 @@
 // Package fanout is the one worker pool of the repository: the crawl, the
-// experiments' replay shards, feature extraction, the Gram matrix fill and
+// experiments' replay, feature extraction, the Gram matrix fill and
 // cross-validation folds all fan out through ForEach. It imports nothing of
-// the module, so a package that fans out links nothing else by it.
+// the module, so a package that fans out links nothing else by it. No
+// caller's width is set from outside: the crawl and the per-site work after
+// it pass crawler.Browsers, every other caller 0.
 package fanout
 
 import (

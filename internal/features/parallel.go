@@ -37,7 +37,7 @@ var extract = Extract
 // Results land in caller-visible slots indexed by input position, so the
 // output order is the input order and feeding sets[s] to Build yields a
 // vocabulary byte-identical to a sequential ExtractSource loop under
-// featureSets[s] at any worker count. It builds datasets; to classify a
+// featureSets[s] at any core count. It builds datasets; to classify a
 // script against a vocabulary that already exists, use ProjectSource.
 //
 // errs[i] is non-nil for scripts that fail to parse (callers typically
@@ -46,14 +46,14 @@ var extract = Extract
 // set, so a script with an error has no features in any set: a panic under
 // one set drops the script from all of them, and costs no other script.
 // The returned error is non-nil only when ctx is cancelled; slots not yet
-// fed keep nil sets and nil errors. workers ≤ 0 means one per core.
-func ExtractAll(ctx context.Context, sources []string, featureSets []Set, workers int) (sets [][]map[string]bool, errs []error, err error) {
+// fed keep nil sets and nil errors. It runs one worker per core.
+func ExtractAll(ctx context.Context, sources []string, featureSets []Set) (sets [][]map[string]bool, errs []error, err error) {
 	sets = make([][]map[string]bool, len(featureSets))
 	for s := range sets {
 		sets[s] = make([]map[string]bool, len(sources))
 	}
 	errs = make([]error, len(sources))
-	err = fanout.ForEach(ctx, workers, len(sources), func(i int) {
+	err = fanout.ForEach(ctx, 0, len(sources), func(i int) {
 		errs[i] = RunIsolated(func() error {
 			prog, _, err := jsast.ParseAndUnpack(sources[i])
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,9 +29,17 @@ for (var i%d = 0; i%d < %d; i%d++) { total += bait%d.offsetHeight; }
 	return srcs
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n and restores the
+// previous value when it ends. A test that calls it must not be parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestExtractAllMatchesSequential proves the worker fan-out is invisible:
 // per-slot feature sets and error positions are identical to a sequential
-// ExtractSource loop at every worker count.
+// ExtractSource loop on one core and on several.
 func TestExtractAllMatchesSequential(t *testing.T) {
 	srcs := parallelCorpus()
 	for _, set := range Sets {
@@ -44,17 +53,18 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 			}
 			wantSets[i] = fs
 		}
-		for _, workers := range []int{1, 2, 7, 64} {
-			sets, errs, err := ExtractAll(context.Background(), srcs, []Set{set}, workers)
+		for _, procs := range []int{1, 3} {
+			setProcs(t, procs)
+			sets, errs, err := ExtractAll(context.Background(), srcs, []Set{set})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range srcs {
 				if (errs[i] != nil) != wantErr[i] {
-					t.Fatalf("set %v workers %d: slot %d error mismatch", set, workers, i)
+					t.Fatalf("set %v GOMAXPROCS %d: slot %d error mismatch", set, procs, i)
 				}
 				if !reflect.DeepEqual(sets[0][i], wantSets[i]) {
-					t.Fatalf("set %v workers %d: slot %d features diverge", set, workers, i)
+					t.Fatalf("set %v GOMAXPROCS %d: slot %d features diverge", set, procs, i)
 				}
 			}
 		}
@@ -77,7 +87,7 @@ func TestRunIsolatedConfinesPanics(t *testing.T) {
 	// A panic mid-corpus must not poison neighbouring slots: run a real
 	// fan-out and check every slot still gets its sequential result.
 	srcs := parallelCorpus()
-	sets, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll}, 4)
+	sets, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestRunIsolatedConfinesPanics(t *testing.T) {
 func TestExtractAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sets, errs, err := ExtractAll(ctx, parallelCorpus(), []Set{SetAll}, 2)
+	sets, errs, err := ExtractAll(ctx, parallelCorpus(), []Set{SetAll})
 	if err == nil {
 		t.Fatal("want context error")
 	}
@@ -128,7 +138,7 @@ func TestBuildOrderInsensitiveVocab(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll}, 8)
+	par, errs, err := ExtractAll(context.Background(), srcs, []Set{SetAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,26 +268,24 @@ func TestExtractAllPanicCostsOneScript(t *testing.T) {
 		}
 		return Extract(prog, set)
 	}
-	for _, workers := range []int{1, 4} {
-		sets, errs, err := ExtractAll(context.Background(), srcs, Sets, workers)
-		if err != nil {
-			t.Fatal(err)
+	sets, errs, err := ExtractAll(context.Background(), srcs, Sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(errs[victim], ErrPanic) {
+		t.Fatalf("slot %d err = %v, want ErrPanic", victim, errs[victim])
+	}
+	for s, set := range Sets {
+		if sets[s][victim] != nil {
+			t.Fatalf("panicked script kept its %v features", set)
 		}
-		if !errors.Is(errs[victim], ErrPanic) {
-			t.Fatalf("workers %d: slot %d err = %v, want ErrPanic", workers, victim, errs[victim])
-		}
-		for s, set := range Sets {
-			if sets[s][victim] != nil {
-				t.Fatalf("workers %d: panicked script kept its %v features", workers, set)
+		for i, src := range srcs {
+			if i == victim {
+				continue
 			}
-			for i, src := range srcs {
-				if i == victim {
-					continue
-				}
-				want, wantErr := ExtractSource(src, set)
-				if (errs[i] != nil) != (wantErr != nil) || !reflect.DeepEqual(sets[s][i], want) {
-					t.Fatalf("workers %d set %v: slot %d differs from ExtractSource", workers, set, i)
-				}
+			want, wantErr := ExtractSource(src, set)
+			if (errs[i] != nil) != (wantErr != nil) || !reflect.DeepEqual(sets[s][i], want) {
+				t.Fatalf("set %v: slot %d differs from ExtractSource", set, i)
 			}
 		}
 	}

@@ -19,9 +19,6 @@ import (
 type GatewayConfig struct {
 	// Backends are the replica base URLs ("host:port" gets "http://").
 	Backends []string
-	// MaxAttempts bounds how many distinct backends one attempt chain
-	// tries before giving up (0 = one try per backend).
-	MaxAttempts int
 	// HedgeDelay, when >0, fires a second attempt chain against
 	// different backends if the first has not answered within the delay;
 	// the first success wins. All /v1 endpoints are idempotent pure
@@ -30,13 +27,6 @@ type GatewayConfig struct {
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
-}
-
-func (c *GatewayConfig) maxAttempts(pool *Pool) int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return len(pool.Backends())
 }
 
 const (
@@ -231,17 +221,16 @@ func (g *Gateway) hedged(ctx context.Context, o *outbound) attemptResult {
 	return hedge
 }
 
-// attemptChain tries successive backends until one answers (any status
-// below 500), the attempt budget is spent, or no backend remains.
+// attemptChain tries successive backends, each at most once, until one
+// answers (any status below 500) or no backend remains.
 // Extra attempts — retries (i > 0) and every attempt of a hedge chain —
 // must be paid for out of the target backend's retry budget: when the
 // bucket is dry the chain stops instead of amplifying load against a
 // fleet that is already failing.
 func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet, hedge bool) attemptResult {
-	budget := g.cfg.maxAttempts(g.pool)
 	lastErr := errNoBackend
 	res := attemptResult{body: getBuffer()}
-	for i := 0; i < budget; i++ {
+	for i := range g.pool.backends {
 		if ctx.Err() != nil {
 			lastErr = ctx.Err()
 			break

@@ -96,7 +96,7 @@ func TrainAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand) (*A
 	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
 	// Component SVMs train on reweighted views of the same samples, so one
 	// Gram matrix serves every boosting round.
-	g := newGram(cfg.SVM.Kernel, ds.Samples, cfg.SVM.Workers)
+	g := newGram(cfg.SVM.Kernel, ds.Samples)
 	return trainAdaBoostGram(ds, cfg, rng, g)
 }
 

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"adwars/internal/features"
@@ -21,6 +22,14 @@ func directGram(kernel Kernel, x []features.Sample) *gram {
 	return g
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n and restores the
+// previous value when it ends. A test that calls it must not be parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestKernelCacheDifferential is the Gram matrix's correctness gate: SMO and
 // boosting over the matrix TrainSVM and TrainAdaBoost build for themselves
 // must produce the support vectors, the bias and every decision value they
@@ -35,8 +44,8 @@ func TestKernelCacheDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		svmCfg.Workers, adaCfg.SVM.Workers = workers, workers
+	for _, procs := range []int{1, 3} {
+		setProcs(t, procs)
 		m, err := TrainSVM(ds, nil, svmCfg, rand.New(rand.NewSource(9)))
 		if err != nil {
 			t.Fatal(err)
@@ -46,39 +55,40 @@ func TestKernelCacheDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m.NumSupportVectors() != base.NumSupportVectors() {
-			t.Fatalf("workers=%d: %d support vectors, direct run has %d",
-				workers, m.NumSupportVectors(), base.NumSupportVectors())
+			t.Fatalf("GOMAXPROCS %d: %d support vectors, direct run has %d",
+				procs, m.NumSupportVectors(), base.NumSupportVectors())
 		}
 		if m.bias != base.bias {
-			t.Fatalf("workers=%d: bias %v != %v", workers, m.bias, base.bias)
+			t.Fatalf("GOMAXPROCS %d: bias %v != %v", procs, m.bias, base.bias)
 		}
 		for k := range m.coefs {
 			if m.coefs[k] != base.coefs[k] || m.svIdx[k] != base.svIdx[k] {
-				t.Fatalf("workers=%d: support vector %d diverges (coef %v vs %v, idx %d vs %d)",
-					workers, k, m.coefs[k], base.coefs[k], m.svIdx[k], base.svIdx[k])
+				t.Fatalf("GOMAXPROCS %d: support vector %d diverges (coef %v vs %v, idx %d vs %d)",
+					procs, k, m.coefs[k], base.coefs[k], m.svIdx[k], base.svIdx[k])
 			}
 		}
 		for i := 0; i < n; i++ {
 			if got, want := m.Decision(ds.Samples[i]), base.Decision(ds.Samples[i]); got != want {
-				t.Fatalf("workers=%d: decision(%d) = %v, want %v", workers, i, got, want)
+				t.Fatalf("GOMAXPROCS %d: decision(%d) = %v, want %v", procs, i, got, want)
 			}
 			if got, want := bb.Decision(ds.Samples[i]), baseBoost.Decision(ds.Samples[i]); got != want {
-				t.Fatalf("workers=%d: boost decision(%d) = %v, want %v", workers, i, got, want)
+				t.Fatalf("GOMAXPROCS %d: boost decision(%d) = %v, want %v", procs, i, got, want)
 			}
 		}
 	}
 }
 
 // TestGramPoliciesAgree checks the matrix holds the kernel values a direct
-// evaluation returns, by element and by row, at several fan-out widths, for
+// evaluation returns, by element and by row, on one core and on several, for
 // kernels with the popcount fast path and one (jaccard) without.
 func TestGramPoliciesAgree(t *testing.T) {
 	ds := synthDataset(t, 12, 36, 4)
 	n := ds.Len()
 	for kname, k := range map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}, "jaccard": jaccard{}} {
 		direct := directGram(k, ds.Samples)
-		for _, workers := range []int{0, 1, 2, 5} {
-			full := newGram(k, ds.Samples, workers)
+		for _, procs := range []int{1, 3} {
+			setProcs(t, procs)
+			full := newGram(k, ds.Samples)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					want := k.Eval(ds.Samples[i], ds.Samples[j])
@@ -86,10 +96,10 @@ func TestGramPoliciesAgree(t *testing.T) {
 						t.Fatalf("%s: direct at(%d,%d) = %v, want %v", kname, i, j, got, want)
 					}
 					if got := full.at(i, j); got != want {
-						t.Fatalf("%s workers=%d: at(%d,%d) = %v, want %v", kname, workers, i, j, got, want)
+						t.Fatalf("%s GOMAXPROCS %d: at(%d,%d) = %v, want %v", kname, procs, i, j, got, want)
 					}
 					if row := full.row(i); row[j] != want {
-						t.Fatalf("%s workers=%d: row(%d)[%d] = %v, want %v", kname, workers, i, j, row[j], want)
+						t.Fatalf("%s GOMAXPROCS %d: row(%d)[%d] = %v, want %v", kname, procs, i, j, row[j], want)
 					}
 				}
 			}
@@ -109,7 +119,7 @@ func TestGramSubsetGathersExactValues(t *testing.T) {
 		xs[a] = ds.Samples[i]
 	}
 	want := directGram(k, xs)
-	sub := newGram(k, ds.Samples, 1).subset(idx)
+	sub := newGram(k, ds.Samples).subset(idx)
 	if sub.n != len(idx) {
 		t.Fatalf("subset over %d samples, want %d", sub.n, len(idx))
 	}
@@ -158,28 +168,29 @@ func perFoldCV(t *testing.T, ds *features.Dataset, k int, seed int64, boost bool
 
 // TestCrossValidateSharedMatchesLegacy proves the shared-Gram CV entry
 // points reproduce perFoldCV, which builds one Gram matrix per fold,
-// exactly — for both classifiers, at several worker counts.
+// exactly — for both classifiers, on one core and on several.
 func TestCrossValidateSharedMatchesLegacy(t *testing.T) {
 	ds := synthDataset(t, 25, 75, 3)
 	const folds, seed = 5, 21
 
 	legacySVM := perFoldCV(t, ds, folds, seed, false)
 	legacyAda := perFoldCV(t, ds, folds, seed, true)
-	for _, workers := range []int{1, 3, 8} {
-		cv := CVConfig{Folds: folds, Seed: seed, Workers: workers}
+	for _, procs := range []int{1, 3} {
+		setProcs(t, procs)
+		cv := CVConfig{Folds: folds, Seed: seed}
 		gotSVM, err := CrossValidateSVM(ds, DefaultSVMConfig(), cv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotSVM != legacySVM {
-			t.Fatalf("workers=%d: shared SVM CV %+v != legacy %+v", workers, gotSVM, legacySVM)
+			t.Fatalf("GOMAXPROCS %d: shared SVM CV %+v != legacy %+v", procs, gotSVM, legacySVM)
 		}
 		gotAda, err := CrossValidateAdaBoost(ds, DefaultAdaBoostConfig(), cv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotAda != legacyAda {
-			t.Fatalf("workers=%d: shared AdaBoost CV %+v != legacy %+v", workers, gotAda, legacyAda)
+			t.Fatalf("GOMAXPROCS %d: shared AdaBoost CV %+v != legacy %+v", procs, gotAda, legacyAda)
 		}
 	}
 }

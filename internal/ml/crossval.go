@@ -12,7 +12,9 @@ import (
 // crossValidate is the paper's stratified k-fold protocol, the fold loop
 // both entry points run: stratify, train fold f on the other k−1 folds with
 // an rng seeded cv.Seed+f+1, evaluate it on the held-out one, and merge the
-// confusions in fold order — so the result is identical at any worker count.
+// confusions in fold order — so the result is identical at any core count.
+// The folds fan out one worker per core, and each holds its own Gram view
+// while it trains, so GOMAXPROCS bounds how many are alive at once.
 func crossValidate(ds *features.Dataset, cv CVConfig,
 	train func(trainIdx []int, rng *rand.Rand) (Classifier, error)) (Confusion, error) {
 	k := cv.Folds
@@ -29,7 +31,7 @@ func crossValidate(ds *features.Dataset, cv CVConfig,
 		err error
 	}
 	results := make([]result, k)
-	_ = fanout.ForEach(context.Background(), cv.Workers, k, func(f int) {
+	_ = fanout.ForEach(context.Background(), 0, k, func(f int) {
 		var trainIdx, testIdx []int
 		for g := 0; g < k; g++ {
 			if g == f {
@@ -87,9 +89,6 @@ type CVConfig struct {
 	// Seed fixes the stratified shuffle and the per-fold training rngs,
 	// so results are reproducible and identical between the entry points.
 	Seed int64
-	// Workers caps concurrent fold training and Gram precompute fan-out
-	// (0 = one per core, 1 = strictly sequential).
-	Workers int
 }
 
 // CrossValidateSVM cross-validates a plain SVM, computing one Gram matrix
@@ -98,7 +97,7 @@ type CVConfig struct {
 // fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
 	cfg.Kernel = resolveKernel(cfg.Kernel)
-	shared := newGram(cfg.Kernel, ds.Samples, cv.Workers)
+	shared := newGram(cfg.Kernel, ds.Samples)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		train := ds.Subset(trainIdx)
 		if err := checkTrainInputs(train, nil); err != nil {
@@ -113,7 +112,7 @@ func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusi
 // that fold.
 func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig) (Confusion, error) {
 	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
-	shared := newGram(cfg.SVM.Kernel, ds.Samples, cv.Workers)
+	shared := newGram(cfg.SVM.Kernel, ds.Samples)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		return trainAdaBoostGram(ds.Subset(trainIdx), cfg, rng, shared.subset(trainIdx))
 	})

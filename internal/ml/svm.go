@@ -28,9 +28,6 @@ type SVMConfig struct {
 	MaxPasses int
 	// MaxIter hard-bounds total optimization sweeps.
 	MaxIter int
-	// Workers caps Gram-precompute fan-out over the shared worker pool
-	// (0 = one per core).
-	Workers int
 }
 
 // DefaultSVMConfig mirrors the paper's setup: RBF kernel, moderate C.
@@ -100,7 +97,7 @@ func TrainSVM(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 		return nil, err
 	}
 	cfg.Kernel = resolveKernel(cfg.Kernel)
-	g := newGram(cfg.Kernel, ds.Samples, cfg.Workers)
+	g := newGram(cfg.Kernel, ds.Samples)
 	return trainSVMGram(ds, weights, cfg, rng, g), nil
 }
 

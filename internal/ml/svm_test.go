@@ -171,7 +171,7 @@ func TestLinearKernel(t *testing.T) {
 func TestGramCacheAgreesWithDirect(t *testing.T) {
 	ds := synthDataset(t, 10, 30, 4)
 	k := RBF{Gamma: 0.05}
-	g := newGram(k, ds.Samples, 1)
+	g := newGram(k, ds.Samples)
 	for i := 0; i < ds.Len(); i += 7 {
 		for j := 0; j < ds.Len(); j += 5 {
 			want := k.Eval(ds.Samples[i], ds.Samples[j])
@@ -454,7 +454,7 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		n := c.ds.Len()
 		for kname, kernel := range kernels {
-			for pname, g := range map[string]*gram{"full": newGram(kernel, c.ds.Samples, 1), "direct": directGram(kernel, c.ds.Samples)} {
+			for pname, g := range map[string]*gram{"full": newGram(kernel, c.ds.Samples), "direct": directGram(kernel, c.ds.Samples)} {
 				name := c.name + "/" + kname + "/" + pname
 				cfg := DefaultSVMConfig()
 				cfg.Kernel = kernel
@@ -486,19 +486,21 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 // TestSolveSMOConcurrentCV runs the blocked solver the way Table 3 does —
 // folds training concurrently, each boosting over its own view of the
 // Gram matrix — so `go test -race` sees it, and holds the result to the
-// sequential run.
+// run on one core.
 func TestSolveSMOConcurrentCV(t *testing.T) {
 	ds := synthDataset(t, 20, 61, 13)
 	cfg := DefaultAdaBoostConfig()
-	want, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 1})
+	setProcs(t, 1)
+	want, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2, Workers: 4})
+	setProcs(t, 4)
+	got, err := CrossValidateAdaBoost(ds, cfg, CVConfig{Folds: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("4 workers: %+v, sequential %+v", got, want)
+		t.Errorf("GOMAXPROCS 4: %+v, GOMAXPROCS 1 %+v", got, want)
 	}
 }

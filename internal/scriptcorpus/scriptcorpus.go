@@ -88,7 +88,7 @@ func Scripts(tb testing.TB) []string {
 func build() ([]string, error) {
 	ctx := context.Background()
 	lab := experiments.NewLab(simworld.Scaled(1, benchScale))
-	retro, err := lab.RunRetrospective(ctx, experiments.RetroConfig{Shards: 1})
+	retro, err := lab.RunRetrospective(ctx, experiments.RetroConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("scriptcorpus: retrospective crawl: %w", err)
 	}

@@ -26,7 +26,7 @@ const phaseRuns = 40
 //	go test -run '^$' -bench ClassifyPhases -benchtime 1x ./internal/serve
 func BenchmarkClassifyPhases(b *testing.B) {
 	ctx := context.Background()
-	retro, err := experiments.NewLab(simworld.Scaled(1, 10)).RunRetrospective(ctx, experiments.RetroConfig{Shards: 1})
+	retro, err := experiments.NewLab(simworld.Scaled(1, 10)).RunRetrospective(ctx, experiments.RetroConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,16 +96,10 @@ type FaultConfig struct {
 }
 
 // DefaultFaultConfig returns a fault model with the given per-attempt
-// transient rate plus occasional archive-wide outages.
+// transient rate plus occasional archive-wide outages; the knobs it leaves
+// unset take withDefaults' values.
 func DefaultFaultConfig(rate float64, seed int64) FaultConfig {
-	return FaultConfig{
-		Rate:           rate,
-		MaxConsecutive: 4,
-		OutageRate:     0.05,
-		OutageDepth:    2,
-		RetryAfter:     250 * time.Millisecond,
-		Seed:           seed,
-	}
+	return FaultConfig{Rate: rate, OutageRate: 0.05, Seed: seed}.withDefaults()
 }
 
 // enabled reports whether any fault class is active.
