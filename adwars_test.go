@@ -241,6 +241,7 @@ func TestDetectorIsTheServedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.New(serve.Config{ModelPath: path})
+	t.Cleanup(func() { srv.CloseAnalytics() })
 	if err := srv.ReloadSnapshots(); err != nil {
 		t.Fatalf("the server refuses the detector's bytes: %v", err)
 	}

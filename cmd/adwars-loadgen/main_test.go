@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"adwars/internal/abp"
-	"adwars/internal/analytics"
 	"adwars/internal/artifact"
 	"adwars/internal/degrade"
 	"adwars/internal/serve"
@@ -68,13 +67,14 @@ type fixture struct {
 	lists string
 }
 
-// newFixture starts a server built from cfg. wrap, when non-nil, stands
-// between the listener and the server's handler: it is how a test breaks
-// one invariant.
-func newFixture(t *testing.T, cfg serve.Config, wrap func(next http.Handler) http.Handler) *fixture {
+// newFixture starts a server. wrap, when non-nil, stands between the
+// listener and the server's handler: it is how a test breaks one invariant.
+// Nothing starts the governor's own ticker, so its ladder moves only when
+// the test says so.
+func newFixture(t *testing.T, wrap func(next http.Handler) http.Handler) *fixture {
 	t.Helper()
 	dir := t.TempDir()
-	cfg.ListsPath, cfg.ModelPath = filepath.Join(dir, "lists.json"), filepath.Join(dir, "model.json")
+	cfg := serve.Config{ListsPath: filepath.Join(dir, "lists.json"), ModelPath: filepath.Join(dir, "model.json")}
 	if err := abp.SaveListsSnapshot(cfg.ListsPath, testSnapshot(t, "test")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +107,6 @@ func (f *fixture) load(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-func exactAnalytics() *analytics.Config {
-	return &analytics.Config{SampleRate: 1}
-}
-
 // Ladder moves at the governor's real hysteresis: a full queue is
 // over-pressure and two such observations climb one level; an idle server
 // is calm and five such observations descend one.
@@ -127,12 +123,6 @@ func repeat(s degrade.Signals, n int) []degrade.Signals {
 	return out
 }
 
-// governed is a server whose ladder moves only when the test says so:
-// nothing starts the governor's own ticker.
-func governed() serve.Config {
-	return serve.Config{Degrade: &degrade.Config{}}
-}
-
 // tick feeds the governor every observation of the given moves, in order.
 func tick(f *fixture, moves ...[]degrade.Signals) {
 	for _, m := range moves {
@@ -140,6 +130,18 @@ func tick(f *fixture, moves ...[]degrade.Signals) {
 			f.srv.Degrade().Tick(s)
 		}
 	}
+}
+
+// noAdmin answers every /admin/* path 404, as a target that is not a
+// replica would; everything else goes to the server.
+func noAdmin(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/admin/") {
+			http.NotFound(w, r)
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // gatewayVars answers /debug/vars as an adwars-gateway with this failover
@@ -217,12 +219,12 @@ func wantOutput(t *testing.T, out string, want ...string) {
 }
 
 // TestGatesPass: every gate passes on a run whose invariants hold — the
-// reconciling gates on a quiet exact-analytics server, the chaos ledger
+// reconciling gates on a quiet server, the chaos ledger
 // under hostile load, and the brownout gates on a ladder that climbed to
 // L2 before the run and is stepped back to L0 in the middle of it.
 func TestGatesPass(t *testing.T) {
 	t.Run("ledger usage analytics", func(t *testing.T) {
-		f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, nil)
+		f := newFixture(t, nil)
 		code, stdout, stderr := f.load("-check", "ledger,usage,analytics")
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK (all requests 2xx or 429, zero 5xx)",
@@ -235,7 +237,7 @@ func TestGatesPass(t *testing.T) {
 		}
 	})
 	t.Run("analytics after traffic still in the rings", func(t *testing.T) {
-		f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, foreign("/admin/analytics", true))
+		f := newFixture(t, foreign("/admin/analytics", true))
 		code, stdout, stderr := f.load("-check", "analytics")
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: ANALYTICS-CHECK OK (")
@@ -244,7 +246,7 @@ func TestGatesPass(t *testing.T) {
 		}
 	})
 	t.Run("chaos ledger", func(t *testing.T) {
-		f := newFixture(t, serve.Config{}, nil)
+		f := newFixture(t, nil)
 		code, stdout, stderr := f.load("-chaos", "-check", "ledger")
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen[chaos]: ", "loadgen: LEDGER-CHECK OK (chaos ledger balanced: ")
@@ -255,7 +257,7 @@ func TestGatesPass(t *testing.T) {
 	t.Run("degrade failovers hot-only", func(t *testing.T) {
 		var f *fixture
 		recoverMidRun := afterRequests(20, func() { tick(f, down, down) })
-		f = newFixture(t, governed(), func(next http.Handler) http.Handler {
+		f = newFixture(t, func(next http.Handler) http.Handler {
 			return gatewayVars(2)(recoverMidRun(next))
 		})
 		tick(f, up, up)
@@ -288,7 +290,6 @@ func TestGatesFail(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name   string
-		cfg    serve.Config
 		wrap   func(http.Handler) http.Handler
 		ladder [][]degrade.Signals // moves fed to the governor before the run
 		check  string
@@ -296,37 +297,37 @@ func TestGatesFail(t *testing.T) {
 		stderr string
 		stdout string // a row that must still pass
 	}{
-		{name: "ledger: a 5xx nobody explains", cfg: serve.Config{}, wrap: inject5xx,
+		{name: "ledger: a 5xx nobody explains", wrap: inject5xx,
 			check: "ledger,usage", code: 1,
 			stderr: "loadgen: LEDGER-CHECK FAILED: 1 unexplained 5xx responses", stdout: "loadgen: USAGE-CHECK OK"},
-		{name: "usage: foreign traffic between the reads", cfg: serve.Config{}, wrap: foreign("/admin/usage", false),
+		{name: "usage: foreign traffic between the reads", wrap: foreign("/admin/usage", false),
 			check: "ledger,usage", code: 1,
 			stderr: "loadgen: USAGE-CHECK FAILED: server recorded ", stdout: "loadgen: LEDGER-CHECK OK"},
-		{name: "analytics: foreign traffic between the reads", cfg: serve.Config{Analytics: exactAnalytics()},
+		{name: "analytics: foreign traffic between the reads",
 			wrap: foreign("/admin/analytics", false), check: "analytics", code: 1,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: match/blocked: server delta "},
-		{name: "analytics: sampling below 1", check: "ledger,analytics", code: 2,
-			cfg:    serve.Config{Analytics: &analytics.Config{SampleRate: 0.5}},
-			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.500"},
-		{name: "analytics: off", cfg: serve.Config{}, check: "analytics", code: 2,
+		{name: "analytics: sampling below 1", ladder: [][]degrade.Signals{up},
+			check: "ledger,analytics", code: 2,
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.100"},
+		{name: "analytics: off", wrap: noAdmin, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
-		{name: "degrade: peaked below L2", cfg: governed(), ladder: [][]degrade.Signals{up, down},
+		{name: "degrade: peaked below L2", ladder: [][]degrade.Signals{up, down},
 			check: "degrade,ledger", code: 1,
 			stderr: "peak level L1, want >= L2", stdout: "loadgen: LEDGER-CHECK OK"},
-		{name: "degrade: flapped", cfg: governed(), ladder: [][]degrade.Signals{up, up, down, up, down, down},
+		{name: "degrade: flapped", ladder: [][]degrade.Signals{up, up, down, up, down, down},
 			check: "degrade", code: 1,
 			stderr: "6 transitions (3 up, 3 down) for peak L2 — want exactly 4 (one climb, one descent): the ladder flapped"},
-		{name: "degrade: no governor", cfg: serve.Config{}, check: "degrade", code: 1,
+		{name: "degrade: no governor", wrap: noAdmin, check: "degrade", code: 1,
 			stderr: "loadgen: DEGRADE-CHECK FAILED: GET "},
-		{name: "failovers: none", cfg: serve.Config{}, wrap: gatewayVars(0), check: "failovers,ledger", code: 1,
+		{name: "failovers: none", wrap: gatewayVars(0), check: "failovers,ledger", code: 1,
 			stderr: "loadgen: FAILOVERS-CHECK FAILED: gateway reports 0 failovers", stdout: "loadgen: LEDGER-CHECK OK"},
-		{name: "failovers: not a gateway", cfg: serve.Config{}, check: "failovers", code: 1,
+		{name: "failovers: not a gateway", check: "failovers", code: 1,
 			stderr: "loadgen: FAILOVERS-CHECK FAILED: "},
-		{name: "hot-only: never above L0", cfg: governed(), check: "hot-only,ledger", code: 1,
+		{name: "hot-only: never above L0", check: "hot-only,ledger", code: 1,
 			stderr: "loadgen: HOT-ONLY-CHECK FAILED: hot-only fraction is 0", stdout: "loadgen: LEDGER-CHECK OK"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := newFixture(t, c.cfg, c.wrap)
+			f := newFixture(t, c.wrap)
 			tick(f, c.ladder...)
 			code, stdout, stderr := f.load("-check", c.check, "-degrade-url", f.url)
 			wantExit(t, code, c.code)
@@ -342,7 +343,7 @@ func TestGatesFail(t *testing.T) {
 // TestRefusedBeforeFiring: what exits 2 does so before a request is sent.
 func TestRefusedBeforeFiring(t *testing.T) {
 	var requests atomic.Int64
-	f := newFixture(t, serve.Config{Analytics: exactAnalytics()}, func(next http.Handler) http.Handler {
+	f := newFixture(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			requests.Add(1)
 			next.ServeHTTP(w, r)
@@ -377,7 +378,7 @@ func TestRefusedBeforeFiring(t *testing.T) {
 // The server loads its snapshots from files, so the output names their
 // artifact versions.
 func TestProbePinned(t *testing.T) {
-	f := newFixture(t, serve.Config{}, nil)
+	f := newFixture(t, nil)
 	var out, errb bytes.Buffer
 	if code := run([]string{"-target", f.url, "-probe"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())

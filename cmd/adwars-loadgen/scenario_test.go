@@ -37,7 +37,6 @@ import (
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
 	"adwars/internal/chassis"
-	"adwars/internal/degrade"
 	"adwars/internal/fleet"
 	"adwars/internal/serve"
 	"adwars/internal/wire"
@@ -77,10 +76,7 @@ type window struct {
 // a door that holds every answer's worker slot 5ms (starve), a replica
 // answers ≈ 200 requests a second and the queue stays full under load, and
 // the governor's queue-depth signal reads hot at every tick.
-var starved = serve.Config{
-	Workers: 1, Queue: 8, QueueTimeout: 50 * time.Millisecond,
-	Degrade: &degrade.Config{},
-}
+var starved = serve.Config{Workers: 1, Queue: 8, QueueTimeout: 50 * time.Millisecond}
 
 var starve = faults{slowEvery: 1, slow: 5 * time.Millisecond}
 
@@ -290,8 +286,8 @@ func freeze(t *testing.T, root string) {
 var client = &http.Client{Timeout: 5 * time.Second}
 
 // boot starts replica name from its own copies of the frozen snapshots,
-// made on its first boot. A replica with analytics spills into its
-// directory.
+// made on its first boot. A replica whose config sets Analytics spills
+// into its directory.
 func boot(name string, cfg serve.Config) step {
 	return step{"boot " + name, func(e *env) error {
 		dir := e.dir(name)
@@ -843,12 +839,12 @@ type proc struct {
 // boot runs adwars-serve for the configs the process rows use: plain, or
 // with analytics spilling.
 func (p *procs) boot(name string, cfg serve.Config) error {
-	if cfg.Degrade != nil || cfg.Workers != 0 || cfg.Queue != 0 || cfg.QueueTimeout != 0 {
-		return errors.New("the process pass boots plain or analytics replicas only")
+	if cfg.Workers != 0 || cfg.Queue != 0 || cfg.QueueTimeout != 0 {
+		return errors.New("the process pass boots plain or spilling replicas only")
 	}
 	args := []string{"-lists", cfg.ListsPath, "-model", cfg.ModelPath, "-replica", name}
 	if cfg.Analytics != nil {
-		args = append(args, "-analytics", "-analytics-spill", cfg.Analytics.SpillDir)
+		args = append(args, "-analytics-spill", cfg.Analytics.SpillDir)
 	}
 	return p.start(name, "adwars-serve", args...)
 }

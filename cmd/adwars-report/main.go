@@ -12,9 +12,11 @@
 // dashboard built from the decision analytics pipeline: top firing rules,
 // per-domain block rates, and the verdict mix over time. Rows come from
 // the JSONL spill files an adwars-serve -analytics-spill run wrote
-// (-spill DIR), from a running server's /admin/analytics snapshot
-// (-url), or both — spilled history plus the in-memory buckets not yet
-// evicted, which together cover the whole run.
+// (-spill DIR; a replica restarted on the same directory numbers its files
+// on after the earlier runs'), from a running server's /admin/analytics
+// snapshot (-url; every adwars-serve has one), or both — spilled history
+// plus the in-memory buckets not yet evicted, which together cover the
+// whole run.
 package main
 
 import (
@@ -191,14 +193,11 @@ func fetchAnalyticsSnapshot(base string) (*analytics.Snapshot, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /admin/analytics: status %d (server not running -analytics?)", resp.StatusCode)
+		return nil, fmt.Errorf("GET /admin/analytics: status %d", resp.StatusCode)
 	}
 	var snap analytics.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return nil, err
-	}
-	if !snap.Enabled {
-		return nil, fmt.Errorf("analytics disabled on server")
 	}
 	return &snap, nil
 }

@@ -9,23 +9,24 @@
 //	adwars-serve -model model.json -lists lists.json [-addr :8080]
 //	             [-workers N] [-queue N] [-queue-timeout D]
 //	             [-portfile PATH] [-replica ID] [-drain-announce D]
-//	             [-analytics] [-analytics-spill DIR] [-degrade]
+//	             [-analytics-spill DIR]
 //
-// -degrade enables the adaptive overload governor: a 100ms ticker watches
-// live pressure (admission queue depth, windowed match p99, analytics drop
-// rate) and steps a degradation ladder L0..L4 — forced analytics
-// sampling, hot-tier-only matching, classify shed, batch shed — with
-// hysteresis so the level climbs fast and recovers calmly. Every
-// response carries the level in X-Adwars-Degrade; /admin/degrade
-// exposes the snapshot and manual pin/unpin.
+// Every replica runs the adaptive overload governor: a 100ms ticker
+// watches live pressure (admission queue depth, windowed match p99,
+// analytics drop rate) and steps a degradation ladder L0..L4 — forced
+// analytics sampling, hot-tier-only matching, classify shed, batch shed —
+// with hysteresis so the level climbs fast and recovers calmly. Every
+// /v1 response carries the level in X-Adwars-Degrade; /admin/degrade
+// exposes the snapshot and manual pin/unpin (POST ?pin=L0 holds full
+// service).
 //
-// -analytics enables the decision analytics pipeline: every /v1/match and
-// /v1/classify verdict is logged into lock-free rings, aggregated into
-// time buckets, snapshotted at /admin/analytics, and — with
-// -analytics-spill — written as rotated JSONL files that adwars-report
-// -live renders into coverage dashboards.
-// On SIGTERM the rings and final aggregator state flush to spill before
-// exit.
+// Every replica also runs the decision analytics pipeline: each /v1/match
+// and /v1/classify verdict is logged into lock-free rings, aggregated into
+// time buckets and snapshotted at /admin/analytics. With -analytics-spill
+// the buckets are also written as rotated JSONL files, numbered on from
+// what earlier runs left in the directory, that adwars-report -live
+// renders into coverage dashboards. On SIGTERM the rings and final
+// aggregator state flush to spill before exit.
 //
 // Behind adwars-gateway, -replica names this process in the
 // X-Adwars-Replica response header and /healthz, and -drain-announce
@@ -52,7 +53,6 @@ import (
 
 	"adwars/internal/analytics"
 	"adwars/internal/artifact"
-	"adwars/internal/degrade"
 	"adwars/internal/serve"
 )
 
@@ -66,25 +66,11 @@ func main() {
 	drainAnnounce := flag.Duration("drain-announce", 0, "pause between flipping /readyz to 503 and closing the listener, so gateways route away first")
 	replica := flag.String("replica", "", "replica identity reported in X-Adwars-Replica and /healthz")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
-	anlOn := flag.Bool("analytics", false, "enable the decision analytics pipeline (/admin/analytics)")
 	anlSpill := flag.String("analytics-spill", "", "directory for rotated JSONL analytics spill files (empty = in-memory only)")
-	degOn := flag.Bool("degrade", false, "enable the adaptive overload governor (brownout ladder L0..L4)")
 	flag.Parse()
 
 	if *model == "" && *lists == "" {
 		log.Fatal("need at least one of -model or -lists")
-	}
-
-	var anl *analytics.Config
-	if *anlOn || *anlSpill != "" {
-		anl = &analytics.Config{SpillDir: *anlSpill}
-		fmt.Fprintf(os.Stderr, "adwars-serve: decision analytics on (spill=%q)\n", *anlSpill)
-	}
-
-	var deg *degrade.Config
-	if *degOn {
-		deg = &degrade.Config{}
-		fmt.Fprintln(os.Stderr, "adwars-serve: overload governor on")
 	}
 
 	s := serve.New(serve.Config{
@@ -96,8 +82,7 @@ func main() {
 		DrainAnnounce: *drainAnnounce,
 		ReplicaID:     *replica,
 		MetricsOut:    os.Stderr,
-		Analytics:     anl,
-		Degrade:       deg,
+		Analytics:     &analytics.Config{SpillDir: *anlSpill},
 	})
 	if err := s.AnalyticsError(); err != nil {
 		log.Fatalf("analytics: %v", err)

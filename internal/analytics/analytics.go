@@ -34,10 +34,9 @@ const (
 // min(GOMAXPROCS, 8) rings of 4096 slots, drained every 5 ms into 10-second
 // buckets.
 type Config struct {
-	// SampleRate is the fraction of decisions recorded, in (0, 1]. Zero
-	// means 1.0 (record everything — the reconciliation-exact mode);
-	// operators turn it down under load. Sampling decisions are counted
-	// (SampledOut), so a sampled run still accounts for every decision.
+	// SampleRate is ignored: a collector records every decision unless the
+	// overload governor holds a sample override (SetSampleOverride). It is
+	// kept only for the benchmark, which still sets it.
 	SampleRate float64
 	// SpillDir, when non-empty, receives rotated JSONL spill files of
 	// evicted and final bucket rows. Empty disables spill: evicted
@@ -45,17 +44,9 @@ type Config struct {
 	SpillDir string
 }
 
-func (c *Config) sampleRate() float64 {
-	if c.SampleRate <= 0 || c.SampleRate > 1 {
-		return 1
-	}
-	return c.SampleRate
-}
-
 // sampler decides record-or-skip with one atomic add and a splitmix64
 // mix — no locks, no rand.Source, deterministic given the call sequence.
-// rate >= 1 short-circuits to "always", which is what makes sampling=1.0
-// reconciliation-exact rather than merely 99.999%-probable.
+// rate >= 1 short-circuits to "always".
 type sampler struct {
 	exact     bool
 	rate      float64
@@ -90,8 +81,7 @@ func (s *sampler) keep() bool {
 type Collector struct {
 	cfg Config
 
-	smp   *sampler
-	ovr   atomic.Pointer[sampler] // overload-governor override; nil = use smp
+	ovr   atomic.Pointer[sampler] // overload-governor override; nil = keep every decision
 	rings []*ring
 	rr    atomic.Uint64 // round-robin shard cursor
 
@@ -114,7 +104,6 @@ type Collector struct {
 func NewCollector(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:  cfg,
-		smp:  newSampler(cfg.sampleRate()),
 		agg:  new(aggregator),
 		done: make(chan struct{}),
 	}
@@ -135,14 +124,11 @@ func NewCollector(cfg Config) (*Collector, error) {
 
 // Record logs one decision. It is safe for any number of concurrent
 // callers, never blocks, and allocates nothing: the event is either
-// sampled out (counted), accepted into a ring, or dropped because the
-// ring is full (counted). The serving hot path calls this inline.
+// sampled out by a governor override (counted), accepted into a ring, or
+// dropped because the ring is full (counted). The serving hot path calls
+// this inline.
 func (c *Collector) Record(ev Event) {
-	smp := c.smp
-	if o := c.ovr.Load(); o != nil {
-		smp = o
-	}
-	if !smp.keep() {
+	if o := c.ovr.Load(); o != nil && !o.keep() {
 		c.sampledOut.Add(1)
 		return
 	}
@@ -202,14 +188,14 @@ func (c *Collector) Close() error {
 
 // SetSampleOverride forces the sample rate down to rate until
 // ClearSampleOverride — the overload governor's lever for shedding
-// analytics volume before it sheds request fidelity. The swap is one
-// atomic pointer store; Record picks it up on its next call with a
-// single extra atomic load and no allocation.
+// analytics volume before it sheds request fidelity, and the only way a
+// collector samples. The swap is one atomic pointer store; Record picks
+// it up on its next call with no allocation.
 func (c *Collector) SetSampleOverride(rate float64) {
 	c.ovr.Store(newSampler(rate))
 }
 
-// ClearSampleOverride restores the configured sample rate.
+// ClearSampleOverride restores recording of every decision.
 func (c *Collector) ClearSampleOverride() {
 	c.ovr.Store(nil)
 }
@@ -219,7 +205,7 @@ func (c *Collector) effectiveRate() float64 {
 	if o := c.ovr.Load(); o != nil {
 		return o.rate
 	}
-	return c.cfg.sampleRate()
+	return 1
 }
 
 // drops sums the per-ring full-drop counters.
@@ -248,11 +234,11 @@ type Counters struct {
 	SampledOut uint64 `json:"sampled_out"`
 	// RingOccupancy is events buffered in the rings right now (waiting
 	// for the consumer).
-	RingOccupancy int     `json:"ring_occupancy"`
-	SampleRate    float64 `json:"sample_rate"`
-	// EffectiveRate is the rate Record is applying right now — it
-	// diverges from SampleRate while the overload governor holds a
-	// sample override.
+	RingOccupancy int `json:"ring_occupancy"`
+	// SampleRate is the rate without a governor override: always 1.
+	SampleRate float64 `json:"sample_rate"`
+	// EffectiveRate is the rate Record is applying right now — below 1
+	// only while the overload governor holds a sample override.
 	EffectiveRate float64 `json:"effective_rate"`
 }
 
@@ -263,7 +249,7 @@ func (c *Collector) CountersNow() Counters {
 		Dropped:       c.drops(),
 		SampledOut:    c.sampledOut.Load(),
 		RingOccupancy: c.ringOccupancy(),
-		SampleRate:    c.cfg.sampleRate(),
+		SampleRate:    1,
 		EffectiveRate: c.effectiveRate(),
 	}
 }
@@ -299,6 +285,8 @@ func (c *Collector) Snapshot() Snapshot {
 // plus aggregator occupancy, with no bucket rows materialized — scraping
 // it costs a handful of atomic loads and one short lock hold.
 type Vars struct {
+	// Enabled is always true: every replica runs a collector. It stays
+	// in the published shape, as in Snapshot.
 	Enabled bool `json:"enabled"`
 	Counters
 	AggBuckets     int    `json:"agg_buckets"`

@@ -25,7 +25,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // Close flushes the final state to spill.
 func TestCollectorEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCollector(Config{SampleRate: 1, SpillDir: dir})
+	c, err := NewCollector(Config{SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 // sampling 1.0, with every burst smaller than one ring and drained before
 // the next, the totals equal the client-side ledger exactly.
 func TestCollectorExactAtFullSampling(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,37 +133,42 @@ func TestCollectorExactAtFullSampling(t *testing.T) {
 	})
 }
 
-// TestSamplerRates checks the sampler's two contracts: exactness at 1.0
-// and a roughly proportional keep rate below it, with every skip counted.
+// TestSamplerRates checks the collector's two sampling contracts: with no
+// governor override every decision is kept, and under an override the keep
+// rate is roughly proportional, with every skip counted.
 func TestSamplerRates(t *testing.T) {
-	s := newSampler(1)
-	for i := 0; i < 1000; i++ {
-		if !s.keep() {
-			t.Fatal("sampler at 1.0 skipped an event")
-		}
-	}
-	s = newSampler(0.25)
-	kept := 0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		if s.keep() {
-			kept++
-		}
-	}
-	frac := float64(kept) / n
-	if frac < 0.22 || frac > 0.28 {
-		t.Fatalf("keep rate %.3f at configured 0.25", frac)
-	}
-}
-
-// TestCollectorSampledOutAccounting runs a sampled collector and checks
-// recorded + sampledOut + dropped == sent.
-func TestCollectorSampledOutAccounting(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 0.5})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ev := Event{UnixNano: 1, Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1}
+	for i := 0; i < 1000; i++ {
+		c.Record(ev)
+	}
+	if n := c.CountersNow().SampledOut; n != 0 {
+		t.Fatalf("%d decisions sampled out with no override", n)
+	}
+	c.SetSampleOverride(0.25)
+	const n = 200000
+	for i := 0; i < n; i++ {
+		c.Record(ev)
+	}
+	frac := float64(n-c.CountersNow().SampledOut) / n
+	if frac < 0.22 || frac > 0.28 {
+		t.Fatalf("keep rate %.3f under override 0.25", frac)
+	}
+}
+
+// TestCollectorSampledOutAccounting runs a collector under a sample
+// override and checks recorded + sampledOut + dropped == sent.
+func TestCollectorSampledOutAccounting(t *testing.T) {
+	c, err := NewCollector(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetSampleOverride(0.5)
 	const sent = 10000
 	for i := 0; i < sent; i++ {
 		c.Record(Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1})
@@ -181,7 +186,7 @@ func TestCollectorSampledOutAccounting(t *testing.T) {
 // TestRecordZeroAllocs pins the hot-path contract: recording allocates
 // nothing, whether the event is kept or sampled out.
 func TestRecordZeroAllocs(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +203,7 @@ func TestRecordZeroAllocs(t *testing.T) {
 // effective rate down, shows up in the counters, and Clear restores the
 // configured rate exactly.
 func TestSampleOverride(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestSampleOverride(t *testing.T) {
 // TestRecordZeroAllocsUnderOverride pins that the override path adds no
 // allocations to Record.
 func TestRecordZeroAllocsUnderOverride(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +326,7 @@ func TestReportTrimsOnRuneBoundaries(t *testing.T) {
 // TestReportSnapshotRows proves the live endpoint path feeds the same
 // builder: snapshot bucket rows → report.
 func TestReportSnapshotRows(t *testing.T) {
-	c, err := NewCollector(Config{SampleRate: 1})
+	c, err := NewCollector(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

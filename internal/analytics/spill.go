@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -47,11 +49,24 @@ type spillWriter struct {
 	err      error // first write error; later writes are skipped
 }
 
+// newSpillWriter continues the directory's numbering after its highest
+// spill file, so a replica restarted on the same directory adds to what
+// earlier runs spilled instead of overwriting it.
 func newSpillWriter(dir string, maxBytes int64) (*spillWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	sw := &spillWriter{dir: dir, maxBytes: maxBytes}
+	paths, err := filepath.Glob(filepath.Join(dir, "analytics-*.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range paths {
+		n := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "analytics-"), ".jsonl")
+		if seq, err := strconv.Atoi(n); err == nil {
+			sw.seq = max(sw.seq, seq)
+		}
+	}
 	if err := sw.rotate(); err != nil {
 		return nil, err
 	}
@@ -66,7 +81,7 @@ func (sw *spillWriter) rotate() error {
 	}
 	sw.seq++
 	path := filepath.Join(sw.dir, fmt.Sprintf(spillPattern, sw.seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}

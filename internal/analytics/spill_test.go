@@ -85,6 +85,34 @@ func TestSpillRotation(t *testing.T) {
 	}
 }
 
+// TestSpillRestartKeepsEarlierRuns: a collector started on a directory an
+// earlier run spilled into continues its file numbering, so both runs'
+// decisions stay on disk.
+func TestSpillRestartKeepsEarlierRuns(t *testing.T) {
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		c, err := NewCollector(Config{SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Record(Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: VerdictBlocked, Ordinal: -1})
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := ReadSpillDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, r := range rows {
+		total += r.Count
+	}
+	if total != 2 {
+		t.Fatalf("spill holds %d decisions after two runs of one each, want 2", total)
+	}
+}
+
 // TestReadSpillDirEmpty reports a clear error instead of an empty report.
 func TestReadSpillDirEmpty(t *testing.T) {
 	if _, err := ReadSpillDir(t.TempDir()); err == nil {

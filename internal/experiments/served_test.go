@@ -48,6 +48,7 @@ func TestLiveModelTestIsTheServedAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.New(serve.Config{ModelPath: path})
+	t.Cleanup(func() { srv.CloseAnalytics() })
 	if err := srv.ReloadSnapshots(); err != nil {
 		t.Fatalf("the replica refuses the headline model: %v", err)
 	}

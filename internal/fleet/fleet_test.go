@@ -51,6 +51,7 @@ func newReplica(t *testing.T, id string, seed []byte) *replica {
 		ReplicaID: id,
 		ListsPath: filepath.Join(t.TempDir(), "lists.json"),
 	})
+	t.Cleanup(func() { s.CloseAnalytics() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	if seed != nil {

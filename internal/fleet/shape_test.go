@@ -13,9 +13,7 @@ import (
 	"strings"
 	"testing"
 
-	"adwars/internal/analytics"
 	"adwars/internal/artifact"
-	"adwars/internal/degrade"
 	"adwars/internal/serve"
 )
 
@@ -98,12 +96,14 @@ func jsonShape(t *testing.T, data []byte, registry bool) string {
 // TestVarsShapePinned pins what both servers publish: the key paths, their
 // order and their JSON types (never values) of Server.Metrics().String(),
 // Gateway.Metrics().String() and both /debug/vars bodies, for a replica with
-// everything optional switched on (a model, analytics, the governor, a
-// replica ID) and one with everything off, before any traffic and after
-// one fixed script sent through a gateway: each /v1 endpoint once, one
-// request refused at admission, one 4xx. The golden file was recorded from
-// the commit before the metrics trees moved onto internal/chassis; a key
-// added, dropped, renamed, retyped or reordered fails here.
+// everything optional set (a model, a replica ID) and one with neither,
+// before any traffic and after one fixed script sent through a gateway:
+// each /v1 endpoint once, one request refused at admission, one 4xx. The
+// golden file was recorded from the commit before the metrics trees moved
+// onto internal/chassis; its bare sections' adwars_analytics and
+// adwars_degrade trees were re-recorded when every replica came to run the
+// collector and the governor. A key added, dropped, renamed, retyped or
+// reordered fails here.
 func TestVarsShapePinned(t *testing.T) {
 	model := artifact.Seal([]byte(shapeModelJSON))
 	var out strings.Builder
@@ -127,11 +127,7 @@ func TestVarsShapePinned(t *testing.T) {
 		cfg  serve.Config
 		full bool
 	}{
-		{"full", serve.Config{
-			ReplicaID: "r1",
-			Analytics: &analytics.Config{},
-			Degrade:   &degrade.Config{},
-		}, true},
+		{"full", serve.Config{ReplicaID: "r1"}, true},
 		{"bare", serve.Config{}, false},
 	} {
 		dir := t.TempDir()

@@ -201,11 +201,6 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	if !chassis.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	if s.anl == nil {
-		chassis.WriteError(w, http.StatusNotFound, "analytics_disabled",
-			"decision analytics are disabled on this replica")
-		return
-	}
 	snap := s.anl.Snapshot()
 	chassis.WriteJSON(w, http.StatusOK, &snap)
 }
@@ -230,13 +225,9 @@ func parseDegradeLevel(v string) (degrade.Level, bool) {
 //     ledger, last pressure signals).
 //   - POST ?pin=L2 pins the ladder at a level — the ticker keeps
 //     counting but cannot move it — for incident response or brownout
-//     drills; POST ?unpin releases it back to automatic control.
+//     drills, and ?pin=L0 holds full service, exact answers included;
+//     POST ?unpin releases it back to automatic control.
 func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
-	if s.gov == nil {
-		chassis.WriteError(w, http.StatusNotFound, "degrade_disabled",
-			"the overload governor is disabled on this replica")
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
 		snap := s.gov.Snapshot()

@@ -16,27 +16,6 @@ import (
 	"adwars/internal/analytics"
 )
 
-// testAnalyticsCfg is the configuration the analytics tests share:
-// sampling 1.0, reconciliation-exact.
-func testAnalyticsCfg() *analytics.Config {
-	return &analytics.Config{SampleRate: 1}
-}
-
-// newAnalyticsServer builds a fixture server with analytics enabled and
-// registers the collector flush as cleanup.
-func newAnalyticsServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	if cfg.Analytics == nil {
-		cfg.Analytics = testAnalyticsCfg()
-	}
-	s := newTestServer(t, cfg)
-	if err := s.AnalyticsError(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.CloseAnalytics() })
-	return s
-}
-
 // analyticsSnap fetches and decodes /admin/analytics.
 func analyticsSnap(t *testing.T, s *Server) analytics.Snapshot {
 	t.Helper()
@@ -79,7 +58,7 @@ func waitForTotals(t *testing.T, s *Server, want map[string]uint64) analytics.Sn
 // classify — and checks the analytics totals reconcile exactly against the
 // client-side ledger at sampling 1.0, with zero drops and zero sampled-out.
 func TestServeAnalyticsReconciliation(t *testing.T) {
-	s := newAnalyticsServer(t, Config{})
+	s := newTestServer(t, Config{})
 
 	// 2 blocked + 1 allowed + 1 no-match via /v1/match.
 	for i := 0; i < 2; i++ {
@@ -137,44 +116,13 @@ func TestServeAnalyticsReconciliation(t *testing.T) {
 // TestServeAnalyticsDomainFallback: a query without page_domain attributes
 // to the request URL's host.
 func TestServeAnalyticsDomainFallback(t *testing.T) {
-	s := newAnalyticsServer(t, Config{})
+	s := newTestServer(t, Config{})
 	do(t, s, "POST", "/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`)
 	snap := waitForTotals(t, s, map[string]uint64{"match/blocked": 1})
 	rep := analytics.BuildReport(analytics.RowsFromSnapshot(&snap))
 	if len(rep.Domains) != 1 || rep.Domains[0].Domain != "ads.example.com" {
 		t.Fatalf("domains = %+v, want URL-host fallback", rep.Domains)
 	}
-}
-
-// TestServeMatchAnalyticsAllocs is the hot-path gate with analytics ON:
-// recording a decision must not add a single allocation to the ≤4 budget
-// TestServeMatchAllocs pins with analytics off.
-func TestServeMatchAnalyticsAllocs(t *testing.T) {
-	if raceSrvEnabled {
-		t.Skip("allocation accounting is unreliable under -race")
-	}
-	s := newAnalyticsServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-	// With the consumer stopped, what is measured is the handler alone:
-	// recording into an undrained ring neither allocates nor blocks, full
-	// or not.
-	if err := s.CloseAnalytics(); err != nil {
-		t.Fatal(err)
-	}
-	const body = `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
-	h, w, req, rb := matchAllocRig(s, body)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		rb.Reset(body)
-		w.status = 0
-		h.ServeHTTP(w, req)
-	})
-	if w.status != 200 {
-		t.Fatalf("status = %d", w.status)
-	}
-	if allocs > 4 {
-		t.Fatalf("/v1/match with analytics allocates %.1f/op, budget is 4", allocs)
-	}
-	t.Logf("/v1/match with analytics: %.1f allocs/op", allocs)
 }
 
 // TestServeAnalyticsShutdownFlush proves the graceful-drain contract: a
@@ -188,7 +136,7 @@ func TestServeAnalyticsShutdownFlush(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{
 		Workers:   2,
-		Analytics: &analytics.Config{SampleRate: 1, SpillDir: dir},
+		Analytics: &analytics.Config{SpillDir: dir},
 	})
 	if err := s.AnalyticsError(); err != nil {
 		t.Fatal(err)
@@ -242,24 +190,24 @@ func TestServeAnalyticsShutdownFlush(t *testing.T) {
 	}
 }
 
-// TestServeAnalyticsDisabled pins the default-off behavior: no collector,
-// a clean 404 on the endpoint, and an explicit disabled marker in
-// /debug/vars.
-func TestServeAnalyticsDisabled(t *testing.T) {
-	s := newTestServer(t, Config{})
-	if s.Analytics() != nil {
-		t.Fatal("collector exists without Config.Analytics")
+// TestZeroConfigRecordsAndGoverns: the zero Config is the one serving
+// configuration — a collector and a governor exist, their admin endpoints
+// answer, and /debug/vars carries both whole trees.
+func TestZeroConfigRecordsAndGoverns(t *testing.T) {
+	s := newServer(t, Config{})
+	if s.Analytics() == nil || s.Degrade() == nil {
+		t.Fatalf("collector %v, governor %v: want both", s.Analytics(), s.Degrade())
 	}
-	rec := do(t, s, "GET", "/admin/analytics", "")
-	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "analytics_disabled") {
-		t.Fatalf("analytics endpoint with analytics off = %d: %s", rec.Code, rec.Body.Bytes())
+	for _, path := range []string{"/admin/analytics", "/admin/degrade"} {
+		if rec := do(t, s, "GET", path, ""); rec.Code != 200 {
+			t.Errorf("GET %s = %d: %s", path, rec.Code, rec.Body.Bytes())
+		}
 	}
-	rec = do(t, s, "GET", "/debug/vars", "")
-	if !strings.Contains(rec.Body.String(), `"adwars_analytics": {"enabled":false}`) {
-		t.Fatalf("debug vars missing disabled analytics marker: %s", rec.Body.Bytes())
-	}
-	if err := s.CloseAnalytics(); err != nil {
-		t.Fatalf("nil-safe CloseAnalytics errored: %v", err)
+	body := do(t, s, "GET", "/debug/vars", "").Body.String()
+	for _, want := range []string{`"adwars_analytics": {"enabled":true,`, `"adwars_degrade": {"level":"L0",`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("debug vars lack %s: %s", want, body)
+		}
 	}
 }
 
@@ -267,7 +215,7 @@ func TestServeAnalyticsDisabled(t *testing.T) {
 // export: counters, occupancy, and sample rate appear under
 // adwars_analytics and agree with the endpoint.
 func TestServeAnalyticsDebugVars(t *testing.T) {
-	s := newAnalyticsServer(t, Config{})
+	s := newTestServer(t, Config{})
 	do(t, s, "POST", "/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`)
 	waitForTotals(t, s, map[string]uint64{"match/blocked": 1})
 
@@ -288,19 +236,20 @@ func TestServeAnalyticsDebugVars(t *testing.T) {
 }
 
 // TestServeAnalyticsSpillDirError: an unusable spill dir latches a
-// construction error the embedder can check, instead of silently serving
-// without analytics.
+// construction error the embedder can check, and the server still records
+// its decisions, in memory only.
 func TestServeAnalyticsSpillDirError(t *testing.T) {
 	file := t.TempDir() + "/occupied"
 	if err := writeFile(file, "x"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Analytics: &analytics.Config{SpillDir: file + "/sub"}})
+	s := newTestServer(t, Config{Analytics: &analytics.Config{SpillDir: file + "/sub"}})
 	if s.AnalyticsError() == nil {
 		t.Fatal("no error latched for an uncreatable spill dir")
 	}
-	if s.Analytics() != nil {
-		t.Fatal("collector exists despite construction failure")
+	do(t, s, "POST", "/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`)
+	if snap := waitForTotals(t, s, map[string]uint64{"match/blocked": 1}); snap.SpillDir != "" {
+		t.Fatalf("spill dir %q reported after it failed to open", snap.SpillDir)
 	}
 }
 
@@ -332,36 +281,37 @@ func matchP99(t *testing.T, s *Server, n int) time.Duration {
 }
 
 // TestServeAnalyticsOverheadGate is the regression gate for the "zero
-// added p99" claim: the /v1/match handler with analytics
-// recording every verdict must stay within a generous envelope of the
-// analytics-off handler. It catches the pipeline growing a lock, a
-// syscall, or a blocking send on the hot path — real regressions are
-// order-of-magnitude, scheduler noise is not — while what recording costs
-// is measured by the whole-stack benchmark (`analytics.record_ns`,
-// `analytics.drop_frac`; bench/README.md).
+// added p99" claim: the /v1/match handler recording every verdict must
+// stay within a generous envelope of the same handler with every verdict
+// sampled out, where recording is a counter add. It catches the pipeline
+// growing a lock, a syscall, or a blocking send on the hot path — real
+// regressions are order-of-magnitude, scheduler noise is not — while what
+// recording costs is measured by the whole-stack benchmark
+// (`analytics.record_ns`, `analytics.drop_frac`; bench/README.md).
 func TestServeAnalyticsOverheadGate(t *testing.T) {
 	if raceSrvEnabled {
 		t.Skip("latency gating is meaningless under -race")
 	}
-	off := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-	on := newAnalyticsServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
+	quiet := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
+	quiet.Analytics().SetSampleOverride(0)
+	on := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
 
 	const iters = 4000
 	// Interleave whole passes so machine-wide noise (GC, CPU frequency,
 	// neighbors) hits both sides; keep the best-of-3 p99 per side.
-	p99Off, p99On := time.Duration(1<<62), time.Duration(1<<62)
+	p99Quiet, p99On := time.Duration(1<<62), time.Duration(1<<62)
 	for round := 0; round < 3; round++ {
-		if d := matchP99(t, off, iters); d < p99Off {
-			p99Off = d
+		if d := matchP99(t, quiet, iters); d < p99Quiet {
+			p99Quiet = d
 		}
 		if d := matchP99(t, on, iters); d < p99On {
 			p99On = d
 		}
 	}
-	limit := 2*p99Off + 200*time.Microsecond
-	t.Logf("p99 off=%v on=%v (limit %v)", p99Off, p99On, limit)
+	limit := 2*p99Quiet + 200*time.Microsecond
+	t.Logf("p99 sampled-out=%v recorded=%v (limit %v)", p99Quiet, p99On, limit)
 	if p99On > limit {
-		t.Fatalf("analytics p99 %v exceeds envelope %v (off %v) — decision logging is blocking the hot path",
-			p99On, limit, p99Off)
+		t.Fatalf("analytics p99 %v exceeds envelope %v (sampled out %v) — decision logging is blocking the hot path",
+			p99On, limit, p99Quiet)
 	}
 }

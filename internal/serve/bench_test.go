@@ -42,7 +42,7 @@ func benchServer(b *testing.B) *Server {
 		rules = append(rules, r)
 	}
 	l := abp.NewList("bench", rules)
-	s := New(Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
+	s := newServer(b, Config{Workers: 4, Queue: 1024, QueueTimeout: time.Second})
 	snap, err := ml.ParseModelSnapshot(testModelFile())
 	if err != nil {
 		b.Fatal(err)

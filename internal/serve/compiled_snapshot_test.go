@@ -29,7 +29,7 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := abp.SaveListsSnapshot(listsPath, flat); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 
 // TestReloadReleasesPreviousBuffer: the rules of a served snapshot alias the
 // buffer its file was read into, so whatever keeps a rule's text keeps five
-// megabytes of the 70 k list. With analytics on and decisions recorded — the
+// megabytes of the 70 k list. With decisions recorded — the analytics
 // events carry the winning rule's text through the ring — a second reload
 // and a drain leave nothing holding the first buffer: the ring clears a slot
 // as it pops it and the aggregator keys its rows by a copy. Two collections
@@ -239,11 +239,7 @@ func TestReloadReleasesPreviousBuffer(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath, Analytics: testAnalyticsCfg()})
-	if err := s.AnalyticsError(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.CloseAnalytics() })
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}

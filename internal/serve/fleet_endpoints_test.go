@@ -74,7 +74,7 @@ func TestReadyzDrainFlip(t *testing.T) {
 }
 
 func TestReadyzNoSnapshots(t *testing.T) {
-	if rec := do(t, New(Config{}), "GET", "/readyz", ""); rec.Code != 503 {
+	if rec := do(t, newServer(t, Config{}), "GET", "/readyz", ""); rec.Code != 503 {
 		t.Fatalf("empty readyz = %d, want 503", rec.Code)
 	}
 }
@@ -194,7 +194,7 @@ func TestSnapshotPushUnconfiguredAndUnknownKind(t *testing.T) {
 func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 			t.Errorf("%s: reload_rejected ticked %d, want it to tick only for a refused file (%v)", tc.kind, got, tc.rejected)
 		}
 	}
-	restarted := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	restarted := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := restarted.ReloadSnapshots(); err != nil {
 		t.Fatalf("a replica restarted after the refused pushes cannot load: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 func TestReloadIsAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}

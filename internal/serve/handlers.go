@@ -45,7 +45,7 @@ type MatchResult struct {
 	// Degraded annotates an answer computed under brownout: "hot-only"
 	// means only the hot-tier automata were consulted (governor at L2+),
 	// so a cold-tier block may read as no_match. Omitted at full service,
-	// keeping L0 bodies byte-identical to a governor-less server.
+	// so an L0 body is the full answer and nothing else.
 	Degraded string `json:"degraded,omitempty"`
 }
 
@@ -193,11 +193,7 @@ func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.Respons
 	stats.Shed.Add(1)
 	stats.Requests.Add(1)
 	stats.Latency.Observe(time.Since(start))
-	retry := retryAfterVals[0]
-	if s.gov != nil {
-		retry = retryAfterVals[s.gov.Jitter3()]
-	}
-	w.Header()["Retry-After"] = retry
+	w.Header()["Retry-After"] = retryAfterVals[s.gov.Jitter3()]
 	chassis.WriteError(w, http.StatusTooManyRequests, code, "%s", msg)
 }
 
@@ -211,15 +207,13 @@ func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.Respons
 func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
 	stats := s.met.endpoints[ep]
 	start = time.Now()
-	if s.gov != nil {
-		lvl := s.gov.Level()
-		w.Header()[chassis.DegradeHeader] = degradeHeaderVals[lvl]
-		if degradeSheds(ep, lvl) {
-			s.met.DegradeShed.Add(1)
-			s.refuse429(stats, start, w, "degraded",
-				"service degraded, endpoint temporarily shed")
-			return start, false
-		}
+	lvl := s.gov.Level()
+	w.Header()[chassis.DegradeHeader] = degradeHeaderVals[lvl]
+	if degradeSheds(ep, lvl) {
+		s.met.DegradeShed.Add(1)
+		s.refuse429(stats, start, w, "degraded",
+			"service degraded, endpoint temporarily shed")
+		return start, false
 	}
 	// A request that cannot finish inside its propagated deadline is
 	// refused before it can occupy a queue slot: the caller would hang
@@ -332,7 +326,7 @@ type matchWinner struct {
 // degradeHotOnly reports whether the governor has browned matching down
 // to the hot tier (L2 and above).
 func (s *Server) degradeHotOnly() bool {
-	return s.gov != nil && s.gov.Level() >= degrade.L2
+	return s.gov.Level() >= degrade.L2
 }
 
 // matchOne answers one query against every list in the state with a
@@ -407,7 +401,7 @@ func matchOne(ls *listsState, q MatchQuery, sc *matchScratch, hotOnly bool) (Mat
 // event's strings alias the decoded query and the compiled list's rule
 // text — memory that already exists — so recording costs two atomic adds
 // and a ring-slot copy, nothing on the heap; the collector's consumer
-// clones whatever it keeps. Callers check s.anl != nil.
+// clones whatever it keeps. ts is the request's admission start.
 func (s *Server) recordMatch(q *MatchQuery, win matchWinner, ts time.Time) {
 	domain := q.PageDomain
 	if domain == "" {
@@ -458,9 +452,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endAdmitted(epMatch, start)
 	res, win := matchOne(ls, sc.q, sc, s.degradeHotOnly())
-	if s.anl != nil {
-		s.recordMatch(&sc.q, win, start)
-	}
+	s.recordMatch(&sc.q, win, start)
 	sc.resp = matchResponse{
 		MatchResult: res,
 		Snapshot:    s.snapshotInfo(),
@@ -512,13 +504,10 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		Results:  make([]MatchResult, 0, len(batch.Requests)),
 		Snapshot: s.snapshotInfo(),
 	}
-	now := time.Now()
 	hotOnly := s.degradeHotOnly()
 	for i := range batch.Requests {
 		res, win := matchOne(ls, batch.Requests[i], sc, hotOnly)
-		if s.anl != nil {
-			s.recordMatch(&batch.Requests[i], win, now)
-		}
+		s.recordMatch(&batch.Requests[i], win, start)
 		out.Results = append(out.Results, res)
 	}
 	chassis.WriteJSON(w, http.StatusOK, out)
@@ -585,9 +574,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			"script does not parse: %v", err)
 		return
 	}
-	if s.anl != nil {
-		s.recordClassify(res.AntiAdblock, time.Now())
-	}
+	s.recordClassify(res.AntiAdblock, start)
 	resp := classifyResponse{ClassifyResult: res, Snapshot: s.snapshotInfo()}
 	if sc.out, ok = appendClassifyResponse(sc.out[:0], &resp); !ok {
 		sc.out = sc.out[:0] // what does not encode sends its status and no body, as WriteJSON does
@@ -631,7 +618,6 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		Results:  make([]ClassifyResult, len(batch.Scripts)),
 		Snapshot: s.snapshotInfo(),
 	}
-	now := time.Now()
 	for i, src := range batch.Scripts {
 		var res ClassifyResult
 		err := features.RunIsolated(func() (err error) {
@@ -645,9 +631,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		out.Results[i] = res
-		if s.anl != nil {
-			s.recordClassify(res.AntiAdblock, now)
-		}
+		s.recordClassify(res.AntiAdblock, start)
 	}
 	chassis.WriteJSON(w, http.StatusOK, out)
 }

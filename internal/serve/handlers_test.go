@@ -49,7 +49,7 @@ func do(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRe
 
 func TestHandlersGolden(t *testing.T) {
 	deflt := newTestServer(t, Config{})
-	bare := New(Config{}) // no snapshots loaded
+	bare := newServer(t, Config{}) // no snapshots loaded
 
 	cases := []struct {
 		name   string
@@ -240,7 +240,7 @@ func TestClientErrorsCounted(t *testing.T) {
 func TestReloadFromDiskAndVersionError(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 
 	// Before the first reload nothing is installed.
 	if rec := do(t, s, "POST", "/v1/match", `{"url":"http://x.example/"}`); rec.Code != 503 {
@@ -276,7 +276,7 @@ func TestHealthzAndDebugVars(t *testing.T) {
 	if rec := do(t, s, "GET", "/healthz", ""); rec.Code != 200 {
 		t.Fatalf("healthz = %d", rec.Code)
 	}
-	if rec := do(t, New(Config{}), "GET", "/healthz", ""); rec.Code != 503 {
+	if rec := do(t, newServer(t, Config{}), "GET", "/healthz", ""); rec.Code != 503 {
 		t.Fatalf("empty healthz = %d, want 503", rec.Code)
 	}
 
@@ -307,7 +307,7 @@ func TestHealthzAndDebugVars(t *testing.T) {
 		}
 	}
 	// No model installed, no model object.
-	if body := do(t, New(Config{}), "GET", "/debug/vars", "").Body.String(); strings.Contains(body, `"model"`) {
+	if body := do(t, newServer(t, Config{}), "GET", "/debug/vars", "").Body.String(); strings.Contains(body, `"model"`) {
 		t.Errorf("debug/vars of a server without a model describes one: %s", body)
 	}
 }

@@ -23,7 +23,7 @@ import (
 func TestReloadUnderFire(t *testing.T) {
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{
+	s := newServer(t, Config{
 		ModelPath: modelPath,
 		ListsPath: listsPath,
 		Workers:   4,
@@ -145,7 +145,7 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 	checkGoroutineLeaks(t)
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
-	s := New(Config{ModelPath: modelPath, ListsPath: listsPath})
+	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@
 // per-request overhead. Snapshots hot-reload atomically (SIGHUP or
 // /admin/reload) with zero dropped requests, admission control sheds
 // excess load as 429s, and per-endpoint metrics export through
-// /debug/vars.
+// /debug/vars. Every server records its verdicts in the decision analytics
+// pipeline (/admin/analytics) and runs the overload governor
+// (/admin/degrade); there is no configuration without them.
 package serve
 
 import (
@@ -57,23 +59,16 @@ type Config struct {
 	// health-polling gateways time to stop routing here before connection
 	// teardown begins (0 = no announcement window).
 	DrainAnnounce time.Duration
-	// Analytics, when non-nil, enables the decision analytics pipeline:
-	// every /v1/match and /v1/classify verdict is logged (sampled per
-	// Analytics.SampleRate) into lock-free rings that a background
-	// consumer aggregates and spills; /admin/analytics snapshots it live.
-	// Recording never blocks the hot path and never allocates. Nil means
-	// no analytics at all — no rings, no consumer goroutine.
+	// Analytics configures the decision analytics pipeline every server
+	// runs: each /v1/match and /v1/classify verdict is logged into
+	// lock-free rings that a background consumer aggregates and, with
+	// SpillDir set, spills; /admin/analytics snapshots it live. Recording
+	// never blocks the hot path and never allocates. Nil is the zero
+	// analytics.Config: every decision recorded, no spill.
 	Analytics *analytics.Config
-	// Degrade, when non-nil, enables the adaptive overload governor: a
-	// background ticker watches live pressure (admission queue depth,
-	// windowed match p99, analytics ring drop rate) and steps a global
-	// degradation level L0..L4 through a hysteresis-damped ladder. The
-	// hot path reads the level with one atomic load; transitions force
-	// analytics sampling down (L1+), switch matching to the hot tier
-	// only (L2+), shed /v1/classify* (L3+) and /v1/match/batch (L4).
-	// The server wires the governor's Source and OnTransition itself and
-	// ignores any set here: a non-nil value only switches it on. Nil
-	// means no governor: no goroutine, no header, no ladder.
+	// Degrade is ignored: every server runs the adaptive overload
+	// governor (see Server.Degrade). It is kept only for the benchmark,
+	// which still sets it.
 	Degrade *degrade.Config
 }
 
@@ -156,18 +151,16 @@ type Server struct {
 	adm *admission
 	met *metrics
 
-	// anl is the decision analytics collector, nil unless cfg.Analytics
-	// is set; anlErr latches a collector construction failure (unwritable
-	// spill dir) so the embedder can fail fast instead of serving with
-	// analytics silently off.
+	// anl is the decision analytics collector; anlErr latches a failure
+	// to open the configured spill dir, so the embedder can refuse to
+	// serve instead of running without the spill it asked for.
 	anl    *analytics.Collector
 	anlErr error
 
-	// gov is the adaptive overload governor, nil unless cfg.Degrade is
-	// set. Handlers read its level with one atomic load; Serve starts
-	// its ticker and closes it during drain. New never spawns the
-	// goroutine, so a Handler driven without Serve moves only when
-	// gov.Tick is called.
+	// gov is the adaptive overload governor. Handlers read its level with
+	// one atomic load; Serve starts its ticker and closes it during drain.
+	// New never spawns the goroutine, so a Handler driven without Serve
+	// stays at L0 unless gov.Tick or a pin moves it.
 	gov *degrade.Governor
 
 	model atomic.Pointer[modelState]
@@ -182,7 +175,9 @@ type Server struct {
 }
 
 // New builds a Server from cfg without loading any snapshots; call
-// ReloadSnapshots before serving traffic.
+// ReloadSnapshots before serving traffic. The analytics consumer runs from
+// here on: Serve closes it during drain, and a caller that never calls
+// Serve closes it with CloseAnalytics.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
@@ -193,16 +188,16 @@ func New(cfg Config) *Server {
 		queueDepth: &s.adm.queued,
 		model:      &s.model,
 	}
+	var anlCfg analytics.Config
 	if cfg.Analytics != nil {
-		if anl, err := analytics.NewCollector(*cfg.Analytics); err != nil {
-			s.anlErr = err
-		} else {
-			s.anl = anl
-		}
+		anlCfg = *cfg.Analytics
 	}
-	if cfg.Degrade != nil {
-		s.gov = degrade.New(degrade.Config{Source: s.degradeSource(), OnTransition: s.onDegradeTransition})
+	if s.anl, s.anlErr = analytics.NewCollector(anlCfg); s.anlErr != nil {
+		// Latched for the embedder; the collector it gets meanwhile
+		// records in memory only.
+		s.anl, _ = analytics.NewCollector(analytics.Config{})
 	}
+	s.gov = degrade.New(degrade.Config{Source: s.degradeSource(), OnTransition: s.onDegradeTransition})
 	h := s.withRecovery(s.routes())
 	if cfg.ReplicaID != "" {
 		// Outermost so even recovered-panic envelopes carry the replica
@@ -243,17 +238,15 @@ func (s *Server) degradeSource() func() degrade.Signals {
 			QueueLimit: s.adm.maxQueue,
 			MatchP99Ns: int64(s.met.endpoints[epMatch].Latency.WindowQuantile(&window, 0.99)),
 		}
-		if s.anl != nil {
-			c := s.anl.CountersNow()
-			// Sampled-out events never reach a ring, so they are neither
-			// dropped nor attempted from the ring's point of view.
-			attempted := c.Recorded + c.Dropped
-			dDrop := c.Dropped - prevDropped
-			dAtt := attempted - prevAttempted
-			prevDropped, prevAttempted = c.Dropped, attempted
-			if dAtt > 0 {
-				sig.DropRate = float64(dDrop) / float64(dAtt)
-			}
+		c := s.anl.CountersNow()
+		// Sampled-out events never reach a ring, so they are neither
+		// dropped nor attempted from the ring's point of view.
+		attempted := c.Recorded + c.Dropped
+		dDrop := c.Dropped - prevDropped
+		dAtt := attempted - prevAttempted
+		prevDropped, prevAttempted = c.Dropped, attempted
+		if dAtt > 0 {
+			sig.DropRate = float64(dDrop) / float64(dAtt)
 		}
 		return sig
 	}
@@ -261,13 +254,10 @@ func (s *Server) degradeSource() func() degrade.Signals {
 
 // onDegradeTransition is the server's own ladder hook: crossing into L1
 // forces analytics sampling down to degradeSampleRate; stepping back
-// below L1 restores the configured rate. L2+ behavior (hot-tier-only
+// below L1 records every decision again. L2+ behavior (hot-tier-only
 // matching, classify/batch sheds) needs no hook — handlers read the
 // level directly.
 func (s *Server) onDegradeTransition(from, to degrade.Level) {
-	if s.anl == nil {
-		return
-	}
 	switch {
 	case to >= degrade.L1 && from < degrade.L1:
 		s.anl.SetSampleOverride(degradeSampleRate)
@@ -276,8 +266,7 @@ func (s *Server) onDegradeTransition(from, to degrade.Level) {
 	}
 }
 
-// Degrade returns the overload governor, or nil when degradation is
-// disabled.
+// Degrade returns the overload governor.
 func (s *Server) Degrade() *degrade.Governor { return s.gov }
 
 // Metrics returns the server's metrics tree as an expvar-compatible Var
@@ -285,25 +274,18 @@ func (s *Server) Degrade() *degrade.Governor { return s.gov }
 // expvar registry; tests read it directly.
 func (s *Server) Metrics() fmt.Stringer { return s.met }
 
-// Analytics returns the decision analytics collector, or nil when
-// analytics are disabled.
+// Analytics returns the decision analytics collector.
 func (s *Server) Analytics() *analytics.Collector { return s.anl }
 
-// AnalyticsError reports a collector construction failure latched at New
-// (an unwritable spill dir). Embedders that require analytics should
-// check it before serving.
+// AnalyticsError reports the spill dir New could not open, if any: the
+// server then spills nothing. Embedders check it before serving.
 func (s *Server) AnalyticsError() error { return s.anlErr }
 
 // CloseAnalytics drains the analytics rings and flushes the final
-// aggregator state to spill, stopping the consumer goroutine. Idempotent
-// and nil-safe; Serve calls it during drain, embedders that drive the
-// Handler directly call it themselves.
-func (s *Server) CloseAnalytics() error {
-	if s.anl == nil {
-		return nil
-	}
-	return s.anl.Close()
-}
+// aggregator state to spill, stopping the consumer goroutine. Idempotent;
+// Serve calls it during drain, embedders that drive the Handler directly
+// call it themselves.
+func (s *Server) CloseAnalytics() error { return s.anl.Close() }
 
 // Installing a snapshot is two steps: a prepare* that does everything that
 // can fail and returns the finished state, and an atomic Store that cannot.
@@ -460,9 +442,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // by drainTimeout), and flushes a final metrics snapshot to MetricsOut.
 // It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	if s.gov != nil {
-		s.gov.Start()
-	}
+	s.gov.Start()
 	ws := &wire.Server{Handler: s.mux}
 	err := ws.Run(ctx, ln, drainTimeout, func() {
 		s.StartDrain()
@@ -471,9 +451,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// The governor stops first: with the listener closed there is no
 	// pressure left to govern, and closing it before the analytics
 	// collector keeps the ticker from probing a closed pipeline.
-	if s.gov != nil {
-		s.gov.Close()
-	}
+	s.gov.Close()
 	// With no more requests in flight, the analytics rings hold the last
 	// recorded decisions; flush them and the aggregator to spill before
 	// the process report, so a drained run loses no telemetry.

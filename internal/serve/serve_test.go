@@ -71,10 +71,19 @@ func testModelSnapshot(t *testing.T) *ml.ModelSnapshot {
 	return snap
 }
 
+// newServer builds a server and closes its analytics collector when the
+// test ends.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s := New(cfg)
+	t.Cleanup(func() { s.CloseAnalytics() })
+	return s
+}
+
 // newTestServer builds a server with both fixture snapshots installed.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s := New(cfg)
+	s := newServer(t, cfg)
 	setModel(t, s, testModelSnapshot(t))
 	setLists(t, s, testListsSnapshot(t))
 	return s
@@ -125,7 +134,7 @@ type errorResponse struct {
 }
 
 func TestSnapshotValidation(t *testing.T) {
-	s := New(Config{})
+	s := newServer(t, Config{})
 	if _, err := prepareModel(&ml.ModelSnapshot{FeatureSet: "bogus"}, nil); err == nil {
 		t.Error("unknown feature set must be rejected")
 	}

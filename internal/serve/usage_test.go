@@ -11,6 +11,7 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/chassis"
+	"adwars/internal/degrade"
 )
 
 func decodeUsage(t *testing.T, body []byte) UsageDump {
@@ -191,7 +192,7 @@ func TestUsageProbeGeometry(t *testing.T) {
 	if len(errs) != 0 {
 		t.Fatal(errs)
 	}
-	s := New(Config{})
+	s := newServer(t, Config{})
 	setLists(t, s, &abp.ListsSnapshot{Lists: []*abp.List{l}})
 	for _, body := range []string{
 		`{"url":"http://ads.example/x.js","type":"script"}`,
@@ -231,7 +232,7 @@ func TestServeTieredSnapshot(t *testing.T) {
 	if err := abp.SaveListsSnapshot(path, tiered); err != nil {
 		t.Fatal(err)
 	}
-	ts := New(Config{ListsPath: path})
+	ts := newServer(t, Config{ListsPath: path})
 	if err := ts.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,25 +311,80 @@ func allocRig(s *Server, path, body string) (http.Handler, *nullResponseWriter, 
 	return h, w, req, rb
 }
 
-// TestServeMatchAllocs is the hot-path allocation regression gate: one
-// fully served /v1/match request — routing, admission, body read, decode,
-// match, usage recording, JSON encode — must stay at or under 4
-// allocations. It makes one: the string the decoded query's three fields
-// share (codec.go). The body is read into the scratch's buffer through its
-// own LimitedReader, the Content-Type is a shared slice, and the response
-// is appended to the scratch's output buffer. The other three are room for
-// the router and the runtime to differ between Go releases; a regression in
-// any pooled piece shows up here as a count jump, not a vague slowdown.
+// The hot-path allocation gate: one fully served /v1/match request —
+// routing, admission, the governor's level read and header, body read,
+// decode, match, usage recording, the analytics event, JSON encode — must
+// stay at or under 4 allocations. It makes one: the string the decoded
+// query's three fields share (codec.go). The body is read into the
+// scratch's buffer through its own LimitedReader, the Content-Type and
+// level header are shared slices, and the response is appended to the
+// scratch's output buffer. The other three are room for the router and the
+// runtime to differ between Go releases; a regression in any pooled piece
+// shows up here as a count jump, not a vague slowdown. Every row runs the
+// one serving configuration with its analytics consumer stopped, so what is
+// measured is the handler alone: recording into an undrained ring neither
+// allocates nor blocks, full or not. The rows differ only in the state the
+// request meets.
+
+// TestServeMatchAllocs holds the server as New builds it: governor not
+// started, so at L0 unpinned, and analytics rings with room.
 func TestServeMatchAllocs(t *testing.T) {
+	s := matchAllocServer(t)
+	checkMatchAllocs(t, s, "as built")
+}
+
+// TestServeMatchAnalyticsAllocs holds a full analytics ring: a decision
+// that finds no slot is dropped and counted, and the drop path fits the
+// same budget as an accepted event.
+func TestServeMatchAnalyticsAllocs(t *testing.T) {
+	s := matchAllocServer(t)
+	h, w, req, rb := matchAllocRig(s, matchBlockedBody)
+	for i := 0; s.Analytics().CountersNow().Dropped == 0; i++ {
+		if i == 1<<17 {
+			t.Fatal("analytics rings never filled")
+		}
+		rb.Reset(matchBlockedBody)
+		h.ServeHTTP(w, req)
+	}
+	before := s.Analytics().CountersNow().Dropped
+	checkMatchAllocs(t, s, "with the rings full")
+	if after := s.Analytics().CountersNow().Dropped; after-before < 200 {
+		t.Fatalf("%d of the measured decisions dropped, want every one", after-before)
+	}
+}
+
+// TestServeMatchDegradeAllocs holds a pinned governor: L0's full match and
+// L2's hot-only probe.
+func TestServeMatchDegradeAllocs(t *testing.T) {
+	for _, lvl := range []degrade.Level{degrade.L0, degrade.L2} {
+		t.Run(fmt.Sprintf("level_%s", lvl), func(t *testing.T) {
+			s := matchAllocServer(t)
+			s.Degrade().Pin(lvl)
+			checkMatchAllocs(t, s, "at "+lvl.String())
+		})
+	}
+}
+
+// matchAllocServer builds the gate's server and stops its analytics
+// consumer.
+func matchAllocServer(t *testing.T) *Server {
+	t.Helper()
 	if raceSrvEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	s := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-	const body = `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
-	h, w, req, rb := matchAllocRig(s, body)
+	if err := s.CloseAnalytics(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
+// checkMatchAllocs measures one served /v1/match on s against the budget.
+func checkMatchAllocs(t *testing.T, s *Server, state string) {
+	t.Helper()
+	h, w, req, rb := matchAllocRig(s, matchBlockedBody)
 	allocs := testing.AllocsPerRun(200, func() {
-		rb.Reset(body)
+		rb.Reset(matchBlockedBody)
 		w.status = 0
 		h.ServeHTTP(w, req)
 	})
@@ -336,9 +392,9 @@ func TestServeMatchAllocs(t *testing.T) {
 		t.Fatalf("status = %d", w.status)
 	}
 	if allocs > 4 {
-		t.Fatalf("/v1/match allocates %.1f/op, budget is 4", allocs)
+		t.Fatalf("/v1/match %s allocates %.1f/op, budget is 4", state, allocs)
 	}
-	t.Logf("/v1/match: %.1f allocs/op", allocs)
+	t.Logf("/v1/match %s: %.1f allocs/op", state, allocs)
 }
 
 // TestMatchBatchArenaIsolation guards the scratch-arena trick: results in

@@ -164,26 +164,14 @@ func (s *Server) usageVars() usageAggregate {
 	return agg
 }
 
-// off is what /debug/vars says of a subsystem that is not configured.
-type off struct {
-	Enabled bool `json:"enabled"`
-}
-
 // handleDebugVars renders the process-global expvar registry, then this
 // server's metrics tree under "adwars_serve", the usage aggregate, the
 // analytics collector's cheap accounting and the governor's snapshot
 // (lazy-read contract: nothing is computed until scraped).
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	var anl, gov any = off{}, off{}
-	if s.anl != nil {
-		anl = s.anl.Vars()
-	}
-	if s.gov != nil {
-		gov = s.gov.Snapshot()
-	}
 	chassis.WriteVars(w, r,
 		chassis.Var{Key: "adwars_serve", Tree: s.met},
 		chassis.Var{Key: "adwars_usage", Tree: s.usageVars()},
-		chassis.Var{Key: "adwars_analytics", Tree: anl},
-		chassis.Var{Key: "adwars_degrade", Tree: gov})
+		chassis.Var{Key: "adwars_analytics", Tree: s.anl.Vars()},
+		chassis.Var{Key: "adwars_degrade", Tree: s.gov.Snapshot()})
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"adwars/internal/abp"
-	"adwars/internal/degrade"
 	"adwars/internal/serve"
 	"adwars/internal/wire"
 )
@@ -43,6 +42,7 @@ func newServe(t testing.TB, cfg serve.Config) *serve.Server {
 		t.Fatal(err)
 	}
 	s := serve.New(cfg)
+	t.Cleanup(func() { s.CloseAnalytics() })
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(io.Discard) // both servers log the panic case
 
-	s := newServe(t, serve.Config{ReplicaID: "r0", Degrade: &degrade.Config{}})
+	s := newServe(t, serve.Config{ReplicaID: "r0"})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	// A client that dies mid-body: serve reads three bytes, then
