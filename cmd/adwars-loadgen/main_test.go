@@ -30,7 +30,7 @@ const testModelJSON = `{
   "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
   "model": {
     "alphas": [2],
-    "models": [{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}]
+    "models": [{"kernel": "rbf", "gamma": 1000, "bias": -0.5, "coefs": [1], "vectors": [[0, 1]]}]
   },
   "meta": {"top_k": 2}
 }`
@@ -383,9 +383,9 @@ func TestProbePinned(t *testing.T) {
 	if code := run([]string{"-target", f.url, "-probe"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"2afa695e5d6dde5f"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
+	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
 
-classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"2afa695e5d6dde5f"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
+classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
 
 `
 	if out.String() != want {

@@ -140,7 +140,9 @@ func TestListsSnapshotDifferential(t *testing.T) {
 // headline model gives the live crawl's scripts into one checksum and holds
 // it to the literal commit 9f24f56 computed, when Decision still made one
 // kernel call per (round, support vector): the compiled scorer may share
-// kernel evaluations between rounds but not move a single bit.
+// kernel evaluations between rounds but not move a single bit. The model
+// file itself is pinned too, by its artifact version as commit 9019d4d
+// wrote it: a codec change must leave the bytes the trainer writes alone.
 func TestHeadlineDecisionsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the headline model; skipped in -short")
@@ -153,6 +155,13 @@ func TestHeadlineDecisionsPinned(t *testing.T) {
 	live, err := l.RunLive(context.Background(), LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	data, err := ml.MarshalModelSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := artifact.Version(data); err != nil || got != "0f8987529b2e6114" {
+		t.Errorf("the headline model file has version %s (err %v), commit 9019d4d wrote 0f8987529b2e6114", got, err)
 	}
 	vocab := features.NewVocab(snap.Vocab)
 	var bits []byte

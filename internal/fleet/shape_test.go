@@ -28,7 +28,7 @@ const shapeModelJSON = `{
   "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
   "model": {
     "alphas": [2],
-    "models": [{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}]
+    "models": [{"kernel": "rbf", "gamma": 1000, "bias": -0.5, "coefs": [1], "vectors": [[0, 1]]}]
   },
   "meta": {"top_k": 2}
 }`

@@ -52,7 +52,7 @@ func (a *AdaBoost) NumDistinctVectors() int {
 	if a.sc == nil {
 		return 0
 	}
-	return len(a.sc.vectors)
+	return len(a.sc.pops)
 }
 
 // AlphaSum returns Σ|αₜ|, the largest magnitude Decision can reach. The
@@ -86,30 +86,22 @@ func (a *AdaBoost) Predict(s features.Sample) int { return sign(a.Decision(s)) }
 // early when a component is perfect (ε≈0) or no better than chance
 // (ε≥0.5), per the standard algorithm.
 func TrainAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand) (*AdaBoost, error) {
-	n := ds.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("ml: empty training set")
-	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("ml: rounds must be positive")
 	}
-	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
+	if err := checkTrainInputs(ds, nil); err != nil {
+		return nil, err
+	}
 	// Component SVMs train on reweighted views of the same samples, so one
 	// Gram matrix serves every boosting round.
 	g := newGram(cfg.SVM.Kernel, ds.Samples)
-	return trainAdaBoostGram(ds, cfg, rng, g)
+	return trainAdaBoostGram(ds, cfg, rng, g), nil
 }
 
 // trainAdaBoostGram is the boosting core over a caller-supplied Gram matrix
 // (cross-validation passes per-fold views gathered from a shared corpus-wide
-// one).
-func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand, g *gram) (*AdaBoost, error) {
-	if err := checkTrainInputs(ds, nil); err != nil {
-		return nil, err
-	}
-	if cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("ml: rounds must be positive")
-	}
+// one). The caller has checked cfg.Rounds and run checkTrainInputs.
+func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand, g *gram) *AdaBoost {
 	n := ds.Len()
 	w := make([]float64, n)
 	for i := range w {
@@ -165,5 +157,5 @@ func trainAdaBoostGram(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand,
 		}
 	}
 	ens.sc = compile(ens.models...)
-	return ens, nil
+	return ens
 }

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"adwars/internal/features"
@@ -50,6 +51,27 @@ func TestAdaBoostConfigValidation(t *testing.T) {
 	empty := &features.Dataset{}
 	if _, err := TrainAdaBoost(empty, DefaultAdaBoostConfig(), rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty dataset must error")
+	}
+}
+
+// TestAdaBoostChecksBeforeGram: a set TrainAdaBoost refuses is refused
+// before the n² Gram matrix is built — 32 MB at 2 000 samples.
+func TestAdaBoostChecksBeforeGram(t *testing.T) {
+	const n = 2000
+	oneClass := &features.Dataset{Samples: make([]features.Sample, n), Labels: make([]int, n)}
+	for i := range oneClass.Samples {
+		oneClass.Samples[i] = features.Sample{int32(i % 7)}
+		oneClass.Labels[i] = 1
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := TrainAdaBoost(oneClass, DefaultAdaBoostConfig(), rand.New(rand.NewSource(1)))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a one-class set trained")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing %d samples allocated %d bytes: the Gram matrix was built first", n, grew)
 	}
 }
 

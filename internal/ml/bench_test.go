@@ -95,7 +95,7 @@ func BenchmarkPredict(b *testing.B) {
 		m.Predict(s)
 	}
 	b.ReportMetric(float64(m.NumSupportVectors()), "total-sv")
-	b.ReportMetric(float64(len(m.sc.vectors)), "distinct-sv")
+	b.ReportMetric(float64(len(m.sc.pops)), "distinct-sv")
 }
 
 // BenchmarkRBFKernel measures one kernel evaluation.
@@ -104,6 +104,6 @@ func BenchmarkRBFKernel(b *testing.B) {
 	a := features.Sample{1, 5, 9, 30, 55, 70, 81, 93}
 	c := features.Sample{2, 5, 9, 31, 54, 70, 82, 93}
 	for i := 0; i < b.N; i++ {
-		k.Eval(a, c)
+		k.eval(a, c)
 	}
 }

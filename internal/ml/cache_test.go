@@ -8,15 +8,21 @@ import (
 	"adwars/internal/features"
 )
 
+// eval is the kernel on two samples, their popcounts and intersection taken
+// on the spot: the value newGram and the scorer are held to.
+func (k RBF) eval(a, b features.Sample) float64 {
+	return k.evalCounts(a.Popcount(), b.Popcount(), a.IntersectionSize(b))
+}
+
 // directGram is the oracle the Gram tests hold newGram to: every entry from
-// Kernel.Eval on the two samples, one pair at a time — no popcounts taken
-// ahead, no mirroring across the diagonal, no fan-out.
-func directGram(kernel Kernel, x []features.Sample) *gram {
+// eval on the two samples, one pair at a time — no popcounts taken ahead, no
+// mirroring across the diagonal, no fan-out.
+func directGram(k RBF, x []features.Sample) *gram {
 	n := len(x)
 	g := &gram{n: n, full: make([]float64, n*n)}
 	for i := range x {
 		for j := range x {
-			g.full[i*n+j] = kernel.Eval(x[i], x[j])
+			g.full[i*n+j] = k.eval(x[i], x[j])
 		}
 	}
 	return g
@@ -40,10 +46,7 @@ func TestKernelCacheDifferential(t *testing.T) {
 	n := ds.Len()
 	svmCfg, adaCfg := DefaultSVMConfig(), DefaultAdaBoostConfig()
 	base := trainSVMGram(ds, nil, svmCfg, rand.New(rand.NewSource(9)), directGram(svmCfg.Kernel, ds.Samples))
-	baseBoost, err := trainAdaBoostGram(ds, adaCfg, rand.New(rand.NewSource(9)), directGram(adaCfg.SVM.Kernel, ds.Samples))
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseBoost := trainAdaBoostGram(ds, adaCfg, rand.New(rand.NewSource(9)), directGram(adaCfg.SVM.Kernel, ds.Samples))
 	for _, procs := range []int{1, 3} {
 		setProcs(t, procs)
 		m, err := TrainSVM(ds, nil, svmCfg, rand.New(rand.NewSource(9)))
@@ -79,19 +82,19 @@ func TestKernelCacheDifferential(t *testing.T) {
 }
 
 // TestGramPoliciesAgree checks the matrix holds the kernel values a direct
-// evaluation returns, by element and by row, on one core and on several, for
-// kernels with the popcount fast path and one (jaccard) without.
+// evaluation returns, by element and by row, on one core and on several,
+// under the two widths the product trains (plain SVM and boosted rounds).
 func TestGramPoliciesAgree(t *testing.T) {
 	ds := synthDataset(t, 12, 36, 4)
 	n := ds.Len()
-	for kname, k := range map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}, "jaccard": jaccard{}} {
+	for kname, k := range map[string]RBF{"γ=0.05": DefaultSVMConfig().Kernel, "γ=0.02": DefaultAdaBoostConfig().SVM.Kernel} {
 		direct := directGram(k, ds.Samples)
 		for _, procs := range []int{1, 3} {
 			setProcs(t, procs)
 			full := newGram(k, ds.Samples)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					want := k.Eval(ds.Samples[i], ds.Samples[j])
+					want := k.eval(ds.Samples[i], ds.Samples[j])
 					if got := direct.at(i, j); got != want {
 						t.Fatalf("%s: direct at(%d,%d) = %v, want %v", kname, i, j, got, want)
 					}

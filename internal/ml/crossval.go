@@ -96,7 +96,6 @@ type CVConfig struct {
 // is evaluated once per sample pair across all k folds instead of once per
 // fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
-	cfg.Kernel = resolveKernel(cfg.Kernel)
 	shared := newGram(cfg.Kernel, ds.Samples)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
 		train := ds.Subset(trainIdx)
@@ -111,9 +110,15 @@ func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusi
 // same shared Gram matrix: each fold's view serves every boosting round of
 // that fold.
 func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig) (Confusion, error) {
-	cfg.SVM.Kernel = resolveKernel(cfg.SVM.Kernel)
+	if cfg.Rounds <= 0 {
+		return Confusion{}, fmt.Errorf("ml: rounds must be positive")
+	}
 	shared := newGram(cfg.SVM.Kernel, ds.Samples)
 	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
-		return trainAdaBoostGram(ds.Subset(trainIdx), cfg, rng, shared.subset(trainIdx))
+		train := ds.Subset(trainIdx)
+		if err := checkTrainInputs(train, nil); err != nil {
+			return nil, err
+		}
+		return trainAdaBoostGram(train, cfg, rng, shared.subset(trainIdx)), nil
 	})
 }

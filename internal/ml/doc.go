@@ -5,6 +5,8 @@
 // "AdaBoost with SVM-based component classifiers"), stratified k-fold
 // cross-validation, and TP/FP-rate metrics.
 //
-// Samples are the sparse binary feature vectors of package features, so the
-// RBF kernel reduces to exp(-γ(|a|+|b|-2|a∩b|)).
+// RBF is the one kernel: every model is trained, written, loaded and scored
+// under it, one width γ per model. Samples are the sparse binary feature
+// vectors of package features, so the kernel reduces to
+// exp(-γ(|a|+|b|-2|a∩b|)).
 package ml

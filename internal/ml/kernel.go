@@ -8,57 +8,19 @@ import (
 	"adwars/internal/features"
 )
 
-// Kernel computes a positive semi-definite similarity between two sparse
-// binary samples.
-type Kernel interface {
-	Eval(a, b features.Sample) float64
-}
-
-// binaryKernel is implemented by kernels whose value depends only on the
-// two samples' popcounts and intersection size — true for every kernel
-// over binary vectors. The Gram builder uses it with per-sample popcounts
-// cached at construction, so the inner loop never re-derives lengths.
-type binaryKernel interface {
-	evalCounts(popA, popB, inter int) float64
-}
-
-// RBF is the radial basis function kernel exp(-γ‖a−b‖²). On binary vectors
-// ‖a−b‖² = |a| + |b| − 2|a∩b|, so evaluation is a sorted-list merge.
+// RBF is the radial basis function kernel exp(-γ‖a−b‖²), the one kernel of
+// every model the package trains, writes and loads. On binary vectors
+// ‖a−b‖² = |a| + |b| − 2|a∩b|, so it is a function of the two samples'
+// popcounts and their intersection size, and evaluation is a sorted-list
+// merge.
 type RBF struct {
 	// Gamma is the kernel width parameter γ (> 0).
 	Gamma float64
 }
 
-// Eval implements Kernel.
-func (k RBF) Eval(a, b features.Sample) float64 {
-	return k.evalCounts(a.Popcount(), b.Popcount(), a.IntersectionSize(b))
-}
-
 func (k RBF) evalCounts(popA, popB, inter int) float64 {
 	dist := float64(popA + popB - 2*inter)
 	return math.Exp(-k.Gamma * dist)
-}
-
-// Linear is the dot-product kernel; on binary vectors it is |a∩b|. Used as
-// an ablation baseline against RBF.
-type Linear struct{}
-
-// Eval implements Kernel.
-func (Linear) Eval(a, b features.Sample) float64 {
-	return float64(a.IntersectionSize(b))
-}
-
-func (Linear) evalCounts(_, _, inter int) float64 {
-	return float64(inter)
-}
-
-// resolveKernel applies the package-wide default (the paper's RBF width)
-// wherever a config leaves the kernel nil.
-func resolveKernel(k Kernel) Kernel {
-	if k == nil {
-		return RBF{Gamma: 0.05}
-	}
-	return k
 }
 
 // gram is K(xᵢ,xⱼ) over a fixed sample set: the full n×n matrix, row-major,
@@ -71,25 +33,21 @@ type gram struct {
 	full []float64
 }
 
-// newGram evaluates the kernel on every pair of x, rows fanned out over the
-// shared worker pool, one worker per core. Worker i writes row i's upper
-// triangle and mirrors each value into column i — disjoint cells per
-// worker, so the fill is deterministic at any core count. A binary kernel is
-// evaluated from popcounts taken once per sample, so the inner loop is one
-// sorted-merge IntersectionSize plus integer arithmetic per pair.
-func newGram(kernel Kernel, x []features.Sample) *gram {
+// newGram evaluates k on every pair of x, rows fanned out over the shared
+// worker pool, one worker per core. Worker i writes row i's upper triangle
+// and mirrors each value into column i — disjoint cells per worker, so the
+// fill is deterministic at any core count. The kernel is evaluated from
+// popcounts taken once per sample, so the inner loop is one sorted-merge
+// IntersectionSize plus integer arithmetic per pair.
+func newGram(k RBF, x []features.Sample) *gram {
 	n := len(x)
 	g := &gram{n: n, full: make([]float64, n*n)}
-	bk, _ := kernel.(binaryKernel)
 	pops := make([]int, n)
 	for i, s := range x {
 		pops[i] = s.Popcount()
 	}
 	eval := func(i, j int) float64 {
-		if bk != nil {
-			return bk.evalCounts(pops[i], pops[j], x[i].IntersectionSize(x[j]))
-		}
-		return kernel.Eval(x[i], x[j])
+		return k.evalCounts(pops[i], pops[j], x[i].IntersectionSize(x[j]))
 	}
 	_ = fanout.ForEach(context.Background(), 0, n, func(i int) {
 		g.full[i*n+i] = eval(i, i)

@@ -9,30 +9,26 @@ import (
 // scorer is the compiled scoring form of a trained model. Boosting
 // re-weights one training set and anti-adblock scripts are vendor clones,
 // so the rounds of an ensemble share most of their support vectors: the
-// scorer holds each distinct (kernel, vector) pair once, and every round
-// names its support vectors by distinct-id (SVM.ids). Scoring a sample
-// evaluates each distinct kernel value once and then sums every round over
-// those values in the round's stored order — the same products in the same
-// order as a kernel call per (round, vector), so decision values are
-// bit-identical to that loop.
+// scorer holds each distinct vector once, and every round names its support
+// vectors by distinct-id (SVM.ids). Scoring a sample evaluates each distinct
+// kernel value once and then sums every round over those values in the
+// round's stored order — the same products in the same order as a kernel
+// call per (round, vector), so decision values are bit-identical to that
+// loop.
 //
 // A scorer is built by compile when a model comes into being (end of
 // training, ParseModelSnapshot) and never written afterwards, so concurrent
 // Decision calls need no synchronization.
 type scorer struct {
-	// kernels are the distinct kernels of the compiled rounds. tables[k] is
-	// exp(-γ·d) by integer distance d for an RBF kernels[k] (filled by
-	// RBF.evalCounts itself, so an entry and a direct call are the same
-	// bits) and nil for every other kernel.
-	kernels []Kernel
-	tables  [][]float64
-	// vectors, kern and pops describe distinct pair d: the vector, the
-	// index of its kernel, and the vector's popcount.
-	vectors []features.Sample
-	kern    []int32
-	pops    []int32
-	// post[postOff[f]:postOff[f+1]] lists the distinct pairs whose vector
-	// holds feature f, so one walk over a sample's features yields its
+	// kernel is the one kernel of the compiled rounds, and table[d] its
+	// value exp(-γ·d) at integer distance d (filled by RBF.evalCounts
+	// itself, so an entry and a direct call are the same bits).
+	kernel RBF
+	table  []float64
+	// pops[d] is distinct vector d's popcount.
+	pops []int32
+	// post[postOff[f]:postOff[f+1]] lists the distinct vectors that hold
+	// feature f, so one walk over a sample's features yields its
 	// intersection size with every distinct vector.
 	postOff []int32
 	post    []int32
@@ -43,29 +39,32 @@ type scorer struct {
 const scratchVectors = 256
 
 // compile builds the shared scoring form of models — one SVM, or the rounds
-// of an ensemble — and points each model at it. Support vectors must be
-// sorted, duplicate-free and non-negative (training produces them so;
-// svmFromJSON checks).
+// of an ensemble — and points each model at it. The models share one kernel
+// (every round trains under one config; adaBoostFromJSON refuses a file
+// whose rounds differ in γ). Support vectors must be sorted, duplicate-free
+// and non-negative (training produces them so; svmFromJSON checks).
 func compile(models ...*SVM) *scorer {
 	sc := &scorer{}
+	if len(models) > 0 {
+		sc.kernel = models[0].kernel
+	}
+	var vectors []features.Sample
 	seen := make(map[string]int32)
 	var key []byte
 	maxPop, numFeatures := 0, 0
 	for _, m := range models {
-		k := sc.kernelIndex(m.kernel)
 		m.sc = sc
 		m.ids = make([]int32, len(m.vectors))
 		for i, v := range m.vectors {
-			key = binary.LittleEndian.AppendUint32(key[:0], uint32(k))
+			key = key[:0]
 			for _, f := range v {
 				key = binary.LittleEndian.AppendUint32(key, uint32(f))
 			}
 			id, ok := seen[string(key)]
 			if !ok {
-				id = int32(len(sc.vectors))
+				id = int32(len(vectors))
 				seen[string(key)] = id
-				sc.vectors = append(sc.vectors, v)
-				sc.kern = append(sc.kern, k)
+				vectors = append(vectors, v)
 				sc.pops = append(sc.pops, int32(len(v)))
 				maxPop = max(maxPop, len(v))
 				if len(v) > 0 {
@@ -77,7 +76,7 @@ func compile(models ...*SVM) *scorer {
 	}
 
 	sc.postOff = make([]int32, numFeatures+1)
-	for _, v := range sc.vectors {
+	for _, v := range vectors {
 		for _, f := range v {
 			sc.postOff[f+1]++
 		}
@@ -91,7 +90,7 @@ func compile(models ...*SVM) *scorer {
 	}
 	sc.post = make([]int32, sc.postOff[numFeatures])
 	next := append([]int32(nil), sc.postOff[:numFeatures]...)
-	for d, v := range sc.vectors {
+	for d, v := range vectors {
 		for _, f := range v {
 			sc.post[next[f]] = int32(d)
 			next[f]++
@@ -101,41 +100,19 @@ func compile(models ...*SVM) *scorer {
 	// A sample made of features the vectors hold is at most maxPop+used
 	// away from any of them; anything farther (a sample with many features
 	// no vector holds) is evaluated directly.
-	sc.tables = make([][]float64, len(sc.kernels))
-	for k, kernel := range sc.kernels {
-		if rbf, ok := kernel.(RBF); ok {
-			t := make([]float64, maxPop+used+1)
-			for d := range t {
-				t[d] = rbf.evalCounts(d, 0, 0)
-			}
-			sc.tables[k] = t
-		}
+	sc.table = make([]float64, maxPop+used+1)
+	for d := range sc.table {
+		sc.table[d] = sc.kernel.evalCounts(d, 0, 0)
 	}
 	return sc
-}
-
-// kernelIndex returns the index of k among the scorer's kernels, adding it
-// when new. Only the package's own kernels are compared: a foreign Kernel
-// need not be comparable, so each round holding one gets its own entry.
-func (sc *scorer) kernelIndex(k Kernel) int32 {
-	switch k.(type) {
-	case RBF, Linear:
-		for i, have := range sc.kernels {
-			if have == k {
-				return int32(i)
-			}
-		}
-	}
-	sc.kernels = append(sc.kernels, k)
-	return int32(len(sc.kernels) - 1)
 }
 
 // numFeatures returns one more than the largest feature index any vector
 // holds.
 func (sc *scorer) numFeatures() int { return len(sc.postOff) - 1 }
 
-// values returns K(vector d, s) for every distinct pair d, in buf when the
-// model fits it.
+// values returns K(vector d, s) for every distinct vector d, in buf when
+// the model fits it.
 func (sc *scorer) values(s features.Sample, buf *[scratchVectors]float64) []float64 {
 	if sc == nil {
 		return nil
@@ -159,13 +136,10 @@ func (sc *scorer) values(s features.Sample, buf *[scratchVectors]float64) []floa
 	}
 	for d, pop := range sc.pops {
 		inter := int(cnt[d])
-		dist := len(s) + int(pop) - 2*inter
-		if t := sc.tables[sc.kern[d]]; uint(dist) < uint(len(t)) {
-			kv[d] = t[dist]
-		} else if bk, ok := sc.kernels[sc.kern[d]].(binaryKernel); ok {
-			kv[d] = bk.evalCounts(int(pop), len(s), inter)
+		if dist := len(s) + int(pop) - 2*inter; uint(dist) < uint(len(sc.table)) {
+			kv[d] = sc.table[dist]
 		} else {
-			kv[d] = sc.kernels[sc.kern[d]].Eval(sc.vectors[d], s)
+			kv[d] = sc.kernel.evalCounts(int(pop), len(s), inter)
 		}
 	}
 	return kv

@@ -16,7 +16,7 @@ import (
 func naiveSVMDecision(m *SVM, s features.Sample) float64 {
 	v := m.bias
 	for i, sv := range m.vectors {
-		v += m.coefs[i] * m.kernel.Eval(sv, s)
+		v += m.coefs[i] * m.kernel.eval(sv, s)
 	}
 	return v
 }
@@ -65,25 +65,13 @@ func solo(m *SVM) *AdaBoost {
 	return &AdaBoost{models: []*SVM{m}, alphas: []float64{1}, sc: m.sc}
 }
 
-// jaccard is a kernel from outside the package: not a binaryKernel, no
-// serialized form.
-type jaccard struct{}
-
-func (jaccard) Eval(a, b features.Sample) float64 {
-	inter := a.IntersectionSize(b)
-	if union := len(a) + len(b) - inter; union > 0 {
-		return float64(inter) / float64(union)
-	}
-	return 1
-}
-
 func TestCompiledDecisionMatchesOracle(t *testing.T) {
 	ds := synthDataset(t, 20, 120, 7)
 	boosted, err := TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained := func(k Kernel) *SVM {
+	trained := func(k RBF) *SVM {
 		cfg := DefaultSVMConfig()
 		cfg.Kernel = k
 		m, err := TrainSVM(ds, nil, cfg, rand.New(rand.NewSource(3)))
@@ -94,14 +82,13 @@ func TestCompiledDecisionMatchesOracle(t *testing.T) {
 	}
 	v := func(f ...int32) features.Sample { return features.Sample(f) }
 	models := map[string]*AdaBoost{
-		"boosted":       boosted,
-		"single round":  {models: boosted.models[:1], alphas: boosted.alphas[:1], sc: boosted.sc},
-		"svm rbf":       solo(trained(RBF{Gamma: 0.05})),
-		"svm linear":    solo(trained(Linear{})),
-		"svm jaccard":   solo(trained(jaccard{})),
-		"no vectors":    handEnsemble(&SVM{kernel: RBF{Gamma: 0.05}, bias: -1}),
-		"empty vector":  handEnsemble(&SVM{kernel: RBF{Gamma: 0.3}, vectors: []features.Sample{nil, v(2)}, coefs: []float64{0.7, -0.2}}),
-		"zero ensemble": {},
+		"boosted":           boosted,
+		"single round":      {models: boosted.models[:1], alphas: boosted.alphas[:1], sc: boosted.sc},
+		"svm rbf":           solo(trained(DefaultSVMConfig().Kernel)),
+		"svm boosted width": solo(trained(DefaultAdaBoostConfig().SVM.Kernel)),
+		"no vectors":        handEnsemble(&SVM{kernel: RBF{Gamma: 0.05}, bias: -1}),
+		"empty vector":      handEnsemble(&SVM{kernel: RBF{Gamma: 0.3}, vectors: []features.Sample{nil, v(2)}, coefs: []float64{0.7, -0.2}}),
+		"zero ensemble":     {},
 		// The same vector twice in one round under opposite signs: the
 		// products must cancel in the stored order, not be merged.
 		"duplicates cancel": handEnsemble(&SVM{
@@ -110,11 +97,12 @@ func TestCompiledDecisionMatchesOracle(t *testing.T) {
 			coefs:   []float64{0.3, 1e-9, -0.3, 0.1},
 			bias:    -0.05,
 		}),
-		// One vector under three kernels is three distinct pairs.
-		"mixed kernels": handEnsemble(
+		// Rounds naming one vector in different orders: each round sums
+		// the shared values in its own stored order.
+		"shared rounds": handEnsemble(
 			&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(0, 3, 5), v(3, 8)}, coefs: []float64{1.5, -0.5}, bias: 0.1},
-			&SVM{kernel: RBF{Gamma: 0.7}, vectors: []features.Sample{v(3, 8), v(0, 3, 5)}, coefs: []float64{-2, 0.25}, bias: -0.1},
-			&SVM{kernel: Linear{}, vectors: []features.Sample{v(0, 3, 5), v(1)}, coefs: []float64{0.5, -0.5}, bias: -0.7},
+			&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(3, 8), v(0, 3, 5)}, coefs: []float64{-2, 0.25}, bias: -0.1},
+			&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(0, 3, 5), v(1)}, coefs: []float64{0.5, -0.5}, bias: -0.7},
 			&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(3, 8), v(12)}, coefs: []float64{0.9, 0.9}, bias: -1},
 		),
 	}
@@ -153,27 +141,27 @@ func TestCompiledDecisionMatchesOracle(t *testing.T) {
 			}
 		})
 	}
-	if n := len(boosted.sc.tables[0]); len(long) <= n {
+	if n := len(boosted.sc.table); len(long) <= n {
 		t.Errorf("the long sample (%d features) fits the %d-entry exp table; the direct path went untested", len(long), n)
 	}
 }
 
-// TestCompileSharesVectors pins what compile deduplicates: equal vectors
-// under equal kernels, across and within rounds, and nothing else.
+// TestCompileSharesVectors pins what compile deduplicates: equal vectors,
+// across and within rounds, and nothing else.
 func TestCompileSharesVectors(t *testing.T) {
 	v := func(f ...int32) features.Sample { return features.Sample(f) }
 	a := handEnsemble(
 		&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(0, 3), v(3, 8), v(0, 3)}, coefs: []float64{1, 1, 1}},
 		&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(3, 8), v(0, 3, 8)}, coefs: []float64{1, 1}},
-		&SVM{kernel: RBF{Gamma: 0.5}, vectors: []features.Sample{v(0, 3)}, coefs: []float64{1}},
+		&SVM{kernel: RBF{Gamma: 0.02}, vectors: []features.Sample{v(0, 3), v(3)}, coefs: []float64{1, 1}},
 	)
-	if got, want := a.NumSupportVectors(), 6; got != want {
+	if got, want := a.NumSupportVectors(), 7; got != want {
 		t.Errorf("NumSupportVectors = %d, want %d", got, want)
 	}
 	if got, want := a.NumDistinctVectors(), 4; got != want {
 		t.Errorf("NumDistinctVectors = %d, want %d", got, want)
 	}
-	wantIDs := [][]int32{{0, 1, 0}, {1, 2}, {3}}
+	wantIDs := [][]int32{{0, 1, 0}, {1, 2}, {0, 3}}
 	for r, m := range a.models {
 		if !reflect.DeepEqual(m.ids, wantIDs[r]) {
 			t.Errorf("round %d ids = %v, want %v", r, m.ids, wantIDs[r])
@@ -182,7 +170,7 @@ func TestCompileSharesVectors(t *testing.T) {
 	if got, want := a.sc.numFeatures(), 9; got != want {
 		t.Errorf("numFeatures = %d, want %d", got, want)
 	}
-	// Feature 3 is held by all four distinct pairs, feature 1 by none.
+	// Feature 3 is held by all four distinct vectors, feature 1 by none.
 	if got := a.sc.post[a.sc.postOff[3]:a.sc.postOff[4]]; !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
 		t.Errorf("postings of feature 3 = %v", got)
 	}
@@ -246,15 +234,4 @@ func TestDecisionConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestMarshalRefusesForeignKernel(t *testing.T) {
-	m := &SVM{kernel: jaccard{}, vectors: []features.Sample{{1}}, coefs: []float64{1}}
-	compile(m)
-	if _, err := m.toJSON(); err == nil {
-		t.Error("an SVM over a kernel with no serialized form marshalled")
-	}
-	if _, err := MarshalModelSnapshot(&ModelSnapshot{FeatureSet: "keyword", Vocab: []string{"a", "b"}, Model: solo(m)}); err == nil {
-		t.Error("an ensemble over a kernel with no serialized form marshalled")
-	}
 }

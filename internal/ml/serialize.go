@@ -15,7 +15,7 @@ import (
 
 type svmJSON struct {
 	KernelType string    `json:"kernel"`
-	Gamma      float64   `json:"gamma,omitempty"`
+	Gamma      float64   `json:"gamma"`
 	Bias       float64   `json:"bias"`
 	Coefs      []float64 `json:"coefs"`
 	Vectors    [][]int32 `json:"vectors"`
@@ -26,33 +26,20 @@ type adaBoostJSON struct {
 	Models []*svmJSON `json:"models"`
 }
 
-func (m *SVM) toJSON() (*svmJSON, error) {
-	out := &svmJSON{Bias: m.bias, Coefs: m.coefs}
-	switch k := m.kernel.(type) {
-	case RBF:
-		out.KernelType = "rbf"
-		out.Gamma = k.Gamma
-	case Linear:
-		out.KernelType = "linear"
-	default:
-		return nil, fmt.Errorf("ml: kernel %T has no serialized form", m.kernel)
-	}
+func (m *SVM) toJSON() *svmJSON {
+	out := &svmJSON{KernelType: "rbf", Gamma: m.kernel.Gamma, Bias: m.bias, Coefs: m.coefs}
 	for _, v := range m.vectors {
 		out.Vectors = append(out.Vectors, []int32(v))
 	}
-	return out, nil
+	return out
 }
 
-func (a *AdaBoost) toJSON() (*adaBoostJSON, error) {
+func (a *AdaBoost) toJSON() *adaBoostJSON {
 	out := &adaBoostJSON{Alphas: a.alphas}
 	for _, m := range a.models {
-		j, err := m.toJSON()
-		if err != nil {
-			return nil, err
-		}
-		out.Models = append(out.Models, j)
+		out.Models = append(out.Models, m.toJSON())
 	}
-	return out, nil
+	return out
 }
 
 // invalidModel reports model content that parses but cannot be scored
@@ -67,18 +54,13 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // svmFromJSON validates j against a feature space of numFeatures indices
 // and returns the SVM it describes, not yet compiled for scoring.
 func svmFromJSON(j *svmJSON, numFeatures int) (*SVM, error) {
-	m := &SVM{bias: j.Bias, coefs: j.Coefs}
-	switch j.KernelType {
-	case "rbf":
-		if !(j.Gamma > 0) || !finite(j.Gamma) {
-			return nil, invalidModel("rbf gamma %v, want a finite value > 0", j.Gamma)
-		}
-		m.kernel = RBF{Gamma: j.Gamma}
-	case "linear":
-		m.kernel = Linear{}
-	default:
+	if j.KernelType != "rbf" {
 		return nil, fmt.Errorf("ml: unknown kernel %q", j.KernelType)
 	}
+	if !(j.Gamma > 0) || !finite(j.Gamma) {
+		return nil, invalidModel("rbf gamma %v, want a finite value > 0", j.Gamma)
+	}
+	m := &SVM{kernel: RBF{Gamma: j.Gamma}, bias: j.Bias, coefs: j.Coefs}
 	if len(j.Coefs) != len(j.Vectors) {
 		return nil, fmt.Errorf("ml: %d coefs for %d support vectors", len(j.Coefs), len(j.Vectors))
 	}
@@ -123,6 +105,11 @@ func adaBoostFromJSON(j *adaBoostJSON, numFeatures int) (*AdaBoost, error) {
 		m, err := svmFromJSON(mj, numFeatures)
 		if err != nil {
 			return nil, err
+		}
+		// An ensemble is scored under one kernel (compile); training
+		// gives every round the same γ.
+		if t > 0 && m.kernel != a.models[0].kernel {
+			return nil, invalidModel("round %d has rbf gamma %v, round 0 %v", t, m.kernel.Gamma, a.models[0].kernel.Gamma)
 		}
 		a.models = append(a.models, m)
 	}

@@ -74,11 +74,7 @@ func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 	if s.Model == nil {
 		return nil, fmt.Errorf("ml: snapshot has no model")
 	}
-	j, err := s.Model.toJSON()
-	if err != nil {
-		return nil, err
-	}
-	model, err := json.Marshal(j)
+	model, err := json.Marshal(s.Model.toJSON())
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +99,8 @@ func MarshalModelSnapshot(s *ModelSnapshot) ([]byte, error) {
 // (ErrSnapshotVersion), and corrupt files — no trailer, bad checksum, torn
 // length framing, or a model that parses but cannot be scored faithfully:
 // unsorted or out-of-vocabulary support vectors, non-finite weights, a
-// non-positive RBF width, and whatever Projection refuses (errors wrap
-// artifact.ErrCorrupt).
+// non-positive RBF width, rounds of different widths, and whatever
+// Projection refuses (errors wrap artifact.ErrCorrupt).
 func ParseModelSnapshot(data []byte) (*ModelSnapshot, error) {
 	payload, version, err := artifact.OpenVersion(data)
 	if err != nil {

@@ -196,18 +196,26 @@ func modelFile(model string) []byte {
 // invalidModelFiles are snapshots that parse but describe a model that
 // cannot be scored faithfully; each must be refused as model-invalid.
 var invalidModelFiles = []struct{ name, model string }{
-	{"unsorted support vector", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[2,1]]}]}`},
-	{"duplicated feature", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[1,1]]}]}`},
-	{"negative feature", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[-1,2]]}]}`},
-	{"feature beyond the vocabulary", `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0,3]]}]}`},
+	{"unsorted support vector", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[2,1]]}]}`},
+	{"duplicated feature", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[1,1]]}]}`},
+	{"negative feature", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[-1,2]]}]}`},
+	{"feature beyond the vocabulary", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[0,3]]}]}`},
 	{"rbf without gamma", `{"alphas":[1],"models":[{"kernel":"rbf","bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 	{"negative gamma", `{"alphas":[1],"models":[{"kernel":"rbf","gamma":-0.05,"bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 	{"null round", `{"alphas":[1],"models":[null]}`},
 	// Each weight is finite, their sum is not: every decision would be ±Inf
 	// or NaN, and so would the score a consumer divides out of it.
 	{"alphas overflowing their sum", `{"alphas":[1e308,1e308],"models":[` +
-		`{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0]]},{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0]]}]}`},
+		`{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[0]]},{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[0]]}]}`},
+	// An ensemble is scored under one kernel; training never writes rounds
+	// of different widths.
+	{"rounds of different gamma", `{"alphas":[1,1],"models":[` +
+		`{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[0]]},{"kernel":"rbf","gamma":0.02,"bias":0,"coefs":[1],"vectors":[[0]]}]}`},
 }
+
+// linearModel is a round under the linear kernel earlier builds could
+// write: refused as a kernel this build does not know, not as damage.
+const linearModel = `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[0]]}]}`
 
 func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 	wantInvalid := func(t *testing.T, err error) {
@@ -223,6 +231,13 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 			wantInvalid(t, err)
 		})
 	}
+	t.Run("linear round", func(t *testing.T) {
+		_, err := ParseModelSnapshot(modelFile(linearModel))
+		if err == nil || !strings.Contains(err.Error(), `unknown kernel "linear"`) || errors.Is(err, artifact.ErrCorrupt) {
+			t.Errorf("err = %v, want an unknown-kernel refusal", err)
+		}
+	})
+
 	// The same shape with nothing wrong loads.
 	ok := `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1,-1],"vectors":[[0,2],[]]}]}`
 	if _, err := ParseModelSnapshot(modelFile(ok)); err != nil {
@@ -240,7 +255,7 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 	for _, tc := range []struct{ name, set, vocab, model string }{
 		{"repeated vocabulary name", "keyword", `["a:x","a:x","c:z"]`, ok},
 		{"unknown feature set", "no-such-set", `["a:x","b:y","c:z"]`, ok},
-		{"empty vocabulary", "keyword", `[]`, `{"alphas":[1],"models":[{"kernel":"linear","bias":0,"coefs":[1],"vectors":[[]]}]}`},
+		{"empty vocabulary", "keyword", `[]`, `{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":0,"coefs":[1],"vectors":[[]]}]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseModelSnapshot(file(tc.set, tc.vocab, tc.model))
@@ -275,8 +290,8 @@ func TestModelSnapshotRefusesInvalidModels(t *testing.T) {
 // decisions, without panicking. Every input is
 // tried as given and again under a fresh integrity trailer, so that the
 // fuzzer's edits reach the model loader behind the trailer's checksum.
-// Seeds are the clean file, the corruption matrix and the invalid-model
-// files.
+// Seeds are the clean file, the corruption matrix, the invalid-model files
+// and a linear round.
 func FuzzReadModelSnapshot(f *testing.F) {
 	data := sealedModelBytes(f)
 	f.Add(data)
@@ -286,6 +301,7 @@ func FuzzReadModelSnapshot(f *testing.F) {
 	for _, tc := range invalidModelFiles {
 		f.Add(modelFile(tc.model))
 	}
+	f.Add(modelFile(linearModel))
 	sample := features.Sample{0, 1, 2, 5, 8, 13, 21, 34, 1 << 20}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload := data
@@ -315,7 +331,7 @@ func FuzzReadModelSnapshot(f *testing.F) {
 func TestModelSnapshotUnsealedRefused(t *testing.T) {
 	v1 := `{"format":"adwars-model","version":1,"classifier":"adaboost",` +
 		`"feature_set":"keyword","vocab":["Identifier:offsetHeight"],` +
-		`"model":{"alphas":[1],"models":[{"kernel":"linear","bias":-0.5,"coefs":[1],"vectors":[[0]]}]}}` + "\n"
+		`"model":{"alphas":[1],"models":[{"kernel":"rbf","gamma":0.05,"bias":-0.5,"coefs":[1],"vectors":[[0]]}]}}` + "\n"
 	_, err := ParseModelSnapshot([]byte(v1))
 	var ce *artifact.CorruptError
 	if !errors.As(err, &ce) || ce.Reason != "missing-trailer" {

@@ -17,15 +17,10 @@ type Classifier interface {
 // SVMConfig holds SVM hyperparameters. The zero value is not usable; use
 // DefaultSVMConfig as a starting point.
 type SVMConfig struct {
-	// Kernel is the kernel function (default RBF).
-	Kernel Kernel
+	// Kernel is the paper's RBF kernel, set by its width γ.
+	Kernel RBF
 	// C is the soft-margin penalty.
 	C float64
-	// Tol is the KKT violation tolerance.
-	Tol float64
-	// MaxPasses is the number of full passes without alpha changes that
-	// ends SMO.
-	MaxPasses int
 	// MaxIter hard-bounds total optimization sweeps.
 	MaxIter int
 }
@@ -33,18 +28,24 @@ type SVMConfig struct {
 // DefaultSVMConfig mirrors the paper's setup: RBF kernel, moderate C.
 func DefaultSVMConfig() SVMConfig {
 	return SVMConfig{
-		Kernel:    RBF{Gamma: 0.05},
-		C:         1.0,
-		Tol:       1e-3,
-		MaxPasses: 3,
-		MaxIter:   200,
+		Kernel:  RBF{Gamma: 0.05},
+		C:       1.0,
+		MaxIter: 200,
 	}
 }
+
+const (
+	// smoTol is SMO's KKT violation tolerance.
+	smoTol = 1e-3
+	// smoMaxPasses is the number of full passes without an α change that
+	// ends SMO.
+	smoMaxPasses = 3
+)
 
 // SVM is a trained support vector machine. Only support vectors (α > 0)
 // are retained for prediction.
 type SVM struct {
-	kernel  Kernel
+	kernel  RBF
 	vectors []features.Sample
 	coefs   []float64 // αᵢyᵢ of each support vector
 	bias    float64
@@ -96,7 +97,6 @@ func TrainSVM(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	if err := checkTrainInputs(ds, weights); err != nil {
 		return nil, err
 	}
-	cfg.Kernel = resolveKernel(cfg.Kernel)
 	g := newGram(cfg.Kernel, ds.Samples)
 	return trainSVMGram(ds, weights, cfg, rng, g), nil
 }
@@ -146,7 +146,6 @@ func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *r
 // (decisionBlock); the block holds until a step changes α or b, which the
 // traffic makes rare: about nine times in a 129-sample sweep.
 func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
-	cfg.Kernel = resolveKernel(cfg.Kernel)
 	n := ds.Len()
 
 	y := make([]float64, n)
@@ -216,12 +215,12 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	}
 
 	passes := 0
-	for passes < cfg.MaxPasses && m.sweeps < cfg.MaxIter {
+	for passes < smoMaxPasses && m.sweeps < cfg.MaxIter {
 		m.sweeps++
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := sweepDecision(i) - y[i]
-			if !((y[i]*ei < -cfg.Tol && alpha[i] < cs[i]) || (y[i]*ei > cfg.Tol && alpha[i] > 0)) {
+			if !((y[i]*ei < -smoTol && alpha[i] < cs[i]) || (y[i]*ei > smoTol && alpha[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -281,7 +280,7 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			passes = 0
 		}
 	}
-	m.capped = passes < cfg.MaxPasses
+	m.capped = passes < smoMaxPasses
 
 	m.kernel, m.bias = cfg.Kernel, b
 	for i := 0; i < n; i++ {

@@ -143,10 +143,10 @@ func TestRBFKernelProperties(t *testing.T) {
 	k := RBF{Gamma: 0.1}
 	a := features.Sample{1, 2, 3}
 	b := features.Sample{2, 3, 4}
-	if got := k.Eval(a, a); math.Abs(got-1) > 1e-12 {
+	if got := k.eval(a, a); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("K(a,a) = %v, want 1", got)
 	}
-	ab, ba := k.Eval(a, b), k.Eval(b, a)
+	ab, ba := k.eval(a, b), k.eval(b, a)
 	if ab != ba {
 		t.Fatal("kernel must be symmetric")
 	}
@@ -159,22 +159,13 @@ func TestRBFKernelProperties(t *testing.T) {
 	}
 }
 
-func TestLinearKernel(t *testing.T) {
-	k := Linear{}
-	a := features.Sample{1, 2, 3}
-	b := features.Sample{3, 4}
-	if got := k.Eval(a, b); got != 1 {
-		t.Fatalf("Linear(a,b) = %v, want 1", got)
-	}
-}
-
 func TestGramCacheAgreesWithDirect(t *testing.T) {
 	ds := synthDataset(t, 10, 30, 4)
 	k := RBF{Gamma: 0.05}
 	g := newGram(k, ds.Samples)
 	for i := 0; i < ds.Len(); i += 7 {
 		for j := 0; j < ds.Len(); j += 5 {
-			want := k.Eval(ds.Samples[i], ds.Samples[j])
+			want := k.eval(ds.Samples[i], ds.Samples[j])
 			if got := g.at(i, j); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("gram(%d,%d) = %v, want %v", i, j, got, want)
 			}
@@ -186,7 +177,6 @@ func TestGramCacheAgreesWithDirect(t *testing.T) {
 // chain per decision, ej computed as soon as j is drawn — kept as the
 // oracle solveSMO's blocked sweep and deferred ej are held to, bit for bit.
 func referenceSolveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
-	cfg.Kernel = resolveKernel(cfg.Kernel)
 	n := ds.Len()
 
 	y := make([]float64, n)
@@ -240,12 +230,12 @@ func referenceSolveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, r
 	}
 
 	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
+	for passes < smoMaxPasses && iter < cfg.MaxIter {
 		iter++
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := decision(i) - y[i]
-			if !((y[i]*ei < -cfg.Tol && alpha[i] < cs[i]) || (y[i]*ei > cfg.Tol && alpha[i] > 0)) {
+			if !((y[i]*ei < -smoTol && alpha[i] < cs[i]) || (y[i]*ei > smoTol && alpha[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -429,8 +419,9 @@ func sameSolve(t *testing.T, name string, got, want *SVM) {
 // blocked sweep and the deferred ej must reproduce the one-chain, eager-ej
 // reference in every bit of bias, coefficients and support set — at block
 // tails of every length, under sample weights, on duplicate samples, when
-// the solve is cut at MaxIter, for both kernels, over the matrix newGram
-// fills and over the direct oracle. The error pass's blocked sums are held
+// the solve is cut at MaxIter, under both widths the product trains (plain
+// SVM and boosted rounds), over the matrix newGram fills and over the
+// direct oracle. The error pass's blocked sums are held
 // to the one-chain sum the same way.
 func TestSolveSMOMatchesReference(t *testing.T) {
 	type kase struct {
@@ -450,7 +441,7 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 		kase{name: "duplicates", ds: duplicated(t)},
 		kase{name: "noisy/capped", ds: labeled(t, 61, 0.4, 9), boosted: true, maxIter: 4, capped: true},
 	)
-	kernels := map[string]Kernel{"rbf": RBF{Gamma: 0.05}, "linear": Linear{}}
+	kernels := map[string]RBF{"γ=0.05": DefaultSVMConfig().Kernel, "γ=0.02": DefaultAdaBoostConfig().SVM.Kernel}
 	for _, c := range cases {
 		n := c.ds.Len()
 		for kname, kernel := range kernels {

@@ -210,7 +210,7 @@ func TestSnapshotPushRefusedLeavesDiskAndMemory(t *testing.T) {
 	badSet := artifact.Seal([]byte(strings.Replace(testModelJSON, `"keyword"`, `"no-such-set"`, 1)))
 	repeated := artifact.Seal([]byte(strings.Replace(testModelJSON,
 		`"Identifier:offsetWidth"]`, `"Identifier:offsetHeight"]`, 1)))
-	round := `{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}`
+	round := `{"kernel": "rbf", "gamma": 1000, "bias": -0.5, "coefs": [1], "vectors": [[0, 1]]}`
 	overflowing := artifact.Seal([]byte(strings.Replace(testModelJSON,
 		`"alphas": [2],
     "models": [`+round+`]`, `"alphas": [1e308, 1e308], "models": [`+round+`, `+round+`]`, 1)))

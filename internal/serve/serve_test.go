@@ -10,11 +10,15 @@ import (
 	"adwars/internal/ml"
 )
 
-// The test model is hand-built rather than trained: a single linear-kernel
-// component whose decision arithmetic is exact in IEEE754 (intersection
-// counts and halves only), so golden responses carry exact scores on every
-// platform. vocab[0]=offsetHeight, vocab[1]=offsetWidth; a script with both
-// probes scores 1.0, anything else 0.0.
+// The test model is hand-built rather than trained: a single RBF component
+// whose decision arithmetic is exact in IEEE754, so golden responses carry
+// exact scores on every platform. On the two-feature vocabulary a sample's
+// distance to the one support vector {0, 1} is an integer d, and with
+// γ = 1000 the kernel exp(-1000·d) is exactly 1 at d = 0 and underflows to
+// exactly 0 for d ≥ 1 (exp(-1000) is far below the smallest subnormal): the
+// decision is +0.5 or -0.5, nothing between. vocab[0]=offsetHeight,
+// vocab[1]=offsetWidth; a script with both probes scores 1.0, anything else
+// 0.0.
 const testModelJSON = `{
   "format": "adwars-model",
   "version": 2,
@@ -23,7 +27,7 @@ const testModelJSON = `{
   "vocab": ["Identifier:offsetHeight", "Identifier:offsetWidth"],
   "model": {
     "alphas": [2],
-    "models": [{"kernel": "linear", "bias": -1.5, "coefs": [1], "vectors": [[0, 1]]}]
+    "models": [{"kernel": "rbf", "gamma": 1000, "bias": -0.5, "coefs": [1], "vectors": [[0, 1]]}]
   },
   "meta": {"top_k": 2}
 }`
