@@ -26,8 +26,9 @@ race:
 	$(GO) test -race ./...
 
 # verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the
-# race detector over the whole tree (the crawl engine is heavily concurrent
-# — breaker, journal, and metrics are all shared state; loadgen's gate table
+# crawl's figures under injected archive faults, the race detector over the
+# whole tree (the crawl engine is heavily concurrent — journal and metrics
+# are shared state; loadgen's gate table
 # and the serving stack's scenario table are tested there too), the
 # benchmark module's own tests (bench/ is a separate module, so `go test
 # ./...` at the root does not reach them), one iteration of every
@@ -38,7 +39,7 @@ race:
 # match, the handlers' allocation budgets) are plain tests and run under
 # `test`. Performance is measured by `bash bench/run.sh` (BENCHMARK.json,
 # bench/README.md), not here.
-verify: build vet fmt-check loc-check reach-check deps-check fidelity-check test race bench-test bench-smoke fuzz-smoke
+verify: build vet fmt-check loc-check reach-check deps-check fidelity-check fault-check test race bench-test bench-smoke fuzz-smoke
 
 # loc prints the ROADMAP's code-size measure: non-test Go lines outside the
 # benchmark module.
@@ -50,7 +51,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 25191
+LOC_CEILING = 24907
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -170,9 +171,11 @@ fuzz-smoke:
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical
-# figures to a zero-fault run.
+# figures to a zero-fault run. The outputs go to a directory of the run's
+# own, so two concurrent runs do not overwrite each other's.
 fault-check:
-	$(GO) run ./cmd/adwars-wayback -scale 50 -stride 6 > /tmp/adwars-clean.txt 2>/dev/null
-	$(GO) run ./cmd/adwars-wayback -scale 50 -stride 6 -fault-rate 0.1 > /tmp/adwars-faulty.txt 2>/dev/null
-	diff /tmp/adwars-clean.txt /tmp/adwars-faulty.txt
-	@echo "fault-check: figures identical under 10% faults"
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/adwars-wayback -scale 50 -stride 6 > "$$dir/clean.txt" 2>/dev/null && \
+	$(GO) run ./cmd/adwars-wayback -scale 50 -stride 6 -fault-rate 0.1 > "$$dir/faulty.txt" 2>/dev/null && \
+	diff "$$dir/clean.txt" "$$dir/faulty.txt" && \
+	echo "fault-check: figures identical under 10% faults"

@@ -5,8 +5,8 @@
 //
 // The crawl engine is fault-tolerant: -fault-rate injects deterministic
 // transient archive failures (rate limiting, timeouts, truncated bodies,
-// outages) which retry/backoff and the circuit breaker absorb — the
-// figures are identical to a zero-fault run with the same seed. With
+// outages) which the crawl's per-request retries absorb — the figures are
+// identical to a zero-fault run with the same seed. With
 // -checkpoint, completed site-months are journaled; a killed run restarted
 // with -resume picks up where it stopped without refetching.
 //
@@ -18,7 +18,7 @@
 // Usage:
 //
 //	adwars-wayback [-scale N] [-seed S] [-stride M]
-//	               [-fault-rate P] [-max-retries R]
+//	               [-fault-rate P]
 //	               [-checkpoint FILE] [-resume]
 package main
 
@@ -40,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	stride := flag.Int("stride", 1, "crawl every Mth month")
 	faultRate := flag.Float64("fault-rate", 0, "per-attempt transient archive failure probability (0 disables fault injection)")
-	maxRetries := flag.Int("max-retries", 0, "attempts per archive request (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "journal completed site-months to this file")
 	resume := flag.Bool("resume", false, "restore journaled site-months from -checkpoint instead of refetching")
 	flag.Parse()
@@ -59,7 +58,6 @@ func main() {
 	var metrics crawler.Metrics
 	retroCfg := experiments.RetroConfig{
 		Months:         lab.RetroMonths(*stride),
-		Retry:          crawler.RetryPolicy{MaxAttempts: *maxRetries},
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		Metrics:        &metrics,

@@ -6,8 +6,8 @@ import (
 )
 
 // breakerState is the classic three-state circuit: closed (traffic flows,
-// failures counted), open (traffic refused until the probe rule relents),
-// half-open (exactly one probe in flight decides reopen vs close).
+// failures counted), open (traffic refused for the cooldown), half-open
+// (exactly one probe in flight decides reopen vs close).
 type breakerState int
 
 const (
@@ -16,50 +16,25 @@ const (
 	breakerHalfOpen
 )
 
-// ProbeRule decides when an open circuit admits its probe: called each time
-// the circuit opens, it returns the question put to that open period's
-// callers, under the breaker's lock. The first true is the probe.
-type ProbeRule func() (admit func() bool)
-
-// AfterSheds admits the n-th caller an open circuit sees as the probe. It
-// reads no clock, so a crawl whose waits are only accounted, never slept
-// (the crawler's pause), recovers on the same schedule every run.
-func AfterSheds(n int) ProbeRule {
-	return func() func() bool {
-		seen := 0
-		return func() bool {
-			seen++
-			return seen >= n
-		}
-	}
-}
-
-// AfterCooldown admits the first caller that arrives once the circuit has
-// been open for d on the clock now.
-func AfterCooldown(d time.Duration, now func() time.Time) ProbeRule {
-	return func() func() bool {
-		opened := now()
-		return func() bool { return now().Sub(opened) >= d }
-	}
-}
-
 // Breaker is a circuit breaker driven by the outcomes of real traffic:
 // threshold consecutive failures open it, an open circuit refuses callers
-// until its ProbeRule admits one probe, and that probe's outcome closes the
-// circuit or opens it afresh. Safe for concurrent use.
+// until it has been open for cooldown on the clock now, then admits the
+// first caller as its probe, and that probe's outcome closes the circuit or
+// opens it afresh. Safe for concurrent use.
 type Breaker struct {
 	threshold int
-	probe     ProbeRule
+	cooldown  time.Duration
+	now       func() time.Time
 
-	mu    sync.Mutex
-	state breakerState
-	fails int         // consecutive failures while closed
-	admit func() bool // the open period's probe question
+	mu     sync.Mutex
+	state  breakerState
+	fails  int       // consecutive failures while closed
+	opened time.Time // when the circuit last opened
 }
 
 // NewBreaker builds a closed breaker.
-func NewBreaker(threshold int, probe ProbeRule) *Breaker {
-	return &Breaker{threshold: threshold, probe: probe}
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
 // Allow reports whether a request may proceed. While a probe is in flight
@@ -71,7 +46,7 @@ func (b *Breaker) Allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.admit() {
+		if b.now().Sub(b.opened) >= b.cooldown {
 			b.state = breakerHalfOpen
 			return true
 		}
@@ -104,7 +79,7 @@ func (b *Breaker) Failure() (opened bool) {
 	}
 	b.state = breakerOpen
 	b.fails = 0
-	b.admit = b.probe()
+	b.opened = b.now()
 	return true
 }
 

@@ -1,9 +1,9 @@
 // Package chassis is what adwars-serve and adwars-gateway stand on besides
 // the serving loop (internal/wire), each piece defined once: counters that
-// render themselves, the latency histogram, the circuit-breaker core the
-// crawl shares too, and the HTTP conventions of both handler trees — the
-// error envelope, /debug/vars, the capped body read, the X-Adwars-* header
-// names and the deadline parser. Standard library only; nothing here is
+// render themselves, the latency histogram, the gateway's circuit breaker,
+// and the HTTP conventions of both handler trees — the error envelope,
+// /debug/vars, the capped body read, the X-Adwars-* header names and the
+// deadline parser. Standard library only; nothing here is
 // registered anywhere: a metrics tree is a struct its owner holds.
 package chassis
 

@@ -3,11 +3,11 @@
 // availability query → fetch → HAR/HTML storage → partial-snapshot
 // filtering) and the live-web crawl of §4.3. Crawls run across a worker
 // pool, honor context cancellation (returning the completed portion of the
-// month, not discarding it), and survive a faulty archive: transient
-// failures (rate limiting, timeouts, truncated bodies, outages) are
-// retried with exponential backoff and jitter behind a shared circuit
-// breaker, and a JSONL journal checkpoints completed site-months so an
-// interrupted crawl resumes without refetching.
+// month, not discarding it), and survive a faulty archive: a transient
+// failure (rate limiting, timeouts, truncated bodies, outages) is retried
+// with the next attempt number, up to maxAttempts per request, and a JSONL
+// journal checkpoints completed site-months so an interrupted crawl resumes
+// without refetching.
 package crawler
 
 import (
@@ -94,31 +94,19 @@ func (m *MonthResult) recount() {
 // in domain order, so the figures do not depend on it.
 const Browsers = 10
 
-// Config controls crawl resilience.
+// maxAttempts is the attempt budget of one archive request, first try
+// included. It exceeds the archive's worst-case run of consecutive transient
+// failures (wayback.FaultConfig.MaxFailuresPerRequest, 6 under
+// DefaultFaultConfig), so every transient resolves to the real answer.
+const maxAttempts = 8
+
+// Config controls one crawl.
 type Config struct {
 	// Metrics, when non-nil, accumulates crawl counters across calls.
 	Metrics *Metrics
-	// Retry controls per-request retry/backoff of transient archive
-	// failures. A zero MaxAttempts means 8.
-	Retry RetryPolicy
-	// Breaker, when non-nil, is the shared circuit breaker / adaptive
-	// rate limiter (share one across the 60 monthly crawls); nil creates
-	// a fresh one per crawl.
-	Breaker *Breaker
 	// Journal, when non-nil, checkpoints completed site-months and
 	// restores previously journaled ones instead of refetching.
 	Journal *Journal
-	// Seed drives the deterministic backoff jitter.
-	Seed int64
-}
-
-// withDefaults normalizes a config for one crawl.
-func (cfg Config) withDefaults() Config {
-	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.Breaker == nil {
-		cfg.Breaker = NewBreaker(cfg.Metrics)
-	}
-	return cfg
 }
 
 // CrawlMonth crawls the monthly snapshot of every domain: availability
@@ -132,7 +120,6 @@ func (cfg Config) withDefaults() Config {
 // resumed crawl picks up where this one stopped. The partial-snapshot rule
 // is only applied to complete months (its cutoff needs the whole month).
 func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month time.Time, cfg Config) (*MonthResult, error) {
-	cfg = cfg.withDefaults()
 	started := time.Now()
 	out := &MonthResult{Month: month, Results: make([]SiteResult, len(domains))}
 	for i, d := range domains {
@@ -198,27 +185,27 @@ func (e transientBody) Error() string { return "crawler: truncated response body
 func (e transientBody) Unwrap() error { return e.err }
 
 // classify splits errors into transient (retriable) and permanent.
-func classify(err error) (transient bool, kind wayback.FaultKind, retryAfter time.Duration) {
+func classify(err error) (transient bool, kind wayback.FaultKind) {
 	var te *wayback.TransientError
 	if errors.As(err, &te) {
-		return true, te.Kind, te.RetryAfter
+		return true, te.Kind
 	}
 	var tb transientBody
 	if errors.As(err, &tb) {
-		return true, wayback.FaultTruncated, 0
+		return true, wayback.FaultTruncated
 	}
-	return false, 0, 0
+	return false, 0
 }
 
 // crawlOne runs the paper's Figure 4 pipeline for one site-month — the
 // upfront exclusion check, an Availability JSON API query, the client-side
 // six-month staleness rule, then the snapshot fetch — with each archive
-// request retried through the breaker-gated backoff path. Unlike the bare
-// pipeline, transient and permanent failures are distinguished: transients
-// are retried (and by the fault model's consecutive-failure bound always
-// resolve within the default budget), while permanent failures and
-// exhausted budgets land in StatusError with the cause in Err. The
-// returned error is non-nil only for context cancellation.
+// request retried by withRetry. Unlike the bare pipeline, transient and
+// permanent failures are distinguished: transients are retried (and by the
+// fault model's consecutive-failure bound always resolve within
+// maxAttempts), while permanent failures and exhausted budgets land in
+// StatusError with the cause in Err. The returned error is non-nil only for
+// context cancellation.
 func (c *monthCrawler) crawlOne(ctx context.Context, domain string) (SiteResult, error) {
 	if c.a.ExclusionOf(domain) != wayback.ExclNone {
 		return SiteResult{Domain: domain, Status: StatusExcluded}, nil
@@ -277,79 +264,42 @@ func (c *monthCrawler) failed(ctx context.Context, domain string, err error) (Si
 	return SiteResult{Domain: domain, Status: StatusError, Err: err}, nil
 }
 
-// withRetry runs one archive request through the resilience stack: the
-// circuit breaker gate (shed requests wait without consuming the attempt
-// budget), the adaptive rate-limit penalty, then fn itself; transient
-// failures back off exponentially with deterministic jitter (honoring any
-// Retry-After hint) up to the attempt budget.
+// withRetry runs one archive request, fn, with attempt numbers 0, 1, …:
+// a transient failure is retried with the next number, until fn succeeds,
+// fails permanently or has failed maxAttempts times. The fault model is a
+// function of the attempt number, so retrying is all that changes what comes
+// back; nothing is waited. Cancellation is checked before each retry.
 func (c *monthCrawler) withRetry(ctx context.Context, domain string, fn func(attempt int) error) error {
-	br := c.cfg.Breaker
 	m := c.cfg.Metrics
 	for attempt := 0; ; {
-		if !br.Allow() {
-			// Load shedding: the archive is down. Wait out the open
-			// window; the site's own budget is untouched.
-			if err := c.pause(ctx, baseDelay); err != nil {
-				return err
-			}
-			continue
-		}
-		if p := br.Penalty(); p > 0 {
-			if err := c.pause(ctx, p); err != nil {
-				return err
-			}
-		}
 		err := fn(attempt)
 		if err == nil {
-			br.Success()
 			return nil
 		}
-		transient, kind, retryAfter := classify(err)
+		transient, kind := classify(err)
 		if !transient {
-			// The archive answered; the failure is application-level,
-			// so the breaker sees a healthy service.
-			br.Success()
 			return err
 		}
 		if m != nil {
 			m.TransientFailures.Add(1)
-		}
-		br.Failure()
-		if kind == wayback.FaultRateLimit {
-			if m != nil {
+			if kind == wayback.FaultRateLimit {
 				m.RateLimited.Add(1)
 			}
-			br.OnRateLimit(retryAfter)
 		}
 		attempt++
-		if attempt >= c.cfg.Retry.MaxAttempts {
+		if attempt >= maxAttempts {
 			if m != nil {
 				m.RetriesExhausted.Add(1)
 			}
 			return fmt.Errorf("crawler: %s: %d attempts exhausted: %w", domain, attempt, err)
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if m != nil {
 			m.Retries.Add(1)
 		}
-		d := c.cfg.Retry.Delay(domain, attempt, c.cfg.Seed)
-		if retryAfter > d {
-			d = retryAfter
-		}
-		if err := c.pause(ctx, d); err != nil {
-			return err
-		}
 	}
-}
-
-// pause accounts the backoff time without waiting it out: against the
-// in-memory archive backoff exists to be measured (Metrics.BackoffNanos),
-// not to pace a real service, so a crawl stays fast while it runs the exact
-// retry schedule. It returns ctx.Err(), so a cancelled crawl stops here.
-func (c *monthCrawler) pause(ctx context.Context, d time.Duration) error {
-	if m := c.cfg.Metrics; m != nil {
-		m.BackoffNanos.Add(int64(d))
-	}
-	return ctx.Err()
 }
 
 // markPartials applies the paper's partial-snapshot rule: discard HARs

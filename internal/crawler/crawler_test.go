@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -256,42 +257,107 @@ func TestCrawlMonthFaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrawlMonthOutageBreaker drives a full-archive outage through the
-// shared breaker: the crawl must still complete with zero errors, and the
-// breaker must have opened (shed load) along the way.
-func TestCrawlMonthOutageBreaker(t *testing.T) {
-	src := stubSource{}
-	domains := make([]string, 300)
-	for i := range domains {
-		domains[i] = fmt.Sprintf("crawlee%04d.com", i)
-		p := web.NewPage(domains[i], domains[i])
-		p.AddRequest("http://cdn."+domains[i]+"/app.js", abp.TypeScript)
-		src[domains[i]] = p
+// TestRetryBudgetOutlastsFaultModel states the invariant the fault
+// equivalence rests on: the attempt budget exceeds the longest run of
+// transient failures the archive's default fault model can hand one request,
+// at any rate.
+func TestRetryBudgetOutlastsFaultModel(t *testing.T) {
+	for _, seed := range []int64{0, 7, 42} {
+		if n := wayback.DefaultFaultConfig(0.9, seed).MaxFailuresPerRequest(); maxAttempts <= n {
+			t.Fatalf("maxAttempts %d does not exceed the fault model's %d consecutive failures", maxAttempts, n)
+		}
 	}
-	cfg := wayback.DefaultConfig(7)
-	cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: failureThreshold + 2, Seed: 7}
-	a := wayback.New(src, domains, cfg)
+}
 
-	// Each request fails past the threshold in a row, within a budget that
-	// outlasts the outage, so the breaker opens whichever browser trips it.
-	var metrics Metrics
-	br := NewBreaker(&metrics)
-	res, err := CrawlMonth(context.Background(), a, domains,
-		time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC),
-		Config{Metrics: &metrics, Breaker: br,
-			Retry: RetryPolicy{MaxAttempts: failureThreshold + 4}})
+// TestCrawlMonthOutageBudget drives a full-archive outage to either side of
+// the attempt budget. One attempt short of it, the crawl still reaches every
+// real answer; at it, every request that reaches the archive exhausts its
+// budget, and nothing else turns into an error.
+func TestCrawlMonthOutageBudget(t *testing.T) {
+	clean, src, domains := buildWorld(300)
+	month := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
+	want, err := CrawlMonth(context.Background(), clean, domains, month, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts[StatusError] != 0 {
-		t.Fatalf("outage leaked into StatusError: %d", res.Counts[StatusError])
+	crawl := func(t *testing.T, depth int) (*MonthResult, *Metrics) {
+		t.Helper()
+		cfg := wayback.DefaultConfig(7)
+		cfg.Robots, cfg.Admin, cfg.Undefined = 10, 2, 3
+		cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: depth, Seed: 7}
+		var metrics Metrics
+		res, err := CrawlMonth(context.Background(), wayback.New(src, domains, cfg), domains, month, Config{Metrics: &metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, &metrics
 	}
-	snap := &metrics
-	if snap.BreakerOpens.Load() == 0 {
-		t.Fatalf("breaker never opened during a full outage: %s", snap)
-	}
-	if snap.BreakerSheds.Load() == 0 {
-		t.Fatalf("breaker shed no load during a full outage: %s", snap)
+
+	t.Run("depth maxAttempts-1", func(t *testing.T) {
+		res, m := crawl(t, maxAttempts-1)
+		if res.Counts[StatusError] != 0 || m.RetriesExhausted.Load() != 0 {
+			t.Fatalf("an outage within the budget leaked into StatusError: %d (%s)", res.Counts[StatusError], m)
+		}
+		for i := range want.Results {
+			if res.Results[i].Status != want.Results[i].Status {
+				t.Fatalf("%s: %v through the outage, %v without it", domains[i], res.Results[i].Status, want.Results[i].Status)
+			}
+		}
+	})
+
+	t.Run("depth maxAttempts", func(t *testing.T) {
+		res, m := crawl(t, maxAttempts)
+		// Every domain the archive does not exclude asks for its
+		// availability, the one request it gets to make.
+		requests := len(domains) - res.Counts[StatusExcluded]
+		if requests == 0 || res.Counts[StatusError] != requests {
+			t.Fatalf("%d of %d archived site-months are StatusError, want all", res.Counts[StatusError], requests)
+		}
+		if got := m.RetriesExhausted.Load(); got != int64(requests) {
+			t.Fatalf("RetriesExhausted = %d, want one per request (%d)", got, requests)
+		}
+		if got, want := m.TransientFailures.Load(), int64(requests*maxAttempts); got != want {
+			t.Fatalf("TransientFailures = %d, want %d", got, want)
+		}
+	})
+}
+
+// TestWithRetryObservesCancellation: a transient failure is retried only
+// while the crawl is live. A cancelled crawl stops after the attempt in
+// flight and reports ctx.Err(), which crawlOne turns into a pending site.
+func TestWithRetryObservesCancellation(t *testing.T) {
+	fail := &wayback.TransientError{Kind: wayback.FaultTimeout, Domain: "x.com"}
+	for _, tc := range []struct {
+		name      string
+		cancelled bool
+		calls     int
+	}{{"live", false, maxAttempts}, {"cancelled", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelled {
+				cancel()
+			}
+			var m Metrics
+			c := &monthCrawler{cfg: Config{Metrics: &m}}
+			calls := 0
+			err := c.withRetry(ctx, "x.com", func(attempt int) error {
+				if attempt != calls {
+					t.Fatalf("call %d got attempt %d", calls, attempt)
+				}
+				calls++
+				return fail
+			})
+			if calls != tc.calls {
+				t.Fatalf("fn ran %d times, want %d", calls, tc.calls)
+			}
+			if tc.cancelled != errors.Is(err, context.Canceled) || !tc.cancelled && !errors.Is(err, fail) {
+				t.Fatalf("err = %v", err)
+			}
+			if got := m.Retries.Load(); got != int64(tc.calls-1) {
+				t.Fatalf("Retries = %d, want %d", got, tc.calls-1)
+			}
+		})
 	}
 }
 

@@ -34,13 +34,6 @@ type Metrics struct {
 	// RetriesExhausted counts requests whose attempt budget ran out —
 	// the only way a transient failure becomes a StatusError.
 	RetriesExhausted atomic.Int64
-	// BreakerOpens counts circuit breaker open transitions.
-	BreakerOpens atomic.Int64
-	// BreakerSheds counts requests rejected at the open breaker gate.
-	BreakerSheds atomic.Int64
-	// BackoffNanos accumulates backoff/pacing time (accounted even under
-	// the non-sleeping virtual sleeper).
-	BackoffNanos atomic.Int64
 	// Resumed counts site-months restored from the checkpoint journal
 	// instead of refetched.
 	Resumed atomic.Int64
@@ -93,10 +86,8 @@ func (m *Metrics) String() string {
 		m.HARBytes.Load()/1024, time.Duration(m.BusyNanos.Load()).Round(time.Millisecond))
 	transient, retries, resumed := m.TransientFailures.Load(), m.Retries.Load(), m.Resumed.Load()
 	if transient > 0 || retries > 0 || resumed > 0 {
-		out += fmt.Sprintf(" transient=%d retries=%d ratelimited=%d exhausted=%d breaker=%d(open)/%d(shed) backoff=%s resumed=%d",
-			transient, retries, m.RateLimited.Load(), m.RetriesExhausted.Load(),
-			m.BreakerOpens.Load(), m.BreakerSheds.Load(),
-			time.Duration(m.BackoffNanos.Load()).Round(time.Millisecond), resumed)
+		out += fmt.Sprintf(" transient=%d retries=%d ratelimited=%d exhausted=%d resumed=%d",
+			transient, retries, m.RateLimited.Load(), m.RetriesExhausted.Load(), resumed)
 	}
 	return out
 }

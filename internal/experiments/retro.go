@@ -27,9 +27,6 @@ type RetroConfig struct {
 	// absorbs every transient, so Figure 5/6 output is identical to a
 	// zero-fault run with the same seed.
 	Faults wayback.FaultConfig
-	// Retry overrides the crawler's retry/backoff policy (zero fields
-	// take defaults).
-	Retry crawler.RetryPolicy
 	// CheckpointPath, when set, journals completed site-months to this
 	// file so an interrupted run can restart without refetching.
 	CheckpointPath string
@@ -107,7 +104,7 @@ type siteInput struct {
 }
 
 // PrepareReplay runs the crawl half of RunRetrospective: every month's
-// top-N snapshots fetched (with retry/backoff, checkpointing, and resume),
+// top-N snapshots fetched (with retries, checkpointing, and resume),
 // ready to be replayed against historic list versions.
 func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, error) {
 	if cfg.TopN <= 0 {
@@ -142,15 +139,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
 		}
 	}
-	// One breaker across all months: archive health is global, not
-	// per-month.
-	crawlCfg := crawler.Config{
-		Metrics: cfg.Metrics,
-		Retry:   cfg.Retry,
-		Breaker: crawler.NewBreaker(cfg.Metrics),
-		Journal: journal,
-		Seed:    l.Seed,
-	}
+	crawlCfg := crawler.Config{Metrics: cfg.Metrics, Journal: journal}
 
 	run := &ReplayRun{lab: l}
 	// A domain's snapshot HTML changes only with its content year or its

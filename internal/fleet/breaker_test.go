@@ -4,7 +4,7 @@ import "testing"
 
 // TestBreakerDefaults: a backend ejects on its third consecutive failure and
 // is not re-admitted before its cooldown. (The circuit itself is
-// internal/chassis's, tested there under this probe rule.)
+// internal/chassis's, tested there.)
 func TestBreakerDefaults(t *testing.T) {
 	b := newBackend("http://replica")
 	b.fail()

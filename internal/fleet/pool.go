@@ -58,7 +58,7 @@ func newBackend(url string) *Backend {
 		// Driven by real proxied traffic (the active health poller flips a
 		// separate availability bit): an ejected backend sits out a second,
 		// then one probe request re-admits it or ejects it afresh.
-		br:     chassis.NewBreaker(failThreshold, chassis.AfterCooldown(time.Second, time.Now)),
+		br:     chassis.NewBreaker(failThreshold, time.Second, time.Now),
 		budget: retryBudget{tenths: budgetTenths},
 	}
 	b.healthy.Store(true)

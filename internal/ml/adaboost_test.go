@@ -75,6 +75,39 @@ func TestAdaBoostChecksBeforeGram(t *testing.T) {
 	}
 }
 
+// TestCrossValidateChecksBeforeGram: fold counts the cross-validation
+// refuses are refused before the n² Gram matrix over the whole set is built,
+// through either entry point.
+func TestCrossValidateChecksBeforeGram(t *testing.T) {
+	const n = 2000
+	ds := &features.Dataset{Samples: make([]features.Sample, n), Labels: make([]int, n)}
+	for i := range ds.Samples {
+		ds.Samples[i] = features.Sample{int32(i % 7)}
+		ds.Labels[i] = 1 - 2*(i%2)
+	}
+	for name, cv := range map[string]func() error{
+		"svm": func() error {
+			_, err := CrossValidateSVM(ds, DefaultSVMConfig(), CVConfig{Folds: 1, Seed: 1})
+			return err
+		},
+		"adaboost": func() error {
+			_, err := CrossValidateAdaBoost(ds, DefaultAdaBoostConfig(), CVConfig{Folds: 1, Seed: 1})
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := cv()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: one fold was accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: refusing one fold of %d samples allocated %d bytes: the Gram matrix was built first", name, n, grew)
+		}
+	}
+}
+
 func TestAdaBoostDeterministic(t *testing.T) {
 	ds := synthDataset(t, 15, 45, 14)
 	b1, err := TrainAdaBoost(ds, DefaultAdaBoostConfig(), rand.New(rand.NewSource(4)))

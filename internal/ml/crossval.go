@@ -10,13 +10,15 @@ import (
 )
 
 // crossValidate is the paper's stratified k-fold protocol, the fold loop
-// both entry points run: stratify, train fold f on the other k−1 folds with
-// an rng seeded cv.Seed+f+1, evaluate it on the held-out one, and merge the
+// both entry points run: check that the samples fill k ≥ 2 folds, build one
+// Gram matrix over the whole set, stratify, train fold f on the other k−1
+// folds (refused if they hold one class) with an rng seeded cv.Seed+f+1 and
+// its view of that matrix, evaluate it on the held-out one, and merge the
 // confusions in fold order — so the result is identical at any core count.
 // The folds fan out one worker per core, and each holds its own Gram view
 // while it trains, so GOMAXPROCS bounds how many are alive at once.
-func crossValidate(ds *features.Dataset, cv CVConfig,
-	train func(trainIdx []int, rng *rand.Rand) (Classifier, error)) (Confusion, error) {
+func crossValidate(ds *features.Dataset, cv CVConfig, kernel RBF,
+	train func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier) (Confusion, error) {
 	k := cv.Folds
 	if k < 2 {
 		return Confusion{}, fmt.Errorf("ml: k must be ≥ 2, got %d", k)
@@ -24,6 +26,9 @@ func crossValidate(ds *features.Dataset, cv CVConfig,
 	if ds.Len() < k {
 		return Confusion{}, fmt.Errorf("ml: %d samples cannot fill %d folds", ds.Len(), k)
 	}
+	// The checks come first: the matrix is n² floats, 32 MB at 2 000
+	// samples.
+	shared := newGram(kernel, ds.Samples)
 	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(cv.Seed)))
 
 	type result struct {
@@ -40,11 +45,12 @@ func crossValidate(ds *features.Dataset, cv CVConfig,
 				trainIdx = append(trainIdx, folds[g]...)
 			}
 		}
-		model, err := train(trainIdx, rand.New(rand.NewSource(cv.Seed+int64(f)+1)))
-		if err != nil {
+		trainSet := ds.Subset(trainIdx)
+		if err := checkTrainInputs(trainSet, nil); err != nil {
 			results[f] = result{err: err}
 			return
 		}
+		model := train(trainSet, rand.New(rand.NewSource(cv.Seed+int64(f)+1)), shared.subset(trainIdx))
 		results[f] = result{c: Evaluate(model, ds.Subset(testIdx))}
 	})
 
@@ -96,13 +102,8 @@ type CVConfig struct {
 // is evaluated once per sample pair across all k folds instead of once per
 // fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
-	shared := newGram(cfg.Kernel, ds.Samples)
-	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
-		train := ds.Subset(trainIdx)
-		if err := checkTrainInputs(train, nil); err != nil {
-			return nil, err
-		}
-		return trainSVMGram(train, nil, cfg, rng, shared.subset(trainIdx)), nil
+	return crossValidate(ds, cv, cfg.Kernel, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
+		return trainSVMGram(train, nil, cfg, rng, g)
 	})
 }
 
@@ -113,12 +114,7 @@ func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig
 	if cfg.Rounds <= 0 {
 		return Confusion{}, fmt.Errorf("ml: rounds must be positive")
 	}
-	shared := newGram(cfg.SVM.Kernel, ds.Samples)
-	return crossValidate(ds, cv, func(trainIdx []int, rng *rand.Rand) (Classifier, error) {
-		train := ds.Subset(trainIdx)
-		if err := checkTrainInputs(train, nil); err != nil {
-			return nil, err
-		}
-		return trainAdaBoostGram(train, cfg, rng, shared.subset(trainIdx)), nil
+	return crossValidate(ds, cv, cfg.SVM.Kernel, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
+		return trainAdaBoostGram(train, cfg, rng, g)
 	})
 }

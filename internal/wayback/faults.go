@@ -2,15 +2,14 @@ package wayback
 
 import (
 	"fmt"
-	"time"
 
 	"adwars/internal/stats"
 )
 
 // This file injects the transient failures a real Wayback Machine crawl
-// absorbs over a 60-month measurement: rate limiting (HTTP 429 with a
-// Retry-After hint), request timeouts, truncated response bodies, and brief
-// full-archive outages. Faults are deterministic in the seed and keyed by
+// absorbs over a 60-month measurement: rate limiting (HTTP 429), request
+// timeouts, truncated response bodies, and brief full-archive outages.
+// Faults are deterministic in the seed and keyed by
 // (operation, domain, month, attempt), so a retrying crawler sees exactly
 // the same fault schedule on every run — and, crucially, every fault is
 // transient *by construction*: consecutive failures for one request are
@@ -25,7 +24,7 @@ type FaultKind int
 // Fault kinds, each standing in for a real archive failure mode (see
 // DESIGN.md's fault-model table).
 const (
-	// FaultRateLimit models HTTP 429 responses with Retry-After semantics.
+	// FaultRateLimit models HTTP 429 responses.
 	FaultRateLimit FaultKind = iota
 	// FaultTimeout models request timeouts against an overloaded archive.
 	FaultTimeout
@@ -59,16 +58,10 @@ func (k FaultKind) String() string {
 type TransientError struct {
 	Kind   FaultKind
 	Domain string
-	// RetryAfter is the archive's backoff hint (non-zero for rate
-	// limiting, mirroring the Retry-After header).
-	RetryAfter time.Duration
 }
 
 // Error renders the failure.
 func (e *TransientError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("wayback: transient %s for %s (retry after %s)", e.Kind, e.Domain, e.RetryAfter)
-	}
 	return fmt.Sprintf("wayback: transient %s for %s", e.Kind, e.Domain)
 }
 
@@ -88,9 +81,6 @@ type FaultConfig struct {
 	// OutageDepth is how many attempts of every request fail during an
 	// outage month before the archive recovers (default 2).
 	OutageDepth int
-	// RetryAfter is the base backoff hint attached to rate-limit faults
-	// (default 250ms).
-	RetryAfter time.Duration
 	// Seed drives the fault schedule; 0 inherits the archive's seed.
 	Seed int64
 }
@@ -112,9 +102,6 @@ func (c FaultConfig) withDefaults() FaultConfig {
 	}
 	if c.OutageDepth <= 0 {
 		c.OutageDepth = 2
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 250 * time.Millisecond
 	}
 	return c
 }
@@ -158,7 +145,7 @@ func (f *FaultInjector) Check(op, domain string, epoch int64, attempt int) error
 	}
 	if f.outageMonth(epoch) {
 		if attempt < f.cfg.OutageDepth {
-			return &TransientError{Kind: FaultOutage, Domain: domain, RetryAfter: f.cfg.RetryAfter}
+			return &TransientError{Kind: FaultOutage, Domain: domain}
 		}
 		// The outage consumed the first OutageDepth attempts; the
 		// per-request fault schedule indexes the attempts after recovery.
@@ -167,13 +154,7 @@ func (f *FaultInjector) Check(op, domain string, epoch int64, attempt int) error
 	if attempt >= f.failures(op, domain, epoch) {
 		return nil
 	}
-	kind := f.kindFor(op, domain, epoch)
-	te := &TransientError{Kind: kind, Domain: domain}
-	if kind == FaultRateLimit {
-		// Escalating Retry-After, as archives under load emit.
-		te.RetryAfter = f.cfg.RetryAfter * time.Duration(attempt+1)
-	}
-	return te
+	return &TransientError{Kind: f.kindFor(op, domain, epoch), Domain: domain}
 }
 
 // outageMonth reports whether the archive is briefly down in this month.

@@ -122,22 +122,17 @@ func TestFaultTruncatedAvailabilityJSON(t *testing.T) {
 	}
 }
 
-func TestFaultRetryAfterOnRateLimit(t *testing.T) {
-	f := NewFaultInjector(FaultConfig{Rate: 0.9, MaxConsecutive: 4, RetryAfter: time.Second, Seed: 2})
-	found := false
-	for d := 0; d < 200 && !found; d++ {
-		err := f.Check("fetch", fmt.Sprintf("d%03d.com", d), 3, 0)
+// TestFaultRateLimitInjected: rate limiting is one of the kinds a faulting
+// request draws, typed so the crawl can count it (crawler.Metrics.RateLimited).
+func TestFaultRateLimitInjected(t *testing.T) {
+	f := NewFaultInjector(FaultConfig{Rate: 0.9, MaxConsecutive: 4, Seed: 2})
+	for d := 0; d < 200; d++ {
 		var te *TransientError
-		if errors.As(err, &te) && te.Kind == FaultRateLimit {
-			if te.RetryAfter <= 0 {
-				t.Fatal("rate-limit fault carries no Retry-After hint")
-			}
-			found = true
+		if errors.As(f.Check("fetch", fmt.Sprintf("d%03d.com", d), 3, 0), &te) && te.Kind == FaultRateLimit {
+			return
 		}
 	}
-	if !found {
-		t.Fatal("no rate-limit fault injected")
-	}
+	t.Fatal("no rate-limit fault injected")
 }
 
 func TestFaultKindStrings(t *testing.T) {

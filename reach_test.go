@@ -27,7 +27,7 @@ var keptOnPurpose = map[string]string{
 	"adwars/internal/abp.KindInvalid":                           "the zero Kind, which a line that does not parse carries; tests name it",
 	"adwars/internal/jsast.Tokenize":                            "the lexer's test entry point, held to the reference lexer",
 	"adwars/internal/ml.TrainSVM":                               "the base learner alone, as the SVM tests train it",
-	"adwars/internal/wayback.FaultConfig.MaxFailuresPerRequest": "the input of the invariant that the crawl's retry budget exceeds it",
+	"adwars/internal/wayback.FaultConfig.MaxFailuresPerRequest": "the input of the invariant that the crawl's retry budget exceeds it (crawler.TestRetryBudgetOutlastsFaultModel)",
 	"adwars/internal/scriptcorpus":                              "the pinned script corpus the jsast and features oracle tests share",
 	"adwars/internal/antiadblock.CanRunAdsScript":               "the bait script of the pinned corpus and the Table 3 positives",
 }
