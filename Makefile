@@ -27,8 +27,8 @@ race:
 
 # verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the
 # crawl's figures under injected archive faults, the race detector over the
-# whole tree (the crawl engine is heavily concurrent — journal and metrics
-# are shared state; loadgen's gate table
+# whole tree (the crawl engine is heavily concurrent — its metrics are
+# shared state; loadgen's gate table
 # and the serving stack's scenario table are tested there too), the
 # benchmark module's own tests (bench/ is a separate module, so `go test
 # ./...` at the root does not reach them), one iteration of every
@@ -51,7 +51,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 24907
+LOC_CEILING = 24464
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi

@@ -6,9 +6,9 @@
 // The crawl engine is fault-tolerant: -fault-rate injects deterministic
 // transient archive failures (rate limiting, timeouts, truncated bodies,
 // outages) which the crawl's per-request retries absorb — the figures are
-// identical to a zero-fault run with the same seed. With
-// -checkpoint, completed site-months are journaled; a killed run restarted
-// with -resume picks up where it stopped without refetching.
+// identical to a zero-fault run with the same seed. Every archive answer is
+// a function of the seed, so a killed run recovers by running again: it
+// prints the same bytes.
 //
 // The crawl and the replay after it run ten wide, the paper's ten browser
 // instances (crawler.Browsers); the figures do not depend on the width.
@@ -19,7 +19,6 @@
 //
 //	adwars-wayback [-scale N] [-seed S] [-stride M]
 //	               [-fault-rate P]
-//	               [-checkpoint FILE] [-resume]
 package main
 
 import (
@@ -40,13 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	stride := flag.Int("stride", 1, "crawl every Mth month")
 	faultRate := flag.Float64("fault-rate", 0, "per-attempt transient archive failure probability (0 disables fault injection)")
-	checkpoint := flag.String("checkpoint", "", "journal completed site-months to this file")
-	resume := flag.Bool("resume", false, "restore journaled site-months from -checkpoint instead of refetching")
 	flag.Parse()
-
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
 
 	if *scale < 1 {
 		log.Fatalf("-scale %d: want a shrink factor of at least 1 (1 = paper scale)", *scale)
@@ -57,10 +50,8 @@ func main() {
 
 	var metrics crawler.Metrics
 	retroCfg := experiments.RetroConfig{
-		Months:         lab.RetroMonths(*stride),
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
-		Metrics:        &metrics,
+		Months:  lab.RetroMonths(*stride),
+		Metrics: &metrics,
 	}
 	if *faultRate > 0 {
 		retroCfg.Faults = wayback.DefaultFaultConfig(*faultRate, *seed)

@@ -2,19 +2,18 @@
 // Wayback Machine crawl of monthly snapshots (Figure 4's pipeline:
 // availability query → fetch → HAR/HTML storage → partial-snapshot
 // filtering) and the live-web crawl of §4.3. Crawls run across a worker
-// pool, honor context cancellation (returning the completed portion of the
-// month, not discarding it), and survive a faulty archive: a transient
-// failure (rate limiting, timeouts, truncated bodies, outages) is retried
-// with the next attempt number, up to maxAttempts per request, and a JSONL
-// journal checkpoints completed site-months so an interrupted crawl resumes
-// without refetching.
+// pool and survive a faulty archive: a transient failure (rate limiting,
+// timeouts, truncated bodies, outages) is retried with the next attempt
+// number, up to maxAttempts per request. A cancelled crawl returns
+// ctx.Err() and no result; every answer is a function of (seed, domain,
+// month, attempt), so recovering from an interrupted crawl means running it
+// again, which gives the same bytes.
 package crawler
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"adwars/internal/fanout"
@@ -25,16 +24,14 @@ import (
 // Status classifies one site-month crawl outcome.
 type Status int
 
-// Crawl outcomes. StatusPending marks sites a cancelled crawl never
-// finished (it appears only in partial results). StatusPartial corresponds
-// to HAR files discarded by the 10%-of-average-size rule; StatusExcluded
-// to domains the archive never stores; StatusNotArchived and
-// StatusOutdated to the availability API's failure modes. StatusError is
-// reserved for permanent failures and exhausted retry budgets — transient
-// archive failures are retried, not surfaced here.
+// Crawl outcomes. StatusPartial corresponds to HAR files discarded by the
+// 10%-of-average-size rule; StatusExcluded to domains the archive never
+// stores; StatusNotArchived and StatusOutdated to the availability API's
+// failure modes. StatusError is reserved for permanent failures and
+// exhausted retry budgets — transient archive failures are retried, not
+// surfaced here.
 const (
-	StatusPending Status = iota
-	StatusOK
+	StatusOK Status = iota
 	StatusExcluded
 	StatusNotArchived
 	StatusOutdated
@@ -45,8 +42,6 @@ const (
 // String names the status.
 func (s Status) String() string {
 	switch s {
-	case StatusPending:
-		return "pending"
 	case StatusOK:
 		return "ok"
 	case StatusExcluded:
@@ -100,72 +95,27 @@ const Browsers = 10
 // DefaultFaultConfig), so every transient resolves to the real answer.
 const maxAttempts = 8
 
-// Config controls one crawl.
-type Config struct {
-	// Metrics, when non-nil, accumulates crawl counters across calls.
-	Metrics *Metrics
-	// Journal, when non-nil, checkpoints completed site-months and
-	// restores previously journaled ones instead of refetching.
-	Journal *Journal
-}
-
 // CrawlMonth crawls the monthly snapshot of every domain: availability
 // query, fetch, then the partial-HAR filter (a snapshot whose HAR is
 // smaller than 10% of the month's average HAR size is discarded as
-// partial). Results keep the domain order of the input.
-//
-// On context cancellation the completed portion of the month is returned
-// alongside ctx.Err(): unfinished sites carry StatusPending, and — when a
-// Journal is configured — completed ones are already checkpointed, so a
-// resumed crawl picks up where this one stopped. The partial-snapshot rule
-// is only applied to complete months (its cutoff needs the whole month).
-func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month time.Time, cfg Config) (*MonthResult, error) {
+// partial). Results keep the domain order of the input. A cancelled crawl
+// returns nil and ctx.Err(). Crawl counters accumulate into m when it is
+// non-nil.
+func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month time.Time, m *Metrics) (*MonthResult, error) {
 	started := time.Now()
 	out := &MonthResult{Month: month, Results: make([]SiteResult, len(domains))}
-	for i, d := range domains {
-		out.Results[i] = SiteResult{Domain: d, Status: StatusPending}
-	}
-	var done map[string]SiteResult
-	if cfg.Journal != nil {
-		done = cfg.Journal.Completed(month)
-	}
-	c := &monthCrawler{a: a, month: month, cfg: cfg}
-
-	var journalErr error
-	var journalOnce sync.Once
-	err := fanout.ForEach(ctx, Browsers, len(domains), func(i int) {
-		if r, ok := done[domains[i]]; ok {
-			out.Results[i] = r
-			if cfg.Metrics != nil {
-				cfg.Metrics.Resumed.Add(1)
-			}
-			return
-		}
-		r, err := c.crawlOne(ctx, domains[i])
-		if err != nil {
-			return // cancelled mid-site: leave it pending
-		}
-		out.Results[i] = r
-		if cfg.Journal != nil {
-			if jerr := cfg.Journal.Record(month, r); jerr != nil {
-				journalOnce.Do(func() { journalErr = jerr })
-			}
-		}
+	c := &monthCrawler{a: a, month: month, m: m}
+	fanout.ForEach(ctx, Browsers, len(domains), func(i int) {
+		out.Results[i] = c.crawlOne(ctx, domains[i])
 	})
-	if err != nil {
-		// Cancelled: hand back the completed portion instead of
-		// discarding it. The month is incomplete, so the partial-HAR rule
-		// cannot run yet.
-		out.recount()
-		return out, err
+	// A site cancelled between attempts reads as StatusError, even once
+	// every site was handed out, so the whole month goes.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if journalErr != nil {
-		return nil, journalErr
-	}
-
-	markPartials(out)
+	harBytes := markPartials(out)
 	out.recount()
-	cfg.Metrics.observeMonth(out, time.Since(started))
+	m.observeMonth(out, harBytes, time.Since(started))
 	return out, nil
 }
 
@@ -173,7 +123,7 @@ func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month
 type monthCrawler struct {
 	a     *wayback.Archive
 	month time.Time
-	cfg   Config
+	m     *Metrics
 }
 
 // transientBody marks crawler-detected transient failures: a response body
@@ -204,11 +154,11 @@ func classify(err error) (transient bool, kind wayback.FaultKind) {
 // permanent failures are distinguished: transients are retried (and by the
 // fault model's consecutive-failure bound always resolve within
 // maxAttempts), while permanent failures and exhausted budgets land in
-// StatusError with the cause in Err. The returned error is non-nil only for
-// context cancellation.
-func (c *monthCrawler) crawlOne(ctx context.Context, domain string) (SiteResult, error) {
+// StatusError with the cause in Err — as does a request cut short by
+// cancellation, whose month CrawlMonth then drops.
+func (c *monthCrawler) crawlOne(ctx context.Context, domain string) SiteResult {
 	if c.a.ExclusionOf(domain) != wayback.ExclNone {
-		return SiteResult{Domain: domain, Status: StatusExcluded}, nil
+		return SiteResult{Domain: domain, Status: StatusExcluded}
 	}
 	var closest *wayback.ClosestSnapshot
 	err := c.withRetry(ctx, domain, func(attempt int) error {
@@ -224,21 +174,21 @@ func (c *monthCrawler) crawlOne(ctx context.Context, domain string) (SiteResult,
 		return nil
 	})
 	if err != nil {
-		return c.failed(ctx, domain, err)
+		return SiteResult{Domain: domain, Status: StatusError, Err: err}
 	}
 	if closest == nil {
 		// Empty JSON response: the page is not archived.
-		return SiteResult{Domain: domain, Status: StatusNotArchived}, nil
+		return SiteResult{Domain: domain, Status: StatusNotArchived}
 	}
 	ts, err := closest.Time()
 	if err != nil {
 		// Well-formed JSON carrying a malformed timestamp is an API
 		// anomaly no retry fixes.
-		return SiteResult{Domain: domain, Status: StatusError, Err: err}, nil
+		return SiteResult{Domain: domain, Status: StatusError, Err: err}
 	}
 	if !wayback.WithinSkew(c.month, ts) {
 		// The closest snapshot is too far from the requested date.
-		return SiteResult{Domain: domain, Status: StatusOutdated}, nil
+		return SiteResult{Domain: domain, Status: StatusOutdated}
 	}
 	var snap *wayback.Snapshot
 	err = c.withRetry(ctx, domain, func(attempt int) error {
@@ -250,18 +200,9 @@ func (c *monthCrawler) crawlOne(ctx context.Context, domain string) (SiteResult,
 		return nil
 	})
 	if err != nil {
-		return c.failed(ctx, domain, err)
+		return SiteResult{Domain: domain, Status: StatusError, Err: err}
 	}
-	return SiteResult{Domain: domain, Status: StatusOK, Snapshot: snap}, nil
-}
-
-// failed folds a withRetry error into a result, propagating only context
-// cancellation as an error.
-func (c *monthCrawler) failed(ctx context.Context, domain string, err error) (SiteResult, error) {
-	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		return SiteResult{Domain: domain, Status: StatusPending}, err
-	}
-	return SiteResult{Domain: domain, Status: StatusError, Err: err}, nil
+	return SiteResult{Domain: domain, Status: StatusOK, Snapshot: snap}
 }
 
 // withRetry runs one archive request, fn, with attempt numbers 0, 1, …:
@@ -270,7 +211,7 @@ func (c *monthCrawler) failed(ctx context.Context, domain string, err error) (Si
 // function of the attempt number, so retrying is all that changes what comes
 // back; nothing is waited. Cancellation is checked before each retry.
 func (c *monthCrawler) withRetry(ctx context.Context, domain string, fn func(attempt int) error) error {
-	m := c.cfg.Metrics
+	m := c.m
 	for attempt := 0; ; {
 		err := fn(attempt)
 		if err == nil {
@@ -303,8 +244,9 @@ func (c *monthCrawler) withRetry(ctx context.Context, domain string, fn func(att
 }
 
 // markPartials applies the paper's partial-snapshot rule: discard HARs
-// whose size is below 10% of the average fetched HAR size.
-func markPartials(m *MonthResult) {
+// whose size is below 10% of the average fetched HAR size. It returns the
+// total HAR size of the snapshots that stay.
+func markPartials(m *MonthResult) int {
 	total, n := 0, 0
 	sizes := make([]int, len(m.Results))
 	for i, r := range m.Results {
@@ -315,15 +257,17 @@ func markPartials(m *MonthResult) {
 		}
 	}
 	if n == 0 {
-		return
+		return 0
 	}
 	cutoff := total / n / 10
 	for i, r := range m.Results {
 		if r.Status == StatusOK && sizes[i] < cutoff {
 			m.Results[i].Status = StatusPartial
 			m.Results[i].Snapshot = nil
+			total -= sizes[i]
 		}
 	}
+	return total
 }
 
 // LiveSource produces current pages for the live-web crawl; ok=false for
@@ -336,28 +280,23 @@ type LiveSource interface {
 type LiveResult struct {
 	Domain string
 	Page   *web.Page // nil when unreachable
-	// Crawled distinguishes visited-but-unreachable sites from sites a
-	// cancelled crawl never reached.
-	Crawled bool
 }
 
 // CrawlLive visits every domain on the live web (§4.3). Unreachable sites
 // yield a nil Page; the caller counts reachable ones (experiments' target
-// L1 holds the paper's). On cancellation the completed portion is returned
-// alongside ctx.Err(), with unvisited sites carrying Crawled=false.
-func CrawlLive(ctx context.Context, src LiveSource, domains []string, cfg Config) ([]LiveResult, error) {
+// L1 holds the paper's). A cancelled crawl returns nil and ctx.Err(). Crawl
+// counters accumulate into m when it is non-nil.
+func CrawlLive(ctx context.Context, src LiveSource, domains []string, m *Metrics) ([]LiveResult, error) {
 	out := make([]LiveResult, len(domains))
-	for i, d := range domains {
-		out[i] = LiveResult{Domain: d}
-	}
 	err := fanout.ForEach(ctx, Browsers, len(domains), func(i int) {
-		p, ok := src.LivePage(domains[i])
-		if ok {
-			out[i] = LiveResult{Domain: domains[i], Page: p, Crawled: true}
-		} else {
-			out[i] = LiveResult{Domain: domains[i], Crawled: true}
+		out[i].Domain = domains[i]
+		if p, ok := src.LivePage(domains[i]); ok {
+			out[i].Page = p
 		}
 	})
-	cfg.Metrics.observeLive(out)
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	m.observeLive(out)
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -46,7 +45,7 @@ func buildWorld(n int) (*wayback.Archive, stubSource, []string) {
 func TestCrawlMonth(t *testing.T) {
 	a, _, domains := buildWorld(400)
 	m := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
-	res, err := CrawlMonth(context.Background(), a, domains, m, Config{})
+	res, err := CrawlMonth(context.Background(), a, domains, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +87,12 @@ func TestCrawlMonthDeterministic(t *testing.T) {
 	a, _, domains := buildWorld(200)
 	m := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
 	setProcs(t, 1)
-	r1, err := CrawlMonth(context.Background(), a, domains, m, Config{})
+	r1, err := CrawlMonth(context.Background(), a, domains, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setProcs(t, 3)
-	r2, err := CrawlMonth(context.Background(), a, domains, m, Config{})
+	r2, err := CrawlMonth(context.Background(), a, domains, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +103,31 @@ func TestCrawlMonthDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrawlMonthCancellation: a month cancelled before it starts or part
+// way through returns no result and context.Canceled, and counts nothing.
 func TestCrawlMonthCancellation(t *testing.T) {
-	a, _, domains := buildWorld(300)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := CrawlMonth(ctx, a, domains, time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC), Config{})
-	if err == nil {
-		t.Fatal("cancelled crawl must return an error")
+	month := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name string
+		at   int64 // the page whose build cancels the crawl; 0 cancels first
+	}{{"before", 0}, {"midway", 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, src, domains := buildFaultyWorld(300, 0.15)
+			a := faultyArchive(&cancelAfter{SiteSource: src, n: tc.at, cancel: cancel}, domains, 0.15)
+			if tc.at == 0 {
+				cancel()
+			}
+			var m Metrics
+			res, err := CrawlMonth(ctx, a, domains, month, &m)
+			if res != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled crawl returned (result %t, %v), want (no result, context.Canceled)", res != nil, err)
+			}
+			if m.PagesFetched.Load()+m.PagesMissing.Load()+m.BusyNanos.Load() != 0 {
+				t.Fatalf("a cancelled month was counted: %s", &m)
+			}
+		})
 	}
 }
 
@@ -119,7 +136,7 @@ func TestCrawlLive(t *testing.T) {
 	// Make a few domains unreachable.
 	delete(src, domains[3])
 	delete(src, domains[77])
-	res, err := CrawlLive(context.Background(), src, domains, Config{})
+	res, err := CrawlLive(context.Background(), src, domains, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +155,13 @@ func TestCrawlLiveCancellation(t *testing.T) {
 	_, src, domains := buildWorld(50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CrawlLive(ctx, src, domains, Config{}); err == nil {
-		t.Fatal("cancelled live crawl must return an error")
+	var m Metrics
+	res, err := CrawlLive(ctx, src, domains, &m)
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled live crawl returned (%d results, %v), want (nil, context.Canceled)", len(res), err)
+	}
+	if m.PagesFetched.Load()+m.PagesMissing.Load() != 0 {
+		t.Fatalf("a cancelled live crawl was counted: %s", &m)
 	}
 }
 
@@ -230,12 +252,12 @@ func TestCrawlMonthFaultEquivalence(t *testing.T) {
 	clean, _, domains := buildWorld(400)
 	faulty, _, _ := buildFaultyWorld(400, 0.10)
 	m := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
-	want, err := CrawlMonth(context.Background(), clean, domains, m, Config{})
+	want, err := CrawlMonth(context.Background(), clean, domains, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var metrics Metrics
-	got, err := CrawlMonth(context.Background(), faulty, domains, m, Config{Metrics: &metrics})
+	got, err := CrawlMonth(context.Background(), faulty, domains, m, &metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +298,7 @@ func TestRetryBudgetOutlastsFaultModel(t *testing.T) {
 func TestCrawlMonthOutageBudget(t *testing.T) {
 	clean, src, domains := buildWorld(300)
 	month := time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)
-	want, err := CrawlMonth(context.Background(), clean, domains, month, Config{})
+	want, err := CrawlMonth(context.Background(), clean, domains, month, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +308,7 @@ func TestCrawlMonthOutageBudget(t *testing.T) {
 		cfg.Robots, cfg.Admin, cfg.Undefined = 10, 2, 3
 		cfg.Faults = wayback.FaultConfig{OutageRate: 1, OutageDepth: depth, Seed: 7}
 		var metrics Metrics
-		res, err := CrawlMonth(context.Background(), wayback.New(src, domains, cfg), domains, month, Config{Metrics: &metrics})
+		res, err := CrawlMonth(context.Background(), wayback.New(src, domains, cfg), domains, month, &metrics)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +346,8 @@ func TestCrawlMonthOutageBudget(t *testing.T) {
 
 // TestWithRetryObservesCancellation: a transient failure is retried only
 // while the crawl is live. A cancelled crawl stops after the attempt in
-// flight and reports ctx.Err(), which crawlOne turns into a pending site.
+// flight and reports ctx.Err(), which CrawlMonth returns in place of the
+// month.
 func TestWithRetryObservesCancellation(t *testing.T) {
 	fail := &wayback.TransientError{Kind: wayback.FaultTimeout, Domain: "x.com"}
 	for _, tc := range []struct {
@@ -339,7 +362,7 @@ func TestWithRetryObservesCancellation(t *testing.T) {
 				cancel()
 			}
 			var m Metrics
-			c := &monthCrawler{cfg: Config{Metrics: &m}}
+			c := &monthCrawler{m: &m}
 			calls := 0
 			err := c.withRetry(ctx, "x.com", func(attempt int) error {
 				if attempt != calls {
@@ -358,127 +381,5 @@ func TestWithRetryObservesCancellation(t *testing.T) {
 				t.Fatalf("Retries = %d, want %d", got, tc.calls-1)
 			}
 		})
-	}
-}
-
-// TestCrawlMonthPartialOnCancel verifies cancellation no longer discards
-// completed work: the partial MonthResult comes back alongside ctx.Err().
-func TestCrawlMonthPartialOnCancel(t *testing.T) {
-	a, _, domains := buildWorld(300)
-	ctx, cancel := context.WithCancel(context.Background())
-	month := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	cfg := Config{}
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	res, err := CrawlMonth(ctx, a, domains, month, cfg)
-	if err == nil {
-		// The crawl may win the race; retry with immediate cancellation
-		// to at least pin the contract below.
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		cancel2()
-		res, err = CrawlMonth(ctx2, a, domains, month, cfg)
-	}
-	if err == nil {
-		t.Skip("crawl completed before cancellation on this machine")
-	}
-	if res == nil {
-		t.Fatal("cancelled crawl must return the partial MonthResult, not nil")
-	}
-	if len(res.Results) != len(domains) {
-		t.Fatalf("partial result has %d slots, want %d", len(res.Results), len(domains))
-	}
-	total := 0
-	for _, c := range res.Counts {
-		total += c
-	}
-	if total != len(domains) {
-		t.Fatalf("partial counts sum to %d", total)
-	}
-	for _, r := range res.Results {
-		if r.Status == StatusPending && r.Snapshot != nil {
-			t.Fatal("pending result carries a snapshot")
-		}
-	}
-}
-
-// TestCrawlMonthResumeAfterCancel kills a faulty crawl mid-month from its
-// page source, then resumes from the journal and checks the final result
-// matches an uninterrupted run — without refetching journaled sites.
-func TestCrawlMonthResumeAfterCancel(t *testing.T) {
-	month := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
-	cleanArch, _, domains := buildFaultyWorld(300, 0.15)
-	want, err := CrawlMonth(context.Background(), cleanArch, domains, month, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interrupt: cancel after enough pages that a chunk of the month is
-	// done but not all of it.
-	_, src, _ := buildFaultyWorld(300, 0.15)
-	ctx, cancel := context.WithCancel(context.Background())
-	arch := faultyArchive(&cancelAfter{SiteSource: src, n: 100, cancel: cancel}, domains, 0.15)
-	partial, err := CrawlMonth(ctx, arch, domains, month, Config{Journal: j})
-	j.Close()
-	if err == nil {
-		t.Fatal("interrupted crawl should have been cancelled (fault rate too low?)")
-	}
-	if partial == nil || partial.Counts[StatusPending] == 0 {
-		t.Fatal("cancellation should leave pending sites")
-	}
-	completedFirst := len(domains) - partial.Counts[StatusPending]
-	if completedFirst == 0 {
-		t.Fatal("cancellation left no completed work to resume from")
-	}
-
-	// Resume: journaled sites must be restored, not refetched.
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	arch2, _, _ := buildFaultyWorld(300, 0.15)
-	var metrics Metrics
-	got, err := CrawlMonth(context.Background(), arch2, domains, month,
-		Config{Journal: j2, Metrics: &metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Resumed.Load() == 0 {
-		t.Fatal("no site-months restored from the journal")
-	}
-	if int(metrics.Resumed.Load()) < completedFirst {
-		t.Fatalf("resumed %d < %d journaled", metrics.Resumed.Load(), completedFirst)
-	}
-	for i := range want.Results {
-		if got.Results[i].Status != want.Results[i].Status {
-			t.Fatalf("%s: resumed %v != uninterrupted %v", domains[i],
-				got.Results[i].Status, want.Results[i].Status)
-		}
-	}
-}
-
-// TestCrawlLivePartialOnCancel pins the live-crawl half of the contract.
-func TestCrawlLivePartialOnCancel(t *testing.T) {
-	_, src, domains := buildWorld(100)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := CrawlLive(ctx, src, domains, Config{})
-	if err == nil {
-		t.Fatal("cancelled live crawl must surface ctx.Err()")
-	}
-	if res == nil || len(res) != len(domains) {
-		t.Fatal("cancelled live crawl must return the partial slice")
-	}
-	for _, r := range res {
-		if !r.Crawled && r.Page != nil {
-			t.Fatal("uncrawled result carries a page")
-		}
 	}
 }

@@ -21,7 +21,9 @@ type Metrics struct {
 	Errors atomic.Int64
 	// HARBytes accumulates serialized HAR sizes of fetched snapshots.
 	HARBytes atomic.Int64
-	// BusyNanos accumulates worker time spent crawling.
+	// BusyNanos accumulates the wall time of each completed CrawlMonth
+	// call, from its start to its return; concurrent months overlap in it,
+	// and the live crawl adds nothing.
 	BusyNanos atomic.Int64
 
 	// TransientFailures counts transient archive failures observed
@@ -34,23 +36,19 @@ type Metrics struct {
 	// RetriesExhausted counts requests whose attempt budget ran out —
 	// the only way a transient failure becomes a StatusError.
 	RetriesExhausted atomic.Int64
-	// Resumed counts site-months restored from the checkpoint journal
-	// instead of refetched.
-	Resumed atomic.Int64
 }
 
-// observeMonth folds one month's results into the metrics.
-func (m *Metrics) observeMonth(res *MonthResult, took time.Duration) {
+// observeMonth folds one month's results into the metrics; harBytes is the
+// total HAR size of its fetched snapshots, as markPartials summed it.
+func (m *Metrics) observeMonth(res *MonthResult, harBytes int, took time.Duration) {
 	if m == nil {
 		return
 	}
+	m.HARBytes.Add(int64(harBytes))
 	for _, r := range res.Results {
 		switch r.Status {
-		case StatusPending:
-			// Cancelled before completion: not an outcome.
 		case StatusOK:
 			m.PagesFetched.Add(1)
-			m.HARBytes.Add(int64(r.Snapshot.HAR.Size()))
 		case StatusPartial:
 			m.PartialSnapshots.Add(1)
 		case StatusError:
@@ -68,12 +66,9 @@ func (m *Metrics) observeLive(res []LiveResult) {
 		return
 	}
 	for _, r := range res {
-		switch {
-		case !r.Crawled:
-			// Cancelled before the visit.
-		case r.Page != nil:
+		if r.Page != nil {
 			m.PagesFetched.Add(1)
-		default:
+		} else {
 			m.PagesMissing.Add(1)
 		}
 	}
@@ -84,10 +79,10 @@ func (m *Metrics) String() string {
 	out := fmt.Sprintf("fetched=%d missing=%d partial=%d errors=%d har=%dKiB busy=%s",
 		m.PagesFetched.Load(), m.PagesMissing.Load(), m.PartialSnapshots.Load(), m.Errors.Load(),
 		m.HARBytes.Load()/1024, time.Duration(m.BusyNanos.Load()).Round(time.Millisecond))
-	transient, retries, resumed := m.TransientFailures.Load(), m.Retries.Load(), m.Resumed.Load()
-	if transient > 0 || retries > 0 || resumed > 0 {
-		out += fmt.Sprintf(" transient=%d retries=%d ratelimited=%d exhausted=%d resumed=%d",
-			transient, retries, m.RateLimited.Load(), m.RetriesExhausted.Load(), resumed)
+	transient, retries := m.TransientFailures.Load(), m.Retries.Load()
+	if transient > 0 || retries > 0 {
+		out += fmt.Sprintf(" transient=%d retries=%d ratelimited=%d exhausted=%d",
+			transient, retries, m.RateLimited.Load(), m.RetriesExhausted.Load())
 	}
 	return out
 }

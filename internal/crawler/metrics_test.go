@@ -11,14 +11,13 @@ import (
 func TestMetricsAccumulate(t *testing.T) {
 	a, _, domains := buildWorld(300)
 	var m Metrics
-	cfg := Config{Metrics: &m}
 	months := []time.Time{
 		time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC),
 	}
 	total := 0
 	for _, month := range months {
-		res, err := CrawlMonth(context.Background(), a, domains, month, cfg)
+		res, err := CrawlMonth(context.Background(), a, domains, month, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +45,7 @@ func TestMetricsNilSafe(t *testing.T) {
 	a, _, domains := buildWorld(50)
 	// No metrics configured: must not panic.
 	if _, err := CrawlMonth(context.Background(), a, domains,
-		time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), Config{}); err != nil {
+		time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,8 +59,7 @@ func TestMetricsConcurrentCrawls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			month := time.Date(2013+i, 5, 1, 0, 0, 0, 0, time.UTC)
-			_, err := CrawlMonth(context.Background(), a, domains, month,
-				Config{Metrics: &m})
+			_, err := CrawlMonth(context.Background(), a, domains, month, &m)
 			if err != nil {
 				t.Error(err)
 			}

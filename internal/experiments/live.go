@@ -42,7 +42,7 @@ type LiveResult struct {
 // the most recent list versions.
 func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	domains := l.World.TopDomains(l.World.Cfg.UniverseSize)
-	results, err := crawler.CrawlLive(ctx, l.World, domains, crawler.Config{Metrics: cfg.Metrics})
+	results, err := crawler.CrawlLive(ctx, l.World, domains, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"os"
-	"path/filepath"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"adwars/internal/crawler"
 	"adwars/internal/simworld"
@@ -13,7 +13,7 @@ import (
 )
 
 // resilienceLab builds a small private lab (top-100 crawl) so fault and
-// checkpoint runs don't disturb the shared test lab.
+// cancellation runs don't disturb the shared test lab.
 func resilienceLab() *Lab { return NewLab(simworld.Scaled(3, 50)) }
 
 // TestRetroFaultEquivalence is the PR's headline acceptance claim at full
@@ -59,97 +59,58 @@ func TestRetroFaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestRetroCheckpointResume interrupts the study after a prefix of months,
-// then resumes from the journal: the final figures must be byte-identical
-// to an uninterrupted run, with the journaled site-months restored rather
-// than refetched.
-func TestRetroCheckpointResume(t *testing.T) {
-	faults := wayback.DefaultFaultConfig(0.10, 0)
-	l := resilienceLab()
-	months := l.RetroMonths(6)
-	want, err := l.RunRetrospective(context.Background(), RetroConfig{
-		Months: months, Faults: faults,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "retro.jsonl")
-	// "Killed" first run: only the first 4 months complete.
-	if _, err := l.RunRetrospective(context.Background(), RetroConfig{
-		Months: months[:4], Faults: faults, CheckpointPath: path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	var metrics crawler.Metrics
-	got, err := l.RunRetrospective(context.Background(), RetroConfig{
-		Months: months, Faults: faults,
-		CheckpointPath: path, Resume: true, Metrics: &metrics,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if metrics.Resumed.Load() == 0 {
-		t.Fatal("resume refetched everything instead of restoring the journal")
-	}
-	if g, w := got.RenderFig5(), want.RenderFig5(); g != w {
-		t.Errorf("Figure 5 diverged after resume:\nwant:\n%s\ngot:\n%s", w, g)
-	}
-	if g, w := got.RenderFig6(), want.RenderFig6(); g != w {
-		t.Errorf("Figure 6 diverged after resume:\nwant:\n%s\ngot:\n%s", w, g)
-	}
+// cutAfterFirstMonth cancels itself the first time it is asked for its
+// error, after answering that first question with nil. Without archive
+// faults the crawl asks once per month, when the month's sites are all
+// crawled, so the first month completes and the second is cut.
+type cutAfterFirstMonth struct {
+	context.Context
+	cancel context.CancelFunc
+	once   sync.Once
 }
 
-// TestRetroResumeFromEveryCut: a study killed at any byte of its journal
-// resumes to the figures of a clean run. What a cut restores depends only on
-// which lines it holds whole (crawler's TestJournalCrashAtEveryByte reopens
-// every byte), so the study resumes from each line's end and from the middle
-// of each line, torn.
-func TestRetroResumeFromEveryCut(t *testing.T) {
+func (c *cutAfterFirstMonth) Err() error {
+	err := c.Context.Err()
+	c.once.Do(c.cancel)
+	return err
+}
+
+// TestRetroRerunAfterCancel is the recovery the crawl has: a PrepareReplay
+// cancelled after its first month's crawl returns context.Canceled and no
+// run — whether the cut lands in the next month's crawl or, with one month
+// scheduled, while that month's sites are still being prepared for the
+// replay — and running it again on the same lab renders the figures of an
+// uninterrupted run on a lab that was never cancelled.
+func TestRetroRerunAfterCancel(t *testing.T) {
+	months := resilienceLab().RetroMonths(6)
+	want, err := resilienceLab().RunRetrospective(context.Background(), RetroConfig{Months: months})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	l := resilienceLab()
-	months := l.RetroMonths(6)
-	cfg := RetroConfig{TopN: 10, Months: months[len(months)-3:]}
-	want, err := l.RunRetrospective(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cfg.CheckpointPath = filepath.Join(dir, "whole.jsonl")
-	if _, err := l.RunRetrospective(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cuts []int
-	for start := 0; start < len(data); {
-		end := start + bytes.IndexByte(data[start:], '\n') + 1
-		cuts = append(cuts, (start+end)/2, end)
-		start = end
-	}
-	cfg.CheckpointPath, cfg.Resume = filepath.Join(dir, "cut.jsonl"), true
-	for _, n := range cuts {
-		if err := os.WriteFile(cfg.CheckpointPath, data[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, cut := range [][]time.Time{months, months[:1]} {
+		ctx, cancel := context.WithCancel(context.Background())
 		var metrics crawler.Metrics
-		cfg.Metrics = &metrics
-		got, err := l.RunRetrospective(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("cut at %d of %d: %v", n, len(data), err)
+		run, err := l.PrepareReplay(&cutAfterFirstMonth{Context: ctx, cancel: cancel}, RetroConfig{Months: cut, Metrics: &metrics})
+		cancel()
+		if run != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d months, cancelled: PrepareReplay returned (run %t, %v), want (no run, context.Canceled)", len(cut), run != nil, err)
 		}
-		if g, w := got.RenderFig5()+got.RenderFig6(), want.RenderFig5()+want.RenderFig6(); g != w {
-			t.Fatalf("cut at %d of %d (%d site-months restored): figures diverged:\nwant:\n%s\ngot:\n%s", n, len(data), metrics.Resumed.Load(), w, g)
-		}
-		// The whole journal (its last cut) restores every site-month of it.
-		if n == len(data) && metrics.Resumed.Load() != int64(len(cuts)/2-1) {
-			t.Fatalf("the whole journal restored %d site-months, it holds %d", metrics.Resumed.Load(), len(cuts)/2-1)
+		if metrics.PagesFetched.Load() == 0 {
+			t.Fatalf("%d months: the cancelled run crawled no month before it was cut", len(cut))
 		}
 	}
-	if len(cuts) < 20 {
-		t.Fatalf("%d cuts: the journal holds too few lines to exercise resume", len(cuts))
+
+	run, err := l.PrepareReplay(context.Background(), RetroConfig{Months: months})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run.Replay()
+	if g, w := got.RenderFig5(), want.RenderFig5(); g != w {
+		t.Errorf("Figure 5 diverged after a cancelled run:\nwant:\n%s\ngot:\n%s", w, g)
+	}
+	if g, w := got.RenderFig6(), want.RenderFig6(); g != w {
+		t.Errorf("Figure 6 diverged after a cancelled run:\nwant:\n%s\ngot:\n%s", w, g)
 	}
 }

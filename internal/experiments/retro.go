@@ -27,12 +27,6 @@ type RetroConfig struct {
 	// absorbs every transient, so Figure 5/6 output is identical to a
 	// zero-fault run with the same seed.
 	Faults wayback.FaultConfig
-	// CheckpointPath, when set, journals completed site-months to this
-	// file so an interrupted run can restart without refetching.
-	CheckpointPath string
-	// Resume restores journaled site-months from CheckpointPath instead
-	// of starting clean.
-	Resume bool
 	// Metrics, when non-nil, accumulates crawl counters for reporting.
 	Metrics *crawler.Metrics
 	// Shards is ignored: the replay runs crawler.Browsers wide. It stays
@@ -104,8 +98,9 @@ type siteInput struct {
 }
 
 // PrepareReplay runs the crawl half of RunRetrospective: every month's
-// top-N snapshots fetched (with retries, checkpointing, and resume),
-// ready to be replayed against historic list versions.
+// top-N snapshots fetched (with retries), ready to be replayed against
+// historic list versions. A cancelled crawl returns ctx.Err() and no run;
+// running it again gives the same snapshots.
 func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, error) {
 	if cfg.TopN <= 0 {
 		cfg.TopN = int(5000 * l.Scale())
@@ -124,23 +119,6 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 	archCfg.Faults = cfg.Faults
 	arch := wayback.New(l.World, domains, archCfg)
 
-	var journal *crawler.Journal
-	if cfg.CheckpointPath != "" {
-		var err error
-		journal, err = crawler.OpenJournal(cfg.CheckpointPath, cfg.Resume)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-		}
-		defer journal.Close()
-		// Refuse journals from a different world: their artifacts would
-		// silently change the figures.
-		fp := fmt.Sprintf("seed=%d topn=%d", l.Seed, cfg.TopN)
-		if err := journal.Stamp(fp); err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-		}
-	}
-	crawlCfg := crawler.Config{Metrics: cfg.Metrics, Journal: journal}
-
 	run := &ReplayRun{lab: l}
 	// A domain's snapshot HTML changes only with its content year or its
 	// deployment, so its DOM views are kept while the HTML is byte-equal
@@ -148,7 +126,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 	lastHTML := make([]string, len(domains))
 	lastViews := make([][]*abp.Element, len(domains))
 	for _, month := range cfg.Months {
-		mr, err := crawler.CrawlMonth(ctx, arch, domains, month, crawlCfg)
+		mr, err := crawler.CrawlMonth(ctx, arch, domains, month, cfg.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crawl %s: %w", stats.MonthLabel(month), err)
 		}
@@ -157,7 +135,7 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		// and the HTML is parsed. Both are per-snapshot constants, so they
 		// belong to the crawl half, not the (repeatable) replay half.
 		inputs := make([]siteInput, len(mr.Results))
-		fanout.ForEach(ctx, crawler.Browsers, len(mr.Results), func(i int) {
+		err = fanout.ForEach(ctx, crawler.Browsers, len(mr.Results), func(i int) {
 			sr := mr.Results[i]
 			if sr.Status != crawler.StatusOK {
 				return
@@ -172,6 +150,10 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 			}
 			inputs[i] = siteInput{reqs: reqs, views: lastViews[i]}
 		})
+		if err != nil {
+			// Cancelled with sites unprepared: no run, as for the crawl.
+			return nil, err
+		}
 		run.months = append(run.months, mr)
 		run.inputs = append(run.inputs, inputs)
 		run.exclude = mr.Counts[crawler.StatusExcluded]

@@ -1,11 +1,10 @@
 // Package har implements the HTTP Archive (HAR) 1.2 format the crawler
 // stores request/response logs in, mirroring the paper's Firebug+NetExport
-// pipeline. Only the fields the measurement consumes are modeled; encoding
-// is standard JSON so the archives are interoperable.
+// pipeline. Only the fields the measurement consumes are modeled. Nothing
+// writes a log to disk: Size counts its JSON encoding without making it.
 package har
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -125,37 +124,8 @@ func (l *Log) URLs() []string {
 	return out
 }
 
-// Marshal encodes the log as HAR JSON (the {"log": …} envelope).
-func Marshal(l *Log) ([]byte, error) {
-	return json.Marshal(struct {
-		Log *Log `json:"log"`
-	}{l})
-}
-
-// Unmarshal decodes HAR JSON produced by Marshal (or any HAR 1.2 file
-// restricted to the modeled fields). An entry whose _resourceType is not an
-// abp request type is an error; an absent one means "other".
-func Unmarshal(data []byte) (*Log, error) {
-	var wrapper struct {
-		Log *Log `json:"log"`
-	}
-	if err := json.Unmarshal(data, &wrapper); err != nil {
-		return nil, fmt.Errorf("har: %w", err)
-	}
-	if wrapper.Log == nil {
-		return nil, fmt.Errorf("har: missing log envelope")
-	}
-	// The replay matches each entry with its recorded type, so a type the
-	// matcher does not know is refused here rather than matched as none.
-	for i, e := range wrapper.Log.Entries {
-		if !abp.RequestType(e.Request.ResourceType).Valid() {
-			return nil, fmt.Errorf("har: entry %d (%s): unknown _resourceType %q", i, e.Request.URL, e.Request.ResourceType)
-		}
-	}
-	return wrapper.Log, nil
-}
-
-// Size returns len(Marshal(l)) without encoding, or 0 where Marshal fails
+// Size returns the length of the log's HAR JSON (the {"log": …} envelope,
+// as encoding/json writes it) without encoding, or 0 where encoding fails
 // (a time outside years 0–9999 or with a zone a day or more off UTC): strings
 // are counted as encoding/json escapes them, times as MarshalJSON writes
 // them. crawler.markPartials uses it to discard a HAR under 10% of the
