@@ -51,7 +51,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 24464
+LOC_CEILING = 24591
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -149,12 +149,16 @@ bench-smoke:
 # FuzzOpenSections: the one-pass sectioned reader accepts and refuses what
 # Open followed by the old two-pass section walk did, for the same reason,
 # and returns the same sections and version. Its seeds are whole sealed
-# files, hence the cap. Last, ten seconds of FuzzLogSize: the crawl's
+# files, hence the cap. Then ten seconds of FuzzLogSize: the crawl's
 # partial-snapshot rule reads har.Log.Size, which counts the encoding
 # instead of running it, so for any URL, body, title and MIME strings (HTML
 # bytes, controls, invalid UTF-8, U+2028/2029) and any time (any zone,
 # nanoseconds, years outside 0–9999) it must equal len(Marshal), and be 0
-# where Marshal fails.
+# where Marshal fails. Last, ten seconds of FuzzHiddenElements: for any list,
+# page and elements, the element hiding index (abp.Hiding: selectors by id,
+# the id-less bucket, the per-page domain memo, the $elemhide and
+# $generichide toggles) hides what a linear scan of the list's hiding
+# rules, each selector parsed afresh, hides.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchDifferential -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzReadModelSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/ml
@@ -168,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGuard -fuzztime 10s ./internal/abp
 	$(GO) test -run '^$$' -fuzz FuzzOpenSections -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzLogSize -fuzztime 10s ./internal/har
+	$(GO) test -run '^$$' -fuzz FuzzHiddenElements -fuzztime 10s ./internal/abp
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical

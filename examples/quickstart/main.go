@@ -43,12 +43,15 @@ smashboards.com###noticeMain
 		fmt.Println()
 	}
 
-	// 3. Hide anti-adblock warning elements.
+	// 3. Hide anti-adblock warning elements. The list matches requests
+	// only; its element hiding rules are indexed once per list version,
+	// beside it, and the index is shared by every page.
+	hiding := abp.NewHiding(list)
 	elems := []*abp.Element{
 		{Tag: "div", ID: "noticeMain"},
 		{Tag: "div", ID: "content"},
 	}
-	hidden := list.HiddenElements("smashboards.com", elems)
+	hidden := hiding.HiddenElements("smashboards.com", elems)
 	for i := range elems {
 		state := "visible"
 		if _, ok := hidden[i]; ok {

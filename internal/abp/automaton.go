@@ -192,7 +192,7 @@ func selectKeywords(rules []*Rule) []kwSpan {
 			continue
 		}
 		// The runs come from the pattern as the matcher compares it
-		// (foldPattern), A–Z folded: a byte ≥ 0x80 never joins a run.
+		// (matchURLCtx), A–Z folded: a byte ≥ 0x80 never joins a run.
 		pat := lowerASCII(r.Pattern)
 		for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {
 			id, seen := ids[pat[i:j]]

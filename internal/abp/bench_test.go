@@ -191,7 +191,7 @@ func BenchmarkParseRule(b *testing.B) {
 
 // BenchmarkElementHiding measures element hiding over a 50-element DOM.
 func BenchmarkElementHiding(b *testing.B) {
-	list := NewList("bench", benchRules(500))
+	hiding := NewHiding(NewList("bench", benchRules(500)))
 	elems := make([]*Element, 50)
 	for i := range elems {
 		elems[i] = &Element{Tag: "div", ID: fmt.Sprintf("el%d", i), Classes: []string{"c"}}
@@ -200,7 +200,7 @@ func BenchmarkElementHiding(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		list.HiddenElements("site0002.com", elems)
+		hiding.HiddenElements("site0002.com", elems)
 	}
 }
 

@@ -10,7 +10,9 @@
 //
 // The central types are Rule (a single parsed filter rule), List (a compiled
 // rule set with exception semantics: one automaton that finds the
-// candidate rules for a URL, one linear oracle the tests hold it to), and
-// History (a time-ordered sequence of list revisions, used to replay the
-// list as it existed at any point in the measurement window).
+// candidate rules for a URL, one linear oracle the tests hold it to), Hiding
+// (a list's element hiding rules indexed by selector, built apart from the
+// list where pages are hidden), and History (a time-ordered sequence of list
+// revisions, used to replay the list as it existed at any point in the
+// measurement window).
 package abp

@@ -25,10 +25,13 @@ type History struct {
 
 	// compiled caches one *List per revision index, so replaying 60 months
 	// against a history compiles each revision once instead of once per
-	// month. Guarded by mu; safe for concurrent ListAt callers (the sharded
-	// replay hits the same revision from many workers).
+	// month, and hidings its element hiding index (NewHiding), built the
+	// first time one is asked for. Guarded by mu; safe for concurrent
+	// ListAt and HidingAt callers (the replay hits the same revision from
+	// many workers).
 	mu       sync.Mutex
 	compiled map[int]*List
+	hidings  map[int]*Hiding
 }
 
 // NewHistory creates an empty history for the named list.
@@ -79,6 +82,28 @@ func (h *History) ListAt(t time.Time) *List {
 		return nil
 	}
 	return h.listFor(i)
+}
+
+// HidingAt returns the element hiding index of the list as it existed at
+// time t, NewHiding(ListAt(t)), or nil if the list did not exist yet. It is
+// built once per revision, like the list, and shared.
+func (h *History) HidingAt(t time.Time) *Hiding {
+	i := h.indexAt(t)
+	if i < 0 {
+		return nil
+	}
+	l := h.listFor(i)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if x, ok := h.hidings[i]; ok {
+		return x
+	}
+	if h.hidings == nil {
+		h.hidings = make(map[int]*Hiding)
+	}
+	x := NewHiding(l)
+	h.hidings[i] = x
+	return x
 }
 
 // LatestList returns the compiled most recent revision (nil for an empty

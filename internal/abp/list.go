@@ -28,12 +28,13 @@ func (d Decision) String() string {
 	}
 }
 
-// List is a compiled filter list: rules split by kind, with one match
+// List is a compiled filter list: its rules in order, with one match
 // engine — an Aho–Corasick automaton over HTTP-rule keywords, beside an index
 // by page domain, as the probe stage, total over byte strings — and one
 // linear oracle (MatchRequestLinear, MatchingHTTPRulesLinear) the tests hold
-// it to, plus a selector-id index over element hiding rules so that matching
-// inspects only a few candidates. Build lists with NewList (compiles the automaton)
+// it to. It matches requests only: its element hiding rules are counted and
+// served as text, and hidden by a Hiding built from the list (NewHiding)
+// where pages are. Build lists with NewList (compiles the automaton)
 // or NewListAttached (attaches serialized ones); nothing is built lazily, so
 // a List is safe for concurrent readers — nothing is written after
 // construction, to the list or to its rules.
@@ -68,15 +69,6 @@ type List struct {
 	// usage, when enabled, counts match verdicts per rule ordinal. Nil
 	// (and therefore free) unless EnableUsage was called before serving.
 	usage *Usage
-
-	elemHide   []*Rule
-	elemExcept []*Rule
-
-	// hideIdx buckets elemHide by required selector id.
-	hideIdx hideIndex
-	// hideToggles are the @@…$elemhide / $generichide exception rules,
-	// pre-filtered so ElemHideDisabled does not rescan the whole list.
-	hideToggles []*Rule
 }
 
 // NewList compiles a set of parsed rules into a matchable list. Comment and
@@ -129,28 +121,15 @@ func NewListAttached(name string, rules []*Rule, rulesCRC uint64, whole, hot []b
 	return l, nil
 }
 
-// indexRules is what both constructors share: the servable rules split by
-// kind. Their checksum and the automaton are the caller's to compute or
+// indexRules is what both constructors share: the servable rules, in
+// order. Their checksum and the automaton are the caller's to compute or
 // take, build or attach.
 func indexRules(name string, rules []*Rule) *List {
 	l := &List{Name: name, rules: make([]*Rule, 0, len(rules))}
 	for _, r := range rules {
 		switch r.Kind {
 		case KindHTTPBlock, KindHTTPException, KindElemHide, KindElemHideException:
-		default:
-			continue
-		}
-		l.rules = append(l.rules, r)
-		switch r.Kind {
-		case KindHTTPException:
-			if r.DisableElemHide || r.DisableGenericHide {
-				l.hideToggles = append(l.hideToggles, r)
-			}
-		case KindElemHide:
-			l.hideIdx.add(r, len(l.elemHide))
-			l.elemHide = append(l.elemHide, r)
-		case KindElemHideException:
-			l.elemExcept = append(l.elemExcept, r)
+			l.rules = append(l.rules, r)
 		}
 	}
 	return l
@@ -308,133 +287,6 @@ func (l *List) MatchingHTTPRulesLinear(q Request) []*Rule {
 		}
 	}
 	return out
-}
-
-// ElemHideDisabled reports whether an @@…$elemhide exception rule turns
-// element hiding off for pages on the domain; genericOnly additionally
-// reports $generichide (only domain-less hiding rules disabled).
-func (l *List) ElemHideDisabled(pageDomain string) (all, genericOnly bool) {
-	if len(l.hideToggles) == 0 {
-		return false, false
-	}
-	c := matchCtx{q: normalized(Request{URL: "http://" + pageDomain + "/", Type: TypeDocument, PageDomain: pageDomain})}
-	for _, r := range l.hideToggles {
-		if r.matchCtx(&c) {
-			if r.DisableElemHide {
-				all = true
-			}
-			if r.DisableGenericHide {
-				genericOnly = true
-			}
-		}
-	}
-	return all, genericOnly
-}
-
-// HiddenElements returns, for a page on the given domain, the indexes of
-// elements that element hiding rules would hide, together with the rule
-// that hides each. Element-hiding exception rules unhide matching
-// elements; $elemhide / $generichide exceptions disable hiding wholesale.
-func (l *List) HiddenElements(pageDomain string, elems []*Element) map[int]*Rule {
-	allOff, genericOff := l.ElemHideDisabled(pageDomain)
-	if allOff {
-		return map[int]*Rule{}
-	}
-	pageDomain = lowerDomain(pageDomain)
-	hidden := make(map[int]*Rule)
-	if len(l.elemHide) == 0 || len(elems) == 0 {
-		return hidden
-	}
-	// The domain scope of a hiding rule depends only on (rule, pageDomain):
-	// resolve each rule's applicability at most once per call instead of
-	// once per (rule, element) pair.
-	applies := domainMemo{domain: pageDomain}
-	for i, e := range elems {
-		hideRule := l.hideIdx.firstMatch(l.elemHide, e, genericOff, &applies)
-		if hideRule == nil {
-			continue
-		}
-		excepted := false
-		for _, r := range l.elemExcept {
-			if r.appliesOn(pageDomain) && r.Selector.Match(e) {
-				excepted = true
-				break
-			}
-		}
-		if !excepted {
-			hidden[i] = hideRule
-		}
-	}
-	return hidden
-}
-
-// domainMemo caches appliesOn verdicts per rule ordinal for one page.
-type domainMemo struct {
-	domain string
-	known  []int8 // 0 unknown, 1 applies, -1 does not
-}
-
-func (m *domainMemo) appliesOn(rules []*Rule, ord int) bool {
-	if m.known == nil {
-		m.known = make([]int8, len(rules))
-	}
-	if m.known[ord] == 0 {
-		m.known[ord] = -1
-		if rules[ord].appliesOn(m.domain) {
-			m.known[ord] = 1
-		}
-	}
-	return m.known[ord] > 0
-}
-
-// hideIndex buckets element hiding rules by the id their selector demands.
-// A selector with a required #id can only match elements carrying exactly
-// that id, so per element only its id bucket plus the id-less bucket need
-// scanning. Ordinals into the elemHide slice keep first-match-in-insertion-
-// order semantics when the two buckets are merged.
-type hideIndex struct {
-	byID map[string][]int
-	noID []int
-}
-
-func (h *hideIndex) add(r *Rule, ord int) {
-	if id := r.Selector.IndexKey(); id != "" {
-		if h.byID == nil {
-			h.byID = make(map[string][]int)
-		}
-		h.byID[id] = append(h.byID[id], ord)
-		return
-	}
-	h.noID = append(h.noID, ord)
-}
-
-// firstMatch returns the first hiding rule (in insertion order) matching
-// the element, honoring $generichide and domain scoping.
-func (h *hideIndex) firstMatch(rules []*Rule, e *Element, genericOff bool, applies *domainMemo) *Rule {
-	var withID []int
-	if e.ID != "" {
-		withID = h.byID[e.ID]
-	}
-	// Merge the two ordinal streams in ascending order.
-	i, j := 0, 0
-	for i < len(withID) || j < len(h.noID) {
-		var ord int
-		if j >= len(h.noID) || (i < len(withID) && withID[i] < h.noID[j]) {
-			ord = withID[i]
-			i++
-		} else {
-			ord = h.noID[j]
-			j++
-		}
-		r := rules[ord]
-		if genericOff && !r.HasDomainTag() {
-			continue
-		}
-		if applies.appliesOn(rules, ord) && r.Selector.Match(e) {
-			return r
-		}
-	}
-	return nil
 }
 
 // CountByClass tallies the list's rules by Figure 1 class.

@@ -14,6 +14,12 @@ func buildList(t *testing.T, name string, lines ...string) *List {
 	return NewList(name, rules)
 }
 
+// buildHiding is buildList's element hiding index.
+func buildHiding(t *testing.T, lines ...string) *Hiding {
+	t.Helper()
+	return NewHiding(buildList(t, "test", lines...))
+}
+
 func TestListExceptionOverridesBlock(t *testing.T) {
 	// The numerama.com example of Code 7 in the paper: /ads.js? blocks the
 	// bait everywhere, the exception allows it on numerama.com.
@@ -40,7 +46,7 @@ func TestListNoMatch(t *testing.T) {
 }
 
 func TestListHiddenElements(t *testing.T) {
-	l := buildList(t, "test",
+	h := buildHiding(t,
 		"smashboards.com###noticeMain",
 		"###genericbanner",
 		"example.com#@##genericbanner",
@@ -50,7 +56,7 @@ func TestListHiddenElements(t *testing.T) {
 		el("div", "genericbanner"),
 		el("div", "content"),
 	}
-	hidden := l.HiddenElements("smashboards.com", elems)
+	hidden := h.HiddenElements("smashboards.com", elems)
 	if len(hidden) != 2 {
 		t.Fatalf("hidden = %v, want elements 0 and 1", hidden)
 	}
@@ -58,7 +64,7 @@ func TestListHiddenElements(t *testing.T) {
 		t.Error("noticeMain should be hidden on smashboards.com")
 	}
 	// On example.com the exception rule unhides the generic banner.
-	hidden = l.HiddenElements("example.com", elems)
+	hidden = h.HiddenElements("example.com", elems)
 	if _, ok := hidden[1]; ok {
 		t.Error("exception rule should unhide genericbanner on example.com")
 	}
@@ -202,30 +208,30 @@ func TestKeywordIndexAgreesWithLinearScan(t *testing.T) {
 }
 
 func TestElemHideException(t *testing.T) {
-	l := buildList(t, "test",
+	h := buildHiding(t,
 		"###genericbanner",
 		"video.example###notice",
 		"@@||video.example^$elemhide",
 	)
 	elems := []*Element{el("div", "genericbanner"), el("div", "notice")}
 	// $elemhide disables every hiding rule on the excepted domain.
-	if hidden := l.HiddenElements("video.example", elems); len(hidden) != 0 {
+	if hidden := h.HiddenElements("video.example", elems); len(hidden) != 0 {
 		t.Fatalf("elemhide exception ignored: %v", hidden)
 	}
 	// Other domains are unaffected.
-	if hidden := l.HiddenElements("other.example", elems); len(hidden) != 1 {
+	if hidden := h.HiddenElements("other.example", elems); len(hidden) != 1 {
 		t.Fatalf("generic rule should fire elsewhere: %v", hidden)
 	}
 }
 
 func TestGenericHideException(t *testing.T) {
-	l := buildList(t, "test",
+	h := buildHiding(t,
 		"###genericbanner",
 		"news.example###notice",
 		"@@||news.example^$generichide",
 	)
 	elems := []*Element{el("div", "genericbanner"), el("div", "notice")}
-	hidden := l.HiddenElements("news.example", elems)
+	hidden := h.HiddenElements("news.example", elems)
 	if _, ok := hidden[0]; ok {
 		t.Error("$generichide must disable the domain-less rule")
 	}
@@ -234,17 +240,40 @@ func TestGenericHideException(t *testing.T) {
 	}
 }
 
+// TestGenericHideSkipsExclusionOnlyRules: a hiding rule that only
+// excludes domains names none to hide on, so Adblock Plus counts it generic
+// (isGeneric) and $generichide turns it off, as it does "##.ad".
+func TestGenericHideSkipsExclusionOnlyRules(t *testing.T) {
+	h := buildHiding(t,
+		"~other.example###exclusiononly",
+		"news.example,~a.news.example###scoped",
+		"@@||news.example^$generichide",
+	)
+	elems := []*Element{el("div", "exclusiononly"), el("div", "scoped")}
+	hidden := h.HiddenElements("news.example", elems)
+	if _, ok := hidden[0]; ok {
+		t.Error("$generichide must disable a rule with only ~ exclusions")
+	}
+	if _, ok := hidden[1]; !ok {
+		t.Error("$generichide must keep a rule that names a domain active")
+	}
+	// Without the toggle the exclusion-only rule hides as before.
+	if hidden := h.HiddenElements("site.example", elems); len(hidden) != 1 || hidden[0] == nil {
+		t.Errorf("site.example: hidden = %v, want element 0 only", hidden)
+	}
+}
+
 func TestElemHideDisabledLookup(t *testing.T) {
-	l := buildList(t, "test", "@@||a.example^$elemhide", "@@||b.example^$generichide")
-	all, generic := l.ElemHideDisabled("a.example")
+	h := buildHiding(t, "@@||a.example^$elemhide", "@@||b.example^$generichide")
+	all, generic := h.ElemHideDisabled("a.example")
 	if !all || generic {
 		t.Fatalf("a.example: all=%v generic=%v", all, generic)
 	}
-	all, generic = l.ElemHideDisabled("b.example")
+	all, generic = h.ElemHideDisabled("b.example")
 	if all || !generic {
 		t.Fatalf("b.example: all=%v generic=%v", all, generic)
 	}
-	all, generic = l.ElemHideDisabled("c.example")
+	all, generic = h.ElemHideDisabled("c.example")
 	if all || generic {
 		t.Fatalf("c.example should be unaffected")
 	}

@@ -120,6 +120,11 @@ type matchCtx struct {
 	third    bool
 	hasThird bool
 
+	// hostLo and hostHi bound the URL's host (hostSpan), valid when
+	// hostState is hostFound.
+	hostState      uint8
+	hostLo, hostHi int
+
 	// tbit is the request type's typeBit with typeBitSet added, 0 until
 	// typeBit computes it.
 	tbit uint16
@@ -272,6 +277,26 @@ func (c *matchCtx) typeBit() uint16 {
 	return c.tbit &^ typeBitSet
 }
 
+// hostSpan is hostSpan(c.q.URL), computed at most once per context: it
+// depends only on the request, and every "||" rule a lookup tries needs it.
+// Folding keeps every byte's offset and leaves "/?#@:" alone, so the span is
+// the same in the URL as sent and in its low view.
+func (c *matchCtx) hostSpan() (lo, hi int, ok bool) {
+	if c.hostState == 0 {
+		c.hostState = hostNone
+		if lo, hi, ok := hostSpan(c.q.URL); ok {
+			c.hostLo, c.hostHi, c.hostState = lo, hi, hostFound
+		}
+	}
+	return c.hostLo, c.hostHi, c.hostState == hostFound
+}
+
+// hostSpan() states; the zero value is "not computed yet".
+const (
+	hostNone uint8 = iota + 1
+	hostFound
+)
+
 func (c *matchCtx) isThirdParty() bool {
 	if !c.hasThird {
 		c.third = thirdParty(c.q.URL, c.q.PageDomain)
@@ -323,42 +348,48 @@ func (r *Rule) appliesOn(pageDomain string) bool {
 	return r.nDomains == 0
 }
 
-// foldPattern is the pattern as the matcher compares it: folded as the URL
-// is (lowerASCII: A–Z only, so a rule matches the URL it literally names
-// whatever bytes ≥ 0x80 it holds) unless the rule is $match-case.
-func (r *Rule) foldPattern() string {
-	if r.MatchCase {
-		return r.Pattern
-	}
-	return lowerASCII(r.Pattern)
-}
-
 // matchURLCtx applies the rule's URL pattern (with anchors) to the request
 // URL, reusing the context's pre-lowered copy for case-insensitive rules.
-// A rule Parse did not build has no folded pattern and folds it here, into
-// a local: the rule is never written, so concurrent first matches are as
-// race-free as any other.
+// The pattern is compared folded as the URL is (lowerASCII: A–Z only, so a
+// rule matches the URL it literally names whatever bytes ≥ 0x80 it holds)
+// unless the rule is $match-case. Parse marks the rules whose pattern needs
+// no folding (foldFree), nearly all of them; any other rule folds its
+// pattern here, into a stack buffer: the rule is never written, so
+// concurrent matches are as race-free as any other.
 func (r *Rule) matchURLCtx(c *matchCtx) bool {
-	pat, u := r.folded, c.q.URL
-	if pat == "" {
-		pat = r.foldPattern()
-	}
+	pat, u := r.Pattern, c.q.URL
 	if !r.MatchCase {
 		u = c.low()
+		if !r.foldFree && hasUpperASCII(pat) {
+			var buf [foldBufCap]byte
+			pat = foldInto(buf[:0], pat)
+		}
 	}
 	if r.DomainAnchor {
-		return matchDomainAnchored(pat, u, r.EndAnchor)
+		lo, hi, ok := c.hostSpan()
+		return ok && matchDomainAnchored(pat, u, lo, hi, r.EndAnchor)
 	}
 	return globMatch(pat, u, r.EndAnchor, !r.StartAnchor)
 }
 
-// matchDomainAnchored implements "||": the pattern must match starting at
-// the beginning of the URL's host or immediately after a dot inside it.
-func matchDomainAnchored(pat, u string, endAnchor bool) bool {
-	hostStart, hostEnd, ok := hostSpan(u)
-	if !ok {
-		return false
+// foldBufCap sizes the stack buffer matchURLCtx folds a pattern into; a
+// longer pattern folds onto the heap.
+const foldBufCap = 128
+
+// foldInto appends s to dst with A–Z folded and returns the result as a
+// string aliasing dst's array — the caller's buffer when s fits in it.
+func foldInto(dst []byte, s string) string {
+	dst = append(dst, s...)
+	for i, b := range dst {
+		dst[i] = lowerByte(b)
 	}
+	return unsafe.String(unsafe.SliceData(dst), len(dst))
+}
+
+// matchDomainAnchored implements "||": the pattern must match starting at
+// the beginning of the URL's host, u[hostStart:hostEnd] (hostSpan), or
+// immediately after a dot inside it.
+func matchDomainAnchored(pat, u string, hostStart, hostEnd int, endAnchor bool) bool {
 	if globMatch(pat, u[hostStart:], endAnchor, false) {
 		return true
 	}

@@ -71,11 +71,10 @@ func (r *Rule) parseElemHide(prefix, sel string, exception bool) error {
 		r.Kind = KindElemHideException
 	}
 	r.addDomains(prefix, ",")
-	selector, err := ParseSelector(strings.TrimSpace(sel))
-	if err != nil {
+	r.Pattern = strings.TrimSpace(sel)
+	if err := scanSelector(r.Pattern, nil); err != nil {
 		return fmt.Errorf("%w: %q: %v", ErrBadSelector, sel, err)
 	}
-	r.Selector = selector
 	return nil
 }
 
@@ -133,7 +132,7 @@ func (r *Rule) parseHTTP(line string) error {
 		return ErrEmptyPattern
 	}
 	r.Pattern = line
-	r.folded = r.foldPattern()
+	r.foldFree = r.MatchCase || !hasUpperASCII(line)
 	return nil
 }
 

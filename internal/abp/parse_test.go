@@ -114,8 +114,8 @@ func TestParseElemHideWithDomain(t *testing.T) {
 	if d := r.Domains(); len(d) != 1 || d[0] != "smashboards.com" {
 		t.Fatalf("domains = %v", d)
 	}
-	if r.Selector.ID != "noticeMain" {
-		t.Fatalf("selector id = %q", r.Selector.ID)
+	if r.Pattern != "#noticeMain" {
+		t.Fatalf("selector = %q", r.Pattern)
 	}
 	if got := r.Class(); got != ClassHTMLWithDomain {
 		t.Fatalf("class = %v, want %v", got, ClassHTMLWithDomain)
@@ -125,8 +125,8 @@ func TestParseElemHideWithDomain(t *testing.T) {
 func TestParseElemHideClassSelector(t *testing.T) {
 	// Rule 2 of Code 2 in the paper.
 	r := mustParse(t, "example.com##.examplebanner")
-	if len(r.Selector.Classes) != 1 || r.Selector.Classes[0] != "examplebanner" {
-		t.Fatalf("selector classes = %v", r.Selector.Classes)
+	if r.Pattern != ".examplebanner" {
+		t.Fatalf("selector = %q", r.Pattern)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestParseElemHideException(t *testing.T) {
 	if r.Kind != KindElemHideException {
 		t.Fatalf("kind = %v", r.Kind)
 	}
-	if r.Selector.ID != "elementbanner" {
-		t.Fatalf("selector id = %q", r.Selector.ID)
+	if r.Pattern != "#elementbanner" {
+		t.Fatalf("selector = %q", r.Pattern)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestParseNegatedFlags(t *testing.T) {
 		if r.DisableElemHide || r.DisableGenericHide {
 			t.Errorf("%s: DisableElemHide %v, DisableGenericHide %v", line, r.DisableElemHide, r.DisableGenericHide)
 		}
-		all, generic := NewList("l", []*Rule{r}).ElemHideDisabled("a.com")
+		all, generic := NewHiding(NewList("l", []*Rule{r})).ElemHideDisabled("a.com")
 		if all || generic {
 			t.Errorf("%s turns hiding off on a.com: all %v, generic %v", line, all, generic)
 		}
@@ -271,8 +271,8 @@ func TestParseListBytesPerLine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	if size := unsafe.Sizeof(Rule{}); size > 96 {
-		t.Errorf("a Rule is %d bytes, budget 96", size)
+	if size := unsafe.Sizeof(Rule{}); size > 80 {
+		t.Errorf("a Rule is %d bytes, budget 80", size)
 	}
 	const n = 50_000
 	var b strings.Builder
@@ -294,8 +294,8 @@ func TestParseListBytesPerLine(t *testing.T) {
 		}
 	}
 	perLine := float64(fewest) / n
-	if perLine > 112 {
-		t.Errorf("ParseList allocates %.1f B per line, budget 112", perLine)
+	if perLine > 96 {
+		t.Errorf("ParseList allocates %.1f B per line, budget 96", perLine)
 	}
 	t.Logf("%.1f B per line", perLine)
 }

@@ -18,6 +18,7 @@ func TestConcurrentMatchSharedRules(t *testing.T) {
 	// produces.
 	a := NewList("a", rules)
 	b := NewList("b", rules)
+	bHiding := NewHiding(b)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -35,7 +36,7 @@ func TestConcurrentMatchSharedRules(t *testing.T) {
 					return
 				}
 				a.AppendHits(nil, q)
-				b.HiddenElements("site0002.com", elems)
+				bHiding.HiddenElements("site0002.com", elems)
 			}
 		}(w)
 	}

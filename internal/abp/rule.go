@@ -148,31 +148,27 @@ func (t RequestType) typeBit() uint16 {
 func (t RequestType) Valid() bool { return t.typeBit() != 0 }
 
 // Rule is a single parsed filter rule. The zero value is an invalid rule;
-// use Parse to construct rules. A rule is what a list holds per line, so its
-// options are packed: content types are two bit masks, the $domain= (or
-// element hiding prefix) entries one slice, and the small fields share one
-// word — 96 bytes in all.
+// use Parse to construct rules. A rule is what a list holds per line, so it
+// holds only what HTTP matching reads, packed: content types are two bit
+// masks, the $domain= (or element hiding prefix) entries one slice, and the
+// small fields fill the last two words — 80 bytes in all. Element hiding keeps its
+// selectors in an index of its own (Hiding), built only where pages are
+// hidden.
 type Rule struct {
 	// Raw is the original filter list line, unchanged.
 	Raw string
 
 	// Pattern is the URL pattern of an HTTP rule with anchors stripped:
-	// the text after "||", between "|...|", or the bare pattern.
+	// the text after "||", between "|...|", or the bare pattern. For an
+	// element hiding rule it is the selector text (after "##" / "#@#"),
+	// which Parse has checked with ParseSelector's grammar.
 	Pattern string
-	// folded is Pattern as the matcher compares it: A–Z folded unless
-	// MatchCase (lowerASCII: the same string when there is nothing to
-	// fold). Parse sets it; a rule built by hand leaves it empty and has
-	// its pattern folded per match (matchURLCtx), writing nothing.
-	folded string
 
 	// domains holds the $domain= entries of an HTTP rule or the domain
 	// prefix of an element hiding rule, lower-cased: the first nDomains
 	// are the positive ones (Domains), the rest were negated with '~'
 	// (NotDomains).
 	domains []string
-
-	// Selector is the element hiding selector (after "##" / "#@#").
-	Selector *Selector
 
 	nDomains uint32
 	// types and notTypes are the typeBit masks of the positive ($script,
@@ -198,8 +194,15 @@ type Rule struct {
 	// carrying it turns element hiding off on matching pages.
 	DisableElemHide bool
 	// DisableGenericHide reports the $generichide option: an exception
-	// rule carrying it disables only generic (domain-less) hiding rules.
+	// rule carrying it disables only generic hiding rules (those that
+	// name no domain to hide on).
 	DisableGenericHide bool
+
+	// foldFree says Pattern is already as the matcher compares it: the
+	// rule is $match-case or its pattern holds no A–Z. Parse sets it; a
+	// rule built by hand leaves it false and has its pattern folded per
+	// match (matchURLCtx), writing nothing.
+	foldFree bool
 }
 
 // Domains returns the domains the rule's $domain= option or element hiding

@@ -52,8 +52,6 @@ type attrPred struct {
 // Combinators (descendant, child, …) are not supported; rules using them are
 // rejected at parse time.
 type Selector struct {
-	// Raw is the original selector text.
-	Raw string
 	// Tag is the required tag name, or "" for any tag.
 	Tag string
 	// ID is the required element id, or "".
@@ -64,31 +62,36 @@ type Selector struct {
 	attrs []attrPred
 }
 
-// String returns the original selector text.
-func (s *Selector) String() string { return s.Raw }
-
-// IndexKey returns the element id this selector demands, or "" when it can
-// match elements of any id. List uses it to bucket hiding rules: a selector
-// with a required #id can only ever match elements carrying exactly that
-// id, so lookups touch one bucket instead of every rule.
-func (s *Selector) IndexKey() string { return s.ID }
-
 // ParseSelector parses a compound simple selector such as
 // "#noticeMain", ".adblock-msg", "div#overlay", or "div[id=\"bait\"]".
 func ParseSelector(text string) (*Selector, error) {
+	s := new(Selector)
+	if err := scanSelector(text, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// scanSelector is the one selector grammar. It walks text and, when s is
+// non-nil, fills s with what it reads; with s nil it only checks the text
+// — what Rule.parse runs, so a list refuses the lines ParseSelector would
+// and keeps no selector.
+func scanSelector(text string, s *Selector) error {
 	if text == "" {
-		return nil, fmt.Errorf("empty selector")
+		return fmt.Errorf("empty selector")
 	}
 	if strings.ContainsAny(text, " >+~,") {
-		return nil, fmt.Errorf("combinators are not supported: %q", text)
+		return fmt.Errorf("combinators are not supported: %q", text)
 	}
-	s := &Selector{Raw: text}
 	i := 0
 	// Optional leading tag name.
 	for i < len(text) && isNameByte(text[i]) {
 		i++
 	}
-	s.Tag = strings.ToLower(text[:i])
+	if s != nil {
+		s.Tag = strings.ToLower(text[:i])
+	}
+	hasID := false
 	for i < len(text) {
 		switch text[i] {
 		case '#':
@@ -97,12 +100,15 @@ func ParseSelector(text string) (*Selector, error) {
 				j++
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("empty id at %d", i)
+				return fmt.Errorf("empty id at %d", i)
 			}
-			if s.ID != "" {
-				return nil, fmt.Errorf("multiple ids")
+			if hasID {
+				return fmt.Errorf("multiple ids")
 			}
-			s.ID = text[i+1 : j]
+			hasID = true
+			if s != nil {
+				s.ID = text[i+1 : j]
+			}
 			i = j
 		case '.':
 			j := i + 1
@@ -110,26 +116,30 @@ func ParseSelector(text string) (*Selector, error) {
 				j++
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("empty class at %d", i)
+				return fmt.Errorf("empty class at %d", i)
 			}
-			s.Classes = append(s.Classes, text[i+1:j])
+			if s != nil {
+				s.Classes = append(s.Classes, text[i+1:j])
+			}
 			i = j
 		case '[':
 			j := strings.IndexByte(text[i:], ']')
 			if j < 0 {
-				return nil, fmt.Errorf("unterminated attribute predicate")
+				return fmt.Errorf("unterminated attribute predicate")
 			}
 			pred, err := parseAttrPred(text[i+1 : i+j])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			s.attrs = append(s.attrs, pred)
+			if s != nil {
+				s.attrs = append(s.attrs, pred)
+			}
 			i += j + 1
 		default:
-			return nil, fmt.Errorf("unexpected %q at %d", text[i], i)
+			return fmt.Errorf("unexpected %q at %d", text[i], i)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 func isNameByte(c byte) bool {
@@ -138,31 +148,24 @@ func isNameByte(c byte) bool {
 }
 
 func parseAttrPred(body string) (attrPred, error) {
-	var p attrPred
 	op := attrExists
-	var name, val string
+	name, val := body, ""
 	switch {
 	case strings.Contains(body, "^="):
 		op = attrPrefix
-		parts := strings.SplitN(body, "^=", 2)
-		name, val = parts[0], parts[1]
+		name, val, _ = strings.Cut(body, "^=")
 	case strings.Contains(body, "*="):
 		op = attrSubstr
-		parts := strings.SplitN(body, "*=", 2)
-		name, val = parts[0], parts[1]
+		name, val, _ = strings.Cut(body, "*=")
 	case strings.Contains(body, "="):
 		op = attrEquals
-		parts := strings.SplitN(body, "=", 2)
-		name, val = parts[0], parts[1]
-	default:
-		name = body
+		name, val, _ = strings.Cut(body, "=")
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
 	if name == "" {
-		return p, fmt.Errorf("empty attribute name in %q", body)
+		return attrPred{}, fmt.Errorf("empty attribute name in %q", body)
 	}
-	val = strings.TrimSpace(val)
-	val = strings.Trim(val, `"'`)
+	val = strings.Trim(strings.TrimSpace(val), `"'`)
 	return attrPred{name: name, op: op, val: val}, nil
 }
 

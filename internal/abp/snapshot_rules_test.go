@@ -238,3 +238,33 @@ func TestSnapshotLoadAllocs(t *testing.T) {
 		t.Fatalf("a load of %d rules allocates %.0f times (%.2f per rule), want at most 2 per rule", n, allocs, allocs/n)
 	}
 }
+
+// TestHidingRulesAllocateNoObjects: a list keeps its element hiding rules
+// as text, and only NewHiding parses their selectors. So NewList over
+// 10 000 "##.c" rules and a load of their snapshot each allocate at most a
+// fixed 100 objects — the slabs and tables any list has — and not one (or
+// two: a selector and its class slice) per hiding rule.
+func TestHidingRulesAllocateNoObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	const n, budget = 10_000, 100
+	rules, errs := ParseList(strings.Repeat("##.c\n", n))
+	if len(rules) != n || len(errs) != 0 {
+		t.Fatalf("%d rules, errors %v; want %d rules", len(rules), errs, n)
+	}
+	build := testing.AllocsPerRun(5, func() { NewList("hide", rules) })
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{NewList("hide", rules)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := testing.AllocsPerRun(5, func() {
+		if _, err := ParseListsSnapshot(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d hiding rules: NewList allocates %.0f objects, a snapshot load %.0f", n, build, load)
+	if build > budget || load > budget {
+		t.Errorf("%d hiding rules cost %.0f allocations to build and %.0f to load, budget %d each", n, build, load, budget)
+	}
+}

@@ -101,8 +101,8 @@ func TestListsSnapshotRoundTrip(t *testing.T) {
 		{Tag: "div", Classes: []string{"adblock-notice"}},
 		{Tag: "div", Classes: []string{"ad-overlay"}},
 	}
-	h1 := orig.HiddenElements("news.example", elems)
-	h2 := reloaded.HiddenElements("news.example", elems)
+	h1 := NewHiding(orig).HiddenElements("news.example", elems)
+	h2 := NewHiding(reloaded).HiddenElements("news.example", elems)
 	if len(h1) != len(h2) {
 		t.Fatalf("hidden %d elements, want %d", len(h2), len(h1))
 	}

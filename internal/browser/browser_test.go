@@ -42,9 +42,9 @@ func TestOpenArchivedHTML(t *testing.T) {
 <div id="noticeMain" class="adblock-wall">disable your adblocker</div>
 <div id="content">hello</div>
 </body></html>`
-	list := buildList(t, "dailynews.com###noticeMain")
+	hiding := abp.NewHiding(buildList(t, "dailynews.com###noticeMain"))
 	views := DOMViews(html)
-	hidden := list.HiddenElements("dailynews.com", views)
+	hidden := hiding.HiddenElements("dailynews.com", views)
 	if len(hidden) != 1 {
 		t.Fatalf("hidden = %+v", hidden)
 	}
@@ -54,7 +54,7 @@ func TestOpenArchivedHTML(t *testing.T) {
 		}
 	}
 	// Domain-scoped rule must not fire elsewhere.
-	if got := list.HiddenElements("other.com", views); len(got) != 0 {
+	if got := hiding.HiddenElements("other.com", views); len(got) != 0 {
 		t.Fatalf("rule fired off-domain: %+v", got)
 	}
 	// Broken HTML must not panic.
@@ -69,6 +69,7 @@ func TestReplayLivePage(t *testing.T) {
 		"||pagefair.com^$third-party",
 		"dailynews.com###"+d.NoticeID,
 	)
+	hiding := abp.NewHiding(list)
 	// A live page's requests need no truncation and carry their type and
 	// page domain; its DOM is available directly.
 	replay := func(p *web.Page) (http, hidden int) {
@@ -77,7 +78,7 @@ func TestReplayLivePage(t *testing.T) {
 				http++
 			}
 		}
-		return http, len(list.HiddenElements(p.Domain, PageViews(p)))
+		return http, len(hiding.HiddenElements(p.Domain, PageViews(p)))
 	}
 	if http, hidden := replay(page); http == 0 || hidden == 0 {
 		t.Errorf("anti-adblock page: %d HTTP triggers, %d hidden elements; want both > 0", http, hidden)
@@ -113,7 +114,7 @@ func TestReplaySnapshotTruncatesWaybackURLs(t *testing.T) {
 	if blocked == 0 {
 		t.Fatal("rewritten vendor URL should match after truncation")
 	}
-	if len(l.HiddenElements(snap.Ref.Domain, DOMViews(snap.HTML))) == 0 {
+	if len(abp.NewHiding(l).HiddenElements(snap.Ref.Domain, DOMViews(snap.HTML))) == 0 {
 		t.Fatal("archived notice should trigger the HTML rule")
 	}
 }

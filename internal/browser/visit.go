@@ -47,14 +47,32 @@ func (o VisitOutcome) String() string {
 }
 
 // VisitConfig is the adblock user's setup: the ad-blocking rules that make
-// baits fail, plus the anti-adblock list meant to defeat detection.
+// baits fail, plus the anti-adblock list meant to defeat detection, each
+// beside its element hiding index. NewVisitConfig builds one per pair of
+// list versions, to be reused for every page; the zero value has no lists.
 type VisitConfig struct {
-	// AdRules is the general ad-blocking list (EasyList's role): it
-	// blocks bait requests and hides ad-like bait elements — the very
-	// signals detectors watch (§3.1).
-	AdRules *abp.List
-	// AntiAdblock is the anti-adblock filter list under test.
-	AntiAdblock *abp.List
+	// adRules is the general ad-blocking list (EasyList's role): it
+	// blocks bait requests and, through adHiding, hides ad-like bait
+	// elements — the very signals detectors watch (§3.1).
+	adRules  *abp.List
+	adHiding *abp.Hiding
+	// antiAdblock is the anti-adblock filter list under test.
+	antiAdblock       *abp.List
+	antiAdblockHiding *abp.Hiding
+}
+
+// NewVisitConfig is the setup of a user running adRules and antiAdblock
+// (either may be nil for none), each list's element hiding index built
+// here, once.
+func NewVisitConfig(adRules, antiAdblock *abp.List) VisitConfig {
+	cfg := VisitConfig{adRules: adRules, antiAdblock: antiAdblock}
+	if adRules != nil {
+		cfg.adHiding = abp.NewHiding(adRules)
+	}
+	if antiAdblock != nil {
+		cfg.antiAdblockHiding = abp.NewHiding(antiAdblock)
+	}
+	return cfg
 }
 
 // SimulateVisit walks the §3.1 detection mechanics for an adblock user
@@ -74,8 +92,8 @@ func SimulateVisit(cfg VisitConfig, page *web.Page, dep *antiadblock.Deployment)
 
 	// Step 1: is the detector script itself neutralized?
 	scriptReq := abp.Request{URL: dep.ScriptURL, Type: abp.TypeScript, PageDomain: page.Domain}
-	if cfg.AntiAdblock != nil {
-		if d, _ := cfg.AntiAdblock.MatchRequest(scriptReq); d == abp.Blocked {
+	if cfg.antiAdblock != nil {
+		if d, _ := cfg.antiAdblock.MatchRequest(scriptReq); d == abp.Blocked {
 			return OutcomeCircumvented
 		}
 	}
@@ -85,16 +103,16 @@ func SimulateVisit(cfg VisitConfig, page *web.Page, dep *antiadblock.Deployment)
 	if dep.Vendor.Technique.UsesHTTP() {
 		baitReq := abp.Request{URL: dep.BaitURL(), Type: abp.TypeScript, PageDomain: page.Domain}
 		blocked := false
-		if cfg.AdRules != nil {
-			if d, _ := cfg.AdRules.MatchRequest(baitReq); d == abp.Blocked {
+		if cfg.adRules != nil {
+			if d, _ := cfg.adRules.MatchRequest(baitReq); d == abp.Blocked {
 				blocked = true
 			}
 		}
 		// The anti-adblock list's exception rules can let the bait
 		// through even though the ad rules would block it (the
 		// numerama.com pattern, Code 7).
-		if blocked && cfg.AntiAdblock != nil {
-			if d, _ := cfg.AntiAdblock.MatchRequest(baitReq); d == abp.Allowed {
+		if blocked && cfg.antiAdblock != nil {
+			if d, _ := cfg.antiAdblock.MatchRequest(baitReq); d == abp.Allowed {
 				blocked = false
 			}
 		}
@@ -102,11 +120,11 @@ func SimulateVisit(cfg VisitConfig, page *web.Page, dep *antiadblock.Deployment)
 			detected = true
 		}
 	}
-	if !detected && dep.Vendor.Technique.UsesHTML() && cfg.AdRules != nil {
+	if !detected && dep.Vendor.Technique.UsesHTML() && cfg.adHiding != nil {
 		// The bait element is an ad-like div; if the ad rules hide it,
 		// its geometry collapses and the probe fires.
 		views := PageViews(page)
-		if len(cfg.AdRules.HiddenElements(page.Domain, views)) > 0 {
+		if len(cfg.adHiding.HiddenElements(page.Domain, views)) > 0 {
 			detected = true
 		}
 	}
@@ -115,9 +133,9 @@ func SimulateVisit(cfg VisitConfig, page *web.Page, dep *antiadblock.Deployment)
 	}
 
 	// Step 3: does the user actually see the wall?
-	if cfg.AntiAdblock != nil {
+	if cfg.antiAdblockHiding != nil {
 		notice := &abp.Element{Tag: "div", ID: dep.NoticeID, Classes: []string{"adblock-wall"}}
-		hidden := cfg.AntiAdblock.HiddenElements(page.Domain, []*abp.Element{notice})
+		hidden := cfg.antiAdblockHiding.HiddenElements(page.Domain, []*abp.Element{notice})
 		if len(hidden) > 0 {
 			return OutcomeWallSuppressed
 		}

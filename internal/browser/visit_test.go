@@ -26,7 +26,7 @@ func deployedPage(t *testing.T, vendorName string, seed int64) (*web.Page, *anti
 
 func TestSimulateVisitClean(t *testing.T) {
 	p := web.NewPage("benign.example", "B")
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList()}, p, nil)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), nil), p, nil)
 	if got != OutcomeClean {
 		t.Fatalf("outcome = %v, want clean", got)
 	}
@@ -34,7 +34,7 @@ func TestSimulateVisitClean(t *testing.T) {
 
 func TestSimulateVisitWallWithoutProtection(t *testing.T) {
 	p, d := deployedPage(t, "PageFair", 1)
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList()}, p, d)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), nil), p, d)
 	if got != OutcomeWallShown {
 		t.Fatalf("outcome = %v, want wall-shown (ad rules block the bait)", got)
 	}
@@ -43,7 +43,7 @@ func TestSimulateVisitWallWithoutProtection(t *testing.T) {
 func TestSimulateVisitCircumvented(t *testing.T) {
 	p, d := deployedPage(t, "PageFair", 2)
 	aak := buildList(t, "||pagefair.com^$third-party")
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList(), AntiAdblock: aak}, p, d)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), aak), p, d)
 	if got != OutcomeCircumvented {
 		t.Fatalf("outcome = %v, want circumvented", got)
 	}
@@ -53,7 +53,7 @@ func TestSimulateVisitBaitException(t *testing.T) {
 	p, d := deployedPage(t, "Outbrain", 3) // HTTP bait only
 	// An exception rule lets the bait load (Code 7's numerama pattern).
 	exc := buildList(t, "@@||pub.example"+d.BaitPath)
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList(), AntiAdblock: exc}, p, d)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), exc), p, d)
 	if got != OutcomeUndetected {
 		t.Fatalf("outcome = %v, want undetected via bait exception", got)
 	}
@@ -62,7 +62,7 @@ func TestSimulateVisitBaitException(t *testing.T) {
 func TestSimulateVisitWallSuppressed(t *testing.T) {
 	p, d := deployedPage(t, "Outbrain", 4)
 	hide := buildList(t, "pub.example###"+d.NoticeID)
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList(), AntiAdblock: hide}, p, d)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), hide), p, d)
 	if got != OutcomeWallSuppressed {
 		t.Fatalf("outcome = %v, want wall-suppressed", got)
 	}
@@ -70,7 +70,7 @@ func TestSimulateVisitWallSuppressed(t *testing.T) {
 
 func TestSimulateVisitHTMLBaitDetection(t *testing.T) {
 	p, d := deployedPage(t, "BlockAdBlock", 5) // HTML bait only
-	got := SimulateVisit(VisitConfig{AdRules: listgen.AdBlockingList()}, p, d)
+	got := SimulateVisit(NewVisitConfig(listgen.AdBlockingList(), nil), p, d)
 	if got != OutcomeWallShown {
 		t.Fatalf("outcome = %v, want wall-shown (bait div hidden by ad rules)", got)
 	}

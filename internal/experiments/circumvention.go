@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"adwars/internal/abp"
 	"adwars/internal/browser"
 	"adwars/internal/listgen"
 )
@@ -30,16 +29,18 @@ func (l *Lab) Circumvention(topN int, at time.Time) *CircumventionResult {
 	if at.IsZero() {
 		at = l.World.Cfg.End
 	}
+	// One setup per list version, built here and shared by every page.
 	adRules := listgen.AdBlockingList()
-	lists := map[string]*abp.List{}
-	for name, h := range l.histories() {
-		lists[name] = h.ListAt(at)
+	configs := map[string]browser.VisitConfig{
+		// A no-protection baseline: ad blocking without any anti-adblock list.
+		"(no anti-adblock list)": browser.NewVisitConfig(adRules, nil),
 	}
-	// A no-protection baseline: ad blocking without any anti-adblock list.
-	lists["(no anti-adblock list)"] = nil
+	for name, h := range l.histories() {
+		configs[name] = browser.NewVisitConfig(adRules, h.ListAt(at))
+	}
 
 	res := &CircumventionResult{At: at, Outcomes: map[string]map[browser.VisitOutcome]int{}}
-	for name := range lists {
+	for name := range configs {
 		res.Outcomes[name] = map[browser.VisitOutcome]int{}
 	}
 	top := map[string]bool{}
@@ -55,12 +56,8 @@ func (l *Lab) Circumvention(topN int, at time.Time) *CircumventionResult {
 			continue
 		}
 		res.Deployed++
-		for name, list := range lists {
-			outcome := browser.SimulateVisit(browser.VisitConfig{
-				AdRules:     adRules,
-				AntiAdblock: list,
-			}, page, dep)
-			res.Outcomes[name][outcome]++
+		for name, cfg := range configs {
+			res.Outcomes[name][browser.SimulateVisit(cfg, page, dep)]++
 		}
 	}
 	return res

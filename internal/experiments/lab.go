@@ -62,14 +62,21 @@ func (l *Lab) histories() map[string]*abp.History {
 	}
 }
 
-// listsAt returns the compiled list versions in force at time t, keyed by
-// display name; an entry is nil before that list existed. Compiles come
-// from each history's per-revision cache, so the 60-month replay compiles
-// each revision once no matter how many months or shards consult it.
-func (l *Lab) listsAt(t time.Time) map[string]*abp.List {
-	out := make(map[string]*abp.List, 2)
+// listVersion is a filter list as it stood at one time: its compiled rules
+// and its element hiding index. Both are nil before the list existed.
+type listVersion struct {
+	http *abp.List
+	hide *abp.Hiding
+}
+
+// listsAt returns the list versions in force at time t, keyed by display
+// name. Both halves come from each history's per-revision cache, so the
+// 60-month replay builds each revision once no matter how many months or
+// shards consult it.
+func (l *Lab) listsAt(t time.Time) map[string]listVersion {
+	out := make(map[string]listVersion, 2)
 	for name, h := range l.histories() {
-		out[name] = h.ListAt(t)
+		out[name] = listVersion{h.ListAt(t), h.HidingAt(t)}
 	}
 	return out
 }

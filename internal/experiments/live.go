@@ -80,7 +80,7 @@ func (l *Lab) RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) 
 		rep := replays[i]
 		matchedAny := false
 		for _, name := range ListNames {
-			if lists[name] == nil {
+			if lists[name].http == nil {
 				continue
 			}
 			blocked := rep.blocked[name]

@@ -144,7 +144,8 @@ func TestReplayMatchesCarriedType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists := map[string]*abp.List{"L": abp.NewList("L", []*abp.Rule{r})}
+	l := abp.NewList("L", []*abp.Rule{r})
+	lists := map[string]listVersion{"L": {l, abp.NewHiding(l)}}
 	const u = "http://vendor.example/loader"
 	for typ, want := range map[abp.RequestType]bool{abp.TypeScript: true, abp.TypeImage: false} {
 		in := siteInput{reqs: []abp.Request{{URL: u, Type: typ, PageDomain: "publisher.example"}}}

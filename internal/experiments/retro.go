@@ -227,7 +227,7 @@ func (rr *ReplayRun) Replay() *RetroResult {
 			rep := replays[i]
 			siteMatched := false
 			for _, name := range ListNames {
-				if lists[name] == nil {
+				if lists[name].http == nil {
 					continue
 				}
 				blockedURLs := rep.blocked[name]
@@ -260,18 +260,18 @@ func (rr *ReplayRun) Replay() *RetroResult {
 
 // replaySite matches one prepared site-month against every list in force:
 // its requests against the HTTP rules and its parsed DOM (shared by every
-// list) against the element-hiding rules.
-func replaySite(lists map[string]*abp.List, domain string, in siteInput) siteReplay {
+// list) against the element-hiding index.
+func replaySite(lists map[string]listVersion, domain string, in siteInput) siteReplay {
 	rep := siteReplay{
 		blocked: make(map[string]map[string]bool, len(lists)),
 		htmlHit: make(map[string]bool, len(lists)),
 	}
 	for name, list := range lists {
-		if list == nil {
+		if list.http == nil {
 			continue
 		}
-		rep.blocked[name] = blockedHTTP(list, in.reqs)
-		rep.htmlHit[name] = len(list.HiddenElements(domain, in.views)) > 0
+		rep.blocked[name] = blockedHTTP(list.http, in.reqs)
+		rep.htmlHit[name] = len(list.hide.HiddenElements(domain, in.views)) > 0
 	}
 	return rep
 }

@@ -143,8 +143,12 @@ func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *r
 // and their αᵢyᵢ coefficients — the same terms in the same order as summing
 // all indices and skipping zeros, so results are bit-identical to the
 // one-chain sum. The sweep reads its decisions smoBlock samples at a time
-// (decisionBlock); the block holds until a step changes α or b, which the
-// traffic makes rare: about nine times in a 129-sample sweep.
+// (decisionBlock). Every decision summed is kept, per sample, stamped with
+// the count of steps that had changed α or b when it was summed, and read
+// back while no step has changed them since — which the traffic makes the
+// usual case: about nine changes in a 129-sample sweep, and none in the
+// passes that end a solve. A value read back is the very sum a second
+// evaluation would give, so the cache changes no bit.
 func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
 	n := ds.Len()
 
@@ -174,11 +178,12 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	b := 0.0
 	m := &SVM{}
 
-	// blk holds the decisions of samples blkAt … blkAt+smoBlock−1 under the
-	// current α and b; a step that changes either moves blkAt out of reach.
-	var blk [smoBlock]float64
-	const noBlock = -smoBlock
-	blkAt := noBlock
+	// dec[i] is sample i's decision under the α and b of version stamp[i];
+	// version counts the steps that changed α or b, from 1, so a decision
+	// is current while its stamp equals version and no stamp is at first.
+	dec := make([]float64, n)
+	stamp := make([]uint32, n)
+	version := uint32(1)
 
 	setAlpha := func(i int, v float64) {
 		was, now := alpha[i] != 0, v != 0
@@ -204,13 +209,17 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	}
 
 	// sweepDecision is decision(i) for the sweep, which visits samples in
-	// order: a miss fills the block from i on.
+	// order: a miss sums the block from i on.
 	sweepDecision := func(i int) float64 {
-		if k := uint(i - blkAt); k < smoBlock {
-			return blk[k]
+		if stamp[i] == version {
+			return dec[i]
 		}
-		m.decisions += min(smoBlock, n-i)
-		blk, blkAt = decisionBlock(g, i, b, coef, active), i
+		blk := decisionBlock(g, i, b, coef, active)
+		k := copy(dec[i:], blk[:])
+		m.decisions += k
+		for t := i; t < i+k; t++ {
+			stamp[t] = version
+		}
 		return blk[0]
 	}
 
@@ -246,8 +255,11 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			}
 			// Neither test above reads ej, and a fifth of violators end at
 			// one of them, so its sum waits until here.
-			m.decisions++
-			ej := decision(g, j, b, coef, active) - y[j]
+			if stamp[j] != version {
+				m.decisions++
+				dec[j], stamp[j] = decision(g, j, b, coef, active), version
+			}
+			ej := dec[j] - y[j]
 			ajNew := aj - y[j]*(ei-ej)/eta
 			if ajNew > hi {
 				ajNew = hi
@@ -271,7 +283,7 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			}
 			setAlpha(i, aiNew)
 			setAlpha(j, ajNew)
-			blkAt = noBlock
+			version++
 			changed++
 		}
 		if changed == 0 {
