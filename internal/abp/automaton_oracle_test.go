@@ -8,9 +8,22 @@ import (
 	"testing"
 )
 
-// The oracle for the build trie: the plain sibling-list trie the indexed
-// one replaced, kept here so that TestTrieEdgesDifferential can hold the
-// two to the same bytes.
+// The oracle for the automaton build: the sibling-list trie the sorted
+// breadth-first build replaced — each keyword inserted by walking the sibling
+// lists from the root, a BFS queue for the fail links, placement reading each
+// node's children off its list, and each output list gathered down the fail
+// chain — kept here so that TestTrieEdgesDifferential can hold the two to the
+// same bytes.
+
+// acTrieNode is a node of the oracle's trie. A node's children form a list
+// through sibling, kept in ascending symbol order; index 0 is the root and,
+// since the root is nobody's child or sibling, doubles as "none".
+type acTrieNode struct {
+	child   int32
+	sibling int32
+	fail    int32
+	sym     uint8 // scan class 1..37 of the edge into this node
+}
 
 type plainTrie []acTrieNode
 
@@ -54,7 +67,7 @@ func (t *plainTrie) insert(kw string) int32 {
 // buildAutomatonPlain is buildAutomaton as commit 6ddcbf9 had it: every
 // edge found by walking a sibling list, the trie and the used table grown
 // by append, the arrays filled in a scratch slice and encoded into the
-// region afterwards. Placement (placeChildren) is shared.
+// region afterwards.
 func buildAutomatonPlain(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []bool) *automaton {
 	// Trie construction. ends[i] is the node the i-th keyworded rule's
 	// path stops at; ords[i] is that rule's ordinal.
@@ -62,7 +75,7 @@ func buildAutomatonPlain(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []
 	var ords, generic []uint32
 	var ends []int32
 	for ord, r := range rules {
-		if !r.IsHTTP() || member != nil && !member[ord] {
+		if !r.IsHTTP() || kws[ord].byDomain() || member != nil && !member[ord] {
 			continue
 		}
 		if kws[ord].none() {
@@ -177,24 +190,90 @@ func buildAutomatonPlain(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []
 	return a
 }
 
-// TestTrieEdgesDifferential: the build that resolves the root's and the
-// depth-1 nodes' edges by index serializes, byte for byte, what the plain
-// sibling-list build does — over keyword sets drawn from a four-symbol
-// alphabet (so first and second symbols collide constantly, in either
-// case), three to seven symbols long, flat and split into tiers.
+// placeChildren finds the first-fit base for trie node n's children,
+// claims their slots, and returns the base with the grown used table and
+// the advanced lowest free slot.
+func placeChildren(trie []acTrieNode, n int32, slot []int32, used []bool, minFree int) (int32, []bool, int) {
+	var syms [acAlpha]int
+	k := 0
+	for ch := trie[n].child; ch != 0; ch = trie[ch].sibling {
+		syms[k] = int(trie[ch].sym)
+		k++
+	}
+	if k == 0 {
+		return 0, used, minFree
+	}
+next:
+	for pos := max(minFree, syms[0]); ; pos++ {
+		for pos < len(used) && used[pos] {
+			pos++
+		}
+		b := pos - syms[0]
+		for _, c := range syms[1:k] {
+			if s := b + c; s < len(used) && used[s] {
+				continue next
+			}
+		}
+		if grow := b + syms[k-1] + 1 - len(used); grow > 0 {
+			used = append(used, make([]bool, grow)...)
+		}
+		ch := trie[n].child
+		for _, c := range syms[:k] {
+			used[b+c] = true
+			slot[ch] = int32(b + c)
+			ch = trie[ch].sibling
+		}
+		for minFree < len(used) && used[minFree] {
+			minFree++
+		}
+		return int32(b), used, minFree
+	}
+}
+
+// TestTrieEdgesDifferential: the sorted breadth-first build serializes,
+// byte for byte, what the sibling-list build does — with and without the
+// selection's run ids, flat and split into tiers — over keyword sets drawn
+// from a four-symbol alphabet, in either case, three to seven symbols long,
+// so that first and second symbols collide constantly, keywords repeat, and
+// keywords begin one another (a third of the lines reuse a prefix or an
+// extension of an earlier keyword); a few lines carry acUbiquitous runs, or
+// nothing else. The last rounds are lists past parallelRules, whose
+// selection and build are split among workers.
 func TestTrieEdgesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const alphabet = "aB0%"
-	for round := 0; round < 200; round++ {
+	for round := 0; round < 204; round++ {
+		n := 1 + rng.Intn(60)
+		if round >= 200 {
+			n = parallelRules + rng.Intn(parallelRules)
+		}
 		var lines []string
-		for n := 1 + rng.Intn(60); n > 0; n-- {
+		var kws []string
+		for ; n > 0; n-- {
 			kw := make([]byte, 3+rng.Intn(5))
 			for i := range kw {
 				kw[i] = alphabet[rng.Intn(len(alphabet))]
 			}
-			lines = append(lines, fmt.Sprintf("/%s/x%d^", kw, rng.Intn(3)))
+			if len(kws) > 0 && rng.Intn(3) == 0 {
+				old := kws[rng.Intn(len(kws))]
+				if rng.Intn(2) == 0 {
+					kw = []byte(old[:3+rng.Intn(len(old)-2)])
+				} else {
+					kw = append([]byte(old), kw[:rng.Intn(3)]...)
+				}
+			}
+			kws = append(kws, string(kw))
+			switch rng.Intn(20) {
+			case 0: // filed under a run that ranks below every acUbiquitous one
+				lines = append(lines, fmt.Sprintf("|https://www.%s.com/", kw))
+			case 1: // nothing but acUbiquitous runs
+				lines = append(lines, fmt.Sprintf("|http%s://www.net/", []string{"", "s"}[rng.Intn(2)]))
+			default:
+				lines = append(lines, fmt.Sprintf("/%s/x%d^", kw, rng.Intn(3)))
+			}
 		}
 		l := buildList(t, "diff", lines...)
+		kw, runs := selectKeywords(l.rules)
 		hot := make([]bool, l.Len())
 		cold := make([]bool, l.Len())
 		for ord := range hot {
@@ -202,10 +281,11 @@ func TestTrieEdgesDifferential(t *testing.T) {
 			cold[ord] = !hot[ord]
 		}
 		for name, member := range map[string][]bool{"flat": nil, "hot": hot, "cold": cold} {
-			got := buildAutomaton(l.rules, l.kws, l.rulesCRC, member).Bytes()
-			want := buildAutomatonPlain(l.rules, l.kws, l.rulesCRC, member).Bytes()
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d, %s build of %q: indexed and plain tries serialize differently", round, name, lines)
+			want := buildAutomatonPlain(l.rules, kw, l.rulesCRC, member).Bytes()
+			for _, ids := range [][]int32{runs, nil} {
+				if got := buildAutomaton(l.rules, kw, ids, l.rulesCRC, member).Bytes(); !bytes.Equal(got, want) {
+					t.Fatalf("round %d, %s build (run ids %t) of %q: sorted and sibling-list builds serialize differently", round, name, ids != nil, lines)
+				}
 			}
 		}
 	}

@@ -21,7 +21,8 @@ const byDomain = "$domain"
 // "" for none, byDomain for the page-domain index.
 func selectedKeywords(rules []*Rule) []string {
 	out := make([]string, len(rules))
-	for ord, kw := range selectKeywords(rules) {
+	kws, _ := selectKeywords(rules)
+	for ord, kw := range kws {
 		if out[ord] = byDomain; !kw.byDomain() {
 			out[ord] = lowerASCII(rules[ord].Pattern[kw.lo:kw.hi])
 		}
@@ -179,7 +180,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 	rules := append(benchRules(2000), buildList(t, "shared", sharedPathLines(200)...).Rules()...)
 	plain := NewList("old", rules)
 	kws := longestRunKeywords(plain.Rules())
-	old := buildAutomaton(plain.Rules(), kws, plain.rulesCRC, nil)
+	old := buildAutomaton(plain.Rules(), kws, nil, plain.rulesCRC, nil)
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("longest-run and rarest-run builds coincide: the test exercises nothing")
 	}
@@ -194,7 +195,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 		hot[ord] = r.IsHTTP() && (r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0)
 	}
 	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
-		buildAutomaton(plain.Rules(), kws, plain.rulesCRC, hot).Bytes())
+		buildAutomaton(plain.Rules(), kws, nil, plain.rulesCRC, hot).Bytes())
 	if err != nil {
 		t.Fatalf("longest-run tier pair refused: %v", err)
 	}

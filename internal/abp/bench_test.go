@@ -1,11 +1,15 @@
 package abp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"adwars/internal/alexa"
 )
 
 // benchRules builds a realistic mixed rule set of n rules.
@@ -32,6 +36,149 @@ func benchRules(n int) []*Rule {
 		rules = append(rules, r)
 	}
 	return rules
+}
+
+// easyMixLines is a copy of bench/corpus.go's easyList: n rules over the
+// domains of the benchmark's 100 000-site universe, in easyMix's shares and
+// with its paths, so that a compile measured here is the compile the
+// snapshot_cycle workload pays. The benchmark module is not importable
+// from here; the copy goes when one generator serves both.
+func easyMixLines(seed int64, n int) []string {
+	sites := alexa.NewUniverse(100_000, seed).Top(100_000)
+	rng := rand.New(rand.NewSource(seed ^ 0x6561737931)) // "easy1"
+	domain := func() string { return sites[100+rng.Intn(len(sites)-100)].Domain }
+	adPaths := []string{
+		"/ads.js", "/js/ads.js", "/adsbygoogle.js", "/advertising.js",
+		"/assets/ad-loader.js", "/static/showads.js", "/banner/ads.js",
+		"/js/advertisement.js", "/js/blockadblock.js", "/detect.js",
+		"/js/site-adblock.js", "/js/iab-adblock-check.js",
+		"/adbanner_7.js", "/img/-ad-300x250.3.js", "/ad/sponsor_12/frame.js",
+		"/track/pixel.js",
+	}
+	path := func() string {
+		if rng.Intn(2) == 0 {
+			return adPaths[rng.Intn(len(adPaths))]
+		}
+		return fmt.Sprintf("/assets/ads/unit_%d.js", rng.Intn(50_000))
+	}
+	// The shapes and their shares in percent: ||d^, ||d/path,
+	// ||d/path$script,domain=d2, /path$domain=d2, a numbered plain rule,
+	// @@||d/path, d###id and ##.class.
+	mix := []int{45, 10, 8, 3, 8, 6, 15, 5}
+	shapes := make([]int, 0, n)
+	for i, pct := range mix {
+		for k := 0; k < n*pct/100; k++ {
+			shapes = append(shapes, i)
+		}
+	}
+	for len(shapes) < n {
+		shapes = append(shapes, 0)
+	}
+	rng.Shuffle(len(shapes), func(i, j int) { shapes[i], shapes[j] = shapes[j], shapes[i] })
+	lines := make([]string, 0, n)
+	for i, sh := range shapes {
+		var line string
+		switch sh {
+		case 0:
+			line = fmt.Sprintf("||%s^", domain())
+		case 1:
+			line = fmt.Sprintf("||%s%s", domain(), path())
+		case 2:
+			line = fmt.Sprintf("||%s%s$script,domain=%s", domain(), path(), domain())
+		case 3:
+			line = fmt.Sprintf("%s$domain=%s", path(), domain())
+		case 4:
+			if rng.Intn(2) == 0 {
+				line = fmt.Sprintf("-ad-300x250.%d", rng.Intn(4000))
+			} else {
+				line = fmt.Sprintf("/adbanner_%d", rng.Intn(4000))
+			}
+		case 5:
+			line = fmt.Sprintf("@@||%s%s", domain(), path())
+		case 6:
+			line = fmt.Sprintf("%s###ad-slot-%d", domain(), i)
+		default:
+			line = fmt.Sprintf("##.ad-unit-%d", i)
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// BenchmarkCompilePhases splits NewList over easyMixLines' 70 k rules into
+// its phases, each timed and its bytes counted on its own: the run counts
+// and choice of selectKeywords, the rules checksum, the guards, then the
+// build's keyword collection, sort and levels, its fail links and output
+// counts, slot placement, the region's fill and output merge, and the
+// validation and page-domain index a fresh region is attached with.
+func BenchmarkCompilePhases(b *testing.B) {
+	rules, errs := ParseList(strings.Join(easyMixLines(1, 70_000), "\n"))
+	if len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	l := indexRules("easy", rules)
+	l.rulesCRC = rulesChecksum(l.rules)
+	kws, runs := selectKeywords(l.rules)
+	l.kws, l.guards = kws, ruleGuards(l.rules, kws)
+	var t trieBuild
+	t.collect(l.rules, kws, runs, nil)
+	t.sortKeys()
+	t.levels()
+	t.failLinks()
+	t.place()
+	blob := t.fill(len(l.rules))
+	binary.LittleEndian.PutUint64(blob[32:], l.rulesCRC)
+	for _, p := range []struct {
+		name string
+		run  func()
+	}{
+		{"select", func() { selectKeywords(l.rules) }},
+		{"checksum", func() { rulesChecksum(l.rules) }},
+		{"guards", func() { ruleGuards(l.rules, kws) }},
+		{"sort+levels", func() {
+			t.collect(l.rules, kws, runs, nil)
+			t.sortKeys()
+			t.levels()
+		}},
+		{"fail-links", t.failLinks},
+		{"placement", t.place},
+		{"fill+merge", func() { t.fill(len(l.rules)) }},
+		{"attach", func() {
+			var err error
+			if l.auto, err = openAutomaton(blob, len(l.rules), l.rulesCRC); err != nil {
+				b.Fatal(err)
+			}
+			l.dom = nil
+			if err := l.attachHot(nil); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.run()
+			}
+		})
+	}
+}
+
+// BenchmarkNewListEasyMix is NewList over easyMixLines at the size of a
+// paper_pipeline revision, below parallelRules, and at 70 k rules: the
+// compile snapshot_cycle pays for its largest list.
+func BenchmarkNewListEasyMix(b *testing.B) {
+	for _, n := range []int{1_500, 70_000} {
+		rules, errs := ParseList(strings.Join(easyMixLines(1, n), "\n"))
+		if len(errs) > 0 {
+			b.Fatal(errs[0])
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewList("easy", rules)
+			}
+		})
+	}
 }
 
 var benchURLs = []string{

@@ -120,7 +120,8 @@ func runsOnly(rules []*Rule) []kwSpan {
 	for ord, r := range rules {
 		bare[ord] = &Rule{Kind: r.Kind, Pattern: r.Pattern}
 	}
-	return selectKeywords(bare)
+	kws, _ := selectKeywords(bare)
+	return kws
 }
 
 // TestKeywordOnlyAutomatonStillServes is the compatibility gate for snapshots
@@ -133,7 +134,7 @@ func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 	plain := buildList(t, "old", domainIndexLines()...)
 	rules := plain.Rules()
 	kws := runsOnly(rules)
-	old := buildAutomaton(rules, kws, plain.rulesCRC, nil)
+	old := buildAutomaton(rules, kws, nil, plain.rulesCRC, nil)
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("keyword-only and indexed builds coincide: the test exercises nothing")
 	}
@@ -146,7 +147,7 @@ func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 		t.Fatalf("keyword-only automaton refused: %v", err)
 	}
 	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
-		buildAutomaton(rules, kws, plain.rulesCRC, hot).Bytes())
+		buildAutomaton(rules, kws, nil, plain.rulesCRC, hot).Bytes())
 	if err != nil {
 		t.Fatalf("keyword-only tier pair refused: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 		for i := range member {
 			member[i] = i != ord
 		}
-		_, err := NewListAttached("old", rules, plain.rulesCRC, buildAutomaton(rules, kws, plain.rulesCRC, member).Bytes(), nil)
+		_, err := NewListAttached("old", rules, plain.rulesCRC, buildAutomaton(rules, kws, nil, plain.rulesCRC, member).Bytes(), nil)
 		switch {
 		case len(r.Domains()) > 0 && err != nil:
 			t.Fatalf("region without %q refused, though the index serves it: %v", r.Raw, err)
@@ -250,7 +251,7 @@ func TestCandidateBudget(t *testing.T) {
 	flat := buildList(t, "budget", lines...)
 	runs := runsOnly(flat.rules)
 	keywordOnly, err := NewListAttached("budget", flat.rules, flat.rulesCRC,
-		buildAutomaton(flat.rules, runs, flat.rulesCRC, nil).Bytes(), nil)
+		buildAutomaton(flat.rules, runs, nil, flat.rulesCRC, nil).Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -588,7 +588,7 @@ func parentV4AsCurrent(t testing.TB) []byte {
 			}
 		}
 	}
-	whole := buildAutomaton(lowered, kws, crc, nil).Bytes()
+	whole := buildAutomaton(lowered, kws, nil, crc, nil).Bytes()
 	return artifact.SealSections([]byte(header), []artifact.Section{
 		{Name: "rules.0", Data: []byte(text)}, {Name: "automaton.0", Data: whole}, secs[0]})
 }

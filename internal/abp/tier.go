@@ -122,19 +122,21 @@ func (x *domainIndex) scanInto(c *matchCtx) {
 func (l *List) CompileTiered(keep func(ord int) bool) *List {
 	tl := *l
 	tl.usage, tl.hot, tl.hotRule = nil, nil, nil
+	var runs []int32
 	if tl.kws == nil {
 		// l was attached from a snapshot: its automaton, index and guards go
 		// with the selection its regions were compiled under, not with this one.
-		tl.kws, tl.dom = selectKeywords(l.rules), nil
+		tl.kws, runs = selectKeywords(l.rules)
+		tl.dom = nil
 		tl.guards = ruleGuards(l.rules, tl.kws)
-		tl.auto = buildAutomaton(l.rules, tl.kws, l.rulesCRC, nil)
+		tl.auto = buildAutomaton(l.rules, tl.kws, runs, l.rulesCRC, nil)
 	}
 	member := make([]bool, len(l.rules))
 	for ord, r := range l.rules {
 		member[ord] = r.IsHTTP() &&
 			(r.Kind == KindHTTPException || tl.kws[ord].none() || keep != nil && keep(ord))
 	}
-	if err := tl.attachHot(buildAutomaton(l.rules, tl.kws, l.rulesCRC, member)); err != nil {
+	if err := tl.attachHot(buildAutomaton(l.rules, tl.kws, runs, l.rulesCRC, member)); err != nil {
 		// Unreachable: the normalization above establishes every invariant
 		// attachHot checks.
 		panic(fmt.Sprintf("abp: internal: freshly compiled tiers failed validation: %v", err))

@@ -304,7 +304,7 @@ func TestTieredValidation(t *testing.T) {
 		for ord := range m {
 			m[ord] = member(ord)
 		}
-		return buildAutomaton(rules, kws, crc, m).Bytes()
+		return buildAutomaton(rules, kws, nil, crc, m).Bytes()
 	}
 	// pick returns the first HTTP rule want holds of.
 	pick := func(what string, want func(ord int, r *Rule) bool) int {
