@@ -15,9 +15,10 @@ import (
 	"adwars/internal/artifact"
 )
 
-// The fixtures are the two snapshots the parent of PR 28 (a8062f5) wrote
-// from benchRules(2000), schema 5 flat and tiered (every fourth rule kept),
-// with what that commit answered from them. No loader reads either any more.
+// The fixtures are the two snapshots the last schema-6 build (6ef7c4f) wrote
+// from abp's benchRules(2000), flat and tiered (every fourth rule kept hot),
+// with what that commit's full lookups answered from them. No loader reads
+// either any more.
 func fixture(name string) string {
 	return filepath.Join("..", "..", "internal", "abp", "testdata", name)
 }
@@ -77,14 +78,14 @@ func assertLinear(t *testing.T, l *abp.List) {
 	}
 }
 
-// TestConvertSchema5: the two files the parent commit wrote are refused by
-// the loader, which says what converts them, and convert. Flat, each answers
-// every query of testdata/parent-v5.answers.tsv — abp's tierQueries — as the
-// parent answered it from its own file; tiered by the parent's hot set, a
-// hot-only lookup answers as the parent's did too, and the tool prints the
-// pair it wrote: the hot automaton and the whole one, no cold tier.
-func TestConvertSchema5(t *testing.T) {
-	answers, err := os.ReadFile(fixture("parent-v5.answers.tsv"))
+// TestConvertSchema6: the two files the parent commit wrote are refused by
+// the loader, which says what converts them, and convert — the tiered one to
+// the flat list it stood for: one automaton, the parent's flat region byte
+// for byte, answering every query of testdata/parent-v6.answers.tsv (abp's
+// query mix) as the parent's full lookups did. The tool prints how each list's
+// rules reach a probe.
+func TestConvertSchema6(t *testing.T) {
+	answers, err := os.ReadFile(fixture("parent-v6.answers.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +96,45 @@ func TestConvertSchema5(t *testing.T) {
 		}
 		return strings.Join(s, ",")
 	}
-	// asParent holds l to the parent's answers; hot says whether l is tiered
-	// by the parent's hot set, so that its hot-only answers are the parent's.
-	asParent := func(name string, l *abp.List, hot bool) {
-		t.Helper()
+	dir := t.TempDir()
+	for _, file := range []string{"parent-v6-flat.snapshot", "parent-v6-tiered.snapshot"} {
+		old := fixture(file)
+		if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
+			t.Fatalf("loading %s: err = %v, want ErrSnapshotVersion naming adwars-compact", file, err)
+		}
+		out := filepath.Join(dir, "lists.json")
+		stdout := os.Stdout
+		printed, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = printed
+		err = run(old, out, "")
+		os.Stdout = stdout
+		printed.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		snap, err := abp.LoadListsSnapshot(out)
+		if err != nil {
+			t.Fatalf("%s converted: %v", file, err)
+		}
+		if snap.Label != "written by 6ef7c4f" || len(snap.Lists) != 1 || snap.Rules() != 2000 {
+			t.Fatalf("%s converted: label %q, %d lists, %d rules", file, snap.Label, len(snap.Lists), snap.Rules())
+		}
+		_, secs, _, err := artifact.OpenSections(mustRead(t, out))
+		if err != nil || len(secs) != 2 {
+			t.Fatalf("%s converted: %d sections (err %v), want rules.0 and automaton.0", file, len(secs), err)
+		}
+		// 6ef7c4f selected and built as this commit does: the automaton is the
+		// one its flat file holds, compiled again.
+		if !bytes.Equal(section(t, out, "automaton.0"), section(t, fixture("parent-v6-flat.snapshot"), "automaton.0")) {
+			t.Errorf("%s converted: automaton.0 is not the region 6ef7c4f compiled for the flat list", file)
+		}
+		l := snap.Lists[0]
 		for _, line := range strings.Split(strings.TrimSuffix(string(answers), "\n"), "\n") {
 			f := strings.Split(line, "\t")
-			if len(f) != 7 {
+			if len(f) != 6 {
 				t.Fatalf("answers: %q", line)
 			}
 			q := abp.Request{URL: f[0], Type: abp.RequestType(f[1]), PageDomain: f[2]}
@@ -110,135 +143,69 @@ func TestConvertSchema5(t *testing.T) {
 			md, mr := l.MatchRequest(q)
 			if d.String() != f[3] || strconv.Itoa(win) != f[4] || ords(full) != f[5] || md != d || (win >= 0) != (mr != nil) || mr != nil && mr != l.Rules()[win] {
 				t.Errorf("%s: %s %s from %s: (%v, %d, hits %s), MatchRequest %v; the parent answered (%s, %s, hits %s)",
-					name, q.Type, q.URL, q.PageDomain, d, win, ords(full), md, f[3], f[4], f[5])
-			}
-			if got := ords(l.AppendHitsHot(nil, q)); hot && got != f[6] {
-				t.Errorf("%s: %s %s from %s: hot-only hits %s; the parent's were %s", name, q.Type, q.URL, q.PageDomain, got, f[6])
+					file, q.Type, q.URL, q.PageDomain, d, win, ords(full), md, f[3], f[4], f[5])
 			}
 		}
-	}
-	dir := t.TempDir()
-	var hits []string
-	for ord := 0; ord < 2000; ord += 4 {
-		hits = append(hits, "["+strconv.Itoa(ord)+",1]")
-	}
-	usage := filepath.Join(dir, "usage.json")
-	dump := `{"total_hits":500,"lists":[{"list":"parent-a8062f5","hits":[` + strings.Join(hits, ",") + `]}]}`
-	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range []string{"parent-v5-flat.snapshot", "parent-v5-tiered.snapshot"} {
-		old := fixture(file)
-		if _, err := abp.LoadListsSnapshot(old); !errors.Is(err, abp.ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
-			t.Fatalf("loading %s: err = %v, want ErrSnapshotVersion naming adwars-compact", file, err)
-		}
-		out := filepath.Join(dir, "lists.json")
-		if err := run(old, "", out, 1, ""); err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		snap, err := abp.LoadListsSnapshot(out)
-		if err != nil {
-			t.Fatalf("%s converted: %v", file, err)
-		}
-		if snap.Label != "written by a8062f5" || len(snap.Lists) != 1 || snap.Tiered() || snap.Rules() != 2000 {
-			t.Fatalf("%s converted: label %q, %d lists, %d rules, tiered %v", file, snap.Label, len(snap.Lists), snap.Rules(), snap.Tiered())
-		}
-		// a8062f5 selected and built as this commit does: the whole automaton
-		// is the one its flat file holds, compiled again.
-		if !bytes.Equal(section(t, out, "automaton.0"), section(t, fixture("parent-v5-flat.snapshot"), "automaton.hot.0")) {
-			t.Errorf("%s converted: automaton.0 is not the automaton a8062f5 compiled for the flat list", file)
-		}
-		asParent(file+" converted", snap.Lists[0], false)
-
-		stdout := os.Stdout
-		printed, err := os.Create(filepath.Join(dir, "stdout"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = printed
-		err = run(old, usage, out, 1, "")
-		os.Stdout = stdout
-		printed.Close()
-		if err != nil {
-			t.Fatalf("%s with -usage: %v", file, err)
-		}
-		if snap, err = abp.LoadListsSnapshot(out); err != nil || !snap.Tiered() {
-			t.Fatalf("%s tiered: tiered %v, err %v", file, snap != nil && snap.Tiered(), err)
-		}
-		if !bytes.Equal(section(t, out, "automaton.hot.0"), section(t, fixture("parent-v5-tiered.snapshot"), "automaton.hot.0")) {
-			t.Errorf("%s tiered: automaton.hot.0 is not the hot region a8062f5 compiled for this hot set", file)
-		}
-		asParent(file+" tiered", snap.Lists[0], true)
-		st := snap.Lists[0].TierStats()
+		st := l.TierStats()
 		text, _ := os.ReadFile(printed.Name())
-		want := regexp.MustCompile(fmt.Sprintf(`(?m)^  parent-a8062f5 +hot +%d rules +%d bytes / whole +%d bytes `, st.HotRules, st.HotBytes, st.ColdBytes))
-		if !want.Match(text) || bytes.Contains(text, []byte("cold")) {
-			t.Errorf("%s tiered: printed\n%s\nwant a line matching %s and no cold tier", file, text, want)
+		want := regexp.MustCompile(fmt.Sprintf(`(?m)^adwars-compact: schema 6 -> 7: 1 lists, 2000 rules\n  parent-6ef7c4f +automaton +%d bytes +by keyword %d \(%d guarded\), page domain %d, generic %d$`,
+			len(l.AutomatonBytes()), st.KeywordRules, st.GuardedRules, st.DomainRules, st.GenericRules))
+		if !want.Match(text) {
+			t.Errorf("%s: printed\n%s\nwant a match for %s", file, text, want)
 		}
 	}
 }
 
-// TestConvertCurrentSchema: a file of the current schema goes through its
-// own loader; without -usage a tiered one comes out flat, with the same
-// rules and the same answers; with a usage dump a file of either schema is
-// tiered in one step.
-func TestConvertCurrentSchema(t *testing.T) {
-	dir := t.TempDir()
-	usage := filepath.Join(dir, "usage.json")
-	dump := `{"total_hits":3,"lists":[{"list":"parent-a8062f5","hits":[[1,2],[5,1]]}]}`
-	if err := os.WriteFile(usage, []byte(dump), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cur := filepath.Join(dir, "current.json")
-	if err := run(fixture("parent-v5-tiered.snapshot"), usage, cur, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := abp.LoadListsSnapshot(cur)
-	if err != nil || !loaded.Tiered() {
-		t.Fatalf("loading the current schema: tiered %v, err %v", loaded != nil && loaded.Tiered(), err)
-	}
-
-	flat := filepath.Join(dir, "flat.json")
-	if err := run(cur, "", flat, 1, "relabelled"); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := abp.LoadListsSnapshot(flat)
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Label != "relabelled" || snap.Tiered() || snap.Rules() != loaded.Rules() {
-		t.Fatalf("flattened snapshot: label %q, tiered %v, %d rules (want %d)", snap.Label, snap.Tiered(), snap.Rules(), loaded.Rules())
+	return data
+}
+
+// TestConvertCurrentSchema: a file of the current schema goes through its
+// own loader and comes out with the same rules, the same answers and, with
+// -label, a new label.
+func TestConvertCurrentSchema(t *testing.T) {
+	dir := t.TempDir()
+	cur := filepath.Join(dir, "current.json")
+	if err := run(fixture("parent-v6-tiered.snapshot"), cur, ""); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := abp.LoadListsSnapshot(cur)
+	if err != nil {
+		t.Fatalf("loading the current schema: %v", err)
+	}
+	again := filepath.Join(dir, "again.json")
+	if err := run(cur, again, "relabelled"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := abp.LoadListsSnapshot(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Label != "relabelled" || snap.Rules() != loaded.Rules() {
+		t.Fatalf("converted again: label %q, %d rules (want %d)", snap.Label, snap.Rules(), loaded.Rules())
 	}
 	for i, r := range snap.Lists[0].Rules() {
 		if want := loaded.Lists[0].Rules()[i].Raw; r.Raw != want {
-			t.Fatalf("flattened snapshot: rule %d is %q, was %q", i, r.Raw, want)
+			t.Fatalf("converted again: rule %d is %q, was %q", i, r.Raw, want)
 		}
+	}
+	if !bytes.Equal(section(t, again, "automaton.0"), section(t, cur, "automaton.0")) {
+		t.Error("converted again: the automaton moved")
 	}
 	assertLinear(t, snap.Lists[0])
-
-	for _, in := range []string{fixture("parent-v5-flat.snapshot"), cur, flat} {
-		tiered := filepath.Join(dir, "tiered.json")
-		if err := run(in, usage, tiered, 1, ""); err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		snap, err := abp.LoadListsSnapshot(tiered)
-		if err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		l := snap.Lists[0]
-		if !snap.Tiered() || !strings.HasSuffix(snap.Label, " [tiered]") || !l.IsHotRule(1) || !l.IsHotRule(5) || l.IsHotRule(6) {
-			t.Fatalf("%s: tiered %v, label %q, hot(1,5,6) = %v %v %v", in, snap.Tiered(), snap.Label, l.IsHotRule(1), l.IsHotRule(5), l.IsHotRule(6))
-		}
-		assertLinear(t, l)
-	}
 }
 
 // TestRefusesWhatItCannotVouchFor: the tool reads one more schema than the
 // loader, not less carefully — no trailer, a damaged payload, a schema from
-// before sealing and one two steps old are all refused, and nothing is
-// written.
+// before sealing, one from the future and one two steps old are all refused,
+// and nothing is written.
 func TestRefusesWhatItCannotVouchFor(t *testing.T) {
-	good, err := os.ReadFile(fixture("parent-v5-flat.snapshot"))
+	good, err := os.ReadFile(fixture("parent-v6-flat.snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +219,17 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		"unsealed":              {good[:bytes.LastIndex(good, []byte(artifact.TrailerPrefix))], artifact.ErrCorrupt},
 		"bit flip":              {flipped, artifact.ErrCorrupt},
 		"schema 1":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
-		"schema 7":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":7,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 8":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":8,"lists":[]}`)), abp.ErrSnapshotVersion},
+		"schema 7, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":7,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
+		"schema 6, short":       {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":2}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), artifact.ErrCorrupt},
+		"schema 6, comment":     {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("! a comment\n")}}), abp.ErrCommentLine},
+		"schema 6, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
 		"schema 6, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
-		"schema 5, short":       {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":2}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), artifact.ErrCorrupt},
-		"schema 5, comment":     {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("! a comment\n")}}), abp.ErrCommentLine},
-		"schema 5, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
-		"schema 5, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
-		"schema 5, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":5}`)), abp.ErrSnapshotFormat},
+		"schema 6, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":6}`)), abp.ErrSnapshotFormat},
+		"schema 5":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), abp.ErrSnapshotVersion},
 		"schema 4":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":4,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotVersion},
 		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
-		"bad rule":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("##[\n")}}), nil},
+		"bad rule":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("##[\n")}}), nil},
 		"not there":             {nil, os.ErrNotExist},
 	} {
 		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
@@ -271,7 +239,7 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		err := run(in, "", out, 1, "")
+		err := run(in, out, "")
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}

@@ -2,8 +2,8 @@
 // evolution of each list (Figure 1), the rank and category distributions
 // of listed domains (Table 1, Figure 2), the exception/overlap comparison
 // (§3.3), the cross-list addition lag (Figure 3), and the dead-rule
-// fraction (the share of rules that never fire under a live replay — the
-// observation behind hot/cold tier compaction).
+// fraction (the share of rules that never fire under a live replay, and the
+// automaton a list of the fired rules alone would ship).
 //
 // Usage:
 //
@@ -14,9 +14,7 @@
 // -save-snapshot PATH freezes the latest version of the three anti-adblock
 // filter lists as a versioned snapshot for adwars-serve: the rules and each
 // list's compiled match automaton, which loaders attach instead of
-// compiling. -label overrides the snapshot's label. To split each automaton
-// into usage-driven hot/cold tiers, serve the snapshot, collect traffic, and
-// feed the /admin/usage dump to adwars-compact.
+// compiling. -label overrides the snapshot's label.
 package main
 
 import (

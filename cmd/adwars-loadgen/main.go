@@ -48,7 +48,6 @@
 //	analytics  /admin/analytics total deltas == verdicts parsed by this run
 //	degrade    each -degrade-url replica climbed >= L2, is back at L0, no flap
 //	failovers  the gateway at -target reports failovers >= 1
-//	hot-only   some response was served at L2 or above
 //
 // usage and analytics need a server nobody else is talking to and are
 // refused with -chaos, whose trickle requests land as uncounted late 2xx.
@@ -193,7 +192,6 @@ var gates = []gate{
 	{"analytics", (*checker).analyticsBaseline, (*checker).analytics},
 	{"degrade", nil, (*checker).degrade},
 	{"failovers", nil, (*checker).failovers},
-	{"hot-only", nil, (*checker).hotOnly},
 }
 
 // selectGates resolves -check's comma list to rows of the table. A row
@@ -242,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	classifyFrac := fs.Float64("classify-frac", 0.1, "fraction of requests that POST /v1/classify")
 	listsPath := fs.String("lists", "", "lists snapshot to harvest match URLs from")
 	seed := fs.Int64("seed", 1, "workload seed")
-	check := fs.String("check", "", "comma list of gates the run must pass: ledger, usage, analytics, degrade, failovers, hot-only")
+	check := fs.String("check", "", "comma list of gates the run must pass: ledger, usage, analytics, degrade, failovers")
 	chaos := fs.Bool("chaos", false, "mix hostile requests (malformed/oversized/trickle/abort) into the workload")
 	faultFrac := fs.Float64("fault-frac", 0.25, "with -chaos, fraction of requests made hostile")
 	degradeURLs := fs.String("degrade-url", "", "comma-separated replica base URLs whose /admin/degrade the degrade gate reads")
@@ -779,23 +777,6 @@ func (ck *checker) failovers() (string, error) {
 	replicas, _ := ck.total.by(byReplica)
 	return fmt.Sprintf("gateway reports %.0f failovers, %.0f retries, %.0f hedges; %d replicas answered",
 		gw.Failovers, gw.Retries, gw.Hedges, len(replicas)), nil
-}
-
-// hotOnly demands that the brownout was real: some answers were served at
-// L2 or above — levels where match answers come from the hot tier only.
-func (ck *checker) hotOnly() (string, error) {
-	var all, hot int64
-	_, counts := ck.total.by(byDegrade)
-	for lvl, n := range counts {
-		all += n
-		if lvl >= "L2" {
-			hot += n
-		}
-	}
-	if hot == 0 {
-		return "", errors.New("hot-only fraction is 0; no answers were served at L2+")
-	}
-	return fmt.Sprintf("hot-only fraction %.4f", float64(hot)/float64(all)), nil
 }
 
 // retryAfter parses a 429's Retry-After header (seconds form) and caps it

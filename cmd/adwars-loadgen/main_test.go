@@ -221,7 +221,9 @@ func wantOutput(t *testing.T, out string, want ...string) {
 // TestGatesPass: every gate passes on a run whose invariants hold — the
 // reconciling gates on a quiet server, the chaos ledger
 // under hostile load, and the brownout gates on a ladder that climbed to
-// L2 before the run and is stepped back to L0 in the middle of it.
+// L2 before the run and is stepped back to L0 early in it (L2 sheds the
+// classify share, and a shed worker backs off, so the run makes few
+// requests before the recovery).
 func TestGatesPass(t *testing.T) {
 	t.Run("ledger usage analytics", func(t *testing.T) {
 		f := newFixture(t, nil)
@@ -254,19 +256,18 @@ func TestGatesPass(t *testing.T) {
 			t.Errorf("stderr: %s", stderr)
 		}
 	})
-	t.Run("degrade failovers hot-only", func(t *testing.T) {
+	t.Run("degrade failovers", func(t *testing.T) {
 		var f *fixture
-		recoverMidRun := afterRequests(20, func() { tick(f, down, down) })
+		recoverMidRun := afterRequests(5, func() { tick(f, down, down) })
 		f = newFixture(t, func(next http.Handler) http.Handler {
 			return gatewayVars(2)(recoverMidRun(next))
 		})
 		tick(f, up, up)
-		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers,hot-only", "-degrade-url", f.url)
+		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers", "-degrade-url", f.url)
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
 			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L2 and recovered to L0 without flapping: "+f.url+" peak L2, 2 up / 2 down)",
-			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries, 1 hedges; ",
-			"loadgen: HOT-ONLY-CHECK OK (hot-only fraction 0.")
+			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries, 1 hedges; ")
 		if stderr != "" {
 			t.Errorf("stderr: %s", stderr)
 		}
@@ -323,8 +324,6 @@ func TestGatesFail(t *testing.T) {
 			stderr: "loadgen: FAILOVERS-CHECK FAILED: gateway reports 0 failovers", stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "failovers: not a gateway", check: "failovers", code: 1,
 			stderr: "loadgen: FAILOVERS-CHECK FAILED: "},
-		{name: "hot-only: never above L0", check: "hot-only,ledger", code: 1,
-			stderr: "loadgen: HOT-ONLY-CHECK FAILED: hot-only fraction is 0", stdout: "loadgen: LEDGER-CHECK OK"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFixture(t, c.wrap)
@@ -383,9 +382,9 @@ func TestProbePinned(t *testing.T) {
 	if code := run([]string{"-target", f.url, "-probe"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
+	const want = `match: {"blocked":true,"decision":"blocked","lists":[{"list":"list-a","decision":"blocked","rule":"||ads.example.com^","matched_rules":["||ads.example.com^"]},{"list":"list-b","decision":"no-match"}],"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"7e04f8f0ad3d2d86"}}}
 
-classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"c6bd14431e84ec1d"}}}
+classify: {"anti_adblock":true,"score":1,"decision":2,"features":2,"snapshot":{"model":{"feature_set":"keyword","vocab":2,"rounds":1,"version":"eecf95be5800028a"},"lists":{"label":"test","lists":2,"rules":4,"version":"7e04f8f0ad3d2d86"}}}
 
 `
 	if out.String() != want {

@@ -3,8 +3,8 @@ package main
 // The serving stack's systems claims, as one table: a hot reload drops
 // nothing, a damaged reload keeps last-good serving, a killed replica costs
 // the gateway failovers and the client no 5xx, a poisoned rollout stops at
-// the canary and rolls back, and brownout climbs to the hot tier and
-// recovers without flapping. Each row is a list of steps: replicas booted
+// the canary and rolls back, and brownout climbs the ladder and recovers
+// without flapping. Each row is a list of steps: replicas booted
 // with their serve.Config, a gateway in front of them, doors that inject
 // faults in front of a replica, load windows judged by this command's own
 // -check gates, probes held to a control's answers, and events that fire
@@ -84,9 +84,8 @@ var scenarios = []scenario{
 	// One replica through its life: two hot reloads under load (the first
 	// of a file cut in half, refused while last-good serves; the second of
 	// the whole file), usage and analytics ledgers reconciled to the unit,
-	// the live dashboard, its usage compacted into a tiered snapshot a second
-	// replica serves clean, a clean drain that leaves the analytics spill
-	// the dashboard renders from disk.
+	// the live dashboard, a clean drain that leaves the analytics spill the
+	// dashboard renders from disk.
 	{name: "serve", procs: true, steps: []step{
 		boot("main", serve.Config{Analytics: &analytics.Config{}}),
 		load(window{target: "main", check: "ledger", args: []string{"-duration", "600ms", "-concurrency", "4"},
@@ -94,10 +93,7 @@ var scenarios = []scenario{
 		load(window{target: "main", check: "ledger,usage", args: []string{"-duration", "300ms", "-concurrency", "2"}}),
 		load(window{target: "main", check: "ledger,analytics", args: []string{"-duration", "300ms", "-concurrency", "2"}}),
 		dashboard("main"),
-		compact("main", "tiered"),
-		boot("tiered", serve.Config{}),
-		load(window{target: "tiered", check: "ledger,usage", args: []string{"-duration", "300ms", "-concurrency", "2"}}),
-		drain("tiered", "main"),
+		drain("main"),
 		spilled("main"),
 	}},
 	// A replica under fire: every fault class injected at its door, an
@@ -143,8 +139,7 @@ var scenarios = []scenario{
 	}},
 	// Two starved, governed replicas overdriven through the gateway: each
 	// ladder climbs to L2 or above and comes back to L0 with one climb and
-	// one descent, some answers are served hot-only, and the fleet back at
-	// L0 answers as it did unloaded.
+	// one descent, and the fleet back at L0 answers as it did unloaded.
 	{name: "brownout", steps: []step{
 		boot("r1", starved),
 		boot("r2", starved),
@@ -152,7 +147,7 @@ var scenarios = []scenario{
 		front("r2-slow", "r2", starve),
 		gateway(0, "r1-slow", "r2-slow"),
 		probe("gateway"),
-		load(window{target: "gateway", check: "ledger,degrade,hot-only", degrade: []string{"r1", "r2"},
+		load(window{target: "gateway", check: "ledger,degrade", degrade: []string{"r1", "r2"},
 			args: []string{"-duration", "1500ms", "-concurrency", "32", "-classify-frac", "0.3"}}),
 		probe("gateway"),
 		drain("gateway", "r1-slow", "r2-slow", "r1", "r2"),
@@ -578,42 +573,6 @@ func rendered(rows []analytics.Row) error {
 		return fmt.Errorf("the dashboard is empty:\n%s", out)
 	}
 	return nil
-}
-
-// compact tiers replica from's lists by its /admin/usage, as
-// adwars-compact -usage URL does, into the directory replica to boots from.
-func compact(from, to string) step {
-	return step{"compact " + from + " into " + to, func(e *env) error {
-		var dump serve.UsageDump
-		if err := getJSON(client, e.url(from)+"/admin/usage", &dump); err != nil {
-			return err
-		}
-		snap, err := abp.LoadListsSnapshot(filepath.Join(e.dir(from), "lists.json"))
-		if err != nil {
-			return err
-		}
-		hot := 0
-		for i, l := range snap.Lists {
-			fired := map[int]bool{}
-			for _, ul := range dump.Lists {
-				for _, h := range ul.Hits {
-					if ul.List == l.Name && h[1] > 0 {
-						fired[int(h[0])] = true
-					}
-				}
-			}
-			hot += len(fired)
-			snap.Lists[i] = abp.NewList(l.Name, l.Rules()).CompileTiered(func(ord int) bool { return fired[ord] })
-		}
-		if hot == 0 {
-			return errors.New("usage recorded no hit, so nothing would be hot")
-		}
-		snap.Label += " [tiered]"
-		if err := os.MkdirAll(e.dir(to), 0o755); err != nil {
-			return err
-		}
-		return abp.SaveListsSnapshot(filepath.Join(e.dir(to), "lists.json"), snap)
-	}}
 }
 
 // inProc is the stage of in-process stand-ins. Events reach it from

@@ -23,7 +23,7 @@ import (
 // strings. One scan of the raw request URL (the byte class table folds
 // ASCII case, so no lower-cased copy is allocated) yields the ordinals of
 // every rule whose keyword occurs in it. Those, the keyword-less generic
-// rules and the rules the page-domain index (tier.go) files under the
+// rules and the rules the page-domain index (domainindex.go) files under the
 // request's page are a superset of the rules that can match; each candidate
 // is verified with the full rule matcher in insertion order, which makes
 // the answers — decision, winning rule, all-matches set — identical to the
@@ -179,11 +179,11 @@ func (s kwSpan) byDomain() bool { return s == kwByDomain }
 // the page domain: "/ads.js$domain=a.com" shares "ads" with every path-only
 // rule of the list and a.com with a handful, so a rule with no run, or whose
 // most-named domain fewer rules name than spell its run, is filed under its
-// domains. One selection feeds the whole and the hot build of a list.
+// domains.
 //
 // Beside each span it hands back the id of the chosen run, -1 for none: rules
 // filed under the same keyword share it, so the build sorts each keyword once
-// (buildAutomaton). The ids are the compile's alone; a List keeps the spans.
+// (buildRegion). The ids are the compile's alone; a List keeps neither.
 func selectKeywords(rules []*Rule) (kws []kwSpan, runs []int32) {
 	kws, runs = make([]kwSpan, len(rules)), make([]int32, len(rules))
 	sc := getScratch()
@@ -379,38 +379,29 @@ func rulesChecksum(rules []*Rule) uint64 {
 	return crc64.Update(crc, rulesCRCTable, block[:n])
 }
 
-// buildAutomaton compiles the automaton over the rules member admits (nil
-// admits all), each indexed under its entry of kws — selectKeywords' choice,
-// though any run of the rule's pattern would do. A rule member excludes, or
-// kws files under its page domains, contributes no keyword and no generic
-// entry: it is invisible to this automaton, not demoted to its generic bucket.
-// Ordinals in the output arrays index the FULL rule set (and the header
-// carries the full set's count and CRC), which is what lets a hot automaton
-// compiled from the same list as its whole one share one rules array, one
-// checksum, one guard array and the untiered validation path. runs, when not
-// nil, is selectKeywords' id of each rule's run: the rules of one id are
-// filed under one keyword, sorted once. The build is deterministic —
-// children in symbol order, BFS, first-fit slot placement — so the same rules
-// and keywords always serialize to the same bytes (snapshot versions are
-// content CRCs; a rebuild must not change them).
+// buildRegion compiles the automaton region over the rules, each indexed
+// under its entry of kws — selectKeywords' choice, though any run of the
+// rule's pattern would do — short of the rules checksum, which a compile sums
+// meanwhile: the region holds a zero in its place (openBuilt writes it). A
+// rule kws files under its page domains contributes no keyword and no generic
+// entry: the page-domain index serves it. runs, when not nil, is
+// selectKeywords' id of each rule's run: the rules of one id are filed under
+// one keyword, sorted once. The build is deterministic — children in symbol
+// order, BFS, first-fit slot placement — so the same rules and keywords always
+// serialize to the same bytes (snapshot versions are content CRCs; a rebuild
+// must not change them).
 //
 // No trie is searched to build it. The distinct keywords, sorted by their
 // scan classes, list the trie's nodes in breadth-first order level by level:
 // the nodes at depth d are the keywords' distinct d-symbol prefixes in sorted
 // order, so a node's id is its BFS position and its children are one
-// contiguous run of ids, in symbol order.
-func buildAutomaton(rules []*Rule, kws []kwSpan, runs []int32, rulesCRC uint64, member []bool) *automaton {
-	return openBuilt(buildRegion(rules, kws, runs, member), len(rules), rulesCRC)
-}
-
-// buildRegion is buildAutomaton short of the rules checksum, which a compile
-// sums meanwhile: the region with a zero in its place. Fail links and slot
-// placement read only the levels, so above parallelRules they run at once.
-func buildRegion(rules []*Rule, kws []kwSpan, runs []int32, member []bool) []byte {
+// contiguous run of ids, in symbol order. Fail links and slot placement read
+// only the levels, so above parallelRules they run at once.
+func buildRegion(rules []*Rule, kws []kwSpan, runs []int32) []byte {
 	sc := getScratch()
 	defer putScratch(sc)
 	b := &sc.build
-	b.collect(rules, kws, runs, member)
+	b.collect(rules, kws, runs)
 	b.sortKeys()
 	b.levels()
 	overlapped(len(b.keys), b.failLinks, b.place)
@@ -428,7 +419,7 @@ func openBuilt(region []byte, numRules int, rulesCRC uint64) *automaton {
 	return a
 }
 
-// trieBuild is buildAutomaton's working memory, phase by phase. Nodes are
+// trieBuild is buildRegion's working memory, phase by phase. Nodes are
 // numbered by BFS position, the root 0.
 type trieBuild struct {
 	// collect: the keywords (items), spelled in scan classes so that they
@@ -489,7 +480,7 @@ func resize[T any](s []T, n int) []T {
 
 // collect lists the build's keywords and rules, and spells the keywords,
 // on every core above parallelRules of them.
-func (b *trieBuild) collect(rules []*Rule, kws []kwSpan, runs []int32, member []bool) {
+func (b *trieBuild) collect(rules []*Rule, kws []kwSpan, runs []int32) {
 	b.reps, b.ords, b.ordItems, b.generic = b.reps[:0], b.ords[:0], b.ordItems[:0], b.generic[:0]
 	if runs != nil {
 		ids := int32(0)
@@ -502,7 +493,7 @@ func (b *trieBuild) collect(rules []*Rule, kws []kwSpan, runs []int32, member []
 	for ord, kw := range kws {
 		// A span that is a run is an HTTP rule's (selectKeywords): only a
 		// rule filed nowhere is looked at to tell a generic one.
-		if kw.byDomain() || member != nil && !member[ord] || kw.none() && !rules[ord].IsHTTP() {
+		if kw.byDomain() || kw.none() && !rules[ord].IsHTTP() {
 			continue
 		}
 		if kw.none() {
@@ -1175,7 +1166,7 @@ func (a *automaton) spelling(dst []byte, s uint32) []byte {
 
 // findRun returns the first maximal run of the pattern that spells the keyword
 // kw begins with: scan classes, last first, ended by a 0 (spelling's form, as
-// attachHot stores it).
+// attach stores it).
 func findRun(pat string, kw []byte) (kwSpan, bool) {
 next:
 	for i, j := nextKeywordRun(pat, 0); i >= 0; i, j = nextKeywordRun(pat, j) {

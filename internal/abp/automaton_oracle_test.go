@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -68,14 +69,14 @@ func (t *plainTrie) insert(kw string) int32 {
 // edge found by walking a sibling list, the trie and the used table grown
 // by append, the arrays filled in a scratch slice and encoded into the
 // region afterwards.
-func buildAutomatonPlain(rules []*Rule, kws []kwSpan, rulesCRC uint64, member []bool) *automaton {
+func buildAutomatonPlain(rules []*Rule, kws []kwSpan, rulesCRC uint64) *automaton {
 	// Trie construction. ends[i] is the node the i-th keyworded rule's
 	// path stops at; ords[i] is that rule's ordinal.
 	trie := plainTrie{{}}
 	var ords, generic []uint32
 	var ends []int32
 	for ord, r := range rules {
-		if !r.IsHTTP() || kws[ord].byDomain() || member != nil && !member[ord] {
+		if !r.IsHTTP() || kws[ord].byDomain() {
 			continue
 		}
 		if kws[ord].none() {
@@ -232,7 +233,8 @@ next:
 
 // TestTrieEdgesDifferential: the sorted breadth-first build serializes,
 // byte for byte, what the sibling-list build does — with and without the
-// selection's run ids, flat and split into tiers — over keyword sets drawn
+// selection's run ids, over the whole list and over either half of a random
+// split (the other half filed by page domain) — over keyword sets drawn
 // from a four-symbol alphabet, in either case, three to seven symbols long,
 // so that first and second symbols collide constantly, keywords repeat, and
 // keywords begin one another (a third of the lines reuse a prefix or an
@@ -274,16 +276,18 @@ func TestTrieEdgesDifferential(t *testing.T) {
 		}
 		l := buildList(t, "diff", lines...)
 		kw, runs := selectKeywords(l.rules)
-		hot := make([]bool, l.Len())
-		cold := make([]bool, l.Len())
-		for ord := range hot {
-			hot[ord] = rng.Intn(2) == 0
-			cold[ord] = !hot[ord]
+		half, other := slices.Clone(kw), slices.Clone(kw)
+		for ord := range kw {
+			if rng.Intn(2) == 0 {
+				half[ord] = kwByDomain
+			} else {
+				other[ord] = kwByDomain
+			}
 		}
-		for name, member := range map[string][]bool{"flat": nil, "hot": hot, "cold": cold} {
-			want := buildAutomatonPlain(l.rules, kw, l.rulesCRC, member).Bytes()
+		for name, kws := range map[string][]kwSpan{"whole": kw, "half": half, "other half": other} {
+			want := buildAutomatonPlain(l.rules, kws, l.rulesCRC).Bytes()
 			for _, ids := range [][]int32{runs, nil} {
-				if got := buildAutomaton(l.rules, kw, ids, l.rulesCRC, member).Bytes(); !bytes.Equal(got, want) {
+				if got := buildAutomaton(l.rules, kws, ids, l.rulesCRC).Bytes(); !bytes.Equal(got, want) {
 					t.Fatalf("round %d, %s build (run ids %t) of %q: sorted and sibling-list builds serialize differently", round, name, ids != nil, lines)
 				}
 			}

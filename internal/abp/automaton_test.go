@@ -99,7 +99,9 @@ func sharedPathLines(n int) []string {
 // for a request — the number selection exists to keep small.
 func candidates(l *List, q Request) int {
 	c := matchCtx{q: normalized(q)}
-	return len(l.probe(&c, l.auto))
+	l.auto.scanInto(&c, l.guards)
+	l.dom.scanInto(&c)
+	return len(c.sortedCands())
 }
 
 // TestCandidatesSharedPath is the regression gate for the EasyList-scale
@@ -107,28 +109,22 @@ func candidates(l *List, q Request) int {
 // the host must not all become candidates of a request for that path.
 func TestCandidatesSharedPath(t *testing.T) {
 	l := buildList(t, "shared", append(sharedPathLines(5000), "|https://zq7.")...)
-	rules := l.Rules()
-	for _, tiered := range []bool{false, true} {
-		if tiered {
-			l = l.CompileTiered(func(ord int) bool { return ord%7 == 0 })
-		}
-		url := "https://host1234.example/js/advertisement.js"
-		if n := candidates(l, Request{URL: url}); n > 4 {
-			t.Errorf("tiered=%v: %d candidates for %q, want <= 4", tiered, n, url)
-		}
-		if d, r := l.MatchRequest(Request{URL: url, Type: TypeScript}); d != Blocked || r != rules[1234] {
-			t.Errorf("tiered=%v: %q: got (%v, %s), want rule 1234 to block", tiered, url, d, raw(r))
-		}
-		// The last rule must sit under "zq7", not under the "https" every
-		// request here starts with.
-		if n := candidates(l, Request{URL: "https://unlisted.example/"}); n != 0 {
-			t.Errorf("tiered=%v: %d candidates for an unlisted https URL, want 0", tiered, n)
-		}
+	url := "https://host1234.example/js/advertisement.js"
+	if n := candidates(l, Request{URL: url}); n > 4 {
+		t.Errorf("%d candidates for %q, want <= 4", n, url)
+	}
+	if d, r := l.MatchRequest(Request{URL: url, Type: TypeScript}); d != Blocked || r != l.Rules()[1234] {
+		t.Errorf("%q: got (%v, %s), want rule 1234 to block", url, d, raw(r))
+	}
+	// The last rule must sit under "zq7", not under the "https" every
+	// request here starts with.
+	if n := candidates(l, Request{URL: "https://unlisted.example/"}); n != 0 {
+		t.Errorf("%d candidates for an unlisted https URL, want 0", n)
 	}
 }
 
 // TestBuildDeterministic: the same rules compile to the same bytes every
-// time, flat and tiered. The rule set is all ties (every run occurs twice)
+// time. The rule set is all ties (every run occurs twice)
 // so a choice that leaned on map iteration order would show.
 func TestBuildDeterministic(t *testing.T) {
 	var lines []string
@@ -138,20 +134,17 @@ func TestBuildDeterministic(t *testing.T) {
 			fmt.Sprintf("/ccc%03d/bbb%03d/aaa%03d^", i, i, i))
 	}
 	first := buildList(t, "det", lines...)
-	rules := first.Rules()
-	keep := func(ord int) bool { return ord%3 == 0 }
-	firstTiered := first.CompileTiered(keep)
 	for i := 0; i < 5; i++ {
-		l := NewList("det", rules)
-		if !bytes.Equal(l.AutomatonBytes(), first.AutomatonBytes()) {
-			t.Fatal("flat bytes differ across identical compiles")
-		}
-		tl := l.CompileTiered(keep)
-		if !bytes.Equal(tl.AutomatonBytes(), firstTiered.AutomatonBytes()) ||
-			!bytes.Equal(tl.HotAutomatonBytes(), firstTiered.HotAutomatonBytes()) {
-			t.Fatal("tier bytes differ across identical compiles")
+		if l := NewList("det", first.Rules()); !bytes.Equal(l.AutomatonBytes(), first.AutomatonBytes()) {
+			t.Fatal("bytes differ across identical compiles")
 		}
 	}
+}
+
+// buildAutomaton is NewList's build with the rules checksum written in: the
+// region over the rules each under its entry of kws, attached.
+func buildAutomaton(rules []*Rule, kws []kwSpan, runs []int32, rulesCRC uint64) *automaton {
+	return openBuilt(buildRegion(rules, kws, runs), len(rules), rulesCRC)
 }
 
 // longestRunKeywords is the per-rule choice every snapshot written before
@@ -175,31 +168,20 @@ func longestRunKeywords(rules []*Rule) []kwSpan {
 // snapshots compiled before rarity ranking: an automaton over longest-run
 // keywords differs from today's build, still opens against the same
 // rules, and gives the linear oracle's verdicts, winners and all-matches
-// sets — flat and tiered.
+// sets.
 func TestLongestRunAutomatonStillServes(t *testing.T) {
 	rules := append(benchRules(2000), buildList(t, "shared", sharedPathLines(200)...).Rules()...)
 	plain := NewList("old", rules)
 	kws := longestRunKeywords(plain.Rules())
-	old := buildAutomaton(plain.Rules(), kws, nil, plain.rulesCRC, nil)
+	old := buildAutomaton(plain.Rules(), kws, nil, plain.rulesCRC)
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("longest-run and rarest-run builds coincide: the test exercises nothing")
 	}
-	flat, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(), nil)
+	attached, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes())
 	if err != nil {
 		t.Fatalf("longest-run automaton refused: %v", err)
 	}
-	assertTierTransparent(t, "flat", plain, flat)
-
-	hot := make([]bool, len(plain.Rules()))
-	for ord, r := range plain.Rules() {
-		hot[ord] = r.IsHTTP() && (r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0)
-	}
-	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
-		buildAutomaton(plain.Rules(), kws, nil, plain.rulesCRC, hot).Bytes())
-	if err != nil {
-		t.Fatalf("longest-run tier pair refused: %v", err)
-	}
-	assertTierTransparent(t, "tiered", plain, tiered)
+	assertAnswersAsOracle(t, "longest-run", plain, attached)
 }
 
 // TestChosenKeywordIsSubstringOfMatches pins the soundness property the
@@ -208,7 +190,7 @@ func TestLongestRunAutomatonStillServes(t *testing.T) {
 func TestChosenKeywordIsSubstringOfMatches(t *testing.T) {
 	rules := NewList("sound", benchRules(2000)).Rules()
 	kws := selectedKeywords(rules)
-	for _, u := range tierURLs() {
+	for _, u := range queryURLs() {
 		q := Request{URL: u, Type: TypeScript, PageDomain: "page.com"}
 		low := strings.ToLower(u)
 		for ord, r := range rules {
@@ -226,7 +208,7 @@ func TestAutomatonRoundTrip(t *testing.T) {
 	rules := benchRules(1000)
 	orig := NewList("rt", rules)
 	blob := orig.AutomatonBytes()
-	re, err := NewListAttached("rt", rules, orig.rulesCRC, blob, nil)
+	re, err := NewListAttached("rt", rules, orig.rulesCRC, blob)
 	if err != nil {
 		t.Fatalf("NewListAttached: %v", err)
 	}
@@ -330,14 +312,14 @@ func TestRulesChecksumPinned(t *testing.T) {
 // TestNonASCIIURLs pins the folding rule where it is decided — URL bytes
 // are matched as sent, only A–Z folds — and that the automaton needs no
 // second engine for such URLs: every case gives its pinned verdict and
-// equals the linear oracle flat, reattached and tiered; folding a
+// equals the linear oracle built and reattached; folding a
 // non-ASCII URL allocates nothing; and a snapshot the parent commit wrote
 // loads and answers the table as its own oracle does.
 func TestNonASCIIURLs(t *testing.T) {
 	for _, c := range nonASCIICases {
 		rules := buildList(t, "nonascii", append(slices.Clip(diffFixed), c.line)...).Rules()
 		q := Request{URL: c.url, Type: TypeScript, PageDomain: "page.com"}
-		engines := diffEngines(t, rules, len(c.url))
+		engines := diffEngines(t, rules)
 		if d, _ := engines[0].l.MatchRequestLinear(q); d != c.want {
 			t.Errorf("rule %q url %q: linear verdict %v, want %v", c.line, c.url, d, c.want)
 		}
@@ -372,22 +354,17 @@ func TestNonASCIIURLs(t *testing.T) {
 		}
 	})
 
-	// testdata/parent-v4.snapshot was written by the parent commit (b547b05,
-	// `SaveListsSnapshotTiered`) from diffFixed plus every nonASCIICases
-	// rule of the time except the $match-case one: that commit drew every
-	// rule's keyword from the Unicode-lowered pattern, which only its
-	// token-index fallback made sound under $match-case, and which
-	// kelvinPatternURL misses. Its automata are attached as that commit
-	// compiled them, under today's schema (parentV4AsCurrent); the file as it
-	// is, and its schema-3 twin, are the converter's fixtures
-	// (cmd/adwars-compact).
+	// testdata/parent-v4.snapshot was written by the parent commit (b547b05)
+	// from diffFixed plus every nonASCIICases rule of the time except the
+	// $match-case one: that commit drew every rule's keyword from the
+	// Unicode-lowered pattern, which only its token-index fallback made sound
+	// under $match-case, and which kelvinPatternURL misses. Its rules are
+	// attached under the runs that commit filed them under, in today's schema
+	// (parentV4AsCurrent).
 	t.Run("parent-v4.snapshot", func(t *testing.T) {
 		snap, err := ParseListsSnapshot(parentV4AsCurrent(t))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !snap.Tiered() {
-			t.Fatal("parent v4 loaded untiered")
 		}
 		l := snap.Lists[0]
 		for _, c := range nonASCIICases {

@@ -119,9 +119,9 @@ func BenchmarkCompilePhases(b *testing.B) {
 	l := indexRules("easy", rules)
 	l.rulesCRC = rulesChecksum(l.rules)
 	kws, runs := selectKeywords(l.rules)
-	l.kws, l.guards = kws, ruleGuards(l.rules, kws)
+	l.guards = ruleGuards(l.rules, kws)
 	var t trieBuild
-	t.collect(l.rules, kws, runs, nil)
+	t.collect(l.rules, kws, runs)
 	t.sortKeys()
 	t.levels()
 	t.failLinks()
@@ -136,7 +136,7 @@ func BenchmarkCompilePhases(b *testing.B) {
 		{"checksum", func() { rulesChecksum(l.rules) }},
 		{"guards", func() { ruleGuards(l.rules, kws) }},
 		{"sort+levels", func() {
-			t.collect(l.rules, kws, runs, nil)
+			t.collect(l.rules, kws, runs)
 			t.sortKeys()
 			t.levels()
 		}},
@@ -148,8 +148,7 @@ func BenchmarkCompilePhases(b *testing.B) {
 			if l.auto, err = openAutomaton(blob, len(l.rules), l.rulesCRC); err != nil {
 				b.Fatal(err)
 			}
-			l.dom = nil
-			if err := l.attachHot(nil); err != nil {
+			if err := l.attach(); err != nil {
 				b.Fatal(err)
 			}
 		}},
@@ -220,24 +219,6 @@ func BenchmarkListCompileLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileTiered measures CompileTiered over easyShaped's 20 k-rule
-// list with every fifth rule kept hot: the hot automaton's build and the
-// subset check — what a tiering costs beyond the NewList it starts from.
-func BenchmarkCompileTiered(b *testing.B) {
-	lines, _ := easyShaped(1, 20_000, 0)
-	flat, errs := ParseAndBuild("bench", strings.Join(lines, "\n"))
-	if len(errs) > 0 {
-		b.Fatal(errs[0])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tl := flat.CompileTiered(func(ord int) bool { return ord%5 == 0 }); !tl.Tiered() {
-			b.Fatal("not tiered")
-		}
-	}
-}
-
 // BenchmarkProbeSharedPath measures one AppendHits over a 20 k-rule list in
 // the shapes of a deployed one — path-only rules that differ in $domain=
 // alone, numbered plain rules that share a run ("-ad-300x250.N") — on ad-path
@@ -262,26 +243,21 @@ func BenchmarkProbeSharedPath(b *testing.B) {
 	b.ReportMetric(float64(cands)/float64(len(pool)), "cands/op")
 }
 
-// BenchmarkAttachList measures NewListAttached over the regions of the same
-// 20 k-rule list, flat and tiered: validation, membership and the guards
-// derived from the regions — what a reload pays per list beyond reading and
-// parsing the rule text.
+// BenchmarkAttachList measures NewListAttached over the region of the same
+// 20 k-rule list: validation, membership and the guards derived from the
+// region — what a reload pays per list beyond reading and parsing the rule
+// text.
 func BenchmarkAttachList(b *testing.B) {
 	lines, _ := easyShaped(1, 20_000, 0)
-	flat, errs := ParseAndBuild("bench", strings.Join(lines, "\n"))
+	l, errs := ParseAndBuild("bench", strings.Join(lines, "\n"))
 	if len(errs) > 0 {
 		b.Fatal(errs[0])
 	}
-	for _, e := range []diffEngine{{"flat", flat}, {"tiered", flat.CompileTiered(func(ord int) bool { return ord%4 == 0 })}} {
-		l := e.l
-		b.Run(e.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewListAttached("bench", l.rules, l.rulesCRC, l.AutomatonBytes(), l.HotAutomatonBytes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewListAttached("bench", l.rules, l.rulesCRC, l.AutomatonBytes()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -13,20 +13,20 @@ import (
 
 // TestCompileBytesPinnedAcrossCores: compile's per-rule phases and its
 // keyword sort run on every core above parallelRules rules, and no core count
-// moves a byte. The checksums are those of the whole and the hot region of
-// easyShaped(1, 20_000, 0)'s lines, and of their first parallelRules∓1, tiered
-// with every fifth rule hot, as the sibling-list build compiled them (recorded
-// before the sorted breadth-first build replaced it). TestSnapshotBytesPinned's
-// 880 rules never make a wide or a deep trie; these do.
+// moves a byte. The checksums are those of the region of
+// easyShaped(1, 20_000, 0)'s lines, and of their first parallelRules∓1, as the
+// sibling-list build compiled them (recorded before the sorted breadth-first
+// build replaced it). TestSnapshotBytesPinned's 880 rules never make a wide or
+// a deep trie; these do.
 func TestCompileBytesPinnedAcrossCores(t *testing.T) {
 	lines, _ := easyShaped(1, 20_000, 0)
 	pins := []struct {
-		rules      int
-		whole, hot uint64
+		rules int
+		whole uint64
 	}{
-		{parallelRules - 1, 0x22344eaa0380b8f4, 0x2b899a7ce6d52665},
-		{parallelRules + 1, 0x784d287fc702ec81, 0xf6278e3226e6387c},
-		{20_000, 0x262b2363430b278c, 0xaf05427200b1b8ea},
+		{parallelRules - 1, 0x22344eaa0380b8f4},
+		{parallelRules + 1, 0x784d287fc702ec81},
+		{20_000, 0x262b2363430b278c},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -36,12 +36,8 @@ func TestCompileBytesPinnedAcrossCores(t *testing.T) {
 			if len(errs) > 0 || len(rules) != p.rules {
 				t.Fatalf("%d lines: %d rules, errors %v", p.rules, len(rules), errs)
 			}
-			tl := NewList("pin", rules).CompileTiered(func(ord int) bool { return ord%5 == 0 })
-			if got := artifact.Checksum(tl.AutomatonBytes()); got != p.whole {
-				t.Errorf("GOMAXPROCS %d, %d rules: whole region crc %016x, pinned %016x", procs, p.rules, got, p.whole)
-			}
-			if got := artifact.Checksum(tl.HotAutomatonBytes()); got != p.hot {
-				t.Errorf("GOMAXPROCS %d, %d rules: hot region crc %016x, pinned %016x", procs, p.rules, got, p.hot)
+			if got := artifact.Checksum(NewList("pin", rules).AutomatonBytes()); got != p.whole {
+				t.Errorf("GOMAXPROCS %d, %d rules: region crc %016x, pinned %016x", procs, p.rules, got, p.whole)
 			}
 		}
 	}
@@ -58,7 +54,7 @@ func TestCompileBelowThresholdStartsNoGoroutine(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	before := goroutinesStarted.Load()
-	NewList("below", rules).CompileTiered(func(ord int) bool { return ord%5 == 0 })
+	NewList("below", rules)
 	if n := goroutinesStarted.Load() - before; n != 0 {
 		t.Errorf("a compile of %d rules started %d goroutines", len(rules), n)
 	}
@@ -74,7 +70,7 @@ func TestCompileBelowThresholdStartsNoGoroutine(t *testing.T) {
 }
 
 // TestCompileLeavesNoGoroutines: every goroutine a compile starts has ended
-// when NewList or CompileTiered returns.
+// when NewList returns.
 func TestCompileLeavesNoGoroutines(t *testing.T) {
 	lines, _ := easyShaped(1, parallelRules+1, 0)
 	rules, errs := ParseList(strings.Join(lines, "\n"))
@@ -83,7 +79,7 @@ func TestCompileLeavesNoGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
-		NewList("leak", rules).CompileTiered(func(ord int) bool { return ord%5 == 0 })
+		NewList("leak", rules)
 	}
 	// A goroutine that has signalled its WaitGroup may take a moment to exit.
 	after := runtime.NumGoroutine()
@@ -106,17 +102,15 @@ func TestConcurrentCompiles(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	keep := func(ord int) bool { return ord%5 == 0 }
-	want := NewList("want", rules).CompileTiered(keep)
+	want := NewList("want", rules)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				got := NewList("got", rules).CompileTiered(keep)
-				if !bytes.Equal(got.AutomatonBytes(), want.AutomatonBytes()) || !bytes.Equal(got.HotAutomatonBytes(), want.HotAutomatonBytes()) {
-					t.Errorf("worker %d, compile %d: regions differ from a lone compile's", w, i)
+				if got := NewList("got", rules); !bytes.Equal(got.AutomatonBytes(), want.AutomatonBytes()) {
+					t.Errorf("worker %d, compile %d: region differs from a lone compile's", w, i)
 					return
 				}
 			}

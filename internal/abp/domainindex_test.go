@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,28 +63,15 @@ func domainIndexQueries() []Request {
 }
 
 // TestDomainIndexDifferential holds the page-domain index to the linear
-// oracle everywhere the automaton is held to it: MatchRequest, AppendHits,
-// DecideHits and AppendHitsHot (assertMatchesOracle), flat and tiered, freshly
-// compiled and after a snapshot round trip.
+// oracle everywhere the automaton is held to it: MatchRequest, AppendHits
+// and DecideHits (assertMatchesOracle), freshly compiled and after a snapshot
+// round trip.
 func TestDomainIndexDifferential(t *testing.T) {
 	plain := buildList(t, "dom", domainIndexLines()...)
 	if st := plain.TierStats(); st.DomainRules < 120 || st.GenericRules != 1 || st.KeywordRules < 200 {
-		t.Fatalf("tier stats %+v: the list does not exercise all three classes", st)
+		t.Fatalf("stats %+v: the list does not exercise all three classes", st)
 	}
-	engines := []diffEngine{
-		{"flat", plain},
-		{"tiered-cold", plain.CompileTiered(nil)},
-		{"tiered-hot", plain.CompileTiered(func(int) bool { return true })},
-		{"tiered-mix", plain.CompileTiered(func(ord int) bool { return ord%3 == 0 })},
-	}
-	var lists []*List
-	for _, e := range engines {
-		if e.l.dom != plain.dom || e.l.TierStats().DomainRules != plain.dom.rules {
-			t.Fatalf("%s: the tiered copy does not share the list's index", e.name)
-		}
-		lists = append(lists, e.l)
-	}
-	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: lists})
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{plain}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +79,17 @@ func TestDomainIndexDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range snap.Lists {
-		if got, want := l.TierStats(), lists[i].TierStats(); got != want {
-			t.Fatalf("%s reloaded: tier stats %+v, compiled %+v", engines[i].name, got, want)
-		}
-		engines = append(engines, diffEngine{engines[i].name + "-reloaded", l})
+	reloaded := snap.Lists[0]
+	if got, want := reloaded.TierStats(), plain.TierStats(); got != want {
+		t.Fatalf("reloaded: stats %+v, compiled %+v", got, want)
 	}
+	kws, _ := selectKeywords(plain.rules)
 	served, spilled := false, false
 	for _, q := range domainIndexQueries() {
-		for _, e := range engines {
-			assertMatchesOracle(t, e.name, plain, e.l, q)
-		}
+		assertMatchesOracle(t, "compiled", plain, plain, q)
+		assertMatchesOracle(t, "reloaded", plain, reloaded, q)
 		for _, h := range plain.AppendHits(nil, q) {
-			served = served || plain.kws[h.Ord].byDomain()
+			served = served || kws[h.Ord].byDomain()
 		}
 		spilled = spilled || candidates(plain, q) > matchScratchCap
 	}
@@ -126,59 +112,45 @@ func runsOnly(rules []*Rule) []kwSpan {
 
 // TestKeywordOnlyAutomatonStillServes is the compatibility gate for snapshots
 // compiled before the page-domain index: regions with every rule under its
-// run (runsOnly) differ from today's build, still attach,
-// leave the index empty and answer as the linear oracle does — each rule
-// served once, though the index would take it. What a region may not do is
-// leave out a rule the index cannot serve.
+// run (runsOnly) differ from today's build, still attach, leave the index
+// empty and answer as the linear oracle does — each rule served once, though
+// the index would take it — and a list compiled from the same rules gets
+// today's layout. What a region may not do is leave out a rule the index
+// cannot serve.
 func TestKeywordOnlyAutomatonStillServes(t *testing.T) {
 	plain := buildList(t, "old", domainIndexLines()...)
 	rules := plain.Rules()
 	kws := runsOnly(rules)
-	old := buildAutomaton(rules, kws, nil, plain.rulesCRC, nil)
+	old := buildAutomaton(rules, kws, nil, plain.rulesCRC)
 	if bytes.Equal(old.Bytes(), plain.AutomatonBytes()) {
 		t.Fatal("keyword-only and indexed builds coincide: the test exercises nothing")
 	}
-	hot := make([]bool, len(rules))
-	for ord, r := range rules {
-		hot[ord] = r.IsHTTP() && (r.Kind == KindHTTPException || kws[ord].none() || ord%2 == 0)
-	}
-	flat, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(), nil)
+	l, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes())
 	if err != nil {
 		t.Fatalf("keyword-only automaton refused: %v", err)
 	}
-	tiered, err := NewListAttached("old", rules, plain.rulesCRC, old.Bytes(),
-		buildAutomaton(rules, kws, nil, plain.rulesCRC, hot).Bytes())
-	if err != nil {
-		t.Fatalf("keyword-only tier pair refused: %v", err)
+	if st := l.TierStats(); st.DomainRules != 0 || st.KeywordRules <= plain.TierStats().KeywordRules {
+		t.Fatalf("stats %+v, want every rule with a run under it", st)
 	}
-	for _, l := range []*List{flat, tiered} {
-		if st := l.TierStats(); st.DomainRules != 0 || st.KeywordRules <= plain.TierStats().KeywordRules {
-			t.Fatalf("tiered=%v: tier stats %+v, want every rule with a run under it", l.Tiered(), st)
-		}
-		for _, q := range domainIndexQueries() {
-			assertMatchesOracle(t, "keyword-only", plain, l, q)
-		}
+	for _, q := range domainIndexQueries() {
+		assertMatchesOracle(t, "keyword-only", plain, l, q)
 	}
-
-	// Recompiled, the attached list gets today's layout.
-	if again := tiered.CompileTiered(nil); again.TierStats().DomainRules != plain.dom.rules {
-		t.Fatalf("recompiled tiers file %d rules by page domain, want %d", again.TierStats().DomainRules, plain.dom.rules)
+	if again := NewList("old", l.Rules()); again.TierStats().DomainRules != plain.dom.rules {
+		t.Fatalf("recompiled, %d rules are filed by page domain, want %d", again.TierStats().DomainRules, plain.dom.rules)
 	}
 
 	for ord, r := range rules {
 		if !r.IsHTTP() || kws[ord].none() {
 			continue
 		}
-		member := make([]bool, len(rules))
-		for i := range member {
-			member[i] = i != ord
-		}
-		_, err := NewListAttached("old", rules, plain.rulesCRC, buildAutomaton(rules, kws, nil, plain.rulesCRC, member).Bytes(), nil)
+		without := slices.Clone(kws)
+		without[ord] = kwByDomain
+		_, err := NewListAttached("old", rules, plain.rulesCRC, buildAutomaton(rules, without, nil, plain.rulesCRC).Bytes())
 		switch {
 		case len(r.Domains()) > 0 && err != nil:
 			t.Fatalf("region without %q refused, though the index serves it: %v", r.Raw, err)
-		case len(r.Domains()) == 0 && (err == nil || !isCorrupt(err) || !strings.Contains(err.Error(), "tier-invalid")):
-			t.Fatalf("region without %q: error %v, want tier-invalid", r.Raw, err)
+		case len(r.Domains()) == 0 && (err == nil || !isCorrupt(err) || !strings.Contains(err.Error(), "filing-invalid")):
+			t.Fatalf("region without %q: error %v, want filing-invalid", r.Raw, err)
 		}
 		if ord > 12 {
 			break // one of every shape at the head of the list
@@ -251,7 +223,7 @@ func TestCandidateBudget(t *testing.T) {
 	flat := buildList(t, "budget", lines...)
 	runs := runsOnly(flat.rules)
 	keywordOnly, err := NewListAttached("budget", flat.rules, flat.rulesCRC,
-		buildAutomaton(flat.rules, runs, nil, flat.rulesCRC, nil).Bytes(), nil)
+		buildAutomaton(flat.rules, runs, nil, flat.rulesCRC).Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +233,6 @@ func TestCandidateBudget(t *testing.T) {
 		sum, most int
 	}{
 		{"flat", flat, 6067, 18},
-		{"tiered", flat.CompileTiered(func(ord int) bool { return ord%2 == 0 }), 6067, 18},
 		{"keyword-only", keywordOnly, 24793, 62},
 	} {
 		sum, most := 0, 0
@@ -284,7 +255,7 @@ func TestTrailingDotDomain(t *testing.T) {
 		"/js/ads.js$domain=other.com",
 		"/track$~third-party",
 	)
-	if !l.kws[0].byDomain() {
+	if kws, _ := selectKeywords(l.rules); !kws[0].byDomain() {
 		t.Fatal("the $domain= rules are not in the index: the lookup is not exercised")
 	}
 	for page, want := range map[string][2]Decision{

@@ -78,37 +78,22 @@ type diffEngine struct {
 	l    *List
 }
 
-// diffEngines compiles rules every way there is — built, reattached from
-// its own bytes, tiered with nothing kept, everything and a mix, and a
-// (whole, hot) pair reattached — with the built list first: the oracle runs on that one.
-func diffEngines(t *testing.T, rules []*Rule, salt int) []diffEngine {
+// diffEngines compiles rules both ways there are — built, and reattached
+// from its own bytes — with the built list first: the oracle runs on that one.
+func diffEngines(t *testing.T, rules []*Rule) []diffEngine {
 	t.Helper()
 	list := NewList("diff", rules)
-	re, err := NewListAttached("diff", rules, list.rulesCRC, list.AutomatonBytes(), nil)
+	re, err := NewListAttached("diff", rules, list.rulesCRC, list.AutomatonBytes())
 	if err != nil {
 		t.Fatalf("round-trip rejected own bytes: %v", err)
 	}
-	mixed := list.CompileTiered(func(ord int) bool { return (ord+salt)%3 == 0 })
-	tre, err := NewListAttached("diff", rules, list.rulesCRC, mixed.AutomatonBytes(), mixed.HotAutomatonBytes())
-	if err != nil {
-		t.Fatalf("tier round-trip rejected own bytes: %v", err)
-	}
-	return []diffEngine{
-		{"flat", list},
-		{"reattached", re},
-		{"tiered-cold", list.CompileTiered(nil)},
-		{"tiered-hot", list.CompileTiered(func(int) bool { return true })},
-		{"tiered-mix", mixed},
-		{"tiered-reattached", tre},
-	}
+	return []diffEngine{{"flat", list}, {"reattached", re}}
 }
 
 // assertMatchesOracle holds every automaton path of l to oracle's linear
 // scan on one request: MatchRequest's verdict and winner, AppendHits' full
-// hit list in order, DecideHits, and AppendHitsHot, which must be exactly
-// the hits on hot rules — so it may differ from the oracle solely by a
-// non-hot block reading as no-match. oracle and l hold the same rules in the same
-// order; l may be a reloaded copy, so rules are identified by ordinal.
+// hit list in order, and DecideHits. oracle and l hold the same rules in the
+// same order; l may be a reloaded copy, so rules are identified by ordinal.
 func assertMatchesOracle(t *testing.T, name string, oracle, l *List, q Request) {
 	t.Helper()
 	wd, wr := oracle.MatchRequestLinear(q)
@@ -121,37 +106,23 @@ func assertMatchesOracle(t *testing.T, name string, oracle, l *List, q Request) 
 	if len(hits) != len(want) {
 		t.Fatalf("%s: url %q page %q: %d hits != linear %d", name, q.URL, q.PageDomain, len(hits), len(want))
 	}
-	var hotWant []Hit
 	for i, h := range hits {
 		if l.Rules()[h.Ord] != h.Rule || oracle.Rules()[h.Ord] != want[i] {
 			t.Fatalf("%s: url %q page %q: hit %d is rule %d %q, linear has %q",
 				name, q.URL, q.PageDomain, i, h.Ord, h.Rule.Raw, want[i].Raw)
-		}
-		if l.IsHotRule(h.Ord) {
-			hotWant = append(hotWant, h)
-		} else if h.Rule.Kind != KindHTTPBlock {
-			t.Fatalf("%s: url %q page %q: hit %d, %q, is no block and not hot", name, q.URL, q.PageDomain, i, h.Rule.Raw)
 		}
 	}
 	if d, r, ord := DecideHits(hits); d != wd || raw(r) != raw(wr) || r != nil && l.Rules()[ord] != r {
 		t.Fatalf("%s: url %q page %q: DecideHits (%v, %s, %d) != linear (%v, %s)",
 			name, q.URL, q.PageDomain, d, raw(r), ord, wd, raw(wr))
 	}
-	hot := l.AppendHitsHot(nil, q)
-	if !slices.Equal(hot, hotWant) {
-		t.Fatalf("%s: url %q page %q: hot-only hits %v != hot-tier hits %v", name, q.URL, q.PageDomain, hot, hotWant)
-	}
-	if d, _, _ := DecideHits(hot); d != wd && !(wd == Blocked && d == NoMatch) {
-		t.Fatalf("%s: url %q page %q: hot-only verdict %v, linear %v", name, q.URL, q.PageDomain, d, wd)
-	}
 }
 
 // FuzzMatchDifferential throws arbitrary (rule line, URL, page domain)
 // triples at the one engine and its one oracle and fails on any
-// divergence: the compiled automaton — flat, reattached, and tiered every
-// way (diffEngines) — must return the linear scan's decision, winning rule
-// and full hit list through MatchRequest, AppendHits and AppendHitsHot
-// (assertMatchesOracle). The fuzzed rule is compiled in with diffFixed, so
+// divergence: the compiled automaton — built and reattached (diffEngines) —
+// must return the linear scan's decision, winning rule and full hit list
+// through MatchRequest and AppendHits (assertMatchesOracle). The fuzzed rule is compiled in with diffFixed, so
 // it also changes the run counts keyword selection ranks by. `make
 // fuzz-smoke` runs it for ten seconds; plain `go test` runs the seeds.
 func FuzzMatchDifferential(f *testing.F) {
@@ -198,7 +169,7 @@ func FuzzMatchDifferential(f *testing.F) {
 			}
 		}
 		q := Request{URL: url, Type: TypeScript, PageDomain: page}
-		engines := diffEngines(t, rules, len(url))
+		engines := diffEngines(t, rules)
 		for _, e := range engines {
 			assertMatchesOracle(t, e.name, engines[0].l, e.l, q)
 		}

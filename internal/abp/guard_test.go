@@ -104,14 +104,13 @@ func guardURLs() []string {
 }
 
 // TestGuardDifferential holds the guarded scan to the linear oracle
-// everywhere the automaton is held to it — MatchRequest, AppendHits,
-// DecideHits and AppendHitsHot (assertMatchesOracle), flat and tiered, freshly
-// compiled, reattached and after a snapshot round trip — and the guards a
-// load derives from the regions to those the compile read off its selection,
-// ordinal by ordinal.
+// everywhere the automaton is held to it — MatchRequest, AppendHits and
+// DecideHits (assertMatchesOracle), freshly compiled, reattached and after a
+// snapshot round trip — and the guards a load derives from the region to
+// those the compile read off its selection, ordinal by ordinal.
 func TestGuardDifferential(t *testing.T) {
 	plain := buildList(t, "guard", guardLines()...)
-	engines := diffEngines(t, plain.Rules(), 1)
+	engines := diffEngines(t, plain.Rules())
 	var lists []*List
 	for _, e := range engines {
 		lists = append(lists, e.l)
@@ -167,34 +166,22 @@ func unguarded(l *List) *List {
 // TestGuardRefusesMisfiledRule: a region whose every structure is valid but
 // in which two rules stand in each other's output lists — each reachable only
 // under a run of the other's pattern, so both silently lost — loaded until
-// the loader looked each rule's run up; it is tier-invalid now, flat and
-// in either region of a tiered pair (in the hot one: the rule is filed under
-// another run than in the whole automaton, whose guards serve both).
+// the loader looked each rule's run up; it is filing-invalid now.
 func TestGuardRefusesMisfiledRule(t *testing.T) {
 	plain := buildList(t, "swap", "||alpha.example^", "/bravo/charlie.js", "@@||delta.example^", "/echo-foxtrot_")
-	tiered := plain.CompileTiered(func(ord int) bool { return ord < 1 })
-	// swapOwn exchanges the first two ordinals that lead an output list (no
-	// keyword here ends another, so each list is one rule of the state's own).
-	swapOwn := func(region []byte) []byte {
-		region = slices.Clone(region)
-		at := firstOutputs(t, region, plain.Len(), plain.rulesCRC)
-		le := binary.LittleEndian
-		x, y := le.Uint32(region[at[0]:]), le.Uint32(region[at[1]:])
-		le.PutUint32(region[at[0]:], y)
-		le.PutUint32(region[at[1]:], x)
-		return region
+	// Exchange the first two ordinals that lead an output list (no keyword
+	// here ends another, so each list is one rule of the state's own).
+	region := slices.Clone(plain.AutomatonBytes())
+	at := firstOutputs(t, region, plain.Len(), plain.rulesCRC)
+	le := binary.LittleEndian
+	x, y := le.Uint32(region[at[0]:]), le.Uint32(region[at[1]:])
+	le.PutUint32(region[at[0]:], y)
+	le.PutUint32(region[at[1]:], x)
+	if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, region); corruptReason(err) != "filing-invalid" {
+		t.Errorf("region with two ordinals exchanged: err = %v, want filing-invalid", err)
 	}
-	for name, regions := range map[string][2][]byte{
-		"flat":  {swapOwn(plain.AutomatonBytes()), nil},
-		"whole": {swapOwn(tiered.AutomatonBytes()), tiered.HotAutomatonBytes()},
-		"hot":   {tiered.AutomatonBytes(), swapOwn(tiered.HotAutomatonBytes())},
-	} {
-		if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, regions[0], regions[1]); corruptReason(err) != "tier-invalid" {
-			t.Errorf("%s region with two ordinals exchanged: err = %v, want tier-invalid", name, err)
-		}
-	}
-	if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, tiered.AutomatonBytes(), tiered.HotAutomatonBytes()); err != nil {
-		t.Fatalf("the regions as compiled: %v", err)
+	if _, err := NewListAttached("swap", plain.Rules(), plain.rulesCRC, plain.AutomatonBytes()); err != nil {
+		t.Fatalf("the region as compiled: %v", err)
 	}
 }
 

@@ -2,6 +2,9 @@ package abp
 
 import (
 	"fmt"
+	"strings"
+
+	"adwars/internal/artifact"
 )
 
 // Decision is the outcome of matching a request against a List.
@@ -35,7 +38,7 @@ func (d Decision) String() string {
 // it to. It matches requests only: its element hiding rules are counted and
 // served as text, and hidden by a Hiding built from the list (NewHiding)
 // where pages are. Build lists with NewList (compiles the automaton)
-// or NewListAttached (attaches serialized ones); nothing is built lazily, so
+// or NewListAttached (attaches a serialized one); nothing is built lazily, so
 // a List is safe for concurrent readers — nothing is written after
 // construction, to the list or to its rules.
 type List struct {
@@ -45,26 +48,14 @@ type List struct {
 	rules    []*Rule
 	auto     *automaton
 	rulesCRC uint64
-	// kws is the keyword selection auto was built from, kept so that
-	// CompileTiered builds its tiers from the same choice without making it
-	// again. Nil on a list whose automaton was attached from a snapshot.
-	kws []kwSpan
-	// dom serves the HTTP rules no automaton holds, by page domain; probed
-	// with auto on every lookup. Never nil once the list is built.
+	// dom serves the HTTP rules the automaton does not hold, by page domain;
+	// probed with auto on every lookup. Never nil once the list is built.
 	dom *domainIndex
 	// guards holds, by ordinal, the literal context of the run each rule is
 	// filed under (automaton.go: guard), which the scan checks before it
-	// nominates the rule. Derived — from kws at a compile, from the regions
-	// at a load — never serialized, and shared with CompileTiered's copy.
+	// nominates the rule. Derived — from the keyword selection at a compile,
+	// from the region at a load — never serialized.
 	guards []guard
-
-	// A tiered list (see tier.go) is the list above plus hot, the small
-	// automaton over the rules a hot-only lookup (AppendHitsHot) still
-	// consults, filed under the same runs as in auto so that guards serves
-	// both; hotRule marks those rules and the index's by ordinal. Both nil
-	// for untiered lists.
-	hot     *automaton
-	hotRule []bool
 
 	// usage, when enabled, counts match verdicts per rule ordinal. Nil
 	// (and therefore free) unless EnableUsage was called before serving.
@@ -82,50 +73,126 @@ func NewList(name string, rules []*Rule) *List {
 	// built.
 	var region []byte
 	overlapped(len(l.rules),
-		func() { region = buildRegion(l.rules, kws, runs, nil) },
+		func() { region = buildRegion(l.rules, kws, runs) },
 		func() {
 			l.rulesCRC = rulesChecksum(l.rules)
 			l.guards = ruleGuards(l.rules, kws)
 		})
-	l.kws, l.auto = kws, openBuilt(region, len(l.rules), l.rulesCRC)
-	if err := l.attachHot(nil); err != nil {
+	l.auto = openBuilt(region, len(l.rules), l.rulesCRC)
+	if err := l.attach(); err != nil {
 		panic(fmt.Sprintf("abp: internal: freshly compiled list failed validation: %v", err))
 	}
 	return l
 }
 
 // NewListAttached is NewList for the snapshot load path, which carries the
-// list's serialized automaton regions: instead of rebuilding the probe
-// automaton from the rules (O(rules·keyword)), whole is validated and
-// attached (O(states) bounds checks, in place over the caller's buffer).
-// hot is the hot automaton's region, nil for a flat list; when given, it is
-// attached too. What each region files is re-derived from its own output
-// sets and the pair's invariants enforced (see attachHot). rulesCRC is the
-// checksum of the rules' text (rulesChecksum), which the caller already has:
-// the snapshot loader parsed the rules out of a section whose frame checksum
-// is that value by definition, so the text is not summed again here. The
-// regions must have been compiled from exactly these rules — a checksum
-// mismatch, any structural damage, a rule the whole region does not hold or a
-// miscompiled pair (an exception left out of hot, a hot rule the whole region
-// files elsewhere or not at all) is refused with an error wrapping
-// artifact.ErrCorrupt.
-func NewListAttached(name string, rules []*Rule, rulesCRC uint64, whole, hot []byte) (*List, error) {
+// list's serialized automaton region: instead of rebuilding the probe
+// automaton from the rules (O(rules·keyword)), region is validated and
+// attached (O(states) bounds checks, in place over the caller's buffer), and
+// what it files is re-derived from its own output sets (see attach). rulesCRC
+// is the checksum of the rules' text (rulesChecksum), which the caller
+// already has: the snapshot loader parsed the rules out of a section whose
+// frame checksum is that value by definition, so the text is not summed again
+// here. The region must have been compiled from exactly these rules — a
+// checksum mismatch, any structural damage, or a rule the region files twice,
+// under a run its pattern does not have, or not at all where the page-domain
+// index cannot serve it is refused with an error wrapping artifact.ErrCorrupt.
+func NewListAttached(name string, rules []*Rule, rulesCRC uint64, region []byte) (*List, error) {
 	l := indexRules(name, rules)
 	l.rulesCRC = rulesCRC
 	var err error
-	if l.auto, err = openAutomaton(whole, len(l.rules), l.rulesCRC); err != nil {
+	if l.auto, err = openAutomaton(region, len(l.rules), l.rulesCRC); err != nil {
 		return nil, err
 	}
-	var h *automaton
-	if hot != nil {
-		if h, err = openAutomaton(hot, len(l.rules), l.rulesCRC); err != nil {
-			return nil, err
-		}
-	}
-	if err := l.attachHot(h); err != nil {
+	if err := l.attach(); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// attach validates the attached automaton against the rules and installs the
+// page-domain index and, on a load, the guards. What the automaton files is
+// read off the automaton itself — a rule is filed where a state lists it under
+// a keyword of its own, or in the generic array — so no membership table needs
+// serializing: the region is self-describing. Guards a compile already has (of
+// the selection its region was built from) are kept; a load derives them here,
+// from the run each rule is found filed under, which is also where a rule
+// filed under a run its pattern does not have is caught.
+func (l *List) attach() error {
+	corrupt := func(format string, args ...any) error {
+		return artifact.Corruptf("filing-invalid", format, args...)
+	}
+	// Only a load has guards to derive. For that, spelled collects the keyword
+	// of every state that files a rule (automaton.spelling, each ended by a 0:
+	// no symbol) and at[o] is where rule o's begins, plus one.
+	guards, at, spelled := l.guards, []uint32(nil), []byte(nil)
+	if guards == nil {
+		guards, at = make([]guard, len(l.rules)), make([]uint32, len(l.rules))
+		spelled = make([]byte, 0, 8*len(l.rules))
+	}
+	// filed marks the rules the automaton holds. A state's own rules lead its
+	// output list, ahead of the lists merged in down its fail chain, so each
+	// rule is met once, at the state its keyword spells. The generic array is
+	// marked after the states, which must not list its rules.
+	a, filed := l.auto, make([]bool, len(l.rules))
+	for s, f := range a.fail {
+		lo, hi := a.outIdx[s], a.outIdx[s+1]
+		if lo == hi {
+			continue
+		}
+		merged := a.outIdx[f+1] - a.outIdx[f]
+		if merged > hi-lo {
+			return corrupt("state %d lists fewer rules than its fail state %d", s, f)
+		}
+		hi -= merged
+		begins := uint32(len(spelled) + 1)
+		if hi > lo && at != nil {
+			spelled = append(a.spelling(spelled, uint32(s)), 0)
+		}
+		for _, o := range a.outputs[lo:hi] {
+			if filed[o] {
+				return corrupt("rule %d filed twice", o)
+			}
+			filed[o] = true
+			if at != nil {
+				at[o] = begins
+			}
+		}
+	}
+	for _, g := range a.generic {
+		if filed[g] {
+			return corrupt("rule %d filed twice", g)
+		}
+		filed[g] = true
+	}
+	var byDomain []uint32
+	for ord, r := range l.rules {
+		if at != nil && at[ord] != 0 {
+			// The keyword a rule is found filed under must be a run of its
+			// pattern, and the run's context there is the rule's guard. The
+			// states were walked in their order and the rules are read in
+			// theirs, so that neither the region nor the rule text is jumped
+			// about in.
+			kw := spelled[at[ord]-1:]
+			if span, ok := findRun(r.Pattern, kw); ok {
+				guards[ord] = ruleGuard(r.Pattern, span)
+			} else if _, ok := findRun(strings.ToLower(r.Pattern), kw); !ok {
+				// (A region compiled before the folding rule drew its runs
+				// from the Unicode-lowered pattern — DESIGN §12 — and is
+				// served as it was, unguarded.)
+				return corrupt("rule %d is filed under a run its pattern does not have", ord)
+			}
+		}
+		switch {
+		case !r.IsHTTP() || filed[ord]:
+		case r.nDomains > 0:
+			byDomain = append(byDomain, uint32(ord))
+		default:
+			return corrupt("HTTP rule %d is in no automaton", ord)
+		}
+	}
+	l.guards, l.dom = guards, newDomainIndex(l.rules, byDomain)
+	return nil
 }
 
 // indexRules is what both constructors share: the servable rules, in
@@ -146,6 +213,60 @@ func indexRules(name string, rules []*Rule) *List {
 // serialized region — the exact bytes NewListAttached accepts. The slice
 // aliases the list's automaton and must not be modified.
 func (l *List) AutomatonBytes() []byte { return l.auto.Bytes() }
+
+// TierStats describes how a list's HTTP rules reach a probe: filed under an
+// automaton keyword (KeywordRules, of which GuardedRules are nominated only
+// where their run stands in its context), under their page domains in the
+// page-domain index (DomainRules), or as candidates of every request
+// (GenericRules).
+type TierStats struct {
+	// HotBytes is the size of the list's one automaton.
+	//
+	// Deprecated: kept only because bench/match.go names it; a list has
+	// one automaton, and AutomatonBytes is its region.
+	HotBytes int
+	// ColdBytes is 0.
+	//
+	// Deprecated: kept only because bench/match.go names it.
+	ColdBytes    int
+	KeywordRules int
+	DomainRules  int
+	GenericRules int
+	GuardedRules int
+}
+
+// TierStats reports how the list's HTTP rules reach a probe.
+func (l *List) TierStats() TierStats {
+	st := TierStats{HotBytes: len(l.auto.blob), DomainRules: l.dom.rules, GenericRules: len(l.auto.generic)}
+	http := 0
+	for ord, r := range l.rules {
+		if r.IsHTTP() {
+			http++
+		}
+		if l.guards[ord] != 0 {
+			st.GuardedRules++
+		}
+	}
+	st.KeywordRules = http - st.DomainRules - st.GenericRules
+	return st
+}
+
+// CompileTiered returns a copy of the list whose usage counters start empty;
+// keep is not called.
+//
+// Deprecated: kept only because the benchmark (bench/match.go) names it; a
+// list has one automaton, so there is nothing to tier.
+func (l *List) CompileTiered(keep func(ord int) bool) *List {
+	c := *l
+	c.usage = nil
+	return &c
+}
+
+// IsHotRule reports whether ord is an ordinal of the list.
+//
+// Deprecated: kept only because bench/match.go names it; every rule of a
+// list is consulted by every lookup.
+func (l *List) IsHotRule(ord int) bool { return ord >= 0 && ord < len(l.rules) }
 
 // ParseAndBuild parses a filter list body and compiles it in one step,
 // returning the list together with any per-line parse errors.
@@ -173,12 +294,11 @@ func (l *List) Rules() []*Rule { return l.rules }
 // candidate rule's ordinal in stack scratch, and the verified hits land in a
 // stack buffer, so a lookup performs zero heap allocations unless more than
 // matchHitsCap rules match. URL bytes are matched as sent — only A–Z folds
-// (see matchCtx.low). A tiered list answers from its whole automaton,
-// exactly as its flat list does. When usage counters are enabled the winning
-// rule's ordinal is recorded — an atomic add, no allocation.
+// (see matchCtx.low). When usage counters are enabled the winning rule's
+// ordinal is recorded — an atomic add, no allocation.
 func (l *List) MatchRequest(q Request) (Decision, *Rule) {
 	var buf [matchHitsCap]Hit
-	d, r, ord := DecideHits(l.appendHits(buf[:0], q, l.auto))
+	d, r, ord := DecideHits(l.AppendHits(buf[:0], q))
 	l.RecordUsage(ord)
 	return d, r
 }
@@ -221,42 +341,17 @@ type Hit struct {
 // coverage measurement records — AND, via DecideHits, the exact verdict
 // MatchRequest would return, so the serving layer probes each list once
 // per request instead of twice. With a pre-sized dst nothing is allocated.
+//
+// The candidates — one scan of the automaton and one lookup of the page-domain
+// index into stack scratch, one sort — are verified in insertion order, so
+// the verified matches append in linear-scan order with no further sort.
 func (l *List) AppendHits(dst []Hit, q Request) []Hit {
-	return l.appendHits(dst, q, l.auto)
-}
-
-// AppendHitsHot is AppendHits restricted to the hot automaton: the long
-// tail of rules usage telemetry saw never fire is skipped entirely. It is
-// the overload governor's brownout match path (ladder level L2+): a scan
-// of the small region instead of the whole one, at the cost of possibly
-// missing a non-hot blocking rule. The degradation is one-sided by the tier
-// invariants (every exception and every keyword-less rule is hot): an
-// Allowed verdict is exact, a Blocked verdict is exact, and the only
-// possible drift is a non-hot block reported as NoMatch. On an untiered
-// list (no hot automaton) the result is identical to AppendHits.
-func (l *List) AppendHitsHot(dst []Hit, q Request) []Hit {
-	if l.hot != nil {
-		return l.appendHits(dst, q, l.hot)
-	}
-	return l.appendHits(dst, q, l.auto)
-}
-
-// probe is the probe stage of every lookup: one scan of a — the list's whole
-// automaton, or its hot one — and of the page-domain index into the scratch,
-// one sort. The candidates come back in insertion order.
-func (l *List) probe(c *matchCtx, a *automaton) []uint32 {
-	a.scanInto(c, l.guards)
-	l.dom.scanInto(c)
+	c := matchCtx{q: normalized(q)}
+	l.auto.scanInto(&c, l.guards)
+	l.dom.scanInto(&c)
 	cands := c.sortedCands()
 	l.recordProbe(len(cands))
-	return cands
-}
-
-// appendHits verifies a's candidates in insertion order, so the verified
-// matches append in linear-scan order with no further sort.
-func (l *List) appendHits(dst []Hit, q Request, a *automaton) []Hit {
-	c := matchCtx{q: normalized(q)}
-	for _, ord := range l.probe(&c, a) {
+	for _, ord := range cands {
 		if r := l.rules[ord]; r.matchCtx(&c) {
 			dst = append(dst, Hit{r, int(ord)})
 		}

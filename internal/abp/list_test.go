@@ -1,8 +1,15 @@
 package abp
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+	"time"
+
+	"adwars/internal/artifact"
 )
 
 func buildList(t *testing.T, name string, lines ...string) *List {
@@ -276,5 +283,301 @@ func TestElemHideDisabledLookup(t *testing.T) {
 	all, generic = h.ElemHideDisabled("c.example")
 	if all || generic {
 		t.Fatalf("c.example should be unaffected")
+	}
+}
+
+// queryURLs extends the bench mix with queries that reach every path of a
+// lookup: an exception over a block, blocks low and high in the list, a
+// keyword whose options veto, a pure miss, a shared path on distinct hosts
+// and a non-ASCII URL.
+func queryURLs() []string {
+	urls := append([]string(nil), benchURLs...)
+	return append(urls,
+		"http://benign0003.com/ads.js",    // exception over block
+		"http://vendor0000.com/a.js",      // lowest-ordinal block
+		"http://vendor1995.com/x.png",     // high-ordinal block
+		"http://site1001.com/ads.js",      // mid-ordinal block
+		"http://detect0004.example/x.js",  // keyword reachable, options veto
+		"http://cdn.unrelated.net/app.js", // pure miss
+		// shared path, distinct hosts (sharedPathRules; a miss elsewhere)
+		"http://host7.example/js/advertisement.js",
+		"http://nohost.example/js/advertisement.js",
+		"http://example.com/café.js", // non-ASCII bytes reset the scan
+	)
+}
+
+// queryMix asks for every queryURLs URL as a script from a third-party page
+// and as an image from its own host.
+func queryMix() []Request {
+	urls := queryURLs()
+	qs := make([]Request, 0, 2*len(urls))
+	for _, u := range urls {
+		qs = append(qs,
+			Request{URL: u, Type: TypeScript, PageDomain: "page.com"},
+			Request{URL: u, Type: TypeImage, PageDomain: HostOf(u)},
+		)
+	}
+	return qs
+}
+
+// assertAnswersAsOracle holds l — oracle's rules, however compiled or loaded
+// — to oracle's linear scan across the whole query mix.
+func assertAnswersAsOracle(t *testing.T, name string, oracle, l *List) {
+	t.Helper()
+	for _, q := range queryMix() {
+		assertMatchesOracle(t, name, oracle, l, q)
+	}
+}
+
+// probeCounts is what usage counters read after one AppendHits and one
+// MatchRequest of every query of the mix: probes made, candidates verified.
+func probeCounts(l *List) (probes, candidates uint64) {
+	l.usage = newUsage(l.Len())
+	defer func() { l.usage = nil }()
+	for _, q := range queryMix() {
+		l.AppendHits(nil, q)
+		l.MatchRequest(q)
+	}
+	return l.usage.Probes()
+}
+
+// TestTieredDifferential: CompileTiered, kept for the benchmark, copies its
+// receiver whatever keep says. Freshly made and after a trip through the
+// snapshot, the copy answers as the linear oracle with exactly the
+// receiver's probes and candidates, shares its automaton, and counts no
+// usage of the receiver's.
+func TestTieredDifferential(t *testing.T) {
+	plain := NewList("tier", benchRules(2000))
+	probes, cands := probeCounts(plain)
+	if probes != uint64(2*len(queryMix())) || cands == 0 {
+		t.Fatalf("flat list: %d probes, %d candidates over %d queries", probes, cands, len(queryMix()))
+	}
+	plain.EnableUsage()
+	defer func() { plain.usage = nil }()
+	for name, keep := range map[string]func(int) bool{
+		"none":     nil,
+		"all":      func(int) bool { return true },
+		"stripe-2": func(ord int) bool { return ord%2 == 0 },
+	} {
+		c := plain.CompileTiered(keep)
+		if c.auto != plain.auto || c.Usage() != nil {
+			t.Fatalf("%s: the copy has its own automaton (%v) or the receiver's usage (%v)", name, c.auto != plain.auto, c.Usage() != nil)
+		}
+		data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ParseListsSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for stage, l := range map[string]*List{"compiled": c, "reloaded": snap.Lists[0]} {
+			if p, c := probeCounts(l); p != probes || c != cands {
+				t.Errorf("%s %s: %d probes, %d candidates; the receiver makes %d, %d", name, stage, p, c, probes, cands)
+			}
+			assertAnswersAsOracle(t, name+" "+stage, plain, l)
+		}
+	}
+}
+
+// TestTieredHistoryDifferential: a history's in-force list, and
+// CompileTiered's copy of it, answer as the linear oracle at every revision.
+func TestTieredHistoryDifferential(t *testing.T) {
+	all := benchRules(900)
+	h := NewHistory("tier-history")
+	for i, cut := range []int{150, 400, 900} {
+		h.Append(day(2014, time.Month(1+i), 1), all[:cut])
+	}
+	for _, at := range []time.Time{day(2014, 1, 15), day(2014, 2, 15), day(2014, 6, 1)} {
+		l := h.ListAt(at)
+		assertAnswersAsOracle(t, at.Format("2006-01"), l, l)
+		assertAnswersAsOracle(t, at.Format("2006-01")+" copy", l, l.CompileTiered(func(ord int) bool { return ord%7 == 3 }))
+	}
+}
+
+// TestTieredSnapshotRoundTrip: SaveListsSnapshotTiered, kept for the
+// benchmark, writes what SaveListsSnapshot does — each list's rules and its
+// one automaton, nothing else — and the lists reload with their regions byte
+// for byte and their answers.
+func TestTieredSnapshotRoundTrip(t *testing.T) {
+	plain := NewList("AAK", benchRules(1000))
+	snap := &ListsSnapshot{Label: "tiered-rt", Lists: []*List{
+		plain.CompileTiered(func(ord int) bool { return ord%4 == 0 }),
+		NewList("CEL", benchRules(300)).CompileTiered(nil),
+	}}
+	dir := t.TempDir()
+	tiered, flat := filepath.Join(dir, "tiered"), filepath.Join(dir, "flat")
+	if err := SaveListsSnapshotTiered(tiered, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveListsSnapshot(flat, snap); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(tiered)
+	b, _ := os.ReadFile(flat)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatal("the tiered writer's file is not the writer's")
+	}
+	_, secs, _, err := artifact.OpenSections(a)
+	if err != nil || len(secs) != 4 {
+		t.Fatalf("%d sections (err %v), want rules and automaton of two lists", len(secs), err)
+	}
+	got, err := LoadListsSnapshot(tiered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range got.Lists {
+		if !bytes.Equal(l.AutomatonBytes(), snap.Lists[i].AutomatonBytes()) {
+			t.Fatalf("list %d: region not byte-identical after the round trip", i)
+		}
+	}
+	assertAnswersAsOracle(t, "reloaded", plain, got.Lists[0])
+}
+
+// TestRetiering: whatever list CompileTiered starts from — compiled, a copy,
+// or attached from a snapshot — its copy holds the bytes the compiled list's
+// automaton does.
+func TestRetiering(t *testing.T) {
+	plain := NewList("re", benchRules(1000))
+	keep := func(ord int) bool { return ord%4 == 0 }
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{plain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseListsSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, from := range map[string]*List{"compiled": plain, "copy": plain.CompileTiered(nil), "attached": snap.Lists[0]} {
+		again := from.CompileTiered(keep)
+		if !bytes.Equal(again.AutomatonBytes(), plain.AutomatonBytes()) {
+			t.Errorf("the copy of the %s list holds other bytes than the compiled list", name)
+		}
+		assertAnswersAsOracle(t, name, plain, again)
+	}
+}
+
+// TestTieredValidation is the corruption matrix of attach: a region that
+// files a rule twice, leaves out an HTTP rule the page-domain index cannot
+// serve, or was compiled from a subset of the rules is refused as
+// filing-invalid. Every region here is structurally sound
+// (openAutomaton takes each), so nothing but attach stands between the region
+// and a list that would miss rules; a region that leaves out only rules the
+// index serves is taken.
+func TestTieredValidation(t *testing.T) {
+	rules := append(benchRules(500), buildList(t, "short", "/ad/", "/x1/").Rules()...)
+	plain := NewList("v", rules)
+	// Every rule under its longest run: each HTTP rule with a run is in the
+	// automaton by keyword, whether or not it names a page domain.
+	kws := longestRunKeywords(rules)
+	crc := plain.rulesCRC
+	// without builds the region with the rule at ord left out.
+	without := func(ord int) []byte {
+		k := slices.Clone(kws)
+		k[ord] = kwByDomain
+		return buildAutomaton(rules, k, nil, crc).Bytes()
+	}
+	pick := func(what string, want func(ord int, r *Rule) bool) int {
+		for ord, r := range rules {
+			if r.IsHTTP() && want(ord, r) {
+				return ord
+			}
+		}
+		t.Fatalf("the rules hold no %s", what)
+		return -1
+	}
+	block := pick("keyworded block that names no page domain", func(ord int, r *Rule) bool {
+		return r.Kind == KindHTTPBlock && len(r.Domains()) == 0 && !kws[ord].none()
+	})
+	domainBlock := pick("keyworded block that names a page domain", func(ord int, r *Rule) bool {
+		return r.Kind == KindHTTPBlock && len(r.Domains()) > 0 && !kws[ord].none()
+	})
+	generic := pick("keyword-less rule", func(ord int, r *Rule) bool { return kws[ord].none() && len(r.Domains()) == 0 })
+	whole := buildAutomaton(rules, kws, nil, crc).Bytes()
+	// twice is whole with the rule the second filing state files replaced by
+	// the rule the first one files.
+	twice := slices.Clone(whole)
+	at := firstOutputs(t, twice, len(rules), crc)
+	copy(twice[at[1]:at[1]+4], twice[at[0]:at[0]+4])
+	// half is the region of the first half of the rules alone.
+	half := slices.Clone(kws)
+	for ord := len(rules) / 2; ord < len(rules); ord++ {
+		half[ord] = kwByDomain
+	}
+
+	if _, err := NewListAttached("v", rules, crc, whole); err != nil {
+		t.Fatalf("pristine region refused: %v", err)
+	}
+	for name, region := range map[string][]byte{
+		"keyworded rule in no automaton and not indexable": without(block),
+		"keyword-less rule in no automaton":                without(generic),
+		"rule filed twice":                                 twice,
+		"the region of the first half of the rules":        buildAutomaton(rules, half, nil, crc).Bytes(),
+	} {
+		_, err := NewListAttached("v", rules, crc, region)
+		if corruptReason(err) != "filing-invalid" || !isCorrupt(err) {
+			t.Errorf("%s: err = %v, want filing-invalid", name, err)
+		}
+	}
+	// What the index can serve, the region may leave out.
+	l, err := NewListAttached("v", rules, crc, without(domainBlock))
+	if err != nil {
+		t.Fatalf("region without a rule the index serves refused: %v", err)
+	}
+	assertAnswersAsOracle(t, "indexed", plain, l)
+}
+
+// TestIsHotRuleRange: IsHotRule, kept for the benchmark, holds of every
+// ordinal of the list and of no other — -1 is DecideHits' no-match — on a
+// list and on CompileTiered's copy of it.
+func TestIsHotRuleRange(t *testing.T) {
+	last, err := Parse("/ad/$domain=a.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := NewList("r", append(benchRules(10), last))
+	for _, l := range []*List{flat, flat.CompileTiered(func(ord int) bool { return ord == 0 })} {
+		for _, c := range []struct {
+			ord  int
+			want bool
+		}{
+			{-1, false},
+			{-1 << 40, false},
+			{0, true},
+			{2, true}, // an element-hiding rule
+			{10, true},
+			{11, false},
+			{1 << 40, false},
+		} {
+			if got := l.IsHotRule(c.ord); got != c.want {
+				t.Errorf("IsHotRule(%d) = %v, want %v", c.ord, got, c.want)
+			}
+		}
+	}
+}
+
+// TestTierStats: every HTTP rule reaches a probe one way — by keyword, by
+// page domain, or as a generic candidate — and HotBytes, kept for the
+// benchmark, is the one automaton's size, ColdBytes 0.
+func TestTierStats(t *testing.T) {
+	l := NewList("s", append(benchRules(1000), buildList(t, "dom", "/ad/$domain=a.example", "*$domain=b.example", "/ad/").Rules()...))
+	st := l.TierStats()
+	http := 0
+	for _, r := range l.Rules() {
+		if r.IsHTTP() {
+			http++
+		}
+	}
+	if st.HotBytes != len(l.AutomatonBytes()) || st.ColdBytes != 0 {
+		t.Fatalf("HotBytes %d, ColdBytes %d; the automaton is %d bytes", st.HotBytes, st.ColdBytes, len(l.AutomatonBytes()))
+	}
+	if st.KeywordRules+st.DomainRules+st.GenericRules != http || st.KeywordRules == 0 || st.DomainRules == 0 || st.GenericRules == 0 {
+		t.Fatalf("stats %+v over %d HTTP rules", st, http)
+	}
+	if st.GuardedRules == 0 || st.GuardedRules > st.KeywordRules {
+		t.Fatalf("%d guarded rules of %d by keyword", st.GuardedRules, st.KeywordRules)
+	}
+	if c := l.CompileTiered(nil).TierStats(); c != st {
+		t.Fatalf("the copy's stats %+v differ from %+v", c, st)
 	}
 }

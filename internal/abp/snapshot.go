@@ -18,17 +18,14 @@ import (
 // list, its name and rule count — followed by framed sections
 // (artifact.SealSections), all sealed under an artifact integrity trailer:
 //
-//	rules.<i>           list i's rules: the canonical source lines (Rule.Raw)
-//	                    in ordinal order, each newline-terminated
-//	automaton.<i>       list i's whole automaton — every list has one
-//	automaton.hot.<i>   list i's hot automaton — exactly when the list is tiered
+//	rules.<i>      list i's rules: the canonical source lines (Rule.Raw) in
+//	               ordinal order, each newline-terminated
+//	automaton.<i>  list i's automaton — every list has one, and only one
 //
-// A tiered list is its flat list plus a hot subset (tier.go), so the writer
-// decides the sections from the lists it is given and the loader always
-// attaches. Nothing is decoded and nothing is compiled at load; everything is
-// read in place from the buffer the file was read into, which the caller
-// keeps, unmodified, for as long as the lists are in use (adwars-serve holds
-// it in the installed state):
+// The loader always attaches. Nothing is decoded and nothing is compiled at
+// load; everything is read in place from the buffer the file was read into,
+// which the caller keeps, unmodified, for as long as the lists are in use
+// (adwars-serve holds it in the installed state):
 //
 //   - The rule section is walked line by line and every line is parsed
 //     before the list exists (Parse is deterministic), under the strict line
@@ -38,27 +35,27 @@ import (
 //     so the pattern, domains and selector text cut from it, alias the
 //     buffer.
 //   - The automaton sections are validated in place (openAutomaton,
-//     attachHot) and scanned from the buffer.
+//     List.attach) and scanned from the buffer.
 //   - Every section belongs to exactly one list: a name that occurs twice,
 //     or one no list claims, refuses the file.
 //
 // Every automaton section embeds the CRC-64 of the exact rule lines it was
 // compiled from, and that text is the rules section's data, so the checksum
 // the section frame carries and the loader verifies is the value the
-// automata must hold: a snapshot whose rules were edited without recompiling
+// automaton must hold: a snapshot whose rules were edited without recompiling
 // is refused as corrupt rather than matching against stale states. Files of
-// an older schema are refused by version — schema 5 too, whose automaton.hot
-// and automaton.cold sections split the rules this schema's whole automaton
-// holds together; adwars-compact -lists OLD -out NEW converts a schema-5
-// file (flat without -usage, tiered with it), and a file two or more schemas
-// old converts first through an earlier release's adwars-compact.
+// an older schema are refused by version — schema 6 too, whose tiered lists
+// carried a second automaton section, over a hot subset, beside the whole one;
+// adwars-compact -lists OLD -out NEW converts a schema-6 file, flat or
+// tiered, and a file two or more schemas old converts first through an
+// earlier release's adwars-compact.
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
 	ListsSnapshotFormat = "adwars-lists"
 	// ListsSnapshotVersion is the one snapshot schema version this build
 	// reads and writes.
-	ListsSnapshotVersion = 6
+	ListsSnapshotVersion = 7
 )
 
 // ErrSnapshotFormat reports a file that is not a lists snapshot at all.
@@ -78,17 +75,6 @@ type ListsSnapshot struct {
 	// Version is the artifact version (artifact.Version) of the file the
 	// snapshot was parsed from; empty for one assembled in memory.
 	Version string
-}
-
-// Tiered reports whether every list carries a hot automaton beside its whole
-// one (as adwars-compact produces from a usage dump).
-func (s *ListsSnapshot) Tiered() bool {
-	for _, l := range s.Lists {
-		if !l.Tiered() {
-			return false
-		}
-	}
-	return len(s.Lists) > 0
 }
 
 // Rules returns the total rule count across all lists.
@@ -118,13 +104,13 @@ type snapshotHeader struct {
 }
 
 // MarshalListsSnapshot returns the snapshot as a sealed file: the header
-// document, then per list its rules section, its automaton section and,
-// when the list is tiered, its automaton.hot section. A rule whose Raw
+// document, then per list its rules section and its automaton section. A
+// rule whose Raw
 // holds a newline or a NUL (no parsed line does; a hand-built rule can) is an
 // error: the loader would read back different rules, or none.
 func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 	headers := make([]listHeader, len(s.Lists))
-	sections := make([]artifact.Section, 0, 3*len(s.Lists))
+	sections := make([]artifact.Section, 0, 2*len(s.Lists))
 	for i, l := range s.Lists {
 		size := 0
 		for _, r := range l.rules {
@@ -140,10 +126,7 @@ func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 		headers[i] = listHeader{Name: l.Name, Rules: len(l.rules)}
 		sections = append(sections,
 			artifact.Section{Name: sectionName(rulesSection, i), Data: text, CRC: l.rulesCRC},
-			artifact.Section{Name: sectionName(wholeSection, i), Data: l.AutomatonBytes()})
-		if l.Tiered() {
-			sections = append(sections, artifact.Section{Name: sectionName(hotSection, i), Data: l.HotAutomatonBytes()})
-		}
+			artifact.Section{Name: sectionName(automatonSection, i), Data: l.AutomatonBytes()})
 	}
 	lists, err := json.Marshal(headers)
 	if err != nil {
@@ -161,11 +144,10 @@ func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
 	return artifact.SealSections(append(primary, '\n'), sections), nil
 }
 
-// The three kinds of section; list i's are named kind + "." + i.
+// The two kinds of section; list i's are named kind + "." + i.
 const (
-	rulesSection = "rules"
-	wholeSection = "automaton"
-	hotSection   = "automaton.hot"
+	rulesSection     = "rules"
+	automatonSection = "automaton"
 )
 
 func sectionName(kind string, i int) string { return kind + "." + strconv.Itoa(i) }
@@ -223,12 +205,10 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		if !ok {
 			return nil, malformed("list %q has no %s section", h.Name, sectionName(rulesSection, i))
 		}
-		whole, ok := claim(wholeSection, i)
+		region, ok := claim(automatonSection, i)
 		if !ok {
-			return nil, malformed("list %q has no %s section", h.Name, sectionName(wholeSection, i))
+			return nil, malformed("list %q has no %s section", h.Name, sectionName(automatonSection, i))
 		}
-		// A hot section that is absent leaves hot.Data nil: a flat list.
-		hot, _ := claim(hotSection, i)
 		rules, err := ParseRulesSection(text.Data, h.Rules)
 		if err != nil {
 			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
@@ -236,7 +216,7 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		// text.CRC is artifact.Checksum of the rule lines, verified against
 		// these very bytes a moment ago — which is rulesChecksum of the rules
 		// just parsed from them, line for line.
-		l, err := NewListAttached(h.Name, rules, text.CRC, whole.Data, hot.Data)
+		l, err := NewListAttached(h.Name, rules, text.CRC, region.Data)
 		if err != nil {
 			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
 		}
@@ -304,7 +284,7 @@ func SaveListsSnapshotCompiled(path string, s *ListsSnapshot) error {
 	return SaveListsSnapshot(path, s)
 }
 
-// SaveListsSnapshotTiered is SaveListsSnapshot.
+// SaveListsSnapshotTiered is SaveListsSnapshot: a list has one automaton.
 //
 // Deprecated: kept only because bench/match.go and bench/cycle.go name it;
 // see SaveListsSnapshotCompiled.

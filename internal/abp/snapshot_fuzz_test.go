@@ -10,9 +10,12 @@ import (
 )
 
 // snapshotFuzzFiles are the well-formed files FuzzReadListsSnapshot starts
-// from: the tiered one the parent of PR 14 wrote, carried into this schema
-// with its own automata, and flat, tiered and mixed ones this build writes,
-// each over two lists so that a section can land on the wrong one.
+// from: the one commit b547b05 wrote, carried into this schema with its
+// keyword choice, and files this build writes — two lists, so that a section
+// can land on the wrong one; the same two lists with their regions laid out
+// as before the page-domain index (runsOnly); and four lists, one of them
+// empty and one of nothing but element hiding rules, whose regions file
+// nothing.
 func snapshotFuzzFiles(t testing.TB) [][]byte {
 	t.Helper()
 	parent := parentV4AsCurrent(t)
@@ -30,12 +33,21 @@ func snapshotFuzzFiles(t testing.TB) [][]byte {
 		rules = append(rules, r)
 	}
 	second := NewList("second", rules)
-	firstTiered := first.CompileTiered(func(ord int) bool { return ord%2 == 0 })
-	secondTiered := second.CompileTiered(func(ord int) bool { return ord%3 == 0 })
+	keywordOnly := func(l *List) *List {
+		old, err := NewListAttached(l.Name, l.rules, l.rulesCRC, buildAutomaton(l.rules, runsOnly(l.rules), nil, l.rulesCRC).Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return old
+	}
+	hiding, errs := ParseAndBuild("hiding", "##.ad-banner\nnews.example##.adblock-notice\n@@||trusted.example^$elemhide")
+	if len(errs) != 0 {
+		t.Fatalf("parse errors: %v", errs)
+	}
 	for _, lists := range [][]*List{
 		{first, second},
-		{firstTiered, secondTiered},
-		{first, secondTiered},
+		{keywordOnly(first), keywordOnly(second)},
+		{first, NewList("empty", nil), second, hiding},
 	} {
 		file, err := MarshalListsSnapshot(&ListsSnapshot{Label: "fuzz", Lists: lists})
 		if err != nil {
@@ -102,7 +114,7 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 // section anew with artifact.SealSections. Hostile bytes inside a rules
 // section reach the line loop and the strict line rule: that file is
 // refused, or answers as a fresh compile of the lines that loaded. Hostile
-// bytes inside an automaton reach openAutomaton and attachHot, which prove
+// bytes inside an automaton reach openAutomaton and List.attach, which prove
 // a blob safe to scan and every rule filed under a run of its own pattern,
 // not that the rule is found wherever that run occurs — a fail link or an
 // output list merged down a fail chain can still hide it, and proving them

@@ -30,7 +30,7 @@ var awkwardLines = []string{
 
 // TestRulesSectionKeepsBytes: the rules come back with the bytes they went
 // in with — the lines above, an empty list (a zero-length section) and a
-// tiered list in one file — the loaded snapshot answers as the lists it was
+// bench-shaped list in one file — the loaded snapshot answers as the lists it was
 // written from, and writes back the file it was read from.
 func TestRulesSectionKeepsBytes(t *testing.T) {
 	rules, errs := ParseList(strings.Join(awkwardLines, "\n"))
@@ -39,15 +39,14 @@ func TestRulesSectionKeepsBytes(t *testing.T) {
 	}
 	awkward := NewList("awkward", rules)
 	empty := NewList("empty", nil)
-	plain := NewList("tiered", benchRules(300))
-	tiered := plain.CompileTiered(func(ord int) bool { return ord%2 == 0 })
-	data, err := MarshalListsSnapshot(&ListsSnapshot{Label: "bytes", Lists: []*List{awkward, empty, tiered}})
+	plain := NewList("bench", benchRules(300))
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Label: "bytes", Lists: []*List{awkward, empty, plain}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, secs, _, err := artifact.OpenSections(data)
-	if err != nil || len(secs) != 7 {
-		t.Fatalf("%d sections (err %v), want 7", len(secs), err)
+	if err != nil || len(secs) != 6 {
+		t.Fatalf("%d sections (err %v), want 6", len(secs), err)
 	}
 	if want := strings.Join(awkwardLines, "\n") + "\n"; string(secs[0].Data) != want {
 		t.Errorf("rules.0 is %q, want the lines as written: %q", secs[0].Data, want)
@@ -60,7 +59,7 @@ func TestRulesSectionKeepsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Lists) != 3 || snap.Lists[1].Len() != 0 || !snap.Lists[2].Tiered() {
+	if len(snap.Lists) != 3 || snap.Lists[1].Len() != 0 || snap.Lists[2].Len() != plain.Len() {
 		t.Fatalf("loaded %d lists", len(snap.Lists))
 	}
 	for i, r := range snap.Lists[0].Rules() {
@@ -83,7 +82,7 @@ func TestRulesSectionKeepsBytes(t *testing.T) {
 		}
 		assertMatchesOracle(t, "awkward", awkward, snap.Lists[0], q)
 	}
-	assertTierTransparent(t, "tiered", plain, snap.Lists[2])
+	assertAnswersAsOracle(t, "bench", plain, snap.Lists[2])
 	if again, err := MarshalListsSnapshot(snap); err != nil || !bytes.Equal(again, data) {
 		t.Fatalf("the loaded snapshot does not write back the bytes it was read from (err %v)", err)
 	}

@@ -170,7 +170,7 @@ func TestVersionIsPayloadChecksum(t *testing.T) {
 func TestSealSections(t *testing.T) {
 	primary := []byte("{\"doc\":true}\n")
 	sections := []Section{
-		{Name: "automaton.hot.0", Data: bytes.Repeat([]byte{0xAB}, 1001)},
+		{Name: "automaton.0", Data: bytes.Repeat([]byte{0xAB}, 1001)},
 		{Name: "empty", Data: nil},
 		{Name: strings.Repeat("n", 200), Data: []byte("#adwars-section looks like a header\n")},
 	}
@@ -298,19 +298,17 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// benchSections is a payload the size of the benchmark's tiered snapshot,
-// ≈ 5 MB in three sections: 2 MB of rule text, whose CRC the writer holds,
-// and two binary regions it does not.
+// benchSections is a payload the size of the benchmark's 70 k-rule lists
+// snapshot, ≈ 4.6 MB in two sections: 2 MB of rule text, whose CRC the writer
+// holds, and the binary region it does not.
 func benchSections() (primary []byte, sections []Section) {
 	rng := rand.New(rand.NewSource(1))
 	text := bytes.Repeat([]byte("||ads.example^$third-party\n"), 2<<20/27)
-	whole, hot := make([]byte, 2600<<10), make([]byte, 660<<10)
-	rng.Read(whole)
-	rng.Read(hot)
-	return []byte(`{"format":"adwars-lists","version":6}` + "\n"), []Section{
+	region := make([]byte, 2600<<10)
+	rng.Read(region)
+	return []byte(`{"format":"adwars-lists","version":7}` + "\n"), []Section{
 		{Name: "rules.0", Data: text, CRC: Checksum(text)},
-		{Name: "automaton.0", Data: whole},
-		{Name: "automaton.hot.0", Data: hot},
+		{Name: "automaton.0", Data: region},
 	}
 }
 

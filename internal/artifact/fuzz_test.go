@@ -156,15 +156,15 @@ func splitTwoPass(payload []byte) (primary []byte, sections []Section, err error
 	return primary, sections, nil
 }
 
-// tieredSnapshot is a sealed file in the shape of a three-list tiered lists
-// snapshot (abp cannot be imported here): the header document, then per
-// list rules.<i> — rule lines, sealed with their CRC given, as the lists
-// writer seals them — automaton.<i> and automaton.hot.<i>, binary regions
+// listsSnapshot is a sealed file in the shape of a three-list lists snapshot
+// (abp cannot be imported here): the header document, then per list
+// rules.<i> — rule lines, sealed with their CRC given, as the lists writer
+// seals them — automaton.<i>, and a third section, extra.<i>: binary regions
 // that hold newlines, zero bytes and text that reads like a header. Their
 // lengths vary, so the headers carry different pads.
-func tieredSnapshot() (file []byte, sections []Section) {
+func listsSnapshot() (file []byte, sections []Section) {
 	rng := rand.New(rand.NewSource(29))
-	primary := []byte(`{"format":"adwars-lists","version":6,"label":"fuzz","lists":[{"name":"a","rules":3},{"name":"b","rules":2},{"name":"c","rules":4}]}` + "\n")
+	primary := []byte(`{"format":"adwars-lists","version":7,"label":"fuzz","lists":[{"name":"a","rules":3},{"name":"b","rules":2},{"name":"c","rules":4}]}` + "\n")
 	rules := []string{
 		"||ads.example^\n/detect.js$script\n@@||ok.example/ads.js\n",
 		"example.com###banner\n-ad-300x250.\n",
@@ -174,13 +174,13 @@ func tieredSnapshot() (file []byte, sections []Section) {
 		whole := make([]byte, 200+61*i)
 		rng.Read(whole)
 		copy(whole[17:], "\n"+SectionPrefix+"v1 name=x len=1 pad=0 crc64=0\n")
-		hot := make([]byte, 33+i)
-		rng.Read(hot)
-		hot[3], hot[9] = '\n', 0
+		extra := make([]byte, 33+i)
+		rng.Read(extra)
+		extra[3], extra[9] = '\n', 0
 		sections = append(sections,
 			Section{Name: fmt.Sprintf("rules.%d", i), Data: []byte(text), CRC: Checksum([]byte(text))},
 			Section{Name: fmt.Sprintf("automaton.%d", i), Data: whole},
-			Section{Name: fmt.Sprintf("automaton.hot.%d", i), Data: hot})
+			Section{Name: fmt.Sprintf("extra.%d", i), Data: extra})
 	}
 	return SealSections(primary, sections), sections
 }
@@ -189,14 +189,14 @@ func tieredSnapshot() (file []byte, sections []Section) {
 // section reader: the same accept or refuse, the same CorruptError reason,
 // the same primary, section names, bytes and CRCs, and the same version; and
 // what opens seals again into a file that opens to the same sections. Its
-// seeds are a tiered snapshot and its corruption matrix: a bit flipped in
+// seeds are a lists snapshot and its corruption matrix: a bit flipped in
 // the primary, in a header's length, pad and crc digits, in a pad byte, in
 // each section's data and in the newline after it (each also resealed), and
 // in the trailer's version, length and crc digits; the file cut at every
 // section boundary, as a torn write leaves it and resealed, and inside every
 // section, resealed; and its sections reordered, duplicated and renamed.
 func FuzzOpenSections(f *testing.F) {
-	file, secs := tieredSnapshot()
+	file, secs := listsSnapshot()
 	payload, err := open(file)
 	if err != nil {
 		f.Fatal(err)

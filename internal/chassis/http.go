@@ -30,18 +30,15 @@ const (
 // in one fetch. With ReloadOutcome it is the replica health contract: serve
 // writes it, fleet reads it, and neither imports the other for it.
 type Health struct {
-	Status       string `json:"status"`
-	Replica      string `json:"replica,omitempty"`
-	Ready        bool   `json:"ready"`
-	Draining     bool   `json:"draining,omitempty"`
-	Model        bool   `json:"model"`
-	Lists        bool   `json:"lists"`
-	ModelVersion string `json:"model_version,omitempty"`
-	ListsVersion string `json:"lists_version,omitempty"`
-	// ListsTiered reports whether every served list carries a hot/cold
-	// tier split (as adwars-compact produces).
-	ListsTiered bool           `json:"lists_tiered,omitempty"`
-	LastReload  *ReloadOutcome `json:"last_reload,omitempty"`
+	Status       string         `json:"status"`
+	Replica      string         `json:"replica,omitempty"`
+	Ready        bool           `json:"ready"`
+	Draining     bool           `json:"draining,omitempty"`
+	Model        bool           `json:"model"`
+	Lists        bool           `json:"lists"`
+	ModelVersion string         `json:"model_version,omitempty"`
+	ListsVersion string         `json:"lists_version,omitempty"`
+	LastReload   *ReloadOutcome `json:"last_reload,omitempty"`
 }
 
 // ReloadOutcome records what happened to the most recent snapshot

@@ -3,14 +3,13 @@
 // analytics ring drop rate) and steps a global degradation level
 // through a hysteresis-damped ladder. The serving hot path reads the
 // current level with a single atomic load — no locks, no allocations —
-// and sheds fidelity in stages instead of flipping straight from
-// full service to 429:
+// and sheds work in stages instead of flipping straight from full service
+// to 429. No level changes what a match answers:
 //
 //	L0  full service
 //	L1  analytics sampling forced down
-//	L2  match answers from the hot-tier automaton only (cold skipped)
-//	L3  /v1/classify degraded to match-only fallback (classify shed)
-//	L4  non-priority traffic shed early with jittered Retry-After
+//	L2  /v1/classify degraded to match-only fallback (classify shed)
+//	L3  match batches shed too, with jittered Retry-After
 //
 // Hysteresis: the governor observes every 100ms, steps UP one level only
 // after 2 consecutive over-pressure observations, and steps DOWN one level
@@ -35,17 +34,16 @@ type Level int32
 const (
 	L0 Level = iota // full service
 	L1              // analytics sampling forced down
-	L2              // hot-tier-only match answers
-	L3              // classify shed (clients fall back to /v1/match)
-	L4              // non-priority traffic shed early
+	L2              // classify shed (clients fall back to /v1/match)
+	L3              // match batches shed too
 )
 
 // levelNames is indexed by Level; the shared strings make String and
 // the serve-side header stamp allocation-free.
-var levelNames = [5]string{"L0", "L1", "L2", "L3", "L4"}
+var levelNames = [4]string{"L0", "L1", "L2", "L3"}
 
 func (l Level) String() string {
-	if l < L0 || l > L4 {
+	if l < L0 || l > L3 {
 		return "L?"
 	}
 	return levelNames[l]
@@ -229,7 +227,7 @@ func (g *Governor) Tick(s Signals) {
 	case pressureHot:
 		g.calmTicks = 0
 		g.hotTicks++
-		if cur := g.Level(); g.hotTicks >= stepUpTicks && cur < L4 {
+		if cur := g.Level(); g.hotTicks >= stepUpTicks && cur < L3 {
 			g.setLevel(cur, cur+1)
 			g.hotTicks = 0
 		}
@@ -302,9 +300,9 @@ func (g *Governor) setLevel(from, to Level) {
 
 // Pin fixes the ladder at lvl until Unpin: the level changes
 // immediately (firing OnTransition if it moved) and automatic stepping
-// stops. Clamped to [L0, L4].
+// stops. Clamped to [L0, L3].
 func (g *Governor) Pin(lvl Level) {
-	lvl = min(max(lvl, L0), L4)
+	lvl = min(max(lvl, L0), L3)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.pinned.Store(int32(lvl))

@@ -52,21 +52,21 @@ func TestLadderClimbsWithHysteresis(t *testing.T) {
 	}
 	// Climb to the cap and stay there.
 	feed(g, hotSignals(), 10)
-	if got := g.Level(); got != L4 {
-		t.Fatalf("under sustained pressure: level %v, want L4 cap", got)
+	if got := g.Level(); got != L3 {
+		t.Fatalf("under sustained pressure: level %v, want L3 cap", got)
 	}
 }
 
 func TestLadderRecoversLevelByLevel(t *testing.T) {
 	g := New(Config{})
-	feed(g, hotSignals(), 4*stepUpTicks)
-	if got := g.Level(); got != L4 {
-		t.Fatalf("setup: level %v, want L4", got)
+	feed(g, hotSignals(), 3*stepUpTicks)
+	if got := g.Level(); got != L3 {
+		t.Fatalf("setup: level %v, want L3", got)
 	}
 
 	// Each descent needs stepDownTicks consecutive calm observations,
-	// and the streak resets after each step: L4→L0 is 4 × 5 ticks.
-	for step := 4; step > 0; step-- {
+	// and the streak resets after each step: L3→L0 is 3 × 5 ticks.
+	for step := 3; step > 0; step-- {
 		for i := 0; i < stepDownTicks-1; i++ {
 			g.Tick(calmSignals())
 			if got := g.Level(); got != Level(step) {
@@ -80,12 +80,12 @@ func TestLadderRecoversLevelByLevel(t *testing.T) {
 	}
 
 	snap := g.Snapshot()
-	if snap.PeakLevel != 4 {
-		t.Fatalf("peak_level = %d, want 4", snap.PeakLevel)
+	if snap.PeakLevel != 3 {
+		t.Fatalf("peak_level = %d, want 3", snap.PeakLevel)
 	}
 	// No flapping: each rung crossed exactly once up and once down.
-	if snap.Transitions != 8 || snap.StepUps != 4 || snap.StepDowns != 4 {
-		t.Fatalf("transitions=%d stepUps=%d stepDowns=%d, want 8/4/4",
+	if snap.Transitions != 6 || snap.StepUps != 3 || snap.StepDowns != 3 {
+		t.Fatalf("transitions=%d stepUps=%d stepDowns=%d, want 6/3/3",
 			snap.Transitions, snap.StepUps, snap.StepDowns)
 	}
 }
@@ -208,9 +208,9 @@ func TestPinRacingTickKeepsThePin(t *testing.T) {
 
 func TestPinClampsToLadderBounds(t *testing.T) {
 	g := New(Config{})
-	g.Pin(L4 + 3)
-	if got := g.Level(); got != L4 {
-		t.Fatalf("pin above L4: level %v, want L4", got)
+	g.Pin(L3 + 3)
+	if got := g.Level(); got != L3 {
+		t.Fatalf("pin above L3: level %v, want L3", got)
 	}
 	g.Pin(Level(-5))
 	if got := g.Level(); got != L0 {
@@ -221,11 +221,11 @@ func TestPinClampsToLadderBounds(t *testing.T) {
 func TestMaxLevelCapsClimb(t *testing.T) {
 	g := New(Config{})
 	feed(g, hotSignals(), 10*stepUpTicks)
-	if got := g.Level(); got != L4 {
-		t.Fatalf("capped ladder: level %v, want L4", got)
+	if got := g.Level(); got != L3 {
+		t.Fatalf("capped ladder: level %v, want L3", got)
 	}
-	if snap := g.Snapshot(); snap.StepUps != 4 {
-		t.Fatalf("step_ups = %d past the cap, want 4", snap.StepUps)
+	if snap := g.Snapshot(); snap.StepUps != 3 {
+		t.Fatalf("step_ups = %d past the cap, want 3", snap.StepUps)
 	}
 }
 

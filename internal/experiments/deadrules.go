@@ -12,7 +12,7 @@ import (
 
 // DeadRuleList is one list's usage profile after the replay: how many of
 // its HTTP rules decided at least one verdict, how concentrated the hits
-// are, and what a usage-driven hot tier would cost in working set.
+// are, and what a list pruned to the rules that fired would ship.
 type DeadRuleList struct {
 	Name      string
 	Rules     int
@@ -24,11 +24,11 @@ type DeadRuleList struct {
 	DeadFraction float64
 	TotalHits    uint64
 	// Top10Share is the share of all hits decided by the ten most-hit
-	// rules — the concentration that makes tiering pay.
+	// rules.
 	Top10Share float64
-	// HotBytes is the automaton working set after compacting around the
-	// fired rules (CompileTiered on hits > 0); FlatBytes is the untiered
-	// automaton the whole list compiles to.
+	// HotBytes is the automaton a list of the fired rules alone compiles
+	// to (NewList over them: what a pruned list would ship); FlatBytes is
+	// the automaton the whole list compiles to.
 	HotBytes  int
 	FlatBytes int
 }
@@ -43,8 +43,8 @@ type DeadRuleResult struct {
 // DeadRules replays the live top-N sites' request streams against each
 // list's latest revision with usage telemetry enabled and reports the
 // fraction of rules that never fire — the "Who Filters the Filters"
-// observation that motivates hot/cold compaction: the overwhelming
-// majority of crowdsourced rules are dead weight on the hot path.
+// observation that the overwhelming majority of crowdsourced rules are
+// dead weight.
 // topN ≤ 0 uses the retrospective crawl population (5,000 × scale).
 func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 	if topN <= 0 {
@@ -84,10 +84,10 @@ func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 		if dl.HTTPRules > 0 {
 			dl.DeadFraction = float64(dl.HTTPRules-dl.FiredRules) / float64(dl.HTTPRules)
 		}
-		hot := make([]bool, len(list.Rules()))
+		kept := make([]*abp.Rule, len(fired))
 		hits := make([]uint64, len(fired))
 		for i, p := range fired {
-			hot[p[0]] = true
+			kept[i] = list.Rules()[p[0]]
 			hits[i] = p[1]
 			dl.TotalHits += p[1]
 		}
@@ -99,8 +99,8 @@ func (l *Lab) DeadRules(topN int) *DeadRuleResult {
 		if dl.TotalHits > 0 {
 			dl.Top10Share = float64(top) / float64(dl.TotalHits)
 		}
-		dl.FlatBytes = list.TierStats().HotBytes
-		dl.HotBytes = list.CompileTiered(func(ord int) bool { return hot[ord] }).TierStats().HotBytes
+		dl.FlatBytes = len(list.AutomatonBytes())
+		dl.HotBytes = len(abp.NewList(name, kept).AutomatonBytes())
 		out.Lists = append(out.Lists, dl)
 	}
 	return out

@@ -27,9 +27,9 @@ func TestDeadRules(t *testing.T) {
 		if dl.DeadFraction <= 0.5 || dl.DeadFraction >= 1 {
 			t.Errorf("%s: dead fraction %.3f outside (0.5, 1)", dl.Name, dl.DeadFraction)
 		}
-		// Compacting around the fired rules must shrink the hot working set.
+		// The fired rules alone compile to a smaller automaton.
 		if dl.HotBytes >= dl.FlatBytes {
-			t.Errorf("%s: hot working set %d B not below flat %d B", dl.Name, dl.HotBytes, dl.FlatBytes)
+			t.Errorf("%s: pruned automaton %d B not below the whole list's %d B", dl.Name, dl.HotBytes, dl.FlatBytes)
 		}
 	}
 	render := res.Render()
@@ -38,9 +38,10 @@ func TestDeadRules(t *testing.T) {
 	}
 }
 
-// TestDeadRulesTieredTransparent replays the experiment traffic through a
-// usage-compacted tiered list and demands verdict-identical answers to the
-// untiered list — the replay-level half of the tiering differential.
+// TestDeadRulesTieredTransparent replays the experiment traffic through
+// the pruned list the exhibit sizes (hot-bytes: NewList over the rules that
+// won a verdict) and demands the whole list's verdict and winning rule for
+// every request — the replay-level half of TestUsageLoopCoverage.
 func TestDeadRulesTieredTransparent(t *testing.T) {
 	l, _ := lab(t)
 	for _, name := range ListNames {
@@ -75,18 +76,18 @@ func TestDeadRulesTieredTransparent(t *testing.T) {
 		}
 
 		want := replay(plain)
-		counts := plain.Usage().Counts()
-		hot := plain.CompileTiered(func(ord int) bool { return counts[ord] > 0 })
-		cold := plain.CompileTiered(nil)
-		for label, tiered := range map[string]*abp.List{"usage-hot": hot, "all-cold": cold} {
-			got := replay(tiered)
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d verdicts, want %d", name, label, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: verdict %d = %+v, want %+v", name, label, i, got[i], want[i])
-				}
+		_, fired := plain.UsageProfile()
+		var kept []*abp.Rule
+		for _, p := range fired {
+			kept = append(kept, plain.Rules()[p[0]])
+		}
+		got := replay(abp.NewList(name, kept))
+		if len(got) != len(want) || len(kept) == 0 {
+			t.Fatalf("%s: %d verdicts from %d rules, want %d", name, len(got), len(kept), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: verdict %d = %+v, want %+v", name, i, got[i], want[i])
 			}
 		}
 	}

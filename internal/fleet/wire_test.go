@@ -667,7 +667,11 @@ func TestGatewayHedgedStress(t *testing.T) {
 				body := fmt.Sprintf(`{"worker":%d,"i":%d,"pad":%q}`, wk, i, strings.Repeat("x", 37*i))
 				w := through(g, httptest.NewRequest(http.MethodPost, "/v1/match", strings.NewReader(body)))
 				if w.Code != 200 || w.Body.String() != body {
-					t.Errorf("worker %d request %d: %d %.80q, want the echo of %.80q", wk, i, w.Code, w.Body, body)
+					state := ""
+					if w.Code == http.StatusBadGateway {
+						state = "; backends: " + backendsState(g)
+					}
+					t.Errorf("worker %d request %d: %d %.80q, want the echo of %.80q%s", wk, i, w.Code, w.Body, body, state)
 					return
 				}
 			}
@@ -681,6 +685,18 @@ func TestGatewayHedgedStress(t *testing.T) {
 	if snap.Hedges == 0 || snap.HedgeWins == 0 {
 		t.Errorf("hedges=%d hedge_wins=%d: the stress never hedged", snap.Hedges, snap.HedgeWins)
 	}
+}
+
+// backendsState is what a no_backend reply was decided on, per backend: its
+// breaker state, idle keep-alive connections, last health verdict, and the
+// failures and ejections counted so far.
+func backendsState(g *Gateway) string {
+	var out []string
+	for _, b := range g.Pool().Backends() {
+		out = append(out, fmt.Sprintf("%s breaker=%s idle=%d healthy=%v failures=%d ejections=%d",
+			b.URL, b.br.State(), b.idleConns(), b.healthy.Load(), b.failures.Load(), b.ejections.Load()))
+	}
+	return strings.Join(out, "; ")
 }
 
 // ---- the pool is visible, and drains ----

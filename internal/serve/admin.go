@@ -43,7 +43,6 @@ func (s *Server) health() chassis.Health {
 	if ls := s.lists.Load(); ls != nil {
 		h.Lists = true
 		h.ListsVersion = ls.version
-		h.ListsTiered = ls.snap.Tiered()
 	}
 	h.LastReload = s.lastReload.Load()
 	h.Ready = (h.Model || h.Lists) && !h.Draining
@@ -213,7 +212,7 @@ func parseDegradeLevel(v string) (degrade.Level, bool) {
 		v = v[1:]
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 || n > int(degrade.L4) {
+	if err != nil || n < 0 || n > int(degrade.L3) {
 		return 0, false
 	}
 	return degrade.Level(n), true
@@ -225,8 +224,8 @@ func parseDegradeLevel(v string) (degrade.Level, bool) {
 //     ledger, last pressure signals).
 //   - POST ?pin=L2 pins the ladder at a level — the ticker keeps
 //     counting but cannot move it — for incident response or brownout
-//     drills, and ?pin=L0 holds full service, exact answers included;
-//     POST ?unpin releases it back to automatic control.
+//     drills, and ?pin=L0 holds full service; POST ?unpin releases it
+//     back to automatic control.
 func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -239,7 +238,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 			lvl, ok := parseDegradeLevel(q.Get("pin"))
 			if !ok {
 				chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-					"invalid pin level %q (want L0..L4)", q.Get("pin"))
+					"invalid pin level %q (want L0..L3)", q.Get("pin"))
 				return
 			}
 			s.gov.Pin(lvl)
@@ -247,7 +246,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 			s.gov.Unpin()
 		default:
 			chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-				"POST needs ?pin=L0..L4 or ?unpin")
+				"POST needs ?pin=L0..L3 or ?unpin")
 			return
 		}
 		snap := s.gov.Snapshot()

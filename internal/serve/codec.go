@@ -222,9 +222,6 @@ func appendMatchResponse(b []byte, r *matchResponse) []byte {
 		}
 		b = append(b, ']')
 	}
-	if r.Degraded != "" {
-		b = appendJSONString(append(b, `,"degraded":`...), r.Degraded)
-	}
 	return appendSnapshot(b, &r.Snapshot)
 }
 

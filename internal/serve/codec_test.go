@@ -66,7 +66,7 @@ func TestAppendMatchResponseEqualsJSONEncoder(t *testing.T) {
 	for _, r := range []matchResponse{
 		{},
 		{MatchResult: MatchResult{Lists: []ListMatch{}}},
-		{MatchResult: MatchResult{Blocked: true, Decision: "blocked", Degraded: "hot-only",
+		{MatchResult: MatchResult{Blocked: true, Decision: "blocked",
 			Lists: []ListMatch{{List: "a", Decision: "blocked", Rule: "||x^", MatchedRules: []string{"||x^", "/y/"}}, {List: "b", Decision: "no-match", MatchedRules: []string{}}}}},
 		{Snapshot: SnapshotInfo{Model: model}},
 		{Snapshot: SnapshotInfo{Lists: lists}},
@@ -82,7 +82,7 @@ func TestAppendMatchResponseEqualsJSONEncoder(t *testing.T) {
 // nastyResponse puts s everywhere a string goes.
 func nastyResponse(s string) *matchResponse {
 	return &matchResponse{
-		MatchResult: MatchResult{Decision: s, Degraded: s,
+		MatchResult: MatchResult{Decision: s,
 			Lists: []ListMatch{{List: s, Decision: s, Rule: s, MatchedRules: []string{s, s}}}},
 		Snapshot: SnapshotInfo{Model: &ModelInfo{FeatureSet: s, Version: s}, Lists: &ListsInfo{Label: s, Version: s}},
 	}

@@ -53,8 +53,8 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 		return h
 	}
 	healthBefore := healthz()
-	if healthBefore.ListsVersion == "" || healthBefore.ListsTiered {
-		t.Fatalf("healthz = %+v, want a versioned flat snapshot", healthBefore)
+	if healthBefore.ListsVersion == "" {
+		t.Fatalf("healthz = %+v, want a versioned snapshot", healthBefore)
 	}
 
 	query := `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
@@ -140,8 +140,8 @@ func TestCompiledSnapshotServesAndRejectsDamage(t *testing.T) {
 }
 
 // TestReloadServesFromOneBuffer: a reload reads the file once and serves
-// from that buffer — every automaton of a flat or tiered snapshot lies
-// inside the raw bytes the state retains (the ones GET /admin/snapshot
+// from that buffer — every automaton of the snapshot lies inside the raw
+// bytes the state retains (the ones GET /admin/snapshot
 // returns), 4-aligned so the u32 views are views and not copies, and so does
 // the text of every rule, whether the bytes came from disk or from a push.
 // The version the state reports is the file's.
@@ -155,12 +155,8 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 	if len(errs) != 0 {
 		t.Fatal(errs)
 	}
-	flat := testListsSnapshot(t)
-	flat.Lists = append(flat.Lists, big)
-	tiered := &abp.ListsSnapshot{Label: "tiered"}
-	for _, l := range flat.Lists {
-		tiered.Lists = append(tiered.Lists, l.CompileTiered(func(ord int) bool { return ord%3 == 0 }))
-	}
+	snap := testListsSnapshot(t)
+	snap.Lists = append(snap.Lists, big)
 
 	within := func(what string, region, raw []byte) uintptr {
 		t.Helper()
@@ -180,7 +176,7 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 			t.Errorf("%s: automaton at %#x is not 4-aligned", what, first)
 		}
 	}
-	check := func(name string, s *Server, wantTiered bool) {
+	check := func(name string, s *Server) {
 		t.Helper()
 		st := s.lists.Load()
 		if want, err := artifact.Version(st.raw); err != nil || st.version != want {
@@ -191,41 +187,28 @@ func TestReloadServesFromOneBuffer(t *testing.T) {
 			for _, r := range l.Rules() {
 				within(name+"/"+l.Name+": rule "+r.Raw, unsafe.Slice(unsafe.StringData(r.Raw), len(r.Raw)), st.raw)
 			}
-			if l.Tiered() != wantTiered {
-				t.Fatalf("%s/%s: tiered=%v, want %v", name, l.Name, l.Tiered(), wantTiered)
-			}
-			if wantTiered {
-				inside(name+"/"+l.Name+"/hot", l.HotAutomatonBytes(), st.raw)
-			}
 		}
 	}
 
 	dir := t.TempDir()
 	modelPath, listsPath := writeSnapshotFiles(t, dir)
 	s := newServer(t, Config{ModelPath: modelPath, ListsPath: listsPath})
-	if err := abp.SaveListsSnapshot(listsPath, flat); err != nil {
+	if err := abp.SaveListsSnapshot(listsPath, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadSnapshots(); err != nil {
 		t.Fatal(err)
 	}
-	check("disk-flat", s, false)
-	if err := abp.SaveListsSnapshot(listsPath, tiered); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadSnapshots(); err != nil {
-		t.Fatal(err)
-	}
-	check("disk-tiered", s, true)
+	check("disk", s)
 
-	art, err := abp.MarshalListsSnapshot(flat)
+	art, err := abp.MarshalListsSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec := do(t, s, "POST", "/admin/snapshot/lists", string(art)); rec.Code != 200 {
 		t.Fatalf("push status %d: %s", rec.Code, rec.Body)
 	}
-	check("push-flat", s, false)
+	check("push", s)
 }
 
 // TestReloadReleasesPreviousBuffer: the rules of a served snapshot alias the

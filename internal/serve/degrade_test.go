@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adwars/internal/abp"
 	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 )
@@ -17,7 +18,7 @@ const matchBlockedBody = `{"url":"http://ads.example.com/banner.js","type":"scri
 
 func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for lvl := degrade.L0; lvl <= degrade.L4; lvl++ {
+	for lvl := degrade.L0; lvl <= degrade.L3; lvl++ {
 		s.Degrade().Pin(lvl)
 		rec := do(t, s, "POST", "/v1/match", matchBlockedBody)
 		if rec.Code != 200 {
@@ -52,37 +53,73 @@ func TestDegradeL0ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDegradeL2HotOnlyAnnotation: at L2 the match answer is computed
-// from the hot tier only and says so. The fixture lists are untiered
-// (everything hot), so the verdicts themselves must not move.
-func TestDegradeL2HotOnlyAnnotation(t *testing.T) {
-	s := newTestServer(t, Config{})
-	s.Degrade().Pin(degrade.L2)
-	rec := do(t, s, "POST", "/v1/match", matchBlockedBody)
-	if rec.Code != 200 {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+// TestDegradeNeverChangesAVerdict is the ladder's invariant: no level
+// changes what a match answers. A replica serves lists written the way the
+// benchmark writes its tiered ones — CompileTiered with nothing kept, through
+// SaveListsSnapshotTiered — which a build with a hot tier would have served
+// from a hot automaton of exceptions and keyword-less rules alone at L2, its
+// keyworded blocks reading as no-match. Pinned at each of L0–L3, every
+// /v1/match body is L0's byte for byte, and so is every /v1/match/batch body
+// below L3, which sheds batches.
+func TestDegradeNeverChangesAVerdict(t *testing.T) {
+	snap := testListsSnapshot(t)
+	for i, l := range snap.Lists {
+		snap.Lists[i] = l.CompileTiered(nil)
 	}
-	var res matchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+	path := t.TempDir() + "/lists.json"
+	if err := abp.SaveListsSnapshotTiered(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded != "hot-only" {
-		t.Fatalf("degraded = %q, want hot-only", res.Degraded)
+	s := newServer(t, Config{ListsPath: path})
+	if err := s.ReloadSnapshots(); err != nil {
+		t.Fatal(err)
 	}
-	if !res.Blocked {
-		t.Fatalf("untiered fixture verdict moved under hot-only: %+v", res.MatchResult)
+	bodies := []string{
+		matchBlockedBody,
+		`{"url":"http://ads.example.com/allowed","type":"script","page_domain":"news.example"}`,
+		`{"url":"http://cdn.example/adframe/x.html","type":"subdocument","page_domain":"news.example"}`,
+		`{"url":"http://baitserver.example/ads.js","type":"script","page_domain":"news.example"}`,
+		`{"url":"http://clean.example/app.js"}`,
 	}
-
-	// Below L2 the annotation disappears again.
-	s.Degrade().Pin(degrade.L1)
-	rec = do(t, s, "POST", "/v1/match", matchBlockedBody)
-	if strings.Contains(rec.Body.String(), "degraded") {
-		t.Fatalf("L1 body still annotated: %s", rec.Body.String())
+	batch := `{"requests":[` + strings.Join(bodies, ",") + `]}`
+	var want []string
+	for lvl := degrade.L0; lvl <= degrade.L3; lvl++ {
+		s.Degrade().Pin(lvl)
+		var got []string
+		for _, body := range append(bodies, batch) {
+			path := "/v1/match"
+			if body == batch {
+				path += "/batch"
+			}
+			rec := do(t, s, "POST", path, body)
+			if body == batch && lvl == degrade.L3 {
+				if rec.Code != 429 {
+					t.Fatalf("%s: batch status %d, want 429", lvl, rec.Code)
+				}
+				continue
+			}
+			if rec.Code != 200 {
+				t.Fatalf("%s: %s status %d: %s", lvl, path, rec.Code, rec.Body.String())
+			}
+			got = append(got, rec.Body.String())
+		}
+		if lvl == degrade.L0 {
+			want = got
+			if !strings.Contains(want[0], `"blocked":true`) {
+				t.Fatalf("L0 does not block %s: %s", matchBlockedBody, want[0])
+			}
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s body %d differs from L0's:\n got: %s\nwant: %s", lvl, i, got[i], want[i])
+			}
+		}
 	}
 }
 
-// TestDegradeLadderSheds: L3 drops the classify plane, L4 additionally
-// drops match batches; single matches survive to L4. Every shed is a
+// TestDegradeLadderSheds: L2 drops the classify plane, L3 additionally
+// drops match batches; single matches survive to L3. Every shed is a
 // structured 429 with a jittered Retry-After — never a 5xx.
 func TestDegradeLadderSheds(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -99,11 +136,11 @@ func TestDegradeLadderSheds(t *testing.T) {
 		"match":          {"/v1/match", matchBlockedBody},
 	}
 	shedAt := map[string]map[string]bool{
-		"L2": {},
-		"L3": {"classify": true, "classify_batch": true},
-		"L4": {"classify": true, "classify_batch": true, "match_batch": true},
+		"L1": {},
+		"L2": {"classify": true, "classify_batch": true},
+		"L3": {"classify": true, "classify_batch": true, "match_batch": true},
 	}
-	for _, lvlName := range []string{"L2", "L3", "L4"} {
+	for _, lvlName := range []string{"L1", "L2", "L3"} {
 		lvl, _ := parseDegradeLevel(lvlName)
 		s.Degrade().Pin(lvl)
 		for name, p := range probes {
@@ -125,7 +162,7 @@ func TestDegradeLadderSheds(t *testing.T) {
 		}
 	}
 	if got := s.met.DegradeShed.Load(); got != 5 {
-		t.Fatalf("degrade_shed = %d, want 5 (2 at L3 + 3 at L4)", got)
+		t.Fatalf("degrade_shed = %d, want 5 (2 at L2 + 3 at L3)", got)
 	}
 }
 

@@ -42,11 +42,6 @@ type MatchResult struct {
 	Blocked  bool        `json:"blocked"`
 	Decision string      `json:"decision"`
 	Lists    []ListMatch `json:"lists"`
-	// Degraded annotates an answer computed under brownout: "hot-only"
-	// means only the hot-tier automata were consulted (governor at L2+),
-	// so a cold-tier block may read as no_match. Omitted at full service,
-	// so an L0 body is the full answer and nothing else.
-	Degraded string `json:"degraded,omitempty"`
 }
 
 // ClassifyResult is the anti-adblock verdict for one script.
@@ -166,21 +161,21 @@ func (s *Server) snapshotInfo() SnapshotInfo {
 // stamping a response is a map assignment of a shared slice — no
 // per-request allocation. Handlers must never mutate these.
 var (
-	degradeHeaderVals = [5][]string{{"L0"}, {"L1"}, {"L2"}, {"L3"}, {"L4"}}
+	degradeHeaderVals = [4][]string{{"L0"}, {"L1"}, {"L2"}, {"L3"}}
 	retryAfterVals    = [3][]string{{"1"}, {"2"}, {"3"}}
 )
 
 // degradeSheds reports whether the ladder sheds this endpoint at lvl:
-// L3 drops the classify plane (model inference is the expensive
-// non-priority work), L4 additionally drops match batches. Single
+// L2 drops the classify plane (model inference is the expensive
+// non-priority work), L3 additionally drops match batches. Single
 // matches are never shed here — they stay on normal admission so the
-// core service degrades last.
+// core service degrades last — and no level changes what a match answers.
 func degradeSheds(ep string, lvl degrade.Level) bool {
 	switch ep {
 	case epClassify, epClassifyBatch:
-		return lvl >= degrade.L3
+		return lvl >= degrade.L2
 	case epMatchBatch:
-		return lvl >= degrade.L4
+		return lvl >= degrade.L3
 	}
 	return false
 }
@@ -323,34 +318,21 @@ type matchWinner struct {
 	ordinal int32
 }
 
-// degradeHotOnly reports whether the governor has browned matching down
-// to the hot tier (L2 and above).
-func (s *Server) degradeHotOnly() bool {
-	return s.gov.Level() >= degrade.L2
-}
-
 // matchOne answers one query against every list in the state with a
 // single automaton probe per list: AppendHits collects every matching
 // rule, DecideHits reduces them to the verdict, and the winning ordinal
 // feeds the list's usage counters. Results alias sc's arenas. The second
 // return identifies the merged winner — under merged-list semantics the
 // first exception anywhere, else the first block anywhere — for the
-// analytics event. Under hotOnly (governor at L2+) the probe consults
-// only the hot-tier automata and the result is annotated "hot-only":
-// exceptions always live hot, so the only possible drift from a full
-// answer is a cold-tier block reading as no_match.
-func matchOne(ls *listsState, q MatchQuery, sc *matchScratch, hotOnly bool) (MatchResult, matchWinner) {
+// analytics event.
+func matchOne(ls *listsState, q MatchQuery, sc *matchScratch) (MatchResult, matchWinner) {
 	req := abp.Request{URL: q.URL, Type: abp.RequestType(q.Type), PageDomain: q.PageDomain}
 	listsStart := len(sc.lists)
 	anyBlocked, anyAllowed := false, false
 	var blockRule, allowRule *abp.Rule
 	var blockOrd, allowOrd int32 = -1, -1
 	for _, l := range ls.snap.Lists {
-		if hotOnly {
-			sc.hits = l.AppendHitsHot(sc.hits[:0], req)
-		} else {
-			sc.hits = l.AppendHits(sc.hits[:0], req)
-		}
+		sc.hits = l.AppendHits(sc.hits[:0], req)
 		dec, rule, ord := abp.DecideHits(sc.hits)
 		l.RecordUsage(ord)
 		lm := ListMatch{List: l.Name, Decision: dec.String()}
@@ -379,9 +361,6 @@ func matchOne(ls *listsState, q MatchQuery, sc *matchScratch, hotOnly bool) (Mat
 		sc.lists = append(sc.lists, lm)
 	}
 	res := MatchResult{Lists: sc.lists[listsStart:len(sc.lists):len(sc.lists)]}
-	if hotOnly {
-		res.Degraded = "hot-only"
-	}
 	win := matchWinner{verdict: analytics.VerdictNoMatch, ordinal: -1}
 	switch {
 	case anyAllowed:
@@ -451,7 +430,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endAdmitted(epMatch, start)
-	res, win := matchOne(ls, sc.q, sc, s.degradeHotOnly())
+	res, win := matchOne(ls, sc.q, sc)
 	s.recordMatch(&sc.q, win, start)
 	sc.resp = matchResponse{
 		MatchResult: res,
@@ -504,9 +483,8 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		Results:  make([]MatchResult, 0, len(batch.Requests)),
 		Snapshot: s.snapshotInfo(),
 	}
-	hotOnly := s.degradeHotOnly()
 	for i := range batch.Requests {
-		res, win := matchOne(ls, batch.Requests[i], sc, hotOnly)
+		res, win := matchOne(ls, batch.Requests[i], sc)
 		s.recordMatch(&batch.Requests[i], win, start)
 		out.Results = append(out.Results, res)
 	}

@@ -67,7 +67,7 @@ type metrics struct {
 	// up.
 	DeadlineRefused chassis.Counter `json:"deadline_refused"`
 	// DegradeShed counts requests shed pre-admission by the overload
-	// governor's ladder (L3 sheds classify, L4 also sheds match batches).
+	// governor's ladder (L2 sheds classify, L3 also sheds match batches).
 	DegradeShed chassis.Counter `json:"degrade_shed"`
 }
 

@@ -254,9 +254,8 @@ func (s *Server) degradeSource() func() degrade.Signals {
 
 // onDegradeTransition is the server's own ladder hook: crossing into L1
 // forces analytics sampling down to degradeSampleRate; stepping back
-// below L1 records every decision again. L2+ behavior (hot-tier-only
-// matching, classify/batch sheds) needs no hook — handlers read the
-// level directly.
+// below L1 records every decision again. L2+ behavior (classify and batch
+// sheds) needs no hook — handlers read the level directly.
 func (s *Server) onDegradeTransition(from, to degrade.Level) {
 	switch {
 	case to >= degrade.L1 && from < degrade.L1:
@@ -340,8 +339,7 @@ func (s *Server) prepareLists(snap *abp.ListsSnapshot, raw []byte) (*listsState,
 	// matchers (EnableUsage is idempotent but not concurrency-safe against
 	// in-flight matches on the same list value). Recording is one sharded
 	// atomic add on the match path, no lock and no allocation, and
-	// /admin/usage dumps the per-rule hit distribution that adwars-compact
-	// turns into a tiered snapshot.
+	// /admin/usage dumps the per-rule hit distribution.
 	for _, l := range snap.Lists {
 		l.EnableUsage()
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"adwars/internal/abp"
-	"adwars/internal/chassis"
 	"adwars/internal/degrade"
 )
 
@@ -218,9 +217,9 @@ func TestUsageProbeGeometry(t *testing.T) {
 	}
 }
 
-// TestServeTieredSnapshot proves the serving stack is tier-transparent
-// end to end: a tiered snapshot loads from disk, /healthz advertises
-// it, and /v1/match answers byte-identically to the untiered server.
+// TestServeTieredSnapshot: a snapshot the benchmark writes — CompileTiered
+// copies through SaveListsSnapshotTiered — loads from disk and /v1/match
+// answers from it as the server of the lists themselves does.
 func TestServeTieredSnapshot(t *testing.T) {
 	snap := testListsSnapshot(t)
 	tiered := &abp.ListsSnapshot{Label: snap.Label}
@@ -229,7 +228,7 @@ func TestServeTieredSnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := dir + "/lists.tiered.json"
-	if err := abp.SaveListsSnapshot(path, tiered); err != nil {
+	if err := abp.SaveListsSnapshotTiered(path, tiered); err != nil {
 		t.Fatal(err)
 	}
 	ts := newServer(t, Config{ListsPath: path})
@@ -237,15 +236,6 @@ func TestServeTieredSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := newTestServer(t, Config{})
-
-	rec := do(t, ts, "GET", "/healthz", "")
-	var h chassis.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
-	if !h.ListsTiered {
-		t.Fatal("health does not report the tiered snapshot")
-	}
 
 	for _, body := range []string{
 		`{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`,
@@ -258,8 +248,8 @@ func TestServeTieredSnapshot(t *testing.T) {
 		if got.Code != want.Code {
 			t.Fatalf("tiered status %d != %d for %s", got.Code, want.Code, body)
 		}
-		// The snapshot envelopes legitimately differ (the tiered server has
-		// no model and a disk-loaded version); the verdict payload may not.
+		// The snapshot envelopes legitimately differ (the disk-loaded server
+		// has no model and a version); the verdict payload may not.
 		var gotRes, wantRes matchResponse
 		if err := json.Unmarshal(got.Body.Bytes(), &gotRes); err != nil {
 			t.Fatal(err)
@@ -353,8 +343,8 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 	}
 }
 
-// TestServeMatchDegradeAllocs holds a pinned governor: L0's full match and
-// L2's hot-only probe.
+// TestServeMatchDegradeAllocs holds a pinned governor: at L0, and at L2,
+// where classify is shed and the match is L0's.
 func TestServeMatchDegradeAllocs(t *testing.T) {
 	for _, lvl := range []degrade.Level{degrade.L0, degrade.L2} {
 		t.Run(fmt.Sprintf("level_%s", lvl), func(t *testing.T) {

@@ -46,8 +46,7 @@ func (g *probeGeometry) add(l *abp.List) {
 
 // UsageList is one list's per-rule usage distribution. Hits carries every
 // rule that fired as an [ordinal, count] pair in ordinal order — the
-// machine-readable form adwars-compact consumes; Top is the human-readable
-// ranking. DeadFraction is over HTTP rules only (element-hiding rules
+// machine-readable form; Top is the human-readable ranking. DeadFraction is over HTTP rules only (element-hiding rules
 // never take the match path, counting them as "dead" would be noise).
 type UsageList struct {
 	List      string `json:"list"`
@@ -98,10 +97,10 @@ func usageList(l *abp.List, topK int) UsageList {
 
 // handleUsage dumps the per-rule hit counters of every served list: the
 // shard banks are merged on read (recording never pays for reporting).
-// The dump is both an operator surface (top-K, dead-rule fraction — the
-// paper's "most rules never fire" skew, observed live) and the input
-// adwars-compact turns into a tiered snapshot. ?top=N adjusts the ranking
-// depth (default 10, 0 disables).
+// The dump is an operator surface (top-K, dead-rule fraction — the paper's
+// "most rules never fire" skew, observed live) and what loadgen's usage gate
+// reconciles against. ?top=N adjusts the ranking depth (default 10, 0
+// disables).
 func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 	if !chassis.RequireMethod(w, r, http.MethodGet) {
 		return
