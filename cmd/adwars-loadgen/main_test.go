@@ -144,6 +144,18 @@ func noAdmin(next http.Handler) http.Handler {
 	})
 }
 
+// undrained answers /admin/analytics as a replica whose consumer never
+// empties its rings would: the same seven decisions buffered at every read.
+func undrained(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/admin/analytics" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		fmt.Fprint(w, `{"enabled":true,"counters":{"recorded":3,"dropped":0,"ring_occupancy":7},"totals":{}}`)
+	})
+}
+
 // gatewayVars answers /debug/vars as an adwars-gateway with this failover
 // count would; everything else goes to the server.
 func gatewayVars(failovers int) func(http.Handler) http.Handler {
@@ -221,7 +233,7 @@ func wantOutput(t *testing.T, out string, want ...string) {
 // TestGatesPass: every gate passes on a run whose invariants hold — the
 // reconciling gates on a quiet server, the chaos ledger
 // under hostile load, and the brownout gates on a ladder that climbed to
-// L2 before the run and is stepped back to L0 early in it (L2 sheds the
+// L1 before the run and is stepped back to L0 early in it (L1 sheds the
 // classify share, and a shed worker backs off, so the run makes few
 // requests before the recovery).
 func TestGatesPass(t *testing.T) {
@@ -258,15 +270,15 @@ func TestGatesPass(t *testing.T) {
 	})
 	t.Run("degrade failovers", func(t *testing.T) {
 		var f *fixture
-		recoverMidRun := afterRequests(5, func() { tick(f, down, down) })
+		recoverMidRun := afterRequests(5, func() { tick(f, down) })
 		f = newFixture(t, func(next http.Handler) http.Handler {
 			return gatewayVars(2)(recoverMidRun(next))
 		})
-		tick(f, up, up)
+		tick(f, up)
 		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers", "-degrade-url", f.url)
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
-			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L2 and recovered to L0 without flapping: "+f.url+" peak L2, 2 up / 2 down)",
+			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L1 and recovered to L0 without flapping: "+f.url+" peak L1, 1 up / 1 down)",
 			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries, 1 hedges; ")
 		if stderr != "" {
 			t.Errorf("stderr: %s", stderr)
@@ -307,14 +319,14 @@ func TestGatesFail(t *testing.T) {
 		{name: "analytics: foreign traffic between the reads",
 			wrap: foreign("/admin/analytics", false), check: "analytics", code: 1,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: match/blocked: server delta "},
-		{name: "analytics: sampling below 1", ladder: [][]degrade.Signals{up},
+		{name: "analytics: rings never drain", wrap: undrained,
 			check: "ledger,analytics", code: 2,
-			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: needs sampling 1.0, server is at 0.100"},
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: rings did not drain: 7 decisions still buffered after 3s"},
 		{name: "analytics: off", wrap: noAdmin, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
-		{name: "degrade: peaked below L2", ladder: [][]degrade.Signals{up, down},
+		{name: "degrade: peaked below L1",
 			check: "degrade,ledger", code: 1,
-			stderr: "peak level L1, want >= L2", stdout: "loadgen: LEDGER-CHECK OK"},
+			stderr: "peak level L0, want >= L1", stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "degrade: flapped", ladder: [][]degrade.Signals{up, up, down, up, down, down},
 			check: "degrade", code: 1,
 			stderr: "6 transitions (3 up, 3 down) for peak L2 — want exactly 4 (one climb, one descent): the ladder flapped"},

@@ -138,8 +138,9 @@ var scenarios = []scenario{
 		drain("gateway", "r1", "r2", "r3"),
 	}},
 	// Two starved, governed replicas overdriven through the gateway: each
-	// ladder climbs to L2 or above and comes back to L0 with one climb and
-	// one descent, and the fleet back at L0 answers as it did unloaded.
+	// ladder climbs to L1 (classify shed) or above and comes back to L0 with
+	// one climb and one descent, and the fleet back at L0 answers as it did
+	// unloaded.
 	{name: "brownout", steps: []step{
 		boot("r1", starved),
 		boot("r2", starved),

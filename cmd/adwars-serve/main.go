@@ -13,9 +13,9 @@
 //
 // Every replica runs the adaptive overload governor: a 100ms ticker
 // watches live pressure (admission queue depth, windowed match p99,
-// analytics drop rate) and steps a degradation ladder L0..L3 — forced
-// analytics sampling, classify shed, batch shed; no rung changes a match
-// verdict — with hysteresis so the level climbs fast and recovers calmly. Every
+// analytics drop rate) and steps a degradation ladder L0..L2 — classify
+// shed, then batch shed; no rung changes a match verdict or what analytics
+// records — with hysteresis so the level climbs fast and recovers calmly. Every
 // /v1 response carries the level in X-Adwars-Degrade; /admin/degrade
 // exposes the snapshot and manual pin/unpin (POST ?pin=L0 holds full
 // service).

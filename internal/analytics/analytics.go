@@ -2,7 +2,6 @@ package analytics
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,44 +33,13 @@ const (
 // min(GOMAXPROCS, 8) rings of 4096 slots, drained every 5 ms into 10-second
 // buckets.
 type Config struct {
-	// SampleRate is ignored: a collector records every decision unless the
-	// overload governor holds a sample override (SetSampleOverride). It is
+	// SampleRate is ignored: a collector records every decision. It is
 	// kept only for the benchmark, which still sets it.
 	SampleRate float64
 	// SpillDir, when non-empty, receives rotated JSONL spill files of
 	// evicted and final bucket rows. Empty disables spill: evicted
 	// buckets fold into the cumulative totals only.
 	SpillDir string
-}
-
-// sampler decides record-or-skip with one atomic add and a splitmix64
-// mix — no locks, no rand.Source, deterministic given the call sequence.
-// rate >= 1 short-circuits to "always".
-type sampler struct {
-	exact     bool
-	rate      float64
-	threshold uint64
-	state     atomic.Uint64
-}
-
-func newSampler(rate float64) *sampler {
-	if rate >= 1 {
-		return &sampler{exact: true, rate: 1}
-	}
-	return &sampler{rate: rate, threshold: uint64(rate * math.MaxUint64)}
-}
-
-func (s *sampler) keep() bool {
-	if s.exact {
-		return true
-	}
-	x := s.state.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x < s.threshold
 }
 
 // Collector is the analytics pipeline: sharded lock-free rings on the
@@ -81,12 +49,10 @@ func (s *sampler) keep() bool {
 type Collector struct {
 	cfg Config
 
-	ovr   atomic.Pointer[sampler] // overload-governor override; nil = keep every decision
 	rings []*ring
 	rr    atomic.Uint64 // round-robin shard cursor
 
-	recorded   atomic.Uint64 // events accepted into a ring
-	sampledOut atomic.Uint64 // events skipped by the sampler
+	recorded atomic.Uint64 // events accepted into a ring
 
 	mu    sync.Mutex // guards agg + spill (consumer and snapshot readers)
 	agg   *aggregator
@@ -124,14 +90,9 @@ func NewCollector(cfg Config) (*Collector, error) {
 
 // Record logs one decision. It is safe for any number of concurrent
 // callers, never blocks, and allocates nothing: the event is either
-// sampled out by a governor override (counted), accepted into a ring, or
-// dropped because the ring is full (counted). The serving hot path calls
-// this inline.
+// accepted into a ring or dropped because the ring is full (counted). The
+// serving hot path calls this inline.
 func (c *Collector) Record(ev Event) {
-	if o := c.ovr.Load(); o != nil && !o.keep() {
-		c.sampledOut.Add(1)
-		return
-	}
 	r := c.rings[c.rr.Add(1)%uint64(len(c.rings))]
 	if r.push(&ev) {
 		c.recorded.Add(1)
@@ -186,28 +147,6 @@ func (c *Collector) Close() error {
 	return c.closeErr
 }
 
-// SetSampleOverride forces the sample rate down to rate until
-// ClearSampleOverride — the overload governor's lever for shedding
-// analytics volume before it sheds request fidelity, and the only way a
-// collector samples. The swap is one atomic pointer store; Record picks
-// it up on its next call with no allocation.
-func (c *Collector) SetSampleOverride(rate float64) {
-	c.ovr.Store(newSampler(rate))
-}
-
-// ClearSampleOverride restores recording of every decision.
-func (c *Collector) ClearSampleOverride() {
-	c.ovr.Store(nil)
-}
-
-// effectiveRate is the sample rate Record is currently applying.
-func (c *Collector) effectiveRate() float64 {
-	if o := c.ovr.Load(); o != nil {
-		return o.rate
-	}
-	return 1
-}
-
 // drops sums the per-ring full-drop counters.
 func (c *Collector) drops() uint64 {
 	var n uint64
@@ -229,17 +168,11 @@ func (c *Collector) ringOccupancy() int {
 // Counters is the collector's cheap accounting surface: everything
 // /debug/vars exports without touching the aggregator maps.
 type Counters struct {
-	Recorded   uint64 `json:"recorded"`
-	Dropped    uint64 `json:"dropped"`
-	SampledOut uint64 `json:"sampled_out"`
+	Recorded uint64 `json:"recorded"`
+	Dropped  uint64 `json:"dropped"`
 	// RingOccupancy is events buffered in the rings right now (waiting
 	// for the consumer).
 	RingOccupancy int `json:"ring_occupancy"`
-	// SampleRate is the rate without a governor override: always 1.
-	SampleRate float64 `json:"sample_rate"`
-	// EffectiveRate is the rate Record is applying right now — below 1
-	// only while the overload governor holds a sample override.
-	EffectiveRate float64 `json:"effective_rate"`
 }
 
 // CountersNow reads the producer-side counters without locking.
@@ -247,10 +180,7 @@ func (c *Collector) CountersNow() Counters {
 	return Counters{
 		Recorded:      c.recorded.Load(),
 		Dropped:       c.drops(),
-		SampledOut:    c.sampledOut.Load(),
 		RingOccupancy: c.ringOccupancy(),
-		SampleRate:    1,
-		EffectiveRate: c.effectiveRate(),
 	}
 }
 

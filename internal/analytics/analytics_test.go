@@ -20,7 +20,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCollectorEndToEnd records concurrently at sampling 1.0 and checks
+// TestCollectorEndToEnd records concurrently and checks
 // that every event lands in the aggregator totals exactly once, then that
 // Close flushes the final state to spill.
 func TestCollectorEndToEnd(t *testing.T) {
@@ -64,9 +64,6 @@ func TestCollectorEndToEnd(t *testing.T) {
 		return agg+snap.Counters.Dropped == sent
 	})
 	snap := c.Snapshot()
-	if snap.Counters.SampledOut != 0 {
-		t.Fatalf("sampledOut = %d at rate 1.0", snap.Counters.SampledOut)
-	}
 	if snap.Counters.Recorded+snap.Counters.Dropped != sent {
 		t.Fatalf("recorded %d + dropped %d != sent %d",
 			snap.Counters.Recorded, snap.Counters.Dropped, sent)
@@ -91,9 +88,9 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCollectorExactAtFullSampling is the reconciliation contract: at
-// sampling 1.0, with every burst smaller than one ring and drained before
-// the next, the totals equal the client-side ledger exactly.
+// TestCollectorExactAtFullSampling is the reconciliation contract: with
+// every burst smaller than one ring and drained before the next, the totals
+// equal the client-side ledger exactly.
 func TestCollectorExactAtFullSampling(t *testing.T) {
 	c, err := NewCollector(Config{})
 	if err != nil {
@@ -133,58 +130,8 @@ func TestCollectorExactAtFullSampling(t *testing.T) {
 	})
 }
 
-// TestSamplerRates checks the collector's two sampling contracts: with no
-// governor override every decision is kept, and under an override the keep
-// rate is roughly proportional, with every skip counted.
-func TestSamplerRates(t *testing.T) {
-	c, err := NewCollector(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ev := Event{UnixNano: 1, Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1}
-	for i := 0; i < 1000; i++ {
-		c.Record(ev)
-	}
-	if n := c.CountersNow().SampledOut; n != 0 {
-		t.Fatalf("%d decisions sampled out with no override", n)
-	}
-	c.SetSampleOverride(0.25)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		c.Record(ev)
-	}
-	frac := float64(n-c.CountersNow().SampledOut) / n
-	if frac < 0.22 || frac > 0.28 {
-		t.Fatalf("keep rate %.3f under override 0.25", frac)
-	}
-}
-
-// TestCollectorSampledOutAccounting runs a collector under a sample
-// override and checks recorded + sampledOut + dropped == sent.
-func TestCollectorSampledOutAccounting(t *testing.T) {
-	c, err := NewCollector(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetSampleOverride(0.5)
-	const sent = 10000
-	for i := 0; i < sent; i++ {
-		c.Record(Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1})
-	}
-	cn := c.CountersNow()
-	if cn.Recorded+cn.SampledOut+cn.Dropped != sent {
-		t.Fatalf("recorded %d + sampledOut %d + dropped %d != %d",
-			cn.Recorded, cn.SampledOut, cn.Dropped, sent)
-	}
-	if cn.SampledOut == 0 || cn.Recorded == 0 {
-		t.Fatalf("degenerate split: %+v", cn)
-	}
-}
-
 // TestRecordZeroAllocs pins the hot-path contract: recording allocates
-// nothing, whether the event is kept or sampled out.
+// nothing.
 func TestRecordZeroAllocs(t *testing.T) {
 	c, err := NewCollector(Config{})
 	if err != nil {
@@ -196,72 +143,6 @@ func TestRecordZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { c.Record(ev) })
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestSampleOverride checks the governor lever: an override forces the
-// effective rate down, shows up in the counters, and Clear restores the
-// configured rate exactly.
-func TestSampleOverride(t *testing.T) {
-	c, err := NewCollector(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const burst = 10000
-	for i := 0; i < burst; i++ {
-		c.Record(Event{UnixNano: 1, Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1})
-	}
-	cn := c.CountersNow()
-	if cn.SampledOut != 0 || cn.EffectiveRate != 1 {
-		t.Fatalf("before override: sampledOut=%d effective=%.2f, want 0/1.0", cn.SampledOut, cn.EffectiveRate)
-	}
-
-	c.SetSampleOverride(0.1)
-	if got := c.CountersNow().EffectiveRate; got != 0.1 {
-		t.Fatalf("effective rate under override = %.2f, want 0.1", got)
-	}
-	for i := 0; i < burst; i++ {
-		c.Record(Event{UnixNano: 1, Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1})
-	}
-	cn = c.CountersNow()
-	// At override 0.1 the overwhelming majority of the burst must be
-	// sampled out (loose band: splitmix64 keeps ~10%).
-	if cn.SampledOut < burst/2 {
-		t.Fatalf("override 0.1 sampled out only %d of %d", cn.SampledOut, burst)
-	}
-	if cn.SampleRate != 1 {
-		t.Fatalf("configured rate mutated to %.2f under override", cn.SampleRate)
-	}
-
-	c.ClearSampleOverride()
-	if got := c.CountersNow().EffectiveRate; got != 1 {
-		t.Fatalf("effective rate after clear = %.2f, want 1.0", got)
-	}
-	before := c.CountersNow().SampledOut
-	for i := 0; i < burst; i++ {
-		c.Record(Event{UnixNano: 1, Kind: KindMatch, Verdict: VerdictNoMatch, Ordinal: -1})
-	}
-	if got := c.CountersNow().SampledOut; got != before {
-		t.Fatalf("events sampled out after clear: %d -> %d", before, got)
-	}
-}
-
-// TestRecordZeroAllocsUnderOverride pins that the override path adds no
-// allocations to Record.
-func TestRecordZeroAllocsUnderOverride(t *testing.T) {
-	c, err := NewCollector(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetSampleOverride(0.5)
-	ev := Event{UnixNano: 123, Kind: KindMatch, Verdict: VerdictBlocked, Ordinal: 4,
-		Domain: "dom.example", Rule: "||ads^"}
-	allocs := testing.AllocsPerRun(1000, func() { c.Record(ev) })
-	if allocs != 0 {
-		t.Fatalf("Record under override allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -6,7 +6,9 @@
 // with bounded-memory time buckets keyed by domain / rule / verdict, and
 // a JSONL spill with rotation so a serving run leaves a replayable record
 // that adwars-report -live turns into coverage dashboards comparable to
-// the retrospective replay figures.
+// the retrospective replay figures. Nothing samples: every decision either
+// reaches the totals or is counted as a ring drop, at every governor level,
+// so per-rule counts stay exact when traffic is heaviest.
 package analytics
 
 import "sync/atomic"

@@ -4,12 +4,15 @@
 // through a hysteresis-damped ladder. The serving hot path reads the
 // current level with a single atomic load — no locks, no allocations —
 // and sheds work in stages instead of flipping straight from full service
-// to 429. No level changes what a match answers:
+// to 429. No level changes what a match answers, and no level changes
+// what analytics records:
 //
 //	L0  full service
-//	L1  analytics sampling forced down
-//	L2  /v1/classify degraded to match-only fallback (classify shed)
-//	L3  match batches shed too, with jittered Retry-After
+//	L1  /v1/classify degraded to match-only fallback (classify shed)
+//	L2  match batches shed too, with jittered Retry-After
+//
+// A transition is one atomic store of the level: the handlers read the
+// level on every request, so nothing has to be told that it moved.
 //
 // Hysteresis: the governor observes every 100ms, steps UP one level only
 // after 2 consecutive over-pressure observations, and steps DOWN one level
@@ -21,7 +24,6 @@
 package degrade
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,17 +35,16 @@ type Level int32
 
 const (
 	L0 Level = iota // full service
-	L1              // analytics sampling forced down
-	L2              // classify shed (clients fall back to /v1/match)
-	L3              // match batches shed too
+	L1              // classify shed (clients fall back to /v1/match)
+	L2              // match batches shed too
 )
 
 // levelNames is indexed by Level; the shared strings make String and
 // the serve-side header stamp allocation-free.
-var levelNames = [4]string{"L0", "L1", "L2", "L3"}
+var levelNames = [3]string{"L0", "L1", "L2"}
 
 func (l Level) String() string {
-	if l < L0 || l > L3 {
+	if l < L0 || l > L2 {
 		return "L?"
 	}
 	return levelNames[l]
@@ -62,7 +63,8 @@ type Signals struct {
 	// nanoseconds. Zero when the window saw no traffic.
 	MatchP99Ns int64 `json:"match_p99_ns"`
 	// DropRate is the analytics ring drop fraction over the last
-	// window, in [0,1]. Zero when analytics is off or idle.
+	// window, in [0,1]. Zero when analytics is idle. Ring drops mean the
+	// consumer is starved of CPU, which shedding classify gives back.
 	DropRate float64 `json:"drop_rate"`
 }
 
@@ -96,17 +98,7 @@ type Config struct {
 	// Source produces one windowed observation per tick. Required for
 	// Start; Tick can be driven directly in tests without it.
 	Source func() Signals
-	// OnTransition, if set, is called synchronously after every level
-	// change (automatic or pinned) with the old and new levels, one
-	// transition at a time and in order; it must not call back into the
-	// governor's Tick, Pin, Unpin, Snapshot or TransitionP99Ns.
-	OnTransition func(from, to Level)
 }
-
-// transitionRing keeps the most recent transition costs for the p99
-// export. Tiny, mutex-guarded: transitions are rare by construction
-// (hysteresis bounds them to at most one per stepUpTicks intervals).
-const transitionRingCap = 64
 
 // Governor steps the degradation level. Construct with New; Start
 // launches the observation loop (optional — Tick can be driven
@@ -119,9 +111,8 @@ type Governor struct {
 
 	// mu makes each transition — Tick's decide-and-store, Pin's and
 	// Unpin's — one step, so a pin can never land between a Tick's read
-	// of the level and its store of the next one. OnTransition runs under
-	// it: hooks see transitions in order and must not call back into the
-	// governor. It also guards the streaks and the cost ring.
+	// of the level and its store of the next one. It also guards the
+	// streaks.
 	mu        sync.Mutex
 	hotTicks  int // consecutive over-pressure ticks
 	calmTicks int // consecutive calm ticks
@@ -134,10 +125,6 @@ type Governor struct {
 	lastSignals atomic.Pointer[Signals]
 
 	jitterState atomic.Uint64 // splitmix64 counter for Jitter3
-
-	ring     [transitionRingCap]int64 // transition durations, ns
-	ringN    int
-	ringNext int
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -227,7 +214,7 @@ func (g *Governor) Tick(s Signals) {
 	case pressureHot:
 		g.calmTicks = 0
 		g.hotTicks++
-		if cur := g.Level(); g.hotTicks >= stepUpTicks && cur < L3 {
+		if cur := g.Level(); g.hotTicks >= stepUpTicks && cur < L2 {
 			g.setLevel(cur, cur+1)
 			g.hotTicks = 0
 		}
@@ -269,16 +256,10 @@ func (g *Governor) classify(s Signals) pressure {
 	return pressureHold
 }
 
-// setLevel performs one transition: swap the level, fire the hook,
-// account the cost. The caller holds mu.
+// setLevel performs one transition: store the level and count the step.
+// The caller holds mu.
 func (g *Governor) setLevel(from, to Level) {
-	t0 := time.Now()
 	g.level.Store(int32(to))
-	if g.cfg.OnTransition != nil {
-		g.cfg.OnTransition(from, to)
-	}
-	d := time.Since(t0).Nanoseconds()
-
 	g.transitions.Add(1)
 	if to > from {
 		g.stepUps.Add(1)
@@ -291,18 +272,12 @@ func (g *Governor) setLevel(from, to Level) {
 			break
 		}
 	}
-	g.ring[g.ringNext] = d
-	g.ringNext = (g.ringNext + 1) % transitionRingCap
-	if g.ringN < transitionRingCap {
-		g.ringN++
-	}
 }
 
 // Pin fixes the ladder at lvl until Unpin: the level changes
-// immediately (firing OnTransition if it moved) and automatic stepping
-// stops. Clamped to [L0, L3].
+// immediately and automatic stepping stops. Clamped to [L0, L2].
 func (g *Governor) Pin(lvl Level) {
-	lvl = min(max(lvl, L0), L3)
+	lvl = min(max(lvl, L0), L2)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.pinned.Store(int32(lvl))
@@ -319,53 +294,33 @@ func (g *Governor) Unpin() {
 	g.pinned.Store(-1)
 }
 
-// TransitionP99Ns is the p99 transition cost over the recent ring, or
-// 0 when no transition has happened yet.
-func (g *Governor) TransitionP99Ns() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ringN == 0 {
-		return 0
-	}
-	buf := make([]int64, g.ringN)
-	copy(buf, g.ring[:g.ringN])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (99*g.ringN + 99) / 100
-	if idx >= g.ringN {
-		idx = g.ringN - 1
-	}
-	return buf[idx]
-}
-
 // Snapshot is the observability surface for /admin/degrade and
 // /debug/vars.
 type Snapshot struct {
-	Level           string   `json:"level"`
-	LevelNum        int      `json:"level_num"`
-	Pinned          bool     `json:"pinned"`
-	PinnedLevel     int      `json:"pinned_level,omitempty"`
-	PeakLevel       int      `json:"peak_level"`
-	Transitions     uint64   `json:"transitions"`
-	StepUps         uint64   `json:"step_ups"`
-	StepDowns       uint64   `json:"step_downs"`
-	Ticks           uint64   `json:"ticks"`
-	TransitionP99Ns int64    `json:"transition_p99_ns"`
-	LastSignals     *Signals `json:"last_signals,omitempty"`
+	Level       string   `json:"level"`
+	LevelNum    int      `json:"level_num"`
+	Pinned      bool     `json:"pinned"`
+	PinnedLevel int      `json:"pinned_level,omitempty"`
+	PeakLevel   int      `json:"peak_level"`
+	Transitions uint64   `json:"transitions"`
+	StepUps     uint64   `json:"step_ups"`
+	StepDowns   uint64   `json:"step_downs"`
+	Ticks       uint64   `json:"ticks"`
+	LastSignals *Signals `json:"last_signals,omitempty"`
 }
 
 // Snapshot captures the governor state. Safe concurrent with Tick.
 func (g *Governor) Snapshot() Snapshot {
 	lvl := g.Level()
 	snap := Snapshot{
-		Level:           lvl.String(),
-		LevelNum:        int(lvl),
-		PeakLevel:       int(g.peak.Load()),
-		Transitions:     g.transitions.Load(),
-		StepUps:         g.stepUps.Load(),
-		StepDowns:       g.stepDowns.Load(),
-		Ticks:           g.ticks.Load(),
-		TransitionP99Ns: g.TransitionP99Ns(),
-		LastSignals:     g.lastSignals.Load(),
+		Level:       lvl.String(),
+		LevelNum:    int(lvl),
+		PeakLevel:   int(g.peak.Load()),
+		Transitions: g.transitions.Load(),
+		StepUps:     g.stepUps.Load(),
+		StepDowns:   g.stepDowns.Load(),
+		Ticks:       g.ticks.Load(),
+		LastSignals: g.lastSignals.Load(),
 	}
 	if p := g.pinned.Load(); p >= 0 {
 		snap.Pinned = true

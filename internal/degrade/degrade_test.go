@@ -1,6 +1,7 @@
 package degrade
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -50,23 +51,23 @@ func TestLadderClimbsWithHysteresis(t *testing.T) {
 	if got := g.Level(); got != L2 {
 		t.Fatalf("after 4 hot ticks: level %v, want L2", got)
 	}
-	// Climb to the cap and stay there.
+	// Stay at the cap.
 	feed(g, hotSignals(), 10)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("under sustained pressure: level %v, want L3 cap", got)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("under sustained pressure: level %v, want L2 cap", got)
 	}
 }
 
 func TestLadderRecoversLevelByLevel(t *testing.T) {
 	g := New(Config{})
-	feed(g, hotSignals(), 3*stepUpTicks)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("setup: level %v, want L3", got)
+	feed(g, hotSignals(), 2*stepUpTicks)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("setup: level %v, want L2", got)
 	}
 
 	// Each descent needs stepDownTicks consecutive calm observations,
-	// and the streak resets after each step: L3→L0 is 3 × 5 ticks.
-	for step := 3; step > 0; step-- {
+	// and the streak resets after each step: L2→L0 is 2 × 5 ticks.
+	for step := 2; step > 0; step-- {
 		for i := 0; i < stepDownTicks-1; i++ {
 			g.Tick(calmSignals())
 			if got := g.Level(); got != Level(step) {
@@ -80,12 +81,12 @@ func TestLadderRecoversLevelByLevel(t *testing.T) {
 	}
 
 	snap := g.Snapshot()
-	if snap.PeakLevel != 3 {
-		t.Fatalf("peak_level = %d, want 3", snap.PeakLevel)
+	if snap.PeakLevel != 2 {
+		t.Fatalf("peak_level = %d, want 2", snap.PeakLevel)
 	}
 	// No flapping: each rung crossed exactly once up and once down.
-	if snap.Transitions != 6 || snap.StepUps != 3 || snap.StepDowns != 3 {
-		t.Fatalf("transitions=%d stepUps=%d stepDowns=%d, want 6/3/3",
+	if snap.Transitions != 4 || snap.StepUps != 2 || snap.StepDowns != 2 {
+		t.Fatalf("transitions=%d stepUps=%d stepDowns=%d, want 4/2/2",
 			snap.Transitions, snap.StepUps, snap.StepDowns)
 	}
 }
@@ -119,7 +120,6 @@ func TestDeadZoneHoldsLevelAndResetsStreaks(t *testing.T) {
 }
 
 func TestAnySignalTriggersPressure(t *testing.T) {
-	g := New(Config{})
 	cases := []struct {
 		name string
 		s    Signals
@@ -129,32 +129,34 @@ func TestAnySignalTriggersPressure(t *testing.T) {
 		{"drops", Signals{QueueLimit: 10, DropRate: 0.2}},
 	}
 	for _, tc := range cases {
-		before := g.Level()
+		// A fresh governor per signal: two rungs above L0 cannot take
+		// three climbs.
+		g := New(Config{})
 		feed(g, tc.s, stepUpTicks)
-		if got := g.Level(); got != before+1 {
-			t.Fatalf("%s signal: level %v, want %v", tc.name, got, before+1)
+		if got := g.Level(); got != L1 {
+			t.Fatalf("%s signal: level %v, want L1", tc.name, got)
 		}
 	}
 }
 
 func TestPinOverridesLadder(t *testing.T) {
 	g := New(Config{})
-	g.Pin(L3)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("pinned level %v, want L3", got)
+	g.Pin(L2)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("pinned level %v, want L2", got)
 	}
-	if snap := g.Snapshot(); !snap.Pinned || snap.PinnedLevel != 3 {
-		t.Fatalf("snapshot pinned=%v pinned_level=%d, want true/3", snap.Pinned, snap.PinnedLevel)
+	if snap := g.Snapshot(); !snap.Pinned || snap.PinnedLevel != 2 {
+		t.Fatalf("snapshot pinned=%v pinned_level=%d, want true/2", snap.Pinned, snap.PinnedLevel)
 	}
 	// Ticks in either direction do not move a pinned governor.
 	feed(g, hotSignals(), stepUpTicks)
 	feed(g, calmSignals(), stepDownTicks-1)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("pinned governor moved: level %v, want L3", got)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("pinned governor moved: level %v, want L2", got)
 	}
 	snap := g.Snapshot()
-	if !snap.Pinned || snap.PinnedLevel != 3 {
-		t.Fatalf("snapshot pinned=%v pinned_level=%d, want true/3", snap.Pinned, snap.PinnedLevel)
+	if !snap.Pinned || snap.PinnedLevel != 2 {
+		t.Fatalf("snapshot pinned=%v pinned_level=%d, want true/2", snap.Pinned, snap.PinnedLevel)
 	}
 
 	// Unpin: the level stays put, then descends by hysteresis.
@@ -162,18 +164,18 @@ func TestPinOverridesLadder(t *testing.T) {
 	if snap := g.Snapshot(); snap.Pinned {
 		t.Fatalf("snapshot after Unpin: pinned_level=%d, want unpinned", snap.PinnedLevel)
 	}
-	if got := g.Level(); got != L3 {
-		t.Fatalf("level after Unpin = %v, want L3", got)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("level after Unpin = %v, want L2", got)
 	}
 	// The calm ticks seen while pinned do not count: a full streak
 	// after the unpin is needed, and is enough.
 	g.Tick(calmSignals())
-	if got := g.Level(); got != L3 {
-		t.Fatalf("level after one calm tick = %v, want L3 (streak carried over the pin)", got)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("level after one calm tick = %v, want L2 (streak carried over the pin)", got)
 	}
 	feed(g, calmSignals(), stepDownTicks-1)
-	if got := g.Level(); got != L2 {
-		t.Fatalf("level after a calm streak = %v, want L2", got)
+	if got := g.Level(); got != L1 {
+		t.Fatalf("level after a calm streak = %v, want L1", got)
 	}
 }
 
@@ -196,11 +198,11 @@ func TestPinRacingTickKeepsThePin(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			g.Pin(L3)
+			g.Pin(L2)
 		}()
 		close(start)
 		wg.Wait()
-		if got := g.Level(); got != L3 {
+		if got := g.Level(); got != L2 {
 			t.Fatalf("round %d: pinned L%d, serving %v", i, g.Snapshot().PinnedLevel, got)
 		}
 	}
@@ -208,9 +210,9 @@ func TestPinRacingTickKeepsThePin(t *testing.T) {
 
 func TestPinClampsToLadderBounds(t *testing.T) {
 	g := New(Config{})
-	g.Pin(L3 + 3)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("pin above L3: level %v, want L3", got)
+	g.Pin(L2 + 3)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("pin above L2: level %v, want L2", got)
 	}
 	g.Pin(Level(-5))
 	if got := g.Level(); got != L0 {
@@ -221,30 +223,11 @@ func TestPinClampsToLadderBounds(t *testing.T) {
 func TestMaxLevelCapsClimb(t *testing.T) {
 	g := New(Config{})
 	feed(g, hotSignals(), 10*stepUpTicks)
-	if got := g.Level(); got != L3 {
-		t.Fatalf("capped ladder: level %v, want L3", got)
+	if got := g.Level(); got != L2 {
+		t.Fatalf("capped ladder: level %v, want L2", got)
 	}
-	if snap := g.Snapshot(); snap.StepUps != 3 {
-		t.Fatalf("step_ups = %d past the cap, want 3", snap.StepUps)
-	}
-}
-
-func TestOnTransitionHookSeesEveryStep(t *testing.T) {
-	type hop struct{ from, to Level }
-	var hops []hop
-	g := New(Config{OnTransition: func(from, to Level) {
-		hops = append(hops, hop{from, to})
-	}})
-	feed(g, hotSignals(), 2*stepUpTicks)
-	feed(g, calmSignals(), stepDownTicks)
-	want := []hop{{L0, L1}, {L1, L2}, {L2, L1}}
-	if len(hops) != len(want) {
-		t.Fatalf("hook fired %d times, want %d: %v", len(hops), len(want), hops)
-	}
-	for i, h := range hops {
-		if h != want[i] {
-			t.Fatalf("hop %d = %v→%v, want %v→%v", i, h.from, h.to, want[i].from, want[i].to)
-		}
+	if snap := g.Snapshot(); snap.StepUps != 2 {
+		t.Fatalf("step_ups = %d past the cap, want 2", snap.StepUps)
 	}
 }
 
@@ -311,26 +294,31 @@ func TestDegradeLevelZeroAllocs(t *testing.T) {
 	_, _ = sink, jsink
 }
 
-// TestDegradeTransitionCost is the gate on transition
-// overhead: one ladder step (atomic swap + hook + ring accounting)
-// must stay far below one observation interval.
+// TestDegradeTransitionCost is the gate on transition overhead: the Tick
+// that takes one ladder step (a level store and the step counters) must
+// stay far below one observation interval. Each stepping Tick is timed
+// from outside.
 func TestDegradeTransitionCost(t *testing.T) {
-	g := New(Config{OnTransition: func(from, to Level) {}})
+	g := New(Config{})
+	var costs []time.Duration
+	step := func(s Signals, n int) {
+		feed(g, s, n-1)
+		t0 := time.Now()
+		g.Tick(s)
+		costs = append(costs, time.Since(t0))
+	}
 	for i := 0; i < 100; i++ {
-		feed(g, hotSignals(), stepUpTicks)
-		feed(g, calmSignals(), stepDownTicks)
+		step(hotSignals(), stepUpTicks)
+		step(calmSignals(), stepDownTicks)
 	}
 	if snap := g.Snapshot(); snap.Transitions != 200 {
 		t.Fatalf("transitions = %d, want 200", snap.Transitions)
 	}
-	p99 := g.TransitionP99Ns()
-	if p99 <= 0 {
-		t.Fatalf("transition p99 = %d, want > 0 after transitions", p99)
-	}
+	sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
 	// 1ms is three orders of magnitude above the measured cost; this
 	// trips only if a transition starts doing real work.
-	if limit := int64(time.Millisecond); p99 > limit {
-		t.Fatalf("transition p99 = %dns, want <= %dns", p99, limit)
+	if p99, limit := costs[len(costs)*99/100], time.Millisecond; p99 > limit {
+		t.Fatalf("transition p99 = %v, want <= %v", p99, limit)
 	}
 }
 
@@ -374,5 +362,4 @@ func BenchmarkDegradeTransition(b *testing.B) {
 			g.Tick(calm)
 		}
 	}
-	b.ReportMetric(float64(g.TransitionP99Ns()), "transition-p99-ns")
 }

@@ -191,7 +191,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request, kind
 // ---- analytics ----
 
 // handleAnalytics snapshots the decision analytics pipeline: producer
-// counters (recorded / dropped / sampled-out), cumulative per-verdict
+// counters (recorded / dropped / ring occupancy), cumulative per-verdict
 // totals (which survive bucket eviction — the reconciliation anchor),
 // aggregator occupancy against its bounds, and the in-memory bucket rows.
 // adwars-report -live consumes it directly; adwars-loadgen
@@ -206,13 +206,13 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 
 // ---- degrade ----
 
-// parseDegradeLevel accepts "L2" or "2" forms for operator pins.
+// parseDegradeLevel accepts "L1" or "1" forms for operator pins.
 func parseDegradeLevel(v string) (degrade.Level, bool) {
 	if len(v) == 2 && (v[0] == 'L' || v[0] == 'l') {
 		v = v[1:]
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 || n > int(degrade.L3) {
+	if err != nil || n < 0 || n > int(degrade.L2) {
 		return 0, false
 	}
 	return degrade.Level(n), true
@@ -222,7 +222,7 @@ func parseDegradeLevel(v string) (degrade.Level, bool) {
 //
 //   - GET returns the governor snapshot (level, pin state, transition
 //     ledger, last pressure signals).
-//   - POST ?pin=L2 pins the ladder at a level — the ticker keeps
+//   - POST ?pin=L1 pins the ladder at a level — the ticker keeps
 //     counting but cannot move it — for incident response or brownout
 //     drills, and ?pin=L0 holds full service; POST ?unpin releases it
 //     back to automatic control.
@@ -238,7 +238,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 			lvl, ok := parseDegradeLevel(q.Get("pin"))
 			if !ok {
 				chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-					"invalid pin level %q (want L0..L3)", q.Get("pin"))
+					"invalid pin level %q (want L0..L2)", q.Get("pin"))
 				return
 			}
 			s.gov.Pin(lvl)
@@ -246,7 +246,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 			s.gov.Unpin()
 		default:
 			chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-				"POST needs ?pin=L0..L3 or ?unpin")
+				"POST needs ?pin=L0..L2 or ?unpin")
 			return
 		}
 		snap := s.gov.Snapshot()

@@ -8,8 +8,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +32,8 @@ func analyticsSnap(t *testing.T, s *Server) analytics.Snapshot {
 }
 
 // waitForTotals polls the endpoint until the cumulative totals equal want
-// exactly (sampling=1.0 makes this an equality, not an approximation).
+// exactly (every decision is recorded, so this is an equality, not an
+// approximation).
 func waitForTotals(t *testing.T, s *Server, want map[string]uint64) analytics.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -56,7 +58,7 @@ func waitForTotals(t *testing.T, s *Server, want map[string]uint64) analytics.Sn
 // TestServeAnalyticsReconciliation drives known traffic through every
 // verdict path — single match, batch match, single classify, batch
 // classify — and checks the analytics totals reconcile exactly against the
-// client-side ledger at sampling 1.0, with zero drops and zero sampled-out.
+// client-side ledger, with zero drops.
 func TestServeAnalyticsReconciliation(t *testing.T) {
 	s := newTestServer(t, Config{})
 
@@ -85,9 +87,8 @@ func TestServeAnalyticsReconciliation(t *testing.T) {
 		"classify/anti-adblock": 2,
 		"classify/benign":       2,
 	})
-	if snap.Counters.Dropped != 0 || snap.Counters.SampledOut != 0 {
-		t.Fatalf("dropped %d / sampled-out %d at sampling 1.0 under light load",
-			snap.Counters.Dropped, snap.Counters.SampledOut)
+	if snap.Counters.Dropped != 0 {
+		t.Fatalf("dropped %d under light load", snap.Counters.Dropped)
 	}
 	if snap.Counters.Recorded != 10 {
 		t.Fatalf("recorded = %d, want 10", snap.Counters.Recorded)
@@ -212,8 +213,8 @@ func TestZeroConfigRecordsAndGoverns(t *testing.T) {
 }
 
 // TestServeAnalyticsDebugVars checks the lazily computed /debug/vars
-// export: counters, occupancy, and sample rate appear under
-// adwars_analytics and agree with the endpoint.
+// export: counters and occupancy appear under adwars_analytics and agree
+// with the endpoint.
 func TestServeAnalyticsDebugVars(t *testing.T) {
 	s := newTestServer(t, Config{})
 	do(t, s, "POST", "/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`)
@@ -227,7 +228,7 @@ func TestServeAnalyticsDebugVars(t *testing.T) {
 		t.Fatalf("debug vars do not parse: %v\n%s", err, rec.Body.Bytes())
 	}
 	av := vars.Analytics
-	if !av.Enabled || av.Recorded != 1 || av.Dropped != 0 || av.SampleRate != 1 {
+	if !av.Enabled || av.Recorded != 1 || av.Dropped != 0 || av.RingOccupancy != 0 {
 		t.Fatalf("adwars_analytics = %+v", av)
 	}
 	if av.AggBuckets != 1 || av.AggRows != 1 || av.AggBytes <= 0 {
@@ -257,61 +258,61 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-// matchP99 drives the reusable handler rig n times and returns the p99
-// handler latency.
-func matchP99(t *testing.T, s *Server, n int) time.Duration {
-	t.Helper()
-	const body = `{"url":"http://ads.example.com/banner.js","type":"script","page_domain":"news.example"}`
-	h, w, req, rb := matchAllocRig(s, body)
-	lat := make([]time.Duration, 0, n)
-	for i := 0; i < n+n/10; i++ {
-		rb.Reset(body)
-		w.status = 0
-		t0 := time.Now()
-		h.ServeHTTP(w, req)
-		if i >= n/10 { // first 10% is warmup
-			lat = append(lat, time.Since(t0))
-		}
+// recordP99 times every Collector.Record call made by producers
+// goroutines, each recording for window with the collector's consumer
+// draining beside them, and returns the p99 call.
+func recordP99(c *analytics.Collector, producers int, window time.Duration) time.Duration {
+	lats := make([][]time.Duration, producers)
+	var wg sync.WaitGroup
+	for p := range lats {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			lat := make([]time.Duration, 0, 1<<16)
+			ev := analytics.Event{Kind: analytics.KindMatch, Verdict: analytics.VerdictBlocked,
+				Domain: "news.example", Rule: "||ads.example.com^"}
+			for start := time.Now(); time.Since(start) < window && len(lat) < cap(lat); {
+				t0 := time.Now()
+				ev.UnixNano = t0.UnixNano()
+				c.Record(ev)
+				lat = append(lat, time.Since(t0))
+			}
+			lats[p] = lat
+		}(p)
 	}
-	if w.status != 200 {
-		t.Fatalf("status = %d", w.status)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat[len(lat)*99/100]
+	wg.Wait()
+	all := slices.Concat(lats...)
+	slices.Sort(all)
+	return all[len(all)*99/100]
 }
 
 // TestServeAnalyticsOverheadGate is the regression gate for the "zero
-// added p99" claim: the /v1/match handler recording every verdict must
-// stay within a generous envelope of the same handler with every verdict
-// sampled out, where recording is a counter add. It catches the pipeline
-// growing a lock, a syscall, or a blocking send on the hot path — real
-// regressions are order-of-magnitude, scheduler noise is not — while what
-// recording costs is measured by the whole-stack benchmark
-// (`analytics.record_ns`, `analytics.drop_frac`; bench/README.md).
+// added p99" claim on the serving hot path: Collector.Record, timed call by
+// call from eight concurrent producers while the consumer drains, keeps its
+// p99 under recordP99Limit. A lock the producers contend on, a write
+// syscall or a blocking channel send on the hot path puts the p99 above it;
+// scheduler noise does not reach 1 % of the calls. A stall that hits fewer
+// than 1 % of them (a producer waiting once per 5 ms drain) is below what a
+// p99 can see. What recording costs is measured by the
+// whole-stack benchmark (`analytics.record_ns`, `analytics.drop_frac`;
+// bench/README.md).
 func TestServeAnalyticsOverheadGate(t *testing.T) {
 	if raceSrvEnabled {
 		t.Skip("latency gating is meaningless under -race")
 	}
-	quiet := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-	quiet.Analytics().SetSampleOverride(0)
-	on := newTestServer(t, Config{Workers: 4, Queue: 64, QueueTimeout: time.Second})
-
-	const iters = 4000
-	// Interleave whole passes so machine-wide noise (GC, CPU frequency,
-	// neighbors) hits both sides; keep the best-of-3 p99 per side.
-	p99Quiet, p99On := time.Duration(1<<62), time.Duration(1<<62)
+	s := newTestServer(t, Config{})
+	// Interleave three passes so a slow spell of the machine falls on one;
+	// keep the best p99.
+	best := time.Duration(1 << 62)
 	for round := 0; round < 3; round++ {
-		if d := matchP99(t, quiet, iters); d < p99Quiet {
-			p99Quiet = d
-		}
-		if d := matchP99(t, on, iters); d < p99On {
-			p99On = d
-		}
+		best = min(best, recordP99(s.Analytics(), 8, 20*time.Millisecond))
 	}
-	limit := 2*p99Quiet + 200*time.Microsecond
-	t.Logf("p99 sampled-out=%v recorded=%v (limit %v)", p99Quiet, p99On, limit)
-	if p99On > limit {
-		t.Fatalf("analytics p99 %v exceeds envelope %v (sampled out %v) — decision logging is blocking the hot path",
-			p99On, limit, p99Quiet)
+	t.Logf("Record p99 %v (limit %v)", best, recordP99Limit)
+	if best > recordP99Limit {
+		t.Fatalf("Record p99 %v exceeds %v — decision logging is blocking the hot path", best, recordP99Limit)
 	}
 }
+
+// recordP99Limit bounds Record's p99 at ≈ 5× the highest measured on two
+// shared cores (0.23–0.65 µs, the clock reads that time it included).
+const recordP99Limit = 3 * time.Microsecond

@@ -18,7 +18,7 @@ const matchBlockedBody = `{"url":"http://ads.example.com/banner.js","type":"scri
 
 func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for lvl := degrade.L0; lvl <= degrade.L3; lvl++ {
+	for lvl := degrade.L0; lvl <= degrade.L2; lvl++ {
 		s.Degrade().Pin(lvl)
 		rec := do(t, s, "POST", "/v1/match", matchBlockedBody)
 		if rec.Code != 200 {
@@ -36,7 +36,7 @@ func TestDegradeHeaderStampedPerLevel(t *testing.T) {
 // be diffed against an unloaded control.
 func TestDegradeL0ByteIdentical(t *testing.T) {
 	recovered := newTestServer(t, Config{})
-	recovered.Degrade().Pin(degrade.L2)
+	recovered.Degrade().Pin(degrade.L1)
 	recovered.Degrade().Pin(degrade.L0)
 	fresh := newTestServer(t, Config{})
 	for _, body := range []string{
@@ -57,10 +57,10 @@ func TestDegradeL0ByteIdentical(t *testing.T) {
 // changes what a match answers. A replica serves lists written the way the
 // benchmark writes its tiered ones — CompileTiered with nothing kept, through
 // SaveListsSnapshotTiered — which a build with a hot tier would have served
-// from a hot automaton of exceptions and keyword-less rules alone at L2, its
-// keyworded blocks reading as no-match. Pinned at each of L0–L3, every
+// from a hot automaton of exceptions and keyword-less rules alone, its
+// keyworded blocks reading as no-match. Pinned at each of L0–L2, every
 // /v1/match body is L0's byte for byte, and so is every /v1/match/batch body
-// below L3, which sheds batches.
+// below L2, which sheds batches.
 func TestDegradeNeverChangesAVerdict(t *testing.T) {
 	snap := testListsSnapshot(t)
 	for i, l := range snap.Lists {
@@ -83,7 +83,7 @@ func TestDegradeNeverChangesAVerdict(t *testing.T) {
 	}
 	batch := `{"requests":[` + strings.Join(bodies, ",") + `]}`
 	var want []string
-	for lvl := degrade.L0; lvl <= degrade.L3; lvl++ {
+	for lvl := degrade.L0; lvl <= degrade.L2; lvl++ {
 		s.Degrade().Pin(lvl)
 		var got []string
 		for _, body := range append(bodies, batch) {
@@ -92,7 +92,7 @@ func TestDegradeNeverChangesAVerdict(t *testing.T) {
 				path += "/batch"
 			}
 			rec := do(t, s, "POST", path, body)
-			if body == batch && lvl == degrade.L3 {
+			if body == batch && lvl == degrade.L2 {
 				if rec.Code != 429 {
 					t.Fatalf("%s: batch status %d, want 429", lvl, rec.Code)
 				}
@@ -118,8 +118,8 @@ func TestDegradeNeverChangesAVerdict(t *testing.T) {
 	}
 }
 
-// TestDegradeLadderSheds: L2 drops the classify plane, L3 additionally
-// drops match batches; single matches survive to L3. Every shed is a
+// TestDegradeLadderSheds: L1 drops the classify plane, L2 additionally
+// drops match batches; single matches survive to L2. Every shed is a
 // structured 429 with a jittered Retry-After — never a 5xx.
 func TestDegradeLadderSheds(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -136,11 +136,11 @@ func TestDegradeLadderSheds(t *testing.T) {
 		"match":          {"/v1/match", matchBlockedBody},
 	}
 	shedAt := map[string]map[string]bool{
-		"L1": {},
-		"L2": {"classify": true, "classify_batch": true},
-		"L3": {"classify": true, "classify_batch": true, "match_batch": true},
+		"L0": {},
+		"L1": {"classify": true, "classify_batch": true},
+		"L2": {"classify": true, "classify_batch": true, "match_batch": true},
 	}
-	for _, lvlName := range []string{"L1", "L2", "L3"} {
+	for _, lvlName := range []string{"L0", "L1", "L2"} {
 		lvl, _ := parseDegradeLevel(lvlName)
 		s.Degrade().Pin(lvl)
 		for name, p := range probes {
@@ -162,7 +162,7 @@ func TestDegradeLadderSheds(t *testing.T) {
 		}
 	}
 	if got := s.met.DegradeShed.Load(); got != 5 {
-		t.Fatalf("degrade_shed = %d, want 5 (2 at L2 + 3 at L3)", got)
+		t.Fatalf("degrade_shed = %d, want 5 (2 at L1 + 3 at L2)", got)
 	}
 }
 
@@ -184,17 +184,17 @@ func TestDegradeAdminEndpoint(t *testing.T) {
 		t.Fatalf("initial snapshot = %+v, want unpinned L0", snap)
 	}
 
-	rec = do(t, s, "POST", "/admin/degrade?pin=L3", "")
+	rec = do(t, s, "POST", "/admin/degrade?pin=L2", "")
 	if rec.Code != 200 {
 		t.Fatalf("pin status = %d: %s", rec.Code, rec.Body.String())
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Level != "L3" || !snap.Pinned || snap.PinnedLevel != 3 {
-		t.Fatalf("pinned snapshot = %+v, want pinned L3", snap)
+	if snap.Level != "L2" || !snap.Pinned || snap.PinnedLevel != 2 {
+		t.Fatalf("pinned snapshot = %+v, want pinned L2", snap)
 	}
-	if got := s.Degrade().Level(); got != degrade.L3 {
+	if got := s.Degrade().Level(); got != degrade.L2 {
 		t.Fatalf("governor level = %s after pin", got)
 	}
 
@@ -206,8 +206,10 @@ func TestDegradeAdminEndpoint(t *testing.T) {
 		t.Fatalf("still pinned after unpin: %+v", snap)
 	}
 
-	if rec := do(t, s, "POST", "/admin/degrade?pin=L9", ""); rec.Code != 400 {
-		t.Fatalf("bad pin level: status %d, want 400", rec.Code)
+	for _, bad := range []string{"L3", "L9"} {
+		if rec := do(t, s, "POST", "/admin/degrade?pin="+bad, ""); rec.Code != 400 {
+			t.Fatalf("pin %s: status %d, want 400", bad, rec.Code)
+		}
 	}
 	if rec := do(t, s, "POST", "/admin/degrade", ""); rec.Code != 400 {
 		t.Fatalf("argless POST: status %d, want 400", rec.Code)
@@ -232,26 +234,25 @@ func TestDegradeDebugVars(t *testing.T) {
 	}
 }
 
-// TestDegradeAnalyticsOverride: crossing L1 forces analytics sampling
-// down to the brownout rate; returning to L0 records every decision
-// again. The transition hook fires on pins exactly as on ladder steps.
-func TestDegradeAnalyticsOverride(t *testing.T) {
+// TestDegradeKeepsEveryDecision: no level samples analytics. Pinned at
+// each level, which all still answer /v1/match, n requests move the
+// analytics totals by exactly n, with no decision dropped.
+func TestDegradeKeepsEveryDecision(t *testing.T) {
 	s := newTestServer(t, Config{})
-	if got := s.Analytics().CountersNow().EffectiveRate; got != 1 {
-		t.Fatalf("initial effective rate = %v, want 1", got)
-	}
-	s.Degrade().Pin(degrade.L2)
-	if got := s.Analytics().CountersNow().EffectiveRate; got != degradeSampleRate {
-		t.Fatalf("effective rate at L2 = %v, want %v", got, degradeSampleRate)
-	}
-	// L2 → L1 stays above the threshold: the override must hold.
-	s.Degrade().Pin(degrade.L1)
-	if got := s.Analytics().CountersNow().EffectiveRate; got != degradeSampleRate {
-		t.Fatalf("effective rate at L1 = %v, want %v", got, degradeSampleRate)
-	}
-	s.Degrade().Pin(degrade.L0)
-	if got := s.Analytics().CountersNow().EffectiveRate; got != 1 {
-		t.Fatalf("effective rate back at L0 = %v, want 1", got)
+	const n = 200
+	want := uint64(0)
+	for lvl := degrade.L0; lvl <= degrade.L2; lvl++ {
+		s.Degrade().Pin(lvl)
+		for i := 0; i < n; i++ {
+			if rec := do(t, s, "POST", "/v1/match", matchBlockedBody); rec.Code != 200 {
+				t.Fatalf("%s: /v1/match status %d", lvl, rec.Code)
+			}
+		}
+		want += n
+		snap := waitForTotals(t, s, map[string]uint64{"match/blocked": want})
+		if snap.Counters.Dropped != 0 || snap.Counters.Recorded != want {
+			t.Fatalf("%s: recorded %d, dropped %d after %d decisions", lvl, snap.Counters.Recorded, snap.Counters.Dropped, want)
+		}
 	}
 }
 

@@ -161,21 +161,21 @@ func (s *Server) snapshotInfo() SnapshotInfo {
 // stamping a response is a map assignment of a shared slice — no
 // per-request allocation. Handlers must never mutate these.
 var (
-	degradeHeaderVals = [4][]string{{"L0"}, {"L1"}, {"L2"}, {"L3"}}
+	degradeHeaderVals = [3][]string{{"L0"}, {"L1"}, {"L2"}}
 	retryAfterVals    = [3][]string{{"1"}, {"2"}, {"3"}}
 )
 
 // degradeSheds reports whether the ladder sheds this endpoint at lvl:
-// L2 drops the classify plane (model inference is the expensive
-// non-priority work), L3 additionally drops match batches. Single
+// L1 drops the classify plane (model inference is the expensive
+// non-priority work), L2 additionally drops match batches. Single
 // matches are never shed here — they stay on normal admission so the
 // core service degrades last — and no level changes what a match answers.
 func degradeSheds(ep string, lvl degrade.Level) bool {
 	switch ep {
 	case epClassify, epClassifyBatch:
-		return lvl >= degrade.L2
+		return lvl >= degrade.L1
 	case epMatchBatch:
-		return lvl >= degrade.L3
+		return lvl >= degrade.L2
 	}
 	return false
 }

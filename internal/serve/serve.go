@@ -197,7 +197,7 @@ func New(cfg Config) *Server {
 		// records in memory only.
 		s.anl, _ = analytics.NewCollector(analytics.Config{})
 	}
-	s.gov = degrade.New(degrade.Config{Source: s.degradeSource(), OnTransition: s.onDegradeTransition})
+	s.gov = degrade.New(degrade.Config{Source: s.degradeSource()})
 	h := s.withRecovery(s.routes())
 	if cfg.ReplicaID != "" {
 		// Outermost so even recovered-panic envelopes carry the replica
@@ -218,11 +218,6 @@ func (s *Server) withReplicaHeader(next http.Handler) http.Handler {
 	})
 }
 
-// degradeSampleRate is the analytics sampling rate the governor forces
-// at L1 and above: keep 1 in 10 decisions so the pipeline stays alive
-// for reconciliation while its ring pressure drops an order of magnitude.
-const degradeSampleRate = 0.1
-
 // degradeSource builds the governor's pressure probe. The serve-side
 // counters it reads are all cumulative (histogram buckets, analytics
 // producer counters), so the closure keeps previous readings and hands
@@ -239,8 +234,6 @@ func (s *Server) degradeSource() func() degrade.Signals {
 			MatchP99Ns: int64(s.met.endpoints[epMatch].Latency.WindowQuantile(&window, 0.99)),
 		}
 		c := s.anl.CountersNow()
-		// Sampled-out events never reach a ring, so they are neither
-		// dropped nor attempted from the ring's point of view.
 		attempted := c.Recorded + c.Dropped
 		dDrop := c.Dropped - prevDropped
 		dAtt := attempted - prevAttempted
@@ -249,19 +242,6 @@ func (s *Server) degradeSource() func() degrade.Signals {
 			sig.DropRate = float64(dDrop) / float64(dAtt)
 		}
 		return sig
-	}
-}
-
-// onDegradeTransition is the server's own ladder hook: crossing into L1
-// forces analytics sampling down to degradeSampleRate; stepping back
-// below L1 records every decision again. L2+ behavior (classify and batch
-// sheds) needs no hook — handlers read the level directly.
-func (s *Server) onDegradeTransition(from, to degrade.Level) {
-	switch {
-	case to >= degrade.L1 && from < degrade.L1:
-		s.anl.SetSampleOverride(degradeSampleRate)
-	case to < degrade.L1 && from >= degrade.L1:
-		s.anl.ClearSampleOverride()
 	}
 }
 

@@ -344,7 +344,7 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 }
 
 // TestServeMatchDegradeAllocs holds a pinned governor: at L0, and at L2,
-// where classify is shed and the match is L0's.
+// the top rung, where classify and batches are shed and the match is L0's.
 func TestServeMatchDegradeAllocs(t *testing.T) {
 	for _, lvl := range []degrade.Level{degrade.L0, degrade.L2} {
 		t.Run(fmt.Sprintf("level_%s", lvl), func(t *testing.T) {
