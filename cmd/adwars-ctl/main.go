@@ -11,9 +11,8 @@
 //	adwars-ctl -replicas host:port,host:port,... -status
 //	adwars-ctl -replicas ... -push-lists lists.json
 //	adwars-ctl -replicas ... -push-model model.json
-//	adwars-ctl -seal payload.json -out sealed.json
 //
-// Exit codes: 0 = rolled out (or status/seal ok), 2 = artifact refused
+// Exit codes: 0 = rolled out (or status ok), 2 = artifact refused
 // locally before any push, 3 = rollout pushed but rolled back, 1 = any
 // other error.
 package main
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"adwars/internal/artifact"
 	"adwars/internal/fleet"
 )
 
@@ -49,31 +47,9 @@ func run() int {
 	status := flag.Bool("status", false, "print every replica's health and snapshot versions, then exit")
 	pushLists := flag.String("push-lists", "", "roll out this sealed lists snapshot to the fleet")
 	pushModel := flag.String("push-model", "", "roll out this sealed model snapshot to the fleet")
-	seal := flag.String("seal", "", "seal this payload file with the artifact integrity trailer and exit")
-	out := flag.String("out", "", "output path for -seal")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("adwars-ctl: ")
-
-	if *seal != "" {
-		if *out == "" {
-			log.Print("-seal needs -out")
-			return exitErr
-		}
-		payload, err := os.ReadFile(*seal)
-		if err != nil {
-			log.Print(err)
-			return exitErr
-		}
-		sealed := artifact.Seal(payload)
-		if err := artifact.WriteFileAtomic(*out, sealed, 0o644); err != nil {
-			log.Print(err)
-			return exitErr
-		}
-		version, _ := artifact.Version(sealed)
-		fmt.Printf("sealed %s -> %s version=%s\n", *seal, *out, version)
-		return exitOK
-	}
 
 	if *replicas == "" {
 		log.Print("need -replicas (comma-separated replica addresses)")
@@ -105,7 +81,7 @@ func run() int {
 	case *pushModel != "":
 		kind, path = "model", *pushModel
 	default:
-		log.Print("nothing to do: need -status, -push-lists, -push-model, or -seal")
+		log.Print("nothing to do: need -status, -push-lists or -push-model")
 		return exitErr
 	}
 

@@ -15,10 +15,9 @@
 // replica at most once, and its retries and hedges spend from a
 // per-replica token budget (10 tokens, refilled by 0.1 per
 // successful exchange), so a struggling fleet is never hammered with
-// unbounded extra attempts. The gateway also stamps X-Adwars-Deadline — the
-// remaining per-try time budget in milliseconds, narrowed by any
-// deadline the client already propagated — so replicas can refuse work
-// they cannot finish in time.
+// unbounded extra attempts. A try is bounded by a 5s socket deadline; the
+// request itself reaches a replica with the client's end-to-end headers
+// as sent, and nothing added but Host and Content-Length.
 //
 // Backends are plain-HTTP base URLs (http://host[:port][/prefix]); the
 // gateway keeps up to 64 idle keep-alive connections to each and reports

@@ -688,6 +688,11 @@ func (ck *checker) analytics() (string, error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Decisions still buffered would read as per-key drift below; name what
+	// is wrong instead, as the baseline does.
+	if n := after.Counters.RingOccupancy; n != 0 {
+		return "", fmt.Errorf("rings did not drain after the run: %d decisions still buffered after 3s", n)
+	}
 	if d := after.Counters.Dropped - before.Counters.Dropped; d != 0 {
 		return "", fmt.Errorf("%d decisions dropped at the rings during the run", d)
 	}

@@ -144,16 +144,20 @@ func noAdmin(next http.Handler) http.Handler {
 	})
 }
 
-// undrained answers /admin/analytics as a replica whose consumer never
-// empties its rings would: the same seven decisions buffered at every read.
-func undrained(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/admin/analytics" {
-			next.ServeHTTP(w, r)
-			return
-		}
-		fmt.Fprint(w, `{"enabled":true,"counters":{"recorded":3,"dropped":0,"ring_occupancy":7},"totals":{}}`)
-	})
+// undrained lets the server answer the first truthful /admin/analytics
+// reads, then answers the rest as a replica whose consumer stopped emptying
+// its rings would: the same seven decisions buffered at every read.
+func undrained(truthful int64) func(http.Handler) http.Handler {
+	var reads atomic.Int64
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/admin/analytics" || reads.Add(1) <= truthful {
+				next.ServeHTTP(w, r)
+				return
+			}
+			fmt.Fprint(w, `{"enabled":true,"counters":{"recorded":3,"dropped":0,"ring_occupancy":7},"totals":{}}`)
+		})
+	}
 }
 
 // gatewayVars answers /debug/vars as an adwars-gateway with this failover
@@ -319,9 +323,13 @@ func TestGatesFail(t *testing.T) {
 		{name: "analytics: foreign traffic between the reads",
 			wrap: foreign("/admin/analytics", false), check: "analytics", code: 1,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: match/blocked: server delta "},
-		{name: "analytics: rings never drain", wrap: undrained,
+		{name: "analytics: rings never drain", wrap: undrained(0),
 			check: "ledger,analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: rings did not drain: 7 decisions still buffered after 3s"},
+		{name: "analytics: rings stop draining during the run", wrap: undrained(1),
+			check: "ledger,analytics", code: 1,
+			stderr: "loadgen: ANALYTICS-CHECK FAILED: rings did not drain after the run: 7 decisions still buffered after 3s",
+			stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "analytics: off", wrap: noAdmin, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
 		{name: "degrade: peaked below L1",

@@ -146,6 +146,40 @@ func TestRecordZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordNeverWaits: with the consumer stalled — its lock held, so no
+// ring is drained — every Record still returns, and what found no room is
+// counted as dropped rather than waited for. No timing is measured: a Record
+// that takes the consumer's lock or waits for ring room never returns, and
+// the test gives up after a generous 10s.
+func TestRecordNeverWaits(t *testing.T) {
+	c, err := NewCollector(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	capacity := len(c.rings) * ringSize
+	c.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ev := Event{UnixNano: time.Now().UnixNano(), Kind: KindMatch, Verdict: VerdictBlocked, Ordinal: -1}
+		for i := 0; i < capacity+100; i++ {
+			c.Record(ev)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		c.mu.Unlock()
+		t.Fatalf("Record waited on a stalled consumer: %+v after 10s", c.CountersNow())
+	}
+	got := c.CountersNow()
+	c.mu.Unlock()
+	if got.Recorded != uint64(capacity) || got.Dropped != 100 {
+		t.Fatalf("recorded %d, dropped %d; want %d and 100", got.Recorded, got.Dropped, capacity)
+	}
+}
+
 // TestReportFromRows exercises the report builder and renderer over a
 // hand-built row set.
 func TestReportFromRows(t *testing.T) {

@@ -2,9 +2,9 @@
 // the serving loop (internal/wire), each piece defined once: counters that
 // render themselves, the latency histogram, the gateway's circuit breaker,
 // and the HTTP conventions of both handler trees — the error envelope,
-// /debug/vars, the capped body read, the X-Adwars-* header names and the
-// deadline parser. Standard library only; nothing here is
-// registered anywhere: a metrics tree is a struct its owner holds.
+// /debug/vars, the capped body read and the X-Adwars-* reply header names.
+// Standard library only; nothing here is registered anywhere: a metrics
+// tree is a struct its owner holds.
 package chassis
 
 import (

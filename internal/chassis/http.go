@@ -13,15 +13,11 @@ import (
 	"sync"
 )
 
-// The headers the stack speaks between its own hops. DeadlineHeader carries
-// the caller's remaining deadline budget as integer milliseconds (a duration,
-// not a wall timestamp, so it survives clock skew between hops);
-// ReplicaHeader names the replica that answered, DegradeHeader the governor
-// level it answered under.
+// The headers a replica stamps on its replies: ReplicaHeader names the
+// replica that answered, DegradeHeader the governor level it answered under.
 const (
-	DeadlineHeader = "X-Adwars-Deadline"
-	ReplicaHeader  = "X-Adwars-Replica"
-	DegradeHeader  = "X-Adwars-Degrade"
+	ReplicaHeader = "X-Adwars-Replica"
+	DegradeHeader = "X-Adwars-Degrade"
 )
 
 // Health is a replica's /healthz and /readyz response body: liveness,
@@ -53,33 +49,6 @@ type ReloadOutcome struct {
 	// Source is where the snapshot came from: "disk" (startup, SIGHUP,
 	// /admin/reload) or "push" (control-plane POST /admin/snapshot/*).
 	Source string `json:"source"`
-}
-
-// maxDeadlineMs is where a deadline saturates (some thirty years).
-const maxDeadlineMs = 1 << 40
-
-// DeadlineMs reads the propagated deadline budget off h: a map index with the
-// canonical key and a digit walk — no strconv, no allocation on the hot
-// path. Only a run of digits is a deadline; anything else (a sign, trailing
-// garbage) reads as "no deadline" rather than an error: the header is
-// advisory, and refusing work over a garbled hint would turn a telemetry bug
-// into an outage. Gateway and replica both read it here, so neither takes
-// for a budget what the other takes for none.
-func DeadlineMs(h http.Header) (ms int64, ok bool) {
-	vs := h[DeadlineHeader]
-	if len(vs) == 0 || vs[0] == "" {
-		return 0, false
-	}
-	for i := 0; i < len(vs[0]); i++ {
-		c := vs[0][i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if ms = ms*10 + int64(c-'0'); ms > maxDeadlineMs {
-			ms = maxDeadlineMs
-		}
-	}
-	return ms, true
 }
 
 // jsonBuf is a pooled response-encoding pair: the encoder is bound to the

@@ -112,17 +112,18 @@ type Governor struct {
 	// mu makes each transition — Tick's decide-and-store, Pin's and
 	// Unpin's — one step, so a pin can never land between a Tick's read
 	// of the level and its store of the next one. It also guards the
-	// streaks.
+	// streaks and the last observation.
 	mu        sync.Mutex
 	hotTicks  int // consecutive over-pressure ticks
 	calmTicks int // consecutive calm ticks
+	last      Signals
+	observed  bool // last holds a Tick's observation
 
 	ticks       atomic.Uint64
 	stepUps     atomic.Uint64
 	stepDowns   atomic.Uint64
 	transitions atomic.Uint64
 	peak        atomic.Int32
-	lastSignals atomic.Pointer[Signals]
 
 	jitterState atomic.Uint64 // splitmix64 counter for Jitter3
 
@@ -198,11 +199,9 @@ func (g *Governor) run() {
 // Tick, Pin, Unpin, Level and Snapshot callers.
 func (g *Governor) Tick(s Signals) {
 	g.ticks.Add(1)
-	sc := s
-	g.lastSignals.Store(&sc)
-
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.last, g.observed = s, true
 	if g.pinned.Load() >= 0 {
 		// Pinned: keep observing, stop stepping, and do not let stale
 		// streak counters fire the instant the operator unpins.
@@ -320,8 +319,13 @@ func (g *Governor) Snapshot() Snapshot {
 		StepUps:     g.stepUps.Load(),
 		StepDowns:   g.stepDowns.Load(),
 		Ticks:       g.ticks.Load(),
-		LastSignals: g.lastSignals.Load(),
 	}
+	g.mu.Lock()
+	if g.observed {
+		last := g.last
+		snap.LastSignals = &last
+	}
+	g.mu.Unlock()
 	if p := g.pinned.Load(); p >= 0 {
 		snap.Pinned = true
 		snap.PinnedLevel = int(p)

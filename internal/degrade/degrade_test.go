@@ -277,6 +277,28 @@ func TestSnapshotCarriesLastSignals(t *testing.T) {
 	}
 }
 
+// TestTickAllocatesNothing: the governor observes every few milliseconds
+// for the life of a replica, so keeping the last observation must not cost
+// a heap object per tick — not while it climbs, descends or holds.
+func TestTickAllocatesNothing(t *testing.T) {
+	g := New(Config{})
+	hot, calm := hotSignals(), calmSignals()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if i++; i%20 < 10 {
+			g.Tick(hot)
+		} else {
+			g.Tick(calm)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Tick allocates %.1f objects per call, want 0", allocs)
+	}
+	if snap := g.Snapshot(); snap.StepUps == 0 || snap.StepDowns == 0 {
+		t.Fatalf("the ticks moved nothing (%d up, %d down): the test exercised no transition", snap.StepUps, snap.StepDowns)
+	}
+}
+
 // TestDegradeLevelZeroAllocs is the hot-path gate: the level read and the
 // shed-jitter draw must not allocate.
 func TestDegradeLevelZeroAllocs(t *testing.T) {

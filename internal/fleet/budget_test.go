@@ -4,13 +4,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"adwars/internal/chassis"
 )
 
 // tenths reads b's retry budget in the unit it is kept in.
@@ -269,107 +266,5 @@ func TestGatewayHedgeSpendsBudget(t *testing.T) {
 	if total := slowHits.Load() + fastHits.Load(); total != sent {
 		t.Fatalf("backends saw %d exchanges for %d requests (slow %d, fast %d): extra attempts sent without budget",
 			total, sent, slowHits.Load(), fastHits.Load())
-	}
-}
-
-// TestGatewayForwardsDeadlineHeader: the gateway stamps X-Adwars-Deadline
-// with the per-try remaining milliseconds, narrowed by any deadline the
-// client already propagated.
-func TestGatewayForwardsDeadlineHeader(t *testing.T) {
-	checkGoroutineLeaks(t)
-	var gotDeadline atomic.Value
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotDeadline.Store(r.Header.Get(chassis.DeadlineHeader))
-		w.Write([]byte(`{}`)) //nolint:errcheck
-	}))
-	defer backend.Close()
-
-	_, ts := newTestGateway(t, GatewayConfig{Backends: []string{backend.URL}})
-
-	// No client deadline: the header is the per-try budget (~5000ms).
-	resp, err := http.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(`{"url":"http://x/a"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	ms, err := strconv.ParseInt(gotDeadline.Load().(string), 10, 64)
-	if err != nil {
-		t.Fatalf("deadline header %q not an integer: %v", gotDeadline.Load(), err)
-	}
-	if ms <= 0 || ms > perTryTimeout.Milliseconds() {
-		t.Fatalf("deadline header %dms, want in (0, %d]", ms, perTryTimeout.Milliseconds())
-	}
-
-	// A tighter client deadline wins over the per-try budget.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match", strings.NewReader(`{"url":"http://x/a"}`))
-	req.Header.Set(chassis.DeadlineHeader, "50")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	ms, err = strconv.ParseInt(gotDeadline.Load().(string), 10, 64)
-	if err != nil {
-		t.Fatalf("deadline header %q not an integer: %v", gotDeadline.Load(), err)
-	}
-	if ms > 50 {
-		t.Fatalf("deadline header %dms, want <= client's 50ms", ms)
-	}
-}
-
-// TestGatewayDeadlineGarbageBecomesOwnBudget: the gateway and the replica
-// read X-Adwars-Deadline with one parser, so a client value that is not a
-// plain run of digits — negative, signed, trailing garbage — narrows nothing:
-// what reaches a real replica is the gateway's own remaining per-try budget,
-// present, never below 0, and the replica's deadline refusal stays armed with
-// it.
-func TestGatewayDeadlineGarbageBecomesOwnBudget(t *testing.T) {
-	checkGoroutineLeaks(t)
-	rep := newReplica(t, "r1", sealedLists(t, "v1"))
-	var reached atomic.Value // what the replica was sent, "absent" if nothing
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got := "absent"
-		if vs := r.Header[chassis.DeadlineHeader]; len(vs) == 1 {
-			got = vs[0]
-		}
-		reached.Store(got)
-		rep.srv.Handler().ServeHTTP(w, r)
-	}))
-	defer front.Close()
-	_, ts := newTestGateway(t, GatewayConfig{Backends: []string{front.URL}})
-
-	send := func(inbound string) (status int, forwarded string) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/match",
-			strings.NewReader(`{"url":"http://ads.example.com/banner.js"}`))
-		req.Header.Set(chassis.DeadlineHeader, inbound)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode, reached.Load().(string)
-	}
-	for _, inbound := range []string{"-5", "+5", "5x", "5 ms", "1099511627777x", "0x10", "-0"} {
-		status, forwarded := send(inbound)
-		ms, err := strconv.ParseUint(forwarded, 10, 63)
-		if err != nil {
-			t.Fatalf("inbound %q reached the replica as %q, want a run of digits", inbound, forwarded)
-		}
-		// The whole per-try budget but for the time it took to get here.
-		if ms == 0 || ms > uint64(perTryTimeout.Milliseconds()) || ms < uint64(perTryTimeout.Milliseconds())/2 {
-			t.Errorf("inbound %q reached the replica as %dms, want the gateway's own budget (just under %v)", inbound, ms, perTryTimeout)
-		}
-		if status != http.StatusOK {
-			t.Errorf("inbound %q: status %d, want 200 (a garbled hint refuses nothing)", inbound, status)
-		}
-	}
-	// A value both sides read as a budget still narrows, and still refuses:
-	// 5ms cannot cover the replica's queue wait.
-	if status, forwarded := send("5"); status != http.StatusTooManyRequests || forwarded > "5" || len(forwarded) != 1 {
-		t.Errorf("inbound 5: status %d, replica was sent %q; want 429 and at most 5", status, forwarded)
 	}
 }

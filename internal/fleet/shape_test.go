@@ -98,12 +98,11 @@ func jsonShape(t *testing.T, data []byte, registry bool) string {
 // Gateway.Metrics().String() and both /debug/vars bodies, for a replica with
 // everything optional set (a model, a replica ID) and one with neither,
 // before any traffic and after one fixed script sent through a gateway:
-// each /v1 endpoint once, one request refused at admission, one 4xx. The
-// golden file was recorded from the commit before the metrics trees moved
-// onto internal/chassis; its bare sections' adwars_analytics and
-// adwars_degrade trees were re-recorded when every replica came to run the
-// collector and the governor. A key added, dropped, renamed, retyped or
-// reordered fails here.
+// each /v1 endpoint once and one 4xx. The golden file was recorded from
+// the commit before the metrics trees moved onto internal/chassis; its bare
+// sections' adwars_analytics and adwars_degrade trees were re-recorded when
+// every replica came to run the collector and the governor. A key added,
+// dropped, renamed, retyped or reordered fails here.
 func TestVarsShapePinned(t *testing.T) {
 	model := artifact.Seal([]byte(shapeModelJSON))
 	var out strings.Builder
@@ -153,19 +152,15 @@ func TestVarsShapePinned(t *testing.T) {
 		record(c.name+" serve, no traffic: Metrics()", []byte(s.Metrics().String()))
 		record(c.name+" gateway, no traffic: Metrics()", []byte(g.Metrics().String()))
 
-		script := []struct{ path, body, deadline string }{
-			{"/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`, ""},
-			{"/v1/match/batch", `{"requests":[{"url":"http://ads.example.com/a.js"},{"url":"http://x.example/"}]}`, ""},
-			{"/v1/classify", `var a = el.offsetHeight + el.offsetWidth;`, ""},
-			{"/v1/classify/batch", `{"scripts":["var a = 1;","var b = el.offsetHeight;"]}`, ""},
-			{"/v1/match", `{"url":"http://ads.example.com/banner.js"}`, "1"}, // refused at admission: 429
-			{"/v1/match", `{"url":""}`, ""}, // 400
+		script := []struct{ path, body string }{
+			{"/v1/match", `{"url":"http://ads.example.com/banner.js","type":"script"}`},
+			{"/v1/match/batch", `{"requests":[{"url":"http://ads.example.com/a.js"},{"url":"http://x.example/"}]}`},
+			{"/v1/classify", `var a = el.offsetHeight + el.offsetWidth;`},
+			{"/v1/classify/batch", `{"scripts":["var a = 1;","var b = el.offsetHeight;"]}`},
+			{"/v1/match", `{"url":""}`}, // 400
 		}
 		for _, q := range script {
 			req, _ := http.NewRequest(http.MethodPost, gs.URL+q.path, strings.NewReader(q.body))
-			if q.deadline != "" {
-				req.Header.Set("X-Adwars-Deadline", q.deadline)
-			}
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatalf("%s: %v", q.path, err)

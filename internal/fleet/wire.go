@@ -81,12 +81,10 @@ func hopByHop(k string) bool {
 type outbound struct {
 	r   *http.Request // the client's request: its Method is sent, and read by ReadResponse
 	uri string
-	// head is the rendered end-to-end header lines plus Content-Length.
+	// head is the rendered end-to-end header lines, then Content-Length
+	// and the blank line that ends the request head.
 	head []byte
 	body []byte
-	// inboundDeadline is the client's own X-Adwars-Deadline in
-	// milliseconds, math.MaxInt64 if it sent none.
-	inboundDeadline int64
 }
 
 var outboundPool = sync.Pool{New: func() any { return new(outbound) }}
@@ -112,10 +110,6 @@ func (o *outbound) render(r *http.Request) error {
 	if !validRequestURI(o.uri) {
 		return fmt.Errorf("invalid request target %q", o.uri)
 	}
-	o.inboundDeadline = math.MaxInt64
-	if ms, ok := chassis.DeadlineMs(r.Header); ok {
-		o.inboundDeadline = ms
-	}
 	h := o.head[:0]
 	for k, vs := range r.Header {
 		k = textproto.CanonicalMIMEHeaderKey(k)
@@ -125,8 +119,6 @@ func (o *outbound) render(r *http.Request) error {
 		case k == "Expect":
 			// The body is already buffered: a forwarded "100-continue" would
 			// only make the replica emit a 1xx nobody is waiting for.
-		case k == chassis.DeadlineHeader:
-			// Ours to write (send): the client's only narrows it.
 		case !wire.ValidToken(k):
 			return fmt.Errorf("invalid header name %q", k)
 		default:
@@ -143,7 +135,7 @@ func (o *outbound) render(r *http.Request) error {
 	}
 	h = append(h, "Content-Length: "...)
 	h = strconv.AppendInt(h, int64(len(o.body)), 10)
-	o.head = append(h, "\r\n"...)
+	o.head = append(h, "\r\n\r\n"...)
 	return nil
 }
 
@@ -289,7 +281,7 @@ func (b *Backend) exchange(ctx context.Context, o *outbound, body *buffer) (repl
 		stop := context.AfterFunc(ctx, c.abort)
 		var rep reply
 		keep := false
-		err := c.send(b, o, deadline)
+		err := c.send(b, o)
 		stale := err != nil && reused && !errors.Is(err, os.ErrDeadlineExceeded)
 		if err == nil {
 			rep, keep, err = c.receive(o, body)
@@ -316,7 +308,7 @@ func (b *Backend) exchange(ctx context.Context, o *outbound, body *buffer) (repl
 
 // send renders the request into c's buffer, writes it and waits for the
 // first byte of the reply.
-func (c *backendConn) send(b *Backend, o *outbound, deadline time.Time) error {
+func (c *backendConn) send(b *Backend, o *outbound) error {
 	w := append(c.wbuf[:0], o.r.Method...)
 	w = append(w, ' ')
 	w = append(w, b.prefix...)
@@ -325,13 +317,6 @@ func (c *backendConn) send(b *Backend, o *outbound, deadline time.Time) error {
 	w = append(w, b.host...)
 	w = append(w, "\r\n"...)
 	w = append(w, o.head...)
-	// The tightest deadline known: what is left of this try, narrowed by
-	// whatever the client itself propagated. Serve admission reads it to
-	// refuse work it cannot finish in time instead of queueing it to die.
-	ms := min(max(time.Until(deadline).Milliseconds(), 0), o.inboundDeadline)
-	w = append(w, chassis.DeadlineHeader+": "...)
-	w = strconv.AppendInt(w, ms, 10)
-	w = append(w, "\r\n\r\n"...)
 	var err error
 	if len(w)+len(o.body) <= maxCoalesce {
 		w = append(w, o.body...)

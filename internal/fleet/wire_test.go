@@ -253,10 +253,10 @@ func TestWireForwardsOnlyEndToEndHeaders(t *testing.T) {
 			if !strings.HasPrefix(head, "POST /v1/match?q=1 HTTP/1.1\r\nHost: "+b.host+"\r\n") {
 				t.Errorf("request line and Host wrong:\n%s", head)
 			}
-			if n := strings.Count(head, "Content-Length:"); n != 1 || !strings.Contains(head, "\r\nContent-Length: "+strconv.Itoa(len(body))+"\r\n") {
-				t.Errorf("want exactly one Content-Length of %d:\n%s", len(body), head)
+			if n := strings.Count(head, "Content-Length:"); n != 1 || !strings.HasSuffix(head, "\r\nContent-Length: "+strconv.Itoa(len(body))) {
+				t.Errorf("want exactly one Content-Length of %d, last:\n%s", len(body), head)
 			}
-			for _, want := range []string{"\r\nContent-Type: application/json", "\r\nX-Multi: one\r\n", "\r\nX-Multi: two", "\r\n" + chassis.DeadlineHeader + ": "} {
+			for _, want := range []string{"\r\nContent-Type: application/json", "\r\nX-Multi: one\r\n", "\r\nX-Multi: two"} {
 				if !strings.Contains(head, want) {
 					t.Errorf("missing %q in:\n%s", want, head)
 				}
@@ -392,23 +392,18 @@ func TestWireDifferentialAgainstNetHTTP(t *testing.T) {
 	cases := []struct {
 		name, method, uri, body string
 		header                  http.Header
-		// deadline checks what X-Adwars-Deadline the exchange sent.
-		deadline func(ms int64) bool
-		pooled   int // idle connections after the exchange
+		pooled                  int // idle connections after the exchange
 	}{
-		{"empty body", "POST", "/v1/match", "", nil, nil, 1},
-		{"get", "GET", "/v1/match", "", nil, nil, 1},
-		{"1 MiB body", "POST", "/v1/match", big, nil, nil, 1},
-		{"query string", "POST", "/v1/match?a=1&b=%20x&c=%2F", `{"q":1}`, nil, nil, 1},
-		{"repeated headers", "POST", "/v1/match", `{}`, http.Header{"X-Multi": {"one", "two", ""}, "Accept": {"*/*"}}, nil, 1},
-		{"narrower inbound deadline", "POST", "/v1/match", `{}`, http.Header{chassis.DeadlineHeader: {"50"}},
-			func(ms int64) bool { return ms == 50 }, 1},
-		{"wider inbound deadline", "POST", "/v1/match", `{}`, http.Header{chassis.DeadlineHeader: {"999999"}},
-			func(ms int64) bool { return ms > 0 && ms <= perTryTimeout.Milliseconds() }, 1},
-		{"chunked reply", "POST", "/v1/chunked", `{}`, nil, nil, 1},
-		{"connection-close reply", "POST", "/v1/close", `{}`, nil, nil, 0},
-		{"204 reply", "POST", "/v1/204", `{}`, nil, nil, 1},
-		{"429 reply", "POST", "/v1/429", `{}`, nil, nil, 1},
+		{"empty body", "POST", "/v1/match", "", nil, 1},
+		{"get", "GET", "/v1/match", "", nil, 1},
+		{"1 MiB body", "POST", "/v1/match", big, nil, 1},
+		{"query string", "POST", "/v1/match?a=1&b=%20x&c=%2F", `{"q":1}`, nil, 1},
+		{"repeated headers", "POST", "/v1/match", `{}`, http.Header{"X-Multi": {"one", "two", ""}, "Accept": {"*/*"}}, 1},
+		{"client deadline header is end-to-end", "POST", "/v1/match", `{}`, http.Header{"X-Adwars-Deadline": {"50"}}, 1},
+		{"chunked reply", "POST", "/v1/chunked", `{}`, nil, 1},
+		{"connection-close reply", "POST", "/v1/close", `{}`, nil, 0},
+		{"204 reply", "POST", "/v1/204", `{}`, nil, 1},
+		{"429 reply", "POST", "/v1/429", `{}`, nil, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -440,20 +435,10 @@ func TestWireDifferentialAgainstNetHTTP(t *testing.T) {
 			rep, gotBody := exchangeOnce(t, b, build(""))
 			gotSeen := lastSeen()
 
-			// The replica must not be able to tell the two clients apart,
-			// the deadline stamp aside.
-			stamp := gotSeen.Header[chassis.DeadlineHeader]
-			if len(stamp) != 1 {
-				t.Fatalf("X-Adwars-Deadline = %q, want exactly one", stamp)
-			}
-			if ms, err := strconv.ParseInt(stamp[0], 10, 64); err != nil || ms < 0 || ms > perTryTimeout.Milliseconds() ||
-				(c.deadline != nil && !c.deadline(ms)) {
-				t.Errorf("X-Adwars-Deadline = %q (%v)", stamp[0], err)
-			}
-			// ... and Content-Length, which net/http leaves off a bodyless GET
-			// and the exchange always sends; Length is what either framed.
+			// The replica must not be able to tell the two clients apart but
+			// for Content-Length, which net/http leaves off a bodyless GET and
+			// the exchange always sends; Length is what either framed.
 			for _, h := range []http.Header{gotSeen.Header, wantSeen.Header} {
-				delete(h, chassis.DeadlineHeader)
 				delete(h, "Content-Length")
 			}
 			if !reflect.DeepEqual(gotSeen, wantSeen) {

@@ -193,12 +193,11 @@ func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.Respons
 }
 
 // beginAdmitted admits one request: stamp the degradation level, apply
-// the governor's pre-admission gates (ladder sheds, deadline refusal),
-// acquire a worker-pool ticket, and hand back the latency clock. On shed
-// it writes the 429 itself and returns ok=false. Every true return must be
-// paired with endAdmitted: one worker-pool ticket per request, latency
-// observed on every outcome, and no closure, so admission adds zero
-// allocations.
+// the governor's ladder sheds, acquire a worker-pool ticket, and hand back
+// the latency clock. On shed it writes the 429 itself and returns
+// ok=false. Every true return must be paired with endAdmitted: one
+// worker-pool ticket per request, latency observed on every outcome, and
+// no closure, so admission adds zero allocations.
 func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
 	stats := s.met.endpoints[ep]
 	start = time.Now()
@@ -208,20 +207,6 @@ func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request
 		s.met.DegradeShed.Add(1)
 		s.refuse429(stats, start, w, "degraded",
 			"service degraded, endpoint temporarily shed")
-		return start, false
-	}
-	// A request that cannot finish inside its propagated deadline is
-	// refused before it can occupy a queue slot: the caller would hang
-	// up before the answer anyway, so queueing it is pure dead work.
-	// Strictly-less keeps the exact-boundary request admitted (it can
-	// still make it if a slot frees immediately). Independent of the
-	// governor — the gate only exists when a caller propagated the
-	// header, so deadline-less traffic is untouched.
-	if ms, have := chassis.DeadlineMs(r.Header); have &&
-		time.Duration(ms)*time.Millisecond < s.cfg.queueTimeout() {
-		s.met.DeadlineRefused.Add(1)
-		s.refuse429(stats, start, w, "deadline",
-			"deadline too short to queue, refused early")
 		return start, false
 	}
 	if _, err := s.adm.acquire(r.Context()); err != nil {

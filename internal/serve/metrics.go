@@ -61,11 +61,6 @@ type metrics struct {
 	// PanicsRecovered counts panics converted into structured 500s by the
 	// recovery boundary instead of killing the process.
 	PanicsRecovered chassis.Counter `json:"panics_recovered"`
-	// DeadlineRefused counts requests refused at admission because their
-	// propagated deadline could not cover even the queue wait — work the
-	// server declined rather than finish after the caller had already hung
-	// up.
-	DeadlineRefused chassis.Counter `json:"deadline_refused"`
 	// DegradeShed counts requests shed pre-admission by the overload
 	// governor's ladder (L1 sheds classify, L2 also sheds match batches).
 	DegradeShed chassis.Counter `json:"degrade_shed"`

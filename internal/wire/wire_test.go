@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"adwars/internal/abp"
+	"adwars/internal/degrade"
 	"adwars/internal/serve"
 	"adwars/internal/wire"
 )
@@ -175,6 +176,11 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 		r.Body = io.NopCloser(io.MultiReader(io.LimitReader(r.Body, 3), iotest.ErrReader(io.ErrUnexpectedEOF)))
 		s.Handler().ServeHTTP(w, r)
 	})))
+	// A second replica pinned at L2 sheds /v1/match/batch with a 429 and
+	// Retry-After before it reads the body.
+	shed := newServe(t, serve.Config{ReplicaID: "r1"})
+	shed.Degrade().Pin(degrade.L2)
+	mux.Handle("/shed/", http.StripPrefix("/shed", shed.Handler()))
 	mux.HandleFunc("/raw/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
 	mux.HandleFunc("/raw/unread", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
@@ -219,7 +225,7 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 			{get + post("/v1/match", "Connection: close\r\n", matchBody) + get, []string{G, P}}}},
 		{"body over maxBody", []step{{post("/v1/match", "", `{"url":"`+strings.Repeat("x", 1<<20)+`"}`), []string{P}}, {get, []string{G}}}},
 		{"method not allowed", []step{{"GET /v1/match HTTP/1.1\r\nHost: x\r\n\r\n", []string{G}}}},
-		{"refused with retry-after", []step{{post("/v1/match", "X-Adwars-Deadline: 1\r\n", matchBody), []string{P}}, {get, []string{G}}}},
+		{"refused with retry-after", []step{{post("/shed/v1/match/batch", "", `{"requests":[`+matchBody+`]}`), []string{P}}, {get, []string{G}}}},
 		{"not found", []step{{post("/v1/nope", "", "{}"), []string{P}}}},
 		{"handler leaves a small body unread", []step{{post("/raw/unread", "", strings.Repeat("u", 3000)), []string{P}}, {get, []string{G}}}},
 		{"handler leaves a large body unread", []step{{post("/raw/unread", "", strings.Repeat("u", 300<<10)), []string{P}}}},
@@ -244,6 +250,9 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 			}
 			if gotClosed != wantClosed {
 				t.Errorf("connection closed = %v, under net/http %v", gotClosed, wantClosed)
+			}
+			if tc.name == "refused with retry-after" && (want[0].status != http.StatusTooManyRequests || want[0].header.Get("Retry-After") != "jittered") {
+				t.Errorf("reply %d, Retry-After %q: want a 429 with a jittered Retry-After", want[0].status, want[0].header.Get("Retry-After"))
 			}
 		})
 	}
@@ -572,7 +581,7 @@ func TestWireAllocs(t *testing.T) {
 		w.Write(buf[:64])
 	})
 	_, addr := startWire(t, h, 0)
-	request := []byte(post("/v1/match", "X-Adwars-Deadline: 250\r\n", matchBody))
+	request := []byte(post("/v1/match", "", matchBody))
 
 	parse := bufio.NewReader(nil)
 	src := bytes.NewReader(nil)
