@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race verify loc loc-check reach-check deps-check fidelity-check fault-check bench-test bench-smoke fuzz-smoke
+.PHONY: build test vet fmt-check race verify loc loc-check reach-check deps-check fidelity-check fault-check bench-test bench-smoke fuzz-smoke paper-check
 
 # bench/ is a module of its own, so `go build ./...` and `go vet ./...` at
 # the root do not reach it: build and vet name it, so that a change to an
@@ -51,7 +51,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 24475
+LOC_CEILING = 24656
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi
@@ -173,6 +173,27 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenSections -fuzztime 10s -fuzzminimizetime 1s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzLogSize -fuzztime 10s ./internal/har
 	$(GO) test -run '^$$' -fuzz FuzzHiddenElements -fuzztime 10s ./internal/abp
+
+# paper-check re-runs the paper at paper scale; it is not part of verify
+# (about a minute on 2 cores). It builds adwars-report, runs it at -scale 1
+# -seed 42, prints the wall time, and fails unless stdout equals the
+# committed report_full.txt but for the closing "report complete in …"
+# line. Then it prints BenchmarkTrainAdaBoost's sweeps/op, decisions/op
+# (ordered sums taken) and the solver's two skip counts (kkt-skips/op,
+# step-skips/op: sums its error bound showed no decision needed), so the
+# claim that the solver's skips change no bit of the paper, and what they
+# save, can be re-checked with one command.
+paper-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/adwars-report" ./cmd/adwars-report && \
+	start=$$(date +%s) && \
+	"$$dir/adwars-report" -scale 1 -seed 42 > "$$dir/got.txt" && \
+	echo "paper-check: adwars-report -scale 1 -seed 42 ran $$(( $$(date +%s) - start )) s" && \
+	sed '/^report complete in /d' report_full.txt > "$$dir/want.txt" && \
+	sed '/^report complete in /d' "$$dir/got.txt" > "$$dir/got-untimed.txt" && \
+	diff "$$dir/want.txt" "$$dir/got-untimed.txt" && \
+	echo "paper-check: stdout equals report_full.txt but for the timing line" && \
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainAdaBoost$$' -benchtime 1x ./internal/ml | grep '^BenchmarkTrainAdaBoost'
 
 # fault-check exercises the headline robustness claim end to end: the
 # retrospective CLI at a 10% transient fault rate must emit byte-identical

@@ -89,7 +89,7 @@ func TrainAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, rng *rand.Rand) (*A
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("ml: rounds must be positive")
 	}
-	if err := checkTrainInputs(ds, nil); err != nil {
+	if err := checkTrainInputs(ds, nil, cfg.SVM); err != nil {
 		return nil, err
 	}
 	// Component SVMs train on reweighted views of the same samples, so one

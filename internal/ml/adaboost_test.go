@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -104,6 +105,86 @@ func TestCrossValidateChecksBeforeGram(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Errorf("%s: refusing one fold of %d samples allocated %d bytes: the Gram matrix was built first", name, n, grew)
+		}
+	}
+}
+
+// TestTrainingRefusesBadInputs: a γ the model reader would refuse, a
+// penalty C that is not finite and positive, no sweep allowed, and a sample
+// weight that is not a finite value ≥ 0 are each refused by every training
+// entry point that takes them — before the n² Gram matrix is built, and
+// instead of training a degenerate or unwritable model.
+func TestTrainingRefusesBadInputs(t *testing.T) {
+	const n = 2000
+	ds := &features.Dataset{Samples: make([]features.Sample, n), Labels: make([]int, n)}
+	for i := range ds.Samples {
+		ds.Samples[i] = features.Sample{int32(i % 7)}
+		ds.Labels[i] = 1 - 2*(i%2)
+	}
+	cv := CVConfig{Folds: 5, Seed: 1}
+	for _, c := range []struct {
+		name   string
+		cfg    func(*SVMConfig)
+		weight float64 // given to sample 3 when not 0
+	}{
+		{name: "gamma<0", cfg: func(c *SVMConfig) { c.Kernel.Gamma = -0.05 }},
+		{name: "gamma=0", cfg: func(c *SVMConfig) { c.Kernel.Gamma = 0 }},
+		{name: "gamma=NaN", cfg: func(c *SVMConfig) { c.Kernel.Gamma = math.NaN() }},
+		{name: "gamma=+Inf", cfg: func(c *SVMConfig) { c.Kernel.Gamma = math.Inf(1) }},
+		{name: "C<0", cfg: func(c *SVMConfig) { c.C = -1 }},
+		{name: "C=0", cfg: func(c *SVMConfig) { c.C = 0 }},
+		{name: "C=NaN", cfg: func(c *SVMConfig) { c.C = math.NaN() }},
+		{name: "C=+Inf", cfg: func(c *SVMConfig) { c.C = math.Inf(1) }},
+		{name: "MaxIter=0", cfg: func(c *SVMConfig) { c.MaxIter = 0 }},
+		{name: "weight=NaN", weight: math.NaN()},
+		{name: "weight<0", weight: -1e-3},
+		{name: "weight=+Inf", weight: math.Inf(1)},
+		{name: "penalty overflows", weight: math.MaxFloat64},
+	} {
+		svm, ada := DefaultSVMConfig(), DefaultAdaBoostConfig()
+		var w []float64
+		if c.cfg != nil {
+			c.cfg(&svm)
+			c.cfg(&ada.SVM)
+		} else {
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = 1.0 / n
+			}
+			w[3] = c.weight
+		}
+		entries := map[string]func() error{
+			"TrainSVM": func() error {
+				_, err := TrainSVM(ds, w, svm, rand.New(rand.NewSource(1)))
+				return err
+			},
+		}
+		if w == nil {
+			entries["TrainAdaBoost"] = func() error {
+				_, err := TrainAdaBoost(ds, ada, rand.New(rand.NewSource(1)))
+				return err
+			}
+			entries["CrossValidateSVM"] = func() error {
+				_, err := CrossValidateSVM(ds, svm, cv)
+				return err
+			}
+			entries["CrossValidateAdaBoost"] = func() error {
+				_, err := CrossValidateAdaBoost(ds, ada, cv)
+				return err
+			}
+		}
+		for entry, train := range entries {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := train()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: %s trained", c.name, entry)
+				continue
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s: %s allocated %d bytes refusing it: the Gram matrix was built first", c.name, entry, grew)
+			}
 		}
 	}
 }

@@ -52,9 +52,10 @@ func BenchmarkTrainSVM(b *testing.B) {
 
 // BenchmarkTrainAdaBoost measures the full ensemble (the ablation cost of
 // boosting over a single SVM) and reports what the solves behind it cost,
-// summed over the rounds kept: SMO sweeps, ordered decision sums
-// accumulated, and solves that stopped at MaxIter instead of converging.
-// Every iteration trains from the same seed, so the counts are exact.
+// summed over the rounds kept: SMO sweeps, ordered decision sums taken,
+// KKT visits and steps the solver's error bound passed over without a sum,
+// and solves that stopped at MaxIter instead of converging. Every iteration
+// trains from the same seed, so the counts are exact.
 func BenchmarkTrainAdaBoost(b *testing.B) {
 	ds := benchDataset(b, 30, 300)
 	b.ReportAllocs()
@@ -66,16 +67,20 @@ func BenchmarkTrainAdaBoost(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var sweeps, decisions, capped int
+	var sweeps, decisions, kktSkips, stepSkips, capped int
 	for _, m := range ens.models {
 		sweeps += m.sweeps
 		decisions += m.decisions
+		kktSkips += m.kktSkips
+		stepSkips += m.stepSkips
 		if m.capped {
 			capped++
 		}
 	}
 	b.ReportMetric(float64(sweeps), "sweeps/op")
 	b.ReportMetric(float64(decisions), "decisions/op")
+	b.ReportMetric(float64(kktSkips), "kkt-skips/op")
+	b.ReportMetric(float64(stepSkips), "step-skips/op")
 	b.ReportMetric(float64(capped), "capped-solves/op")
 }
 

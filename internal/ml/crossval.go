@@ -10,15 +10,19 @@ import (
 )
 
 // crossValidate is the paper's stratified k-fold protocol, the fold loop
-// both entry points run: check that the samples fill k ≥ 2 folds, build one
-// Gram matrix over the whole set, stratify, train fold f on the other k−1
-// folds (refused if they hold one class) with an rng seeded cv.Seed+f+1 and
-// its view of that matrix, evaluate it on the held-out one, and merge the
-// confusions in fold order — so the result is identical at any core count.
+// both entry points run: check the configuration and that the samples fill
+// k ≥ 2 folds, build one Gram matrix over the whole set, stratify, train
+// fold f on the other k−1 folds (refused if they hold one class) with an
+// rng seeded cv.Seed+f+1 and its view of that matrix, evaluate it on the
+// held-out one, and merge the confusions in fold order — so the result is
+// identical at any core count.
 // The folds fan out one worker per core, and each holds its own Gram view
 // while it trains, so GOMAXPROCS bounds how many are alive at once.
-func crossValidate(ds *features.Dataset, cv CVConfig, kernel RBF,
+func crossValidate(ds *features.Dataset, cv CVConfig, cfg SVMConfig,
 	train func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier) (Confusion, error) {
+	if err := cfg.check(); err != nil {
+		return Confusion{}, err
+	}
 	k := cv.Folds
 	if k < 2 {
 		return Confusion{}, fmt.Errorf("ml: k must be ≥ 2, got %d", k)
@@ -28,7 +32,7 @@ func crossValidate(ds *features.Dataset, cv CVConfig, kernel RBF,
 	}
 	// The checks come first: the matrix is n² floats, 32 MB at 2 000
 	// samples.
-	shared := newGram(kernel, ds.Samples)
+	shared := newGram(cfg.Kernel, ds.Samples)
 	folds := stratifiedFolds(ds, k, rand.New(rand.NewSource(cv.Seed)))
 
 	type result struct {
@@ -46,7 +50,7 @@ func crossValidate(ds *features.Dataset, cv CVConfig, kernel RBF,
 			}
 		}
 		trainSet := ds.Subset(trainIdx)
-		if err := checkTrainInputs(trainSet, nil); err != nil {
+		if err := checkTrainInputs(trainSet, nil, cfg); err != nil {
 			results[f] = result{err: err}
 			return
 		}
@@ -102,7 +106,7 @@ type CVConfig struct {
 // is evaluated once per sample pair across all k folds instead of once per
 // fold.
 func CrossValidateSVM(ds *features.Dataset, cfg SVMConfig, cv CVConfig) (Confusion, error) {
-	return crossValidate(ds, cv, cfg.Kernel, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
+	return crossValidate(ds, cv, cfg, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
 		return trainSVMGram(train, nil, cfg, rng, g)
 	})
 }
@@ -114,7 +118,7 @@ func CrossValidateAdaBoost(ds *features.Dataset, cfg AdaBoostConfig, cv CVConfig
 	if cfg.Rounds <= 0 {
 		return Confusion{}, fmt.Errorf("ml: rounds must be positive")
 	}
-	return crossValidate(ds, cv, cfg.SVM.Kernel, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
+	return crossValidate(ds, cv, cfg.SVM, func(train *features.Dataset, rng *rand.Rand, g *gram) Classifier {
 		return trainAdaBoostGram(train, cfg, rng, g)
 	})
 }

@@ -52,11 +52,12 @@ type SVM struct {
 	svIdx   []int32 // training-set indices of the support vectors
 
 	// What the solve that produced the model cost: sweeps over the training
-	// set, ordered decision sums accumulated (the values a block computed
-	// and an α or b change discarded included), and whether it stopped at
-	// MaxIter instead of converging. Benchmarks report them.
-	sweeps, decisions int
-	capped            bool
+	// set, ordered decision sums taken, KKT visits and steps the estimate
+	// passed over without a sum, and whether it stopped at MaxIter instead
+	// of converging. Benchmarks report them.
+	sweeps, decisions   int
+	kktSkips, stepSkips int
+	capped              bool
 
 	// Compiled scoring form (score.go): ids[i] is support vector i's
 	// distinct-id in sc. An SVM that is a round of an ensemble shares the
@@ -94,22 +95,48 @@ func (m *SVM) Predict(s features.Sample) int { return sign(m.Decision(s)) }
 // AdaBoost uses to focus component classifiers on hard samples. rng drives
 // the pair selection and must be non-nil for reproducibility.
 func TrainSVM(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand) (*SVM, error) {
-	if err := checkTrainInputs(ds, weights); err != nil {
+	if err := checkTrainInputs(ds, weights, cfg); err != nil {
 		return nil, err
 	}
 	g := newGram(cfg.Kernel, ds.Samples)
 	return trainSVMGram(ds, weights, cfg, rng, g), nil
 }
 
-// checkTrainInputs validates the dataset and weight vector, once per
-// training run, before the Gram matrix is built.
-func checkTrainInputs(ds *features.Dataset, weights []float64) error {
+// check refuses a configuration no model can be trained under: γ must be
+// finite and > 0, as the model reader demands, which keeps every kernel
+// value in [0, 1]; C must be finite and > 0, so every penalty Cᵢ is; and
+// at least one sweep must be allowed. Those are also the premises of the
+// solver's error bound (bound.go).
+func (cfg SVMConfig) check() error {
+	if g := cfg.Kernel.Gamma; !(g > 0) || !finite(g) {
+		return fmt.Errorf("ml: rbf gamma %v, want a finite value > 0", g)
+	}
+	if !(cfg.C > 0) || !finite(cfg.C) {
+		return fmt.Errorf("ml: C %v, want a finite value > 0", cfg.C)
+	}
+	if cfg.MaxIter < 1 {
+		return fmt.Errorf("ml: MaxIter %d, want ≥ 1", cfg.MaxIter)
+	}
+	return nil
+}
+
+// checkTrainInputs validates the configuration, the dataset and the weight
+// vector, once per training run, before the Gram matrix is built.
+func checkTrainInputs(ds *features.Dataset, weights []float64, cfg SVMConfig) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	n := ds.Len()
 	if n == 0 {
 		return fmt.Errorf("ml: empty training set")
 	}
 	if weights != nil && len(weights) != n {
 		return fmt.Errorf("ml: %d weights for %d samples", len(weights), n)
+	}
+	for i, w := range weights {
+		if !(w >= 0) || !finite(cfg.C*w*float64(n)) {
+			return fmt.Errorf("ml: sample %d has weight %v, want a value ≥ 0 whose penalty C·w·n is finite", i, w)
+		}
 	}
 	hasPos, hasNeg := false, false
 	for _, l := range ds.Labels {
@@ -139,16 +166,16 @@ func trainSVMGram(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *r
 // rounds, CV folds gathered from a corpus-wide matrix) pass a shared gram so
 // the kernel is evaluated once per pair across the whole run.
 //
-// Decisions are ordered sums over a sorted active set of nonzero-α indices
-// and their αᵢyᵢ coefficients — the same terms in the same order as summing
-// all indices and skipping zeros, so results are bit-identical to the
-// one-chain sum. The sweep reads its decisions smoBlock samples at a time
-// (decisionBlock). Every decision summed is kept, per sample, stamped with
-// the count of steps that had changed α or b when it was summed, and read
-// back while no step has changed them since — which the traffic makes the
-// usual case: about nine changes in a 129-sample sweep, and none in the
-// passes that end a solve. A value read back is the very sum a second
-// evaluation would give, so the cache changes no bit.
+// Every value the solver branches on is an ordered sum over a sorted active
+// set of nonzero-α indices — the same terms in the same order as summing all
+// indices and skipping zeros, so results are bit-identical to the one-chain
+// sum. Most of those sums decide nothing: a sample far from the KKT
+// thresholds, or a step that clipping leaves under 1e-7. So the solver
+// first asks an estimate (bound.go) for an interval certain to hold the sum,
+// and takes the sum only when the decision differs across the interval;
+// every test is monotone in the sum under round-to-nearest, so a decision
+// that holds at both ends of the interval is the one the sum would give.
+// Between steps a sum once taken stays exact and is read back as is.
 func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.Rand, g *gram) *SVM {
 	n := ds.Len()
 
@@ -173,64 +200,76 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	}
 
 	alpha := make([]float64, n)
+	coef := make([]float64, n)    // αᵢyᵢ, maintained alongside alpha
 	active := make([]int32, 0, n) // sorted indices with α ≠ 0
-	coef := make([]float64, 0, n) // αᵢyᵢ of active[t], maintained alongside alpha
 	b := 0.0
 	m := &SVM{}
 
-	// dec[i] is sample i's decision under the α and b of version stamp[i];
-	// version counts the steps that changed α or b, from 1, so a decision
-	// is current while its stamp equals version and no stamp is at first.
-	dec := make([]float64, n)
-	stamp := make([]uint32, n)
+	// est.f[k] is sample k's ordered sum itself while exact[k] equals
+	// version, which counts the steps that changed α or b, from 1; otherwise
+	// est.interval(k) brackets it.
+	est := newEstimate(n)
+	exact := make([]uint32, n)
 	version := uint32(1)
 
 	setAlpha := func(i int, v float64) {
 		was, now := alpha[i] != 0, v != 0
-		alpha[i] = v
-		if !was && !now {
+		alpha[i], coef[i] = v, v*y[i]
+		if was == now {
 			return
 		}
 		k := sort.Search(len(active), func(k int) bool { return active[k] >= int32(i) })
-		switch {
-		case was && now:
-			coef[k] = v * y[i]
-		case now:
+		if now {
 			active = append(active, 0)
 			copy(active[k+1:], active[k:])
 			active[k] = int32(i)
-			coef = append(coef, 0)
-			copy(coef[k+1:], coef[k:])
-			coef[k] = v * y[i]
-		default:
+		} else {
 			active = append(active[:k], active[k+1:]...)
-			coef = append(coef[:k], coef[k+1:]...)
 		}
 	}
-
-	// sweepDecision is decision(i) for the sweep, which visits samples in
-	// order: a miss sums the block from i on.
-	sweepDecision := func(i int) float64 {
-		if stamp[i] == version {
-			return dec[i]
+	bounds := func(k int) (lo, hi float64) {
+		if exact[k] == version {
+			return est.f[k], est.f[k]
 		}
-		blk := decisionBlock(g, i, b, coef, active)
-		k := copy(dec[i:], blk[:])
-		m.decisions += k
-		for t := i; t < i+k; t++ {
-			stamp[t] = version
-		}
-		return blk[0]
+		return est.interval(k)
+	}
+	take := func(k int, v float64) {
+		m.decisions++
+		est.reset(k, v)
+		exact[k] = version
+	}
+	// violates is the KKT test on sample i for the sum v: whether αᵢ may
+	// rise, whether it may fall.
+	violates := func(i int, v float64) (under, over bool) {
+		ye := y[i] * (v - y[i])
+		return ye < -smoTol && alpha[i] < cs[i], ye > smoTol && alpha[i] > 0
 	}
 
 	passes := 0
 	for passes < smoMaxPasses && m.sweeps < cfg.MaxIter {
 		m.sweeps++
 		changed := 0
+		// alphaSum bounds Σ|α| for the estimate: summed afresh each sweep,
+		// then raised by each step's |Δα|.
+		alphaSum := 0.0
+		for _, k := range active {
+			alphaSum += math.Abs(coef[k])
+		}
 		for i := 0; i < n; i++ {
-			ei := sweepDecision(i) - y[i]
-			if !((y[i]*ei < -smoTol && alpha[i] < cs[i]) || (y[i]*ei > smoTol && alpha[i] > 0)) {
+			vLo, vHi := bounds(i)
+			uLo, oLo := violates(i, vLo)
+			uHi, oHi := violates(i, vHi)
+			if !(uLo || oLo || uHi || oHi) && vLo <= vHi {
+				if exact[i] != version {
+					m.kktSkips++
+				}
 				continue
+			}
+			if !(uLo && uHi || oLo && oHi) {
+				take(i, decision(g, i, b, coef, active))
+				if under, over := violates(i, est.f[i]); !under && !over {
+					continue
+				}
 			}
 			j := rng.Intn(n - 1)
 			if j >= i {
@@ -253,19 +292,32 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			if eta >= 0 {
 				continue
 			}
-			// Neither test above reads ej, and a fifth of violators end at
-			// one of them, so its sum waits until here.
-			if stamp[j] != version {
-				m.decisions++
-				dec[j], stamp[j] = decision(g, j, b, coef, active), version
+			// Neither test above reads a sum, and the step below reads
+			// only ei − ej: the clipped step is monotone in it, so if the
+			// step stays under 1e-7 at both ends of its interval it does at
+			// the sums.
+			if exact[i] != version || exact[j] != version {
+				iLo, iHi := bounds(i)
+				jLo, jHi := bounds(j)
+				aLo := clipStep(aj, y[j], (iLo-y[i])-(jHi-y[j]), eta, lo, hi)
+				aHi := clipStep(aj, y[j], (iHi-y[i])-(jLo-y[j]), eta, lo, hi)
+				if math.Abs(aLo-aj) < 1e-7 && math.Abs(aHi-aj) < 1e-7 {
+					m.stepSkips++
+					continue
+				}
+				switch {
+				case exact[i] != version && exact[j] != version:
+					vi, vj := decision2(g, i, j, b, coef, active)
+					take(i, vi)
+					take(j, vj)
+				case exact[i] != version:
+					take(i, decision(g, i, b, coef, active))
+				default:
+					take(j, decision(g, j, b, coef, active))
+				}
 			}
-			ej := dec[j] - y[j]
-			ajNew := aj - y[j]*(ei-ej)/eta
-			if ajNew > hi {
-				ajNew = hi
-			} else if ajNew < lo {
-				ajNew = lo
-			}
+			ei, ej := est.f[i]-y[i], est.f[j]-y[j]
+			ajNew := clipStep(aj, y[j], ei-ej, eta, lo, hi)
 			if math.Abs(ajNew-aj) < 1e-7 {
 				continue
 			}
@@ -273,6 +325,7 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 
 			b1 := b - ei - y[i]*(aiNew-ai)*g.at(i, i) - y[j]*(ajNew-aj)*g.at(i, j)
 			b2 := b - ej - y[i]*(aiNew-ai)*g.at(i, j) - y[j]*(ajNew-aj)*g.at(j, j)
+			dci, dcj, bOld := aiNew*y[i]-coef[i], ajNew*y[j]-coef[j], b
 			switch {
 			case aiNew > 0 && aiNew < cs[i]:
 				b = b1
@@ -284,6 +337,8 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 			setAlpha(i, aiNew)
 			setAlpha(j, ajNew)
 			version++
+			alphaSum += math.Abs(dci) + math.Abs(dcj)
+			est.step(g.row(i), g.row(j), dci, dcj, b-bOld, b, alphaSum, len(active))
 			changed++
 		}
 		if changed == 0 {
@@ -319,27 +374,56 @@ func solveSMO(ds *features.Dataset, weights []float64, cfg SVMConfig, rng *rand.
 	return m
 }
 
+// clipStep is SMO's new αⱼ for the error difference d = ei − ej, clipped to
+// [lo, hi]: monotone in d, since every operation in it rounds monotonically.
+func clipStep(aj, yj, d, eta, lo, hi float64) float64 {
+	a := aj - yj*d/eta
+	if a > hi {
+		return hi
+	} else if a < lo {
+		return lo
+	}
+	return a
+}
+
 // smoBlock is how many consecutive samples' decisions one pass over the
-// coefficients accumulates. A decision is an ordered sum — each add waits
-// for the one before it, so a single chain runs at the latency of a float
-// add and leaves the core's other ports idle; four independent chains fill
-// them. Eight measured no faster (more discarded values, register spills).
+// coefficients accumulates in the error pass. A decision is an ordered sum —
+// each add waits for the one before it, so a single chain runs at the
+// latency of a float add and leaves the core's other ports idle; four
+// independent chains fill them. Eight measured no faster (register
+// spills).
 const smoBlock = 4
 
-// decision returns the ordered sum bias + Σₜ coefs[t]·K(x_idx[t], xᵢ) over
-// sample i's Gram row.
-func decision(g *gram, i int, bias float64, coefs []float64, idx []int32) float64 {
+// decision returns the ordered sum bias + Σₜ coef[idx[t]]·K(x_idx[t], xᵢ)
+// over sample i's Gram row, coef held by sample index.
+func decision(g *gram, i int, bias float64, coef []float64, idx []int32) float64 {
 	v := bias
 	row := g.row(i)
-	for t, j := range idx {
-		v += coefs[t] * row[j]
+	coef = coef[:len(row)]
+	for _, k := range idx {
+		v += coef[k] * row[k]
 	}
 	return v
 }
 
-// decisionBlock returns decision for samples i … i+smoBlock−1 from one
-// pass over the coefficients. Past the last sample the last row repeats:
-// those entries are not meaningful.
+// decision2 returns decision for samples i and j from one pass over the
+// active set: two independent chains, each decision's terms in decision's
+// order, so both values are bit-identical to the one-chain sum.
+func decision2(g *gram, i, j int, bias float64, coef []float64, idx []int32) (vi, vj float64) {
+	vi, vj = bias, bias
+	ri, rj := g.row(i), g.row(j)
+	coef, rj = coef[:len(ri)], rj[:len(ri)]
+	for _, k := range idx {
+		c := coef[k]
+		vi += c * ri[k]
+		vj += c * rj[k]
+	}
+	return vi, vj
+}
+
+// decisionBlock returns the error pass's decisions for samples i …
+// i+smoBlock−1 from one pass over a model's compact coefficients. Past the
+// last sample the last row repeats: those entries are not meaningful.
 func decisionBlock(g *gram, i int, bias float64, coefs []float64, idx []int32) (blk [smoBlock]float64) {
 	last := g.n - 1
 	blk[0], blk[1], blk[2], blk[3] = sum4(bias, coefs, idx,
@@ -348,8 +432,8 @@ func decisionBlock(g *gram, i int, bias float64, coefs []float64, idx []int32) (
 }
 
 // sum4 accumulates four independent chains vₖ = bias; vₖ += coefs[t]·rₖ[idx[t]],
-// each the terms of decision in decision's order, so every value is
-// bit-identical to the one-chain sum.
+// each in the one-chain order, so every value is bit-identical to the
+// one-chain sum.
 func sum4(bias float64, coefs []float64, idx []int32, r0, r1, r2, r3 []float64) (v0, v1, v2, v3 float64) {
 	v0, v1, v2, v3 = bias, bias, bias, bias
 	// Equal lengths leave the loop one bounds check, not five.

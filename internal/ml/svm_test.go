@@ -380,15 +380,51 @@ func duplicated(t testing.TB) *features.Dataset {
 	return ds
 }
 
+// clustered builds a dataset shaped like a Table 3 fold: n samples drawn
+// from a few distinct feature vectors (vendor clones of a handful of
+// scripts), about one vector in four positive, and a tenth of the labels
+// flipped, so duplicates disagree.
+func clustered(t testing.TB, n, distinct int, seed int64) *features.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([]string, 24)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("f%d", i)
+	}
+	vecs := make([]map[string]bool, distinct)
+	for v := range vecs {
+		vecs[v] = map[string]bool{pool[v%len(pool)]: true}
+		for k := 0; k < 5; k++ {
+			vecs[v][pool[rng.Intn(len(pool))]] = true
+		}
+	}
+	sets := make([]map[string]bool, n)
+	labels := make([]int, n)
+	for i := range sets {
+		v := rng.Intn(distinct)
+		sets[i] = vecs[v]
+		labels[i] = -1
+		if (v%4 == 0) != (rng.Float64() < 0.1) {
+			labels[i] = 1
+		}
+	}
+	labels[0], labels[n-1] = 1, -1
+	ds, err := features.Build(sets, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // boostedWeights is a weight vector as a late AdaBoost round leaves it:
-// normalized, spread over orders of magnitude, one weight under the
-// per-sample C floor.
-func boostedWeights(n int, seed int64) []float64 {
+// normalized, spread over orders of magnitude (the log-normal's σ is
+// spread), at least one weight under the per-sample C floor.
+func boostedWeights(n int, spread float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	w := make([]float64, n)
 	sum := 0.0
 	for i := range w {
-		w[i] = math.Exp(3 * rng.NormFloat64())
+		w[i] = math.Exp(spread * rng.NormFloat64())
 		sum += w[i]
 	}
 	for i := range w {
@@ -416,13 +452,18 @@ func sameSolve(t *testing.T, name string, got, want *SVM) {
 }
 
 // TestSolveSMOMatchesReference is the solver's bit-identity gate: the
-// blocked sweep and the deferred ej must reproduce the one-chain, eager-ej
-// reference in every bit of bias, coefficients and support set — at block
-// tails of every length, under sample weights, on duplicate samples, when
-// the solve is cut at MaxIter, under both widths the product trains (plain
-// SVM and boosted rounds), over the matrix newGram fills and over the
-// direct oracle. The error pass's blocked sums are held
-// to the one-chain sum the same way.
+// certified skips, the two-chain sums and the dense coefficients must
+// reproduce the one-chain, eager-ej reference in every bit of bias,
+// coefficients and support set, and leave the rng where the reference
+// leaves it — at n < 4 and every n mod 4, under sample weights, on
+// duplicate samples, when the solve is cut at MaxIter, under both widths
+// the product trains (plain SVM and boosted rounds), over the matrix
+// newGram fills and over the direct oracle. Two cases must see both skips
+// fire, so a solver that never skips cannot pass on them alone: a Table 3
+// fold's shape, with weights skewed until penalties hit the 1e-8 floor, and
+// a solve of 600 samples, where the bound accumulates over thousands of
+// steps. The error pass's blocked sums are held to the one-chain sum the
+// same way.
 func TestSolveSMOMatchesReference(t *testing.T) {
 	type kase struct {
 		name    string
@@ -430,6 +471,8 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 		boosted bool
 		maxIter int
 		capped  bool
+		spread  float64 // of the boosted weights; 3 when 0
+		skips   bool    // both skips must fire
 	}
 	var cases []kase
 	for _, n := range []int{2, 3, 40, 41, 42, 43} {
@@ -440,6 +483,8 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 		kase{name: "separable", ds: synthDataset(t, 12, 37, 6)},
 		kase{name: "duplicates", ds: duplicated(t)},
 		kase{name: "noisy/capped", ds: labeled(t, 61, 0.4, 9), boosted: true, maxIter: 4, capped: true},
+		kase{name: "table3-fold", ds: clustered(t, 129, 30, 5), boosted: true, spread: 5, skips: true},
+		kase{name: "n=600/boosted", ds: labeled(t, 600, 0.1, 600), boosted: true, capped: true, skips: true},
 	)
 	kernels := map[string]RBF{"γ=0.05": DefaultSVMConfig().Kernel, "γ=0.02": DefaultAdaBoostConfig().SVM.Kernel}
 	for _, c := range cases {
@@ -454,13 +499,24 @@ func TestSolveSMOMatchesReference(t *testing.T) {
 				}
 				var w []float64
 				if c.boosted {
-					w = boostedWeights(n, 3)
+					spread := c.spread
+					if spread == 0 {
+						spread = 3
+					}
+					w = boostedWeights(n, spread, 3)
 				}
-				want := referenceSolveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), g)
-				got := solveSMO(c.ds, w, cfg, rand.New(rand.NewSource(11)), g)
+				refRng, rng := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+				want := referenceSolveSMO(c.ds, w, cfg, refRng, g)
+				got := solveSMO(c.ds, w, cfg, rng, g)
 				sameSolve(t, name, got, want)
+				if next, ref := rng.Int63(), refRng.Int63(); next != ref {
+					t.Errorf("%s: the rng's next draw is %d, after the reference %d", name, next, ref)
+				}
 				if got.capped != c.capped {
 					t.Errorf("%s: capped = %v after %d sweeps, want %v", name, got.capped, got.sweeps, c.capped)
+				}
+				if c.skips && (got.kktSkips == 0 || got.stepSkips == 0) {
+					t.Errorf("%s: %d KKT skips, %d step skips, want both > 0", name, got.kktSkips, got.stepSkips)
 				}
 				dec := make([]float64, n)
 				got.decisionsGram(g, dec)
