@@ -1,23 +1,23 @@
 // Command adwars-gateway fronts a fleet of adwars-serve replicas: it
 // load-balances /v1/* requests across them with active health checks
 // (each replica's /readyz), passive failure ejection (per-replica circuit
-// breakers), bounded retry/failover, and optional request hedging — so a
-// killed or draining replica costs failover ticks, not client-visible
-// 5xx. The gateway's own /healthz reports fleet routability and
-// /debug/vars exports the failover ledger under "adwars_gateway".
+// breakers) and bounded retry/failover — so a killed or draining replica
+// costs failover ticks, not client-visible 5xx. The gateway's own
+// /healthz reports fleet routability and /debug/vars exports the failover
+// ledger under "adwars_gateway".
 //
 // Usage:
 //
 //	adwars-gateway -backends host:port,host:port,... [-addr :8090]
-//	               [-hedge-delay D] [-portfile PATH]
+//	               [-portfile PATH]
 //
 // Each replica's /readyz is polled every 250ms. A request tries each
-// replica at most once, and its retries and hedges spend from a
-// per-replica token budget (10 tokens, refilled by 0.1 per
-// successful exchange), so a struggling fleet is never hammered with
-// unbounded extra attempts. A try is bounded by a 5s socket deadline; the
-// request itself reaches a replica with the client's end-to-end headers
-// as sent, and nothing added but Host and Content-Length.
+// replica at most once, and its retries spend from a per-replica token
+// budget (10 tokens, refilled by 0.1 per successful exchange), so a
+// struggling fleet is never hammered with unbounded extra attempts. A try
+// is bounded by a 5s socket deadline; the request itself reaches a
+// replica with the client's end-to-end headers as sent, and nothing added
+// but Host and Content-Length.
 //
 // Backends are plain-HTTP base URLs (http://host[:port][/prefix]); the
 // gateway keeps up to 64 idle keep-alive connections to each and reports
@@ -47,7 +47,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (host:0 picks an ephemeral port)")
 	backends := flag.String("backends", "", "comma-separated replica base URLs or host:port list (required)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fire a second attempt on another replica after this delay (0 = hedging off)")
 	portfile := flag.String("portfile", "", "write the bound host:port to this file after listening")
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 	}
 	g, err := fleet.NewGateway(fleet.GatewayConfig{
 		Backends:   strings.Split(*backends, ","),
-		HedgeDelay: *hedgeDelay,
 		MetricsOut: os.Stderr,
 	})
 	if err != nil {
@@ -78,9 +76,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "adwars-gateway listening on %s, %d backends: %s\n",
 		ln.Addr(), len(ids), strings.Join(ids, " "))
-	if *hedgeDelay > 0 {
-		fmt.Fprintf(os.Stderr, "adwars-gateway hedging after %v\n", *hedgeDelay)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

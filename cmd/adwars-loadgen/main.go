@@ -571,8 +571,8 @@ func getJSON(client *http.Client, url string, v interface{}) error {
 // ledger is the accounting gate: at least one request succeeded, there
 // were no unexplained 5xx, and every request sent is accounted for — as a
 // 2xx or a 429, with no panic-5xx and no transport error, or under the
-// chaos ledger below. It is unchanged behind a gateway: retries and hedges
-// happen inside it, so every client-visible request still ends as exactly
+// chaos ledger below. It is unchanged behind a gateway: retries happen
+// inside it, so every client-visible request still ends as exactly
 // one 2xx or 429.
 func (ck *checker) ledger() (string, error) {
 	t := ck.total
@@ -762,7 +762,6 @@ func (ck *checker) failovers() (string, error) {
 		Gateway *struct {
 			Failovers float64 `json:"failovers"`
 			Retries   float64 `json:"retries"`
-			Hedges    float64 `json:"hedges"`
 		} `json:"adwars_gateway"`
 	}
 	if err := getJSON(ck.client, ck.target+"/debug/vars", &vars); err != nil {
@@ -776,8 +775,8 @@ func (ck *checker) failovers() (string, error) {
 		return "", fmt.Errorf("gateway reports %.0f failovers; a killed replica was not absorbed by failover", gw.Failovers)
 	}
 	replicas, _ := ck.total.by(byReplica)
-	return fmt.Sprintf("gateway reports %.0f failovers, %.0f retries, %.0f hedges; %d replicas answered",
-		gw.Failovers, gw.Retries, gw.Hedges, len(replicas)), nil
+	return fmt.Sprintf("gateway reports %.0f failovers, %.0f retries; %d replicas answered",
+		gw.Failovers, gw.Retries, len(replicas)), nil
 }
 
 // retryAfter parses a 429's Retry-After header (seconds form) and caps it

@@ -169,7 +169,7 @@ func gatewayVars(failovers int) func(http.Handler) http.Handler {
 				next.ServeHTTP(w, r)
 				return
 			}
-			fmt.Fprintf(w, `{"adwars_gateway":{"failovers":%d,"retries":3,"hedges":1}}`, failovers)
+			fmt.Fprintf(w, `{"adwars_gateway":{"failovers":%d,"retries":3}}`, failovers)
 		})
 	}
 }
@@ -283,7 +283,7 @@ func TestGatesPass(t *testing.T) {
 		wantExit(t, code, 0)
 		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
 			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L1 and recovered to L0 without flapping: "+f.url+" peak L1, 1 up / 1 down)",
-			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries, 1 hedges; ")
+			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries; ")
 		if stderr != "" {
 			t.Errorf("stderr: %s", stderr)
 		}

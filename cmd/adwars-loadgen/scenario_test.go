@@ -124,7 +124,7 @@ var scenarios = []scenario{
 		boot("r1", serve.Config{}),
 		boot("r2", serve.Config{}),
 		boot("r3", serve.Config{}),
-		gateway(50*time.Millisecond, "r1", "r2", "r3"),
+		gateway("r1", "r2", "r3"),
 		probe("gateway"),
 		load(window{target: "gateway", check: "ledger,failovers",
 			args:   []string{"-duration", "1500ms", "-concurrency", "8", "-classify-frac", "0.2"},
@@ -146,7 +146,7 @@ var scenarios = []scenario{
 		boot("r2", starved),
 		front("r1-slow", "r1", starve),
 		front("r2-slow", "r2", starve),
-		gateway(0, "r1-slow", "r2-slow"),
+		gateway("r1-slow", "r2-slow"),
 		probe("gateway"),
 		load(window{target: "gateway", check: "ledger,degrade", degrade: []string{"r1", "r2"},
 			args: []string{"-duration", "1500ms", "-concurrency", "32", "-classify-frac", "0.3"}}),
@@ -195,7 +195,7 @@ func TestScenarioProcesses(t *testing.T) {
 // had.
 type stage interface {
 	boot(name string, cfg serve.Config) error
-	gateway(hedge time.Duration, backends []string) error
+	gateway(backends []string) error
 	// front starts name, a door in front of running replica target that
 	// meets the data-plane requests passing it with f.
 	front(name, target string, f faults) error
@@ -317,9 +317,9 @@ func front(name, target string, f faults) step {
 	return step{"front " + target + " with " + name, func(e *env) error { return e.front(name, target, f) }}
 }
 
-func gateway(hedge time.Duration, replicas ...string) step {
+func gateway(replicas ...string) step {
 	return step{"gateway over " + strings.Join(replicas, ","), func(e *env) error {
-		return e.gateway(hedge, e.urls(replicas))
+		return e.gateway(e.urls(replicas))
 	}}
 }
 
@@ -604,8 +604,8 @@ func (s *inProc) boot(name string, cfg serve.Config) error {
 	return s.start(name, srv, srv.Handler(), srv.Serve)
 }
 
-func (s *inProc) gateway(hedge time.Duration, backends []string) error {
-	g, err := fleet.NewGateway(fleet.GatewayConfig{Backends: backends, HedgeDelay: hedge})
+func (s *inProc) gateway(backends []string) error {
+	g, err := fleet.NewGateway(fleet.GatewayConfig{Backends: backends})
 	if err != nil {
 		return err
 	}
@@ -813,8 +813,8 @@ func (p *procs) front(string, string, faults) error {
 	return errors.New("the process pass has no fronts: a fault is injected around a Handler")
 }
 
-func (p *procs) gateway(hedge time.Duration, backends []string) error {
-	return p.start("gateway", "adwars-gateway", "-backends", strings.Join(backends, ","), "-hedge-delay", hedge.String())
+func (p *procs) gateway(backends []string) error {
+	return p.start("gateway", "adwars-gateway", "-backends", strings.Join(backends, ","))
 }
 
 // start runs one binary on name's old address, or on an ephemeral one, and

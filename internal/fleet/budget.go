@@ -8,8 +8,8 @@ import "sync"
 const budgetTenths = 100
 
 // retryBudget is a per-backend token bucket bounding the *extra* load
-// the gateway may generate against that backend: every retry and every
-// hedge attempt spends one token, and only successful exchanges earn
+// the gateway may generate against that backend: every retry spends one
+// token, and only successful exchanges earn
 // tokens back (a fractional refill per success). Under a healthy fleet
 // the bucket sits full and the gateway behaves exactly as before; under
 // sustained failure the bucket drains and retries stop — which is the

@@ -1,13 +1,10 @@
 package fleet
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // tenths reads b's retry budget in the unit it is kept in.
@@ -199,72 +196,5 @@ func TestGatewayBudgetAndBreakerTogether(t *testing.T) {
 	if g.met.BudgetExhausted.Load() != exhausted || g.met.Failovers.Load() != failovers+1 {
 		t.Fatalf("exhaustions %d -> %d, failovers %d -> %d: the refilled token did not pay for the retry",
 			exhausted, g.met.BudgetExhausted.Load(), failovers, g.met.Failovers.Load())
-	}
-}
-
-// TestGatewayHedgeSpendsBudget: hedge chains pay out of the same bucket
-// — with the target backend's budget dry, the hedge fires but cannot
-// generate a second exchange.
-func TestGatewayHedgeSpendsBudget(t *testing.T) {
-	checkGoroutineLeaks(t)
-	var slowHits, fastHits atomic.Uint64
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		slowHits.Add(1)
-		select {
-		case <-time.After(200 * time.Millisecond):
-			w.WriteHeader(http.StatusServiceUnavailable)
-		case <-r.Context().Done():
-		}
-	}))
-	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fastHits.Add(1)
-		w.Write([]byte(`{}`)) //nolint:errcheck
-	}))
-	defer fast.Close()
-
-	g, err := NewGateway(GatewayConfig{
-		Backends:   []string{slow.URL, fast.URL},
-		HedgeDelay: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
-
-	// Drain both budgets so no hedge (or retry) attempt can be funded.
-	for _, b := range g.pool.Backends() {
-		for b.budget.spend() {
-		}
-	}
-	fastHits.Store(0)
-	slowHits.Store(0)
-
-	// Round-robin decides which backend the primary chain draws; fire a
-	// few requests so at least one lands on the slow backend and the
-	// hedge timer goes off. With every bucket dry the hedge must be
-	// refused before sending anything: each request generates exactly
-	// one backend exchange, ever.
-	client := &http.Client{Timeout: 5 * time.Second}
-	sent := uint64(0)
-	for i := 0; i < 6 && g.met.BudgetExhausted.Load() == 0; i++ {
-		resp, err := client.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(`{"url":"http://x/a"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		sent++
-	}
-	if got := g.met.BudgetExhausted.Load(); got == 0 {
-		t.Fatal("retry_budget_exhaustions = 0, want > 0 for the refused hedge")
-	}
-	if g.met.Hedges.Load() == 0 {
-		t.Fatal("hedge chain never fired — the test exercised nothing")
-	}
-	if total := slowHits.Load() + fastHits.Load(); total != sent {
-		t.Fatalf("backends saw %d exchanges for %d requests (slow %d, fast %d): extra attempts sent without budget",
-			total, sent, slowHits.Load(), fastHits.Load())
 	}
 }

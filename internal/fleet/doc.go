@@ -10,9 +10,9 @@
 // replica after consecutive errors through a per-replica circuit breaker
 // with half-open re-admission; and every /v1 request — all of them
 // idempotent pure functions — is retried on another replica after a
-// transport error or replica-side 5xx, with optional hedging that fires a
-// second attempt when the first is slow. A killed replica therefore costs
-// retries and failover ticks, not user-visible 5xx.
+// transport error or replica-side 5xx, each retry paid for out of that
+// replica's retry budget. A killed replica therefore costs retries and
+// failover ticks, not user-visible 5xx.
 //
 // The backend leg is the gateway's own HTTP/1.1 keep-alive wire (wire.go):
 // the goroutine serving the client renders the request into a pooled

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sync"
 	"time"
 
 	"adwars/internal/chassis"
@@ -19,11 +18,6 @@ import (
 type GatewayConfig struct {
 	// Backends are the replica base URLs ("host:port" gets "http://").
 	Backends []string
-	// HedgeDelay, when >0, fires a second attempt chain against
-	// different backends if the first has not answered within the delay;
-	// the first success wins. All /v1 endpoints are idempotent pure
-	// functions, so hedging is always safe here.
-	HedgeDelay time.Duration
 	// MetricsOut, when non-nil, receives a final metrics snapshot on
 	// graceful shutdown.
 	MetricsOut io.Writer
@@ -42,8 +36,8 @@ const (
 )
 
 // Gateway load-balances /v1/* traffic across a pool of serve replicas
-// with retry, failover, and optional hedging. Create with NewGateway,
-// run the health loop, and expose Handler (or use Serve).
+// with retry and failover. Create with NewGateway, run the health loop,
+// and expose Handler (or use Serve).
 type Gateway struct {
 	cfg  GatewayConfig
 	pool *Pool
@@ -102,11 +96,10 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 
 // ---- proxy data path ----
 
-// attemptResult is one chain's outcome: a fully buffered backend
-// response, or the error that exhausted the chain. Buffering the body
-// makes retries and hedging race-free — there is never a half-consumed
-// stream to clean up. body is pooled: whoever ends up holding the result
-// hands it back (release).
+// attemptResult is the attempt chain's outcome: a fully buffered backend
+// response, or the error that ended the chain. Buffering the body means a
+// retry never has a half-consumed stream to clean up. body is pooled: the
+// handler hands it back (release).
 type attemptResult struct {
 	reply
 	body    *buffer
@@ -116,14 +109,11 @@ type attemptResult struct {
 
 func (res *attemptResult) release() { putBuffer(res.body) }
 
-// triedSet is the set of backends a request has been sent to, shared
-// between the primary and hedge chains so they never duplicate work on
-// the same replica. It lives on the handler's stack: the first few
-// entries are held in place, and only a longer chain spills to the heap.
-// mu is set only when two chains share the set (a sync.Mutex held by
-// value would move the whole set to the heap for every request).
+// triedSet is the set of backends a request has been sent to, so the
+// chain never sends it to the same replica twice. It lives on the
+// handler's stack: the first few entries are held in place, and only a
+// longer chain spills to the heap.
 type triedSet struct {
-	mu    *sync.Mutex
 	n     int
 	first [4]*Backend
 	more  []*Backend // the fifth and later
@@ -135,10 +125,6 @@ func (t *triedSet) has(b *Backend) bool {
 
 // pick draws the pool's next untried backend and marks it tried.
 func (t *triedSet) pick(p *Pool) *Backend {
-	if t.mu != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	b := p.pick(t)
 	switch {
 	case b == nil:
@@ -164,13 +150,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var res attemptResult
-	if g.cfg.HedgeDelay > 0 && len(g.pool.Backends()) > 1 {
-		res = g.hedged(r.Context(), o)
-	} else {
-		var tried triedSet
-		res = g.attemptChain(r.Context(), o, &tried, false)
-	}
+	res := g.attemptChain(r.Context(), o)
 	defer res.release()
 	if res.err != nil {
 		g.met.NoBackend.Add(1)
@@ -181,55 +161,15 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	g.deliver(w, &res)
 }
 
-// hedged runs the primary chain on the caller's goroutine and, if it has
-// not finished within the hedge delay, a second chain against different
-// backends on the timer's. The first success wins and cancels the other
-// chain; a failed chain waits for the other's verdict. Both chains have
-// returned before hedged does — the loser exits at once, its connection's
-// deadline forced — so nothing touches o, the client's request or a pooled
-// buffer once the handler is done.
-func (g *Gateway) hedged(ctx context.Context, o *outbound) attemptResult {
-	tried := &triedSet{mu: new(sync.Mutex)}
-	pctx, cancelPrimary := context.WithCancel(ctx)
-	defer cancelPrimary()
-	hctx, cancelHedge := context.WithCancel(ctx)
-	defer cancelHedge()
-	var hedge attemptResult
-	hedgeDone := make(chan struct{})
-	timer := time.AfterFunc(g.cfg.HedgeDelay, func() {
-		defer close(hedgeDone)
-		g.met.Hedges.Add(1)
-		hedge = g.attemptChain(hctx, o, tried, true)
-		if hedge.err == nil {
-			cancelPrimary()
-		}
-	})
-	primary := g.attemptChain(pctx, o, tried, false)
-	if timer.Stop() {
-		return primary // the hedge never fired
-	}
-	if primary.err == nil {
-		cancelHedge()
-	}
-	<-hedgeDone
-	if primary.err == nil || hedge.err != nil {
-		hedge.release()
-		return primary
-	}
-	primary.release()
-	g.met.HedgeWins.Add(1)
-	return hedge
-}
-
 // attemptChain tries successive backends, each at most once, until one
-// answers (any status below 500) or no backend remains.
-// Extra attempts — retries (i > 0) and every attempt of a hedge chain —
-// must be paid for out of the target backend's retry budget: when the
-// bucket is dry the chain stops instead of amplifying load against a
-// fleet that is already failing.
-func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet, hedge bool) attemptResult {
+// answers (any status below 500), no backend remains, or the client
+// is gone. Every retry (i > 0) must be paid for out of the target
+// backend's retry budget: when the bucket is dry the chain stops instead
+// of amplifying load against a fleet that is already failing.
+func (g *Gateway) attemptChain(ctx context.Context, o *outbound) attemptResult {
 	lastErr := errNoBackend
 	res := attemptResult{body: getBuffer()}
+	var tried triedSet
 	for i := range g.pool.backends {
 		if ctx.Err() != nil {
 			lastErr = ctx.Err()
@@ -239,14 +179,12 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 		if b == nil {
 			break
 		}
-		if i > 0 || hedge {
+		if i > 0 {
 			if !b.budget.spend() {
 				g.met.BudgetExhausted.Add(1)
 				lastErr = fmt.Errorf("backend %s: retry budget exhausted", b.ID())
 				break
 			}
-		}
-		if i > 0 {
 			g.met.Retries.Add(1)
 		}
 		b.requests.Add(1)
@@ -266,8 +204,15 @@ func (g *Gateway) attemptChain(ctx context.Context, o *outbound, tried *triedSet
 			res.reply, res.backend = rep, b
 			return res
 		}
-		// Transport death or replica-side 5xx (a 503 draining replica, a
-		// recovered panic): the request is idempotent, fail over.
+		if errors.Is(err, context.Canceled) {
+			// The client hung up: the replica did nothing wrong, so no
+			// failure is charged, and nobody is left to answer.
+			lastErr = err
+			break
+		}
+		// Transport death, a per-try timeout or a replica-side 5xx (a 503
+		// draining replica, a recovered panic): the request is
+		// idempotent, fail over.
 		b.fail()
 		if err != nil {
 			lastErr = fmt.Errorf("backend %s: %w", b.ID(), err)

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newTestGateway fronts the given backends on a real listener.
@@ -30,8 +29,6 @@ type gatewaySnapshot struct {
 	Proxied         uint64            `json:"proxied"`
 	Retries         uint64            `json:"retries"`
 	Failovers       uint64            `json:"failovers"`
-	Hedges          uint64            `json:"hedges"`
-	HedgeWins       uint64            `json:"hedge_wins"`
 	NoBackend       uint64            `json:"no_backend_5xx"`
 	Passthrough     uint64            `json:"passthrough_429"`
 	BudgetExhausted uint64            `json:"retry_budget_exhaustions"`
@@ -183,53 +180,6 @@ func TestGateway429PassthroughNoRetry(t *testing.T) {
 	}
 	if snap.Retries != 0 {
 		t.Errorf("retries = %d, want 0 (429 must not be retried)", snap.Retries)
-	}
-}
-
-func TestGatewayHedgeWinsOverSlowBackend(t *testing.T) {
-	checkGoroutineLeaks(t)
-	// Slow enough that the hedge always beats it, bounded so the test
-	// server can drain; the answer it eventually gives is a retryable 503
-	// in case a pathologically slow hedge ever loses the race.
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(300 * time.Millisecond):
-			w.WriteHeader(http.StatusServiceUnavailable)
-		case <-r.Context().Done():
-		}
-	}))
-	defer slow.Close()
-	fast := newReplica(t, "fast", sealedLists(t, "v1"))
-
-	g, err := NewGateway(GatewayConfig{
-		Backends:   []string{slow.URL, fast.ts.URL},
-		HedgeDelay: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
-
-	// Whichever backend the primary chain draws, within a few requests it
-	// lands on the stuck one — and the hedge chain must still win every
-	// time within the per-try budget.
-	deadline := time.Now().Add(5 * time.Second)
-	for g.met.HedgeWins.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no hedge win within 5s")
-		}
-		status, _, rid := matchVia(t, ts.URL)
-		if status != http.StatusOK {
-			t.Fatalf("hedged request: status %d", status)
-		}
-		if rid != "fast" {
-			t.Fatalf("winner replica = %q, want fast", rid)
-		}
-	}
-	snap := snapshotOf(t, g)
-	if snap.Hedges == 0 || snap.HedgeWins == 0 {
-		t.Errorf("hedges=%d hedge_wins=%d, want both > 0", snap.Hedges, snap.HedgeWins)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // checkGoroutineLeaks snapshots the goroutine count and registers a
 // cleanup that fails the test if the count has not returned to (near)
 // the baseline once the test body finishes. The gateway spawns
-// goroutines for attempt chains, hedges, and the health loop; a probe
-// or hedged request stranded past shutdown would otherwise only surface
+// goroutines for the health loop and its probes, and net/http for every
+// connection; one stranded past shutdown would otherwise only surface
 // as a slow production leak. The check polls briefly because goroutine
 // teardown (idle connections, timer goroutines) is asynchronous.
 func checkGoroutineLeaks(t *testing.T) {

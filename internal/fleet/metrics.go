@@ -18,8 +18,6 @@ type gatewayMetrics struct {
 	Proxied     chassis.Counter `json:"proxied"`         // responses relayed from a backend (any status)
 	Retries     chassis.Counter `json:"retries"`         // extra attempts after a backend failure
 	Failovers   chassis.Counter `json:"failovers"`       // requests that succeeded on a different backend than first tried
-	Hedges      chassis.Counter `json:"hedges"`          // hedge chains fired
-	HedgeWins   chassis.Counter `json:"hedge_wins"`      // requests won by the hedge chain
 	NoBackend   chassis.Counter `json:"no_backend_5xx"`  // 502s: every attempt exhausted
 	Passthrough chassis.Counter `json:"passthrough_429"` // backend 429s relayed untouched (no retry)
 	// BudgetExhausted counts attempt chains stopped because the target

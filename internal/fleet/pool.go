@@ -30,7 +30,7 @@ type Backend struct {
 
 	br *chassis.Breaker
 
-	// budget bounds the extra attempts (retries + hedges) the gateway
+	// budget bounds the extra attempts (retries) the gateway
 	// may aim at this backend; refilled by successes.
 	budget retryBudget
 

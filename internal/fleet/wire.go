@@ -21,8 +21,7 @@ import (
 
 // The gateway's backend leg. One exchange is one HTTP/1.1 request written
 // and one reply read on a keep-alive connection, all of it by the goroutine
-// that runs the attempt chain — for an unhedged request, the one serving
-// the client: the request is rendered into the connection's own buffer and
+// that runs the attempt chain, the one serving the client: the request is rendered into the connection's own buffer and
 // leaves in one Write, and net/http's ReadResponse parses the reply
 // straight off the connection's reader.
 // Framing the reply (Content-Length, chunked, Connection: close, 204/304)
@@ -161,7 +160,7 @@ type backendConn struct {
 }
 
 // abort fails the connection's blocked and future I/O at once; it is what
-// cancellation (client gone, hedge lost) does to an exchange in flight.
+// cancellation (client gone) does to an exchange in flight.
 func (c *backendConn) abort() { c.SetDeadline(aLongTimeAgo) }
 
 // splitBackendURL reads a backend base URL as the wire needs it: the Host
