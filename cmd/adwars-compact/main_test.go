@@ -221,15 +221,15 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 		"schema 1":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":1,"lists":[]}`)), abp.ErrSnapshotVersion},
 		"schema 8":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":8,"lists":[]}`)), abp.ErrSnapshotVersion},
 		"schema 7, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":7,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
-		"schema 6, short":       {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":2}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), artifact.ErrCorrupt},
-		"schema 6, comment":     {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("! a comment\n")}}), abp.ErrCommentLine},
+		"schema 6, short":       {sealed([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":2}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), artifact.ErrCorrupt},
+		"schema 6, comment":     {sealed([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("! a comment\n")}}), abp.ErrCommentLine},
 		"schema 6, lines":       {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotFormat},
 		"schema 6, no sections": {artifact.Seal([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`)), artifact.ErrCorrupt},
 		"schema 6, no lists":    {artifact.Seal([]byte(`{"format":"adwars-lists","version":6}`)), abp.ErrSnapshotFormat},
-		"schema 5":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), abp.ErrSnapshotVersion},
+		"schema 5":              {sealed([]byte(`{"format":"adwars-lists","version":5,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("||a.example^\n")}}), abp.ErrSnapshotVersion},
 		"schema 4":              {artifact.Seal([]byte(`{"format":"adwars-lists","version":4,"lists":[{"name":"x","rules":["||a^"]}]}`)), abp.ErrSnapshotVersion},
 		"foreign":               {artifact.Seal([]byte(`{"format":"adwars-model","version":2}`)), abp.ErrSnapshotFormat},
-		"bad rule":              {artifact.SealSections([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("##[\n")}}), nil},
+		"bad rule":              {sealed([]byte(`{"format":"adwars-lists","version":6,"lists":[{"name":"x","rules":1}]}`+"\n"), []artifact.Section{{Name: "rules.0", Data: []byte("##[\n")}}), nil},
 		"not there":             {nil, os.ErrNotExist},
 	} {
 		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
@@ -247,4 +247,13 @@ func TestRefusesWhatItCannotVouchFor(t *testing.T) {
 			t.Errorf("%s: refused, and wrote %s all the same", name, out)
 		}
 	}
+}
+
+// sealed is artifact.SealSections into memory.
+func sealed(primary []byte, sections []artifact.Section) []byte {
+	var buf bytes.Buffer
+	if err := artifact.SealSections(&buf, primary, sections); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }

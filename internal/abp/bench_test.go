@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adwars/internal/alexa"
+	"adwars/internal/artifact"
 )
 
 // benchRules builds a realistic mixed rule set of n rules.
@@ -144,11 +145,11 @@ func BenchmarkCompilePhases(b *testing.B) {
 		{"placement", t.place},
 		{"fill+merge", func() { t.fill(len(l.rules)) }},
 		{"attach", func() {
-			var err error
-			if l.auto, err = openAutomaton(blob, len(l.rules), l.rulesCRC); err != nil {
-				b.Fatal(err)
+			w, err := walkRegion(blob, len(l.rules), l.rulesCRC, false)
+			if err == nil {
+				err = l.attach(w)
 			}
-			if err := l.attach(); err != nil {
+			if err != nil {
 				b.Fatal(err)
 			}
 		}},
@@ -157,6 +158,66 @@ func BenchmarkCompilePhases(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.run()
+			}
+		})
+	}
+}
+
+// BenchmarkLoadPhases splits ParseListsSnapshot over a snapshot of
+// easyMixLines' 70 k rules into its phases, each timed and its bytes counted
+// on its own: the seal (trailer, frames and section checksums), the header
+// document, the strict rule parse, opening the automaton region, the walk
+// over its states, filing the rules and deriving their guards, and the
+// page-domain index; then the whole load, in which the region's open and
+// walk run beside the rule parse.
+func BenchmarkLoadPhases(b *testing.B) {
+	rules, errs := ParseList(strings.Join(easyMixLines(1, 70_000), "\n"))
+	if len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	data, err := MarshalListsSnapshot(&ListsSnapshot{Lists: []*List{NewList("easy", rules)}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	primary, secs, _, err := artifact.OpenSections(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	text, region := secs[0], secs[1]
+	n := len(rules)
+	l := indexRules("easy", rules)
+	a, err := openAutomaton(region.Data, n, text.CRC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := walkStates(a, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.guards = make([]guard, n)
+	byDomain, err := l.file(w, 0, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []struct {
+		name string
+		run  func() error
+	}{
+		{"seal", func() error { _, _, _, err := artifact.OpenSections(data); return err }},
+		{"header", func() error { _, _, err := readHeader(primary); return err }},
+		{"rule-parse", func() error { _, err := ParseRulesSection(text.Data, n); return err }},
+		{"open", func() error { _, err := openAutomaton(region.Data, n, text.CRC); return err }},
+		{"state-walk", func() error { _, err := walkStates(a, true); return err }},
+		{"file+guards", func() error { return l.attach(w) }},
+		{"domain-index", func() error { newDomainIndex(l.rules, byDomain); return nil }},
+		{"whole", func() error { _, err := ParseListsSnapshot(data); return err }},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := p.run(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package abp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"adwars/internal/artifact"
@@ -78,63 +79,87 @@ func NewList(name string, rules []*Rule) *List {
 			l.rulesCRC = rulesChecksum(l.rules)
 			l.guards = ruleGuards(l.rules, kws)
 		})
-	l.auto = openBuilt(region, len(l.rules), l.rulesCRC)
-	if err := l.attach(); err != nil {
+	w, err := walkStates(openBuilt(region, len(l.rules), l.rulesCRC), false)
+	if err == nil {
+		err = l.attach(w)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("abp: internal: freshly compiled list failed validation: %v", err))
 	}
 	return l
 }
 
-// NewListAttached is NewList for the snapshot load path, which carries the
-// list's serialized automaton region: instead of rebuilding the probe
-// automaton from the rules (O(rules·keyword)), region is validated and
-// attached (O(states) bounds checks, in place over the caller's buffer), and
-// what it files is re-derived from its own output sets (see attach). rulesCRC
-// is the checksum of the rules' text (rulesChecksum), which the caller
-// already has: the snapshot loader parsed the rules out of a section whose
-// frame checksum is that value by definition, so the text is not summed again
-// here. The region must have been compiled from exactly these rules — a
-// checksum mismatch, any structural damage, or a rule the region files twice,
-// under a run its pattern does not have, or not at all where the page-domain
-// index cannot serve it is refused with an error wrapping artifact.ErrCorrupt.
+// NewListAttached is NewList for a serialized automaton region: instead of
+// rebuilding the probe automaton from the rules (O(rules·keyword)), region
+// is validated and attached (O(states) bounds checks, in place over the
+// caller's buffer), and what it files is re-derived from its own output sets
+// — walkRegion, then attach, the two halves the snapshot loader runs apart,
+// the walk beside the rule parse. rulesCRC is the checksum of the rules'
+// text (rulesChecksum), which the caller already has: the snapshot loader
+// parsed the rules out of a section whose frame checksum is that value by
+// definition, so the text is not summed again here. The region must have
+// been compiled from exactly these rules — a checksum mismatch, any
+// structural damage, or a rule the region files twice, under a run its
+// pattern does not have, or not at all where the page-domain index cannot
+// serve it is refused with an error wrapping artifact.ErrCorrupt.
 func NewListAttached(name string, rules []*Rule, rulesCRC uint64, region []byte) (*List, error) {
 	l := indexRules(name, rules)
 	l.rulesCRC = rulesCRC
-	var err error
-	if l.auto, err = openAutomaton(region, len(l.rules), l.rulesCRC); err != nil {
+	w, err := walkRegion(region, len(l.rules), rulesCRC, true)
+	if err != nil {
 		return nil, err
 	}
-	if err := l.attach(); err != nil {
+	if err := l.attach(w); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// attach validates the attached automaton against the rules and installs the
-// page-domain index and, on a load, the guards. What the automaton files is
-// read off the automaton itself — a rule is filed where a state lists it under
-// a keyword of its own, or in the generic array — so no membership table needs
-// serializing: the region is self-describing. Guards a compile already has (of
-// the selection its region was built from) are kept; a load derives them here,
-// from the run each rule is found filed under, which is also where a rule
-// filed under a run its pattern does not have is caught.
-func (l *List) attach() error {
+// walked is what walkRegion reads off an automaton region: the automaton,
+// and by ordinal where each rule is filed. at[o] is 0 for a rule the
+// automaton does not hold and filedGeneric for one of its generic array;
+// a rule filed under a keyword has, on a load, the index plus one in spelled
+// of where that keyword begins (automaton.spelling, each ended by a 0: no
+// symbol), and filedKeyword on a compile, whose guards are known already.
+type walked struct {
+	auto    *automaton
+	at      []uint32
+	spelled []byte
+	derive  bool
+}
+
+const (
+	filedKeyword = 1
+	filedGeneric = ^uint32(0)
+)
+
+// walkRegion opens region (openAutomaton) and walks its states. What the
+// automaton files is read off the automaton itself — a rule is filed where a
+// state lists it under a keyword of its own, or in the generic array — so no
+// membership table needs serializing: the region is self-describing. It
+// needs the rule count and checksum only, not the rules, so a load runs it
+// while the rules are parsed. derive asks for the keywords a load derives
+// guards from.
+func walkRegion(region []byte, numRules int, rulesCRC uint64, derive bool) (*walked, error) {
+	a, err := openAutomaton(region, numRules, rulesCRC)
+	if err != nil {
+		return nil, err
+	}
+	return walkStates(a, derive)
+}
+
+// walkStates is walkRegion's walk over an opened automaton. A state's own
+// rules lead its output list, ahead of the lists merged in down its fail
+// chain, so each rule is met once, at the state its keyword spells. The
+// generic array is marked after the states, which must not list its rules.
+func walkStates(a *automaton, derive bool) (*walked, error) {
 	corrupt := func(format string, args ...any) error {
 		return artifact.Corruptf("filing-invalid", format, args...)
 	}
-	// Only a load has guards to derive. For that, spelled collects the keyword
-	// of every state that files a rule (automaton.spelling, each ended by a 0:
-	// no symbol) and at[o] is where rule o's begins, plus one.
-	guards, at, spelled := l.guards, []uint32(nil), []byte(nil)
-	if guards == nil {
-		guards, at = make([]guard, len(l.rules)), make([]uint32, len(l.rules))
-		spelled = make([]byte, 0, 8*len(l.rules))
+	w := &walked{auto: a, at: make([]uint32, a.numRules), derive: derive}
+	if derive {
+		w.spelled = make([]byte, 0, 8*len(w.at))
 	}
-	// filed marks the rules the automaton holds. A state's own rules lead its
-	// output list, ahead of the lists merged in down its fail chain, so each
-	// rule is met once, at the state its keyword spells. The generic array is
-	// marked after the states, which must not list its rules.
-	a, filed := l.auto, make([]bool, len(l.rules))
 	for s, f := range a.fail {
 		lo, hi := a.outIdx[s], a.outIdx[s+1]
 		if lo == hi {
@@ -142,57 +167,90 @@ func (l *List) attach() error {
 		}
 		merged := a.outIdx[f+1] - a.outIdx[f]
 		if merged > hi-lo {
-			return corrupt("state %d lists fewer rules than its fail state %d", s, f)
+			return nil, corrupt("state %d lists fewer rules than its fail state %d", s, f)
 		}
 		hi -= merged
-		begins := uint32(len(spelled) + 1)
-		if hi > lo && at != nil {
-			spelled = append(a.spelling(spelled, uint32(s)), 0)
+		begins := uint32(filedKeyword)
+		if hi > lo && derive {
+			begins = uint32(len(w.spelled) + 1)
+			w.spelled = append(a.spelling(w.spelled, uint32(s)), 0)
 		}
 		for _, o := range a.outputs[lo:hi] {
-			if filed[o] {
-				return corrupt("rule %d filed twice", o)
+			if w.at[o] != 0 {
+				return nil, corrupt("rule %d filed twice", o)
 			}
-			filed[o] = true
-			if at != nil {
-				at[o] = begins
-			}
+			w.at[o] = begins
 		}
 	}
 	for _, g := range a.generic {
-		if filed[g] {
-			return corrupt("rule %d filed twice", g)
+		if w.at[g] != 0 {
+			return nil, corrupt("rule %d filed twice", g)
 		}
-		filed[g] = true
+		w.at[g] = filedGeneric
 	}
-	var byDomain []uint32
-	for ord, r := range l.rules {
-		if at != nil && at[ord] != 0 {
+	return w, nil
+}
+
+// attach files the list's rules as the walk found them: it validates the
+// walked automaton against the rules and installs it, the page-domain index
+// and, on a load, the guards. Guards a compile already has (of the selection
+// its region was built from) are kept; a load derives them here, from the
+// run each rule is found filed under, which is also where a rule filed under
+// a run its pattern does not have is caught. Above parallelRules rules the
+// rules are filed on every core, a range each, and the page-domain rules
+// and the first error joined in range order.
+func (l *List) attach(w *walked) error {
+	if w.derive {
+		l.guards = make([]guard, len(l.rules))
+	}
+	k := compileWorkers(len(l.rules))
+	byDomain, errs := make([][]uint32, k), make([]error, k)
+	eachChunk(k, len(l.rules), func(c, lo, hi int) {
+		byDomain[c], errs[c] = l.file(w, lo, hi)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	l.auto, l.dom = w.auto, newDomainIndex(l.rules, slices.Concat(byDomain...))
+	return nil
+}
+
+// file checks where the walk found rules lo to hi-1 filed and, on a load,
+// derives their guards. It returns the ordinals of those the page-domain
+// index serves, in order, or the error of the first that is filed wrongly.
+func (l *List) file(w *walked, lo, hi int) (byDomain []uint32, err error) {
+	corrupt := func(format string, args ...any) error {
+		return artifact.Corruptf("filing-invalid", format, args...)
+	}
+	for ord := lo; ord < hi; ord++ {
+		r, at := l.rules[ord], w.at[ord]
+		if w.derive && at != 0 && at != filedGeneric {
 			// The keyword a rule is found filed under must be a run of its
 			// pattern, and the run's context there is the rule's guard. The
 			// states were walked in their order and the rules are read in
 			// theirs, so that neither the region nor the rule text is jumped
 			// about in.
-			kw := spelled[at[ord]-1:]
+			kw := w.spelled[at-1:]
 			if span, ok := findRun(r.Pattern, kw); ok {
-				guards[ord] = ruleGuard(r.Pattern, span)
+				l.guards[ord] = ruleGuard(r.Pattern, span)
 			} else if _, ok := findRun(strings.ToLower(r.Pattern), kw); !ok {
 				// (A region compiled before the folding rule drew its runs
 				// from the Unicode-lowered pattern — DESIGN §12 — and is
 				// served as it was, unguarded.)
-				return corrupt("rule %d is filed under a run its pattern does not have", ord)
+				return nil, corrupt("rule %d is filed under a run its pattern does not have", ord)
 			}
 		}
 		switch {
-		case !r.IsHTTP() || filed[ord]:
+		case !r.IsHTTP() || at != 0:
 		case r.nDomains > 0:
 			byDomain = append(byDomain, uint32(ord))
 		default:
-			return corrupt("HTTP rule %d is in no automaton", ord)
+			return nil, corrupt("HTTP rule %d is in no automaton", ord)
 		}
 	}
-	l.guards, l.dom = guards, newDomainIndex(l.rules, byDomain)
-	return nil
+	return byDomain, nil
 }
 
 // indexRules is what both constructors share: the servable rules, in

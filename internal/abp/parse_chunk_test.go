@@ -19,7 +19,7 @@ func parseLinesSerial(body string, strict bool) (rules []*Rule, errs []error) {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
 		r := &slab[len(rules)]
-		err := r.parse(line)
+		err := r.parse(line, nil)
 		if err == nil {
 			rules = append(rules, r)
 			continue

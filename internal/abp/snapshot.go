@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -105,43 +106,69 @@ type snapshotHeader struct {
 
 // MarshalListsSnapshot returns the snapshot as a sealed file: the header
 // document, then per list its rules section and its automaton section. A
-// rule whose Raw
-// holds a newline or a NUL (no parsed line does; a hand-built rule can) is an
-// error: the loader would read back different rules, or none.
+// rule whose Raw holds a newline or a NUL (no parsed line does; a hand-built
+// rule can) is an error: the loader would read back different rules, or
+// none. SaveListsSnapshot writes the same bytes, sealed straight into the
+// file.
 func MarshalListsSnapshot(s *ListsSnapshot) ([]byte, error) {
+	primary, sections, err := listsSections(s)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := artifact.SealSections(&buf, primary, sections); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// listsSections is the snapshot as artifact.SealSections frames it: the
+// header document and the sections, in order.
+func listsSections(s *ListsSnapshot) (primary []byte, sections []artifact.Section, err error) {
 	headers := make([]listHeader, len(s.Lists))
-	sections := make([]artifact.Section, 0, 2*len(s.Lists))
+	sections = make([]artifact.Section, 0, 2*len(s.Lists))
 	for i, l := range s.Lists {
-		size := 0
-		for _, r := range l.rules {
-			size += len(r.Raw) + 1
-		}
-		text := make([]byte, 0, size)
-		for _, r := range l.rules {
-			text = append(append(text, r.Raw...), '\n')
-		}
+		// The region is summed while the rule text is assembled; the text's
+		// sum is the list's rulesCRC.
+		var text []byte
+		var regionCRC uint64
+		overlapped(len(l.rules), func() { text = ruleText(l.rules) },
+			func() { regionCRC = artifact.Checksum(l.AutomatonBytes()) })
 		if bytes.Count(text, []byte{'\n'}) != len(l.rules) || bytes.IndexByte(text, 0) >= 0 {
-			return nil, fmt.Errorf("abp: snapshot list %q: a rule line holds a newline or a NUL byte", l.Name)
+			return nil, nil, fmt.Errorf("abp: snapshot list %q: a rule line holds a newline or a NUL byte", l.Name)
 		}
 		headers[i] = listHeader{Name: l.Name, Rules: len(l.rules)}
 		sections = append(sections,
 			artifact.Section{Name: sectionName(rulesSection, i), Data: text, CRC: l.rulesCRC},
-			artifact.Section{Name: sectionName(automatonSection, i), Data: l.AutomatonBytes()})
+			artifact.Section{Name: sectionName(automatonSection, i), Data: l.AutomatonBytes(), CRC: regionCRC})
 	}
 	lists, err := json.Marshal(headers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	primary, err := json.Marshal(snapshotHeader{
+	primary, err = json.Marshal(snapshotHeader{
 		Format:  ListsSnapshotFormat,
 		Version: ListsSnapshotVersion,
 		Label:   s.Label,
 		Lists:   lists,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return artifact.SealSections(append(primary, '\n'), sections), nil
+	return append(primary, '\n'), sections, nil
+}
+
+// ruleText is the rules section of a list: each rule's Raw, newline-ended.
+func ruleText(rules []*Rule) []byte {
+	size := 0
+	for _, r := range rules {
+		size += len(r.Raw) + 1
+	}
+	text := make([]byte, 0, size)
+	for _, r := range rules {
+		text = append(append(text, r.Raw...), '\n')
+	}
+	return text
 }
 
 // The two kinds of section; list i's are named kind + "." + i.
@@ -167,20 +194,9 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("abp: lists snapshot: %w", err)
 	}
-	var doc snapshotHeader
-	if err := json.Unmarshal(primary, &doc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-	}
-	if doc.Format != ListsSnapshotFormat {
-		return nil, fmt.Errorf("%w: format %q", ErrSnapshotFormat, doc.Format)
-	}
-	if doc.Version != ListsSnapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads %d; a schema-%d file converts with adwars-compact -lists OLD -out NEW, an older one first through an earlier release's adwars-compact)",
-			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion, ListsSnapshotVersion-1)
-	}
-	var headers []listHeader
-	if err := json.Unmarshal(doc.Lists, &headers); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	doc, headers, err := readHeader(primary)
+	if err != nil {
+		return nil, err
 	}
 	malformed := func(format string, args ...any) error {
 		return fmt.Errorf("abp: lists snapshot: %w", sectionMalformed(format, args...))
@@ -209,14 +225,7 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 		if !ok {
 			return nil, malformed("list %q has no %s section", h.Name, sectionName(automatonSection, i))
 		}
-		rules, err := ParseRulesSection(text.Data, h.Rules)
-		if err != nil {
-			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
-		}
-		// text.CRC is artifact.Checksum of the rule lines, verified against
-		// these very bytes a moment ago — which is rulesChecksum of the rules
-		// just parsed from them, line for line.
-		l, err := NewListAttached(h.Name, rules, text.CRC, region.Data)
+		l, err := loadList(h, text, region.Data)
 		if err != nil {
 			return nil, fmt.Errorf("abp: snapshot list %q: %w", h.Name, err)
 		}
@@ -230,33 +239,76 @@ func ParseListsSnapshot(data []byte) (*ListsSnapshot, error) {
 	return out, nil
 }
 
+// readHeader decodes the header document: the snapshot's format, version
+// and label, and what it says of each list.
+func readHeader(primary []byte) (doc snapshotHeader, headers []listHeader, err error) {
+	if err := json.Unmarshal(primary, &doc); err != nil {
+		return doc, nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	if doc.Format != ListsSnapshotFormat {
+		return doc, nil, fmt.Errorf("%w: format %q", ErrSnapshotFormat, doc.Format)
+	}
+	if doc.Version != ListsSnapshotVersion {
+		return doc, nil, fmt.Errorf("%w: version %d (this build reads %d; a schema-%d file converts with adwars-compact -lists OLD -out NEW, an older one first through an earlier release's adwars-compact)",
+			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion, ListsSnapshotVersion-1)
+	}
+	if err := json.Unmarshal(doc.Lists, &headers); err != nil {
+		return doc, nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	return doc, headers, nil
+}
+
 func sectionMalformed(format string, args ...any) error {
 	return artifact.Corruptf("section-malformed", format, args...)
+}
+
+// loadList builds one list of a snapshot from its rules section and its
+// automaton region. The region is opened and walked (walkRegion) while the
+// rules are parsed: the walk needs the rule count and the checksum, and the
+// section's line count, checked first, is the rule count. A rules section
+// that breaks the strict line rule is refused for that, ahead of anything
+// wrong with the region, as when the two ran one after the other.
+func loadList(h listHeader, text artifact.Section, region []byte) (*List, error) {
+	chunks, lines, err := cutRulesSection(text.Data, h.Rules)
+	if err != nil {
+		return nil, err
+	}
+	var rules []*Rule
+	var errs []error
+	var w *walked
+	var walkErr error
+	overlapped(lines,
+		func() { rules, errs = parseLines(chunks, lines, true) },
+		func() { w, walkErr = walkRegion(region, lines, text.CRC, true) })
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	if walkErr != nil {
+		return nil, walkErr
+	}
+	// text.CRC is artifact.Checksum of the rule lines, verified against
+	// these very bytes a moment ago — which is rulesChecksum of the rules
+	// just parsed from them, line for line. Every line is a rule, so the
+	// list holds them all and the walk's count was the list's.
+	l := indexRules(h.Name, rules)
+	l.rulesCRC = text.CRC
+	if err := l.attach(w); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // ParseRulesSection reads one rules section under the strict line rule
 // (see the comment at the top of the file): want lines, every one of them a
 // rule. The rules alias text. A section that is not want newline-terminated
 // lines of text is section-malformed; a line that is no rule is that line's
-// parse error. The loader reads every list through it, and adwars-compact the
-// rules sections of an older schema that kept them the same way.
+// parse error. adwars-compact reads the rules sections of an older schema
+// that kept them the same way through it; the loader runs its two halves,
+// cutRulesSection and the strict parse, apart.
 func ParseRulesSection(text []byte, want int) ([]*Rule, error) {
-	if bytes.IndexByte(text, 0) >= 0 {
-		return nil, sectionMalformed("rules section holds a NUL byte")
-	}
-	if len(text) > 0 && text[len(text)-1] != '\n' {
-		return nil, sectionMalformed("rules section does not end in a newline")
-	}
-	var chunks []lineChunk
-	lines := 0
-	if len(text) > 0 {
-		chunks, lines = cutLines(textView(text[:len(text)-1]))
-	}
-	if lines != want {
-		return nil, sectionMalformed("rules section holds %d lines, header says %d rules", lines, want)
-	}
-	if lines == 0 {
-		return nil, nil
+	chunks, lines, err := cutRulesSection(text, want)
+	if err != nil {
+		return nil, err
 	}
 	rules, errs := parseLines(chunks, lines, true)
 	if len(errs) > 0 {
@@ -265,14 +317,37 @@ func ParseRulesSection(text []byte, want int) ([]*Rule, error) {
 	return rules, nil
 }
 
+// cutRulesSection checks that text is want newline-terminated lines of
+// text, and cuts them into chunks for parseLines.
+func cutRulesSection(text []byte, want int) (chunks []lineChunk, lines int, err error) {
+	if bytes.IndexByte(text, 0) >= 0 {
+		return nil, 0, sectionMalformed("rules section holds a NUL byte")
+	}
+	if len(text) > 0 && text[len(text)-1] != '\n' {
+		return nil, 0, sectionMalformed("rules section does not end in a newline")
+	}
+	if len(text) > 0 {
+		chunks, lines = cutLines(textView(text[:len(text)-1]))
+	}
+	if lines != want {
+		return nil, 0, sectionMalformed("rules section holds %d lines, header says %d rules", lines, want)
+	}
+	return chunks, lines, nil
+}
+
 // SaveListsSnapshot writes the snapshot to path atomically (temp file +
-// rename) so hot-reloading readers never observe a torn file.
+// rename) so hot-reloading readers never observe a torn file. The file is
+// MarshalListsSnapshot's bytes, sealed straight into the temp file
+// (artifact.WriteAtomic), so no sealed copy of it is assembled in memory; a
+// snapshot that cannot be written leaves no temp file behind.
 func SaveListsSnapshot(path string, s *ListsSnapshot) error {
-	data, err := MarshalListsSnapshot(s)
+	primary, sections, err := listsSections(s)
 	if err != nil {
 		return err
 	}
-	return artifact.WriteFileAtomic(path, data, 0o644)
+	return artifact.WriteAtomic(path, 0o644, func(w io.Writer) error {
+		return artifact.SealSections(w, primary, sections)
+	})
 }
 
 // SaveListsSnapshotCompiled is SaveListsSnapshot.

@@ -75,7 +75,7 @@ func snapshotFuzzSeeds(t testing.TB, file []byte) [][]byte {
 		for i := range names {
 			secs[i] = artifact.Section{Name: names[i].Name, Data: data[i].Data}
 		}
-		p, _, err := artifact.OpenVersion(artifact.SealSections(primary, secs))
+		p, _, err := artifact.OpenVersion(sealed(primary, secs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func FuzzReadListsSnapshot(f *testing.F) {
 				}
 				patched[k] = artifact.Section{Name: s.Name, Data: d}
 			}
-			load(artifact.SealSections(primary, patched), assert)
+			load(sealed(primary, patched), assert)
 		}
 	})
 }

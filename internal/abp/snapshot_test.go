@@ -331,7 +331,7 @@ func reframeUnder(t *testing.T, file []byte, header func([]byte) []byte, edit fu
 			edited = append(edited, artifact.Section{Name: out.Name, Data: out.Data})
 		}
 	}
-	return artifact.SealSections(header(bytes.Clone(primary)), edited)
+	return sealed(header(bytes.Clone(primary)), edited)
 }
 
 // without is the reframe edit that leaves out the named sections.
@@ -571,7 +571,7 @@ func parentV4AsCurrent(t testing.TB) []byte {
 		}
 	}
 	region := buildAutomaton(lowered, kws, nil, crc).Bytes()
-	return artifact.SealSections([]byte(header), []artifact.Section{
+	return sealed([]byte(header), []artifact.Section{
 		{Name: "rules.0", Data: []byte(text)}, {Name: "automaton.0", Data: region}})
 }
 
@@ -633,4 +633,13 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			t.Errorf("snapshot: section %s has crc %016x, pinned %016x", sec.Name, sec.CRC, want)
 		}
 	}
+}
+
+// sealed is artifact.SealSections into memory.
+func sealed(primary []byte, sections []artifact.Section) []byte {
+	var buf bytes.Buffer
+	if err := artifact.SealSections(&buf, primary, sections); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -118,18 +119,19 @@ const trailerBound = 96
 // The payload should end with '\n' (JSON encoders do); if it does not, a
 // newline is inserted so the trailer stays on its own line.
 func Seal(payload []byte) []byte {
-	return appendTrailer(append(make([]byte, 0, len(payload)+trailerBound), payload...), Checksum(payload))
+	return appendTrailer(append(make([]byte, 0, len(payload)+trailerBound), payload...), 0, Checksum(payload))
 }
 
-// appendTrailer is Seal in place, given crc, the payload's checksum: the
-// trailer goes behind payload in payload's own backing array when that has
-// the room.
-func appendTrailer(payload []byte, crc uint64) []byte {
-	n := len(payload)
-	if n > 0 && payload[n-1] != '\n' {
-		payload = append(payload, '\n')
+// appendTrailer is Seal in place, given crc, the payload's checksum, for a
+// payload whose first written bytes have gone elsewhere and whose rest is
+// tail: the trailer goes behind tail in tail's own backing array when that
+// has the room.
+func appendTrailer(tail []byte, written int, crc uint64) []byte {
+	n := written + len(tail)
+	if len(tail) > 0 && tail[len(tail)-1] != '\n' {
+		tail = append(tail, '\n')
 	}
-	return fmt.Appendf(payload, "%sv%d len=%d crc64=%016x\n", TrailerPrefix, TrailerVersion, n, crc)
+	return fmt.Appendf(tail, "%sv%d len=%d crc64=%016x\n", TrailerPrefix, TrailerVersion, n, crc)
 }
 
 // OpenVersion splits data into payload and trailer and verifies the
@@ -202,12 +204,22 @@ func Version(data []byte) (string, error) {
 // directory plus rename, so concurrent readers (hot-reloading replicas,
 // portfile-polling scripts) never observe a torn file.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return WriteAtomic(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteAtomic is WriteFileAtomic for a file that write streams into the temp
+// file. When write, or anything after it, fails, the temp file is removed
+// and path is left as it was.
+func WriteAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

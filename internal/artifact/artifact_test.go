@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -181,7 +182,7 @@ func TestSealSections(t *testing.T) {
 			want = appendSection(want, sec.Name, sec.Data, Checksum(sec.Data))
 			size += len(sec.Name) + len(sec.Data) + sectionBound
 		}
-		got := SealSections(primary, secs)
+		got := sealedInto(make([]byte, 0, size), primary, secs)
 		if !bytes.Equal(got, Seal(want)) {
 			t.Fatalf("%d sections: SealSections differs from appendSection + Seal", len(secs))
 		}
@@ -222,12 +223,12 @@ func TestOpenSectionsRefusesWrappingLength(t *testing.T) {
 func TestSealSectionsTrustsGivenCRC(t *testing.T) {
 	primary := []byte("{\"doc\":true}\n")
 	data := bytes.Repeat([]byte("||ads.example^\n"), 100)
-	right := SealSections(primary, []Section{{Name: "rules.0", Data: data}})
-	if given := SealSections(primary, []Section{{Name: "rules.0", Data: data, CRC: Checksum(data)}}); !bytes.Equal(given, right) {
+	right := sealed(primary, []Section{{Name: "rules.0", Data: data}})
+	if given := sealed(primary, []Section{{Name: "rules.0", Data: data, CRC: Checksum(data)}}); !bytes.Equal(given, right) {
 		t.Fatal("sealing with the right CRC given differs from sealing with none")
 	}
 	for _, crc := range []uint64{Checksum(data) ^ 1, Checksum(data[1:]), 0xdeadbeef} {
-		sealed := SealSections(primary, []Section{
+		sealed := sealed(primary, []Section{
 			{Name: "automaton.0", Data: []byte("automaton bytes")},
 			{Name: "rules.0", Data: data, CRC: crc},
 		})
@@ -316,18 +317,18 @@ func benchSections() (primary []byte, sections []Section) {
 // summed once, the rule text not at all, the trailer derived.
 func BenchmarkSealSections(b *testing.B) {
 	primary, sections := benchSections()
-	b.SetBytes(int64(len(SealSections(primary, sections))))
+	b.SetBytes(int64(len(sealed(primary, sections))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SealSections(primary, sections)
+		sealed(primary, sections)
 	}
 }
 
 // BenchmarkOpenSections measures opening it: every section framed and
 // summed once, the trailer checked against the folded sums.
 func BenchmarkOpenSections(b *testing.B) {
-	file := SealSections(benchSections())
+	file := sealed(benchSections())
 	b.SetBytes(int64(len(file)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -342,4 +343,48 @@ func BenchmarkOpenSections(b *testing.B) {
 func open(data []byte) ([]byte, error) {
 	payload, _, err := OpenVersion(data)
 	return payload, err
+}
+
+// sealed is SealSections into memory.
+func sealed(primary []byte, sections []Section) []byte {
+	return sealedInto(nil, primary, sections)
+}
+
+// sealedInto is SealSections into a buffer over dst.
+func sealedInto(dst []byte, primary []byte, sections []Section) []byte {
+	buf := bytes.NewBuffer(dst)
+	if err := SealSections(buf, primary, sections); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// appendSection appends a framed section to a payload under construction,
+// one step of what SealSections streams: the oracle TestSealSections holds
+// it to.
+func appendSection(payload []byte, name string, data []byte, crc uint64) []byte {
+	return append(append(appendHeader(payload, 0, name, len(data), crc), data...), '\n')
+}
+
+// TestOpenSectionsBelowThresholdStartsNoGoroutine: sections under
+// parallelSum bytes are summed on the calling goroutine alone, on any number
+// of cores; two of parallelSum bytes are summed at once.
+func TestOpenSectionsBelowThresholdStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		size int
+		some bool
+	}{{parallelSum - 1, false}, {parallelSum, true}} {
+		file := sealed([]byte("{}\n"), []Section{
+			{Name: "rules.0", Data: bytes.Repeat([]byte{'r'}, c.size)},
+			{Name: "automaton.0", Data: bytes.Repeat([]byte{'a'}, c.size)},
+		})
+		before := goroutinesStarted.Load()
+		if _, secs, _, err := OpenSections(file); err != nil || len(secs) != 2 {
+			t.Fatalf("%d-byte sections: %d sections, err %v", c.size, len(secs), err)
+		}
+		if n := goroutinesStarted.Load() - before; (n > 0) != c.some {
+			t.Errorf("two %d-byte sections: %d goroutines started", c.size, n)
+		}
+	}
 }

@@ -182,7 +182,7 @@ func listsSnapshot() (file []byte, sections []Section) {
 			Section{Name: fmt.Sprintf("automaton.%d", i), Data: whole},
 			Section{Name: fmt.Sprintf("extra.%d", i), Data: extra})
 	}
-	return SealSections(primary, sections), sections
+	return sealed(primary, sections), sections
 }
 
 // FuzzOpenSections holds OpenSections to OpenVersion followed by the two-pass
@@ -285,7 +285,7 @@ func FuzzOpenSections(f *testing.F) {
 					i, s.Name, len(s.Data), s.CRC, w.Name, len(w.Data), w.CRC)
 			}
 		}
-		p2, s2, _, err := OpenSections(SealSections(primary, sections))
+		p2, s2, _, err := OpenSections(sealed(primary, sections))
 		if err != nil || !bytes.Equal(p2, primary) || len(s2) != len(sections) {
 			t.Fatalf("resealed: %d sections, err %v", len(s2), err)
 		}

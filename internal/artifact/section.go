@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc64"
+	"io"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Binary sections extend the artifact format with framed binary regions
@@ -58,63 +62,78 @@ type Section struct {
 	CRC  uint64
 }
 
-// appendSection appends a framed binary section to a payload under
-// construction and returns the extended payload; crc is the checksum of
-// data. name must be non-empty and free of spaces and control characters.
-func appendSection(payload []byte, name string, data []byte, crc uint64) []byte {
+// appendHeader appends to b what goes before a section's data: a
+// separating newline when b does not end in one, the header line and the
+// padding. base is the payload offset b starts at, so that the data lands
+// sectionAlign-aligned in the payload; n is the data's length and crc its
+// checksum. name must be non-empty and free of spaces and control
+// characters.
+func appendHeader(b []byte, base int, name string, n int, crc uint64) []byte {
 	if name == "" || strings.ContainsAny(name, " \t\n\r") {
 		panic(fmt.Sprintf("artifact: invalid section name %q", name))
 	}
-	if len(payload) > 0 && payload[len(payload)-1] != '\n' {
-		payload = append(payload, '\n')
+	if len(b) > 0 && b[len(b)-1] != '\n' {
+		b = append(b, '\n')
 	}
 	// The pad digit is always exactly one byte (0–7), so the header's
 	// length does not depend on the pad value and the alignment equation
 	// has a fixed point: compute the header once with pad=0, then set the
 	// real pad from the resulting data offset.
 	header := fmt.Sprintf("%sv%d name=%s len=%d pad=0 crc64=%016x\n",
-		SectionPrefix, SectionVersion, name, len(data), crc)
-	pad := (sectionAlign - (len(payload)+len(header))%sectionAlign) % sectionAlign
+		SectionPrefix, SectionVersion, name, n, crc)
+	pad := (sectionAlign - (base+len(b)+len(header))%sectionAlign) % sectionAlign
 	if pad != 0 {
 		header = strings.Replace(header, " pad=0 ", fmt.Sprintf(" pad=%d ", pad), 1)
 	}
-	payload = append(payload, header...)
+	b = append(b, header...)
 	for i := 0; i < pad; i++ {
-		payload = append(payload, 0)
+		b = append(b, 0)
 	}
-	payload = append(payload, data...)
-	payload = append(payload, '\n')
-	return payload
+	return b
 }
 
-// sectionBound is more than the framing appendSection puts around a
-// section's name and data: a separating newline, the header's fixed text
-// with a 19-digit length and 16 hex digits, seven bytes of padding and the
-// closing newline come to 87 bytes.
+// sectionBound is more than the framing appendHeader and the closing
+// newline put around a section's name and data: a separating newline, the
+// header's fixed text with a 19-digit length and 16 hex digits, seven bytes
+// of padding and the closing newline come to 87 bytes.
 const sectionBound = 96
 
-// SealSections returns primary followed by the sections, each framed as
-// appendSection frames it, and the integrity trailer: what Seal makes of
-// the payload appendSection builds, in one buffer sized from the section
-// lengths and filled once, with each section's data summed at most once.
-func SealSections(primary []byte, sections []Section) []byte {
-	n := len(primary) + trailerBound
-	for _, sec := range sections {
-		n += len(sec.Name) + len(sec.Data) + sectionBound
+// SealSections writes primary followed by the sections and the integrity
+// trailer to w: what Seal makes of primary with each section framed behind
+// it (appendHeader, the data, a newline). The framing goes through one small
+// buffer and each section's data straight to w, so nothing the size of the
+// file is assembled; each section's data is summed at most once (not at all
+// when its CRC is given), and the trailer's checksum folded from those sums.
+// A *bytes.Buffer is grown once, to a bound on the sealed length.
+func SealSections(w io.Writer, primary []byte, sections []Section) error {
+	if b, ok := w.(*bytes.Buffer); ok {
+		n := len(primary) + trailerBound
+		for _, sec := range sections {
+			n += len(sec.Name) + len(sec.Data) + sectionBound
+		}
+		b.Grow(n)
 	}
-	out := append(make([]byte, 0, n), primary...)
-	// crc is the checksum of out[:summed].
-	crc, summed := Checksum(primary), len(out)
+	// written bytes of the payload have gone to w and crc is their checksum;
+	// buf holds the payload bytes after them.
+	written, crc := 0, uint64(0)
+	buf := append(make([]byte, 0, len(primary)+sectionBound), primary...)
 	for _, sec := range sections {
 		if sec.CRC == 0 {
 			sec.CRC = Checksum(sec.Data)
 		}
-		out = appendSection(out, sec.Name, sec.Data, sec.CRC)
-		start := len(out) - len(sec.Data) - 1
-		crc = crcCombine(crc64.Update(crc, crcTable, out[summed:start]), sec.CRC, len(sec.Data))
-		summed = start + len(sec.Data)
+		buf = appendHeader(buf, written, sec.Name, len(sec.Data), sec.CRC)
+		crc = crcCombine(crc64.Update(crc, crcTable, buf), sec.CRC, len(sec.Data))
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(sec.Data); err != nil {
+			return err
+		}
+		written += len(buf) + len(sec.Data)
+		buf = append(buf[:0], '\n')
 	}
-	return appendTrailer(out, crc64.Update(crc, crcTable, out[summed:]))
+	_, err := w.Write(appendTrailer(buf, written, crc64.Update(crc, crcTable, buf)))
+	return err
 }
 
 // sectionMark locates the first section header: a header line always
@@ -125,9 +144,10 @@ func SealSections(primary []byte, sections []Section) []byte {
 var sectionMark = []byte("\n" + SectionPrefix)
 
 // OpenSections is OpenVersion plus the split of the payload into its
-// primary document and binary sections, in one pass over data: each
-// section's data is summed once and the sums are folded into the payload's
-// checksum. A file is refused for the reason OpenVersion followed by a walk of the
+// primary document and binary sections: every section is framed first, then
+// each section's data is summed once — those of parallelSum bytes or more on
+// separate cores — and the sums are folded into the payload's checksum. A
+// file is refused for the reason OpenVersion followed by a walk of the
 // sections would give (see the top of the file). Payloads with no sections
 // return (payload, nil, version, nil). Primary and every Data alias data.
 func OpenSections(data []byte) (primary []byte, sections []Section, version string, err error) {
@@ -142,31 +162,43 @@ func OpenSections(data []byte) (primary []byte, sections []Section, version stri
 		p = i + 1
 	}
 	primary = payload[:p]
-	// got is the checksum of payload[:p]; bad reports the first section
-	// whose data does not sum to its header's CRC.
-	got := Checksum(primary)
-	var bad, frameErr error
+	// framed holds every section whose frame was read, with the offset its
+	// data starts at; the last may lack its closing newline (frameErr).
+	var framed []Section
+	var starts []int
+	var frameErr error
 	for p < len(payload) {
 		sec, start, err := frameSection(payload, p)
 		if err != nil {
 			frameErr = err
 			break
 		}
-		sum := Checksum(sec.Data)
-		got = crcCombine(crc64.Update(got, crcTable, payload[p:start]), sum, len(sec.Data))
-		if sum != sec.CRC && bad == nil {
-			bad = Corruptf("section-checksum-mismatch",
-				"section %q data crc64 %016x, header says %016x (bit rot?)", sec.Name, sum, sec.CRC)
-		}
+		framed, starts = append(framed, sec), append(starts, start)
 		if p = start + len(sec.Data); payload[p] != '\n' {
 			frameErr = Corruptf("section-malformed", "section %q data not newline-terminated", sec.Name)
 			break
 		}
-		got = crc64.Update(got, crcTable, payload[p:p+1])
 		p++
-		sections = append(sections, sec)
+	}
+	sums := sectionSums(framed)
+	// got is the checksum of the payload up to p; bad reports the first
+	// section whose data does not sum to its header's CRC.
+	got, p := Checksum(primary), len(primary)
+	var bad error
+	for i, sec := range framed {
+		if sums[i] != sec.CRC && bad == nil {
+			bad = Corruptf("section-checksum-mismatch",
+				"section %q data crc64 %016x, header says %016x (bit rot?)", sec.Name, sums[i], sec.CRC)
+		}
+		if frameErr == nil {
+			got = crcCombine(crc64.Update(got, crcTable, payload[p:starts[i]]), sums[i], len(sec.Data))
+			p = starts[i] + len(sec.Data)
+			got = crc64.Update(got, crcTable, payload[p:p+1])
+			p++
+		}
 	}
 	if frameErr != nil {
+		// When a frame is broken there is nothing to fold.
 		got = Checksum(payload)
 	}
 	switch {
@@ -177,9 +209,52 @@ func OpenSections(data []byte) (primary []byte, sections []Section, version stri
 	case frameErr != nil:
 		err = frameErr
 	default:
-		return primary, sections, fmt.Sprintf("%016x", want), nil
+		return primary, framed, fmt.Sprintf("%016x", want), nil
 	}
 	return nil, nil, "", err
+}
+
+// parallelSum is the section length from which OpenSections sums a section
+// on a core of its own, beside the others: a smaller one sums in well under
+// a millisecond, less than a goroutine would save.
+const parallelSum = 1 << 18
+
+// goroutinesStarted counts the goroutines sectionSums has started.
+var goroutinesStarted atomic.Int64
+
+// sectionSums returns the checksum of each section's data. The sections of
+// parallelSum bytes or more are dealt out in turn to up to GOMAXPROCS
+// workers, the caller the first of them; the caller sums the rest.
+func sectionSums(sections []Section) []uint64 {
+	sums := make([]uint64, len(sections))
+	var large []int
+	for i, sec := range sections {
+		if len(sec.Data) >= parallelSum {
+			large = append(large, i)
+		}
+	}
+	k := max(1, min(runtime.GOMAXPROCS(0), len(large)))
+	var wg sync.WaitGroup
+	for w := 1; w < k; w++ {
+		goroutinesStarted.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := w; j < len(large); j += k {
+				sums[large[j]] = Checksum(sections[large[j]].Data)
+			}
+		}()
+	}
+	for j, i := 0, 0; i < len(sections); i++ {
+		if j < len(large) && large[j] == i {
+			if j++; (j-1)%k != 0 {
+				continue
+			}
+		}
+		sums[i] = Checksum(sections[i].Data)
+	}
+	wg.Wait()
+	return sums
 }
 
 // frameSection reads the header of the section at payload[p:] and checks

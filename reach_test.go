@@ -24,6 +24,8 @@ import (
 var keptOnPurpose = map[string]string{
 	"adwars/internal/abp.List.MatchingHTTPRulesLinear":          "the all-matches reference oracle of the differential tests",
 	"adwars/internal/abp.Rule.MatchRequest":                     "one rule against one request: the matcher's test entry point",
+	"adwars/internal/abp.NewListAttached":                       "one list attached to a region outside a snapshot file (walkRegion, then attach, as the loader runs them apart): what the filing and guard tests drive",
+	"adwars/internal/abp.MarshalListsSnapshot":                  "the snapshot sealed into memory: the bytes SaveListsSnapshot streams into its file, which the snapshot tests and fuzz seeds read without one",
 	"adwars/internal/abp.KindInvalid":                           "the zero Kind, which a line that does not parse carries; tests name it",
 	"adwars/internal/jsast.Tokenize":                            "the lexer's test entry point, held to the reference lexer",
 	"adwars/internal/ml.TrainSVM":                               "the base learner alone, as the SVM tests train it",
