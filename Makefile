@@ -51,7 +51,7 @@ loc:
 # tree has grown past LOC_CEILING. A PR that needs more room raises the
 # number here, in its own diff, where a reviewer sees it; one that shrinks
 # the tree lowers it to its result.
-LOC_CEILING = 24926
+LOC_CEILING = 24253
 loc-check:
 	@n=$$($(LOC)); if [ $$n -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$n non-test Go lines, ceiling $(LOC_CEILING): raise LOC_CEILING in the Makefile if the growth is meant"; exit 1; fi

@@ -9,7 +9,7 @@
 //	adwars-loadgen -target http://127.0.0.1:8080 [-rate N] [-concurrency C]
 //	               [-duration D] [-jitter F] [-classify-frac F]
 //	               [-lists snapshot.json] [-seed S] [-chaos] [-fault-frac F]
-//	               [-check gate,gate,...] [-degrade-url URL,URL,...]
+//	               [-check gate,gate,...]
 //	adwars-loadgen -target URL -probe
 //
 // -rate is the aggregate request rate across all workers (0 = unthrottled);
@@ -27,9 +27,8 @@
 //
 // Every response is entered into one ledger: what it became (2xx, 429,
 // other 4xx, unexplained 5xx, recovered-panic 5xx, transport abort) and a
-// tally keyed by HTTP status, by answering replica (X-Adwars-Replica,
-// behind a gateway) and by brownout level (X-Adwars-Degrade). The summary
-// prints all of it.
+// tally keyed by HTTP status and by answering replica (X-Adwars-Replica,
+// behind a gateway). The summary prints all of it.
 //
 // -chaos turns a -fault-frac fraction of requests hostile: malformed JSON,
 // oversized bodies, slow-trickle uploads, and mid-body aborts, mixed with
@@ -46,7 +45,6 @@
 //	ledger     some 2xx, zero unexplained 5xx, every request accounted for
 //	usage      /admin/usage hit delta == match verdicts parsed by this run
 //	analytics  /admin/analytics total deltas == verdicts parsed by this run
-//	degrade    each -degrade-url replica climbed >= L1, is back at L0, no flap
 //	failovers  the gateway at -target reports failovers >= 1
 //
 // usage and analytics need a server nobody else is talking to and are
@@ -79,7 +77,6 @@ import (
 	"adwars/internal/analytics"
 	"adwars/internal/antiadblock"
 	"adwars/internal/chassis"
-	"adwars/internal/degrade"
 )
 
 const (
@@ -93,7 +90,6 @@ const (
 const (
 	byStatus  = "status"
 	byReplica = "replica"
-	byDegrade = "degrade level"
 	byVerdict = "verdict"
 )
 
@@ -113,12 +109,11 @@ type counters struct {
 	backoffTotal time.Duration
 	matchHits    int64 // list verdicts != "no-match" parsed from 2xx /v1/match bodies (usage gate)
 	latencies    []time.Duration
-	// tally attributes answered requests by HTTP status, by the
+	// tally attributes answered requests by HTTP status and by the
 	// X-Adwars-Replica header (behind a gateway: the balance across the
-	// fleet) and by the X-Adwars-Degrade header (how much of the run was
-	// served at each brownout level), and holds the analytics gate's
-	// ledger: per-"kind/verdict" counts parsed from 2xx bodies, in the key
-	// space of the server's /admin/analytics totals.
+	// fleet), and holds the analytics gate's ledger: per-"kind/verdict"
+	// counts parsed from 2xx bodies, in the key space of the server's
+	// /admin/analytics totals.
 	tally map[tallyKey]int64
 }
 
@@ -150,7 +145,7 @@ func (c *counters) add(o *counters) {
 }
 
 // by returns one dimension of the tally: its counts, and their keys in
-// sorted order (statuses ascending, levels in ladder order).
+// sorted order.
 func (c *counters) by(dim string) (keys []string, counts map[string]int64) {
 	counts = make(map[string]int64)
 	for k, v := range c.tally {
@@ -166,11 +161,10 @@ func (c *counters) by(dim string) (keys []string, counts map[string]int64) {
 // checker is what a gate reads: the servers to ask, the merged ledger once
 // the run is over, and whatever its own baseline read left behind.
 type checker struct {
-	client   *http.Client
-	target   string
-	replicas []string // -degrade-url
-	chaos    bool
-	total    *counters
+	client *http.Client
+	target string
+	chaos  bool
+	total  *counters
 
 	usageBefore uint64
 	anlBefore   analytics.Snapshot
@@ -190,7 +184,6 @@ var gates = []gate{
 	{"ledger", nil, (*checker).ledger},
 	{"usage", (*checker).usageBaseline, (*checker).usage},
 	{"analytics", (*checker).analyticsBaseline, (*checker).analytics},
-	{"degrade", nil, (*checker).degrade},
 	{"failovers", nil, (*checker).failovers},
 }
 
@@ -240,10 +233,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	classifyFrac := fs.Float64("classify-frac", 0.1, "fraction of requests that POST /v1/classify")
 	listsPath := fs.String("lists", "", "lists snapshot to harvest match URLs from")
 	seed := fs.Int64("seed", 1, "workload seed")
-	check := fs.String("check", "", "comma list of gates the run must pass: ledger, usage, analytics, degrade, failovers")
+	check := fs.String("check", "", "comma list of gates the run must pass: ledger, usage, analytics, failovers")
 	chaos := fs.Bool("chaos", false, "mix hostile requests (malformed/oversized/trickle/abort) into the workload")
 	faultFrac := fs.Float64("fault-frac", 0.25, "with -chaos, fraction of requests made hostile")
-	degradeURLs := fs.String("degrade-url", "", "comma-separated replica base URLs whose /admin/degrade the degrade gate reads")
 	probe := fs.Bool("probe", false, "send canonical requests, retry to 2xx, print bodies, exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -274,7 +266,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal("%v", err)
 	}
-	ck := &checker{client: client, target: *target, replicas: splitList(*degradeURLs), chaos: *chaos}
+	ck := &checker{client: client, target: *target, chaos: *chaos}
 	// A row with a baseline reconciles it against the verdicts in this
 	// run's 2xx bodies; without one, bodies are not parsed.
 	parse := false
@@ -344,7 +336,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				c.latencies = append(c.latencies, time.Since(t0))
 				c.count(byStatus, strconv.Itoa(resp.StatusCode), 1)
 				c.count(byReplica, resp.Header.Get(chassis.ReplicaHeader), 1)
-				c.count(byDegrade, resp.Header.Get(chassis.DegradeHeader), 1)
 				switch {
 				case resp.StatusCode >= 200 && resp.StatusCode < 300:
 					c.ok2xx++
@@ -412,7 +403,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			total.latencies[n*99/100].Round(time.Microsecond),
 			total.latencies[n-1].Round(time.Microsecond))
 	}
-	for _, dim := range []string{byStatus, byReplica, byDegrade} {
+	for _, dim := range []string{byStatus, byReplica} {
 		keys, counts := total.by(dim)
 		if len(keys) == 0 {
 			continue
@@ -714,44 +705,6 @@ func (ck *checker) analytics() (string, error) {
 		return "", errors.New(strings.Join(drift, "; "))
 	}
 	return fmt.Sprintf("%d decisions across %d verdict keys reconcile exactly, zero drops", ledgerSum, parsedKeys), nil
-}
-
-// degrade is the brownout recovery gate: each replica must come back to L0
-// within the poll window, its ladder must have climbed to at least L1
-// (classify shed) under this run's load, and the transition ledger must
-// show exactly one climb and one descent — transitions == 2×peak with
-// step-ups == step-downs — so hysteresis demonstrably prevented flapping.
-func (ck *checker) degrade() (string, error) {
-	if len(ck.replicas) == 0 {
-		return "", errors.New("no -degrade-url given")
-	}
-	var ladders []string
-	for _, u := range ck.replicas {
-		var snap degrade.Snapshot
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			if err := getJSON(ck.client, u+"/admin/degrade", &snap); err != nil {
-				return "", err
-			}
-			if snap.LevelNum == 0 || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if snap.LevelNum != 0 {
-			return "", fmt.Errorf("%s: still at %s after 15s, never recovered to L0", u, snap.Level)
-		}
-		if snap.PeakLevel < int(degrade.L1) {
-			return "", fmt.Errorf("%s: peak level L%d, want >= L1 (the run never pushed the ladder)", u, snap.PeakLevel)
-		}
-		if snap.Transitions != 2*uint64(snap.PeakLevel) || snap.StepUps != snap.StepDowns {
-			return "", fmt.Errorf("%s: %d transitions (%d up, %d down) for peak L%d — want exactly %d (one climb, one descent): the ladder flapped",
-				u, snap.Transitions, snap.StepUps, snap.StepDowns, snap.PeakLevel, 2*snap.PeakLevel)
-		}
-		ladders = append(ladders, fmt.Sprintf("%s peak L%d, %d up / %d down", u, snap.PeakLevel, snap.StepUps, snap.StepDowns))
-	}
-	return fmt.Sprintf("%d replicas climbed >= L1 and recovered to L0 without flapping: %s",
-		len(ladders), strings.Join(ladders, "; ")), nil
 }
 
 // failovers reads the gateway's own failover ledger from the

@@ -14,7 +14,6 @@ import (
 
 	"adwars/internal/abp"
 	"adwars/internal/artifact"
-	"adwars/internal/degrade"
 	"adwars/internal/serve"
 )
 
@@ -69,8 +68,6 @@ type fixture struct {
 
 // newFixture starts a server. wrap, when non-nil, stands between the
 // listener and the server's handler: it is how a test breaks one invariant.
-// Nothing starts the governor's own ticker, so its ladder moves only when
-// the test says so.
 func newFixture(t *testing.T, wrap func(next http.Handler) http.Handler) *fixture {
 	t.Helper()
 	dir := t.TempDir()
@@ -105,31 +102,6 @@ func (f *fixture) load(args ...string) (code int, stdout, stderr string) {
 		"-duration", "150ms", "-concurrency", "2", "-classify-frac", "0.3"}, args...)
 	code = run(args, &out, &errb)
 	return code, out.String(), errb.String()
-}
-
-// Ladder moves at the governor's real hysteresis: a full queue is
-// over-pressure and two such observations climb one level; an idle server
-// is calm and five such observations descend one.
-var (
-	up   = repeat(degrade.Signals{QueueDepth: 10, QueueLimit: 10}, 2)
-	down = repeat(degrade.Signals{}, 5)
-)
-
-func repeat(s degrade.Signals, n int) []degrade.Signals {
-	out := make([]degrade.Signals, n)
-	for i := range out {
-		out[i] = s
-	}
-	return out
-}
-
-// tick feeds the governor every observation of the given moves, in order.
-func tick(f *fixture, moves ...[]degrade.Signals) {
-	for _, m := range moves {
-		for _, s := range m {
-			f.srv.Degrade().Tick(s)
-		}
-	}
 }
 
 // noAdmin answers every /admin/* path 404, as a target that is not a
@@ -170,20 +142,6 @@ func gatewayVars(failovers int) func(http.Handler) http.Handler {
 				return
 			}
 			fmt.Fprintf(w, `{"adwars_gateway":{"failovers":%d,"retries":3}}`, failovers)
-		})
-	}
-}
-
-// afterRequests calls fn once, from the handler of the n-th data-plane
-// request: an event inside the run, not a sleep beside it.
-func afterRequests(n int64, fn func()) func(http.Handler) http.Handler {
-	var seen atomic.Int64
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/") && seen.Add(1) == n {
-				fn()
-			}
-			next.ServeHTTP(w, r)
 		})
 	}
 }
@@ -235,11 +193,8 @@ func wantOutput(t *testing.T, out string, want ...string) {
 }
 
 // TestGatesPass: every gate passes on a run whose invariants hold — the
-// reconciling gates on a quiet server, the chaos ledger
-// under hostile load, and the brownout gates on a ladder that climbed to
-// L1 before the run and is stepped back to L0 early in it (L1 sheds the
-// classify share, and a shed worker backs off, so the run makes few
-// requests before the recovery).
+// reconciling gates on a quiet server, the chaos ledger under hostile
+// load, and the failovers gate on a target whose /debug/vars reports them.
 func TestGatesPass(t *testing.T) {
 	t.Run("ledger usage analytics", func(t *testing.T) {
 		f := newFixture(t, nil)
@@ -272,17 +227,11 @@ func TestGatesPass(t *testing.T) {
 			t.Errorf("stderr: %s", stderr)
 		}
 	})
-	t.Run("degrade failovers", func(t *testing.T) {
-		var f *fixture
-		recoverMidRun := afterRequests(5, func() { tick(f, down) })
-		f = newFixture(t, func(next http.Handler) http.Handler {
-			return gatewayVars(2)(recoverMidRun(next))
-		})
-		tick(f, up)
-		code, stdout, stderr := f.load("-check", "ledger,degrade,failovers", "-degrade-url", f.url)
+	t.Run("failovers", func(t *testing.T) {
+		f := newFixture(t, gatewayVars(2))
+		code, stdout, stderr := f.load("-check", "ledger,failovers")
 		wantExit(t, code, 0)
-		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK", "  by degrade level:  L0=",
-			"loadgen: DEGRADE-CHECK OK (1 replicas climbed >= L1 and recovered to L0 without flapping: "+f.url+" peak L1, 1 up / 1 down)",
+		wantOutput(t, stdout, "loadgen: LEDGER-CHECK OK",
 			"loadgen: FAILOVERS-CHECK OK (gateway reports 2 failovers, 3 retries; ")
 		if stderr != "" {
 			t.Errorf("stderr: %s", stderr)
@@ -308,7 +257,6 @@ func TestGatesFail(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		wrap   func(http.Handler) http.Handler
-		ladder [][]degrade.Signals // moves fed to the governor before the run
 		check  string
 		code   int
 		stderr string
@@ -332,14 +280,6 @@ func TestGatesFail(t *testing.T) {
 			stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "analytics: off", wrap: noAdmin, check: "analytics", code: 2,
 			stderr: "loadgen: ANALYTICS-CHECK FAILED: baseline: GET "},
-		{name: "degrade: peaked below L1",
-			check: "degrade,ledger", code: 1,
-			stderr: "peak level L0, want >= L1", stdout: "loadgen: LEDGER-CHECK OK"},
-		{name: "degrade: flapped", ladder: [][]degrade.Signals{up, up, down, up, down, down},
-			check: "degrade", code: 1,
-			stderr: "6 transitions (3 up, 3 down) for peak L2 — want exactly 4 (one climb, one descent): the ladder flapped"},
-		{name: "degrade: no governor", wrap: noAdmin, check: "degrade", code: 1,
-			stderr: "loadgen: DEGRADE-CHECK FAILED: GET "},
 		{name: "failovers: none", wrap: gatewayVars(0), check: "failovers,ledger", code: 1,
 			stderr: "loadgen: FAILOVERS-CHECK FAILED: gateway reports 0 failovers", stdout: "loadgen: LEDGER-CHECK OK"},
 		{name: "failovers: not a gateway", check: "failovers", code: 1,
@@ -347,8 +287,7 @@ func TestGatesFail(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFixture(t, c.wrap)
-			tick(f, c.ladder...)
-			code, stdout, stderr := f.load("-check", c.check, "-degrade-url", f.url)
+			code, stdout, stderr := f.load("-check", c.check)
 			wantExit(t, code, c.code)
 			wantOutput(t, stderr, c.stderr)
 			wantOutput(t, stdout, c.stdout)
@@ -376,6 +315,7 @@ func TestRefusedBeforeFiring(t *testing.T) {
 		{[]string{"-chaos", "-check", "ledger,usage"}, "loadgen: -check usage is incompatible with -chaos"},
 		{[]string{"-chaos", "-check", "analytics"}, "loadgen: -check analytics is incompatible with -chaos"},
 		{[]string{"-usage-check"}, "flag provided but not defined: -usage-check"},
+		{[]string{"-check", "degrade"}, `loadgen: -check: unknown gate "degrade"`},
 		{[]string{"-lists", filepath.Join(t.TempDir(), "absent.json")}, "loadgen: lists snapshot: "},
 		{[]string{"-concurrency", "0"}, "loadgen: -concurrency 0: need at least one worker"},
 		{[]string{"-concurrency", "-1"}, "loadgen: -concurrency -1: need at least one worker"},

@@ -3,8 +3,8 @@ package main
 // The serving stack's systems claims, as one table: a hot reload drops
 // nothing, a damaged reload keeps last-good serving, a killed replica costs
 // the gateway failovers and the client no 5xx, a poisoned rollout stops at
-// the canary and rolls back, and brownout climbs the ladder and recovers
-// without flapping. Each row is a list of steps: replicas booted
+// the canary and rolls back, and an overdriven fleet sheds at admission,
+// answers or sheds every request and answers as it did unloaded. Each row is a list of steps: replicas booted
 // with their serve.Config, a gateway in front of them, doors that inject
 // faults in front of a replica, load windows judged by this command's own
 // -check gates, probes held to a control's answers, and events that fire
@@ -63,19 +63,18 @@ type event struct {
 }
 
 // window is one load run: loadgen against target with -check gates, more
-// flags, the replicas whose ladders the degrade gate reads, and events.
+// flags, and events.
 type window struct {
-	target  string
-	check   string
-	args    []string
-	degrade []string
-	events  []event
+	target string
+	check  string
+	args   []string
+	events []event
 }
 
-// starved is a brownout replica: one worker behind a queue of eight. Behind
-// a door that holds every answer's worker slot 5ms (starve), a replica
-// answers ≈ 200 requests a second and the queue stays full under load, and
-// the governor's queue-depth signal reads hot at every tick.
+// starved is an overdriven replica: one worker behind a queue of eight.
+// Behind a door that holds every answer's worker slot 5ms (starve), a
+// replica answers ≈ 200 requests a second and the queue stays full under
+// load, so admission sheds.
 var starved = serve.Config{Workers: 1, Queue: 8, QueueTimeout: 50 * time.Millisecond}
 
 var starve = faults{slowEvery: 1, slow: 5 * time.Millisecond}
@@ -137,19 +136,19 @@ var scenarios = []scenario{
 		agree("r1", "r2", "r3"),
 		drain("gateway", "r1", "r2", "r3"),
 	}},
-	// Two starved, governed replicas overdriven through the gateway: each
-	// ladder climbs to L1 (classify shed) or above and comes back to L0 with
-	// one climb and one descent, and the fleet back at L0 answers as it did
-	// unloaded.
-	{name: "brownout", steps: []step{
+	// Two starved replicas overdriven through the gateway: each sheds at
+	// admission, every request is answered or shed (sent = 2xx + 429, no
+	// 5xx), and the fleet answers as it did unloaded once the load stops.
+	{name: "shed", steps: []step{
 		boot("r1", starved),
 		boot("r2", starved),
 		front("r1-slow", "r1", starve),
 		front("r2-slow", "r2", starve),
 		gateway("r1-slow", "r2-slow"),
 		probe("gateway"),
-		load(window{target: "gateway", check: "ledger,degrade", degrade: []string{"r1", "r2"},
+		load(window{target: "gateway", check: "ledger",
 			args: []string{"-duration", "1500ms", "-concurrency", "32", "-classify-frac", "0.3"}}),
+		shed("r1", "r2"),
 		probe("gateway"),
 		drain("gateway", "r1-slow", "r2-slow", "r1", "r2"),
 	}},
@@ -347,9 +346,6 @@ func load(w window) step {
 			return err
 		}
 		args := append([]string{"-target", url, "-lists", filepath.Join(e.root, "lists.json"), "-check", w.check}, w.args...)
-		if len(w.degrade) > 0 {
-			args = append(args, "-degrade-url", strings.Join(e.urls(w.degrade), ","))
-		}
 		var out, errb bytes.Buffer
 		code := run(args, &out, &errb)
 		closeDoor()
@@ -406,6 +402,33 @@ func probe(target string) step {
 			e.control = got
 		} else if got != e.control {
 			return fmt.Errorf("answers differ from the control's:\n%s\ncontrol:\n%s", got, e.control)
+		}
+		return nil
+	}}
+}
+
+// shed wants every named replica to have shed at admission: a row about
+// overload whose replicas never shed proves nothing about it.
+func shed(names ...string) step {
+	return step{"shed " + strings.Join(names, ","), func(e *env) error {
+		for _, n := range names {
+			var vars struct {
+				Serve struct {
+					Endpoints map[string]struct {
+						Shed int64 `json:"shed"`
+					} `json:"endpoints"`
+				} `json:"adwars_serve"`
+			}
+			if err := getJSON(http.DefaultClient, e.url(n)+"/debug/vars", &vars); err != nil {
+				return fmt.Errorf("%s: %w", n, err)
+			}
+			var shed int64
+			for _, ep := range vars.Serve.Endpoints {
+				shed += ep.Shed
+			}
+			if shed == 0 {
+				return fmt.Errorf("%s shed nothing", n)
+			}
 		}
 		return nil
 	}}
@@ -613,7 +636,7 @@ func (s *inProc) gateway(backends []string) error {
 }
 
 // front serves f around target's handler on a wire loop of its own; target
-// keeps running its Serve, so its governor still ticks.
+// keeps running its Serve.
 func (s *inProc) front(name, target string, f faults) error {
 	n, err := s.get(target, false)
 	if err != nil {

@@ -11,14 +11,11 @@
 //	             [-portfile PATH] [-replica ID] [-drain-announce D]
 //	             [-analytics-spill DIR]
 //
-// Every replica runs the adaptive overload governor: a 100ms ticker
-// watches live pressure (admission queue depth, windowed match p99,
-// analytics drop rate) and steps a degradation ladder L0..L2 — classify
-// shed, then batch shed; no rung changes a match verdict or what analytics
-// records — with hysteresis so the level climbs fast and recovers calmly. Every
-// /v1 response carries the level in X-Adwars-Degrade; /admin/degrade
-// exposes the snapshot and manual pin/unpin (POST ?pin=L0 holds full
-// service).
+// Overload is shed at admission: -workers requests run at once, up to
+// -queue more wait at most -queue-timeout (25ms) for a slot, and every other
+// /v1 request is answered at once with a 429 whose Retry-After is 1, 2 or 3
+// seconds, drawn at random so that clients shed together do not return
+// together. No request is degraded: what is admitted gets the full answer.
 //
 // Every replica also runs the decision analytics pipeline: each /v1/match
 // and /v1/classify verdict is logged into lock-free rings, aggregated into

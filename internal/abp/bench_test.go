@@ -163,6 +163,21 @@ func BenchmarkCompilePhases(b *testing.B) {
 	}
 }
 
+// parseRulesSection is the load's strict rule parse on its own: want lines,
+// every one of them a rule, as loadList runs cutRulesSection and parseLines
+// beside the region's walk.
+func parseRulesSection(text []byte, want int) ([]*Rule, error) {
+	chunks, lines, err := cutRulesSection(text, want)
+	if err != nil {
+		return nil, err
+	}
+	rules, errs := parseLines(chunks, lines, true)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	return rules, nil
+}
+
 // BenchmarkLoadPhases splits ParseListsSnapshot over a snapshot of
 // easyMixLines' 70 k rules into its phases, each timed and its bytes counted
 // on its own: the seal (trailer, frames and section checksums), the header
@@ -205,7 +220,7 @@ func BenchmarkLoadPhases(b *testing.B) {
 	}{
 		{"seal", func() error { _, _, _, err := artifact.OpenSections(data); return err }},
 		{"header", func() error { _, _, err := readHeader(primary); return err }},
-		{"rule-parse", func() error { _, err := ParseRulesSection(text.Data, n); return err }},
+		{"rule-parse", func() error { _, err := parseRulesSection(text.Data, n); return err }},
 		{"open", func() error { _, err := openAutomaton(region.Data, n, text.CRC); return err }},
 		{"state-walk", func() error { _, err := walkStates(a, true); return err }},
 		{"file+guards", func() error { return l.attach(w) }},

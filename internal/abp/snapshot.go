@@ -13,9 +13,8 @@ import (
 )
 
 // List snapshots freeze a set of compiled filter lists for the serving
-// layer: adwars-lists -save-snapshot and adwars-compact write them,
-// adwars-serve loads them and answers /v1/match from the result. There is one
-// schema. A snapshot is a small JSON header — format, version, label and, per
+// layer: adwars-lists -save-snapshot writes them, adwars-serve loads them and
+// answers /v1/match from the result. There is one schema. A snapshot is a small JSON header — format, version, label and, per
 // list, its name and rule count — followed by framed sections
 // (artifact.SealSections), all sealed under an artifact integrity trailer:
 //
@@ -46,10 +45,8 @@ import (
 // automaton must hold: a snapshot whose rules were edited without recompiling
 // is refused as corrupt rather than matching against stale states. Files of
 // an older schema are refused by version — schema 6 too, whose tiered lists
-// carried a second automaton section, over a hot subset, beside the whole one;
-// adwars-compact -lists OLD -out NEW converts a schema-6 file, flat or
-// tiered, and a file two or more schemas old converts first through an
-// earlier release's adwars-compact.
+// carried a second automaton section, over a hot subset, beside the whole
+// one. Nothing converts them: a snapshot is regenerated from its lists.
 
 const (
 	// ListsSnapshotFormat is the format tag every lists snapshot carries.
@@ -249,8 +246,8 @@ func readHeader(primary []byte) (doc snapshotHeader, headers []listHeader, err e
 		return doc, nil, fmt.Errorf("%w: format %q", ErrSnapshotFormat, doc.Format)
 	}
 	if doc.Version != ListsSnapshotVersion {
-		return doc, nil, fmt.Errorf("%w: version %d (this build reads %d; a schema-%d file converts with adwars-compact -lists OLD -out NEW, an older one first through an earlier release's adwars-compact)",
-			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion, ListsSnapshotVersion-1)
+		return doc, nil, fmt.Errorf("%w: version %d (this build reads %d only; regenerate the snapshot from its lists)",
+			ErrSnapshotVersion, doc.Version, ListsSnapshotVersion)
 	}
 	if err := json.Unmarshal(doc.Lists, &headers); err != nil {
 		return doc, nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
@@ -296,25 +293,6 @@ func loadList(h listHeader, text artifact.Section, region []byte) (*List, error)
 		return nil, err
 	}
 	return l, nil
-}
-
-// ParseRulesSection reads one rules section under the strict line rule
-// (see the comment at the top of the file): want lines, every one of them a
-// rule. The rules alias text. A section that is not want newline-terminated
-// lines of text is section-malformed; a line that is no rule is that line's
-// parse error. adwars-compact reads the rules sections of an older schema
-// that kept them the same way through it; the loader runs its two halves,
-// cutRulesSection and the strict parse, apart.
-func ParseRulesSection(text []byte, want int) ([]*Rule, error) {
-	chunks, lines, err := cutRulesSection(text, want)
-	if err != nil {
-		return nil, err
-	}
-	rules, errs := parseLines(chunks, lines, true)
-	if len(errs) > 0 {
-		return nil, errs[0]
-	}
-	return rules, nil
 }
 
 // cutRulesSection checks that text is want newline-terminated lines of

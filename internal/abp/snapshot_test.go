@@ -481,8 +481,9 @@ func TestListsSnapshotSectionOwnership(t *testing.T) {
 // carries no trailer is missing-trailer before its version is looked at; a
 // sealed file of an older schema — testdata/parent-v3.snapshot and
 // parent-v4.snapshot are the two commit b547b05 wrote, parent-v6-flat
-// and parent-v6-tiered the two the last schema-6 build (6ef7c4f) did — is
-// ErrSnapshotVersion, and the error says what converts it. The version is
+// and parent-v6-tiered two the last schema-6 build (6ef7c4f) wrote of a
+// five-rule list, the tiered one with a hot automaton section — is
+// ErrSnapshotVersion, and the error says to regenerate it. The version is
 // read before the list bodies are, so that a schema-4 file, whose "rules" is
 // an array of lines where this schema has a count, is refused for its
 // version and not for a JSON type.
@@ -506,8 +507,8 @@ func TestListsSnapshotOlderSchemasRefused(t *testing.T) {
 	}
 	for name, file := range files {
 		_, err := ParseListsSnapshot(file)
-		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "adwars-compact") {
-			t.Errorf("%s: err = %v, want ErrSnapshotVersion naming adwars-compact", name, err)
+		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "regenerate the snapshot from its lists") {
+			t.Errorf("%s: err = %v, want ErrSnapshotVersion saying to regenerate it", name, err)
 		}
 	}
 }
@@ -518,8 +519,8 @@ func TestListsSnapshotOlderSchemasRefused(t *testing.T) {
 // the rules section, and as the automaton every rule under the run one of its
 // two regions files it under (that commit's selection, read back off the
 // regions: it drew runs from the Unicode-lowered pattern, so the build reads
-// them there too). (adwars-compact converts such a file by compiling it
-// afresh; the tests that want that commit's selection attach it here.)
+// them there too). (Compiling its rules afresh makes a current file of it;
+// the tests that want that commit's selection attach it here.)
 func parentV4AsCurrent(t testing.TB) []byte {
 	t.Helper()
 	file, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snapshot"))

@@ -39,48 +39,28 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Window is one reader's memory of a histogram's bucket counts: what
-// WindowQuantile subtracts to see only what came since that reader's
-// previous call.
-type Window [44]uint64
-
 // Quantile returns the approximate q-quantile (0 < q ≤ 1) in nanoseconds of
-// everything observed.
+// everything observed: the upper bound 2^i of the bucket i where the
+// cumulative count reaches q of the total, 0 when nothing was observed or
+// the quantile falls in bucket 0.
 func (h *Histogram) Quantile(q float64) uint64 {
-	var since Window
-	return h.WindowQuantile(&since, q)
-}
-
-// WindowQuantile returns the approximate q-quantile over only the
-// observations recorded since the previous call with the same prev,
-// updating prev in place to the current bucket counts. The overload governor
-// needs windowed pressure — the cumulative Quantile never forgets an
-// overload, so a ladder keyed on it would never recover. An empty window
-// returns 0 (calm), which is exactly right: no traffic is no pressure.
-func (h *Histogram) WindowQuantile(prev *Window, q float64) uint64 {
-	var deltas Window
+	var counts [len(h.buckets)]uint64
 	var total uint64
 	for i := range h.buckets {
-		cur := h.buckets[i].Load()
-		deltas[i] = cur - prev[i]
-		prev[i] = cur
-		total += deltas[i]
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
 	}
 	if total == 0 {
 		return 0
 	}
-	want := uint64(q * float64(total))
-	if want < 1 {
-		want = 1
-	}
+	want := max(uint64(q*float64(total)), 1)
 	var seen uint64
-	for i, n := range deltas {
-		seen += n
-		if seen >= want {
+	for i, n := range counts {
+		if seen += n; seen >= want {
 			if i == 0 {
 				return 0
 			}
-			return 1 << uint(i) // upper bound of bucket i: 2^i ns
+			return 1 << uint(i)
 		}
 	}
 	return 0 // not reached: seen ends at total ≥ want

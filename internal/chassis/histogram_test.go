@@ -27,27 +27,30 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramWindowQuantile(t *testing.T) {
+// TestHistogramQuantileCumulative: a quantile is read over everything ever
+// observed, so reading it again forgets nothing.
+func TestHistogramQuantileCumulative(t *testing.T) {
 	h := &Histogram{}
-	var prev Window
-	if got := h.WindowQuantile(&prev, 0.99); got != 0 {
-		t.Fatalf("empty window p99 = %d, want 0", got)
+	if got := h.Quantile(0.99); got != 0 {
+		t.Fatalf("empty p99 = %d, want 0", got)
 	}
 	for i := 0; i < 100; i++ {
 		h.Observe(1000)
 	}
-	if got := h.WindowQuantile(&prev, 0.99); got == 0 || got > 2048 {
-		t.Fatalf("first window p99 = %dns, want ≈1µs bucket", got)
+	if got := h.Quantile(0.99); got == 0 || got > 2048 {
+		t.Fatalf("p99 = %dns, want ≈1µs bucket", got)
 	}
-	// A second window sees only its own observations, so ten slow ones
-	// dominate even though a hundred fast ones precede them cumulatively.
+	// Ten slow observations after a hundred fast ones: p99 reaches them,
+	// p50 stays with the fast ones.
 	for i := 0; i < 10; i++ {
 		h.Observe(16 * time.Millisecond)
 	}
-	if got := h.WindowQuantile(&prev, 0.99); got < uint64((16 * time.Millisecond).Nanoseconds()) {
-		t.Fatalf("second window p99 = %dns, want >= 16ms", got)
-	}
-	if got := h.WindowQuantile(&prev, 0.99); got != 0 {
-		t.Fatalf("drained window p99 = %d, want 0", got)
+	for range 2 {
+		if got := h.Quantile(0.99); got < uint64((16 * time.Millisecond).Nanoseconds()) {
+			t.Fatalf("p99 = %dns, want >= 16ms", got)
+		}
+		if got := h.Quantile(0.5); got == 0 || got > 2048 {
+			t.Fatalf("p50 = %dns, want ≈1µs bucket", got)
+		}
 	}
 }

@@ -13,12 +13,9 @@ import (
 	"sync"
 )
 
-// The headers a replica stamps on its replies: ReplicaHeader names the
-// replica that answered, DegradeHeader the governor level it answered under.
-const (
-	ReplicaHeader = "X-Adwars-Replica"
-	DegradeHeader = "X-Adwars-Degrade"
-)
+// ReplicaHeader is the header a replica stamps on its replies: the replica
+// that answered.
+const ReplicaHeader = "X-Adwars-Replica"
 
 // Health is a replica's /healthz and /readyz response body: liveness,
 // readiness, per-snapshot versions, and the last reload outcome — everything

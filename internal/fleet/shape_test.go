@@ -100,9 +100,9 @@ func jsonShape(t *testing.T, data []byte, registry bool) string {
 // before any traffic and after one fixed script sent through a gateway:
 // each /v1 endpoint once and one 4xx. The golden file was recorded from
 // the commit before the metrics trees moved onto internal/chassis; its bare
-// sections' adwars_analytics and adwars_degrade trees were re-recorded when
-// every replica came to run the collector and the governor. A key added,
-// dropped, renamed, retyped or reordered fails here.
+// sections' adwars_analytics tree was re-recorded when every replica came
+// to run the collector, and the governor's keys went with the governor. A
+// key added, dropped, renamed, retyped or reordered fails here.
 func TestVarsShapePinned(t *testing.T) {
 	model := artifact.Seal([]byte(shapeModelJSON))
 	var out strings.Builder

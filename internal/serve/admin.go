@@ -2,12 +2,10 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 
 	"adwars/internal/artifact"
 	"adwars/internal/chassis"
-	"adwars/internal/degrade"
 )
 
 // ---- admin ----
@@ -202,56 +200,4 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.anl.Snapshot()
 	chassis.WriteJSON(w, http.StatusOK, &snap)
-}
-
-// ---- degrade ----
-
-// parseDegradeLevel accepts "L1" or "1" forms for operator pins.
-func parseDegradeLevel(v string) (degrade.Level, bool) {
-	if len(v) == 2 && (v[0] == 'L' || v[0] == 'l') {
-		v = v[1:]
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 || n > int(degrade.L2) {
-		return 0, false
-	}
-	return degrade.Level(n), true
-}
-
-// handleDegrade is the operator surface for the overload governor:
-//
-//   - GET returns the governor snapshot (level, pin state, transition
-//     ledger, last pressure signals).
-//   - POST ?pin=L1 pins the ladder at a level — the ticker keeps
-//     counting but cannot move it — for incident response or brownout
-//     drills, and ?pin=L0 holds full service; POST ?unpin releases it
-//     back to automatic control.
-func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		snap := s.gov.Snapshot()
-		chassis.WriteJSON(w, http.StatusOK, &snap)
-	case http.MethodPost:
-		q := r.URL.Query()
-		switch {
-		case q.Has("pin"):
-			lvl, ok := parseDegradeLevel(q.Get("pin"))
-			if !ok {
-				chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-					"invalid pin level %q (want L0..L2)", q.Get("pin"))
-				return
-			}
-			s.gov.Pin(lvl)
-		case q.Has("unpin"):
-			s.gov.Unpin()
-		default:
-			chassis.WriteError(w, http.StatusBadRequest, "bad_request",
-				"POST needs ?pin=L0..L2 or ?unpin")
-			return
-		}
-		snap := s.gov.Snapshot()
-		chassis.WriteJSON(w, http.StatusOK, &snap)
-	default:
-		chassis.RequireMethod(w, r, http.MethodGet, http.MethodPost)
-	}
 }

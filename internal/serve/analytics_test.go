@@ -191,24 +191,23 @@ func TestServeAnalyticsShutdownFlush(t *testing.T) {
 	}
 }
 
-// TestZeroConfigRecordsAndGoverns: the zero Config is the one serving
-// configuration — a collector and a governor exist, their admin endpoints
-// answer, and /debug/vars carries both whole trees.
-func TestZeroConfigRecordsAndGoverns(t *testing.T) {
+// TestZeroConfigRecords: the zero Config is the one serving configuration —
+// a collector exists, its admin endpoint answers, /debug/vars carries its
+// whole tree, and no governor's tree is left there.
+func TestZeroConfigRecords(t *testing.T) {
 	s := newServer(t, Config{})
-	if s.Analytics() == nil || s.Degrade() == nil {
-		t.Fatalf("collector %v, governor %v: want both", s.Analytics(), s.Degrade())
+	if s.Analytics() == nil {
+		t.Fatal("no collector")
 	}
-	for _, path := range []string{"/admin/analytics", "/admin/degrade"} {
-		if rec := do(t, s, "GET", path, ""); rec.Code != 200 {
-			t.Errorf("GET %s = %d: %s", path, rec.Code, rec.Body.Bytes())
-		}
+	if rec := do(t, s, "GET", "/admin/analytics", ""); rec.Code != 200 {
+		t.Errorf("GET /admin/analytics = %d: %s", rec.Code, rec.Body.Bytes())
 	}
 	body := do(t, s, "GET", "/debug/vars", "").Body.String()
-	for _, want := range []string{`"adwars_analytics": {"enabled":true,`, `"adwars_degrade": {"level":"L0",`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("debug vars lack %s: %s", want, body)
-		}
+	if !strings.Contains(body, `"adwars_analytics": {"enabled":true,`) {
+		t.Errorf("debug vars lack adwars_analytics: %s", body)
+	}
+	if strings.Contains(body, "degrade") {
+		t.Errorf("debug vars still carry a governor: %s", body)
 	}
 }
 

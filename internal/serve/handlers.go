@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"adwars/internal/abp"
 	"adwars/internal/analytics"
 	"adwars/internal/chassis"
-	"adwars/internal/degrade"
 	"adwars/internal/features"
 )
 
@@ -136,7 +136,7 @@ func (s *Server) readPost(w http.ResponseWriter, r *http.Request, ep, kind strin
 }
 
 // clientError answers a /v1 request the client got wrong (any 4xx but a
-// 429 shed, which refuse429 books) and counts it in ep's errors.
+// 429 shed, which beginAdmitted books) and counts it in ep's errors.
 func (s *Server) clientError(ep string, w http.ResponseWriter, status int, code, format string, args ...any) {
 	s.met.endpoints[ep].Errors.Add(1)
 	chassis.WriteError(w, status, code, format, args...)
@@ -156,61 +156,28 @@ func (s *Server) snapshotInfo() SnapshotInfo {
 	return info
 }
 
-// degradeHeaderVals holds the pre-built header value slice for each
-// ladder level, and retryAfterVals the jittered Retry-After values, so
-// stamping a response is a map assignment of a shared slice — no
-// per-request allocation. Handlers must never mutate these.
-var (
-	degradeHeaderVals = [3][]string{{"L0"}, {"L1"}, {"L2"}}
-	retryAfterVals    = [3][]string{{"1"}, {"2"}, {"3"}}
-)
+// retryAfterVals holds the Retry-After values a shed draws from, so
+// stamping a 429 is a map assignment of a shared slice — no per-request
+// allocation. Handlers must never mutate these.
+var retryAfterVals = [3][]string{{"1"}, {"2"}, {"3"}}
 
-// degradeSheds reports whether the ladder sheds this endpoint at lvl:
-// L1 drops the classify plane (model inference is the expensive
-// non-priority work), L2 additionally drops match batches. Single
-// matches are never shed here — they stay on normal admission so the
-// core service degrades last — and no level changes what a match answers.
-func degradeSheds(ep string, lvl degrade.Level) bool {
-	switch ep {
-	case epClassify, epClassifyBatch:
-		return lvl >= degrade.L1
-	case epMatchBatch:
-		return lvl >= degrade.L2
-	}
-	return false
-}
-
-// refuse429 books a pre-work rejection (shed, degrade shed, deadline
-// refusal) against the endpoint's stats and writes the envelope with a
-// jittered Retry-After so synchronized clients desynchronize instead of
-// re-arriving as one thundering herd.
-func (s *Server) refuse429(stats *endpointStats, start time.Time, w http.ResponseWriter, code, msg string) {
-	stats.Shed.Add(1)
-	stats.Requests.Add(1)
-	stats.Latency.Observe(time.Since(start))
-	w.Header()["Retry-After"] = retryAfterVals[s.gov.Jitter3()]
-	chassis.WriteError(w, http.StatusTooManyRequests, code, "%s", msg)
-}
-
-// beginAdmitted admits one request: stamp the degradation level, apply
-// the governor's ladder sheds, acquire a worker-pool ticket, and hand back
-// the latency clock. On shed it writes the 429 itself and returns
-// ok=false. Every true return must be paired with endAdmitted: one
-// worker-pool ticket per request, latency observed on every outcome, and
-// no closure, so admission adds zero allocations.
+// beginAdmitted admits one request: acquire a worker-pool ticket and hand
+// back the latency clock. On shed it books the shed against the endpoint's
+// stats, writes the 429 itself with a Retry-After of 1, 2 or 3 seconds
+// drawn at random, so that clients shed together desynchronize instead of
+// re-arriving as one thundering herd, and returns ok=false. Every true
+// return must be paired with endAdmitted: one worker-pool ticket per
+// request, latency observed on every outcome, and no closure, so admission
+// adds zero allocations.
 func (s *Server) beginAdmitted(ep string, w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
-	stats := s.met.endpoints[ep]
 	start = time.Now()
-	lvl := s.gov.Level()
-	w.Header()[chassis.DegradeHeader] = degradeHeaderVals[lvl]
-	if degradeSheds(ep, lvl) {
-		s.met.DegradeShed.Add(1)
-		s.refuse429(stats, start, w, "degraded",
-			"service degraded, endpoint temporarily shed")
-		return start, false
-	}
 	if _, err := s.adm.acquire(r.Context()); err != nil {
-		s.refuse429(stats, start, w, "shed", "server overloaded, retry later")
+		stats := s.met.endpoints[ep]
+		stats.Shed.Add(1)
+		stats.Requests.Add(1)
+		stats.Latency.Observe(time.Since(start))
+		w.Header()["Retry-After"] = retryAfterVals[rand.IntN(len(retryAfterVals))]
+		chassis.WriteError(w, http.StatusTooManyRequests, "shed", "server overloaded, retry later")
 		return start, false
 	}
 	return start, true
@@ -235,7 +202,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("/admin/snapshot/", s.handleSnapshot)
 	mux.HandleFunc("/admin/usage", s.handleUsage)
 	mux.HandleFunc("/admin/analytics", s.handleAnalytics)
-	mux.HandleFunc("/admin/degrade", s.handleDegrade)
 	mux.HandleFunc("/healthz", s.handleHealth(func(h chassis.Health) bool { return h.Model || h.Lists }))
 	mux.HandleFunc("/readyz", s.handleHealth(func(h chassis.Health) bool { return h.Ready }))
 	mux.HandleFunc("/debug/vars", s.handleDebugVars)

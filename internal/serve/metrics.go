@@ -61,9 +61,6 @@ type metrics struct {
 	// PanicsRecovered counts panics converted into structured 500s by the
 	// recovery boundary instead of killing the process.
 	PanicsRecovered chassis.Counter `json:"panics_recovered"`
-	// DegradeShed counts requests shed pre-admission by the overload
-	// governor's ladder (L1 sheds classify, L2 also sheds match batches).
-	DegradeShed chassis.Counter `json:"degrade_shed"`
 }
 
 // modelVars sizes the installed model: the ensemble's support vectors are

@@ -6,8 +6,7 @@
 // /admin/reload) with zero dropped requests, admission control sheds
 // excess load as 429s, and per-endpoint metrics export through
 // /debug/vars. Every server records its verdicts in the decision analytics
-// pipeline (/admin/analytics) and runs the overload governor
-// (/admin/degrade); there is no configuration without them.
+// pipeline (/admin/analytics); there is no configuration without it.
 package serve
 
 import (
@@ -66,9 +65,10 @@ type Config struct {
 	// never blocks the hot path and never allocates. Nil is the zero
 	// analytics.Config: every decision recorded, no spill.
 	Analytics *analytics.Config
-	// Degrade is ignored: every server runs the adaptive overload
-	// governor (see Server.Degrade). It is kept only for the benchmark,
-	// which still sets it.
+	// Degrade is ignored: there is no overload governor, and the
+	// admission queue's 429 is the overload policy.
+	//
+	// Deprecated: kept only because the benchmark still sets it.
 	Degrade *degrade.Config
 }
 
@@ -157,12 +157,6 @@ type Server struct {
 	anl    *analytics.Collector
 	anlErr error
 
-	// gov is the adaptive overload governor. Handlers read its level with
-	// one atomic load; Serve starts its ticker and closes it during drain.
-	// New never spawns the goroutine, so a Handler driven without Serve
-	// stays at L0 unless gov.Tick or a pin moves it.
-	gov *degrade.Governor
-
 	model atomic.Pointer[modelState]
 	lists atomic.Pointer[listsState]
 
@@ -197,7 +191,6 @@ func New(cfg Config) *Server {
 		// records in memory only.
 		s.anl, _ = analytics.NewCollector(analytics.Config{})
 	}
-	s.gov = degrade.New(degrade.Config{Source: s.degradeSource()})
 	h := s.withRecovery(s.routes())
 	if cfg.ReplicaID != "" {
 		// Outermost so even recovered-panic envelopes carry the replica
@@ -218,35 +211,11 @@ func (s *Server) withReplicaHeader(next http.Handler) http.Handler {
 	})
 }
 
-// degradeSource builds the governor's pressure probe. The serve-side
-// counters it reads are all cumulative (histogram buckets, analytics
-// producer counters), so the closure keeps previous readings and hands
-// the governor windowed deltas — pressure since the last tick, not
-// since boot. The probe runs on the governor's ticker goroutine only,
-// so the closed-over previous-reading state needs no locking.
-func (s *Server) degradeSource() func() degrade.Signals {
-	var window chassis.Window
-	var prevDropped, prevAttempted uint64
-	return func() degrade.Signals {
-		sig := degrade.Signals{
-			QueueDepth: s.adm.queued.Load(),
-			QueueLimit: s.adm.maxQueue,
-			MatchP99Ns: int64(s.met.endpoints[epMatch].Latency.WindowQuantile(&window, 0.99)),
-		}
-		c := s.anl.CountersNow()
-		attempted := c.Recorded + c.Dropped
-		dDrop := c.Dropped - prevDropped
-		dAtt := attempted - prevAttempted
-		prevDropped, prevAttempted = c.Dropped, attempted
-		if dAtt > 0 {
-			sig.DropRate = float64(dDrop) / float64(dAtt)
-		}
-		return sig
-	}
-}
-
-// Degrade returns the overload governor.
-func (s *Server) Degrade() *degrade.Governor { return s.gov }
+// Degrade returns a governor that never leaves full service.
+//
+// Deprecated: there is no governor; kept only because the benchmark reads
+// its Snapshot.
+func (s *Server) Degrade() *degrade.Governor { return &degrade.Governor{} }
 
 // Metrics returns the server's metrics tree as an expvar-compatible Var
 // (its String method renders JSON). Commands publish it in the global
@@ -420,16 +389,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // by drainTimeout), and flushes a final metrics snapshot to MetricsOut.
 // It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.gov.Start()
 	ws := &wire.Server{Handler: s.mux}
 	err := ws.Run(ctx, ln, drainTimeout, func() {
 		s.StartDrain()
 		time.Sleep(s.cfg.DrainAnnounce)
 	})
-	// The governor stops first: with the listener closed there is no
-	// pressure left to govern, and closing it before the analytics
-	// collector keeps the ticker from probing a closed pipeline.
-	s.gov.Close()
 	// With no more requests in flight, the analytics rings hold the last
 	// recorded decisions; flush them and the aggregator to spill before
 	// the process report, so a drained run loses no telemetry.

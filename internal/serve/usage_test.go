@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"adwars/internal/abp"
-	"adwars/internal/degrade"
 )
 
 func decodeUsage(t *testing.T, body []byte) UsageDump {
@@ -302,13 +301,12 @@ func allocRig(s *Server, path, body string) (http.Handler, *nullResponseWriter, 
 }
 
 // The hot-path allocation gate: one fully served /v1/match request —
-// routing, admission, the governor's level read and header, body read,
-// decode, match, usage recording, the analytics event, JSON encode — must
-// stay at or under 4 allocations. It makes one: the string the decoded
-// query's three fields share (codec.go). The body is read into the
-// scratch's buffer through its own LimitedReader, the Content-Type and
-// level header are shared slices, and the response is appended to the
-// scratch's output buffer. The other three are room for the router and the
+// routing, admission, body read, decode, match, usage recording, the
+// analytics event, JSON encode — must stay at or under 4 allocations. It
+// makes one: the string the decoded query's three fields share (codec.go).
+// The body is read into the scratch's buffer through its own LimitedReader,
+// the Content-Type header is a shared slice, and the response is appended
+// to the scratch's output buffer. The other three are room for the router and the
 // runtime to differ between Go releases; a regression in any pooled piece
 // shows up here as a count jump, not a vague slowdown. Every row runs the
 // one serving configuration with its analytics consumer stopped, so what is
@@ -340,18 +338,6 @@ func TestServeMatchAnalyticsAllocs(t *testing.T) {
 	checkMatchAllocs(t, s, "with the rings full")
 	if after := s.Analytics().CountersNow().Dropped; after-before < 200 {
 		t.Fatalf("%d of the measured decisions dropped, want every one", after-before)
-	}
-}
-
-// TestServeMatchDegradeAllocs holds a pinned governor: at L0, and at L2,
-// the top rung, where classify and batches are shed and the match is L0's.
-func TestServeMatchDegradeAllocs(t *testing.T) {
-	for _, lvl := range []degrade.Level{degrade.L0, degrade.L2} {
-		t.Run(fmt.Sprintf("level_%s", lvl), func(t *testing.T) {
-			s := matchAllocServer(t)
-			s.Degrade().Pin(lvl)
-			checkMatchAllocs(t, s, "at "+lvl.String())
-		})
 	}
 }
 

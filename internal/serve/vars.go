@@ -165,12 +165,11 @@ func (s *Server) usageVars() usageAggregate {
 
 // handleDebugVars renders the process-global expvar registry, then this
 // server's metrics tree under "adwars_serve", the usage aggregate, the
-// analytics collector's cheap accounting and the governor's snapshot
-// (lazy-read contract: nothing is computed until scraped).
+// analytics collector's cheap accounting (lazy-read contract: nothing is
+// computed until scraped).
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	chassis.WriteVars(w, r,
 		chassis.Var{Key: "adwars_serve", Tree: s.met},
 		chassis.Var{Key: "adwars_usage", Tree: s.usageVars()},
-		chassis.Var{Key: "adwars_analytics", Tree: s.anl.Vars()},
-		chassis.Var{Key: "adwars_degrade", Tree: s.gov.Snapshot()})
+		chassis.Var{Key: "adwars_analytics", Tree: s.anl.Vars()})
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"adwars/internal/abp"
-	"adwars/internal/degrade"
 	"adwars/internal/serve"
 	"adwars/internal/wire"
 )
@@ -154,6 +153,51 @@ func converse(t *testing.T, addr string, steps []step) (replies []reply, closed 
 	return replies, true
 }
 
+// shedReplica returns a replica that sheds every request at admission: its
+// one worker is held by a request whose reply's Write blocks, and its queue
+// of one by a request waiting behind it. Cleanup lets both finish.
+func shedReplica(t *testing.T) *serve.Server {
+	t.Helper()
+	s := newServe(t, serve.Config{ReplicaID: "r1", Workers: 1, Queue: 1, QueueTimeout: time.Minute})
+	held, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	serveOne := func(w http.ResponseWriter) {
+		defer wg.Done()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/match", strings.NewReader(matchBody)))
+	}
+	wg.Add(2)
+	go serveOne(&heldWriter{ResponseRecorder: httptest.NewRecorder(), held: held, release: release})
+	<-held
+	go serveOne(httptest.NewRecorder())
+	t.Cleanup(func() {
+		close(release)
+		wg.Wait()
+	})
+	// The queued request signals nothing when it starts waiting; the
+	// replica's own gauge does.
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(s.Metrics().String(), `"queue_depth":1`); {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return s
+}
+
+// heldWriter holds its request's worker slot: the replica writes its reply
+// before it releases the slot, and Write waits for release.
+type heldWriter struct {
+	*httptest.ResponseRecorder
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.held) })
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
 func post(path, extraHeaders, body string) string {
 	return fmt.Sprintf("POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n%sContent-Length: %d\r\n\r\n%s",
 		path, extraHeaders, len(body), body)
@@ -176,10 +220,9 @@ func TestConformanceAgainstNetHTTP(t *testing.T) {
 		r.Body = io.NopCloser(io.MultiReader(io.LimitReader(r.Body, 3), iotest.ErrReader(io.ErrUnexpectedEOF)))
 		s.Handler().ServeHTTP(w, r)
 	})))
-	// A second replica pinned at L2 sheds /v1/match/batch with a 429 and
-	// Retry-After before it reads the body.
-	shed := newServe(t, serve.Config{ReplicaID: "r1"})
-	shed.Degrade().Pin(degrade.L2)
+	// A second replica, its one worker held and its queue full, sheds
+	// every request with a 429 and a Retry-After.
+	shed := shedReplica(t)
 	mux.Handle("/shed/", http.StripPrefix("/shed", shed.Handler()))
 	mux.HandleFunc("/raw/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
 	mux.HandleFunc("/raw/unread", func(w http.ResponseWriter, r *http.Request) {
